@@ -48,6 +48,12 @@ def _parse_epsilons(text: str):
     return tuple(out)
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def _emit(doc: dict, output: str):
     if output == "json":
         sys.stdout.write(canonical_dumps(doc))
@@ -74,7 +80,7 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run a scenario's checks")
     p_run.add_argument("file")
     p_run.add_argument("--output", choices=["json", "text"], default="text")
-    p_run.add_argument("--horizon", type=int, default=DEFAULT_HORIZON)
+    p_run.add_argument("--horizon", type=_positive_int, default=DEFAULT_HORIZON)
     p_run.add_argument("--epsilon-schedule", default=None)
 
     p_car = sub.add_parser(

@@ -97,11 +97,20 @@ from .sequences import (
     StabilizesAt,
 )
 from .spaces import Element, SpaceDescriptor, SpaceKind, coord, entrywise_mat
-from .spaces import loewner_sym, reals
+from .spaces import MAX_LOEWNER_DIM, loewner_sym, reals
 
 
 def canonical_dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+def _parse_size(doc: dict, key: str, path: str) -> int:
+    value = doc.get(key)
+    # bool is a subclass of int, but `true` is not a size
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise SchemaError(f"{key} must be a positive integer, got {json.dumps(value)}",
+                          f"{path}/{key}")
+    return value
 
 
 def parse_space(doc, path: str) -> SpaceDescriptor:
@@ -111,11 +120,18 @@ def parse_space(doc, path: str) -> SpaceDescriptor:
     if kind == "reals":
         return reals()
     if kind == "coord":
-        return coord(int(doc.get("dim", 0)))
+        return coord(_parse_size(doc, "dim", path))
     if kind == "entrywise_mat":
-        return entrywise_mat(int(doc.get("rows", 0)), int(doc.get("cols", 0)))
+        return entrywise_mat(_parse_size(doc, "rows", path),
+                             _parse_size(doc, "cols", path))
     if kind == "loewner_sym":
-        return loewner_sym(int(doc.get("dim", 0)))
+        dim = _parse_size(doc, "dim", path)
+        if dim > MAX_LOEWNER_DIM:
+            raise SchemaError(
+                f"Loewner backend limited to dim <= {MAX_LOEWNER_DIM}, got {dim}",
+                path + "/dim",
+            )
+        return loewner_sym(dim)
     raise SchemaError(f"unknown space kind {kind!r}", path + "/kind")
 
 

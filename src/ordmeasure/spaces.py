@@ -15,12 +15,14 @@ sigma-Dedekind complete; pair suprema generically do not exist there, and
 `sup_pair` declines honestly instead of fabricating one.
 
 All coordinates are exact rationals, every order test is exact, and every
-value is immutable.
+value is immutable.  A Loewner order test is one fraction-free symmetric
+elimination of ``b - a`` in O(d^3) integer operations (see `is_psd`); the
+dimension stays capped at ``MAX_LOEWNER_DIM = 6``.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -218,47 +220,42 @@ def scale(r: Fraction, a: Element) -> Element:
     return Element(a.space, tuple(r * x for x in a.coords))
 
 
-def _det(rows: list) -> Fraction:
-    """Exact determinant by fraction Gaussian elimination."""
-    n = len(rows)
-    m = [list(row) for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if m[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                factor = m[r][col] * inv
-                for c in range(col, n):
-                    m[r][c] -= factor * m[col][c]
-    return det
-
-
 def is_psd(a: Element) -> bool:
     """Exact positive semidefiniteness test for a symmetric matrix.
 
-    A symmetric matrix is positive semidefinite iff every principal minor
-    (not only the leading ones) is nonnegative; with rational entries this
-    is decidable exactly.  Exponential in the dimension, hence the dim cap.
+    One symmetric elimination, O(d^3) integer operations.  The matrix is
+    first multiplied by the lcm of its denominators, which keeps the
+    answer and makes every entry an integer.  Pivots are then eliminated
+    in order, fraction-free in the style of Bareiss: with pivot p > 0
+    each later entry becomes ``(p * a_ij - a_ik * a_kj) / q``, where q is
+    the previous positive pivot (1 at first) and the division is exact.
+    That is the Schur complement scaled by a positive number, so it is
+    positive semidefinite iff the matrix is.  A negative pivot, or a zero
+    pivot with a nonzero entry left in its row, means a principal minor is
+    negative; a zero pivot whose row is zero is skipped.
     """
     if a.space.kind is not SpaceKind.LOEWNER_SYM:
         raise TypeError("PSD test applies to LoewnerSym elements only")
     d = a.space.dim
-    for size in range(1, d + 1):
-        for subset in itertools.combinations(range(d), size):
-            minor = [[a.entry(i, j) for j in subset] for i in subset]
-            if _det(minor) < 0:
+    lcm = math.lcm(*(c.denominator for c in a.coords))
+    flat = [c.numerator * (lcm // c.denominator) for c in a.coords]
+    m = [flat[i * d:(i + 1) * d] for i in range(d)]
+    # Only entries on and above the diagonal are read or updated.
+    previous = 1
+    for k in range(d):
+        row = m[k]
+        p = row[k]
+        if p < 0:
+            return False
+        if p == 0:
+            if any(row[k + 1:]):
                 return False
+            continue
+        for i in range(k + 1, d):
+            target, factor = m[i], row[i]
+            for j in range(i, d):
+                target[j] = (p * target[j] - factor * row[j]) // previous
+        previous = p
     return True
 
 

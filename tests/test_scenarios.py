@@ -147,6 +147,31 @@ class TestCli:
         err = capsys.readouterr().err
         assert "/measure/atom_values/0" in err
 
+    @pytest.mark.parametrize("space, pointer", [
+        ({"kind": "coord", "dim": "x"}, "/space/dim"),
+        ({"kind": "coord", "dim": 2.5}, "/space/dim"),
+        ({"kind": "coord", "dim": True}, "/space/dim"),
+        ({"kind": "coord", "dim": None}, "/space/dim"),
+        ({"kind": "coord"}, "/space/dim"),
+        ({"kind": "loewner_sym", "dim": 0}, "/space/dim"),
+        ({"kind": "loewner_sym", "dim": 7}, "/space/dim"),
+        ({"kind": "entrywise_mat", "rows": "2", "cols": 2}, "/space/rows"),
+        ({"kind": "entrywise_mat", "rows": 2, "cols": 1.5}, "/space/cols"),
+    ], ids=["string", "float", "bool", "null", "missing", "zero", "loewner_cap",
+            "rows", "cols"])
+    def test_space_size_schema_errors(self, tmp_path, capsys, space, pointer):
+        bad = tmp_path / "bad_space.json"
+        bad.write_text(json.dumps({"space": space, "ground_size": 1}))
+        assert run_cli(["validate", bad]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {pointer}: ")
+
+    @pytest.mark.parametrize("horizon", ["0", "-3", "x"])
+    def test_horizon_must_be_positive(self, capsys, horizon):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["run", SCENARIO_DIR / "mct_basic.json", "--horizon", horizon])
+        assert exc.value.code == 2
+        assert "--horizon" in capsys.readouterr().err
+
     def test_caratheodory_subcommand(self, capsys):
         code = run_cli(["caratheodory", SCENARIO_DIR / "caratheodory_two_point.json"])
         assert code == 0

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -97,6 +98,112 @@ class TestOrder:
             if om.leq(a, b) and om.leq(b, a):
                 assert a == b
             assert om.leq(a, b) == om.leq(om.add(a, c), om.add(b, c))
+
+
+def _det(rows: list) -> Fraction:
+    """Exact determinant by fraction Gaussian elimination."""
+    n = len(rows)
+    m = [list(row) for row in rows]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = None
+        for r in range(col, n):
+            if m[r][col] != 0:
+                pivot = r
+                break
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        inv = 1 / m[col][col]
+        for r in range(col + 1, n):
+            if m[r][col] != 0:
+                factor = m[r][col] * inv
+                for c in range(col, n):
+                    m[r][c] -= factor * m[col][c]
+    return det
+
+
+def minors_psd(a) -> bool:
+    """Oracle: PSD iff every principal minor (not only the leading ones) is >= 0."""
+    d = a.space.dim
+    return all(
+        _det([[a.entry(i, j) for j in subset] for i in subset]) >= 0
+        for size in range(1, d + 1)
+        for subset in itertools.combinations(range(d), size)
+    )
+
+
+def gram(b, d):
+    """B B^T for a d-row matrix B; PSD of rank at most the column count."""
+    return [[sum(x * y for x, y in zip(b[i], b[j])) for j in range(d)]
+            for i in range(d)]
+
+
+def hilbert(d, shift=0):
+    """The d x d Hilbert matrix minus shift * I; positive definite at shift 0."""
+    return [[Fraction(1, i + j + 1) - (shift if i == j else 0) for j in range(d)]
+            for i in range(d)]
+
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def psd_candidates(draw):
+    """Symmetric rational matrices, d = 1..6, near the PSD boundary."""
+    d = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["rank_deficient", "arbitrary", "zero_diagonal",
+                                 "late_negative"]))
+    if kind == "arbitrary":
+        rows = [[Fraction(0)] * d for _ in range(d)]
+        for i in range(d):
+            for j in range(i, d):
+                rows[i][j] = rows[j][i] = draw(small)
+        return om.sym_matrix(rows)
+    cols = draw(st.integers(0, d - 1)) if kind == "rank_deficient" else d
+    b = [[draw(small) for _ in range(cols)] for _ in range(d)]
+    if kind == "zero_diagonal":
+        # a zero row of B gives a zero diagonal entry; an off-diagonal entry
+        # in that row and column then decides the answer
+        i = draw(st.integers(0, d - 1))
+        b[i] = [Fraction(0)] * cols
+    rows = gram(b, d)
+    if kind == "zero_diagonal" and d > 1:
+        j = draw(st.integers(0, d - 2))
+        j += j >= i
+        rows[i][j] = rows[j][i] = draw(small)
+    if kind == "late_negative":
+        # the first d - 1 pivots are those of a Gram matrix; the last one
+        # drops below zero once the shift exceeds the last Schur complement
+        rows[d - 1][d - 1] -= draw(st.fractions(min_value=0, max_value=4,
+                                                max_denominator=8))
+    return om.sym_matrix(rows)
+
+
+class TestPsdElimination:
+    @given(psd_candidates())
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_principal_minors(self, a):
+        assert om.is_psd(a) == minors_psd(a)
+
+    @pytest.mark.parametrize("rows, expected", [
+        ([[0] * 3] * 3, True),
+        ([[0, 1], [1, 0]], False),
+        ([[0, 0], [0, -1]], False),
+        (gram([[1], [-2], [Fraction(1, 2)], [3], [0], [Fraction(-1, 3)]], 6), True),
+        (hilbert(6), True),
+        # the smallest eigenvalue of hilbert(6) is about 1.08e-7
+        (hilbert(6, Fraction(1, 10**8)), True),
+        (hilbert(6, Fraction(1, 10**6)), False),
+    ], ids=["zero", "swap", "late_minus_one", "rank_one_d6", "hilbert6",
+            "hilbert6_minus_1e-8", "hilbert6_minus_1e-6"])
+    def test_fixed_cases(self, rows, expected):
+        a = om.sym_matrix(rows)
+        assert om.is_psd(a) is expected
+        assert minors_psd(a) is expected
 
 
 def brute_force_lub(a, b, candidates):
