@@ -20,12 +20,11 @@ from fractions import Fraction
 from . import compare as compare_mod
 from . import outer as outer_mod
 from .errors import OrdMeasureError, SchemaError, ValidationError
-from .measures import check_measure_identities, mask_to_points
+from .measures import mask_to_points
 from .rationals import parse_rational
 from .scenarios import (
     RunConfig,
     canonical_dumps,
-    ext_element_to_json,
     load_scenario,
     run_scenario,
 )
@@ -124,17 +123,7 @@ def main(argv=None) -> int:
             scenario = load_scenario(args.file)
             if scenario.outer is None:
                 raise SchemaError("scenario has no 'outer_measure'")
-            space, restricted = outer_mod.extract_measurable_algebra(scenario.outer)
-            identities = check_measure_identities(restricted)
-            doc = {
-                "measurable_family": [mask_to_points(m) for m in space.members()],
-                "atoms": [mask_to_points(a) for a in space.atoms],
-                "restricted_measure": {
-                    str(min(mask_to_points(a))): ext_element_to_json(v)
-                    for a, v in restricted.atom_values.items()
-                },
-                "restriction_identities": identities.status,
-            }
+            doc, identities = outer_mod.caratheodory_report(scenario.outer)
             sys.stdout.write(canonical_dumps(doc))
             return 0 if identities.ok else 1
 

@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Union
 
 from . import spaces
 from .errors import CertificationError, SpaceMismatchError
-from .rationals import ExtScalar, is_infinite
+from .rationals import ExtScalar, format_rational, is_infinite
 from .sequences import (
     DEFAULT_EPSILONS,
     DEFAULT_HORIZON,
@@ -76,15 +76,15 @@ def ext_zero(space: SpaceDescriptor) -> ExtElement:
     return finite(spaces.zero(space))
 
 
-def _require_same_space(a: ExtElement, b: ExtElement):
-    if a.space != b.space:
-        raise SpaceMismatchError(
-            f"cannot combine {a.space.describe()} with {b.space.describe()}"
-        )
+def ext_to_json(v: ExtElement):
+    """The JSON form of an extended element: {"finite": [coords]} or "infinity"."""
+    if v.is_infinite:
+        return "infinity"
+    return {"finite": [format_rational(c) for c in v.finite.coords]}
 
 
 def ext_add(a: ExtElement, b: ExtElement) -> ExtElement:
-    _require_same_space(a, b)
+    spaces.require_same_space(a, b)
     if a.is_infinite or b.is_infinite:
         return infinity(a.space)
     return finite(spaces.add(a.finite, b.finite))
@@ -98,7 +98,7 @@ def ext_sum(items: Sequence[ExtElement], space: SpaceDescriptor) -> ExtElement:
 
 
 def ext_leq(a: ExtElement, b: ExtElement) -> bool:
-    _require_same_space(a, b)
+    spaces.require_same_space(a, b)
     if b.is_infinite:
         return True
     if a.is_infinite:
@@ -128,7 +128,7 @@ def ext_scale(r: ExtScalar, a: ExtElement) -> ExtElement:
 
 def ext_sub_finite(a: ExtElement, b: ExtElement) -> ExtElement:
     """a - b for finite b; infinite a stays infinite (cancellation trick)."""
-    _require_same_space(a, b)
+    spaces.require_same_space(a, b)
     if b.is_infinite:
         raise ValueError("cannot subtract the point at infinity")
     if a.is_infinite:
@@ -142,7 +142,7 @@ def ext_sup_finite_list(items: Sequence[ExtElement]) -> Union[ExtElement, NoSupr
         raise ValueError("supremum of an empty collection is undefined")
     space = items[0].space
     for item in items:
-        _require_same_space(items[0], item)
+        spaces.require_same_space(items[0], item)
     if any(item.is_infinite for item in items):
         return infinity(space)
     current = items[0].finite
@@ -161,7 +161,7 @@ def ext_inf_finite_list(items: Sequence[ExtElement]) -> Union[ExtElement, NoSupr
         raise ValueError("infimum of an empty collection is undefined")
     space = items[0].space
     for item in items:
-        _require_same_space(items[0], item)
+        spaces.require_same_space(items[0], item)
     finite_items = [item.finite for item in items if item.is_finite]
     if not finite_items:
         return infinity(space)

@@ -29,7 +29,7 @@ from .errors import (
     OrdMeasureError,
     ValidationError,
 )
-from .extended import ExtElement, ext_add, ext_leq, ext_scale, ext_zero
+from .extended import ExtElement, ext_add, ext_leq, ext_scale, ext_to_json, ext_zero
 from .measures import MeasurableSpace, Measure, full_mask, mask_to_points, points_to_mask
 from .rationals import (
     INFINITY,
@@ -49,6 +49,7 @@ from .sequences import (
     DivergesToInfinity,
     SequenceSpec,
     StabilizesAt,
+    certify_gaps,
     detect_cycle,
     detect_stable_tail,
 )
@@ -375,7 +376,7 @@ def check_integral_laws(mu: Measure, f: ExtFunction, g: ExtFunction,
                   ext_scale(r2, integral_value(g, mu)))
     linear_ok = lhs == rhs
     details = {"linearity": "holds" if linear_ok else "fails",
-               "combination": _ext_json(lhs)}
+               "combination": ext_to_json(lhs)}
     mono_ok = True
     if pointwise_leq(f, g):
         mono_ok = ext_leq(integral_value(f, mu), integral_value(g, mu))
@@ -407,7 +408,7 @@ def ae_analysis(f: ExtFunction, mu: Measure) -> CheckResult:
         "infinity_set": mask_to_points(inf_mask),
         "positive_set": mask_to_points(pos_mask),
         "null_union": mask_to_points(null),
-        "integral": _ext_json(value),
+        "integral": ext_to_json(value),
     }
     problems = []
 
@@ -467,23 +468,17 @@ def _certify_scalar_convergence(samples: List[ExtScalar], target: ExtScalar,
                     f"divergence at point {point} not certified against bound {k}"
                 )
         return
-    for eps in epsilons:
-        ok = False
-        for s in samples:
+
+    def probe(eps):
+        def reaches(i):
+            s = samples[i - 1]
             if is_infinite(s):
-                continue
-            if increasing:
-                if target <= s + eps:
-                    ok = True
-                    break
-            else:
-                if s <= target + eps:
-                    ok = True
-                    break
-        if not ok:
-            raise CertificationError(
-                f"pointwise gap {eps} at point {point} not certified"
-            )
+                return False
+            return target <= s + eps if increasing else s <= target + eps
+        return reaches
+
+    certify_gaps(epsilons, len(samples), probe,
+                 f"pointwise gap {{eps}} at point {point} not certified")
 
 
 def _pointwise_monotone_ae(mu: Measure, terms: List[ExtFunction],
@@ -499,59 +494,37 @@ def _pointwise_monotone_ae(mu: Measure, terms: List[ExtFunction],
     return bad
 
 
-def _certify_element_sup(values: List[ExtElement], target: ExtElement,
-                         unit: Element, epsilons) -> dict:
-    """Certify that an increasing sequence of integrals has the target sup."""
+def _certify_element_limit(values: List[ExtElement], target: ExtElement,
+                           unit: Element, epsilons, increasing: bool) -> dict:
+    """Certify that a monotone sequence of integrals has the target as its
+    supremum (increasing) or infimum (decreasing, with finite terms)."""
+    def precedes(a, b):
+        return ext_leq(a, b) if increasing else ext_leq(b, a)
+
+    direction = "increasing" if increasing else "decreasing"
     for n in range(1, len(values)):
-        if not ext_leq(values[n - 1], values[n]):
-            raise CertificationError(f"integral sequence not increasing at {n}")
+        if not precedes(values[n - 1], values[n]):
+            raise CertificationError(f"integral sequence not {direction} at {n}")
+    crossing = "exceeds" if increasing else "dips below"
     for n, v in enumerate(values, start=1):
-        if not ext_leq(v, target):
-            raise CertificationError(f"integral sequence exceeds the target at {n}")
+        if not precedes(v, target):
+            raise CertificationError(f"integral sequence {crossing} the target at {n}")
     if values[-1] == target:
         stable = detect_stable_tail(values)
         return {"mode": "stabilized", "at": stable or len(values)}
     if target.is_infinite:
         extended.certify_divergence(values, target.space, len(values))
         return {"mode": "divergence-certified", "ladder_top": len(values) - 1}
-    gaps = []
-    for eps in epsilons:
-        bump = extended.finite(spaces.scale(eps, unit))
-        hit = None
-        for i, v in enumerate(values, start=1):
-            if ext_leq(target, ext_add(v, bump)):
-                hit = i
-                break
-        if hit is None:
-            raise CertificationError(f"integral gap {eps} not certified")
-        gaps.append({"epsilon": format_rational(eps), "index": hit})
-    return {"mode": "gap-certified", "gaps": gaps}
 
-
-def _certify_element_inf(values: List[ExtElement], target: ExtElement,
-                         unit: Element, epsilons) -> dict:
-    """Mirror certificate for a decreasing sequence with finite terms."""
-    for n in range(1, len(values)):
-        if not ext_leq(values[n], values[n - 1]):
-            raise CertificationError(f"integral sequence not decreasing at {n}")
-    for n, v in enumerate(values, start=1):
-        if not ext_leq(target, v):
-            raise CertificationError(f"integral sequence dips below the target at {n}")
-    if values[-1] == target:
-        stable = detect_stable_tail(values)
-        return {"mode": "stabilized", "at": stable or len(values)}
-    gaps = []
-    for eps in epsilons:
+    def probe(eps):
         bump = extended.finite(spaces.scale(eps, unit))
-        hit = False
-        index = None
-        for i, v in enumerate(values, start=1):
-            if ext_leq(v, ext_add(target, bump)):
-                hit, index = True, i
-                break
-        if not hit:
-            raise CertificationError(f"integral gap {eps} not certified")
-        gaps.append({"epsilon": format_rational(eps), "index": index})
+        if increasing:
+            return lambda i: ext_leq(target, ext_add(values[i - 1], bump))
+        ceiling = ext_add(target, bump)
+        return lambda i: ext_leq(values[i - 1], ceiling)
+
+    gaps = certify_gaps(epsilons, len(values), probe,
+                        "integral gap {eps} not certified")
     return {"mode": "gap-certified", "gaps": gaps}
 
 
@@ -598,8 +571,8 @@ def mct(mu: Measure, seq: SequenceSpec, f: ExtFunction,
     values = [integral_value(t, mu) for t in terms]
     target = integral_value(f, mu)
     unit = spaces.order_unit(mu.backend)
-    trail = _certify_element_sup(values, target, unit, epsilons)
-    return holds("mct", limit_integral=_ext_json(target), certification=trail)
+    trail = _certify_element_limit(values, target, unit, epsilons, increasing=True)
+    return holds("mct", limit_integral=ext_to_json(target), certification=trail)
 
 
 def mct_decreasing(mu: Measure, seq: SequenceSpec, f: ExtFunction,
@@ -641,8 +614,8 @@ def mct_decreasing(mu: Measure, seq: SequenceSpec, f: ExtFunction,
     values = [integral_value(t, mu) for t in terms]
     target = integral_value(f, mu)
     unit = spaces.order_unit(mu.backend)
-    trail = _certify_element_inf(values, target, unit, epsilons)
-    return holds("mct_decreasing", limit_integral=_ext_json(target),
+    trail = _certify_element_limit(values, target, unit, epsilons, increasing=False)
+    return holds("mct_decreasing", limit_integral=ext_to_json(target),
                  certification=trail)
 
 
@@ -684,8 +657,8 @@ def fatou(mu: Measure, seq: SequenceSpec,
         raise CertificationError("tail infimum of the integrals does not exist")
     ok = ext_leq(lhs, rhs)
     details = {
-        "lhs": _ext_json(lhs),
-        "rhs": _ext_json(rhs),
+        "lhs": ext_to_json(lhs),
+        "rhs": ext_to_json(rhs),
         "strict": lhs != rhs,
         "cycle": {"preperiod": pre, "period": period},
     }
@@ -723,17 +696,11 @@ def dct(mu: Measure, seq: SequenceSpec, f: SignedFunction, g: ExtFunction,
     for x in range(mu.space.ground_size):
         if (1 << x) & null:
             continue
-        gaps = [abs(t.values[x] - f.values[x]) for t in terms]
-        for eps in epsilons:
-            tail_ok = False
-            for start in range(len(gaps)):
-                if all(d <= eps for d in gaps[start:]):
-                    tail_ok = True
-                    break
-            if not tail_ok:
-                raise CertificationError(
-                    f"pointwise convergence gap {eps} at point {x} not certified"
-                )
+        distances = [abs(t.values[x] - f.values[x]) for t in terms]
+        # Index i reaches eps when every distance from i on is within eps.
+        certify_gaps(epsilons, len(distances),
+                     lambda eps: lambda i: all(d <= eps for d in distances[i - 1:]),
+                     f"pointwise convergence gap {{eps}} at point {x} not certified")
 
     part1 = all(is_integrable(t, mu) for t in terms)
     part2 = is_integrable(f, mu)
@@ -760,16 +727,13 @@ def dct(mu: Measure, seq: SequenceSpec, f: SignedFunction, g: ExtFunction,
                 raise CertificationError(
                     "integral deviations are not decreasing; tails not certifiable"
                 )
-        gaps = []
-        for eps in epsilons:
-            hit = None
-            for i, d in enumerate(deviations, start=1):
-                if spaces.leq(d, spaces.scale(eps, unit)):
-                    hit = i
-                    break
-            if hit is None:
-                raise CertificationError(f"deviation gap {eps} not certified")
-            gaps.append({"epsilon": format_rational(eps), "index": hit})
+
+        def deviation_probe(eps):
+            bound = spaces.scale(eps, unit)
+            return lambda i: spaces.leq(deviations[i - 1], bound)
+
+        gaps = certify_gaps(epsilons, len(deviations), deviation_probe,
+                            "deviation gap {eps} not certified")
         details["part3_deviation_infimum"] = "holds"
         details["part3_mode"] = {"mode": "gap-certified", "gaps": gaps}
 
@@ -793,22 +757,21 @@ def dct(mu: Measure, seq: SequenceSpec, f: SignedFunction, g: ExtFunction,
             return fails("dct", **details)
         details["part4_mode"] = {"mode": "stabilized"}
     else:
-        gaps = []
-        for eps in epsilons:
+        def sandwich_probe(eps):
             bump = spaces.scale(eps, unit)
-            hit = None
-            for n in range(len(term_ints)):
-                lo_ok = spaces.leq(spaces.sub(f_int, bump), window_infs[n])
-                hi_ok = spaces.leq(window_sups[n], spaces.add(f_int, bump))
-                if lo_ok and hi_ok:
-                    hit = n + 1
-                    break
-            if hit is None:
-                raise CertificationError(f"sandwich gap {eps} not certified")
-            gaps.append({"epsilon": format_rational(eps), "index": hit})
+            lower, upper = spaces.sub(f_int, bump), spaces.add(f_int, bump)
+
+            def reaches(i):
+                lo_ok = spaces.leq(lower, window_infs[i - 1])
+                hi_ok = spaces.leq(window_sups[i - 1], upper)
+                return lo_ok and hi_ok
+            return reaches
+
+        gaps = certify_gaps(epsilons, len(term_ints), sandwich_probe,
+                            "sandwich gap {eps} not certified")
         details["part4_sandwich"] = "holds"
         details["part4_mode"] = {"mode": "gap-certified", "gaps": gaps}
-    details["limit_integral"] = {"finite": [format_rational(c) for c in f_int.coords]}
+    details["limit_integral"] = ext_to_json(extended.finite(f_int))
     return holds("dct", **details)
 
 
@@ -821,7 +784,7 @@ def triangle_inequality(mu: Measure, f: SignedFunction) -> CheckResult:
     ok = ext_leq(extended.finite(lhs), abs_total)
     details = {
         "abs_of_integral": [format_rational(c) for c in lhs.coords],
-        "integral_of_abs": _ext_json(abs_total),
+        "integral_of_abs": ext_to_json(abs_total),
     }
     return holds("triangle", **details) if ok else fails("triangle", **details)
 
@@ -945,8 +908,3 @@ def l1_quotient(mu: Measure, functions: Sequence[SignedFunction]) -> CheckResult
         return fails("l1_quotient", problems=problems, **details)
     return holds("l1_quotient", **details)
 
-
-def _ext_json(v: ExtElement):
-    if v.is_infinite:
-        return "infinity"
-    return {"finite": [format_rational(c) for c in v.finite.coords]}

@@ -22,8 +22,7 @@ from .errors import (
     HypothesisError,
     ValidationError,
 )
-from .extended import ExtElement, ext_add, ext_leq, ext_sum, ext_zero
-from .rationals import format_rational
+from .extended import ExtElement, ext_add, ext_leq, ext_sum, ext_to_json, ext_zero
 from .reports import CheckResult, fails, holds
 from .sequences import SequenceSpec, detect_cycle, detect_stable_tail
 from .spaces import Element, SpaceDescriptor, SpaceKind
@@ -81,6 +80,14 @@ def _atom_partition(ground_size: int, sets: Iterable[int]) -> tuple:
     return tuple(sorted(signature.values()))
 
 
+def _atom_unions(atoms: Sequence[int]) -> List[int]:
+    """All 2^k unions of the k atoms, the empty union included."""
+    unions = [0]
+    for atom in atoms:
+        unions += [u | atom for u in unions]
+    return unions
+
+
 def validate_sigma_algebra(sets: Iterable[int], ground_size: int) -> MeasurableSpace:
     """Validate a family of bitmasks as a sigma-algebra, or report a witness.
 
@@ -113,18 +120,10 @@ def validate_sigma_algebra(sets: Iterable[int], ground_size: int) -> MeasurableS
                 witness={"complement_of": mask_to_points(s)},
             )
     atoms = _atom_partition(ground_size, family)
-    # Closed under complement and union iff every union of signature blocks
-    # is present (the family then *is* the algebra its atoms generate).
-    nblocks = len(atoms)
-    if len(family) != (1 << nblocks):
+    # Closed under complement and union iff the family *is* the algebra its
+    # signature blocks generate.
+    if family != frozenset(_atom_unions(atoms)):
         _raise_union_witness(family)
-    for combo in range(1 << nblocks):
-        union = 0
-        for i in range(nblocks):
-            if combo >> i & 1:
-                union |= atoms[i]
-        if union not in family:
-            _raise_union_witness(family)
     return MeasurableSpace(ground_size=ground_size, sets=family, atoms=atoms)
 
 
@@ -148,14 +147,8 @@ def generate_sigma_algebra(generators: Iterable[int], ground_size: int) -> Measu
             f"ground size must be in 1..{MAX_GROUND_SIZE}, got {ground_size}"
         )
     atoms = _atom_partition(ground_size, list(generators) + [full_mask(ground_size)])
-    sets = set()
-    for combo in range(1 << len(atoms)):
-        union = 0
-        for i in range(len(atoms)):
-            if combo >> i & 1:
-                union |= atoms[i]
-        sets.add(union)
-    return MeasurableSpace(ground_size=ground_size, sets=frozenset(sets), atoms=atoms)
+    return MeasurableSpace(ground_size=ground_size, sets=frozenset(_atom_unions(atoms)),
+                           atoms=atoms)
 
 
 def power_set_space(ground_size: int) -> MeasurableSpace:
@@ -291,10 +284,10 @@ def continuity_from_below(mu: Measure, seq: SequenceSpec,
     if sup_of_values == union_value:
         return holds("continuity_below",
                      union=mask_to_points(union),
-                     value=_ext_json(union_value))
+                     value=ext_to_json(union_value))
     return fails("continuity_below",
-                 sup_of_values=_ext_json(sup_of_values),
-                 union_value=_ext_json(union_value))
+                 sup_of_values=ext_to_json(sup_of_values),
+                 union_value=ext_to_json(union_value))
 
 
 def continuity_from_above(mu: Measure, seq: SequenceSpec,
@@ -322,10 +315,10 @@ def continuity_from_above(mu: Measure, seq: SequenceSpec,
     if inf_of_values == inter_value:
         return holds("continuity_above",
                      intersection=mask_to_points(intersection),
-                     value=_ext_json(inter_value))
+                     value=ext_to_json(inter_value))
     return fails("continuity_above",
-                 inf_of_values=_ext_json(inf_of_values),
-                 intersection_value=_ext_json(inter_value))
+                 inf_of_values=ext_to_json(inf_of_values),
+                 intersection_value=ext_to_json(inter_value))
 
 
 def borel_cantelli(mu: Measure, seq: SequenceSpec, x: Optional[Element] = None,
@@ -364,7 +357,7 @@ def borel_cantelli(mu: Measure, seq: SequenceSpec, x: Optional[Element] = None,
     )
     if sums_finite:
         total = ext_sum(pre_values, mu.backend)
-        details["partial_sum_bound"] = _ext_json(total)
+        details["partial_sum_bound"] = ext_to_json(total)
         gamma_value = mu.evaluate(gamma)
         part1 = gamma_value.is_finite and gamma_value.finite.is_zero()
         details["part1"] = "holds" if part1 else "fails"
@@ -453,8 +446,3 @@ def operator_measure_bridge(mu: Measure, disjoint_sets: Sequence[int],
                      partial_sums=len(partials))
     return fails(name, order_route=order_ok, vector_route=vector_ok)
 
-
-def _ext_json(v: ExtElement):
-    if v.is_infinite:
-        return "infinity"
-    return {"finite": [format_rational(c) for c in v.finite.coords]}

@@ -17,14 +17,16 @@ from typing import Dict, Iterable, Tuple
 
 from . import extended
 from .errors import DimensionLimitError, ValidationError
-from .extended import ExtElement, ext_add, ext_leq
+from .extended import ExtElement, ext_add, ext_leq, ext_to_json
 from .measures import (
     MeasurableSpace,
     Measure,
+    check_measure_identities,
     full_mask,
     mask_to_points,
     validate_sigma_algebra,
 )
+from .reports import CheckResult
 from .spaces import SpaceDescriptor
 
 MAX_OUTER_GROUND_SIZE = 12
@@ -142,6 +144,23 @@ def extract_measurable_algebra(nu: OuterMeasure) -> Tuple[MeasurableSpace, Measu
                 witness={"set": mask_to_points(mask)},
             )
     return space, restricted
+
+
+def caratheodory_report(nu: OuterMeasure) -> Tuple[dict, CheckResult]:
+    """The Caratheodory report of an outer measure, and the identity suite
+    run on its restricted measure (keyed in the report by smallest point)."""
+    space, restricted = extract_measurable_algebra(nu)
+    identities = check_measure_identities(restricted)
+    report = {
+        "measurable_family": [mask_to_points(m) for m in space.members()],
+        "atoms": [mask_to_points(a) for a in space.atoms],
+        "restriction_identities": identities.status,
+        "restricted_measure": {
+            str(min(mask_to_points(a))): ext_to_json(v)
+            for a, v in restricted.atom_values.items()
+        },
+    }
+    return report, identities
 
 
 def null_sets(nu: OuterMeasure) -> Iterable[int]:

@@ -12,7 +12,7 @@ Top-level keys:
 
   space          {"kind": "reals" | "coord" | "entrywise_mat" | "loewner_sym",
                   "dim": n, "rows": r, "cols": c}
-  ground_size    number of ground points (1-based checks index sets by point)
+  ground_size    number of ground points, 1..16 (1-based checks index sets by point)
   sigma_algebra  {"power_set": true}, {"generators": [[points...], ...]}
                  (closure is computed), or {"sets": [[points...], ...]}
                  (the family is validated as given)
@@ -77,7 +77,7 @@ from .errors import (
     NotIntegrableError,
     SchemaError,
 )
-from .extended import ExtElement, finite, infinity
+from .extended import ExtElement, ext_to_json, finite, infinity
 from .integral import ExtFunction, SignedFunction, ext_function, signed_function
 from .measures import MeasurableSpace, Measure, mask_to_points, points_to_mask
 from .rationals import (
@@ -164,12 +164,6 @@ def parse_ext_element(doc, space: SpaceDescriptor, path: str) -> ExtElement:
     raise SchemaError("expected {\"finite\": [...]} or \"infinity\"", path)
 
 
-def ext_element_to_json(v: ExtElement):
-    if v.is_infinite:
-        return "infinity"
-    return {"finite": [format_rational(c) for c in v.finite.coords]}
-
-
 def _parse_points(doc, ground_size: int, path: str) -> int:
     if not isinstance(doc, list):
         raise SchemaError("set must be an array of point indices", path)
@@ -228,13 +222,17 @@ def parse_scenario(doc: dict, path_prefix: str = "") -> Scenario:
     if not isinstance(doc, dict):
         raise SchemaError("scenario must be a JSON object", path_prefix)
     backend = parse_space(doc.get("space"), path_prefix + "/space")
-    ground = doc.get("ground_size")
-    if not isinstance(ground, int) or ground < 1:
-        raise SchemaError("ground_size must be a positive integer",
-                          path_prefix + "/ground_size")
+    ground = _parse_size(doc, "ground_size", path_prefix)
+    if ground > measures_mod.MAX_GROUND_SIZE:
+        raise SchemaError(
+            f"ground size limited to <= {measures_mod.MAX_GROUND_SIZE}, got {ground}",
+            path_prefix + "/ground_size",
+        )
 
     alg_doc = doc.get("sigma_algebra", {"power_set": True})
     apath = path_prefix + "/sigma_algebra"
+    if not isinstance(alg_doc, dict):
+        raise SchemaError("sigma_algebra must be an object", apath)
     if alg_doc.get("power_set"):
         space = measures_mod.power_set_space(ground)
     elif "generators" in alg_doc:
@@ -322,10 +320,17 @@ def parse_scenario(doc: dict, path_prefix: str = "") -> Scenario:
         functions[name] = fdef
 
     sequences = dict(doc.get("sequences", {}))
-    checks = list(doc.get("checks", []))
+    checks = doc.get("checks", [])
+    if not isinstance(checks, list):
+        raise SchemaError("checks must be an array", path_prefix + "/checks")
+    for i, directive in enumerate(checks):
+        check = directive.get("check") if isinstance(directive, dict) else None
+        if not isinstance(check, str):
+            raise SchemaError("a directive must be an object with a string 'check'",
+                              f"{path_prefix}/checks/{i}")
     return Scenario(
         source=doc, backend=backend, space=space, measure=mu, outer=outer,
-        functions=functions, sequences=sequences, checks=checks,
+        functions=functions, sequences=sequences, checks=list(checks),
     )
 
 
@@ -437,22 +442,6 @@ def _build_function_sequence(scenario: Scenario, name: str,
     raise SchemaError(f"unknown sequence kind {kind!r}", spath)
 
 
-def _wrap_ext_sequence(seq: SequenceSpec, space: MeasurableSpace) -> SequenceSpec:
-    return SequenceSpec(
-        generator=lambda n: ext_function(space, seq.term(n)),
-        horizon=seq.horizon, metadata=seq.metadata,
-        monotonicity=seq.monotonicity,
-    )
-
-
-def _wrap_signed_sequence(seq: SequenceSpec, space: MeasurableSpace) -> SequenceSpec:
-    return SequenceSpec(
-        generator=lambda n: signed_function(space, seq.term(n)),
-        horizon=seq.horizon, metadata=seq.metadata,
-        monotonicity=seq.monotonicity,
-    )
-
-
 def _parse_set_sequence(scenario: Scenario, doc, config: RunConfig,
                         path: str) -> SequenceSpec:
     ground = scenario.space.ground_size
@@ -477,10 +466,191 @@ def _parse_set_sequence(scenario: Scenario, doc, config: RunConfig,
     raise SchemaError(f"unknown set sequence kind {kind!r}", path)
 
 
-def _require_measure(scenario: Scenario) -> Measure:
-    if scenario.measure is None:
-        raise SchemaError("this check needs a 'measure' in the scenario")
-    return scenario.measure
+@dataclass
+class _Directive:
+    """One check directive, with the scenario and settings it runs under."""
+
+    scenario: Scenario
+    doc: dict
+    config: RunConfig
+    path: str
+
+    def measure(self) -> Measure:
+        if self.scenario.measure is None:
+            raise SchemaError("this check needs a 'measure' in the scenario")
+        return self.scenario.measure
+
+    def ext(self, key: str) -> ExtFunction:
+        return self.scenario.function(self.doc.get(key), self.path).as_ext(
+            self.scenario.space)
+
+    def signed(self, key: str) -> SignedFunction:
+        return self.scenario.function(self.doc.get(key), self.path).as_signed(
+            self.scenario.space)
+
+    def sets(self) -> SequenceSpec:
+        return _parse_set_sequence(self.scenario, self.doc.get("sets"), self.config,
+                                   self.path + "/sets")
+
+    def sequence(self, convert) -> SequenceSpec:
+        """The named function sequence, each term made by `convert(space, values)`."""
+        seq = _build_function_sequence(self.scenario, self.doc.get("sequence"),
+                                       self.config, self.path + "/sequence")
+        space = self.scenario.space
+        return SequenceSpec(
+            generator=lambda n: convert(space, seq.term(n)),
+            horizon=seq.horizon, metadata=seq.metadata,
+            monotonicity=seq.monotonicity,
+        )
+
+
+def _check_validate(d: _Directive) -> CheckResult:
+    space = d.scenario.space
+    details = {"atoms": [mask_to_points(a) for a in space.atoms],
+               "members": len(space.sets)}
+    if d.scenario.measure is not None:
+        details["classification"] = d.scenario.measure.classification()
+    return CheckResult("validate", HOLDS, details)
+
+
+def _check_continuity_below(d: _Directive) -> CheckResult:
+    seq = d.sets()
+    return measures_mod.continuity_from_below(d.measure(), seq,
+                                              horizon=d.config.horizon)
+
+
+def _check_continuity_above(d: _Directive) -> CheckResult:
+    seq = d.sets()
+    return measures_mod.continuity_from_above(d.measure(), seq,
+                                              horizon=d.config.horizon)
+
+
+def _check_borel_cantelli(d: _Directive) -> CheckResult:
+    mu, seq = d.measure(), d.sets()
+    x = None
+    if "lower_bound" in d.doc:
+        x = parse_element(d.doc["lower_bound"], d.scenario.backend,
+                          d.path + "/lower_bound")
+    return measures_mod.borel_cantelli(mu, seq, x, horizon=d.config.horizon)
+
+
+def _check_bridge(d: _Directive) -> CheckResult:
+    mu = d.measure()
+    sets = [
+        _parse_points(s, d.scenario.space.ground_size, f"{d.path}/sets/{i}")
+        for i, s in enumerate(d.doc.get("sets", []))
+    ]
+    return measures_mod.operator_measure_bridge(mu, sets)
+
+
+def _check_integrate(d: _Directive) -> CheckResult:
+    mu = d.measure()
+    report = integral_mod.integrate_extended(d.ext("function"), mu)
+    details = {"value": ext_to_json(report.value), "ladder": report.trail}
+    if "expected" in d.doc:
+        expected = parse_ext_element(d.doc["expected"], d.scenario.backend,
+                                     d.path + "/expected")
+        if expected != report.value:
+            return CheckResult("integrate", "fails", details)
+    return CheckResult("integrate", HOLDS, details)
+
+
+def _check_integral_laws(d: _Directive) -> CheckResult:
+    mu, f, g = d.measure(), d.ext("f"), d.ext("g")
+    r1 = parse_rational(d.doc.get("r1", "1"), d.path + "/r1")
+    r2 = parse_rational(d.doc.get("r2", "1"), d.path + "/r2")
+    return integral_mod.check_integral_laws(mu, f, g, r1, r2)
+
+
+def _check_ae(d: _Directive) -> CheckResult:
+    mu = d.measure()
+    return integral_mod.ae_analysis(d.ext("function"), mu)
+
+
+def _check_mct(d: _Directive) -> CheckResult:
+    return integral_mod.mct(d.measure(), d.sequence(ext_function), d.ext("limit"),
+                            horizon=d.config.horizon, epsilons=d.config.epsilons)
+
+
+def _check_mct_decreasing(d: _Directive) -> CheckResult:
+    return integral_mod.mct_decreasing(
+        d.measure(), d.sequence(ext_function), d.ext("limit"),
+        horizon=d.config.horizon, epsilons=d.config.epsilons)
+
+
+def _check_dct(d: _Directive) -> CheckResult:
+    return integral_mod.dct(d.measure(), d.sequence(signed_function), d.signed("limit"),
+                            d.ext("dominator"), horizon=d.config.horizon,
+                            epsilons=d.config.epsilons)
+
+
+def _check_push_forward(d: _Directive) -> CheckResult:
+    mu = d.measure()
+    target = parse_space(d.doc.get("target"), d.path + "/target")
+    matrix = [
+        [parse_rational(v, f"{d.path}/matrix/{i}/{j}") for j, v in enumerate(row)]
+        for i, row in enumerate(d.doc.get("matrix", []))
+    ]
+    f = None
+    if "function" in d.doc:
+        fdef = d.scenario.function(d.doc["function"], d.path)
+        if any(not is_infinite(v) and v < 0 for v in fdef.values):
+            f = fdef.as_signed(d.scenario.space)
+        else:
+            f = fdef.as_ext(d.scenario.space)
+    return integral_mod.push_forward(mu, matrix, target, f)
+
+
+def _check_l1_quotient(d: _Directive) -> CheckResult:
+    mu = d.measure()
+    fs = [
+        d.scenario.function(name, f"{d.path}/functions/{i}").as_signed(d.scenario.space)
+        for i, name in enumerate(d.doc.get("functions", []))
+    ]
+    return integral_mod.l1_quotient(mu, fs)
+
+
+def _check_caratheodory(d: _Directive) -> CheckResult:
+    if d.scenario.outer is None:
+        raise SchemaError("caratheodory needs an 'outer_measure'", d.path)
+    details, identities = outer_mod.caratheodory_report(d.scenario.outer)
+    status = HOLDS if identities.ok else "fails"
+    if "expected_family" in d.doc:
+        expected = [
+            _parse_points(s, d.scenario.space.ground_size,
+                          f"{d.path}/expected_family/{i}")
+            for i, s in enumerate(d.doc["expected_family"])
+        ]
+        family = [mask_to_points(m) for m in sorted(expected)]
+        if family != details["measurable_family"]:
+            status = "fails"
+    return CheckResult("caratheodory", status, details)
+
+
+# Directive name -> handler.  Handlers look library operations up on their
+# modules at call time, so a wrapper installed on a module attribute (as
+# perfbench/tracing.py installs) sees every call.
+_CHECKS = {
+    "validate": _check_validate,
+    "identities": lambda d: measures_mod.check_measure_identities(d.measure()),
+    "continuity_below": _check_continuity_below,
+    "continuity_above": _check_continuity_above,
+    "borel_cantelli": _check_borel_cantelli,
+    "bridge": _check_bridge,
+    "integrate": _check_integrate,
+    "integral_laws": _check_integral_laws,
+    "ae": _check_ae,
+    "mct": _check_mct,
+    "mct_decreasing": _check_mct_decreasing,
+    "fatou": lambda d: integral_mod.fatou(d.measure(), d.sequence(ext_function),
+                                          horizon=d.config.horizon),
+    "dct": _check_dct,
+    "triangle": lambda d: integral_mod.triangle_inequality(d.measure(),
+                                                           d.signed("function")),
+    "push_forward": _check_push_forward,
+    "l1_quotient": _check_l1_quotient,
+    "caratheodory": _check_caratheodory,
+}
 
 
 def run_check(scenario: Scenario, directive: dict, config: RunConfig,
@@ -493,168 +663,14 @@ def run_check(scenario: Scenario, directive: dict, config: RunConfig,
     """
     name = directive.get("check")
     path = f"/checks/{index}"
-    try:
-        if name == "validate":
-            details = {"atoms": [mask_to_points(a) for a in scenario.space.atoms],
-                       "members": len(scenario.space.sets)}
-            if scenario.measure is not None:
-                details["classification"] = scenario.measure.classification()
-            return CheckResult("validate", HOLDS, details)
-
-        if name == "identities":
-            return measures_mod.check_measure_identities(_require_measure(scenario))
-
-        if name == "continuity_below":
-            seq = _parse_set_sequence(scenario, directive.get("sets"), config,
-                                      path + "/sets")
-            return measures_mod.continuity_from_below(
-                _require_measure(scenario), seq, horizon=config.horizon)
-
-        if name == "continuity_above":
-            seq = _parse_set_sequence(scenario, directive.get("sets"), config,
-                                      path + "/sets")
-            return measures_mod.continuity_from_above(
-                _require_measure(scenario), seq, horizon=config.horizon)
-
-        if name == "borel_cantelli":
-            mu = _require_measure(scenario)
-            seq = _parse_set_sequence(scenario, directive.get("sets"), config,
-                                      path + "/sets")
-            x = None
-            if "lower_bound" in directive:
-                x = parse_element(directive["lower_bound"], scenario.backend,
-                                  path + "/lower_bound")
-            return measures_mod.borel_cantelli(mu, seq, x, horizon=config.horizon)
-
-        if name == "bridge":
-            mu = _require_measure(scenario)
-            sets = [
-                _parse_points(s, scenario.space.ground_size, f"{path}/sets/{i}")
-                for i, s in enumerate(directive.get("sets", []))
-            ]
-            return measures_mod.operator_measure_bridge(mu, sets)
-
-        if name == "integrate":
-            mu = _require_measure(scenario)
-            f = scenario.function(directive.get("function"), path).as_ext(
-                scenario.space)
-            report = integral_mod.integrate_extended(f, mu)
-            details = {"value": ext_element_to_json(report.value),
-                       "ladder": report.trail}
-            if "expected" in directive:
-                expected = parse_ext_element(directive["expected"],
-                                             scenario.backend, path + "/expected")
-                if expected != report.value:
-                    return CheckResult("integrate", "fails", details)
-            return CheckResult("integrate", HOLDS, details)
-
-        if name == "integral_laws":
-            mu = _require_measure(scenario)
-            f = scenario.function(directive.get("f"), path).as_ext(scenario.space)
-            g = scenario.function(directive.get("g"), path).as_ext(scenario.space)
-            r1 = parse_rational(directive.get("r1", "1"), path + "/r1")
-            r2 = parse_rational(directive.get("r2", "1"), path + "/r2")
-            return integral_mod.check_integral_laws(mu, f, g, r1, r2)
-
-        if name == "ae":
-            mu = _require_measure(scenario)
-            f = scenario.function(directive.get("function"), path).as_ext(
-                scenario.space)
-            return integral_mod.ae_analysis(f, mu)
-
-        if name in ("mct", "mct_decreasing"):
-            mu = _require_measure(scenario)
-            seq = _build_function_sequence(scenario, directive.get("sequence"),
-                                           config, path + "/sequence")
-            f = scenario.function(directive.get("limit"), path).as_ext(scenario.space)
-            wrapped = _wrap_ext_sequence(seq, scenario.space)
-            op = integral_mod.mct if name == "mct" else integral_mod.mct_decreasing
-            return op(mu, wrapped, f, horizon=config.horizon,
-                      epsilons=config.epsilons)
-
-        if name == "fatou":
-            mu = _require_measure(scenario)
-            seq = _build_function_sequence(scenario, directive.get("sequence"),
-                                           config, path + "/sequence")
-            return integral_mod.fatou(mu, _wrap_ext_sequence(seq, scenario.space),
-                                      horizon=config.horizon)
-
-        if name == "dct":
-            mu = _require_measure(scenario)
-            seq = _build_function_sequence(scenario, directive.get("sequence"),
-                                           config, path + "/sequence")
-            f = scenario.function(directive.get("limit"), path).as_signed(
-                scenario.space)
-            g = scenario.function(directive.get("dominator"), path).as_ext(
-                scenario.space)
-            return integral_mod.dct(mu, _wrap_signed_sequence(seq, scenario.space),
-                                    f, g, horizon=config.horizon,
-                                    epsilons=config.epsilons)
-
-        if name == "triangle":
-            mu = _require_measure(scenario)
-            f = scenario.function(directive.get("function"), path).as_signed(
-                scenario.space)
-            return integral_mod.triangle_inequality(mu, f)
-
-        if name == "push_forward":
-            mu = _require_measure(scenario)
-            target = parse_space(directive.get("target"), path + "/target")
-            matrix = [
-                [parse_rational(v, f"{path}/matrix/{i}/{j}")
-                 for j, v in enumerate(row)]
-                for i, row in enumerate(directive.get("matrix", []))
-            ]
-            f = None
-            if "function" in directive:
-                fdef = scenario.function(directive["function"], path)
-                if any(not is_infinite(v) and v < 0 for v in fdef.values):
-                    f = fdef.as_signed(scenario.space)
-                else:
-                    f = fdef.as_ext(scenario.space)
-            return integral_mod.push_forward(mu, matrix, target, f)
-
-        if name == "l1_quotient":
-            mu = _require_measure(scenario)
-            fs = [
-                scenario.function(fname, f"{path}/functions/{i}").as_signed(
-                    scenario.space)
-                for i, fname in enumerate(directive.get("functions", []))
-            ]
-            return integral_mod.l1_quotient(mu, fs)
-
-        if name == "caratheodory":
-            if scenario.outer is None:
-                raise SchemaError("caratheodory needs an 'outer_measure'", path)
-            space, restricted = outer_mod.extract_measurable_algebra(scenario.outer)
-            identity_report = measures_mod.check_measure_identities(restricted)
-            details = {
-                "measurable_family": [mask_to_points(m) for m in space.members()],
-                "atoms": [mask_to_points(a) for a in space.atoms],
-                "restriction_identities": identity_report.status,
-                "restricted_measure": {
-                    str(min(mask_to_points(a))): ext_element_to_json(v)
-                    for a, v in restricted.atom_values.items()
-                },
-            }
-            status = HOLDS if identity_report.ok else "fails"
-            if "expected_family" in directive:
-                expected = [
-                    _parse_points(s, scenario.space.ground_size,
-                                  f"{path}/expected_family/{i}")
-                    for i, s in enumerate(directive["expected_family"])
-                ]
-                if sorted(expected) != space.members():
-                    status = "fails"
-            return CheckResult("caratheodory", status, details)
-
+    if name not in _CHECKS:
         raise SchemaError(f"unknown check {name!r}", path)
-    except HypothesisError as exc:
-        return CheckResult(name or "?", HYPOTHESIS_NOT_MET, {"reason": str(exc)})
+    try:
+        return _CHECKS[name](_Directive(scenario, directive, config, path))
+    except (HypothesisError, NotIntegrableError) as exc:
+        return CheckResult(name, HYPOTHESIS_NOT_MET, {"reason": str(exc)})
     except CertificationError as exc:
-        return CheckResult(name or "?", NOT_CERTIFIABLE, {"reason": str(exc)})
-    except NotIntegrableError as exc:
-        return CheckResult(name or "?", HYPOTHESIS_NOT_MET, {"reason": str(exc)})
+        return CheckResult(name, NOT_CERTIFIABLE, {"reason": str(exc)})
 
 
 def run_scenario(scenario: Scenario, config: Optional[RunConfig] = None) -> dict:

@@ -11,7 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Optional
+from typing import Any, Callable, List, Optional, Sequence
+
+from .errors import CertificationError
+from .rationals import format_rational
 
 DEFAULT_HORIZON = 64
 
@@ -22,6 +25,30 @@ DEFAULT_EPSILONS = (
     Fraction(1, 2**12),
     Fraction(1, 2**16),
 )
+
+
+def certify_gaps(
+    epsilons: Sequence[Fraction],
+    count: int,
+    probe: Callable[[Fraction], Callable[[int], bool]],
+    message: str,
+) -> List[dict]:
+    """Certify a gap schedule against `count` sampled indices.
+
+    ``probe(eps)`` returns the test of one 1-based index; it is called once
+    per epsilon, so per-epsilon work (such as scaling the order unit) is
+    done there.  The trail holds, for each epsilon, the first index whose
+    test passes, as ``{"epsilon", "index"}``.  When no index passes,
+    `CertificationError` is raised with ``message.format(eps=eps)``.
+    """
+    trail = []
+    for eps in epsilons:
+        reaches = probe(eps)
+        index = next((i for i in range(1, count + 1) if reaches(i)), None)
+        if index is None:
+            raise CertificationError(message.format(eps=eps))
+        trail.append({"epsilon": format_rational(eps), "index": index})
+    return trail
 
 
 @dataclass(frozen=True)

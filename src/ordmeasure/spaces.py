@@ -84,20 +84,8 @@ class SpaceDescriptor:
         return not (self.kind is SpaceKind.LOEWNER_SYM and self.dim >= 2)
 
     @property
-    def is_sigma_monotone_complete(self) -> bool:
-        return True
-
-    @property
-    def is_monotone_complete(self) -> bool:
-        return True
-
-    @property
     def is_sigma_dedekind_complete(self) -> bool:
         return self.is_lattice
-
-    @property
-    def has_countable_sup_property(self) -> bool:
-        return True
 
     def describe(self) -> str:
         if self.kind is SpaceKind.REALS:
@@ -194,7 +182,8 @@ def basis_vector(space: SpaceDescriptor, index: int) -> Element:
     return Element(space, tuple(coords))
 
 
-def _require_same_space(a: Element, b: Element):
+def require_same_space(a, b):
+    """Reject two values (elements or extended elements) of different spaces."""
     if a.space != b.space:
         raise SpaceMismatchError(
             f"cannot combine {a.space.describe()} with {b.space.describe()}"
@@ -202,12 +191,12 @@ def _require_same_space(a: Element, b: Element):
 
 
 def add(a: Element, b: Element) -> Element:
-    _require_same_space(a, b)
+    require_same_space(a, b)
     return Element(a.space, tuple(x + y for x, y in zip(a.coords, b.coords)))
 
 
 def sub(a: Element, b: Element) -> Element:
-    _require_same_space(a, b)
+    require_same_space(a, b)
     return Element(a.space, tuple(x - y for x, y in zip(a.coords, b.coords)))
 
 
@@ -261,7 +250,7 @@ def is_psd(a: Element) -> bool:
 
 def leq(a: Element, b: Element) -> bool:
     """Exact order test: coordinatewise, or Loewner for symmetric matrices."""
-    _require_same_space(a, b)
+    require_same_space(a, b)
     if a.space.kind is SpaceKind.LOEWNER_SYM:
         return is_psd(sub(b, a))
     return all(x <= y for x, y in zip(a.coords, b.coords))
@@ -298,7 +287,7 @@ def sup_pair(a: Element, b: Element) -> Union[Element, NoSupremum]:
     returns the larger element of a comparable pair and otherwise declines
     with `NoSupremum`.  It never fabricates an upper bound.
     """
-    _require_same_space(a, b)
+    require_same_space(a, b)
     if a.space.is_lattice:
         return Element(a.space, tuple(max(x, y) for x, y in zip(a.coords, b.coords)))
     if leq(a, b):
@@ -309,7 +298,7 @@ def sup_pair(a: Element, b: Element) -> Union[Element, NoSupremum]:
 
 
 def inf_pair(a: Element, b: Element) -> Union[Element, NoSupremum]:
-    _require_same_space(a, b)
+    require_same_space(a, b)
     if a.space.is_lattice:
         return Element(a.space, tuple(min(x, y) for x, y in zip(a.coords, b.coords)))
     if leq(a, b):
@@ -376,15 +365,10 @@ def sup_increasing(
                 raise CertificationError(
                     f"declared limit is not an upper bound at n={n}"
                 )
+        # The terms increase, so if any term comes within eps of the limit,
+        # the last one does.
         for eps in epsilons:
-            slack = add(terms[-1], scale(eps, unit))
-            hit = leq(limit, slack)
-            if not hit:
-                for t in terms:
-                    if leq(limit, add(t, scale(eps, unit))):
-                        hit = True
-                        break
-            if not hit:
+            if not leq(limit, add(terms[-1], scale(eps, unit))):
                 raise CertificationError(
                     f"gap {eps} to declared limit not reached within horizon {horizon}"
                 )

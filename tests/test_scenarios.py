@@ -1,6 +1,8 @@
+import hashlib
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -8,6 +10,7 @@ import pytest
 import ordmeasure as om
 from ordmeasure.cli import main as cli_main
 from ordmeasure.errors import SchemaError
+from ordmeasure.rationals import format_rational
 from ordmeasure.scenarios import (
     RunConfig,
     canonical_dumps,
@@ -16,7 +19,8 @@ from ordmeasure.scenarios import (
     run_scenario,
 )
 
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+REPO = Path(__file__).resolve().parent.parent
+SCENARIO_DIR = REPO / "scenarios"
 SCENARIOS = sorted(SCENARIO_DIR.glob("*.json"))
 
 
@@ -63,11 +67,53 @@ class TestRunner:
         report = run_scenario(parse_scenario(doc))
         assert not report["all_ok"]
 
+    @pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
+    def test_reports_match_reference_digests(self, path):
+        # The benchmark's reference digests of `run --output json` at horizon 64.
+        digests = json.loads((REPO / "perfbench" / "reference.json").read_text())
+        report = run_scenario(load_scenario(str(path)), RunConfig(horizon=64))
+        digest = hashlib.sha256(canonical_dumps(report).encode("utf-8")).hexdigest()
+        assert digest == digests["digests"][f"suite/{path.stem}@64"]
+
     def test_horizon_override(self):
         scenario = load_scenario(str(SCENARIO_DIR / "mct_basic.json"))
         report = run_scenario(scenario, RunConfig(horizon=32))
         assert report["horizon"] == 32
         assert report["all_ok"]
+
+
+def _scaled_atoms(stem: str, factor: int) -> dict:
+    """A shipped scenario with every finite atom value multiplied by `factor`."""
+    doc = json.loads((SCENARIO_DIR / f"{stem}.json").read_text())
+    for value in doc["measure"]["atom_values"].values():
+        if value != "infinity":
+            value["finite"] = [format_rational(Fraction(c) * factor)
+                               for c in value["finite"]]
+    return doc
+
+
+class TestCertificationMessages:
+    """Exact reasons of not-certifiable reports.
+
+    Short horizons leave the pointwise gaps uncertified; atoms scaled by
+    1000 let the pointwise gaps certify while the integral gaps do not.
+    """
+
+    @pytest.mark.parametrize("stem, factor, horizon, reason", [
+        ("mct_basic", 1, 8, "pointwise gap 1/4096 at point 0 not certified"),
+        ("dct_geometric", 1, 8,
+         "pointwise convergence gap 1/4096 at point 0 not certified"),
+        ("mct_basic", 1000, 16, "integral gap 1/256 not certified"),
+        ("mct_decreasing_basic", 1000, 16, "integral gap 1/256 not certified"),
+        ("dct_geometric", 1000, 16, "deviation gap 1/256 not certified"),
+    ], ids=["mct_pointwise", "dct_pointwise", "mct_integral",
+            "mct_decreasing_integral", "dct_deviation"])
+    def test_reason(self, stem, factor, horizon, reason):
+        scenario = parse_scenario(_scaled_atoms(stem, factor))
+        report = run_scenario(scenario, RunConfig(horizon=horizon))
+        [check] = report["checks"]
+        assert check["status"] == "not-certifiable"
+        assert check["details"] == {"reason": reason}
 
 
 class TestSchemaErrors:
@@ -165,6 +211,23 @@ class TestCli:
         assert run_cli(["validate", bad]) == 2
         assert capsys.readouterr().err.startswith(f"error: {pointer}: ")
 
+    @pytest.mark.parametrize("key, value, pointer", [
+        ("ground_size", True, "/ground_size"),
+        ("ground_size", 17, "/ground_size"),
+        ("sigma_algebra", [], "/sigma_algebra"),
+        ("checks", {"check": "validate"}, "/checks"),
+        ("checks", ["validate"], "/checks/0"),
+        ("checks", [{"check": "validate"}, {"check": 1}], "/checks/1"),
+    ], ids=["ground_bool", "ground_cap", "sigma_algebra_list", "checks_object",
+            "directive_string", "check_name_int"])
+    def test_scenario_schema_errors(self, tmp_path, capsys, key, value, pointer):
+        doc = json.loads((SCENARIO_DIR / "identities_basic.json").read_text())
+        doc[key] = value
+        bad = tmp_path / "bad_scenario.json"
+        bad.write_text(json.dumps(doc))
+        assert run_cli(["validate", bad]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {pointer}: ")
+
     @pytest.mark.parametrize("horizon", ["0", "-3", "x"])
     def test_horizon_must_be_positive(self, capsys, horizon):
         with pytest.raises(SystemExit) as exc:
@@ -178,6 +241,15 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert out["measurable_family"] == [[], [0, 1]]
         assert out["restriction_identities"] == "holds"
+
+    @pytest.mark.parametrize("stem", ["caratheodory_two_point", "caratheodory_induced"])
+    def test_caratheodory_subcommand_matches_directive(self, capsys, stem):
+        path = SCENARIO_DIR / f"{stem}.json"
+        run_cli(["caratheodory", path])
+        report = run_scenario(load_scenario(str(path)))
+        [details] = [c["details"] for c in report["checks"]
+                     if c["check"] == "caratheodory"]
+        assert capsys.readouterr().out == canonical_dumps(details)
 
     def test_compare_subcommands(self, capsys):
         assert run_cli(["compare", "sup_measure", "--n", "4"]) == 0

@@ -281,6 +281,18 @@ class TestSupIncreasing:
         with pytest.raises(CertificationError, match="monotonicity"):
             om.sup_increasing(seq)
 
+    def test_declared_limit_gap_not_reached(self):
+        limit = c2(1, 1)
+        seq = SequenceSpec(
+            generator=lambda n: om.scale(1 - Fraction(1, n), limit),
+            metadata=DeclaredLimit(limit),
+            monotonicity="increasing",
+        )
+        with pytest.raises(CertificationError) as exc:
+            om.sup_increasing(seq, horizon=8)
+        assert str(exc.value) == (
+            "gap 1/16 to declared limit not reached within horizon 8")
+
     def test_gap_report_without_metadata(self):
         seq = SequenceSpec(
             generator=lambda n: om.scale(1 - Fraction(1, n + 1), c2(1, 1))
@@ -306,11 +318,8 @@ class TestDescriptors:
         for space in (om.reals(), C2, om.entrywise_mat(2, 3)):
             assert space.is_lattice
             assert space.is_sigma_dedekind_complete
-            assert space.is_monotone_complete
         assert not L2.is_lattice
         assert not L2.is_sigma_dedekind_complete
-        assert L2.is_monotone_complete
-        assert L2.is_sigma_monotone_complete
         assert om.loewner_sym(1).is_lattice
 
     def test_loewner_dim_cap(self):
