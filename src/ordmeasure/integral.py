@@ -274,18 +274,33 @@ def _closed_form_integral(f: ExtFunction, mu: Measure) -> ExtElement:
 def _ladder_supremum(f: ExtFunction, mu: Measure) -> Tuple[ExtElement, dict]:
     """Supremum of the truncation-ladder integrals, decided exactly.
 
+    Only the break levels are evaluated: 1, nstar = max(1, ceil(top)),
+    nstar + 1, and floor(v) and ceil(v) (when at least 1) for every finite
+    value v of f, in increasing order.  No value of f lies strictly between
+    two consecutive break levels a < b unless b = a + 1, so on the integers
+    of [a, b] each min(v, n) is v throughout or n throughout, and the rung
+    integrals are A + n * D there.  The rise from rung a to rung b is
+    (b - a) * D, which is positive exactly when the unit rise D between any
+    two neighbouring rungs in [a, b] is; testing consecutive break levels
+    therefore tests every consecutive pair of the full ladder, with
+    O(number of distinct values) rungs instead of O(top).
+
     Past the largest finite value of f the rungs only keep adding the total
-    measure of the infinity set; if two consecutive rung integrals past that
-    point agree, the ladder has stabilized for good, and otherwise the
-    increments are a fixed nonzero positive element, so the rungs are
-    unbounded above by the Archimedean property and the supremum is the
-    point at infinity.
+    measure of the infinity set; if the rungs at nstar and nstar + 1 agree,
+    the ladder has stabilized for good, and otherwise the increments are a
+    fixed nonzero positive element, so the rungs are unbounded above by the
+    Archimedean property and the supremum is the point at infinity.  A rung
+    is infinite exactly when a positive value sits on an atom of infinite
+    measure, at every level alike, so an infinite ladder shows at level 1.
     """
-    finite_vals = [v for v in f.values if not is_infinite(v)]
+    finite_vals = {v for v in f.values if not is_infinite(v)}
     top = max(finite_vals, default=Fraction(0))
     nstar = max(1, math.ceil(top))
+    levels = {1, nstar, nstar + 1}
+    levels.update(k for v in finite_vals for k in (math.floor(v), math.ceil(v))
+                  if k >= 1)
     rungs = []
-    for n in range(1, nstar + 2):
+    for n in sorted(levels):
         rung = integrate_elementary(truncate(f, n), mu)
         if rungs and not ext_leq(rungs[-1], rung):
             raise OrdMeasureError("ladder integrals failed to increase")
@@ -739,17 +754,13 @@ def dct(mu: Measure, seq: SequenceSpec, f: SignedFunction, g: ExtFunction,
 
     f_int = integrate_signed(f, mu)
     term_ints = [integrate_signed(t, mu) for t in terms]
-    window_infs = []
-    window_sups = []
-    for n in range(len(term_ints)):
-        tail = term_ints[n:]
-        lo = tail[0]
-        hi = tail[0]
-        for v in tail[1:]:
-            lo = spaces.inf_pair(lo, v)
-            hi = spaces.sup_pair(hi, v)
-        window_infs.append(lo)
-        window_sups.append(hi)
+    # Inf and sup of every tail window, in one backward pass: on a lattice
+    # backend the pair operations are coordinatewise min and max.
+    window_infs = list(term_ints)
+    window_sups = list(term_ints)
+    for n in range(len(term_ints) - 2, -1, -1):
+        window_infs[n] = spaces.inf_pair(term_ints[n], window_infs[n + 1])
+        window_sups[n] = spaces.sup_pair(term_ints[n], window_sups[n + 1])
     if stabilized:
         part4 = window_infs[-1] == f_int and window_sups[-1] == f_int
         details["part4_sandwich"] = "holds" if part4 else "fails"

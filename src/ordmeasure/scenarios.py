@@ -18,7 +18,7 @@ Top-level keys:
                  (the family is validated as given)
   measure        {"atom_values": {"<smallest point of atom>": ExtElement}}
   outer_measure  {"outer_values": {"<sorted points list>": ExtElement}}
-                 or {"induced_from_measure": true}
+                 or {"induced_from_measure": true}; ground_size 1..12
   functions      {"name": {"values": ["3/2", "infinity", "-1", ...]}}
   sequences      {"name": <sequence spec>}  (function sequences)
   checks         [<directive>, ...]
@@ -164,6 +164,14 @@ def parse_ext_element(doc, space: SpaceDescriptor, path: str) -> ExtElement:
     raise SchemaError("expected {\"finite\": [...]} or \"infinity\"", path)
 
 
+def _require_json(value, kind: type, what: str, path: str):
+    """`value`, when it is a JSON object (`dict`) or array (`list`) as asked."""
+    if not isinstance(value, kind):
+        article = "an object" if kind is dict else "an array"
+        raise SchemaError(f"{what} must be {article}", path)
+    return value
+
+
 def _parse_points(doc, ground_size: int, path: str) -> int:
     if not isinstance(doc, list):
         raise SchemaError("set must be an array of point indices", path)
@@ -213,8 +221,8 @@ class Scenario:
 def _parse_function_values(doc, path: str) -> FunctionDef:
     if not isinstance(doc, dict) or "values" not in doc:
         raise SchemaError("function needs a 'values' array", path)
-    vals = [parse_ext_scalar(v, f"{path}/values/{i}")
-            for i, v in enumerate(doc["values"])]
+    values = _require_json(doc["values"], list, "values", path + "/values")
+    vals = [parse_ext_scalar(v, f"{path}/values/{i}") for i, v in enumerate(values)]
     return FunctionDef(vals)
 
 
@@ -229,22 +237,23 @@ def parse_scenario(doc: dict, path_prefix: str = "") -> Scenario:
             path_prefix + "/ground_size",
         )
 
-    alg_doc = doc.get("sigma_algebra", {"power_set": True})
     apath = path_prefix + "/sigma_algebra"
-    if not isinstance(alg_doc, dict):
-        raise SchemaError("sigma_algebra must be an object", apath)
+    alg_doc = _require_json(doc.get("sigma_algebra", {"power_set": True}), dict,
+                            "sigma_algebra", apath)
     if alg_doc.get("power_set"):
         space = measures_mod.power_set_space(ground)
     elif "generators" in alg_doc:
         gens = [
             _parse_points(g, ground, f"{apath}/generators/{i}")
-            for i, g in enumerate(alg_doc["generators"])
+            for i, g in enumerate(_require_json(alg_doc["generators"], list,
+                                                "generators", apath + "/generators"))
         ]
         space = measures_mod.generate_sigma_algebra(gens, ground)
     elif "sets" in alg_doc:
         sets = [
             _parse_points(g, ground, f"{apath}/sets/{i}")
-            for i, g in enumerate(alg_doc["sets"])
+            for i, g in enumerate(_require_json(alg_doc["sets"], list,
+                                                "sets", apath + "/sets"))
         ]
         space = measures_mod.validate_sigma_algebra(sets, ground)
     else:
@@ -260,7 +269,8 @@ def parse_scenario(doc: dict, path_prefix: str = "") -> Scenario:
         for atom in space.atoms:
             atom_by_point[str(min(mask_to_points(atom)))] = atom
         atom_values = {}
-        for key, vdoc in mdoc["atom_values"].items():
+        for key, vdoc in _require_json(mdoc["atom_values"], dict, "atom_values",
+                                       mpath + "/atom_values").items():
             if key not in atom_by_point:
                 raise SchemaError(
                     f"{key!r} is not the smallest point of an atom "
@@ -281,14 +291,19 @@ def parse_scenario(doc: dict, path_prefix: str = "") -> Scenario:
     outer = None
     if "outer_measure" in doc:
         opath = path_prefix + "/outer_measure"
-        odoc = doc["outer_measure"]
+        odoc = _require_json(doc["outer_measure"], dict, "outer_measure", opath)
+        if ground > outer_mod.MAX_OUTER_GROUND_SIZE:
+            raise SchemaError(
+                f"outer measures limited to ground size <= "
+                f"{outer_mod.MAX_OUTER_GROUND_SIZE}, got {ground}", opath)
         if odoc.get("induced_from_measure"):
             if mu is None:
                 raise SchemaError("induced outer measure needs a measure", opath)
             outer = outer_mod.induce_outer(mu)
         elif "outer_values" in odoc:
             values = {}
-            for key, vdoc in odoc["outer_values"].items():
+            for key, vdoc in _require_json(odoc["outer_values"], dict, "outer_values",
+                                           opath + "/outer_values").items():
                 kpath = f"{opath}/outer_values/{key}"
                 # Keys are sorted point lists like "0,2"; "" is the empty set.
                 if key == "":
@@ -310,7 +325,8 @@ def parse_scenario(doc: dict, path_prefix: str = "") -> Scenario:
             )
 
     functions = {}
-    for name, fdoc in doc.get("functions", {}).items():
+    for name, fdoc in _require_json(doc.get("functions", {}), dict, "functions",
+                                    path_prefix + "/functions").items():
         fdef = _parse_function_values(fdoc, f"{path_prefix}/functions/{name}")
         if len(fdef.values) != ground:
             raise SchemaError(
@@ -319,10 +335,9 @@ def parse_scenario(doc: dict, path_prefix: str = "") -> Scenario:
             )
         functions[name] = fdef
 
-    sequences = dict(doc.get("sequences", {}))
-    checks = doc.get("checks", [])
-    if not isinstance(checks, list):
-        raise SchemaError("checks must be an array", path_prefix + "/checks")
+    sequences = _require_json(doc.get("sequences", {}), dict, "sequences",
+                              path_prefix + "/sequences")
+    checks = _require_json(doc.get("checks", []), list, "checks", path_prefix + "/checks")
     for i, directive in enumerate(checks):
         check = directive.get("check") if isinstance(directive, dict) else None
         if not isinstance(check, str):
@@ -330,7 +345,7 @@ def parse_scenario(doc: dict, path_prefix: str = "") -> Scenario:
                               f"{path_prefix}/checks/{i}")
     return Scenario(
         source=doc, backend=backend, space=space, measure=mu, outer=outer,
-        functions=functions, sequences=sequences, checks=list(checks),
+        functions=functions, sequences=dict(sequences), checks=list(checks),
     )
 
 

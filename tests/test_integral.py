@@ -1,17 +1,27 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ordmeasure as om
+from ordmeasure import integral
 from ordmeasure.errors import (
     CertificationError,
     HypothesisError,
     NotIntegrableError,
+    OrdMeasureError,
     ValidationError,
 )
-from ordmeasure.integral import ElementaryFunction, combine, integrate_elementary
+from ordmeasure.integral import (
+    ElementaryFunction,
+    _ladder_supremum,
+    combine,
+    integrate_elementary,
+)
 from ordmeasure.measures import mask_to_points
-from ordmeasure.rationals import INFINITY
+from ordmeasure.rationals import INFINITY, is_infinite
 from ordmeasure.sequences import (
     DeclaredLimit,
     DivergesToInfinity,
@@ -180,6 +190,114 @@ class TestIntegrateExtended:
                                 [rng.choice(values_pool) for _ in range(ground)])
             report = om.integrate_extended(f, mu)
             assert report.closed_form == report.ladder
+
+
+def full_ladder_supremum(f, mu):
+    """Oracle for `_ladder_supremum`: one rung at every level 1..nstar+1."""
+    finite_vals = [v for v in f.values if not is_infinite(v)]
+    top = max(finite_vals, default=Fraction(0))
+    nstar = max(1, math.ceil(top))
+    rungs = []
+    for n in range(1, nstar + 2):
+        rung = integrate_elementary(om.truncate(f, n), mu)
+        if rungs and not om.ext_leq(rungs[-1], rung):
+            raise OrdMeasureError("ladder integrals failed to increase")
+        rungs.append(rung)
+        if rung.is_infinite:
+            return om.infinity(mu.backend), {
+                "mode": "infinite-rung", "at_level": n}
+    if rungs[-1] == rungs[-2]:
+        return rungs[-1], {"mode": "stabilized", "at_level": nstar}
+    return om.infinity(mu.backend), {
+        "mode": "divergent", "increment_from_level": nstar}
+
+
+def _positive_element(draw, backend):
+    small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    if backend.kind is om.SpaceKind.LOEWNER_SYM:
+        d = backend.dim
+        b = [[draw(small) for _ in range(d)] for _ in range(d)]
+        return om.sym_matrix([[sum(b[i][k] * b[j][k] for k in range(d))
+                               for j in range(d)] for i in range(d)])
+    coords = st.fractions(min_value=0, max_value=3, max_denominator=4)
+    return om.Element(backend, tuple(draw(coords) for _ in range(backend.ncoords)))
+
+
+@st.composite
+def measures_and_functions(draw):
+    """A measure with some infinite atoms and an extended function on it.
+
+    Function values are zero, integers, non-integers and infinity, up to a
+    top value small enough for the full ladder.
+    """
+    backend = draw(st.sampled_from(
+        [om.reals(), om.coord(2), om.loewner_sym(2), om.loewner_sym(3)]))
+    ground = draw(st.integers(1, 4))
+    full = (1 << ground) - 1
+    if draw(st.booleans()):
+        space = om.power_set_space(ground)
+    else:
+        gens = draw(st.lists(st.integers(0, full), max_size=3))
+        space = om.generate_sigma_algebra(gens, ground)
+    atom_values = {
+        atom: om.infinity(backend) if draw(st.integers(0, 4)) == 0
+        else om.finite(_positive_element(draw, backend))
+        for atom in space.atoms
+    }
+    mu = om.Measure(space, backend, atom_values)
+    value = st.one_of(
+        st.just(Fraction(0)),
+        st.integers(1, 12).map(Fraction),
+        st.fractions(min_value=0, max_value=12, max_denominator=7),
+        st.just(INFINITY),
+    )
+    dense = [Fraction(0)] * ground
+    for atom in space.atoms:
+        v = draw(value)
+        for x in mask_to_points(atom):
+            dense[x] = v
+    return mu, om.ext_function(space, dense)
+
+
+class TestLadderBreakLevels:
+    """`_ladder_supremum` against the full ladder it replaced."""
+
+    @given(measures_and_functions())
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_full_ladder(self, case):
+        mu, f = case
+        assert _ladder_supremum(f, mu) == full_ladder_supremum(f, mu)
+
+    @pytest.mark.parametrize("values, atom2, expected", [
+        ([Fraction(1, 3), 2], fin(0, 1), {"mode": "stabilized", "at_level": 2}),
+        ([0, 0], fin(0, 1), {"mode": "stabilized", "at_level": 1}),
+        ([INFINITY, Fraction(5, 2)], fin(0, 1),
+         {"mode": "divergent", "increment_from_level": 3}),
+        ([0, Fraction(7, 2)], om.infinity(C2),
+         {"mode": "infinite-rung", "at_level": 1}),
+    ], ids=["stabilized", "top_zero", "divergent", "infinite_rung"])
+    def test_trail_modes(self, values, atom2, expected):
+        mu = om.Measure(om.power_set_space(2), C2, {1: fin(1, 0), 2: atom2})
+        f = om.ext_function(mu.space, values)
+        value, trail = _ladder_supremum(f, mu)
+        assert trail == expected
+        assert (value, trail) == full_ladder_supremum(f, mu)
+
+    def test_rungs_only_at_break_levels(self, monkeypatch):
+        levels = []
+        truncate = integral.truncate
+
+        def recording(f, level):
+            levels.append(level)
+            return truncate(f, level)
+
+        monkeypatch.setattr(integral, "truncate", recording)
+        space = om.power_set_space(4)
+        mu = om.Measure(space, C2, {1: fin(1, 0), 2: fin(0, 1), 4: fin(1, 1),
+                                    8: fin(0, 0)})
+        f = om.ext_function(space, [0, Fraction(5, 2), 10**8, INFINITY])
+        _ladder_supremum(f, mu)
+        assert levels == [1, 2, 3, 10**8, 10**8 + 1]
 
 
 class TestIntegrateSigned:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 import ordmeasure as om
 from ordmeasure.cli import main as cli_main
 from ordmeasure.errors import SchemaError
+from ordmeasure.outer import MAX_OUTER_GROUND_SIZE
 from ordmeasure.rationals import format_rational
 from ordmeasure.scenarios import (
     RunConfig,
@@ -74,6 +76,15 @@ class TestRunner:
         report = run_scenario(load_scenario(str(path)), RunConfig(horizon=64))
         digest = hashlib.sha256(canonical_dumps(report).encode("utf-8")).hexdigest()
         assert digest == digests["digests"][f"suite/{path.stem}@64"]
+
+    @pytest.mark.parametrize("stem", ["dct_geometric", "dct_stabilizing"])
+    def test_dct_reports_at_horizon_256_match_reference(self, stem):
+        # Part 4 builds its tail windows in one backward pass.
+        digests = json.loads((REPO / "perfbench" / "reference.json").read_text())
+        report = run_scenario(load_scenario(str(SCENARIO_DIR / f"{stem}.json")),
+                              RunConfig(horizon=256))
+        digest = hashlib.sha256(canonical_dumps(report).encode("utf-8")).hexdigest()
+        assert digest == digests["digests"][f"suite/{stem}@256"]
 
     def test_horizon_override(self):
         scenario = load_scenario(str(SCENARIO_DIR / "mct_basic.json"))
@@ -162,6 +173,13 @@ class TestSchemaErrors:
             parse_scenario(doc)
 
 
+def _induced_outer_on(ground: int) -> dict:
+    """Scenario keys for an outer measure on `ground` points, with one atom."""
+    return {"ground_size": ground, "sigma_algebra": {"generators": []},
+            "measure": {"atom_values": {"0": "infinity"}},
+            "outer_measure": {"induced_from_measure": True}}
+
+
 class TestCli:
     def test_validate_ok(self, capsys):
         assert run_cli(["validate", SCENARIO_DIR / "identities_basic.json"]) == 0
@@ -211,22 +229,37 @@ class TestCli:
         assert run_cli(["validate", bad]) == 2
         assert capsys.readouterr().err.startswith(f"error: {pointer}: ")
 
-    @pytest.mark.parametrize("key, value, pointer", [
-        ("ground_size", True, "/ground_size"),
-        ("ground_size", 17, "/ground_size"),
-        ("sigma_algebra", [], "/sigma_algebra"),
-        ("checks", {"check": "validate"}, "/checks"),
-        ("checks", ["validate"], "/checks/0"),
-        ("checks", [{"check": "validate"}, {"check": 1}], "/checks/1"),
+    @pytest.mark.parametrize("updates, pointer", [
+        ({"ground_size": True}, "/ground_size"),
+        ({"ground_size": 17}, "/ground_size"),
+        ({"sigma_algebra": []}, "/sigma_algebra"),
+        ({"checks": {"check": "validate"}}, "/checks"),
+        ({"checks": ["validate"]}, "/checks/0"),
+        ({"checks": [{"check": "validate"}, {"check": 1}]}, "/checks/1"),
+        ({"outer_measure": []}, "/outer_measure"),
+        ({"functions": []}, "/functions"),
+        ({"sequences": "abc"}, "/sequences"),
+        ({"measure": {"atom_values": []}}, "/measure/atom_values"),
+        ({"sigma_algebra": {"generators": 5}}, "/sigma_algebra/generators"),
+        ({"functions": {"f": {"values": 3}}}, "/functions/f/values"),
+        ({"outer_measure": {"outer_values": []}}, "/outer_measure/outer_values"),
+        (_induced_outer_on(13), "/outer_measure"),
+        (_induced_outer_on(16), "/outer_measure"),
     ], ids=["ground_bool", "ground_cap", "sigma_algebra_list", "checks_object",
-            "directive_string", "check_name_int"])
-    def test_scenario_schema_errors(self, tmp_path, capsys, key, value, pointer):
+            "directive_string", "check_name_int", "outer_measure_list",
+            "functions_list", "sequences_string", "atom_values_list",
+            "generators_int", "values_int", "outer_values_list", "outer_ground_13",
+            "outer_ground_16"])
+    def test_scenario_schema_errors(self, tmp_path, capsys, updates, pointer):
         doc = json.loads((SCENARIO_DIR / "identities_basic.json").read_text())
-        doc[key] = value
+        doc.update(updates)
         bad = tmp_path / "bad_scenario.json"
         bad.write_text(json.dumps(doc))
         assert run_cli(["validate", bad]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {pointer}: ")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {pointer}: ")
+        if pointer == "/outer_measure" and "ground_size" in updates:
+            assert f"<= {MAX_OUTER_GROUND_SIZE}," in err
 
     @pytest.mark.parametrize("horizon", ["0", "-3", "x"])
     def test_horizon_must_be_positive(self, capsys, horizon):
@@ -265,6 +298,33 @@ class TestCli:
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["epsilon_schedule"] == ["1/16", "1/256"]
+
+    def test_huge_value_does_not_hang(self, tmp_path):
+        # The ladder evaluates only its break levels, so a value of 10^8
+        # costs a handful of rungs instead of 10^8 of them.
+        doc = json.loads((SCENARIO_DIR / "ae_basic.json").read_text())
+        doc["functions"]["plain"]["values"] = ["100000000", "1/3", "infinity"]
+        doc["checks"] = [
+            {"check": "integrate", "function": "plain",
+             "expected": {"finite": ["100000000", "1/3"]}},
+            {"check": "ae", "function": "plain"},
+        ]
+        path = tmp_path / "huge_value.json"
+        path.write_text(canonical_dumps(doc))
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "ordmeasure.cli", "run", str(path),
+             "--output", "json"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert time.perf_counter() - start < 10
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["all_ok"]
+        integrate, ae = report["checks"]
+        assert integrate["details"]["ladder"] == {"mode": "stabilized",
+                                                  "at_level": 100000000}
+        assert ae["details"]["integral"] == {"finite": ["100000000", "1/3"]}
 
     def test_console_script_entry_point(self):
         proc = subprocess.run(
