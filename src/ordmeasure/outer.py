@@ -9,11 +9,17 @@ A set D is Caratheodory measurable when it splits every test set
 additively; the measurable sets always form a sigma-algebra, and restricting
 the outer measure to it yields a measure.  Both facts are verified
 exhaustively here rather than assumed.
+
+The exhaustive checks skip only cases that an axiom already checked
+settles.  Once monotonicity holds, sub-additivity needs only disjoint
+pairs: (3^n - 1)/2 order tests rather than one per pair a <= b.  A test set
+inside D or inside its complement splits trivially because the empty set
+has value zero, so measurability tests only the test sets that meet both.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Tuple
 
 from . import extended
 from .errors import DimensionLimitError, ValidationError
@@ -50,8 +56,17 @@ def validate_outer_measure(values: Dict[int, ExtElement], backend: SpaceDescript
     """Check the outer-measure axioms exhaustively and return the object.
 
     Monotonicity is checked along single-point extensions (which implies it
-    for arbitrary inclusions by chaining) and sub-additivity over all pairs.
-    Axiom violations carry witness sets.
+    for arbitrary inclusions by chaining).  Sub-additivity is then checked
+    on the disjoint pairs a < b only, b running over the submasks of the
+    complement of a: (3^n - 1)/2 order tests.  That suffices, since for any
+    a and b
+
+        nu(a | b) = nu(a | (b - a)) <= nu(a) + nu(b - a) <= nu(a) + nu(b),
+
+    where the first inequality is the disjoint case and the second uses
+    monotonicity, nu(b - a) <= nu(b), and the compatibility of `ext_add`
+    with the order.  Axiom violations carry witness sets; a sub-additivity
+    witness is a disjoint violating pair.
     """
     if not 1 <= ground_size <= MAX_OUTER_GROUND_SIZE:
         raise DimensionLimitError(
@@ -83,12 +98,15 @@ def validate_outer_measure(values: Dict[int, ExtElement], backend: SpaceDescript
                              "larger": mask_to_points(bigger)},
                 )
     for a in range(full + 1):
-        for b in range(a, full + 1):
-            if not ext_leq(values[a | b], ext_add(values[a], values[b])):
+        rest, va = full ^ a, values[a]
+        b = rest
+        while b > a:
+            if not ext_leq(values[a | b], ext_add(va, values[b])):
                 raise ValidationError(
                     "sub-additivity violation",
                     witness={"pair": [mask_to_points(a), mask_to_points(b)]},
                 )
+            b = (b - 1) & rest
     return OuterMeasure(ground_size, backend, values)
 
 
@@ -115,13 +133,25 @@ def induce_outer(mu: Measure) -> OuterMeasure:
 
 
 def caratheodory_measurable(nu: OuterMeasure, mask: int) -> bool:
-    """True iff `mask` splits every test set additively (exhaustive)."""
-    full = full_mask(nu.ground_size)
-    co = mask ^ full
-    for gamma in range(full + 1):
-        split = ext_add(nu.value(gamma & mask), nu.value(gamma & co))
-        if nu.value(gamma) != split:
-            return False
+    """True iff `mask` splits every test set additively (exhaustive).
+
+    Only the test sets that meet both `mask` and its complement are
+    enumerated, as a | b with a a nonempty submask of `mask` and b one of
+    the complement, largest first, so the whole ground set comes first.
+    Every other test set lies on one side and splits as itself plus the
+    empty set, which passes because nu(empty) = 0: an `OuterMeasure` is
+    built only by `validate_outer_measure`, which checks that value, or by
+    `induce_outer`, whose empty cover has measure zero.
+    """
+    co = mask ^ full_mask(nu.ground_size)
+    a = mask
+    while a:
+        va, b = nu.value(a), co
+        while b:
+            if nu.value(a | b) != ext_add(va, nu.value(b)):
+                return False
+            b = (b - 1) & co
+        a = (a - 1) & mask
     return True
 
 
@@ -161,10 +191,3 @@ def caratheodory_report(nu: OuterMeasure) -> Tuple[dict, CheckResult]:
         },
     }
     return report, identities
-
-
-def null_sets(nu: OuterMeasure) -> Iterable[int]:
-    for mask in range(full_mask(nu.ground_size) + 1):
-        v = nu.value(mask)
-        if v.is_finite and v.finite.is_zero():
-            yield mask

@@ -164,11 +164,14 @@ def parse_ext_element(doc, space: SpaceDescriptor, path: str) -> ExtElement:
     raise SchemaError("expected {\"finite\": [...]} or \"infinity\"", path)
 
 
+_JSON_KINDS = {dict: "an object", list: "an array", str: "a string"}
+
+
 def _require_json(value, kind: type, what: str, path: str):
-    """`value`, when it is a JSON object (`dict`) or array (`list`) as asked."""
+    """`value`, when it is a JSON object (`dict`), array (`list`) or string
+    (`str`) as asked."""
     if not isinstance(value, kind):
-        article = "an object" if kind is dict else "an array"
-        raise SchemaError(f"{what} must be {article}", path)
+        raise SchemaError(f"{what} must be {_JSON_KINDS[kind]}", path)
     return value
 
 
@@ -213,7 +216,7 @@ class Scenario:
     checks: List[dict]
 
     def function(self, name: str, path: str = "") -> FunctionDef:
-        if name not in self.functions:
+        if _require_json(name, str, "function reference", path) not in self.functions:
             raise SchemaError(f"unresolved function reference {name!r}", path)
         return self.functions[name]
 
@@ -373,17 +376,18 @@ def _resolve_term(scenario: Scenario, term, path: str) -> FunctionDef:
 def _build_function_sequence(scenario: Scenario, name: str,
                              config: RunConfig, path: str):
     """Compile a sequence spec into term value lists with metadata."""
-    if name not in scenario.sequences:
+    if _require_json(name, str, "sequence reference", path) not in scenario.sequences:
         raise SchemaError(f"unresolved sequence reference {name!r}", path)
-    doc = scenario.sequences[name]
-    kind = doc.get("kind")
     spath = f"/sequences/{name}"
+    doc = _require_json(scenario.sequences[name], dict, "sequence", spath)
+    kind = doc.get("kind")
     monotonicity = doc.get("monotonicity", "none")
 
     if kind == "explicit":
         terms = [
             _resolve_term(scenario, t, f"{spath}/terms/{i}").values
-            for i, t in enumerate(doc.get("terms", []))
+            for i, t in enumerate(_require_json(doc.get("terms", []), list, "terms",
+                                                spath + "/terms"))
         ]
         if not terms:
             raise SchemaError("explicit sequence needs terms", spath)
@@ -431,7 +435,8 @@ def _build_function_sequence(scenario: Scenario, name: str,
     if kind == "alternating":
         terms = [
             _resolve_term(scenario, t, f"{spath}/terms/{i}").values
-            for i, t in enumerate(doc.get("terms", []))
+            for i, t in enumerate(_require_json(doc.get("terms", []), list, "terms",
+                                                spath + "/terms"))
         ]
         if not terms:
             raise SchemaError("alternating sequence needs terms", spath)
@@ -462,10 +467,11 @@ def _parse_set_sequence(scenario: Scenario, doc, config: RunConfig,
     ground = scenario.space.ground_size
     if isinstance(doc, list):
         doc = {"kind": "explicit", "terms": doc}
-    kind = doc.get("kind", "explicit")
+    kind = _require_json(doc, dict, "set sequence", path).get("kind", "explicit")
     terms = [
         _parse_points(t, ground, f"{path}/terms/{i}")
-        for i, t in enumerate(doc.get("terms", []))
+        for i, t in enumerate(_require_json(doc.get("terms", []), list, "terms",
+                                            path + "/terms"))
     ]
     if not terms:
         raise SchemaError("set sequence needs terms", path)

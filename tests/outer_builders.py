@@ -49,3 +49,11 @@ def constant_outer(rng, ground, backend):
     for mask in range(1, full_mask(ground) + 1):
         values[mask] = c
     return om.validate_outer_measure(values, backend, ground)
+
+
+def null_sets(nu):
+    """The masks whose outer value is zero."""
+    for mask in range(full_mask(nu.ground_size) + 1):
+        v = nu.value(mask)
+        if v.is_finite and v.finite.is_zero():
+            yield mask

@@ -128,7 +128,7 @@ def _random_outer_measures(rng, backend):
 
 
 def test_criterion_4_caratheodory():
-    from ordmeasure.outer import null_sets
+    from outer_builders import null_sets
 
     rng = random.Random("caratheodory")
     backend = om.coord(2)

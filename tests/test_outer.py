@@ -1,20 +1,138 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ordmeasure as om
-from ordmeasure.errors import ValidationError
-from ordmeasure.measures import full_mask, mask_to_points
-from ordmeasure.outer import null_sets
+from ordmeasure import extended, outer
+from ordmeasure.errors import DimensionLimitError, ValidationError
+from ordmeasure.measures import full_mask, mask_to_points, points_to_mask
 
 from conftest import random_algebra, random_measure
-from outer_builders import hitting_outer, pointwise_sup_outer
+from outer_builders import constant_outer, hitting_outer, null_sets, pointwise_sup_outer
 
 C2 = om.coord(2)
 
 
 def fin(x, y):
     return om.finite(om.element(C2, [x, y]))
+
+
+def all_pairs_validate(values, backend, ground_size):
+    """The outer-measure axioms with sub-additivity tested on every pair
+    a <= b, disjoint or not (oracle for `validate_outer_measure`)."""
+    if not 1 <= ground_size <= outer.MAX_OUTER_GROUND_SIZE:
+        raise DimensionLimitError("ground size out of range")
+    full = full_mask(ground_size)
+    if set(values) != set(range(full + 1)):
+        raise ValidationError("outer measure must be total on the power set")
+    zero_v = values[0]
+    if not (zero_v.is_finite and zero_v.finite.is_zero()):
+        raise ValidationError("outer measure of the empty set must be zero")
+    for mask, v in values.items():
+        if v.space != backend:
+            raise ValidationError("outer value in the wrong backend")
+        if not extended.is_ext_positive(v):
+            raise ValidationError(
+                f"outer value of {mask_to_points(mask)} is outside the positive cone")
+    for mask in range(full + 1):
+        for p in range(ground_size):
+            bigger = mask | (1 << p)
+            if bigger != mask and not om.ext_leq(values[mask], values[bigger]):
+                raise ValidationError("monotonicity violation")
+    for a in range(full + 1):
+        for b in range(a, full + 1):
+            if not om.ext_leq(values[a | b], om.ext_add(values[a], values[b])):
+                raise ValidationError("sub-additivity violation")
+    return outer.OuterMeasure(ground_size, backend, values)
+
+
+def full_test_set_measurable(nu, mask):
+    """Caratheodory measurability tested on all 2^n test sets (oracle for
+    `caratheodory_measurable`)."""
+    full = full_mask(nu.ground_size)
+    co = mask ^ full
+    for gamma in range(full + 1):
+        split = om.ext_add(nu.value(gamma & mask), nu.value(gamma & co))
+        if nu.value(gamma) != split:
+            return False
+    return True
+
+
+weights = st.one_of(
+    st.tuples(st.fractions(min_value=0, max_value=3, max_denominator=3),
+              st.fractions(min_value=0, max_value=3, max_denominator=3)).map(
+        lambda t: fin(*t)),
+    st.just(om.infinity(C2)),
+)
+
+
+def cover_sum(ground, covers):
+    """nu(A) = sum of the weights of the cover sets that A meets."""
+    values = {}
+    for mask in range(full_mask(ground) + 1):
+        total = fin(0, 0)
+        for cover, weight in covers:
+            if mask & cover:
+                total = om.ext_add(total, weight)
+        values[mask] = total
+    return values
+
+
+@st.composite
+def covers(draw, ground):
+    return draw(st.lists(st.tuples(st.integers(1, full_mask(ground)), weights),
+                         min_size=1, max_size=4))
+
+
+@st.composite
+def valid_outer_values(draw):
+    """(values, n) of an outer measure on n = 1..6 points, over coord(2)."""
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["hitting", "pointwise_sup", "constant",
+                                 "cover_sum", "induced"]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if kind == "cover_sum":
+        return cover_sum(n, draw(covers(n))), n
+    if kind == "induced":
+        return om.induce_outer(random_measure(rng, random_algebra(rng, n), C2)).values, n
+    builder = {"hitting": hitting_outer, "pointwise_sup": pointwise_sup_outer,
+               "constant": constant_outer}[kind]
+    return builder(rng, n, C2).values, n
+
+
+@st.composite
+def outer_candidates(draw):
+    """(values, n): valid outer measures, monotone maps that are not
+    sub-additive, and arbitrary maps, with infinite values throughout."""
+    kind = draw(st.sampled_from(["valid", "bumped", "cumulative", "arbitrary"]))
+    values, n = draw(valid_outer_values())
+    values = dict(values)
+    full = full_mask(n)
+    if kind == "bumped":
+        # raising nu on every superset of s keeps nu monotone
+        s, delta = draw(st.integers(1, full)), draw(weights)
+        for mask in range(full + 1):
+            if mask & s == s:
+                values[mask] = om.ext_add(values[mask], delta)
+    elif kind == "cumulative":
+        # nu(A) = sum of w(t) over the nonempty t inside A: monotone, and
+        # in general not sub-additive when w is positive on a set of two or
+        # more points
+        w = {t: draw(weights) if draw(st.booleans()) else fin(0, 0)
+             for t in range(1, full + 1)}
+        for mask in range(full + 1):
+            total, t = fin(0, 0), mask
+            while t:
+                total, t = om.ext_add(total, w[t]), (t - 1) & mask
+            values[mask] = total
+    elif kind == "arbitrary":
+        for mask in range(1, full + 1):
+            if draw(st.booleans()):
+                values[mask] = draw(weights)
+    return values, n
 
 
 def two_point_outer():
@@ -52,6 +170,41 @@ class TestValidation:
         with pytest.raises(ValidationError, match="sub-additivity"):
             om.validate_outer_measure(values, C2, 2)
 
+    @given(outer_candidates())
+    @settings(max_examples=300, deadline=None)
+    def test_disjoint_pairs_agree_with_all_pairs(self, case):
+        values, n = case
+
+        def verdict(validate):
+            try:
+                validate(values, C2, n)
+            except ValidationError as exc:
+                return exc
+
+        fast, oracle = verdict(om.validate_outer_measure), verdict(all_pairs_validate)
+        assert str(fast) == str(oracle)
+        if str(fast) == "sub-additivity violation":
+            a, b = (points_to_mask(p) for p in fast.witness["pair"])
+            assert a & b == 0
+            assert not om.ext_leq(values[a | b], om.ext_add(values[a], values[b]))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_order_test_count(self, monkeypatch, n):
+        # 2^n positivity tests, n 2^(n-1) monotonicity steps and
+        # (3^n - 1)/2 disjoint pairs a < b
+        values = hitting_outer(random.Random(n), n, C2).values
+        calls = []
+        real = extended.ext_leq
+
+        def counted(a, b):
+            calls.append(None)
+            return real(a, b)
+
+        monkeypatch.setattr(extended, "ext_leq", counted)
+        monkeypatch.setattr(outer, "ext_leq", counted)
+        om.validate_outer_measure(values, C2, n)
+        assert len(calls) == 2**n + n * 2**(n - 1) + (3**n - 1) // 2
+
 
 class TestInduce:
     def test_power_set_measure_recovers_itself(self, rng):
@@ -79,6 +232,29 @@ class TestInduce:
 
 
 class TestCaratheodory:
+    @given(valid_outer_values())
+    @settings(max_examples=200, deadline=None)
+    def test_splitting_sets_agree_with_all_test_sets(self, case):
+        values, n = case
+        nu = om.validate_outer_measure(values, C2, n)
+        for mask in range(full_mask(n) + 1):
+            assert om.caratheodory_measurable(nu, mask) == \
+                full_test_set_measurable(nu, mask)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_extraction_tests_every_mask_once(self, monkeypatch, n):
+        nu = hitting_outer(random.Random(n), n, C2)
+        tested = []
+        real = outer.caratheodory_measurable
+
+        def counted(nu, mask):
+            tested.append(mask)
+            return real(nu, mask)
+
+        monkeypatch.setattr(outer, "caratheodory_measurable", counted)
+        om.extract_measurable_algebra(nu)
+        assert sorted(tested) == list(range(2**n))
+
     def test_trivial_sets_always_measurable(self):
         nu = two_point_outer()
         assert om.caratheodory_measurable(nu, 0)

@@ -11,6 +11,7 @@ import pytest
 import ordmeasure as om
 from ordmeasure.cli import main as cli_main
 from ordmeasure.errors import SchemaError
+from ordmeasure.measures import mask_to_points
 from ordmeasure.outer import MAX_OUTER_GROUND_SIZE
 from ordmeasure.rationals import format_rational
 from ordmeasure.scenarios import (
@@ -245,17 +246,32 @@ class TestCli:
         ({"outer_measure": {"outer_values": []}}, "/outer_measure/outer_values"),
         (_induced_outer_on(13), "/outer_measure"),
         (_induced_outer_on(16), "/outer_measure"),
+        ({"checks": [{"check": "ae", "function": {"values": [1]}}]}, "/checks/0"),
+        ({"checks": [{"check": "integrate", "function": ["a"]}]}, "/checks/0"),
+        ({"checks": [{"check": "mct", "sequence": ["s"]}]}, "/checks/0/sequence"),
+        ({"sequences": {"s": [1]}, "checks": [{"check": "mct", "sequence": "s"}]},
+         "/sequences/s"),
+        ({"sequences": {"s": {"kind": "explicit", "terms": 5}},
+          "checks": [{"check": "mct", "sequence": "s"}]}, "/sequences/s/terms"),
+        ({"checks": [{"check": "continuity_below", "sets": 5}]}, "/checks/0/sets"),
+        ({"checks": [{"check": "continuity_below"}]}, "/checks/0/sets"),
+        ({"checks": [{"check": "continuity_below", "sets": {"terms": 5}}]},
+         "/checks/0/sets/terms"),
     ], ids=["ground_bool", "ground_cap", "sigma_algebra_list", "checks_object",
             "directive_string", "check_name_int", "outer_measure_list",
             "functions_list", "sequences_string", "atom_values_list",
             "generators_int", "values_int", "outer_values_list", "outer_ground_13",
-            "outer_ground_16"])
+            "outer_ground_16", "function_ref_object", "function_ref_array",
+            "sequence_ref_array", "sequence_list", "sequence_terms_int", "sets_int",
+            "sets_missing", "set_terms_int"])
     def test_scenario_schema_errors(self, tmp_path, capsys, updates, pointer):
+        # `run` parses the document as `validate` does, then runs its checks,
+        # which resolve the directives' references
         doc = json.loads((SCENARIO_DIR / "identities_basic.json").read_text())
         doc.update(updates)
         bad = tmp_path / "bad_scenario.json"
         bad.write_text(json.dumps(doc))
-        assert run_cli(["validate", bad]) == 2
+        assert run_cli(["run", bad]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {pointer}: ")
         if pointer == "/outer_measure" and "ground_size" in updates:
@@ -325,6 +341,37 @@ class TestCli:
         assert integrate["details"]["ladder"] == {"mode": "stabilized",
                                                   "at_level": 100000000}
         assert ae["details"]["integral"] == {"finite": ["100000000", "1/3"]}
+
+    def test_outer_measure_at_the_cap_runs_in_time(self, tmp_path):
+        # A cover-sum outer measure on the largest ground set outer measures
+        # accept: nu(A) is infinite when A holds point 0, and otherwise the
+        # sum of the weights of the windows {i, i+1} that A meets.  The
+        # windows chain the points 1..n-1, so the measurable sets are the
+        # unions of {0} and {1, ..., n-1}.
+        n = MAX_OUTER_GROUND_SIZE
+        windows = [(0b11 << i, Fraction(i, 3)) for i in range(1, n - 1)]
+        values = {}
+        for mask in range(1 << n):
+            key = ",".join(map(str, mask_to_points(mask)))
+            weight = sum(w for window, w in windows if mask & window)
+            values[key] = "infinity" if mask & 1 else {
+                "finite": [format_rational(Fraction(weight)), "0"]}
+        rest = list(range(1, n))
+        family = [[], [0], rest, [0] + rest]
+        doc = {"space": {"kind": "coord", "dim": 2}, "ground_size": n,
+               "sigma_algebra": {"power_set": True},
+               "outer_measure": {"outer_values": values},
+               "checks": [{"check": "caratheodory", "expected_family": family}]}
+        path = tmp_path / "outer_at_cap.json"
+        path.write_text(canonical_dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ordmeasure.cli", "run", str(path),
+             "--output", "json"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        [check] = json.loads(proc.stdout)["checks"]
+        assert check["details"]["measurable_family"] == family
 
     def test_console_script_entry_point(self):
         proc = subprocess.run(
