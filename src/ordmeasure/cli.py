@@ -28,22 +28,38 @@ from .scenarios import (
     load_scenario,
     run_scenario,
 )
-from .sequences import DEFAULT_EPSILONS, DEFAULT_HORIZON
+from .sequences import DEFAULT_EPSILONS, DEFAULT_HORIZON, MAX_EPSILON_EXPONENT
 
 
-def _parse_epsilons(text: str):
-    """Parse a schedule like "2^-4,2^-8" or "1/16,1/256"."""
+def _epsilon_schedule(text: str):
+    """Parse a schedule like "2^-4,2^-8" or "1/16,1/256".
+
+    Every epsilon must be at least 2^-MAX_EPSILON_EXPONENT (so positive);
+    an exponent is checked before its power is built.
+    """
+    smallest = Fraction(1, 2 ** MAX_EPSILON_EXPONENT)
     out = []
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
-            continue
+    for item in filter(None, (s.strip() for s in text.split(","))):
         if item.startswith("2^-"):
-            out.append(Fraction(1, 2 ** int(item[3:])))
+            exponent = item[3:]
+            if not (exponent.isascii() and exponent.isdigit()):
+                raise argparse.ArgumentTypeError(f"malformed exponent in {item!r}")
+            if int(exponent) > MAX_EPSILON_EXPONENT:
+                raise argparse.ArgumentTypeError(
+                    f"exponent of {item!r} is above {MAX_EPSILON_EXPONENT}")
+            eps = Fraction(1, 2 ** int(exponent))
         else:
-            out.append(parse_rational(item))
+            try:
+                eps = parse_rational(item)
+            except SchemaError:
+                raise argparse.ArgumentTypeError(
+                    f"{item!r} is neither a rational nor 2^-k") from None
+        if eps < smallest:
+            raise argparse.ArgumentTypeError(
+                f"epsilon {item!r} is not at least 2^-{MAX_EPSILON_EXPONENT}")
+        out.append(eps)
     if not out:
-        raise SchemaError("empty epsilon schedule")
+        raise argparse.ArgumentTypeError("empty epsilon schedule")
     return tuple(out)
 
 
@@ -80,7 +96,8 @@ def main(argv=None) -> int:
     p_run.add_argument("file")
     p_run.add_argument("--output", choices=["json", "text"], default="text")
     p_run.add_argument("--horizon", type=_positive_int, default=DEFAULT_HORIZON)
-    p_run.add_argument("--epsilon-schedule", default=None)
+    p_run.add_argument("--epsilon-schedule", type=_epsilon_schedule,
+                       default=DEFAULT_EPSILONS)
 
     p_car = sub.add_parser(
         "caratheodory",
@@ -110,11 +127,7 @@ def main(argv=None) -> int:
 
         if args.command == "run":
             scenario = load_scenario(args.file)
-            epsilons = (
-                _parse_epsilons(args.epsilon_schedule)
-                if args.epsilon_schedule else DEFAULT_EPSILONS
-            )
-            config = RunConfig(horizon=args.horizon, epsilons=epsilons)
+            config = RunConfig(horizon=args.horizon, epsilons=args.epsilon_schedule)
             report = run_scenario(scenario, config)
             _emit(report, args.output)
             return 0 if report["all_ok"] else 1

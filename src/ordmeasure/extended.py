@@ -185,14 +185,29 @@ def certify_divergence(
     ``k * unit``.  The ladder stops at horizon - 1: a sequence growing one
     unit per step can never overtake the bound with the same index inside
     its own sampling window.
+
+    Being below every sample is monotone in k: a term below k * unit is
+    below every larger bound too.  So the ladder holds exactly when its top
+    rung does, which one pass over the terms decides; when it fails, the
+    first failing k is found by bisection.
     """
     unit = spaces.order_unit(space)
-    for k in range(1, max(horizon, 2)):
+
+    def all_below(k: int) -> bool:
         bound = finite(spaces.scale(Fraction(k), unit))
-        if not any(not ext_leq(t, bound) for t in terms):
-            raise CertificationError(
-                f"divergence not certified: all samples below {k} * unit"
-            )
+        return all(ext_leq(t, bound) for t in terms)
+
+    top = max(horizon, 2) - 1
+    if not all_below(top):
+        return
+    lo, hi = 0, top  # some sample escapes every k <= lo, none escapes hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if all_below(mid):
+            hi = mid
+        else:
+            lo = mid
+    raise CertificationError(f"divergence not certified: all samples below {hi} * unit")
 
 
 def ext_sup(

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import extended, spaces
@@ -314,7 +315,7 @@ def _ladder_supremum(f: ExtFunction, mu: Measure) -> Tuple[ExtElement, dict]:
         "mode": "divergent", "increment_from_level": nstar}
 
 
-@dataclass
+@dataclass(frozen=True)
 class IntegralReport:
     """Value of an order integral plus the agreement trail of both routes."""
 
@@ -329,15 +330,25 @@ def integrate_extended(f: ExtFunction, mu: Measure) -> IntegralReport:
 
     Computes the closed form over the atoms and, independently, the
     supremum of the canonical elementary ladder, and insists that they
-    agree exactly.
+    agree exactly.  Both routes run once per distinct function on `mu`:
+    the report is kept in ``mu.integral_memo`` under the function's space
+    and values, and later calls for an equal function return it.  A
+    function on another space never matches a key, so it still reaches
+    the ladder's space check.
     """
-    closed = _closed_form_integral(f, mu)
-    ladder, trail = _ladder_supremum(f, mu)
-    if closed != ladder:
-        raise OrdMeasureError(
-            f"integral routes disagree: closed form {closed!r} vs ladder {ladder!r}"
-        )
-    return IntegralReport(value=closed, closed_form=closed, ladder=ladder, trail=trail)
+    key = (f.space, f.values)
+    report = mu.integral_memo.get(key)
+    if report is None:
+        closed = _closed_form_integral(f, mu)
+        ladder, trail = _ladder_supremum(f, mu)
+        if closed != ladder:
+            raise OrdMeasureError(
+                f"integral routes disagree: closed form {closed!r} vs ladder {ladder!r}"
+            )
+        report = IntegralReport(value=closed, closed_form=closed, ladder=ladder,
+                                trail=trail)
+        mu.integral_memo[key] = report
+    return report
 
 
 def integral_value(f: ExtFunction, mu: Measure) -> ExtElement:
@@ -475,10 +486,11 @@ def _certify_scalar_convergence(samples: List[ExtScalar], target: ExtScalar,
     if any(s == target for s in samples) and samples[-1] == target:
         return
     if is_infinite(target):
-        for k in range(1, len(samples)):
-            if not any(
-                not ext_scalar_leq(s, Fraction(k)) for s in samples
-            ):
+        # The bounds are k = 1 .. len - 1, and no sample exceeds k exactly
+        # when the largest sample is at most k: the first such k fails.
+        if not any(is_infinite(s) for s in samples):
+            k = max(1, math.ceil(max(samples)))
+            if k < len(samples):
                 raise CertificationError(
                     f"divergence at point {point} not certified against bound {k}"
                 )
@@ -712,9 +724,11 @@ def dct(mu: Measure, seq: SequenceSpec, f: SignedFunction, g: ExtFunction,
         if (1 << x) & null:
             continue
         distances = [abs(t.values[x] - f.values[x]) for t in terms]
-        # Index i reaches eps when every distance from i on is within eps.
+        # Index i reaches eps when every distance from i on is within eps,
+        # that is when the largest of them is.
+        tail_max = list(accumulate(reversed(distances), max))[::-1]
         certify_gaps(epsilons, len(distances),
-                     lambda eps: lambda i: all(d <= eps for d in distances[i - 1:]),
+                     lambda eps: lambda i: tail_max[i - 1] <= eps,
                      f"pointwise convergence gap {{eps}} at point {x} not certified")
 
     part1 = all(is_integrable(t, mu) for t in terms)

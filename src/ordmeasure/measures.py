@@ -182,6 +182,8 @@ class Measure:
                 )
         self.atom_values = dict(atom_values)
         self._memo: Dict[int, ExtElement] = {}
+        # integral.integrate_extended's reports, keyed by (function space, values)
+        self.integral_memo: dict = {}
 
     def evaluate(self, mask: int) -> ExtElement:
         """Measure of a measurable set: the sum of its atoms' values."""

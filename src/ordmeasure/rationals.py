@@ -48,14 +48,6 @@ def is_infinite(r: ExtScalar) -> bool:
     return r is INFINITY
 
 
-def ensure_nonneg(r: ExtScalar, what: str = "scalar") -> ExtScalar:
-    if r is INFINITY:
-        return r
-    if r < 0:
-        raise ValueError(f"{what} must be >= 0, got {r}")
-    return r
-
-
 def ext_scalar_add(a: ExtScalar, b: ExtScalar) -> ExtScalar:
     if a is INFINITY or b is INFINITY:
         return INFINITY
@@ -81,10 +73,6 @@ def ext_scalar_leq(a: ExtScalar, b: ExtScalar) -> bool:
 
 def ext_scalar_min(a: ExtScalar, b: ExtScalar) -> ExtScalar:
     return a if ext_scalar_leq(a, b) else b
-
-
-def ext_scalar_max(a: ExtScalar, b: ExtScalar) -> ExtScalar:
-    return b if ext_scalar_leq(a, b) else a
 
 
 def parse_rational(text: str, path: str = "") -> Fraction:

@@ -96,7 +96,7 @@ from .sequences import (
     SequenceSpec,
     StabilizesAt,
 )
-from .spaces import Element, SpaceDescriptor, SpaceKind, coord, entrywise_mat
+from .spaces import Element, SpaceDescriptor, coord, entrywise_mat
 from .spaces import MAX_LOEWNER_DIM, loewner_sym, reals
 
 
@@ -133,16 +133,6 @@ def parse_space(doc, path: str) -> SpaceDescriptor:
             )
         return loewner_sym(dim)
     raise SchemaError(f"unknown space kind {kind!r}", path + "/kind")
-
-
-def space_to_json(space: SpaceDescriptor) -> dict:
-    if space.kind is SpaceKind.REALS:
-        return {"kind": "reals"}
-    if space.kind is SpaceKind.COORD:
-        return {"kind": "coord", "dim": space.dim}
-    if space.kind is SpaceKind.ENTRYWISE_MAT:
-        return {"kind": "entrywise_mat", "rows": space.rows, "cols": space.cols}
-    return {"kind": "loewner_sym", "dim": space.dim}
 
 
 def parse_element(doc, space: SpaceDescriptor, path: str) -> Element:
@@ -608,10 +598,12 @@ def _check_dct(d: _Directive) -> CheckResult:
 def _check_push_forward(d: _Directive) -> CheckResult:
     mu = d.measure()
     target = parse_space(d.doc.get("target"), d.path + "/target")
-    matrix = [
-        [parse_rational(v, f"{d.path}/matrix/{i}/{j}") for j, v in enumerate(row)]
-        for i, row in enumerate(d.doc.get("matrix", []))
-    ]
+    mpath = d.path + "/matrix"
+    matrix = []
+    for i, row in enumerate(_require_json(d.doc.get("matrix", []), list, "matrix",
+                                          mpath)):
+        row = _require_json(row, list, "matrix row", f"{mpath}/{i}")
+        matrix.append([parse_rational(v, f"{mpath}/{i}/{j}") for j, v in enumerate(row)])
     f = None
     if "function" in d.doc:
         fdef = d.scenario.function(d.doc["function"], d.path)
@@ -624,9 +616,11 @@ def _check_push_forward(d: _Directive) -> CheckResult:
 
 def _check_l1_quotient(d: _Directive) -> CheckResult:
     mu = d.measure()
+    fpath = d.path + "/functions"
     fs = [
-        d.scenario.function(name, f"{d.path}/functions/{i}").as_signed(d.scenario.space)
-        for i, name in enumerate(d.doc.get("functions", []))
+        d.scenario.function(name, f"{fpath}/{i}").as_signed(d.scenario.space)
+        for i, name in enumerate(_require_json(d.doc.get("functions", []), list,
+                                               "functions", fpath))
     ]
     return integral_mod.l1_quotient(mu, fs)
 

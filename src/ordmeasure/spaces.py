@@ -256,10 +256,6 @@ def leq(a: Element, b: Element) -> bool:
     return all(x <= y for x, y in zip(a.coords, b.coords))
 
 
-def is_positive(a: Element) -> bool:
-    return leq(zero(a.space), a)
-
-
 @dataclass(frozen=True)
 class NoSupremum:
     """Returned when a pair supremum is declined or does not exist."""

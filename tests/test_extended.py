@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 import ordmeasure as om
 from ordmeasure.errors import CertificationError
 from ordmeasure.extended import (
+    certify_divergence,
     ext_sub_finite,
     ext_zero,
     is_ext_positive,
@@ -258,3 +259,72 @@ class TestHelpers:
         assert ext_scalar_mul(Fraction(0), INFINITY) == 0
         assert ext_scalar_mul(INFINITY, Fraction(0)) == 0
         assert ext_scalar_mul(INFINITY, INFINITY) is INFINITY
+
+
+def ladder_certify_divergence(terms, space, horizon):
+    """Oracle for `certify_divergence`: every rung k = 1 .. horizon - 1 tested."""
+    unit = om.order_unit(space)
+    for k in range(1, max(horizon, 2)):
+        bound = om.finite(om.scale(Fraction(k), unit))
+        if not any(not om.ext_leq(t, bound) for t in terms):
+            raise CertificationError(
+                f"divergence not certified: all samples below {k} * unit"
+            )
+
+
+def _raised(fn, *args):
+    """The message `fn` raises as a CertificationError, or None."""
+    try:
+        fn(*args)
+    except CertificationError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def divergence_cases(draw):
+    """Terms on Reals, C2 or LoewnerSym(2): increasing, bounded or arbitrary
+    finite terms, sometimes with infinite ones, and a horizon near their count.
+    """
+    space = draw(st.sampled_from([om.reals(), C2, om.loewner_sym(2)]))
+    count = draw(st.integers(1, 12))
+    shape = draw(st.sampled_from(["increasing", "bounded", "arbitrary"]))
+    scalar = {"increasing": st.fractions(0, 3, max_denominator=4),
+              "bounded": st.fractions(0, 1, max_denominator=3),
+              "arbitrary": st.fractions(-6, 14, max_denominator=3)}[shape]
+
+    def element():
+        if space.kind is om.SpaceKind.LOEWNER_SYM:
+            a, b, c = (draw(scalar) for _ in range(3))
+            return om.sym_matrix([[a, b], [b, c]])
+        return om.Element(space, tuple(draw(scalar) for _ in range(space.ncoords)))
+
+    terms, total = [], om.zero(space)
+    for _ in range(count):
+        total = om.add(total, element()) if shape == "increasing" else element()
+        terms.append(om.finite(total))
+    if draw(st.integers(0, 3)) == 0:
+        terms[draw(st.integers(0, count - 1))] = om.infinity(space)
+    horizon = draw(st.sampled_from([count, 1, 2, count + 3]))
+    return terms, space, horizon
+
+
+class TestCertifyDivergence:
+    """`certify_divergence` against the full ladder of bounds it replaced."""
+
+    @given(divergence_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_full_ladder(self, case):
+        assert (_raised(certify_divergence, *case)
+                == _raised(ladder_certify_divergence, *case))
+
+    @pytest.mark.parametrize("top, horizon, message", [
+        (9, 10, "all samples below 9 * unit"),
+        (Fraction(5, 2), 10, "all samples below 3 * unit"),
+        (0, 1, "all samples below 1 * unit"),
+        (10, 10, None),
+    ], ids=["top_rung", "middle_rung", "horizon_one", "escapes"])
+    def test_first_failing_rung(self, top, horizon, message):
+        terms = [fin(0, 1), fin(top, 0)]
+        raised = _raised(certify_divergence, terms, C2, horizon)
+        assert raised == (message and f"divergence not certified: {message}")

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -21,8 +23,9 @@ from ordmeasure.integral import (
     integrate_elementary,
 )
 from ordmeasure.measures import mask_to_points
-from ordmeasure.rationals import INFINITY, is_infinite
+from ordmeasure.rationals import INFINITY, ext_scalar_leq, is_infinite
 from ordmeasure.sequences import (
+    DEFAULT_EPSILONS,
     DeclaredLimit,
     DivergesToInfinity,
     SequenceSpec,
@@ -300,6 +303,60 @@ class TestLadderBreakLevels:
         assert levels == [1, 2, 3, 10**8, 10**8 + 1]
 
 
+def _report_or_error(f, mu):
+    try:
+        return om.integrate_extended(f, mu)
+    except OrdMeasureError as exc:
+        return type(exc), str(exc)
+
+
+class TestIntegralMemo:
+    """`integrate_extended` keeps one report per distinct function on a measure."""
+
+    @given(measures_and_functions(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_reused_measure_matches_fresh_measures(self, case, data):
+        # f, f with its atom values rotated, and one more function
+        mu, f = case
+        atoms = list(mu.space.atoms)
+        values = st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(3), INFINITY])
+        rotated, other = [None] * mu.space.ground_size, [None] * mu.space.ground_size
+        for atom, source in zip(atoms, atoms[1:] + atoms[:1]):
+            v = data.draw(values)
+            for x in mask_to_points(atom):
+                rotated[x], other[x] = f.atom_value(source), v
+        pool = [f, om.ext_function(mu.space, rotated), om.ext_function(mu.space, other)]
+        for g in data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8)):
+            fresh = om.Measure(mu.space, mu.backend, mu.atom_values)
+            assert _report_or_error(g, mu) == _report_or_error(g, fresh)
+
+    def test_ladder_runs_once_per_distinct_function(self, monkeypatch):
+        calls = []
+        ladder = integral._ladder_supremum
+
+        def counting(f, mu):
+            calls.append(f.values)
+            return ladder(f, mu)
+
+        monkeypatch.setattr(integral, "_ladder_supremum", counting)
+        mu = basic_measure()
+        f, g = (om.ext_function(mu.space, v) for v in ([1, 2], [INFINITY, 0]))
+        again = om.ext_function(mu.space, [1, 2])
+        reports = [om.integrate_extended(h, mu) for h in (f, g, again, f, g)]
+        assert calls == [f.values, g.values]
+        assert reports[2] is reports[0] and reports[4] is reports[1]
+        assert om.integral_value(again, mu) == fin(1, 2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            reports[0].value = fin(0, 0)
+
+    def test_function_on_another_space_still_raises(self):
+        mu = basic_measure()
+        om.integrate_extended(om.ext_function(mu.space, [1, 1]), mu)
+        coarse = om.generate_sigma_algebra([], 2)
+        with pytest.raises(ValidationError, match="different spaces"):
+            om.integrate_extended(om.ext_function(coarse, [1, 1]), mu)
+
+
 class TestIntegrateSigned:
     def test_two_sided(self):
         mu = basic_measure()
@@ -395,6 +452,54 @@ def geometric_ext_sequence(space, limit_values, horizon=64):
             space, [v * (1 - Fraction(1, 2**n)) for v in limit_values])
     return SequenceSpec(gen, horizon=horizon, metadata=DeclaredLimit(None),
                         monotonicity="increasing")
+
+
+def ladder_scalar_divergence(samples, point):
+    """Oracle for the infinite-target branch of `_certify_scalar_convergence`:
+    every bound k = 1 .. len - 1 tested against all samples."""
+    if INFINITY in samples and samples[-1] is INFINITY:
+        return
+    for k in range(1, len(samples)):
+        if not any(not ext_scalar_leq(s, Fraction(k)) for s in samples):
+            raise CertificationError(
+                f"divergence at point {point} not certified against bound {k}"
+            )
+
+
+def _certification_message(fn, *args):
+    try:
+        fn(*args)
+    except CertificationError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def scalar_samples(draw):
+    """Increasing, bounded or arbitrary nonnegative samples, some infinite."""
+    count = draw(st.integers(1, 16))
+    shape = draw(st.sampled_from(["increasing", "bounded", "arbitrary"]))
+    if shape == "increasing":
+        steps = draw(st.lists(st.fractions(0, 2, max_denominator=3),
+                              min_size=count, max_size=count))
+        samples = list(accumulate(steps))
+    else:
+        top = 2 if shape == "bounded" else 30
+        samples = draw(st.lists(st.fractions(0, top, max_denominator=4),
+                                min_size=count, max_size=count))
+    if draw(st.integers(0, 3)) == 0:
+        samples[draw(st.integers(0, count - 1))] = INFINITY
+    return samples
+
+
+class TestScalarDivergence:
+    @given(scalar_samples(), st.integers(0, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_bound_ladder(self, samples, point):
+        fast = _certification_message(
+            integral._certify_scalar_convergence, samples, INFINITY,
+            DEFAULT_EPSILONS, True, point)
+        assert fast == _certification_message(ladder_scalar_divergence, samples, point)
 
 
 class TestMct:
@@ -570,6 +675,41 @@ class TestFatouDct:
             horizon=16)
         lo, hi = om.ext_liminf_limsup(ints)
         assert lo == hi == om.integrate_signed(f, mu)
+
+
+def dct_pointwise_message(terms, f, epsilons):
+    """Oracle for the pointwise certificate of `dct`: the full tail scan it
+    replaced, as the message of the first point and epsilon that fail."""
+    for x in range(len(f.values)):
+        distances = [abs(t.values[x] - f.values[x]) for t in terms]
+        for eps in epsilons:
+            if not any(all(d <= eps for d in distances[i:])
+                       for i in range(len(distances))):
+                return f"pointwise convergence gap {eps} at point {x} not certified"
+    return None
+
+
+class TestDctPointwise:
+    @given(st.lists(st.tuples(st.fractions(-2, 2, max_denominator=4),
+                              st.fractions(-2, 2, max_denominator=4)),
+                    min_size=1, max_size=10),
+           st.tuples(st.sampled_from([0, Fraction(1, 16), Fraction(1, 4), 1]),
+                     st.sampled_from([0, Fraction(-1, 16), Fraction(1, 2)])))
+    @settings(max_examples=100, deadline=None)
+    def test_agrees_with_tail_scan(self, rows, offsets):
+        # the limit sits near the last term, so some tails are certified
+        mu = basic_measure()
+        f = om.signed_function(mu.space, [v + o for v, o in zip(rows[-1], offsets)])
+        terms = [om.signed_function(mu.space, r) for r in rows]
+        seq = from_terms(terms, horizon=len(terms), metadata=DeclaredLimit(f))
+        epsilons = [Fraction(1, 2), Fraction(1, 8)]
+        expected = dct_pointwise_message(terms, f, epsilons)
+        raised = _certification_message(om.dct, mu, seq, f,
+                                        om.ext_function(mu.space, [3, 3]), None, epsilons)
+        if expected is not None:
+            assert raised == expected
+        else:
+            assert raised is None or not raised.startswith("pointwise")
 
 
 class TestTriangle:

@@ -14,6 +14,7 @@ from ordmeasure.errors import SchemaError
 from ordmeasure.measures import mask_to_points
 from ordmeasure.outer import MAX_OUTER_GROUND_SIZE
 from ordmeasure.rationals import format_rational
+from ordmeasure.sequences import MAX_EPSILON_EXPONENT
 from ordmeasure.scenarios import (
     RunConfig,
     canonical_dumps,
@@ -70,22 +71,17 @@ class TestRunner:
         report = run_scenario(parse_scenario(doc))
         assert not report["all_ok"]
 
-    @pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
-    def test_reports_match_reference_digests(self, path):
-        # The benchmark's reference digests of `run --output json` at horizon 64.
+    @pytest.mark.parametrize("path, horizon", [
+        pytest.param(path, horizon, id=path.stem + ("" if horizon == 64 else "@256"))
+        for horizon in (64, 256) for path in SCENARIOS
+    ])
+    def test_reports_match_reference_digests(self, path, horizon):
+        # The benchmark's reference digests of `run --output json` at both of
+        # its horizons; the plain id is the default horizon, 64.
         digests = json.loads((REPO / "perfbench" / "reference.json").read_text())
-        report = run_scenario(load_scenario(str(path)), RunConfig(horizon=64))
+        report = run_scenario(load_scenario(str(path)), RunConfig(horizon=horizon))
         digest = hashlib.sha256(canonical_dumps(report).encode("utf-8")).hexdigest()
-        assert digest == digests["digests"][f"suite/{path.stem}@64"]
-
-    @pytest.mark.parametrize("stem", ["dct_geometric", "dct_stabilizing"])
-    def test_dct_reports_at_horizon_256_match_reference(self, stem):
-        # Part 4 builds its tail windows in one backward pass.
-        digests = json.loads((REPO / "perfbench" / "reference.json").read_text())
-        report = run_scenario(load_scenario(str(SCENARIO_DIR / f"{stem}.json")),
-                              RunConfig(horizon=256))
-        digest = hashlib.sha256(canonical_dumps(report).encode("utf-8")).hexdigest()
-        assert digest == digests["digests"][f"suite/{stem}@256"]
+        assert digest == digests["digests"][f"suite/{path.stem}@{horizon}"]
 
     def test_horizon_override(self):
         scenario = load_scenario(str(SCENARIO_DIR / "mct_basic.json"))
@@ -257,13 +253,19 @@ class TestCli:
         ({"checks": [{"check": "continuity_below"}]}, "/checks/0/sets"),
         ({"checks": [{"check": "continuity_below", "sets": {"terms": 5}}]},
          "/checks/0/sets/terms"),
+        ({"checks": [{"check": "l1_quotient", "functions": 5}]}, "/checks/0/functions"),
+        ({"checks": [{"check": "push_forward", "target": {"kind": "reals"},
+                      "matrix": 5}]}, "/checks/0/matrix"),
+        ({"checks": [{"check": "push_forward", "target": {"kind": "reals"},
+                      "matrix": [5]}]}, "/checks/0/matrix/0"),
     ], ids=["ground_bool", "ground_cap", "sigma_algebra_list", "checks_object",
             "directive_string", "check_name_int", "outer_measure_list",
             "functions_list", "sequences_string", "atom_values_list",
             "generators_int", "values_int", "outer_values_list", "outer_ground_13",
             "outer_ground_16", "function_ref_object", "function_ref_array",
             "sequence_ref_array", "sequence_list", "sequence_terms_int", "sets_int",
-            "sets_missing", "set_terms_int"])
+            "sets_missing", "set_terms_int", "l1_functions_int", "matrix_int",
+            "matrix_row_int"])
     def test_scenario_schema_errors(self, tmp_path, capsys, updates, pointer):
         # `run` parses the document as `validate` does, then runs its checks,
         # which resolve the directives' references
@@ -283,6 +285,16 @@ class TestCli:
             run_cli(["run", SCENARIO_DIR / "mct_basic.json", "--horizon", horizon])
         assert exc.value.code == 2
         assert "--horizon" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("schedule", ["2^--5", "2^-x", "0", "-1/2", "1/0", ",",
+                                          f"2^-{MAX_EPSILON_EXPONENT + 1}",
+                                          "2^-1000000000"])
+    def test_epsilon_schedule_must_be_valid(self, capsys, schedule):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["run", SCENARIO_DIR / "mct_basic.json",
+                     f"--epsilon-schedule={schedule}"])
+        assert exc.value.code == 2
+        assert "--epsilon-schedule" in capsys.readouterr().err
 
     def test_caratheodory_subcommand(self, capsys):
         code = run_cli(["caratheodory", SCENARIO_DIR / "caratheodory_two_point.json"])
