@@ -7,8 +7,8 @@
     ordmeasure compare {sup_measure|series_measure} --n N [--output json|text]
 
 Exit codes: 0 when everything holds (or fails exactly as the scenario
-expects), 1 when a check misses its expectation, 2 on schema or validation
-errors.
+expects), 1 when a check misses its expectation, 2 on schema, validation or
+size-limit errors.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import compare as compare_mod
 from . import outer as outer_mod
-from .errors import OrdMeasureError, SchemaError, ValidationError
+from .errors import DimensionLimitError, OrdMeasureError, SchemaError, ValidationError
 from .measures import mask_to_points
 from .rationals import parse_rational
 from .scenarios import (
@@ -148,7 +148,7 @@ def main(argv=None) -> int:
                 for key, value in report.items():
                     print(f"{key}: {value}")
             return 0
-    except (SchemaError, ValidationError) as exc:
+    except (SchemaError, ValidationError, DimensionLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OrdMeasureError as exc:

@@ -8,6 +8,7 @@ HOLDS = "holds"
 FAILS = "fails"
 HYPOTHESIS_NOT_MET = "hypothesis-not-met"
 NOT_CERTIFIABLE = "not-certifiable"
+STATUSES = (HOLDS, FAILS, HYPOTHESIS_NOT_MET, NOT_CERTIFIABLE)
 
 
 @dataclass

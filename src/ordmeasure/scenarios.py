@@ -36,29 +36,19 @@ Sequence specs (terms are function names or inline {"values": [...]}):
   {"kind": "scaled_index", "shape": g}
       term n is n * shape; declared divergent
 
-Check directives (each may carry "expect": "holds" | "fails" |
-"hypothesis-not-met" | "not-certifiable"; default "holds"):
+Check directives are objects {"check": <name>, <key>: ...}, each with an
+optional "expect": "holds" | "fails" | "hypothesis-not-met" |
+"not-certifiable" (default "holds").  The table `_CHECKS` below is the one
+place a directive's keys are defined: for each check it gives the handler,
+each key's JSON type, whether the key is required, and what the key
+resolves to (a named function or sequence, a set list or set sequence, a
+rational, an element, a space, a matrix).  A set sequence is {"kind":
+"explicit" | "alternating", "terms": [[points...], ...]} or a bare array of
+sets (explicit); an explicit one repeats its final term.
 
-  {"check": "validate"}
-  {"check": "identities"}
-  {"check": "continuity_below", "sets": <set sequence>}
-  {"check": "continuity_above", "sets": <set sequence>}
-  {"check": "borel_cantelli", "sets": <set sequence>, "lower_bound": [coords]}
-  {"check": "bridge", "sets": [[points...], ...]}
-  {"check": "integrate", "function": f, "expected": ExtElement}
-  {"check": "integral_laws", "f": f, "g": g, "r1": "2", "r2": "1/3"}
-  {"check": "ae", "function": f}
-  {"check": "mct" | "mct_decreasing", "sequence": s, "limit": f}
-  {"check": "fatou", "sequence": s}
-  {"check": "dct", "sequence": s, "limit": f, "dominator": g}
-  {"check": "triangle", "function": f}
-  {"check": "push_forward", "matrix": [[entries...]], "target": <space>,
-   "function": f}
-  {"check": "l1_quotient", "functions": [names...]}
-  {"check": "caratheodory", "expected_family": [[points...], ...]}
-
-Set sequences are {"kind": "explicit" | "alternating", "terms":
-[[points...], ...]}; explicit set sequences repeat their final term.
+`parse_scenario` resolves every directive and every named sequence, so a
+document that parses (`ordmeasure validate`) raises no schema error when it
+runs; only the horizon is applied at run time.
 """
 
 from __future__ import annotations
@@ -66,7 +56,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from . import integral as integral_mod
 from . import measures as measures_mod
@@ -76,18 +66,25 @@ from .errors import (
     HypothesisError,
     NotIntegrableError,
     SchemaError,
+    ValidationError,
 )
 from .extended import ExtElement, ext_to_json, finite, infinity
-from .integral import ExtFunction, SignedFunction, ext_function, signed_function
+from .integral import ext_function, signed_function
 from .measures import MeasurableSpace, Measure, mask_to_points, points_to_mask
 from .rationals import (
-    format_ext_scalar,
     format_rational,
     is_infinite,
     parse_ext_scalar,
     parse_rational,
 )
-from .reports import CheckResult, HOLDS, HYPOTHESIS_NOT_MET, NOT_CERTIFIABLE
+from .reports import (
+    CheckResult,
+    FAILS,
+    HOLDS,
+    HYPOTHESIS_NOT_MET,
+    NOT_CERTIFIABLE,
+    STATUSES,
+)
 from .sequences import (
     DEFAULT_EPSILONS,
     DEFAULT_HORIZON,
@@ -157,11 +154,13 @@ def parse_ext_element(doc, space: SpaceDescriptor, path: str) -> ExtElement:
 _JSON_KINDS = {dict: "an object", list: "an array", str: "a string"}
 
 
-def _require_json(value, kind: type, what: str, path: str):
+def _require_json(value, kind, what: str, path: str):
     """`value`, when it is a JSON object (`dict`), array (`list`) or string
-    (`str`) as asked."""
+    (`str`) as asked; `kind` is one of these types or a tuple of them."""
     if not isinstance(value, kind):
-        raise SchemaError(f"{what} must be {_JSON_KINDS[kind]}", path)
+        kinds = kind if isinstance(kind, tuple) else (kind,)
+        raise SchemaError(f"{what} must be {' or '.join(_JSON_KINDS[k] for k in kinds)}",
+                          path)
     return value
 
 
@@ -170,28 +169,36 @@ def _parse_points(doc, ground_size: int, path: str) -> int:
         raise SchemaError("set must be an array of point indices", path)
     points = []
     for i, p in enumerate(doc):
-        if not isinstance(p, int) or p < 0 or p >= ground_size:
-            raise SchemaError(f"point {p!r} outside the ground set", f"{path}/{i}")
+        # bool is a subclass of int, but `true` is not a point
+        if isinstance(p, bool) or not isinstance(p, int) or not 0 <= p < ground_size:
+            raise SchemaError(f"point {json.dumps(p)} outside the ground set",
+                              f"{path}/{i}")
         points.append(p)
     return points_to_mask(points)
 
 
-@dataclass
-class FunctionDef:
-    """Raw scalar list; coerced to an extended or signed function on demand."""
+@dataclass(frozen=True)
+class _NamedSequence:
+    """A named function sequence: the value list of term n, and what it declares."""
 
-    values: list  # ExtScalar entries (Fractions may be negative)
+    values: Callable[[int], list]
+    metadata: object
+    monotonicity: str
+    terms: tuple = ()  # every term of an explicit or alternating sequence
 
-    def as_ext(self, space: MeasurableSpace) -> ExtFunction:
-        return ext_function(space, self.values)
 
-    def as_signed(self, space: MeasurableSpace) -> SignedFunction:
-        if any(is_infinite(v) for v in self.values):
-            raise SchemaError("a signed function cannot take the value infinity")
-        return signed_function(space, self.values)
+@dataclass(frozen=True)
+class Directive:
+    """One check directive with every key resolved by the check table."""
 
-    def to_json(self) -> dict:
-        return {"values": [format_ext_scalar(v) for v in self.values]}
+    check: str
+    expect: str
+    args: dict
+
+    def get(self, key: str, default=None):
+        """`check` or `expect` read as from the directive's JSON object, which
+        is what wrappers of `run_check` read."""
+        return {"check": self.check, "expect": self.expect}.get(key, default)
 
 
 @dataclass
@@ -201,22 +208,329 @@ class Scenario:
     space: MeasurableSpace
     measure: Optional[Measure]
     outer: Optional[outer_mod.OuterMeasure]
-    functions: Dict[str, FunctionDef]
-    sequences: Dict[str, dict]
-    checks: List[dict]
-
-    def function(self, name: str, path: str = "") -> FunctionDef:
-        if _require_json(name, str, "function reference", path) not in self.functions:
-            raise SchemaError(f"unresolved function reference {name!r}", path)
-        return self.functions[name]
+    functions: Dict[str, list]  # name -> ExtScalar values (may be negative)
+    sequences: Dict[str, _NamedSequence]
+    checks: List[Directive]
 
 
-def _parse_function_values(doc, path: str) -> FunctionDef:
+def _parse_function_values(doc, ground: int, path: str) -> list:
     if not isinstance(doc, dict) or "values" not in doc:
         raise SchemaError("function needs a 'values' array", path)
     values = _require_json(doc["values"], list, "values", path + "/values")
-    vals = [parse_ext_scalar(v, f"{path}/values/{i}") for i, v in enumerate(values)]
-    return FunctionDef(vals)
+    if len(values) != ground:
+        raise SchemaError(f"function needs {ground} values, got {len(values)}",
+                          path + "/values")
+    return [parse_ext_scalar(v, f"{path}/values/{i}") for i, v in enumerate(values)]
+
+
+def _resolve_term(functions: dict, ground: int, term, path: str) -> list:
+    """A sequence term: a function name or an inline {"values": [...]}."""
+    if not isinstance(term, str):
+        return _parse_function_values(term, ground, path)
+    if term not in functions:
+        raise SchemaError(f"unresolved function reference {term!r}", path)
+    return functions[term]
+
+
+def _stabilizing(terms: list):
+    """Term n of the list, its final term repeating forever."""
+    return lambda n: terms[min(n, len(terms)) - 1]
+
+
+def _cycling(terms: list):
+    return lambda n: terms[(n - 1) % len(terms)]
+
+
+def _parse_sequence(functions: dict, ground: int, doc, path: str) -> _NamedSequence:
+    """Compile a sequence spec into term value lists with metadata."""
+    doc = _require_json(doc, dict, "sequence", path)
+    kind = doc.get("kind")
+    monotonicity = doc.get("monotonicity", "none")
+
+    def term(key):
+        return _resolve_term(functions, ground, doc.get(key), f"{path}/{key}")
+
+    if kind in ("explicit", "alternating"):
+        terms = [
+            _resolve_term(functions, ground, t, f"{path}/terms/{i}")
+            for i, t in enumerate(_require_json(doc.get("terms", []), list, "terms",
+                                                path + "/terms"))
+        ]
+        if not terms:
+            raise SchemaError(f"{kind} sequence needs terms", path)
+        if kind == "alternating":
+            return _NamedSequence(_cycling(terms), None, "none", tuple(terms))
+        metadata = (DivergesToInfinity() if doc.get("metadata") == "diverges"
+                    else StabilizesAt(len(terms)))
+        return _NamedSequence(_stabilizing(terms), metadata, monotonicity, tuple(terms))
+
+    if kind == "geometric":
+        base, bump = term("base"), term("bump")
+        ratio = parse_rational(doc.get("ratio"), path + "/ratio")
+        if abs(ratio) >= 1:
+            raise SchemaError("geometric ratio must satisfy |ratio| < 1",
+                              path + "/ratio")
+        if any(is_infinite(v) for v in base + bump):
+            raise SchemaError("geometric sequences need finite base and bump", path)
+        return _NamedSequence(
+            lambda n: [b + ratio**n * h for b, h in zip(base, bump)],
+            DeclaredLimit(list(base)), monotonicity)
+
+    if kind == "truncation_ladder":
+        f = term("of")
+        return _NamedSequence(
+            lambda n: [Fraction(n) if is_infinite(v) else min(v, Fraction(n)) for v in f],
+            DeclaredLimit(list(f)), "increasing")
+
+    if kind == "scaled_index":
+        shape = term("shape")
+        if any(is_infinite(v) for v in shape):
+            raise SchemaError("scaled_index shape must be finite", path)
+        return _NamedSequence(lambda n: [Fraction(n) * v for v in shape],
+                              DivergesToInfinity(), "increasing")
+
+    raise SchemaError(f"unknown sequence kind {kind!r}", path)
+
+
+# Resolvers of directive keys.  Each takes the scenario being parsed, the
+# key's JSON value (already of the key's JSON type) and its path.
+
+def _as_function(space: MeasurableSpace, values: list, kind: str, path: str):
+    """`values` made an "ext" (extended-positive) or "signed" function, or
+    "either": signed when some value is negative."""
+    if kind == "ext" or (kind == "either" and all(is_infinite(v) or v >= 0
+                                                  for v in values)):
+        return ext_function(space, values)
+    if any(is_infinite(v) for v in values):
+        raise SchemaError("a signed function cannot take the value infinity", path)
+    return signed_function(space, values)
+
+
+def _function(kind: str):
+    """A function reference, made a function of `kind` (see `_as_function`)."""
+    def resolve(scenario: Scenario, name: str, path: str):
+        values = _resolve_term(scenario.functions, scenario.space.ground_size, name, path)
+        return _as_function(scenario.space, values, kind, path)
+    return resolve
+
+
+def _function_sequence(kind: str):
+    """A sequence reference whose terms are "ext" or "signed" functions;
+    resolves to the map from a horizon to the sequence.  The terms of an
+    explicit or alternating sequence are made functions here, so a bad term
+    is a schema error of the directive."""
+    def resolve(scenario: Scenario, name: str, path: str):
+        if name not in scenario.sequences:
+            raise SchemaError(f"unresolved sequence reference {name!r}", path)
+        seq, space = scenario.sequences[name], scenario.space
+        for values in seq.terms:
+            _as_function(space, values, kind, path)
+        return lambda horizon: SequenceSpec(
+            lambda n: _as_function(space, seq.values(n), kind, path), horizon=horizon,
+            metadata=seq.metadata, monotonicity=seq.monotonicity)
+    return resolve
+
+
+def _set_list(scenario: Scenario, doc: list, path: str) -> list:
+    return [_parse_points(s, scenario.space.ground_size, f"{path}/{i}")
+            for i, s in enumerate(doc)]
+
+
+def _set_sequence(scenario: Scenario, doc, path: str):
+    """A set sequence; resolves to the map from a horizon to the sequence."""
+    if isinstance(doc, list):
+        kind, terms = "explicit", _set_list(scenario, doc, path)
+    else:
+        kind = doc.get("kind", "explicit")
+        terms = _set_list(scenario, _require_json(doc.get("terms", []), list, "terms",
+                                                  path + "/terms"), path + "/terms")
+    if not terms:
+        raise SchemaError("set sequence needs terms", path)
+    if kind == "explicit":
+        return lambda horizon: SequenceSpec(_stabilizing(terms), horizon=horizon,
+                                            metadata=StabilizesAt(len(terms)))
+    if kind == "alternating":
+        return lambda horizon: SequenceSpec(_cycling(terms), horizon=horizon)
+    raise SchemaError(f"unknown set sequence kind {kind!r}", path)
+
+
+def _matrix(scenario: Scenario, doc: list, path: str) -> list:
+    return [
+        [parse_rational(v, f"{path}/{i}/{j}") for j, v in
+         enumerate(_require_json(row, list, "matrix row", f"{path}/{i}"))]
+        for i, row in enumerate(doc)
+    ]
+
+
+def _function_list(scenario: Scenario, doc: list, path: str) -> list:
+    signed = _function("signed")
+    return [signed(scenario, _require_json(name, str, "function reference",
+                                           f"{path}/{i}"), f"{path}/{i}")
+            for i, name in enumerate(doc)]
+
+
+_REQUIRED = object()
+
+
+@dataclass(frozen=True)
+class _Key:
+    """One directive key: its JSON type(s), its resolver, and its default.
+
+    A key without a default is required; an absent optional key takes the
+    default as it is.
+    """
+
+    json: object
+    resolve: Callable
+    default: object = _REQUIRED
+
+
+@dataclass(frozen=True)
+class _Check:
+    """A check's handler, its keys, and the scenario section it runs on.
+
+    The handler is called as ``handler(scenario, config, **resolved keys)``.
+    """
+
+    handler: Callable
+    keys: Dict[str, _Key] = field(default_factory=dict)
+    needs: Optional[str] = "measure"
+
+
+_EXT = _Key(str, _function("ext"))
+_SIGNED = _Key(str, _function("signed"))
+_SETS = _Key((list, dict), _set_sequence)
+_EXT_SEQUENCE = _Key(str, _function_sequence("ext"))
+
+
+def _check_validate(scenario: Scenario, config) -> CheckResult:
+    space = scenario.space
+    details = {"atoms": [mask_to_points(a) for a in space.atoms],
+               "members": len(space.sets)}
+    if scenario.measure is not None:
+        details["classification"] = scenario.measure.classification()
+    return CheckResult("validate", HOLDS, details)
+
+
+def _check_integrate(scenario: Scenario, config, function, expected) -> CheckResult:
+    report = integral_mod.integrate_extended(function, scenario.measure)
+    details = {"value": ext_to_json(report.value), "ladder": report.trail}
+    status = FAILS if expected is not None and expected != report.value else HOLDS
+    return CheckResult("integrate", status, details)
+
+
+def _check_caratheodory(scenario: Scenario, config, expected_family) -> CheckResult:
+    details, identities = outer_mod.caratheodory_report(scenario.outer)
+    status = HOLDS if identities.ok else FAILS
+    if (expected_family is not None and [mask_to_points(m) for m in sorted(expected_family)]
+            != details["measurable_family"]):
+        status = FAILS
+    return CheckResult("caratheodory", status, details)
+
+
+# Directive name -> handler and keys.  Handlers look library operations up
+# on their modules at call time, so a wrapper installed on a module
+# attribute (as perfbench/tracing.py installs) sees every call.
+_CHECKS = {
+    "validate": _Check(_check_validate, needs=None),
+    "identities": _Check(
+        lambda s, c: measures_mod.check_measure_identities(s.measure)),
+    "continuity_below": _Check(
+        lambda s, c, sets: measures_mod.continuity_from_below(
+            s.measure, sets(c.horizon), horizon=c.horizon),
+        {"sets": _SETS}),
+    "continuity_above": _Check(
+        lambda s, c, sets: measures_mod.continuity_from_above(
+            s.measure, sets(c.horizon), horizon=c.horizon),
+        {"sets": _SETS}),
+    "borel_cantelli": _Check(
+        lambda s, c, sets, lower_bound: measures_mod.borel_cantelli(
+            s.measure, sets(c.horizon), lower_bound, horizon=c.horizon),
+        {"sets": _SETS,
+         "lower_bound": _Key(list, lambda s, v, p: parse_element(v, s.backend, p), None)}),
+    "bridge": _Check(
+        lambda s, c, sets: measures_mod.operator_measure_bridge(s.measure, sets),
+        {"sets": _Key(list, _set_list, [])}),
+    "integrate": _Check(
+        _check_integrate,
+        {"function": _EXT,
+         "expected": _Key((dict, str), lambda s, v, p: parse_ext_element(v, s.backend, p),
+                          None)}),
+    "integral_laws": _Check(
+        lambda s, c, f, g, r1, r2: integral_mod.check_integral_laws(s.measure, f, g,
+                                                                    r1, r2),
+        {"f": _EXT, "g": _EXT,
+         "r1": _Key(str, lambda s, v, p: parse_rational(v, p), Fraction(1)),
+         "r2": _Key(str, lambda s, v, p: parse_rational(v, p), Fraction(1))}),
+    "ae": _Check(lambda s, c, function: integral_mod.ae_analysis(function, s.measure),
+                 {"function": _EXT}),
+    "mct": _Check(
+        lambda s, c, sequence, limit: integral_mod.mct(
+            s.measure, sequence(c.horizon), limit, horizon=c.horizon,
+            epsilons=c.epsilons),
+        {"sequence": _EXT_SEQUENCE, "limit": _EXT}),
+    "mct_decreasing": _Check(
+        lambda s, c, sequence, limit: integral_mod.mct_decreasing(
+            s.measure, sequence(c.horizon), limit, horizon=c.horizon,
+            epsilons=c.epsilons),
+        {"sequence": _EXT_SEQUENCE, "limit": _EXT}),
+    "fatou": _Check(
+        lambda s, c, sequence: integral_mod.fatou(s.measure, sequence(c.horizon),
+                                                  horizon=c.horizon),
+        {"sequence": _EXT_SEQUENCE}),
+    "dct": _Check(
+        lambda s, c, sequence, limit, dominator: integral_mod.dct(
+            s.measure, sequence(c.horizon), limit, dominator, horizon=c.horizon,
+            epsilons=c.epsilons),
+        {"sequence": _Key(str, _function_sequence("signed")),
+         "limit": _SIGNED, "dominator": _EXT}),
+    "triangle": _Check(
+        lambda s, c, function: integral_mod.triangle_inequality(s.measure, function),
+        {"function": _SIGNED}),
+    "push_forward": _Check(
+        lambda s, c, target, matrix, function: integral_mod.push_forward(
+            s.measure, matrix, target, function),
+        {"target": _Key(dict, lambda s, v, p: parse_space(v, p)),
+         "matrix": _Key(list, _matrix, []),
+         "function": _Key(str, _function("either"), None)}),
+    "l1_quotient": _Check(
+        lambda s, c, functions: integral_mod.l1_quotient(s.measure, functions),
+        {"functions": _Key(list, _function_list, [])}),
+    "caratheodory": _Check(
+        _check_caratheodory,
+        {"expected_family": _Key(list, _set_list, None)},
+        needs="outer_measure"),
+}
+
+
+def _parse_directive(scenario: Scenario, doc, path: str) -> Directive:
+    """Resolve one directive through the check table."""
+    name = doc.get("check") if isinstance(doc, dict) else None
+    if not isinstance(name, str):
+        raise SchemaError("a directive must be an object with a string 'check'", path)
+    if name not in _CHECKS:
+        raise SchemaError(f"unknown check {name!r}", path + "/check")
+    expect = doc.get("expect", HOLDS)
+    if expect not in STATUSES:
+        raise SchemaError(f"expect must be one of {', '.join(STATUSES)}, "
+                          f"got {json.dumps(expect)}", path + "/expect")
+    spec = _CHECKS[name]
+    if spec.needs is not None and spec.needs not in scenario.source:
+        raise SchemaError(f"{name} needs the scenario's '{spec.needs}'", path)
+    args = {}
+    for key, k in spec.keys.items():
+        kpath = f"{path}/{key}"
+        if key in doc:
+            value = _require_json(doc[key], k.json, key, kpath)
+            try:
+                args[key] = k.resolve(scenario, value, kpath)
+            except ValidationError as exc:  # e.g. a negative or non-measurable function
+                raise SchemaError(str(exc), kpath) from None
+        elif k.default is _REQUIRED:
+            raise SchemaError(f"{name} needs '{key}'", kpath)
+        else:
+            args[key] = k.default
+    return Directive(name, expect, args)
 
 
 def parse_scenario(doc: dict, path_prefix: str = "") -> Scenario:
@@ -320,26 +634,26 @@ def parse_scenario(doc: dict, path_prefix: str = "") -> Scenario:
     functions = {}
     for name, fdoc in _require_json(doc.get("functions", {}), dict, "functions",
                                     path_prefix + "/functions").items():
-        fdef = _parse_function_values(fdoc, f"{path_prefix}/functions/{name}")
-        if len(fdef.values) != ground:
-            raise SchemaError(
-                f"function {name!r} needs {ground} values",
-                f"{path_prefix}/functions/{name}/values",
-            )
-        functions[name] = fdef
+        functions[name] = _parse_function_values(fdoc, ground,
+                                                 f"{path_prefix}/functions/{name}")
 
-    sequences = _require_json(doc.get("sequences", {}), dict, "sequences",
-                              path_prefix + "/sequences")
-    checks = _require_json(doc.get("checks", []), list, "checks", path_prefix + "/checks")
-    for i, directive in enumerate(checks):
-        check = directive.get("check") if isinstance(directive, dict) else None
-        if not isinstance(check, str):
-            raise SchemaError("a directive must be an object with a string 'check'",
-                              f"{path_prefix}/checks/{i}")
-    return Scenario(
+    sequences = {
+        name: _parse_sequence(functions, ground, sdoc,
+                              f"{path_prefix}/sequences/{name}")
+        for name, sdoc in _require_json(doc.get("sequences", {}), dict, "sequences",
+                                        path_prefix + "/sequences").items()
+    }
+    scenario = Scenario(
         source=doc, backend=backend, space=space, measure=mu, outer=outer,
-        functions=functions, sequences=dict(sequences), checks=list(checks),
+        functions=functions, sequences=sequences, checks=[],
     )
+    cpath = path_prefix + "/checks"
+    scenario.checks.extend(
+        _parse_directive(scenario, directive, f"{cpath}/{i}")
+        for i, directive in enumerate(_require_json(doc.get("checks", []), list,
+                                                    "checks", cpath))
+    )
+    return scenario
 
 
 def load_scenario(path: str) -> Scenario:
@@ -357,335 +671,19 @@ class RunConfig:
     epsilons: tuple = DEFAULT_EPSILONS
 
 
-def _resolve_term(scenario: Scenario, term, path: str) -> FunctionDef:
-    if isinstance(term, str):
-        return scenario.function(term, path)
-    return _parse_function_values(term, path)
-
-
-def _build_function_sequence(scenario: Scenario, name: str,
-                             config: RunConfig, path: str):
-    """Compile a sequence spec into term value lists with metadata."""
-    if _require_json(name, str, "sequence reference", path) not in scenario.sequences:
-        raise SchemaError(f"unresolved sequence reference {name!r}", path)
-    spath = f"/sequences/{name}"
-    doc = _require_json(scenario.sequences[name], dict, "sequence", spath)
-    kind = doc.get("kind")
-    monotonicity = doc.get("monotonicity", "none")
-
-    if kind == "explicit":
-        terms = [
-            _resolve_term(scenario, t, f"{spath}/terms/{i}").values
-            for i, t in enumerate(_require_json(doc.get("terms", []), list, "terms",
-                                                spath + "/terms"))
-        ]
-        if not terms:
-            raise SchemaError("explicit sequence needs terms", spath)
-        meta_doc = doc.get("metadata")
-        if meta_doc == "diverges":
-            metadata = DivergesToInfinity()
-        else:
-            metadata = StabilizesAt(len(terms))
-
-        def gen(n, _terms=terms):
-            return _terms[min(n, len(_terms)) - 1]
-
-        return SequenceSpec(gen, horizon=config.horizon, metadata=metadata,
-                            monotonicity=monotonicity)
-
-    if kind == "geometric":
-        base = _resolve_term(scenario, doc.get("base"), spath + "/base").values
-        bump = _resolve_term(scenario, doc.get("bump"), spath + "/bump").values
-        ratio = parse_rational(doc.get("ratio"), spath + "/ratio")
-        if abs(ratio) >= 1:
-            raise SchemaError("geometric ratio must satisfy |ratio| < 1",
-                              spath + "/ratio")
-        if len(base) != len(bump):
-            raise SchemaError("base and bump must have equal length", spath)
-        if any(is_infinite(v) for v in base + bump):
-            raise SchemaError("geometric sequences need finite base and bump", spath)
-
-        def gen(n, _b=base, _h=bump, _r=ratio):
-            return [b + _r**n * h for b, h in zip(_b, _h)]
-
-        return SequenceSpec(gen, horizon=config.horizon,
-                            metadata=DeclaredLimit(list(base)),
-                            monotonicity=monotonicity)
-
-    if kind == "truncation_ladder":
-        f = _resolve_term(scenario, doc.get("of"), spath + "/of").values
-
-        def gen(n, _f=f):
-            return [Fraction(n) if is_infinite(v) else min(v, Fraction(n)) for v in _f]
-
-        return SequenceSpec(gen, horizon=config.horizon,
-                            metadata=DeclaredLimit(list(f)),
-                            monotonicity="increasing")
-
-    if kind == "alternating":
-        terms = [
-            _resolve_term(scenario, t, f"{spath}/terms/{i}").values
-            for i, t in enumerate(_require_json(doc.get("terms", []), list, "terms",
-                                                spath + "/terms"))
-        ]
-        if not terms:
-            raise SchemaError("alternating sequence needs terms", spath)
-
-        def gen(n, _terms=terms):
-            return _terms[(n - 1) % len(_terms)]
-
-        return SequenceSpec(gen, horizon=config.horizon, metadata=None,
-                            monotonicity="none")
-
-    if kind == "scaled_index":
-        shape = _resolve_term(scenario, doc.get("shape"), spath + "/shape").values
-        if any(is_infinite(v) for v in shape):
-            raise SchemaError("scaled_index shape must be finite", spath)
-
-        def gen(n, _s=shape):
-            return [Fraction(n) * v for v in _s]
-
-        return SequenceSpec(gen, horizon=config.horizon,
-                            metadata=DivergesToInfinity(),
-                            monotonicity="increasing")
-
-    raise SchemaError(f"unknown sequence kind {kind!r}", spath)
-
-
-def _parse_set_sequence(scenario: Scenario, doc, config: RunConfig,
-                        path: str) -> SequenceSpec:
-    ground = scenario.space.ground_size
-    if isinstance(doc, list):
-        doc = {"kind": "explicit", "terms": doc}
-    kind = _require_json(doc, dict, "set sequence", path).get("kind", "explicit")
-    terms = [
-        _parse_points(t, ground, f"{path}/terms/{i}")
-        for i, t in enumerate(_require_json(doc.get("terms", []), list, "terms",
-                                            path + "/terms"))
-    ]
-    if not terms:
-        raise SchemaError("set sequence needs terms", path)
-    if kind == "explicit":
-        def gen(n, _terms=terms):
-            return _terms[min(n, len(_terms)) - 1]
-        return SequenceSpec(gen, horizon=config.horizon,
-                            metadata=StabilizesAt(len(terms)))
-    if kind == "alternating":
-        def gen(n, _terms=terms):
-            return _terms[(n - 1) % len(_terms)]
-        return SequenceSpec(gen, horizon=config.horizon)
-    raise SchemaError(f"unknown set sequence kind {kind!r}", path)
-
-
-@dataclass
-class _Directive:
-    """One check directive, with the scenario and settings it runs under."""
-
-    scenario: Scenario
-    doc: dict
-    config: RunConfig
-    path: str
-
-    def measure(self) -> Measure:
-        if self.scenario.measure is None:
-            raise SchemaError("this check needs a 'measure' in the scenario")
-        return self.scenario.measure
-
-    def ext(self, key: str) -> ExtFunction:
-        return self.scenario.function(self.doc.get(key), self.path).as_ext(
-            self.scenario.space)
-
-    def signed(self, key: str) -> SignedFunction:
-        return self.scenario.function(self.doc.get(key), self.path).as_signed(
-            self.scenario.space)
-
-    def sets(self) -> SequenceSpec:
-        return _parse_set_sequence(self.scenario, self.doc.get("sets"), self.config,
-                                   self.path + "/sets")
-
-    def sequence(self, convert) -> SequenceSpec:
-        """The named function sequence, each term made by `convert(space, values)`."""
-        seq = _build_function_sequence(self.scenario, self.doc.get("sequence"),
-                                       self.config, self.path + "/sequence")
-        space = self.scenario.space
-        return SequenceSpec(
-            generator=lambda n: convert(space, seq.term(n)),
-            horizon=seq.horizon, metadata=seq.metadata,
-            monotonicity=seq.monotonicity,
-        )
-
-
-def _check_validate(d: _Directive) -> CheckResult:
-    space = d.scenario.space
-    details = {"atoms": [mask_to_points(a) for a in space.atoms],
-               "members": len(space.sets)}
-    if d.scenario.measure is not None:
-        details["classification"] = d.scenario.measure.classification()
-    return CheckResult("validate", HOLDS, details)
-
-
-def _check_continuity_below(d: _Directive) -> CheckResult:
-    seq = d.sets()
-    return measures_mod.continuity_from_below(d.measure(), seq,
-                                              horizon=d.config.horizon)
-
-
-def _check_continuity_above(d: _Directive) -> CheckResult:
-    seq = d.sets()
-    return measures_mod.continuity_from_above(d.measure(), seq,
-                                              horizon=d.config.horizon)
-
-
-def _check_borel_cantelli(d: _Directive) -> CheckResult:
-    mu, seq = d.measure(), d.sets()
-    x = None
-    if "lower_bound" in d.doc:
-        x = parse_element(d.doc["lower_bound"], d.scenario.backend,
-                          d.path + "/lower_bound")
-    return measures_mod.borel_cantelli(mu, seq, x, horizon=d.config.horizon)
-
-
-def _check_bridge(d: _Directive) -> CheckResult:
-    mu = d.measure()
-    sets = [
-        _parse_points(s, d.scenario.space.ground_size, f"{d.path}/sets/{i}")
-        for i, s in enumerate(d.doc.get("sets", []))
-    ]
-    return measures_mod.operator_measure_bridge(mu, sets)
-
-
-def _check_integrate(d: _Directive) -> CheckResult:
-    mu = d.measure()
-    report = integral_mod.integrate_extended(d.ext("function"), mu)
-    details = {"value": ext_to_json(report.value), "ladder": report.trail}
-    if "expected" in d.doc:
-        expected = parse_ext_element(d.doc["expected"], d.scenario.backend,
-                                     d.path + "/expected")
-        if expected != report.value:
-            return CheckResult("integrate", "fails", details)
-    return CheckResult("integrate", HOLDS, details)
-
-
-def _check_integral_laws(d: _Directive) -> CheckResult:
-    mu, f, g = d.measure(), d.ext("f"), d.ext("g")
-    r1 = parse_rational(d.doc.get("r1", "1"), d.path + "/r1")
-    r2 = parse_rational(d.doc.get("r2", "1"), d.path + "/r2")
-    return integral_mod.check_integral_laws(mu, f, g, r1, r2)
-
-
-def _check_ae(d: _Directive) -> CheckResult:
-    mu = d.measure()
-    return integral_mod.ae_analysis(d.ext("function"), mu)
-
-
-def _check_mct(d: _Directive) -> CheckResult:
-    return integral_mod.mct(d.measure(), d.sequence(ext_function), d.ext("limit"),
-                            horizon=d.config.horizon, epsilons=d.config.epsilons)
-
-
-def _check_mct_decreasing(d: _Directive) -> CheckResult:
-    return integral_mod.mct_decreasing(
-        d.measure(), d.sequence(ext_function), d.ext("limit"),
-        horizon=d.config.horizon, epsilons=d.config.epsilons)
-
-
-def _check_dct(d: _Directive) -> CheckResult:
-    return integral_mod.dct(d.measure(), d.sequence(signed_function), d.signed("limit"),
-                            d.ext("dominator"), horizon=d.config.horizon,
-                            epsilons=d.config.epsilons)
-
-
-def _check_push_forward(d: _Directive) -> CheckResult:
-    mu = d.measure()
-    target = parse_space(d.doc.get("target"), d.path + "/target")
-    mpath = d.path + "/matrix"
-    matrix = []
-    for i, row in enumerate(_require_json(d.doc.get("matrix", []), list, "matrix",
-                                          mpath)):
-        row = _require_json(row, list, "matrix row", f"{mpath}/{i}")
-        matrix.append([parse_rational(v, f"{mpath}/{i}/{j}") for j, v in enumerate(row)])
-    f = None
-    if "function" in d.doc:
-        fdef = d.scenario.function(d.doc["function"], d.path)
-        if any(not is_infinite(v) and v < 0 for v in fdef.values):
-            f = fdef.as_signed(d.scenario.space)
-        else:
-            f = fdef.as_ext(d.scenario.space)
-    return integral_mod.push_forward(mu, matrix, target, f)
-
-
-def _check_l1_quotient(d: _Directive) -> CheckResult:
-    mu = d.measure()
-    fpath = d.path + "/functions"
-    fs = [
-        d.scenario.function(name, f"{fpath}/{i}").as_signed(d.scenario.space)
-        for i, name in enumerate(_require_json(d.doc.get("functions", []), list,
-                                               "functions", fpath))
-    ]
-    return integral_mod.l1_quotient(mu, fs)
-
-
-def _check_caratheodory(d: _Directive) -> CheckResult:
-    if d.scenario.outer is None:
-        raise SchemaError("caratheodory needs an 'outer_measure'", d.path)
-    details, identities = outer_mod.caratheodory_report(d.scenario.outer)
-    status = HOLDS if identities.ok else "fails"
-    if "expected_family" in d.doc:
-        expected = [
-            _parse_points(s, d.scenario.space.ground_size,
-                          f"{d.path}/expected_family/{i}")
-            for i, s in enumerate(d.doc["expected_family"])
-        ]
-        family = [mask_to_points(m) for m in sorted(expected)]
-        if family != details["measurable_family"]:
-            status = "fails"
-    return CheckResult("caratheodory", status, details)
-
-
-# Directive name -> handler.  Handlers look library operations up on their
-# modules at call time, so a wrapper installed on a module attribute (as
-# perfbench/tracing.py installs) sees every call.
-_CHECKS = {
-    "validate": _check_validate,
-    "identities": lambda d: measures_mod.check_measure_identities(d.measure()),
-    "continuity_below": _check_continuity_below,
-    "continuity_above": _check_continuity_above,
-    "borel_cantelli": _check_borel_cantelli,
-    "bridge": _check_bridge,
-    "integrate": _check_integrate,
-    "integral_laws": _check_integral_laws,
-    "ae": _check_ae,
-    "mct": _check_mct,
-    "mct_decreasing": _check_mct_decreasing,
-    "fatou": lambda d: integral_mod.fatou(d.measure(), d.sequence(ext_function),
-                                          horizon=d.config.horizon),
-    "dct": _check_dct,
-    "triangle": lambda d: integral_mod.triangle_inequality(d.measure(),
-                                                           d.signed("function")),
-    "push_forward": _check_push_forward,
-    "l1_quotient": _check_l1_quotient,
-    "caratheodory": _check_caratheodory,
-}
-
-
-def run_check(scenario: Scenario, directive: dict, config: RunConfig,
-              index: int) -> CheckResult:
-    """Dispatch one directive to its module operation.
+def run_check(scenario: Scenario, directive: Directive, config: RunConfig) -> CheckResult:
+    """Dispatch one resolved directive to its module operation.
 
     The harness adds no mathematics of its own: every directive maps to
     exactly one library operation, and hypothesis or certification failures
     raised there are converted into the corresponding statuses.
     """
-    name = directive.get("check")
-    path = f"/checks/{index}"
-    if name not in _CHECKS:
-        raise SchemaError(f"unknown check {name!r}", path)
     try:
-        return _CHECKS[name](_Directive(scenario, directive, config, path))
+        return _CHECKS[directive.check].handler(scenario, config, **directive.args)
     except (HypothesisError, NotIntegrableError) as exc:
-        return CheckResult(name, HYPOTHESIS_NOT_MET, {"reason": str(exc)})
+        return CheckResult(directive.check, HYPOTHESIS_NOT_MET, {"reason": str(exc)})
     except CertificationError as exc:
-        return CheckResult(name, NOT_CERTIFIABLE, {"reason": str(exc)})
+        return CheckResult(directive.check, NOT_CERTIFIABLE, {"reason": str(exc)})
 
 
 def run_scenario(scenario: Scenario, config: Optional[RunConfig] = None) -> dict:
@@ -693,13 +691,12 @@ def run_scenario(scenario: Scenario, config: Optional[RunConfig] = None) -> dict
     config = config or RunConfig()
     results = []
     all_ok = True
-    for i, directive in enumerate(scenario.checks):
-        expect = directive.get("expect", HOLDS)
-        result = run_check(scenario, directive, config, i)
-        matched = result.status == expect
+    for directive in scenario.checks:
+        result = run_check(scenario, directive, config)
+        matched = result.status == directive.expect
         all_ok = all_ok and matched
         entry = result.to_json()
-        entry["expect"] = expect
+        entry["expect"] = directive.expect
         entry["matched_expectation"] = matched
         results.append(entry)
     return {

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import subprocess
@@ -16,6 +17,7 @@ from ordmeasure.outer import MAX_OUTER_GROUND_SIZE
 from ordmeasure.rationals import format_rational
 from ordmeasure.sequences import MAX_EPSILON_EXPONENT
 from ordmeasure.scenarios import (
+    _CHECKS,
     RunConfig,
     canonical_dumps,
     load_scenario,
@@ -145,9 +147,9 @@ class TestSchemaErrors:
             "measure": {"atom_values": {"0": {"finite": ["1", "1"]}}},
             "checks": [{"check": "integrate", "function": "ghost"}],
         }
-        scenario = parse_scenario(doc)
-        with pytest.raises(SchemaError, match="ghost"):
-            run_scenario(scenario)
+        with pytest.raises(SchemaError, match="ghost") as exc:
+            parse_scenario(doc)
+        assert exc.value.path == "/checks/0/function"
 
     def test_unknown_check(self):
         doc = {
@@ -156,8 +158,9 @@ class TestSchemaErrors:
             "sigma_algebra": {"power_set": True},
             "checks": [{"check": "conjure"}],
         }
-        with pytest.raises(SchemaError, match="conjure"):
-            run_scenario(parse_scenario(doc))
+        with pytest.raises(SchemaError, match="conjure") as exc:
+            parse_scenario(doc)
+        assert exc.value.path == "/checks/0/check"
 
     def test_wrong_atom_key(self):
         doc = {
@@ -168,6 +171,9 @@ class TestSchemaErrors:
         }
         with pytest.raises(SchemaError, match="smallest point"):
             parse_scenario(doc)
+
+
+DROP = object()  # an update that removes the key
 
 
 def _induced_outer_on(ground: int) -> dict:
@@ -242,8 +248,8 @@ class TestCli:
         ({"outer_measure": {"outer_values": []}}, "/outer_measure/outer_values"),
         (_induced_outer_on(13), "/outer_measure"),
         (_induced_outer_on(16), "/outer_measure"),
-        ({"checks": [{"check": "ae", "function": {"values": [1]}}]}, "/checks/0"),
-        ({"checks": [{"check": "integrate", "function": ["a"]}]}, "/checks/0"),
+        ({"checks": [{"check": "ae", "function": {"values": [1]}}]}, "/checks/0/function"),
+        ({"checks": [{"check": "integrate", "function": ["a"]}]}, "/checks/0/function"),
         ({"checks": [{"check": "mct", "sequence": ["s"]}]}, "/checks/0/sequence"),
         ({"sequences": {"s": [1]}, "checks": [{"check": "mct", "sequence": "s"}]},
          "/sequences/s"),
@@ -258,6 +264,28 @@ class TestCli:
                       "matrix": 5}]}, "/checks/0/matrix"),
         ({"checks": [{"check": "push_forward", "target": {"kind": "reals"},
                       "matrix": [5]}]}, "/checks/0/matrix/0"),
+        ({"checks": [{"check": "bridge", "sets": 5}]}, "/checks/0/sets"),
+        ({"outer_measure": {"induced_from_measure": True},
+          "checks": [{"check": "caratheodory", "expected_family": 5}]},
+         "/checks/0/expected_family"),
+        ({"checks": [{"check": "validate", "expect": "hold"}]}, "/checks/0/expect"),
+        ({"checks": [{"check": "bridge", "sets": [[True]]}]}, "/checks/0/sets/0/0"),
+        ({"sigma_algebra": {"generators": [[True]]}}, "/sigma_algebra/generators/0/0"),
+        ({"measure": DROP, "checks": [{"check": "validate"}, {"check": "identities"}]},
+         "/checks/1"),
+        ({"checks": [{"check": "caratheodory"}]}, "/checks/0"),
+        ({"checks": [{"check": "nosuchcheck"}]}, "/checks/0/check"),
+        ({"functions": {"f": {"values": ["-1", "0", "0"]}},
+          "checks": [{"check": "ae", "function": "f"}]}, "/checks/0/function"),
+        ({"functions": {"f": {"values": ["infinity", "0", "0"]}},
+          "sequences": {"s": {"kind": "explicit", "terms": ["f"]}},
+          "checks": [{"check": "dct", "sequence": "s", "limit": "f", "dominator": "f"}]},
+         "/checks/0/sequence"),
+        ({"sequences": {"s": {"kind": "explicit", "terms": [{"values": ["1"]}]}}},
+         "/sequences/s/terms/0/values"),
+        ({"functions": {"f": {"values": ["-1", "0", "0"]}},
+          "sequences": {"s": {"kind": "alternating", "terms": ["f"]}},
+          "checks": [{"check": "fatou", "sequence": "s"}]}, "/checks/0/sequence"),
     ], ids=["ground_bool", "ground_cap", "sigma_algebra_list", "checks_object",
             "directive_string", "check_name_int", "outer_measure_list",
             "functions_list", "sequences_string", "atom_values_list",
@@ -265,17 +293,21 @@ class TestCli:
             "outer_ground_16", "function_ref_object", "function_ref_array",
             "sequence_ref_array", "sequence_list", "sequence_terms_int", "sets_int",
             "sets_missing", "set_terms_int", "l1_functions_int", "matrix_int",
-            "matrix_row_int"])
+            "matrix_row_int", "bridge_sets_int", "expected_family_int",
+            "expect_unknown", "bridge_point_bool", "generator_point_bool",
+            "measure_missing", "outer_measure_missing", "check_unknown",
+            "function_negative", "signed_sequence_infinite", "inline_term_length",
+            "sequence_term_negative"])
     def test_scenario_schema_errors(self, tmp_path, capsys, updates, pointer):
-        # `run` parses the document as `validate` does, then runs its checks,
-        # which resolve the directives' references
         doc = json.loads((SCENARIO_DIR / "identities_basic.json").read_text())
         doc.update(updates)
         bad = tmp_path / "bad_scenario.json"
-        bad.write_text(json.dumps(doc))
-        assert run_cli(["run", bad]) == 2
+        bad.write_text(json.dumps({k: v for k, v in doc.items() if v is not DROP}))
+        assert run_cli(["validate", bad]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {pointer}: ")
+        assert run_cli(["run", bad]) == 2
+        assert capsys.readouterr().err == err
         if pointer == "/outer_measure" and "ground_size" in updates:
             assert f"<= {MAX_OUTER_GROUND_SIZE}," in err
 
@@ -319,6 +351,11 @@ class TestCli:
         assert run_cli(["compare", "series_measure", "--n", "4"]) == 0
         series = json.loads(capsys.readouterr().out)
         assert series["integral"] == ["1"] * 4
+
+    @pytest.mark.parametrize("kind", ["sup_measure", "series_measure"])
+    def test_compare_size_limit_exit_code(self, capsys, kind):
+        assert run_cli(["compare", kind, "--n", "17"]) == 2
+        assert capsys.readouterr().err == "error: ground size must be in 1..16, got 17\n"
 
     def test_epsilon_schedule_flag(self, capsys):
         code = run_cli(["run", SCENARIO_DIR / "mct_basic.json",
@@ -393,3 +430,67 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["integral"] == ["1", "1"]
+
+
+MUTATIONS = [5, [], {}, "x", True, None, DROP]
+
+
+def _json_paths(node, prefix=()):
+    """The path of every object member and array item inside a JSON value."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _json_paths(child, prefix + (key,))
+
+
+def _mutated(doc, path, value):
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+class TestExitContract:
+    def test_mutated_scenarios_keep_the_exit_contract(self, tmp_path, capsys):
+        """Every value of every shipped scenario is mutated once, the k-th
+        value by the (k mod 7)-th of `MUTATIONS`, and the result is run and
+        validated in process.  Exit codes stay in 0..2, nothing else
+        escapes, and a schema error of `run` is the one `validate` reports."""
+        bad = tmp_path / "mutated.json"
+        problems, exercised = [], set()
+        cases = ((path, doc, key_path) for path in SCENARIOS
+                 for doc in [json.loads(path.read_text())]
+                 for key_path in _json_paths(doc))
+        for k, (path, doc, key_path) in enumerate(cases):
+            value = MUTATIONS[k % len(MUTATIONS)]
+            if key_path[0] == "checks" and len(key_path) > 1:
+                exercised.add(doc["checks"][key_path[1]]["check"])
+            bad.write_text(json.dumps(_mutated(doc, key_path, value)))
+            case = (f"{path.stem} /{'/'.join(map(str, key_path))} "
+                    f"{'dropped' if value is DROP else f'<- {value!r}'}")
+            try:
+                run_code = run_cli(["run", bad, "--horizon", "8"])
+                run_err = capsys.readouterr().err
+                validate_code = run_cli(["validate", bad])
+                validate_err = capsys.readouterr().err
+            except Exception as exc:
+                problems.append(f"{case}: {type(exc).__name__}: {exc}")
+                continue
+            if {run_code, validate_code} - {0, 1, 2}:
+                problems.append(f"{case}: exit codes {run_code}, {validate_code}")
+            if run_err.startswith("error: /") and (validate_code, validate_err) != (
+                    2, run_err):
+                problems.append(f"{case}: run {run_err!r}, validate "
+                                f"{validate_code} {validate_err!r}")
+        assert problems == []
+        assert exercised == set(_CHECKS)
