@@ -19,7 +19,8 @@ from fractions import Fraction
 
 from . import compare as compare_mod
 from . import outer as outer_mod
-from .errors import DimensionLimitError, OrdMeasureError, SchemaError, ValidationError
+from .errors import (MAX_EPSILON_EXPONENT, MAX_HORIZON, DimensionLimitError,
+                     OrdMeasureError, SchemaError, ValidationError, check_cap)
 from .measures import mask_to_points
 from .rationals import parse_rational
 from .scenarios import (
@@ -28,7 +29,7 @@ from .scenarios import (
     load_scenario,
     run_scenario,
 )
-from .sequences import DEFAULT_EPSILONS, DEFAULT_HORIZON, MAX_EPSILON_EXPONENT
+from .sequences import DEFAULT_EPSILONS, DEFAULT_HORIZON
 
 
 def _epsilon_schedule(text: str):
@@ -44,10 +45,8 @@ def _epsilon_schedule(text: str):
             exponent = item[3:]
             if not (exponent.isascii() and exponent.isdigit()):
                 raise argparse.ArgumentTypeError(f"malformed exponent in {item!r}")
-            if int(exponent) > MAX_EPSILON_EXPONENT:
-                raise argparse.ArgumentTypeError(
-                    f"exponent of {item!r} is above {MAX_EPSILON_EXPONENT}")
-            eps = Fraction(1, 2 ** int(exponent))
+            eps = Fraction(1, 2 ** _cap_argument("epsilon exponent", int(exponent),
+                                                 MAX_EPSILON_EXPONENT))
         else:
             try:
                 eps = parse_rational(item)
@@ -63,10 +62,18 @@ def _epsilon_schedule(text: str):
     return tuple(out)
 
 
-def _positive_int(text: str) -> int:
+def _cap_argument(what: str, value: int, cap: int) -> int:
+    """`check_cap` as an argparse usage error."""
+    try:
+        return check_cap(what, value, cap)
+    except DimensionLimitError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _horizon(text: str) -> int:
     if not text.isdigit() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return int(text)
+    return _cap_argument("horizon", int(text), MAX_HORIZON)
 
 
 def _emit(doc: dict, output: str):
@@ -95,7 +102,7 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run a scenario's checks")
     p_run.add_argument("file")
     p_run.add_argument("--output", choices=["json", "text"], default="text")
-    p_run.add_argument("--horizon", type=_positive_int, default=DEFAULT_HORIZON)
+    p_run.add_argument("--horizon", type=_horizon, default=DEFAULT_HORIZON)
     p_run.add_argument("--epsilon-schedule", type=_epsilon_schedule,
                        default=DEFAULT_EPSILONS)
 
@@ -118,7 +125,7 @@ def main(argv=None) -> int:
                 "valid": True,
                 "ground_size": scenario.space.ground_size,
                 "atoms": [mask_to_points(a) for a in scenario.space.atoms],
-                "measurable_sets": len(scenario.space.sets),
+                "measurable_sets": 1 << len(scenario.space.atoms),
             }
             if scenario.measure is not None:
                 doc["classification"] = scenario.measure.classification()

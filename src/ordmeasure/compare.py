@@ -21,13 +21,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import integral as integral_mod
-from .errors import ValidationError
-from .extended import ext_leq, finite
+from .errors import MAX_TRUNCATION, ValidationError, check_cap
+from .extended import ext_add, ext_leq, ext_zero, finite
 from .measures import Measure, full_mask, power_set_space
 from .rationals import format_rational
 from .spaces import Element, basis_vector, coord
-
-MAX_TRUNCATION = 64
 
 
 def sup_norm(el: Element) -> Fraction:
@@ -35,8 +33,9 @@ def sup_norm(el: Element) -> Fraction:
 
 
 def _check_truncation(n: int):
-    if not 1 <= n <= MAX_TRUNCATION:
-        raise ValidationError(f"truncation must be in 1..{MAX_TRUNCATION}, got {n}")
+    if n < 1:
+        raise ValidationError(f"truncation must be positive, got {n}")
+    check_cap("truncation", n, MAX_TRUNCATION)
 
 
 def sup_measure_experiment(n: int) -> dict:
@@ -49,8 +48,6 @@ def sup_measure_experiment(n: int) -> dict:
 
     # Order sigma-additivity at the truncation: increasing partial sums of
     # the atom values reach the evaluation of the full set.
-    from .extended import ext_add, ext_zero
-
     partial = ext_zero(backend)
     increasing = True
     for i in range(n):

@@ -19,6 +19,23 @@ class DimensionLimitError(OrdMeasureError):
     """A backend or ground set exceeds the supported desk-scale size."""
 
 
+# Size caps, each compared through `check_cap` in one function only.
+MAX_GROUND_SIZE = 16  # scenario ground points: a listed family has up to 2^16 sets
+MAX_OUTER_GROUND_SIZE = 12  # outer measures: about 3^n axiom and 4^n splitting tests
+MAX_EXHAUSTIVE_ATOMS = 8  # the identity suite's 4^k pairs of measurable sets
+MAX_LOEWNER_DIM = 6  # Loewner elements: d^2 Fractions, O(d^3) per order test
+MAX_TRUNCATION = 64  # `compare` experiments: O(n^2) coordinates in each report
+MAX_HORIZON = 1024  # `run --horizon`: h terms per convergence check, rationals grow in h
+MAX_EPSILON_EXPONENT = 1024  # the bit size of 2^-k and of every gap scaled by it
+
+
+def check_cap(what: str, value: int, cap: int) -> int:
+    """`value`, or DimensionLimitError when it is above `cap`."""
+    if value > cap:
+        raise DimensionLimitError(f"{what} limited to <= {cap}, got {value}")
+    return value
+
+
 class ValidationError(OrdMeasureError):
     """An object violates its defining axioms.
 

@@ -62,27 +62,18 @@ def _scalar_lt(a: ExtScalar, b: ExtScalar) -> bool:
 
 
 def _check_level_sets(space: MeasurableSpace, values: Sequence[ExtScalar]):
-    """Measurability: every sublevel set of the range lands in the algebra."""
-    distinct = []
-    for v in values:
-        if v not in distinct:
-            distinct.append(v)
-    sweeps = []
-    for v in distinct:
-        if not is_infinite(v):
-            sweeps.append(("strict", v))
-            sweeps.append(("weak", v))
-    sweeps.append(("strict", INFINITY))
-    for mode, r in sweeps:
-        if mode == "strict":
-            mask = points_to_mask(
-                x for x, v in enumerate(values) if _scalar_lt(v, r)
-            )
-        else:
-            mask = points_to_mask(
-                x for x, v in enumerate(values) if ext_scalar_leq(v, r)
-            )
-        if mask not in space.sets:
+    """Measurability: every sublevel set of the range lands in the algebra.
+
+    That holds exactly when the function is constant on each atom, which is
+    tested first; the sublevel sets are swept only to name one that fails.
+    """
+    if all(len({values[x] for x in mask_to_points(a)}) == 1 for a in space.atoms):
+        return
+    sweeps = [(test, v) for v in dict.fromkeys(values) if not is_infinite(v)
+              for test in (_scalar_lt, ext_scalar_leq)]
+    for test, r in sweeps + [(_scalar_lt, INFINITY)]:
+        mask = points_to_mask(x for x, v in enumerate(values) if test(v, r))
+        if mask not in space:
             raise ValidationError(
                 f"function is not measurable: level set for {format_ext_scalar(r)} "
                 "is not in the algebra",
@@ -172,13 +163,6 @@ def ext_function(space: MeasurableSpace, values: Sequence) -> ExtFunction:
 
 def signed_function(space: MeasurableSpace, values: Sequence) -> SignedFunction:
     return SignedFunction(space, tuple(Fraction(v) for v in values))
-
-
-def as_ext(f: SignedFunction) -> ExtFunction:
-    """A nonnegative signed function viewed in the extended cone."""
-    if any(v < 0 for v in f.values):
-        raise ValidationError("function has negative values")
-    return ExtFunction(f.space, f.values)
 
 
 def indicator(space: MeasurableSpace, mask: int, coefficient=Fraction(1)) -> ExtFunction:

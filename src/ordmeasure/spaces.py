@@ -28,7 +28,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .errors import DimensionLimitError, SpaceMismatchError, CertificationError
+from .errors import MAX_LOEWNER_DIM, CertificationError, SpaceMismatchError, check_cap
 from .sequences import (
     DEFAULT_EPSILONS,
     DEFAULT_HORIZON,
@@ -37,8 +37,6 @@ from .sequences import (
     StabilizesAt,
     detect_stable_tail,
 )
-
-MAX_LOEWNER_DIM = 6
 
 
 class SpaceKind(Enum):
@@ -62,10 +60,8 @@ class SpaceDescriptor:
             raise ValueError("dimension must be positive")
         if self.kind is SpaceKind.ENTRYWISE_MAT and (self.rows < 1 or self.cols < 1):
             raise ValueError("matrix shape must be positive")
-        if self.kind is SpaceKind.LOEWNER_SYM and self.dim > MAX_LOEWNER_DIM:
-            raise DimensionLimitError(
-                f"Loewner backend limited to dim <= {MAX_LOEWNER_DIM}, got {self.dim}"
-            )
+        if self.kind is SpaceKind.LOEWNER_SYM:
+            check_cap("Loewner backend dim", self.dim, MAX_LOEWNER_DIM)
 
     @property
     def ncoords(self) -> int:

@@ -18,12 +18,13 @@ from ordmeasure.errors import (
 )
 from ordmeasure.integral import (
     ElementaryFunction,
+    _check_level_sets,
     _ladder_supremum,
     combine,
     integrate_elementary,
 )
-from ordmeasure.measures import mask_to_points
-from ordmeasure.rationals import INFINITY, ext_scalar_leq, is_infinite
+from ordmeasure.measures import _atom_unions, full_mask, mask_to_points, points_to_mask
+from ordmeasure.rationals import INFINITY, ext_scalar_leq, format_ext_scalar, is_infinite
 from ordmeasure.sequences import (
     DEFAULT_EPSILONS,
     DeclaredLimit,
@@ -67,6 +68,52 @@ class TestMeasurability:
         space = om.generate_sigma_algebra([0b011], 2)
         with pytest.raises(ValidationError):
             om.signed_function(space, [-1, 1])
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_atom_constancy_matches_level_set_sweep(self, data):
+        n = data.draw(st.integers(1, 6))
+        gens = data.draw(st.lists(st.integers(0, full_mask(n)), max_size=3))
+        space = om.generate_sigma_algebra(gens, n)
+        scalars = st.sampled_from([Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(2),
+                                   INFINITY])
+        if data.draw(st.booleans()):  # mostly constant on atoms, with a few changes
+            base = {a: data.draw(scalars) for a in space.atoms}
+            values = [next(base[a] for a in space.atoms if a >> x & 1) for x in range(n)]
+            for x, v in data.draw(st.lists(st.tuples(st.integers(0, n - 1), scalars),
+                                           max_size=2)):
+                values[x] = v
+        else:
+            values = data.draw(st.lists(scalars, min_size=n, max_size=n))
+        assert _message_or_none(_check_level_sets, space, values) == \
+            _message_or_none(level_set_sweep, space, values)
+
+
+def level_set_sweep(space, values):
+    """Every sublevel set {f < r} and {f <= r} of the range tested against
+    the member sets (oracle for `integral._check_level_sets`)."""
+    members = frozenset(_atom_unions(space.atoms))
+    distinct = []
+    for v in values:
+        if v not in distinct:
+            distinct.append(v)
+    levels = [(strict, v) for v in distinct if not is_infinite(v) for strict in (True, False)]
+    for strict, r in levels + [(True, INFINITY)]:
+        mask = points_to_mask(x for x, v in enumerate(values)
+                              if ext_scalar_leq(v, r) and not (strict and v == r))
+        if mask not in members:
+            raise ValidationError(
+                f"function is not measurable: level set for {format_ext_scalar(r)} "
+                "is not in the algebra",
+                witness={"level": format_ext_scalar(r), "set": mask_to_points(mask)})
+
+
+def _message_or_none(fn, *args):
+    try:
+        fn(*args)
+    except ValidationError as exc:
+        return str(exc), exc.witness
+    return None
 
 
 class TestElementary:

@@ -1,10 +1,15 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ordmeasure as om
-from ordmeasure.errors import CertificationError, HypothesisError, ValidationError
-from ordmeasure.measures import full_mask, mask_to_points
+from ordmeasure.errors import (MAX_EXHAUSTIVE_ATOMS, CertificationError,
+                               DimensionLimitError, HypothesisError, ValidationError)
+from ordmeasure.measures import (_atom_partition, _atom_unions, _raise_union_witness,
+                                 full_mask, mask_to_points)
 from ordmeasure.sequences import SequenceSpec, from_terms
 
 from conftest import random_algebra, random_measure
@@ -62,6 +67,88 @@ class TestSigmaAlgebra:
         space = om.validate_sigma_algebra(range(16), 4)
         assert len(space.atoms) == 4
 
+    def test_space_stores_atoms_only(self):
+        assert [f.name for f in dataclasses.fields(om.MeasurableSpace)] == [
+            "ground_size", "atoms"]
+        space = om.power_set_space(64)  # 64 atoms, never 2^64 member sets
+        assert len(space.atoms) == 64 and full_mask(64) in space
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_cover_matches_member_sets(self, data):
+        """`cover(mask) == mask` against membership in the frozenset of all
+        unions of atoms, which spaces stored before, on every mask."""
+        n = data.draw(st.integers(1, 10))
+        if data.draw(st.booleans()):
+            space = om.power_set_space(n)
+        else:
+            gens = data.draw(st.lists(st.integers(0, full_mask(n)), max_size=4))
+            space = om.generate_sigma_algebra(gens, n)
+        members = frozenset(_atom_unions(space.atoms))
+        assert space.members() == sorted(members) and space.sets == members
+        for mask in [-1, full_mask(n) + 1, *range(full_mask(n) + 1)]:
+            assert (space.cover(mask) == mask) is (mask in members) is (mask in space)
+            if 0 <= mask <= full_mask(n):  # the smallest measurable superset
+                assert space.cover(mask) == min(m for m in members if m & mask == mask)
+
+
+def closure_oracle(sets, ground_size):
+    """`validate_sigma_algebra` as it decided closure before spaces kept
+    atoms only: by building the generated family and comparing."""
+    family = frozenset(sets)
+    full = full_mask(ground_size)
+    for s in family:
+        if s < 0 or s > full:
+            raise ValidationError(f"set {s} is outside the ground set", witness={"set": s})
+    if 0 not in family:
+        raise ValidationError("family does not contain the empty set",
+                              witness={"missing": []})
+    if full not in family:
+        raise ValidationError("family does not contain the ground set",
+                              witness={"missing": mask_to_points(full)})
+    for s in family:
+        if (s ^ full) not in family:
+            raise ValidationError(
+                f"family not closed under complement of {mask_to_points(s)}",
+                witness={"complement_of": mask_to_points(s)})
+    atoms = _atom_partition(ground_size, family)
+    if family != frozenset(_atom_unions(atoms)):
+        _raise_union_witness(family)
+    return atoms
+
+
+@st.composite
+def families(draw):
+    """A generated algebra edited by adding or dropping masks, mostly with
+    their complements (so that only union closure can fail), and now and
+    then given a set outside the ground set."""
+    n = draw(st.integers(2, 5))
+    full = full_mask(n)
+    masks = st.integers(0, full)
+    family = set(om.generate_sigma_algebra(draw(st.lists(masks, max_size=1)), n).members())
+    edits = st.sampled_from(["add pair", "add pair", "drop pair", "add", "drop"])
+    for mask, edit in draw(st.lists(st.tuples(masks, edits), max_size=3)):
+        change = {mask} if edit in ("add", "drop") else {mask, full ^ mask}
+        family = family | change if edit.startswith("add") else family - change
+    family |= {draw(st.sampled_from([None] * 18 + [-1, full + 1]))} - {None}
+    return n, sorted(family)
+
+
+class TestClosureByCount:
+    @given(families())
+    @settings(max_examples=300, deadline=None)
+    def test_count_matches_generated_family(self, case):
+        n, family = case
+        try:
+            expected = closure_oracle(family, n)
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as got:
+                om.validate_sigma_algebra(family, n)
+            assert (str(got.value), got.value.witness) == (str(exc), exc.witness)
+        else:
+            space = om.validate_sigma_algebra(family, n)
+            assert space.atoms == expected and space.members() == family
+
 
 class TestEvaluate:
     def test_additivity_examples(self):
@@ -110,6 +197,12 @@ class TestIdentities:
         lhs = om.ext_add(mu.evaluate(0b011), mu.evaluate(0b110))
         rhs = om.ext_add(mu.evaluate(0b010), mu.evaluate(0b111))
         assert lhs == rhs == INF
+
+    def test_atom_cap(self):
+        over = om.power_set_space(MAX_EXHAUSTIVE_ATOMS + 1)
+        mu = om.Measure(over, C2, {a: fin(1, 0) for a in over.atoms})
+        with pytest.raises(DimensionLimitError, match=f"<= {MAX_EXHAUSTIVE_ATOMS}, got"):
+            om.check_measure_identities(mu)
 
     def test_random_measures_all_identities(self, rng):
         for _ in range(25):

@@ -11,11 +11,10 @@ import pytest
 
 import ordmeasure as om
 from ordmeasure.cli import main as cli_main
-from ordmeasure.errors import SchemaError
+from ordmeasure.errors import (MAX_EPSILON_EXPONENT, MAX_EXHAUSTIVE_ATOMS, MAX_HORIZON,
+                               MAX_OUTER_GROUND_SIZE, MAX_TRUNCATION, SchemaError)
 from ordmeasure.measures import mask_to_points
-from ordmeasure.outer import MAX_OUTER_GROUND_SIZE
 from ordmeasure.rationals import format_rational
-from ordmeasure.sequences import MAX_EPSILON_EXPONENT
 from ordmeasure.scenarios import (
     _CHECKS,
     RunConfig,
@@ -183,6 +182,19 @@ def _induced_outer_on(ground: int) -> dict:
             "outer_measure": {"induced_from_measure": True}}
 
 
+def _power_set_copy(stem: str, ground: int, path: Path) -> Path:
+    """A shipped scenario moved to the power set of `ground` points, each
+    point an atom of measure (1, 0); returns where it was written."""
+    doc = json.loads((SCENARIO_DIR / f"{stem}.json").read_text())
+    doc.update(ground_size=ground, sigma_algebra={"power_set": True},
+               measure={"atom_values": {str(p): {"finite": ["1", "0"]}
+                                        for p in range(ground)}})
+    for check in doc["checks"]:
+        check.pop("expected_family", None)
+    path.write_text(canonical_dumps(doc))
+    return path
+
+
 class TestCli:
     def test_validate_ok(self, capsys):
         assert run_cli(["validate", SCENARIO_DIR / "identities_basic.json"]) == 0
@@ -311,7 +323,7 @@ class TestCli:
         if pointer == "/outer_measure" and "ground_size" in updates:
             assert f"<= {MAX_OUTER_GROUND_SIZE}," in err
 
-    @pytest.mark.parametrize("horizon", ["0", "-3", "x"])
+    @pytest.mark.parametrize("horizon", ["0", "-3", "x", str(MAX_HORIZON + 1)])
     def test_horizon_must_be_positive(self, capsys, horizon):
         with pytest.raises(SystemExit) as exc:
             run_cli(["run", SCENARIO_DIR / "mct_basic.json", "--horizon", horizon])
@@ -354,8 +366,18 @@ class TestCli:
 
     @pytest.mark.parametrize("kind", ["sup_measure", "series_measure"])
     def test_compare_size_limit_exit_code(self, capsys, kind):
-        assert run_cli(["compare", kind, "--n", "17"]) == 2
-        assert capsys.readouterr().err == "error: ground size must be in 1..16, got 17\n"
+        assert run_cli(["compare", kind, "--n", str(MAX_TRUNCATION + 1)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: truncation limited to <= {MAX_TRUNCATION}, got {MAX_TRUNCATION + 1}\n")
+
+    @pytest.mark.parametrize("kind", ["sup_measure", "series_measure"])
+    def test_compare_at_the_cap_runs_in_time(self, capsys, kind):
+        # A space stores its n atoms only, so the truncation cap is the
+        # experiment's own O(n^2) report, not 2^n member sets.
+        start = time.perf_counter()
+        assert run_cli(["compare", kind, "--n", str(MAX_TRUNCATION)]) == 0
+        assert time.perf_counter() - start < 30
+        assert json.loads(capsys.readouterr().out)["n"] == MAX_TRUNCATION
 
     def test_epsilon_schedule_flag(self, capsys):
         code = run_cli(["run", SCENARIO_DIR / "mct_basic.json",
@@ -421,6 +443,44 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         [check] = json.loads(proc.stdout)["checks"]
         assert check["details"]["measurable_family"] == family
+
+    def test_identities_over_the_atom_cap_is_a_schema_error(self, tmp_path, capsys):
+        # The identity suite enumerates 4^k pairs; over the cap it was a hang.
+        path = _power_set_copy("identities_basic", 16, tmp_path / "identities_16.json")
+        message = (f"error: /checks/1: atoms of an exhaustive check limited to "
+                   f"<= {MAX_EXHAUSTIVE_ATOMS}, got 16\n")
+        assert run_cli(["validate", path]) == 2
+        assert capsys.readouterr().err == message
+        assert run_cli(["run", path]) == 2
+        assert capsys.readouterr().err == message
+
+    def test_identities_at_the_atom_cap_runs_in_time(self, tmp_path, capsys):
+        n = MAX_EXHAUSTIVE_ATOMS
+        path = _power_set_copy("identities_basic", n, tmp_path / "identities_at_cap.json")
+        start = time.perf_counter()
+        assert run_cli(["run", path, "--output", "json"]) == 0
+        assert time.perf_counter() - start < 60
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert checks[1]["details"]["pairs_checked"] == 4 ** n
+
+    def test_caratheodory_over_the_atom_cap_exits_2_when_run(self, tmp_path, capsys):
+        # The extracted family is known only after extraction, so `validate`
+        # accepts the document and `run` stops at the identity suite.
+        path = _power_set_copy("caratheodory_induced", MAX_EXHAUSTIVE_ATOMS + 1,
+                               tmp_path / "caratheodory_over_cap.json")
+        assert run_cli(["validate", path]) == 0
+        capsys.readouterr()
+        assert run_cli(["run", path]) == 2
+        assert capsys.readouterr().err == (
+            f"error: atoms of an exhaustive check limited to <= {MAX_EXHAUSTIVE_ATOMS}, "
+            f"got {MAX_EXHAUSTIVE_ATOMS + 1}\n")
+
+    def test_horizon_at_the_cap_runs_in_time(self):
+        # dct_geometric is the slowest shipped scenario at a long horizon.
+        start = time.perf_counter()
+        assert run_cli(["run", SCENARIO_DIR / "dct_geometric.json",
+                        "--horizon", str(MAX_HORIZON)]) == 0
+        assert time.perf_counter() - start < 60
 
     def test_console_script_entry_point(self):
         proc = subprocess.run(
