@@ -29,7 +29,7 @@ from .spaces import Element, basis_vector, coord
 
 
 def sup_norm(el: Element) -> Fraction:
-    return max((abs(c) for c in el.coords), default=Fraction(0))
+    return Fraction(max(abs(n) for n in el.nums), el.den)
 
 
 def _check_truncation(n: int):

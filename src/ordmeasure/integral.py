@@ -800,11 +800,9 @@ def triangle_inequality(mu: Measure, f: SignedFunction) -> CheckResult:
 
 def _apply_matrix(matrix: Sequence[Sequence[Fraction]], el: Element,
                   target: SpaceDescriptor) -> Element:
-    coords = tuple(
-        sum((row[j] * el.coords[j] for j in range(len(el.coords))), Fraction(0))
-        for row in matrix
-    )
-    return Element(target, coords)
+    return Element(target, tuple(
+        sum((v * n for v, n in zip(row, el.nums)), Fraction(0)) / el.den for row in matrix
+    ))
 
 
 def push_forward(mu: Measure, matrix: Sequence[Sequence], target: SpaceDescriptor,

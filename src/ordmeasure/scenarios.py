@@ -63,6 +63,7 @@ from . import measures as measures_mod
 from . import outer as outer_mod
 from .errors import (
     MAX_GROUND_SIZE,
+    MAX_HORIZON,
     CertificationError,
     DimensionLimitError,
     HypothesisError,
@@ -400,14 +401,28 @@ class _Check:
     handler: Callable
     keys: Dict[str, _Key] = field(default_factory=dict)
     needs: Optional[str] = "measure"
-    # called with the scenario while parsing, to reject it past a size cap
-    admits: Callable = lambda scenario: None
+    # called as ``admits(scenario, resolved keys, directive path)`` once the
+    # keys are resolved; rejects the directive with a SchemaError, or with a
+    # DimensionLimitError past a size cap
+    admits: Callable = lambda scenario, args, path: None
 
 
 _EXT = _Key(str, _function("ext"))
 _SIGNED = _Key(str, _function("signed"))
 _SETS = _Key((list, dict), _set_sequence)
 _EXT_SEQUENCE = _Key(str, _function_sequence("ext"))
+
+
+def _push_forward_shape(scenario: Scenario, args: dict, path: str):
+    """One matrix row per target coordinate, one entry per backend coordinate."""
+    rows, width = args["target"].ncoords, scenario.backend.ncoords
+    if len(args["matrix"]) != rows:
+        raise SchemaError(f"matrix needs {rows} rows, got {len(args['matrix'])}",
+                          path + "/matrix")
+    for i, row in enumerate(args["matrix"]):
+        if len(row) != width:
+            raise SchemaError(f"matrix row needs {width} entries, got {len(row)}",
+                              f"{path}/matrix/{i}")
 
 
 def _check_validate(scenario: Scenario, config) -> CheckResult:
@@ -442,7 +457,7 @@ _CHECKS = {
     "validate": _Check(_check_validate, needs=None),
     "identities": _Check(
         lambda s, c: measures_mod.check_measure_identities(s.measure),
-        admits=lambda s: measures_mod.require_exhaustive(s.space)),
+        admits=lambda s, args, path: measures_mod.require_exhaustive(s.space)),
     "continuity_below": _Check(
         lambda s, c, sets: measures_mod.continuity_from_below(
             s.measure, sets(c.horizon), horizon=c.horizon),
@@ -499,8 +514,9 @@ _CHECKS = {
         lambda s, c, target, matrix, function: integral_mod.push_forward(
             s.measure, matrix, target, function),
         {"target": _Key(dict, lambda s, v, p: parse_space(v, p)),
-         "matrix": _Key(list, _matrix, []),
-         "function": _Key(str, _function("either"), None)}),
+         "matrix": _Key(list, _matrix),
+         "function": _Key(str, _function("either"), None)},
+        admits=_push_forward_shape),
     "l1_quotient": _Check(
         lambda s, c, functions: integral_mod.l1_quotient(s.measure, functions),
         {"functions": _Key(list, _function_list, [])}),
@@ -525,7 +541,6 @@ def _parse_directive(scenario: Scenario, doc, path: str) -> Directive:
     spec = _CHECKS[name]
     if spec.needs is not None and spec.needs not in scenario.source:
         raise SchemaError(f"{name} needs the scenario's '{spec.needs}'", path)
-    _capped(path, spec.admits, scenario)
     args = {}
     for key, k in spec.keys.items():
         kpath = f"{path}/{key}"
@@ -539,6 +554,7 @@ def _parse_directive(scenario: Scenario, doc, path: str) -> Directive:
             raise SchemaError(f"{name} needs '{key}'", kpath)
         else:
             args[key] = k.default
+    _capped(path, spec.admits, scenario, args, path)
     return Directive(name, expect, args)
 
 
@@ -671,6 +687,13 @@ def load_scenario(path: str) -> Scenario:
 class RunConfig:
     horizon: int = DEFAULT_HORIZON
     epsilons: tuple = DEFAULT_EPSILONS
+
+    def __post_init__(self):
+        # bool is a subclass of int, but `True` is not a horizon
+        if (isinstance(self.horizon, bool) or not isinstance(self.horizon, int)
+                or self.horizon < 1):
+            raise ValidationError(f"horizon must be a positive integer, got {self.horizon!r}")
+        check_cap("horizon", self.horizon, MAX_HORIZON)
 
 
 def run_check(scenario: Scenario, directive: Directive, config: RunConfig) -> CheckResult:

@@ -15,9 +15,22 @@ sigma-Dedekind complete; pair suprema generically do not exist there, and
 `sup_pair` declines honestly instead of fabricating one.
 
 All coordinates are exact rationals, every order test is exact, and every
-value is immutable.  A Loewner order test is one fraction-free symmetric
-elimination of ``b - a`` in O(d^3) integer operations (see `is_psd`); the
-dimension stays capped at ``MAX_LOEWNER_DIM = 6``.
+value is immutable.  An `Element` stores its coordinates as integer
+numerators over one common denominator, in the canonical form ``den > 0``
+and ``gcd(den, *nums) == 1`` (as FLINT's ``fmpq_mat`` does), so equal
+elements have equal fields and hashes.  Arithmetic is integer tuple
+arithmetic with one gcd per result, ``leq`` cross-multiplies, and a Loewner
+order test is one fraction-free symmetric elimination of the numerators of
+``b - a`` in O(d^3) integer operations (see `is_psd`); the dimension stays
+capped at ``MAX_LOEWNER_DIM = 6``.
+
+Values are validated where they enter.  ``Element(space, coords)`` (and
+`element`, `sym_matrix` and the scenario parser, which call it) checks the
+coordinate count, that every coordinate is a Fraction, and the Loewner
+symmetry.  Results of `add`, `sub`, `neg`, `scale` and the lattice
+operations are built by `_element`, the one trusted constructor, because
+those operations preserve the count and the symmetry.  ``coords`` derives
+the Fraction tuple for the encoders.
 """
 
 from __future__ import annotations
@@ -109,41 +122,74 @@ def loewner_sym(dim: int) -> SpaceDescriptor:
     return SpaceDescriptor(SpaceKind.LOEWNER_SYM, dim=dim)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Element:
-    """A point of a backend; coordinates are row-major for matrix kinds."""
+    """A point of a backend: integer numerators over one denominator.
+
+    ``Element(space, coords)`` takes Fractions, row-major for matrix kinds,
+    and validates them; ``nums`` and ``den`` hold the canonical form
+    (``den > 0``, ``gcd(den, *nums) == 1``).
+    """
 
     space: SpaceDescriptor
-    coords: tuple
+    nums: tuple
+    den: int
 
-    def __post_init__(self):
-        if len(self.coords) != self.space.ncoords:
+    def __init__(self, space: SpaceDescriptor, coords: tuple):
+        if len(coords) != space.ncoords:
             raise ValueError(
-                f"{self.space.describe()} needs {self.space.ncoords} coordinates, "
-                f"got {len(self.coords)}"
+                f"{space.describe()} needs {space.ncoords} coordinates, "
+                f"got {len(coords)}"
             )
-        if not all(isinstance(c, Fraction) for c in self.coords):
+        if not all(isinstance(c, Fraction) for c in coords):
             raise TypeError("coordinates must be Fractions")
-        if self.space.kind is SpaceKind.LOEWNER_SYM:
-            d = self.space.dim
+        if space.kind is SpaceKind.LOEWNER_SYM:
+            d = space.dim
             for i in range(d):
                 for j in range(i + 1, d):
-                    if self.coords[i * d + j] != self.coords[j * d + i]:
+                    if coords[i * d + j] != coords[j * d + i]:
                         raise ValueError(f"matrix not symmetric at ({i},{j})")
+        # Over the lcm of reduced denominators the form is already canonical.
+        den = math.lcm(*(c.denominator for c in coords))
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "nums",
+                           tuple(c.numerator * (den // c.denominator) for c in coords))
+        object.__setattr__(self, "den", den)
+
+    @property
+    def coords(self) -> tuple:
+        """The coordinates as Fractions."""
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     def entry(self, i: int, j: int) -> Fraction:
         if self.space.kind is SpaceKind.ENTRYWISE_MAT:
-            return self.coords[i * self.space.cols + j]
+            return Fraction(self.nums[i * self.space.cols + j], self.den)
         if self.space.kind is SpaceKind.LOEWNER_SYM:
-            return self.coords[i * self.space.dim + j]
+            return Fraction(self.nums[i * self.space.dim + j], self.den)
         raise TypeError(f"{self.space.describe()} has no matrix entries")
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.nums)
 
     def __repr__(self):
         body = ",".join(str(c) for c in self.coords)
         return f"<{self.space.describe()} {body}>"
+
+
+def _element(space: SpaceDescriptor, nums: tuple, den: int) -> Element:
+    """The trusted constructor: `nums` over `den > 0`, reduced by their gcd.
+
+    Only for results of operations that keep the coordinate count and the
+    Loewner symmetry of valid elements; nothing else is checked.
+    """
+    g = math.gcd(den, *nums)
+    if g != 1:
+        nums, den = tuple(n // g for n in nums), den // g
+    el = object.__new__(Element)
+    object.__setattr__(el, "space", space)
+    object.__setattr__(el, "nums", nums)
+    object.__setattr__(el, "den", den)
+    return el
 
 
 def element(space: SpaceDescriptor, values: Iterable) -> Element:
@@ -158,24 +204,21 @@ def sym_matrix(rows: Sequence[Sequence]) -> Element:
 
 
 def zero(space: SpaceDescriptor) -> Element:
-    return Element(space, (Fraction(0),) * space.ncoords)
+    return _element(space, (0,) * space.ncoords, 1)
 
 
 def order_unit(space: SpaceDescriptor) -> Element:
     """The all-ones vector, or the identity matrix in the Loewner order."""
     if space.kind is SpaceKind.LOEWNER_SYM:
         d = space.dim
-        coords = tuple(
-            Fraction(1) if i == j else Fraction(0) for i in range(d) for j in range(d)
-        )
-        return Element(space, coords)
-    return Element(space, (Fraction(1),) * space.ncoords)
+        return _element(space, tuple(int(i == j) for i in range(d) for j in range(d)), 1)
+    return _element(space, (1,) * space.ncoords, 1)
 
 
 def basis_vector(space: SpaceDescriptor, index: int) -> Element:
-    coords = [Fraction(0)] * space.ncoords
-    coords[index] = Fraction(1)
-    return Element(space, tuple(coords))
+    nums = [0] * space.ncoords
+    nums[index] = 1
+    return _element(space, tuple(nums), 1)
 
 
 def require_same_space(a, b):
@@ -186,45 +229,56 @@ def require_same_space(a, b):
         )
 
 
+def _over_common_den(a: Element, b: Element):
+    """Factors fa, fb with a = a.nums * fa / den and b = b.nums * fb / den,
+    and den, the lcm of the two denominators."""
+    if a.den == b.den:
+        return 1, 1, a.den
+    g = math.gcd(a.den, b.den)
+    return b.den // g, a.den // g, a.den // g * b.den
+
+
 def add(a: Element, b: Element) -> Element:
     require_same_space(a, b)
-    return Element(a.space, tuple(x + y for x, y in zip(a.coords, b.coords)))
+    fa, fb, den = _over_common_den(a, b)
+    return _element(a.space, tuple(x * fa + y * fb for x, y in zip(a.nums, b.nums)), den)
 
 
 def sub(a: Element, b: Element) -> Element:
     require_same_space(a, b)
-    return Element(a.space, tuple(x - y for x, y in zip(a.coords, b.coords)))
+    fa, fb, den = _over_common_den(a, b)
+    return _element(a.space, tuple(x * fa - y * fb for x, y in zip(a.nums, b.nums)), den)
 
 
 def neg(a: Element) -> Element:
-    return Element(a.space, tuple(-x for x in a.coords))
+    return _element(a.space, tuple(-x for x in a.nums), a.den)
 
 
 def scale(r: Fraction, a: Element) -> Element:
-    r = Fraction(r)
-    return Element(a.space, tuple(r * x for x in a.coords))
+    if not isinstance(r, Fraction):
+        r = Fraction(r)
+    return _element(a.space, tuple(r.numerator * x for x in a.nums),
+                    r.denominator * a.den)
 
 
 def is_psd(a: Element) -> bool:
     """Exact positive semidefiniteness test for a symmetric matrix.
 
-    One symmetric elimination, O(d^3) integer operations.  The matrix is
-    first multiplied by the lcm of its denominators, which keeps the
-    answer and makes every entry an integer.  Pivots are then eliminated
-    in order, fraction-free in the style of Bareiss: with pivot p > 0
-    each later entry becomes ``(p * a_ij - a_ik * a_kj) / q``, where q is
-    the previous positive pivot (1 at first) and the division is exact.
-    That is the Schur complement scaled by a positive number, so it is
-    positive semidefinite iff the matrix is.  A negative pivot, or a zero
-    pivot with a nonzero entry left in its row, means a principal minor is
-    negative; a zero pivot whose row is zero is skipped.
+    One symmetric elimination, O(d^3) integer operations, on the
+    numerators: they are the matrix times its positive denominator, which
+    keeps the answer.  Pivots are eliminated in order, fraction-free in the
+    style of Bareiss: with pivot p > 0 each later entry becomes
+    ``(p * a_ij - a_ik * a_kj) / q``, where q is the previous positive pivot
+    (1 at first) and the division is exact.  That is the Schur complement
+    scaled by a positive number, so it is positive semidefinite iff the
+    matrix is.  A negative pivot, or a zero pivot with a nonzero entry left
+    in its row, means a principal minor is negative; a zero pivot whose row
+    is zero is skipped.
     """
     if a.space.kind is not SpaceKind.LOEWNER_SYM:
         raise TypeError("PSD test applies to LoewnerSym elements only")
     d = a.space.dim
-    lcm = math.lcm(*(c.denominator for c in a.coords))
-    flat = [c.numerator * (lcm // c.denominator) for c in a.coords]
-    m = [flat[i * d:(i + 1) * d] for i in range(d)]
+    m = [list(a.nums[i * d:(i + 1) * d]) for i in range(d)]
     # Only entries on and above the diagonal are read or updated.
     previous = 1
     for k in range(d):
@@ -249,7 +303,8 @@ def leq(a: Element, b: Element) -> bool:
     require_same_space(a, b)
     if a.space.kind is SpaceKind.LOEWNER_SYM:
         return is_psd(sub(b, a))
-    return all(x <= y for x, y in zip(a.coords, b.coords))
+    # x / a.den <= y / b.den, both denominators positive
+    return all(x * b.den <= y * a.den for x, y in zip(a.nums, b.nums))
 
 
 @dataclass(frozen=True)
@@ -281,7 +336,9 @@ def sup_pair(a: Element, b: Element) -> Union[Element, NoSupremum]:
     """
     require_same_space(a, b)
     if a.space.is_lattice:
-        return Element(a.space, tuple(max(x, y) for x, y in zip(a.coords, b.coords)))
+        fa, fb, den = _over_common_den(a, b)
+        return _element(a.space,
+                        tuple(max(x * fa, y * fb) for x, y in zip(a.nums, b.nums)), den)
     if leq(a, b):
         return b
     if leq(b, a):
@@ -292,7 +349,9 @@ def sup_pair(a: Element, b: Element) -> Union[Element, NoSupremum]:
 def inf_pair(a: Element, b: Element) -> Union[Element, NoSupremum]:
     require_same_space(a, b)
     if a.space.is_lattice:
-        return Element(a.space, tuple(min(x, y) for x, y in zip(a.coords, b.coords)))
+        fa, fb, den = _over_common_den(a, b)
+        return _element(a.space,
+                        tuple(min(x * fa, y * fb) for x, y in zip(a.nums, b.nums)), den)
     if leq(a, b):
         return a
     if leq(b, a):
@@ -303,7 +362,7 @@ def inf_pair(a: Element, b: Element) -> Union[Element, NoSupremum]:
 def abs_element(a: Element) -> Element:
     if not a.space.is_lattice:
         raise TypeError("absolute value needs a lattice backend")
-    return Element(a.space, tuple(abs(x) for x in a.coords))
+    return _element(a.space, tuple(abs(x) for x in a.nums), a.den)
 
 
 def sup_increasing(

@@ -12,7 +12,8 @@ import pytest
 import ordmeasure as om
 from ordmeasure.cli import main as cli_main
 from ordmeasure.errors import (MAX_EPSILON_EXPONENT, MAX_EXHAUSTIVE_ATOMS, MAX_HORIZON,
-                               MAX_OUTER_GROUND_SIZE, MAX_TRUNCATION, SchemaError)
+                               MAX_LOEWNER_DIM, MAX_OUTER_GROUND_SIZE, MAX_TRUNCATION,
+                               DimensionLimitError, SchemaError, ValidationError)
 from ordmeasure.measures import mask_to_points
 from ordmeasure.rationals import format_rational
 from ordmeasure.scenarios import (
@@ -53,6 +54,19 @@ class TestRunner:
         scenario = load_scenario(str(path))
         report = run_scenario(scenario)
         assert report["all_ok"], report
+
+    @pytest.mark.parametrize("horizon, error", [
+        (0, ValidationError), (True, ValidationError),
+        (MAX_HORIZON + 1, DimensionLimitError)])
+    def test_library_horizon_is_checked(self, horizon, error):
+        scenario = load_scenario(str(SCENARIO_DIR / "mct_basic.json"))
+        with pytest.raises(error):
+            run_scenario(scenario, RunConfig(horizon=horizon))
+
+    def test_library_horizon_bounds_are_accepted(self):
+        scenario = load_scenario(str(SCENARIO_DIR / "identities_basic.json"))
+        for horizon in (1, MAX_HORIZON):
+            assert run_scenario(scenario, RunConfig(horizon=horizon))["horizon"] == horizon
 
     def test_report_determinism(self):
         path = SCENARIO_DIR / "mct_basic.json"
@@ -276,6 +290,14 @@ class TestCli:
                       "matrix": 5}]}, "/checks/0/matrix"),
         ({"checks": [{"check": "push_forward", "target": {"kind": "reals"},
                       "matrix": [5]}]}, "/checks/0/matrix/0"),
+        ({"checks": [{"check": "push_forward", "target": {"kind": "reals"},
+                      "matrix": []}]}, "/checks/0/matrix"),
+        ({"checks": [{"check": "push_forward", "target": {"kind": "coord", "dim": 2},
+                      "matrix": [["1", "0"]]}]}, "/checks/0/matrix"),
+        ({"checks": [{"check": "push_forward", "target": {"kind": "reals"},
+                      "matrix": [["1"]]}]}, "/checks/0/matrix/0"),
+        ({"checks": [{"check": "push_forward", "target": {"kind": "reals"}}]},
+         "/checks/0/matrix"),
         ({"checks": [{"check": "bridge", "sets": 5}]}, "/checks/0/sets"),
         ({"outer_measure": {"induced_from_measure": True},
           "checks": [{"check": "caratheodory", "expected_family": 5}]},
@@ -305,7 +327,8 @@ class TestCli:
             "outer_ground_16", "function_ref_object", "function_ref_array",
             "sequence_ref_array", "sequence_list", "sequence_terms_int", "sets_int",
             "sets_missing", "set_terms_int", "l1_functions_int", "matrix_int",
-            "matrix_row_int", "bridge_sets_int", "expected_family_int",
+            "matrix_row_int", "matrix_emptied", "matrix_row_dropped",
+            "matrix_row_short", "matrix_missing", "bridge_sets_int", "expected_family_int",
             "expect_unknown", "bridge_point_bool", "generator_point_bool",
             "measure_missing", "outer_measure_missing", "check_unknown",
             "function_negative", "signed_sequence_infinite", "inline_term_length",
@@ -474,6 +497,38 @@ class TestCli:
         assert capsys.readouterr().err == (
             f"error: atoms of an exhaustive check limited to <= {MAX_EXHAUSTIVE_ATOMS}, "
             f"got {MAX_EXHAUSTIVE_ATOMS + 1}\n")
+
+    def test_loewner_at_the_cap_runs_in_time(self, tmp_path):
+        # Atoms B B^T for lower-triangular integer B with nonzero diagonal
+        # are positive definite; the functions reach the top value 100.
+        d = MAX_LOEWNER_DIM
+        atoms = {}
+        for k in range(3):
+            b = [[k + 1 + i if j == i else (i * j + k) % 5 - 2 if j < i else 0
+                  for j in range(d)] for i in range(d)]
+            atoms[str(k)] = {"finite": [
+                str(sum(b[i][m] * b[j][m] for m in range(d)))
+                for i in range(d) for j in range(d)]}
+        doc = {"space": {"kind": "loewner_sym", "dim": d}, "ground_size": 3,
+               "sigma_algebra": {"power_set": True},
+               "measure": {"atom_values": atoms},
+               "functions": {"f": {"values": ["100", "1/3", "7"]},
+                             "g": {"values": ["2", "100", "99/2"]}},
+               "checks": [{"check": "integrate", "function": "f"},
+                          {"check": "integrate", "function": "g"},
+                          {"check": "integral_laws", "f": "f", "g": "g",
+                           "r1": "1/2", "r2": "3"}]}
+        path = tmp_path / "loewner_at_cap.json"
+        path.write_text(canonical_dumps(doc))
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "ordmeasure.cli", "run", str(path),
+             "--output", "json"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert time.perf_counter() - start < 30
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["all_ok"]
 
     def test_horizon_at_the_cap_runs_in_time(self):
         # dct_geometric is the slowest shipped scenario at a long horizon.

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ordmeasure as om
+from ordmeasure import spaces
 from ordmeasure.errors import CertificationError, SpaceMismatchError
 from ordmeasure.sequences import DeclaredLimit, SequenceSpec
 
@@ -126,11 +128,12 @@ def _det(rows: list) -> Fraction:
     return det
 
 
-def minors_psd(a) -> bool:
-    """Oracle: PSD iff every principal minor (not only the leading ones) is >= 0."""
-    d = a.space.dim
+def minors_psd(coords: tuple, d: int) -> bool:
+    """Oracle: PSD iff every principal minor (not only the leading ones) is >= 0.
+
+    `coords` are the d x d matrix's Fraction entries, row-major."""
     return all(
-        _det([[a.entry(i, j) for j in subset] for i in subset]) >= 0
+        _det([[coords[i * d + j] for j in subset] for i in subset]) >= 0
         for size in range(1, d + 1)
         for subset in itertools.combinations(range(d), size)
     )
@@ -187,7 +190,7 @@ class TestPsdElimination:
     @given(psd_candidates())
     @settings(max_examples=200, deadline=None)
     def test_agrees_with_principal_minors(self, a):
-        assert om.is_psd(a) == minors_psd(a)
+        assert om.is_psd(a) == minors_psd(a.coords, a.space.dim)
 
     @pytest.mark.parametrize("rows, expected", [
         ([[0] * 3] * 3, True),
@@ -203,7 +206,181 @@ class TestPsdElimination:
     def test_fixed_cases(self, rows, expected):
         a = om.sym_matrix(rows)
         assert om.is_psd(a) is expected
-        assert minors_psd(a) is expected
+        assert minors_psd(a.coords, a.space.dim) is expected
+
+
+# The Fraction-tuple arithmetic an Element used before it stored integer
+# numerators over one denominator, kept as the oracle for the integer code.
+def frac_add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def frac_sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def frac_neg(a):
+    return tuple(-x for x in a)
+
+
+def frac_scale(r, a):
+    return tuple(r * x for x in a)
+
+
+def frac_leq(space, a, b):
+    if space.kind is om.SpaceKind.LOEWNER_SYM:
+        return minors_psd(frac_sub(b, a), space.dim)
+    return all(x <= y for x, y in zip(a, b))
+
+
+def frac_sup_pair(space, a, b):
+    """The supremum, or None where `sup_pair` declines."""
+    if space.is_lattice:
+        return tuple(max(x, y) for x, y in zip(a, b))
+    if frac_leq(space, a, b):
+        return b
+    if frac_leq(space, b, a):
+        return a
+    return None
+
+
+def frac_inf_pair(space, a, b):
+    if space.is_lattice:
+        return tuple(min(x, y) for x, y in zip(a, b))
+    if frac_leq(space, a, b):
+        return a
+    if frac_leq(space, b, a):
+        return b
+    return None
+
+
+def frac_abs_element(a):
+    return tuple(abs(x) for x in a)
+
+
+ORACLE_SPACES = [om.reals(), om.coord(3), om.entrywise_mat(2, 3), om.loewner_sym(2),
+                 om.loewner_sym(3)]
+
+# Small and huge numerators and denominators, so that sums mix denominators
+# and products grow past machine words.
+wide = st.builds(
+    Fraction,
+    st.one_of(st.integers(-12, 12), st.integers(-10**40, 10**40)),
+    st.one_of(st.integers(1, 12), st.integers(1, 10**40)),
+)
+
+
+def _equal_groups(space):
+    """Coordinate indices that must hold one value: (i, j) and (j, i) in the
+    Loewner backend, each index alone elsewhere."""
+    if space.kind is om.SpaceKind.LOEWNER_SYM:
+        d = space.dim
+        return [{i * d + j, j * d + i} for i in range(d) for j in range(i, d)]
+    return [{k} for k in range(space.ncoords)]
+
+
+@st.composite
+def coords_of(draw, space, base=None):
+    """A valid Fraction tuple of `space`; with `base`, each coordinate (or
+    symmetric pair) is either base's or a fresh one."""
+    out = [None] * space.ncoords
+    for group in _equal_groups(space):
+        k = min(group)
+        value = base[k] if base is not None and draw(st.booleans()) else draw(wide)
+        for i in group:
+            out[i] = value
+    return tuple(out)
+
+
+@st.composite
+def fraction_pairs(draw):
+    """A backend and two Fraction tuples: independent, equal, negated,
+    sharing some coordinates, or the second one shifted up by t * unit."""
+    space = draw(st.sampled_from(ORACLE_SPACES))
+    a = draw(coords_of(space))
+    kind = draw(st.sampled_from(["independent", "equal", "negated", "mixed", "shifted"]))
+    if kind == "independent":
+        b = draw(coords_of(space))
+    elif kind == "equal":
+        b = a
+    elif kind == "negated":
+        b = frac_neg(a)
+    elif kind == "mixed":
+        b = draw(coords_of(space, base=a))
+    else:
+        t = abs(draw(wide))
+        b = frac_add(a, frac_scale(t, om.order_unit(space).coords))
+    return space, a, b
+
+
+def assert_element(el, space, coords):
+    """`el` is `coords` of `space` in canonical form, equal to the element
+    the validating constructor builds from them, and hashes like it."""
+    assert el.den > 0 and math.gcd(el.den, *el.nums) == 1
+    assert el.space == space and el.coords == coords
+    built = om.Element(space, coords)
+    assert (el.nums, el.den) == (built.nums, built.den)
+    assert el == built and hash(el) == hash(built)
+
+
+class TestIntegerElementsAgainstFractions:
+    @given(fraction_pairs(), wide | st.just(Fraction(0)))
+    @settings(max_examples=300, deadline=None)
+    def test_arithmetic(self, pair, r):
+        space, a, b = pair
+        x, y = om.Element(space, a), om.Element(space, b)
+        assert_element(x, space, a)
+        assert_element(om.add(x, y), space, frac_add(a, b))
+        assert_element(om.sub(x, y), space, frac_sub(a, b))
+        assert_element(spaces.neg(x), space, frac_neg(a))
+        assert_element(om.scale(r, x), space, frac_scale(r, a))
+        assert (x == y) == (a == b)
+        if a == b:
+            assert hash(x) == hash(y)
+
+    @given(fraction_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_results_that_reduce_to_zero(self, pair):
+        space, a, _ = pair
+        x = om.Element(space, a)
+        zero = tuple(Fraction(0) for _ in a)
+        for result in (om.sub(x, x), om.add(x, spaces.neg(x)), om.scale(0, x)):
+            assert_element(result, space, zero)
+            assert result.den == 1 and result.is_zero()
+            assert result == om.zero(space) and hash(result) == hash(om.zero(space))
+
+    @given(fraction_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_order_and_lattice_operations(self, pair):
+        space, a, b = pair
+        x, y = om.Element(space, a), om.Element(space, b)
+        assert om.leq(x, y) == frac_leq(space, a, b)
+        assert om.leq(y, x) == frac_leq(space, b, a)
+        for new, old in ((om.sup_pair, frac_sup_pair), (om.inf_pair, frac_inf_pair)):
+            expected = old(space, a, b)
+            if expected is None:
+                assert isinstance(new(x, y), om.NoSupremum)
+            else:
+                assert_element(new(x, y), space, expected)
+        if space.is_lattice:
+            assert_element(spaces.abs_element(x), space, frac_abs_element(a))
+        else:
+            with pytest.raises(TypeError):
+                spaces.abs_element(x)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_is_psd_with_mixed_denominators(self, data):
+        # B B^T, less a shift of its last diagonal entry, with entries of B
+        # over unrelated denominators
+        d = data.draw(st.integers(1, 4))
+        entry = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**12))
+        b = [[data.draw(entry) for _ in range(d)] for _ in range(d)]
+        rows = gram(b, d)
+        rows[d - 1][d - 1] -= data.draw(st.sampled_from([Fraction(0), Fraction(1, 10**9)])
+                                        | entry.map(abs))
+        assert om.is_psd(om.sym_matrix(rows)) == minors_psd(
+            tuple(v for row in rows for v in row), d)
 
 
 def brute_force_lub(a, b, candidates):
