@@ -20,7 +20,6 @@ from .errors import CertificationError, SpaceMismatchError
 from .rationals import ExtScalar, format_rational, is_infinite
 from .sequences import (
     DEFAULT_EPSILONS,
-    DEFAULT_HORIZON,
     DeclaredLimit,
     DivergesToInfinity,
     SequenceSpec,
@@ -118,7 +117,8 @@ def ext_scale(r: ExtScalar, a: ExtElement) -> ExtElement:
         if a.is_finite and a.finite.is_zero():
             return ext_zero(a.space)
         return infinity(a.space)
-    r = Fraction(r)
+    if not isinstance(r, Fraction):
+        r = Fraction(r)
     if r < 0:
         raise ValueError("extended scaling requires a nonnegative scalar")
     if a.is_infinite:
@@ -226,9 +226,9 @@ def ext_sup(
         return ext_sup_finite_list(list(items))
 
     seq = items
-    h = horizon if horizon is not None else (seq.horizon or DEFAULT_HORIZON)
     eps = epsilons if epsilons is not None else DEFAULT_EPSILONS
-    terms = [seq.term(n) for n in range(1, h + 1)]
+    terms = seq.sample(horizon)
+    h = len(terms)
     space = terms[0].space
     for n in range(1, h):
         if not ext_leq(terms[n - 1], terms[n]):
@@ -267,8 +267,8 @@ def ext_liminf_limsup(
     are exactly computable from one cycle.  A declared limit on a monotone
     sequence is accepted as the stabilizing description.
     """
-    h = horizon if horizon is not None else (seq.horizon or DEFAULT_HORIZON)
-    terms = [seq.term(n) for n in range(1, h + 1)]
+    terms = seq.sample(horizon)
+    h = len(terms)
     space = terms[0].space
     if not space.is_lattice:
         raise CertificationError(

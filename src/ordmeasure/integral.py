@@ -31,7 +31,7 @@ from .errors import (
     ValidationError,
 )
 from .extended import ExtElement, ext_add, ext_leq, ext_scale, ext_to_json, ext_zero
-from .measures import MeasurableSpace, Measure, full_mask, mask_to_points, points_to_mask
+from .measures import MeasurableSpace, Measure, mask_to_points, points_to_mask
 from .rationals import (
     INFINITY,
     ExtScalar,
@@ -96,9 +96,6 @@ class ExtFunction:
                 raise ValidationError(f"extended function value {v} is negative")
         _check_level_sets(self.space, self.values)
 
-    def at(self, point: int) -> ExtScalar:
-        return self.values[point]
-
     def atom_value(self, atom: int) -> ExtScalar:
         return self.values[mask_to_points(atom)[0]]
 
@@ -123,9 +120,6 @@ class SignedFunction:
             raise ValidationError("function needs one value per ground point")
         _check_level_sets(self.space, self.values)
 
-    def at(self, point: int) -> Fraction:
-        return self.values[point]
-
     def __add__(self, other: "SignedFunction") -> "SignedFunction":
         return SignedFunction(self.space,
                               tuple(a + b for a, b in zip(self.values, other.values)))
@@ -133,10 +127,6 @@ class SignedFunction:
     def __sub__(self, other: "SignedFunction") -> "SignedFunction":
         return SignedFunction(self.space,
                               tuple(a - b for a, b in zip(self.values, other.values)))
-
-    def scaled(self, r: Fraction) -> "SignedFunction":
-        r = Fraction(r)
-        return SignedFunction(self.space, tuple(r * v for v in self.values))
 
     def abs(self) -> ExtFunction:
         return ExtFunction(self.space, tuple(abs(v) for v in self.values))
@@ -413,7 +403,8 @@ def ae_analysis(f: ExtFunction, mu: Measure) -> CheckResult:
     inf_mask = f.infinity_mask()
     pos_mask = f.support_mask()
     null = mu.null_mask
-    value = integral_value(f, mu)
+    report = integrate_extended(f, mu)
+    value = report.value
     details = {
         "infinity_set": mask_to_points(inf_mask),
         "positive_set": mask_to_points(pos_mask),
@@ -449,8 +440,7 @@ def ae_analysis(f: ExtFunction, mu: Measure) -> CheckResult:
     else:
         details["ae_equal_same_integral"] = "not-applicable: no null atom"
 
-    ladder, trail = _ladder_supremum(f, mu)
-    if ladder.is_finite:
+    if report.ladder.is_finite:
         inf_measure = mu.evaluate(inf_mask)
         ok = inf_measure.is_finite and inf_measure.finite.is_zero()
         if not ok:
@@ -492,15 +482,13 @@ def _certify_scalar_convergence(samples: List[ExtScalar], target: ExtScalar,
                  f"pointwise gap {{eps}} at point {point} not certified")
 
 
-def _pointwise_monotone_ae(mu: Measure, terms: List[ExtFunction],
-                           increasing: bool) -> int:
-    """Mask of points violating pointwise monotonicity (must be null)."""
+def _out_of_order_points(pairs, increasing: bool) -> int:
+    """Mask of the points x where some pair of functions (g, h) has g(x)
+    not below h(x) (not above, when decreasing); these must be null."""
     bad = 0
-    for n in range(1, len(terms)):
-        for x in range(mu.space.ground_size):
-            a, b = terms[n - 1].values[x], terms[n].values[x]
-            ok = ext_scalar_leq(a, b) if increasing else ext_scalar_leq(b, a)
-            if not ok:
+    for g, h in pairs:
+        for x, (a, b) in enumerate(zip(g.values, h.values)):
+            if not (ext_scalar_leq(a, b) if increasing else ext_scalar_leq(b, a)):
                 bad |= 1 << x
     return bad
 
@@ -539,95 +527,59 @@ def _certify_element_limit(values: List[ExtElement], target: ExtElement,
     return {"mode": "gap-certified", "gaps": gaps}
 
 
-def _function_terms(seq: SequenceSpec, horizon: Optional[int]) -> List:
-    h = horizon if horizon is not None else seq.horizon
-    return [seq.term(n) for n in range(1, h + 1)]
+def _monotone_convergence(name: str, mu: Measure, seq: SequenceSpec, f: ExtFunction,
+                          horizon: Optional[int], epsilons, increasing: bool
+                          ) -> CheckResult:
+    """The monotone convergence theorem in the direction `increasing` names:
+    the integrals of a sequence that increases (decreases) to f almost
+    everywhere reach the integral of f.  Decreasing needs a finite first
+    integral, which is tested before the terms are."""
+    epsilons = list(epsilons) if epsilons is not None else list(DEFAULT_EPSILONS)
+    terms = seq.sample(horizon)
+    null = mu.null_mask
+    if not increasing and not integral_value(terms[0], mu).is_finite:
+        raise HypothesisError("decreasing convergence requires a finite first integral")
+    direction = "increasing" if increasing else "decreasing"
+    bad = _out_of_order_points(zip(terms, terms[1:]), increasing) & ~null
+    if bad:
+        raise CertificationError(
+            f"sequence not {direction} at non-null points {mask_to_points(bad)}")
+    bad = _out_of_order_points(((t, f) for t in terms), increasing) & ~null
+    if bad:
+        crossing = "exceeds" if increasing else "dips below"
+        raise CertificationError(f"sequence {crossing} the declared limit at non-null "
+                                 f"points {mask_to_points(bad)}")
+    if increasing:
+        declared = (StabilizesAt, DeclaredLimit, DivergesToInfinity)
+        kinds = "stabilization, limit, or divergence"
+    else:
+        declared, kinds = (StabilizesAt, DeclaredLimit), "stabilization or limit"
+    if not isinstance(seq.metadata, declared):
+        raise CertificationError(f"pointwise convergence must be declared ({kinds})")
+    for x in range(mu.space.ground_size):
+        if not (1 << x) & null:
+            _certify_scalar_convergence([t.values[x] for t in terms], f.values[x],
+                                        epsilons, increasing, point=x)
+
+    values = [integral_value(t, mu) for t in terms]
+    target = integral_value(f, mu)
+    unit = spaces.order_unit(mu.backend)
+    trail = _certify_element_limit(values, target, unit, epsilons, increasing)
+    return holds(name, limit_integral=ext_to_json(target), certification=trail)
 
 
 def mct(mu: Measure, seq: SequenceSpec, f: ExtFunction,
         horizon: Optional[int] = None, epsilons=None) -> CheckResult:
     """Monotone convergence: integrals of an increasing sequence reach the
     integral of the almost-everywhere pointwise limit."""
-    epsilons = list(epsilons) if epsilons is not None else list(DEFAULT_EPSILONS)
-    terms = _function_terms(seq, horizon)
-    null = mu.null_mask
-
-    bad = _pointwise_monotone_ae(mu, terms, increasing=True)
-    if bad & ~null:
-        raise CertificationError(
-            f"sequence not increasing at non-null points {mask_to_points(bad & ~null)}"
-        )
-    bad_dom = 0
-    for t in terms:
-        for x in range(mu.space.ground_size):
-            if not ext_scalar_leq(t.values[x], f.values[x]):
-                bad_dom |= 1 << x
-    if bad_dom & ~null:
-        raise CertificationError(
-            "sequence exceeds the declared limit at non-null points "
-            f"{mask_to_points(bad_dom & ~null)}"
-        )
-    if not isinstance(seq.metadata, (StabilizesAt, DeclaredLimit, DivergesToInfinity)):
-        raise CertificationError(
-            "pointwise convergence must be declared (stabilization, limit, "
-            "or divergence)"
-        )
-    for x in range(mu.space.ground_size):
-        if (1 << x) & null:
-            continue
-        samples = [t.values[x] for t in terms]
-        _certify_scalar_convergence(samples, f.values[x], epsilons,
-                                    increasing=True, point=x)
-
-    values = [integral_value(t, mu) for t in terms]
-    target = integral_value(f, mu)
-    unit = spaces.order_unit(mu.backend)
-    trail = _certify_element_limit(values, target, unit, epsilons, increasing=True)
-    return holds("mct", limit_integral=ext_to_json(target), certification=trail)
+    return _monotone_convergence("mct", mu, seq, f, horizon, epsilons, increasing=True)
 
 
 def mct_decreasing(mu: Measure, seq: SequenceSpec, f: ExtFunction,
                    horizon: Optional[int] = None, epsilons=None) -> CheckResult:
     """Decreasing counterpart; requires the first integral to be finite."""
-    epsilons = list(epsilons) if epsilons is not None else list(DEFAULT_EPSILONS)
-    terms = _function_terms(seq, horizon)
-    null = mu.null_mask
-    first = integral_value(terms[0], mu)
-    if not first.is_finite:
-        raise HypothesisError(
-            "decreasing convergence requires a finite first integral"
-        )
-    bad = _pointwise_monotone_ae(mu, terms, increasing=False)
-    if bad & ~null:
-        raise CertificationError(
-            f"sequence not decreasing at non-null points {mask_to_points(bad & ~null)}"
-        )
-    bad_dom = 0
-    for t in terms:
-        for x in range(mu.space.ground_size):
-            if not ext_scalar_leq(f.values[x], t.values[x]):
-                bad_dom |= 1 << x
-    if bad_dom & ~null:
-        raise CertificationError(
-            "sequence dips below the declared limit at non-null points "
-            f"{mask_to_points(bad_dom & ~null)}"
-        )
-    if not isinstance(seq.metadata, (StabilizesAt, DeclaredLimit)):
-        raise CertificationError(
-            "pointwise convergence must be declared (stabilization or limit)"
-        )
-    for x in range(mu.space.ground_size):
-        if (1 << x) & null:
-            continue
-        samples = [t.values[x] for t in terms]
-        _certify_scalar_convergence(samples, f.values[x], epsilons,
-                                    increasing=False, point=x)
-    values = [integral_value(t, mu) for t in terms]
-    target = integral_value(f, mu)
-    unit = spaces.order_unit(mu.backend)
-    trail = _certify_element_limit(values, target, unit, epsilons, increasing=False)
-    return holds("mct_decreasing", limit_integral=ext_to_json(target),
-                 certification=trail)
+    return _monotone_convergence("mct_decreasing", mu, seq, f, horizon, epsilons,
+                                 increasing=False)
 
 
 def _require_sigma_dedekind(backend: SpaceDescriptor, what: str):
@@ -647,7 +599,7 @@ def fatou(mu: Measure, seq: SequenceSpec,
     the infimum of the cycle's integrals in the extended space.
     """
     _require_sigma_dedekind(mu.backend, "the Fatou inequality")
-    terms = _function_terms(seq, horizon)
+    terms = seq.sample(horizon)
     samples = [t.values for t in terms]
     cycle = detect_cycle(samples)
     if cycle is None:
@@ -688,7 +640,7 @@ def dct(mu: Measure, seq: SequenceSpec, f: SignedFunction, g: ExtFunction,
     """
     _require_sigma_dedekind(mu.backend, "dominated convergence")
     epsilons = list(epsilons) if epsilons is not None else list(DEFAULT_EPSILONS)
-    terms = _function_terms(seq, horizon)
+    terms = seq.sample(horizon)
     null = mu.null_mask
 
     g_int = integral_value(g, mu)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from . import extended, spaces
+from . import extended
 from .errors import (
     MAX_EXHAUSTIVE_ATOMS,
     CertificationError,
@@ -266,15 +266,10 @@ def check_measure_identities(mu: Measure, name: str = "identities") -> CheckResu
                  classification=mu.classification())
 
 
-def _set_sequence_samples(seq: SequenceSpec, horizon: Optional[int] = None) -> List[int]:
-    h = horizon if horizon is not None else seq.horizon
-    return [seq.term(n) for n in range(1, h + 1)]
-
-
 def continuity_from_below(mu: Measure, seq: SequenceSpec,
                           horizon: Optional[int] = None) -> CheckResult:
     """Increasing sets: the supremum of the values equals the measure of the union."""
-    sets = _set_sequence_samples(seq, horizon)
+    sets = seq.sample(horizon)
     for n in range(1, len(sets)):
         if sets[n - 1] & sets[n] != sets[n - 1]:
             raise CertificationError(f"set sequence not increasing at n={n}")
@@ -305,7 +300,7 @@ def continuity_from_above(mu: Measure, seq: SequenceSpec,
                           horizon: Optional[int] = None) -> CheckResult:
     """Decreasing sets with a finite first value: values decrease to the
     measure of the intersection.  The finiteness hypothesis is essential."""
-    sets = _set_sequence_samples(seq, horizon)
+    sets = seq.sample(horizon)
     for n in range(1, len(sets)):
         if sets[n] & sets[n - 1] != sets[n]:
             raise CertificationError(f"set sequence not decreasing at n={n}")
@@ -344,7 +339,7 @@ def borel_cantelli(mu: Measure, seq: SequenceSpec, x: Optional[Element] = None,
     lower bound x for the values is supplied; the limit superior set must
     then carry at least x.
     """
-    sets = _set_sequence_samples(seq, horizon)
+    sets = seq.sample(horizon)
     cycle = detect_cycle(sets)
     if cycle is None:
         raise CertificationError(

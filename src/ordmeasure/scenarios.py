@@ -25,7 +25,7 @@ Top-level keys:
 
 Sequence specs (terms are function names or inline {"values": [...]}):
 
-  {"kind": "explicit", "terms": [...], "monotonicity": "increasing"}
+  {"kind": "explicit", "terms": [...]}
       final term repeats forever, so stabilization is implied
   {"kind": "geometric", "base": f, "bump": g, "ratio": "-1/2"}
       term n is base + ratio^n * bump; |ratio| < 1, declared limit base
@@ -35,6 +35,10 @@ Sequence specs (terms are function names or inline {"values": [...]}):
       cycles through the terms forever
   {"kind": "scaled_index", "shape": g}
       term n is n * shape; declared divergent
+
+A sequence may carry a "monotonicity" key; it is accepted but not read,
+since every check that needs a monotone sequence tests the order itself at
+every sampled index.
 
 Check directives are objects {"check": <name>, <key>: ...}, each with an
 optional "expect": "holds" | "fails" | "hypothesis-not-met" |
@@ -189,7 +193,6 @@ class _NamedSequence:
 
     values: Callable[[int], list]
     metadata: object
-    monotonicity: str
     terms: tuple = ()  # every term of an explicit or alternating sequence
 
 
@@ -251,7 +254,6 @@ def _parse_sequence(functions: dict, ground: int, doc, path: str) -> _NamedSeque
     """Compile a sequence spec into term value lists with metadata."""
     doc = _require_json(doc, dict, "sequence", path)
     kind = doc.get("kind")
-    monotonicity = doc.get("monotonicity", "none")
 
     def term(key):
         return _resolve_term(functions, ground, doc.get(key), f"{path}/{key}")
@@ -265,10 +267,10 @@ def _parse_sequence(functions: dict, ground: int, doc, path: str) -> _NamedSeque
         if not terms:
             raise SchemaError(f"{kind} sequence needs terms", path)
         if kind == "alternating":
-            return _NamedSequence(_cycling(terms), None, "none", tuple(terms))
+            return _NamedSequence(_cycling(terms), None, tuple(terms))
         metadata = (DivergesToInfinity() if doc.get("metadata") == "diverges"
                     else StabilizesAt(len(terms)))
-        return _NamedSequence(_stabilizing(terms), metadata, monotonicity, tuple(terms))
+        return _NamedSequence(_stabilizing(terms), metadata, tuple(terms))
 
     if kind == "geometric":
         base, bump = term("base"), term("bump")
@@ -280,20 +282,20 @@ def _parse_sequence(functions: dict, ground: int, doc, path: str) -> _NamedSeque
             raise SchemaError("geometric sequences need finite base and bump", path)
         return _NamedSequence(
             lambda n: [b + ratio**n * h for b, h in zip(base, bump)],
-            DeclaredLimit(list(base)), monotonicity)
+            DeclaredLimit(list(base)))
 
     if kind == "truncation_ladder":
         f = term("of")
         return _NamedSequence(
             lambda n: [Fraction(n) if is_infinite(v) else min(v, Fraction(n)) for v in f],
-            DeclaredLimit(list(f)), "increasing")
+            DeclaredLimit(list(f)))
 
     if kind == "scaled_index":
         shape = term("shape")
         if any(is_infinite(v) for v in shape):
             raise SchemaError("scaled_index shape must be finite", path)
         return _NamedSequence(lambda n: [Fraction(n) * v for v in shape],
-                              DivergesToInfinity(), "increasing")
+                              DivergesToInfinity())
 
     raise SchemaError(f"unknown sequence kind {kind!r}", path)
 
@@ -321,19 +323,18 @@ def _function(kind: str):
 
 
 def _function_sequence(kind: str):
-    """A sequence reference whose terms are "ext" or "signed" functions;
-    resolves to the map from a horizon to the sequence.  The terms of an
-    explicit or alternating sequence are made functions here, so a bad term
-    is a schema error of the directive."""
+    """A sequence reference whose terms are "ext" or "signed" functions,
+    resolved to its `SequenceSpec`.  The terms of an explicit or alternating
+    sequence are made functions here, so a bad term is a schema error of the
+    directive."""
     def resolve(scenario: Scenario, name: str, path: str):
         if name not in scenario.sequences:
             raise SchemaError(f"unresolved sequence reference {name!r}", path)
         seq, space = scenario.sequences[name], scenario.space
         for values in seq.terms:
             _as_function(space, values, kind, path)
-        return lambda horizon: SequenceSpec(
-            lambda n: _as_function(space, seq.values(n), kind, path), horizon=horizon,
-            metadata=seq.metadata, monotonicity=seq.monotonicity)
+        return SequenceSpec(lambda n: _as_function(space, seq.values(n), kind, path),
+                            metadata=seq.metadata)
     return resolve
 
 
@@ -343,7 +344,7 @@ def _set_list(scenario: Scenario, doc: list, path: str) -> list:
 
 
 def _set_sequence(scenario: Scenario, doc, path: str):
-    """A set sequence; resolves to the map from a horizon to the sequence."""
+    """A set sequence, resolved to its `SequenceSpec`."""
     if isinstance(doc, list):
         kind, terms = "explicit", _set_list(scenario, doc, path)
     else:
@@ -353,10 +354,9 @@ def _set_sequence(scenario: Scenario, doc, path: str):
     if not terms:
         raise SchemaError("set sequence needs terms", path)
     if kind == "explicit":
-        return lambda horizon: SequenceSpec(_stabilizing(terms), horizon=horizon,
-                                            metadata=StabilizesAt(len(terms)))
+        return SequenceSpec(_stabilizing(terms), metadata=StabilizesAt(len(terms)))
     if kind == "alternating":
-        return lambda horizon: SequenceSpec(_cycling(terms), horizon=horizon)
+        return SequenceSpec(_cycling(terms))
     raise SchemaError(f"unknown set sequence kind {kind!r}", path)
 
 
@@ -460,15 +460,15 @@ _CHECKS = {
         admits=lambda s, args, path: measures_mod.require_exhaustive(s.space)),
     "continuity_below": _Check(
         lambda s, c, sets: measures_mod.continuity_from_below(
-            s.measure, sets(c.horizon), horizon=c.horizon),
+            s.measure, sets, horizon=c.horizon),
         {"sets": _SETS}),
     "continuity_above": _Check(
         lambda s, c, sets: measures_mod.continuity_from_above(
-            s.measure, sets(c.horizon), horizon=c.horizon),
+            s.measure, sets, horizon=c.horizon),
         {"sets": _SETS}),
     "borel_cantelli": _Check(
         lambda s, c, sets, lower_bound: measures_mod.borel_cantelli(
-            s.measure, sets(c.horizon), lower_bound, horizon=c.horizon),
+            s.measure, sets, lower_bound, horizon=c.horizon),
         {"sets": _SETS,
          "lower_bound": _Key(list, lambda s, v, p: parse_element(v, s.backend, p), None)}),
     "bridge": _Check(
@@ -489,21 +489,20 @@ _CHECKS = {
                  {"function": _EXT}),
     "mct": _Check(
         lambda s, c, sequence, limit: integral_mod.mct(
-            s.measure, sequence(c.horizon), limit, horizon=c.horizon,
+            s.measure, sequence, limit, horizon=c.horizon,
             epsilons=c.epsilons),
         {"sequence": _EXT_SEQUENCE, "limit": _EXT}),
     "mct_decreasing": _Check(
         lambda s, c, sequence, limit: integral_mod.mct_decreasing(
-            s.measure, sequence(c.horizon), limit, horizon=c.horizon,
+            s.measure, sequence, limit, horizon=c.horizon,
             epsilons=c.epsilons),
         {"sequence": _EXT_SEQUENCE, "limit": _EXT}),
     "fatou": _Check(
-        lambda s, c, sequence: integral_mod.fatou(s.measure, sequence(c.horizon),
-                                                  horizon=c.horizon),
+        lambda s, c, sequence: integral_mod.fatou(s.measure, sequence, horizon=c.horizon),
         {"sequence": _EXT_SEQUENCE}),
     "dct": _Check(
         lambda s, c, sequence, limit, dominator: integral_mod.dct(
-            s.measure, sequence(c.horizon), limit, dominator, horizon=c.horizon,
+            s.measure, sequence, limit, dominator, horizon=c.horizon,
             epsilons=c.epsilons),
         {"sequence": _Key(str, _function_sequence("signed")),
          "limit": _SIGNED, "dominator": _EXT}),

@@ -91,7 +91,9 @@ class SequenceSpec:
         return self._memo[n]
 
     def sample(self, horizon: Optional[int] = None) -> list:
-        h = horizon if horizon is not None else self.horizon
+        """Terms 1..h: h is `horizon` when given, else the spec's own
+        horizon, else `DEFAULT_HORIZON` when that is unset (0 or None)."""
+        h = horizon if horizon is not None else (self.horizon or DEFAULT_HORIZON)
         return [self.term(n) for n in range(1, h + 1)]
 
 

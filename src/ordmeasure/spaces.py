@@ -44,7 +44,6 @@ from typing import Iterable, Optional, Sequence, Union
 from .errors import MAX_LOEWNER_DIM, CertificationError, SpaceMismatchError, check_cap
 from .sequences import (
     DEFAULT_EPSILONS,
-    DEFAULT_HORIZON,
     DeclaredLimit,
     SequenceSpec,
     StabilizesAt,
@@ -382,9 +381,9 @@ def sup_increasing(
       ``L <= seq(n) + epsilon * unit`` at some sample are verified;
     * a `GapReport` otherwise.
     """
-    horizon = horizon if horizon is not None else (seq.horizon or DEFAULT_HORIZON)
     epsilons = list(epsilons) if epsilons is not None else list(DEFAULT_EPSILONS)
-    terms = [seq.term(n) for n in range(1, horizon + 1)]
+    terms = seq.sample(horizon)
+    horizon = len(terms)
     space = terms[0].space
     unit = order_unit(space)
 

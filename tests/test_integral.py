@@ -30,6 +30,7 @@ from ordmeasure.sequences import (
     DeclaredLimit,
     DivergesToInfinity,
     SequenceSpec,
+    StabilizesAt,
     from_terms,
 )
 
@@ -627,6 +628,88 @@ class TestMctDecreasing:
             metadata=DeclaredLimit(None), monotonicity="decreasing")
         with pytest.raises(CertificationError, match="dips below"):
             om.mct_decreasing(mu, seq, limit)
+
+
+def _stabilizing(mu, rows, metadata):
+    """The ext functions with these value rows, the last one repeating."""
+    return SequenceSpec(
+        lambda n: om.ext_function(mu.space, rows[min(n, len(rows)) - 1]),
+        metadata=metadata)
+
+
+def _infinite_first_atom():
+    return om.Measure(om.power_set_space(2), C2, {1: om.infinity(C2), 2: fin(0, 1)})
+
+
+class TestMonotoneConvergenceRejections:
+    """The exact rejection of each direction of the monotone convergence check."""
+
+    @pytest.mark.parametrize("increasing, measure, rows, limit, metadata, error, message", [
+        pytest.param(True, basic_measure, [[1, 1], [0, 0]], [1, 1], StabilizesAt(2),
+                     CertificationError,
+                     "sequence not increasing at non-null points [0, 1]",
+                     id="mct-not-monotone"),
+        pytest.param(False, basic_measure, [[1, 0], [1, 1]], [1, 0], StabilizesAt(2),
+                     CertificationError,
+                     "sequence not decreasing at non-null points [1]",
+                     id="mct_decreasing-not-monotone"),
+        pytest.param(True, null_atom_measure, [[2, 0, 5]], [1, 0, 0], StabilizesAt(1),
+                     CertificationError,
+                     "sequence exceeds the declared limit at non-null points [0]",
+                     id="mct-exceeds"),
+        pytest.param(False, null_atom_measure, [[1, 1, 0]], [1, 2, 5], StabilizesAt(1),
+                     CertificationError,
+                     "sequence dips below the declared limit at non-null points [1]",
+                     id="mct_decreasing-dips-below"),
+        pytest.param(True, basic_measure, [[1, 1]], [1, 1], None, CertificationError,
+                     "pointwise convergence must be declared (stabilization, limit, "
+                     "or divergence)", id="mct-undeclared"),
+        pytest.param(False, basic_measure, [[1, 1]], [1, 1], None, CertificationError,
+                     "pointwise convergence must be declared (stabilization or limit)",
+                     id="mct_decreasing-undeclared"),
+        pytest.param(False, basic_measure, [[1, 1]], [1, 1], DivergesToInfinity(),
+                     CertificationError,
+                     "pointwise convergence must be declared (stabilization or limit)",
+                     id="mct_decreasing-divergence-undeclared"),
+        # Only the decreasing form needs a finite first integral, and it says
+        # so before it tests the terms.
+        pytest.param(False, _infinite_first_atom, [[1, 0], [2, 0]], [0, 0], StabilizesAt(2),
+                     HypothesisError,
+                     "decreasing convergence requires a finite first integral",
+                     id="mct_decreasing-infinite-first-integral"),
+        pytest.param(True, _infinite_first_atom, [[2, 0], [1, 0]], [2, 0], StabilizesAt(2),
+                     CertificationError,
+                     "sequence not increasing at non-null points [0]",
+                     id="mct-infinite-first-integral"),
+    ])
+    def test_check_rejects(self, increasing, measure, rows, limit, metadata, error,
+                           message):
+        mu = measure()
+        check = om.mct if increasing else om.mct_decreasing
+        seq = _stabilizing(mu, rows, metadata)
+        with pytest.raises(error) as caught:
+            check(mu, seq, om.ext_function(mu.space, limit), horizon=4)
+        assert type(caught.value) is error
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("increasing, values, target, message", [
+        (True, [fin(1, 0), fin(2, 0)], fin(1, 0),
+         "integral sequence exceeds the target at 2"),
+        (False, [fin(2, 0), fin(1, 0)], fin(Fraction(3, 2), 0),
+         "integral sequence dips below the target at 2"),
+        (True, [fin(2, 0), fin(1, 0)], fin(2, 0),
+         "integral sequence not increasing at 1"),
+        (False, [fin(1, 0), fin(2, 0)], fin(0, 0),
+         "integral sequence not decreasing at 1"),
+    ])
+    def test_integral_sequence_rejects(self, increasing, values, target, message):
+        # Terms that pass the pointwise tests have monotone integrals on the
+        # right side of the target, so these are reached by calling the
+        # certifier that both directions share.
+        with pytest.raises(CertificationError) as caught:
+            integral._certify_element_limit(values, target, om.order_unit(C2),
+                                            DEFAULT_EPSILONS, increasing)
+        assert str(caught.value) == message
 
 
 class TestFatouDct:

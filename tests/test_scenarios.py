@@ -16,6 +16,7 @@ from ordmeasure.errors import (MAX_EPSILON_EXPONENT, MAX_EXHAUSTIVE_ATOMS, MAX_H
                                DimensionLimitError, SchemaError, ValidationError)
 from ordmeasure.measures import mask_to_points
 from ordmeasure.rationals import format_rational
+from ordmeasure.sequences import DEFAULT_HORIZON
 from ordmeasure.scenarios import (
     _CHECKS,
     RunConfig,
@@ -103,6 +104,48 @@ class TestRunner:
         report = run_scenario(scenario, RunConfig(horizon=32))
         assert report["horizon"] == 32
         assert report["all_ok"]
+
+    @pytest.mark.parametrize("stem", ["mct_basic", "dct_geometric", "mct_divergent",
+                                      "borel_cantelli_parts"])
+    def test_parsed_scenario_reruns_at_other_horizons(self, stem):
+        # A resolved sequence keeps its sampled terms between runs, so a
+        # shorter run after a longer one must not see the longer window.
+        # mct_divergent's report differs between 64 and 256, the others'
+        # between 64 and 8.
+        path = str(SCENARIO_DIR / f"{stem}.json")
+        scenario = load_scenario(path)
+        for horizon in (64, 256, 64, 8):
+            config = RunConfig(horizon=horizon)
+            assert (canonical_dumps(run_scenario(scenario, config))
+                    == canonical_dumps(run_scenario(load_scenario(path), config)))
+
+
+class TestSequenceSampling:
+    def spec(self, horizon):
+        calls = []
+
+        def gen(n):
+            calls.append(n)
+            return n * n
+        return om.SequenceSpec(gen, horizon=horizon), calls
+
+    @pytest.mark.parametrize("own, horizon, length", [
+        (5, 3, 3),  # an explicit horizon wins
+        (5, None, 5),  # else the spec's own
+        (0, None, DEFAULT_HORIZON),  # an unset own horizon falls back
+        (None, None, DEFAULT_HORIZON),
+        (None, 2, 2),
+    ])
+    def test_horizon_resolution(self, own, horizon, length):
+        seq, _ = self.spec(own)
+        assert seq.sample(horizon) == [n * n for n in range(1, length + 1)]
+
+    def test_terms_are_generated_once(self):
+        seq, calls = self.spec(4)
+        assert seq.sample(6) == [1, 4, 9, 16, 25, 36]
+        assert seq.sample() == [1, 4, 9, 16]
+        assert seq.sample(6) == [1, 4, 9, 16, 25, 36]
+        assert calls == [1, 2, 3, 4, 5, 6]
 
 
 def _scaled_atoms(stem: str, factor: int) -> dict:
