@@ -5,7 +5,9 @@ closed form over the atom partition using the extended scalar action, and
 the supremum of the canonical elementary ladder of truncations.  The two
 routes are independent implementations and must agree exactly; the ladder
 is retained purely as an oracle against convention bugs (0 * inf versus
-inf * 0).
+inf * 0).  The closed form folds pairwise with `ext_scale` and `ext_add`,
+while each ladder rung is one `spaces.combination` over the atoms, so the
+routes share no summation code.
 
 The monotone and dominated convergence theorems and the Fatou inequality
 are exercised as certified checks: stabilizing sequences give exact
@@ -17,6 +19,7 @@ certified against a ladder of bounds.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -65,9 +68,11 @@ def _check_level_sets(space: MeasurableSpace, values: Sequence[ExtScalar]):
     """Measurability: every sublevel set of the range lands in the algebra.
 
     That holds exactly when the function is constant on each atom, which is
-    tested first; the sublevel sets are swept only to name one that fails.
+    tested first, against each atom's first point; the sublevel sets are
+    swept only to name one that fails.
     """
-    if all(len({values[x] for x in mask_to_points(a)}) == 1 for a in space.atoms):
+    if all(values[x] == values[points[0]]
+           for points in space.atom_points.values() for x in points[1:]):
         return
     sweeps = [(test, v) for v in dict.fromkeys(values) if not is_infinite(v)
               for test in (_scalar_lt, ext_scalar_leq)]
@@ -79,6 +84,28 @@ def _check_level_sets(space: MeasurableSpace, values: Sequence[ExtScalar]):
                 "is not in the algebra",
                 witness={"level": format_ext_scalar(r), "set": mask_to_points(mask)},
             )
+
+
+def _trusted(cls, **fields):
+    """The trusted constructor of `ExtFunction`, `SignedFunction` and
+    `ElementaryFunction`: the fields are set as given, and nothing is checked.
+
+    Only for functions derived from validated ones on the same space in ways
+    that keep them measurable (constant on every atom) and, for the
+    extended-nonnegative and elementary kinds, nonnegative.  Functions built
+    from user or scenario input go through the validating constructors.
+    """
+    fn = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(fn, name, value)
+    return fn
+
+
+def _pointwise(op, f, g):
+    """The values op(f(x), g(x)) of two functions on one space."""
+    if f.space != g.space:
+        raise ValidationError("functions live on different spaces")
+    return tuple(op(a, b) for a, b in zip(f.values, g.values))
 
 
 @dataclass(frozen=True)
@@ -97,7 +124,7 @@ class ExtFunction:
         _check_level_sets(self.space, self.values)
 
     def atom_value(self, atom: int) -> ExtScalar:
-        return self.values[mask_to_points(atom)[0]]
+        return self.values[self.space.atom_points[atom][0]]
 
     def infinity_mask(self) -> int:
         return points_to_mask(x for x, v in enumerate(self.values) if is_infinite(v))
@@ -120,30 +147,35 @@ class SignedFunction:
             raise ValidationError("function needs one value per ground point")
         _check_level_sets(self.space, self.values)
 
+    # Functions derived from measurable ones on one space are measurable
+    # there, so they are built by the trusted constructor.
     def __add__(self, other: "SignedFunction") -> "SignedFunction":
-        return SignedFunction(self.space,
-                              tuple(a + b for a, b in zip(self.values, other.values)))
+        return _trusted(SignedFunction, space=self.space,
+                        values=_pointwise(operator.add, self, other))
 
     def __sub__(self, other: "SignedFunction") -> "SignedFunction":
-        return SignedFunction(self.space,
-                              tuple(a - b for a, b in zip(self.values, other.values)))
+        return _trusted(SignedFunction, space=self.space,
+                        values=_pointwise(operator.sub, self, other))
 
     def abs(self) -> ExtFunction:
-        return ExtFunction(self.space, tuple(abs(v) for v in self.values))
+        return _trusted(ExtFunction, space=self.space,
+                        values=tuple(abs(v) for v in self.values))
 
     def pos_part(self) -> ExtFunction:
-        return ExtFunction(self.space, tuple(max(v, Fraction(0)) for v in self.values))
+        return _trusted(ExtFunction, space=self.space,
+                        values=tuple(max(v, Fraction(0)) for v in self.values))
 
     def neg_part(self) -> ExtFunction:
-        return ExtFunction(self.space, tuple(max(-v, Fraction(0)) for v in self.values))
+        return _trusted(ExtFunction, space=self.space,
+                        values=tuple(max(-v, Fraction(0)) for v in self.values))
 
     def sup_with(self, other: "SignedFunction") -> "SignedFunction":
-        return SignedFunction(self.space,
-                              tuple(max(a, b) for a, b in zip(self.values, other.values)))
+        return _trusted(SignedFunction, space=self.space,
+                        values=_pointwise(max, self, other))
 
     def inf_with(self, other: "SignedFunction") -> "SignedFunction":
-        return SignedFunction(self.space,
-                              tuple(min(a, b) for a, b in zip(self.values, other.values)))
+        return _trusted(SignedFunction, space=self.space,
+                        values=_pointwise(min, self, other))
 
 
 def ext_function(space: MeasurableSpace, values: Sequence) -> ExtFunction:
@@ -213,12 +245,21 @@ class ElementaryFunction:
 
 
 def truncate(f: ExtFunction, level: int) -> ElementaryFunction:
-    """The canonical ladder rung f /\\ level (finite-valued, elementary)."""
+    """The canonical ladder rung f /\\ level (finite-valued, elementary).
+
+    One term per atom where the rung is positive, read from the atom's
+    first point: `f` is validated, so it is constant on each atom, and the
+    rung is built by the trusted constructor.  It equals
+    ``ElementaryFunction.from_dense`` of the truncated values.
+    """
     cap = Fraction(level)
-    dense = tuple(
-        cap if is_infinite(v) else min(v, cap) for v in f.values
-    )
-    return ElementaryFunction.from_dense(f.space, dense)
+    terms = []
+    for atom, points in f.space.atom_points.items():
+        v = f.values[points[0]]
+        v = cap if is_infinite(v) else min(v, cap)
+        if v:
+            terms.append((v, atom))
+    return _trusted(ElementaryFunction, space=f.space, terms=tuple(terms))
 
 
 def integrate_elementary(phi: ElementaryFunction, mu: Measure) -> ExtElement:
@@ -239,10 +280,29 @@ def integrate_elementary(phi: ElementaryFunction, mu: Measure) -> ExtElement:
     return total
 
 
+def _rung_integral(phi: ElementaryFunction, mu: Measure) -> ExtElement:
+    """Integral of an elementary function whose terms are atoms of its space,
+    as `truncate` builds them: the point at infinity when a positive
+    coefficient sits on an atom of infinite measure, and otherwise one
+    `spaces.combination` of the finite atom values (a zero coefficient
+    kills an infinite atom)."""
+    if phi.space != mu.space:
+        raise ValidationError("function and measure live on different spaces")
+    pairs = []
+    for coeff, atom in phi.terms:
+        value = mu.atom_values[atom].finite
+        if value is None:
+            if coeff:
+                return extended.infinity(mu.backend)
+        else:
+            pairs.append((coeff, value))
+    return extended.finite(spaces.combination(mu.backend, pairs))
+
+
 def _closed_form_integral(f: ExtFunction, mu: Measure) -> ExtElement:
     total = ext_zero(mu.backend)
-    for atom in mu.space.atoms:
-        total = ext_add(total, ext_scale(f.atom_value(atom), mu.atom_values[atom]))
+    for atom, points in mu.space.atom_points.items():
+        total = ext_add(total, ext_scale(f.values[points[0]], mu.atom_values[atom]))
     return total
 
 
@@ -276,7 +336,7 @@ def _ladder_supremum(f: ExtFunction, mu: Measure) -> Tuple[ExtElement, dict]:
                   if k >= 1)
     rungs = []
     for n in sorted(levels):
-        rung = integrate_elementary(truncate(f, n), mu)
+        rung = _rung_integral(truncate(f, n), mu)
         if rungs and not ext_leq(rungs[-1], rung):
             raise OrdMeasureError("ladder integrals failed to increase")
         rungs.append(rung)
@@ -333,6 +393,20 @@ def is_integrable(f: SignedFunction, mu: Measure) -> bool:
     return integral_value(f.abs(), mu).is_finite
 
 
+def _shifted_parts(f: SignedFunction) -> Tuple[ExtFunction, ExtFunction]:
+    """f + c * s and c * s, where s is the indicator of the support of f and
+    c exceeds every |f(x)|.  Both are constant on the atoms, as f and its
+    support are, positive on the support and zero off it."""
+    support = points_to_mask(x for x, v in enumerate(f.values) if v != 0)
+    f.space.require_measurable(support, "support")
+    c = max((abs(v) for v in f.values), default=Fraction(0)) + 1
+    shifted = _trusted(ExtFunction, space=f.space, values=tuple(
+        v + c if support >> x & 1 else v for x, v in enumerate(f.values)))
+    shift_only = _trusted(ExtFunction, space=f.space, values=tuple(
+        c if support >> x & 1 else Fraction(0) for x in range(f.space.ground_size)))
+    return shifted, shift_only
+
+
 def integrate_signed(f: SignedFunction, mu: Measure) -> Element:
     """Integral of an integrable signed function via its two-sided parts.
 
@@ -347,14 +421,7 @@ def integrate_signed(f: SignedFunction, mu: Measure) -> Element:
     negv = integral_value(f.neg_part(), mu).payload()
     result = spaces.sub(pos, negv)
 
-    support = points_to_mask(x for x, v in enumerate(f.values) if v != 0)
-    f.space.require_measurable(support, "support")
-    c = max((abs(v) for v in f.values), default=Fraction(0)) + 1
-    shift = tuple(
-        v + (c if support >> x & 1 else 0) for x, v in enumerate(f.values)
-    )
-    shifted = ExtFunction(f.space, tuple(Fraction(s) for s in shift))
-    shift_only = indicator(f.space, support, c)
+    shifted, shift_only = _shifted_parts(f)
     lhs = integral_value(shifted, mu)
     rhs = integral_value(shift_only, mu)
     if lhs.is_finite and rhs.is_finite:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from . import extended
@@ -51,6 +52,11 @@ class MeasurableSpace:
 
     ground_size: int
     atoms: tuple  # sorted bitmasks of the minimal nonempty members
+
+    @cached_property
+    def atom_points(self) -> Dict[int, tuple]:
+        """Each atom's points in increasing order, keyed by the atom, listed once."""
+        return {atom: tuple(mask_to_points(atom)) for atom in self.atoms}
 
     def cover(self, mask: int) -> int:
         """The union of the atoms that `mask` meets: its smallest measurable cover."""

@@ -58,6 +58,7 @@ runs; only the horizon is applied at run time.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional
@@ -193,7 +194,11 @@ class _NamedSequence:
 
     values: Callable[[int], list]
     metadata: object
-    terms: tuple = ()  # every term of an explicit or alternating sequence
+    # Value lists that are functions of a kind ("ext" or "signed") exactly
+    # when every term n >= 1 is: the terms of an explicit or alternating
+    # sequence, and finitely many lists decided in closed form for a
+    # generated one (see `_parse_sequence`).
+    witnesses: tuple
 
 
 @dataclass(frozen=True)
@@ -272,6 +277,14 @@ def _parse_sequence(functions: dict, ground: int, doc, path: str) -> _NamedSeque
                     else StabilizesAt(len(terms)))
         return _NamedSequence(_stabilizing(terms), metadata, tuple(terms))
 
+    # The witnesses of a generated kind.  Geometric: terms 1 and 2 are
+    # measurable exactly when every term is (their difference fixes the
+    # bump on each atom when the ratio is not 0, and every term is the base
+    # when it is), and the least value over n >= 1 at each point is
+    # base + min(0, ratio * bump, ratio^2 * bump), where 0 is approached
+    # but not attained.  Truncation ladder: the rung above every finite
+    # value keeps those values and makes infinity a value of its own.
+    # Scaled index: term 1, the shape, has every term's sign and level sets.
     if kind == "geometric":
         base, bump = term("base"), term("bump")
         ratio = parse_rational(doc.get("ratio"), path + "/ratio")
@@ -280,22 +293,30 @@ def _parse_sequence(functions: dict, ground: int, doc, path: str) -> _NamedSeque
                               path + "/ratio")
         if any(is_infinite(v) for v in base + bump):
             raise SchemaError("geometric sequences need finite base and bump", path)
-        return _NamedSequence(
-            lambda n: [b + ratio**n * h for b, h in zip(base, bump)],
-            DeclaredLimit(list(base)))
+
+        def geometric(n):
+            return [b + ratio**n * h for b, h in zip(base, bump)]
+        least = [b + min(0, ratio * h, ratio**2 * h) for b, h in zip(base, bump)]
+        return _NamedSequence(geometric, DeclaredLimit(list(base)),
+                              (geometric(1), geometric(2), least))
 
     if kind == "truncation_ladder":
         f = term("of")
-        return _NamedSequence(
-            lambda n: [Fraction(n) if is_infinite(v) else min(v, Fraction(n)) for v in f],
-            DeclaredLimit(list(f)))
+
+        def rung(n):
+            return [Fraction(n) if is_infinite(v) else min(v, Fraction(n)) for v in f]
+        top = max((v for v in f if not is_infinite(v)), default=Fraction(0))
+        return _NamedSequence(rung, DeclaredLimit(list(f)),
+                              (rung(max(1, math.floor(top) + 1)),))
 
     if kind == "scaled_index":
         shape = term("shape")
         if any(is_infinite(v) for v in shape):
             raise SchemaError("scaled_index shape must be finite", path)
-        return _NamedSequence(lambda n: [Fraction(n) * v for v in shape],
-                              DivergesToInfinity())
+
+        def scaled(n):
+            return [Fraction(n) * v for v in shape]
+        return _NamedSequence(scaled, DivergesToInfinity(), (scaled(1),))
 
     raise SchemaError(f"unknown sequence kind {kind!r}", path)
 
@@ -324,14 +345,14 @@ def _function(kind: str):
 
 def _function_sequence(kind: str):
     """A sequence reference whose terms are "ext" or "signed" functions,
-    resolved to its `SequenceSpec`.  The terms of an explicit or alternating
-    sequence are made functions here, so a bad term is a schema error of the
-    directive."""
+    resolved to its `SequenceSpec`.  The sequence's witnesses are made
+    functions here, so a term that is not one, at any index, is a schema
+    error of the directive."""
     def resolve(scenario: Scenario, name: str, path: str):
         if name not in scenario.sequences:
             raise SchemaError(f"unresolved sequence reference {name!r}", path)
         seq, space = scenario.sequences[name], scenario.space
-        for values in seq.terms:
+        for values in seq.witnesses:
             _as_function(space, values, kind, path)
         return SequenceSpec(lambda n: _as_function(space, seq.values(n), kind, path),
                             metadata=seq.metadata)

@@ -27,10 +27,10 @@ capped at ``MAX_LOEWNER_DIM = 6``.
 Values are validated where they enter.  ``Element(space, coords)`` (and
 `element`, `sym_matrix` and the scenario parser, which call it) checks the
 coordinate count, that every coordinate is a Fraction, and the Loewner
-symmetry.  Results of `add`, `sub`, `neg`, `scale` and the lattice
-operations are built by `_element`, the one trusted constructor, because
-those operations preserve the count and the symmetry.  ``coords`` derives
-the Fraction tuple for the encoders.
+symmetry.  Results of `add`, `sub`, `neg`, `scale`, `combination` and the
+lattice operations are built by `_element`, the one trusted constructor,
+because those operations preserve the count and the symmetry.  ``coords``
+derives the Fraction tuple for the encoders.
 """
 
 from __future__ import annotations
@@ -258,6 +258,32 @@ def scale(r: Fraction, a: Element) -> Element:
         r = Fraction(r)
     return _element(a.space, tuple(r.numerator * x for x in a.nums),
                     r.denominator * a.den)
+
+
+def combination(space: SpaceDescriptor, pairs: Iterable) -> Element:
+    """The linear combination sum of r * e over `(r, e)` pairs of `space`.
+
+    Every term is brought over one common denominator, the lcm of the
+    products r.denominator * e.den, and its integer numerators are
+    accumulated there (as FLINT's ``_fmpz_vec_scalar_addmul_fmpz`` does), so
+    the result is reduced by a single gcd however many terms there are.  An
+    empty combination is zero.
+    """
+    terms = []
+    for r, e in pairs:
+        if e.space != space:
+            raise SpaceMismatchError(
+                f"cannot combine {space.describe()} with {e.space.describe()}")
+        if not isinstance(r, Fraction):
+            r = Fraction(r)
+        if r:
+            terms.append((r.numerator, r.denominator * e.den, e.nums))
+    den = math.lcm(*(d for _, d, _ in terms))
+    acc = [0] * space.ncoords
+    for num, d, nums in terms:
+        factor = num * (den // d)
+        acc = [a + factor * x for a, x in zip(acc, nums)]
+    return _element(space, tuple(acc), den)
 
 
 def is_psd(a: Element) -> bool:

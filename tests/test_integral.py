@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ordmeasure as om
-from ordmeasure import integral
+from ordmeasure import extended, integral, spaces
 from ordmeasure.errors import (
     CertificationError,
     HypothesisError,
@@ -349,6 +349,153 @@ class TestLadderBreakLevels:
         f = om.ext_function(space, [0, Fraction(5, 2), 10**8, INFINITY])
         _ladder_supremum(f, mu)
         assert levels == [1, 2, 3, 10**8, 10**8 + 1]
+
+
+def truncated_values(f, level):
+    """min(f, level) at every point, infinity included."""
+    cap = Fraction(level)
+    return tuple(cap if is_infinite(v) else min(v, cap) for v in f.values)
+
+
+@st.composite
+def atom_elementary(draw, space):
+    """An elementary function with one term on each of some atoms of
+    `space`, in the order of the atoms, zero coefficients included."""
+    coefficient = st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(2),
+                                   Fraction(7, 2)])
+    atoms = [a for a in space.atoms if draw(st.booleans())]
+    return ElementaryFunction(space, tuple((draw(coefficient), a) for a in atoms))
+
+
+class TestRung:
+    """The trusted `truncate` and the rung integral against the validating
+    `from_dense` and the pairwise fold of `integrate_elementary`."""
+
+    @given(measures_and_functions(), st.integers(1, 14))
+    @settings(max_examples=300, deadline=None)
+    def test_truncate_matches_from_dense(self, case, level):
+        mu, f = case
+        phi = om.truncate(f, level)
+        assert phi == ElementaryFunction.from_dense(f.space, truncated_values(f, level))
+        assert phi.dense_values() == truncated_values(f, level)
+        assert all(coeff > 0 and mask in f.space.atoms for coeff, mask in phi.terms)
+
+    @given(measures_and_functions(), st.integers(1, 14))
+    @settings(max_examples=300, deadline=None)
+    def test_rung_integral_matches_integrate_elementary(self, case, level):
+        mu, f = case
+        phi = om.truncate(f, level)
+        assert integral._rung_integral(phi, mu) == integrate_elementary(phi, mu)
+
+    @given(measures_and_functions(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_zero_and_positive_coefficients_on_infinite_atoms(self, case, data):
+        mu, _ = case
+        phi = data.draw(atom_elementary(mu.space))
+        assert integral._rung_integral(phi, mu) == integrate_elementary(phi, mu)
+
+    @pytest.mark.parametrize("coefficient, expected", [
+        (Fraction(0), fin(2, 0)), (Fraction(1, 2), om.infinity(C2))])
+    def test_infinite_atom(self, coefficient, expected):
+        mu = om.Measure(om.power_set_space(2), C2, {1: fin(1, 0), 2: om.infinity(C2)})
+        phi = ElementaryFunction(mu.space, ((Fraction(2), 1), (coefficient, 2)))
+        assert integral._rung_integral(phi, mu) == expected
+        assert integrate_elementary(phi, mu) == expected
+
+    def test_space_mismatch(self):
+        mu = basic_measure()
+        phi = om.truncate(om.ext_function(om.generate_sigma_algebra([], 2), [1, 1]), 1)
+        with pytest.raises(ValidationError, match="different spaces"):
+            integral._rung_integral(phi, mu)
+
+
+class TestLadderOperationCounts:
+    """The ladder builds each finite rung with one `spaces.combination` and
+    no pairwise arithmetic, at one `truncate` per break level."""
+
+    @pytest.mark.parametrize("values, atom_values, levels, finite_rungs", [
+        ([Fraction(1, 3), 2], [fin(1, 0), fin(0, 1)], [1, 2, 3], 3),
+        ([INFINITY, Fraction(5, 2)], [fin(1, 0), fin(0, 1)], [1, 2, 3, 4], 4),
+        ([0, Fraction(7, 2)], [fin(1, 0), om.infinity(C2)], [1], 0),
+        ([0, Fraction(5, 2), 10**8, INFINITY], [fin(1, 0), fin(0, 1), fin(1, 1), fin(0, 0)],
+         [1, 2, 3, 10**8, 10**8 + 1], 5),
+    ], ids=["stabilized", "divergent", "infinite_rung", "wide_levels"])
+    def test_counts(self, monkeypatch, values, atom_values, levels, finite_rungs):
+        space = om.power_set_space(len(values))
+        mu = om.Measure(space, C2, dict(zip(space.atoms, atom_values)))
+        f = om.ext_function(space, values)
+        calls = {"combination": 0, "truncate": []}
+        combination, truncate = spaces.combination, integral.truncate
+
+        def counting_combination(space, pairs):
+            calls["combination"] += 1
+            return combination(space, pairs)
+
+        def recording_truncate(g, level):
+            calls["truncate"].append(level)
+            return truncate(g, level)
+
+        def forbidden(*args):
+            raise AssertionError("pairwise arithmetic in the ladder")
+
+        monkeypatch.setattr(spaces, "combination", counting_combination)
+        monkeypatch.setattr(integral, "truncate", recording_truncate)
+        for owner, name in [(spaces, "add"), (spaces, "scale"), (extended, "ext_add"),
+                            (extended, "ext_scale"), (integral, "ext_add"),
+                            (integral, "ext_scale")]:
+            monkeypatch.setattr(owner, name, forbidden)
+        _ladder_supremum(f, mu)
+        assert calls == {"combination": finite_rungs, "truncate": levels}
+
+
+class TestTrustedFunctions:
+    """Functions derived from validated ones equal what the validating
+    constructors build from the same values."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_match_validating_constructors(self, data):
+        n = data.draw(st.integers(1, 6))
+        gens = data.draw(st.lists(st.integers(0, full_mask(n)), max_size=3))
+        space = om.generate_sigma_algebra(gens, n)
+        value = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+        def measurable():
+            per_atom = {a: data.draw(value) for a in space.atoms}
+            return om.signed_function(space, [next(v for a, v in per_atom.items()
+                                                   if a >> x & 1) for x in range(n)])
+
+        f, g = measurable(), measurable()
+        zero = Fraction(0)
+        expected = [
+            (f.abs(), om.ExtFunction(space, tuple(abs(v) for v in f.values))),
+            (f.pos_part(), om.ExtFunction(space, tuple(max(v, zero) for v in f.values))),
+            (f.neg_part(), om.ExtFunction(space, tuple(max(-v, zero) for v in f.values))),
+            (f + g, om.SignedFunction(space, tuple(a + b for a, b in zip(f.values,
+                                                                      g.values)))),
+            (f - g, om.SignedFunction(space, tuple(a - b for a, b in zip(f.values,
+                                                                      g.values)))),
+            (f.sup_with(g), om.SignedFunction(space, tuple(map(max, f.values, g.values)))),
+            (f.inf_with(g), om.SignedFunction(space, tuple(map(min, f.values, g.values)))),
+        ]
+        support = points_to_mask(x for x, v in enumerate(f.values) if v != 0)
+        c = max(abs(v) for v in f.values) + 1
+        shifted, shift_only = integral._shifted_parts(f)
+        expected += [
+            (shifted, om.ExtFunction(space, tuple(v + c if v else v for v in f.values))),
+            (shift_only, om.indicator(space, support, c)),
+        ]
+        for trusted, validated in expected:
+            assert type(trusted) is type(validated)
+            assert trusted == validated and hash(trusted) == hash(validated)
+
+    def test_pointwise_operations_need_one_space(self):
+        f = om.signed_function(om.power_set_space(2), [1, -1])
+        g = om.signed_function(om.generate_sigma_algebra([], 2), [1, 1])
+        for op in (lambda: f + g, lambda: f - g, lambda: f.sup_with(g),
+                   lambda: f.inf_with(g)):
+            with pytest.raises(ValidationError, match="different spaces"):
+                op()
 
 
 def _report_or_error(f, mu):

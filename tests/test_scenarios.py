@@ -8,6 +8,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ordmeasure as om
 from ordmeasure.cli import main as cli_main
@@ -15,7 +17,7 @@ from ordmeasure.errors import (MAX_EPSILON_EXPONENT, MAX_EXHAUSTIVE_ATOMS, MAX_H
                                MAX_LOEWNER_DIM, MAX_OUTER_GROUND_SIZE, MAX_TRUNCATION,
                                DimensionLimitError, SchemaError, ValidationError)
 from ordmeasure.measures import mask_to_points
-from ordmeasure.rationals import format_rational
+from ordmeasure.rationals import INFINITY, format_rational
 from ordmeasure.sequences import DEFAULT_HORIZON
 from ordmeasure.scenarios import (
     _CHECKS,
@@ -229,6 +231,76 @@ class TestSchemaErrors:
             parse_scenario(doc)
 
 
+def _generated_term(sequence: dict, functions: dict, n: int) -> list:
+    """Term n of a generated sequence, from the schema's definitions."""
+    if sequence["kind"] == "geometric":
+        ratio = Fraction(sequence["ratio"])
+        return [b + ratio**n * h for b, h in zip(functions[sequence["base"]],
+                                                 functions[sequence["bump"]])]
+    if sequence["kind"] == "truncation_ladder":
+        return [Fraction(n) if v is INFINITY else min(v, Fraction(n))
+                for v in functions[sequence["of"]]]
+    return [n * v for v in functions[sequence["shape"]]]
+
+
+@st.composite
+def generated_sequence_docs(draw):
+    """A 3-point scenario whose one check names a generated sequence, with
+    the atoms {0} and {1, 2} or the power set, and the parsed values of its
+    functions."""
+    coarse = draw(st.booleans())
+    value = st.sampled_from(["-2", "-1", "-1/4", "0", "1/4", "1/3", "1/2", "1", "2",
+                             "5/2"])
+    kind = draw(st.sampled_from(["geometric", "truncation_ladder", "scaled_index"]))
+    if kind == "truncation_ladder":
+        value = value | st.just("infinity")
+    values = {"a": draw(st.lists(value, min_size=3, max_size=3)),
+              "b": draw(st.lists(value, min_size=3, max_size=3)),
+              "one": ["1"] * 3, "zero": ["0"] * 3}
+    sequence = {"kind": kind, "base": "a", "bump": "b", "of": "a", "shape": "a",
+                "ratio": draw(st.sampled_from(["-2/3", "-1/2", "0", "1/3", "1/2"]))}
+    check = draw(st.sampled_from([
+        {"check": "mct", "limit": "one"}, {"check": "fatou"},
+        {"check": "dct", "limit": "zero", "dominator": "one"}]))
+    atoms = ["0", "1"] if coarse else ["0", "1", "2"]
+    doc = {"space": {"kind": "coord", "dim": 2}, "ground_size": 3,
+           "sigma_algebra": {"generators": [[0]]} if coarse else {"power_set": True},
+           "measure": {"atom_values": {a: {"finite": ["1", "1"]} for a in atoms}},
+           "functions": {name: {"values": v} for name, v in values.items()},
+           "sequences": {"s": sequence}, "checks": [dict(check, sequence="s")]}
+    parsed = {name: [INFINITY if x == "infinity" else Fraction(x) for x in v]
+              for name, v in values.items()}
+    return doc, parsed
+
+
+class TestGeneratedSequenceTerms:
+    """The parse-time verdict on a generated sequence against its terms."""
+
+    @given(generated_sequence_docs())
+    @settings(max_examples=300, deadline=None)
+    def test_parse_verdict_matches_the_terms(self, case):
+        # With these values and ratios, a term that is not a function of the
+        # check's kind shows by term 40.
+        doc, functions = case
+        coarse = "generators" in doc["sigma_algebra"]
+        space = om.generate_sigma_algebra([0b001], 3) if coarse else om.power_set_space(3)
+        build = om.signed_function if doc["checks"][0]["check"] == "dct" else om.ext_function
+        sequence = doc["sequences"]["s"]
+        try:
+            for n in range(1, 41):
+                build(space, _generated_term(sequence, functions, n))
+            expected = None
+        except ValidationError as exc:
+            expected = str(exc)
+        try:
+            parse_scenario(doc)
+            verdict = None
+        except SchemaError as exc:
+            assert exc.path == "/checks/0/sequence"
+            verdict = str(exc)
+        assert (verdict is None) == (expected is None), (verdict, expected)
+
+
 DROP = object()  # an update that removes the key
 
 
@@ -237,6 +309,21 @@ def _induced_outer_on(ground: int) -> dict:
     return {"ground_size": ground, "sigma_algebra": {"generators": []},
             "measure": {"atom_values": {"0": "infinity"}},
             "outer_measure": {"induced_from_measure": True}}
+
+
+def _generated_sequence(sequence: dict, check: dict, coarse=False, **functions) -> dict:
+    """Scenario keys naming the sequence `s` in one check; with `coarse`, the
+    algebra has the atoms {0} and {1, 2}."""
+    keys = {"functions": {name: {"values": values} for name, values in functions.items()},
+            "sequences": {"s": sequence}, "checks": [dict(check, sequence="s")]}
+    if coarse:
+        keys.update(sigma_algebra={"generators": [[0]]},
+                    measure={"atom_values": {"0": {"finite": ["1", "0"]},
+                                             "1": {"finite": ["0", "1"]}}})
+    return keys
+
+
+ONE, ZERO = ["1", "1", "1"], ["0", "0", "0"]
 
 
 def _power_set_copy(stem: str, ground: int, path: Path) -> Path:
@@ -363,6 +450,30 @@ class TestCli:
         ({"functions": {"f": {"values": ["-1", "0", "0"]}},
           "sequences": {"s": {"kind": "alternating", "terms": ["f"]}},
           "checks": [{"check": "fatou", "sequence": "s"}]}, "/checks/0/sequence"),
+        (_generated_sequence({"kind": "geometric", "base": "zero", "bump": "one",
+                              "ratio": "-1/2"}, {"check": "mct", "limit": "zero"},
+                             zero=ZERO, one=ONE), "/checks/0/sequence"),
+        (_generated_sequence({"kind": "geometric", "base": "one", "bump": "wobble",
+                              "ratio": "1/2"}, {"check": "mct", "limit": "one"},
+                             coarse=True, one=ONE, wobble=["0", "0", "1"]),
+         "/checks/0/sequence"),
+        # term 2 and the least values are measurable, term 1 is not; then
+        # term 1 and the least values, and not term 2
+        (_generated_sequence({"kind": "geometric", "base": "a", "bump": "b",
+                              "ratio": "-1/2"}, {"check": "fatou"}, coarse=True,
+                             a=["0", "0", "1/4"], b=["0", "0", "-1"]), "/checks/0/sequence"),
+        (_generated_sequence({"kind": "geometric", "base": "a", "bump": "b",
+                              "ratio": "-1/2"}, {"check": "fatou"}, coarse=True,
+                             a=["0", "0", "1"], b=["0", "0", "2"]), "/checks/0/sequence"),
+        (_generated_sequence({"kind": "geometric", "base": "low", "bump": "one",
+                              "ratio": "1/2"}, {"check": "mct", "limit": "one"},
+                             low=["-1/100"] * 3, one=ONE), "/checks/0/sequence"),
+        (_generated_sequence({"kind": "truncation_ladder", "of": "f"}, {"check": "fatou"},
+                             f=["-1", "0", "infinity"]), "/checks/0/sequence"),
+        (_generated_sequence({"kind": "scaled_index", "shape": "wobble"},
+                             {"check": "dct", "limit": "zero", "dominator": "one"},
+                             coarse=True, zero=ZERO, one=ONE, wobble=["0", "0", "1"]),
+         "/checks/0/sequence"),
     ], ids=["ground_bool", "ground_cap", "sigma_algebra_list", "checks_object",
             "directive_string", "check_name_int", "outer_measure_list",
             "functions_list", "sequences_string", "atom_values_list",
@@ -375,7 +486,11 @@ class TestCli:
             "expect_unknown", "bridge_point_bool", "generator_point_bool",
             "measure_missing", "outer_measure_missing", "check_unknown",
             "function_negative", "signed_sequence_infinite", "inline_term_length",
-            "sequence_term_negative"])
+            "sequence_term_negative", "geometric_term_negative",
+            "geometric_bump_not_measurable", "geometric_first_term_not_measurable",
+            "geometric_second_term_not_measurable",
+            "geometric_terms_fall_below_zero",
+            "truncation_ladder_negative", "scaled_index_not_measurable"])
     def test_scenario_schema_errors(self, tmp_path, capsys, updates, pointer):
         doc = json.loads((SCENARIO_DIR / "identities_basic.json").read_text())
         doc.update(updates)

@@ -383,6 +383,62 @@ class TestIntegerElementsAgainstFractions:
             tuple(v for row in rows for v in row), d)
 
 
+def fold_combination(space, pairs):
+    """Oracle for `spaces.combination`: a left fold of `scale` and `add`."""
+    total = om.zero(space)
+    for r, e in pairs:
+        total = om.add(total, om.scale(r, e))
+    return total
+
+
+@st.composite
+def combinations(draw):
+    """A backend and (coefficient, element) pairs: none, zero coefficients,
+    mixed and huge denominators, and pairs chosen to cancel."""
+    space = draw(st.sampled_from(ORACLE_SPACES))
+    coefficient = wide | st.just(Fraction(0)) | st.integers(-3, 3).map(Fraction)
+    pairs = [(draw(coefficient), om.Element(space, draw(coords_of(space))))
+             for _ in range(draw(st.integers(0, 5)))]
+    if pairs and draw(st.booleans()):  # cancel the whole sum
+        total = fold_combination(space, pairs)
+        if total.is_zero():
+            return space, pairs
+        pairs.append((Fraction(-1), total))
+    return space, pairs
+
+
+class TestCombination:
+    """`spaces.combination` against the pairwise fold it replaces in the ladder."""
+
+    @given(combinations())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_pairwise_fold(self, case):
+        space, pairs = case
+        expected = fold_combination(space, pairs)
+        result = spaces.combination(space, pairs)
+        assert_element(result, space, expected.coords)
+        assert (result.nums, result.den) == (expected.nums, expected.den)
+        assert result == expected and hash(result) == hash(expected)
+
+    def test_empty_and_zero_combinations(self):
+        for space in ORACLE_SPACES:
+            x = om.scale(Fraction(5, 3), om.order_unit(space))
+            zero = om.zero(space)
+            halves = [(Fraction(1, 2), x), (Fraction(-1, 2), x)]
+            for pairs in ([], [(Fraction(0), x)], halves):
+                result = spaces.combination(space, pairs)
+                assert result == zero and hash(result) == hash(zero)
+                assert (result.nums, result.den) == (zero.nums, 1)
+
+    def test_integer_coefficients(self):
+        assert spaces.combination(C2, [(2, c2(1, Fraction(1, 3))), (1, c2(0, 1))]) == \
+            c2(2, Fraction(5, 3))
+
+    def test_space_mismatch(self):
+        with pytest.raises(SpaceMismatchError):
+            spaces.combination(C2, [(Fraction(1), om.element(om.coord(3), [1, 2, 3]))])
+
+
 def brute_force_lub(a, b, candidates):
     """Independent least-upper-bound oracle over a candidate grid."""
     uppers = [c for c in candidates if om.leq(a, c) and om.leq(b, c)]
