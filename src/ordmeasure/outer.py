@@ -15,11 +15,18 @@ settles.  Once monotonicity holds, sub-additivity needs only disjoint
 pairs: (3^n - 1)/2 order tests rather than one per pair a <= b.  A test set
 inside D or inside its complement splits trivially because the empty set
 has value zero, so measurability tests only the test sets that meet both.
+
+The split test of D on a test set T, nu(T) = nu(T & D) + nu(T - D), depends
+only on the disjoint pair (T & D, T - D), not on D.  So the one pass over
+the disjoint pairs that tests sub-additivity also records which pairs split
+non-additively, and every set's verdict is read from that record: each pair
+is summed once, not once for every set that separates it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from functools import cached_property
+from typing import Dict, List, Tuple
 
 from . import extended
 from .errors import MAX_OUTER_GROUND_SIZE, ValidationError, check_cap
@@ -49,6 +56,39 @@ class OuterMeasure:
     def value(self, mask: int) -> ExtElement:
         return self.values[mask]
 
+    @cached_property
+    def split_failures(self) -> List[int]:
+        """Bitsets over the power set: bit b of entry a is set when the
+        disjoint pair (a, b) splits non-additively, nu(a | b) != nu(a) + nu(b).
+
+        `validate_outer_measure` stores the table of its own pair pass; an
+        induced outer measure builds it here, on first use."""
+        return _split_table(self.values, self.ground_size)
+
+
+def _split_table(values: Dict[int, ExtElement], ground_size: int) -> List[int]:
+    """Decide every unordered disjoint pair a < b once: test sub-additivity,
+    nu(a | b) <= nu(a) + nu(b), and record in both a's and b's bitset the
+    pairs where the two sides differ.  A violation raises with the pair as
+    its witness.  (3^n - 1)/2 order tests and as many sums."""
+    full = full_mask(ground_size)
+    failures = [0] * (full + 1)
+    for a in range(full + 1):
+        rest, va = full ^ a, values[a]
+        b = rest
+        while b > a:
+            joint, split = values[a | b], ext_add(va, values[b])
+            if not ext_leq(joint, split):
+                raise ValidationError(
+                    "sub-additivity violation",
+                    witness={"pair": [mask_to_points(a), mask_to_points(b)]},
+                )
+            if joint != split:
+                failures[a] |= 1 << b
+                failures[b] |= 1 << a
+            b = (b - 1) & rest
+    return failures
+
 
 def validate_outer_measure(values: Dict[int, ExtElement], backend: SpaceDescriptor,
                            ground_size: int) -> OuterMeasure:
@@ -65,7 +105,8 @@ def validate_outer_measure(values: Dict[int, ExtElement], backend: SpaceDescript
     where the first inequality is the disjoint case and the second uses
     monotonicity, nu(b - a) <= nu(b), and the compatibility of `ext_add`
     with the order.  Axiom violations carry witness sets; a sub-additivity
-    witness is a disjoint violating pair.
+    witness is a disjoint violating pair.  The same pass records the pairs
+    that split non-additively, kept as `split_failures` for measurability.
     """
     nu = OuterMeasure(ground_size, backend, values)
     full = full_mask(ground_size)
@@ -92,16 +133,7 @@ def validate_outer_measure(values: Dict[int, ExtElement], backend: SpaceDescript
                     witness={"smaller": mask_to_points(mask),
                              "larger": mask_to_points(bigger)},
                 )
-    for a in range(full + 1):
-        rest, va = full ^ a, values[a]
-        b = rest
-        while b > a:
-            if not ext_leq(values[a | b], ext_add(va, values[b])):
-                raise ValidationError(
-                    "sub-additivity violation",
-                    witness={"pair": [mask_to_points(a), mask_to_points(b)]},
-                )
-            b = (b - 1) & rest
+    nu.split_failures = _split_table(values, ground_size)
     return nu
 
 
@@ -122,21 +154,23 @@ def caratheodory_measurable(nu: OuterMeasure, mask: int) -> bool:
     """True iff `mask` splits every test set additively (exhaustive).
 
     Only the test sets that meet both `mask` and its complement are
-    enumerated, as a | b with a a nonempty submask of `mask` and b one of
-    the complement, largest first, so the whole ground set comes first.
-    Every other test set lies on one side and splits as itself plus the
-    empty set, which passes because nu(empty) = 0: an `OuterMeasure` is
-    built only by `validate_outer_measure`, which checks that value, or by
-    `induce_outer`, whose empty cover has measure zero.
+    decided, as the disjoint pairs (a, b) with a a nonempty submask of
+    `mask` and b one of the complement: `mask` is measurable exactly when
+    none of them is recorded in `nu.split_failures`.  Every other test set
+    lies on one side and splits as itself plus the empty set, which passes
+    because nu(empty) = 0: an `OuterMeasure` is built only by
+    `validate_outer_measure`, which checks that value, or by `induce_outer`,
+    whose empty cover has measure zero.
     """
     co = mask ^ full_mask(nu.ground_size)
+    partners = 0  # bit b set for every nonempty submask b of the complement
+    for p in mask_to_points(co):
+        partners |= (partners << (1 << p)) | (1 << (1 << p))
+    failures = nu.split_failures
     a = mask
     while a:
-        va, b = nu.value(a), co
-        while b:
-            if nu.value(a | b) != ext_add(va, nu.value(b)):
-                return False
-            b = (b - 1) & co
+        if failures[a] & partners:
+            return False
         a = (a - 1) & mask
     return True
 

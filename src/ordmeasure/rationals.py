@@ -13,6 +13,7 @@ and every scalar satisfies r <= inf.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Union
 
@@ -75,22 +76,27 @@ def ext_scalar_min(a: ExtScalar, b: ExtScalar) -> ExtScalar:
     return a if ext_scalar_leq(a, b) else b
 
 
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_rational(text: str, path: str = "") -> Fraction:
-    """Parse "p/q" or "p" into an exact rational; reject zero denominators."""
+    """Parse "p/q" or "p" into an exact rational; reject zero denominators.
+
+    p is an optional minus sign and ASCII digits, q ASCII digits; nothing
+    else is accepted (no sign on q, no spaces, underscores or other digits).
+    """
     if not isinstance(text, str):
         raise SchemaError(f"expected rational string, got {text!r}", path)
-    parts = text.strip().split("/")
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
+        raise SchemaError(f"malformed rational {text!r}", path)
+    num, den = match.groups()
     try:
-        if len(parts) == 1:
-            return Fraction(int(parts[0]))
-        if len(parts) == 2:
-            num, den = int(parts[0]), int(parts[1])
-            if den == 0:
-                raise SchemaError(f"zero denominator in {text!r}", path)
-            return Fraction(num, den)
-    except ValueError:
-        pass
-    raise SchemaError(f"malformed rational {text!r}", path)
+        return Fraction(int(num), int(den)) if den else Fraction(int(num))
+    except ZeroDivisionError:
+        raise SchemaError(f"zero denominator in {text!r}", path) from None
+    except ValueError:  # more digits than int() converts
+        raise SchemaError(f"malformed rational {text!r}", path) from None
 
 
 def format_rational(q: Fraction) -> str:

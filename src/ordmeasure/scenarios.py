@@ -17,7 +17,8 @@ Top-level keys:
                  (closure is computed), or {"sets": [[points...], ...]}
                  (the family is validated as given)
   measure        {"atom_values": {"<smallest point of atom>": ExtElement}}
-  outer_measure  {"outer_values": {"<sorted points list>": ExtElement}}
+  outer_measure  {"outer_values": {"<strictly increasing points>": ExtElement}}
+                 (keys like "0,2", "" for the empty set, each set once)
                  or {"induced_from_measure": true}; ground_size 1..12
   functions      {"name": {"values": ["3/2", "infinity", "-1", ...]}}
   sequences      {"name": <sequence spec>}  (function sequences)
@@ -649,18 +650,29 @@ def parse_scenario(doc: dict, path_prefix: str = "") -> Scenario:
             for key, vdoc in _require_json(odoc["outer_values"], dict, "outer_values",
                                            opath + "/outer_values").items():
                 kpath = f"{opath}/outer_values/{key}"
-                # Keys are sorted point lists like "0,2"; "" is the empty set.
+                # Keys are strictly increasing ASCII decimal points like "0,2";
+                # "" is the empty set.
                 if key == "":
-                    mask = 0
+                    pts = []
                 else:
+                    parts = key.split(",")
                     try:
-                        pts = [int(p) for p in key.split(",")]
-                    except ValueError:
+                        pts = [int(p) for p in parts if p.isascii() and p.isdigit()]
+                    except ValueError:  # more digits than int() converts
+                        pts = []
+                    if len(pts) != len(parts):
                         raise SchemaError(f"bad set key {key!r}", kpath)
-                    if any(p < 0 or p >= ground for p in pts):
+                    if any(p >= q for p, q in zip(pts, pts[1:])):
+                        raise SchemaError(
+                            f"points of set key {key!r} are not strictly increasing",
+                            kpath)
+                    if pts[-1] >= ground:
                         raise SchemaError(f"point outside ground set in {key!r}",
                                           kpath)
-                    mask = points_to_mask(pts)
+                mask = points_to_mask(pts)
+                if mask in values:
+                    raise SchemaError(f"set key {key!r} names the set {pts} again",
+                                      kpath)
                 values[mask] = parse_ext_element(vdoc, backend, kpath)
             outer = _capped(opath, outer_mod.validate_outer_measure, values, backend,
                             ground)

@@ -1,4 +1,5 @@
-"""Families of valid outer measures for randomized suites."""
+"""Families of valid outer measures for randomized suites, and the slower
+measurability tests kept as oracles."""
 
 from fractions import Fraction
 
@@ -57,3 +58,31 @@ def null_sets(nu):
         v = nu.value(mask)
         if v.is_finite and v.finite.is_zero():
             yield mask
+
+
+def full_test_set_measurable(nu, mask):
+    """Caratheodory measurability tested on all 2^n test sets (oracle for
+    `caratheodory_measurable`)."""
+    full = full_mask(nu.ground_size)
+    co = mask ^ full
+    for gamma in range(full + 1):
+        split = om.ext_add(nu.value(gamma & mask), nu.value(gamma & co))
+        if nu.value(gamma) != split:
+            return False
+    return True
+
+
+def split_test_measurable(nu, mask):
+    """Caratheodory measurability tested on the test sets that meet both
+    `mask` and its complement, each split summed afresh (oracle for the
+    split record behind `caratheodory_measurable`)."""
+    co = mask ^ full_mask(nu.ground_size)
+    a = mask
+    while a:
+        va, b = nu.value(a), co
+        while b:
+            if nu.value(a | b) != om.ext_add(va, nu.value(b)):
+                return False
+            b = (b - 1) & co
+        a = (a - 1) & mask
+    return True

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ordmeasure as om
-from ordmeasure.errors import CertificationError
+from ordmeasure.errors import CertificationError, SchemaError
 from ordmeasure.extended import (
     certify_divergence,
     ext_sub_finite,
@@ -17,6 +17,7 @@ from ordmeasure.rationals import (
     ext_scalar_add,
     ext_scalar_leq,
     ext_scalar_mul,
+    parse_rational,
 )
 from ordmeasure.sequences import (
     DeclaredLimit,
@@ -259,6 +260,34 @@ class TestHelpers:
         assert ext_scalar_mul(Fraction(0), INFINITY) == 0
         assert ext_scalar_mul(INFINITY, Fraction(0)) == 0
         assert ext_scalar_mul(INFINITY, INFINITY) is INFINITY
+
+
+class TestParseRational:
+    @pytest.mark.parametrize("text, value", [
+        ("3", Fraction(3)), ("-3", Fraction(-3)), ("0", Fraction(0)), ("-0", Fraction(0)),
+        ("3/4", Fraction(3, 4)), ("-6/8", Fraction(-3, 4)), ("007/2", Fraction(7, 2)),
+        ("1" + "0" * 40, Fraction(10**40)),
+    ])
+    def test_grammar_accepts(self, text, value):
+        assert parse_rational(text) == value
+
+    @pytest.mark.parametrize("text", [
+        "1_000", "\u0663/\u0664", "\u0663", "+3", "1 / 2", "\u00a01", " 1", "1 ", "1\n",
+        "", "-", "/2", "1/", "1/-2", "1/+2", "--1", "1.5", "1e3", "0x10", "1/2/3",
+        "\uff11", "9" * 5000,
+    ], ids=repr)
+    def test_grammar_rejects(self, text):
+        with pytest.raises(SchemaError, match="malformed rational") as exc:
+            parse_rational(text, "/x")
+        assert exc.value.path == "/x"
+
+    @pytest.mark.parametrize("text, message", [
+        ("1/0", "zero denominator"), ("-0/00", "zero denominator"),
+        (3, "expected rational string"), (None, "expected rational string"),
+    ])
+    def test_other_errors(self, text, message):
+        with pytest.raises(SchemaError, match=message):
+            parse_rational(text)
 
 
 def ladder_certify_divergence(terms, space, horizon):

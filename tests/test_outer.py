@@ -11,7 +11,8 @@ from ordmeasure.errors import DimensionLimitError, ValidationError
 from ordmeasure.measures import full_mask, mask_to_points, points_to_mask
 
 from conftest import random_algebra, random_measure
-from outer_builders import constant_outer, hitting_outer, null_sets, pointwise_sup_outer
+from outer_builders import (constant_outer, full_test_set_measurable, hitting_outer,
+                            null_sets, pointwise_sup_outer, split_test_measurable)
 
 C2 = om.coord(2)
 
@@ -47,18 +48,6 @@ def all_pairs_validate(values, backend, ground_size):
             if not om.ext_leq(values[a | b], om.ext_add(values[a], values[b])):
                 raise ValidationError("sub-additivity violation")
     return outer.OuterMeasure(ground_size, backend, values)
-
-
-def full_test_set_measurable(nu, mask):
-    """Caratheodory measurability tested on all 2^n test sets (oracle for
-    `caratheodory_measurable`)."""
-    full = full_mask(nu.ground_size)
-    co = mask ^ full
-    for gamma in range(full + 1):
-        split = om.ext_add(nu.value(gamma & mask), nu.value(gamma & co))
-        if nu.value(gamma) != split:
-            return False
-    return True
 
 
 weights = st.one_of(
@@ -104,6 +93,19 @@ def valid_outer_values(draw):
 
 
 @st.composite
+def induced_with_infinite_atom(draw):
+    """An outer measure on n = 1..7 points induced, without validation, from
+    a measure on a random algebra with at least one infinite atom."""
+    n = draw(st.integers(1, 7))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    mu = random_measure(rng, random_algebra(rng, n), C2)
+    atoms = mu.space.atoms
+    values = dict(mu.atom_values)
+    values[atoms[draw(st.integers(0, len(atoms) - 1))]] = om.infinity(C2)
+    return om.induce_outer(om.Measure(mu.space, C2, values))
+
+
+@st.composite
 def outer_candidates(draw):
     """(values, n): valid outer measures, monotone maps that are not
     sub-additive, and arbitrary maps, with infinite values throughout."""
@@ -133,6 +135,19 @@ def outer_candidates(draw):
             if draw(st.booleans()):
                 values[mask] = draw(weights)
     return values, n
+
+
+def count_ext_add(monkeypatch):
+    """Count the calls `outer` makes to `ext_add` into the returned list."""
+    calls = []
+    real = outer.ext_add
+
+    def counted(a, b):
+        calls.append(None)
+        return real(a, b)
+
+    monkeypatch.setattr(outer, "ext_add", counted)
+    return calls
 
 
 def two_point_outer():
@@ -238,8 +253,50 @@ class TestCaratheodory:
         values, n = case
         nu = om.validate_outer_measure(values, C2, n)
         for mask in range(full_mask(n) + 1):
-            assert om.caratheodory_measurable(nu, mask) == \
-                full_test_set_measurable(nu, mask)
+            verdict = om.caratheodory_measurable(nu, mask)
+            assert verdict == full_test_set_measurable(nu, mask)
+            assert verdict == split_test_measurable(nu, mask)
+
+    @given(induced_with_infinite_atom())
+    @settings(max_examples=100, deadline=None)
+    def test_induced_split_record_agrees_with_oracles(self, nu):
+        # the record is built on first use, not by validation
+        for mask in range(full_mask(nu.ground_size) + 1):
+            verdict = om.caratheodory_measurable(nu, mask)
+            assert verdict == full_test_set_measurable(nu, mask)
+            assert verdict == split_test_measurable(nu, mask)
+
+    @pytest.mark.parametrize("builder", [hitting_outer, pointwise_sup_outer, constant_outer])
+    def test_extracted_family_agrees_with_oracle(self, builder):
+        rng = random.Random(7)
+        for n in range(1, 8):
+            for _ in range(3):
+                nu = builder(rng, n, C2)
+                space, _ = om.extract_measurable_algebra(nu)
+                family = [mask for mask in range(full_mask(n) + 1)
+                          if split_test_measurable(nu, mask)]
+                assert space.members() == family
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_one_sum_per_disjoint_pair(self, monkeypatch, n):
+        # validation sums each of the (3^n - 1)/2 disjoint pairs a < b once
+        # and extraction reads the record, summing none
+        values = hitting_outer(random.Random(n), n, C2).values
+        calls = count_ext_add(monkeypatch)
+        nu = om.validate_outer_measure(values, C2, n)
+        assert len(calls) == (3**n - 1) // 2
+        om.extract_measurable_algebra(nu)
+        assert len(calls) == (3**n - 1) // 2
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_induced_record_is_built_once(self, monkeypatch, n):
+        rng = random.Random(n)
+        nu = om.induce_outer(random_measure(rng, random_algebra(rng, n), C2))
+        calls = count_ext_add(monkeypatch)
+        om.extract_measurable_algebra(nu)
+        assert len(calls) == (3**n - 1) // 2
+        om.extract_measurable_algebra(nu)
+        assert len(calls) == (3**n - 1) // 2
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_extraction_tests_every_mask_once(self, monkeypatch, n):
@@ -265,6 +322,16 @@ class TestCaratheodory:
         nu = two_point_outer()
         assert not om.caratheodory_measurable(nu, 1)
         assert not om.caratheodory_measurable(nu, 2)
+
+    def test_split_fails_only_against_a_two_point_set(self):
+        # {0} splits {0,1} and {0,2} additively, but not the whole set:
+        # nu({0,1,2}) = 2 while nu({0}) + nu({1,2}) = 5/2
+        values = {0: fin(0, 0), 0b001: fin(1, 0), 0b010: fin(1, 0), 0b100: fin(1, 0),
+                  0b011: fin(2, 0), 0b101: fin(2, 0), 0b110: fin(Fraction(3, 2), 0),
+                  0b111: fin(2, 0)}
+        nu = om.validate_outer_measure(values, C2, 3)
+        assert not full_test_set_measurable(nu, 0b001)
+        assert not om.caratheodory_measurable(nu, 0b001)
 
     def test_two_point_extraction(self):
         nu = two_point_outer()

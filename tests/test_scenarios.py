@@ -311,6 +311,12 @@ def _induced_outer_on(ground: int) -> dict:
             "outer_measure": {"induced_from_measure": True}}
 
 
+def _outer_values(*keys) -> dict:
+    """Scenario keys giving an outer measure by the values of `keys`, in
+    order, each infinite."""
+    return {"outer_measure": {"outer_values": {key: "infinity" for key in keys}}}
+
+
 def _generated_sequence(sequence: dict, check: dict, coarse=False, **functions) -> dict:
     """Scenario keys naming the sequence `s` in one check; with `coarse`, the
     algebra has the atoms {0} and {1, 2}."""
@@ -474,6 +480,13 @@ class TestCli:
                              {"check": "dct", "limit": "zero", "dominator": "one"},
                              coarse=True, zero=ZERO, one=ONE, wobble=["0", "0", "1"]),
          "/checks/0/sequence"),
+        (_outer_values("0,1", "1,0"), "/outer_measure/outer_values/1,0"),
+        (_outer_values("1", "01"), "/outer_measure/outer_values/01"),
+        (_outer_values("0,0"), "/outer_measure/outer_values/0,0"),
+        (_outer_values("2,1"), "/outer_measure/outer_values/2,1"),
+        (_outer_values(" 1"), "/outer_measure/outer_values/ 1"),
+        (_outer_values("\u0661"), "/outer_measure/outer_values/\u0661"),
+        (_outer_values("0,+1"), "/outer_measure/outer_values/0,+1"),
     ], ids=["ground_bool", "ground_cap", "sigma_algebra_list", "checks_object",
             "directive_string", "check_name_int", "outer_measure_list",
             "functions_list", "sequences_string", "atom_values_list",
@@ -490,7 +503,10 @@ class TestCli:
             "geometric_bump_not_measurable", "geometric_first_term_not_measurable",
             "geometric_second_term_not_measurable",
             "geometric_terms_fall_below_zero",
-            "truncation_ladder_negative", "scaled_index_not_measurable"])
+            "truncation_ladder_negative", "scaled_index_not_measurable",
+            "outer_key_reordered", "outer_key_leading_zero", "outer_key_repeated_point",
+            "outer_key_decreasing", "outer_key_space", "outer_key_arabic_digit",
+            "outer_key_plus"])
     def test_scenario_schema_errors(self, tmp_path, capsys, updates, pointer):
         doc = json.loads((SCENARIO_DIR / "identities_basic.json").read_text())
         doc.update(updates)
@@ -655,6 +671,25 @@ class TestCli:
         assert capsys.readouterr().err == (
             f"error: atoms of an exhaustive check limited to <= {MAX_EXHAUSTIVE_ATOMS}, "
             f"got {MAX_EXHAUSTIVE_ATOMS + 1}\n")
+
+    @pytest.mark.parametrize("command", ["run", "caratheodory"])
+    def test_caratheodory_at_the_outer_cap_runs_in_time(self, tmp_path, command):
+        # Every set of a power-set-induced outer measure is measurable, so
+        # extraction decides every split of every set: from the record of
+        # split verdicts, one sum per disjoint pair.  Then the identity
+        # suite stops at the exhaustive-atom cap.
+        n = MAX_OUTER_GROUND_SIZE
+        path = _power_set_copy("caratheodory_induced", n,
+                               tmp_path / "caratheodory_at_outer_cap.json")
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "ordmeasure.cli", command, str(path)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert time.perf_counter() - start < 30
+        assert proc.returncode == 2
+        assert proc.stderr == (f"error: atoms of an exhaustive check limited to "
+                               f"<= {MAX_EXHAUSTIVE_ATOMS}, got {n}\n")
 
     def test_loewner_at_the_cap_runs_in_time(self, tmp_path):
         # Atoms B B^T for lower-triangular integer B with nonzero diagonal
