@@ -4,115 +4,61 @@ Measures valued in the extended positive cone of a partially ordered vector
 space, the Caratheodory construction of measurable sets from outer
 measures, and the order integral with its convergence theorems, all
 executable and property-testable on desk-scale instances.
+
+Every public name is importable from the package (``from ordmeasure import
+Measure``, ``ordmeasure.Measure``), but its submodule is imported only when
+the name is first read (PEP 562), so ``python -m ordmeasure.cli`` compiles
+only the modules that its subcommand runs.
 """
 
-from .errors import (
-    CertificationError,
-    DimensionLimitError,
-    HypothesisError,
-    NotIntegrableError,
-    OrdMeasureError,
-    SchemaError,
-    SpaceMismatchError,
-    ValidationError,
-)
-from .rationals import INFINITY, format_rational, parse_rational
-from .sequences import (
-    DEFAULT_EPSILONS,
-    DEFAULT_HORIZON,
-    DeclaredLimit,
-    DivergesToInfinity,
-    SequenceSpec,
-    StabilizesAt,
-    constant_sequence,
-    from_terms,
-)
-from .spaces import (
-    Element,
-    GapReport,
-    NoSupremum,
-    SpaceDescriptor,
-    SpaceKind,
-    add,
-    basis_vector,
-    coord,
-    element,
-    entrywise_mat,
-    inf_pair,
-    is_psd,
-    leq,
-    loewner_sym,
-    order_unit,
-    reals,
-    scale,
-    sub,
-    sup_increasing,
-    sup_pair,
-    sym_matrix,
-    zero,
-)
-from .extended import (
-    ExtElement,
-    ext_add,
-    ext_leq,
-    ext_liminf_limsup,
-    ext_scale,
-    ext_sup,
-    finite,
-    infinity,
-)
-from .measures import (
-    MeasurableSpace,
-    Measure,
-    borel_cantelli,
-    check_measure_identities,
-    continuity_from_above,
-    continuity_from_below,
-    generate_sigma_algebra,
-    operator_measure_bridge,
-    points_to_mask,
-    mask_to_points,
-    power_set_space,
-    validate_sigma_algebra,
-)
-from .outer import (
-    OuterMeasure,
-    caratheodory_measurable,
-    extract_measurable_algebra,
-    induce_outer,
-    validate_outer_measure,
-)
-from .integral import (
-    ElementaryFunction,
-    ExtFunction,
-    IntegralReport,
-    SignedFunction,
-    ae_analysis,
-    check_integral_laws,
-    dct,
-    ext_function,
-    fatou,
-    indicator,
-    integral_value,
-    integrate_elementary,
-    integrate_extended,
-    integrate_signed,
-    l1_quotient,
-    mct,
-    mct_decreasing,
-    push_forward,
-    signed_function,
-    triangle_inequality,
-    truncate,
-)
-from .compare import comparison_experiment, sup_norm
-from .scenarios import (
-    RunConfig,
-    Scenario,
-    canonical_dumps,
-    load_scenario,
-    parse_scenario,
-    run_scenario,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+# Exported name -> the submodule that defines it.
+_EXPORTS = {
+    name: module
+    for module, names in (
+        ("errors", "CertificationError DimensionLimitError HypothesisError "
+                   "NotIntegrableError OrdMeasureError SchemaError SpaceMismatchError "
+                   "ValidationError"),
+        ("rationals", "INFINITY format_rational parse_rational"),
+        ("sequences", "DEFAULT_EPSILONS DEFAULT_HORIZON DeclaredLimit DivergesToInfinity "
+                      "SequenceSpec StabilizesAt constant_sequence from_terms"),
+        ("spaces", "Element GapReport NoSupremum SpaceDescriptor SpaceKind add "
+                   "basis_vector coord element entrywise_mat inf_pair is_psd leq "
+                   "loewner_sym order_unit reals scale sub sup_increasing sup_pair "
+                   "sym_matrix zero"),
+        ("extended", "ExtElement ext_add ext_leq ext_liminf_limsup ext_scale ext_sup "
+                     "finite infinity"),
+        ("measures", "MeasurableSpace Measure borel_cantelli check_measure_identities "
+                     "continuity_from_above continuity_from_below generate_sigma_algebra "
+                     "operator_measure_bridge points_to_mask mask_to_points "
+                     "power_set_space validate_sigma_algebra"),
+        ("outer", "OuterMeasure caratheodory_measurable extract_measurable_algebra "
+                  "induce_outer validate_outer_measure"),
+        ("integral", "ElementaryFunction ExtFunction IntegralReport SignedFunction "
+                     "ae_analysis check_integral_laws dct ext_function fatou indicator "
+                     "integral_value integrate_elementary integrate_extended "
+                     "integrate_signed l1_quotient mct mct_decreasing push_forward "
+                     "signed_function triangle_inequality truncate"),
+        ("compare", "comparison_experiment sup_norm"),
+        ("scenarios", "RunConfig Scenario canonical_dumps load_scenario parse_scenario "
+                      "run_scenario"),
+    )
+    for name in names.split()
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -9,6 +9,8 @@
 Exit codes: 0 when everything holds (or fails exactly as the scenario
 expects), 1 when a check misses its expectation, 2 on schema, validation or
 size-limit errors.
+
+`outer` and `compare` are imported only by the subcommands that run them.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ import argparse
 import sys
 from fractions import Fraction
 
-from . import compare as compare_mod
-from . import outer as outer_mod
 from .errors import (MAX_EPSILON_EXPONENT, MAX_HORIZON, DimensionLimitError,
                      OrdMeasureError, SchemaError, ValidationError, check_cap)
 from .measures import mask_to_points
@@ -143,12 +143,14 @@ def main(argv=None) -> int:
             scenario = load_scenario(args.file)
             if scenario.outer is None:
                 raise SchemaError("scenario has no 'outer_measure'")
-            doc, identities = outer_mod.caratheodory_report(scenario.outer)
+            from .outer import caratheodory_report
+            doc, identities = caratheodory_report(scenario.outer)
             sys.stdout.write(canonical_dumps(doc))
             return 0 if identities.ok else 1
 
         if args.command == "compare":
-            report = compare_mod.comparison_experiment(args.kind, args.n)
+            from .compare import comparison_experiment
+            report = comparison_experiment(args.kind, args.n)
             if args.output == "json":
                 sys.stdout.write(canonical_dumps(report))
             else:

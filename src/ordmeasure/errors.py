@@ -1,10 +1,24 @@
-"""Exception types shared across the library.
+"""Exception types, size caps and the immutable base shared across the library.
 
 Check-style operations report theorem violations in their result objects;
 exceptions are reserved for *inputs* that break a contract: mismatched
 spaces, invalid axioms, hypotheses that a theorem requires, and claims
 that cannot be certified from the sampled evidence.
 """
+
+
+class Frozen:
+    """Base of the immutable value classes: assigning or deleting an
+    attribute raises AttributeError.  Constructors set their fields with
+    ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class OrdMeasureError(Exception):

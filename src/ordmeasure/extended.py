@@ -11,12 +11,11 @@ scalars act by monoid homomorphisms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from . import spaces
-from .errors import CertificationError, SpaceMismatchError
+from .errors import CertificationError, Frozen, SpaceMismatchError
 from .rationals import ExtScalar, format_rational, is_infinite
 from .sequences import (
     DEFAULT_EPSILONS,
@@ -28,8 +27,7 @@ from .sequences import (
 from .spaces import Element, GapReport, NoSupremum, SpaceDescriptor
 
 
-@dataclass(frozen=True)
-class ExtElement:
+class ExtElement(Frozen):
     """A finite backend element, or the adjoined point at infinity.
 
     The space descriptor is carried even by the infinite point so that the
@@ -37,12 +35,23 @@ class ExtElement:
     ``0 * inf`` needs it) and space mismatches stay detectable.
     """
 
-    space: SpaceDescriptor
-    finite: Optional[Element]
+    __slots__ = ("space", "finite")
 
-    def __post_init__(self):
-        if self.finite is not None and self.finite.space != self.space:
+    def __init__(self, space: SpaceDescriptor, finite: Optional[Element]):
+        if finite is not None and finite.space != space:
             raise SpaceMismatchError("payload space differs from declared space")
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "finite", finite)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.finite == other.finite and self.space == other.space
+
+    def __hash__(self):
+        return hash((self.space, self.finite))
 
     @property
     def is_finite(self) -> bool:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -28,6 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import extended, spaces
 from .errors import (
     CertificationError,
+    Frozen,
     HypothesisError,
     NotIntegrableError,
     OrdMeasureError,
@@ -108,20 +108,45 @@ def _pointwise(op, f, g):
     return tuple(op(a, b) for a, b in zip(f.values, g.values))
 
 
-@dataclass(frozen=True)
-class ExtFunction:
+class _PointFunction(Frozen):
+    """A function given by its value at each ground point of `space`."""
+
+    __slots__ = ("space", "values")
+
+    def __init__(self, space: MeasurableSpace, values: tuple):
+        if len(values) != space.ground_size:
+            raise ValidationError("function needs one value per ground point")
+        self._check_values(values)
+        _check_level_sets(space, values)
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "values", values)
+
+    def _check_values(self, values: tuple):
+        pass
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.values == other.values and self.space == other.space
+
+    def __hash__(self):
+        return hash((self.space, self.values))
+
+    def __repr__(self):
+        return f"{type(self).__name__}(space={self.space!r}, values={self.values!r})"
+
+
+class ExtFunction(_PointFunction):
     """A measurable function into the extended nonnegative rationals."""
 
-    space: MeasurableSpace
-    values: tuple  # ExtScalar per ground point
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.values) != self.space.ground_size:
-            raise ValidationError("function needs one value per ground point")
-        for v in self.values:
+    def _check_values(self, values: tuple):
+        for v in values:
             if not is_infinite(v) and v < 0:
                 raise ValidationError(f"extended function value {v} is negative")
-        _check_level_sets(self.space, self.values)
 
     def atom_value(self, atom: int) -> ExtScalar:
         return self.values[self.space.atom_points[atom][0]]
@@ -135,17 +160,10 @@ class ExtFunction:
         )
 
 
-@dataclass(frozen=True)
-class SignedFunction:
+class SignedFunction(_PointFunction):
     """A measurable finite real-valued function (any sign)."""
 
-    space: MeasurableSpace
-    values: tuple  # Fraction per ground point
-
-    def __post_init__(self):
-        if len(self.values) != self.space.ground_size:
-            raise ValidationError("function needs one value per ground point")
-        _check_level_sets(self.space, self.values)
+    __slots__ = ()
 
     # Functions derived from measurable ones on one space are measurable
     # there, so they are built by the trusted constructor.
@@ -209,18 +227,31 @@ def pointwise_leq(f: ExtFunction, g: ExtFunction) -> bool:
     return all(ext_scalar_leq(a, b) for a, b in zip(f.values, g.values))
 
 
-@dataclass(frozen=True)
-class ElementaryFunction:
+class ElementaryFunction(Frozen):
     """A finite nonnegative combination of indicators of measurable sets."""
 
-    space: MeasurableSpace
-    terms: tuple  # (Fraction coefficient >= 0, bitmask) pairs
+    __slots__ = ("space", "terms")  # terms: (Fraction coefficient >= 0, bitmask) pairs
 
-    def __post_init__(self):
-        for coeff, mask in self.terms:
+    def __init__(self, space: MeasurableSpace, terms: tuple):
+        for coeff, mask in terms:
             if coeff < 0:
                 raise ValidationError("elementary coefficients must be >= 0")
-            self.space.require_measurable(mask, "representation set")
+            space.require_measurable(mask, "representation set")
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "terms", terms)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.terms == other.terms and self.space == other.space
+
+    def __hash__(self):
+        return hash((self.space, self.terms))
+
+    def __repr__(self):
+        return f"ElementaryFunction(space={self.space!r}, terms={self.terms!r})"
 
     def dense_values(self) -> Tuple[Fraction, ...]:
         out = [Fraction(0)] * self.space.ground_size
@@ -349,14 +380,27 @@ def _ladder_supremum(f: ExtFunction, mu: Measure) -> Tuple[ExtElement, dict]:
         "mode": "divergent", "increment_from_level": nstar}
 
 
-@dataclass(frozen=True)
-class IntegralReport:
+class IntegralReport(Frozen):
     """Value of an order integral plus the agreement trail of both routes."""
 
-    value: ExtElement
-    closed_form: ExtElement
-    ladder: ExtElement
-    trail: dict
+    __slots__ = ("value", "closed_form", "ladder", "trail")
+
+    def __init__(self, value: ExtElement, closed_form: ExtElement, ladder: ExtElement,
+                 trail: dict):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "closed_form", closed_form)
+        object.__setattr__(self, "ladder", ladder)
+        object.__setattr__(self, "trail", trail)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.value, self.closed_form, self.ladder, self.trail)
+                == (other.value, other.closed_form, other.ladder, other.trail))
+
+    def __repr__(self):
+        return (f"IntegralReport(value={self.value!r}, closed_form={self.closed_form!r}, "
+                f"ladder={self.ladder!r}, trail={self.trail!r})")
 
 
 def integrate_extended(f: ExtFunction, mu: Measure) -> IntegralReport:

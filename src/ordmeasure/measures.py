@@ -12,7 +12,6 @@ is the sum of its atoms' values, with the point at infinity absorbing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence
@@ -21,6 +20,7 @@ from . import extended
 from .errors import (
     MAX_EXHAUSTIVE_ATOMS,
     CertificationError,
+    Frozen,
     HypothesisError,
     ValidationError,
     check_cap,
@@ -46,12 +46,29 @@ def points_to_mask(points: Iterable[int]) -> int:
     return mask
 
 
-@dataclass(frozen=True)
-class MeasurableSpace:
-    """A finite ground set with a sigma-algebra, stored by its atoms."""
+class MeasurableSpace(Frozen):
+    """A finite ground set with a sigma-algebra, stored by its atoms: the
+    sorted bitmasks of the minimal nonempty members.
 
-    ground_size: int
-    atoms: tuple  # sorted bitmasks of the minimal nonempty members
+    Instances keep a ``__dict__`` for the cached `atom_points`.
+    """
+
+    def __init__(self, ground_size: int, atoms: tuple):
+        object.__setattr__(self, "ground_size", ground_size)
+        object.__setattr__(self, "atoms", atoms)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.ground_size == other.ground_size and self.atoms == other.atoms
+
+    def __hash__(self):
+        return hash((self.ground_size, self.atoms))
+
+    def __repr__(self):
+        return f"MeasurableSpace(ground_size={self.ground_size!r}, atoms={self.atoms!r})"
 
     @cached_property
     def atom_points(self) -> Dict[int, tuple]:

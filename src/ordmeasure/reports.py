@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 HOLDS = "holds"
 FAILS = "fails"
 HYPOTHESIS_NOT_MET = "hypothesis-not-met"
@@ -11,7 +9,6 @@ NOT_CERTIFIABLE = "not-certifiable"
 STATUSES = (HOLDS, FAILS, HYPOTHESIS_NOT_MET, NOT_CERTIFIABLE)
 
 
-@dataclass
 class CheckResult:
     """Outcome of a single check: a status plus JSON-able details.
 
@@ -20,9 +17,12 @@ class CheckResult:
     fixed scenario and configuration.
     """
 
-    name: str
-    status: str
-    details: dict = field(default_factory=dict)
+    __slots__ = ("name", "status", "details")
+
+    def __init__(self, name: str, status: str, details: dict):
+        self.name = name
+        self.status = status
+        self.details = details
 
     @property
     def ok(self) -> bool:

@@ -60,18 +60,17 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional
 
 from . import integral as integral_mod
 from . import measures as measures_mod
-from . import outer as outer_mod
 from .errors import (
     MAX_GROUND_SIZE,
     MAX_HORIZON,
     CertificationError,
     DimensionLimitError,
+    Frozen,
     HypothesisError,
     NotIntegrableError,
     SchemaError,
@@ -189,26 +188,32 @@ def _parse_points(doc, ground_size: int, path: str) -> int:
     return points_to_mask(points)
 
 
-@dataclass(frozen=True)
-class _NamedSequence:
-    """A named function sequence: the value list of term n, and what it declares."""
+class _NamedSequence(Frozen):
+    """A named function sequence: the value list of term n, and what it declares.
 
-    values: Callable[[int], list]
-    metadata: object
-    # Value lists that are functions of a kind ("ext" or "signed") exactly
-    # when every term n >= 1 is: the terms of an explicit or alternating
-    # sequence, and finitely many lists decided in closed form for a
-    # generated one (see `_parse_sequence`).
-    witnesses: tuple
+    `witnesses` are value lists that are functions of a kind ("ext" or
+    "signed") exactly when every term n >= 1 is: the terms of an explicit or
+    alternating sequence, and finitely many lists decided in closed form for
+    a generated one (see `_parse_sequence`).
+    """
+
+    __slots__ = ("values", "metadata", "witnesses")
+
+    def __init__(self, values: Callable[[int], list], metadata, witnesses: tuple):
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "metadata", metadata)
+        object.__setattr__(self, "witnesses", witnesses)
 
 
-@dataclass(frozen=True)
-class Directive:
+class Directive(Frozen):
     """One check directive with every key resolved by the check table."""
 
-    check: str
-    expect: str
-    args: dict
+    __slots__ = ("check", "expect", "args")
+
+    def __init__(self, check: str, expect: str, args: dict):
+        object.__setattr__(self, "check", check)
+        object.__setattr__(self, "expect", expect)
+        object.__setattr__(self, "args", args)
 
     def get(self, key: str, default=None):
         """`check` or `expect` read as from the directive's JSON object, which
@@ -216,16 +221,26 @@ class Directive:
         return {"check": self.check, "expect": self.expect}.get(key, default)
 
 
-@dataclass
 class Scenario:
-    source: dict
-    backend: SpaceDescriptor
-    space: MeasurableSpace
-    measure: Optional[Measure]
-    outer: Optional[outer_mod.OuterMeasure]
-    functions: Dict[str, list]  # name -> ExtScalar values (may be negative)
-    sequences: Dict[str, _NamedSequence]
-    checks: List[Directive]
+    """A parsed document: its space, measures, named functions and sequences,
+    and its resolved directives.  `specs` holds the one `SequenceSpec` of
+    each (named sequence, kind) that directives use, so they share its terms."""
+
+    __slots__ = ("source", "backend", "space", "measure", "outer", "functions",
+                 "sequences", "checks", "specs")
+
+    def __init__(self, source: dict, backend: SpaceDescriptor, space: MeasurableSpace,
+                 measure: Optional[Measure], outer, functions: Dict[str, list],
+                 sequences: Dict[str, _NamedSequence]):
+        self.source = source
+        self.backend = backend
+        self.space = space
+        self.measure = measure
+        self.outer = outer  # an outer.OuterMeasure, or None
+        self.functions = functions  # name -> ExtScalar values (may be negative)
+        self.sequences = sequences
+        self.checks: List[Directive] = []
+        self.specs: Dict[tuple, SequenceSpec] = {}
 
 
 def _parse_function_values(doc, ground: int, path: str) -> list:
@@ -346,17 +361,22 @@ def _function(kind: str):
 
 def _function_sequence(kind: str):
     """A sequence reference whose terms are "ext" or "signed" functions,
-    resolved to its `SequenceSpec`.  The sequence's witnesses are made
-    functions here, so a term that is not one, at any index, is a schema
-    error of the directive."""
+    resolved to its `SequenceSpec`, one per sequence and kind in a scenario.
+    The sequence's witnesses are made functions when the first directive
+    names it, so a term that is not one, at any index, is a schema error of
+    that directive."""
     def resolve(scenario: Scenario, name: str, path: str):
         if name not in scenario.sequences:
             raise SchemaError(f"unresolved sequence reference {name!r}", path)
-        seq, space = scenario.sequences[name], scenario.space
-        for values in seq.witnesses:
-            _as_function(space, values, kind, path)
-        return SequenceSpec(lambda n: _as_function(space, seq.values(n), kind, path),
-                            metadata=seq.metadata)
+        key = (name, kind)
+        if key not in scenario.specs:
+            seq, space = scenario.sequences[name], scenario.space
+            for values in seq.witnesses:
+                _as_function(space, values, kind, path)
+            scenario.specs[key] = SequenceSpec(
+                lambda n: _as_function(space, seq.values(n), kind, path),
+                metadata=seq.metadata)
+        return scenario.specs[key]
     return resolve
 
 
@@ -400,33 +420,39 @@ def _function_list(scenario: Scenario, doc: list, path: str) -> list:
 _REQUIRED = object()
 
 
-@dataclass(frozen=True)
-class _Key:
+class _Key(Frozen):
     """One directive key: its JSON type(s), its resolver, and its default.
 
     A key without a default is required; an absent optional key takes the
     default as it is.
     """
 
-    json: object
-    resolve: Callable
-    default: object = _REQUIRED
+    __slots__ = ("json", "resolve", "default")
+
+    def __init__(self, json, resolve: Callable, default=_REQUIRED):
+        object.__setattr__(self, "json", json)
+        object.__setattr__(self, "resolve", resolve)
+        object.__setattr__(self, "default", default)
 
 
-@dataclass(frozen=True)
-class _Check:
+class _Check(Frozen):
     """A check's handler, its keys, and the scenario section it runs on.
 
     The handler is called as ``handler(scenario, config, **resolved keys)``.
+    `admits` is called as ``admits(scenario, resolved keys, directive path)``
+    once the keys are resolved; it rejects the directive with a SchemaError,
+    or with a DimensionLimitError past a size cap.
     """
 
-    handler: Callable
-    keys: Dict[str, _Key] = field(default_factory=dict)
-    needs: Optional[str] = "measure"
-    # called as ``admits(scenario, resolved keys, directive path)`` once the
-    # keys are resolved; rejects the directive with a SchemaError, or with a
-    # DimensionLimitError past a size cap
-    admits: Callable = lambda scenario, args, path: None
+    __slots__ = ("handler", "keys", "needs", "admits")
+
+    def __init__(self, handler: Callable, keys: Optional[Dict[str, _Key]] = None,
+                 needs: Optional[str] = "measure",
+                 admits: Callable = lambda scenario, args, path: None):
+        object.__setattr__(self, "handler", handler)
+        object.__setattr__(self, "keys", keys or {})
+        object.__setattr__(self, "needs", needs)
+        object.__setattr__(self, "admits", admits)
 
 
 _EXT = _Key(str, _function("ext"))
@@ -464,6 +490,7 @@ def _check_integrate(scenario: Scenario, config, function, expected) -> CheckRes
 
 
 def _check_caratheodory(scenario: Scenario, config, expected_family) -> CheckResult:
+    from . import outer as outer_mod
     details, identities = outer_mod.caratheodory_report(scenario.outer)
     status = HOLDS if identities.ok else FAILS
     if (expected_family is not None and [mask_to_points(m) for m in sorted(expected_family)]
@@ -639,6 +666,7 @@ def parse_scenario(doc: dict, path_prefix: str = "") -> Scenario:
 
     outer = None
     if "outer_measure" in doc:
+        from . import outer as outer_mod
         opath = path_prefix + "/outer_measure"
         odoc = _require_json(doc["outer_measure"], dict, "outer_measure", opath)
         if odoc.get("induced_from_measure"):
@@ -693,10 +721,8 @@ def parse_scenario(doc: dict, path_prefix: str = "") -> Scenario:
         for name, sdoc in _require_json(doc.get("sequences", {}), dict, "sequences",
                                         path_prefix + "/sequences").items()
     }
-    scenario = Scenario(
-        source=doc, backend=backend, space=space, measure=mu, outer=outer,
-        functions=functions, sequences=sequences, checks=[],
-    )
+    scenario = Scenario(source=doc, backend=backend, space=space, measure=mu, outer=outer,
+                        functions=functions, sequences=sequences)
     cpath = path_prefix + "/checks"
     scenario.checks.extend(
         _parse_directive(scenario, directive, f"{cpath}/{i}")
@@ -707,25 +733,68 @@ def parse_scenario(doc: dict, path_prefix: str = "") -> Scenario:
 
 
 def load_scenario(path: str) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"invalid JSON: {exc}", "")
+    """Read and parse a scenario file.  A file that cannot be read, is not
+    UTF-8 or not JSON, holds an integer past Python's digit limit, nests too
+    deeply for the decoder, or writes a key twice in one object is a
+    `SchemaError`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise SchemaError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"cannot read {path}: not UTF-8 ({exc.reason})") from None
+    repeated = {}  # id -> (object, key) for each object that writes a key twice
+
+    def unique_keys(pairs):
+        obj = dict(pairs)
+        if len(obj) != len(pairs):
+            seen = set()
+            for key, _ in pairs:
+                if key in seen:
+                    repeated[id(obj)] = obj, key
+                    break
+                seen.add(key)
+        return obj
+
+    try:
+        doc = json.loads(text, object_pairs_hook=unique_keys)
+    except ValueError as exc:  # a JSONDecodeError, or an integer of too many digits
+        raise SchemaError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise SchemaError("invalid JSON: arrays and objects nested too deeply") from None
+    if repeated:
+        _raise_repeated_key(doc, repeated)
     return parse_scenario(doc)
 
 
-@dataclass
-class RunConfig:
-    horizon: int = DEFAULT_HORIZON
-    epsilons: tuple = DEFAULT_EPSILONS
+def _raise_repeated_key(doc, repeated: dict):
+    """Name the JSON pointer of an object of `doc` that writes a key twice.
 
-    def __post_init__(self):
+    `repeated` maps id(object) to (object, key) for every such object;
+    some of them may be the dropped earlier value of a repeated key, but
+    the outermost one is in `doc`.  The walk keeps its own stack, so any
+    depth that the decoder accepts is searched.
+    """
+    stack = [(doc, "")]
+    while stack:
+        value, path = stack.pop()
+        if id(value) in repeated:
+            raise SchemaError(f"key {repeated[id(value)][1]!r} is written twice", path)
+        items = (value.items() if isinstance(value, dict)
+                 else enumerate(value) if isinstance(value, list) else ())
+        stack.extend((v, f"{path}/{k}") for k, v in items)
+
+
+class RunConfig:
+    __slots__ = ("horizon", "epsilons")
+
+    def __init__(self, horizon: int = DEFAULT_HORIZON, epsilons: tuple = DEFAULT_EPSILONS):
         # bool is a subclass of int, but `True` is not a horizon
-        if (isinstance(self.horizon, bool) or not isinstance(self.horizon, int)
-                or self.horizon < 1):
-            raise ValidationError(f"horizon must be a positive integer, got {self.horizon!r}")
-        check_cap("horizon", self.horizon, MAX_HORIZON)
+        if isinstance(horizon, bool) or not isinstance(horizon, int) or horizon < 1:
+            raise ValidationError(f"horizon must be a positive integer, got {horizon!r}")
+        self.horizon = check_cap("horizon", horizon, MAX_HORIZON)
+        self.epsilons = epsilons
 
 
 def run_check(scenario: Scenario, directive: Directive, config: RunConfig) -> CheckResult:

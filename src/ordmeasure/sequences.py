@@ -9,11 +9,10 @@ samples alone beyond what the metadata licenses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, List, Optional, Sequence
 
-from .errors import CertificationError
+from .errors import CertificationError, Frozen
 from .rationals import format_rational
 
 DEFAULT_HORIZON = 64
@@ -51,37 +50,78 @@ def certify_gaps(
     return trail
 
 
-@dataclass(frozen=True)
-class StabilizesAt:
+class StabilizesAt(Frozen):
     """The sequence is constant from this index on."""
 
-    index: int
+    __slots__ = ("index",)
+
+    def __init__(self, index: int):
+        object.__setattr__(self, "index", index)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.index == other.index
+
+    def __hash__(self):
+        return hash((self.index,))
+
+    def __repr__(self):
+        return f"StabilizesAt(index={self.index!r})"
 
 
-@dataclass(frozen=True)
-class DeclaredLimit:
+class DeclaredLimit(Frozen):
     """The sequence converges to this value (certified by gap schedules)."""
 
-    value: Any
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        object.__setattr__(self, "value", value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.value == other.value
+
+    def __hash__(self):
+        return hash((self.value,))
+
+    def __repr__(self):
+        return f"DeclaredLimit(value={self.value!r})"
 
 
-@dataclass(frozen=True)
-class DivergesToInfinity:
+class DivergesToInfinity(Frozen):
     """The sequence is unbounded above (certified against a bound ladder)."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return True
+
+    def __hash__(self):
+        return hash(())
+
+    def __repr__(self):
+        return "DivergesToInfinity()"
 
 
 Metadata = Optional[object]
 
 
-@dataclass
 class SequenceSpec:
     """Lazily evaluated 1-indexed sequence with declared behaviour."""
 
-    generator: Callable[[int], Any]
-    horizon: int = DEFAULT_HORIZON
-    metadata: Metadata = None
-    monotonicity: str = "none"  # increasing | decreasing | none
-    _memo: dict = field(default_factory=dict, repr=False)
+    __slots__ = ("generator", "horizon", "metadata", "monotonicity", "_memo")
+
+    def __init__(self, generator: Callable[[int], Any], horizon: int = DEFAULT_HORIZON,
+                 metadata: Metadata = None, monotonicity: str = "none"):
+        self.generator = generator
+        self.horizon = horizon
+        self.metadata = metadata
+        self.monotonicity = monotonicity  # increasing | decreasing | none
+        self._memo = {}
 
     def term(self, n: int):
         if n < 1:

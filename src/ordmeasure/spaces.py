@@ -36,12 +36,12 @@ derives the Fraction tuple for the encoders.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .errors import MAX_LOEWNER_DIM, CertificationError, SpaceMismatchError, check_cap
+from .errors import (MAX_LOEWNER_DIM, CertificationError, Frozen, SpaceMismatchError,
+                     check_cap)
 from .sequences import (
     DEFAULT_EPSILONS,
     DeclaredLimit,
@@ -58,22 +58,37 @@ class SpaceKind(Enum):
     LOEWNER_SYM = "loewner_sym"
 
 
-@dataclass(frozen=True)
-class SpaceDescriptor:
+class SpaceDescriptor(Frozen):
     """Identifies a backend together with its completeness capabilities."""
 
-    kind: SpaceKind
-    dim: int = 1
-    rows: int = 1
-    cols: int = 1
+    __slots__ = ("kind", "dim", "rows", "cols")
 
-    def __post_init__(self):
-        if self.kind in (SpaceKind.COORD, SpaceKind.LOEWNER_SYM) and self.dim < 1:
+    def __init__(self, kind: SpaceKind, dim: int = 1, rows: int = 1, cols: int = 1):
+        if kind in (SpaceKind.COORD, SpaceKind.LOEWNER_SYM) and dim < 1:
             raise ValueError("dimension must be positive")
-        if self.kind is SpaceKind.ENTRYWISE_MAT and (self.rows < 1 or self.cols < 1):
+        if kind is SpaceKind.ENTRYWISE_MAT and (rows < 1 or cols < 1):
             raise ValueError("matrix shape must be positive")
-        if self.kind is SpaceKind.LOEWNER_SYM:
-            check_cap("Loewner backend dim", self.dim, MAX_LOEWNER_DIM)
+        if kind is SpaceKind.LOEWNER_SYM:
+            check_cap("Loewner backend dim", dim, MAX_LOEWNER_DIM)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind is other.kind and self.dim == other.dim
+                and self.rows == other.rows and self.cols == other.cols)
+
+    def __hash__(self):
+        return hash((self.kind, self.dim, self.rows, self.cols))
+
+    def __repr__(self):
+        return (f"SpaceDescriptor(kind={self.kind!r}, dim={self.dim!r}, "
+                f"rows={self.rows!r}, cols={self.cols!r})")
 
     @property
     def ncoords(self) -> int:
@@ -121,8 +136,7 @@ def loewner_sym(dim: int) -> SpaceDescriptor:
     return SpaceDescriptor(SpaceKind.LOEWNER_SYM, dim=dim)
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
-class Element:
+class Element(Frozen):
     """A point of a backend: integer numerators over one denominator.
 
     ``Element(space, coords)`` takes Fractions, row-major for matrix kinds,
@@ -130,9 +144,7 @@ class Element:
     (``den > 0``, ``gcd(den, *nums) == 1``).
     """
 
-    space: SpaceDescriptor
-    nums: tuple
-    den: int
+    __slots__ = ("space", "nums", "den")
 
     def __init__(self, space: SpaceDescriptor, coords: tuple):
         if len(coords) != space.ncoords:
@@ -169,6 +181,17 @@ class Element:
 
     def is_zero(self) -> bool:
         return not any(self.nums)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.den == other.den and self.nums == other.nums
+                and self.space == other.space)
+
+    def __hash__(self):
+        return hash((self.space, self.nums, self.den))
 
     def __repr__(self):
         body = ",".join(str(c) for c in self.coords)
@@ -332,22 +355,28 @@ def leq(a: Element, b: Element) -> bool:
     return all(x * b.den <= y * a.den for x, y in zip(a.nums, b.nums))
 
 
-@dataclass(frozen=True)
-class NoSupremum:
+class NoSupremum(Frozen):
     """Returned when a pair supremum is declined or does not exist."""
 
-    reason: str = "incomparable pair in a non-lattice backend"
+    __slots__ = ("reason",)
+
+    def __init__(self, reason: str = "incomparable pair in a non-lattice backend"):
+        object.__setattr__(self, "reason", reason)
 
 
-@dataclass(frozen=True)
-class GapReport:
+class GapReport(Frozen):
     """Residual evidence when a sequence supremum cannot be certified."""
 
-    horizon: int
-    last_value: Element
-    bound: Optional[Element] = None
-    residual: Optional[Element] = None
-    message: str = "no stabilization and no declared limit within horizon"
+    __slots__ = ("horizon", "last_value", "bound", "residual", "message")
+
+    def __init__(self, horizon: int, last_value: Element,
+                 bound: Optional[Element] = None, residual: Optional[Element] = None,
+                 message: str = "no stabilization and no declared limit within horizon"):
+        object.__setattr__(self, "horizon", horizon)
+        object.__setattr__(self, "last_value", last_value)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "residual", residual)
+        object.__setattr__(self, "message", message)
 
 
 def sup_pair(a: Element, b: Element) -> Union[Element, NoSupremum]:

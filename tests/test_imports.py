@@ -1,17 +1,25 @@
-"""Every name a library module imports is used in that module.
+"""What the library imports, and when.
 
-No linter ships with the project, so this walks each module's syntax tree
-with the standard `ast` module.  The package `__init__.py` is skipped: its
-imports are the public re-exports.
+Every name a library module imports is used in that module.  No linter
+ships with the project, so this walks each module's syntax tree with the
+standard `ast` module.  No module imports `dataclasses`, importing the CLI
+loads no module that its subcommands may not run, and every name the
+package exports lazily resolves.
 """
 
 import ast
+import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import ordmeasure
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ordmeasure"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -41,3 +49,81 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_finds_a_dataclasses_import():
+    assert imports_dataclasses("from dataclasses import dataclass, field\n")
+    assert imports_dataclasses("def f():\n    import dataclasses as dc\n")
+    assert not imports_dataclasses("import functools\n")
+
+
+def imports_dataclasses(source: str) -> bool:
+    return any(
+        (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
+        or (isinstance(node, ast.Import)
+            and any(alias.name == "dataclasses" for alias in node.names))
+        for node in ast.walk(ast.parse(source)))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_does_not_import_dataclasses(path):
+    """`dataclasses` loads `inspect`, `ast`, `dis` and `tokenize`, which
+    every cold `ordmeasure` command would pay to compile and import."""
+    assert not imports_dataclasses(path.read_text())
+
+
+def modules_loaded_by(code: str) -> set:
+    """The modules that `code` adds to a fresh interpreter's `sys.modules`."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                                      env.get("PYTHONPATH")]))
+    probe = ("import sys\n_before = set(sys.modules)\n" + code + "\n"
+             "sys.stderr.write('\\n' + ' '.join(sorted(set(sys.modules) - _before)))\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, cwd=PACKAGE.parent.parent, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.rsplit("\n", 1)[-1].split())
+
+
+def test_cli_import_is_lean():
+    loaded = modules_loaded_by("import ordmeasure.cli")
+    assert "ordmeasure.scenarios" in loaded
+    assert not loaded & {"dataclasses", "inspect", "ordmeasure.compare",
+                         "ordmeasure.outer"}
+
+
+def test_run_without_an_outer_measure_does_not_load_outer():
+    loaded = modules_loaded_by(
+        "from ordmeasure.cli import main\n"
+        "assert main(['run', 'scenarios/mct_basic.json', '--output', 'json']) == 0")
+    assert "ordmeasure.integral" in loaded
+    assert not loaded & {"ordmeasure.outer", "ordmeasure.compare"}
+
+
+def test_caratheodory_loads_outer():
+    loaded = modules_loaded_by(
+        "from ordmeasure.cli import main\n"
+        "assert main(['caratheodory', 'scenarios/caratheodory_two_point.json']) == 0")
+    assert "ordmeasure.outer" in loaded
+
+
+def test_every_export_resolves():
+    names = ordmeasure._EXPORTS
+    assert ordmeasure.__all__ == list(names)
+    listed = dir(ordmeasure)
+    for name, module in names.items():
+        value = getattr(ordmeasure, name)
+        assert value is getattr(importlib.import_module(f"ordmeasure.{module}"), name)
+        assert name in listed
+    star = {}
+    exec("from ordmeasure import *", star)
+    assert {name for name in star if name != "__builtins__"} == set(names)
+    assert all(star[name] is getattr(ordmeasure, name) for name in names)
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        ordmeasure.no_such_name
+    with pytest.raises(ImportError):
+        exec("from ordmeasure import no_such_name", {})
+    assert not hasattr(ordmeasure, "dataclass")

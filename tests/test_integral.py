@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from fractions import Fraction
 from itertools import accumulate
@@ -541,8 +540,9 @@ class TestIntegralMemo:
         assert calls == [f.values, g.values]
         assert reports[2] is reports[0] and reports[4] is reports[1]
         assert om.integral_value(again, mu) == fin(1, 2)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             reports[0].value = fin(0, 0)
+        assert reports[0].value == fin(1, 2)
 
     def test_function_on_another_space_still_raises(self):
         mu = basic_measure()

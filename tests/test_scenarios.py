@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ordmeasure as om
+from ordmeasure import scenarios
 from ordmeasure.cli import main as cli_main
 from ordmeasure.errors import (MAX_EPSILON_EXPONENT, MAX_EXHAUSTIVE_ATOMS, MAX_HORIZON,
                                MAX_LOEWNER_DIM, MAX_OUTER_GROUND_SIZE, MAX_TRUNCATION,
@@ -120,6 +122,23 @@ class TestRunner:
             config = RunConfig(horizon=horizon)
             assert (canonical_dumps(run_scenario(scenario, config))
                     == canonical_dumps(run_scenario(load_scenario(path), config)))
+
+    def test_named_sequence_is_generated_once_per_index(self, monkeypatch):
+        # fatou_constant.json names `steady` in directive 0 and `rising` in
+        # directives 1 (fatou) and 2 (mct), which share one spec and its terms.
+        scenario = load_scenario(str(SCENARIO_DIR / "fatou_constant.json"))
+        first, second = (scenario.checks[i].args["sequence"] for i in (1, 2))
+        assert first is second
+        made = Counter()
+        as_function = scenarios._as_function
+
+        def counting(space, values, kind, path):
+            made[path] += 1
+            return as_function(space, values, kind, path)
+
+        monkeypatch.setattr(scenarios, "_as_function", counting)
+        assert run_scenario(scenario, RunConfig(horizon=16))["all_ok"]
+        assert made == {"/checks/0/sequence": 16, "/checks/1/sequence": 16}
 
 
 class TestSequenceSampling:
@@ -375,6 +394,45 @@ class TestCli:
         assert run_cli(["run", bad]) == 2
         err = capsys.readouterr().err
         assert "/measure/atom_values/0" in err
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "cannot read"),
+        ("directory", "cannot read"),
+        (b'{"ground_size": "\xe9"}', "not UTF-8"),
+        (b"[" * 100000, "invalid JSON: arrays and objects nested too deeply"),
+        (b'{"ground_size": ' + b"1" * 5000 + b"}", "invalid JSON: Exceeds the limit"),
+        (b'{"ground_size": 1', "invalid JSON: Expecting"),
+    ], ids=["missing", "directory", "not_utf8", "nested_too_deeply", "long_integer",
+            "truncated"])
+    @pytest.mark.parametrize("command", ["validate", "run", "caratheodory"])
+    def test_unreadable_file_is_a_schema_error(self, tmp_path, capsys, content, message,
+                                               command):
+        path = tmp_path / "scenario.json"
+        if content == "directory":
+            path.mkdir()
+        elif content is not None:
+            path.write_bytes(content)
+        assert run_cli([command, path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: /: ") and message in err
+
+    @pytest.mark.parametrize("command", ["validate", "run", "caratheodory"])
+    def test_key_written_twice_is_a_schema_error(self, tmp_path, capsys, command):
+        text = (SCENARIO_DIR / "caratheodory_two_point.json").read_text()
+        again = '"0": {"finite": ["2", "2"]},\n      "0,1": {'
+        path = tmp_path / "repeated.json"
+        path.write_text(text.replace('"0,1": {', again, 1))
+        assert run_cli([command, path]) == 2
+        assert capsys.readouterr().err == (
+            "error: /outer_measure/outer_values: key '0' is written twice\n")
+
+    def test_repeated_key_inside_a_dropped_value(self, tmp_path, capsys):
+        # The first "space", which repeats "kind", is dropped for the second;
+        # the error names the object that the document keeps.
+        path = tmp_path / "repeated.json"
+        path.write_text('{"space": {"kind": "reals", "kind": "coord"}, "space": 1}')
+        assert run_cli(["validate", path]) == 2
+        assert capsys.readouterr().err == "error: /: key 'space' is written twice\n"
 
     @pytest.mark.parametrize("space, pointer", [
         ({"kind": "coord", "dim": "x"}, "/space/dim"),

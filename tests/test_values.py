@@ -1,0 +1,226 @@
+"""The value classes against `dataclasses` twins.
+
+The library's value classes are plain classes with hand-written
+constructors.  Each is compared here with a frozen dataclass twin that has
+the same fields in the same order, which is how the classes were defined
+before: equality, hashing (the hash of the field tuple, or a TypeError when
+a field is unhashable), the generated repr, and refusal of assignment and
+deletion with the value unchanged.  `Element` and `ExtElement` write their
+own repr, which the dataclass did not generate, so only the rest is
+compared for them.
+"""
+
+import dataclasses
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import ordmeasure as om
+from ordmeasure import scenarios
+from ordmeasure.rationals import INFINITY
+
+FIELDS = {
+    om.SpaceDescriptor: ("kind", "dim", "rows", "cols"),
+    om.Element: ("space", "nums", "den"),
+    om.ExtElement: ("space", "finite"),
+    om.MeasurableSpace: ("ground_size", "atoms"),
+    om.ExtFunction: ("space", "values"),
+    om.SignedFunction: ("space", "values"),
+    om.ElementaryFunction: ("space", "terms"),
+    om.IntegralReport: ("value", "closed_form", "ladder", "trail"),
+    om.StabilizesAt: ("index",),
+    om.DeclaredLimit: ("value",),
+    om.DivergesToInfinity: (),
+}
+OWN_REPR = (om.Element, om.ExtElement)
+TWINS = {cls: dataclasses.make_dataclass(cls.__name__, fields, frozen=True,
+                                         repr=cls not in OWN_REPR)
+         for cls, fields in FIELDS.items()}
+
+SPACES = [om.reals, lambda: om.coord(2), lambda: om.entrywise_mat(1, 2),
+          lambda: om.loewner_sym(2)]
+SMALL = st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1)])
+
+
+def twin(value):
+    cls = type(value)
+    return TWINS[cls](*(getattr(value, name) for name in FIELDS[cls]))
+
+
+# Each strategy draws a plain description, and `build` makes a value from
+# it, so that two equal descriptions give equal values that are not the
+# same object.  Some values go through the library's trusted constructors.
+
+def space_specs():
+    return st.integers(0, len(SPACES) - 1)
+
+
+def element_specs():
+    def coords(i):
+        if i == 3:  # symmetric 2 x 2
+            return st.tuples(SMALL, SMALL, SMALL).map(lambda t: (t[0], t[1], t[1], t[2]))
+        return st.tuples(*[SMALL] * SPACES[i]().ncoords)
+    return space_specs().flatmap(lambda i: st.tuples(st.just(i), coords(i), st.booleans()))
+
+
+def build_element(spec):
+    i, coords, trusted = spec
+    space = SPACES[i]()
+    el = om.Element(space, coords)
+    return om.add(el, om.zero(space)) if trusted else el
+
+
+def ext_element_specs():
+    return st.one_of(space_specs().map(lambda i: ("infinity", i)),
+                     element_specs().map(lambda e: ("finite", e)))
+
+
+def build_ext_element(spec):
+    kind, inner = spec
+    return om.infinity(SPACES[inner]()) if kind == "infinity" else om.finite(
+        build_element(inner))
+
+
+def algebra_specs():
+    return st.integers(1, 3).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=2)))
+
+
+def build_algebra(spec):
+    n, generators = spec
+    return om.generate_sigma_algebra(generators, n)
+
+
+def function_specs(values):
+    """An algebra and one value per atom, so that the function is measurable."""
+    return algebra_specs().flatmap(lambda a: st.tuples(
+        st.just(a), st.lists(values, min_size=len(build_algebra(a).atoms),
+                             max_size=len(build_algebra(a).atoms)),
+        st.booleans()))
+
+
+def dense(space, atom_values):
+    out = [None] * space.ground_size
+    for atom, value in zip(space.atoms, atom_values):
+        for point in space.atom_points[atom]:
+            out[point] = value
+    return out
+
+
+def build_ext_function(spec):
+    a, atom_values, trusted = spec
+    space = build_algebra(a)
+    values = dense(space, atom_values)
+    if trusted and INFINITY not in values:  # |f| is built by the trusted constructor
+        return om.signed_function(space, values).abs()
+    return om.ext_function(space, values)
+
+
+def build_signed_function(spec):
+    a, atom_values, trusted = spec
+    space = build_algebra(a)
+    f = om.signed_function(space, dense(space, atom_values))
+    return f + om.signed_function(space, [0] * space.ground_size) if trusted else f
+
+
+def build_elementary(spec):
+    a, atom_values, trusted = spec
+    space = build_algebra(a)
+    f = om.ext_function(space, dense(space, atom_values))
+    if trusted:
+        return om.truncate(f, 1)
+    cap = Fraction(1)
+    return om.ElementaryFunction(space, tuple((min(v, cap), atom) for atom, v in
+                                              zip(space.atoms, atom_values) if v))
+
+
+def report_specs():
+    trail = st.sampled_from([{"mode": "stabilized", "at_level": 1},
+                             {"mode": "infinite-rung", "at_level": 1}])
+    same = ext_element_specs().map(lambda e: (e, e, e))
+    return st.tuples(st.one_of(same, st.tuples(*[ext_element_specs()] * 3)), trail)
+
+
+def build_report(spec):
+    (value, closed, ladder), trail = spec
+    return om.IntegralReport(build_ext_element(value), build_ext_element(closed),
+                             build_ext_element(ladder), dict(trail))
+
+
+CASES = {
+    om.SpaceDescriptor: (space_specs(), lambda i: SPACES[i]()),
+    om.Element: (element_specs(), build_element),
+    om.ExtElement: (ext_element_specs(), build_ext_element),
+    om.MeasurableSpace: (algebra_specs(), build_algebra),
+    om.ExtFunction: (function_specs(st.sampled_from([Fraction(0), Fraction(1, 2),
+                                                     Fraction(2), INFINITY])),
+                     build_ext_function),
+    om.SignedFunction: (function_specs(st.sampled_from([Fraction(-1), Fraction(0),
+                                                        Fraction(1, 2)])),
+                        build_signed_function),
+    om.ElementaryFunction: (function_specs(st.sampled_from([Fraction(0), Fraction(1, 2),
+                                                            Fraction(3)])),
+                            build_elementary),
+    om.IntegralReport: (report_specs(), build_report),
+    om.StabilizesAt: (st.integers(1, 3), om.StabilizesAt),
+    # A list value is unhashable, as the scenario parser's limits are.
+    om.DeclaredLimit: (st.one_of(SMALL, st.lists(SMALL, max_size=2)), om.DeclaredLimit),
+    om.DivergesToInfinity: (st.just(None), lambda _: om.DivergesToInfinity()),
+}
+
+
+def hashed(value):
+    try:
+        return hash(value)
+    except TypeError:
+        return TypeError
+
+
+@pytest.mark.parametrize("cls", list(CASES), ids=lambda c: c.__name__)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_value_class_matches_its_dataclass_twin(cls, data):
+    specs, build = CASES[cls]
+    first = data.draw(specs)
+    second = data.draw(st.one_of(st.just(first), specs))
+    a, b = build(first), build(second)
+    assert type(a) is type(b) is cls
+    ta, tb = twin(a), twin(b)
+    assert (a == b) is (ta == tb) and (a != b) is (ta != tb)
+    assert (a == 1) is (ta == 1) is False
+    assert hashed(a) == hashed(ta) and hashed(b) == hashed(tb)
+    if cls not in OWN_REPR:
+        assert repr(a) == repr(ta)
+    before = [getattr(a, name) for name in FIELDS[cls]]
+    for name in FIELDS[cls] + ("unknown",):
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert [getattr(a, name) for name in FIELDS[cls]] == before
+
+
+def test_slotted_classes_store_their_fields_only():
+    # MeasurableSpace keeps a __dict__ for its cached atom points
+    # (tests/test_measures.py checks what it stores).
+    for cls, fields in FIELDS.items():
+        if cls is not om.MeasurableSpace:
+            slots = [name for k in cls.__mro__ for name in vars(k).get("__slots__", ())]
+            assert sorted(slots) == sorted(fields)
+            assert not hasattr(cls.__new__(cls), "__dict__")
+
+
+@pytest.mark.parametrize("value", [
+    om.NoSupremum(),
+    om.GapReport(horizon=1, last_value=om.zero(om.reals())),
+    scenarios.Directive("validate", "holds", {}),
+    scenarios._CHECKS["validate"],
+    scenarios._CHECKS["integrate"].keys["function"],
+], ids=lambda v: type(v).__name__)
+def test_other_frozen_classes_refuse_assignment(value):
+    with pytest.raises(AttributeError):
+        value.anything = 1
+    with pytest.raises(AttributeError):
+        del value.anything
