@@ -25,12 +25,11 @@ _EXPORTS = {
         ("rationals", "INFINITY format_rational parse_rational"),
         ("sequences", "DEFAULT_EPSILONS DEFAULT_HORIZON DeclaredLimit DivergesToInfinity "
                       "SequenceSpec StabilizesAt constant_sequence from_terms"),
-        ("spaces", "Element GapReport NoSupremum SpaceDescriptor SpaceKind add "
-                   "basis_vector coord element entrywise_mat inf_pair is_psd leq "
-                   "loewner_sym order_unit reals scale sub sup_increasing sup_pair "
-                   "sym_matrix zero"),
-        ("extended", "ExtElement ext_add ext_leq ext_liminf_limsup ext_scale ext_sup "
-                     "finite infinity"),
+        ("spaces", "Element NoSupremum SpaceDescriptor SpaceKind add basis_vector "
+                   "coord element entrywise_mat inf_pair is_psd leq loewner_sym "
+                   "order_unit reals scale sub sup_pair sym_matrix zero"),
+        ("extended", "ExtElement GapReport ext_add ext_leq ext_liminf_limsup ext_scale "
+                     "ext_sup finite infinity sup_increasing"),
         ("measures", "MeasurableSpace Measure borel_cantelli check_measure_identities "
                      "continuity_from_above continuity_from_below generate_sigma_algebra "
                      "operator_measure_bridge points_to_mask mask_to_points "

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from . import integral as integral_mod
 from .errors import MAX_TRUNCATION, ValidationError, check_cap
-from .extended import ext_add, ext_leq, ext_zero, finite
+from .extended import element_to_json, ext_add, ext_leq, ext_zero, finite
 from .measures import Measure, full_mask, power_set_space
 from .rationals import format_rational
 from .spaces import Element, basis_vector, coord
@@ -67,7 +67,7 @@ def sup_measure_experiment(n: int) -> dict:
         "experiment": "sup_measure",
         "n": n,
         "sigma_additivity": "holds" if sigma_ok else "fails",
-        "total": [format_rational(c) for c in total.payload().coords],
+        "total": element_to_json(total.payload()),
         "tail_sup_norms": tail_norms,
         "norm_cauchy": all(t == "0" for t in tail_norms),
     }
@@ -109,7 +109,7 @@ def series_measure_experiment(n: int) -> dict:
     return {
         "experiment": "series_measure",
         "n": n,
-        "integral": [format_rational(c) for c in integral.coords],
+        "integral": element_to_json(integral),
         "ladder": report.trail,
         "consecutive_partial_distances": distances,
         "norm_cauchy": all(d == "0" for d in distances),

@@ -7,6 +7,10 @@ conventions ``0 * inf = 0``, ``inf * 0 = 0`` and ``inf * x = inf`` for
 ``x != 0``.  This makes the extension an ordered abelian monoid on which
 both the additive and the multiplicative monoid of extended nonnegative
 scalars act by monoid homomorphisms.
+
+The supremum of an increasing sequence (the paper's sigma-monotone
+completeness) and the infimum of a decreasing one are decided in one
+place, `certify_monotone_limit`, against the limit the sequence declares.
 """
 
 from __future__ import annotations
@@ -22,9 +26,12 @@ from .sequences import (
     DeclaredLimit,
     DivergesToInfinity,
     SequenceSpec,
+    StabilizesAt,
+    certify_gaps,
     detect_cycle,
+    detect_stable_tail,
 )
-from .spaces import Element, GapReport, NoSupremum, SpaceDescriptor
+from .spaces import Element, NoSupremum, SpaceDescriptor
 
 
 class ExtElement(Frozen):
@@ -84,11 +91,16 @@ def ext_zero(space: SpaceDescriptor) -> ExtElement:
     return finite(spaces.zero(space))
 
 
+def element_to_json(el: Element) -> list:
+    """The JSON form of a finite element: its coordinates as exact rationals."""
+    return [format_rational(c) for c in el.coords]
+
+
 def ext_to_json(v: ExtElement):
     """The JSON form of an extended element: {"finite": [coords]} or "infinity"."""
     if v.is_infinite:
         return "infinity"
-    return {"finite": [format_rational(c) for c in v.finite.coords]}
+    return {"finite": element_to_json(v.finite)}
 
 
 def ext_add(a: ExtElement, b: ExtElement) -> ExtElement:
@@ -219,6 +231,135 @@ def certify_divergence(
     raise CertificationError(f"divergence not certified: all samples below {hi} * unit")
 
 
+class GapReport(Frozen):
+    """Residual evidence when a sequence supremum cannot be certified."""
+
+    __slots__ = ("horizon", "last_value", "bound", "residual", "message")
+
+    def __init__(self, horizon: int, last_value: Element,
+                 bound: Optional[Element] = None, residual: Optional[Element] = None,
+                 message: str = "no limit declared; samples alone certify none"):
+        object.__setattr__(self, "horizon", horizon)
+        object.__setattr__(self, "last_value", last_value)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "residual", residual)
+        object.__setattr__(self, "message", message)
+
+
+def certify_monotone_limit(values: Sequence[ExtElement], target: Optional[ExtElement],
+                           epsilons: Sequence[Fraction], increasing: bool = True,
+                           prefix: str = "") -> Optional[dict]:
+    """Certify that `target` is the supremum of the increasing `values`, or
+    the infimum of the decreasing ones.  This is the one certifier of a
+    monotone limit.
+
+    The terms must be monotone and on the target's side of it.  The limit
+    is then
+
+    * stabilized, when the last term is the target;
+    * divergence-certified (`certify_divergence`), when the target is the
+      point at infinity;
+    * gap-certified otherwise: for each epsilon some term comes within
+      epsilon times the order unit of the target (`certify_gaps`).
+
+    The mode is returned with its evidence.  With no target only the order
+    of the terms is certified, and None is returned.  Every message starts
+    with `prefix`.
+    """
+    def precedes(a, b):
+        return ext_leq(a, b) if increasing else ext_leq(b, a)
+
+    direction = "increasing" if increasing else "decreasing"
+    for n in range(1, len(values)):
+        if not precedes(values[n - 1], values[n]):
+            raise CertificationError(f"{prefix}sequence not {direction} at {n}")
+    if target is None:
+        return None
+    crossing = "exceeds" if increasing else "dips below"
+    for n, v in enumerate(values, start=1):
+        if not precedes(v, target):
+            raise CertificationError(f"{prefix}sequence {crossing} the target at {n}")
+    if values[-1] == target:
+        return {"mode": "stabilized", "at": detect_stable_tail(values) or len(values)}
+    if target.is_infinite:
+        certify_divergence(values, target.space, len(values))
+        return {"mode": "divergence-certified", "ladder_top": len(values) - 1}
+    unit = spaces.order_unit(target.space)
+
+    def probe(eps):
+        bump = finite(spaces.scale(eps, unit))
+        if increasing:
+            return lambda i: ext_leq(target, ext_add(values[i - 1], bump))
+        ceiling = ext_add(target, bump)
+        return lambda i: ext_leq(values[i - 1], ceiling)
+
+    gaps = certify_gaps(epsilons, len(values), probe, prefix + "gap {eps} not certified")
+    return {"mode": "gap-certified", "gaps": gaps}
+
+
+def _as_ext(value) -> ExtElement:
+    return value if isinstance(value, ExtElement) else finite(value)
+
+
+def _declared_limit(seq: SequenceSpec, terms: Sequence[ExtElement]) -> Optional[ExtElement]:
+    """The limit of `seq` that its sampled `terms` and metadata declare.
+
+    An infinite term or `DivergesToInfinity` declares the point at
+    infinity, `StabilizesAt(k)` declares term k and `DeclaredLimit` its
+    value.  Otherwise nothing is declared and the result is None: a
+    constant sampled tail is not a limit.
+    """
+    metadata = seq.metadata
+    if isinstance(metadata, DivergesToInfinity) or any(t.is_infinite for t in terms):
+        return infinity(terms[0].space)
+    if isinstance(metadata, StabilizesAt):
+        return _as_ext(seq.term(metadata.index))
+    if isinstance(metadata, DeclaredLimit):
+        if not isinstance(metadata.value, (Element, ExtElement)):
+            raise CertificationError("declared limit must be an element")
+        return _as_ext(metadata.value)
+    return None
+
+
+def _sequence_sup(seq: SequenceSpec, terms: Sequence[ExtElement],
+                  epsilons: Optional[Sequence[Fraction]],
+                  bound: Optional[Element] = None) -> Union[ExtElement, GapReport]:
+    """The certified declared limit of the increasing `terms` of `seq`, or a
+    `GapReport` on the last term when nothing is declared."""
+    target = _declared_limit(seq, terms)
+    certify_monotone_limit(terms, target,
+                           epsilons if epsilons is not None else DEFAULT_EPSILONS)
+    if target is not None:
+        return target
+    last = terms[-1].finite
+    residual = spaces.sub(bound, last) if bound is not None else None
+    return GapReport(len(terms), last, bound, residual)
+
+
+def sup_increasing(
+    seq: SequenceSpec,
+    bound: Optional[Element] = None,
+    horizon: Optional[int] = None,
+    epsilons: Optional[Sequence[Fraction]] = None,
+) -> Union[Element, ExtElement, GapReport]:
+    """Supremum of an increasing sequence of elements, certified from samples.
+
+    The terms up to the horizon must increase, and stay below `bound` when
+    one is given.  The supremum is the limit the metadata declares, certified
+    by `certify_monotone_limit`: an element, or the point at infinity for a
+    certified divergence.  With nothing declared the result is a `GapReport`.
+    """
+    terms = seq.sample(horizon)
+    if bound is not None:
+        for n, t in enumerate(terms, start=1):
+            if not spaces.leq(t, bound):
+                raise CertificationError(f"bound violated at n={n}")
+    result = _sequence_sup(seq, [finite(t) for t in terms], epsilons, bound)
+    if isinstance(result, ExtElement) and result.is_finite:
+        return result.finite
+    return result
+
+
 def ext_sup(
     items: Union[Sequence[ExtElement], SequenceSpec],
     horizon: Optional[int] = None,
@@ -226,44 +367,13 @@ def ext_sup(
 ) -> Union[ExtElement, NoSupremum, GapReport]:
     """Supremum in the extended space of a finite list or an increasing sequence.
 
-    A sequence must be declared increasing; its supremum is the point at
-    infinity when a sampled term is infinite or when declared-divergence
-    metadata is certified against the bound ladder, and otherwise delegates
-    to the finite-element machinery (stabilization or declared limit).
+    The supremum of a sequence is the limit its metadata or an infinite term
+    declares, certified by `certify_monotone_limit`, or a `GapReport` when
+    nothing is declared.
     """
     if not isinstance(items, SequenceSpec):
         return ext_sup_finite_list(list(items))
-
-    seq = items
-    eps = epsilons if epsilons is not None else DEFAULT_EPSILONS
-    terms = seq.sample(horizon)
-    h = len(terms)
-    space = terms[0].space
-    for n in range(1, h):
-        if not ext_leq(terms[n - 1], terms[n]):
-            raise CertificationError(f"monotonicity violation: term {n} > term {n + 1}")
-    if any(t.is_infinite for t in terms):
-        return infinity(space)
-    if isinstance(seq.metadata, DivergesToInfinity):
-        certify_divergence(terms, space, h)
-        return infinity(space)
-
-    metadata = seq.metadata
-    if isinstance(metadata, DeclaredLimit) and isinstance(metadata.value, ExtElement):
-        if metadata.value.is_infinite:
-            certify_divergence(terms, space, h)
-            return infinity(space)
-        metadata = DeclaredLimit(metadata.value.finite)
-    finite_seq = SequenceSpec(
-        generator=lambda n: seq.term(n).finite,
-        horizon=h,
-        metadata=metadata,
-        monotonicity="increasing",
-    )
-    result = spaces.sup_increasing(finite_seq, horizon=h, epsilons=eps)
-    if isinstance(result, Element):
-        return finite(result)
-    return result
+    return _sequence_sup(items, items.sample(horizon), epsilons)
 
 
 def ext_liminf_limsup(
@@ -273,8 +383,8 @@ def ext_liminf_limsup(
 
     Requires a lattice backend (tail infima and suprema must exist) and a
     sampled window that is eventually periodic or stabilizing, so the tails
-    are exactly computable from one cycle.  A declared limit on a monotone
-    sequence is accepted as the stabilizing description.
+    are exactly computable from one cycle.  A monotone sequence may declare
+    its limit instead, which `certify_monotone_limit` certifies.
     """
     terms = seq.sample(horizon)
     h = len(terms)
@@ -289,24 +399,13 @@ def ext_liminf_limsup(
         "increasing",
         "decreasing",
     ):
-        limit = seq.metadata.value
-        if isinstance(limit, ExtElement):
-            limit = limit.finite
-        if seq.monotonicity == "increasing":
-            value = spaces.sup_increasing(seq, horizon=h)
-        else:
-            flipped = SequenceSpec(
-                generator=lambda n: spaces.neg(seq.term(n)),
-                horizon=h,
-                metadata=DeclaredLimit(spaces.neg(limit)),
-                monotonicity="increasing",
-            )
-            value = spaces.sup_increasing(flipped, horizon=h)
-            if isinstance(value, Element):
-                value = spaces.neg(value)
-        if not isinstance(value, Element):
-            raise CertificationError("declared limit could not be certified")
-        return value, value
+        ext_terms = [finite(t) for t in terms]
+        target = _declared_limit(seq, ext_terms)
+        if target.is_infinite:
+            raise CertificationError("liminf/limsup needs an order-bounded sequence")
+        certify_monotone_limit(ext_terms, target, DEFAULT_EPSILONS,
+                               seq.monotonicity == "increasing")
+        return target.finite, target.finite
 
     cycle = detect_cycle(terms)
     if cycle is None:

@@ -33,7 +33,8 @@ from .errors import (
     OrdMeasureError,
     ValidationError,
 )
-from .extended import ExtElement, ext_add, ext_leq, ext_scale, ext_to_json, ext_zero
+from .extended import (ExtElement, certify_monotone_limit, element_to_json, ext_add,
+                       ext_leq, ext_scale, ext_to_json, ext_zero)
 from .measures import MeasurableSpace, Measure, mask_to_points, points_to_mask
 from .rationals import (
     INFINITY,
@@ -43,7 +44,6 @@ from .rationals import (
     ext_scalar_min,
     ext_scalar_mul,
     format_ext_scalar,
-    format_rational,
     is_infinite,
 )
 from .reports import CheckResult, fails, holds
@@ -55,7 +55,6 @@ from .sequences import (
     StabilizesAt,
     certify_gaps,
     detect_cycle,
-    detect_stable_tail,
 )
 from .spaces import Element, SpaceDescriptor
 
@@ -604,40 +603,6 @@ def _out_of_order_points(pairs, increasing: bool) -> int:
     return bad
 
 
-def _certify_element_limit(values: List[ExtElement], target: ExtElement,
-                           unit: Element, epsilons, increasing: bool) -> dict:
-    """Certify that a monotone sequence of integrals has the target as its
-    supremum (increasing) or infimum (decreasing, with finite terms)."""
-    def precedes(a, b):
-        return ext_leq(a, b) if increasing else ext_leq(b, a)
-
-    direction = "increasing" if increasing else "decreasing"
-    for n in range(1, len(values)):
-        if not precedes(values[n - 1], values[n]):
-            raise CertificationError(f"integral sequence not {direction} at {n}")
-    crossing = "exceeds" if increasing else "dips below"
-    for n, v in enumerate(values, start=1):
-        if not precedes(v, target):
-            raise CertificationError(f"integral sequence {crossing} the target at {n}")
-    if values[-1] == target:
-        stable = detect_stable_tail(values)
-        return {"mode": "stabilized", "at": stable or len(values)}
-    if target.is_infinite:
-        extended.certify_divergence(values, target.space, len(values))
-        return {"mode": "divergence-certified", "ladder_top": len(values) - 1}
-
-    def probe(eps):
-        bump = extended.finite(spaces.scale(eps, unit))
-        if increasing:
-            return lambda i: ext_leq(target, ext_add(values[i - 1], bump))
-        ceiling = ext_add(target, bump)
-        return lambda i: ext_leq(values[i - 1], ceiling)
-
-    gaps = certify_gaps(epsilons, len(values), probe,
-                        "integral gap {eps} not certified")
-    return {"mode": "gap-certified", "gaps": gaps}
-
-
 def _monotone_convergence(name: str, mu: Measure, seq: SequenceSpec, f: ExtFunction,
                           horizon: Optional[int], epsilons, increasing: bool
                           ) -> CheckResult:
@@ -674,8 +639,8 @@ def _monotone_convergence(name: str, mu: Measure, seq: SequenceSpec, f: ExtFunct
 
     values = [integral_value(t, mu) for t in terms]
     target = integral_value(f, mu)
-    unit = spaces.order_unit(mu.backend)
-    trail = _certify_element_limit(values, target, unit, epsilons, increasing)
+    trail = certify_monotone_limit(values, target, epsilons, increasing,
+                                   prefix="integral ")
     return holds(name, limit_integral=ext_to_json(target), certification=trail)
 
 
@@ -855,7 +820,7 @@ def triangle_inequality(mu: Measure, f: SignedFunction) -> CheckResult:
     lhs = spaces.abs_element(total)
     ok = ext_leq(extended.finite(lhs), abs_total)
     details = {
-        "abs_of_integral": [format_rational(c) for c in lhs.coords],
+        "abs_of_integral": element_to_json(lhs),
         "integral_of_abs": ext_to_json(abs_total),
     }
     return holds("triangle", **details) if ok else fails("triangle", **details)
@@ -878,9 +843,8 @@ def push_forward(mu: Measure, matrix: Sequence[Sequence], target: SpaceDescripto
     finite.  Builds the image measure, validates it, and checks the
     identity on the supplied function, both extended-positive and signed.
     """
-    from .spaces import SpaceKind
-
-    coordinatewise = (SpaceKind.REALS, SpaceKind.COORD, SpaceKind.ENTRYWISE_MAT)
+    coordinatewise = (spaces.SpaceKind.REALS, spaces.SpaceKind.COORD,
+                      spaces.SpaceKind.ENTRYWISE_MAT)
     if mu.backend.kind not in coordinatewise or target.kind not in coordinatewise:
         raise HypothesisError(
             "push-forward maps act between coordinatewise backends"
@@ -918,7 +882,7 @@ def push_forward(mu: Measure, matrix: Sequence[Sequence], target: SpaceDescripto
         rhs_v = integral_value(f, mu_t)
         ok = rhs_v.is_finite and lhs == rhs_v.payload()
     details["intertwined"] = "holds" if ok else "fails"
-    details["image_integral"] = [format_rational(c) for c in lhs.coords]
+    details["image_integral"] = element_to_json(lhs)
     return holds("push_forward", **details) if ok else fails("push_forward", **details)
 
 

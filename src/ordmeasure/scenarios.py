@@ -101,6 +101,7 @@ from .sequences import (
     DivergesToInfinity,
     SequenceSpec,
     StabilizesAt,
+    repeat_last,
 )
 from .spaces import Element, SpaceDescriptor, coord, entrywise_mat, loewner_sym, reals
 
@@ -262,11 +263,6 @@ def _resolve_term(functions: dict, ground: int, term, path: str) -> list:
     return functions[term]
 
 
-def _stabilizing(terms: list):
-    """Term n of the list, its final term repeating forever."""
-    return lambda n: terms[min(n, len(terms)) - 1]
-
-
 def _cycling(terms: list):
     return lambda n: terms[(n - 1) % len(terms)]
 
@@ -291,7 +287,7 @@ def _parse_sequence(functions: dict, ground: int, doc, path: str) -> _NamedSeque
             return _NamedSequence(_cycling(terms), None, tuple(terms))
         metadata = (DivergesToInfinity() if doc.get("metadata") == "diverges"
                     else StabilizesAt(len(terms)))
-        return _NamedSequence(_stabilizing(terms), metadata, tuple(terms))
+        return _NamedSequence(repeat_last(terms), metadata, tuple(terms))
 
     # The witnesses of a generated kind.  Geometric: terms 1 and 2 are
     # measurable exactly when every term is (their difference fixes the
@@ -396,7 +392,7 @@ def _set_sequence(scenario: Scenario, doc, path: str):
     if not terms:
         raise SchemaError("set sequence needs terms", path)
     if kind == "explicit":
-        return SequenceSpec(_stabilizing(terms), metadata=StabilizesAt(len(terms)))
+        return SequenceSpec(repeat_last(terms), metadata=StabilizesAt(len(terms)))
     if kind == "alternating":
         return SequenceSpec(_cycling(terms))
     raise SchemaError(f"unknown set sequence kind {kind!r}", path)

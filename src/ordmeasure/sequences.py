@@ -146,6 +146,11 @@ def constant_sequence(value, horizon: int = DEFAULT_HORIZON) -> SequenceSpec:
     )
 
 
+def repeat_last(terms: Sequence) -> Callable[[int], Any]:
+    """Term n of `terms` (1-based), the final term repeating forever."""
+    return lambda n: terms[min(n, len(terms)) - 1]
+
+
 def from_terms(
     terms: list,
     horizon: int = DEFAULT_HORIZON,
@@ -160,14 +165,10 @@ def from_terms(
     if not terms:
         raise ValueError("explicit sequence needs at least one term")
     items = list(terms)
-
-    def gen(n, _items=items):
-        return _items[n - 1] if n <= len(_items) else _items[-1]
-
     if metadata is None:
         metadata = StabilizesAt(len(items))
-    return SequenceSpec(gen, horizon=max(horizon, len(items)), metadata=metadata,
-                        monotonicity=monotonicity)
+    return SequenceSpec(repeat_last(items), horizon=max(horizon, len(items)),
+                        metadata=metadata, monotonicity=monotonicity)
 
 
 def detect_stable_tail(samples: list) -> Optional[int]:

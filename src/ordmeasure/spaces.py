@@ -38,17 +38,9 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
-from .errors import (MAX_LOEWNER_DIM, CertificationError, Frozen, SpaceMismatchError,
-                     check_cap)
-from .sequences import (
-    DEFAULT_EPSILONS,
-    DeclaredLimit,
-    SequenceSpec,
-    StabilizesAt,
-    detect_stable_tail,
-)
+from .errors import MAX_LOEWNER_DIM, Frozen, SpaceMismatchError, check_cap
 
 
 class SpaceKind(Enum):
@@ -364,21 +356,6 @@ class NoSupremum(Frozen):
         object.__setattr__(self, "reason", reason)
 
 
-class GapReport(Frozen):
-    """Residual evidence when a sequence supremum cannot be certified."""
-
-    __slots__ = ("horizon", "last_value", "bound", "residual", "message")
-
-    def __init__(self, horizon: int, last_value: Element,
-                 bound: Optional[Element] = None, residual: Optional[Element] = None,
-                 message: str = "no stabilization and no declared limit within horizon"):
-        object.__setattr__(self, "horizon", horizon)
-        object.__setattr__(self, "last_value", last_value)
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "residual", residual)
-        object.__setattr__(self, "message", message)
-
-
 def sup_pair(a: Element, b: Element) -> Union[Element, NoSupremum]:
     """Least upper bound of two elements, when this is decidable.
 
@@ -417,67 +394,3 @@ def abs_element(a: Element) -> Element:
     if not a.space.is_lattice:
         raise TypeError("absolute value needs a lattice backend")
     return _element(a.space, tuple(abs(x) for x in a.nums), a.den)
-
-
-def sup_increasing(
-    seq: SequenceSpec,
-    bound: Optional[Element] = None,
-    horizon: Optional[int] = None,
-    epsilons: Optional[Sequence[Fraction]] = None,
-) -> Union[Element, GapReport]:
-    """Supremum of an increasing sequence of elements, certified from samples.
-
-    The sequence is validated to be increasing at every index up to the
-    horizon, and to stay below `bound` when one is given.  The result is
-
-    * the stabilized value, when the sampled tail is constant;
-    * the declared limit L, when the spec carries one and both
-      ``seq(n) <= L`` (all samples) and, for each epsilon of the schedule,
-      ``L <= seq(n) + epsilon * unit`` at some sample are verified;
-    * a `GapReport` otherwise.
-    """
-    epsilons = list(epsilons) if epsilons is not None else list(DEFAULT_EPSILONS)
-    terms = seq.sample(horizon)
-    horizon = len(terms)
-    space = terms[0].space
-    unit = order_unit(space)
-
-    for n in range(1, horizon):
-        if not leq(terms[n - 1], terms[n]):
-            raise CertificationError(
-                f"monotonicity violation: term {n} > term {n + 1}"
-            )
-    if bound is not None:
-        for n, t in enumerate(terms, start=1):
-            if not leq(t, bound):
-                raise CertificationError(f"bound violated at n={n}")
-
-    stable_at = detect_stable_tail(terms)
-    if isinstance(seq.metadata, StabilizesAt):
-        k = seq.metadata.index
-        if k <= horizon and all(terms[n] == terms[k - 1] for n in range(k - 1, horizon)):
-            return terms[k - 1]
-        raise CertificationError(f"sequence does not stabilize at declared index {k}")
-    if stable_at is not None and stable_at < horizon:
-        return terms[stable_at - 1]
-
-    if isinstance(seq.metadata, DeclaredLimit):
-        limit = seq.metadata.value
-        if not isinstance(limit, Element):
-            raise CertificationError("declared limit must be a finite element here")
-        for n, t in enumerate(terms, start=1):
-            if not leq(t, limit):
-                raise CertificationError(
-                    f"declared limit is not an upper bound at n={n}"
-                )
-        # The terms increase, so if any term comes within eps of the limit,
-        # the last one does.
-        for eps in epsilons:
-            if not leq(limit, add(terms[-1], scale(eps, unit))):
-                raise CertificationError(
-                    f"gap {eps} to declared limit not reached within horizon {horizon}"
-                )
-        return limit
-
-    residual = sub(bound, terms[-1]) if bound is not None else None
-    return GapReport(horizon=horizon, last_value=terms[-1], bound=bound, residual=residual)

@@ -1,0 +1,86 @@
+"""The supremum of an increasing sequence as it was decided before the one
+certifier in `ordmeasure.extended`, kept as a test oracle.
+
+`stable_tail_sup_increasing` also returns a constant sampled tail as the
+supremum when the metadata declares nothing (or declares a limit); that
+guess is exactly what the library no longer makes, so compare with it only
+on sequences that never stabilize below their declared limit.
+"""
+
+from fractions import Fraction
+from typing import Optional, Sequence
+
+import ordmeasure as om
+from ordmeasure.errors import CertificationError
+from ordmeasure.sequences import (
+    DEFAULT_EPSILONS,
+    DeclaredLimit,
+    SequenceSpec,
+    StabilizesAt,
+    detect_stable_tail,
+)
+from ordmeasure.spaces import Element, add, leq, order_unit, scale, sub
+
+
+def stable_tail_sup_increasing(
+    seq: SequenceSpec,
+    bound: Optional[Element] = None,
+    horizon: Optional[int] = None,
+    epsilons: Optional[Sequence[Fraction]] = None,
+):
+    """Supremum of an increasing sequence of elements, certified from samples.
+
+    The sequence is validated to be increasing at every index up to the
+    horizon, and to stay below `bound` when one is given.  The result is
+
+    * the stabilized value, when the sampled tail is constant;
+    * the declared limit L, when the spec carries one and both
+      ``seq(n) <= L`` (all samples) and, for each epsilon of the schedule,
+      ``L <= seq(n) + epsilon * unit`` at some sample are verified;
+    * a `GapReport` otherwise.
+    """
+    epsilons = list(epsilons) if epsilons is not None else list(DEFAULT_EPSILONS)
+    terms = seq.sample(horizon)
+    horizon = len(terms)
+    space = terms[0].space
+    unit = order_unit(space)
+
+    for n in range(1, horizon):
+        if not leq(terms[n - 1], terms[n]):
+            raise CertificationError(
+                f"monotonicity violation: term {n} > term {n + 1}"
+            )
+    if bound is not None:
+        for n, t in enumerate(terms, start=1):
+            if not leq(t, bound):
+                raise CertificationError(f"bound violated at n={n}")
+
+    stable_at = detect_stable_tail(terms)
+    if isinstance(seq.metadata, StabilizesAt):
+        k = seq.metadata.index
+        if k <= horizon and all(terms[n] == terms[k - 1] for n in range(k - 1, horizon)):
+            return terms[k - 1]
+        raise CertificationError(f"sequence does not stabilize at declared index {k}")
+    if stable_at is not None and stable_at < horizon:
+        return terms[stable_at - 1]
+
+    if isinstance(seq.metadata, DeclaredLimit):
+        limit = seq.metadata.value
+        if not isinstance(limit, Element):
+            raise CertificationError("declared limit must be a finite element here")
+        for n, t in enumerate(terms, start=1):
+            if not leq(t, limit):
+                raise CertificationError(
+                    f"declared limit is not an upper bound at n={n}"
+                )
+        # The terms increase, so if any term comes within eps of the limit,
+        # the last one does.
+        for eps in epsilons:
+            if not leq(limit, add(terms[-1], scale(eps, unit))):
+                raise CertificationError(
+                    f"gap {eps} to declared limit not reached within horizon {horizon}"
+                )
+        return limit
+
+    residual = sub(bound, terms[-1]) if bound is not None else None
+    return om.GapReport(horizon=horizon, last_value=terms[-1], bound=bound, residual=residual)

@@ -27,6 +27,7 @@ from ordmeasure.sequences import (
 )
 
 from conftest import random_ext_element
+from limit_oracles import stable_tail_sup_increasing
 
 C2 = om.coord(2)
 
@@ -182,6 +183,29 @@ class TestExtSup:
         )
         assert om.ext_sup(seq) == fin(3, 0)
 
+    def test_constant_sampled_tail_is_not_a_supremum(self):
+        seq = SequenceSpec(lambda n: fin(0, 0) if n <= 64 else fin(1, 1))
+        result = om.ext_sup(seq)
+        assert isinstance(result, om.GapReport)
+        assert result.last_value == om.zero(C2)
+
+    def test_declared_limit_above_constant_terms(self):
+        seq = SequenceSpec(lambda n: fin(0, 0), metadata=DeclaredLimit(om.order_unit(C2)),
+                           monotonicity="increasing")
+        with pytest.raises(CertificationError, match="^gap 1/16 not certified$"):
+            om.ext_sup(seq)
+
+    def test_declared_limit_must_be_an_element(self):
+        seq = SequenceSpec(lambda n: fin(0, 0), metadata=DeclaredLimit(None),
+                           monotonicity="increasing")
+        with pytest.raises(CertificationError, match="declared limit must be an element"):
+            om.ext_sup(seq)
+
+    def test_infinite_term_is_the_supremum(self):
+        seq = SequenceSpec(lambda n: fin(n, 0) if n < 4 else INF,
+                           metadata=DeclaredLimit(fin(9, 9)), monotonicity="increasing")
+        assert om.ext_sup(seq) == INF
+
     def test_translation_invariance(self, rng):
         for _ in range(100):
             items = [random_ext_element(rng, C2, inf_prob=0.1) for _ in range(4)]
@@ -224,6 +248,30 @@ class TestLiminfLimsup:
             monotonicity="increasing",
         )
         assert om.ext_liminf_limsup(seq) == (limit, limit)
+
+    def test_declared_limit_above_constant_terms(self):
+        seq = SequenceSpec(lambda n: om.zero(C2), metadata=DeclaredLimit(om.order_unit(C2)),
+                           monotonicity="increasing")
+        with pytest.raises(CertificationError, match="^gap 1/16 not certified$"):
+            om.ext_liminf_limsup(seq)
+
+    def test_declared_limit_of_decreasing_sequence(self):
+        limit = om.element(C2, [1, 1])
+        seq = SequenceSpec(
+            generator=lambda n: om.scale(1 + Fraction(1, 2**n), limit),
+            metadata=DeclaredLimit(om.finite(limit)),
+            monotonicity="decreasing",
+        )
+        assert om.ext_liminf_limsup(seq) == (limit, limit)
+        with pytest.raises(CertificationError, match="^sequence dips below the target at 1$"):
+            om.ext_liminf_limsup(SequenceSpec(seq.generator, metadata=DeclaredLimit(
+                om.scale(2, limit)), monotonicity="decreasing"))
+
+    def test_declared_infinite_limit_rejected(self):
+        seq = SequenceSpec(lambda n: om.element(C2, [n, n]), metadata=DeclaredLimit(INF),
+                           monotonicity="increasing")
+        with pytest.raises(CertificationError, match="order-bounded"):
+            om.ext_liminf_limsup(seq)
 
     def test_non_lattice_rejected(self):
         x = om.sym_matrix([[1, 0], [0, 1]])
@@ -357,3 +405,73 @@ class TestCertifyDivergence:
         terms = [fin(0, 1), fin(top, 0)]
         raised = _raised(certify_divergence, terms, C2, horizon)
         assert raised == (message and f"divergence not certified: {message}")
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except CertificationError:
+        return CertificationError
+
+
+small = st.integers(-3, 3)
+
+
+@st.composite
+def _elements(draw, space, positive=False):
+    """Small integer elements; `positive` ones are in the cone (B * B^T on
+    the Loewner backend)."""
+    if space.kind is om.SpaceKind.LOEWNER_SYM:
+        a, b, c, d = (draw(small) for _ in range(4))
+        if positive:
+            return om.sym_matrix([[a * a + b * b, a * c + b * d],
+                                  [a * c + b * d, c * c + d * d]])
+        return om.sym_matrix([[a, b], [b, c]])
+    return om.element(space, [draw(st.integers(0, 3) if positive else small)
+                              for _ in range(space.ncoords)])
+
+
+@st.composite
+def declared_increasing(draw):
+    """(seq, horizon): terms top - c_n * step with c_n decreasing, declared
+    by `StabilizesAt` or `DeclaredLimit`.  A declared limit other than
+    `top` is drawn only when the terms never repeat, so no sampled tail is
+    constant below the declared limit."""
+    space = draw(st.sampled_from([C2, om.loewner_sym(2)]))
+    top, step = draw(_elements(space)), draw(_elements(space, positive=True))
+    horizon = draw(st.integers(1, 24))
+    rate = draw(st.sampled_from(["geometric", "harmonic", "stops"]))
+    stop = draw(st.integers(1, 30))
+
+    def term(n):
+        c = {"geometric": Fraction(1, 2**n), "harmonic": Fraction(1, n),
+             "stops": Fraction(max(0, stop - n))}[rate]
+        return om.sub(top, om.scale(c, step))
+
+    if draw(st.booleans()):
+        metadata = StabilizesAt(draw(st.integers(1, horizon)))
+    else:
+        offsets = [om.zero(space)]
+        if rate != "stops" and not step.is_zero():
+            offsets += [om.scale(Fraction(1, 2**20), om.order_unit(space)),
+                        draw(_elements(space, positive=True)), draw(_elements(space))]
+        metadata = DeclaredLimit(om.add(top, draw(st.sampled_from(offsets))))
+    return SequenceSpec(term, metadata=metadata, monotonicity="increasing"), horizon
+
+
+@settings(max_examples=300, deadline=None)
+@given(declared_increasing())
+def test_declared_limits_agree_with_the_stable_tail_oracle(drawn):
+    """`sup_increasing`, `ext_sup` and `ext_liminf_limsup` return what the
+    earlier stable-tail procedure returns, or refuse exactly when it does,
+    on every sequence where its constant-tail guess is not taken."""
+    seq, horizon = drawn
+    expected = _outcome(stable_tail_sup_increasing, seq, horizon=horizon)
+    assert _outcome(om.sup_increasing, seq, horizon=horizon) == expected
+    wrapped = SequenceSpec(lambda n: om.finite(seq.term(n)), metadata=seq.metadata,
+                           monotonicity="increasing")
+    assert _outcome(om.ext_sup, wrapped, horizon=horizon) == (
+        expected if expected is CertificationError else om.finite(expected))
+    if seq.term(1).space.is_lattice and isinstance(seq.metadata, DeclaredLimit):
+        assert _outcome(om.ext_liminf_limsup, seq, horizon=horizon) == (
+            expected if expected is CertificationError else (expected, expected))

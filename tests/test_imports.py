@@ -3,8 +3,8 @@
 Every name a library module imports is used in that module.  No linter
 ships with the project, so this walks each module's syntax tree with the
 standard `ast` module.  No module imports `dataclasses`, importing the CLI
-loads no module that its subcommands may not run, and every name the
-package exports lazily resolves.
+loads no module that its subcommands may not run, importing `spaces` loads
+no sequence layer, and every name the package exports lazily resolves.
 """
 
 import ast
@@ -90,6 +90,14 @@ def test_cli_import_is_lean():
     assert "ordmeasure.scenarios" in loaded
     assert not loaded & {"dataclasses", "inspect", "ordmeasure.compare",
                          "ordmeasure.outer"}
+
+
+def test_spaces_loads_no_sequence_layer():
+    """Elements stand below sequences and their limits, which `extended`
+    certifies."""
+    loaded = modules_loaded_by("import ordmeasure.spaces")
+    assert "ordmeasure.spaces" in loaded
+    assert not loaded & {"ordmeasure.sequences", "ordmeasure.extended"}
 
 
 def test_run_without_an_outer_measure_does_not_load_outer():

@@ -854,8 +854,8 @@ class TestMonotoneConvergenceRejections:
         # right side of the target, so these are reached by calling the
         # certifier that both directions share.
         with pytest.raises(CertificationError) as caught:
-            integral._certify_element_limit(values, target, om.order_unit(C2),
-                                            DEFAULT_EPSILONS, increasing)
+            extended.certify_monotone_limit(values, target, DEFAULT_EPSILONS, increasing,
+                                            prefix="integral ")
         assert str(caught.value) == message
 
 

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 import ordmeasure as om
 from ordmeasure import spaces
 from ordmeasure.errors import CertificationError, SpaceMismatchError
-from ordmeasure.sequences import DeclaredLimit, SequenceSpec
+from ordmeasure.sequences import (DeclaredLimit, DivergesToInfinity, SequenceSpec,
+                                  StabilizesAt)
 
 from conftest import random_element, random_positive_element
 
@@ -511,7 +512,7 @@ class TestSupIncreasing:
 
     def test_monotonicity_violation(self):
         seq = SequenceSpec(generator=lambda n: om.scale(Fraction((-1) ** n), c2(1, 1)))
-        with pytest.raises(CertificationError, match="monotonicity"):
+        with pytest.raises(CertificationError, match="^sequence not increasing at 2$"):
             om.sup_increasing(seq)
 
     def test_declared_limit_gap_not_reached(self):
@@ -523,8 +524,7 @@ class TestSupIncreasing:
         )
         with pytest.raises(CertificationError) as exc:
             om.sup_increasing(seq, horizon=8)
-        assert str(exc.value) == (
-            "gap 1/16 to declared limit not reached within horizon 8")
+        assert str(exc.value) == "gap 1/16 not certified"
 
     def test_gap_report_without_metadata(self):
         seq = SequenceSpec(
@@ -533,6 +533,49 @@ class TestSupIncreasing:
         result = om.sup_increasing(seq, bound=c2(1, 1))
         assert isinstance(result, om.GapReport)
         assert result.residual is not None
+
+    def test_constant_sampled_tail_is_not_a_supremum(self):
+        # Every sampled term is zero, but the supremum is the unit: with no
+        # declared limit the samples alone certify nothing.
+        zero, unit = om.zero(C2), om.order_unit(C2)
+        result = om.sup_increasing(SequenceSpec(lambda n: zero if n <= 64 else unit))
+        assert isinstance(result, om.GapReport)
+        assert result.last_value == zero
+
+    def test_declared_limit_above_constant_terms(self):
+        seq = SequenceSpec(lambda n: om.zero(C2), metadata=DeclaredLimit(om.order_unit(C2)),
+                           monotonicity="increasing")
+        with pytest.raises(CertificationError, match="^gap 1/16 not certified$"):
+            om.sup_increasing(seq)
+
+    def test_declared_limit_must_be_an_element(self):
+        seq = SequenceSpec(lambda n: om.zero(C2), metadata=DeclaredLimit(None),
+                           monotonicity="increasing")
+        with pytest.raises(CertificationError, match="declared limit must be an element"):
+            om.sup_increasing(seq)
+
+    def test_stabilization_index_is_the_declared_term(self):
+        x = c2(1, 1)
+
+        def term(n):
+            return om.sub(x, om.scale(Fraction(1, 2 ** min(n, 40)), x))
+        seq = SequenceSpec(term, metadata=StabilizesAt(40), monotonicity="increasing")
+        assert om.sup_increasing(seq, horizon=64) == term(40)
+        # Term k past the horizon is the declared limit; the gap schedule
+        # certifies it within 2^-32 of the last sample...
+        assert om.sup_increasing(seq, horizon=32) == term(40)
+        # ...and refuses it when the last sample is far from it.
+        with pytest.raises(CertificationError, match="^gap 1/4096 not certified$"):
+            om.sup_increasing(seq, horizon=10)
+        # A declared index before the terms stop rising is exceeded.
+        with pytest.raises(CertificationError,
+                           match="^sequence exceeds the target at 31$"):
+            om.sup_increasing(SequenceSpec(term, metadata=StabilizesAt(30)))
+
+    def test_declared_divergence_is_infinity(self):
+        seq = SequenceSpec(lambda n: om.scale(Fraction(n), c2(1, 1)),
+                           metadata=DivergesToInfinity(), monotonicity="increasing")
+        assert om.sup_increasing(seq) == om.infinity(C2)
 
     def test_archimedean_gap_schedule_reaches_zero(self, rng):
         # x - x/n increases to x; the residuals x/n certify every epsilon of
