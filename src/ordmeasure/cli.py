@@ -71,7 +71,7 @@ def _cap_argument(what: str, value: int, cap: int) -> int:
 
 
 def _horizon(text: str) -> int:
-    if not text.isdigit() or int(text) < 1:
+    if not (text.isascii() and text.isdigit()) or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return _cap_argument("horizon", int(text), MAX_HORIZON)
 

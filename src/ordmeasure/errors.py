@@ -6,13 +6,53 @@ spaces, invalid axioms, hypotheses that a theorem requires, and claims
 that cannot be certified from the sampled evidence.
 """
 
+import operator
+
 
 class Frozen:
-    """Base of the immutable value classes: assigning or deleting an
-    attribute raises AttributeError.  Constructors set their fields with
-    ``object.__setattr__``."""
+    """Base of the immutable value classes, with one value protocol.
+
+    A class's fields are the ``__slots__`` of its bases and then its own, in
+    order; a ``__dict__`` slot holds caches, not fields.  Two values are
+    equal when they are of the same class and their field tuples are equal,
+    the hash is the hash of the field tuple (a TypeError when a field is
+    unhashable), and the repr is ``Name(field=value, ...)``: what a frozen
+    dataclass generates.  `spaces.Element` and `extended.ExtElement` keep
+    their own three methods: they write their own repr, and they are the
+    arithmetic hot path, where the generic methods measured slower.
+
+    Assigning or deleting an attribute raises AttributeError.  Constructors
+    set their fields with ``object.__setattr__``.
+    """
 
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        names = tuple(name for klass in reversed(cls.__mro__)
+                      for name in vars(klass).get("__slots__", ()) if name != "__dict__")
+        if len(names) > 1:
+            values = operator.attrgetter(*names)
+        else:  # attrgetter returns one name's value bare, and needs a name
+            def values(value):
+                return tuple(getattr(value, name) for name in names)
+        cls._fields = names
+        cls._field_values = staticmethod(values)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        values = self._field_values
+        return values(self) == values(other)
+
+    def __hash__(self):
+        return hash(self._field_values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

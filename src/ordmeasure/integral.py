@@ -123,19 +123,6 @@ class _PointFunction(Frozen):
     def _check_values(self, values: tuple):
         pass
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.values == other.values and self.space == other.space
-
-    def __hash__(self):
-        return hash((self.space, self.values))
-
-    def __repr__(self):
-        return f"{type(self).__name__}(space={self.space!r}, values={self.values!r})"
-
 
 class ExtFunction(_PointFunction):
     """A measurable function into the extended nonnegative rationals."""
@@ -146,9 +133,6 @@ class ExtFunction(_PointFunction):
         for v in values:
             if not is_infinite(v) and v < 0:
                 raise ValidationError(f"extended function value {v} is negative")
-
-    def atom_value(self, atom: int) -> ExtScalar:
-        return self.values[self.space.atom_points[atom][0]]
 
     def infinity_mask(self) -> int:
         return points_to_mask(x for x, v in enumerate(self.values) if is_infinite(v))
@@ -238,19 +222,6 @@ class ElementaryFunction(Frozen):
             space.require_measurable(mask, "representation set")
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "terms", terms)
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.terms == other.terms and self.space == other.space
-
-    def __hash__(self):
-        return hash((self.space, self.terms))
-
-    def __repr__(self):
-        return f"ElementaryFunction(space={self.space!r}, terms={self.terms!r})"
 
     def dense_values(self) -> Tuple[Fraction, ...]:
         out = [Fraction(0)] * self.space.ground_size
@@ -390,16 +361,6 @@ class IntegralReport(Frozen):
         object.__setattr__(self, "closed_form", closed_form)
         object.__setattr__(self, "ladder", ladder)
         object.__setattr__(self, "trail", trail)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.value, self.closed_form, self.ladder, self.trail)
-                == (other.value, other.closed_form, other.ladder, other.trail))
-
-    def __repr__(self):
-        return (f"IntegralReport(value={self.value!r}, closed_form={self.closed_form!r}, "
-                f"ladder={self.ladder!r}, trail={self.trail!r})")
 
 
 def integrate_extended(f: ExtFunction, mu: Measure) -> IntegralReport:

@@ -50,25 +50,14 @@ class MeasurableSpace(Frozen):
     """A finite ground set with a sigma-algebra, stored by its atoms: the
     sorted bitmasks of the minimal nonempty members.
 
-    Instances keep a ``__dict__`` for the cached `atom_points`.
+    The ``__dict__`` holds only the cached `atom_points`.
     """
+
+    __slots__ = ("ground_size", "atoms", "__dict__")
 
     def __init__(self, ground_size: int, atoms: tuple):
         object.__setattr__(self, "ground_size", ground_size)
         object.__setattr__(self, "atoms", atoms)
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.ground_size == other.ground_size and self.atoms == other.atoms
-
-    def __hash__(self):
-        return hash((self.ground_size, self.atoms))
-
-    def __repr__(self):
-        return f"MeasurableSpace(ground_size={self.ground_size!r}, atoms={self.atoms!r})"
 
     @cached_property
     def atom_points(self) -> Dict[int, tuple]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any, Callable, List, Optional, Sequence
 
-from .errors import CertificationError, Frozen
+from .errors import CertificationError, Frozen, ValidationError
 from .rationals import format_rational
 
 DEFAULT_HORIZON = 64
@@ -58,17 +58,6 @@ class StabilizesAt(Frozen):
     def __init__(self, index: int):
         object.__setattr__(self, "index", index)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.index == other.index
-
-    def __hash__(self):
-        return hash((self.index,))
-
-    def __repr__(self):
-        return f"StabilizesAt(index={self.index!r})"
-
 
 class DeclaredLimit(Frozen):
     """The sequence converges to this value (certified by gap schedules)."""
@@ -78,33 +67,11 @@ class DeclaredLimit(Frozen):
     def __init__(self, value):
         object.__setattr__(self, "value", value)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.value == other.value
-
-    def __hash__(self):
-        return hash((self.value,))
-
-    def __repr__(self):
-        return f"DeclaredLimit(value={self.value!r})"
-
 
 class DivergesToInfinity(Frozen):
     """The sequence is unbounded above (certified against a bound ladder)."""
 
     __slots__ = ()
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return True
-
-    def __hash__(self):
-        return hash(())
-
-    def __repr__(self):
-        return "DivergesToInfinity()"
 
 
 Metadata = Optional[object]
@@ -132,7 +99,11 @@ class SequenceSpec:
 
     def sample(self, horizon: Optional[int] = None) -> list:
         """Terms 1..h: h is `horizon` when given, else the spec's own
-        horizon, else `DEFAULT_HORIZON` when that is unset (0 or None)."""
+        horizon, else `DEFAULT_HORIZON` when that is unset (0 or None).
+
+        A given horizon below 1 is a ValidationError, as in `RunConfig`."""
+        if horizon is not None and horizon < 1:
+            raise ValidationError(f"horizon must be a positive integer, got {horizon!r}")
         h = horizon if horizon is not None else (self.horizon or DEFAULT_HORIZON)
         return [self.term(n) for n in range(1, h + 1)]
 

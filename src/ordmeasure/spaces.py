@@ -67,21 +67,6 @@ class SpaceDescriptor(Frozen):
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.kind is other.kind and self.dim == other.dim
-                and self.rows == other.rows and self.cols == other.cols)
-
-    def __hash__(self):
-        return hash((self.kind, self.dim, self.rows, self.cols))
-
-    def __repr__(self):
-        return (f"SpaceDescriptor(kind={self.kind!r}, dim={self.dim!r}, "
-                f"rows={self.rows!r}, cols={self.cols!r})")
-
     @property
     def ncoords(self) -> int:
         if self.kind is SpaceKind.REALS:

@@ -2,9 +2,11 @@
 
 Every name a library module imports is used in that module.  No linter
 ships with the project, so this walks each module's syntax tree with the
-standard `ast` module.  No module imports `dataclasses`, importing the CLI
-loads no module that its subcommands may not run, importing `spaces` loads
-no sequence layer, and every name the package exports lazily resolves.
+standard `ast` module.  No module imports `dataclasses`, no value class
+but `Element` and `ExtElement` writes the equality, hashing or repr that
+`errors.Frozen` derives, importing the CLI loads no module that its
+subcommands may not run, importing `spaces` loads no sequence layer, and
+every name the package exports lazily resolves.
 """
 
 import ast
@@ -70,6 +72,41 @@ def test_module_does_not_import_dataclasses(path):
     """`dataclasses` loads `inspect`, `ast`, `dis` and `tokenize`, which
     every cold `ordmeasure` command would pay to compile and import."""
     assert not imports_dataclasses(path.read_text())
+
+
+VALUE_METHODS = {"__eq__", "__hash__", "__repr__"}
+
+
+def frozen_value_methods(source: str) -> list:
+    """The classes derived from `Frozen` in `source` that define `__eq__`,
+    `__hash__` or `__repr__`, each with the names it defines."""
+    frozen, found = {"Frozen"}, []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and any(
+                isinstance(base, ast.Name) and base.id in frozen for base in node.bases):
+            frozen.add(node.name)
+            defined = {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
+            defined |= {target.id for item in node.body if isinstance(item, ast.Assign)
+                        for target in item.targets if isinstance(target, ast.Name)}
+            if defined & VALUE_METHODS:
+                found.append((node.name, sorted(defined & VALUE_METHODS)))
+    return found
+
+
+def test_finds_value_methods_on_a_frozen_class():
+    source = ("class A(Frozen):\n    def __eq__(self, other):\n        pass\n"
+              "class B(A):\n    __hash__ = None\n"
+              "class C:\n    def __repr__(self):\n        pass\n")
+    assert frozen_value_methods(source) == [("A", ["__eq__"]), ("B", ["__hash__"])]
+
+
+def test_frozen_value_methods_are_written_in_one_place():
+    """`errors.Frozen` derives equality, hashing and repr from the fields;
+    only the two arithmetic values, measured faster with their own, write
+    theirs."""
+    found = {(path.name, name) for path in MODULES
+             for name, _ in frozen_value_methods(path.read_text())}
+    assert found <= {("spaces.py", "Element"), ("extended.py", "ExtElement")}
 
 
 def modules_loaded_by(code: str) -> set:

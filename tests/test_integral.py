@@ -518,7 +518,7 @@ class TestIntegralMemo:
         for atom, source in zip(atoms, atoms[1:] + atoms[:1]):
             v = data.draw(values)
             for x in mask_to_points(atom):
-                rotated[x], other[x] = f.atom_value(source), v
+                rotated[x], other[x] = f.values[mu.space.atom_points[source][0]], v
         pool = [f, om.ext_function(mu.space, rotated), om.ext_function(mu.space, other)]
         for g in data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8)):
             fresh = om.Measure(mu.space, mu.backend, mu.atom_values)
@@ -775,6 +775,31 @@ class TestMctDecreasing:
             metadata=DeclaredLimit(None), monotonicity="decreasing")
         with pytest.raises(CertificationError, match="dips below"):
             om.mct_decreasing(mu, seq, limit)
+
+
+class TestHorizonBelowOne:
+    """An explicit horizon of 0 is refused as `RunConfig` refuses it, before
+    any term is sampled."""
+
+    REFUSED = "^horizon must be a positive integer, got 0$"
+
+    def test_mct(self):
+        mu = basic_measure()
+        f = om.ext_function(mu.space, [1, 1])
+        seq = geometric_ext_sequence(mu.space, [Fraction(1), Fraction(1)])
+        with pytest.raises(ValidationError, match=self.REFUSED):
+            om.mct(mu, seq, f, horizon=0)
+
+    def test_mct_decreasing(self):
+        mu = basic_measure()
+        seq = SequenceSpec(lambda n: om.ext_function(mu.space, [Fraction(1, 2**n)] * 2),
+                           metadata=DeclaredLimit(None), monotonicity="decreasing")
+        with pytest.raises(ValidationError, match=self.REFUSED):
+            om.mct_decreasing(mu, seq, om.ext_function(mu.space, [0, 0]), horizon=0)
+
+    def test_sup_increasing(self):
+        with pytest.raises(ValidationError, match=self.REFUSED):
+            om.sup_increasing(om.constant_sequence(fin(1, 1)), horizon=0)
 
 
 def _stabilizing(mu, rows, metadata):

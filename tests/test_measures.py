@@ -68,7 +68,7 @@ class TestSigmaAlgebra:
 
     def test_space_stores_atoms_only(self):
         space = om.power_set_space(64)  # 64 atoms, never 2^64 member sets
-        assert list(vars(space)) == ["ground_size", "atoms"]
+        assert space._fields == ("ground_size", "atoms") and vars(space) == {}
         assert len(space.atoms) == 64 and full_mask(64) in space
 
     @given(st.data())

@@ -161,6 +161,14 @@ class TestSequenceSampling:
         seq, _ = self.spec(own)
         assert seq.sample(horizon) == [n * n for n in range(1, length + 1)]
 
+    @pytest.mark.parametrize("horizon", [0, -1])
+    def test_explicit_horizon_below_one_is_refused(self, horizon):
+        seq, calls = self.spec(5)
+        with pytest.raises(ValidationError,
+                           match=f"^horizon must be a positive integer, got {horizon}$"):
+            seq.sample(horizon)
+        assert calls == []
+
     def test_terms_are_generated_once(self):
         seq, calls = self.spec(4)
         assert seq.sample(6) == [1, 4, 9, 16, 25, 36]
@@ -578,7 +586,8 @@ class TestCli:
         if pointer == "/outer_measure" and "ground_size" in updates:
             assert f"<= {MAX_OUTER_GROUND_SIZE}," in err
 
-    @pytest.mark.parametrize("horizon", ["0", "-3", "x", str(MAX_HORIZON + 1)])
+    @pytest.mark.parametrize("horizon", ["0", "-3", "x", str(MAX_HORIZON + 1),
+                                         "\u0663", "\u00b2"])  # Arabic-Indic 3, superscript 2
     def test_horizon_must_be_positive(self, capsys, horizon):
         with pytest.raises(SystemExit) as exc:
             run_cli(["run", SCENARIO_DIR / "mct_basic.json", "--horizon", horizon])

@@ -5,20 +5,24 @@ constructors.  Each is compared here with a frozen dataclass twin that has
 the same fields in the same order, which is how the classes were defined
 before: equality, hashing (the hash of the field tuple, or a TypeError when
 a field is unhashable), the generated repr, and refusal of assignment and
-deletion with the value unchanged.  `Element` and `ExtElement` write their
-own repr, which the dataclass did not generate, so only the rest is
-compared for them.
+deletion with the value unchanged.  Every `errors.Frozen` class is held to
+its twin; the fields are the class's slots.  `Element` and `ExtElement`
+write their own repr, which the dataclass did not generate, so only the
+rest is compared for them.
 """
 
 import dataclasses
+import importlib
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ordmeasure as om
-from ordmeasure import scenarios
+from ordmeasure import integral, scenarios
+from ordmeasure.errors import Frozen
 from ordmeasure.rationals import INFINITY
 
 FIELDS = {
@@ -33,6 +37,12 @@ FIELDS = {
     om.StabilizesAt: ("index",),
     om.DeclaredLimit: ("value",),
     om.DivergesToInfinity: (),
+    om.NoSupremum: ("reason",),
+    om.GapReport: ("horizon", "last_value", "bound", "residual", "message"),
+    scenarios.Directive: ("check", "expect", "args"),
+    scenarios._NamedSequence: ("values", "metadata", "witnesses"),
+    scenarios._Key: ("json", "resolve", "default"),
+    scenarios._Check: ("handler", "keys", "needs", "admits"),
 }
 OWN_REPR = (om.Element, om.ExtElement)
 TWINS = {cls: dataclasses.make_dataclass(cls.__name__, fields, frozen=True,
@@ -149,6 +159,75 @@ def build_report(spec):
                              build_ext_element(ladder), dict(trail))
 
 
+def gap_report_specs():
+    optional = st.one_of(st.none(), element_specs())
+    return st.tuples(st.integers(1, 2), element_specs(), optional, optional,
+                     st.sampled_from(["no limit declared", "gap"]))
+
+
+def build_gap_report(spec):
+    horizon, last, bound, residual, message = spec
+    return om.GapReport(horizon, build_element(last),
+                        None if bound is None else build_element(bound),
+                        None if residual is None else build_element(residual), message)
+
+
+# Callables are compared by identity, so each comes from a fixed pool.
+def _square(n):
+    return [n * n]
+
+
+def _zero(n):
+    return [0]
+
+
+CALLABLES = st.sampled_from([_square, _zero])
+METADATA = [lambda: None, lambda: om.StabilizesAt(1), lambda: om.DivergesToInfinity(),
+            lambda: om.DeclaredLimit([Fraction(1)])]
+DEFAULTS = [scenarios._REQUIRED, None, 1, "holds"]
+
+
+def directive_specs():
+    return st.tuples(st.sampled_from(["validate", "mct"]), st.sampled_from(["holds", "fails"]),
+                     st.dictionaries(st.sampled_from(["sequence", "f"]), st.integers(0, 1),
+                                     max_size=2))
+
+
+def named_sequence_specs():
+    # A list witness is unhashable, as the parser's are; no witnesses is hashable.
+    return st.tuples(CALLABLES, st.integers(0, len(METADATA) - 1),
+                     st.lists(st.lists(st.integers(0, 1), max_size=2), max_size=2))
+
+
+def build_named_sequence(spec):
+    values, metadata, witnesses = spec
+    return scenarios._NamedSequence(values, METADATA[metadata](),
+                                    tuple(list(w) for w in witnesses))
+
+
+def key_specs():
+    return st.tuples(st.sampled_from([str, (list, dict)]), CALLABLES,
+                     st.integers(0, len(DEFAULTS) - 1))
+
+
+def build_key(spec):
+    json, resolve, default = spec
+    return scenarios._Key(json, resolve, DEFAULTS[default])
+
+
+def check_specs():
+    return st.tuples(CALLABLES, st.dictionaries(st.sampled_from(["f", "g"]), key_specs(),
+                                                max_size=2),
+                     st.sampled_from(["measure", "outer", None]), st.booleans())
+
+
+def build_check(spec):
+    handler, keys, needs, own_admits = spec
+    extra = {"admits": _zero} if own_admits else {}
+    return scenarios._Check(handler, {k: build_key(v) for k, v in keys.items()}, needs,
+                            **extra)
+
+
 CASES = {
     om.SpaceDescriptor: (space_specs(), lambda i: SPACES[i]()),
     om.Element: (element_specs(), build_element),
@@ -168,6 +247,13 @@ CASES = {
     # A list value is unhashable, as the scenario parser's limits are.
     om.DeclaredLimit: (st.one_of(SMALL, st.lists(SMALL, max_size=2)), om.DeclaredLimit),
     om.DivergesToInfinity: (st.just(None), lambda _: om.DivergesToInfinity()),
+    om.NoSupremum: (st.sampled_from(["incomparable", "no infimum"]), om.NoSupremum),
+    om.GapReport: (gap_report_specs(), build_gap_report),
+    scenarios.Directive: (directive_specs(),
+                          lambda spec: scenarios.Directive(spec[0], spec[1], dict(spec[2]))),
+    scenarios._NamedSequence: (named_sequence_specs(), build_named_sequence),
+    scenarios._Key: (key_specs(), build_key),
+    scenarios._Check: (check_specs(), build_check),
 }
 
 
@@ -203,13 +289,25 @@ def test_value_class_matches_its_dataclass_twin(cls, data):
 
 
 def test_slotted_classes_store_their_fields_only():
-    # MeasurableSpace keeps a __dict__ for its cached atom points
+    # A MeasurableSpace keeps a __dict__ slot for its cached atom points
     # (tests/test_measures.py checks what it stores).
     for cls, fields in FIELDS.items():
-        if cls is not om.MeasurableSpace:
-            slots = [name for k in cls.__mro__ for name in vars(k).get("__slots__", ())]
-            assert sorted(slots) == sorted(fields)
-            assert not hasattr(cls.__new__(cls), "__dict__")
+        assert cls._fields == fields
+        slots = [name for k in cls.__mro__ for name in vars(k).get("__slots__", ())]
+        cache = ["__dict__"] if cls is om.MeasurableSpace else []
+        assert sorted(slots) == sorted([*fields, *cache])
+        assert hasattr(cls.__new__(cls), "__dict__") is bool(cache)
+
+
+def subclasses(cls):
+    return {cls, *(c for sub in cls.__subclasses__() for c in subclasses(sub))}
+
+
+def test_every_frozen_class_has_a_twin():
+    for path in Path(om.__file__).parent.glob("[!_]*.py"):
+        importlib.import_module(f"ordmeasure.{path.stem}")
+    # _PointFunction is only the shared base of the two function classes.
+    assert subclasses(Frozen) - {Frozen, integral._PointFunction} == set(FIELDS)
 
 
 @pytest.mark.parametrize("value", [
