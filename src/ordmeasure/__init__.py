@@ -28,19 +28,21 @@ _EXPORTS = {
         ("spaces", "Element NoSupremum SpaceDescriptor SpaceKind add basis_vector "
                    "coord element entrywise_mat inf_pair is_psd leq loewner_sym "
                    "order_unit reals scale sub sup_pair sym_matrix zero"),
-        ("extended", "ExtElement GapReport ext_add ext_leq ext_liminf_limsup ext_scale "
-                     "ext_sup finite infinity sup_increasing"),
-        ("measures", "MeasurableSpace Measure borel_cantelli check_measure_identities "
-                     "continuity_from_above continuity_from_below generate_sigma_algebra "
-                     "operator_measure_bridge points_to_mask mask_to_points "
+        ("extended", "ExtElement ext_add ext_leq ext_scale finite infinity"),
+        ("limits", "GapReport ext_liminf_limsup ext_sup sup_increasing"),
+        ("measures", "MeasurableSpace Measure check_measure_identities "
+                     "generate_sigma_algebra points_to_mask mask_to_points "
                      "power_set_space validate_sigma_algebra"),
+        ("measure_checks", "borel_cantelli continuity_from_above continuity_from_below "
+                           "operator_measure_bridge"),
         ("outer", "OuterMeasure caratheodory_measurable extract_measurable_algebra "
                   "induce_outer validate_outer_measure"),
         ("integral", "ElementaryFunction ExtFunction IntegralReport SignedFunction "
-                     "ae_analysis check_integral_laws dct ext_function fatou indicator "
-                     "integral_value integrate_elementary integrate_extended "
-                     "integrate_signed l1_quotient mct mct_decreasing push_forward "
-                     "signed_function triangle_inequality truncate"),
+                     "dct ext_function fatou indicator integral_value "
+                     "integrate_elementary integrate_extended integrate_signed mct "
+                     "mct_decreasing signed_function truncate"),
+        ("integral_checks", "ae_analysis check_integral_laws l1_quotient push_forward "
+                            "triangle_inequality"),
         ("compare", "comparison_experiment sup_norm"),
         ("scenarios", "RunConfig Scenario canonical_dumps load_scenario parse_scenario "
                       "run_scenario"),

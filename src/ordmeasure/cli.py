@@ -11,6 +11,9 @@ expects), 1 when a check misses its expectation, 2 on schema, validation or
 size-limit errors.
 
 `outer` and `compare` are imported only by the subcommands that run them.
+A check module loads on first use: `run` imports the module of each check
+that its document names when the first directive of that check runs
+(`scenarios._CHECKS`), and `integral` only for a document with functions.
 """
 
 from __future__ import annotations
@@ -70,10 +73,15 @@ def _cap_argument(what: str, value: int, cap: int) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _horizon(text: str) -> int:
+def _positive_int(text: str) -> int:
+    """A positive integer written in ASCII digits, as `--n` and `--horizon` take."""
     if not (text.isascii() and text.isdigit()) or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return _cap_argument("horizon", int(text), MAX_HORIZON)
+    return int(text)
+
+
+def _horizon(text: str) -> int:
+    return _cap_argument("horizon", _positive_int(text), MAX_HORIZON)
 
 
 def _emit(doc: dict, output: str):
@@ -114,7 +122,7 @@ def main(argv=None) -> int:
 
     p_cmp = sub.add_parser("compare", help="run a comparison experiment")
     p_cmp.add_argument("kind", choices=["sup_measure", "series_measure"])
-    p_cmp.add_argument("--n", type=int, required=True)
+    p_cmp.add_argument("--n", type=_positive_int, required=True)
     p_cmp.add_argument("--output", choices=["json", "text"], default="json")
 
     args = parser.parse_args(argv)

@@ -13,7 +13,8 @@ The monotone and dominated convergence theorems and the Fatou inequality
 are exercised as certified checks: stabilizing sequences give exact
 equalities, declared limits are certified against an epsilon schedule
 measured in multiples of the backend's order unit, and divergence is
-certified against a ladder of bounds.
+certified against a ladder of bounds.  The laws of the integral and its
+other structure checks are in `ordmeasure.integral_checks`.
 """
 
 from __future__ import annotations
@@ -33,16 +34,14 @@ from .errors import (
     OrdMeasureError,
     ValidationError,
 )
-from .extended import (ExtElement, certify_monotone_limit, element_to_json, ext_add,
-                       ext_leq, ext_scale, ext_to_json, ext_zero)
+from .extended import (ExtElement, certify_monotone_limit, ext_add, ext_leq, ext_scale,
+                       ext_to_json, ext_zero)
 from .measures import MeasurableSpace, Measure, mask_to_points, points_to_mask
 from .rationals import (
     INFINITY,
     ExtScalar,
-    ext_scalar_add,
     ext_scalar_leq,
     ext_scalar_min,
-    ext_scalar_mul,
     format_ext_scalar,
     is_infinite,
 )
@@ -195,19 +194,6 @@ def indicator(space: MeasurableSpace, mask: int, coefficient=Fraction(1)) -> Ext
         space,
         tuple(c if mask >> x & 1 else Fraction(0) for x in range(space.ground_size)),
     )
-
-
-def combine(r1, f: ExtFunction, r2, g: ExtFunction) -> ExtFunction:
-    """Pointwise r1*f + r2*g with the extended scalar conventions."""
-    vals = tuple(
-        ext_scalar_add(ext_scalar_mul(Fraction(r1), a), ext_scalar_mul(Fraction(r2), b))
-        for a, b in zip(f.values, g.values)
-    )
-    return ExtFunction(f.space, vals)
-
-
-def pointwise_leq(f: ExtFunction, g: ExtFunction) -> bool:
-    return all(ext_scalar_leq(a, b) for a, b in zip(f.values, g.values))
 
 
 class ElementaryFunction(Frozen):
@@ -435,96 +421,6 @@ def integrate_signed(f: SignedFunction, mu: Measure) -> Element:
     return result
 
 
-def check_integral_laws(mu: Measure, f: ExtFunction, g: ExtFunction,
-                        r1=Fraction(1), r2=Fraction(1)) -> CheckResult:
-    """Linearity in the extended cone and monotonicity of the integral."""
-    r1, r2 = Fraction(r1), Fraction(r2)
-    if r1 < 0 or r2 < 0:
-        raise HypothesisError("integral linearity uses nonnegative coefficients")
-    combo = combine(r1, f, r2, g)
-    lhs = integral_value(combo, mu)
-    rhs = ext_add(ext_scale(r1, integral_value(f, mu)),
-                  ext_scale(r2, integral_value(g, mu)))
-    linear_ok = lhs == rhs
-    details = {"linearity": "holds" if linear_ok else "fails",
-               "combination": ext_to_json(lhs)}
-    mono_ok = True
-    if pointwise_leq(f, g):
-        mono_ok = ext_leq(integral_value(f, mu), integral_value(g, mu))
-        details["monotonicity"] = "holds" if mono_ok else "fails"
-    else:
-        details["monotonicity"] = "not-applicable: f is not below g"
-    fg = combine(Fraction(1), f, Fraction(1), g)
-    mono2_ok = ext_leq(integral_value(f, mu), integral_value(fg, mu))
-    details["monotonicity_f_below_f_plus_g"] = "holds" if mono2_ok else "fails"
-    if linear_ok and mono_ok and mono2_ok:
-        return holds("integral_laws", **details)
-    return fails("integral_laws", **details)
-
-
-def ae_analysis(f: ExtFunction, mu: Measure) -> CheckResult:
-    """Almost-everywhere statements for one function on one measure.
-
-    Asserts: a finite integral forces the function to be finite almost
-    everywhere; the integral vanishes exactly when the function vanishes
-    almost everywhere; changing the function on a null atom does not change
-    the integral; and the ladder formulation of the almost-everywhere
-    finite supremum statement.
-    """
-    inf_mask = f.infinity_mask()
-    pos_mask = f.support_mask()
-    null = mu.null_mask
-    report = integrate_extended(f, mu)
-    value = report.value
-    details = {
-        "infinity_set": mask_to_points(inf_mask),
-        "positive_set": mask_to_points(pos_mask),
-        "null_union": mask_to_points(null),
-        "integral": ext_to_json(value),
-    }
-    problems = []
-
-    if value.is_finite:
-        inf_measure = mu.evaluate(inf_mask)
-        if not (inf_measure.is_finite and inf_measure.finite.is_zero()):
-            problems.append("finite integral but the infinity set is not null")
-        details["ae_finite"] = "holds"
-    else:
-        details["ae_finite"] = "not-applicable: integral is infinite"
-
-    zero_integral = value.is_finite and value.finite.is_zero()
-    ae_zero = pos_mask & ~null == 0
-    if zero_integral != ae_zero:
-        problems.append("zero integral and almost-everywhere zero disagree")
-    details["zero_iff_ae_zero"] = "fails" if zero_integral != ae_zero else "holds"
-
-    null_atoms = [a for a in mu.space.atoms if mu.is_null_exception(a)]
-    if null_atoms:
-        bumped = list(f.values)
-        for x in mask_to_points(null_atoms[0]):
-            bumped[x] = ext_scalar_add(bumped[x], Fraction(7))
-        variant = ExtFunction(f.space, tuple(bumped))
-        same = integral_value(variant, mu) == value
-        if not same:
-            problems.append("changing a null atom changed the integral")
-        details["ae_equal_same_integral"] = "holds" if same else "fails"
-    else:
-        details["ae_equal_same_integral"] = "not-applicable: no null atom"
-
-    if report.ladder.is_finite:
-        inf_measure = mu.evaluate(inf_mask)
-        ok = inf_measure.is_finite and inf_measure.finite.is_zero()
-        if not ok:
-            problems.append("finite ladder supremum but infinity set not null")
-        details["ae_finite_sup"] = "holds" if ok else "fails"
-    else:
-        details["ae_finite_sup"] = "not-applicable: ladder supremum infinite"
-
-    if problems:
-        return fails("ae_analysis", problems=problems, **details)
-    return holds("ae_analysis", **details)
-
-
 def _certify_scalar_convergence(samples: List[ExtScalar], target: ExtScalar,
                                 epsilons, increasing: bool, point: int):
     """Pointwise convergence certificate at one ground point."""
@@ -619,7 +515,7 @@ def mct_decreasing(mu: Measure, seq: SequenceSpec, f: ExtFunction,
                                  increasing=False)
 
 
-def _require_sigma_dedekind(backend: SpaceDescriptor, what: str):
+def require_sigma_dedekind(backend: SpaceDescriptor, what: str):
     if not backend.is_sigma_dedekind_complete:
         raise HypothesisError(
             f"{what} requires a sigma-Dedekind complete lattice backend; "
@@ -635,7 +531,7 @@ def fatou(mu: Measure, seq: SequenceSpec,
     inferior is the cycle minimum at each point, and the right-hand side is
     the infimum of the cycle's integrals in the extended space.
     """
-    _require_sigma_dedekind(mu.backend, "the Fatou inequality")
+    require_sigma_dedekind(mu.backend, "the Fatou inequality")
     terms = seq.sample(horizon)
     samples = [t.values for t in terms]
     cycle = detect_cycle(samples)
@@ -675,7 +571,7 @@ def dct(mu: Measure, seq: SequenceSpec, f: SignedFunction, g: ExtFunction,
     equalities; otherwise every conclusion is certified down the epsilon
     schedule against the order unit.
     """
-    _require_sigma_dedekind(mu.backend, "dominated convergence")
+    require_sigma_dedekind(mu.backend, "dominated convergence")
     epsilons = list(epsilons) if epsilons is not None else list(DEFAULT_EPSILONS)
     terms = seq.sample(horizon)
     null = mu.null_mask
@@ -771,135 +667,3 @@ def dct(mu: Measure, seq: SequenceSpec, f: SignedFunction, g: ExtFunction,
         details["part4_mode"] = {"mode": "gap-certified", "gaps": gaps}
     details["limit_integral"] = ext_to_json(extended.finite(f_int))
     return holds("dct", **details)
-
-
-def triangle_inequality(mu: Measure, f: SignedFunction) -> CheckResult:
-    """|integral of f| is below the integral of |f| on lattice backends."""
-    _require_sigma_dedekind(mu.backend, "the triangle inequality")
-    total = integrate_signed(f, mu)
-    abs_total = integral_value(f.abs(), mu)
-    lhs = spaces.abs_element(total)
-    ok = ext_leq(extended.finite(lhs), abs_total)
-    details = {
-        "abs_of_integral": element_to_json(lhs),
-        "integral_of_abs": ext_to_json(abs_total),
-    }
-    return holds("triangle", **details) if ok else fails("triangle", **details)
-
-
-def _apply_matrix(matrix: Sequence[Sequence[Fraction]], el: Element,
-                  target: SpaceDescriptor) -> Element:
-    return Element(target, tuple(
-        sum((v * n for v, n in zip(row, el.nums)), Fraction(0)) / el.den for row in matrix
-    ))
-
-
-def push_forward(mu: Measure, matrix: Sequence[Sequence], target: SpaceDescriptor,
-                 f=None) -> CheckResult:
-    """Intertwining of the integral with a positive map into another backend.
-
-    The map is an entrywise-nonnegative matrix between coordinatewise
-    backends (where entrywise nonnegativity is exactly positivity and the
-    map is automatically sigma-order continuous); the measure must be
-    finite.  Builds the image measure, validates it, and checks the
-    identity on the supplied function, both extended-positive and signed.
-    """
-    coordinatewise = (spaces.SpaceKind.REALS, spaces.SpaceKind.COORD,
-                      spaces.SpaceKind.ENTRYWISE_MAT)
-    if mu.backend.kind not in coordinatewise or target.kind not in coordinatewise:
-        raise HypothesisError(
-            "push-forward maps act between coordinatewise backends"
-        )
-    if not mu.is_finite():
-        raise HypothesisError("push-forward requires a finite measure")
-    rows = [[Fraction(v) for v in row] for row in matrix]
-    if len(rows) != target.ncoords or any(len(r) != mu.backend.ncoords for r in rows):
-        raise ValidationError("matrix shape does not match the backends")
-    for row in rows:
-        for v in row:
-            if v < 0:
-                raise ValidationError("push-forward matrix must be entrywise >= 0")
-
-    image_values = {
-        atom: extended.finite(_apply_matrix(rows, v.payload(), target))
-        for atom, v in mu.atom_values.items()
-    }
-    mu_t = Measure(mu.space, target, image_values)
-
-    details: Dict[str, object] = {"image_classification": mu_t.classification()}
-    if f is None:
-        return holds("push_forward", **details)
-    if isinstance(f, SignedFunction):
-        lhs = _apply_matrix(rows, integrate_signed(f, mu), target)
-        rhs = integrate_signed(f, mu_t)
-        ok = lhs == rhs
-    else:
-        base = integral_value(f, mu)
-        if not base.is_finite:
-            raise HypothesisError(
-                "push-forward intertwining needs a finite integral"
-            )
-        lhs = _apply_matrix(rows, base.payload(), target)
-        rhs_v = integral_value(f, mu_t)
-        ok = rhs_v.is_finite and lhs == rhs_v.payload()
-    details["intertwined"] = "holds" if ok else "fails"
-    details["image_integral"] = element_to_json(lhs)
-    return holds("push_forward", **details) if ok else fails("push_forward", **details)
-
-
-def l1_quotient(mu: Measure, functions: Sequence[SignedFunction]) -> CheckResult:
-    """Structure of the integrable functions modulo null functions.
-
-    Two integrable functions are equivalent when they differ only on null
-    atoms.  Verifies that equivalent functions have equal integrals, that a
-    nonnegative class with zero integral is the zero class (strict
-    positivity of the quotient integral), and that pointwise lattice
-    operations descend to the classes.
-    """
-    for f in functions:
-        if not is_integrable(f, mu):
-            raise NotIntegrableError("all inputs must be integrable")
-    null = mu.null_mask
-
-    def class_key(f: SignedFunction) -> tuple:
-        return tuple(
-            f.values[x] for x in range(mu.space.ground_size) if not (null >> x & 1)
-        )
-
-    classes: Dict[tuple, List[int]] = {}
-    for i, f in enumerate(functions):
-        classes.setdefault(class_key(f), []).append(i)
-
-    problems = []
-    for key, members in classes.items():
-        ints = [integrate_signed(functions[i], mu) for i in members]
-        if any(v != ints[0] for v in ints[1:]):
-            problems.append({"issue": "equal classes with unequal integrals",
-                             "members": members})
-    zero_el = spaces.zero(mu.backend)
-    for i, f in enumerate(functions):
-        nonneg_ae = all(
-            f.values[x] >= 0 for x in range(mu.space.ground_size)
-            if not (null >> x & 1)
-        )
-        if nonneg_ae and integrate_signed(f, mu) == zero_el:
-            if any(v != 0 for v in class_key(f)):
-                problems.append({"issue": "strict positivity violated", "index": i})
-    for m1 in classes.values():
-        for m2 in classes.values():
-            f1, f2 = functions[m1[0]], functions[m1[-1]]
-            g1, g2 = functions[m2[0]], functions[m2[-1]]
-            if class_key(f1.sup_with(g1)) != class_key(f2.sup_with(g2)):
-                problems.append({"issue": "supremum does not descend",
-                                 "classes": [m1, m2]})
-            if class_key(f1.inf_with(g1)) != class_key(f2.inf_with(g2)):
-                problems.append({"issue": "infimum does not descend",
-                                 "classes": [m1, m2]})
-    details = {
-        "classes": sorted(classes.values()),
-        "null_union": mask_to_points(null),
-    }
-    if problems:
-        return fails("l1_quotient", problems=problems, **details)
-    return holds("l1_quotient", **details)
-

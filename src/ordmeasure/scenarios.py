@@ -44,12 +44,13 @@ every sampled index.
 Check directives are objects {"check": <name>, <key>: ...}, each with an
 optional "expect": "holds" | "fails" | "hypothesis-not-met" |
 "not-certifiable" (default "holds").  The table `_CHECKS` below is the one
-place a directive's keys are defined: for each check it gives the handler,
-each key's JSON type, whether the key is required, and what the key
-resolves to (a named function or sequence, a set list or set sequence, a
-rational, an element, a space, a matrix).  A set sequence is {"kind":
-"explicit" | "alternating", "terms": [[points...], ...]} or a bare array of
-sets (explicit); an explicit one repeats its final term.
+place a directive's keys are defined: for each check it gives the module
+and the handler that run it, each key's JSON type, whether the key is
+required, and what the key resolves to (a named function or sequence, a
+set list or set sequence, a rational, an element, a space, a matrix).  A
+set sequence is {"kind": "explicit" | "alternating", "terms": [[points...],
+...]} or a bare array of sets (explicit); an explicit one repeats its final
+term.
 
 `parse_scenario` resolves every directive and every named sequence, so a
 document that parses (`ordmeasure validate`) raises no schema error when it
@@ -58,12 +59,12 @@ runs; only the horizon is applied at run time.
 
 from __future__ import annotations
 
+import importlib
 import json
 import math
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional
 
-from . import integral as integral_mod
 from . import measures as measures_mod
 from .errors import (
     MAX_GROUND_SIZE,
@@ -78,7 +79,6 @@ from .errors import (
     check_cap,
 )
 from .extended import ExtElement, ext_to_json, finite, infinity
-from .integral import ext_function, signed_function
 from .measures import MeasurableSpace, Measure, mask_to_points, points_to_mask
 from .rationals import (
     format_rational,
@@ -101,6 +101,7 @@ from .sequences import (
     DivergesToInfinity,
     SequenceSpec,
     StabilizesAt,
+    check_horizon,
     repeat_last,
 )
 from .spaces import Element, SpaceDescriptor, coord, entrywise_mat, loewner_sym, reals
@@ -336,22 +337,25 @@ def _parse_sequence(functions: dict, ground: int, doc, path: str) -> _NamedSeque
 # Resolvers of directive keys.  Each takes the scenario being parsed, the
 # key's JSON value (already of the key's JSON type) and its path.
 
-def _as_function(space: MeasurableSpace, values: list, kind: str, path: str):
-    """`values` made an "ext" (extended-positive) or "signed" function, or
-    "either": signed when some value is negative."""
+def _as_function(integral, space: MeasurableSpace, values: list, kind: str, path: str):
+    """`values` made an "ext" (extended-positive) or "signed" function of
+    the `integral` module, or "either": signed when some value is negative.
+    The resolvers import `integral`, so only a document with functions
+    loads it."""
     if kind == "ext" or (kind == "either" and all(is_infinite(v) or v >= 0
                                                   for v in values)):
-        return ext_function(space, values)
+        return integral.ext_function(space, values)
     if any(is_infinite(v) for v in values):
         raise SchemaError("a signed function cannot take the value infinity", path)
-    return signed_function(space, values)
+    return integral.signed_function(space, values)
 
 
 def _function(kind: str):
     """A function reference, made a function of `kind` (see `_as_function`)."""
     def resolve(scenario: Scenario, name: str, path: str):
+        from . import integral
         values = _resolve_term(scenario.functions, scenario.space.ground_size, name, path)
-        return _as_function(scenario.space, values, kind, path)
+        return _as_function(integral, scenario.space, values, kind, path)
     return resolve
 
 
@@ -366,11 +370,12 @@ def _function_sequence(kind: str):
             raise SchemaError(f"unresolved sequence reference {name!r}", path)
         key = (name, kind)
         if key not in scenario.specs:
+            from . import integral
             seq, space = scenario.sequences[name], scenario.space
             for values in seq.witnesses:
-                _as_function(space, values, kind, path)
+                _as_function(integral, space, values, kind, path)
             scenario.specs[key] = SequenceSpec(
-                lambda n: _as_function(space, seq.values(n), kind, path),
+                lambda n: _as_function(integral, space, seq.values(n), kind, path),
                 metadata=seq.metadata)
         return scenario.specs[key]
     return resolve
@@ -432,19 +437,26 @@ class _Key(Frozen):
 
 
 class _Check(Frozen):
-    """A check's handler, its keys, and the scenario section it runs on.
+    """A check's module, its handler, its keys, and the scenario section it
+    runs on.
 
-    The handler is called as ``handler(scenario, config, **resolved keys)``.
+    `module` names the submodule of the library operation that the check
+    runs, or is None for a check that the harness answers itself.
+    `run_check` imports it when a directive of the check first runs, so a
+    call compiles only the check modules its directives name.  The handler
+    is called as ``handler(module, scenario, config, **resolved keys)``.
     `admits` is called as ``admits(scenario, resolved keys, directive path)``
     once the keys are resolved; it rejects the directive with a SchemaError,
     or with a DimensionLimitError past a size cap.
     """
 
-    __slots__ = ("handler", "keys", "needs", "admits")
+    __slots__ = ("module", "handler", "keys", "needs", "admits")
 
-    def __init__(self, handler: Callable, keys: Optional[Dict[str, _Key]] = None,
+    def __init__(self, module: Optional[str], handler: Callable,
+                 keys: Optional[Dict[str, _Key]] = None,
                  needs: Optional[str] = "measure",
                  admits: Callable = lambda scenario, args, path: None):
+        object.__setattr__(self, "module", module)
         object.__setattr__(self, "handler", handler)
         object.__setattr__(self, "keys", keys or {})
         object.__setattr__(self, "needs", needs)
@@ -469,7 +481,7 @@ def _push_forward_shape(scenario: Scenario, args: dict, path: str):
                               f"{path}/matrix/{i}")
 
 
-def _check_validate(scenario: Scenario, config) -> CheckResult:
+def _check_validate(module, scenario: Scenario, config) -> CheckResult:
     space = scenario.space
     details = {"atoms": [mask_to_points(a) for a in space.atoms],
                "members": 1 << len(space.atoms)}
@@ -478,16 +490,17 @@ def _check_validate(scenario: Scenario, config) -> CheckResult:
     return CheckResult("validate", HOLDS, details)
 
 
-def _check_integrate(scenario: Scenario, config, function, expected) -> CheckResult:
-    report = integral_mod.integrate_extended(function, scenario.measure)
+def _check_integrate(integral, scenario: Scenario, config, function,
+                     expected) -> CheckResult:
+    report = integral.integrate_extended(function, scenario.measure)
     details = {"value": ext_to_json(report.value), "ladder": report.trail}
     status = FAILS if expected is not None and expected != report.value else HOLDS
     return CheckResult("integrate", status, details)
 
 
-def _check_caratheodory(scenario: Scenario, config, expected_family) -> CheckResult:
-    from . import outer as outer_mod
-    details, identities = outer_mod.caratheodory_report(scenario.outer)
+def _check_caratheodory(outer, scenario: Scenario, config,
+                        expected_family) -> CheckResult:
+    details, identities = outer.caratheodory_report(scenario.outer)
     status = HOLDS if identities.ok else FAILS
     if (expected_family is not None and [mask_to_points(m) for m in sorted(expected_family)]
             != details["measurable_family"]):
@@ -495,77 +508,86 @@ def _check_caratheodory(scenario: Scenario, config, expected_family) -> CheckRes
     return CheckResult("caratheodory", status, details)
 
 
-# Directive name -> handler and keys.  Handlers look library operations up
-# on their modules at call time, so a wrapper installed on a module
-# attribute (as perfbench/tracing.py installs) sees every call.
+# Directive name -> module, handler and keys.  Handlers look library
+# operations up on the module they are passed, at call time, so a wrapper
+# installed on a module attribute (as perfbench/tracing.py installs) sees
+# every call.
 _CHECKS = {
-    "validate": _Check(_check_validate, needs=None),
+    "validate": _Check(None, _check_validate, needs=None),
     "identities": _Check(
-        lambda s, c: measures_mod.check_measure_identities(s.measure),
+        "measures", lambda m, s, c: m.check_measure_identities(s.measure),
         admits=lambda s, args, path: measures_mod.require_exhaustive(s.space)),
     "continuity_below": _Check(
-        lambda s, c, sets: measures_mod.continuity_from_below(
-            s.measure, sets, horizon=c.horizon),
+        "measure_checks",
+        lambda m, s, c, sets: m.continuity_from_below(s.measure, sets, horizon=c.horizon),
         {"sets": _SETS}),
     "continuity_above": _Check(
-        lambda s, c, sets: measures_mod.continuity_from_above(
-            s.measure, sets, horizon=c.horizon),
+        "measure_checks",
+        lambda m, s, c, sets: m.continuity_from_above(s.measure, sets, horizon=c.horizon),
         {"sets": _SETS}),
     "borel_cantelli": _Check(
-        lambda s, c, sets, lower_bound: measures_mod.borel_cantelli(
+        "measure_checks",
+        lambda m, s, c, sets, lower_bound: m.borel_cantelli(
             s.measure, sets, lower_bound, horizon=c.horizon),
         {"sets": _SETS,
          "lower_bound": _Key(list, lambda s, v, p: parse_element(v, s.backend, p), None)}),
     "bridge": _Check(
-        lambda s, c, sets: measures_mod.operator_measure_bridge(s.measure, sets),
+        "measure_checks",
+        lambda m, s, c, sets: m.operator_measure_bridge(s.measure, sets),
         {"sets": _Key(list, _set_list, [])}),
     "integrate": _Check(
-        _check_integrate,
+        "integral", _check_integrate,
         {"function": _EXT,
          "expected": _Key((dict, str), lambda s, v, p: parse_ext_element(v, s.backend, p),
                           None)}),
     "integral_laws": _Check(
-        lambda s, c, f, g, r1, r2: integral_mod.check_integral_laws(s.measure, f, g,
-                                                                    r1, r2),
+        "integral_checks",
+        lambda m, s, c, f, g, r1, r2: m.check_integral_laws(s.measure, f, g, r1, r2),
         {"f": _EXT, "g": _EXT,
          "r1": _Key(str, lambda s, v, p: parse_rational(v, p), Fraction(1)),
          "r2": _Key(str, lambda s, v, p: parse_rational(v, p), Fraction(1))}),
-    "ae": _Check(lambda s, c, function: integral_mod.ae_analysis(function, s.measure),
-                 {"function": _EXT}),
+    "ae": _Check(
+        "integral_checks", lambda m, s, c, function: m.ae_analysis(function, s.measure),
+        {"function": _EXT}),
     "mct": _Check(
-        lambda s, c, sequence, limit: integral_mod.mct(
-            s.measure, sequence, limit, horizon=c.horizon,
-            epsilons=c.epsilons),
+        "integral",
+        lambda m, s, c, sequence, limit: m.mct(
+            s.measure, sequence, limit, horizon=c.horizon, epsilons=c.epsilons),
         {"sequence": _EXT_SEQUENCE, "limit": _EXT}),
     "mct_decreasing": _Check(
-        lambda s, c, sequence, limit: integral_mod.mct_decreasing(
-            s.measure, sequence, limit, horizon=c.horizon,
-            epsilons=c.epsilons),
+        "integral",
+        lambda m, s, c, sequence, limit: m.mct_decreasing(
+            s.measure, sequence, limit, horizon=c.horizon, epsilons=c.epsilons),
         {"sequence": _EXT_SEQUENCE, "limit": _EXT}),
     "fatou": _Check(
-        lambda s, c, sequence: integral_mod.fatou(s.measure, sequence, horizon=c.horizon),
+        "integral",
+        lambda m, s, c, sequence: m.fatou(s.measure, sequence, horizon=c.horizon),
         {"sequence": _EXT_SEQUENCE}),
     "dct": _Check(
-        lambda s, c, sequence, limit, dominator: integral_mod.dct(
+        "integral",
+        lambda m, s, c, sequence, limit, dominator: m.dct(
             s.measure, sequence, limit, dominator, horizon=c.horizon,
             epsilons=c.epsilons),
         {"sequence": _Key(str, _function_sequence("signed")),
          "limit": _SIGNED, "dominator": _EXT}),
     "triangle": _Check(
-        lambda s, c, function: integral_mod.triangle_inequality(s.measure, function),
+        "integral_checks",
+        lambda m, s, c, function: m.triangle_inequality(s.measure, function),
         {"function": _SIGNED}),
     "push_forward": _Check(
-        lambda s, c, target, matrix, function: integral_mod.push_forward(
+        "integral_checks",
+        lambda m, s, c, target, matrix, function: m.push_forward(
             s.measure, matrix, target, function),
         {"target": _Key(dict, lambda s, v, p: parse_space(v, p)),
          "matrix": _Key(list, _matrix),
          "function": _Key(str, _function("either"), None)},
         admits=_push_forward_shape),
     "l1_quotient": _Check(
-        lambda s, c, functions: integral_mod.l1_quotient(s.measure, functions),
+        "integral_checks",
+        lambda m, s, c, functions: m.l1_quotient(s.measure, functions),
         {"functions": _Key(list, _function_list, [])}),
     "caratheodory": _Check(
-        _check_caratheodory,
+        "outer", _check_caratheodory,
         {"expected_family": _Key(list, _set_list, None)},
         needs="outer_measure"),
 }
@@ -786,10 +808,7 @@ class RunConfig:
     __slots__ = ("horizon", "epsilons")
 
     def __init__(self, horizon: int = DEFAULT_HORIZON, epsilons: tuple = DEFAULT_EPSILONS):
-        # bool is a subclass of int, but `True` is not a horizon
-        if isinstance(horizon, bool) or not isinstance(horizon, int) or horizon < 1:
-            raise ValidationError(f"horizon must be a positive integer, got {horizon!r}")
-        self.horizon = check_cap("horizon", horizon, MAX_HORIZON)
+        self.horizon = check_cap("horizon", check_horizon(horizon), MAX_HORIZON)
         self.epsilons = epsilons
 
 
@@ -800,8 +819,10 @@ def run_check(scenario: Scenario, directive: Directive, config: RunConfig) -> Ch
     exactly one library operation, and hypothesis or certification failures
     raised there are converted into the corresponding statuses.
     """
+    spec = _CHECKS[directive.check]
+    module = spec.module and importlib.import_module(f".{spec.module}", __package__)
     try:
-        return _CHECKS[directive.check].handler(scenario, config, **directive.args)
+        return spec.handler(module, scenario, config, **directive.args)
     except (HypothesisError, NotIntegrableError) as exc:
         return CheckResult(directive.check, HYPOTHESIS_NOT_MET, {"reason": str(exc)})
     except CertificationError as exc:

@@ -77,6 +77,17 @@ class DivergesToInfinity(Frozen):
 Metadata = Optional[object]
 
 
+def check_horizon(horizon) -> int:
+    """`horizon`, when it is a positive integer; otherwise a ValidationError.
+
+    The one rule for a horizon, read by `SequenceSpec.sample` and by
+    `scenarios.RunConfig`, which also caps it."""
+    # bool is a subclass of int, but `True` is not a horizon
+    if isinstance(horizon, bool) or not isinstance(horizon, int) or horizon < 1:
+        raise ValidationError(f"horizon must be a positive integer, got {horizon!r}")
+    return horizon
+
+
 class SequenceSpec:
     """Lazily evaluated 1-indexed sequence with declared behaviour."""
 
@@ -101,10 +112,10 @@ class SequenceSpec:
         """Terms 1..h: h is `horizon` when given, else the spec's own
         horizon, else `DEFAULT_HORIZON` when that is unset (0 or None).
 
-        A given horizon below 1 is a ValidationError, as in `RunConfig`."""
-        if horizon is not None and horizon < 1:
-            raise ValidationError(f"horizon must be a positive integer, got {horizon!r}")
-        h = horizon if horizon is not None else (self.horizon or DEFAULT_HORIZON)
+        A horizon that is not a positive integer, given or the spec's own,
+        is a ValidationError (`check_horizon`)."""
+        h = check_horizon(horizon if horizon is not None
+                          else self.horizon or DEFAULT_HORIZON)
         return [self.term(n) for n in range(1, h + 1)]
 
 

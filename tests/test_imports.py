@@ -5,12 +5,14 @@ ships with the project, so this walks each module's syntax tree with the
 standard `ast` module.  No module imports `dataclasses`, no value class
 but `Element` and `ExtElement` writes the equality, hashing or repr that
 `errors.Frozen` derives, importing the CLI loads no module that its
-subcommands may not run, importing `spaces` loads no sequence layer, and
-every name the package exports lazily resolves.
+subcommands may not run, `run` loads only the check modules that its
+document's directives name in the check table, importing `spaces` loads
+no sequence layer, and every name the package exports lazily resolves.
 """
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -19,9 +21,14 @@ from pathlib import Path
 import pytest
 
 import ordmeasure
+from ordmeasure.scenarios import _CHECKS
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ordmeasure"
 MODULES = sorted(PACKAGE.glob("*.py"))
+SCENARIOS = sorted((PACKAGE.parent.parent / "scenarios").glob("*.json"))
+# The modules that the check table names, and the limit API, which no check runs.
+CHECK_MODULES = {f"ordmeasure.{check.module}" for check in _CHECKS.values() if check.module}
+LIMITS = "ordmeasure.limits"
 
 
 def unused_imports(source: str) -> list:
@@ -126,7 +133,50 @@ def test_cli_import_is_lean():
     loaded = modules_loaded_by("import ordmeasure.cli")
     assert "ordmeasure.scenarios" in loaded
     assert not loaded & {"dataclasses", "inspect", "ordmeasure.compare",
-                         "ordmeasure.outer"}
+                         "ordmeasure.outer", "ordmeasure.integral",
+                         "ordmeasure.integral_checks", "ordmeasure.measure_checks",
+                         LIMITS}
+
+
+def test_the_check_table_names_the_check_modules():
+    assert {"ordmeasure.integral_checks", "ordmeasure.measure_checks"} <= CHECK_MODULES
+    assert LIMITS not in CHECK_MODULES
+
+
+@pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
+def test_run_loads_the_check_modules_its_directives_name(path):
+    """A check module loads when a directive names it.  One that no
+    directive names loads only for what the document itself holds:
+    `measures` for every document (its space), `integral` for functions
+    and `outer` for an outer measure."""
+    doc = json.loads(path.read_text())
+    named = {f"ordmeasure.{_CHECKS[d['check']].module}" for d in doc.get("checks", [])
+             if _CHECKS[d["check"]].module}
+    loaded = modules_loaded_by(
+        "from ordmeasure.cli import main\n"
+        f"main(['run', {str(path)!r}, '--output', 'json'])")
+    held = {"ordmeasure.measures"}
+    if doc.get("functions"):
+        held.add("ordmeasure.integral")
+    if "outer_measure" in doc:
+        held.add("ordmeasure.outer")
+    assert named <= loaded
+    assert loaded & CHECK_MODULES <= named | held
+    if not doc.get("functions"):
+        assert "ordmeasure.integral" not in loaded
+
+
+def test_no_subcommand_loads_the_limit_api():
+    runs = "".join(f"main(['run', {str(path)!r}])\nmain(['validate', {str(path)!r}])\n"
+                   for path in SCENARIOS)
+    loaded = modules_loaded_by(
+        "from ordmeasure.cli import main\n" + runs
+        + "main(['caratheodory', 'scenarios/caratheodory_induced.json'])\n"
+          "main(['compare', 'sup_measure', '--n', '3'])\n"
+          "main(['compare', 'series_measure', '--n', '3'])")
+    assert {"ordmeasure.scenarios", "ordmeasure.outer", "ordmeasure.compare"} <= loaded
+    assert CHECK_MODULES <= loaded
+    assert LIMITS not in loaded
 
 
 def test_spaces_loads_no_sequence_layer():
@@ -150,6 +200,8 @@ def test_caratheodory_loads_outer():
         "from ordmeasure.cli import main\n"
         "assert main(['caratheodory', 'scenarios/caratheodory_two_point.json']) == 0")
     assert "ordmeasure.outer" in loaded
+    assert not loaded & {"ordmeasure.integral", "ordmeasure.integral_checks",
+                         "ordmeasure.measure_checks"}
 
 
 def test_every_export_resolves():

@@ -19,7 +19,6 @@ from ordmeasure.integral import (
     ElementaryFunction,
     _check_level_sets,
     _ladder_supremum,
-    combine,
     integrate_elementary,
 )
 from ordmeasure.measures import _atom_unions, full_mask, mask_to_points, points_to_mask
@@ -800,6 +799,34 @@ class TestHorizonBelowOne:
     def test_sup_increasing(self):
         with pytest.raises(ValidationError, match=self.REFUSED):
             om.sup_increasing(om.constant_sequence(fin(1, 1)), horizon=0)
+
+
+def _calls_with_horizon():
+    """Each library call that samples a sequence, as a function of its horizon."""
+    mu = basic_measure()
+    f = om.ext_function(mu.space, [1, 1])
+    signed = om.signed_function(mu.space, [1, 1])
+    dominator = om.ext_function(mu.space, [2, 2])
+    return {
+        "mct": lambda h: om.mct(mu, geometric_ext_sequence(mu.space, [1, 1]), f,
+                                horizon=h),
+        "dct": lambda h: om.dct(mu, from_terms([signed]), signed, dominator, horizon=h),
+        "fatou": lambda h: om.fatou(mu, SequenceSpec(lambda n: f), horizon=h),
+        "sup_increasing": lambda h: om.sup_increasing(
+            om.constant_sequence(om.element(C2, [1, 1])), horizon=h),
+    }
+
+
+class TestHorizonNotAnInteger:
+    """A horizon that is a bool or not an integer is refused as `RunConfig`
+    refuses it, not read as 1 or left to fail in `range`."""
+
+    @pytest.mark.parametrize("horizon, shown", [(True, "True"), (2.5, "2.5")])
+    @pytest.mark.parametrize("call", ["mct", "dct", "fatou", "sup_increasing"])
+    def test_refused(self, call, horizon, shown):
+        with pytest.raises(ValidationError,
+                           match=f"^horizon must be a positive integer, got {shown}$"):
+            _calls_with_horizon()[call](horizon)
 
 
 def _stabilizing(mu, rows, metadata):

@@ -132,9 +132,9 @@ class TestRunner:
         made = Counter()
         as_function = scenarios._as_function
 
-        def counting(space, values, kind, path):
-            made[path] += 1
-            return as_function(space, values, kind, path)
+        def counting(*args):  # (integral, space, values, kind, path)
+            made[args[-1]] += 1
+            return as_function(*args)
 
         monkeypatch.setattr(scenarios, "_as_function", counting)
         assert run_scenario(scenario, RunConfig(horizon=16))["all_ok"]
@@ -167,6 +167,22 @@ class TestSequenceSampling:
         with pytest.raises(ValidationError,
                            match=f"^horizon must be a positive integer, got {horizon}$"):
             seq.sample(horizon)
+        assert calls == []
+
+    @pytest.mark.parametrize("horizon", [True, 2.5])
+    def test_horizon_that_is_not_an_integer_is_refused(self, horizon):
+        seq, calls = self.spec(5)
+        with pytest.raises(ValidationError,
+                           match=f"^horizon must be a positive integer, got {horizon}$"):
+            seq.sample(horizon)
+        assert calls == []
+
+    @pytest.mark.parametrize("own", [True, 2.5, -3])
+    def test_own_horizon_that_is_not_a_positive_integer_is_refused(self, own):
+        seq, calls = self.spec(own)
+        with pytest.raises(ValidationError,
+                           match=f"^horizon must be a positive integer, got {own}$"):
+            seq.sample()
         assert calls == []
 
     def test_terms_are_generated_once(self):
@@ -593,6 +609,14 @@ class TestCli:
             run_cli(["run", SCENARIO_DIR / "mct_basic.json", "--horizon", horizon])
         assert exc.value.code == 2
         assert "--horizon" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", ["\u0661\u0666", "1_6"])  # Arabic-Indic 16, and 16
+    @pytest.mark.parametrize("kind", ["sup_measure", "series_measure"])
+    def test_compare_n_takes_ascii_digits_only(self, capsys, kind, n):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["compare", kind, "--n", n])
+        assert exc.value.code == 2
+        assert "argument --n: must be a positive integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize("schedule", ["2^--5", "2^-x", "0", "-1/2", "1/0", ",",
                                           f"2^-{MAX_EPSILON_EXPONENT + 1}",

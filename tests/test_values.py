@@ -42,7 +42,7 @@ FIELDS = {
     scenarios.Directive: ("check", "expect", "args"),
     scenarios._NamedSequence: ("values", "metadata", "witnesses"),
     scenarios._Key: ("json", "resolve", "default"),
-    scenarios._Check: ("handler", "keys", "needs", "admits"),
+    scenarios._Check: ("module", "handler", "keys", "needs", "admits"),
 }
 OWN_REPR = (om.Element, om.ExtElement)
 TWINS = {cls: dataclasses.make_dataclass(cls.__name__, fields, frozen=True,
@@ -216,16 +216,16 @@ def build_key(spec):
 
 
 def check_specs():
-    return st.tuples(CALLABLES, st.dictionaries(st.sampled_from(["f", "g"]), key_specs(),
-                                                max_size=2),
+    return st.tuples(st.sampled_from([None, "integral", "measure_checks"]), CALLABLES,
+                     st.dictionaries(st.sampled_from(["f", "g"]), key_specs(), max_size=2),
                      st.sampled_from(["measure", "outer", None]), st.booleans())
 
 
 def build_check(spec):
-    handler, keys, needs, own_admits = spec
+    module, handler, keys, needs, own_admits = spec
     extra = {"admits": _zero} if own_admits else {}
-    return scenarios._Check(handler, {k: build_key(v) for k, v in keys.items()}, needs,
-                            **extra)
+    return scenarios._Check(module, handler, {k: build_key(v) for k, v in keys.items()},
+                            needs, **extra)
 
 
 CASES = {
