@@ -123,21 +123,22 @@ def is_ext_positive(a: ExtElement) -> bool:
     return ext_leq(ext_zero(a.space), a)
 
 
-def ext_scale(r: ExtScalar, a: ExtElement) -> ExtElement:
-    """Action of an extended nonnegative scalar on the extended cone."""
+def ext_scale(r: ExtScalar, a: ExtElement, den: int = 1) -> ExtElement:
+    """Action of the extended nonnegative scalar r / den (an integer den > 0,
+    which INFINITY ignores) on the extended cone."""
     if is_infinite(r):
         if not is_ext_positive(a):
             raise ValueError("infinite scalars act on the extended positive cone only")
         if a.is_finite and a.finite.is_zero():
             return ext_zero(a.space)
         return infinity(a.space)
-    if not isinstance(r, Fraction):
+    if not isinstance(r, (int, Fraction)):
         r = Fraction(r)
     if r < 0:
         raise ValueError("extended scaling requires a nonnegative scalar")
     if a.is_infinite:
         return ext_zero(a.space) if r == 0 else infinity(a.space)
-    return finite(spaces.scale(r, a.finite))
+    return finite(spaces.scale(r, a.finite, den))
 
 
 def ext_sub_finite(a: ExtElement, b: ExtElement) -> ExtElement:
@@ -190,7 +191,7 @@ def certify_divergence(
     unit = spaces.order_unit(space)
 
     def all_below(k: int) -> bool:
-        bound = finite(spaces.scale(Fraction(k), unit))
+        bound = finite(spaces.scale(k, unit))
         return all(ext_leq(t, bound) for t in terms)
 
     top = max(horizon, 2) - 1

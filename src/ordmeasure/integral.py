@@ -5,8 +5,9 @@ closed form over the atom partition using the extended scalar action, and
 the supremum of the canonical elementary ladder of truncations.  The two
 routes are independent implementations and must agree exactly; the ladder
 is retained purely as an oracle against convention bugs (0 * inf versus
-inf * 0).  The closed form folds pairwise with `ext_scale` and `ext_add`,
-while each ladder rung is one `spaces.combination` over the atoms, so the
+inf * 0).  Functions are integer numerators over one denominator.  The
+closed form folds pairwise with `ext_scale` and `ext_add`, while each rung
+is one `spaces.combination` of integer coefficients over the atoms, so the
 routes share no summation code.
 
 The monotone and dominated convergence theorems and the Fatou inequality
@@ -26,35 +27,16 @@ from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import extended, spaces
-from .errors import (
-    CertificationError,
-    Frozen,
-    HypothesisError,
-    NotIntegrableError,
-    OrdMeasureError,
-    ValidationError,
-)
+from .errors import (CertificationError, Frozen, HypothesisError, NotIntegrableError,
+                     OrdMeasureError, ValidationError)
 from .extended import (ExtElement, certify_monotone_limit, ext_add, ext_leq, ext_scale,
                        ext_to_json, ext_zero)
 from .measures import MeasurableSpace, Measure, mask_to_points, points_to_mask
-from .rationals import (
-    INFINITY,
-    ExtScalar,
-    ext_scalar_leq,
-    ext_scalar_min,
-    format_ext_scalar,
-    is_infinite,
-)
+from .rationals import (INFINITY, ExtScalar, ext_scalar_leq, ext_scalar_min,
+                        format_ext_scalar, is_infinite, over_one_den)
 from .reports import CheckResult, fails, holds
-from .sequences import (
-    DEFAULT_EPSILONS,
-    DeclaredLimit,
-    DivergesToInfinity,
-    SequenceSpec,
-    StabilizesAt,
-    certify_gaps,
-    detect_cycle,
-)
+from .sequences import (DEFAULT_EPSILONS, DeclaredLimit, DivergesToInfinity, SequenceSpec,
+                        StabilizesAt, certify_gaps, detect_cycle)
 from .spaces import Element, SpaceDescriptor
 
 
@@ -62,16 +44,19 @@ def _scalar_lt(a: ExtScalar, b: ExtScalar) -> bool:
     return a != b and ext_scalar_leq(a, b)
 
 
-def _check_level_sets(space: MeasurableSpace, values: Sequence[ExtScalar]):
+def _check_level_sets(f: "_PointFunction"):
     """Measurability: every sublevel set of the range lands in the algebra.
 
     That holds exactly when the function is constant on each atom, which is
-    tested first, against each atom's first point; the sublevel sets are
-    swept only to name one that fails.
+    tested first, on the numerators and the infinite points; the sublevel
+    sets are swept only to name one that fails.
     """
-    if all(values[x] == values[points[0]]
-           for points in space.atom_points.values() for x in points[1:]):
+    space, nums = f.space, f.nums
+    if f.inf in space and all(nums[x] == nums[points[0]]
+                              for points in space.atom_points.values()
+                              for x in points[1:]):
         return
+    values = f.values
     sweeps = [(test, v) for v in dict.fromkeys(values) if not is_infinite(v)
               for test in (_scalar_lt, ext_scalar_leq)]
     for test, r in sweeps + [(_scalar_lt, INFINITY)]:
@@ -84,43 +69,69 @@ def _check_level_sets(space: MeasurableSpace, values: Sequence[ExtScalar]):
             )
 
 
-def _trusted(cls, **fields):
-    """The trusted constructor of `ExtFunction`, `SignedFunction` and
-    `ElementaryFunction`: the fields are set as given, and nothing is checked.
-
-    Only for functions derived from validated ones on the same space in ways
-    that keep them measurable (constant on every atom) and, for the
-    extended-nonnegative and elementary kinds, nonnegative.  Functions built
-    from user or scenario input go through the validating constructors.
-    """
-    fn = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(fn, name, value)
-    return fn
+def _set(obj, *values):
+    """`obj` with its fields (its class's slots, in order) set to `values`."""
+    for name, value in zip(obj._fields, values):
+        object.__setattr__(obj, name, value)
+    return obj
 
 
-def _pointwise(op, f, g):
-    """The values op(f(x), g(x)) of two functions on one space."""
+def _trusted(cls, space: MeasurableSpace, nums: tuple, den: int, inf: int = 0):
+    """The trusted constructor of `ExtFunction` and `SignedFunction`: nums
+    over den, reduced by one gcd, infinite on `inf`; nothing is checked.
+    Only for functions derived from validated ones on one space in ways that
+    keep them measurable and, for the extended kind, nonnegative."""
+    g = math.gcd(den, *nums)
+    if g != 1:
+        nums, den = tuple(n // g for n in nums), den // g
+    return _set(object.__new__(cls), space, nums, den, inf)
+
+
+def _pointwise(op, f, g) -> "SignedFunction":
+    """The function op(f(x), g(x)) of two finite functions on one space; `op`
+    commutes with scaling by a positive number, so it acts on the numerators
+    over the common denominator."""
     if f.space != g.space:
         raise ValidationError("functions live on different spaces")
-    return tuple(op(a, b) for a, b in zip(f.values, g.values))
+    den = math.lcm(f.den, g.den)
+    a, b = den // f.den, den // g.den
+    return _trusted(SignedFunction, f.space,
+                    tuple(op(x * a, y * b) for x, y in zip(f.nums, g.nums)), den)
 
 
 class _PointFunction(Frozen):
-    """A function given by its value at each ground point of `space`."""
+    """A function given by its value at each ground point of `space`: the
+    integer numerators `nums` over one denominator `den`, in canonical form
+    (``den > 0``, ``gcd(den, *nums) == 1``, as in `spaces.Element`), and the
+    bitmask `inf` of the points where it is infinite (`nums` holds 0 there).
+    ``values`` derives the Fraction and INFINITY tuple.
+    """
 
-    __slots__ = ("space", "values")
+    __slots__ = ("space", "nums", "den", "inf")
 
     def __init__(self, space: MeasurableSpace, values: tuple):
-        if len(values) != space.ground_size:
-            raise ValidationError("function needs one value per ground point")
-        self._check_values(values)
-        _check_level_sets(space, values)
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "values", values)
+        _set(self, space, *over_one_den(values))._validate()
 
-    def _check_values(self, values: tuple):
-        pass
+    @classmethod
+    def from_nums(cls, space: MeasurableSpace, nums: tuple, den: int, inf: int = 0):
+        """The function with values nums[x] / den and infinity on the points of
+        `inf` (see `_trusted`), validated as the constructor validates values."""
+        fn = _trusted(cls, space, nums, den, inf)
+        fn._validate()
+        return fn
+
+    def _validate(self):  # `_check_values` is the subclass's test of its values
+        if len(self.nums) != self.space.ground_size:
+            raise ValidationError("function needs one value per ground point")
+        self._check_values()
+        _check_level_sets(self)
+
+    @property
+    def values(self) -> tuple:
+        """The value at each point: a Fraction, or INFINITY."""
+        den, inf = self.den, self.inf
+        return tuple(INFINITY if inf >> x & 1 else Fraction(n, den)
+                     for x, n in enumerate(self.nums))
 
 
 class ExtFunction(_PointFunction):
@@ -128,18 +139,14 @@ class ExtFunction(_PointFunction):
 
     __slots__ = ()
 
-    def _check_values(self, values: tuple):
-        for v in values:
-            if not is_infinite(v) and v < 0:
-                raise ValidationError(f"extended function value {v} is negative")
-
-    def infinity_mask(self) -> int:
-        return points_to_mask(x for x, v in enumerate(self.values) if is_infinite(v))
+    def _check_values(self):
+        for n in self.nums:
+            if n < 0:
+                raise ValidationError(
+                    f"extended function value {Fraction(n, self.den)} is negative")
 
     def support_mask(self) -> int:
-        return points_to_mask(
-            x for x, v in enumerate(self.values) if is_infinite(v) or v != 0
-        )
+        return self.inf | points_to_mask(x for x, n in enumerate(self.nums) if n)
 
 
 class SignedFunction(_PointFunction):
@@ -147,35 +154,34 @@ class SignedFunction(_PointFunction):
 
     __slots__ = ()
 
+    def _check_values(self):
+        if self.inf:
+            raise ValidationError("a signed function cannot take the value infinity")
+
     # Functions derived from measurable ones on one space are measurable
     # there, so they are built by the trusted constructor.
     def __add__(self, other: "SignedFunction") -> "SignedFunction":
-        return _trusted(SignedFunction, space=self.space,
-                        values=_pointwise(operator.add, self, other))
+        return _pointwise(operator.add, self, other)
 
     def __sub__(self, other: "SignedFunction") -> "SignedFunction":
-        return _trusted(SignedFunction, space=self.space,
-                        values=_pointwise(operator.sub, self, other))
+        return _pointwise(operator.sub, self, other)
 
     def abs(self) -> ExtFunction:
-        return _trusted(ExtFunction, space=self.space,
-                        values=tuple(abs(v) for v in self.values))
+        return _trusted(ExtFunction, self.space, tuple(map(abs, self.nums)), self.den)
 
     def pos_part(self) -> ExtFunction:
-        return _trusted(ExtFunction, space=self.space,
-                        values=tuple(max(v, Fraction(0)) for v in self.values))
+        return _trusted(ExtFunction, self.space,
+                        tuple(max(n, 0) for n in self.nums), self.den)
 
     def neg_part(self) -> ExtFunction:
-        return _trusted(ExtFunction, space=self.space,
-                        values=tuple(max(-v, Fraction(0)) for v in self.values))
+        return _trusted(ExtFunction, self.space,
+                        tuple(max(-n, 0) for n in self.nums), self.den)
 
     def sup_with(self, other: "SignedFunction") -> "SignedFunction":
-        return _trusted(SignedFunction, space=self.space,
-                        values=_pointwise(max, self, other))
+        return _pointwise(max, self, other)
 
     def inf_with(self, other: "SignedFunction") -> "SignedFunction":
-        return _trusted(SignedFunction, space=self.space,
-                        values=_pointwise(min, self, other))
+        return _pointwise(min, self, other)
 
 
 def ext_function(space: MeasurableSpace, values: Sequence) -> ExtFunction:
@@ -190,63 +196,55 @@ def signed_function(space: MeasurableSpace, values: Sequence) -> SignedFunction:
 def indicator(space: MeasurableSpace, mask: int, coefficient=Fraction(1)) -> ExtFunction:
     space.require_measurable(mask)
     c = Fraction(coefficient)
-    return ExtFunction(
-        space,
-        tuple(c if mask >> x & 1 else Fraction(0) for x in range(space.ground_size)),
-    )
+    return ExtFunction.from_nums(space, tuple(
+        c.numerator if mask >> x & 1 else 0 for x in range(space.ground_size)),
+        c.denominator)
 
 
 class ElementaryFunction(Frozen):
-    """A finite nonnegative combination of indicators of measurable sets."""
+    """A finite nonnegative combination of indicators of measurable sets:
+    `terms` are (integer numerator >= 0, bitmask) pairs over the denominator
+    `den`."""
 
-    __slots__ = ("space", "terms")  # terms: (Fraction coefficient >= 0, bitmask) pairs
+    __slots__ = ("space", "terms", "den")
 
     def __init__(self, space: MeasurableSpace, terms: tuple):
+        """`terms` are (Fraction coefficient >= 0, bitmask) pairs."""
         for coeff, mask in terms:
             if coeff < 0:
                 raise ValidationError("elementary coefficients must be >= 0")
             space.require_measurable(mask, "representation set")
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "terms", terms)
+        den = math.lcm(*(c.denominator for c, _ in terms))
+        _set(self, space, tuple((c.numerator * (den // c.denominator), mask)
+                                for c, mask in terms), den)
 
     def dense_values(self) -> Tuple[Fraction, ...]:
-        out = [Fraction(0)] * self.space.ground_size
-        for coeff, mask in self.terms:
+        out = [0] * self.space.ground_size
+        for num, mask in self.terms:
             for x in mask_to_points(mask):
-                out[x] += coeff
-        return tuple(out)
-
-    @classmethod
-    def from_dense(cls, space: MeasurableSpace, values: Sequence[Fraction]
-                   ) -> "ElementaryFunction":
-        """Canonical atom representation of finite nonnegative dense values."""
-        terms = []
-        for atom in space.atoms:
-            v = values[mask_to_points(atom)[0]]
-            for x in mask_to_points(atom):
-                if values[x] != v:
-                    raise ValidationError("values are not constant on an atom")
-            if v != 0:
-                terms.append((Fraction(v), atom))
-        return cls(space, tuple(terms))
+                out[x] += num
+        return tuple(Fraction(n, self.den) for n in out)
 
 
 def truncate(f: ExtFunction, level: int) -> ElementaryFunction:
     """The canonical ladder rung f /\\ level (finite-valued, elementary).
 
     One term per atom where the rung is positive, read from the atom's
-    first point: `f` is validated, so it is constant on each atom, and the
-    rung is built by the trusted constructor.  It equals
-    ``ElementaryFunction.from_dense`` of the truncated values.
+    first point: `f` is validated, so it is constant on each atom.  The
+    coefficient is min(num, level * den) over f's denominator, reduced by
+    one gcd, and the rung is built without checks.
     """
-    cap = Fraction(level)
+    cap, nums, inf = level * f.den, f.nums, f.inf
     terms = []
     for atom, points in f.space.atom_points.items():
-        v = f.values[points[0]]
-        v = cap if is_infinite(v) else min(v, cap)
+        x = points[0]
+        v = cap if inf >> x & 1 else min(nums[x], cap)
         if v:
             terms.append((v, atom))
-    return _trusted(ElementaryFunction, space=f.space, terms=tuple(terms))
+    g = math.gcd(f.den, *(v for v, _ in terms))
+    if g != 1:
+        terms = [(v // g, atom) for v, atom in terms]
+    return _set(object.__new__(ElementaryFunction), f.space, tuple(terms), f.den // g)
 
 
 def integrate_elementary(phi: ElementaryFunction, mu: Measure) -> ExtElement:
@@ -271,8 +269,8 @@ def _rung_integral(phi: ElementaryFunction, mu: Measure) -> ExtElement:
     """Integral of an elementary function whose terms are atoms of its space,
     as `truncate` builds them: the point at infinity when a positive
     coefficient sits on an atom of infinite measure, and otherwise one
-    `spaces.combination` of the finite atom values (a zero coefficient
-    kills an infinite atom)."""
+    `spaces.combination` of the finite atom values over the rung's
+    denominator (a zero coefficient kills an infinite atom)."""
     if phi.space != mu.space:
         raise ValidationError("function and measure live on different spaces")
     pairs = []
@@ -283,13 +281,17 @@ def _rung_integral(phi: ElementaryFunction, mu: Measure) -> ExtElement:
                 return extended.infinity(mu.backend)
         else:
             pairs.append((coeff, value))
-    return extended.finite(spaces.combination(mu.backend, pairs))
+    return extended.finite(spaces.combination(mu.backend, pairs, phi.den))
 
 
 def _closed_form_integral(f: ExtFunction, mu: Measure) -> ExtElement:
+    """The pairwise fold of ext_scale(f(atom), mu(atom)), each finite value
+    given to `ext_scale` as its numerator over f's denominator."""
     total = ext_zero(mu.backend)
     for atom, points in mu.space.atom_points.items():
-        total = ext_add(total, ext_scale(f.values[points[0]], mu.atom_values[atom]))
+        x = points[0]
+        v = INFINITY if f.inf >> x & 1 else f.nums[x]
+        total = ext_add(total, ext_scale(v, mu.atom_values[atom], f.den))
     return total
 
 
@@ -297,13 +299,13 @@ def _ladder_supremum(f: ExtFunction, mu: Measure) -> Tuple[ExtElement, dict]:
     """Supremum of the truncation-ladder integrals, decided exactly.
 
     Only the break levels are evaluated: 1, nstar = max(1, ceil(top)),
-    nstar + 1, and floor(v) and ceil(v) (when at least 1) for every finite
-    value v of f, in increasing order.  No value of f lies strictly between
-    two consecutive break levels a < b unless b = a + 1, so on the integers
-    of [a, b] each min(v, n) is v throughout or n throughout, and the rung
-    integrals are A + n * D there.  The rise from rung a to rung b is
-    (b - a) * D, which is positive exactly when the unit rise D between any
-    two neighbouring rungs in [a, b] is; testing consecutive break levels
+    nstar + 1, and floor(v) and ceil(v) (when at least 1, by integer division)
+    for every finite value v of f, in increasing order.  No value of f lies
+    strictly between two consecutive break levels a < b unless b = a + 1, so
+    on the integers of [a, b] each min(v, n) is v throughout or n throughout,
+    and the rung integrals are A + n * D there.  The rise from rung a to rung
+    b is (b - a) * D, which is positive exactly when the unit rise D between
+    any two neighbouring rungs in [a, b] is; testing consecutive break levels
     therefore tests every consecutive pair of the full ladder, with
     O(number of distinct values) rungs instead of O(top).
 
@@ -315,12 +317,11 @@ def _ladder_supremum(f: ExtFunction, mu: Measure) -> Tuple[ExtElement, dict]:
     is infinite exactly when a positive value sits on an atom of infinite
     measure, at every level alike, so an infinite ladder shows at level 1.
     """
-    finite_vals = {v for v in f.values if not is_infinite(v)}
-    top = max(finite_vals, default=Fraction(0))
-    nstar = max(1, math.ceil(top))
+    den, inf = f.den, f.inf
+    finite_nums = {n for x, n in enumerate(f.nums) if not inf >> x & 1}
+    nstar = max(1, -(-max(finite_nums, default=0) // den))
     levels = {1, nstar, nstar + 1}
-    levels.update(k for v in finite_vals for k in (math.floor(v), math.ceil(v))
-                  if k >= 1)
+    levels.update(k for n in finite_nums for k in (n // den, -(-n // den)) if k >= 1)
     rungs = []
     for n in sorted(levels):
         rung = _rung_integral(truncate(f, n), mu)
@@ -343,10 +344,7 @@ class IntegralReport(Frozen):
 
     def __init__(self, value: ExtElement, closed_form: ExtElement, ladder: ExtElement,
                  trail: dict):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "closed_form", closed_form)
-        object.__setattr__(self, "ladder", ladder)
-        object.__setattr__(self, "trail", trail)
+        _set(self, value, closed_form, ladder, trail)
 
 
 def integrate_extended(f: ExtFunction, mu: Measure) -> IntegralReport:
@@ -356,11 +354,11 @@ def integrate_extended(f: ExtFunction, mu: Measure) -> IntegralReport:
     supremum of the canonical elementary ladder, and insists that they
     agree exactly.  Both routes run once per distinct function on `mu`:
     the report is kept in ``mu.integral_memo`` under the function's space
-    and values, and later calls for an equal function return it.  A
-    function on another space never matches a key, so it still reaches
-    the ladder's space check.
+    and canonical integer form, and later calls for an equal function
+    return it.  A function on another space never matches a key, so it
+    still reaches the ladder's space check.
     """
-    key = (f.space, f.values)
+    key = (f.space, f.nums, f.den, f.inf)
     report = mu.integral_memo.get(key)
     if report is None:
         closed = _closed_form_integral(f, mu)
@@ -387,13 +385,13 @@ def _shifted_parts(f: SignedFunction) -> Tuple[ExtFunction, ExtFunction]:
     """f + c * s and c * s, where s is the indicator of the support of f and
     c exceeds every |f(x)|.  Both are constant on the atoms, as f and its
     support are, positive on the support and zero off it."""
-    support = points_to_mask(x for x, v in enumerate(f.values) if v != 0)
+    support = points_to_mask(x for x, n in enumerate(f.nums) if n)
     f.space.require_measurable(support, "support")
-    c = max((abs(v) for v in f.values), default=Fraction(0)) + 1
-    shifted = _trusted(ExtFunction, space=f.space, values=tuple(
-        v + c if support >> x & 1 else v for x, v in enumerate(f.values)))
-    shift_only = _trusted(ExtFunction, space=f.space, values=tuple(
-        c if support >> x & 1 else Fraction(0) for x in range(f.space.ground_size)))
+    c = max(map(abs, f.nums), default=0) + f.den  # c * den
+    shifted = _trusted(ExtFunction, f.space, tuple(
+        n + c if support >> x & 1 else n for x, n in enumerate(f.nums)), f.den)
+    shift_only = _trusted(ExtFunction, f.space, tuple(
+        c if support >> x & 1 else 0 for x in range(f.space.ground_size)), f.den)
     return shifted, shift_only
 
 
@@ -421,41 +419,49 @@ def integrate_signed(f: SignedFunction, mu: Measure) -> Element:
     return result
 
 
-def _certify_scalar_convergence(samples: List[ExtScalar], target: ExtScalar,
-                                epsilons, increasing: bool, point: int):
-    """Pointwise convergence certificate at one ground point."""
-    if any(s == target for s in samples) and samples[-1] == target:
+def _certify_scalar_convergence(terms: List[ExtFunction], f: ExtFunction, x: int,
+                                epsilons, increasing: bool):
+    """Pointwise convergence certificate at the ground point x, on the values
+    there as numerators over the lcm of the denominators (None: infinite)."""
+    den = math.lcm(f.den, *(t.den for t in terms))
+
+    def at(g):
+        return None if g.inf >> x & 1 else g.nums[x] * (den // g.den)
+    samples, target = [at(t) for t in terms], at(f)
+    if samples[-1] == target:
         return
-    if is_infinite(target):
+    if target is None:
         # The bounds are k = 1 .. len - 1, and no sample exceeds k exactly
         # when the largest sample is at most k: the first such k fails.
-        if not any(is_infinite(s) for s in samples):
-            k = max(1, math.ceil(max(samples)))
-            if k < len(samples):
-                raise CertificationError(
-                    f"divergence at point {point} not certified against bound {k}"
-                )
+        k = len(samples) if None in samples else max(1, -(-max(samples) // den))
+        if k < len(samples):
+            raise CertificationError(
+                f"divergence at point {x} not certified against bound {k}")
         return
 
-    def probe(eps):
-        def reaches(i):
-            s = samples[i - 1]
-            if is_infinite(s):
-                return False
-            return target <= s + eps if increasing else s <= target + eps
-        return reaches
+    sign = 1 if increasing else -1
+
+    def probe(eps):  # the sample is within eps of the target, on its side
+        bound, q = eps.numerator * den, eps.denominator
+        return lambda i: (samples[i - 1] is not None
+                          and (target - samples[i - 1]) * sign * q <= bound)
 
     certify_gaps(epsilons, len(samples), probe,
-                 f"pointwise gap {{eps}} at point {point} not certified")
+                 f"pointwise gap {{eps}} at point {x} not certified")
 
 
 def _out_of_order_points(pairs, increasing: bool) -> int:
     """Mask of the points x where some pair of functions (g, h) has g(x)
-    not below h(x) (not above, when decreasing); these must be null."""
+    not below h(x) (not above, when decreasing); these must be null.  Finite
+    values compare by their numerators crosswise."""
     bad = 0
     for g, h in pairs:
-        for x, (a, b) in enumerate(zip(g.values, h.values)):
-            if not (ext_scalar_leq(a, b) if increasing else ext_scalar_leq(b, a)):
+        if not increasing:
+            g, h = h, g
+        gd, hd, either = g.den, h.den, g.inf | h.inf
+        bad |= g.inf & ~h.inf
+        for x, (a, b) in enumerate(zip(g.nums, h.nums)):
+            if a * hd > b * gd and not either >> x & 1:
                 bad |= 1 << x
     return bad
 
@@ -491,8 +497,7 @@ def _monotone_convergence(name: str, mu: Measure, seq: SequenceSpec, f: ExtFunct
         raise CertificationError(f"pointwise convergence must be declared ({kinds})")
     for x in range(mu.space.ground_size):
         if not (1 << x) & null:
-            _certify_scalar_convergence([t.values[x] for t in terms], f.values[x],
-                                        epsilons, increasing, point=x)
+            _certify_scalar_convergence(terms, f, x, epsilons, increasing)
 
     values = [integral_value(t, mu) for t in terms]
     target = integral_value(f, mu)
@@ -533,8 +538,7 @@ def fatou(mu: Measure, seq: SequenceSpec,
     """
     require_sigma_dedekind(mu.backend, "the Fatou inequality")
     terms = seq.sample(horizon)
-    samples = [t.values for t in terms]
-    cycle = detect_cycle(samples)
+    cycle = detect_cycle([(t.nums, t.den, t.inf) for t in terms])
     if cycle is None:
         raise CertificationError(
             "tails not exactly computable: sequence is not eventually periodic "
@@ -579,25 +583,26 @@ def dct(mu: Measure, seq: SequenceSpec, f: SignedFunction, g: ExtFunction,
     g_int = integral_value(g, mu)
     if not g_int.is_finite:
         raise HypothesisError("the dominating function must have a finite integral")
+    # |t(x)| <= g(x) off the null points, on numerators compared crosswise
+    unbounded = null | g.inf
     for n, t in enumerate(terms, start=1):
-        for x in range(mu.space.ground_size):
-            if (1 << x) & null:
-                continue
-            if not ext_scalar_leq(abs(t.values[x]), g.values[x]):
-                raise HypothesisError(
-                    f"domination violated at index {n}, point {x}"
-                )
+        for x, (a, b) in enumerate(zip(t.nums, g.nums)):
+            if abs(a) * g.den > b * t.den and not unbounded >> x & 1:
+                raise HypothesisError(f"domination violated at index {n}, point {x}")
     if not isinstance(seq.metadata, (StabilizesAt, DeclaredLimit)):
         raise CertificationError("convergence to f must be declared")
+    den = math.lcm(f.den, *(t.den for t in terms))  # distances are over den
     for x in range(mu.space.ground_size):
         if (1 << x) & null:
             continue
-        distances = [abs(t.values[x] - f.values[x]) for t in terms]
+        target = f.nums[x] * (den // f.den)
+        distances = [abs(t.nums[x] * (den // t.den) - target) for t in terms]
         # Index i reaches eps when every distance from i on is within eps,
         # that is when the largest of them is.
         tail_max = list(accumulate(reversed(distances), max))[::-1]
         certify_gaps(epsilons, len(distances),
-                     lambda eps: lambda i: tail_max[i - 1] <= eps,
+                     lambda eps: lambda i: (tail_max[i - 1] * eps.denominator
+                                            <= eps.numerator * den),
                      f"pointwise convergence gap {{eps}} at point {x} not certified")
 
     part1 = all(is_integrable(t, mu) for t in terms)

@@ -17,18 +17,21 @@ from .errors import HypothesisError, NotIntegrableError, ValidationError
 from .extended import element_to_json, ext_add, ext_leq, ext_scale, ext_to_json
 from .integral import ExtFunction, SignedFunction
 from .measures import Measure, mask_to_points
-from .rationals import ext_scalar_add, ext_scalar_leq, ext_scalar_mul
+from .rationals import ext_scalar_add, ext_scalar_leq
 from .reports import CheckResult, fails, holds
 from .spaces import Element, SpaceDescriptor
 
 
 def combine(r1, f: ExtFunction, r2, g: ExtFunction) -> ExtFunction:
-    """Pointwise r1*f + r2*g with the extended scalar conventions."""
-    vals = tuple(
-        ext_scalar_add(ext_scalar_mul(Fraction(r1), a), ext_scalar_mul(Fraction(r2), b))
-        for a, b in zip(f.values, g.values)
-    )
-    return ExtFunction(f.space, vals)
+    """Pointwise r1*f + r2*g with the extended scalar conventions (0 * inf = 0),
+    on the numerators over the product of the four denominators."""
+    r1, r2 = Fraction(r1), Fraction(r2)
+    a = r1.numerator * r2.denominator * g.den
+    b = r2.numerator * r1.denominator * f.den
+    inf = (f.inf if r1 else 0) | (g.inf if r2 else 0)
+    return ExtFunction.from_nums(f.space, tuple(
+        0 if inf >> x & 1 else a * m + b * n for x, (m, n) in enumerate(zip(f.nums, g.nums))
+    ), r1.denominator * r2.denominator * f.den * g.den, inf)
 
 
 def pointwise_leq(f: ExtFunction, g: ExtFunction) -> bool:
@@ -71,7 +74,7 @@ def ae_analysis(f: ExtFunction, mu: Measure) -> CheckResult:
     the integral; and the ladder formulation of the almost-everywhere
     finite supremum statement.
     """
-    inf_mask = f.infinity_mask()
+    inf_mask = f.inf
     pos_mask = f.support_mask()
     null = mu.null_mask
     report = integral.integrate_extended(f, mu)
@@ -214,9 +217,7 @@ def l1_quotient(mu: Measure, functions: Sequence[SignedFunction]) -> CheckResult
     null = mu.null_mask
 
     def class_key(f: SignedFunction) -> tuple:
-        return tuple(
-            f.values[x] for x in range(mu.space.ground_size) if not (null >> x & 1)
-        )
+        return tuple(v for x, v in enumerate(f.values) if not null >> x & 1)
 
     classes: Dict[tuple, List[int]] = {}
     for i, f in enumerate(functions):
@@ -230,12 +231,9 @@ def l1_quotient(mu: Measure, functions: Sequence[SignedFunction]) -> CheckResult
                              "members": members})
     zero_el = spaces.zero(mu.backend)
     for i, f in enumerate(functions):
-        nonneg_ae = all(
-            f.values[x] >= 0 for x in range(mu.space.ground_size)
-            if not (null >> x & 1)
-        )
-        if nonneg_ae and integral.integrate_signed(f, mu) == zero_el:
-            if any(v != 0 for v in class_key(f)):
+        key = class_key(f)
+        if all(v >= 0 for v in key) and integral.integrate_signed(f, mu) == zero_el:
+            if any(v != 0 for v in key):
                 problems.append({"issue": "strict positivity violated", "index": i})
     for m1 in classes.values():
         for m2 in classes.values():

@@ -1,9 +1,10 @@
 """Exact scalars: rationals and the extended positive half line.
 
-All scalar values in the library are `fractions.Fraction` instances, which
-are always in lowest terms with positive denominator.  The extended
-positive half line adjoins a single absorbing point `INFINITY`; the
-conventions for its arithmetic are
+Scalars enter and leave the library as `fractions.Fraction` instances,
+which are always in lowest terms with positive denominator; a function's
+values are integer numerators over one denominator (`over_one_den`).  The
+extended positive half line adjoins a single absorbing point `INFINITY`;
+the conventions for its arithmetic are
 
     inf + r = inf,   r * inf = inf (r > 0),   0 * inf = 0,
     inf * 0 = 0,     inf * r = inf (r > 0),   inf * inf = inf,
@@ -13,11 +14,13 @@ and every scalar satisfies r <= inf.
 
 from __future__ import annotations
 
+import math
 import re
+import sys
 from fractions import Fraction
 from typing import Union
 
-from .errors import SchemaError
+from .errors import DimensionLimitError, SchemaError
 
 
 class _Infinity:
@@ -49,19 +52,20 @@ def is_infinite(r: ExtScalar) -> bool:
     return r is INFINITY
 
 
+def over_one_den(values) -> tuple:
+    """Fractions, ints or INFINITY as ``(nums, den, inf)``: numerators over
+    the lcm of the denominators, in canonical form (``den > 0``,
+    ``gcd(den, *nums) == 1``), and 0 at the points of the bitmask `inf`."""
+    den = math.lcm(*(v.denominator for v in values if v is not INFINITY))
+    nums = tuple(0 if v is INFINITY else v.numerator * (den // v.denominator)
+                 for v in values)
+    return nums, den, sum(1 << x for x, v in enumerate(values) if v is INFINITY)
+
+
 def ext_scalar_add(a: ExtScalar, b: ExtScalar) -> ExtScalar:
     if a is INFINITY or b is INFINITY:
         return INFINITY
     return a + b
-
-
-def ext_scalar_mul(a: ExtScalar, b: ExtScalar) -> ExtScalar:
-    """Product on the extended half line, with 0 absorbing against infinity."""
-    if a is INFINITY:
-        return INFINITY if b != 0 else Fraction(0)
-    if b is INFINITY:
-        return INFINITY if a != 0 else Fraction(0)
-    return a * b
 
 
 def ext_scalar_leq(a: ExtScalar, b: ExtScalar) -> bool:
@@ -100,9 +104,11 @@ def parse_rational(text: str, path: str = "") -> Fraction:
 
 
 def format_rational(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    try:  # more digits than str() converts is a size-limit error
+        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        raise DimensionLimitError("rational output limited to <= "
+                                  f"{sys.get_int_max_str_digits()} digits") from None
 
 
 def parse_ext_scalar(value, path: str = "") -> ExtScalar:

@@ -66,44 +66,16 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional
 
 from . import measures as measures_mod
-from .errors import (
-    MAX_GROUND_SIZE,
-    MAX_HORIZON,
-    CertificationError,
-    DimensionLimitError,
-    Frozen,
-    HypothesisError,
-    NotIntegrableError,
-    SchemaError,
-    ValidationError,
-    check_cap,
-)
+from .errors import (MAX_GROUND_SIZE, MAX_HORIZON, CertificationError, DimensionLimitError,
+                     Frozen, HypothesisError, NotIntegrableError, SchemaError,
+                     ValidationError, check_cap)
 from .extended import ExtElement, ext_to_json, finite, infinity
 from .measures import MeasurableSpace, Measure, mask_to_points, points_to_mask
-from .rationals import (
-    format_rational,
-    is_infinite,
-    parse_ext_scalar,
-    parse_rational,
-)
-from .reports import (
-    CheckResult,
-    FAILS,
-    HOLDS,
-    HYPOTHESIS_NOT_MET,
-    NOT_CERTIFIABLE,
-    STATUSES,
-)
-from .sequences import (
-    DEFAULT_EPSILONS,
-    DEFAULT_HORIZON,
-    DeclaredLimit,
-    DivergesToInfinity,
-    SequenceSpec,
-    StabilizesAt,
-    check_horizon,
-    repeat_last,
-)
+from .rationals import format_rational, over_one_den, parse_ext_scalar, parse_rational
+from .reports import (CheckResult, FAILS, HOLDS, HYPOTHESIS_NOT_MET, NOT_CERTIFIABLE,
+                      STATUSES)
+from .sequences import (DEFAULT_EPSILONS, DEFAULT_HORIZON, DeclaredLimit, DivergesToInfinity,
+                        SequenceSpec, StabilizesAt, check_horizon, repeat_last)
 from .spaces import Element, SpaceDescriptor, coord, entrywise_mat, loewner_sym, reals
 
 
@@ -191,12 +163,13 @@ def _parse_points(doc, ground_size: int, path: str) -> int:
 
 
 class _NamedSequence(Frozen):
-    """A named function sequence: the value list of term n, and what it declares.
+    """A named function sequence: the values of term n, and what it declares.
 
-    `witnesses` are value lists that are functions of a kind ("ext" or
-    "signed") exactly when every term n >= 1 is: the terms of an explicit or
-    alternating sequence, and finitely many lists decided in closed form for
-    a generated one (see `_parse_sequence`).
+    Values are (nums, den, inf) forms (`rationals.over_one_den`, not always
+    reduced).  `witnesses` are values that are functions of a kind ("ext"
+    or "signed") exactly when every term n >= 1 is: the terms of an explicit
+    or alternating sequence, and finitely many decided in closed form for a
+    generated one (see `_parse_sequence`).
     """
 
     __slots__ = ("values", "metadata", "witnesses")
@@ -232,30 +205,32 @@ class Scenario:
                  "sequences", "checks", "specs")
 
     def __init__(self, source: dict, backend: SpaceDescriptor, space: MeasurableSpace,
-                 measure: Optional[Measure], outer, functions: Dict[str, list],
+                 measure: Optional[Measure], outer, functions: Dict[str, tuple],
                  sequences: Dict[str, _NamedSequence]):
         self.source = source
         self.backend = backend
         self.space = space
         self.measure = measure
         self.outer = outer  # an outer.OuterMeasure, or None
-        self.functions = functions  # name -> ExtScalar values (may be negative)
+        self.functions = functions  # name -> the (nums, den, inf) form of its values
         self.sequences = sequences
         self.checks: List[Directive] = []
         self.specs: Dict[tuple, SequenceSpec] = {}
 
 
-def _parse_function_values(doc, ground: int, path: str) -> list:
+def _parse_function_values(doc, ground: int, path: str) -> tuple:
+    """A function's values, as their (nums, den, inf) form (`over_one_den`)."""
     if not isinstance(doc, dict) or "values" not in doc:
         raise SchemaError("function needs a 'values' array", path)
     values = _require_json(doc["values"], list, "values", path + "/values")
     if len(values) != ground:
         raise SchemaError(f"function needs {ground} values, got {len(values)}",
                           path + "/values")
-    return [parse_ext_scalar(v, f"{path}/values/{i}") for i, v in enumerate(values)]
+    return over_one_den([parse_ext_scalar(v, f"{path}/values/{i}")
+                         for i, v in enumerate(values)])
 
 
-def _resolve_term(functions: dict, ground: int, term, path: str) -> list:
+def _resolve_term(functions: dict, ground: int, term, path: str) -> tuple:
     """A sequence term: a function name or an inline {"values": [...]}."""
     if not isinstance(term, str):
         return _parse_function_values(term, ground, path)
@@ -304,31 +279,38 @@ def _parse_sequence(functions: dict, ground: int, doc, path: str) -> _NamedSeque
         if abs(ratio) >= 1:
             raise SchemaError("geometric ratio must satisfy |ratio| < 1",
                               path + "/ratio")
-        if any(is_infinite(v) for v in base + bump):
+        if base[2] or bump[2]:
             raise SchemaError("geometric sequences need finite base and bump", path)
+        den = math.lcm(base[1], bump[1])
+        b = [n * (den // base[1]) for n in base[0]]
+        h = [n * (den // bump[1]) for n in bump[0]]
+        p, q = ratio.numerator, ratio.denominator
 
-        def geometric(n):
-            return [b + ratio**n * h for b, h in zip(base, bump)]
-        least = [b + min(0, ratio * h, ratio**2 * h) for b, h in zip(base, bump)]
-        return _NamedSequence(geometric, DeclaredLimit(list(base)),
-                              (geometric(1), geometric(2), least))
+        def geometric(n):  # (b * q^n + h * p^n) / (den * q^n)
+            pn, qn = p**n, q**n
+            return tuple(x * qn + y * pn for x, y in zip(b, h)), den * qn, 0
+        least = tuple(x * q * q + min(0, p * q * y, p * p * y) for x, y in zip(b, h))
+        return _NamedSequence(geometric, DeclaredLimit(base),
+                              (geometric(1), geometric(2), (least, den * q * q, 0)))
 
     if kind == "truncation_ladder":
-        f = term("of")
+        nums, den, inf = f = term("of")
 
         def rung(n):
-            return [Fraction(n) if is_infinite(v) else min(v, Fraction(n)) for v in f]
-        top = max((v for v in f if not is_infinite(v)), default=Fraction(0))
-        return _NamedSequence(rung, DeclaredLimit(list(f)),
-                              (rung(max(1, math.floor(top) + 1)),))
+            cap = n * den
+            return tuple(cap if inf >> x & 1 else min(v, cap)
+                         for x, v in enumerate(nums)), den, 0
+        # floor of the largest finite value; an infinite point's 0 changes
+        # no level at or above 1
+        return _NamedSequence(rung, DeclaredLimit(f), (rung(max(1, max(nums) // den + 1)),))
 
     if kind == "scaled_index":
-        shape = term("shape")
-        if any(is_infinite(v) for v in shape):
+        nums, den, inf = term("shape")
+        if inf:
             raise SchemaError("scaled_index shape must be finite", path)
 
         def scaled(n):
-            return [Fraction(n) * v for v in shape]
+            return tuple(n * v for v in nums), den, 0
         return _NamedSequence(scaled, DivergesToInfinity(), (scaled(1),))
 
     raise SchemaError(f"unknown sequence kind {kind!r}", path)
@@ -337,17 +319,17 @@ def _parse_sequence(functions: dict, ground: int, doc, path: str) -> _NamedSeque
 # Resolvers of directive keys.  Each takes the scenario being parsed, the
 # key's JSON value (already of the key's JSON type) and its path.
 
-def _as_function(integral, space: MeasurableSpace, values: list, kind: str, path: str):
-    """`values` made an "ext" (extended-positive) or "signed" function of
-    the `integral` module, or "either": signed when some value is negative.
-    The resolvers import `integral`, so only a document with functions
-    loads it."""
-    if kind == "ext" or (kind == "either" and all(is_infinite(v) or v >= 0
-                                                  for v in values)):
-        return integral.ext_function(space, values)
-    if any(is_infinite(v) for v in values):
+def _as_function(integral, space: MeasurableSpace, values: tuple, kind: str, path: str):
+    """`values`, a (nums, den, inf) form, made an "ext" (extended-positive) or
+    "signed" function of the `integral` module, or "either": signed when
+    some value is negative.  The resolvers import `integral`, so only a
+    document with functions loads it."""
+    nums, den, inf = values
+    if kind == "ext" or (kind == "either" and min(nums) >= 0):
+        return integral.ExtFunction.from_nums(space, nums, den, inf)
+    if inf:
         raise SchemaError("a signed function cannot take the value infinity", path)
-    return integral.signed_function(space, values)
+    return integral.SignedFunction.from_nums(space, nums, den)
 
 
 def _function(kind: str):
@@ -834,8 +816,10 @@ def run_scenario(scenario: Scenario, config: Optional[RunConfig] = None) -> dict
     config = config or RunConfig()
     results = []
     all_ok = True
-    for directive in scenario.checks:
-        result = run_check(scenario, directive, config)
+    for i, directive in enumerate(scenario.checks):
+        # A cap broken while a check runs (a result of more digits than
+        # Python prints, too many extracted atoms) is reported at the directive
+        result = _capped(f"/checks/{i}", run_check, scenario, directive, config)
         matched = result.status == directive.expect
         all_ok = all_ok and matched
         entry = result.to_json()

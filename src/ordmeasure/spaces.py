@@ -253,15 +253,18 @@ def neg(a: Element) -> Element:
     return _element(a.space, tuple(-x for x in a.nums), a.den)
 
 
-def scale(r: Fraction, a: Element) -> Element:
-    if not isinstance(r, Fraction):
+def scale(r, a: Element, den: int = 1) -> Element:
+    """(r / den) * a, for an int or Fraction r and an int den > 0."""
+    if not isinstance(r, (int, Fraction)):
         r = Fraction(r)
     return _element(a.space, tuple(r.numerator * x for x in a.nums),
-                    r.denominator * a.den)
+                    r.denominator * a.den * den)
 
 
-def combination(space: SpaceDescriptor, pairs: Iterable) -> Element:
-    """The linear combination sum of r * e over `(r, e)` pairs of `space`.
+def combination(space: SpaceDescriptor, pairs: Iterable, den: int = 1) -> Element:
+    """The linear combination sum of (r / den) * e over `(r, e)` pairs of
+    `space`, for int or Fraction r (the ladder's are integer numerators over
+    one denominator) and an int den > 0.
 
     Every term is brought over one common denominator, the lcm of the
     products r.denominator * e.den, and its integer numerators are
@@ -271,19 +274,19 @@ def combination(space: SpaceDescriptor, pairs: Iterable) -> Element:
     """
     terms = []
     for r, e in pairs:
-        if e.space != space:
+        if e.space is not space and e.space != space:
             raise SpaceMismatchError(
                 f"cannot combine {space.describe()} with {e.space.describe()}")
-        if not isinstance(r, Fraction):
+        if not isinstance(r, (int, Fraction)):
             r = Fraction(r)
         if r:
             terms.append((r.numerator, r.denominator * e.den, e.nums))
-    den = math.lcm(*(d for _, d, _ in terms))
+    common = math.lcm(*(d for _, d, _ in terms))
     acc = [0] * space.ncoords
     for num, d, nums in terms:
-        factor = num * (den // d)
+        factor = num * (common // d)
         acc = [a + factor * x for a, x in zip(acc, nums)]
-    return _element(space, tuple(acc), den)
+    return _element(space, tuple(acc), common * den)
 
 
 def is_psd(a: Element) -> bool:

@@ -16,7 +16,6 @@ from ordmeasure.rationals import (
     INFINITY,
     ext_scalar_add,
     ext_scalar_leq,
-    ext_scalar_mul,
     parse_rational,
 )
 from ordmeasure.sequences import (
@@ -27,6 +26,7 @@ from ordmeasure.sequences import (
 )
 
 from conftest import random_ext_element
+from integral_oracles import ext_scalar_mul
 from limit_oracles import stable_tail_sup_increasing
 
 C2 = om.coord(2)

@@ -1,0 +1,188 @@
+"""Functions as integer numerators over one denominator, against Fractions.
+
+The closed form, the truncation ladder and `truncate`, the derived
+functions and the generated sequence terms compute on the numerators of a
+function.  Each is compared here with the Fraction computation it replaced
+(`tests/integral_oracles.py`), on all four backends, with infinite points,
+null atoms, infinite atoms and large coprime denominators.  Then a guard:
+running a shipped scenario builds no more Fractions at horizon 256 than at
+horizon 64, so no Fraction is made per sequence term.
+"""
+
+import cProfile
+import fractions
+import pstats
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import ordmeasure as om
+from ordmeasure import integral, integral_checks, scenarios
+from ordmeasure.rationals import INFINITY, over_one_den
+
+import integral_oracles as oracle
+
+SCENARIOS = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.json"))
+BACKENDS = [om.reals(), om.coord(2), om.entrywise_mat(1, 2), om.loewner_sym(2)]
+# Pairwise coprime, and coprime to the small denominators.
+LARGE_DENOMINATORS = [2**31 - 1, 10**9 + 7, 998244353, 2**61 - 1]
+
+
+def scalars(signed=False):
+    """Zero, small fractions, and fractions over large coprime denominators."""
+    low = -6 if signed else 0
+    return st.one_of(
+        st.just(Fraction(0)),
+        st.fractions(min_value=low, max_value=6, max_denominator=7),
+        st.builds(Fraction, st.integers(low * 10**12, 6 * 10**12),
+                  st.sampled_from(LARGE_DENOMINATORS)),
+    )
+
+
+@st.composite
+def positive_elements(draw, backend):
+    entry = scalars(signed=backend.kind is om.SpaceKind.LOEWNER_SYM)
+    if backend.kind is om.SpaceKind.LOEWNER_SYM:  # B B^T
+        b = [[draw(entry) for _ in range(2)] for _ in range(2)]
+        return om.sym_matrix([[sum(b[i][k] * b[j][k] for k in range(2)) for j in range(2)]
+                              for i in range(2)])
+    return om.Element(backend, tuple(draw(entry) for _ in range(backend.ncoords)))
+
+
+@st.composite
+def cases(draw, signed=False):
+    """A measure with infinite and null atoms, and per-point values of a
+    function constant on its atoms; infinity among them unless signed."""
+    backend = draw(st.sampled_from(BACKENDS))
+    ground = draw(st.integers(1, 4))
+    gens = draw(st.lists(st.integers(0, (1 << ground) - 1), max_size=3))
+    space = (om.power_set_space(ground) if draw(st.booleans())
+             else om.generate_sigma_algebra(gens, ground))
+    kinds = st.sampled_from(["infinite", "null", "positive", "positive"])
+    atom_values = {}
+    for atom in space.atoms:
+        kind = draw(kinds)
+        atom_values[atom] = (om.infinity(backend) if kind == "infinite"
+                             else om.finite(om.zero(backend)) if kind == "null"
+                             else om.finite(draw(positive_elements(backend))))
+    value = scalars(signed) if signed else st.one_of(scalars(), st.just(INFINITY))
+    dense = [None] * ground
+    for atom in space.atoms:
+        v = draw(value)
+        for x in om.mask_to_points(atom):
+            dense[x] = v
+    return om.Measure(space, backend, atom_values), dense
+
+
+class TestIntegralRoutes:
+    @given(cases(), st.integers(1, 8))
+    @settings(max_examples=200, deadline=None)
+    def test_routes_and_rungs_match_the_fraction_oracles(self, case, level):
+        mu, dense = case
+        f = om.ext_function(mu.space, dense)
+        report = om.integrate_extended(f, mu)
+        assert report.closed_form == oracle.closed_form_integral(f, mu)
+        assert (report.ladder, report.trail) == oracle.ladder_supremum(f, mu)
+        phi = om.truncate(f, level)
+        terms = oracle.truncate_terms(f, level)
+        assert phi == om.ElementaryFunction(mu.space, terms)
+        assert phi == oracle.elementary_from_dense(mu.space, phi.dense_values())
+        assert integral._rung_integral(phi, mu) == oracle.rung_integral(terms, mu)
+
+    @given(cases())
+    @settings(max_examples=100, deadline=None)
+    def test_values_are_the_fraction_tuple(self, case):
+        mu, dense = case
+        f = om.ext_function(mu.space, dense)
+        assert f.values == tuple(dense)
+        assert all(v is INFINITY or type(v) is Fraction for v in f.values)
+        assert (f.nums, f.den, f.inf) == over_one_den(dense)
+        assert f == om.ExtFunction(mu.space, f.values)
+        assert f == om.ExtFunction.from_nums(
+            mu.space, tuple(3 * n for n in f.nums), 3 * f.den, f.inf)
+
+
+class TestDerivedFunctions:
+    @given(cases(signed=True), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_signed_derivations_match_fraction_values(self, case, data):
+        mu, dense = case
+        other = data.draw(cases(signed=True).filter(
+            lambda c: c[0].space.ground_size == mu.space.ground_size))[1]
+        space = om.power_set_space(mu.space.ground_size)
+        f, g = om.signed_function(space, dense), om.signed_function(space, other)
+        a, b = f.values, g.values
+        assert f.abs().values == tuple(map(abs, a))
+        assert f.pos_part().values == tuple(max(v, 0) for v in a)
+        assert f.neg_part().values == tuple(max(-v, 0) for v in a)
+        assert (f + g).values == tuple(x + y for x, y in zip(a, b))
+        assert (f - g).values == tuple(x - y for x, y in zip(a, b))
+        assert f.sup_with(g).values == tuple(map(max, a, b))
+        assert f.inf_with(g).values == tuple(map(min, a, b))
+        c = max(map(abs, a)) + 1
+        shifted, shift_only = integral._shifted_parts(f)
+        assert shifted.values == tuple(v + c if v else v for v in a)
+        assert shift_only.values == tuple(c if v else 0 for v in a)
+
+    @given(cases(), cases(), scalars(), scalars())
+    @settings(max_examples=200, deadline=None)
+    def test_combine_matches_the_extended_scalar_fold(self, first, second, r1, r2):
+        ground = min(len(first[1]), len(second[1]))
+        space = om.power_set_space(ground)
+        f = om.ext_function(space, first[1][:ground])
+        g = om.ext_function(space, second[1][:ground])
+        combined = integral_checks.combine(r1, f, r2, g)
+        assert combined.values == oracle.combine_values(r1, f, r2, g)
+
+
+class TestGeneratedTerms:
+    """The terms the scenario parser generates, as functions, against the
+    Fraction lists of the generators it replaced."""
+
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+        *[st.lists(scalars(signed=True), min_size=n, max_size=n)] * 2,
+        st.lists(st.one_of(scalars(), st.just(INFINITY)), min_size=n, max_size=n))),
+        st.fractions(min_value=-1, max_value=1, max_denominator=2**40).filter(
+            lambda r: abs(r) < 1),
+        st.integers(1, 40))
+    @settings(max_examples=150, deadline=None)
+    def test_terms_match(self, lists, ratio, n):
+        base, bump, top = lists
+        ground = len(base)
+        space = om.power_set_space(ground)
+        functions = {name: over_one_den(v) for name, v in
+                     (("base", base), ("bump", bump), ("top", top))}
+        docs = {
+            "geometric": ({"kind": "geometric", "base": "base", "bump": "bump",
+                           "ratio": om.format_rational(ratio)},
+                          oracle.geometric_term(base, bump, ratio, n), "either"),
+            "truncation_ladder": ({"kind": "truncation_ladder", "of": "top"},
+                                  oracle.ladder_term(top, n), "ext"),
+            "scaled_index": ({"kind": "scaled_index", "shape": "bump"},
+                             oracle.scaled_term(bump, n), "either"),
+        }
+        for name, (doc, expected, kind) in docs.items():
+            seq = scenarios._parse_sequence(functions, ground, doc, "/" + name)
+            term = scenarios._as_function(integral, space, seq.values(n), kind, name)
+            assert term.values == tuple(expected)
+
+
+def fraction_constructions(path: Path, horizon: int) -> int:
+    """Calls of `Fraction.__new__` while `run_scenario` runs one document."""
+    scenario = scenarios.load_scenario(str(path))
+    profiler = cProfile.Profile()
+    profiler.enable()
+    scenarios.run_scenario(scenario, scenarios.RunConfig(horizon=horizon))
+    profiler.disable()
+    new = fractions.Fraction.__new__.__code__
+    return sum(calls for (file, line, _), (_, calls, *_) in
+               pstats.Stats(profiler).stats.items()
+               if (file, line) == (new.co_filename, new.co_firstlineno))
+
+
+@pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
+def test_no_fraction_per_sequence_term(path):
+    assert fraction_constructions(path, 256) == fraction_constructions(path, 64)

@@ -22,7 +22,8 @@ from ordmeasure.integral import (
     integrate_elementary,
 )
 from ordmeasure.measures import _atom_unions, full_mask, mask_to_points, points_to_mask
-from ordmeasure.rationals import INFINITY, ext_scalar_leq, format_ext_scalar, is_infinite
+from ordmeasure.rationals import (INFINITY, ext_scalar_leq, format_ext_scalar, is_infinite,
+                                  over_one_den)
 from ordmeasure.sequences import (
     DEFAULT_EPSILONS,
     DeclaredLimit,
@@ -32,6 +33,7 @@ from ordmeasure.sequences import (
     from_terms,
 )
 
+import integral_oracles as oracle
 from conftest import nonneg_rational, random_algebra, random_measure
 
 C2 = om.coord(2)
@@ -84,8 +86,13 @@ class TestMeasurability:
                 values[x] = v
         else:
             values = data.draw(st.lists(scalars, min_size=n, max_size=n))
-        assert _message_or_none(_check_level_sets, space, values) == \
+        assert _message_or_none(check_level_sets, space, values) == \
             _message_or_none(level_set_sweep, space, values)
+
+
+def check_level_sets(space, values):
+    """`_check_level_sets` on a function with these values, built unchecked."""
+    _check_level_sets(integral._trusted(om.ExtFunction, space, *over_one_den(values)))
 
 
 def level_set_sweep(space, values):
@@ -172,9 +179,9 @@ class TestElementary:
             mu = random_measure(rng, space, C2)
             target = [nonneg_rational(rng, hi=3) for _ in range(ground)]
             dominating = [v + nonneg_rational(rng, hi=2) for v in target]
-            phi = ElementaryFunction.from_dense(space, target)
+            phi = oracle.elementary_from_dense(space, target)
             ladder = [
-                ElementaryFunction.from_dense(
+                oracle.elementary_from_dense(
                     space, [v * Fraction(n, 3) for v in dominating])
                 for n in (1, 2, 3)
             ]
@@ -367,14 +374,15 @@ def atom_elementary(draw, space):
 
 class TestRung:
     """The trusted `truncate` and the rung integral against the validating
-    `from_dense` and the pairwise fold of `integrate_elementary`."""
+    constructor (the oracle `elementary_from_dense`) and the pairwise fold
+    of `integrate_elementary`."""
 
     @given(measures_and_functions(), st.integers(1, 14))
     @settings(max_examples=300, deadline=None)
     def test_truncate_matches_from_dense(self, case, level):
         mu, f = case
         phi = om.truncate(f, level)
-        assert phi == ElementaryFunction.from_dense(f.space, truncated_values(f, level))
+        assert phi == oracle.elementary_from_dense(f.space, truncated_values(f, level))
         assert phi.dense_values() == truncated_values(f, level)
         assert all(coeff > 0 and mask in f.space.atoms for coeff, mask in phi.terms)
 
@@ -425,9 +433,9 @@ class TestLadderOperationCounts:
         calls = {"combination": 0, "truncate": []}
         combination, truncate = spaces.combination, integral.truncate
 
-        def counting_combination(space, pairs):
+        def counting_combination(space, pairs, den=1):
             calls["combination"] += 1
-            return combination(space, pairs)
+            return combination(space, pairs, den)
 
         def recording_truncate(g, level):
             calls["truncate"].append(level)
@@ -686,13 +694,20 @@ def scalar_samples(draw):
     return samples
 
 
+def at_point(value, point):
+    """The function on four points that is `value` at `point` and 0 elsewhere."""
+    return om.ext_function(om.power_set_space(4),
+                           [value if x == point else 0 for x in range(4)])
+
+
 class TestScalarDivergence:
     @given(scalar_samples(), st.integers(0, 3))
     @settings(max_examples=200, deadline=None)
     def test_agrees_with_bound_ladder(self, samples, point):
+        terms = [at_point(s, point) for s in samples]
         fast = _certification_message(
-            integral._certify_scalar_convergence, samples, INFINITY,
-            DEFAULT_EPSILONS, True, point)
+            integral._certify_scalar_convergence, terms, at_point(INFINITY, point),
+            point, DEFAULT_EPSILONS, True)
         assert fast == _certification_message(ladder_scalar_divergence, samples, point)
 
 

@@ -760,8 +760,23 @@ class TestCli:
         capsys.readouterr()
         assert run_cli(["run", path]) == 2
         assert capsys.readouterr().err == (
-            f"error: atoms of an exhaustive check limited to <= {MAX_EXHAUSTIVE_ATOMS}, "
-            f"got {MAX_EXHAUSTIVE_ATOMS + 1}\n")
+            f"error: /checks/1: atoms of an exhaustive check limited to "
+            f"<= {MAX_EXHAUSTIVE_ATOMS}, got {MAX_EXHAUSTIVE_ATOMS + 1}\n")
+
+    @pytest.mark.parametrize("output", ["json", "text"])
+    def test_result_past_the_digit_limit_exits_2(self, tmp_path, capsys, output):
+        # 10^200 * 10^4250 has 4,451 digits, more than Python prints.
+        path = tmp_path / "digits.json"
+        path.write_text(json.dumps({
+            "space": {"kind": "reals"}, "ground_size": 1,
+            "measure": {"atom_values": {"0": {"finite": ["1" + "0" * 200]}}},
+            "functions": {"f": {"values": ["1" + "0" * 4250]}},
+            "checks": [{"check": "integrate", "function": "f"}]}))
+        assert run_cli(["validate", path]) == 0
+        capsys.readouterr()
+        assert run_cli(["run", path, "--output", output]) == 2
+        assert capsys.readouterr() == ("", "error: /checks/0: rational output limited "
+                                       f"to <= {sys.get_int_max_str_digits()} digits\n")
 
     @pytest.mark.parametrize("command", ["run", "caratheodory"])
     def test_caratheodory_at_the_outer_cap_runs_in_time(self, tmp_path, command):
@@ -779,7 +794,8 @@ class TestCli:
         )
         assert time.perf_counter() - start < 30
         assert proc.returncode == 2
-        assert proc.stderr == (f"error: atoms of an exhaustive check limited to "
+        where = "/checks/1: " if command == "run" else ""  # run names the directive
+        assert proc.stderr == (f"error: {where}atoms of an exhaustive check limited to "
                                f"<= {MAX_EXHAUSTIVE_ATOMS}, got {n}\n")
 
     def test_loewner_at_the_cap_runs_in_time(self, tmp_path):

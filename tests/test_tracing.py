@@ -6,11 +6,13 @@ so a function moved out of the module it names breaks
 """
 
 import importlib.util
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from ordmeasure import scenarios
+from ordmeasure.rationals import INFINITY
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -48,3 +50,24 @@ def test_install_and_uninstall_after_a_shipped_scenario(tracing):
     assert tracer.calls["scenarios.check"] == len(report["checks"])
     assert tracer.calls["integral.certify"] > 0
     assert all(vars(owner)[attr] is fn for owner, attr, fn in originals)
+
+
+def test_traced_integrals_read_the_fraction_values(tracing):
+    # The tracer keys distinct integrals by `f.values`, and the selftest's
+    # integrate hook takes the largest finite one: both read the Fraction
+    # and INFINITY tuple that functions derive from their numerators.
+    read = []
+    tracer = tracing.Tracer()
+    tracer.on_exit["integral.integrate"] = lambda args, result, before: read.append(
+        args[0].values)
+    tracer.install()
+    try:
+        run_shipped("mct_divergent.json")
+        run_shipped("dct_geometric.json")
+    finally:
+        tracer.uninstall()
+    assert read and tracer._distinct
+    for values in read + [values for _, values in tracer._distinct]:
+        assert type(values) is tuple
+        assert all(v is INFINITY or type(v) is Fraction for v in values)
+    assert any(INFINITY in values for values in read)

@@ -30,9 +30,9 @@ FIELDS = {
     om.Element: ("space", "nums", "den"),
     om.ExtElement: ("space", "finite"),
     om.MeasurableSpace: ("ground_size", "atoms"),
-    om.ExtFunction: ("space", "values"),
-    om.SignedFunction: ("space", "values"),
-    om.ElementaryFunction: ("space", "terms"),
+    om.ExtFunction: ("space", "nums", "den", "inf"),
+    om.SignedFunction: ("space", "nums", "den", "inf"),
+    om.ElementaryFunction: ("space", "terms", "den"),
     om.IntegralReport: ("value", "closed_form", "ladder", "trail"),
     om.StabilizesAt: ("index",),
     om.DeclaredLimit: ("value",),
