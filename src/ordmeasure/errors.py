@@ -13,19 +13,23 @@ class Frozen:
     """Base of the immutable value classes, with one value protocol.
 
     A class's fields are the ``__slots__`` of its bases and then its own, in
-    order; a ``__dict__`` slot holds caches, not fields.  Two values are
-    equal when they are of the same class and their field tuples are equal,
-    the hash is the hash of the field tuple (a TypeError when a field is
-    unhashable), and the repr is ``Name(field=value, ...)``: what a frozen
-    dataclass generates.  `spaces.Element` and `extended.ExtElement` keep
-    their own three methods: they write their own repr, and they are the
-    arithmetic hot path, where the generic methods measured slower.
+    order; a ``__dict__`` slot holds caches, not fields.  What a frozen
+    dataclass generates is derived from the fields.  The constructor takes
+    them by position or by name, a field left out takes its class's
+    ``_defaults`` entry, and a call that a dataclass refuses is a TypeError.
+    Two values are equal when they are of the same class and their field
+    tuples are equal, the hash is the hash of the field tuple (a TypeError
+    when a field is unhashable), and the repr is ``Name(field=value, ...)``.
+    Assigning or deleting an attribute raises AttributeError.
 
-    Assigning or deleting an attribute raises AttributeError.  Constructors
-    set their fields with ``object.__setattr__``.
+    A constructor that checks its arguments is written out and stores the
+    fields with `_set`.  `spaces.Element` and `extended.ExtElement`, the
+    arithmetic hot path, write their own equality, hashing and short repr:
+    the generic methods measured slower.
     """
 
     __slots__ = ()
+    _defaults = {}
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -38,6 +42,25 @@ class Frozen:
                 return tuple(getattr(value, name) for name in names)
         cls._fields = names
         cls._field_values = staticmethod(values)
+
+    def __init__(self, *values, **named):
+        fields = self._fields
+        if named or len(values) != len(fields):  # complete the call as a dataclass would
+            rest, given = fields[len(values):], {**self._defaults, **named}
+            # every name is a field not given by position, every other field is given
+            if len(values) > len(fields) or not named.keys() <= set(rest) <= given.keys():
+                raise TypeError(f"{type(self).__qualname__} takes the fields "
+                                f"({', '.join(fields)}), not {len(values)} by position "
+                                f"and {sorted(named)} by name, and has defaults for "
+                                f"{sorted(self._defaults)}")
+            values = [*values, *map(given.get, rest)]
+        self._set(*values)
+
+    def _set(self, *values):
+        """`self` with its fields set to `values`, in order; nothing is checked."""
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+        return self
 
     def __eq__(self, other):
         if self is other:

@@ -38,7 +38,7 @@ class ExtElement(Frozen):
     __slots__ = ("space", "finite")
 
     def __init__(self, space: SpaceDescriptor, finite: Optional[Element]):
-        if finite is not None and finite.space != space:
+        if finite is not None and finite.space is not space and finite.space != space:
             raise SpaceMismatchError("payload space differs from declared space")
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "finite", finite)

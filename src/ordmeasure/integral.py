@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -32,16 +33,11 @@ from .errors import (CertificationError, Frozen, HypothesisError, NotIntegrableE
 from .extended import (ExtElement, certify_monotone_limit, ext_add, ext_leq, ext_scale,
                        ext_to_json, ext_zero)
 from .measures import MeasurableSpace, Measure, mask_to_points, points_to_mask
-from .rationals import (INFINITY, ExtScalar, ext_scalar_leq, ext_scalar_min,
-                        format_ext_scalar, is_infinite, over_one_den)
+from .rationals import INFINITY, format_rational, is_infinite, over_one_den
 from .reports import CheckResult, fails, holds
 from .sequences import (DEFAULT_EPSILONS, DeclaredLimit, DivergesToInfinity, SequenceSpec,
                         StabilizesAt, certify_gaps, detect_cycle)
 from .spaces import Element, SpaceDescriptor
-
-
-def _scalar_lt(a: ExtScalar, b: ExtScalar) -> bool:
-    return a != b and ext_scalar_leq(a, b)
 
 
 def _check_level_sets(f: "_PointFunction"):
@@ -56,42 +52,36 @@ def _check_level_sets(f: "_PointFunction"):
                               for points in space.atom_points.values()
                               for x in points[1:]):
         return
-    values = f.values
-    sweeps = [(test, v) for v in dict.fromkeys(values) if not is_infinite(v)
-              for test in (_scalar_lt, ext_scalar_leq)]
-    for test, r in sweeps + [(_scalar_lt, INFINITY)]:
-        mask = points_to_mask(x for x, v in enumerate(values) if test(v, r))
+    # Each finite level r is swept below r, then up to r (below r + 1 on
+    # the integers); infinity is swept last, below it lie the finite points.
+    finite = [(x, n) for x, n in enumerate(nums) if not f.inf >> x & 1]
+    sweeps = [(format_rational(Fraction(r, f.den)), r + closed)
+              for r in dict.fromkeys(n for _, n in finite) for closed in (0, 1)]
+    for level, bound in sweeps + [("infinity", None)]:
+        mask = points_to_mask(x for x, n in finite if bound is None or n < bound)
         if mask not in space:
             raise ValidationError(
-                f"function is not measurable: level set for {format_ext_scalar(r)} "
-                "is not in the algebra",
-                witness={"level": format_ext_scalar(r), "set": mask_to_points(mask)},
+                f"function is not measurable: level set for {level} is not in the algebra",
+                witness={"level": level, "set": mask_to_points(mask)},
             )
-
-
-def _set(obj, *values):
-    """`obj` with its fields (its class's slots, in order) set to `values`."""
-    for name, value in zip(obj._fields, values):
-        object.__setattr__(obj, name, value)
-    return obj
 
 
 def _trusted(cls, space: MeasurableSpace, nums: tuple, den: int, inf: int = 0):
     """The trusted constructor of `ExtFunction` and `SignedFunction`: nums
-    over den, reduced by one gcd, infinite on `inf`; nothing is checked.
-    Only for functions derived from validated ones on one space in ways that
-    keep them measurable and, for the extended kind, nonnegative."""
+    over den, reduced by one gcd, infinite on `inf`, stored by `Frozen._set`
+    unchecked.  Only for functions derived from validated ones on one space
+    in ways that keep them measurable and, for the extended kind, nonnegative."""
     g = math.gcd(den, *nums)
     if g != 1:
         nums, den = tuple(n // g for n in nums), den // g
-    return _set(object.__new__(cls), space, nums, den, inf)
+    return object.__new__(cls)._set(space, nums, den, inf)
 
 
 def _pointwise(op, f, g) -> "SignedFunction":
     """The function op(f(x), g(x)) of two finite functions on one space; `op`
     commutes with scaling by a positive number, so it acts on the numerators
     over the common denominator."""
-    if f.space != g.space:
+    if f.space is not g.space and f.space != g.space:
         raise ValidationError("functions live on different spaces")
     den = math.lcm(f.den, g.den)
     a, b = den // f.den, den // g.den
@@ -110,7 +100,7 @@ class _PointFunction(Frozen):
     __slots__ = ("space", "nums", "den", "inf")
 
     def __init__(self, space: MeasurableSpace, values: tuple):
-        _set(self, space, *over_one_den(values))._validate()
+        self._set(space, *over_one_den(values))._validate()
 
     @classmethod
     def from_nums(cls, space: MeasurableSpace, nums: tuple, den: int, inf: int = 0):
@@ -215,8 +205,8 @@ class ElementaryFunction(Frozen):
                 raise ValidationError("elementary coefficients must be >= 0")
             space.require_measurable(mask, "representation set")
         den = math.lcm(*(c.denominator for c, _ in terms))
-        _set(self, space, tuple((c.numerator * (den // c.denominator), mask)
-                                for c, mask in terms), den)
+        self._set(space, tuple((c.numerator * (den // c.denominator), mask)
+                               for c, mask in terms), den)
 
     def dense_values(self) -> Tuple[Fraction, ...]:
         out = [0] * self.space.ground_size
@@ -244,7 +234,7 @@ def truncate(f: ExtFunction, level: int) -> ElementaryFunction:
     g = math.gcd(f.den, *(v for v, _ in terms))
     if g != 1:
         terms = [(v // g, atom) for v, atom in terms]
-    return _set(object.__new__(ElementaryFunction), f.space, tuple(terms), f.den // g)
+    return object.__new__(ElementaryFunction)._set(f.space, tuple(terms), f.den // g)
 
 
 def integrate_elementary(phi: ElementaryFunction, mu: Measure) -> ExtElement:
@@ -271,7 +261,7 @@ def _rung_integral(phi: ElementaryFunction, mu: Measure) -> ExtElement:
     coefficient sits on an atom of infinite measure, and otherwise one
     `spaces.combination` of the finite atom values over the rung's
     denominator (a zero coefficient kills an infinite atom)."""
-    if phi.space != mu.space:
+    if phi.space is not mu.space and phi.space != mu.space:
         raise ValidationError("function and measure live on different spaces")
     pairs = []
     for coeff, atom in phi.terms:
@@ -341,10 +331,6 @@ class IntegralReport(Frozen):
     """Value of an order integral plus the agreement trail of both routes."""
 
     __slots__ = ("value", "closed_form", "ladder", "trail")
-
-    def __init__(self, value: ExtElement, closed_form: ExtElement, ladder: ExtElement,
-                 trail: dict):
-        _set(self, value, closed_form, ladder, trail)
 
 
 def integrate_extended(f: ExtFunction, mu: Measure) -> IntegralReport:
@@ -546,10 +532,13 @@ def fatou(mu: Measure, seq: SequenceSpec,
         )
     pre, period = cycle
     cycle_terms = terms[pre:pre + period]
-    liminf_vals = list(cycle_terms[0].values)
-    for t in cycle_terms[1:]:
-        liminf_vals = [ext_scalar_min(a, b) for a, b in zip(liminf_vals, t.values)]
-    liminf_f = ExtFunction(mu.space, tuple(liminf_vals))
+    # Each point's least finite numerator over the lcm; infinite (0) where every term is.
+    den = math.lcm(*(t.den for t in cycle_terms))
+    inf = reduce(operator.and_, (t.inf for t in cycle_terms))
+    liminf_f = ExtFunction.from_nums(mu.space, tuple(
+        min((t.nums[x] * (den // t.den) for t in cycle_terms if not t.inf >> x & 1),
+            default=0)
+        for x in range(len(cycle_terms[0].nums))), den, inf)
     lhs = integral_value(liminf_f, mu)
     integrals = [integral_value(t, mu) for t in cycle_terms]
     rhs = extended.ext_inf_finite_list(integrals)

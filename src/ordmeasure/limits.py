@@ -32,15 +32,8 @@ class GapReport(Frozen):
     """Residual evidence when a sequence supremum cannot be certified."""
 
     __slots__ = ("horizon", "last_value", "bound", "residual", "message")
-
-    def __init__(self, horizon: int, last_value: Element,
-                 bound: Optional[Element] = None, residual: Optional[Element] = None,
-                 message: str = "no limit declared; samples alone certify none"):
-        object.__setattr__(self, "horizon", horizon)
-        object.__setattr__(self, "last_value", last_value)
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "residual", residual)
-        object.__setattr__(self, "message", message)
+    _defaults = {"bound": None, "residual": None,
+                 "message": "no limit declared; samples alone certify none"}
 
 
 def ext_sup_finite_list(items: Sequence[ExtElement]) -> Union[ExtElement, NoSupremum]:

@@ -9,77 +9,67 @@ eventually periodic one has exactly computable tail unions.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
+from functools import reduce
 from typing import Optional, Sequence
 
 from . import extended
 from .errors import CertificationError, HypothesisError, ValidationError
 from .extended import ext_add, ext_leq, ext_sum, ext_to_json, ext_zero
-from .measures import Measure, full_mask, mask_to_points
+from .measures import Measure, mask_to_points
 from .reports import CheckResult, fails, holds
 from .sequences import SequenceSpec, detect_cycle, detect_stable_tail
 from .spaces import Element, SpaceKind
 
 
+def _continuity(name: str, mu: Measure, seq: SequenceSpec, horizon: Optional[int],
+                increasing: bool) -> CheckResult:
+    """Continuity of the measure in the direction `increasing` names: the
+    values of increasing (decreasing) sets reach the measure of their union
+    (intersection).  Increasing values are tested before the sets stabilize;
+    decreasing needs a finite first value, which is tested first."""
+    sets = seq.sample(horizon)
+    direction = "increasing" if increasing else "decreasing"
+    for n in range(1, len(sets)):
+        inner, outer = (sets[n - 1], sets[n]) if increasing else (sets[n], sets[n - 1])
+        if inner & outer != inner:
+            raise CertificationError(f"set sequence not {direction} at n={n}")
+    if increasing:
+        values = [mu.evaluate(s) for s in sets]
+        for n in range(1, len(values)):
+            if not ext_leq(values[n - 1], values[n]):
+                return fails(name, reason="values not increasing", index=n)
+    elif mu.evaluate(sets[0]).is_infinite:
+        raise HypothesisError("continuity from above requires the first set to have "
+                              "finite measure")
+    # Monotone sets on a finite ground set stabilize inside the window.
+    if detect_stable_tail(sets) is None and len(sets) > 1:
+        raise CertificationError("set sequence did not stabilize within horizon")
+    if not increasing:
+        values = [mu.evaluate(s) for s in sets]
+    limit = reduce(operator.or_ if increasing else operator.and_, sets)
+    limit_value = mu.evaluate(limit)
+    limit_key, bound_key = (("union", "sup_of_values") if increasing
+                            else ("intersection", "inf_of_values"))
+    if values[-1] == limit_value:
+        return holds(name, **{limit_key: mask_to_points(limit),
+                              "value": ext_to_json(limit_value)})
+    return fails(name, **{bound_key: ext_to_json(values[-1]),
+                          f"{limit_key}_value": ext_to_json(limit_value)})
+
+
 def continuity_from_below(mu: Measure, seq: SequenceSpec,
                           horizon: Optional[int] = None) -> CheckResult:
     """Increasing sets: the supremum of the values equals the measure of the union."""
-    sets = seq.sample(horizon)
-    for n in range(1, len(sets)):
-        if sets[n - 1] & sets[n] != sets[n - 1]:
-            raise CertificationError(f"set sequence not increasing at n={n}")
-    union = 0
-    for s in sets:
-        union |= s
-    values = [mu.evaluate(s) for s in sets]
-    for n in range(1, len(values)):
-        if not ext_leq(values[n - 1], values[n]):
-            return fails("continuity_below", reason="values not increasing",
-                         index=n)
-    # Increasing sets on a finite ground set stabilize inside the window.
-    stable = detect_stable_tail(sets)
-    if stable is None and len(sets) > 1:
-        raise CertificationError("set sequence did not stabilize within horizon")
-    sup_of_values = values[-1]
-    union_value = mu.evaluate(union)
-    if sup_of_values == union_value:
-        return holds("continuity_below",
-                     union=mask_to_points(union),
-                     value=ext_to_json(union_value))
-    return fails("continuity_below",
-                 sup_of_values=ext_to_json(sup_of_values),
-                 union_value=ext_to_json(union_value))
+    return _continuity("continuity_below", mu, seq, horizon, increasing=True)
 
 
 def continuity_from_above(mu: Measure, seq: SequenceSpec,
                           horizon: Optional[int] = None) -> CheckResult:
     """Decreasing sets with a finite first value: values decrease to the
     measure of the intersection.  The finiteness hypothesis is essential."""
-    sets = seq.sample(horizon)
-    for n in range(1, len(sets)):
-        if sets[n] & sets[n - 1] != sets[n]:
-            raise CertificationError(f"set sequence not decreasing at n={n}")
-    first = mu.evaluate(sets[0])
-    if first.is_infinite:
-        raise HypothesisError(
-            "continuity from above requires the first set to have finite measure"
-        )
-    stable = detect_stable_tail(sets)
-    if stable is None and len(sets) > 1:
-        raise CertificationError("set sequence did not stabilize within horizon")
-    intersection = full_mask(mu.space.ground_size)
-    for s in sets:
-        intersection &= s
-    values = [mu.evaluate(s) for s in sets]
-    inf_of_values = values[-1]
-    inter_value = mu.evaluate(intersection)
-    if inf_of_values == inter_value:
-        return holds("continuity_above",
-                     intersection=mask_to_points(intersection),
-                     value=ext_to_json(inter_value))
-    return fails("continuity_above",
-                 inf_of_values=ext_to_json(inf_of_values),
-                 intersection_value=ext_to_json(inter_value))
+    return _continuity("continuity_above", mu, seq, horizon, increasing=False)
 
 
 def borel_cantelli(mu: Measure, seq: SequenceSpec, x: Optional[Element] = None,
@@ -149,8 +139,7 @@ def borel_cantelli(mu: Measure, seq: SequenceSpec, x: Optional[Element] = None,
     return holds("borel_cantelli", **details)
 
 
-def operator_measure_bridge(mu: Measure, disjoint_sets: Sequence[int],
-                            name: str = "bridge") -> CheckResult:
+def operator_measure_bridge(mu: Measure, disjoint_sets: Sequence[int]) -> CheckResult:
     """Order sigma-additivity versus vector-wise evaluation for matrix backends.
 
     For a finite-valued measure on a matrix backend, the supremum of the
@@ -181,7 +170,7 @@ def operator_measure_bridge(mu: Measure, disjoint_sets: Sequence[int],
     for v in values:
         nxt = ext_add(partial, v)
         if not ext_leq(partial, nxt):
-            return fails(name, reason="partial sums not increasing")
+            return fails("bridge", reason="partial sums not increasing")
         partial = nxt
         partials.append(partial)
     union_value = mu.evaluate(union)
@@ -203,6 +192,6 @@ def operator_measure_bridge(mu: Measure, disjoint_sets: Sequence[int],
             vector_ok = False
             break
     if order_ok and vector_ok:
-        return holds(name, union=mask_to_points(union),
+        return holds("bridge", union=mask_to_points(union),
                      partial_sums=len(partials))
-    return fails(name, order_route=order_ok, vector_route=vector_ok)
+    return fails("bridge", order_route=order_ok, vector_route=vector_ok)

@@ -53,10 +53,6 @@ class MeasurableSpace(Frozen):
 
     __slots__ = ("ground_size", "atoms", "__dict__")
 
-    def __init__(self, ground_size: int, atoms: tuple):
-        object.__setattr__(self, "ground_size", ground_size)
-        object.__setattr__(self, "atoms", atoms)
-
     @cached_property
     def atom_points(self) -> Dict[int, tuple]:
         """Each atom's points in increasing order, keyed by the atom, listed once."""
@@ -237,7 +233,7 @@ def require_exhaustive(space: MeasurableSpace):
     check_cap("atoms of an exhaustive check", len(space.atoms), MAX_EXHAUSTIVE_ATOMS)
 
 
-def check_measure_identities(mu: Measure, name: str = "identities") -> CheckResult:
+def check_measure_identities(mu: Measure) -> CheckResult:
     """Exhaustive verification of the derived measure identities.
 
     Over all pairs of measurable sets: monotonicity under inclusion,
@@ -271,6 +267,6 @@ def check_measure_identities(mu: Measure, name: str = "identities") -> CheckResu
                     violations.append({"identity": "subtractivity",
                                        "pair": [mask_to_points(d1), mask_to_points(d2)]})
     if violations:
-        return fails(name, violations=violations, pairs_checked=checked)
-    return holds(name, pairs_checked=checked,
+        return fails("identities", violations=violations, pairs_checked=checked)
+    return holds("identities", pairs_checked=checked,
                  classification=mu.classification())

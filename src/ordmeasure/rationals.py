@@ -62,24 +62,6 @@ def over_one_den(values) -> tuple:
     return nums, den, sum(1 << x for x, v in enumerate(values) if v is INFINITY)
 
 
-def ext_scalar_add(a: ExtScalar, b: ExtScalar) -> ExtScalar:
-    if a is INFINITY or b is INFINITY:
-        return INFINITY
-    return a + b
-
-
-def ext_scalar_leq(a: ExtScalar, b: ExtScalar) -> bool:
-    if b is INFINITY:
-        return True
-    if a is INFINITY:
-        return False
-    return a <= b
-
-
-def ext_scalar_min(a: ExtScalar, b: ExtScalar) -> ExtScalar:
-    return a if ext_scalar_leq(a, b) else b
-
-
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 

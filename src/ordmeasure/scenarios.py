@@ -174,21 +174,11 @@ class _NamedSequence(Frozen):
 
     __slots__ = ("values", "metadata", "witnesses")
 
-    def __init__(self, values: Callable[[int], list], metadata, witnesses: tuple):
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "metadata", metadata)
-        object.__setattr__(self, "witnesses", witnesses)
-
 
 class Directive(Frozen):
     """One check directive with every key resolved by the check table."""
 
     __slots__ = ("check", "expect", "args")
-
-    def __init__(self, check: str, expect: str, args: dict):
-        object.__setattr__(self, "check", check)
-        object.__setattr__(self, "expect", expect)
-        object.__setattr__(self, "args", args)
 
     def get(self, key: str, default=None):
         """`check` or `expect` read as from the directive's JSON object, which
@@ -411,11 +401,7 @@ class _Key(Frozen):
     """
 
     __slots__ = ("json", "resolve", "default")
-
-    def __init__(self, json, resolve: Callable, default=_REQUIRED):
-        object.__setattr__(self, "json", json)
-        object.__setattr__(self, "resolve", resolve)
-        object.__setattr__(self, "default", default)
+    _defaults = {"default": _REQUIRED}
 
 
 class _Check(Frozen):
@@ -433,16 +419,7 @@ class _Check(Frozen):
     """
 
     __slots__ = ("module", "handler", "keys", "needs", "admits")
-
-    def __init__(self, module: Optional[str], handler: Callable,
-                 keys: Optional[Dict[str, _Key]] = None,
-                 needs: Optional[str] = "measure",
-                 admits: Callable = lambda scenario, args, path: None):
-        object.__setattr__(self, "module", module)
-        object.__setattr__(self, "handler", handler)
-        object.__setattr__(self, "keys", keys or {})
-        object.__setattr__(self, "needs", needs)
-        object.__setattr__(self, "admits", admits)
+    _defaults = {"needs": "measure", "admits": lambda scenario, args, path: None}
 
 
 _EXT = _Key(str, _function("ext"))
@@ -495,9 +472,9 @@ def _check_caratheodory(outer, scenario: Scenario, config,
 # installed on a module attribute (as perfbench/tracing.py installs) sees
 # every call.
 _CHECKS = {
-    "validate": _Check(None, _check_validate, needs=None),
+    "validate": _Check(None, _check_validate, {}, needs=None),
     "identities": _Check(
-        "measures", lambda m, s, c: m.check_measure_identities(s.measure),
+        "measures", lambda m, s, c: m.check_measure_identities(s.measure), {},
         admits=lambda s, args, path: measures_mod.require_exhaustive(s.space)),
     "continuity_below": _Check(
         "measure_checks",

@@ -55,17 +55,11 @@ class StabilizesAt(Frozen):
 
     __slots__ = ("index",)
 
-    def __init__(self, index: int):
-        object.__setattr__(self, "index", index)
-
 
 class DeclaredLimit(Frozen):
     """The sequence converges to this value (certified by gap schedules)."""
 
     __slots__ = ("value",)
-
-    def __init__(self, value):
-        object.__setattr__(self, "value", value)
 
 
 class DivergesToInfinity(Frozen):

@@ -62,10 +62,7 @@ class SpaceDescriptor(Frozen):
             raise ValueError("matrix shape must be positive")
         if kind is SpaceKind.LOEWNER_SYM:
             check_cap("Loewner backend dim", dim, MAX_LOEWNER_DIM)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
+        self._set(kind, dim, rows, cols)
 
     @property
     def ncoords(self) -> int:
@@ -139,10 +136,7 @@ class Element(Frozen):
                         raise ValueError(f"matrix not symmetric at ({i},{j})")
         # Over the lcm of reduced denominators the form is already canonical.
         den = math.lcm(*(c.denominator for c in coords))
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "nums",
-                           tuple(c.numerator * (den // c.denominator) for c in coords))
-        object.__setattr__(self, "den", den)
+        self._set(space, tuple(c.numerator * (den // c.denominator) for c in coords), den)
 
     @property
     def coords(self) -> tuple:
@@ -222,7 +216,7 @@ def basis_vector(space: SpaceDescriptor, index: int) -> Element:
 
 def require_same_space(a, b):
     """Reject two values (elements or extended elements) of different spaces."""
-    if a.space != b.space:
+    if a.space is not b.space and a.space != b.space:
         raise SpaceMismatchError(
             f"cannot combine {a.space.describe()} with {b.space.describe()}"
         )
@@ -339,9 +333,7 @@ class NoSupremum(Frozen):
     """Returned when a pair supremum is declined or does not exist."""
 
     __slots__ = ("reason",)
-
-    def __init__(self, reason: str = "incomparable pair in a non-lattice backend"):
-        object.__setattr__(self, "reason", reason)
+    _defaults = {"reason": "incomparable pair in a non-lattice backend"}
 
 
 def sup_pair(a: Element, b: Element) -> Union[Element, NoSupremum]:

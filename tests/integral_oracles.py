@@ -7,9 +7,9 @@ Fraction and INFINITY tuple), so none of it shares the integer code it is
 compared with: the closed form, the break-level ladder with `truncate` and
 the rung integral, the canonical atom representation of dense values (the
 former ``ElementaryFunction.from_dense``), the pointwise combination of two
-functions with the extended scalar product (the former
-``rationals.ext_scalar_mul``), and the terms of the three generated
-sequence kinds.
+functions with the extended scalar sum, order and product (the former
+``rationals.ext_scalar_add``, ``ext_scalar_leq`` and ``ext_scalar_mul``),
+and the terms of the three generated sequence kinds.
 """
 
 import math
@@ -21,7 +21,7 @@ from ordmeasure import extended, spaces
 from ordmeasure.errors import OrdMeasureError, ValidationError
 from ordmeasure.extended import ext_add, ext_leq, ext_scale, ext_zero
 from ordmeasure.measures import mask_to_points
-from ordmeasure.rationals import INFINITY, ext_scalar_add, is_infinite
+from ordmeasure.rationals import INFINITY, is_infinite
 
 
 def elementary_from_dense(space, values: Sequence[Fraction]) -> om.ElementaryFunction:
@@ -94,6 +94,22 @@ def ladder_supremum(f, mu):
         return rungs[-1], {"mode": "stabilized", "at_level": nstar}
     return extended.infinity(mu.backend), {
         "mode": "divergent", "increment_from_level": nstar}
+
+
+def ext_scalar_add(a, b):
+    """Sum on the extended half line, with infinity absorbing."""
+    if a is INFINITY or b is INFINITY:
+        return INFINITY
+    return a + b
+
+
+def ext_scalar_leq(a, b) -> bool:
+    """Order on the extended half line: every scalar is below infinity."""
+    if b is INFINITY:
+        return True
+    if a is INFINITY:
+        return False
+    return a <= b
 
 
 def ext_scalar_mul(a, b):

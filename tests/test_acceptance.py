@@ -16,7 +16,7 @@ import ordmeasure as om
 from ordmeasure.errors import HypothesisError
 from ordmeasure.integral import ElementaryFunction, integrate_elementary
 from ordmeasure.measures import mask_to_points
-from ordmeasure.rationals import INFINITY, ext_scalar_leq
+from ordmeasure.rationals import INFINITY
 from ordmeasure.scenarios import load_scenario, run_scenario
 from ordmeasure.sequences import SequenceSpec, from_terms
 
@@ -25,7 +25,7 @@ from conftest import (
     random_ext_element,
     random_measure,
 )
-from integral_oracles import ext_scalar_mul
+from integral_oracles import ext_scalar_leq, ext_scalar_mul
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 

@@ -12,12 +12,7 @@ from ordmeasure.extended import (
     ext_zero,
     is_ext_positive,
 )
-from ordmeasure.rationals import (
-    INFINITY,
-    ext_scalar_add,
-    ext_scalar_leq,
-    parse_rational,
-)
+from ordmeasure.rationals import INFINITY, parse_rational
 from ordmeasure.sequences import (
     DeclaredLimit,
     DivergesToInfinity,
@@ -26,7 +21,7 @@ from ordmeasure.sequences import (
 )
 
 from conftest import random_ext_element
-from integral_oracles import ext_scalar_mul
+from integral_oracles import ext_scalar_add, ext_scalar_leq, ext_scalar_mul
 from limit_oracles import stable_tail_sup_increasing
 
 C2 = om.coord(2)

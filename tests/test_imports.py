@@ -4,7 +4,8 @@ Every name a library module imports is used in that module.  No linter
 ships with the project, so this walks each module's syntax tree with the
 standard `ast` module.  No module imports `dataclasses`, no value class
 but `Element` and `ExtElement` writes the equality, hashing or repr that
-`errors.Frozen` derives, importing the CLI loads no module that its
+`errors.Frozen` derives, only the value classes that check their arguments
+write a constructor, importing the CLI loads no module that its
 subcommands may not run, `run` loads only the check modules that its
 document's directives name in the check table, importing `spaces` loads
 no sequence layer, and every name the package exports lazily resolves.
@@ -84,9 +85,10 @@ def test_module_does_not_import_dataclasses(path):
 VALUE_METHODS = {"__eq__", "__hash__", "__repr__"}
 
 
-def frozen_value_methods(source: str) -> list:
-    """The classes derived from `Frozen` in `source` that define `__eq__`,
-    `__hash__` or `__repr__`, each with the names it defines."""
+def frozen_value_methods(source: str, methods=VALUE_METHODS) -> list:
+    """The classes derived from `Frozen` in `source` that define any of
+    `methods` (by default `__eq__`, `__hash__` and `__repr__`), each with the
+    names it defines."""
     frozen, found = {"Frozen"}, []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ClassDef) and any(
@@ -95,25 +97,33 @@ def frozen_value_methods(source: str) -> list:
             defined = {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
             defined |= {target.id for item in node.body if isinstance(item, ast.Assign)
                         for target in item.targets if isinstance(target, ast.Name)}
-            if defined & VALUE_METHODS:
-                found.append((node.name, sorted(defined & VALUE_METHODS)))
+            if defined & methods:
+                found.append((node.name, sorted(defined & methods)))
     return found
 
 
 def test_finds_value_methods_on_a_frozen_class():
     source = ("class A(Frozen):\n    def __eq__(self, other):\n        pass\n"
               "class B(A):\n    __hash__ = None\n"
-              "class C:\n    def __repr__(self):\n        pass\n")
+              "class C:\n    def __repr__(self):\n        pass\n"
+              "class D(B):\n    def __init__(self):\n        pass\n")
     assert frozen_value_methods(source) == [("A", ["__eq__"]), ("B", ["__hash__"])]
+    assert frozen_value_methods(source, {"__init__"}) == [("D", ["__init__"])]
 
 
 def test_frozen_value_methods_are_written_in_one_place():
     """`errors.Frozen` derives equality, hashing and repr from the fields;
     only the two arithmetic values, measured faster with their own, write
-    theirs."""
+    theirs.  It also builds a value from its fields: only the classes whose
+    constructors check their arguments write one."""
     found = {(path.name, name) for path in MODULES
              for name, _ in frozen_value_methods(path.read_text())}
     assert found <= {("spaces.py", "Element"), ("extended.py", "ExtElement")}
+    constructors = {(path.name, name) for path in MODULES
+                    for name, _ in frozen_value_methods(path.read_text(), {"__init__"})}
+    assert constructors <= {("spaces.py", "SpaceDescriptor"), ("spaces.py", "Element"),
+                            ("extended.py", "ExtElement"), ("integral.py", "_PointFunction"),
+                            ("integral.py", "ElementaryFunction")}
 
 
 def modules_loaded_by(code: str) -> set:

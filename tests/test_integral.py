@@ -22,8 +22,7 @@ from ordmeasure.integral import (
     integrate_elementary,
 )
 from ordmeasure.measures import _atom_unions, full_mask, mask_to_points, points_to_mask
-from ordmeasure.rationals import (INFINITY, ext_scalar_leq, format_ext_scalar, is_infinite,
-                                  over_one_den)
+from ordmeasure.rationals import INFINITY, format_ext_scalar, is_infinite, over_one_den
 from ordmeasure.sequences import (
     DEFAULT_EPSILONS,
     DeclaredLimit,
@@ -106,7 +105,7 @@ def level_set_sweep(space, values):
     levels = [(strict, v) for v in distinct if not is_infinite(v) for strict in (True, False)]
     for strict, r in levels + [(True, INFINITY)]:
         mask = points_to_mask(x for x, v in enumerate(values)
-                              if ext_scalar_leq(v, r) and not (strict and v == r))
+                              if oracle.ext_scalar_leq(v, r) and not (strict and v == r))
         if mask not in members:
             raise ValidationError(
                 f"function is not measurable: level set for {format_ext_scalar(r)} "
@@ -647,6 +646,20 @@ class TestLawsAndAe:
         assert om.integrate_extended(f1, mu).value == \
             om.integrate_extended(f2, mu).value
 
+    def test_ae_bump_keeps_infinite_points_on_the_null_atom(self, monkeypatch):
+        # f is infinite on the null atom {1, 2}, so adding 7 there leaves it
+        # as it is: infinite, with numerator 0.
+        space = om.generate_sigma_algebra([0b001], 3)
+        mu = om.Measure(space, C2, {0b001: fin(1, 0), 0b110: fin(0, 0)})
+        f = om.ext_function(space, [Fraction(1, 2), INFINITY, INFINITY])
+        seen = []
+        original = integral.integral_value
+        monkeypatch.setattr(integral, "integral_value",
+                            lambda g, m: seen.append(g) or original(g, m))
+        report = om.ae_analysis(f, mu)
+        assert report.ok and report.details["ae_equal_same_integral"] == "holds"
+        assert seen == [f] and (seen[0].nums, seen[0].den, seen[0].inf) == ((1, 0, 0), 2, 0b110)
+
 
 def geometric_ext_sequence(space, limit_values, horizon=64):
     def gen(n):
@@ -662,7 +675,7 @@ def ladder_scalar_divergence(samples, point):
     if INFINITY in samples and samples[-1] is INFINITY:
         return
     for k in range(1, len(samples)):
-        if not any(not ext_scalar_leq(s, Fraction(k)) for s in samples):
+        if not any(not oracle.ext_scalar_leq(s, Fraction(k)) for s in samples):
             raise CertificationError(
                 f"divergence at point {point} not certified against bound {k}"
             )
@@ -938,6 +951,22 @@ class TestFatouDct:
         assert report.details["strict"]
         assert report.details["lhs"] == {"finite": ["0", "0"]}
         assert report.details["rhs"] == {"finite": ["1", "1"]}
+
+    def test_fatou_liminf_with_infinite_points_in_the_cycle(self, monkeypatch):
+        # Point 0 is infinite in every term of the cycle, point 1 in one.
+        space = om.power_set_space(3)
+        mu = om.Measure(space, C2, {1: fin(0, 0), 2: fin(1, 0), 4: fin(0, 1)})
+        f1 = om.ext_function(space, [INFINITY, INFINITY, Fraction(1, 2)])
+        f2 = om.ext_function(space, [INFINITY, Fraction(2, 3), Fraction(0)])
+        seen = []
+        original = integral.integral_value
+        monkeypatch.setattr(integral, "integral_value",
+                            lambda g, m: seen.append(g) or original(g, m))
+        report = om.fatou(mu, SequenceSpec(lambda n: f1 if n % 2 else f2, horizon=8))
+        liminf = om.ext_function(space, [INFINITY, Fraction(2, 3), Fraction(0)])
+        assert seen[0] == liminf and (liminf.nums, liminf.den, liminf.inf) == ((0, 2, 0), 3, 1)
+        assert report.ok and not report.details["strict"]
+        assert report.details["lhs"] == report.details["rhs"] == {"finite": ["2/3", "0"]}
 
     def test_fatou_equality_constant(self):
         mu = basic_measure()

@@ -1,14 +1,17 @@
 """The value classes against `dataclasses` twins.
 
-The library's value classes are plain classes with hand-written
-constructors.  Each is compared here with a frozen dataclass twin that has
-the same fields in the same order, which is how the classes were defined
-before: equality, hashing (the hash of the field tuple, or a TypeError when
-a field is unhashable), the generated repr, and refusal of assignment and
-deletion with the value unchanged.  Every `errors.Frozen` class is held to
-its twin; the fields are the class's slots.  `Element` and `ExtElement`
-write their own repr, which the dataclass did not generate, so only the
-rest is compared for them.
+The library's value classes derive from `errors.Frozen`, which generates
+from their fields what a frozen dataclass generates.  Each is compared here
+with a frozen dataclass twin that has the same fields in the same order and
+the class's `_defaults`, which is how the classes were defined before:
+equality, hashing (the hash of the field tuple, or a TypeError when a field
+is unhashable), the generated repr, and refusal of assignment and deletion
+with the value unchanged.  The classes that do not write a constructor are
+also built as their twins are, by position, by name and with defaults, and
+must refuse the same calls with a TypeError.  Every `errors.Frozen` class
+is held to its twin; the fields are the class's slots.  `Element` and
+`ExtElement` write their own repr, which the dataclass did not generate, so
+only the rest is compared for them.
 """
 
 import dataclasses
@@ -45,9 +48,14 @@ FIELDS = {
     scenarios._Check: ("module", "handler", "keys", "needs", "admits"),
 }
 OWN_REPR = (om.Element, om.ExtElement)
-TWINS = {cls: dataclasses.make_dataclass(cls.__name__, fields, frozen=True,
-                                         repr=cls not in OWN_REPR)
-         for cls, fields in FIELDS.items()}
+# A mutable default would be shared by every value: make_dataclass refuses it.
+TWINS = {cls: dataclasses.make_dataclass(
+    cls.__name__, [(name, object, dataclasses.field(default=cls._defaults[name]))
+                   if name in cls._defaults else name for name in fields],
+    frozen=True, repr=cls not in OWN_REPR)
+    for cls, fields in FIELDS.items()}
+# The classes built by `Frozen.__init__`; the others check their arguments.
+GENERATED = [cls for cls in FIELDS if cls.__init__ is Frozen.__init__]
 
 SPACES = [om.reals, lambda: om.coord(2), lambda: om.entrywise_mat(1, 2),
           lambda: om.loewner_sym(2)]
@@ -286,6 +294,55 @@ def test_value_class_matches_its_dataclass_twin(cls, data):
         with pytest.raises(AttributeError):
             delattr(a, name)
     assert [getattr(a, name) for name in FIELDS[cls]] == before
+
+
+def outcome(make, args, named):
+    try:
+        return make(*args, **named)
+    except TypeError:
+        return TypeError
+
+
+@pytest.mark.parametrize("cls", GENERATED, ids=lambda c: c.__name__)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_generated_constructor_takes_what_its_twin_takes(cls, data):
+    """Some fields by position and the rest by name or left out, with an
+    extra argument, an unknown name or a repeated field now and then."""
+    specs, build = CASES[cls]
+    values = twin(build(data.draw(specs))).__dict__
+    fields = FIELDS[cls]
+    k = data.draw(st.integers(0, len(fields)))
+    args = [values[name] for name in fields[:k]]
+    named = {name: values[name] for name in fields[k:] if data.draw(st.booleans())}
+    if data.draw(st.booleans()):
+        mistake = data.draw(st.sampled_from(["extra", "unknown"] + ["repeat"] * bool(k)))
+        if mistake == "extra":
+            args.append(None)
+        else:
+            named[fields[0] if mistake == "repeat" else "unknown"] = None
+    built, expected = outcome(cls, args, named), outcome(TWINS[cls], args, named)
+    if expected is TypeError:
+        assert built is TypeError
+    else:
+        assert type(built) is cls and twin(built) == expected
+
+
+def test_generated_constructor_examples():
+    zero = om.zero(om.reals())
+    report = om.GapReport(1, zero, None, None, "no limit declared; samples alone certify none")
+    assert om.GapReport(1, zero) == om.GapReport(horizon=1, last_value=zero) == report
+    assert om.GapReport(last_value=zero, horizon=1, message="gap").message == "gap"
+    assert om.NoSupremum() == om.NoSupremum("incomparable pair in a non-lattice backend")
+    assert scenarios._Key(str, _zero).default is scenarios._REQUIRED
+    check = scenarios._Check(None, _zero, {})
+    assert check.needs == "measure" and check.admits(None, {}, "") is None
+    assert scenarios._CHECKS["validate"].keys is not scenarios._CHECKS["identities"].keys
+    for call in (lambda: om.GapReport(1), lambda: om.GapReport(1, zero, horizon=2),
+                 lambda: om.GapReport(1, zero, colour=1), lambda: om.StabilizesAt(1, 2),
+                 lambda: om.DivergesToInfinity(1), lambda: scenarios._Check(None, _zero)):
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_slotted_classes_store_their_fields_only():
