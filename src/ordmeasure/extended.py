@@ -17,6 +17,8 @@ The library API that applies it to a sequence spec (`sup_increasing`,
 
 from __future__ import annotations
 
+import math
+import operator
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -117,6 +119,74 @@ def ext_leq(a: ExtElement, b: ExtElement) -> bool:
     if a.is_infinite:
         return False
     return spaces.leq(a.finite, b.finite)
+
+
+def ext_rows(values: Sequence[ExtElement]) -> list:
+    """The values as one integer table: each finite value as a row
+    ``(nums, den)`` of integer numerators over a positive denominator, the
+    point at infinity as None.
+
+    Every row is brought over the lcm of the denominators, so that rows add
+    and subtract without a multiplication and equal values are equal rows.
+    A table of many unrelated denominators, whose lcm has more than twice
+    the bits of the largest one (plus 64), keeps each value over its own
+    denominator instead: then `row_add`, `row_sub`, `row_leq` and `row_eq`
+    cross-multiply, and no number outgrows the few values an operation reads.
+    """
+    dens = [v.finite.den for v in values if v.finite is not None]
+    common = math.lcm(*dens)
+    if common.bit_length() > 2 * max(dens, default=1).bit_length() + 64:
+        common = None
+    rows = []
+    for v in values:
+        el = v.finite
+        if el is None:
+            rows.append(None)
+        elif common is None or el.den == common:
+            rows.append((el.nums, el.den))
+        else:
+            factor = common // el.den
+            rows.append((tuple([x * factor for x in el.nums]), common))
+    return rows
+
+
+def row_add(a, b):
+    """The sum of two rows; infinity absorbs."""
+    if a is None or b is None:
+        return None
+    (x, dx), (y, dy) = a, b
+    if dx == dy:
+        return tuple(map(operator.add, x, y)), dx
+    return tuple([p * dy + q * dx for p, q in zip(x, y)]), dx * dy
+
+
+def row_sub(a, b):
+    """a - b for two finite rows."""
+    (x, dx), (y, dy) = a, b
+    if dx == dy:
+        return tuple(map(operator.sub, x, y)), dx
+    return tuple([p * dy - q * dx for p, q in zip(x, y)]), dx * dy
+
+
+def row_leq(space: SpaceDescriptor, a, b) -> bool:
+    """a <= b for two rows (None is infinity): one positivity test of b - a."""
+    if b is None:
+        return True
+    if a is None:
+        return False
+    (x, dx), (y, dy) = a, b
+    if dx == dy:
+        return spaces.is_positive_row(space, list(map(operator.sub, y, x)))
+    return spaces.is_positive_row(space, [q * dx - p * dy for p, q in zip(x, y)])
+
+
+def row_eq(a, b) -> bool:
+    """Whether two rows (None is infinity) are the same value."""
+    if a is None or b is None:
+        return a is b
+    if a[1] == b[1]:
+        return a[0] == b[0]
+    return not any(row_sub(a, b)[0])
 
 
 def is_ext_positive(a: ExtElement) -> bool:

@@ -353,8 +353,8 @@ def integrate_extended(f: ExtFunction, mu: Measure) -> IntegralReport:
             raise OrdMeasureError(
                 f"integral routes disagree: closed form {closed!r} vs ladder {ladder!r}"
             )
-        report = IntegralReport(value=closed, closed_form=closed, ladder=ladder,
-                                trail=trail)
+        # by position (value, closed_form, ladder, trail), Frozen's fast path
+        report = IntegralReport(closed, closed, ladder, trail)
         mu.integral_memo[key] = report
     return report
 

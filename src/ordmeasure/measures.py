@@ -17,14 +17,14 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Dict, Iterable, List, Sequence
 
-from . import extended
+from . import extended, spaces
 from .errors import (
     MAX_EXHAUSTIVE_ATOMS,
     Frozen,
     ValidationError,
     check_cap,
 )
-from .extended import ExtElement, ext_add, ext_leq, ext_sum
+from .extended import ExtElement, ext_rows, row_add, row_eq, row_leq, row_sub
 from .reports import CheckResult, fails, holds
 from .spaces import SpaceDescriptor
 
@@ -195,11 +195,16 @@ class Measure:
         self.integral_memo: dict = {}
 
     def evaluate(self, mask: int) -> ExtElement:
-        """Measure of a measurable set: the sum of its atoms' values."""
+        """Measure of a measurable set: the sum of its atoms' values, one
+        linear combination of the finite ones, or infinity if any is."""
         if mask not in self._memo:
             self.space.require_measurable(mask)
             parts = [self.atom_values[a] for a in self.space.atoms_inside(mask)]
-            self._memo[mask] = ext_sum(parts, self.backend)
+            if any(v.is_infinite for v in parts):
+                self._memo[mask] = extended.infinity(self.backend)
+            else:
+                self._memo[mask] = extended.finite(
+                    spaces.combination(self.backend, [(1, v.finite) for v in parts]))
         return self._memo[mask]
 
     @property
@@ -240,32 +245,38 @@ def check_measure_identities(mu: Measure) -> CheckResult:
     modularity, sub-additivity, and subtractivity when the subtracted set
     has finite measure.  These are theorems, so any violation reported here
     indicates an implementation bug rather than bad input.
+
+    The measure is evaluated once on each of the 2^k members, and the pairs
+    are decided on those values as one integer table (`extended.ext_rows`:
+    integer numerators over one common denominator, None for infinity).
+    Sums and differences are integer adds and subtracts, equality is tuple
+    equality, and an order test is one positivity test of a difference row
+    (`spaces.is_positive_row`); no element is built per pair.
     """
     require_exhaustive(mu.space)
-    members = mu.space.members()
+    members, backend = mu.space.members(), mu.backend
+    row = dict(zip(members, ext_rows([mu.evaluate(m) for m in members])))
     violations = []
-    checked = 0
     for d1 in members:
-        v1 = mu.evaluate(d1)
+        v1 = row[d1]
         for d2 in members:
-            v2 = mu.evaluate(d2)
-            checked += 1
-            if d1 & d2 == d1 and not ext_leq(v1, v2):
+            v2 = row[d2]
+            if d1 & d2 == d1 and not row_leq(backend, v1, v2):
                 violations.append({"identity": "monotonicity",
                                    "pair": [mask_to_points(d1), mask_to_points(d2)]})
-            lhs = ext_add(v1, v2)
-            rhs = ext_add(mu.evaluate(d1 & d2), mu.evaluate(d1 | d2))
-            if lhs != rhs:
+            lhs = row_add(v1, v2)
+            if not row_eq(lhs, row_add(row[d1 & d2], row[d1 | d2])):
                 violations.append({"identity": "modularity",
                                    "pair": [mask_to_points(d1), mask_to_points(d2)]})
-            if not ext_leq(mu.evaluate(d1 | d2), lhs):
+            if not row_leq(backend, row[d1 | d2], lhs):
                 violations.append({"identity": "sub-additivity",
                                    "pair": [mask_to_points(d1), mask_to_points(d2)]})
-            if d2 & d1 == d2 and v2.is_finite:
-                diff = mu.evaluate(d1 & ~d2)
-                if diff != extended.ext_sub_finite(v1, v2):
+            if d2 & d1 == d2 and v2 is not None:
+                diff = None if v1 is None else row_sub(v1, v2)
+                if not row_eq(row[d1 & ~d2], diff):
                     violations.append({"identity": "subtractivity",
                                        "pair": [mask_to_points(d1), mask_to_points(d2)]})
+    checked = len(members) ** 2
     if violations:
         return fails("identities", violations=violations, pairs_checked=checked)
     return holds("identities", pairs_checked=checked,

@@ -21,6 +21,13 @@ only on the disjoint pair (T & D, T - D), not on D.  So the one pass over
 the disjoint pairs that tests sub-additivity also records which pairs split
 non-additively, and every set's verdict is read from that record: each pair
 is summed once, not once for every set that separates it.
+
+Every exhaustive pass runs on one integer table (`extended.ext_rows`): the
+2^n values as rows of integer numerators over one common denominator, with
+None for the point at infinity.  A pair's sum is an integer add per
+coordinate, equality is tuple equality, and a <= b is one positivity test
+of the row b - a (`spaces.is_positive_row`), so the passes build no element
+and reduce nothing by a gcd.
 """
 
 from __future__ import annotations
@@ -28,9 +35,8 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Dict, List, Tuple
 
-from . import extended
 from .errors import MAX_OUTER_GROUND_SIZE, ValidationError, check_cap
-from .extended import ExtElement, ext_add, ext_leq, ext_to_json
+from .extended import ExtElement, ext_rows, ext_to_json, row_add, row_eq, row_leq
 from .measures import (
     MeasurableSpace,
     Measure,
@@ -63,27 +69,32 @@ class OuterMeasure:
 
         `validate_outer_measure` stores the table of its own pair pass; an
         induced outer measure builds it here, on first use."""
-        return _split_table(self.values, self.ground_size)
+        return _split_table(_table(self.values, self.ground_size), self.backend)
 
 
-def _split_table(values: Dict[int, ExtElement], ground_size: int) -> List[int]:
-    """Decide every unordered disjoint pair a < b once: test sub-additivity,
-    nu(a | b) <= nu(a) + nu(b), and record in both a's and b's bitset the
-    pairs where the two sides differ.  A violation raises with the pair as
-    its witness.  (3^n - 1)/2 order tests and as many sums."""
-    full = full_mask(ground_size)
-    failures = [0] * (full + 1)
+def _table(values: Dict[int, ExtElement], ground_size: int) -> list:
+    """The integer rows of the 2^n values, indexed by mask."""
+    return ext_rows([values[mask] for mask in range(full_mask(ground_size) + 1)])
+
+
+def _split_table(rows: list, backend: SpaceDescriptor) -> List[int]:
+    """Decide every unordered disjoint pair a < b once on the integer rows:
+    test sub-additivity, nu(a | b) <= nu(a) + nu(b), and record in both a's
+    and b's bitset the pairs where the two sides differ.  A violation raises
+    with the pair as its witness.  (3^n - 1)/2 row sums and order tests."""
+    full = len(rows) - 1
+    failures = [0] * len(rows)
     for a in range(full + 1):
-        rest, va = full ^ a, values[a]
+        rest, ra = full ^ a, rows[a]
         b = rest
         while b > a:
-            joint, split = values[a | b], ext_add(va, values[b])
-            if not ext_leq(joint, split):
+            joint, split = rows[a | b], row_add(ra, rows[b])
+            if not row_leq(backend, joint, split):
                 raise ValidationError(
                     "sub-additivity violation",
                     witness={"pair": [mask_to_points(a), mask_to_points(b)]},
                 )
-            if joint != split:
+            if not row_eq(joint, split):
                 failures[a] |= 1 << b
                 failures[b] |= 1 << a
             b = (b - 1) & rest
@@ -94,6 +105,7 @@ def validate_outer_measure(values: Dict[int, ExtElement], backend: SpaceDescript
                            ground_size: int) -> OuterMeasure:
     """Check the outer-measure axioms exhaustively and return the object.
 
+    Positivity and monotonicity are decided on the integer table too.
     Monotonicity is checked along single-point extensions (which implies it
     for arbitrary inclusions by chaining).  Sub-additivity is then checked
     on the disjoint pairs a < b only, b running over the submasks of the
@@ -103,7 +115,7 @@ def validate_outer_measure(values: Dict[int, ExtElement], backend: SpaceDescript
         nu(a | b) = nu(a | (b - a)) <= nu(a) + nu(b - a) <= nu(a) + nu(b),
 
     where the first inequality is the disjoint case and the second uses
-    monotonicity, nu(b - a) <= nu(b), and the compatibility of `ext_add`
+    monotonicity, nu(b - a) <= nu(b), and the compatibility of addition
     with the order.  Axiom violations carry witness sets; a sub-additivity
     witness is a disjoint violating pair.  The same pass records the pairs
     that split non-additively, kept as `split_failures` for measurability.
@@ -116,10 +128,11 @@ def validate_outer_measure(values: Dict[int, ExtElement], backend: SpaceDescript
     if not (zero_v.is_finite and zero_v.finite.is_zero()):
         raise ValidationError("outer measure of the empty set must be zero",
                               witness={"empty_value": repr(zero_v)})
+    rows, zero = _table(values, ground_size), ((0,) * backend.ncoords, 1)
     for mask, v in values.items():
         if v.space != backend:
             raise ValidationError("outer value in the wrong backend")
-        if not extended.is_ext_positive(v):
+        if not row_leq(backend, zero, rows[mask]):
             raise ValidationError(
                 f"outer value of {mask_to_points(mask)} is outside the positive cone",
                 witness={"set": mask_to_points(mask)},
@@ -127,13 +140,13 @@ def validate_outer_measure(values: Dict[int, ExtElement], backend: SpaceDescript
     for mask in range(full + 1):
         for p in range(ground_size):
             bigger = mask | (1 << p)
-            if bigger != mask and not ext_leq(values[mask], values[bigger]):
+            if bigger != mask and not row_leq(backend, rows[mask], rows[bigger]):
                 raise ValidationError(
                     "monotonicity violation",
                     witness={"smaller": mask_to_points(mask),
                              "larger": mask_to_points(bigger)},
                 )
-    nu.split_failures = _split_table(values, ground_size)
+    nu.split_failures = _split_table(rows, backend)
     return nu
 
 

@@ -19,10 +19,11 @@ value is immutable.  An `Element` stores its coordinates as integer
 numerators over one common denominator, in the canonical form ``den > 0``
 and ``gcd(den, *nums) == 1`` (as FLINT's ``fmpq_mat`` does), so equal
 elements have equal fields and hashes.  Arithmetic is integer tuple
-arithmetic with one gcd per result, ``leq`` cross-multiplies, and a Loewner
-order test is one fraction-free symmetric elimination of the numerators of
-``b - a`` in O(d^3) integer operations (see `is_psd`); the dimension stays
-capped at ``MAX_LOEWNER_DIM = 6``.
+arithmetic with one gcd per result.  ``leq`` brings ``b - a`` over one
+denominator and tests its numerators with `is_positive_row`, the one
+positivity test: every numerator nonnegative, or in the Loewner order one
+fraction-free symmetric elimination in O(d^3) integer operations; the
+dimension stays capped at ``MAX_LOEWNER_DIM = 6``.
 
 Values are validated where they enter.  ``Element(space, coords)`` (and
 `element`, `sym_matrix` and the scenario parser, which call it) checks the
@@ -283,24 +284,28 @@ def combination(space: SpaceDescriptor, pairs: Iterable, den: int = 1) -> Elemen
     return _element(space, tuple(acc), common * den)
 
 
-def is_psd(a: Element) -> bool:
-    """Exact positive semidefiniteness test for a symmetric matrix.
+def is_positive_row(space: SpaceDescriptor, nums) -> bool:
+    """Whether the integer numerators `nums`, over any positive denominator,
+    are a positive element of `space`.  This is the one definition of the
+    order: a <= b iff the numerators of b - a pass it (`leq`, and the
+    integer tables of `outer` and `measures`).
 
-    One symmetric elimination, O(d^3) integer operations, on the
-    numerators: they are the matrix times its positive denominator, which
-    keeps the answer.  Pivots are eliminated in order, fraction-free in the
-    style of Bareiss: with pivot p > 0 each later entry becomes
-    ``(p * a_ij - a_ik * a_kj) / q``, where q is the previous positive pivot
-    (1 at first) and the division is exact.  That is the Schur complement
-    scaled by a positive number, so it is positive semidefinite iff the
-    matrix is.  A negative pivot, or a zero pivot with a nonzero entry left
-    in its row, means a principal minor is negative; a zero pivot whose row
-    is zero is skipped.
+    Coordinatewise backends need every numerator nonnegative.  In the
+    Loewner order the matrix must be positive semidefinite, which scaling
+    by the positive denominator keeps.  That is decided by one symmetric
+    elimination, O(d^3) integer operations.  Pivots are eliminated in
+    order, fraction-free in the style of Bareiss: with pivot p > 0 each
+    later entry becomes ``(p * a_ij - a_ik * a_kj) / q``, where q is the
+    previous positive pivot (1 at first) and the division is exact.  That
+    is the Schur complement scaled by a positive number, so it is positive
+    semidefinite iff the matrix is.  A negative pivot, or a zero pivot with
+    a nonzero entry left in its row, means a principal minor is negative;
+    a zero pivot whose row is zero is skipped.
     """
-    if a.space.kind is not SpaceKind.LOEWNER_SYM:
-        raise TypeError("PSD test applies to LoewnerSym elements only")
-    d = a.space.dim
-    m = [list(a.nums[i * d:(i + 1) * d]) for i in range(d)]
+    if space.kind is not SpaceKind.LOEWNER_SYM:
+        return min(nums) >= 0
+    d = space.dim
+    m = [list(nums[i * d:(i + 1) * d]) for i in range(d)]
     # Only entries on and above the diagonal are read or updated.
     previous = 1
     for k in range(d):
@@ -320,13 +325,18 @@ def is_psd(a: Element) -> bool:
     return True
 
 
+def is_psd(a: Element) -> bool:
+    """Exact positive semidefiniteness test for a symmetric matrix."""
+    if a.space.kind is not SpaceKind.LOEWNER_SYM:
+        raise TypeError("PSD test applies to LoewnerSym elements only")
+    return is_positive_row(a.space, a.nums)
+
+
 def leq(a: Element, b: Element) -> bool:
     """Exact order test: coordinatewise, or Loewner for symmetric matrices."""
     require_same_space(a, b)
-    if a.space.kind is SpaceKind.LOEWNER_SYM:
-        return is_psd(sub(b, a))
-    # x / a.den <= y / b.den, both denominators positive
-    return all(x * b.den <= y * a.den for x, y in zip(a.nums, b.nums))
+    fa, fb, _ = _over_common_den(a, b)
+    return is_positive_row(a.space, [y * fb - x * fa for x, y in zip(a.nums, b.nums)])
 
 
 class NoSupremum(Frozen):

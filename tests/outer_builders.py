@@ -1,10 +1,15 @@
 """Families of valid outer measures for randomized suites, and the slower
-measurability tests kept as oracles."""
+methods kept as oracles: measurability tests, and the outer-measure axioms,
+split record and measure identities decided with `ExtElement` arithmetic
+rather than on the library's integer table."""
 
 from fractions import Fraction
 
 import ordmeasure as om
-from ordmeasure.measures import full_mask, mask_to_points
+from ordmeasure import extended
+from ordmeasure.errors import ValidationError
+from ordmeasure.measures import full_mask, mask_to_points, require_exhaustive
+from ordmeasure.reports import fails, holds
 
 
 def hitting_outer(rng, ground, backend):
@@ -86,3 +91,99 @@ def split_test_measurable(nu, mask):
             b = (b - 1) & co
         a = (a - 1) & mask
     return True
+
+
+def ext_split_table(values, ground_size):
+    """The split record of `outer.OuterMeasure.split_failures`, each disjoint
+    pair summed with `ext_add` and ordered with `ext_leq` (oracle for the
+    integer pair pass)."""
+    full = full_mask(ground_size)
+    failures = [0] * (full + 1)
+    for a in range(full + 1):
+        rest, va = full ^ a, values[a]
+        b = rest
+        while b > a:
+            joint, split = values[a | b], om.ext_add(va, values[b])
+            if not om.ext_leq(joint, split):
+                raise ValidationError(
+                    "sub-additivity violation",
+                    witness={"pair": [mask_to_points(a), mask_to_points(b)]},
+                )
+            if joint != split:
+                failures[a] |= 1 << b
+                failures[b] |= 1 << a
+            b = (b - 1) & rest
+    return failures
+
+
+def ext_validate_outer_measure(values, backend, ground_size):
+    """`outer.validate_outer_measure` on `ExtElement` arithmetic, in the same
+    order and with the same messages and witnesses; returns the split
+    record (oracle for the integer table)."""
+    full = full_mask(ground_size)
+    if set(values) != set(range(full + 1)):
+        raise ValidationError("outer measure must be total on the power set")
+    zero_v = values[0]
+    if not (zero_v.is_finite and zero_v.finite.is_zero()):
+        raise ValidationError("outer measure of the empty set must be zero",
+                              witness={"empty_value": repr(zero_v)})
+    for mask, v in values.items():
+        if v.space != backend:
+            raise ValidationError("outer value in the wrong backend")
+        if not extended.is_ext_positive(v):
+            raise ValidationError(
+                f"outer value of {mask_to_points(mask)} is outside the positive cone",
+                witness={"set": mask_to_points(mask)},
+            )
+    for mask in range(full + 1):
+        for p in range(ground_size):
+            bigger = mask | (1 << p)
+            if bigger != mask and not om.ext_leq(values[mask], values[bigger]):
+                raise ValidationError(
+                    "monotonicity violation",
+                    witness={"smaller": mask_to_points(mask),
+                             "larger": mask_to_points(bigger)},
+                )
+    return ext_split_table(values, ground_size)
+
+
+def ext_sum_evaluate(mu, mask):
+    """The measure of a measurable set as the pairwise `ext_add` fold of its
+    atoms' values (oracle for `Measure.evaluate`)."""
+    mu.space.require_measurable(mask)
+    return extended.ext_sum([mu.atom_values[a] for a in mu.space.atoms_inside(mask)],
+                      mu.backend)
+
+
+def ext_measure_identities(mu):
+    """`measures.check_measure_identities` with every pair decided by
+    `ExtElement` arithmetic on `mu.evaluate` (oracle for the integer table)."""
+    require_exhaustive(mu.space)
+    members = mu.space.members()
+    violations = []
+    checked = 0
+    for d1 in members:
+        v1 = mu.evaluate(d1)
+        for d2 in members:
+            v2 = mu.evaluate(d2)
+            checked += 1
+            if d1 & d2 == d1 and not om.ext_leq(v1, v2):
+                violations.append({"identity": "monotonicity",
+                                   "pair": [mask_to_points(d1), mask_to_points(d2)]})
+            lhs = om.ext_add(v1, v2)
+            rhs = om.ext_add(mu.evaluate(d1 & d2), mu.evaluate(d1 | d2))
+            if lhs != rhs:
+                violations.append({"identity": "modularity",
+                                   "pair": [mask_to_points(d1), mask_to_points(d2)]})
+            if not om.ext_leq(mu.evaluate(d1 | d2), lhs):
+                violations.append({"identity": "sub-additivity",
+                                   "pair": [mask_to_points(d1), mask_to_points(d2)]})
+            if d2 & d1 == d2 and v2.is_finite:
+                diff = mu.evaluate(d1 & ~d2)
+                if diff != extended.ext_sub_finite(v1, v2):
+                    violations.append({"identity": "subtractivity",
+                                       "pair": [mask_to_points(d1), mask_to_points(d2)]})
+    if violations:
+        return fails("identities", violations=violations, pairs_checked=checked)
+    return holds("identities", pairs_checked=checked,
+                 classification=mu.classification())

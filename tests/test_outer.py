@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,13 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ordmeasure as om
-from ordmeasure import extended, outer
+from ordmeasure import extended, outer, spaces
 from ordmeasure.errors import DimensionLimitError, ValidationError
 from ordmeasure.measures import full_mask, mask_to_points, points_to_mask
 
 from conftest import random_algebra, random_measure
-from outer_builders import (constant_outer, full_test_set_measurable, hitting_outer,
-                            null_sets, pointwise_sup_outer, split_test_measurable)
+from outer_builders import (constant_outer, ext_measure_identities, ext_split_table,
+                            ext_sum_evaluate, ext_validate_outer_measure,
+                            full_test_set_measurable, hitting_outer, null_sets,
+                            pointwise_sup_outer, split_test_measurable)
 
 C2 = om.coord(2)
 
@@ -137,16 +140,16 @@ def outer_candidates(draw):
     return values, n
 
 
-def count_ext_add(monkeypatch):
-    """Count the calls `outer` makes to `ext_add` into the returned list."""
+def count_calls(monkeypatch, owner, name):
+    """Count the calls made through `owner.name` into the returned list."""
     calls = []
-    real = outer.ext_add
+    real = getattr(owner, name)
 
-    def counted(a, b):
+    def counted(*args):
         calls.append(None)
-        return real(a, b)
+        return real(*args)
 
-    monkeypatch.setattr(outer, "ext_add", counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
 
 
@@ -206,19 +209,14 @@ class TestValidation:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_order_test_count(self, monkeypatch, n):
         # 2^n positivity tests, n 2^(n-1) monotonicity steps and
-        # (3^n - 1)/2 disjoint pairs a < b
+        # (3^n - 1)/2 disjoint pairs a < b, each one row order test; the
+        # table is finite, so each is one positivity test of a row
         values = hitting_outer(random.Random(n), n, C2).values
-        calls = []
-        real = extended.ext_leq
-
-        def counted(a, b):
-            calls.append(None)
-            return real(a, b)
-
-        monkeypatch.setattr(extended, "ext_leq", counted)
-        monkeypatch.setattr(outer, "ext_leq", counted)
+        order_tests = count_calls(monkeypatch, outer, "row_leq")
+        positivity_tests = count_calls(monkeypatch, spaces, "is_positive_row")
         om.validate_outer_measure(values, C2, n)
-        assert len(calls) == 2**n + n * 2**(n - 1) + (3**n - 1) // 2
+        assert len(order_tests) == 2**n + n * 2**(n - 1) + (3**n - 1) // 2
+        assert len(positivity_tests) == len(order_tests)
 
 
 class TestInduce:
@@ -282,7 +280,7 @@ class TestCaratheodory:
         # validation sums each of the (3^n - 1)/2 disjoint pairs a < b once
         # and extraction reads the record, summing none
         values = hitting_outer(random.Random(n), n, C2).values
-        calls = count_ext_add(monkeypatch)
+        calls = count_calls(monkeypatch, outer, "row_add")
         nu = om.validate_outer_measure(values, C2, n)
         assert len(calls) == (3**n - 1) // 2
         om.extract_measurable_algebra(nu)
@@ -292,7 +290,7 @@ class TestCaratheodory:
     def test_induced_record_is_built_once(self, monkeypatch, n):
         rng = random.Random(n)
         nu = om.induce_outer(random_measure(rng, random_algebra(rng, n), C2))
-        calls = count_ext_add(monkeypatch)
+        calls = count_calls(monkeypatch, outer, "row_leq")
         om.extract_measurable_algebra(nu)
         assert len(calls) == (3**n - 1) // 2
         om.extract_measurable_algebra(nu)
@@ -375,3 +373,171 @@ class TestCaratheodory:
                     if sub == 0:
                         break
                     sub = (sub - 1) & mask
+
+
+BACKENDS = [om.reals(), om.coord(2), om.entrywise_mat(2, 2), om.loewner_sym(2),
+            om.loewner_sym(3)]
+
+
+@st.composite
+def ext_values(draw, backend, positive, max_den=4):
+    """A finite value of `backend` or, one time in five, infinity: in the
+    positive cone (B B^T on Loewner) when `positive`, arbitrary otherwise."""
+    if draw(st.integers(0, 4)) == 0:
+        return om.infinity(backend)
+    if backend.kind is not om.SpaceKind.LOEWNER_SYM:
+        entries = st.fractions(min_value=0 if positive else -2, max_value=3,
+                               max_denominator=max_den)
+        return om.finite(om.element(backend, [draw(entries)
+                                              for _ in range(backend.ncoords)]))
+    d = backend.dim
+    entries = st.fractions(min_value=-2, max_value=3, max_denominator=max_den)
+    b = [[draw(entries) for _ in range(d)] for _ in range(d)]
+    if positive:
+        rows = [[sum(b[i][k] * b[j][k] for k in range(d)) for j in range(d)]
+                for i in range(d)]
+    else:
+        rows = [[b[min(i, j)][max(i, j)] for j in range(d)] for i in range(d)]
+    return om.finite(om.sym_matrix(rows))
+
+
+@st.composite
+def backend_tables(draw):
+    """(values, n, backend) on n = 1..4 points of any backend: cover sums,
+    which are outer measures, and cover sums with a positive value added
+    on every superset of a set (monotone, often not sub-additive), with
+    single values replaced at random (often not monotone or not positive)."""
+    backend, n = draw(st.sampled_from(BACKENDS)), draw(st.integers(1, 4))
+    full = full_mask(n)
+    covers = draw(st.lists(st.tuples(st.integers(1, full), ext_values(backend, True)),
+                           min_size=1, max_size=3))
+    zero = om.finite(om.zero(backend))
+    values = {}
+    for mask in range(full + 1):
+        total = zero
+        for cover, weight in covers:
+            if mask & cover:
+                total = om.ext_add(total, weight)
+        values[mask] = total
+    if draw(st.booleans()):
+        # on a set of two or more points the bump can break sub-additivity
+        s = draw(st.integers(1, full).filter(lambda m: n == 1 or m & (m - 1)))
+        delta = draw(ext_values(backend, True))
+        for mask in range(full + 1):
+            if mask & s == s:
+                values[mask] = om.ext_add(values[mask], delta)
+    for mask in draw(st.lists(st.integers(1, full), max_size=2)):
+        values[mask] = draw(ext_values(backend, draw(st.booleans())))
+    return values, n, backend
+
+
+def outcome(fn, *args):
+    """What `fn` returns, or the message and witness of its ValidationError."""
+    try:
+        return fn(*args)
+    except ValidationError as exc:
+        return str(exc), exc.witness
+
+
+@st.composite
+def skewed_measures(draw):
+    """A measure on a random algebra of up to 4 atoms of any backend, with
+    infinite atoms and small or large denominators, and with the values of
+    some members overwritten in its evaluation memo, so that identities can
+    fail."""
+    backend, max_den = draw(st.sampled_from(BACKENDS)), draw(st.sampled_from([4, 10**20]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    space = random_algebra(rng, draw(st.integers(1, 4)))
+    mu = om.Measure(space, backend, {atom: draw(ext_values(backend, True, max_den))
+                                     for atom in space.atoms})
+    members = space.members()
+    for mask in draw(st.lists(st.sampled_from(members), max_size=2)):
+        mu._memo[mask] = draw(ext_values(backend, draw(st.booleans()), max_den))
+    return mu
+
+
+class TestIntegerTable:
+    """The integer passes against the `ExtElement` passes they replaced."""
+
+    @given(backend_tables())
+    @settings(max_examples=300, deadline=None)
+    def test_validation_agrees_with_ext_oracle(self, case):
+        values, n, backend = case
+        fast = outcome(lambda: om.validate_outer_measure(values, backend, n).split_failures)
+        assert fast == outcome(ext_validate_outer_measure, values, backend, n)
+
+    @given(backend_tables())
+    @settings(max_examples=200, deadline=None)
+    def test_induced_split_table_agrees_with_ext_oracle(self, case):
+        # the record built on first use, for tables that were never validated
+        values, n, backend = case
+        nu = outer.OuterMeasure(n, backend, values)
+        assert outcome(lambda: nu.split_failures) == outcome(ext_split_table, values, n)
+
+    @given(st.sampled_from(BACKENDS), st.sampled_from([4, 10**20]), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_row_operations_agree_with_ext_arithmetic(self, backend, max_den, data):
+        # small denominators share one row denominator; large unrelated ones
+        # usually keep their own, and the row operations cross-multiply
+        values = data.draw(st.lists(ext_values(backend, data.draw(st.booleans()),
+                                               max_den), min_size=1, max_size=5))
+        rows = extended.ext_rows(values)
+        dens = [v.finite.den for v in values if v.is_finite]
+        shared = math.lcm(*dens).bit_length() <= 2 * max(dens, default=1).bit_length() + 64
+        assert shared == (len({row[1] for row in rows if row}) <= 1)
+
+        def value(row):
+            if row is None:
+                return om.infinity(backend)
+            nums, den = row
+            return om.finite(om.Element(backend, tuple(Fraction(x, den) for x in nums)))
+
+        assert [value(row) for row in rows] == values
+        for v, rv in zip(values, rows):
+            for w, rw in zip(values, rows):
+                assert extended.row_eq(rv, rw) == (v == w)
+                assert extended.row_leq(backend, rv, rw) == om.ext_leq(v, w)
+                assert value(extended.row_add(rv, rw)) == om.ext_add(v, w)
+                if v.is_finite and w.is_finite:
+                    assert value(extended.row_sub(rv, rw)) == extended.ext_sub_finite(v, w)
+
+    def test_table_of_unrelated_denominators_agrees_with_ext_oracle(self):
+        # nu(A) = (1 + 1/(10^18 + i)) I for nonempty A, the larger sets taking
+        # the smaller denominators: an outer measure whose values share no
+        # denominator, so every row keeps its own
+        for backend in BACKENDS:
+            n, eye = 4, om.order_unit(backend)
+            masks = sorted(range(1, 1 << n), key=lambda m: -bin(m).count("1"))
+            values = {0: om.finite(om.zero(backend))}
+            for i, mask in enumerate(masks):
+                values[mask] = om.finite(om.scale(1 + Fraction(1, 10**18 + i), eye))
+            rows = extended.ext_rows([values[m] for m in range(1 << n)])
+            assert len({den for _, den in rows}) == 1 << n
+            nu = om.validate_outer_measure(values, backend, n)
+            assert nu.split_failures == ext_validate_outer_measure(values, backend, n)
+
+    def test_loewner_table_passes_entrywise_but_not_psd(self):
+        # nu({0}) = nu({1}) = I and nu({0,1}) = [[2,-1],[-1,2]]: monotone, but
+        # I + I - nu({0,1}) = [[0,1],[1,0]] has nonnegative entries and
+        # determinant -1, so sub-additivity fails only in the Loewner order
+        backend, eye = om.loewner_sym(2), om.finite(om.sym_matrix([[1, 0], [0, 1]]))
+        top = om.finite(om.sym_matrix([[2, -1], [-1, 2]]))
+        values = {0: om.finite(om.zero(backend)), 1: eye, 2: eye, 3: top}
+        gap = om.sub(om.add(eye.finite, eye.finite), top.finite)
+        assert all(x >= 0 for x in gap.nums) and not om.is_psd(gap)
+        fast = outcome(om.validate_outer_measure, values, backend, 2)
+        assert fast == ("sub-additivity violation", {"pair": [[0], [1]]})
+        assert fast == outcome(ext_validate_outer_measure, values, backend, 2)
+
+    @given(skewed_measures())
+    @settings(max_examples=200, deadline=None)
+    def test_identities_agree_with_ext_oracle(self, mu):
+        fast = om.check_measure_identities(mu).to_json()
+        assert fast == ext_measure_identities(mu).to_json()
+
+    @given(skewed_measures())
+    @settings(max_examples=100, deadline=None)
+    def test_evaluate_agrees_with_ext_sum(self, mu):
+        mu._memo.clear()
+        for mask in mu.space.members():
+            assert mu.evaluate(mask) == ext_sum_evaluate(mu, mask)
