@@ -7,8 +7,11 @@ routes are independent implementations and must agree exactly; the ladder
 is retained purely as an oracle against convention bugs (0 * inf versus
 inf * 0).  Functions are integer numerators over one denominator.  The
 closed form folds pairwise with `ext_scale` and `ext_add`, while each rung
-is one `spaces.combination` of integer coefficients over the atoms, so the
-routes share no summation code.
+is one integer row summed on the measure's atom table
+(`Measure.atom_table`), so the routes share no summation code.
+`truncate`, `ElementaryFunction` and `integrate_elementary` build and
+integrate the rungs as elementary functions; the tests compare the ladder
+with them.
 
 The monotone and dominated convergence theorems and the Fatou inequality
 are exercised as certified checks: stabilizing sequences give exact
@@ -217,7 +220,8 @@ class ElementaryFunction(Frozen):
 
 
 def truncate(f: ExtFunction, level: int) -> ElementaryFunction:
-    """The canonical ladder rung f /\\ level (finite-valued, elementary).
+    """The canonical ladder rung f /\\ level (finite-valued, elementary),
+    which the ladder itself sums as an integer row (`_rung_row`).
 
     One term per atom where the rung is positive, read from the atom's
     first point: `f` is validated, so it is constant on each atom.  The
@@ -255,34 +259,44 @@ def integrate_elementary(phi: ElementaryFunction, mu: Measure) -> ExtElement:
     return total
 
 
-def _rung_integral(phi: ElementaryFunction, mu: Measure) -> ExtElement:
-    """Integral of an elementary function whose terms are atoms of its space,
-    as `truncate` builds them: the point at infinity when a positive
-    coefficient sits on an atom of infinite measure, and otherwise one
-    `spaces.combination` of the finite atom values over the rung's
-    denominator (a zero coefficient kills an infinite atom)."""
-    if phi.space is not mu.space and phi.space != mu.space:
-        raise ValidationError("function and measure live on different spaces")
-    pairs = []
-    for coeff, atom in phi.terms:
-        value = mu.atom_values[atom].finite
-        if value is None:
-            if coeff:
-                return extended.infinity(mu.backend)
-        else:
-            pairs.append((coeff, value))
-    return extended.finite(spaces.combination(mu.backend, pairs, phi.den))
-
-
 def _closed_form_integral(f: ExtFunction, mu: Measure) -> ExtElement:
-    """The pairwise fold of ext_scale(f(atom), mu(atom)), each finite value
-    given to `ext_scale` as its numerator over f's denominator."""
-    total = ext_zero(mu.backend)
+    """The pairwise fold of ext_scale(f(atom), mu(atom)) from the first
+    atom's term, each finite value given to `ext_scale` as its numerator
+    over f's denominator; zero when there are no atoms."""
+    total = None
     for atom, points in mu.space.atom_points.items():
         x = points[0]
         v = INFINITY if f.inf >> x & 1 else f.nums[x]
-        total = ext_add(total, ext_scale(v, mu.atom_values[atom], f.den))
-    return total
+        term = ext_scale(v, mu.atom_values[atom], f.den)
+        total = term if total is None else ext_add(total, term)
+    return ext_zero(mu.backend) if total is None else total
+
+
+def _rung_terms(f: ExtFunction, table) -> list:
+    """The pairs (v, row) that `_rung_row` sums, one for each atom of
+    `table` (`Measure.atom_table`) where f is positive: f's numerator at the
+    atom's first point, or None where f is infinite, and the atom's row."""
+    nums, inf = f.nums, f.inf
+    return [(None if inf >> x & 1 else nums[x], row)
+            for x, row in table if inf >> x & 1 or nums[x]]
+
+
+def _rung_row(terms: list, level: int, den: int, width: int) -> Optional[list]:
+    """The rung f /\\ level of the ladder as one integer row: the sum of
+    min(v, level * den) * row over the `terms` (v, row) of the atoms where f
+    is positive, with v None where f is infinite (the cap is its value
+    there).  `row` is the atom's value over the denominator of the
+    measure's table (`Measure.atom_table`), so the sum is over den times
+    that.  None when the rung is infinite: a positive coefficient on an atom
+    of infinite measure (row None); zero coefficients never reach it."""
+    cap = level * den
+    acc = [0] * width
+    for v, row in terms:
+        if row is None:
+            return None
+        c = cap if v is None or v > cap else v
+        acc = [a + c * r for a, r in zip(acc, row)]
+    return acc
 
 
 def _ladder_supremum(f: ExtFunction, mu: Measure) -> Tuple[ExtElement, dict]:
@@ -306,24 +320,35 @@ def _ladder_supremum(f: ExtFunction, mu: Measure) -> Tuple[ExtElement, dict]:
     Archimedean property and the supremum is the point at infinity.  A rung
     is infinite exactly when a positive value sits on an atom of infinite
     measure, at every level alike, so an infinite ladder shows at level 1.
+
+    Each rung is one integer row over one denominator for the whole ladder
+    (`_rung_row` on the measure's atom table), consecutive rungs are ordered
+    by `spaces.is_positive_row` on their difference, and only the stabilized
+    row becomes an element.  The closed form folds `ext_scale` and `ext_add`
+    instead, so the two routes share no summation code.
     """
-    den, inf = f.den, f.inf
-    finite_nums = {n for x, n in enumerate(f.nums) if not inf >> x & 1}
+    if f.space is not mu.space and f.space != mu.space:
+        raise ValidationError("function and measure live on different spaces")
+    den, inf, nums = f.den, f.inf, f.nums
+    table_den, table = mu.atom_table
+    terms = _rung_terms(f, table)
+    finite_nums = {n for x, n in enumerate(nums) if not inf >> x & 1}
     nstar = max(1, -(-max(finite_nums, default=0) // den))
     levels = {1, nstar, nstar + 1}
     levels.update(k for n in finite_nums for k in (n // den, -(-n // den)) if k >= 1)
-    rungs = []
+    backend, width = mu.backend, mu.backend.ncoords
+    previous = rung = None
     for n in sorted(levels):
-        rung = _rung_integral(truncate(f, n), mu)
-        if rungs and not ext_leq(rungs[-1], rung):
+        previous, rung = rung, _rung_row(terms, n, den, width)
+        if rung is None:
+            return extended.infinity(backend), {"mode": "infinite-rung", "at_level": n}
+        if previous is not None and not spaces.is_positive_row(
+                backend, [b - a for a, b in zip(previous, rung)]):
             raise OrdMeasureError("ladder integrals failed to increase")
-        rungs.append(rung)
-        if rung.is_infinite:
-            return extended.infinity(mu.backend), {
-                "mode": "infinite-rung", "at_level": n}
-    if rungs[-1] == rungs[-2]:
-        return rungs[-1], {"mode": "stabilized", "at_level": nstar}
-    return extended.infinity(mu.backend), {
+    if rung == previous:
+        return extended.finite(spaces._element(backend, tuple(rung), den * table_den)), {
+            "mode": "stabilized", "at_level": nstar}
+    return extended.infinity(backend), {
         "mode": "divergent", "increment_from_level": nstar}
 
 

@@ -27,8 +27,9 @@ def _continuity(name: str, mu: Measure, seq: SequenceSpec, horizon: Optional[int
                 increasing: bool) -> CheckResult:
     """Continuity of the measure in the direction `increasing` names: the
     values of increasing (decreasing) sets reach the measure of their union
-    (intersection).  Increasing values are tested before the sets stabilize;
-    decreasing needs a finite first value, which is tested first."""
+    (intersection), the sum of the atom values under it.  Increasing values
+    are tested before the sets stabilize; decreasing needs a finite first
+    value, which is tested first."""
     sets = seq.sample(horizon)
     direction = "increasing" if increasing else "decreasing"
     for n in range(1, len(sets)):
@@ -48,8 +49,11 @@ def _continuity(name: str, mu: Measure, seq: SequenceSpec, horizon: Optional[int
         raise CertificationError("set sequence did not stabilize within horizon")
     if not increasing:
         values = [mu.evaluate(s) for s in sets]
+    # The limit set is the last set; its value is summed from its atoms
+    # rather than read from `evaluate`, so that the comparison can fail.
     limit = reduce(operator.or_ if increasing else operator.and_, sets)
-    limit_value = mu.evaluate(limit)
+    limit_value = ext_sum([mu.atom_values[a] for a in mu.space.atoms_inside(limit)],
+                          mu.backend)
     limit_key, bound_key = (("union", "sup_of_values") if increasing
                             else ("intersection", "inf_of_values"))
     if values[-1] == limit_value:

@@ -14,6 +14,7 @@ in `ordmeasure.measure_checks`.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 from typing import Dict, Iterable, List, Sequence
 
@@ -193,6 +194,21 @@ class Measure:
         self._memo: Dict[int, ExtElement] = {}
         # integral.integrate_extended's reports, keyed by (function space, values)
         self.integral_memo: dict = {}
+
+    @cached_property
+    def atom_table(self) -> tuple:
+        """The atom values as one integer table, built on first use:
+        ``(D, rows)``, where D is the lcm of the finite atom values'
+        denominators and `rows` holds, for each atom in order, its first
+        point and its value's integer numerators over D, or None for an
+        infinite atom.  The truncation ladder of `ordmeasure.integral` sums
+        its rungs on it."""
+        values = [(points[0], self.atom_values[atom].finite)
+                  for atom, points in self.space.atom_points.items()]
+        den = math.lcm(*(v.den for _, v in values if v is not None))
+        return den, tuple((x, None if v is None else
+                           tuple([n * (den // v.den) for n in v.nums]))
+                          for x, v in values)
 
     def evaluate(self, mask: int) -> ExtElement:
         """Measure of a measurable set: the sum of its atoms' values, one

@@ -1,15 +1,19 @@
-"""The integral routes as they were computed on Fraction values, before
-functions stored integer numerators over one denominator, kept as test
-oracles.
+"""The integral routes as they were computed before the library moved them
+onto integers, kept as test oracles.
 
-Each takes a library function and reads only its derived ``values`` (the
-Fraction and INFINITY tuple), so none of it shares the integer code it is
-compared with: the closed form, the break-level ladder with `truncate` and
-the rung integral, the canonical atom representation of dense values (the
-former ``ElementaryFunction.from_dense``), the pointwise combination of two
-functions with the extended scalar sum, order and product (the former
-``rationals.ext_scalar_add``, ``ext_scalar_leq`` and ``ext_scalar_mul``),
-and the terms of the three generated sequence kinds.
+All but one take a library function and read only its derived ``values``
+(the Fraction and INFINITY tuple), so none of it shares the integer code it
+is compared with: the closed form, the break-level ladder with `truncate`
+and the rung integral, the canonical atom representation of dense values
+(the former ``ElementaryFunction.from_dense``), the pointwise combination
+of two functions with the extended scalar sum, order and product (the
+former ``rationals.ext_scalar_add``, ``ext_scalar_leq`` and
+``ext_scalar_mul``), and the terms of the three generated sequence kinds.
+
+The exception is `combination_rung_integral`, the former
+``integral._rung_integral``: the integral of a `truncate` rung as one
+`spaces.combination` of the atom values, which the ladder ran on every
+rung before it summed integer rows on the measure's atom table.
 """
 
 import math
@@ -63,6 +67,25 @@ def rung_integral(terms: tuple, mu) -> om.ExtElement:
         else:
             pairs.append((coeff, value))
     return extended.finite(spaces.combination(mu.backend, pairs))
+
+
+def combination_rung_integral(phi: om.ElementaryFunction, mu) -> om.ExtElement:
+    """Integral of an elementary function whose terms are atoms of its space,
+    as `truncate` builds them: the point at infinity when a positive
+    coefficient sits on an atom of infinite measure, and otherwise one
+    `spaces.combination` of the finite atom values over the rung's
+    denominator (a zero coefficient kills an infinite atom)."""
+    if phi.space is not mu.space and phi.space != mu.space:
+        raise ValidationError("function and measure live on different spaces")
+    pairs = []
+    for coeff, atom in phi.terms:
+        value = mu.atom_values[atom].finite
+        if value is None:
+            if coeff:
+                return extended.infinity(mu.backend)
+        else:
+            pairs.append((coeff, value))
+    return extended.finite(spaces.combination(mu.backend, pairs, phi.den))
 
 
 def closed_form_integral(f, mu) -> om.ExtElement:

@@ -2,7 +2,8 @@
 
 The closed form, the truncation ladder and `truncate`, the derived
 functions and the generated sequence terms compute on the numerators of a
-function.  Each is compared here with the Fraction computation it replaced
+function, and the ladder sums its rungs on a measure's atom table of
+numerators over one denominator.  Each is compared here with the Fraction computation it replaced
 (`tests/integral_oracles.py`), on all four backends, with infinite points,
 null atoms, infinite atoms and large coprime denominators.  Then a guard:
 running a shipped scenario builds no more Fractions at horizon 256 than at
@@ -11,7 +12,9 @@ horizon 64, so no Fraction is made per sequence term.
 
 import cProfile
 import fractions
+import math
 import pstats
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -90,7 +93,7 @@ class TestIntegralRoutes:
         terms = oracle.truncate_terms(f, level)
         assert phi == om.ElementaryFunction(mu.space, terms)
         assert phi == oracle.elementary_from_dense(mu.space, phi.dense_values())
-        assert integral._rung_integral(phi, mu) == oracle.rung_integral(terms, mu)
+        assert oracle.combination_rung_integral(phi, mu) == oracle.rung_integral(terms, mu)
 
     @given(cases())
     @settings(max_examples=100, deadline=None)
@@ -103,6 +106,55 @@ class TestIntegralRoutes:
         assert f == om.ExtFunction(mu.space, f.values)
         assert f == om.ExtFunction.from_nums(
             mu.space, tuple(3 * n for n in f.nums), 3 * f.den, f.inf)
+
+
+class TestAtomTable:
+    """`Measure.atom_table`: each atom's first point and its value as integer
+    numerators over the lcm of the finite atom denominators, or None."""
+
+    @given(cases())
+    @settings(max_examples=200, deadline=None)
+    def test_rows_over_the_table_denominator_are_the_atom_values(self, case):
+        mu, _ = case
+        den, rows = mu.atom_table
+        assert den == math.lcm(*(v.finite.den for v in mu.atom_values.values()
+                                 if v.is_finite))
+        assert len(rows) == len(mu.space.atoms)
+        for atom, (x, row) in zip(mu.space.atoms, rows):
+            assert x == om.mask_to_points(atom)[0]
+            value = mu.atom_values[atom]
+            if value.is_infinite:
+                assert row is None
+            else:
+                assert om.Element(mu.backend, tuple(Fraction(n, den) for n in row)) \
+                    == value.finite
+        assert mu.atom_table is mu.atom_table
+
+    def test_unrelated_large_denominators(self):
+        # Sixteen atoms of LoewnerSym(2), each over its own 19-digit
+        # denominator, so the table's denominator has about 1,000 bits.
+        space = om.power_set_space(16)
+        values = {}
+        for i, atom in enumerate(space.atoms):
+            q = 10**18 + i
+            values[atom] = om.finite(om.sym_matrix(
+                [[Fraction(2 + i, q), Fraction(1, q)], [Fraction(1, q), Fraction(1 + i, q)]]))
+        finite = [Fraction(7 * i + 1, i + 2) for i in range(16)]
+        functions = [finite, finite[:15] + [INFINITY], [0] * 8 + finite[8:]]
+        start = time.perf_counter()
+        reports = [om.integrate_extended(om.ext_function(space, v),
+                                         om.Measure(space, om.loewner_sym(2), values))
+                   for v in functions]
+        elapsed = time.perf_counter() - start
+        assert math.lcm(*(10**18 + i for i in range(16))).bit_length() > 900
+        mu = om.Measure(space, om.loewner_sym(2), values)
+        for v, report in zip(functions, reports):
+            f = om.ext_function(space, v)
+            assert report.ladder == report.closed_form == oracle.closed_form_integral(f, mu)
+            assert (report.ladder, report.trail) == oracle.ladder_supremum(f, mu)
+        assert [r.trail["mode"] for r in reports] == ["stabilized", "divergent",
+                                                      "stabilized"]
+        assert elapsed < 2.0
 
 
 class TestDerivedFunctions:

@@ -340,13 +340,13 @@ class TestLadderBreakLevels:
 
     def test_rungs_only_at_break_levels(self, monkeypatch):
         levels = []
-        truncate = integral.truncate
+        rung_row = integral._rung_row
 
-        def recording(f, level):
+        def recording(terms, level, den, width):
             levels.append(level)
-            return truncate(f, level)
+            return rung_row(terms, level, den, width)
 
-        monkeypatch.setattr(integral, "truncate", recording)
+        monkeypatch.setattr(integral, "_rung_row", recording)
         space = om.power_set_space(4)
         mu = om.Measure(space, C2, {1: fin(1, 0), 2: fin(0, 1), 4: fin(1, 1),
                                     8: fin(0, 0)})
@@ -372,9 +372,10 @@ def atom_elementary(draw, space):
 
 
 class TestRung:
-    """The trusted `truncate` and the rung integral against the validating
-    constructor (the oracle `elementary_from_dense`) and the pairwise fold
-    of `integrate_elementary`."""
+    """The trusted `truncate`, the rung integral as one combination (the
+    oracle `combination_rung_integral`) and the ladder's integer rung rows,
+    against the validating constructor (the oracle `elementary_from_dense`)
+    and the pairwise fold of `integrate_elementary`."""
 
     @given(measures_and_functions(), st.integers(1, 14))
     @settings(max_examples=300, deadline=None)
@@ -390,67 +391,83 @@ class TestRung:
     def test_rung_integral_matches_integrate_elementary(self, case, level):
         mu, f = case
         phi = om.truncate(f, level)
-        assert integral._rung_integral(phi, mu) == integrate_elementary(phi, mu)
+        assert oracle.combination_rung_integral(phi, mu) == integrate_elementary(phi, mu)
+
+    @given(measures_and_functions(), st.integers(1, 14))
+    @settings(max_examples=300, deadline=None)
+    def test_rung_row_matches_rung_integral(self, case, level):
+        mu, f = case
+        table_den, table = mu.atom_table
+        terms = integral._rung_terms(f, table)
+        row = integral._rung_row(terms, level, f.den, mu.backend.ncoords)
+        rung = (om.infinity(mu.backend) if row is None else
+                om.finite(spaces._element(mu.backend, tuple(row), f.den * table_den)))
+        assert rung == oracle.combination_rung_integral(om.truncate(f, level), mu)
 
     @given(measures_and_functions(), st.data())
     @settings(max_examples=300, deadline=None)
     def test_zero_and_positive_coefficients_on_infinite_atoms(self, case, data):
         mu, _ = case
         phi = data.draw(atom_elementary(mu.space))
-        assert integral._rung_integral(phi, mu) == integrate_elementary(phi, mu)
+        assert oracle.combination_rung_integral(phi, mu) == integrate_elementary(phi, mu)
 
     @pytest.mark.parametrize("coefficient, expected", [
         (Fraction(0), fin(2, 0)), (Fraction(1, 2), om.infinity(C2))])
     def test_infinite_atom(self, coefficient, expected):
         mu = om.Measure(om.power_set_space(2), C2, {1: fin(1, 0), 2: om.infinity(C2)})
         phi = ElementaryFunction(mu.space, ((Fraction(2), 1), (coefficient, 2)))
-        assert integral._rung_integral(phi, mu) == expected
+        assert oracle.combination_rung_integral(phi, mu) == expected
         assert integrate_elementary(phi, mu) == expected
 
     def test_space_mismatch(self):
         mu = basic_measure()
-        phi = om.truncate(om.ext_function(om.generate_sigma_algebra([], 2), [1, 1]), 1)
+        coarse = om.generate_sigma_algebra([], 2)
+        phi = om.truncate(om.ext_function(coarse, [1, 1]), 1)
         with pytest.raises(ValidationError, match="different spaces"):
-            integral._rung_integral(phi, mu)
+            oracle.combination_rung_integral(phi, mu)
+        with pytest.raises(ValidationError, match="different spaces"):
+            _ladder_supremum(om.ext_function(coarse, [1, 1]), mu)
 
 
 class TestLadderOperationCounts:
-    """The ladder builds each finite rung with one `spaces.combination` and
-    no pairwise arithmetic, at one `truncate` per break level."""
+    """The ladder sums one integer row per break level on the measure's atom
+    table, builds no element on the way, and builds one `Element` for a
+    finite supremum; it makes no combination and no pairwise arithmetic."""
 
-    @pytest.mark.parametrize("values, atom_values, levels, finite_rungs", [
-        ([Fraction(1, 3), 2], [fin(1, 0), fin(0, 1)], [1, 2, 3], 3),
-        ([INFINITY, Fraction(5, 2)], [fin(1, 0), fin(0, 1)], [1, 2, 3, 4], 4),
+    @pytest.mark.parametrize("values, atom_values, levels, elements", [
+        ([Fraction(1, 3), 2], [fin(1, 0), fin(0, 1)], [1, 2, 3], 1),
+        ([INFINITY, Fraction(5, 2)], [fin(1, 0), fin(0, 1)], [1, 2, 3, 4], 0),
         ([0, Fraction(7, 2)], [fin(1, 0), om.infinity(C2)], [1], 0),
         ([0, Fraction(5, 2), 10**8, INFINITY], [fin(1, 0), fin(0, 1), fin(1, 1), fin(0, 0)],
-         [1, 2, 3, 10**8, 10**8 + 1], 5),
+         [1, 2, 3, 10**8, 10**8 + 1], 1),
     ], ids=["stabilized", "divergent", "infinite_rung", "wide_levels"])
-    def test_counts(self, monkeypatch, values, atom_values, levels, finite_rungs):
+    def test_counts(self, monkeypatch, values, atom_values, levels, elements):
         space = om.power_set_space(len(values))
         mu = om.Measure(space, C2, dict(zip(space.atoms, atom_values)))
         f = om.ext_function(space, values)
-        calls = {"combination": 0, "truncate": []}
-        combination, truncate = spaces.combination, integral.truncate
+        calls = {"elements": 0, "levels": []}
+        trusted, rung_row = spaces._element, integral._rung_row
 
-        def counting_combination(space, pairs, den=1):
-            calls["combination"] += 1
-            return combination(space, pairs, den)
+        def counting_element(space, nums, den):
+            calls["elements"] += 1
+            return trusted(space, nums, den)
 
-        def recording_truncate(g, level):
-            calls["truncate"].append(level)
-            return truncate(g, level)
+        def recording_rung_row(terms, level, den, width):
+            calls["levels"].append(level)
+            return rung_row(terms, level, den, width)
 
-        def forbidden(*args):
-            raise AssertionError("pairwise arithmetic in the ladder")
+        def forbidden(*args, **kwargs):
+            raise AssertionError("combination, element or pairwise arithmetic in the ladder")
 
-        monkeypatch.setattr(spaces, "combination", counting_combination)
-        monkeypatch.setattr(integral, "truncate", recording_truncate)
-        for owner, name in [(spaces, "add"), (spaces, "scale"), (extended, "ext_add"),
-                            (extended, "ext_scale"), (integral, "ext_add"),
-                            (integral, "ext_scale")]:
+        monkeypatch.setattr(spaces, "_element", counting_element)
+        monkeypatch.setattr(integral, "_rung_row", recording_rung_row)
+        for owner, name in [(spaces, "combination"), (spaces, "add"), (spaces, "scale"),
+                            (spaces.Element, "__init__"),
+                            (extended, "ext_add"), (extended, "ext_scale"),
+                            (integral, "ext_add"), (integral, "ext_scale")]:
             monkeypatch.setattr(owner, name, forbidden)
         _ladder_supremum(f, mu)
-        assert calls == {"combination": finite_rungs, "truncate": levels}
+        assert calls == {"elements": elements, "levels": levels}
 
 
 class TestTrustedFunctions:

@@ -251,6 +251,21 @@ class TestContinuity:
         with pytest.raises(HypothesisError):
             om.continuity_from_above(mu, from_terms([0b111, 0b001]))
 
+    @pytest.mark.parametrize("increasing, sets, bound, limit, exact", [
+        (True, [0b01, 0b11], "sup_of_values", "union_value", ["1", "1"]),
+        (False, [0b11, 0b01], "inf_of_values", "intersection_value", ["1", "0"]),
+    ], ids=["below", "above"])
+    def test_corrupted_memo_fails(self, increasing, sets, bound, limit, exact):
+        # The limit set is the last sampled set, whose memo entry is wrong:
+        # the check compares it with the sum of the limit's atom values.
+        mu = om.Measure(om.power_set_space(2), C2, {1: fin(1, 0), 2: fin(0, 1)})
+        mu._memo[sets[-1]] = fin(5, 5)
+        check = om.continuity_from_below if increasing else om.continuity_from_above
+        report = check(mu, from_terms(sets))
+        assert not report.ok
+        assert report.details == {bound: {"finite": ["5", "5"]},
+                                  limit: {"finite": exact}}
+
     def test_random_increasing_sequences(self, rng):
         for _ in range(25):
             space = random_algebra(rng, rng.randint(2, 6))
