@@ -24,7 +24,7 @@ _EXPORTS = {
                    "ValidationError"),
         ("rationals", "INFINITY format_rational parse_rational"),
         ("sequences", "DEFAULT_EPSILONS DEFAULT_HORIZON DeclaredLimit DivergesToInfinity "
-                      "SequenceSpec StabilizesAt constant_sequence from_terms"),
+                      "SequenceSpec StabilizesAt from_terms"),
         ("spaces", "Element NoSupremum SpaceDescriptor SpaceKind add basis_vector "
                    "coord element entrywise_mat inf_pair is_psd leq loewner_sym "
                    "order_unit reals scale sub sup_pair sym_matrix zero"),
@@ -38,7 +38,7 @@ _EXPORTS = {
         ("outer", "OuterMeasure caratheodory_measurable extract_measurable_algebra "
                   "induce_outer validate_outer_measure"),
         ("integral", "ElementaryFunction ExtFunction IntegralReport SignedFunction "
-                     "dct ext_function fatou indicator integral_value "
+                     "dct ext_function fatou integral_value "
                      "integrate_elementary integrate_extended integrate_signed mct "
                      "mct_decreasing signed_function truncate"),
         ("integral_checks", "ae_analysis check_integral_laws l1_quotient push_forward "

@@ -17,8 +17,12 @@ The monotone and dominated convergence theorems and the Fatou inequality
 are exercised as certified checks: stabilizing sequences give exact
 equalities, declared limits are certified against an epsilon schedule
 measured in multiples of the backend's order unit, and divergence is
-certified against a ladder of bounds.  The laws of the integral and its
-other structure checks are in `ordmeasure.integral_checks`.
+certified against a ladder of bounds.  Each check compares its sampled
+functions on one integer table (`_columns`: numerators over one lcm, None
+where a value is infinite), and `mct`, `mct_decreasing` and `dct` certify
+a finite pointwise limit by one function (`_certify_pointwise`).  The laws
+of the integral and its other structure checks are in
+`ordmeasure.integral_checks`.
 """
 
 from __future__ import annotations
@@ -26,9 +30,8 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from functools import reduce
 from itertools import accumulate
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from . import extended, spaces
 from .errors import (CertificationError, Frozen, HypothesisError, NotIntegrableError,
@@ -184,14 +187,6 @@ def ext_function(space: MeasurableSpace, values: Sequence) -> ExtFunction:
 
 def signed_function(space: MeasurableSpace, values: Sequence) -> SignedFunction:
     return SignedFunction(space, tuple(Fraction(v) for v in values))
-
-
-def indicator(space: MeasurableSpace, mask: int, coefficient=Fraction(1)) -> ExtFunction:
-    space.require_measurable(mask)
-    c = Fraction(coefficient)
-    return ExtFunction.from_nums(space, tuple(
-        c.numerator if mask >> x & 1 else 0 for x in range(space.ground_size)),
-        c.denominator)
 
 
 class ElementaryFunction(Frozen):
@@ -430,51 +425,32 @@ def integrate_signed(f: SignedFunction, mu: Measure) -> Element:
     return result
 
 
-def _certify_scalar_convergence(terms: List[ExtFunction], f: ExtFunction, x: int,
-                                epsilons, increasing: bool):
-    """Pointwise convergence certificate at the ground point x, on the values
-    there as numerators over the lcm of the denominators (None: infinite)."""
-    den = math.lcm(f.den, *(t.den for t in terms))
+def _columns(functions: Sequence) -> Tuple[int, list]:
+    """One integer table of `functions` on one space: `den`, the lcm of
+    their denominators, and `cols`, where ``cols[x][i]`` is the numerator of
+    function i at point x over den, or None where that value is infinite."""
+    den = math.lcm(*(g.den for g in functions))
+    return den, list(zip(*(
+        [None if g.inf >> x & 1 else n * (den // g.den) for x, n in enumerate(g.nums)]
+        for g in functions)))
 
-    def at(g):
-        return None if g.inf >> x & 1 else g.nums[x] * (den // g.den)
-    samples, target = [at(t) for t in terms], at(f)
+
+def _precedes(a: Optional[int], b: Optional[int]) -> bool:
+    """a <= b on two entries of a `_columns` table, where None is infinity."""
+    return b is None or (a is not None and a <= b)
+
+
+def _certify_pointwise(samples: list, target: int, den: int, epsilons, message: str):
+    """Certificate that the finite `samples` at one point converge to the
+    finite `target`, all numerators over den: for each epsilon, an index
+    from which every distance to the target, that is the largest of them,
+    is within it.  `message` takes ``{eps}``, as in `certify_gaps`."""
     if samples[-1] == target:
         return
-    if target is None:
-        # The bounds are k = 1 .. len - 1, and no sample exceeds k exactly
-        # when the largest sample is at most k: the first such k fails.
-        k = len(samples) if None in samples else max(1, -(-max(samples) // den))
-        if k < len(samples):
-            raise CertificationError(
-                f"divergence at point {x} not certified against bound {k}")
-        return
-
-    sign = 1 if increasing else -1
-
-    def probe(eps):  # the sample is within eps of the target, on its side
-        bound, q = eps.numerator * den, eps.denominator
-        return lambda i: (samples[i - 1] is not None
-                          and (target - samples[i - 1]) * sign * q <= bound)
-
-    certify_gaps(epsilons, len(samples), probe,
-                 f"pointwise gap {{eps}} at point {x} not certified")
-
-
-def _out_of_order_points(pairs, increasing: bool) -> int:
-    """Mask of the points x where some pair of functions (g, h) has g(x)
-    not below h(x) (not above, when decreasing); these must be null.  Finite
-    values compare by their numerators crosswise."""
-    bad = 0
-    for g, h in pairs:
-        if not increasing:
-            g, h = h, g
-        gd, hd, either = g.den, h.den, g.inf | h.inf
-        bad |= g.inf & ~h.inf
-        for x, (a, b) in enumerate(zip(g.nums, h.nums)):
-            if a * hd > b * gd and not either >> x & 1:
-                bad |= 1 << x
-    return bad
+    tail_max = list(accumulate(reversed([abs(s - target) for s in samples]), max))[::-1]
+    certify_gaps(epsilons, len(samples),
+                 lambda eps: lambda i: (tail_max[i - 1] * eps.denominator
+                                        <= eps.numerator * den), message)
 
 
 def _monotone_convergence(name: str, mu: Measure, seq: SequenceSpec, f: ExtFunction,
@@ -483,22 +459,29 @@ def _monotone_convergence(name: str, mu: Measure, seq: SequenceSpec, f: ExtFunct
     """The monotone convergence theorem in the direction `increasing` names:
     the integrals of a sequence that increases (decreases) to f almost
     everywhere reach the integral of f.  Decreasing needs a finite first
-    integral, which is tested before the terms are."""
+    integral, which is tested before the terms are.
+
+    The order tests read one `_columns` table of the terms and f.  Once
+    they pass, the samples at a non-null point where f is finite are finite
+    (below f, or below the first term, whose integral is finite) and their
+    distances to f only shrink."""
     epsilons = list(epsilons) if epsilons is not None else list(DEFAULT_EPSILONS)
     terms = seq.sample(horizon)
     null = mu.null_mask
     if not increasing and not integral_value(terms[0], mu).is_finite:
         raise HypothesisError("decreasing convergence requires a finite first integral")
     direction = "increasing" if increasing else "decreasing"
-    bad = _out_of_order_points(zip(terms, terms[1:]), increasing) & ~null
+    den, cols = _columns(terms + [f])
+    live = [(x, col) for x, col in enumerate(cols) if not null >> x & 1]
+    step = _precedes if increasing else (lambda a, b: _precedes(b, a))
+    bad = [x for x, col in live if not all(map(step, col[:-2], col[1:-1]))]
     if bad:
-        raise CertificationError(
-            f"sequence not {direction} at non-null points {mask_to_points(bad)}")
-    bad = _out_of_order_points(((t, f) for t in terms), increasing) & ~null
+        raise CertificationError(f"sequence not {direction} at non-null points {bad}")
+    bad = [x for x, col in live if not step(col[-2], col[-1])]  # the last sample decides
     if bad:
         crossing = "exceeds" if increasing else "dips below"
         raise CertificationError(f"sequence {crossing} the declared limit at non-null "
-                                 f"points {mask_to_points(bad)}")
+                                 f"points {bad}")
     if increasing:
         declared = (StabilizesAt, DeclaredLimit, DivergesToInfinity)
         kinds = "stabilization, limit, or divergence"
@@ -506,9 +489,17 @@ def _monotone_convergence(name: str, mu: Measure, seq: SequenceSpec, f: ExtFunct
         declared, kinds = (StabilizesAt, DeclaredLimit), "stabilization or limit"
     if not isinstance(seq.metadata, declared):
         raise CertificationError(f"pointwise convergence must be declared ({kinds})")
-    for x in range(mu.space.ground_size):
-        if not (1 << x) & null:
-            _certify_scalar_convergence(terms, f, x, epsilons, increasing)
+    for x, (*samples, target) in live:
+        if target is not None:
+            _certify_pointwise(samples, target, den, epsilons,
+                               f"pointwise gap {{eps}} at point {x} not certified")
+        elif samples[-1] is not None:
+            # The bounds are k = 1 .. len - 1, and no sample exceeds k exactly
+            # when the last, the largest, is at most k: the first such k fails.
+            k = max(1, -(-samples[-1] // den))
+            if k < len(samples):
+                raise CertificationError(
+                    f"divergence at point {x} not certified against bound {k}")
 
     values = [integral_value(t, mu) for t in terms]
     target = integral_value(f, mu)
@@ -557,18 +548,15 @@ def fatou(mu: Measure, seq: SequenceSpec,
         )
     pre, period = cycle
     cycle_terms = terms[pre:pre + period]
-    # Each point's least finite numerator over the lcm; infinite (0) where every term is.
-    den = math.lcm(*(t.den for t in cycle_terms))
-    inf = reduce(operator.and_, (t.inf for t in cycle_terms))
-    liminf_f = ExtFunction.from_nums(mu.space, tuple(
-        min((t.nums[x] * (den // t.den) for t in cycle_terms if not t.inf >> x & 1),
-            default=0)
-        for x in range(len(cycle_terms[0].nums))), den, inf)
+    # Each point's least finite value over the cycle; infinite where every term is.
+    den, cols = _columns(cycle_terms)
+    mins = [min((v for v in col if v is not None), default=None) for col in cols]
+    liminf_f = ExtFunction.from_nums(
+        mu.space, tuple(0 if m is None else m for m in mins), den,
+        points_to_mask(x for x, m in enumerate(mins) if m is None))
     lhs = integral_value(liminf_f, mu)
-    integrals = [integral_value(t, mu) for t in cycle_terms]
-    rhs = extended.ext_inf_finite_list(integrals)
-    if not isinstance(rhs, ExtElement):
-        raise CertificationError("tail infimum of the integrals does not exist")
+    # a lattice backend, so every pair has an infimum
+    rhs = extended.ext_inf_finite_list([integral_value(t, mu) for t in cycle_terms])
     ok = ext_leq(lhs, rhs)
     details = {
         "lhs": ext_to_json(lhs),
@@ -597,27 +585,19 @@ def dct(mu: Measure, seq: SequenceSpec, f: SignedFunction, g: ExtFunction,
     g_int = integral_value(g, mu)
     if not g_int.is_finite:
         raise HypothesisError("the dominating function must have a finite integral")
-    # |t(x)| <= g(x) off the null points, on numerators compared crosswise
-    unbounded = null | g.inf
-    for n, t in enumerate(terms, start=1):
-        for x, (a, b) in enumerate(zip(t.nums, g.nums)):
-            if abs(a) * g.den > b * t.den and not unbounded >> x & 1:
-                raise HypothesisError(f"domination violated at index {n}, point {x}")
+    den, cols = _columns(terms + [f, g])
+    live = [(x, col) for x, col in enumerate(cols) if not null >> x & 1]
+    # |t(x)| <= g(x) off the null points, where g is finite, as its integral is
+    violation = min(((n, x) for x, (*samples, _, bound) in live
+                     for n, s in enumerate(samples, start=1) if abs(s) > bound),
+                    default=None)
+    if violation is not None:
+        raise HypothesisError("domination violated at index {}, point {}".format(*violation))
     if not isinstance(seq.metadata, (StabilizesAt, DeclaredLimit)):
         raise CertificationError("convergence to f must be declared")
-    den = math.lcm(f.den, *(t.den for t in terms))  # distances are over den
-    for x in range(mu.space.ground_size):
-        if (1 << x) & null:
-            continue
-        target = f.nums[x] * (den // f.den)
-        distances = [abs(t.nums[x] * (den // t.den) - target) for t in terms]
-        # Index i reaches eps when every distance from i on is within eps,
-        # that is when the largest of them is.
-        tail_max = list(accumulate(reversed(distances), max))[::-1]
-        certify_gaps(epsilons, len(distances),
-                     lambda eps: lambda i: (tail_max[i - 1] * eps.denominator
-                                            <= eps.numerator * den),
-                     f"pointwise convergence gap {{eps}} at point {x} not certified")
+    for x, (*samples, target, _) in live:
+        _certify_pointwise(samples, target, den, epsilons,
+                           f"pointwise convergence gap {{eps}} at point {x} not certified")
 
     part1 = all(is_integrable(t, mu) for t in terms)
     part2 = is_integrable(f, mu)

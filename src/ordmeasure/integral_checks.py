@@ -47,7 +47,8 @@ def check_integral_laws(mu: Measure, f: ExtFunction, g: ExtFunction,
     details = {"linearity": "holds" if linear_ok else "fails",
                "combination": ext_to_json(lhs)}
     mono_ok = True
-    if not integral._out_of_order_points([(f, g)], True):
+    _, cols = integral._columns([f, g])
+    if all(integral._precedes(a, b) for a, b in cols):
         mono_ok = ext_leq(integral.integral_value(f, mu), integral.integral_value(g, mu))
         details["monotonicity"] = "holds" if mono_ok else "fails"
     else:

@@ -98,8 +98,3 @@ def parse_ext_scalar(value, path: str = "") -> ExtScalar:
         return INFINITY
     return parse_rational(value, path)
 
-
-def format_ext_scalar(r: ExtScalar) -> str:
-    if r is INFINITY:
-        return "infinity"
-    return format_rational(r)

@@ -113,15 +113,6 @@ class SequenceSpec:
         return [self.term(n) for n in range(1, h + 1)]
 
 
-def constant_sequence(value, horizon: int = DEFAULT_HORIZON) -> SequenceSpec:
-    return SequenceSpec(
-        generator=lambda n: value,
-        horizon=horizon,
-        metadata=StabilizesAt(1),
-        monotonicity="increasing",
-    )
-
-
 def repeat_last(terms: Sequence) -> Callable[[int], Any]:
     """Term n of `terms` (1-based), the final term repeating forever."""
     return lambda n: terms[min(n, len(terms)) - 1]

@@ -9,11 +9,20 @@ and the rung integral, the canonical atom representation of dense values
 of two functions with the extended scalar sum, order and product (the
 former ``rationals.ext_scalar_add``, ``ext_scalar_leq`` and
 ``ext_scalar_mul``), and the terms of the three generated sequence kinds.
+The former ``rationals.format_ext_scalar`` and ``integral.indicator``,
+which only the tests used, are here too.
 
-The exception is `combination_rung_integral`, the former
-``integral._rung_integral``: the integral of a `truncate` rung as one
+The exceptions read a function's integer form as the library did before
+it moved onto one table.  `combination_rung_integral`, the former
+``integral._rung_integral``, is the integral of a `truncate` rung as one
 `spaces.combination` of the atom values, which the ladder ran on every
 rung before it summed integer rows on the measure's atom table.
+`out_of_order_points` and `certify_scalar_convergence`, the former
+``integral._out_of_order_points`` and ``_certify_scalar_convergence``, are
+the order test and the pointwise certificate of the monotone convergence
+theorem before it compared all its functions on one `_columns` table:
+the first crosswise on each pair of numerators, the second over one lcm
+per ground point, on the side of the target that the direction names.
 """
 
 import math
@@ -22,10 +31,11 @@ from typing import Sequence
 
 import ordmeasure as om
 from ordmeasure import extended, spaces
-from ordmeasure.errors import OrdMeasureError, ValidationError
+from ordmeasure.errors import CertificationError, OrdMeasureError, ValidationError
 from ordmeasure.extended import ext_add, ext_leq, ext_scale, ext_zero
 from ordmeasure.measures import mask_to_points
 from ordmeasure.rationals import INFINITY, is_infinite
+from ordmeasure.sequences import certify_gaps
 
 
 def elementary_from_dense(space, values: Sequence[Fraction]) -> om.ElementaryFunction:
@@ -162,3 +172,59 @@ def ladder_term(f: list, n: int) -> list:
 def scaled_term(shape: list, n: int) -> list:
     return [Fraction(n) * v for v in shape]
 
+
+
+def format_ext_scalar(r) -> str:
+    """An extended scalar as the library prints it: "infinity" or the rational."""
+    return "infinity" if r is INFINITY else om.format_rational(r)
+
+
+def indicator(space, mask: int, coefficient=Fraction(1)) -> om.ExtFunction:
+    """`coefficient` on the points of the measurable set `mask`, 0 elsewhere."""
+    space.require_measurable(mask)
+    return om.ext_function(space, [coefficient if mask >> x & 1 else 0
+                                   for x in range(space.ground_size)])
+
+
+def out_of_order_points(pairs, increasing: bool) -> int:
+    """Mask of the points x where some pair of functions (g, h) has g(x)
+    not below h(x) (not above, when decreasing).  Finite values compare by
+    their numerators crosswise."""
+    bad = 0
+    for g, h in pairs:
+        if not increasing:
+            g, h = h, g
+        gd, hd, either = g.den, h.den, g.inf | h.inf
+        bad |= g.inf & ~h.inf
+        for x, (a, b) in enumerate(zip(g.nums, h.nums)):
+            if a * hd > b * gd and not either >> x & 1:
+                bad |= 1 << x
+    return bad
+
+
+def certify_scalar_convergence(terms, f, x: int, epsilons, increasing: bool):
+    """Pointwise convergence certificate at the ground point x, on the values
+    there as numerators over the lcm of the denominators (None: infinite)."""
+    den = math.lcm(f.den, *(t.den for t in terms))
+
+    def at(g):
+        return None if g.inf >> x & 1 else g.nums[x] * (den // g.den)
+    samples, target = [at(t) for t in terms], at(f)
+    if samples[-1] == target:
+        return
+    if target is None:
+        k = len(samples) if None in samples else max(1, -(-max(samples) // den))
+        if k < len(samples):
+            raise CertificationError(
+                f"divergence at point {x} not certified against bound {k}")
+        return
+
+    sign = 1 if increasing else -1
+
+    def probe(eps):  # the sample is within eps of the target, on its side
+        bound, q = eps.numerator * den, eps.denominator
+        return lambda i: (samples[i - 1] is not None
+                          and (target - samples[i - 1]) * sign * q <= bound)
+
+    certify_gaps(epsilons, len(samples), probe,
+                 f"pointwise gap {{eps}} at point {x} not certified")

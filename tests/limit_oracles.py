@@ -5,6 +5,9 @@ certifier in `ordmeasure.extended`, kept as a test oracle.
 supremum when the metadata declares nothing (or declares a limit); that
 guess is exactly what the library no longer makes, so compare with it only
 on sequences that never stabilize below their declared limit.
+
+`constant_sequence`, the former ``sequences.constant_sequence``, which only
+the tests used, builds the constant sequences they feed the limit API.
 """
 
 from fractions import Fraction
@@ -14,6 +17,7 @@ import ordmeasure as om
 from ordmeasure.errors import CertificationError
 from ordmeasure.sequences import (
     DEFAULT_EPSILONS,
+    DEFAULT_HORIZON,
     DeclaredLimit,
     SequenceSpec,
     StabilizesAt,
@@ -84,3 +88,9 @@ def stable_tail_sup_increasing(
 
     residual = sub(bound, terms[-1]) if bound is not None else None
     return om.GapReport(horizon=horizon, last_value=terms[-1], bound=bound, residual=residual)
+
+
+def constant_sequence(value, horizon: int = DEFAULT_HORIZON) -> SequenceSpec:
+    """The sequence that is `value` at every index, declared stable from 1."""
+    return SequenceSpec(lambda n: value, horizon=horizon, metadata=StabilizesAt(1),
+                        monotonicity="increasing")

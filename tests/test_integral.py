@@ -22,7 +22,7 @@ from ordmeasure.integral import (
     integrate_elementary,
 )
 from ordmeasure.measures import _atom_unions, full_mask, mask_to_points, points_to_mask
-from ordmeasure.rationals import INFINITY, format_ext_scalar, is_infinite, over_one_den
+from ordmeasure.rationals import INFINITY, is_infinite, over_one_den
 from ordmeasure.sequences import (
     DEFAULT_EPSILONS,
     DeclaredLimit,
@@ -34,6 +34,7 @@ from ordmeasure.sequences import (
 
 import integral_oracles as oracle
 from conftest import nonneg_rational, random_algebra, random_measure
+from limit_oracles import constant_sequence
 
 C2 = om.coord(2)
 
@@ -108,9 +109,9 @@ def level_set_sweep(space, values):
                               if oracle.ext_scalar_leq(v, r) and not (strict and v == r))
         if mask not in members:
             raise ValidationError(
-                f"function is not measurable: level set for {format_ext_scalar(r)} "
+                f"function is not measurable: level set for {oracle.format_ext_scalar(r)} "
                 "is not in the algebra",
-                witness={"level": format_ext_scalar(r), "set": mask_to_points(mask)})
+                witness={"level": oracle.format_ext_scalar(r), "set": mask_to_points(mask)})
 
 
 def _message_or_none(fn, *args):
@@ -505,7 +506,7 @@ class TestTrustedFunctions:
         shifted, shift_only = integral._shifted_parts(f)
         expected += [
             (shifted, om.ExtFunction(space, tuple(v + c if v else v for v in f.values))),
-            (shift_only, om.indicator(space, support, c)),
+            (shift_only, oracle.indicator(space, support, c)),
         ]
         for trusted, validated in expected:
             assert type(trusted) is type(validated)
@@ -687,8 +688,8 @@ def geometric_ext_sequence(space, limit_values, horizon=64):
 
 
 def ladder_scalar_divergence(samples, point):
-    """Oracle for the infinite-target branch of `_certify_scalar_convergence`:
-    every bound k = 1 .. len - 1 tested against all samples."""
+    """Oracle for the infinite-target branch of the pointwise certificate
+    of `mct`: every bound k = 1 .. len - 1 tested against all samples."""
     if INFINITY in samples and samples[-1] is INFINITY:
         return
     for k in range(1, len(samples)):
@@ -724,21 +725,128 @@ def scalar_samples(draw):
     return samples
 
 
+def in_order(samples):
+    """The samples in increasing order, INFINITY last."""
+    return sorted(samples, key=lambda v: (is_infinite(v), 0 if is_infinite(v) else v))
+
+
 def at_point(value, point):
     """The function on four points that is `value` at `point` and 0 elsewhere."""
     return om.ext_function(om.power_set_space(4),
                            [value if x == point else 0 for x in range(4)])
 
 
+def unit_atoms_measure():
+    """Measure 1 on each of the four points of `at_point`'s space, on Reals."""
+    reals = om.reals()
+    return om.Measure(om.power_set_space(4), reals,
+                      {1 << x: om.finite(om.element(reals, [1])) for x in range(4)})
+
+
 class TestScalarDivergence:
+    # The sequence must increase for `mct` to reach its pointwise certificate,
+    # so the samples are put in order; the ladder sees the same samples.
     @given(scalar_samples(), st.integers(0, 3))
     @settings(max_examples=200, deadline=None)
     def test_agrees_with_bound_ladder(self, samples, point):
+        samples = in_order(samples)
         terms = [at_point(s, point) for s in samples]
-        fast = _certification_message(
-            integral._certify_scalar_convergence, terms, at_point(INFINITY, point),
-            point, DEFAULT_EPSILONS, True)
+        seq = from_terms(terms, horizon=len(terms), metadata=DivergesToInfinity())
+        message = _certification_message(om.mct, unit_atoms_measure(), seq,
+                                         at_point(INFINITY, point))
+        assert message is None or not message.startswith("sequence")
+        fast = message if message and message.startswith("divergence at point") else None
         assert fast == _certification_message(ladder_scalar_divergence, samples, point)
+
+
+@st.composite
+def monotone_columns(draw, increasing):
+    """Terms and a limit on `null_atom_measure`'s three points, for `mct`
+    (`increasing`) or `mct_decreasing`: per point, values with denominators
+    up to 4 and some infinite, put in the direction's order at some points
+    and not at others, with a limit on either side of them."""
+    count = draw(st.integers(1, 6))
+    values = st.one_of(st.fractions(0, 3, max_denominator=4), st.just(INFINITY))
+    columns, limit = [], []
+    for x in range(3):
+        column = draw(st.lists(values, min_size=count + 1, max_size=count + 1))
+        ordered = draw(st.integers(0, 3)) > 0
+        if ordered:
+            column = in_order(column)
+            if not increasing:
+                column.reverse()
+        if not increasing and x != 2:  # a finite first term off the null point
+            head = len(column) if ordered else 1
+            column[:head] = [Fraction(5) if is_infinite(v) else v for v in column[:head]]
+        *samples, target = column
+        columns.append(samples)
+        limit.append(draw(st.one_of(st.sampled_from([target, samples[-1]]), values)))
+    space = null_atom_measure().space
+    terms = [om.ext_function(space, row) for row in zip(*columns)]
+    return terms, om.ext_function(space, limit)
+
+
+def order_message(terms, f, null, increasing):
+    """The order tests of the monotone convergence theorem on the retired
+    crosswise comparison, as the message of the first that fails."""
+    bad = oracle.out_of_order_points(zip(terms, terms[1:]), increasing) & ~null
+    if bad:
+        direction = "increasing" if increasing else "decreasing"
+        return f"sequence not {direction} at non-null points {mask_to_points(bad)}"
+    bad = oracle.out_of_order_points(((t, f) for t in terms), increasing) & ~null
+    if bad:
+        crossing = "exceeds" if increasing else "dips below"
+        return (f"sequence {crossing} the declared limit at non-null "
+                f"points {mask_to_points(bad)}")
+    return None
+
+
+class TestColumnOrder:
+    @given(st.booleans(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_flags_the_crosswise_points(self, increasing, data):
+        terms, f = data.draw(monotone_columns(increasing))
+        mu = null_atom_measure()
+        check = om.mct if increasing else om.mct_decreasing
+        seq = from_terms(terms, horizon=len(terms), metadata=DeclaredLimit(f))
+        message = _certification_message(check, mu, seq, f)
+        fast = message if message and message.startswith("sequence") else None
+        assert fast == order_message(terms, f, mu.null_mask, increasing)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_integral_laws_monotonicity_precondition(self, data):
+        terms, g = data.draw(monotone_columns(True))
+        f = terms[0]
+        applies = not oracle.out_of_order_points([(f, g)], True)
+        details = om.check_integral_laws(null_atom_measure(), f, g).details
+        assert (details["monotonicity"] != "not-applicable: f is not below g") == applies
+
+
+class TestFinitePointwiseProbe:
+    # On monotone samples with a finite limit on their side, `mct` and
+    # `mct_decreasing` certify each point as the retired side probe did.
+    @given(st.booleans(), scalar_samples(), st.integers(0, 3),
+           st.sampled_from([0, Fraction(1, 16), Fraction(1, 5), Fraction(3, 4)]))
+    @settings(max_examples=200, deadline=None)
+    def test_same_message_as_side_probe(self, increasing, samples, point, offset):
+        samples = [s for s in in_order(samples) if not is_infinite(s)] or [Fraction(0)]
+        if increasing:
+            target = samples[-1] + offset
+        else:
+            samples.reverse()
+            target = max(samples[-1] - offset, Fraction(0))
+        terms = [at_point(s, point) for s in samples]
+        f = at_point(target, point)
+        epsilons = [Fraction(1, 2), Fraction(1, 8), Fraction(1, 64)]
+        seq = from_terms(terms, horizon=len(terms), metadata=DeclaredLimit(f))
+        check = om.mct if increasing else om.mct_decreasing
+        message = _certification_message(check, unit_atoms_measure(), seq, f, None,
+                                         epsilons)
+        assert message is None or not message.startswith("sequence")
+        fast = message if message and message.startswith("pointwise") else None
+        assert fast == _certification_message(
+            oracle.certify_scalar_convergence, terms, f, point, epsilons, increasing)
 
 
 class TestMct:
@@ -843,7 +951,7 @@ class TestHorizonBelowOne:
 
     def test_sup_increasing(self):
         with pytest.raises(ValidationError, match=self.REFUSED):
-            om.sup_increasing(om.constant_sequence(fin(1, 1)), horizon=0)
+            om.sup_increasing(constant_sequence(fin(1, 1)), horizon=0)
 
 
 def _calls_with_horizon():
@@ -858,7 +966,7 @@ def _calls_with_horizon():
         "dct": lambda h: om.dct(mu, from_terms([signed]), signed, dominator, horizon=h),
         "fatou": lambda h: om.fatou(mu, SequenceSpec(lambda n: f), horizon=h),
         "sup_increasing": lambda h: om.sup_increasing(
-            om.constant_sequence(om.element(C2, [1, 1])), horizon=h),
+            constant_sequence(om.element(C2, [1, 1])), horizon=h),
     }
 
 

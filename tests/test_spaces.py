@@ -13,6 +13,7 @@ from ordmeasure.sequences import (DeclaredLimit, DivergesToInfinity, SequenceSpe
                                   StabilizesAt)
 
 from conftest import random_element, random_positive_element
+from limit_oracles import constant_sequence
 
 C2 = om.coord(2)
 L2 = om.loewner_sym(2)
@@ -493,7 +494,7 @@ class TestSupPair:
 class TestSupIncreasing:
     def test_constant(self):
         x = c2(2, 3)
-        seq = om.constant_sequence(x)
+        seq = constant_sequence(x)
         assert om.sup_increasing(seq, bound=x) == x
 
     def test_geometric_declared_limit(self):
