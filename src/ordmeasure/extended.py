@@ -20,13 +20,13 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from . import spaces
 from .errors import CertificationError, Frozen, SpaceMismatchError
 from .rationals import ExtScalar, format_rational, is_infinite
 from .sequences import certify_gaps, detect_stable_tail
-from .spaces import Element, NoSupremum, SpaceDescriptor
+from .spaces import Element, SpaceDescriptor
 
 
 class ExtElement(Frozen):
@@ -219,26 +219,6 @@ def ext_sub_finite(a: ExtElement, b: ExtElement) -> ExtElement:
     if a.is_infinite:
         return a
     return finite(spaces.sub(a.finite, b.finite))
-
-
-def ext_inf_finite_list(items: Sequence[ExtElement]) -> Union[ExtElement, NoSupremum]:
-    """Infimum in the extended space: infinite entries are discarded unless
-    the whole collection is infinite."""
-    if not items:
-        raise ValueError("infimum of an empty collection is undefined")
-    space = items[0].space
-    for item in items:
-        spaces.require_same_space(items[0], item)
-    finite_items = [item.finite for item in items if item.is_finite]
-    if not finite_items:
-        return infinity(space)
-    current = finite_items[0]
-    for el in finite_items[1:]:
-        nxt = spaces.inf_pair(current, el)
-        if isinstance(nxt, NoSupremum):
-            return nxt
-        current = nxt
-    return finite(current)
 
 
 def certify_divergence(

@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -42,7 +43,7 @@ from .measures import MeasurableSpace, Measure, mask_to_points, points_to_mask
 from .rationals import INFINITY, format_rational, is_infinite, over_one_den
 from .reports import CheckResult, fails, holds
 from .sequences import (DEFAULT_EPSILONS, DeclaredLimit, DivergesToInfinity, SequenceSpec,
-                        StabilizesAt, certify_gaps, detect_cycle)
+                        StabilizesAt, certify_gaps, detect_cycle, detect_stable_tail)
 from .spaces import Element, SpaceDescriptor
 
 
@@ -555,8 +556,11 @@ def fatou(mu: Measure, seq: SequenceSpec,
         mu.space, tuple(0 if m is None else m for m in mins), den,
         points_to_mask(x for x, m in enumerate(mins) if m is None))
     lhs = integral_value(liminf_f, mu)
-    # a lattice backend, so every pair has an infimum
-    rhs = extended.ext_inf_finite_list([integral_value(t, mu) for t in cycle_terms])
+    # The least integral over the cycle, on a lattice backend where every pair
+    # has an infimum; infinite only when every integral is.
+    ints = [integral_value(t, mu) for t in cycle_terms]
+    finite_ints = [v.finite for v in ints if v.is_finite]
+    rhs = extended.finite(reduce(spaces.inf_pair, finite_ints)) if finite_ints else ints[0]
     ok = ext_leq(lhs, rhs)
     details = {
         "lhs": ext_to_json(lhs),
@@ -610,20 +614,21 @@ def dct(mu: Measure, seq: SequenceSpec, f: SignedFunction, g: ExtFunction,
 
     unit = spaces.order_unit(mu.backend)
     deviations = [integral_value((t - f).abs(), mu).payload() for t in terms]
-    stabilized = all(d.is_zero() for d in deviations[-2:]) and any(
-        d.is_zero() for d in deviations
-    )
-    if stabilized:
-        stable_from = next(i for i, d in enumerate(deviations, start=1)
-                           if all(e.is_zero() for e in deviations[i - 1:]))
-        details["part3_deviation_infimum"] = "holds"
+    stable_from = detect_stable_tail(deviations)
+    details["part3_deviation_infimum"] = "holds"
+    f_int = integrate_signed(f, mu)
+    if stable_from is not None and deviations[-1].is_zero():
         details["part3_mode"] = {"mode": "stabilized", "at": stable_from}
+        part4 = integrate_signed(terms[-1], mu) == f_int
+        details["part4_sandwich"] = "holds" if part4 else "fails"
+        if not part4:
+            return fails("dct", **details)
+        details["part4_mode"] = {"mode": "stabilized"}
     else:
-        for n in range(1, len(deviations)):
-            if not spaces.leq(deviations[n], deviations[n - 1]):
-                raise CertificationError(
-                    "integral deviations are not decreasing; tails not certifiable"
-                )
+        if not all(map(spaces.leq, deviations[1:], deviations[:-1])):
+            raise CertificationError(
+                "integral deviations are not decreasing; tails not certifiable"
+            )
 
         def deviation_probe(eps):
             bound = spaces.scale(eps, unit)
@@ -631,36 +636,19 @@ def dct(mu: Measure, seq: SequenceSpec, f: SignedFunction, g: ExtFunction,
 
         gaps = certify_gaps(epsilons, len(deviations), deviation_probe,
                             "deviation gap {eps} not certified")
-        details["part3_deviation_infimum"] = "holds"
         details["part3_mode"] = {"mode": "gap-certified", "gaps": gaps}
+        # Inf and sup of every tail window, each in one backward pass.
+        backward = [integrate_signed(t, mu) for t in reversed(terms)]
+        window_infs = list(accumulate(backward, spaces.inf_pair))[::-1]
+        window_sups = list(accumulate(backward, spaces.sup_pair))[::-1]
 
-    f_int = integrate_signed(f, mu)
-    term_ints = [integrate_signed(t, mu) for t in terms]
-    # Inf and sup of every tail window, in one backward pass: on a lattice
-    # backend the pair operations are coordinatewise min and max.
-    window_infs = list(term_ints)
-    window_sups = list(term_ints)
-    for n in range(len(term_ints) - 2, -1, -1):
-        window_infs[n] = spaces.inf_pair(term_ints[n], window_infs[n + 1])
-        window_sups[n] = spaces.sup_pair(term_ints[n], window_sups[n + 1])
-    if stabilized:
-        part4 = window_infs[-1] == f_int and window_sups[-1] == f_int
-        details["part4_sandwich"] = "holds" if part4 else "fails"
-        if not part4:
-            return fails("dct", **details)
-        details["part4_mode"] = {"mode": "stabilized"}
-    else:
         def sandwich_probe(eps):
             bump = spaces.scale(eps, unit)
             lower, upper = spaces.sub(f_int, bump), spaces.add(f_int, bump)
+            return lambda i: (spaces.leq(lower, window_infs[i - 1])
+                              and spaces.leq(window_sups[i - 1], upper))
 
-            def reaches(i):
-                lo_ok = spaces.leq(lower, window_infs[i - 1])
-                hi_ok = spaces.leq(window_sups[i - 1], upper)
-                return lo_ok and hi_ok
-            return reaches
-
-        gaps = certify_gaps(epsilons, len(term_ints), sandwich_probe,
+        gaps = certify_gaps(epsilons, len(terms), sandwich_probe,
                             "sandwich gap {eps} not certified")
         details["part4_sandwich"] = "holds"
         details["part4_mode"] = {"mode": "gap-certified", "gaps": gaps}

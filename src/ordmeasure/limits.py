@@ -4,14 +4,18 @@ The library API of the paper's sigma-monotone completeness on its own:
 the supremum of an increasing sequence of elements (`sup_increasing`), of
 a list or sequence in the extended space (`ext_sup`), and the exact limit
 inferior and superior of a lattice-valued sequence (`ext_liminf_limsup`).
-Every limit is decided by `extended.certify_monotone_limit` against the
-limit the sequence declares.  No scenario check and no CLI command uses
-this module, so none of them loads it.
+Every declared limit is decided by `extended.certify_monotone_limit`, in the
+direction the samples show; the limits of an eventually periodic sequence
+are the lattice infimum and supremum of its cycle, folded by
+`spaces.inf_pair` and `spaces.sup_pair` as Fatou's lemma folds its cycle's
+integrals.  No scenario check and no CLI command uses this module, so none
+of them loads it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from typing import Optional, Sequence, Union
 
 from . import spaces
@@ -138,10 +142,12 @@ def ext_liminf_limsup(
 ) -> tuple:
     """Exact (liminf, limsup) of an order-bounded lattice-valued sequence.
 
-    Requires a lattice backend (tail infima and suprema must exist) and a
-    sampled window that is eventually periodic or stabilizing, so the tails
-    are exactly computable from one cycle.  A monotone sequence may declare
-    its limit instead, which `certify_monotone_limit` certifies.
+    Requires a lattice backend (tail infima and suprema must exist).  A
+    sequence that declares its limit must be monotone: increasing when its
+    first sample is below its last, decreasing otherwise, which
+    `certify_monotone_limit` certifies with the limit.  Any other sampled
+    window must be eventually periodic or stabilizing, so the tails are
+    exactly computable from one cycle.
     """
     terms = seq.sample(horizon)
     h = len(terms)
@@ -152,16 +158,13 @@ def ext_liminf_limsup(
             f"{space.describe()} is not sigma-Dedekind complete"
         )
 
-    if isinstance(seq.metadata, DeclaredLimit) and seq.monotonicity in (
-        "increasing",
-        "decreasing",
-    ):
+    if isinstance(seq.metadata, DeclaredLimit):
         ext_terms = [finite(t) for t in terms]
         target = _declared_limit(seq, ext_terms)
         if target.is_infinite:
             raise CertificationError("liminf/limsup needs an order-bounded sequence")
         certify_monotone_limit(ext_terms, target, DEFAULT_EPSILONS,
-                               seq.monotonicity == "increasing")
+                               spaces.leq(terms[0], terms[-1]))
         return target.finite, target.finite
 
     cycle = detect_cycle(terms)
@@ -172,9 +175,4 @@ def ext_liminf_limsup(
         )
     pre, period = cycle
     cycle_vals = terms[pre : pre + period]
-    lo = cycle_vals[0]
-    hi = cycle_vals[0]
-    for v in cycle_vals[1:]:
-        lo = spaces.inf_pair(lo, v)
-        hi = spaces.sup_pair(hi, v)
-    return lo, hi
+    return reduce(spaces.inf_pair, cycle_vals), reduce(spaces.sup_pair, cycle_vals)

@@ -583,14 +583,14 @@ def _parse_directive(scenario: Scenario, doc, path: str) -> Directive:
     return Directive(name, expect, args)
 
 
-def parse_scenario(doc: dict, path_prefix: str = "") -> Scenario:
+def parse_scenario(doc: dict) -> Scenario:
     if not isinstance(doc, dict):
-        raise SchemaError("scenario must be a JSON object", path_prefix)
-    backend = parse_space(doc.get("space"), path_prefix + "/space")
-    ground = _parse_size(doc, "ground_size", path_prefix)
-    _capped(path_prefix + "/ground_size", check_cap, "ground size", ground, MAX_GROUND_SIZE)
+        raise SchemaError("scenario must be a JSON object", "")
+    backend = parse_space(doc.get("space"), "/space")
+    ground = _parse_size(doc, "ground_size", "")
+    _capped("/ground_size", check_cap, "ground size", ground, MAX_GROUND_SIZE)
 
-    apath = path_prefix + "/sigma_algebra"
+    apath = "/sigma_algebra"
     alg_doc = _require_json(doc.get("sigma_algebra", {"power_set": True}), dict,
                             "sigma_algebra", apath)
     if alg_doc.get("power_set"):
@@ -614,7 +614,7 @@ def parse_scenario(doc: dict, path_prefix: str = "") -> Scenario:
 
     mu = None
     if "measure" in doc:
-        mpath = path_prefix + "/measure"
+        mpath = "/measure"
         mdoc = doc["measure"]
         if not isinstance(mdoc, dict) or "atom_values" not in mdoc:
             raise SchemaError("measure needs 'atom_values'", mpath)
@@ -644,7 +644,7 @@ def parse_scenario(doc: dict, path_prefix: str = "") -> Scenario:
     outer = None
     if "outer_measure" in doc:
         from . import outer as outer_mod
-        opath = path_prefix + "/outer_measure"
+        opath = "/outer_measure"
         odoc = _require_json(doc["outer_measure"], dict, "outer_measure", opath)
         if odoc.get("induced_from_measure"):
             if mu is None:
@@ -688,19 +688,17 @@ def parse_scenario(doc: dict, path_prefix: str = "") -> Scenario:
 
     functions = {}
     for name, fdoc in _require_json(doc.get("functions", {}), dict, "functions",
-                                    path_prefix + "/functions").items():
-        functions[name] = _parse_function_values(fdoc, ground,
-                                                 f"{path_prefix}/functions/{name}")
+                                    "/functions").items():
+        functions[name] = _parse_function_values(fdoc, ground, f"/functions/{name}")
 
     sequences = {
-        name: _parse_sequence(functions, ground, sdoc,
-                              f"{path_prefix}/sequences/{name}")
+        name: _parse_sequence(functions, ground, sdoc, f"/sequences/{name}")
         for name, sdoc in _require_json(doc.get("sequences", {}), dict, "sequences",
-                                        path_prefix + "/sequences").items()
+                                        "/sequences").items()
     }
     scenario = Scenario(source=doc, backend=backend, space=space, measure=mu, outer=outer,
                         functions=functions, sequences=sequences)
-    cpath = path_prefix + "/checks"
+    cpath = "/checks"
     scenario.checks.extend(
         _parse_directive(scenario, directive, f"{cpath}/{i}")
         for i, directive in enumerate(_require_json(doc.get("checks", []), list,

@@ -1,10 +1,11 @@
 """Finite surrogates for infinite sequences.
 
 A `SequenceSpec` wraps a generator ``index -> value`` (1-based) together
-with a horizon, an optional monotonicity claim, and optional metadata about
-the limit behaviour.  Every claim is certified at sampled indices before a
-result that depends on it is produced; nothing is ever inferred from the
-samples alone beyond what the metadata licenses.
+with a horizon and optional metadata about the limit behaviour.  The spec
+claims no order: a check that needs a monotone sequence tests the order of
+its samples.  Every claim is certified at sampled indices before a result
+that depends on it is produced; nothing is ever inferred from the samples
+alone beyond what the metadata licenses.
 """
 
 from __future__ import annotations
@@ -85,14 +86,13 @@ def check_horizon(horizon) -> int:
 class SequenceSpec:
     """Lazily evaluated 1-indexed sequence with declared behaviour."""
 
-    __slots__ = ("generator", "horizon", "metadata", "monotonicity", "_memo")
+    __slots__ = ("generator", "horizon", "metadata", "_memo")
 
     def __init__(self, generator: Callable[[int], Any], horizon: int = DEFAULT_HORIZON,
-                 metadata: Metadata = None, monotonicity: str = "none"):
+                 metadata: Metadata = None):
         self.generator = generator
         self.horizon = horizon
         self.metadata = metadata
-        self.monotonicity = monotonicity  # increasing | decreasing | none
         self._memo = {}
 
     def term(self, n: int):
@@ -118,12 +118,8 @@ def repeat_last(terms: Sequence) -> Callable[[int], Any]:
     return lambda n: terms[min(n, len(terms)) - 1]
 
 
-def from_terms(
-    terms: list,
-    horizon: int = DEFAULT_HORIZON,
-    metadata: Metadata = None,
-    monotonicity: str = "none",
-) -> SequenceSpec:
+def from_terms(terms: list, horizon: int = DEFAULT_HORIZON,
+               metadata: Metadata = None) -> SequenceSpec:
     """Explicit sequence; the final term repeats forever past the list.
 
     Repeating the last term makes the infinite sequence well defined, so
@@ -135,7 +131,7 @@ def from_terms(
     if metadata is None:
         metadata = StabilizesAt(len(items))
     return SequenceSpec(repeat_last(items), horizon=max(horizon, len(items)),
-                        metadata=metadata, monotonicity=monotonicity)
+                        metadata=metadata)
 
 
 def detect_stable_tail(samples: list) -> Optional[int]:

@@ -8,10 +8,14 @@ on sequences that never stabilize below their declared limit.
 
 `constant_sequence`, the former ``sequences.constant_sequence``, which only
 the tests used, builds the constant sequences they feed the limit API.
+
+`ext_inf_finite_list`, the former ``extended.ext_inf_finite_list``, is the
+infimum of a finite list in the extended space that Fatou's right-hand side
+was computed by before `integral.fatou` folded `spaces.inf_pair` itself.
 """
 
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import ordmeasure as om
 from ordmeasure.errors import CertificationError
@@ -23,7 +27,8 @@ from ordmeasure.sequences import (
     StabilizesAt,
     detect_stable_tail,
 )
-from ordmeasure.spaces import Element, add, leq, order_unit, scale, sub
+from ordmeasure.spaces import (Element, NoSupremum, add, inf_pair, leq, order_unit, scale,
+                               require_same_space, sub)
 
 
 def stable_tail_sup_increasing(
@@ -92,5 +97,24 @@ def stable_tail_sup_increasing(
 
 def constant_sequence(value, horizon: int = DEFAULT_HORIZON) -> SequenceSpec:
     """The sequence that is `value` at every index, declared stable from 1."""
-    return SequenceSpec(lambda n: value, horizon=horizon, metadata=StabilizesAt(1),
-                        monotonicity="increasing")
+    return SequenceSpec(lambda n: value, horizon=horizon, metadata=StabilizesAt(1))
+
+
+def ext_inf_finite_list(items: Sequence[om.ExtElement]) -> Union[om.ExtElement, NoSupremum]:
+    """Infimum in the extended space: infinite entries are discarded unless
+    the whole collection is infinite."""
+    if not items:
+        raise ValueError("infimum of an empty collection is undefined")
+    space = items[0].space
+    for item in items:
+        require_same_space(items[0], item)
+    finite_items = [item.finite for item in items if item.is_finite]
+    if not finite_items:
+        return om.infinity(space)
+    current = finite_items[0]
+    for el in finite_items[1:]:
+        nxt = inf_pair(current, el)
+        if isinstance(nxt, NoSupremum):
+            return nxt
+        current = nxt
+    return om.finite(current)

@@ -166,7 +166,6 @@ class TestExtSup:
         seq = SequenceSpec(
             generator=lambda n: fin(n, n),
             metadata=DivergesToInfinity(),
-            monotonicity="increasing",
         )
         assert om.ext_sup(seq) == INF
 
@@ -174,7 +173,6 @@ class TestExtSup:
         seq = SequenceSpec(
             generator=lambda n: fin(min(n, 3), 0),
             metadata=StabilizesAt(3),
-            monotonicity="increasing",
         )
         assert om.ext_sup(seq) == fin(3, 0)
 
@@ -185,20 +183,18 @@ class TestExtSup:
         assert result.last_value == om.zero(C2)
 
     def test_declared_limit_above_constant_terms(self):
-        seq = SequenceSpec(lambda n: fin(0, 0), metadata=DeclaredLimit(om.order_unit(C2)),
-                           monotonicity="increasing")
+        seq = SequenceSpec(lambda n: fin(0, 0), metadata=DeclaredLimit(om.order_unit(C2)))
         with pytest.raises(CertificationError, match="^gap 1/16 not certified$"):
             om.ext_sup(seq)
 
     def test_declared_limit_must_be_an_element(self):
-        seq = SequenceSpec(lambda n: fin(0, 0), metadata=DeclaredLimit(None),
-                           monotonicity="increasing")
+        seq = SequenceSpec(lambda n: fin(0, 0), metadata=DeclaredLimit(None))
         with pytest.raises(CertificationError, match="declared limit must be an element"):
             om.ext_sup(seq)
 
     def test_infinite_term_is_the_supremum(self):
         seq = SequenceSpec(lambda n: fin(n, 0) if n < 4 else INF,
-                           metadata=DeclaredLimit(fin(9, 9)), monotonicity="increasing")
+                           metadata=DeclaredLimit(fin(9, 9)))
         assert om.ext_sup(seq) == INF
 
     def test_translation_invariance(self, rng):
@@ -240,13 +236,11 @@ class TestLiminfLimsup:
         seq = SequenceSpec(
             generator=lambda n: om.scale(1 - Fraction(1, 2**n), limit),
             metadata=DeclaredLimit(limit),
-            monotonicity="increasing",
         )
         assert om.ext_liminf_limsup(seq) == (limit, limit)
 
     def test_declared_limit_above_constant_terms(self):
-        seq = SequenceSpec(lambda n: om.zero(C2), metadata=DeclaredLimit(om.order_unit(C2)),
-                           monotonicity="increasing")
+        seq = SequenceSpec(lambda n: om.zero(C2), metadata=DeclaredLimit(om.order_unit(C2)))
         with pytest.raises(CertificationError, match="^gap 1/16 not certified$"):
             om.ext_liminf_limsup(seq)
 
@@ -255,16 +249,24 @@ class TestLiminfLimsup:
         seq = SequenceSpec(
             generator=lambda n: om.scale(1 + Fraction(1, 2**n), limit),
             metadata=DeclaredLimit(om.finite(limit)),
-            monotonicity="decreasing",
         )
         assert om.ext_liminf_limsup(seq) == (limit, limit)
         with pytest.raises(CertificationError, match="^sequence dips below the target at 1$"):
             om.ext_liminf_limsup(SequenceSpec(seq.generator, metadata=DeclaredLimit(
-                om.scale(2, limit)), monotonicity="decreasing"))
+                om.scale(2, limit))))
+
+    def test_constant_sequence_declaring_another_limit(self):
+        # the declaration is certified, not replaced by the cycle bounds; a
+        # declared limit above the terms is test_declared_limit_above_constant_terms
+        x = om.element(C2, [2, 3])
+        for declared in ([1, 1], [3, 1]):
+            seq = SequenceSpec(lambda n: x, horizon=16,
+                               metadata=DeclaredLimit(om.element(C2, declared)))
+            with pytest.raises(CertificationError, match="^sequence exceeds the target at 1$"):
+                om.ext_liminf_limsup(seq)
 
     def test_declared_infinite_limit_rejected(self):
-        seq = SequenceSpec(lambda n: om.element(C2, [n, n]), metadata=DeclaredLimit(INF),
-                           monotonicity="increasing")
+        seq = SequenceSpec(lambda n: om.element(C2, [n, n]), metadata=DeclaredLimit(INF))
         with pytest.raises(CertificationError, match="order-bounded"):
             om.ext_liminf_limsup(seq)
 
@@ -451,7 +453,7 @@ def declared_increasing(draw):
             offsets += [om.scale(Fraction(1, 2**20), om.order_unit(space)),
                         draw(_elements(space, positive=True)), draw(_elements(space))]
         metadata = DeclaredLimit(om.add(top, draw(st.sampled_from(offsets))))
-    return SequenceSpec(term, metadata=metadata, monotonicity="increasing"), horizon
+    return SequenceSpec(term, metadata=metadata), horizon
 
 
 @settings(max_examples=300, deadline=None)
@@ -463,8 +465,7 @@ def test_declared_limits_agree_with_the_stable_tail_oracle(drawn):
     seq, horizon = drawn
     expected = _outcome(stable_tail_sup_increasing, seq, horizon=horizon)
     assert _outcome(om.sup_increasing, seq, horizon=horizon) == expected
-    wrapped = SequenceSpec(lambda n: om.finite(seq.term(n)), metadata=seq.metadata,
-                           monotonicity="increasing")
+    wrapped = SequenceSpec(lambda n: om.finite(seq.term(n)), metadata=seq.metadata)
     assert _outcome(om.ext_sup, wrapped, horizon=horizon) == (
         expected if expected is CertificationError else om.finite(expected))
     if seq.term(1).space.is_lattice and isinstance(seq.metadata, DeclaredLimit):

@@ -34,7 +34,7 @@ from ordmeasure.sequences import (
 
 import integral_oracles as oracle
 from conftest import nonneg_rational, random_algebra, random_measure
-from limit_oracles import constant_sequence
+from limit_oracles import constant_sequence, ext_inf_finite_list
 
 C2 = om.coord(2)
 
@@ -683,8 +683,7 @@ def geometric_ext_sequence(space, limit_values, horizon=64):
     def gen(n):
         return om.ext_function(
             space, [v * (1 - Fraction(1, 2**n)) for v in limit_values])
-    return SequenceSpec(gen, horizon=horizon, metadata=DeclaredLimit(None),
-                        monotonicity="increasing")
+    return SequenceSpec(gen, horizon=horizon, metadata=DeclaredLimit(None))
 
 
 def ladder_scalar_divergence(samples, point):
@@ -818,9 +817,17 @@ class TestColumnOrder:
     def test_integral_laws_monotonicity_precondition(self, data):
         terms, g = data.draw(monotone_columns(True))
         f = terms[0]
-        applies = not oracle.out_of_order_points([(f, g)], True)
-        details = om.check_integral_laws(null_atom_measure(), f, g).details
+        mu = null_atom_measure()
+        applies = not oracle.out_of_order_points([(f, g)], True) & ~mu.null_mask
+        details = om.check_integral_laws(mu, f, g).details
         assert (details["monotonicity"] != "not-applicable: f is not below g") == applies
+
+    def test_integral_laws_monotonicity_ignores_null_points(self):
+        # f exceeds g only at point 2, whose atom is null
+        mu = null_atom_measure()
+        f = om.ext_function(mu.space, [1, 1, 5])
+        g = om.ext_function(mu.space, [2, 2, 0])
+        assert om.check_integral_laws(mu, f, g).details["monotonicity"] == "holds"
 
 
 class TestFinitePointwiseProbe:
@@ -868,8 +875,7 @@ class TestMct:
         mu = basic_measure()
         f = om.ext_function(mu.space, [INFINITY, 0])
         seq = SequenceSpec(lambda n: om.ext_function(mu.space, [n, 0]),
-                           metadata=DivergesToInfinity(),
-                           monotonicity="increasing")
+                           metadata=DivergesToInfinity())
         report = om.mct(mu, seq, f)
         assert report.ok
         assert report.details["certification"]["mode"] == "divergence-certified"
@@ -882,8 +888,7 @@ class TestMct:
             wiggle = Fraction(1) if n % 2 else Fraction(2)
             scalev = 1 - Fraction(1, 2**n)
             return om.ext_function(mu.space, [scalev, scalev, wiggle])
-        seq = SequenceSpec(gen, metadata=DeclaredLimit(None),
-                           monotonicity="increasing")
+        seq = SequenceSpec(gen, metadata=DeclaredLimit(None))
         assert om.mct(mu, seq, f).ok
 
     def test_monotonicity_violation_detected(self):
@@ -892,8 +897,7 @@ class TestMct:
         def gen(n):
             v = Fraction(1) if n % 2 else Fraction(1, 2)
             return om.ext_function(mu.space, [v, v])
-        seq = SequenceSpec(gen, metadata=DeclaredLimit(None),
-                           monotonicity="increasing")
+        seq = SequenceSpec(gen, metadata=DeclaredLimit(None))
         with pytest.raises(CertificationError):
             om.mct(mu, seq, f)
 
@@ -904,8 +908,7 @@ class TestMctDecreasing:
         zero_f = om.ext_function(mu.space, [0, 0])
         def gen(n):
             return om.ext_function(mu.space, [Fraction(1, 2**n)] * 2)
-        seq = SequenceSpec(gen, metadata=DeclaredLimit(None),
-                           monotonicity="decreasing")
+        seq = SequenceSpec(gen, metadata=DeclaredLimit(None))
         report = om.mct_decreasing(mu, seq, zero_f)
         assert report.ok
 
@@ -914,8 +917,7 @@ class TestMctDecreasing:
         mu = om.Measure(space, C2, {1: om.infinity(C2), 2: fin(0, 1)})
         f = om.ext_function(space, [0, 0])
         seq = SequenceSpec(lambda n: om.ext_function(space, [Fraction(1, n)] * 2),
-                           metadata=DeclaredLimit(None),
-                           monotonicity="decreasing")
+                           metadata=DeclaredLimit(None))
         with pytest.raises(HypothesisError):
             om.mct_decreasing(mu, seq, f)
 
@@ -924,7 +926,7 @@ class TestMctDecreasing:
         limit = om.ext_function(mu.space, [1, 1])
         seq = SequenceSpec(
             lambda n: om.ext_function(mu.space, [1 + Fraction(1, n), Fraction(0)]),
-            metadata=DeclaredLimit(None), monotonicity="decreasing")
+            metadata=DeclaredLimit(None))
         with pytest.raises(CertificationError, match="dips below"):
             om.mct_decreasing(mu, seq, limit)
 
@@ -945,7 +947,7 @@ class TestHorizonBelowOne:
     def test_mct_decreasing(self):
         mu = basic_measure()
         seq = SequenceSpec(lambda n: om.ext_function(mu.space, [Fraction(1, 2**n)] * 2),
-                           metadata=DeclaredLimit(None), monotonicity="decreasing")
+                           metadata=DeclaredLimit(None))
         with pytest.raises(ValidationError, match=self.REFUSED):
             om.mct_decreasing(mu, seq, om.ext_function(mu.space, [0, 0]), horizon=0)
 
@@ -1064,7 +1066,40 @@ class TestMonotoneConvergenceRejections:
         assert str(caught.value) == message
 
 
+@st.composite
+def eventually_periodic_functions(draw):
+    """(mu, seq): a few functions on three points, then a cycle of functions
+    repeating forever, sampled past two full cycles.  Values may be infinite;
+    the measure's first atom is null and its others may be infinite."""
+    space = om.power_set_space(3)
+    atom = st.one_of(st.just(om.infinity(C2)),
+                     st.builds(fin, st.integers(0, 3), st.integers(0, 3)))
+    mu = om.Measure(space, C2, {1: fin(0, 0), 2: draw(atom), 4: draw(atom)})
+    value = st.one_of(st.just(INFINITY),
+                      st.fractions(min_value=0, max_value=4, max_denominator=4))
+    function = st.builds(lambda vs: om.ext_function(space, vs),
+                         st.lists(value, min_size=3, max_size=3))
+    head = draw(st.lists(function, max_size=2))
+    cycle = draw(st.lists(function, min_size=1, max_size=3))
+    horizon = len(head) + 2 * len(cycle) + draw(st.integers(0, 3))
+    terms = head + cycle * (horizon // len(cycle) + 1)
+    return mu, SequenceSpec(lambda n: terms[n - 1], horizon=horizon)
+
+
 class TestFatouDct:
+    @given(eventually_periodic_functions())
+    @settings(max_examples=200, deadline=None)
+    def test_fatou_rhs_is_the_retired_infimum(self, drawn):
+        # the infimum of the cycle's integrals, as the retired list infimum
+        # gives it: infinite integrals count only when all of them are
+        mu, seq = drawn
+        report = om.fatou(mu, seq)
+        cycle = report.details["cycle"]
+        start = cycle["preperiod"] + 1
+        ints = [integral.integral_value(seq.term(n), mu)
+                for n in range(start, start + cycle["period"])]
+        assert report.details["rhs"] == extended.ext_to_json(ext_inf_finite_list(ints))
+
     def test_fatou_strict_alternating(self):
         space = om.power_set_space(2)
         mu = om.Measure(space, C2, {1: fin(1, 1), 2: fin(1, 1)})

@@ -502,7 +502,6 @@ class TestSupIncreasing:
         seq = SequenceSpec(
             generator=lambda n: om.scale(1 - Fraction(1, 2**n), limit),
             metadata=DeclaredLimit(limit),
-            monotonicity="increasing",
         )
         assert om.sup_increasing(seq) == limit
 
@@ -521,7 +520,6 @@ class TestSupIncreasing:
         seq = SequenceSpec(
             generator=lambda n: om.scale(1 - Fraction(1, n), limit),
             metadata=DeclaredLimit(limit),
-            monotonicity="increasing",
         )
         with pytest.raises(CertificationError) as exc:
             om.sup_increasing(seq, horizon=8)
@@ -544,14 +542,12 @@ class TestSupIncreasing:
         assert result.last_value == zero
 
     def test_declared_limit_above_constant_terms(self):
-        seq = SequenceSpec(lambda n: om.zero(C2), metadata=DeclaredLimit(om.order_unit(C2)),
-                           monotonicity="increasing")
+        seq = SequenceSpec(lambda n: om.zero(C2), metadata=DeclaredLimit(om.order_unit(C2)))
         with pytest.raises(CertificationError, match="^gap 1/16 not certified$"):
             om.sup_increasing(seq)
 
     def test_declared_limit_must_be_an_element(self):
-        seq = SequenceSpec(lambda n: om.zero(C2), metadata=DeclaredLimit(None),
-                           monotonicity="increasing")
+        seq = SequenceSpec(lambda n: om.zero(C2), metadata=DeclaredLimit(None))
         with pytest.raises(CertificationError, match="declared limit must be an element"):
             om.sup_increasing(seq)
 
@@ -560,7 +556,7 @@ class TestSupIncreasing:
 
         def term(n):
             return om.sub(x, om.scale(Fraction(1, 2 ** min(n, 40)), x))
-        seq = SequenceSpec(term, metadata=StabilizesAt(40), monotonicity="increasing")
+        seq = SequenceSpec(term, metadata=StabilizesAt(40))
         assert om.sup_increasing(seq, horizon=64) == term(40)
         # Term k past the horizon is the declared limit; the gap schedule
         # certifies it within 2^-32 of the last sample...
@@ -575,7 +571,7 @@ class TestSupIncreasing:
 
     def test_declared_divergence_is_infinity(self):
         seq = SequenceSpec(lambda n: om.scale(Fraction(n), c2(1, 1)),
-                           metadata=DivergesToInfinity(), monotonicity="increasing")
+                           metadata=DivergesToInfinity())
         assert om.sup_increasing(seq) == om.infinity(C2)
 
     def test_archimedean_gap_schedule_reaches_zero(self, rng):
@@ -585,7 +581,6 @@ class TestSupIncreasing:
         seq = SequenceSpec(
             generator=lambda n: om.sub(x, om.scale(Fraction(1, n), x)),
             metadata=DeclaredLimit(x),
-            monotonicity="increasing",
         )
         assert om.sup_increasing(seq, bound=x, horizon=2**16 + 1) == x
 
