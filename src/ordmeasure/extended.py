@@ -221,30 +221,27 @@ def ext_sub_finite(a: ExtElement, b: ExtElement) -> ExtElement:
     return finite(spaces.sub(a.finite, b.finite))
 
 
-def certify_divergence(
-    terms: Sequence[ExtElement],
-    space: SpaceDescriptor,
-    horizon: int,
-) -> None:
+def certify_divergence(terms: Sequence[ExtElement]) -> None:
     """Certify unboundedness against the ladder of bounds k * unit.
 
-    For each k the sampled terms must contain one that is *not* below
-    ``k * unit``.  The ladder stops at horizon - 1: a sequence growing one
-    unit per step can never overtake the bound with the same index inside
-    its own sampling window.
+    `terms` are the h >= 1 samples of a sequence; the unit is the order
+    unit of their space.  For each k the sampled terms must contain one
+    that is *not* below ``k * unit``.  The ladder stops at h - 1 (at 1 when
+    h is 1): a sequence growing one unit per step can never overtake the
+    bound with the same index inside its own sampling window.
 
     Being below every sample is monotone in k: a term below k * unit is
     below every larger bound too.  So the ladder holds exactly when its top
     rung does, which one pass over the terms decides; when it fails, the
     first failing k is found by bisection.
     """
-    unit = spaces.order_unit(space)
+    unit = spaces.order_unit(terms[0].space)
 
     def all_below(k: int) -> bool:
         bound = finite(spaces.scale(k, unit))
         return all(ext_leq(t, bound) for t in terms)
 
-    top = max(horizon, 2) - 1
+    top = max(len(terms), 2) - 1
     if not all_below(top):
         return
     lo, hi = 0, top  # some sample escapes every k <= lo, none escapes hi
@@ -293,7 +290,7 @@ def certify_monotone_limit(values: Sequence[ExtElement], target: Optional[ExtEle
     if values[-1] == target:
         return {"mode": "stabilized", "at": detect_stable_tail(values) or len(values)}
     if target.is_infinite:
-        certify_divergence(values, target.space, len(values))
+        certify_divergence(values)
         return {"mode": "divergence-certified", "ladder_top": len(values) - 1}
     unit = spaces.order_unit(target.space)
 

@@ -9,6 +9,7 @@ functions modulo null functions.  Every integral is computed by
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Dict, List, Sequence
 
@@ -215,7 +216,10 @@ def l1_quotient(mu: Measure, functions: Sequence[SignedFunction]) -> CheckResult
     null = mu.null_mask
 
     def class_key(f: SignedFunction) -> tuple:
-        return tuple(v for x, v in enumerate(f.values) if not null >> x & 1)
+        """den, then the numerators off `null`, reduced by one gcd."""
+        nums = [n for x, n in enumerate(f.nums) if not null >> x & 1]
+        g = math.gcd(f.den, *nums)
+        return f.den // g, *(n // g for n in nums)
 
     classes: Dict[tuple, List[int]] = {}
     for i, f in enumerate(functions):
@@ -229,9 +233,9 @@ def l1_quotient(mu: Measure, functions: Sequence[SignedFunction]) -> CheckResult
                              "members": members})
     zero_el = spaces.zero(mu.backend)
     for i, f in enumerate(functions):
-        key = class_key(f)
-        if all(v >= 0 for v in key) and integral.integrate_signed(f, mu) == zero_el:
-            if any(v != 0 for v in key):
+        nums = class_key(f)[1:]
+        if all(n >= 0 for n in nums) and integral.integrate_signed(f, mu) == zero_el:
+            if any(nums):
                 problems.append({"issue": "strict positivity violated", "index": i})
     for m1 in classes.values():
         for m2 in classes.values():

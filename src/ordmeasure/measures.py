@@ -212,7 +212,7 @@ class Measure:
 
     def evaluate(self, mask: int) -> ExtElement:
         """Measure of a measurable set: the sum of its atoms' values, one
-        linear combination of the finite ones, or infinity if any is."""
+        `spaces.combination` of the finite ones, or infinity if any is."""
         if mask not in self._memo:
             self.space.require_measurable(mask)
             parts = [self.atom_values[a] for a in self.space.atoms_inside(mask)]
@@ -220,7 +220,7 @@ class Measure:
                 self._memo[mask] = extended.infinity(self.backend)
             else:
                 self._memo[mask] = extended.finite(
-                    spaces.combination(self.backend, [(1, v.finite) for v in parts]))
+                    spaces.combination(self.backend, [v.finite for v in parts]))
         return self._memo[mask]
 
     @property

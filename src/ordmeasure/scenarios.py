@@ -125,7 +125,10 @@ def parse_element(doc, space: SpaceDescriptor, path: str) -> Element:
             f"element needs {space.ncoords} coordinates, got {len(doc)}", path
         )
     coords = tuple(parse_rational(v, f"{path}/{i}") for i, v in enumerate(doc))
-    return Element(space, coords)
+    try:
+        return Element(space, coords)
+    except ValueError as exc:  # a Loewner matrix that is not symmetric
+        raise SchemaError(str(exc), path) from None
 
 
 def parse_ext_element(doc, space: SpaceDescriptor, path: str) -> ExtElement:
@@ -312,14 +315,16 @@ def _parse_sequence(functions: dict, ground: int, doc, path: str) -> _NamedSeque
 def _as_function(integral, space: MeasurableSpace, values: tuple, kind: str, path: str):
     """`values`, a (nums, den, inf) form, made an "ext" (extended-positive) or
     "signed" function of the `integral` module, or "either": signed when
-    some value is negative.  The resolvers import `integral`, so only a
-    document with functions loads it."""
+    some value is negative.  A value that is no such function (negative,
+    infinite or not measurable) is a SchemaError at `path`.  The resolvers
+    import `integral`, so only a document with functions loads it."""
     nums, den, inf = values
-    if kind == "ext" or (kind == "either" and min(nums) >= 0):
-        return integral.ExtFunction.from_nums(space, nums, den, inf)
-    if inf:
-        raise SchemaError("a signed function cannot take the value infinity", path)
-    return integral.SignedFunction.from_nums(space, nums, den)
+    ext = kind == "ext" or (kind == "either" and min(nums) >= 0)
+    try:
+        return (integral.ExtFunction if ext else integral.SignedFunction).from_nums(
+            space, nums, den, inf)
+    except ValidationError as exc:
+        raise SchemaError(str(exc), path) from None
 
 
 def _function(kind: str):
@@ -571,10 +576,7 @@ def _parse_directive(scenario: Scenario, doc, path: str) -> Directive:
         kpath = f"{path}/{key}"
         if key in doc:
             value = _require_json(doc[key], k.json, key, kpath)
-            try:
-                args[key] = k.resolve(scenario, value, kpath)
-            except ValidationError as exc:  # e.g. a negative or non-measurable function
-                raise SchemaError(str(exc), kpath) from None
+            args[key] = k.resolve(scenario, value, kpath)
         elif k.default is _REQUIRED:
             raise SchemaError(f"{name} needs '{key}'", kpath)
         else:

@@ -1,11 +1,12 @@
 """Finite surrogates for infinite sequences.
 
 A `SequenceSpec` wraps a generator ``index -> value`` (1-based) together
-with a horizon and optional metadata about the limit behaviour.  The spec
-claims no order: a check that needs a monotone sequence tests the order of
-its samples.  Every claim is certified at sampled indices before a result
-that depends on it is produced; nothing is ever inferred from the samples
-alone beyond what the metadata licenses.
+with optional metadata about the limit behaviour; the horizon, how many
+terms are sampled, is the caller's.  The spec claims no order: a check that
+needs a monotone sequence tests the order of its samples.  Every claim is
+certified at sampled indices before a result that depends on it is
+produced; nothing is ever inferred from the samples alone beyond what the
+metadata licenses.
 """
 
 from __future__ import annotations
@@ -86,12 +87,10 @@ def check_horizon(horizon) -> int:
 class SequenceSpec:
     """Lazily evaluated 1-indexed sequence with declared behaviour."""
 
-    __slots__ = ("generator", "horizon", "metadata", "_memo")
+    __slots__ = ("generator", "metadata", "_memo")
 
-    def __init__(self, generator: Callable[[int], Any], horizon: int = DEFAULT_HORIZON,
-                 metadata: Metadata = None):
+    def __init__(self, generator: Callable[[int], Any], *, metadata: Metadata = None):
         self.generator = generator
-        self.horizon = horizon
         self.metadata = metadata
         self._memo = {}
 
@@ -103,13 +102,9 @@ class SequenceSpec:
         return self._memo[n]
 
     def sample(self, horizon: Optional[int] = None) -> list:
-        """Terms 1..h: h is `horizon` when given, else the spec's own
-        horizon, else `DEFAULT_HORIZON` when that is unset (0 or None).
-
-        A horizon that is not a positive integer, given or the spec's own,
-        is a ValidationError (`check_horizon`)."""
-        h = check_horizon(horizon if horizon is not None
-                          else self.horizon or DEFAULT_HORIZON)
+        """Terms 1..horizon (`DEFAULT_HORIZON` when None); any other horizon
+        that is not a positive integer is a ValidationError (`check_horizon`)."""
+        h = check_horizon(DEFAULT_HORIZON if horizon is None else horizon)
         return [self.term(n) for n in range(1, h + 1)]
 
 
@@ -118,20 +113,19 @@ def repeat_last(terms: Sequence) -> Callable[[int], Any]:
     return lambda n: terms[min(n, len(terms)) - 1]
 
 
-def from_terms(terms: list, horizon: int = DEFAULT_HORIZON,
-               metadata: Metadata = None) -> SequenceSpec:
+def from_terms(terms: list, *, metadata: Metadata = None) -> SequenceSpec:
     """Explicit sequence; the final term repeats forever past the list.
 
     Repeating the last term makes the infinite sequence well defined, so
     stabilization metadata is attached automatically when none is given.
+    The terms sampled are the caller's horizon, however long the list.
     """
     if not terms:
         raise ValueError("explicit sequence needs at least one term")
     items = list(terms)
     if metadata is None:
         metadata = StabilizesAt(len(items))
-    return SequenceSpec(repeat_last(items), horizon=max(horizon, len(items)),
-                        metadata=metadata)
+    return SequenceSpec(repeat_last(items), metadata=metadata)
 
 
 def detect_stable_tail(samples: list) -> Optional[int]:

@@ -256,32 +256,19 @@ def scale(r, a: Element, den: int = 1) -> Element:
                     r.denominator * a.den * den)
 
 
-def combination(space: SpaceDescriptor, pairs: Iterable, den: int = 1) -> Element:
-    """The linear combination sum of (r / den) * e over `(r, e)` pairs of
-    `space`, for int or Fraction r (the ladder's are integer numerators over
-    one denominator) and an int den > 0.
-
-    Every term is brought over one common denominator, the lcm of the
-    products r.denominator * e.den, and its integer numerators are
-    accumulated there (as FLINT's ``_fmpz_vec_scalar_addmul_fmpz`` does), so
-    the result is reduced by a single gcd however many terms there are.  An
-    empty combination is zero.
+def combination(space: SpaceDescriptor, elements: Sequence[Element]) -> Element:
+    """The sum of `elements` of `space`, with which `Measure.evaluate` sums
+    a set's atom values.  Every element is brought over the lcm of their
+    denominators and its integer numerators are accumulated there (as
+    FLINT's ``_fmpz_vec_scalar_addmul_fmpz`` does), so the result is reduced
+    by a single gcd however many elements there are.  An empty sum is zero.
     """
-    terms = []
-    for r, e in pairs:
-        if e.space is not space and e.space != space:
-            raise SpaceMismatchError(
-                f"cannot combine {space.describe()} with {e.space.describe()}")
-        if not isinstance(r, (int, Fraction)):
-            r = Fraction(r)
-        if r:
-            terms.append((r.numerator, r.denominator * e.den, e.nums))
-    common = math.lcm(*(d for _, d, _ in terms))
+    common = math.lcm(*(e.den for e in elements))
     acc = [0] * space.ncoords
-    for num, d, nums in terms:
-        factor = num * (common // d)
-        acc = [a + factor * x for a, x in zip(acc, nums)]
-    return _element(space, tuple(acc), common * den)
+    for e in elements:
+        factor = common // e.den
+        acc = [a + factor * x for a, x in zip(acc, e.nums)]
+    return _element(space, tuple(acc), common)
 
 
 def is_positive_row(space: SpaceDescriptor, nums) -> bool:

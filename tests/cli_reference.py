@@ -7,10 +7,11 @@ Usage, from the root of a checkout:
 For every call in `calls()` the file records the sha256 of stdout and the
 exit code of `cli.main`, run in process.  The calls are, on each shipped
 scenario, ``run --output json --horizon 8``, text ``run``, ``validate`` and
-``caratheodory``; ``run --output json`` at horizons 1 to 4 on the Fatou and
-dominated convergence documents in `SHORT_HORIZON`, where the horizon
-decides how their cycle or stabilization is found; and ``compare`` of both
-kinds at ``--n`` 8 and 16, in json and in text.  `tests/test_cli_reference.py` makes the same calls and
+``caratheodory``; ``run --output json`` at horizons 1 to 4 on the Fatou,
+dominated convergence and divergent documents in `SHORT_HORIZON`, where the
+horizon decides how their cycle or stabilization is found, or how high the
+divergence ladder climbs; and ``compare`` of both kinds at ``--n`` 8 and 16,
+in json and in text.  `tests/test_cli_reference.py` makes the same calls and
 compares, so a refactor that changes any of these outputs fails tier 1.
 Regenerate only for a change that is meant to alter output.
 """
@@ -28,7 +29,8 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 REFERENCE = HERE / "cli_reference.json"
 SHORT_HORIZON = ("dct_stabilizing.json", "dct_geometric.json",
-                 "fatou_alternating.json", "fatou_constant.json")
+                 "fatou_alternating.json", "fatou_constant.json",
+                 "mct_divergent.json")
 
 
 def calls() -> list:

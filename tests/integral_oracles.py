@@ -8,15 +8,18 @@ and the rung integral, the canonical atom representation of dense values
 (the former ``ElementaryFunction.from_dense``), the pointwise combination
 of two functions with the extended scalar sum, order and product (the
 former ``rationals.ext_scalar_add``, ``ext_scalar_leq`` and
-``ext_scalar_mul``), and the terms of the three generated sequence kinds.
+``ext_scalar_mul``), the terms of the three generated sequence kinds, and
+the Fraction class key of `integral_checks.l1_quotient`.
 The former ``rationals.format_ext_scalar`` and ``integral.indicator``,
 which only the tests used, are here too.
 
 The exceptions read a function's integer form as the library did before
 it moved onto one table.  `combination_rung_integral`, the former
 ``integral._rung_integral``, is the integral of a `truncate` rung as one
-`spaces.combination` of the atom values, which the ladder ran on every
-rung before it summed integer rows on the measure's atom table.
+`combination` of the atom values, which the ladder ran on every rung
+before it summed integer rows on the measure's atom table; `combination`
+is the former general body of `spaces.combination`, with coefficients and
+a common denominator, which the library now only uses to sum.
 `out_of_order_points` and `certify_scalar_convergence`, the former
 ``integral._out_of_order_points`` and ``_certify_scalar_convergence``, are
 the order test and the pointwise certificate of the monotone convergence
@@ -64,6 +67,24 @@ def truncate_terms(f, level: int) -> tuple:
     return tuple(terms)
 
 
+def combination(space, pairs, den: int = 1) -> om.Element:
+    """The linear combination sum of (r / den) * e over `(r, e)` pairs of
+    `space`, for int or Fraction r and an int den > 0: every term over one
+    common denominator, the lcm of the products r.denominator * e.den, and
+    the result reduced by a single gcd.  An empty combination is zero."""
+    terms = []
+    for r, e in pairs:
+        r = Fraction(r)
+        if r:
+            terms.append((r.numerator, r.denominator * e.den, e.nums))
+    common = math.lcm(*(d for _, d, _ in terms))
+    acc = [0] * space.ncoords
+    for num, d, nums in terms:
+        factor = num * (common // d)
+        acc = [a + factor * x for a, x in zip(acc, nums)]
+    return spaces._element(space, tuple(acc), common * den)
+
+
 def rung_integral(terms: tuple, mu) -> om.ExtElement:
     """The integral of atom terms: infinity when a positive coefficient sits
     on an atom of infinite measure, else one combination with Fraction
@@ -76,14 +97,14 @@ def rung_integral(terms: tuple, mu) -> om.ExtElement:
                 return extended.infinity(mu.backend)
         else:
             pairs.append((coeff, value))
-    return extended.finite(spaces.combination(mu.backend, pairs))
+    return extended.finite(combination(mu.backend, pairs))
 
 
 def combination_rung_integral(phi: om.ElementaryFunction, mu) -> om.ExtElement:
     """Integral of an elementary function whose terms are atoms of its space,
     as `truncate` builds them: the point at infinity when a positive
     coefficient sits on an atom of infinite measure, and otherwise one
-    `spaces.combination` of the finite atom values over the rung's
+    `combination` of the finite atom values over the rung's
     denominator (a zero coefficient kills an infinite atom)."""
     if phi.space is not mu.space and phi.space != mu.space:
         raise ValidationError("function and measure live on different spaces")
@@ -95,7 +116,13 @@ def combination_rung_integral(phi: om.ElementaryFunction, mu) -> om.ExtElement:
                 return extended.infinity(mu.backend)
         else:
             pairs.append((coeff, value))
-    return extended.finite(spaces.combination(mu.backend, pairs, phi.den))
+    return extended.finite(combination(mu.backend, pairs, phi.den))
+
+
+def fraction_class_key(f, null: int) -> tuple:
+    """The former class key of `integral_checks.l1_quotient`: f's Fraction
+    values off the points of `null`."""
+    return tuple(v for x, v in enumerate(f.values) if not null >> x & 1)
 
 
 def closed_form_integral(f, mu) -> om.ExtElement:

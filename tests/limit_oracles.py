@@ -21,7 +21,6 @@ import ordmeasure as om
 from ordmeasure.errors import CertificationError
 from ordmeasure.sequences import (
     DEFAULT_EPSILONS,
-    DEFAULT_HORIZON,
     DeclaredLimit,
     SequenceSpec,
     StabilizesAt,
@@ -95,9 +94,9 @@ def stable_tail_sup_increasing(
     return om.GapReport(horizon=horizon, last_value=terms[-1], bound=bound, residual=residual)
 
 
-def constant_sequence(value, horizon: int = DEFAULT_HORIZON) -> SequenceSpec:
+def constant_sequence(value) -> SequenceSpec:
     """The sequence that is `value` at every index, declared stable from 1."""
-    return SequenceSpec(lambda n: value, horizon=horizon, metadata=StabilizesAt(1))
+    return SequenceSpec(lambda n: value, metadata=StabilizesAt(1))
 
 
 def ext_inf_finite_list(items: Sequence[om.ExtElement]) -> Union[om.ExtElement, NoSupremum]:

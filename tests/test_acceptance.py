@@ -283,11 +283,11 @@ def test_criterion_9_non_lattice_honesty():
     f_ext = om.ext_function(space, [1])
     f_signed = om.signed_function(space, [1])
     g = om.ext_function(space, [2])
-    seq_ext = SequenceSpec(lambda n: f_ext, horizon=8)
+    seq_ext = SequenceSpec(lambda n: f_ext)
     seq_signed = from_terms([f_signed])
     messages = []
     for op in (
-        lambda: om.fatou(mu, seq_ext),
+        lambda: om.fatou(mu, seq_ext, horizon=8),
         lambda: om.dct(mu, seq_signed, f_signed, g),
         lambda: om.triangle_inequality(mu, f_signed),
     ):

@@ -219,14 +219,14 @@ class TestExtSup:
 class TestLiminfLimsup:
     def test_constant(self):
         x = om.element(C2, [2, 3])
-        seq = SequenceSpec(generator=lambda n: x, horizon=16)
-        assert om.ext_liminf_limsup(seq) == (x, x)
+        seq = SequenceSpec(generator=lambda n: x)
+        assert om.ext_liminf_limsup(seq, horizon=16) == (x, x)
 
     def test_alternating(self):
         a = om.element(C2, [1, 0])
         b = om.element(C2, [0, 1])
-        seq = SequenceSpec(generator=lambda n: a if n % 2 else b, horizon=16)
-        lo, hi = om.ext_liminf_limsup(seq)
+        seq = SequenceSpec(generator=lambda n: a if n % 2 else b)
+        lo, hi = om.ext_liminf_limsup(seq, horizon=16)
         assert lo == om.element(C2, [0, 0])
         assert hi == om.element(C2, [1, 1])
         assert om.leq(lo, hi)
@@ -260,10 +260,9 @@ class TestLiminfLimsup:
         # declared limit above the terms is test_declared_limit_above_constant_terms
         x = om.element(C2, [2, 3])
         for declared in ([1, 1], [3, 1]):
-            seq = SequenceSpec(lambda n: x, horizon=16,
-                               metadata=DeclaredLimit(om.element(C2, declared)))
+            seq = SequenceSpec(lambda n: x, metadata=DeclaredLimit(om.element(C2, declared)))
             with pytest.raises(CertificationError, match="^sequence exceeds the target at 1$"):
-                om.ext_liminf_limsup(seq)
+                om.ext_liminf_limsup(seq, horizon=16)
 
     def test_declared_infinite_limit_rejected(self):
         seq = SequenceSpec(lambda n: om.element(C2, [n, n]), metadata=DeclaredLimit(INF))
@@ -272,9 +271,9 @@ class TestLiminfLimsup:
 
     def test_non_lattice_rejected(self):
         x = om.sym_matrix([[1, 0], [0, 1]])
-        seq = SequenceSpec(generator=lambda n: x, horizon=8)
+        seq = SequenceSpec(generator=lambda n: x)
         with pytest.raises(CertificationError, match="sigma-Dedekind"):
-            om.ext_liminf_limsup(seq)
+            om.ext_liminf_limsup(seq, horizon=8)
 
     def test_liminf_below_limsup_random_periodic(self, rng):
         for _ in range(50):
@@ -282,9 +281,8 @@ class TestLiminfLimsup:
             cycle = [om.element(C2, (Fraction(rng.randint(-3, 3)),
                                      Fraction(rng.randint(-3, 3))))
                      for _ in range(period)]
-            seq = SequenceSpec(generator=lambda n, c=cycle: c[(n - 1) % len(c)],
-                               horizon=24)
-            lo, hi = om.ext_liminf_limsup(seq)
+            seq = SequenceSpec(generator=lambda n, c=cycle: c[(n - 1) % len(c)])
+            lo, hi = om.ext_liminf_limsup(seq, horizon=24)
             assert om.leq(lo, hi)
 
 
@@ -335,10 +333,11 @@ class TestParseRational:
             parse_rational(text)
 
 
-def ladder_certify_divergence(terms, space, horizon):
-    """Oracle for `certify_divergence`: every rung k = 1 .. horizon - 1 tested."""
-    unit = om.order_unit(space)
-    for k in range(1, max(horizon, 2)):
+def ladder_certify_divergence(terms):
+    """Oracle for `certify_divergence`: every rung k = 1 .. h - 1 tested, for
+    h terms."""
+    unit = om.order_unit(terms[0].space)
+    for k in range(1, max(len(terms), 2)):
         bound = om.finite(om.scale(Fraction(k), unit))
         if not any(not om.ext_leq(t, bound) for t in terms):
             raise CertificationError(
@@ -358,8 +357,7 @@ def _raised(fn, *args):
 @st.composite
 def divergence_cases(draw):
     """Terms on Reals, C2 or LoewnerSym(2): increasing, bounded or arbitrary
-    finite terms, sometimes with infinite ones, and a horizon near their count.
-    """
+    finite terms, sometimes with infinite ones."""
     space = draw(st.sampled_from([om.reals(), C2, om.loewner_sym(2)]))
     count = draw(st.integers(1, 12))
     shape = draw(st.sampled_from(["increasing", "bounded", "arbitrary"]))
@@ -379,8 +377,7 @@ def divergence_cases(draw):
         terms.append(om.finite(total))
     if draw(st.integers(0, 3)) == 0:
         terms[draw(st.integers(0, count - 1))] = om.infinity(space)
-    horizon = draw(st.sampled_from([count, 1, 2, count + 3]))
-    return terms, space, horizon
+    return terms
 
 
 class TestCertifyDivergence:
@@ -388,9 +385,8 @@ class TestCertifyDivergence:
 
     @given(divergence_cases())
     @settings(max_examples=150, deadline=None)
-    def test_agrees_with_full_ladder(self, case):
-        assert (_raised(certify_divergence, *case)
-                == _raised(ladder_certify_divergence, *case))
+    def test_agrees_with_full_ladder(self, terms):
+        assert _raised(certify_divergence, terms) == _raised(ladder_certify_divergence, terms)
 
     @pytest.mark.parametrize("top, horizon, message", [
         (9, 10, "all samples below 9 * unit"),
@@ -399,8 +395,9 @@ class TestCertifyDivergence:
         (10, 10, None),
     ], ids=["top_rung", "middle_rung", "horizon_one", "escapes"])
     def test_first_failing_rung(self, top, horizon, message):
-        terms = [fin(0, 1), fin(top, 0)]
-        raised = _raised(certify_divergence, terms, C2, horizon)
+        # h samples climb a ladder of h - 1 rungs; only the last one is large
+        terms = [fin(0, 1)] * (horizon - 1) + [fin(top, 0)]
+        raised = _raised(certify_divergence, terms)
         assert raised == (message and f"divergence not certified: {message}")
 
 

@@ -190,6 +190,58 @@ class TestDerivedFunctions:
         assert combined.values == oracle.combine_values(r1, f, r2, g)
 
 
+@st.composite
+def quotient_cases(draw):
+    """A measure with null and infinite atoms, and integrable signed
+    functions (zero on the infinite atoms) that often agree off the null
+    points: each copies one of two representatives and redraws its value on
+    some null atoms, so a denominator may come from a null point alone."""
+    mu, _ = draw(cases(signed=True))
+    null = mu.null_mask
+
+    def values(base=None):
+        dense = [None] * mu.space.ground_size
+        for atom, points in mu.space.atom_points.items():
+            if mu.atom_values[atom].is_infinite:
+                v = Fraction(0)
+            elif base is None or (atom & null and draw(st.booleans())):
+                v = draw(scalars(signed=True))
+            else:
+                v = base[points[0]]
+            for x in points:
+                dense[x] = v
+        return dense
+
+    reps = [values(), values()]
+    rows = [values(draw(st.sampled_from(reps))) for _ in range(draw(st.integers(1, 5)))]
+    return mu, [om.signed_function(mu.space, row) for row in rows]
+
+
+class TestQuotientClasses:
+    """`l1_quotient` keys its classes by integer numerators, against the
+    Fraction values it keyed them by before."""
+
+    @given(quotient_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_partition_matches_the_fraction_keys(self, case):
+        mu, functions = case
+        null = mu.null_mask
+        report = integral_checks.l1_quotient(mu, functions)
+        classes = {}
+        for i, f in enumerate(functions):
+            classes.setdefault(oracle.fraction_class_key(f, null), []).append(i)
+        assert report.ok and report.details["classes"] == sorted(classes.values())
+
+    def test_a_denominator_on_a_null_point_alone(self):
+        # (nums, den) are ((2, 1), 2) and ((1, 0), 1), yet f = g off the null point
+        mu = om.Measure(om.power_set_space(2), om.coord(2),
+                        {1: om.finite(om.element(om.coord(2), [1, 0])),
+                         2: om.finite(om.zero(om.coord(2)))})
+        f = om.signed_function(mu.space, [1, Fraction(1, 2)])
+        g = om.signed_function(mu.space, [1, 0])
+        assert integral_checks.l1_quotient(mu, [f, g]).details["classes"] == [[0, 1]]
+
+
 class TestGeneratedTerms:
     """The terms the scenario parser generates, as functions, against the
     Fraction lists of the generators it replaced."""

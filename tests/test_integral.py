@@ -679,11 +679,11 @@ class TestLawsAndAe:
         assert seen == [f] and (seen[0].nums, seen[0].den, seen[0].inf) == ((1, 0, 0), 2, 0b110)
 
 
-def geometric_ext_sequence(space, limit_values, horizon=64):
+def geometric_ext_sequence(space, limit_values):
     def gen(n):
         return om.ext_function(
             space, [v * (1 - Fraction(1, 2**n)) for v in limit_values])
-    return SequenceSpec(gen, horizon=horizon, metadata=DeclaredLimit(None))
+    return SequenceSpec(gen, metadata=DeclaredLimit(None))
 
 
 def ladder_scalar_divergence(samples, point):
@@ -750,9 +750,9 @@ class TestScalarDivergence:
     def test_agrees_with_bound_ladder(self, samples, point):
         samples = in_order(samples)
         terms = [at_point(s, point) for s in samples]
-        seq = from_terms(terms, horizon=len(terms), metadata=DivergesToInfinity())
+        seq = from_terms(terms, metadata=DivergesToInfinity())
         message = _certification_message(om.mct, unit_atoms_measure(), seq,
-                                         at_point(INFINITY, point))
+                                         at_point(INFINITY, point), len(terms))
         assert message is None or not message.startswith("sequence")
         fast = message if message and message.startswith("divergence at point") else None
         assert fast == _certification_message(ladder_scalar_divergence, samples, point)
@@ -807,8 +807,8 @@ class TestColumnOrder:
         terms, f = data.draw(monotone_columns(increasing))
         mu = null_atom_measure()
         check = om.mct if increasing else om.mct_decreasing
-        seq = from_terms(terms, horizon=len(terms), metadata=DeclaredLimit(f))
-        message = _certification_message(check, mu, seq, f)
+        seq = from_terms(terms, metadata=DeclaredLimit(f))
+        message = _certification_message(check, mu, seq, f, len(terms))
         fast = message if message and message.startswith("sequence") else None
         assert fast == order_message(terms, f, mu.null_mask, increasing)
 
@@ -846,9 +846,9 @@ class TestFinitePointwiseProbe:
         terms = [at_point(s, point) for s in samples]
         f = at_point(target, point)
         epsilons = [Fraction(1, 2), Fraction(1, 8), Fraction(1, 64)]
-        seq = from_terms(terms, horizon=len(terms), metadata=DeclaredLimit(f))
+        seq = from_terms(terms, metadata=DeclaredLimit(f))
         check = om.mct if increasing else om.mct_decreasing
-        message = _certification_message(check, unit_atoms_measure(), seq, f, None,
+        message = _certification_message(check, unit_atoms_measure(), seq, f, len(terms),
                                          epsilons)
         assert message is None or not message.startswith("sequence")
         fast = message if message and message.startswith("pointwise") else None
@@ -1068,8 +1068,8 @@ class TestMonotoneConvergenceRejections:
 
 @st.composite
 def eventually_periodic_functions(draw):
-    """(mu, seq): a few functions on three points, then a cycle of functions
-    repeating forever, sampled past two full cycles.  Values may be infinite;
+    """(mu, seq, horizon): a few functions on three points, then a cycle of
+    functions repeating forever, sampled past two full cycles.  Values may be infinite;
     the measure's first atom is null and its others may be infinite."""
     space = om.power_set_space(3)
     atom = st.one_of(st.just(om.infinity(C2)),
@@ -1083,7 +1083,7 @@ def eventually_periodic_functions(draw):
     cycle = draw(st.lists(function, min_size=1, max_size=3))
     horizon = len(head) + 2 * len(cycle) + draw(st.integers(0, 3))
     terms = head + cycle * (horizon // len(cycle) + 1)
-    return mu, SequenceSpec(lambda n: terms[n - 1], horizon=horizon)
+    return mu, SequenceSpec(lambda n: terms[n - 1]), horizon
 
 
 class TestFatouDct:
@@ -1092,8 +1092,8 @@ class TestFatouDct:
     def test_fatou_rhs_is_the_retired_infimum(self, drawn):
         # the infimum of the cycle's integrals, as the retired list infimum
         # gives it: infinite integrals count only when all of them are
-        mu, seq = drawn
-        report = om.fatou(mu, seq)
+        mu, seq, horizon = drawn
+        report = om.fatou(mu, seq, horizon=horizon)
         cycle = report.details["cycle"]
         start = cycle["preperiod"] + 1
         ints = [integral.integral_value(seq.term(n), mu)
@@ -1105,8 +1105,8 @@ class TestFatouDct:
         mu = om.Measure(space, C2, {1: fin(1, 1), 2: fin(1, 1)})
         f1 = om.ext_function(space, [1, 0])
         f2 = om.ext_function(space, [0, 1])
-        seq = SequenceSpec(lambda n: f1 if n % 2 else f2, horizon=16)
-        report = om.fatou(mu, seq)
+        seq = SequenceSpec(lambda n: f1 if n % 2 else f2)
+        report = om.fatou(mu, seq, horizon=16)
         assert report.ok
         assert report.details["strict"]
         assert report.details["lhs"] == {"finite": ["0", "0"]}
@@ -1122,7 +1122,7 @@ class TestFatouDct:
         original = integral.integral_value
         monkeypatch.setattr(integral, "integral_value",
                             lambda g, m: seen.append(g) or original(g, m))
-        report = om.fatou(mu, SequenceSpec(lambda n: f1 if n % 2 else f2, horizon=8))
+        report = om.fatou(mu, SequenceSpec(lambda n: f1 if n % 2 else f2), horizon=8)
         liminf = om.ext_function(space, [INFINITY, Fraction(2, 3), Fraction(0)])
         assert seen[0] == liminf and (liminf.nums, liminf.den, liminf.inf) == ((0, 2, 0), 3, 1)
         assert report.ok and not report.details["strict"]
@@ -1131,8 +1131,8 @@ class TestFatouDct:
     def test_fatou_equality_constant(self):
         mu = basic_measure()
         f = om.ext_function(mu.space, [2, 3])
-        seq = SequenceSpec(lambda n: f, horizon=8)
-        report = om.fatou(mu, seq)
+        seq = SequenceSpec(lambda n: f)
+        report = om.fatou(mu, seq, horizon=8)
         assert report.ok and not report.details["strict"]
 
     def test_fatou_rejects_loewner(self):
@@ -1140,9 +1140,9 @@ class TestFatouDct:
         space = om.power_set_space(1)
         mu = om.Measure(space, l2, {1: om.finite(om.sym_matrix([[1, 0], [0, 1]]))})
         f = om.ext_function(space, [1])
-        seq = SequenceSpec(lambda n: f, horizon=8)
+        seq = SequenceSpec(lambda n: f)
         with pytest.raises(HypothesisError, match="sigma-Dedekind"):
-            om.fatou(mu, seq)
+            om.fatou(mu, seq, horizon=8)
 
     def test_dct_stabilizing(self):
         mu = basic_measure()
@@ -1204,9 +1204,8 @@ class TestFatouDct:
         report = om.dct(mu, seq, f, g)
         assert report.ok
         ints = SequenceSpec(
-            lambda n: om.integrate_signed(terms[min(n, len(terms)) - 1], mu),
-            horizon=16)
-        lo, hi = om.ext_liminf_limsup(ints)
+            lambda n: om.integrate_signed(terms[min(n, len(terms)) - 1], mu))
+        lo, hi = om.ext_liminf_limsup(ints, horizon=16)
         assert lo == hi == om.integrate_signed(f, mu)
 
 
@@ -1234,11 +1233,12 @@ class TestDctPointwise:
         mu = basic_measure()
         f = om.signed_function(mu.space, [v + o for v, o in zip(rows[-1], offsets)])
         terms = [om.signed_function(mu.space, r) for r in rows]
-        seq = from_terms(terms, horizon=len(terms), metadata=DeclaredLimit(f))
+        seq = from_terms(terms, metadata=DeclaredLimit(f))
         epsilons = [Fraction(1, 2), Fraction(1, 8)]
         expected = dct_pointwise_message(terms, f, epsilons)
         raised = _certification_message(om.dct, mu, seq, f,
-                                        om.ext_function(mu.space, [3, 3]), None, epsilons)
+                                        om.ext_function(mu.space, [3, 3]), len(terms),
+                                        epsilons)
         if expected is not None:
             assert raised == expected
         else:

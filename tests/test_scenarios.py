@@ -142,28 +142,41 @@ class TestRunner:
 
 
 class TestSequenceSampling:
-    def spec(self, horizon):
+    def spec(self):
         calls = []
 
         def gen(n):
             calls.append(n)
             return n * n
-        return om.SequenceSpec(gen, horizon=horizon), calls
+        return om.SequenceSpec(gen), calls
 
-    @pytest.mark.parametrize("own, horizon, length", [
-        (5, 3, 3),  # an explicit horizon wins
-        (5, None, 5),  # else the spec's own
-        (0, None, DEFAULT_HORIZON),  # an unset own horizon falls back
-        (None, None, DEFAULT_HORIZON),
-        (None, 2, 2),
+    @pytest.mark.parametrize("horizon, length", [
+        (3, 3),
+        (2, 2),
+        (None, DEFAULT_HORIZON),  # the one place a default is applied
     ])
-    def test_horizon_resolution(self, own, horizon, length):
-        seq, _ = self.spec(own)
+    def test_horizon_is_the_callers(self, horizon, length):
+        seq, _ = self.spec()
         assert seq.sample(horizon) == [n * n for n in range(1, length + 1)]
+
+    def test_explicit_list_samples_the_callers_horizon(self):
+        # the list does not widen the window: past the default only the
+        # caller's horizon reaches the later terms
+        seq = om.from_terms(range(1, DEFAULT_HORIZON + 11))
+        assert seq.sample() == list(range(1, DEFAULT_HORIZON + 1))
+        assert seq.sample(3) == [1, 2, 3]
+        assert seq.sample(DEFAULT_HORIZON + 12)[-3:] == [DEFAULT_HORIZON + 10] * 3
+
+    def test_a_positional_horizon_is_refused(self):
+        # a spec has no horizon of its own, so a stale one is not metadata
+        with pytest.raises(TypeError):
+            om.SequenceSpec(lambda n: n, 5)
+        with pytest.raises(TypeError):
+            om.from_terms([1, 2], 5)
 
     @pytest.mark.parametrize("horizon", [0, -1])
     def test_explicit_horizon_below_one_is_refused(self, horizon):
-        seq, calls = self.spec(5)
+        seq, calls = self.spec()
         with pytest.raises(ValidationError,
                            match=f"^horizon must be a positive integer, got {horizon}$"):
             seq.sample(horizon)
@@ -171,24 +184,16 @@ class TestSequenceSampling:
 
     @pytest.mark.parametrize("horizon", [True, 2.5])
     def test_horizon_that_is_not_an_integer_is_refused(self, horizon):
-        seq, calls = self.spec(5)
+        seq, calls = self.spec()
         with pytest.raises(ValidationError,
                            match=f"^horizon must be a positive integer, got {horizon}$"):
             seq.sample(horizon)
         assert calls == []
 
-    @pytest.mark.parametrize("own", [True, 2.5, -3])
-    def test_own_horizon_that_is_not_a_positive_integer_is_refused(self, own):
-        seq, calls = self.spec(own)
-        with pytest.raises(ValidationError,
-                           match=f"^horizon must be a positive integer, got {own}$"):
-            seq.sample()
-        assert calls == []
-
     def test_terms_are_generated_once(self):
-        seq, calls = self.spec(4)
+        seq, calls = self.spec()
         assert seq.sample(6) == [1, 4, 9, 16, 25, 36]
-        assert seq.sample() == [1, 4, 9, 16]
+        assert seq.sample(4) == [1, 4, 9, 16]
         assert seq.sample(6) == [1, 4, 9, 16, 25, 36]
         assert calls == [1, 2, 3, 4, 5, 6]
 
@@ -373,6 +378,24 @@ def _generated_sequence(sequence: dict, check: dict, coarse=False, **functions) 
 
 
 ONE, ZERO = ["1", "1", "1"], ["0", "0", "0"]
+
+
+# The Loewner backend on identities_basic's three atoms, and an entry that
+# breaks a matrix's symmetry.
+LOEWNER = {"space": {"kind": "loewner_sym", "dim": 2},
+           "measure": {"atom_values": {p: {"finite": ["1", "0", "0", "1"]}
+                                       for p in ("0", "1", "2")}}}
+ASYMMETRIC = ["1", "7/3", "0", "0"]
+
+
+def _l1_list_with(values: list) -> dict:
+    """An `l1_quotient` list on the atoms {0} and {1, 2} whose second function
+    has these values."""
+    return {"sigma_algebra": {"generators": [[0]]},
+            "measure": {"atom_values": {"0": {"finite": ["1", "0"]},
+                                        "1": {"finite": ["0", "1"]}}},
+            "functions": {"zero": {"values": ZERO}, "bad": {"values": values}},
+            "checks": [{"check": "l1_quotient", "functions": ["zero", "bad"]}]}
 
 
 def _power_set_copy(stem: str, ground: int, path: Path) -> Path:
@@ -569,6 +592,15 @@ class TestCli:
         (_outer_values(" 1"), "/outer_measure/outer_values/ 1"),
         (_outer_values("\u0661"), "/outer_measure/outer_values/\u0661"),
         (_outer_values("0,+1"), "/outer_measure/outer_values/0,+1"),
+        (_l1_list_with(["0", "0", "1"]), "/checks/0/functions/1"),
+        (_l1_list_with(["0", "infinity", "infinity"]), "/checks/0/functions/1"),
+        (dict(LOEWNER, measure={"atom_values": {"0": {"finite": ASYMMETRIC}}}),
+         "/measure/atom_values/0/finite"),
+        (dict(LOEWNER, functions={"f": {"values": ONE}},
+              checks=[{"check": "integrate", "function": "f",
+                       "expected": {"finite": ASYMMETRIC}}]), "/checks/0/expected/finite"),
+        (dict(LOEWNER, checks=[{"check": "borel_cantelli", "sets": [[0]],
+                                "lower_bound": ASYMMETRIC}]), "/checks/0/lower_bound"),
     ], ids=["ground_bool", "ground_cap", "sigma_algebra_list", "checks_object",
             "directive_string", "check_name_int", "outer_measure_list",
             "functions_list", "sequences_string", "atom_values_list",
@@ -588,7 +620,9 @@ class TestCli:
             "truncation_ladder_negative", "scaled_index_not_measurable",
             "outer_key_reordered", "outer_key_leading_zero", "outer_key_repeated_point",
             "outer_key_decreasing", "outer_key_space", "outer_key_arabic_digit",
-            "outer_key_plus"])
+            "outer_key_plus", "l1_function_not_measurable", "l1_function_infinite",
+            "loewner_atom_asymmetric", "loewner_expected_asymmetric",
+            "loewner_lower_bound_asymmetric"])
     def test_scenario_schema_errors(self, tmp_path, capsys, updates, pointer):
         doc = json.loads((SCENARIO_DIR / "identities_basic.json").read_text())
         doc.update(updates)
@@ -847,7 +881,9 @@ class TestCli:
         assert json.loads(proc.stdout)["integral"] == ["1", "1"]
 
 
-MUTATIONS = [5, [], {}, "x", True, None, DROP]
+# Wrong types, a dropped key, and a well-formed rational that can still be
+# a wrong value (an entry of a Loewner matrix that breaks its symmetry).
+MUTATIONS = [5, [], {}, "x", True, None, DROP, "7/3"]
 
 
 def _json_paths(node, prefix=()):
@@ -878,7 +914,7 @@ def _mutated(doc, path, value):
 class TestExitContract:
     def test_mutated_scenarios_keep_the_exit_contract(self, tmp_path, capsys):
         """Every value of every shipped scenario is mutated once, the k-th
-        value by the (k mod 7)-th of `MUTATIONS`, and the result is run and
+        value by the (k mod 8)-th of `MUTATIONS`, and the result is run and
         validated in process.  Exit codes stay in 0..2, nothing else
         escapes, and a schema error of `run` is the one `validate` reports."""
         bad = tmp_path / "mutated.json"

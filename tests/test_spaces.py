@@ -13,6 +13,7 @@ from ordmeasure.sequences import (DeclaredLimit, DivergesToInfinity, SequenceSpe
                                   StabilizesAt)
 
 from conftest import random_element, random_positive_element
+import integral_oracles as oracle
 from limit_oracles import constant_sequence
 
 C2 = om.coord(2)
@@ -410,35 +411,33 @@ def combinations(draw):
 
 
 class TestCombination:
-    """`spaces.combination` against the pairwise fold it replaces in the ladder."""
+    """`spaces.combination`, the sum of elements, and the general combination
+    of the test oracles, against the pairwise fold they replace."""
 
     @given(combinations())
     @settings(max_examples=400, deadline=None)
     def test_matches_pairwise_fold(self, case):
         space, pairs = case
         expected = fold_combination(space, pairs)
-        result = spaces.combination(space, pairs)
-        assert_element(result, space, expected.coords)
-        assert (result.nums, result.den) == (expected.nums, expected.den)
-        assert result == expected and hash(result) == hash(expected)
+        for result in (spaces.combination(space, [om.scale(r, e) for r, e in pairs]),
+                       oracle.combination(space, pairs)):
+            assert_element(result, space, expected.coords)
+            assert (result.nums, result.den) == (expected.nums, expected.den)
+            assert result == expected and hash(result) == hash(expected)
 
-    def test_empty_and_zero_combinations(self):
+    def test_empty_and_zero_sums(self):
         for space in ORACLE_SPACES:
             x = om.scale(Fraction(5, 3), om.order_unit(space))
             zero = om.zero(space)
-            halves = [(Fraction(1, 2), x), (Fraction(-1, 2), x)]
-            for pairs in ([], [(Fraction(0), x)], halves):
-                result = spaces.combination(space, pairs)
+            halves = [om.scale(Fraction(1, 2), x), om.scale(Fraction(-1, 2), x)]
+            for elements in ([], [zero], halves):
+                result = spaces.combination(space, elements)
                 assert result == zero and hash(result) == hash(zero)
                 assert (result.nums, result.den) == (zero.nums, 1)
 
-    def test_integer_coefficients(self):
-        assert spaces.combination(C2, [(2, c2(1, Fraction(1, 3))), (1, c2(0, 1))]) == \
-            c2(2, Fraction(5, 3))
-
-    def test_space_mismatch(self):
-        with pytest.raises(SpaceMismatchError):
-            spaces.combination(C2, [(Fraction(1), om.element(om.coord(3), [1, 2, 3]))])
+    def test_sum_over_one_denominator(self):
+        third = c2(1, Fraction(1, 3))
+        assert spaces.combination(C2, [third, third, c2(0, 1)]) == c2(2, Fraction(5, 3))
 
 
 def brute_force_lub(a, b, candidates):
