@@ -24,13 +24,13 @@ from fractions import Fraction
 
 from .errors import (MAX_EPSILON_EXPONENT, MAX_HORIZON, DimensionLimitError,
                      OrdMeasureError, SchemaError, ValidationError, check_cap)
-from .measures import mask_to_points
 from .rationals import parse_rational
 from .scenarios import (
     RunConfig,
     canonical_dumps,
     load_scenario,
     run_scenario,
+    summary,
 )
 from .sequences import DEFAULT_EPSILONS, DEFAULT_HORIZON
 
@@ -129,14 +129,9 @@ def main(argv=None) -> int:
     try:
         if args.command == "validate":
             scenario = load_scenario(args.file)
-            doc = {
-                "valid": True,
-                "ground_size": scenario.space.ground_size,
-                "atoms": [mask_to_points(a) for a in scenario.space.atoms],
-                "measurable_sets": 1 << len(scenario.space.atoms),
-            }
-            if scenario.measure is not None:
-                doc["classification"] = scenario.measure.classification()
+            doc = summary(scenario)
+            doc.update(valid=True, ground_size=scenario.space.ground_size,
+                       measurable_sets=doc.pop("members"))
             sys.stdout.write(canonical_dumps(doc))
             return 0
 

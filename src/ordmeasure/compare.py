@@ -19,13 +19,14 @@ which is used only inside this harness:
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 
 from . import integral as integral_mod
 from .errors import MAX_TRUNCATION, ValidationError, check_cap
 from .extended import element_to_json, ext_add, ext_leq, ext_zero, finite
 from .measures import Measure, full_mask, power_set_space
 from .rationals import format_rational
-from .spaces import Element, basis_vector, coord
+from .spaces import Element, add, basis_vector, coord, scale, sub
 
 
 def sup_norm(el: Element) -> Fraction:
@@ -57,12 +58,9 @@ def sup_measure_experiment(n: int) -> dict:
     total = mu.evaluate(full_mask(n))
     sigma_ok = increasing and partial == total
 
-    tail_norms = []
-    for cut in range(n):
-        worst = max(
-            sup_norm(mu.evaluate(1 << i).payload()) for i in range(cut, n)
-        )
-        tail_norms.append(format_rational(worst))
+    # the largest singleton norm from each cut on: one running max, backwards
+    norms = [sup_norm(mu.evaluate(1 << i).payload()) for i in range(n)]
+    tail_norms = [format_rational(t) for t in accumulate(reversed(norms), max)][::-1]
     return {
         "experiment": "sup_measure",
         "n": n,
@@ -78,13 +76,8 @@ def series_measure_experiment(n: int) -> dict:
     _check_truncation(n)
     backend = coord(n)
     space = power_set_space(n)
-    atom_values = {
-        1 << i: finite(Element(
-            backend,
-            tuple(Fraction(1, i + 1) if j == i else Fraction(0) for j in range(n)),
-        ))
-        for i in range(n)
-    }
+    atom_values = {1 << i: finite(scale(Fraction(1, i + 1), basis_vector(backend, i)))
+                   for i in range(n)}
     mu = Measure(space, backend, atom_values)
 
     growing = integral_mod.ext_function(space, [Fraction(i + 1) for i in range(n)])
@@ -93,19 +86,8 @@ def series_measure_experiment(n: int) -> dict:
 
     # Partial classical integrals of the truncations are sums of unit
     # vectors; consecutive ones differ by a whole unit vector in sup norm.
-    partials = []
-    for k in range(1, n + 1):
-        coords = tuple(
-            Fraction(1) if i < k else Fraction(0) for i in range(n)
-        )
-        partials.append(Element(backend, coords))
-    distances = [
-        format_rational(sup_norm(Element(
-            backend,
-            tuple(a - b for a, b in zip(partials[k + 1].coords, partials[k].coords)),
-        )))
-        for k in range(n - 1)
-    ]
+    partials = list(accumulate((basis_vector(backend, i) for i in range(n)), add))
+    distances = [format_rational(sup_norm(sub(b, a))) for a, b in zip(partials, partials[1:])]
     return {
         "experiment": "series_measure",
         "n": n,

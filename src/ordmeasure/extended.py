@@ -221,8 +221,9 @@ def ext_sub_finite(a: ExtElement, b: ExtElement) -> ExtElement:
     return finite(spaces.sub(a.finite, b.finite))
 
 
-def certify_divergence(terms: Sequence[ExtElement]) -> None:
-    """Certify unboundedness against the ladder of bounds k * unit.
+def certify_divergence(terms: Sequence[ExtElement]) -> int:
+    """Certify unboundedness against the ladder of bounds k * unit, and
+    return its top rung.
 
     `terms` are the h >= 1 samples of a sequence; the unit is the order
     unit of their space.  For each k the sampled terms must contain one
@@ -243,7 +244,7 @@ def certify_divergence(terms: Sequence[ExtElement]) -> None:
 
     top = max(len(terms), 2) - 1
     if not all_below(top):
-        return
+        return top
     lo, hi = 0, top  # some sample escapes every k <= lo, none escapes hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -290,8 +291,7 @@ def certify_monotone_limit(values: Sequence[ExtElement], target: Optional[ExtEle
     if values[-1] == target:
         return {"mode": "stabilized", "at": detect_stable_tail(values) or len(values)}
     if target.is_infinite:
-        certify_divergence(values)
-        return {"mode": "divergence-certified", "ladder_top": len(values) - 1}
+        return {"mode": "divergence-certified", "ladder_top": certify_divergence(values)}
     unit = spaces.order_unit(target.space)
 
     def probe(eps):

@@ -42,8 +42,8 @@ from .extended import (ExtElement, certify_monotone_limit, ext_add, ext_leq, ext
 from .measures import MeasurableSpace, Measure, mask_to_points, points_to_mask
 from .rationals import INFINITY, format_rational, is_infinite, over_one_den
 from .reports import CheckResult, fails, holds
-from .sequences import (DEFAULT_EPSILONS, DeclaredLimit, DivergesToInfinity, SequenceSpec,
-                        StabilizesAt, certify_gaps, detect_cycle, detect_stable_tail)
+from .sequences import (DeclaredLimit, DivergesToInfinity, SequenceSpec, StabilizesAt,
+                        certify_gaps, detect_cycle, detect_stable_tail, epsilon_schedule)
 from .spaces import Element, SpaceDescriptor
 
 
@@ -466,7 +466,7 @@ def _monotone_convergence(name: str, mu: Measure, seq: SequenceSpec, f: ExtFunct
     they pass, the samples at a non-null point where f is finite are finite
     (below f, or below the first term, whose integral is finite) and their
     distances to f only shrink."""
-    epsilons = list(epsilons) if epsilons is not None else list(DEFAULT_EPSILONS)
+    epsilons = epsilon_schedule(epsilons)
     terms = seq.sample(horizon)
     null = mu.null_mask
     if not increasing and not integral_value(terms[0], mu).is_finite:
@@ -582,7 +582,7 @@ def dct(mu: Measure, seq: SequenceSpec, f: SignedFunction, g: ExtFunction,
     schedule against the order unit.
     """
     require_sigma_dedekind(mu.backend, "dominated convergence")
-    epsilons = list(epsilons) if epsilons is not None else list(DEFAULT_EPSILONS)
+    epsilons = epsilon_schedule(epsilons)
     terms = seq.sample(horizon)
     null = mu.null_mask
 

@@ -164,7 +164,7 @@ def push_forward(mu: Measure, matrix: Sequence[Sequence], target: SpaceDescripto
         raise HypothesisError(
             "push-forward maps act between coordinatewise backends"
         )
-    if not mu.is_finite():
+    if not mu.is_finite:
         raise HypothesisError("push-forward requires a finite measure")
     rows = [[Fraction(v) for v in row] for row in matrix]
     if len(rows) != target.ncoords or any(len(r) != mu.backend.ncoords for r in rows):

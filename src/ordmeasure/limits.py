@@ -28,6 +28,7 @@ from .sequences import (
     SequenceSpec,
     StabilizesAt,
     detect_cycle,
+    epsilon_schedule,
 )
 from .spaces import Element, NoSupremum
 
@@ -88,8 +89,7 @@ def _sequence_sup(seq: SequenceSpec, terms: Sequence[ExtElement],
     """The certified declared limit of the increasing `terms` of `seq`, or a
     `GapReport` on the last term when nothing is declared."""
     target = _declared_limit(seq, terms)
-    certify_monotone_limit(terms, target,
-                           epsilons if epsilons is not None else DEFAULT_EPSILONS)
+    certify_monotone_limit(terms, target, epsilon_schedule(epsilons))
     if target is not None:
         return target
     last = terms[-1].finite

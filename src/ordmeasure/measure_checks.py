@@ -157,7 +157,7 @@ def operator_measure_bridge(mu: Measure, disjoint_sets: Sequence[int]) -> CheckR
             "the operator bridge needs a matrix-typed backend "
             f"(got {mu.backend.describe()})"
         )
-    if not mu.is_finite():
+    if not mu.is_finite:
         raise HypothesisError("the operator bridge requires a finite measure")
     seen = 0
     for s in disjoint_sets:

@@ -210,39 +210,44 @@ class Measure:
                            tuple([n * (den // v.den) for n in v.nums]))
                           for x, v in values)
 
+    def row(self, mask: int):
+        """The numerators over the atom table's D of the sum of the values
+        of the atoms inside `mask`, or None when one of them is infinite."""
+        rows = [r for atom, (_, r) in zip(self.space.atoms, self.atom_table[1])
+                if atom & mask == atom]
+        if None in rows:
+            return None
+        return tuple(map(sum, zip((0,) * self.backend.ncoords, *rows)))
+
     def evaluate(self, mask: int) -> ExtElement:
-        """Measure of a measurable set: the sum of its atoms' values, one
-        `spaces.combination` of the finite ones, or infinity if any is."""
+        """Measure of a measurable set: its `row` over D, or infinity."""
         if mask not in self._memo:
             self.space.require_measurable(mask)
-            parts = [self.atom_values[a] for a in self.space.atoms_inside(mask)]
-            if any(v.is_infinite for v in parts):
-                self._memo[mask] = extended.infinity(self.backend)
-            else:
-                self._memo[mask] = extended.finite(
-                    spaces.combination(self.backend, [v.finite for v in parts]))
+            row = self.row(mask)
+            self._memo[mask] = (extended.infinity(self.backend) if row is None else
+                                extended.finite(spaces._element(self.backend, row,
+                                                                self.atom_table[0])))
         return self._memo[mask]
 
-    @property
+    @cached_property
     def null_mask(self) -> int:
         """Union of the null atoms; the largest null set of the algebra."""
-        mask = 0
-        for atom, value in self.atom_values.items():
-            if value.is_finite and value.finite.is_zero():
-                mask |= atom
-        return mask
+        return sum(atom for atom, (_, r) in zip(self.space.atoms, self.atom_table[1])
+                   if r is not None and not any(r))  # the atoms are disjoint
 
     def is_null_exception(self, mask: int) -> bool:
         """True when `mask` is contained in a measurable null set."""
         return mask & ~self.null_mask == 0
 
+    @cached_property
     def is_finite(self) -> bool:
-        return self.evaluate(full_mask(self.space.ground_size)).is_finite
+        """Whether no atom, so no set, has infinite measure."""
+        return all(r is not None for _, r in self.atom_table[1])
 
     def classification(self) -> dict:
         # On a finite ground set a measure is sigma-finite iff it is finite:
         # any countable cover contains a finite subcover of the atoms.
-        fin = self.is_finite()
+        fin = self.is_finite
         return {
             "kind": "finite" if fin else "infinite",
             "sigma_finite": fin,

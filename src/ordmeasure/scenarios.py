@@ -63,6 +63,7 @@ import importlib
 import json
 import math
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Dict, List, Optional
 
 from . import measures as measures_mod
@@ -74,8 +75,8 @@ from .measures import MeasurableSpace, Measure, mask_to_points, points_to_mask
 from .rationals import format_rational, over_one_den, parse_ext_scalar, parse_rational
 from .reports import (CheckResult, FAILS, HOLDS, HYPOTHESIS_NOT_MET, NOT_CERTIFIABLE,
                       STATUSES)
-from .sequences import (DEFAULT_EPSILONS, DEFAULT_HORIZON, DeclaredLimit, DivergesToInfinity,
-                        SequenceSpec, StabilizesAt, check_horizon, repeat_last)
+from .sequences import (DEFAULT_HORIZON, DeclaredLimit, DivergesToInfinity, SequenceSpec,
+                        StabilizesAt, check_horizon, epsilon_schedule, repeat_last)
 from .spaces import Element, SpaceDescriptor, coord, entrywise_mat, loewner_sym, reals
 
 
@@ -152,7 +153,13 @@ def _require_json(value, kind, what: str, path: str):
     return value
 
 
-def _parse_points(doc, ground_size: int, path: str) -> int:
+def _items(doc, what: str, path: str, read: Callable) -> list:
+    """``read(item, item path)`` for each item of `doc`, which must be an array."""
+    doc = _require_json(doc, list, what, path)
+    return [read(item, f"{path}/{i}") for i, item in enumerate(doc)]
+
+
+def _parse_points(ground_size: int, doc, path: str) -> int:
     if not isinstance(doc, list):
         raise SchemaError("set must be an array of point indices", path)
     points = []
@@ -245,11 +252,8 @@ def _parse_sequence(functions: dict, ground: int, doc, path: str) -> _NamedSeque
         return _resolve_term(functions, ground, doc.get(key), f"{path}/{key}")
 
     if kind in ("explicit", "alternating"):
-        terms = [
-            _resolve_term(functions, ground, t, f"{path}/terms/{i}")
-            for i, t in enumerate(_require_json(doc.get("terms", []), list, "terms",
-                                                path + "/terms"))
-        ]
+        terms = _items(doc.get("terms", []), "terms", path + "/terms",
+                       lambda t, tpath: _resolve_term(functions, ground, t, tpath))
         if not terms:
             raise SchemaError(f"{kind} sequence needs terms", path)
         if kind == "alternating":
@@ -359,8 +363,7 @@ def _function_sequence(kind: str):
 
 
 def _set_list(scenario: Scenario, doc: list, path: str) -> list:
-    return [_parse_points(s, scenario.space.ground_size, f"{path}/{i}")
-            for i, s in enumerate(doc)]
+    return _items(doc, "sets", path, partial(_parse_points, scenario.space.ground_size))
 
 
 def _set_sequence(scenario: Scenario, doc, path: str):
@@ -369,8 +372,8 @@ def _set_sequence(scenario: Scenario, doc, path: str):
         kind, terms = "explicit", _set_list(scenario, doc, path)
     else:
         kind = doc.get("kind", "explicit")
-        terms = _set_list(scenario, _require_json(doc.get("terms", []), list, "terms",
-                                                  path + "/terms"), path + "/terms")
+        terms = _items(doc.get("terms", []), "terms", path + "/terms",
+                       partial(_parse_points, scenario.space.ground_size))
     if not terms:
         raise SchemaError("set sequence needs terms", path)
     if kind == "explicit":
@@ -381,18 +384,14 @@ def _set_sequence(scenario: Scenario, doc, path: str):
 
 
 def _matrix(scenario: Scenario, doc: list, path: str) -> list:
-    return [
-        [parse_rational(v, f"{path}/{i}/{j}") for j, v in
-         enumerate(_require_json(row, list, "matrix row", f"{path}/{i}"))]
-        for i, row in enumerate(doc)
-    ]
+    return _items(doc, "matrix", path,
+                  lambda row, rpath: _items(row, "matrix row", rpath, parse_rational))
 
 
 def _function_list(scenario: Scenario, doc: list, path: str) -> list:
     signed = _function("signed")
-    return [signed(scenario, _require_json(name, str, "function reference",
-                                           f"{path}/{i}"), f"{path}/{i}")
-            for i, name in enumerate(doc)]
+    return _items(doc, "functions", path, lambda name, fpath: signed(
+        scenario, _require_json(name, str, "function reference", fpath), fpath))
 
 
 _REQUIRED = object()
@@ -445,13 +444,14 @@ def _push_forward_shape(scenario: Scenario, args: dict, path: str):
                               f"{path}/matrix/{i}")
 
 
-def _check_validate(module, scenario: Scenario, config) -> CheckResult:
-    space = scenario.space
-    details = {"atoms": [mask_to_points(a) for a in space.atoms],
-               "members": 1 << len(space.atoms)}
+def summary(scenario: Scenario) -> dict:
+    """What validating a document finds: its atoms, the number of its
+    measurable sets (`members`) and, with a measure, its classification."""
+    atoms = scenario.space.atoms
+    out = {"atoms": [mask_to_points(a) for a in atoms], "members": 1 << len(atoms)}
     if scenario.measure is not None:
-        details["classification"] = scenario.measure.classification()
-    return CheckResult("validate", HOLDS, details)
+        out["classification"] = scenario.measure.classification()
+    return out
 
 
 def _check_integrate(integral, scenario: Scenario, config, function,
@@ -477,7 +477,8 @@ def _check_caratheodory(outer, scenario: Scenario, config,
 # installed on a module attribute (as perfbench/tracing.py installs) sees
 # every call.
 _CHECKS = {
-    "validate": _Check(None, _check_validate, {}, needs=None),
+    "validate": _Check(None, lambda m, s, c: CheckResult("validate", HOLDS, summary(s)),
+                       {}, needs=None),
     "identities": _Check(
         "measures", lambda m, s, c: m.check_measure_identities(s.measure), {},
         admits=lambda s, args, path: measures_mod.require_exhaustive(s.space)),
@@ -597,20 +598,12 @@ def parse_scenario(doc: dict) -> Scenario:
                             "sigma_algebra", apath)
     if alg_doc.get("power_set"):
         space = measures_mod.power_set_space(ground)
-    elif "generators" in alg_doc:
-        gens = [
-            _parse_points(g, ground, f"{apath}/generators/{i}")
-            for i, g in enumerate(_require_json(alg_doc["generators"], list,
-                                                "generators", apath + "/generators"))
-        ]
-        space = measures_mod.generate_sigma_algebra(gens, ground)
-    elif "sets" in alg_doc:
-        sets = [
-            _parse_points(g, ground, f"{apath}/sets/{i}")
-            for i, g in enumerate(_require_json(alg_doc["sets"], list,
-                                                "sets", apath + "/sets"))
-        ]
-        space = measures_mod.validate_sigma_algebra(sets, ground)
+    elif "generators" in alg_doc or "sets" in alg_doc:
+        key = "generators" if "generators" in alg_doc else "sets"
+        build = (measures_mod.generate_sigma_algebra if key == "generators"
+                 else measures_mod.validate_sigma_algebra)
+        space = build(_items(alg_doc[key], key, f"{apath}/{key}",
+                             partial(_parse_points, ground)), ground)
     else:
         raise SchemaError("sigma_algebra needs power_set, generators, or sets", apath)
 
@@ -700,12 +693,8 @@ def parse_scenario(doc: dict) -> Scenario:
     }
     scenario = Scenario(source=doc, backend=backend, space=space, measure=mu, outer=outer,
                         functions=functions, sequences=sequences)
-    cpath = "/checks"
-    scenario.checks.extend(
-        _parse_directive(scenario, directive, f"{cpath}/{i}")
-        for i, directive in enumerate(_require_json(doc.get("checks", []), list,
-                                                    "checks", cpath))
-    )
+    scenario.checks.extend(_items(doc.get("checks", []), "checks", "/checks",
+                                  lambda d, dpath: _parse_directive(scenario, d, dpath)))
     return scenario
 
 
@@ -766,9 +755,9 @@ def _raise_repeated_key(doc, repeated: dict):
 class RunConfig:
     __slots__ = ("horizon", "epsilons")
 
-    def __init__(self, horizon: int = DEFAULT_HORIZON, epsilons: tuple = DEFAULT_EPSILONS):
+    def __init__(self, horizon: int = DEFAULT_HORIZON, epsilons: Optional[tuple] = None):
         self.horizon = check_cap("horizon", check_horizon(horizon), MAX_HORIZON)
-        self.epsilons = epsilons
+        self.epsilons = epsilon_schedule(epsilons)
 
 
 def run_check(scenario: Scenario, directive: Directive, config: RunConfig) -> CheckResult:

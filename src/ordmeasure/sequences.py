@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any, Callable, List, Optional, Sequence
 
-from .errors import CertificationError, Frozen, ValidationError
+from .errors import MAX_EPSILON_EXPONENT, CertificationError, Frozen, ValidationError
 from .rationals import format_rational
 
 DEFAULT_HORIZON = 64
@@ -26,6 +26,28 @@ DEFAULT_EPSILONS = (
     Fraction(1, 2**12),
     Fraction(1, 2**16),
 )
+
+
+def epsilon_schedule(epsilons: Optional[Sequence[Fraction]] = None) -> tuple:
+    """The gap schedule `epsilons` as a tuple, `DEFAULT_EPSILONS` when None.
+
+    The one rule for a schedule, read by `scenarios.RunConfig` and by every
+    check that takes one.  A ValidationError refuses an empty schedule
+    (it would certify every limit), a value that is not an int or a
+    Fraction, and an epsilon below 2^-MAX_EPSILON_EXPONENT, so any that is
+    not positive."""
+    if epsilons is None:
+        return DEFAULT_EPSILONS
+    schedule, smallest = tuple(epsilons), Fraction(1, 2**MAX_EPSILON_EXPONENT)
+    if not schedule:
+        raise ValidationError("empty epsilon schedule")
+    for eps in schedule:
+        # bool is a subclass of int, but `True` is not an epsilon
+        if isinstance(eps, bool) or not isinstance(eps, (int, Fraction)):
+            raise ValidationError(f"epsilon must be an int or a Fraction, got {eps!r}")
+        if eps < smallest:
+            raise ValidationError(f"epsilon below 2^-{MAX_EPSILON_EXPONENT} in the schedule")
+    return schedule
 
 
 def certify_gaps(

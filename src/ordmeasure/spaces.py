@@ -28,10 +28,11 @@ dimension stays capped at ``MAX_LOEWNER_DIM = 6``.
 Values are validated where they enter.  ``Element(space, coords)`` (and
 `element`, `sym_matrix` and the scenario parser, which call it) checks the
 coordinate count, that every coordinate is a Fraction, and the Loewner
-symmetry.  Results of `add`, `sub`, `neg`, `scale`, `combination` and the
-lattice operations are built by `_element`, the one trusted constructor,
-because those operations preserve the count and the symmetry.  ``coords``
-derives the Fraction tuple for the encoders.
+symmetry.  Results of `add`, `sub`, `neg`, `scale` and the lattice
+operations (and `Measure.evaluate`'s sums of atom rows) are built by
+`_element`, the one trusted constructor, because those operations preserve
+the count and the symmetry.  ``coords`` derives the Fraction tuple for the
+encoders.
 """
 
 from __future__ import annotations
@@ -254,21 +255,6 @@ def scale(r, a: Element, den: int = 1) -> Element:
         r = Fraction(r)
     return _element(a.space, tuple(r.numerator * x for x in a.nums),
                     r.denominator * a.den * den)
-
-
-def combination(space: SpaceDescriptor, elements: Sequence[Element]) -> Element:
-    """The sum of `elements` of `space`, with which `Measure.evaluate` sums
-    a set's atom values.  Every element is brought over the lcm of their
-    denominators and its integer numerators are accumulated there (as
-    FLINT's ``_fmpz_vec_scalar_addmul_fmpz`` does), so the result is reduced
-    by a single gcd however many elements there are.  An empty sum is zero.
-    """
-    common = math.lcm(*(e.den for e in elements))
-    acc = [0] * space.ncoords
-    for e in elements:
-        factor = common // e.den
-        acc = [a + factor * x for a, x in zip(acc, e.nums)]
-    return _element(space, tuple(acc), common)
 
 
 def is_positive_row(space: SpaceDescriptor, nums) -> bool:

@@ -10,8 +10,10 @@ scenario, ``run --output json --horizon 8``, text ``run``, ``validate`` and
 ``caratheodory``; ``run --output json`` at horizons 1 to 4 on the Fatou,
 dominated convergence and divergent documents in `SHORT_HORIZON`, where the
 horizon decides how their cycle or stabilization is found, or how high the
-divergence ladder climbs; and ``compare`` of both kinds at ``--n`` 8 and 16,
-in json and in text.  `tests/test_cli_reference.py` makes the same calls and
+divergence ladder climbs; ``run --output json --horizon 1`` on the
+continuity and Borel-Cantelli documents in `ONE_TERM`, which evaluate the
+measure on a one-term window; and ``compare`` of both kinds at ``--n`` 1, 8,
+16 and 64 (the cap), in json and in text.  `tests/test_cli_reference.py` makes the same calls and
 compares, so a refactor that changes any of these outputs fails tier 1.
 Regenerate only for a change that is meant to alter output.
 """
@@ -31,6 +33,8 @@ REFERENCE = HERE / "cli_reference.json"
 SHORT_HORIZON = ("dct_stabilizing.json", "dct_geometric.json",
                  "fatou_alternating.json", "fatou_constant.json",
                  "mct_divergent.json")
+ONE_TERM = ("borel_cantelli_parts.json", "continuity_above_basic.json",
+            "continuity_below_basic.json")
 
 
 def calls() -> list:
@@ -43,8 +47,10 @@ def calls() -> list:
     for path in SHORT_HORIZON:
         out += [["run", f"scenarios/{path}", "--output", "json", "--horizon", h]
                 for h in ("1", "2", "3", "4")]
+    out += [["run", f"scenarios/{path}", "--output", "json", "--horizon", "1"]
+            for path in ONE_TERM]
     for kind in ("sup_measure", "series_measure"):
-        for n in ("8", "16"):
+        for n in ("1", "8", "16", "64"):
             for output in ("json", "text"):
                 out.append(["compare", kind, "--n", n, "--output", output])
     return out

@@ -91,7 +91,7 @@ def test_criterion_2_measure_identity_suite():
             space = om.generate_sigma_algebra(
                 [rng.randint(0, (1 << ground) - 1) for _ in range(2)], ground)
         mu = random_measure(rng, space, backend, inf_prob=0.25)
-        if not mu.is_finite():
+        if not mu.is_finite:
             infinite_measures += 1
         report = om.check_measure_identities(mu)
         assert report.ok, report.details
@@ -257,7 +257,7 @@ def test_criterion_8_bridge_lemmas():
             ground = rng.randint(2, 5)
             space = om.power_set_space(ground)
             mu = random_measure(rng, space, backend, inf_prob=0)
-            assert mu.is_finite()
+            assert mu.is_finite
             points = list(range(ground))
             rng.shuffle(points)
             sets = []

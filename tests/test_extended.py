@@ -400,6 +400,11 @@ class TestCertifyDivergence:
         raised = _raised(certify_divergence, terms)
         assert raised == (message and f"divergence not certified: {message}")
 
+    @pytest.mark.parametrize("horizon, top", [(1, 1), (2, 1), (10, 9)])
+    def test_returns_the_top_rung(self, horizon, top):
+        terms = [fin(0, 1)] * (horizon - 1) + [fin(10, 0)]
+        assert certify_divergence(terms) == top
+
 
 def _outcome(fn, *args, **kwargs):
     try:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import ordmeasure as om
 from ordmeasure import extended, integral, spaces
 from ordmeasure.errors import (
+    MAX_EPSILON_EXPONENT,
     CertificationError,
     HypothesisError,
     NotIntegrableError,
@@ -29,6 +30,7 @@ from ordmeasure.sequences import (
     DivergesToInfinity,
     SequenceSpec,
     StabilizesAt,
+    epsilon_schedule,
     from_terms,
 )
 
@@ -433,7 +435,7 @@ class TestRung:
 class TestLadderOperationCounts:
     """The ladder sums one integer row per break level on the measure's atom
     table, builds no element on the way, and builds one `Element` for a
-    finite supremum; it makes no combination and no pairwise arithmetic."""
+    finite supremum; it makes no pairwise arithmetic."""
 
     @pytest.mark.parametrize("values, atom_values, levels, elements", [
         ([Fraction(1, 3), 2], [fin(1, 0), fin(0, 1)], [1, 2, 3], 1),
@@ -458,11 +460,11 @@ class TestLadderOperationCounts:
             return rung_row(terms, level, den, width)
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("combination, element or pairwise arithmetic in the ladder")
+            raise AssertionError("element or pairwise arithmetic in the ladder")
 
         monkeypatch.setattr(spaces, "_element", counting_element)
         monkeypatch.setattr(integral, "_rung_row", recording_rung_row)
-        for owner, name in [(spaces, "combination"), (spaces, "add"), (spaces, "scale"),
+        for owner, name in [(spaces, "add"), (spaces, "scale"),
                             (spaces.Element, "__init__"),
                             (extended, "ext_add"), (extended, "ext_scale"),
                             (integral, "ext_add"), (integral, "ext_scale")]:
@@ -901,6 +903,18 @@ class TestMct:
         with pytest.raises(CertificationError):
             om.mct(mu, seq, f)
 
+    @pytest.mark.parametrize("horizon, top", [(1, 1), (2, 1), (3, 2)])
+    def test_divergence_reports_the_rung_it_tested(self, horizon, top):
+        # one sample is tested against rung 1, as two are
+        reals = om.reals()
+        space = om.power_set_space(1)
+        mu = om.Measure(space, reals, {1: om.finite(om.element(reals, [1]))})
+        seq = from_terms([om.ext_function(space, [5]), om.ext_function(space, [6])],
+                         metadata=DivergesToInfinity())
+        report = om.mct(mu, seq, om.ext_function(space, [INFINITY]), horizon=horizon)
+        assert report.details["certification"] == {"mode": "divergence-certified",
+                                                   "ladder_top": top}
+
 
 class TestMctDecreasing:
     def test_geometric_to_zero(self):
@@ -982,6 +996,59 @@ class TestHorizonNotAnInteger:
         with pytest.raises(ValidationError,
                            match=f"^horizon must be a positive integer, got {shown}$"):
             _calls_with_horizon()[call](horizon)
+
+
+class TestEpsilonSchedule:
+    """A schedule that is empty, holds a value that is not an int or a
+    Fraction, or an epsilon below 2^-MAX_EPSILON_EXPONENT is refused by
+    every call that takes one, as `RunConfig` refuses it; an empty one
+    would certify every limit."""
+
+    @pytest.mark.parametrize("epsilons, message", [
+        ((), "empty epsilon schedule"),
+        ([], "empty epsilon schedule"),
+        ([Fraction(1, 16), True], "epsilon must be an int or a Fraction, got True"),
+        ([0.5], "epsilon must be an int or a Fraction, got 0.5"),
+        ([Fraction(1, 2**MAX_EPSILON_EXPONENT + 1)], "epsilon below 2\\^-"),
+        ([0], "epsilon below 2\\^-"),
+        ([Fraction(-1, 2)], "epsilon below 2\\^-"),
+    ], ids=["empty_tuple", "empty_list", "bool", "float", "below_floor", "zero",
+            "negative"])
+    @pytest.mark.parametrize("call", ["mct", "mct_decreasing", "dct", "sup_increasing",
+                                      "ext_sup"])
+    def test_refused(self, call, epsilons, message):
+        with pytest.raises(ValidationError, match=f"^{message}"):
+            _calls_with_epsilons()[call](epsilons)
+
+    def test_default_and_floor(self):
+        floor = Fraction(1, 2**MAX_EPSILON_EXPONENT)
+        assert epsilon_schedule(None) == DEFAULT_EPSILONS
+        assert epsilon_schedule([floor, 1]) == (floor, 1)
+
+
+def _calls_with_epsilons():
+    """Each library call that takes a gap schedule, as a function of it; the
+    declared limits are reached by gaps, not by stabilization."""
+    mu = basic_measure()
+    f = om.ext_function(mu.space, [1, 1])
+    halving = SequenceSpec(lambda n: om.ext_function(mu.space, [Fraction(1, 2**n)] * 2),
+                           metadata=DeclaredLimit(None))
+    signed = SequenceSpec(lambda n: om.signed_function(mu.space, [Fraction(1, 2**n)] * 2),
+                          metadata=DeclaredLimit(None))
+    zero, zero_signed = (om.ext_function(mu.space, [0, 0]),
+                         om.signed_function(mu.space, [0, 0]))
+    rising = SequenceSpec(lambda n: om.element(C2, [1 - Fraction(1, 2**n), 1]),
+                          metadata=DeclaredLimit(om.element(C2, [1, 1])))
+    return {
+        "mct": lambda e: om.mct(mu, geometric_ext_sequence(mu.space, [1, 1]), f,
+                                epsilons=e),
+        "mct_decreasing": lambda e: om.mct_decreasing(mu, halving, zero, epsilons=e),
+        "dct": lambda e: om.dct(mu, signed, zero_signed, f, epsilons=e),
+        "sup_increasing": lambda e: om.sup_increasing(rising, epsilons=e),
+        "ext_sup": lambda e: om.ext_sup(
+            SequenceSpec(lambda n: om.finite(rising.term(n)),
+                         metadata=DeclaredLimit(fin(1, 1))), epsilons=e),
+    }
 
 
 def _stabilizing(mu, rows, metadata):

@@ -541,3 +541,8 @@ class TestIntegerTable:
         mu._memo.clear()
         for mask in mu.space.members():
             assert mu.evaluate(mask) == ext_sum_evaluate(mu, mask)
+        # the largest null set, and finiteness, by their ExtElement definitions
+        full = full_mask(mu.space.ground_size)
+        assert mu.null_mask == max(m for m in mu.space.members()
+                                   if ext_sum_evaluate(mu, m) == extended.ext_zero(mu.backend))
+        assert mu.is_finite == ext_sum_evaluate(mu, full).is_finite

@@ -68,6 +68,18 @@ class TestRunner:
         with pytest.raises(error):
             run_scenario(scenario, RunConfig(horizon=horizon))
 
+    @pytest.mark.parametrize("epsilons", [(), [False], [Fraction(1, 2**(MAX_EPSILON_EXPONENT + 1))]],
+                             ids=["empty", "bool", "below_floor"])
+    def test_library_epsilon_schedule_is_checked(self, epsilons):
+        # an empty schedule would report every gap-certified limit as holding
+        with pytest.raises(ValidationError):
+            RunConfig(epsilons=epsilons)
+
+    def test_library_epsilon_schedule_default_and_floor(self):
+        floor = Fraction(1, 2**MAX_EPSILON_EXPONENT)
+        assert RunConfig().epsilons == om.DEFAULT_EPSILONS
+        assert RunConfig(epsilons=[floor]).epsilons == (floor,)
+
     def test_library_horizon_bounds_are_accepted(self):
         scenario = load_scenario(str(SCENARIO_DIR / "identities_basic.json"))
         for horizon in (1, MAX_HORIZON):
@@ -601,6 +613,11 @@ class TestCli:
                        "expected": {"finite": ASYMMETRIC}}]), "/checks/0/expected/finite"),
         (dict(LOEWNER, checks=[{"check": "borel_cantelli", "sets": [[0]],
                                 "lower_bound": ASYMMETRIC}]), "/checks/0/lower_bound"),
+        ({"sigma_algebra": {"sets": 5}}, "/sigma_algebra/sets"),
+        ({"sigma_algebra": {"sets": [[True]]}}, "/sigma_algebra/sets/0/0"),
+        ({"checks": [{"check": "l1_quotient", "functions": [5]}]}, "/checks/0/functions/0"),
+        ({"checks": [{"check": "push_forward", "target": {"kind": "reals"},
+                      "matrix": [[1, "0"]]}]}, "/checks/0/matrix/0/0"),
     ], ids=["ground_bool", "ground_cap", "sigma_algebra_list", "checks_object",
             "directive_string", "check_name_int", "outer_measure_list",
             "functions_list", "sequences_string", "atom_values_list",
@@ -622,7 +639,8 @@ class TestCli:
             "outer_key_decreasing", "outer_key_space", "outer_key_arabic_digit",
             "outer_key_plus", "l1_function_not_measurable", "l1_function_infinite",
             "loewner_atom_asymmetric", "loewner_expected_asymmetric",
-            "loewner_lower_bound_asymmetric"])
+            "loewner_lower_bound_asymmetric", "algebra_sets_int", "algebra_set_point_bool",
+            "l1_function_ref_int", "matrix_entry_int"])
     def test_scenario_schema_errors(self, tmp_path, capsys, updates, pointer):
         doc = json.loads((SCENARIO_DIR / "identities_basic.json").read_text())
         doc.update(updates)

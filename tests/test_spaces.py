@@ -387,7 +387,8 @@ class TestIntegerElementsAgainstFractions:
 
 
 def fold_combination(space, pairs):
-    """Oracle for `spaces.combination`: a left fold of `scale` and `add`."""
+    """Oracle for `integral_oracles.combination`: a left fold of `scale` and
+    `add`."""
     total = om.zero(space)
     for r, e in pairs:
         total = om.add(total, om.scale(r, e))
@@ -411,33 +412,37 @@ def combinations(draw):
 
 
 class TestCombination:
-    """`spaces.combination`, the sum of elements, and the general combination
-    of the test oracles, against the pairwise fold they replace."""
+    """The general combination of the test oracles against the pairwise
+    fold it replaces, and `Measure.evaluate`, which sums a set's atoms on
+    the measure's integer atom table."""
 
     @given(combinations())
     @settings(max_examples=400, deadline=None)
     def test_matches_pairwise_fold(self, case):
         space, pairs = case
         expected = fold_combination(space, pairs)
-        for result in (spaces.combination(space, [om.scale(r, e) for r, e in pairs]),
-                       oracle.combination(space, pairs)):
-            assert_element(result, space, expected.coords)
-            assert (result.nums, result.den) == (expected.nums, expected.den)
-            assert result == expected and hash(result) == hash(expected)
+        result = oracle.combination(space, pairs)
+        assert_element(result, space, expected.coords)
+        assert (result.nums, result.den) == (expected.nums, expected.den)
+        assert result == expected and hash(result) == hash(expected)
 
     def test_empty_and_zero_sums(self):
+        # the empty set, a null atom, and a null atom with the empty set
         for space in ORACLE_SPACES:
             x = om.scale(Fraction(5, 3), om.order_unit(space))
             zero = om.zero(space)
-            halves = [om.scale(Fraction(1, 2), x), om.scale(Fraction(-1, 2), x)]
-            for elements in ([], [zero], halves):
-                result = spaces.combination(space, elements)
+            mu = om.Measure(om.power_set_space(3), space,
+                            {1: om.finite(zero), 2: om.finite(zero), 4: om.finite(x)})
+            for mask in (0, 1, 3):
+                result = mu.evaluate(mask).finite
                 assert result == zero and hash(result) == hash(zero)
                 assert (result.nums, result.den) == (zero.nums, 1)
 
     def test_sum_over_one_denominator(self):
         third = c2(1, Fraction(1, 3))
-        assert spaces.combination(C2, [third, third, c2(0, 1)]) == c2(2, Fraction(5, 3))
+        mu = om.Measure(om.power_set_space(3), C2,
+                        {1: om.finite(third), 2: om.finite(third), 4: om.finite(c2(0, 1))})
+        assert mu.evaluate(0b111).finite == c2(2, Fraction(5, 3))
 
 
 def brute_force_lub(a, b, candidates):
