@@ -8,9 +8,10 @@ For every call in `calls()` the file records the sha256 of stdout and the
 exit code of `cli.main`, run in process.  The calls are, on each shipped
 scenario, ``run --output json --horizon 8``, text ``run``, ``validate`` and
 ``caratheodory``; ``run --output json`` at horizons 1 to 4 on the Fatou,
-dominated convergence and divergent documents in `SHORT_HORIZON`, where the
-horizon decides how their cycle or stabilization is found, or how high the
-divergence ladder climbs; ``run --output json --horizon 1`` on the
+dominated and monotone convergence documents in `SHORT_HORIZON`, where the
+horizon decides how their cycle or stabilization is found, how many
+samples their order and pointwise tests read, or how high the divergence
+ladder climbs; ``run --output json --horizon 1`` on the
 continuity and Borel-Cantelli documents in `ONE_TERM`, which evaluate the
 measure on a one-term window; and ``compare`` of both kinds at ``--n`` 1, 8,
 16 and 64 (the cap), in json and in text.  `tests/test_cli_reference.py` makes the same calls and
@@ -32,7 +33,8 @@ ROOT = HERE.parent
 REFERENCE = HERE / "cli_reference.json"
 SHORT_HORIZON = ("dct_stabilizing.json", "dct_geometric.json",
                  "fatou_alternating.json", "fatou_constant.json",
-                 "mct_divergent.json")
+                 "mct_basic.json", "mct_decreasing_basic.json",
+                 "mct_decreasing_infinite.json", "mct_divergent.json")
 ONE_TERM = ("borel_cantelli_parts.json", "continuity_above_basic.json",
             "continuity_below_basic.json")
 
