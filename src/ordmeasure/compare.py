@@ -49,14 +49,9 @@ def sup_measure_experiment(n: int) -> dict:
 
     # Order sigma-additivity at the truncation: increasing partial sums of
     # the atom values reach the evaluation of the full set.
-    partial = ext_zero(backend)
-    increasing = True
-    for i in range(n):
-        nxt = ext_add(partial, atom_values[1 << i])
-        increasing = increasing and ext_leq(partial, nxt)
-        partial = nxt
+    partials = list(accumulate(atom_values.values(), ext_add, initial=ext_zero(backend)))
     total = mu.evaluate(full_mask(n))
-    sigma_ok = increasing and partial == total
+    sigma_ok = all(map(ext_leq, partials, partials[1:])) and partials[-1] == total
 
     # the largest singleton norm from each cut on: one running max, backwards
     norms = [sup_norm(mu.evaluate(1 << i).payload()) for i in range(n)]

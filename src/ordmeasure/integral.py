@@ -349,9 +349,10 @@ def _ladder_supremum(f: ExtFunction, mu: Measure) -> Tuple[ExtElement, dict]:
 
 
 class IntegralReport(Frozen):
-    """Value of an order integral plus the agreement trail of both routes."""
+    """Value of an order integral, on which both routes agree, plus the
+    ladder's trail."""
 
-    __slots__ = ("value", "closed_form", "ladder", "trail")
+    __slots__ = ("value", "trail")
 
 
 def integrate_extended(f: ExtFunction, mu: Measure) -> IntegralReport:
@@ -374,8 +375,7 @@ def integrate_extended(f: ExtFunction, mu: Measure) -> IntegralReport:
             raise OrdMeasureError(
                 f"integral routes disagree: closed form {closed!r} vs ladder {ladder!r}"
             )
-        # by position (value, closed_form, ladder, trail), Frozen's fast path
-        report = IntegralReport(closed, closed, ladder, trail)
+        report = IntegralReport(closed, trail)  # by position, Frozen's fast path
         mu.integral_memo[key] = report
     return report
 
@@ -426,14 +426,15 @@ def integrate_signed(f: SignedFunction, mu: Measure) -> Element:
     return result
 
 
-def _columns(functions: Sequence) -> Tuple[int, list]:
-    """One integer table of `functions` on one space: `den`, the lcm of
-    their denominators, and `cols`, where ``cols[x][i]`` is the numerator of
-    function i at point x over den, or None where that value is infinite."""
+def _columns(functions: Sequence, null: int) -> Tuple[int, list]:
+    """One integer table of `functions` on one space, off the points of the
+    bitmask `null`: `den`, the lcm of their denominators, and `live`, the
+    pairs (x, col) of the other points x in order, where ``col[i]`` is the
+    numerator of function i at x over den, or None where it is infinite."""
     den = math.lcm(*(g.den for g in functions))
-    return den, list(zip(*(
-        [None if g.inf >> x & 1 else n * (den // g.den) for x, n in enumerate(g.nums)]
-        for g in functions)))
+    cols = zip(*([None if g.inf >> x & 1 else n * (den // g.den)
+                  for x, n in enumerate(g.nums)] for g in functions))
+    return den, [(x, col) for x, col in enumerate(cols) if not null >> x & 1]
 
 
 def _precedes(a: Optional[int], b: Optional[int]) -> bool:
@@ -468,12 +469,10 @@ def _monotone_convergence(name: str, mu: Measure, seq: SequenceSpec, f: ExtFunct
     distances to f only shrink."""
     epsilons = epsilon_schedule(epsilons)
     terms = seq.sample(horizon)
-    null = mu.null_mask
     if not increasing and not integral_value(terms[0], mu).is_finite:
         raise HypothesisError("decreasing convergence requires a finite first integral")
     direction = "increasing" if increasing else "decreasing"
-    den, cols = _columns(terms + [f])
-    live = [(x, col) for x, col in enumerate(cols) if not null >> x & 1]
+    den, live = _columns(terms + [f], mu.null_mask)
     step = _precedes if increasing else (lambda a, b: _precedes(b, a))
     bad = [x for x, col in live if not all(map(step, col[:-2], col[1:-1]))]
     if bad:
@@ -550,8 +549,8 @@ def fatou(mu: Measure, seq: SequenceSpec,
     pre, period = cycle
     cycle_terms = terms[pre:pre + period]
     # Each point's least finite value over the cycle; infinite where every term is.
-    den, cols = _columns(cycle_terms)
-    mins = [min((v for v in col if v is not None), default=None) for col in cols]
+    den, live = _columns(cycle_terms, 0)
+    mins = [min((v for v in col if v is not None), default=None) for _, col in live]
     liminf_f = ExtFunction.from_nums(
         mu.space, tuple(0 if m is None else m for m in mins), den,
         points_to_mask(x for x, m in enumerate(mins) if m is None))
@@ -584,13 +583,11 @@ def dct(mu: Measure, seq: SequenceSpec, f: SignedFunction, g: ExtFunction,
     require_sigma_dedekind(mu.backend, "dominated convergence")
     epsilons = epsilon_schedule(epsilons)
     terms = seq.sample(horizon)
-    null = mu.null_mask
 
     g_int = integral_value(g, mu)
     if not g_int.is_finite:
         raise HypothesisError("the dominating function must have a finite integral")
-    den, cols = _columns(terms + [f, g])
-    live = [(x, col) for x, col in enumerate(cols) if not null >> x & 1]
+    den, live = _columns(terms + [f, g], mu.null_mask)
     # |t(x)| <= g(x) off the null points, where g is finite, as its integral is
     violation = min(((n, x) for x, (*samples, _, bound) in live
                      for n, s in enumerate(samples, start=1) if abs(s) > bound),

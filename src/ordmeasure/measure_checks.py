@@ -12,6 +12,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import reduce
+from itertools import accumulate
 from typing import Optional, Sequence
 
 from . import extended
@@ -36,19 +37,17 @@ def _continuity(name: str, mu: Measure, seq: SequenceSpec, horizon: Optional[int
         inner, outer = (sets[n - 1], sets[n]) if increasing else (sets[n], sets[n - 1])
         if inner & outer != inner:
             raise CertificationError(f"set sequence not {direction} at n={n}")
+    values = [mu.evaluate(s) for s in sets]
     if increasing:
-        values = [mu.evaluate(s) for s in sets]
         for n in range(1, len(values)):
             if not ext_leq(values[n - 1], values[n]):
                 return fails(name, reason="values not increasing", index=n)
-    elif mu.evaluate(sets[0]).is_infinite:
+    elif values[0].is_infinite:
         raise HypothesisError("continuity from above requires the first set to have "
                               "finite measure")
     # Monotone sets on a finite ground set stabilize inside the window.
     if detect_stable_tail(sets) is None and len(sets) > 1:
         raise CertificationError("set sequence did not stabilize within horizon")
-    if not increasing:
-        values = [mu.evaluate(s) for s in sets]
     # The limit set is the last set; its value is summed from its atoms
     # rather than read from `evaluate`, so that the comparison can fail.
     limit = reduce(operator.or_ if increasing else operator.and_, sets)
@@ -96,12 +95,8 @@ def borel_cantelli(mu: Measure, seq: SequenceSpec, x: Optional[Element] = None,
             "tail unions are not certifiable"
         )
     pre, period = cycle
-    union_all = 0
-    for s in sets:
-        union_all |= s
-    gamma = 0
-    for s in sets[pre:pre + period]:
-        gamma |= s  # tail unions are eventually this cycle union
+    union_all = reduce(operator.or_, sets, 0)
+    gamma = reduce(operator.or_, sets[pre:pre + period], 0)  # every tail's union, eventually
     details: dict = {"limsup_set": mask_to_points(gamma)}
 
     cycle_values = [mu.evaluate(s) for s in sets[pre:pre + period]]
@@ -169,16 +164,11 @@ def operator_measure_bridge(mu: Measure, disjoint_sets: Sequence[int]) -> CheckR
     union = seen
     values = [mu.evaluate(s) for s in disjoint_sets]
 
-    partial = ext_zero(mu.backend)
-    partials = []
-    for v in values:
-        nxt = ext_add(partial, v)
-        if not ext_leq(partial, nxt):
-            return fails("bridge", reason="partial sums not increasing")
-        partial = nxt
-        partials.append(partial)
+    partials = list(accumulate(values, ext_add, initial=ext_zero(mu.backend)))
+    if not all(map(ext_leq, partials, partials[1:])):
+        return fails("bridge", reason="partial sums not increasing")
     union_value = mu.evaluate(union)
-    order_ok = partial == union_value
+    order_ok = partials[-1] == union_value
 
     if mu.backend.kind is SpaceKind.LOEWNER_SYM:
         nrows = ncols = mu.backend.dim
@@ -197,5 +187,5 @@ def operator_measure_bridge(mu: Measure, disjoint_sets: Sequence[int]) -> CheckR
             break
     if order_ok and vector_ok:
         return holds("bridge", union=mask_to_points(union),
-                     partial_sums=len(partials))
+                     partial_sums=len(values))
     return fails("bridge", order_route=order_ok, vector_route=vector_ok)

@@ -9,7 +9,8 @@ and the rung integral, the canonical atom representation of dense values
 of two functions with the extended scalar sum, order and product (the
 former ``rationals.ext_scalar_add``, ``ext_scalar_leq`` and
 ``ext_scalar_mul``), the terms of the three generated sequence kinds, and
-the Fraction class key of `integral_checks.l1_quotient`.
+the Fraction class key of `integral_checks.l1_quotient`;
+`assert_routes_agree` compares both routes of one report with them.
 The former ``rationals.format_ext_scalar`` and ``integral.indicator``,
 which only the tests used, are here too.
 
@@ -33,7 +34,7 @@ from fractions import Fraction
 from typing import Sequence
 
 import ordmeasure as om
-from ordmeasure import extended, spaces
+from ordmeasure import extended, integral, spaces
 from ordmeasure.errors import CertificationError, OrdMeasureError, ValidationError
 from ordmeasure.extended import ext_add, ext_leq, ext_scale, ext_zero
 from ordmeasure.measures import mask_to_points
@@ -130,6 +131,15 @@ def closed_form_integral(f, mu) -> om.ExtElement:
     for atom, points in mu.space.atom_points.items():
         total = ext_add(total, ext_scale(f.values[points[0]], mu.atom_values[atom]))
     return total
+
+
+def assert_routes_agree(report, f, mu):
+    """Each route of `integral.integrate_extended`, recomputed, gives the
+    value of its `report` (the ladder its trail too) and what its Fraction
+    oracle gives."""
+    assert integral._closed_form_integral(f, mu) == report.value == closed_form_integral(f, mu)
+    assert (integral._ladder_supremum(f, mu) == (report.value, report.trail)
+            == ladder_supremum(f, mu))
 
 
 def ladder_supremum(f, mu):
