@@ -221,14 +221,20 @@ def ext_sub_finite(a: ExtElement, b: ExtElement) -> ExtElement:
     return finite(spaces.sub(a.finite, b.finite))
 
 
+def divergence_top(h: int) -> int:
+    """The top rung of the ladder of bounds k = 1 .. top that certifies
+    divergence from h >= 1 samples: h - 1, and 1 when h is 1."""
+    return max(h, 2) - 1
+
+
 def certify_divergence(terms: Sequence[ExtElement]) -> int:
     """Certify unboundedness against the ladder of bounds k * unit, and
     return its top rung.
 
     `terms` are the h >= 1 samples of a sequence; the unit is the order
     unit of their space.  For each k the sampled terms must contain one
-    that is *not* below ``k * unit``.  The ladder stops at h - 1 (at 1 when
-    h is 1): a sequence growing one unit per step can never overtake the
+    that is *not* below ``k * unit``.  The ladder stops at `divergence_top`,
+    h - 1 (1 when h is 1): a sequence growing one unit per step can never overtake the
     bound with the same index inside its own sampling window.
 
     Being below every sample is monotone in k: a term below k * unit is
@@ -242,7 +248,7 @@ def certify_divergence(terms: Sequence[ExtElement]) -> int:
         bound = finite(spaces.scale(k, unit))
         return all(ext_leq(t, bound) for t in terms)
 
-    top = max(len(terms), 2) - 1
+    top = divergence_top(len(terms))
     if not all_below(top):
         return top
     lo, hi = 0, top  # some sample escapes every k <= lo, none escapes hi

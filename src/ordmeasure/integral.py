@@ -37,8 +37,8 @@ from typing import Dict, Optional, Sequence, Tuple
 from . import extended, spaces
 from .errors import (CertificationError, Frozen, HypothesisError, NotIntegrableError,
                      OrdMeasureError, ValidationError)
-from .extended import (ExtElement, certify_monotone_limit, ext_add, ext_leq, ext_scale,
-                       ext_to_json, ext_zero)
+from .extended import (ExtElement, certify_monotone_limit, divergence_top, ext_add, ext_leq,
+                       ext_scale, ext_to_json, ext_zero)
 from .measures import MeasurableSpace, Measure, mask_to_points, points_to_mask
 from .rationals import INFINITY, format_rational, is_infinite, over_one_den
 from .reports import CheckResult, fails, holds
@@ -494,10 +494,11 @@ def _monotone_convergence(name: str, mu: Measure, seq: SequenceSpec, f: ExtFunct
             _certify_pointwise(samples, target, den, epsilons,
                                f"pointwise gap {{eps}} at point {x} not certified")
         elif samples[-1] is not None:
-            # The bounds are k = 1 .. len - 1, and no sample exceeds k exactly
-            # when the last, the largest, is at most k: the first such k fails.
+            # The bounds are those of the integrals' ladder, k = 1 .. top, and no
+            # sample exceeds k exactly when the last, the largest, is at most k:
+            # the first such k fails.
             k = max(1, -(-samples[-1] // den))
-            if k < len(samples):
+            if k <= divergence_top(len(samples)):
                 raise CertificationError(
                     f"divergence at point {x} not certified against bound {k}")
 

@@ -689,10 +689,11 @@ def geometric_ext_sequence(space, limit_values):
 
 def ladder_scalar_divergence(samples, point):
     """Oracle for the infinite-target branch of the pointwise certificate
-    of `mct`: every bound k = 1 .. len - 1 tested against all samples."""
+    of `mct`: every bound k = 1 .. max(len, 2) - 1, the ladder of
+    `extended.certify_divergence`, tested against all samples."""
     if INFINITY in samples and samples[-1] is INFINITY:
         return
-    for k in range(1, len(samples)):
+    for k in range(1, max(len(samples), 2)):
         if not any(not oracle.ext_scalar_leq(s, Fraction(k)) for s in samples):
             raise CertificationError(
                 f"divergence at point {point} not certified against bound {k}"
@@ -757,6 +758,24 @@ class TestScalarDivergence:
         assert message is None or not message.startswith("sequence")
         fast = message if message and message.startswith("divergence at point") else None
         assert fast == _certification_message(ladder_scalar_divergence, samples, point)
+
+    def test_one_sample_is_tested_against_bound_one(self):
+        # The integrals' ladder tests bound 1 on one sample, and so do the
+        # points: point 1 never passes it, although the integral does.
+        reals = om.reals()
+        space = om.power_set_space(2)
+        mu = om.Measure(space, reals, {1 << x: om.finite(om.element(reals, [1]))
+                                       for x in range(2)})
+        seq = from_terms([om.ext_function(space, [5, Fraction(1, 2)]),
+                          om.ext_function(space, [6, Fraction(1, 2)])],
+                         metadata=DivergesToInfinity())
+        limit = om.ext_function(space, [INFINITY, INFINITY])
+        with pytest.raises(CertificationError,
+                           match="divergence at point 1 not certified against bound 1"):
+            om.mct(mu, seq, limit, horizon=1)
+        with pytest.raises(CertificationError,
+                           match="divergence at point 1 not certified against bound 1"):
+            om.mct(mu, seq, limit, horizon=2)
 
 
 @st.composite
