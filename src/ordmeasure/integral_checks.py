@@ -164,10 +164,8 @@ def push_forward(mu: Measure, matrix: Sequence[Sequence], target: SpaceDescripto
     rows = [[Fraction(v) for v in row] for row in matrix]
     if len(rows) != target.ncoords or any(len(r) != mu.backend.ncoords for r in rows):
         raise ValidationError("matrix shape does not match the backends")
-    for row in rows:
-        for v in row:
-            if v < 0:
-                raise ValidationError("push-forward matrix must be entrywise >= 0")
+    if any(v < 0 for row in rows for v in row):
+        raise ValidationError("push-forward matrix must be entrywise >= 0")
 
     image_values = {
         atom: extended.finite(_apply_matrix(rows, v.payload(), target))

@@ -10,7 +10,6 @@ eventually periodic one has exactly computable tail unions.
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
 from typing import Optional, Sequence
@@ -154,14 +153,13 @@ def operator_measure_bridge(mu: Measure, disjoint_sets: Sequence[int]) -> CheckR
         )
     if not mu.is_finite:
         raise HypothesisError("the operator bridge requires a finite measure")
-    seen = 0
+    union = 0
     for s in disjoint_sets:
         mu.space.require_measurable(s)
-        if s & seen:
+        if s & union:
             raise ValidationError("sets are not pairwise disjoint",
-                                  witness={"overlap": mask_to_points(s & seen)})
-        seen |= s
-    union = seen
+                                  witness={"overlap": mask_to_points(s & union)})
+        union |= s
     values = [mu.evaluate(s) for s in disjoint_sets]
 
     partials = list(accumulate(values, ext_add, initial=ext_zero(mu.backend)))
@@ -174,17 +172,10 @@ def operator_measure_bridge(mu: Measure, disjoint_sets: Sequence[int]) -> CheckR
         nrows = ncols = mu.backend.dim
     else:
         nrows, ncols = mu.backend.rows, mu.backend.cols
-    vector_ok = True
-    for j in range(ncols):
-        total = [Fraction(0)] * nrows
-        for v in values:
-            m = v.payload()
-            for i in range(nrows):
-                total[i] += m.entry(i, j)
-        target = union_value.payload()
-        if any(total[i] != target.entry(i, j) for i in range(nrows)):
-            vector_ok = False
-            break
+    # A matrix applied to the basis vector e_j is its j-th column.
+    target = union_value.payload()
+    vector_ok = all(sum(v.payload().entry(i, j) for v in values) == target.entry(i, j)
+                    for j in range(ncols) for i in range(nrows))
     if order_ok and vector_ok:
         return holds("bridge", union=mask_to_points(union),
                      partial_sums=len(values))

@@ -47,10 +47,10 @@ optional "expect": "holds" | "fails" | "hypothesis-not-met" |
 place a directive's keys are defined: for each check it gives the module
 and the handler that run it, each key's JSON type, whether the key is
 required, and what the key resolves to (a named function or sequence, a
-set list or set sequence, a rational, an element, a space, a matrix).  A
-set sequence is {"kind": "explicit" | "alternating", "terms": [[points...],
-...]} or a bare array of sets (explicit); an explicit one repeats its final
-term.
+list or sequence of measurable sets, a rational, an element, a space, a
+matrix).  A set sequence is {"kind": "explicit" | "alternating", "terms":
+[[points...], ...]} or a bare array of sets (explicit); an explicit one
+repeats its final term.
 
 `parse_scenario` resolves every directive and every named sequence, so a
 document that parses (`ordmeasure validate`) raises no schema error when it
@@ -362,18 +362,28 @@ def _function_sequence(kind: str):
     return resolve
 
 
+def _measurable_set(scenario: Scenario, doc, path: str) -> int:
+    """A set of points that is in the scenario's algebra."""
+    mask = _parse_points(scenario.space.ground_size, doc, path)
+    try:
+        scenario.space.require_measurable(mask)
+    except ValidationError as exc:
+        raise SchemaError(str(exc), path) from None
+    return mask
+
+
 def _set_list(scenario: Scenario, doc: list, path: str) -> list:
-    return _items(doc, "sets", path, partial(_parse_points, scenario.space.ground_size))
+    return _items(doc, "sets", path, partial(_measurable_set, scenario))
 
 
 def _set_sequence(scenario: Scenario, doc, path: str):
-    """A set sequence, resolved to its `SequenceSpec`."""
+    """A set sequence of measurable sets, resolved to its `SequenceSpec`."""
     if isinstance(doc, list):
         kind, terms = "explicit", _set_list(scenario, doc, path)
     else:
         kind = doc.get("kind", "explicit")
         terms = _items(doc.get("terms", []), "terms", path + "/terms",
-                       partial(_parse_points, scenario.space.ground_size))
+                       partial(_measurable_set, scenario))
     if not terms:
         raise SchemaError("set sequence needs terms", path)
     if kind == "explicit":
@@ -433,7 +443,8 @@ _EXT_SEQUENCE = _Key(str, _function_sequence("ext"))
 
 
 def _push_forward_shape(scenario: Scenario, args: dict, path: str):
-    """One matrix row per target coordinate, one entry per backend coordinate."""
+    """One matrix row per target coordinate, one entry per backend
+    coordinate, and every entry >= 0."""
     rows, width = args["target"].ncoords, scenario.backend.ncoords
     if len(args["matrix"]) != rows:
         raise SchemaError(f"matrix needs {rows} rows, got {len(args['matrix'])}",
@@ -442,6 +453,19 @@ def _push_forward_shape(scenario: Scenario, args: dict, path: str):
         if len(row) != width:
             raise SchemaError(f"matrix row needs {width} entries, got {len(row)}",
                               f"{path}/matrix/{i}")
+        for j, v in enumerate(row):
+            if v < 0:
+                raise SchemaError("push-forward matrix must be entrywise >= 0",
+                                  f"{path}/matrix/{i}/{j}")
+
+
+def _disjoint_sets(scenario: Scenario, args: dict, path: str):
+    """No set meets an earlier one."""
+    seen = 0
+    for j, s in enumerate(args["sets"]):
+        if s & seen:
+            raise SchemaError("sets are not pairwise disjoint", f"{path}/sets/{j}")
+        seen |= s
 
 
 def summary(scenario: Scenario) -> dict:
@@ -499,7 +523,7 @@ _CHECKS = {
     "bridge": _Check(
         "measure_checks",
         lambda m, s, c, sets: m.operator_measure_bridge(s.measure, sets),
-        {"sets": _Key(list, _set_list, [])}),
+        {"sets": _Key(list, _set_list, [])}, admits=_disjoint_sets),
     "integrate": _Check(
         "integral", _check_integrate,
         {"function": _EXT,
@@ -553,7 +577,8 @@ _CHECKS = {
         {"functions": _Key(list, _function_list, [])}),
     "caratheodory": _Check(
         "outer", _check_caratheodory,
-        {"expected_family": _Key(list, _set_list, None)},
+        {"expected_family": _Key(list, lambda s, v, p: _items(  # of any subsets
+            v, "sets", p, partial(_parse_points, s.space.ground_size)), None)},
         needs="outer_measure"),
 }
 

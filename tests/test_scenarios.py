@@ -423,6 +423,45 @@ def _power_set_copy(stem: str, ground: int, path: Path) -> Path:
     return path
 
 
+def _refused_copy(stem: str, check: dict, sigma_algebra=None, drop_atom=None) -> dict:
+    """A shipped scenario with its first directive updated by `check`, on
+    another algebra, without the atom value keyed `drop_atom`."""
+    doc = json.loads((SCENARIO_DIR / f"{stem}.json").read_text())
+    doc["checks"][0].update(check)
+    if sigma_algebra is not None:
+        doc["sigma_algebra"] = sigma_algebra
+        del doc["measure"]["atom_values"][drop_atom]
+    return doc
+
+
+# Documents that `run` refused with no pointer while `validate` accepted them.
+_PARSE_TIME_REFUSALS = {
+    "continuity_below_set": (
+        _refused_copy("continuity_below_basic", {"sets": [[0], [0, 1]]},
+                      {"generators": [[0, 1]]}, "1"),
+        "/checks/0/sets/0: set [0] is not measurable"),
+    "continuity_above_term": (
+        _refused_copy("continuity_below_basic",
+                      {"check": "continuity_above", "sets": {"terms": [[0, 1], [0]]}},
+                      {"generators": [[0, 1]]}, "1"),
+        "/checks/0/sets/terms/1: set [0] is not measurable"),
+    "borel_cantelli_set": (
+        _refused_copy("continuity_below_basic",
+                      {"check": "borel_cantelli", "sets": [[0], [0]]},
+                      {"generators": [[0, 1]]}, "1"),
+        "/checks/0/sets/0: set [0] is not measurable"),
+    "bridge_set": (
+        _refused_copy("bridge_diagonal", {"sets": [[0]]}, {"sets": [[], [0, 1]]}, "1"),
+        "/checks/0/sets/0: set [0] is not measurable"),
+    "bridge_overlap": (
+        _refused_copy("bridge_diagonal", {"sets": [[0, 1], [1]]}),
+        "/checks/0/sets/1: sets are not pairwise disjoint"),
+    "push_forward_sign": (
+        _refused_copy("push_forward_sum", {"matrix": [["-1", "1"]]}),
+        "/checks/0/matrix/0/0: push-forward matrix must be entrywise >= 0"),
+}
+
+
 class TestCli:
     def test_validate_ok(self, capsys):
         assert run_cli(["validate", SCENARIO_DIR / "identities_basic.json"]) == 0
@@ -829,6 +868,15 @@ class TestCli:
         assert run_cli(["run", path, "--output", output]) == 2
         assert capsys.readouterr() == ("", "error: /checks/0: rational output limited "
                                        f"to <= {sys.get_int_max_str_digits()} digits\n")
+
+    @pytest.mark.parametrize("case", sorted(_PARSE_TIME_REFUSALS))
+    def test_validate_refuses_what_run_refuses(self, tmp_path, capsys, case):
+        doc, message = _PARSE_TIME_REFUSALS[case]
+        path = tmp_path / "refused.json"
+        path.write_text(canonical_dumps(doc))
+        for command in ("validate", "run"):
+            assert run_cli([command, path]) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
 
     @pytest.mark.parametrize("command", ["run", "caratheodory"])
     def test_caratheodory_at_the_outer_cap_runs_in_time(self, tmp_path, command):
