@@ -233,9 +233,9 @@ def certify_divergence(terms: Sequence[ExtElement]) -> int:
 
     `terms` are the h >= 1 samples of a sequence; the unit is the order
     unit of their space.  For each k the sampled terms must contain one
-    that is *not* below ``k * unit``.  The ladder stops at `divergence_top`,
-    h - 1 (1 when h is 1): a sequence growing one unit per step can never overtake the
-    bound with the same index inside its own sampling window.
+    that is *not* below ``k * unit``.  The ladder stops at `divergence_top`:
+    h - 1 (1 when h is 1), as a sequence growing one unit per step can never
+    overtake the bound with the same index inside its own sampling window.
 
     Being below every sample is monotone in k: a term below k * unit is
     below every larger bound too.  So the ladder holds exactly when its top

@@ -219,15 +219,15 @@ def l1_quotient(mu: Measure, functions: Sequence[SignedFunction]) -> CheckResult
     for i, key in enumerate(keys):
         classes.setdefault(key, []).append(i)
 
+    ints = [integral.integrate_signed(f, mu) for f in functions]
     problems = []
     for members in classes.values():
-        ints = [integral.integrate_signed(functions[i], mu) for i in members]
-        if any(v != ints[0] for v in ints[1:]):
+        if any(ints[i] != ints[members[0]] for i in members[1:]):
             problems.append({"issue": "equal classes with unequal integrals",
                              "members": members})
     zero_el = spaces.zero(mu.backend)
     for i, (_, *nums) in enumerate(keys):
-        if all(n >= 0 for n in nums) and integral.integrate_signed(functions[i], mu) == zero_el:
+        if all(n >= 0 for n in nums) and ints[i] == zero_el:
             if any(nums):
                 problems.append({"issue": "strict positivity violated", "index": i})
     for m1 in classes.values():
