@@ -193,9 +193,8 @@ def is_ext_positive(a: ExtElement) -> bool:
     return ext_leq(ext_zero(a.space), a)
 
 
-def ext_scale(r: ExtScalar, a: ExtElement, den: int = 1) -> ExtElement:
-    """Action of the extended nonnegative scalar r / den (an integer den > 0,
-    which INFINITY ignores) on the extended cone."""
+def ext_scale(r: ExtScalar, a: ExtElement) -> ExtElement:
+    """Action of the extended nonnegative scalar r on the extended cone."""
     if is_infinite(r):
         if not is_ext_positive(a):
             raise ValueError("infinite scalars act on the extended positive cone only")
@@ -208,7 +207,7 @@ def ext_scale(r: ExtScalar, a: ExtElement, den: int = 1) -> ExtElement:
         raise ValueError("extended scaling requires a nonnegative scalar")
     if a.is_infinite:
         return ext_zero(a.space) if r == 0 else infinity(a.space)
-    return finite(spaces.scale(r, a.finite, den))
+    return finite(spaces.scale(r, a.finite))
 
 
 def ext_sub_finite(a: ExtElement, b: ExtElement) -> ExtElement:

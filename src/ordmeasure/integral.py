@@ -1,28 +1,25 @@
 """The order integral over finite ground sets, with double-entry oracles.
 
-Extended-nonnegative measurable functions are integrated two ways: a
-closed form over the atom partition using the extended scalar action, and
-the supremum of the canonical elementary ladder of truncations.  The two
-routes are independent implementations and must agree exactly; the ladder
-is retained purely as an oracle against convention bugs (0 * inf versus
-inf * 0).  Functions are integer numerators over one denominator.  The
-closed form folds pairwise with `ext_scale` and `ext_add`, while each rung
-is one integer row summed on the measure's atom table
-(`Measure.atom_table`), so the routes share no summation code.
-`truncate`, `ElementaryFunction` and `integrate_elementary` build and
-integrate the rungs as elementary functions; the tests compare the ladder
-with them.
+A function is integer numerators over one denominator, with a bitmask of
+its infinite points, and its integral is computed two ways on that integer
+form (`_integral`): a closed form that folds f(atom) * mu(atom) over the
+atom values one atom at a time, and the supremum of the canonical ladder of
+truncations, each rung one integer row summed on the measure's atom table.
+The routes share no summation code, each settles 0 * inf itself, and they
+must agree exactly before an element is built; the ladder is kept as an
+oracle against convention bugs.  The parts that `integrate_signed` and
+`dct` integrate (|f|, f+, f-, the shifted parts, |t - f|) are integer
+transforms of a function's numerators, not function objects.  `truncate`
+and `integrate_elementary` build and integrate rungs as elementary
+functions for the tests.
 
 The monotone and dominated convergence theorems and the Fatou inequality
-are exercised as certified checks: stabilizing sequences give exact
-equalities, declared limits are certified against an epsilon schedule
-measured in multiples of the backend's order unit, and divergence is
-certified against a ladder of bounds.  Each check compares its sampled
-functions on one integer table (`_columns`: numerators over one lcm, None
-where a value is infinite), and `mct`, `mct_decreasing` and `dct` certify
-a finite pointwise limit by one function (`_certify_pointwise`).  The laws
-of the integral and its other structure checks are in
-`ordmeasure.integral_checks`.
+are certified checks: stabilizing sequences give exact equalities, declared
+limits are certified against an epsilon schedule in multiples of the
+backend's order unit, and divergence against a ladder of bounds.  Each
+check compares its sampled functions on one integer table (`_columns`), and
+`_certify_pointwise` certifies a finite pointwise limit.  The laws of the
+integral and its other structure checks are in `ordmeasure.integral_checks`.
 """
 
 from __future__ import annotations
@@ -73,27 +70,50 @@ def _check_level_sets(f: "_PointFunction"):
             )
 
 
-def _trusted(cls, space: MeasurableSpace, nums: tuple, den: int, inf: int = 0):
-    """The trusted constructor of `ExtFunction` and `SignedFunction`: nums
-    over den, reduced by one gcd, infinite on `inf`, stored by `Frozen._set`
-    unchecked.  Only for functions derived from validated ones on one space
-    in ways that keep them measurable and, for the extended kind, nonnegative."""
+def _reduced(nums: tuple, den: int) -> tuple:
+    """nums over den in canonical form, ``gcd(den, *nums) == 1``, by one gcd."""
     g = math.gcd(den, *nums)
-    if g != 1:
-        nums, den = tuple(n // g for n in nums), den // g
+    return (nums, den) if g == 1 else (tuple(n // g for n in nums), den // g)
+
+
+def _trusted(cls, space: MeasurableSpace, nums: tuple, den: int, inf: int = 0):
+    """The trusted constructor of `ExtFunction` and `SignedFunction` from a
+    canonical form (`_reduced`), unchecked: only for functions derived from
+    validated ones in ways that keep them measurable (and nonnegative)."""
     return object.__new__(cls)._set(space, nums, den, inf)
 
 
-def _pointwise(op, f, g) -> "SignedFunction":
-    """The function op(f(x), g(x)) of two finite functions on one space; `op`
-    commutes with scaling by a positive number, so it acts on the numerators
+def _pos(n: int) -> int:
+    return n if n > 0 else 0
+
+
+def _neg(n: int) -> int:
+    return -n if n < 0 else 0
+
+
+def _distance(x: int, y: int) -> int:
+    return abs(x - y)
+
+
+def _part(op, nums: tuple, den: int) -> tuple:
+    """The canonical form of op(f) for f = nums / den, where `op` (abs, `_pos`
+    or `_neg`) maps each numerator and commutes with positive scaling."""
+    return _reduced(tuple(map(op, nums)), den)
+
+
+def _pointwise_part(op, f, g) -> tuple:
+    """The canonical form of op(f(x), g(x)) for two finite functions on one
+    space; `op` commutes with positive scaling, so it acts on the numerators
     over the common denominator."""
     if f.space is not g.space and f.space != g.space:
         raise ValidationError("functions live on different spaces")
     den = math.lcm(f.den, g.den)
     a, b = den // f.den, den // g.den
-    return _trusted(SignedFunction, f.space,
-                    tuple(op(x * a, y * b) for x, y in zip(f.nums, g.nums)), den)
+    return _reduced(tuple(op(x * a, y * b) for x, y in zip(f.nums, g.nums)), den)
+
+
+def _pointwise(op, f, g) -> "SignedFunction":
+    return _trusted(SignedFunction, f.space, *_pointwise_part(op, f, g))
 
 
 class _PointFunction(Frozen):
@@ -113,7 +133,7 @@ class _PointFunction(Frozen):
     def from_nums(cls, space: MeasurableSpace, nums: tuple, den: int, inf: int = 0):
         """The function with values nums[x] / den and infinity on the points of
         `inf` (see `_trusted`), validated as the constructor validates values."""
-        fn = _trusted(cls, space, nums, den, inf)
+        fn = _trusted(cls, space, *_reduced(nums, den), inf)
         fn._validate()
         return fn
 
@@ -156,7 +176,8 @@ class SignedFunction(_PointFunction):
             raise ValidationError("a signed function cannot take the value infinity")
 
     # Functions derived from measurable ones on one space are measurable
-    # there, so they are built by the trusted constructor.
+    # there, so they are built by the trusted constructor from the integer
+    # part transforms the integrals of `integrate_signed` and `dct` read.
     def __add__(self, other: "SignedFunction") -> "SignedFunction":
         return _pointwise(operator.add, self, other)
 
@@ -164,15 +185,13 @@ class SignedFunction(_PointFunction):
         return _pointwise(operator.sub, self, other)
 
     def abs(self) -> ExtFunction:
-        return _trusted(ExtFunction, self.space, tuple(map(abs, self.nums)), self.den)
+        return _trusted(ExtFunction, self.space, *_part(abs, self.nums, self.den))
 
     def pos_part(self) -> ExtFunction:
-        return _trusted(ExtFunction, self.space,
-                        tuple(max(n, 0) for n in self.nums), self.den)
+        return _trusted(ExtFunction, self.space, *_part(_pos, self.nums, self.den))
 
     def neg_part(self) -> ExtFunction:
-        return _trusted(ExtFunction, self.space,
-                        tuple(max(-n, 0) for n in self.nums), self.den)
+        return _trusted(ExtFunction, self.space, *_part(_neg, self.nums, self.den))
 
     def sup_with(self, other: "SignedFunction") -> "SignedFunction":
         return _pointwise(max, self, other)
@@ -216,14 +235,11 @@ class ElementaryFunction(Frozen):
 
 
 def truncate(f: ExtFunction, level: int) -> ElementaryFunction:
-    """The canonical ladder rung f /\\ level (finite-valued, elementary),
-    which the ladder itself sums as an integer row (`_rung_row`).
-
-    One term per atom where the rung is positive, read from the atom's
-    first point: `f` is validated, so it is constant on each atom.  The
-    coefficient is min(num, level * den) over f's denominator, reduced by
-    one gcd, and the rung is built without checks.
-    """
+    """The ladder rung f /\\ level as an elementary function, which the ladder
+    sums as an integer row (`_rung_row`) instead: one term per atom where it
+    is positive, read at the atom's first point (`f` is validated, so it is
+    constant on atoms), min(num, level * den) over f's denominator, reduced
+    by one gcd and built without checks."""
     cap, nums, inf = level * f.den, f.nums, f.inf
     terms = []
     for atom, points in f.space.atom_points.items():
@@ -237,16 +253,16 @@ def truncate(f: ExtFunction, level: int) -> ElementaryFunction:
     return object.__new__(ElementaryFunction)._set(f.space, tuple(terms), f.den // g)
 
 
-def integrate_elementary(phi: ElementaryFunction, mu: Measure) -> ExtElement:
-    """Integral of an elementary function, canonicalized to the atoms.
-
-    The result does not depend on the representation: it is recomputed from
-    the dense values on the atom partition, where the extended scalar action
-    settles every convention (a coefficient of zero kills an infinite atom,
-    a positive coefficient on an infinite atom gives infinity).
-    """
-    if phi.space != mu.space:
+def _require_space(f, mu: Measure):
+    if f.space is not mu.space and f.space != mu.space:
         raise ValidationError("function and measure live on different spaces")
+
+
+def integrate_elementary(phi: ElementaryFunction, mu: Measure) -> ExtElement:
+    """Integral of an elementary function, recomputed from its dense values
+    on the atoms, so independent of its representation, with the extended
+    scalar action (`ext_scale`) settling 0 * inf."""
+    _require_space(phi, mu)
     dense = phi.dense_values()
     total = ext_zero(mu.backend)
     for atom in mu.space.atoms:
@@ -255,36 +271,48 @@ def integrate_elementary(phi: ElementaryFunction, mu: Measure) -> ExtElement:
     return total
 
 
-def _closed_form_integral(f: ExtFunction, mu: Measure) -> ExtElement:
-    """The pairwise fold of ext_scale(f(atom), mu(atom)) from the first
-    atom's term, each finite value given to `ext_scale` as its numerator
-    over f's denominator; zero when there are no atoms."""
-    total = None
+def _closed_form(nums: tuple, den: int, inf: int, mu: Measure) -> Optional[tuple]:
+    """The closed form of the integral of f, with numerators nums over den
+    and infinite on the points of `inf`: the sum over the atoms of
+    f(atom) * mu(atom) as a canonical integer value (nums, den), or None for
+    infinity.  It folds from zero one atom at a time, on the numerators of
+    the atom values in `mu.atom_values`; f's denominator joins at the end,
+    before one gcd.  0 * inf = 0 both ways round: an infinite value on a
+    null atom and a zero value on an atom of infinite measure add nothing,
+    and any other infinite factor makes the integral infinite."""
+    acc, acc_den = [0] * mu.backend.ncoords, 1
     for atom, points in mu.space.atom_points.items():
-        x = points[0]
-        v = INFINITY if f.inf >> x & 1 else f.nums[x]
-        term = ext_scale(v, mu.atom_values[atom], f.den)
-        total = term if total is None else ext_add(total, term)
-    return ext_zero(mu.backend) if total is None else total
+        x, value = points[0], mu.atom_values[atom].finite
+        if inf >> x & 1:
+            if value is None or any(value.nums):
+                return None
+            continue
+        v = nums[x]
+        if not v:
+            continue
+        if value is None:
+            return None
+        d = value.den
+        g = math.gcd(acc_den, d)  # the sum and the term over the lcm of their denominators
+        acc = [p * (d // g) + v * n * (acc_den // g) for p, n in zip(acc, value.nums)]
+        acc_den = acc_den // g * d
+    return _reduced(tuple(acc), acc_den * den)
 
 
-def _rung_terms(f: ExtFunction, table) -> list:
+def _rung_terms(nums: tuple, inf: int, table) -> list:
     """The pairs (v, row) that `_rung_row` sums, one for each atom of
     `table` (`Measure.atom_table`) where f is positive: f's numerator at the
     atom's first point, or None where f is infinite, and the atom's row."""
-    nums, inf = f.nums, f.inf
     return [(None if inf >> x & 1 else nums[x], row)
             for x, row in table if inf >> x & 1 or nums[x]]
 
 
 def _rung_row(terms: list, level: int, den: int, width: int) -> Optional[list]:
-    """The rung f /\\ level of the ladder as one integer row: the sum of
-    min(v, level * den) * row over the `terms` (v, row) of the atoms where f
-    is positive, with v None where f is infinite (the cap is its value
-    there).  `row` is the atom's value over the denominator of the
-    measure's table (`Measure.atom_table`), so the sum is over den times
-    that.  None when the rung is infinite: a positive coefficient on an atom
-    of infinite measure (row None); zero coefficients never reach it."""
+    """The rung f /\\ level as one integer row over den times the table's
+    denominator: the sum of min(v, level * den) * row over the `terms`
+    (v None where f is infinite: the cap is its value).  None when a
+    positive coefficient sits on an atom of infinite measure (row None);
+    zero coefficients never reach it."""
     cap = level * den
     acc = [0] * width
     for v, row in terms:
@@ -295,39 +323,31 @@ def _rung_row(terms: list, level: int, den: int, width: int) -> Optional[list]:
     return acc
 
 
-def _ladder_supremum(f: ExtFunction, mu: Measure) -> Tuple[ExtElement, dict]:
-    """Supremum of the truncation-ladder integrals, decided exactly.
+def _ladder_supremum(nums: tuple, den: int, inf: int, mu: Measure
+                     ) -> Tuple[Optional[tuple], dict]:
+    """Supremum of the truncation-ladder integrals of f (numerators nums over
+    den, infinite on `inf`), decided exactly: a canonical integer value
+    (nums, den) or None for infinity, and the ladder's trail.
 
     Only the break levels are evaluated: 1, nstar = max(1, ceil(top)),
-    nstar + 1, and floor(v) and ceil(v) (when at least 1, by integer division)
-    for every finite value v of f, in increasing order.  No value of f lies
-    strictly between two consecutive break levels a < b unless b = a + 1, so
-    on the integers of [a, b] each min(v, n) is v throughout or n throughout,
-    and the rung integrals are A + n * D there.  The rise from rung a to rung
-    b is (b - a) * D, which is positive exactly when the unit rise D between
-    any two neighbouring rungs in [a, b] is; testing consecutive break levels
-    therefore tests every consecutive pair of the full ladder, with
-    O(number of distinct values) rungs instead of O(top).
+    nstar + 1, and floor(v) and ceil(v) (when at least 1) for every finite
+    value v of f.  No value lies strictly between consecutive break levels
+    a < b unless b = a + 1, so on the integers of [a, b] the rung integrals
+    are A + n * D, and the rise (b - a) * D is positive exactly when every
+    unit rise D in [a, b] is: consecutive break levels test every pair of
+    the full ladder, with O(distinct values) rungs instead of O(top).
 
-    Past the largest finite value of f the rungs only keep adding the total
-    measure of the infinity set; if the rungs at nstar and nstar + 1 agree,
-    the ladder has stabilized for good, and otherwise the increments are a
-    fixed nonzero positive element, so the rungs are unbounded above by the
-    Archimedean property and the supremum is the point at infinity.  A rung
-    is infinite exactly when a positive value sits on an atom of infinite
-    measure, at every level alike, so an infinite ladder shows at level 1.
-
-    Each rung is one integer row over one denominator for the whole ladder
-    (`_rung_row` on the measure's atom table), consecutive rungs are ordered
-    by `spaces.is_positive_row` on their difference, and only the stabilized
-    row becomes an element.  The closed form folds `ext_scale` and `ext_add`
-    instead, so the two routes share no summation code.
+    Past the largest finite value the rungs only add the measure of the
+    infinity set: equal rungs at nstar and nstar + 1 mean the ladder has
+    stabilized, and otherwise a fixed positive increment makes it unbounded
+    (Archimedean), so the supremum is infinity.  A positive value on an atom
+    of infinite measure makes every rung infinite, so it shows at level 1.
+    Each rung is one integer row over one denominator (`_rung_row` on the
+    measure's atom table), and consecutive rungs are ordered by
+    `spaces.is_positive_row` on their difference.
     """
-    if f.space is not mu.space and f.space != mu.space:
-        raise ValidationError("function and measure live on different spaces")
-    den, inf, nums = f.den, f.inf, f.nums
     table_den, table = mu.atom_table
-    terms = _rung_terms(f, table)
+    terms = _rung_terms(nums, inf, table)
     finite_nums = {n for x, n in enumerate(nums) if not inf >> x & 1}
     nstar = max(1, -(-max(finite_nums, default=0) // den))
     levels = {1, nstar, nstar + 1}
@@ -337,15 +357,14 @@ def _ladder_supremum(f: ExtFunction, mu: Measure) -> Tuple[ExtElement, dict]:
     for n in sorted(levels):
         previous, rung = rung, _rung_row(terms, n, den, width)
         if rung is None:
-            return extended.infinity(backend), {"mode": "infinite-rung", "at_level": n}
+            return None, {"mode": "infinite-rung", "at_level": n}
         if previous is not None and not spaces.is_positive_row(
                 backend, [b - a for a, b in zip(previous, rung)]):
             raise OrdMeasureError("ladder integrals failed to increase")
     if rung == previous:
-        return extended.finite(spaces._element(backend, tuple(rung), den * table_den)), {
-            "mode": "stabilized", "at_level": nstar}
-    return extended.infinity(backend), {
-        "mode": "divergent", "increment_from_level": nstar}
+        return _reduced(tuple(rung), den * table_den), {"mode": "stabilized",
+                                                         "at_level": nstar}
+    return None, {"mode": "divergent", "increment_from_level": nstar}
 
 
 class IntegralReport(Frozen):
@@ -355,29 +374,34 @@ class IntegralReport(Frozen):
     __slots__ = ("value", "trail")
 
 
-def integrate_extended(f: ExtFunction, mu: Measure) -> IntegralReport:
-    """Order integral of an extended-nonnegative measurable function.
-
-    Computes the closed form over the atoms and, independently, the
-    supremum of the canonical elementary ladder, and insists that they
-    agree exactly.  Both routes run once per distinct function on `mu`:
-    the report is kept in ``mu.integral_memo`` under the function's space
-    and canonical integer form, and later calls for an equal function
-    return it.  A function on another space never matches a key, so it
-    still reaches the ladder's space check.
-    """
-    key = (f.space, f.nums, f.den, f.inf)
+def _integral(mu: Measure, nums: tuple, den: int, inf: int = 0) -> IntegralReport:
+    """The two-route integral on `mu` of the function on its space with the
+    canonical integer form (nums, den, inf).  The closed form and the ladder
+    must agree exactly, as integers, before one `Element` and one report are
+    built.  Both run once per distinct function: ``mu.integral_memo`` keeps
+    the report under the form.  Callers check the space (`_require_space`),
+    so the key leaves it out."""
+    key = (nums, den, inf)
     report = mu.integral_memo.get(key)
     if report is None:
-        closed = _closed_form_integral(f, mu)
-        ladder, trail = _ladder_supremum(f, mu)
+        closed = _closed_form(nums, den, inf, mu)
+        ladder, trail = _ladder_supremum(nums, den, inf, mu)
         if closed != ladder:
             raise OrdMeasureError(
-                f"integral routes disagree: closed form {closed!r} vs ladder {ladder!r}"
-            )
-        report = IntegralReport(closed, trail)  # by position, Frozen's fast path
-        mu.integral_memo[key] = report
+                f"integral routes disagree: closed form {closed!r} vs ladder {ladder!r}")
+        value = (extended.infinity(mu.backend) if closed is None
+                 else extended.finite(spaces._element(mu.backend, *closed)))
+        # by position, Frozen's fast path
+        report = mu.integral_memo[key] = IntegralReport(value, trail)
     return report
+
+
+def integrate_extended(f: ExtFunction, mu: Measure) -> IntegralReport:
+    """Order integral of an extended-nonnegative measurable function: the
+    two-route integral `_integral` of its canonical integer form, once its
+    space is checked against the measure's."""
+    _require_space(f, mu)
+    return _integral(mu, f.nums, f.den, f.inf)
 
 
 def integral_value(f: ExtFunction, mu: Measure) -> ExtElement:
@@ -385,40 +409,32 @@ def integral_value(f: ExtFunction, mu: Measure) -> ExtElement:
 
 
 def is_integrable(f: SignedFunction, mu: Measure) -> bool:
-    return integral_value(f.abs(), mu).is_finite
+    _require_space(f, mu)
+    return _integral(mu, *_part(abs, f.nums, f.den)).value.is_finite
 
 
-def _shifted_parts(f: SignedFunction) -> Tuple[ExtFunction, ExtFunction]:
-    """f + c * s and c * s, where s is the indicator of the support of f and
-    c exceeds every |f(x)|.  Both are constant on the atoms, as f and its
-    support are, positive on the support and zero off it."""
-    support = points_to_mask(x for x, n in enumerate(f.nums) if n)
-    f.space.require_measurable(support, "support")
-    c = max(map(abs, f.nums), default=0) + f.den  # c * den
-    shifted = _trusted(ExtFunction, f.space, tuple(
-        n + c if support >> x & 1 else n for x, n in enumerate(f.nums)), f.den)
-    shift_only = _trusted(ExtFunction, f.space, tuple(
-        c if support >> x & 1 else 0 for x in range(f.space.ground_size)), f.den)
-    return shifted, shift_only
+def _shifted_parts(space: MeasurableSpace, nums: tuple, den: int) -> Tuple[tuple, tuple]:
+    """The canonical forms of f + c * s and c * s for f = nums / den, with s
+    the indicator of the support of f and c above every |f(x)|: constant on
+    atoms, as f is, positive on the support and zero off it."""
+    space.require_measurable(points_to_mask(x for x, n in enumerate(nums) if n), "support")
+    c = max(map(abs, nums), default=0) + den  # c * den
+    return (_reduced(tuple(n + c if n else 0 for n in nums), den),
+            _reduced(tuple(c if n else 0 for n in nums), den))
 
 
 def integrate_signed(f: SignedFunction, mu: Measure) -> Element:
-    """Integral of an integrable signed function via its two-sided parts.
-
-    The positive/negative decomposition is the one used; independence of
-    the decomposition is verified against the shifted decomposition
-    f = (f + c * s) - c * s with s the indicator of the support of f.
-    """
-    total_abs = integral_value(f.abs(), mu)
-    if not total_abs.is_finite:
+    """Integral of an integrable signed function as f+ - f-, verified against
+    the shifted decomposition (f + c * s) - c * s (`_shifted_parts`).  Each
+    part is an integer transform of f's numerators, not a function object."""
+    if not is_integrable(f, mu):
         raise NotIntegrableError("the function has an infinite |f| integral")
-    pos = integral_value(f.pos_part(), mu).payload()
-    negv = integral_value(f.neg_part(), mu).payload()
+    nums, den = f.nums, f.den
+    pos = _integral(mu, *_part(_pos, nums, den)).value.payload()
+    negv = _integral(mu, *_part(_neg, nums, den)).value.payload()
     result = spaces.sub(pos, negv)
 
-    shifted, shift_only = _shifted_parts(f)
-    lhs = integral_value(shifted, mu)
-    rhs = integral_value(shift_only, mu)
+    lhs, rhs = (_integral(mu, *part).value for part in _shifted_parts(f.space, nums, den))
     if lhs.is_finite and rhs.is_finite:
         alt = spaces.sub(lhs.payload(), rhs.payload())
         if alt != result:
@@ -459,14 +475,11 @@ def _monotone_convergence(name: str, mu: Measure, seq: SequenceSpec, f: ExtFunct
                           horizon: Optional[int], epsilons, increasing: bool
                           ) -> CheckResult:
     """The monotone convergence theorem in the direction `increasing` names:
-    the integrals of a sequence that increases (decreases) to f almost
-    everywhere reach the integral of f.  Decreasing needs a finite first
-    integral, which is tested before the terms are.
-
-    The order tests read one `_columns` table of the terms and f.  Once
-    they pass, the samples at a non-null point where f is finite are finite
-    (below f, or below the first term, whose integral is finite) and their
-    distances to f only shrink."""
+    integrals of a sequence increasing (decreasing) to f a.e. reach the
+    integral of f; decreasing needs a finite first integral, tested first.
+    The order tests read one `_columns` table of the terms and f; once they
+    pass, the samples at a non-null point where f is finite are finite (below
+    f, or below the first term) and their distances to f only shrink."""
     epsilons = epsilon_schedule(epsilons)
     terms = seq.sample(horizon)
     if not increasing and not integral_value(terms[0], mu).is_finite:
@@ -525,28 +538,21 @@ def mct_decreasing(mu: Measure, seq: SequenceSpec, f: ExtFunction,
 
 def require_sigma_dedekind(backend: SpaceDescriptor, what: str):
     if not backend.is_sigma_dedekind_complete:
-        raise HypothesisError(
-            f"{what} requires a sigma-Dedekind complete lattice backend; "
-            f"{backend.describe()} is only monotone complete"
-        )
+        raise HypothesisError(f"{what} requires a sigma-Dedekind complete lattice backend; "
+                              f"{backend.describe()} is only monotone complete")
 
 
 def fatou(mu: Measure, seq: SequenceSpec,
           horizon: Optional[int] = None) -> CheckResult:
-    """Fatou inequality on an eventually periodic sequence of functions.
-
-    Both sides are computed exactly from one cycle: the pointwise limit
-    inferior is the cycle minimum at each point, and the right-hand side is
-    the infimum of the cycle's integrals in the extended space.
-    """
+    """Fatou inequality on an eventually periodic sequence of functions, both
+    sides exact from one cycle: the pointwise limit inferior is the cycle
+    minimum at each point, the right-hand side the infimum of its integrals."""
     require_sigma_dedekind(mu.backend, "the Fatou inequality")
     terms = seq.sample(horizon)
     cycle = detect_cycle([(t.nums, t.den, t.inf) for t in terms])
     if cycle is None:
-        raise CertificationError(
-            "tails not exactly computable: sequence is not eventually periodic "
-            "within the horizon"
-        )
+        raise CertificationError("tails not exactly computable: sequence is not "
+                                 "eventually periodic within the horizon")
     pre, period = cycle
     cycle_terms = terms[pre:pre + period]
     # Each point's least finite value over the cycle; infinite where every term is.
@@ -562,25 +568,18 @@ def fatou(mu: Measure, seq: SequenceSpec,
     finite_ints = [v.finite for v in ints if v.is_finite]
     rhs = extended.finite(reduce(spaces.inf_pair, finite_ints)) if finite_ints else ints[0]
     ok = ext_leq(lhs, rhs)
-    details = {
-        "lhs": ext_to_json(lhs),
-        "rhs": ext_to_json(rhs),
-        "strict": lhs != rhs,
-        "cycle": {"preperiod": pre, "period": period},
-    }
+    details = {"lhs": ext_to_json(lhs), "rhs": ext_to_json(rhs), "strict": lhs != rhs,
+               "cycle": {"preperiod": pre, "period": period}}
     return holds("fatou", **details) if ok else fails("fatou", **details)
 
 
 def dct(mu: Measure, seq: SequenceSpec, f: SignedFunction, g: ExtFunction,
         horizon: Optional[int] = None, epsilons=None) -> CheckResult:
-    """Dominated convergence: all four conclusions, certified.
-
-    Requires a dominating function with finite integral and a sequence
-    declared to converge to f (stabilization, or a declared limit whose
-    integral deviations decrease).  Stabilizing sequences give exact
-    equalities; otherwise every conclusion is certified down the epsilon
-    schedule against the order unit.
-    """
+    """Dominated convergence: all four conclusions, certified.  Requires a
+    dominating function with finite integral and a sequence declared to
+    converge to f (stabilization, or a declared limit whose integral
+    deviations decrease).  Stabilizing sequences give exact equalities;
+    otherwise each conclusion is certified down the epsilon schedule."""
     require_sigma_dedekind(mu.backend, "dominated convergence")
     epsilons = epsilon_schedule(epsilons)
     terms = seq.sample(horizon)
@@ -611,7 +610,8 @@ def dct(mu: Measure, seq: SequenceSpec, f: SignedFunction, g: ExtFunction,
         return fails("dct", **details)
 
     unit = spaces.order_unit(mu.backend)
-    deviations = [integral_value((t - f).abs(), mu).payload() for t in terms]
+    deviations = [_integral(mu, *_pointwise_part(_distance, t, f)).value.payload()
+                  for t in terms]
     stable_from = detect_stable_tail(deviations)
     details["part3_deviation_infimum"] = "holds"
     f_int = integrate_signed(f, mu)
@@ -625,8 +625,7 @@ def dct(mu: Measure, seq: SequenceSpec, f: SignedFunction, g: ExtFunction,
     else:
         if not all(map(spaces.leq, deviations[1:], deviations[:-1])):
             raise CertificationError(
-                "integral deviations are not decreasing; tails not certifiable"
-            )
+                "integral deviations are not decreasing; tails not certifiable")
 
         def deviation_probe(eps):
             bound = spaces.scale(eps, unit)

@@ -192,7 +192,7 @@ class Measure:
                 )
         self.atom_values = dict(atom_values)
         self._memo: Dict[int, ExtElement] = {}
-        # integral.integrate_extended's reports, keyed by (function space, values)
+        # the two-route integrals' reports, keyed by a function's (nums, den, inf)
         self.integral_memo: dict = {}
 
     @cached_property

@@ -249,12 +249,11 @@ def neg(a: Element) -> Element:
     return _element(a.space, tuple(-x for x in a.nums), a.den)
 
 
-def scale(r, a: Element, den: int = 1) -> Element:
-    """(r / den) * a, for an int or Fraction r and an int den > 0."""
+def scale(r, a: Element) -> Element:
+    """r * a, for an int or Fraction r (or anything Fraction takes)."""
     if not isinstance(r, (int, Fraction)):
         r = Fraction(r)
-    return _element(a.space, tuple(r.numerator * x for x in a.nums),
-                    r.denominator * a.den * den)
+    return _element(a.space, tuple(r.numerator * x for x in a.nums), r.denominator * a.den)
 
 
 def is_positive_row(space: SpaceDescriptor, nums) -> bool:

@@ -1,7 +1,7 @@
 """The integral routes as they were computed before the library moved them
 onto integers, kept as test oracles.
 
-All but one take a library function and read only its derived ``values``
+All but a few take a library function and read only its derived ``values``
 (the Fraction and INFINITY tuple), so none of it shares the integer code it
 is compared with: the closed form, the break-level ladder with `truncate`
 and the rung integral, the canonical atom representation of dense values
@@ -10,7 +10,8 @@ of two functions with the extended scalar sum, order and product (the
 former ``rationals.ext_scalar_add``, ``ext_scalar_leq`` and
 ``ext_scalar_mul``), the terms of the three generated sequence kinds, and
 the Fraction class key of `integral_checks.l1_quotient`;
-`assert_routes_agree` compares both routes of one report with them.
+`assert_routes_agree` compares both routes of the integral core
+(`core_routes`, read through `ext_value`) with them.
 The former ``rationals.format_ext_scalar`` and ``integral.indicator``,
 which only the tests used, are here too.
 
@@ -127,19 +128,38 @@ def fraction_class_key(f, null: int) -> tuple:
 
 
 def closed_form_integral(f, mu) -> om.ExtElement:
+    """The closed form as the library folded it before it moved onto
+    integers: `ext_scale` of each atom's value, summed by `ext_add`."""
     total = ext_zero(mu.backend)
     for atom, points in mu.space.atom_points.items():
         total = ext_add(total, ext_scale(f.values[points[0]], mu.atom_values[atom]))
     return total
 
 
+def ext_value(mu, value) -> om.ExtElement:
+    """An integer value of the integral core, (nums, den) or None for
+    infinity, as the extended element of `mu`'s backend that it stands for."""
+    if value is None:
+        return extended.infinity(mu.backend)
+    return om.finite(om.Element(mu.backend, tuple(Fraction(n, value[1]) for n in value[0])))
+
+
+def core_routes(f, mu) -> tuple:
+    """The two routes of the integral core `integral._integral` on f's
+    canonical integer form, recomputed: the closed form's value, and the
+    ladder's value and trail, each value as an extended element."""
+    closed = integral._closed_form(f.nums, f.den, f.inf, mu)
+    ladder, trail = integral._ladder_supremum(f.nums, f.den, f.inf, mu)
+    return ext_value(mu, closed), (ext_value(mu, ladder), trail)
+
+
 def assert_routes_agree(report, f, mu):
-    """Each route of `integral.integrate_extended`, recomputed, gives the
-    value of its `report` (the ladder its trail too) and what its Fraction
-    oracle gives."""
-    assert integral._closed_form_integral(f, mu) == report.value == closed_form_integral(f, mu)
-    assert (integral._ladder_supremum(f, mu) == (report.value, report.trail)
-            == ladder_supremum(f, mu))
+    """Each route of the integral core, recomputed for the report that
+    `integral.integrate_extended` gives f, gives the value of its `report`
+    (the ladder its trail too) and what its Fraction oracle gives."""
+    closed, ladder = core_routes(f, mu)
+    assert closed == report.value == closed_form_integral(f, mu)
+    assert ladder == (report.value, report.trail) == ladder_supremum(f, mu)
 
 
 def ladder_supremum(f, mu):

@@ -171,9 +171,11 @@ class TestDerivedFunctions:
         assert f.sup_with(g).values == tuple(map(max, a, b))
         assert f.inf_with(g).values == tuple(map(min, a, b))
         c = max(map(abs, a)) + 1
-        shifted, shift_only = integral._shifted_parts(f)
-        assert shifted.values == tuple(v + c if v else v for v in a)
-        assert shift_only.values == tuple(c if v else 0 for v in a)
+        shifted, shift_only = integral._shifted_parts(space, f.nums, f.den)
+        assert tuple(Fraction(n, shifted[1]) for n in shifted[0]) == tuple(
+            v + c if v else v for v in a)
+        assert tuple(Fraction(n, shift_only[1]) for n in shift_only[0]) == tuple(
+            c if v else 0 for v in a)
 
     @given(cases(), cases(), scalars(), scalars())
     @settings(max_examples=200, deadline=None)

@@ -16,12 +16,7 @@ from ordmeasure.errors import (
     OrdMeasureError,
     ValidationError,
 )
-from ordmeasure.integral import (
-    ElementaryFunction,
-    _check_level_sets,
-    _ladder_supremum,
-    integrate_elementary,
-)
+from ordmeasure.integral import ElementaryFunction, _check_level_sets, integrate_elementary
 from ordmeasure.measures import _atom_unions, full_mask, mask_to_points, points_to_mask
 from ordmeasure.rationals import INFINITY, is_infinite, over_one_den
 from ordmeasure.sequences import (
@@ -323,7 +318,7 @@ class TestLadderBreakLevels:
     @settings(max_examples=300, deadline=None)
     def test_agrees_with_full_ladder(self, case):
         mu, f = case
-        assert _ladder_supremum(f, mu) == full_ladder_supremum(f, mu)
+        assert oracle.core_routes(f, mu)[1] == full_ladder_supremum(f, mu)
 
     @pytest.mark.parametrize("values, atom2, expected", [
         ([Fraction(1, 3), 2], fin(0, 1), {"mode": "stabilized", "at_level": 2}),
@@ -336,7 +331,7 @@ class TestLadderBreakLevels:
     def test_trail_modes(self, values, atom2, expected):
         mu = om.Measure(om.power_set_space(2), C2, {1: fin(1, 0), 2: atom2})
         f = om.ext_function(mu.space, values)
-        value, trail = _ladder_supremum(f, mu)
+        value, trail = oracle.core_routes(f, mu)[1]
         assert trail == expected
         assert (value, trail) == full_ladder_supremum(f, mu)
 
@@ -353,7 +348,7 @@ class TestLadderBreakLevels:
         mu = om.Measure(space, C2, {1: fin(1, 0), 2: fin(0, 1), 4: fin(1, 1),
                                     8: fin(0, 0)})
         f = om.ext_function(space, [0, Fraction(5, 2), 10**8, INFINITY])
-        _ladder_supremum(f, mu)
+        oracle.core_routes(f, mu)[1]
         assert levels == [1, 2, 3, 10**8, 10**8 + 1]
 
 
@@ -400,7 +395,7 @@ class TestRung:
     def test_rung_row_matches_rung_integral(self, case, level):
         mu, f = case
         table_den, table = mu.atom_table
-        terms = integral._rung_terms(f, table)
+        terms = integral._rung_terms(f.nums, f.inf, table)
         row = integral._rung_row(terms, level, f.den, mu.backend.ncoords)
         rung = (om.infinity(mu.backend) if row is None else
                 om.finite(spaces._element(mu.backend, tuple(row), f.den * table_den)))
@@ -428,13 +423,14 @@ class TestRung:
         with pytest.raises(ValidationError, match="different spaces"):
             oracle.combination_rung_integral(phi, mu)
         with pytest.raises(ValidationError, match="different spaces"):
-            _ladder_supremum(om.ext_function(coarse, [1, 1]), mu)
+            om.integrate_extended(om.ext_function(coarse, [1, 1]), mu)
 
 
 class TestLadderOperationCounts:
-    """The ladder sums one integer row per break level on the measure's atom
-    table, builds no element on the way, and builds one `Element` for a
-    finite supremum; it makes no pairwise arithmetic."""
+    """The integral core's ladder sums one integer row per break level on the
+    measure's atom table, neither route builds an element on the way, and
+    the core builds one `Element` for a finite integral; no route makes
+    pairwise element arithmetic."""
 
     @pytest.mark.parametrize("values, atom_values, levels, elements", [
         ([Fraction(1, 3), 2], [fin(1, 0), fin(0, 1)], [1, 2, 3], 1),
@@ -459,7 +455,7 @@ class TestLadderOperationCounts:
             return rung_row(terms, level, den, width)
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("element or pairwise arithmetic in the ladder")
+            raise AssertionError("element or pairwise arithmetic in a route")
 
         monkeypatch.setattr(spaces, "_element", counting_element)
         monkeypatch.setattr(integral, "_rung_row", recording_rung_row)
@@ -468,7 +464,7 @@ class TestLadderOperationCounts:
                             (extended, "ext_add"), (extended, "ext_scale"),
                             (integral, "ext_add"), (integral, "ext_scale")]:
             monkeypatch.setattr(owner, name, forbidden)
-        _ladder_supremum(f, mu)
+        integral._integral(mu, f.nums, f.den, f.inf)
         assert calls == {"elements": elements, "levels": levels}
 
 
@@ -504,14 +500,24 @@ class TestTrustedFunctions:
         ]
         support = points_to_mask(x for x, v in enumerate(f.values) if v != 0)
         c = max(abs(v) for v in f.values) + 1
-        shifted, shift_only = integral._shifted_parts(f)
-        expected += [
-            (shifted, om.ExtFunction(space, tuple(v + c if v else v for v in f.values))),
-            (shift_only, oracle.indicator(space, support, c)),
-        ]
         for trusted, validated in expected:
             assert type(trusted) is type(validated)
             assert trusted == validated and hash(trusted) == hash(validated)
+        # The integer part transforms that `integrate_signed` and `dct` hand
+        # the integral core, against the canonical form of the validated parts.
+        shifted, shift_only = integral._shifted_parts(space, f.nums, f.den)
+        parts = [
+            (integral._part(abs, f.nums, f.den), expected[0][1]),
+            (integral._part(integral._pos, f.nums, f.den), expected[1][1]),
+            (integral._part(integral._neg, f.nums, f.den), expected[2][1]),
+            (integral._pointwise_part(integral._distance, f, g),
+             om.ExtFunction(space, tuple(abs(a - b) for a, b in zip(f.values, g.values)))),
+            (shifted, om.ExtFunction(space, tuple(v + c if v else v for v in f.values))),
+            (shift_only, oracle.indicator(space, support, c)),
+        ]
+        for part, validated in parts:
+            assert part == (validated.nums, validated.den)
+            assert type(part[0]) is tuple
 
     def test_pointwise_operations_need_one_space(self):
         f = om.signed_function(om.power_set_space(2), [1, -1])
@@ -550,19 +556,20 @@ class TestIntegralMemo:
             assert _report_or_error(g, mu) == _report_or_error(g, fresh)
 
     def test_ladder_runs_once_per_distinct_function(self, monkeypatch):
-        calls = []
-        ladder = integral._ladder_supremum
+        # Both routes of the integral core run once per distinct canonical form.
+        calls = {"_closed_form": [], "_ladder_supremum": []}
+        for name in calls:
+            def counting(nums, den, inf, mu, route=getattr(integral, name), name=name):
+                calls[name].append((nums, den, inf))
+                return route(nums, den, inf, mu)
 
-        def counting(f, mu):
-            calls.append(f.values)
-            return ladder(f, mu)
-
-        monkeypatch.setattr(integral, "_ladder_supremum", counting)
+            monkeypatch.setattr(integral, name, counting)
         mu = basic_measure()
         f, g = (om.ext_function(mu.space, v) for v in ([1, 2], [INFINITY, 0]))
         again = om.ext_function(mu.space, [1, 2])
         reports = [om.integrate_extended(h, mu) for h in (f, g, again, f, g)]
-        assert calls == [f.values, g.values]
+        forms = [(h.nums, h.den, h.inf) for h in (f, g)]
+        assert calls == {"_closed_form": forms, "_ladder_supremum": forms}
         assert reports[2] is reports[0] and reports[4] is reports[1]
         assert om.integral_value(again, mu) == fin(1, 2)
         with pytest.raises(AttributeError):

@@ -1,0 +1,126 @@
+"""Named mutants of the integral core, each run against the tests it names.
+
+Usage: ``python3 tools/mutants.py [NAME ...]`` from the repository root,
+for every mutant or the named ones.
+
+Each mutant rewrites one node of one function of
+`src/ordmeasure/integral.py` through its syntax tree: the node whose
+`ast.unparse` text is the mutant's ``old`` becomes ``new``.  The mutated
+module goes into a temporary copy of `src`, `tests`, `scenarios` and
+`pyproject.toml`, and pytest runs there on the test files the mutant
+names, stopping at the first failure.  A mutant is killed when a test
+fails and survives when every test passes.  The unmutated copy runs
+first, on every named file, so that a failing test is not mistaken for a
+kill.
+
+One line is printed per mutant: killed or survived, the seconds it took,
+and its name.  The exit code is 1 when a mutant survives, and 2 when the
+unmutated copy fails its tests or a mutant no longer matches exactly one
+node.  Standard library only; the file is not a test module, so pytest
+does not collect it.
+"""
+
+from __future__ import annotations
+
+import ast
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TARGET = Path("src") / "ordmeasure" / "integral.py"
+CORE, UNIT = "tests/test_integral_core.py", "tests/test_integral.py"
+
+# (name, function, old, new, test files)
+MUTANTS = [
+    ("closed form: inf * 0 = inf (infinite value on a null atom)", "_closed_form",
+     "value is None or any(value.nums)", "True", [CORE, UNIT]),
+    ("closed form: 0 * inf = inf (zero value on an infinite atom)", "_closed_form",
+     "if not v:\n    continue", "pass", [CORE, UNIT]),
+    ("closed form: no final gcd", "_closed_form",
+     "_reduced(tuple(acc), acc_den * den)", "(tuple(acc), acc_den * den)", [CORE]),
+    ("closed form: the sum is not brought over the common denominator", "_closed_form",
+     "p * (d // g)", "p", [CORE]),
+    ("part transform: no gcd", "_part",
+     "_reduced(tuple(map(op, nums)), den)", "(tuple(map(op, nums)), den)", [CORE, UNIT]),
+    ("_rung_row: an infinite atom is skipped", "_rung_row",
+     "if row is None:\n    return None", "if row is None:\n    continue", [UNIT]),
+    ("ladder: break level nstar + 1 dropped", "_ladder_supremum",
+     "{1, nstar, nstar + 1}", "{1, nstar}", [UNIT]),
+]
+
+
+class _Replace(ast.NodeTransformer):
+    """Replaces every node whose source text is `old` by the parse of `new`."""
+
+    def __init__(self, old: str, new: str):
+        self.old, self.new, self.count = old, new, 0
+
+    def generic_visit(self, node):
+        if isinstance(node, (ast.expr, ast.stmt)) and ast.unparse(node) == self.old:
+            self.count += 1
+            if isinstance(node, ast.expr):
+                return ast.parse(self.new, mode="eval").body
+            return ast.parse(self.new).body[0]
+        return super().generic_visit(node)
+
+
+def mutate(source: str, function: str, old: str, new: str) -> str:
+    """`source` with the one node of `function` whose text is `old` made `new`."""
+    tree = ast.parse(source)
+    replace = _Replace(old, new)
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name == function:
+            replace.visit(node)
+    if replace.count != 1:
+        raise LookupError(f"{old!r} matches {replace.count} nodes of {function}, not 1")
+    return ast.unparse(ast.fix_missing_locations(tree))
+
+
+def run_tests(copy: Path, files: list) -> bool:
+    """Whether every test of `files` passes in the copy."""
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                           *files], cwd=copy, env=env, capture_output=True, text=True)
+    return proc.returncode == 0
+
+
+def main(names: list) -> int:
+    chosen = [m for m in MUTANTS if not names or m[0] in names]
+    unknown = set(names) - {m[0] for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
+        return 2
+    source = (ROOT / TARGET).read_text()
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        copy = Path(tmp)
+        for part in ("src", "tests", "scenarios"):
+            shutil.copytree(ROOT / part, copy / part,
+                            ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        shutil.copy(ROOT / "pyproject.toml", copy)
+        files = sorted({f for m in chosen for f in m[4]})
+        if not run_tests(copy, files):
+            print(f"the unmutated copy fails {files}", file=sys.stderr)
+            return 2
+        survived = 0
+        for name, function, old, new, tests in chosen:
+            try:
+                (copy / TARGET).write_text(mutate(source, function, old, new))
+            except LookupError as exc:
+                print(f"{name}: {exc}", file=sys.stderr)
+                return 2
+            start = time.perf_counter()
+            killed = not run_tests(copy, tests)
+            survived += not killed
+            print(f"{'killed' if killed else 'SURVIVED':8} {time.perf_counter() - start:7.1f} s"
+                  f"  {name}", flush=True)
+        (copy / TARGET).write_text(source)
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
