@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 from . import spaces
 from .errors import CertificationError, Frozen, SpaceMismatchError
 from .rationals import ExtScalar, format_rational, is_infinite
-from .sequences import certify_gaps, detect_stable_tail
+from .sequences import certify_gaps, stable_from
 from .spaces import Element, SpaceDescriptor
 
 
@@ -294,7 +294,7 @@ def certify_monotone_limit(values: Sequence[ExtElement], target: Optional[ExtEle
         if not precedes(v, target):
             raise CertificationError(f"{prefix}sequence {crossing} the target at {n}")
     if values[-1] == target:
-        return {"mode": "stabilized", "at": detect_stable_tail(values) or len(values)}
+        return {"mode": "stabilized", "at": stable_from(values).index}
     if target.is_infinite:
         return {"mode": "divergence-certified", "ladder_top": certify_divergence(values)}
     unit = spaces.order_unit(target.space)

@@ -14,11 +14,12 @@ and `integrate_elementary` build and integrate rungs as elementary
 functions for the tests.
 
 The monotone and dominated convergence theorems and the Fatou inequality
-are certified checks: stabilizing sequences give exact equalities, declared
-limits are certified against an epsilon schedule in multiples of the
-backend's order unit, and divergence against a ladder of bounds.  Each
-check compares its sampled functions on one integer table (`_columns`), and
-`_certify_pointwise` certifies a finite pointwise limit.  The laws of the
+are certified checks on a sequence's declared tail (`declared_cycle`):
+stabilizing sequences give exact equalities (`_stabilized`), declared limits
+are certified against an epsilon schedule in multiples of the order unit,
+and divergence against a ladder of bounds.  Each check compares its sampled
+functions on one integer table (`_columns`), and `_certify_pointwise`
+certifies a finite pointwise limit.  The laws of the
 integral and its other structure checks are in `ordmeasure.integral_checks`.
 """
 
@@ -40,7 +41,7 @@ from .measures import MeasurableSpace, Measure, mask_to_points, points_to_mask
 from .rationals import INFINITY, format_rational, is_infinite, over_one_den
 from .reports import CheckResult, fails, holds
 from .sequences import (DeclaredLimit, DivergesToInfinity, SequenceSpec, StabilizesAt,
-                        certify_gaps, detect_cycle, detect_stable_tail, epsilon_schedule)
+                        certify_gaps, declared_cycle, epsilon_schedule, stable_from)
 from .spaces import Element, SpaceDescriptor
 
 
@@ -463,12 +464,24 @@ def _certify_pointwise(samples: list, target: int, den: int, epsilons, message: 
     finite `target`, all numerators over den: for each epsilon, an index
     from which every distance to the target, that is the largest of them,
     is within it.  `message` takes ``{eps}``, as in `certify_gaps`."""
-    if samples[-1] == target:
-        return
     tail_max = list(accumulate(reversed([abs(s - target) for s in samples]), max))[::-1]
     certify_gaps(epsilons, len(samples),
                  lambda eps: lambda i: (tail_max[i - 1] * eps.denominator
                                         <= eps.numerator * den), message)
+
+
+def _stabilized(seq: SequenceSpec, horizon: Optional[int], live: list) -> bool:
+    """Whether `seq` declares `StabilizesAt(k)`.  Its limit is then term k,
+    which must be sampled (`declared_cycle`) and equal the limit exactly:
+    ``col[k - 1] == col[h]`` in each `live` column of h samples and the limit."""
+    if not isinstance(seq.metadata, StabilizesAt):
+        return False
+    samples, pre, _ = declared_cycle(seq, horizon)
+    bad = [x for x, col in live if col[pre] != col[len(samples)]]
+    if bad:
+        raise CertificationError(f"declared final term {pre + 1} is not the limit at "
+                                 f"non-null points {bad}")
+    return True
 
 
 def _monotone_convergence(name: str, mu: Measure, seq: SequenceSpec, f: ExtFunction,
@@ -502,7 +515,7 @@ def _monotone_convergence(name: str, mu: Measure, seq: SequenceSpec, f: ExtFunct
         declared, kinds = (StabilizesAt, DeclaredLimit), "stabilization or limit"
     if not isinstance(seq.metadata, declared):
         raise CertificationError(f"pointwise convergence must be declared ({kinds})")
-    for x, (*samples, target) in live:
+    for x, (*samples, target) in ([] if _stabilized(seq, horizon, live) else live):
         if target is not None:
             _certify_pointwise(samples, target, den, epsilons,
                                f"pointwise gap {{eps}} at point {x} not certified")
@@ -544,16 +557,12 @@ def require_sigma_dedekind(backend: SpaceDescriptor, what: str):
 
 def fatou(mu: Measure, seq: SequenceSpec,
           horizon: Optional[int] = None) -> CheckResult:
-    """Fatou inequality on an eventually periodic sequence of functions, both
-    sides exact from one cycle: the pointwise limit inferior is the cycle
-    minimum at each point, the right-hand side the infimum of its integrals."""
+    """Fatou inequality on a sequence of functions that declares its cycle
+    (`declared_cycle`), both sides exact from that cycle: the pointwise limit
+    inferior is the cycle minimum at each point, the right-hand side the
+    infimum of its integrals."""
     require_sigma_dedekind(mu.backend, "the Fatou inequality")
-    terms = seq.sample(horizon)
-    cycle = detect_cycle([(t.nums, t.den, t.inf) for t in terms])
-    if cycle is None:
-        raise CertificationError("tails not exactly computable: sequence is not "
-                                 "eventually periodic within the horizon")
-    pre, period = cycle
+    terms, pre, period = declared_cycle(seq, horizon)
     cycle_terms = terms[pre:pre + period]
     # Each point's least finite value over the cycle; infinite where every term is.
     den, live = _columns(cycle_terms, 0)
@@ -596,7 +605,7 @@ def dct(mu: Measure, seq: SequenceSpec, f: SignedFunction, g: ExtFunction,
         raise HypothesisError("domination violated at index {}, point {}".format(*violation))
     if not isinstance(seq.metadata, (StabilizesAt, DeclaredLimit)):
         raise CertificationError("convergence to f must be declared")
-    for x, (*samples, target, _) in live:
+    for x, (*samples, target, _) in ([] if _stabilized(seq, horizon, live) else live):
         _certify_pointwise(samples, target, den, epsilons,
                            f"pointwise convergence gap {{eps}} at point {x} not certified")
 
@@ -612,11 +621,10 @@ def dct(mu: Measure, seq: SequenceSpec, f: SignedFunction, g: ExtFunction,
     unit = spaces.order_unit(mu.backend)
     deviations = [_integral(mu, *_pointwise_part(_distance, t, f)).value.payload()
                   for t in terms]
-    stable_from = detect_stable_tail(deviations)
     details["part3_deviation_infimum"] = "holds"
     f_int = integrate_signed(f, mu)
-    if stable_from is not None and deviations[-1].is_zero():
-        details["part3_mode"] = {"mode": "stabilized", "at": stable_from}
+    if all(d.is_zero() for d in deviations[-2:]):  # the last two, or the one at horizon 1
+        details["part3_mode"] = {"mode": "stabilized", "at": stable_from(deviations).index}
         part4 = integrate_signed(terms[-1], mu) == f_int
         details["part4_sandwich"] = "holds" if part4 else "fails"
         if not part4:

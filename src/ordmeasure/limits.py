@@ -5,11 +5,11 @@ the supremum of an increasing sequence of elements (`sup_increasing`), of
 a list or sequence in the extended space (`ext_sup`), and the exact limit
 inferior and superior of a lattice-valued sequence (`ext_liminf_limsup`).
 Every declared limit is decided by `extended.certify_monotone_limit`, in the
-direction the samples show; the limits of an eventually periodic sequence
-are the lattice infimum and supremum of its cycle, folded by
-`spaces.inf_pair` and `spaces.sup_pair` as Fatou's lemma folds its cycle's
-integrals.  No scenario check and no CLI command uses this module, so none
-of them loads it.
+direction the samples show; the limits of a sequence that declares its
+cycle (`sequences.declared_cycle`) are the lattice infimum and supremum of
+that cycle, folded by `spaces.inf_pair` and `spaces.sup_pair` as Fatou's
+lemma folds its cycle's integrals.  No scenario check and no CLI command
+uses this module, so none of them loads it.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .sequences import (
     DivergesToInfinity,
     SequenceSpec,
     StabilizesAt,
-    detect_cycle,
+    declared_cycle,
     epsilon_schedule,
 )
 from .spaces import Element, NoSupremum
@@ -145,12 +145,11 @@ def ext_liminf_limsup(
     Requires a lattice backend (tail infima and suprema must exist).  A
     sequence that declares its limit must be monotone: increasing when its
     first sample is below its last, decreasing otherwise, which
-    `certify_monotone_limit` certifies with the limit.  Any other sampled
-    window must be eventually periodic or stabilizing, so the tails are
-    exactly computable from one cycle.
+    `certify_monotone_limit` certifies with the limit.  Any other sequence
+    must declare its cycle, sampled in full (`declared_cycle`), so the
+    tails are exactly computable from that cycle.
     """
     terms = seq.sample(horizon)
-    h = len(terms)
     space = terms[0].space
     if not space.is_lattice:
         raise CertificationError(
@@ -167,12 +166,6 @@ def ext_liminf_limsup(
                                spaces.leq(terms[0], terms[-1]))
         return target.finite, target.finite
 
-    cycle = detect_cycle(terms)
-    if cycle is None:
-        raise CertificationError(
-            f"tails not exactly computable within horizon {h}: "
-            "no eventual periodicity detected"
-        )
-    pre, period = cycle
+    _, pre, period = declared_cycle(seq, horizon)
     cycle_vals = terms[pre : pre + period]
     return reduce(spaces.inf_pair, cycle_vals), reduce(spaces.sup_pair, cycle_vals)

@@ -2,9 +2,9 @@
 loaded by the checks that run them.
 
 Each check takes a measure of `ordmeasure.measures` and a sequence or list
-of measurable sets, and decides its statement exactly: increasing and
-decreasing set sequences stabilize on a finite ground set, and an
-eventually periodic one has exactly computable tail unions.
+of measurable sets, and decides its statement exactly from the tail that
+a set sequence declares (`sequences.declared_cycle`): a monotone one
+stabilizes, and a periodic one has exactly computable tail unions.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .errors import CertificationError, HypothesisError, ValidationError
 from .extended import ext_add, ext_leq, ext_sum, ext_to_json, ext_zero
 from .measures import Measure, mask_to_points
 from .reports import CheckResult, fails, holds
-from .sequences import SequenceSpec, detect_cycle, detect_stable_tail
+from .sequences import SequenceSpec, declared_cycle
 from .spaces import Element, SpaceKind
 
 
@@ -29,7 +29,8 @@ def _continuity(name: str, mu: Measure, seq: SequenceSpec, horizon: Optional[int
     values of increasing (decreasing) sets reach the measure of their union
     (intersection), the sum of the atom values under it.  Increasing values
     are tested before the sets stabilize; decreasing needs a finite first
-    value, which is tested first."""
+    value, which is tested first.  The sets must declare where they
+    stabilize: a declared period above 1 is not monotone."""
     sets = seq.sample(horizon)
     direction = "increasing" if increasing else "decreasing"
     for n in range(1, len(sets)):
@@ -44,12 +45,12 @@ def _continuity(name: str, mu: Measure, seq: SequenceSpec, horizon: Optional[int
     elif values[0].is_infinite:
         raise HypothesisError("continuity from above requires the first set to have "
                               "finite measure")
-    # Monotone sets on a finite ground set stabilize inside the window.
-    if detect_stable_tail(sets) is None and len(sets) > 1:
-        raise CertificationError("set sequence did not stabilize within horizon")
-    # The limit set is the last set; its value is summed from its atoms
-    # rather than read from `evaluate`, so that the comparison can fail.
-    limit = reduce(operator.or_ if increasing else operator.and_, sets)
+    _, pre, period = declared_cycle(seq, horizon)
+    if period > 1:
+        raise CertificationError(f"set sequence not {direction}: it declares period {period}")
+    # The limit set is the declared final set; its value is summed from its
+    # atoms rather than read from `evaluate`, so that the comparison can fail.
+    limit = sets[pre]
     limit_value = ext_sum([mu.atom_values[a] for a in mu.space.atoms_inside(limit)],
                           mu.backend)
     limit_key, bound_key = (("union", "sup_of_values") if increasing
@@ -76,8 +77,8 @@ def continuity_from_above(mu: Measure, seq: SequenceSpec,
 
 def borel_cantelli(mu: Measure, seq: SequenceSpec, x: Optional[Element] = None,
                    horizon: Optional[int] = None) -> CheckResult:
-    """Both halves of the Borel-Cantelli lemma on an eventually periodic
-    sequence of sets.
+    """Both halves of the Borel-Cantelli lemma on a sequence of sets that
+    declares its cycle (`declared_cycle`).
 
     Part one applies when the partial sums of the values stay finite, which
     on an eventually periodic sequence means every set in the cycle is null;
@@ -86,14 +87,7 @@ def borel_cantelli(mu: Measure, seq: SequenceSpec, x: Optional[Element] = None,
     lower bound x for the values is supplied; the limit superior set must
     then carry at least x.
     """
-    sets = seq.sample(horizon)
-    cycle = detect_cycle(sets)
-    if cycle is None:
-        raise CertificationError(
-            "set sequence is not eventually periodic within the horizon; "
-            "tail unions are not certifiable"
-        )
-    pre, period = cycle
+    sets, pre, period = declared_cycle(seq, horizon)
     union_all = reduce(operator.or_, sets, 0)
     gamma = reduce(operator.or_, sets[pre:pre + period], 0)  # every tail's union, eventually
     details: dict = {"limsup_set": mask_to_points(gamma)}

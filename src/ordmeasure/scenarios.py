@@ -27,19 +27,23 @@ Top-level keys:
 Sequence specs (terms are function names or inline {"values": [...]}):
 
   {"kind": "explicit", "terms": [...]}
-      final term repeats forever, so stabilization is implied
+      final term repeats forever: StabilizesAt(first index of its final run)
   {"kind": "geometric", "base": f, "bump": g, "ratio": "-1/2"}
       term n is base + ratio^n * bump; |ratio| < 1, declared limit base
+      (StabilizesAt(1) when the ratio or the bump is 0)
   {"kind": "truncation_ladder", "of": f}
       term n is f truncated at level n; increasing with declared limit f
+      (StabilizesAt(max(1, ceil(max f))) when f is finite)
   {"kind": "alternating", "terms": [...]}
-      cycles through the terms forever
+      cycles through the terms forever: Periodic(1, least period of the list)
   {"kind": "scaled_index", "shape": g}
-      term n is n * shape; declared divergent
+      term n is n * shape; declared divergent (StabilizesAt(1) when g is 0)
 
 A sequence may carry a "monotonicity" key; it is accepted but not read,
 since every check that needs a monotone sequence tests the order itself at
-every sampled index.
+every sampled index.  A check reads a tail only from the declarations above
+(`sequences.declared_cycle`), and is not-certifiable at a horizon that ends
+before the first declared cycle does.
 
 Check directives are objects {"check": <name>, <key>: ...}, each with an
 optional "expect": "holds" | "fails" | "hypothesis-not-met" |
@@ -49,8 +53,8 @@ and the handler that run it, each key's JSON type, whether the key is
 required, and what the key resolves to (a named function or sequence, a
 list or sequence of measurable sets, a rational, an element, a space, a
 matrix).  A set sequence is {"kind": "explicit" | "alternating", "terms":
-[[points...], ...]} or a bare array of sets (explicit); an explicit one
-repeats its final term.
+[[points...], ...]} or a bare array of sets (explicit), whose tail is
+declared as that of a function sequence of the same kind.
 
 `parse_scenario` resolves every directive and every named sequence, so a
 document that parses (`ordmeasure validate`) raises no schema error when it
@@ -76,7 +80,8 @@ from .rationals import format_rational, over_one_den, parse_ext_scalar, parse_ra
 from .reports import (CheckResult, FAILS, HOLDS, HYPOTHESIS_NOT_MET, NOT_CERTIFIABLE,
                       STATUSES)
 from .sequences import (DEFAULT_HORIZON, DeclaredLimit, DivergesToInfinity, SequenceSpec,
-                        StabilizesAt, check_horizon, epsilon_schedule, repeat_last)
+                        StabilizesAt, check_horizon, epsilon_schedule, from_terms,
+                        least_cycle, repeat_last, stable_from)
 from .spaces import Element, SpaceDescriptor, coord, entrywise_mat, loewner_sym, reals
 
 
@@ -256,11 +261,11 @@ def _parse_sequence(functions: dict, ground: int, doc, path: str) -> _NamedSeque
                        lambda t, tpath: _resolve_term(functions, ground, t, tpath))
         if not terms:
             raise SchemaError(f"{kind} sequence needs terms", path)
+        # The (nums, den, inf) forms of listed terms are canonical, so equal
+        # terms have equal forms.
         if kind == "alternating":
-            return _NamedSequence(_cycling(terms), None, tuple(terms))
-        metadata = (DivergesToInfinity() if doc.get("metadata") == "diverges"
-                    else StabilizesAt(len(terms)))
-        return _NamedSequence(repeat_last(terms), metadata, tuple(terms))
+            return _NamedSequence(_cycling(terms), least_cycle(terms), tuple(terms))
+        return _NamedSequence(repeat_last(terms), stable_from(terms), tuple(terms))
 
     # The witnesses of a generated kind.  Geometric: terms 1 and 2 are
     # measurable exactly when every term is (their difference fixes the
@@ -287,7 +292,8 @@ def _parse_sequence(functions: dict, ground: int, doc, path: str) -> _NamedSeque
             pn, qn = p**n, q**n
             return tuple(x * qn + y * pn for x, y in zip(b, h)), den * qn, 0
         least = tuple(x * q * q + min(0, p * q * y, p * p * y) for x, y in zip(b, h))
-        return _NamedSequence(geometric, DeclaredLimit(base),
+        metadata = StabilizesAt(1) if p == 0 or not any(h) else DeclaredLimit(base)
+        return _NamedSequence(geometric, metadata,
                               (geometric(1), geometric(2), (least, den * q * q, 0)))
 
     if kind == "truncation_ladder":
@@ -298,8 +304,9 @@ def _parse_sequence(functions: dict, ground: int, doc, path: str) -> _NamedSeque
             return tuple(cap if inf >> x & 1 else min(v, cap)
                          for x, v in enumerate(nums)), den, 0
         # floor of the largest finite value; an infinite point's 0 changes
-        # no level at or above 1
-        return _NamedSequence(rung, DeclaredLimit(f), (rung(max(1, max(nums) // den + 1)),))
+        # no level at or above 1.  A finite f is rung n from n >= max f on.
+        metadata = DeclaredLimit(f) if inf else StabilizesAt(max(1, -(-max(nums) // den)))
+        return _NamedSequence(rung, metadata, (rung(max(1, max(nums) // den + 1)),))
 
     if kind == "scaled_index":
         nums, den, inf = term("shape")
@@ -308,7 +315,8 @@ def _parse_sequence(functions: dict, ground: int, doc, path: str) -> _NamedSeque
 
         def scaled(n):
             return tuple(n * v for v in nums), den, 0
-        return _NamedSequence(scaled, DivergesToInfinity(), (scaled(1),))
+        metadata = DivergesToInfinity() if any(nums) else StabilizesAt(1)
+        return _NamedSequence(scaled, metadata, (scaled(1),))
 
     raise SchemaError(f"unknown sequence kind {kind!r}", path)
 
@@ -345,7 +353,8 @@ def _function_sequence(kind: str):
     resolved to its `SequenceSpec`, one per sequence and kind in a scenario.
     The sequence's witnesses are made functions when the first directive
     names it, so a term that is not one, at any index, is a schema error of
-    that directive."""
+    that directive; once they pass, every term is built by the trusted
+    constructor on its reduced form, unvalidated."""
     def resolve(scenario: Scenario, name: str, path: str):
         if name not in scenario.sequences:
             raise SchemaError(f"unresolved sequence reference {name!r}", path)
@@ -355,9 +364,12 @@ def _function_sequence(kind: str):
             seq, space = scenario.sequences[name], scenario.space
             for values in seq.witnesses:
                 _as_function(integral, space, values, kind, path)
-            scenario.specs[key] = SequenceSpec(
-                lambda n: _as_function(integral, space, seq.values(n), kind, path),
-                metadata=seq.metadata)
+            cls = integral.ExtFunction if kind == "ext" else integral.SignedFunction
+
+            def term(n):
+                nums, den, inf = seq.values(n)
+                return integral._trusted(cls, space, *integral._reduced(nums, den), inf)
+            scenario.specs[key] = SequenceSpec(term, metadata=seq.metadata)
         return scenario.specs[key]
     return resolve
 
@@ -387,9 +399,9 @@ def _set_sequence(scenario: Scenario, doc, path: str):
     if not terms:
         raise SchemaError("set sequence needs terms", path)
     if kind == "explicit":
-        return SequenceSpec(repeat_last(terms), metadata=StabilizesAt(len(terms)))
+        return from_terms(terms)
     if kind == "alternating":
-        return SequenceSpec(_cycling(terms))
+        return SequenceSpec(_cycling(terms), metadata=least_cycle(terms))
     raise SchemaError(f"unknown set sequence kind {kind!r}", path)
 
 

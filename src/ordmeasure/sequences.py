@@ -6,7 +6,7 @@ terms are sampled, is the caller's.  The spec claims no order: a check that
 needs a monotone sequence tests the order of its samples.  Every claim is
 certified at sampled indices before a result that depends on it is
 produced; nothing is ever inferred from the samples alone beyond what the
-metadata licenses.
+metadata licenses, and a tail is read only from it, by `declared_cycle`.
 """
 
 from __future__ import annotations
@@ -74,10 +74,18 @@ def certify_gaps(
     return trail
 
 
+class Periodic(Frozen):
+    """From 1-based term `index` on, term n + `period` equals term n."""
+
+    __slots__ = ("index", "period")
+
+
 class StabilizesAt(Frozen):
-    """The sequence is constant from this index on."""
+    """The sequence is constant from term `index` on: the period-1 case of
+    `Periodic`, which `declared_cycle` reads alike."""
 
     __slots__ = ("index",)
+    period = 1
 
 
 class DeclaredLimit(Frozen):
@@ -135,52 +143,46 @@ def repeat_last(terms: Sequence) -> Callable[[int], Any]:
     return lambda n: terms[min(n, len(terms)) - 1]
 
 
+def stable_from(terms: Sequence) -> StabilizesAt:
+    """The tail of `terms` with its final term repeating forever: constant
+    from the first index of the final run of equal terms, which is also
+    where a check reports that a sampled window settles (its ``at``)."""
+    return StabilizesAt(1 + max((n for n, t in enumerate(terms, start=1) if t != terms[-1]),
+                                default=0))
+
+
+def least_cycle(terms: Sequence) -> Periodic:
+    """The tail of `terms` cycled forever: periodic from term 1, with the
+    least period of the list, a divisor of its length."""
+    size = len(terms)
+    return Periodic(1, next(p for p in range(1, size + 1)
+                            if size % p == 0 and terms[p:] == terms[:size - p]))
+
+
 def from_terms(terms: list, *, metadata: Metadata = None) -> SequenceSpec:
     """Explicit sequence; the final term repeats forever past the list.
 
     Repeating the last term makes the infinite sequence well defined, so
-    stabilization metadata is attached automatically when none is given.
+    its stabilization (`stable_from`) is declared when no metadata is given.
     The terms sampled are the caller's horizon, however long the list.
     """
     if not terms:
         raise ValueError("explicit sequence needs at least one term")
     items = list(terms)
     if metadata is None:
-        metadata = StabilizesAt(len(items))
+        metadata = stable_from(items)
     return SequenceSpec(repeat_last(items), metadata=metadata)
 
 
-def detect_stable_tail(samples: list) -> Optional[int]:
-    """Smallest 1-based index from which the sampled values are constant.
-
-    Returns None when the last two samples differ (no evidence of
-    stabilization within the sampled window).
-    """
-    if not samples:
-        return None
-    last = samples[-1]
-    idx = len(samples)
-    for i in range(len(samples) - 1, 0, -1):
-        if samples[i - 1] == last:
-            idx = i
-        else:
-            break
-    if idx == len(samples) and len(samples) > 1:
-        return None
-    return idx
-
-
-def detect_cycle(samples: list) -> Optional[tuple]:
-    """Detect an eventually periodic pattern in the sampled window.
-
-    Returns ``(preperiod, period)`` with 0-based preperiod, where
-    ``samples[i + period] == samples[i]`` for all ``i >= preperiod``, and the
-    window covers at least two full periods past the preperiod.  Returns
-    None when no such pattern exists in the window.
-    """
-    n = len(samples)
-    for period in range(1, n // 2 + 1):
-        for pre in range(0, n - 2 * period + 1):
-            if all(samples[i] == samples[i + period] for i in range(pre, n - period)):
-                return pre, period
-    return None
+def declared_cycle(seq: SequenceSpec, horizon: Optional[int]) -> tuple:
+    """``(samples, preperiod, period)``: the terms of `seq` up to the horizon
+    and the cycle its metadata declares, ``samples[preperiod:][:period]``.
+    The one reader of a tail: a CertificationError refuses a sequence that
+    declares no `Periodic` or `StabilizesAt` cycle, and a horizon that ends
+    before its first full cycle does."""
+    samples, metadata = seq.sample(horizon), seq.metadata
+    if (not isinstance(metadata, (Periodic, StabilizesAt))
+            or len(samples) < metadata.index - 1 + metadata.period):
+        raise CertificationError(f"tail not certifiable within horizon {len(samples)}: "
+                                 "it needs a declared cycle, sampled in full")
+    return samples, metadata.index - 1, metadata.period

@@ -7,15 +7,14 @@ Usage, from the root of a checkout:
 For every call in `calls()` the file records the sha256 of stdout and the
 exit code of `cli.main`, run in process.  The calls are, on each shipped
 scenario, ``run --output json --horizon 8``, text ``run``, ``validate`` and
-``caratheodory``; ``run --output json`` at horizons 1 to 4 on the Fatou,
-dominated and monotone convergence documents in `SHORT_HORIZON`, where the
-horizon decides how their cycle or stabilization is found, how many
-samples their order and pointwise tests read, or how high the divergence
-ladder climbs; ``run --output json --horizon 1`` on the
-continuity and Borel-Cantelli documents in `ONE_TERM`, which evaluate the
-measure on a one-term window; and ``compare`` of both kinds at ``--n`` 1, 8,
-16 and 64 (the cap), in json and in text.  `tests/test_cli_reference.py` makes the same calls and
-compares, so a refactor that changes any of these outputs fails tier 1.
+``caratheodory``; ``run --output json`` at horizons 1 to 4 on the
+documents in `SHORT_HORIZON`, whose checks read a sequence: there the
+horizon decides whether the declared cycle or stabilization is sampled in
+full, how many samples the order and pointwise tests read, or how high
+the divergence ladder climbs; and ``compare`` of both kinds at ``--n`` 1,
+8, 16 and 64 (the cap), in json and in text.  `tests/test_cli_reference.py`
+makes the same calls and compares, so a refactor that changes any of
+these outputs fails tier 1.
 Regenerate only for a change that is meant to alter output.
 """
 
@@ -31,12 +30,12 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 REFERENCE = HERE / "cli_reference.json"
-SHORT_HORIZON = ("dct_stabilizing.json", "dct_geometric.json",
-                 "fatou_alternating.json", "fatou_constant.json",
+SHORT_HORIZON = ("borel_cantelli_parts.json", "continuity_above_basic.json",
+                 "continuity_below_basic.json", "dct_stabilizing.json",
+                 "dct_geometric.json", "fatou_alternating.json", "fatou_constant.json",
                  "mct_basic.json", "mct_decreasing_basic.json",
-                 "mct_decreasing_infinite.json", "mct_divergent.json")
-ONE_TERM = ("borel_cantelli_parts.json", "continuity_above_basic.json",
-            "continuity_below_basic.json")
+                 "mct_decreasing_infinite.json", "mct_divergent.json",
+                 "series_truncation.json")
 
 
 def calls() -> list:
@@ -49,8 +48,6 @@ def calls() -> list:
     for path in SHORT_HORIZON:
         out += [["run", f"scenarios/{path}", "--output", "json", "--horizon", h]
                 for h in ("1", "2", "3", "4")]
-    out += [["run", f"scenarios/{path}", "--output", "json", "--horizon", "1"]
-            for path in ONE_TERM]
     for kind in ("sup_measure", "series_measure"):
         for n in ("1", "8", "16", "64"):
             for output in ("json", "text"):

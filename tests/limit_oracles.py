@@ -6,6 +6,9 @@ supremum when the metadata declares nothing (or declares a limit); that
 guess is exactly what the library no longer makes, so compare with it only
 on sequences that never stabilize below their declared limit.
 
+`detect_stable_tail`, the former ``sequences.detect_stable_tail``, is the
+window guess that procedure read.
+
 `constant_sequence`, the former ``sequences.constant_sequence``, which only
 the tests used, builds the constant sequences they feed the limit API.
 
@@ -24,10 +27,29 @@ from ordmeasure.sequences import (
     DeclaredLimit,
     SequenceSpec,
     StabilizesAt,
-    detect_stable_tail,
 )
 from ordmeasure.spaces import (Element, NoSupremum, add, inf_pair, leq, order_unit, scale,
                                require_same_space, sub)
+
+
+def detect_stable_tail(samples: list) -> Optional[int]:
+    """Smallest 1-based index from which the sampled values are constant.
+
+    Returns None when the last two samples differ (no evidence of
+    stabilization within the sampled window).
+    """
+    if not samples:
+        return None
+    last = samples[-1]
+    idx = len(samples)
+    for i in range(len(samples) - 1, 0, -1):
+        if samples[i - 1] == last:
+            idx = i
+        else:
+            break
+    if idx == len(samples) and len(samples) > 1:
+        return None
+    return idx
 
 
 def stable_tail_sup_increasing(

@@ -16,6 +16,7 @@ from ordmeasure.rationals import INFINITY, parse_rational
 from ordmeasure.sequences import (
     DeclaredLimit,
     DivergesToInfinity,
+    Periodic,
     SequenceSpec,
     StabilizesAt,
 )
@@ -219,13 +220,13 @@ class TestExtSup:
 class TestLiminfLimsup:
     def test_constant(self):
         x = om.element(C2, [2, 3])
-        seq = SequenceSpec(generator=lambda n: x)
+        seq = SequenceSpec(generator=lambda n: x, metadata=StabilizesAt(1))
         assert om.ext_liminf_limsup(seq, horizon=16) == (x, x)
 
     def test_alternating(self):
         a = om.element(C2, [1, 0])
         b = om.element(C2, [0, 1])
-        seq = SequenceSpec(generator=lambda n: a if n % 2 else b)
+        seq = SequenceSpec(generator=lambda n: a if n % 2 else b, metadata=Periodic(1, 2))
         lo, hi = om.ext_liminf_limsup(seq, horizon=16)
         assert lo == om.element(C2, [0, 0])
         assert hi == om.element(C2, [1, 1])
@@ -281,7 +282,8 @@ class TestLiminfLimsup:
             cycle = [om.element(C2, (Fraction(rng.randint(-3, 3)),
                                      Fraction(rng.randint(-3, 3))))
                      for _ in range(period)]
-            seq = SequenceSpec(generator=lambda n, c=cycle: c[(n - 1) % len(c)])
+            seq = SequenceSpec(generator=lambda n, c=cycle: c[(n - 1) % len(c)],
+                               metadata=Periodic(1, period))
             lo, hi = om.ext_liminf_limsup(seq, horizon=24)
             assert om.leq(lo, hi)
 

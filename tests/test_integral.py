@@ -23,6 +23,7 @@ from ordmeasure.sequences import (
     DEFAULT_EPSILONS,
     DeclaredLimit,
     DivergesToInfinity,
+    Periodic,
     SequenceSpec,
     StabilizesAt,
     epsilon_schedule,
@@ -1005,7 +1006,8 @@ def _calls_with_horizon():
         "mct": lambda h: om.mct(mu, geometric_ext_sequence(mu.space, [1, 1]), f,
                                 horizon=h),
         "dct": lambda h: om.dct(mu, from_terms([signed]), signed, dominator, horizon=h),
-        "fatou": lambda h: om.fatou(mu, SequenceSpec(lambda n: f), horizon=h),
+        "fatou": lambda h: om.fatou(mu, SequenceSpec(lambda n: f, metadata=StabilizesAt(1)),
+                                    horizon=h),
         "sup_increasing": lambda h: om.sup_increasing(
             constant_sequence(om.element(C2, [1, 1])), horizon=h),
     }
@@ -1161,8 +1163,9 @@ class TestMonotoneConvergenceRejections:
 @st.composite
 def eventually_periodic_functions(draw):
     """(mu, seq, horizon): a few functions on three points, then a cycle of
-    functions repeating forever, sampled past two full cycles.  Values may be infinite;
-    the measure's first atom is null and its others may be infinite."""
+    functions repeating forever, which the sequence declares, sampled past
+    its first full cycle.  Values may be infinite; the measure's first atom
+    is null and its others may be infinite."""
     space = om.power_set_space(3)
     atom = st.one_of(st.just(om.infinity(C2)),
                      st.builds(fin, st.integers(0, 3), st.integers(0, 3)))
@@ -1173,9 +1176,10 @@ def eventually_periodic_functions(draw):
                          st.lists(value, min_size=3, max_size=3))
     head = draw(st.lists(function, max_size=2))
     cycle = draw(st.lists(function, min_size=1, max_size=3))
-    horizon = len(head) + 2 * len(cycle) + draw(st.integers(0, 3))
+    horizon = len(head) + len(cycle) + draw(st.integers(0, 3))
     terms = head + cycle * (horizon // len(cycle) + 1)
-    return mu, SequenceSpec(lambda n: terms[n - 1]), horizon
+    return mu, SequenceSpec(lambda n: terms[n - 1],
+                            metadata=Periodic(len(head) + 1, len(cycle))), horizon
 
 
 class TestFatouDct:
@@ -1197,7 +1201,7 @@ class TestFatouDct:
         mu = om.Measure(space, C2, {1: fin(1, 1), 2: fin(1, 1)})
         f1 = om.ext_function(space, [1, 0])
         f2 = om.ext_function(space, [0, 1])
-        seq = SequenceSpec(lambda n: f1 if n % 2 else f2)
+        seq = SequenceSpec(lambda n: f1 if n % 2 else f2, metadata=Periodic(1, 2))
         report = om.fatou(mu, seq, horizon=16)
         assert report.ok
         assert report.details["strict"]
@@ -1214,7 +1218,8 @@ class TestFatouDct:
         original = integral.integral_value
         monkeypatch.setattr(integral, "integral_value",
                             lambda g, m: seen.append(g) or original(g, m))
-        report = om.fatou(mu, SequenceSpec(lambda n: f1 if n % 2 else f2), horizon=8)
+        report = om.fatou(mu, SequenceSpec(lambda n: f1 if n % 2 else f2,
+                                           metadata=Periodic(1, 2)), horizon=8)
         liminf = om.ext_function(space, [INFINITY, Fraction(2, 3), Fraction(0)])
         assert seen[0] == liminf and (liminf.nums, liminf.den, liminf.inf) == ((0, 2, 0), 3, 1)
         assert report.ok and not report.details["strict"]
@@ -1223,7 +1228,7 @@ class TestFatouDct:
     def test_fatou_equality_constant(self):
         mu = basic_measure()
         f = om.ext_function(mu.space, [2, 3])
-        seq = SequenceSpec(lambda n: f)
+        seq = SequenceSpec(lambda n: f, metadata=StabilizesAt(1))
         report = om.fatou(mu, seq, horizon=8)
         assert report.ok and not report.details["strict"]
 
@@ -1296,7 +1301,8 @@ class TestFatouDct:
         report = om.dct(mu, seq, f, g)
         assert report.ok
         ints = SequenceSpec(
-            lambda n: om.integrate_signed(terms[min(n, len(terms)) - 1], mu))
+            lambda n: om.integrate_signed(terms[min(n, len(terms)) - 1], mu),
+            metadata=StabilizesAt(len(terms)))
         lo, hi = om.ext_liminf_limsup(ints, horizon=16)
         assert lo == hi == om.integrate_signed(f, mu)
 

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ordmeasure as om
-from ordmeasure import scenarios
 from ordmeasure.cli import main as cli_main
 from ordmeasure.errors import (MAX_EPSILON_EXPONENT, MAX_EXHAUSTIVE_ATOMS, MAX_HORIZON,
                                MAX_LOEWNER_DIM, MAX_OUTER_GROUND_SIZE, MAX_TRUNCATION,
@@ -135,22 +134,21 @@ class TestRunner:
             assert (canonical_dumps(run_scenario(scenario, config))
                     == canonical_dumps(run_scenario(load_scenario(path), config)))
 
-    def test_named_sequence_is_generated_once_per_index(self, monkeypatch):
+    def test_named_sequence_is_generated_once_per_index(self):
         # fatou_constant.json names `steady` in directive 0 and `rising` in
         # directives 1 (fatou) and 2 (mct), which share one spec and its terms.
         scenario = load_scenario(str(SCENARIO_DIR / "fatou_constant.json"))
         first, second = (scenario.checks[i].args["sequence"] for i in (1, 2))
         assert first is second
         made = Counter()
-        as_function = scenarios._as_function
 
-        def counting(*args):  # (integral, space, values, kind, path)
-            made[args[-1]] += 1
-            return as_function(*args)
+        def counting(name, generator):
+            return lambda n: made.update([name]) or generator(n)
 
-        monkeypatch.setattr(scenarios, "_as_function", counting)
+        for (name, _), spec in scenario.specs.items():
+            spec.generator = counting(name, spec.generator)
         assert run_scenario(scenario, RunConfig(horizon=16))["all_ok"]
-        assert made == {"/checks/0/sequence": 16, "/checks/1/sequence": 16}
+        assert made == {"steady": 16, "rising": 16}
 
 
 class TestSequenceSampling:
@@ -359,6 +357,35 @@ class TestGeneratedSequenceTerms:
             assert exc.path == "/checks/0/sequence"
             verdict = str(exc)
         assert (verdict is None) == (expected is None), (verdict, expected)
+
+
+def validated_terms_match(scenario, horizon: int):
+    """Each sampled term of each sequence spec of `scenario`, built by the
+    trusted constructor, equals the term that `from_nums` validates."""
+    from ordmeasure import integral
+    for (name, kind), spec in scenario.specs.items():
+        cls = integral.ExtFunction if kind == "ext" else integral.SignedFunction
+        for n, term in enumerate(spec.sample(horizon), start=1):
+            validated = cls.from_nums(scenario.space, *scenario.sequences[name].values(n))
+            assert type(term) is cls and term == validated, (name, kind, n)
+
+
+class TestTrustedSequenceTerms:
+    """The parser's witnesses prove every term of a named sequence valid, so
+    the terms are built unvalidated; the validating constructor is the oracle."""
+
+    @pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
+    def test_shipped_documents(self, path):
+        validated_terms_match(load_scenario(str(path)), 256)
+
+    @given(generated_sequence_docs())
+    @settings(max_examples=200, deadline=None)
+    def test_generated_documents(self, case):
+        try:
+            scenario = parse_scenario(case[0])
+        except SchemaError:
+            return
+        validated_terms_match(scenario, 40)
 
 
 DROP = object()  # an update that removes the key

@@ -38,6 +38,7 @@ FIELDS = {
     om.ElementaryFunction: ("space", "terms", "den"),
     om.IntegralReport: ("value", "trail"),
     om.StabilizesAt: ("index",),
+    om.Periodic: ("index", "period"),
     om.DeclaredLimit: ("value",),
     om.DivergesToInfinity: (),
     om.NoSupremum: ("reason",),
@@ -250,6 +251,8 @@ CASES = {
                             build_elementary),
     om.IntegralReport: (report_specs(), build_report),
     om.StabilizesAt: (st.integers(1, 3), om.StabilizesAt),
+    om.Periodic: (st.tuples(st.integers(1, 3), st.integers(1, 3)),
+                  lambda spec: om.Periodic(*spec)),
     # A list value is unhashable, as the scenario parser's limits are.
     om.DeclaredLimit: (st.one_of(SMALL, st.lists(SMALL, max_size=2)), om.DeclaredLimit),
     om.DivergesToInfinity: (st.just(None), lambda _: om.DivergesToInfinity()),

@@ -1,14 +1,15 @@
-"""Named mutants of the integral core, each run against the tests it names.
+"""Named mutants of the library, each run against the tests it names.
 
 Usage: ``python3 tools/mutants.py [NAME ...]`` from the repository root,
 for every mutant or the named ones.
 
-Each mutant rewrites one node of one function of
-`src/ordmeasure/integral.py` through its syntax tree: the node whose
+Each mutant rewrites one node of one top-level function of the module of
+`src/ordmeasure` that it names, through its syntax tree: the node whose
 `ast.unparse` text is the mutant's ``old`` becomes ``new``.  The mutated
 module goes into a temporary copy of `src`, `tests`, `scenarios` and
 `pyproject.toml`, and pytest runs there on the test files the mutant
-names, stopping at the first failure.  A mutant is killed when a test
+names, stopping at the first failure; the module is restored before the
+next mutant.  A mutant is killed when a test
 fails and survives when every test passes.  The unmutated copy runs
 first, on every named file, so that a failing test is not mistaken for a
 kill.
@@ -32,25 +33,38 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TARGET = Path("src") / "ordmeasure" / "integral.py"
+PACKAGE = Path("src") / "ordmeasure"
 CORE, UNIT = "tests/test_integral_core.py", "tests/test_integral.py"
+TAILS = "tests/test_declared_tails.py"
 
-# (name, function, old, new, test files)
+# (name, module file, function, old, new, test files)
 MUTANTS = [
-    ("closed form: inf * 0 = inf (infinite value on a null atom)", "_closed_form",
-     "value is None or any(value.nums)", "True", [CORE, UNIT]),
-    ("closed form: 0 * inf = inf (zero value on an infinite atom)", "_closed_form",
-     "if not v:\n    continue", "pass", [CORE, UNIT]),
-    ("closed form: no final gcd", "_closed_form",
+    ("closed form: inf * 0 = inf (infinite value on a null atom)", "integral.py",
+     "_closed_form", "value is None or any(value.nums)", "True", [CORE, UNIT]),
+    ("closed form: 0 * inf = inf (zero value on an infinite atom)", "integral.py",
+     "_closed_form", "if not v:\n    continue", "pass", [CORE, UNIT]),
+    ("closed form: no final gcd", "integral.py", "_closed_form",
      "_reduced(tuple(acc), acc_den * den)", "(tuple(acc), acc_den * den)", [CORE]),
-    ("closed form: the sum is not brought over the common denominator", "_closed_form",
-     "p * (d // g)", "p", [CORE]),
-    ("part transform: no gcd", "_part",
+    ("closed form: the sum is not brought over the common denominator", "integral.py",
+     "_closed_form", "p * (d // g)", "p", [CORE]),
+    ("part transform: no gcd", "integral.py", "_part",
      "_reduced(tuple(map(op, nums)), den)", "(tuple(map(op, nums)), den)", [CORE, UNIT]),
-    ("_rung_row: an infinite atom is skipped", "_rung_row",
+    ("_rung_row: an infinite atom is skipped", "integral.py", "_rung_row",
      "if row is None:\n    return None", "if row is None:\n    continue", [UNIT]),
-    ("ladder: break level nstar + 1 dropped", "_ladder_supremum",
+    ("ladder: break level nstar + 1 dropped", "integral.py", "_ladder_supremum",
      "{1, nstar, nstar + 1}", "{1, nstar}", [UNIT]),
+    ("alternating: the whole list is the period, not the least one", "sequences.py",
+     "least_cycle", "terms[p:] == terms[:size - p]", "p == size", [TAILS]),
+    ("explicit: stable from the list's length, not the final run", "sequences.py",
+     "stable_from", "max((n for n, t in enumerate(terms, start=1) if t != terms[-1]), "
+     "default=0)", "len(terms) - 1", [TAILS]),
+    ("declared_cycle: one term short of the first full cycle is read", "sequences.py",
+     "declared_cycle", "metadata.index - 1 + metadata.period",
+     "metadata.index - 2 + metadata.period", [TAILS]),
+    ("mct/dct: the declared final term is not compared with the limit", "integral.py",
+     "_stabilized", "col[pre] != col[len(samples)]", "False", [TAILS]),
+    ("continuity: a declared period above 1 is not refused", "measure_checks.py",
+     "_continuity", "period > 1", "False", [TAILS]),
 ]
 
 
@@ -95,30 +109,31 @@ def main(names: list) -> int:
     if unknown:
         print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
         return 2
-    source = (ROOT / TARGET).read_text()
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         copy = Path(tmp)
         for part in ("src", "tests", "scenarios"):
             shutil.copytree(ROOT / part, copy / part,
                             ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
         shutil.copy(ROOT / "pyproject.toml", copy)
-        files = sorted({f for m in chosen for f in m[4]})
+        files = sorted({f for m in chosen for f in m[5]})
         if not run_tests(copy, files):
             print(f"the unmutated copy fails {files}", file=sys.stderr)
             return 2
         survived = 0
-        for name, function, old, new, tests in chosen:
+        for name, module, function, old, new, tests in chosen:
+            target = copy / PACKAGE / module
+            source = target.read_text()
             try:
-                (copy / TARGET).write_text(mutate(source, function, old, new))
+                target.write_text(mutate(source, function, old, new))
             except LookupError as exc:
                 print(f"{name}: {exc}", file=sys.stderr)
                 return 2
             start = time.perf_counter()
             killed = not run_tests(copy, tests)
+            target.write_text(source)
             survived += not killed
             print(f"{'killed' if killed else 'SURVIVED':8} {time.perf_counter() - start:7.1f} s"
                   f"  {name}", flush=True)
-        (copy / TARGET).write_text(source)
     return 1 if survived else 0
 
 
