@@ -14,12 +14,13 @@ and `integrate_elementary` build and integrate rungs as elementary
 functions for the tests.
 
 The monotone and dominated convergence theorems and the Fatou inequality
-are certified checks on a sequence's declared tail (`declared_cycle`):
-stabilizing sequences give exact equalities (`_stabilized`), declared limits
-are certified against an epsilon schedule in multiples of the order unit,
-and divergence against a ladder of bounds.  Each check compares its sampled
-functions on one integer table (`_columns`), and `_certify_pointwise`
-certifies a finite pointwise limit.  The laws of the
+are certified checks on what a sequence declares: Fatou reads its cycle
+(`declared_cycle`), and `mct`, `mct_decreasing` and `dct` its limit
+(`declared_limit`), which must be f exactly off the null points.  Each
+check compares its sampled functions on one integer table (`_columns`),
+and `_certify_convergence` certifies that the samples reach f at each
+point: against an epsilon schedule in multiples of the order unit where f
+is finite, and a ladder of bounds where it is infinite.  The laws of the
 integral and its other structure checks are in `ordmeasure.integral_checks`.
 """
 
@@ -40,8 +41,8 @@ from .extended import (ExtElement, certify_monotone_limit, divergence_top, ext_a
 from .measures import MeasurableSpace, Measure, mask_to_points, points_to_mask
 from .rationals import INFINITY, format_rational, is_infinite, over_one_den
 from .reports import CheckResult, fails, holds
-from .sequences import (DeclaredLimit, DivergesToInfinity, SequenceSpec, StabilizesAt,
-                        certify_gaps, declared_cycle, epsilon_schedule, stable_from)
+from .sequences import (SequenceSpec, certify_gaps, declared_cycle, declared_limit,
+                        epsilon_schedule, stable_from)
 from .spaces import Element, SpaceDescriptor
 
 
@@ -459,29 +460,39 @@ def _precedes(a: Optional[int], b: Optional[int]) -> bool:
     return b is None or (a is not None and a <= b)
 
 
-def _certify_pointwise(samples: list, target: int, den: int, epsilons, message: str):
-    """Certificate that the finite `samples` at one point converge to the
-    finite `target`, all numerators over den: for each epsilon, an index
-    from which every distance to the target, that is the largest of them,
-    is within it.  `message` takes ``{eps}``, as in `certify_gaps`."""
-    tail_max = list(accumulate(reversed([abs(s - target) for s in samples]), max))[::-1]
-    certify_gaps(epsilons, len(samples),
-                 lambda eps: lambda i: (tail_max[i - 1] * eps.denominator
-                                        <= eps.numerator * den), message)
-
-
-def _stabilized(seq: SequenceSpec, horizon: Optional[int], live: list) -> bool:
-    """Whether `seq` declares `StabilizesAt(k)`.  Its limit is then term k,
-    which must be sampled (`declared_cycle`) and equal the limit exactly:
-    ``col[k - 1] == col[h]`` in each `live` column of h samples and the limit."""
-    if not isinstance(seq.metadata, StabilizesAt):
-        return False
-    samples, pre, _ = declared_cycle(seq, horizon)
-    bad = [x for x, col in live if col[pre] != col[len(samples)]]
-    if bad:
-        raise CertificationError(f"declared final term {pre + 1} is not the limit at "
-                                 f"non-null points {bad}")
-    return True
+def _certify_convergence(seq: SequenceSpec, horizon: Optional[int], f, mu: Measure,
+                         den: int, live: list, gap: str, epsilons):
+    """Certificate that `seq` converges to f almost everywhere: the limit it
+    declares (`declared_limit`) is f exactly off the null points, or the
+    point at infinity where f is infinite at one of them; and at each `live`
+    point of a `_columns` table (the h samples, f, then any more columns)
+    the samples reach f: where f is finite, within each epsilon from some
+    index on ("<gap> <eps> at point <x> not certified" when none does), and
+    where f is infinite, above each bound of the integrals' ladder."""
+    terms, limit = declared_limit(seq, horizon)
+    h = len(terms)
+    if limit is INFINITY and all(col[h] is not None for _, col in live):
+        raise CertificationError("declared divergence needs f infinite at a non-null point")
+    if limit is not INFINITY:
+        bad = [x for x, (a, b) in _columns([limit, f], mu.null_mask)[1] if a != b]
+        if bad:
+            raise CertificationError(f"declared limit differs from f at non-null points {bad}")
+    for x, col in live:
+        values, target = col[:h], col[h]
+        if target is not None:
+            tail_max = list(accumulate(reversed([abs(s - target) for s in values]), max))[::-1]
+            certify_gaps(epsilons, h,
+                         lambda eps: lambda i: (tail_max[i - 1] * eps.denominator
+                                                <= eps.numerator * den),
+                         f"{gap} {{eps}} at point {x} not certified")
+        elif values[-1] is not None:
+            # The bounds are those of the integrals' ladder, k = 1 .. top, and no
+            # sample exceeds k exactly when the last, the largest, is at most k:
+            # the first such k fails.
+            k = max(1, -(-values[-1] // den))
+            if k <= divergence_top(h):
+                raise CertificationError(
+                    f"divergence at point {x} not certified against bound {k}")
 
 
 def _monotone_convergence(name: str, mu: Measure, seq: SequenceSpec, f: ExtFunction,
@@ -508,25 +519,7 @@ def _monotone_convergence(name: str, mu: Measure, seq: SequenceSpec, f: ExtFunct
         crossing = "exceeds" if increasing else "dips below"
         raise CertificationError(f"sequence {crossing} the declared limit at non-null "
                                  f"points {bad}")
-    if increasing:
-        declared = (StabilizesAt, DeclaredLimit, DivergesToInfinity)
-        kinds = "stabilization, limit, or divergence"
-    else:
-        declared, kinds = (StabilizesAt, DeclaredLimit), "stabilization or limit"
-    if not isinstance(seq.metadata, declared):
-        raise CertificationError(f"pointwise convergence must be declared ({kinds})")
-    for x, (*samples, target) in ([] if _stabilized(seq, horizon, live) else live):
-        if target is not None:
-            _certify_pointwise(samples, target, den, epsilons,
-                               f"pointwise gap {{eps}} at point {x} not certified")
-        elif samples[-1] is not None:
-            # The bounds are those of the integrals' ladder, k = 1 .. top, and no
-            # sample exceeds k exactly when the last, the largest, is at most k:
-            # the first such k fails.
-            k = max(1, -(-samples[-1] // den))
-            if k <= divergence_top(len(samples)):
-                raise CertificationError(
-                    f"divergence at point {x} not certified against bound {k}")
+    _certify_convergence(seq, horizon, f, mu, den, live, "pointwise gap", epsilons)
 
     values = [integral_value(t, mu) for t in terms]
     target = integral_value(f, mu)
@@ -585,10 +578,11 @@ def fatou(mu: Measure, seq: SequenceSpec,
 def dct(mu: Measure, seq: SequenceSpec, f: SignedFunction, g: ExtFunction,
         horizon: Optional[int] = None, epsilons=None) -> CheckResult:
     """Dominated convergence: all four conclusions, certified.  Requires a
-    dominating function with finite integral and a sequence declared to
-    converge to f (stabilization, or a declared limit whose integral
-    deviations decrease).  Stabilizing sequences give exact equalities;
-    otherwise each conclusion is certified down the epsilon schedule."""
+    dominating function with finite integral and a sequence that declares
+    f as its limit off the null points (`declared_limit`: a stabilization,
+    or a declared limit whose integral deviations decrease).  Stabilizing
+    sequences give exact equalities; otherwise each conclusion is certified
+    down the epsilon schedule."""
     require_sigma_dedekind(mu.backend, "dominated convergence")
     epsilons = epsilon_schedule(epsilons)
     terms = seq.sample(horizon)
@@ -603,11 +597,8 @@ def dct(mu: Measure, seq: SequenceSpec, f: SignedFunction, g: ExtFunction,
                     default=None)
     if violation is not None:
         raise HypothesisError("domination violated at index {}, point {}".format(*violation))
-    if not isinstance(seq.metadata, (StabilizesAt, DeclaredLimit)):
-        raise CertificationError("convergence to f must be declared")
-    for x, (*samples, target, _) in ([] if _stabilized(seq, horizon, live) else live):
-        _certify_pointwise(samples, target, den, epsilons,
-                           f"pointwise convergence gap {{eps}} at point {x} not certified")
+    _certify_convergence(seq, horizon, f, mu, den, live, "pointwise convergence gap",
+                         epsilons)
 
     part1 = all(is_integrable(t, mu) for t in terms)
     part2 = is_integrable(f, mu)

@@ -4,30 +4,30 @@ The library API of the paper's sigma-monotone completeness on its own:
 the supremum of an increasing sequence of elements (`sup_increasing`), of
 a list or sequence in the extended space (`ext_sup`), and the exact limit
 inferior and superior of a lattice-valued sequence (`ext_liminf_limsup`).
-Every declared limit is decided by `extended.certify_monotone_limit`, in the
-direction the samples show; the limits of a sequence that declares its
-cycle (`sequences.declared_cycle`) are the lattice infimum and supremum of
-that cycle, folded by `spaces.inf_pair` and `spaces.sup_pair` as Fatou's
-lemma folds its cycle's integrals.  No scenario check and no CLI command
-uses this module, so none of them loads it.
+Every limit a sequence declares is read by `sequences.declared_limit`, and
+certified by `extended.certify_monotone_limit` in the direction the samples
+show; the limits of a sequence that declares its cycle
+(`sequences.declared_cycle`) are the lattice infimum and supremum of that
+cycle, folded by `spaces.inf_pair` and `spaces.sup_pair` as Fatou's lemma
+folds its cycle's integrals.  No scenario check and no CLI command uses
+this module, so none of them loads it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from . import spaces
 from .errors import CertificationError, Frozen
 from .extended import ExtElement, certify_monotone_limit, finite, infinity
+from .rationals import INFINITY
 from .sequences import (
     DEFAULT_EPSILONS,
-    DeclaredLimit,
-    DivergesToInfinity,
     SequenceSpec,
-    StabilizesAt,
     declared_cycle,
+    declared_limit,
     epsilon_schedule,
 )
 from .spaces import Element, NoSupremum
@@ -59,36 +59,16 @@ def ext_sup_finite_list(items: Sequence[ExtElement]) -> Union[ExtElement, NoSupr
     return finite(current)
 
 
-def _as_ext(value) -> ExtElement:
-    return value if isinstance(value, ExtElement) else finite(value)
-
-
-def _declared_limit(seq: SequenceSpec, terms: Sequence[ExtElement]) -> Optional[ExtElement]:
-    """The limit of `seq` that its sampled `terms` and metadata declare.
-
-    An infinite term or `DivergesToInfinity` declares the point at
-    infinity, `StabilizesAt(k)` declares term k and `DeclaredLimit` its
-    value.  Otherwise nothing is declared and the result is None: a
-    constant sampled tail is not a limit.
-    """
-    metadata = seq.metadata
-    if isinstance(metadata, DivergesToInfinity) or any(t.is_infinite for t in terms):
-        return infinity(terms[0].space)
-    if isinstance(metadata, StabilizesAt):
-        return _as_ext(seq.term(metadata.index))
-    if isinstance(metadata, DeclaredLimit):
-        if not isinstance(metadata.value, (Element, ExtElement)):
-            raise CertificationError("declared limit must be an element")
-        return _as_ext(metadata.value)
-    return None
-
-
-def _sequence_sup(seq: SequenceSpec, terms: Sequence[ExtElement],
-                  epsilons: Optional[Sequence[Fraction]],
+def _sequence_sup(seq: SequenceSpec, horizon: Optional[int],
+                  epsilons: Optional[Sequence[Fraction]], lift: Callable,
                   bound: Optional[Element] = None) -> Union[ExtElement, GapReport]:
-    """The certified declared limit of the increasing `terms` of `seq`, or a
-    `GapReport` on the last term when nothing is declared."""
-    target = _declared_limit(seq, terms)
+    """The certified limit of the increasing samples of `seq`, each made an
+    extended element by `lift`: the limit it declares (`declared_limit`), or
+    a `GapReport` on the last sample when it declares nothing."""
+    terms, target = [lift(t) for t in seq.sample(horizon)], None
+    if seq.metadata is not None:
+        _, limit = declared_limit(seq, horizon)
+        target = infinity(terms[0].space) if limit is INFINITY else lift(limit)
     certify_monotone_limit(terms, target, epsilon_schedule(epsilons))
     if target is not None:
         return target
@@ -106,16 +86,16 @@ def sup_increasing(
     """Supremum of an increasing sequence of elements, certified from samples.
 
     The terms up to the horizon must increase, and stay below `bound` when
-    one is given.  The supremum is the limit the metadata declares, certified
-    by `certify_monotone_limit`: an element, or the point at infinity for a
-    certified divergence.  With nothing declared the result is a `GapReport`.
+    one is given.  The supremum is the limit the sequence declares
+    (`declared_limit`), certified by `certify_monotone_limit`: an element,
+    or the point at infinity for a certified divergence.  With nothing
+    declared the result is a `GapReport`.
     """
-    terms = seq.sample(horizon)
     if bound is not None:
-        for n, t in enumerate(terms, start=1):
+        for n, t in enumerate(seq.sample(horizon), start=1):
             if not spaces.leq(t, bound):
                 raise CertificationError(f"bound violated at n={n}")
-    result = _sequence_sup(seq, [finite(t) for t in terms], epsilons, bound)
+    result = _sequence_sup(seq, horizon, epsilons, finite, bound)
     if isinstance(result, ExtElement) and result.is_finite:
         return result.finite
     return result
@@ -128,13 +108,13 @@ def ext_sup(
 ) -> Union[ExtElement, NoSupremum, GapReport]:
     """Supremum in the extended space of a finite list or an increasing sequence.
 
-    The supremum of a sequence is the limit its metadata or an infinite term
-    declares, certified by `certify_monotone_limit`, or a `GapReport` when
-    nothing is declared.
+    The supremum of a sequence is the limit it declares (`declared_limit`),
+    certified by `certify_monotone_limit`, or a `GapReport` when nothing is
+    declared.
     """
     if not isinstance(items, SequenceSpec):
         return ext_sup_finite_list(list(items))
-    return _sequence_sup(items, items.sample(horizon), epsilons)
+    return _sequence_sup(items, horizon, epsilons, lambda t: t)
 
 
 def ext_liminf_limsup(
@@ -143,11 +123,11 @@ def ext_liminf_limsup(
     """Exact (liminf, limsup) of an order-bounded lattice-valued sequence.
 
     Requires a lattice backend (tail infima and suprema must exist).  A
-    sequence that declares its limit must be monotone: increasing when its
-    first sample is below its last, decreasing otherwise, which
-    `certify_monotone_limit` certifies with the limit.  Any other sequence
-    must declare its cycle, sampled in full (`declared_cycle`), so the
-    tails are exactly computable from that cycle.
+    sequence that declares its cycle, sampled in full (`declared_cycle`),
+    has tails exactly computable from that cycle.  Any other sequence must
+    declare a finite limit (`declared_limit`) and be monotone: increasing
+    when its first sample is below its last, decreasing otherwise, which
+    `certify_monotone_limit` certifies with the limit.
     """
     terms = seq.sample(horizon)
     space = terms[0].space
@@ -157,15 +137,14 @@ def ext_liminf_limsup(
             f"{space.describe()} is not sigma-Dedekind complete"
         )
 
-    if isinstance(seq.metadata, DeclaredLimit):
-        ext_terms = [finite(t) for t in terms]
-        target = _declared_limit(seq, ext_terms)
-        if target.is_infinite:
+    try:
+        _, pre, period = declared_cycle(seq, horizon)
+    except CertificationError:
+        _, limit = declared_limit(seq, horizon)
+        if limit is INFINITY:
             raise CertificationError("liminf/limsup needs an order-bounded sequence")
-        certify_monotone_limit(ext_terms, target, DEFAULT_EPSILONS,
+        certify_monotone_limit([finite(t) for t in terms], finite(limit), DEFAULT_EPSILONS,
                                spaces.leq(terms[0], terms[-1]))
-        return target.finite, target.finite
-
-    _, pre, period = declared_cycle(seq, horizon)
+        return limit, limit
     cycle_vals = terms[pre : pre + period]
     return reduce(spaces.inf_pair, cycle_vals), reduce(spaces.sup_pair, cycle_vals)

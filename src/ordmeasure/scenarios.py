@@ -43,7 +43,10 @@ A sequence may carry a "monotonicity" key; it is accepted but not read,
 since every check that needs a monotone sequence tests the order itself at
 every sampled index.  A check reads a tail only from the declarations above
 (`sequences.declared_cycle`), and is not-certifiable at a horizon that ends
-before the first declared cycle does.
+before the first declared cycle does.  It reads a limit only from them too
+(`sequences.declared_limit`): the limit of an `mct`, `mct_decreasing` or
+`dct` directive must equal the declared one, such as a geometric base or
+a ladder's f, off the null atoms.
 
 Check directives are objects {"check": <name>, <key>: ...}, each with an
 optional "expect": "holds" | "fails" | "hypothesis-not-met" |
@@ -180,11 +183,11 @@ def _parse_points(ground_size: int, doc, path: str) -> int:
 class _NamedSequence(Frozen):
     """A named function sequence: the values of term n, and what it declares.
 
-    Values are (nums, den, inf) forms (`rationals.over_one_den`, not always
-    reduced).  `witnesses` are values that are functions of a kind ("ext"
-    or "signed") exactly when every term n >= 1 is: the terms of an explicit
-    or alternating sequence, and finitely many decided in closed form for a
-    generated one (see `_parse_sequence`).
+    Term values and a declared limit are (nums, den, inf) forms (`over_one_den`,
+    not always reduced).  `witnesses` are values that are functions of a
+    kind ("ext" or "signed") exactly when every term n >= 1 is: the terms of
+    an explicit or alternating sequence, and finitely many decided in closed
+    form for a generated one (see `_parse_sequence`).
     """
 
     __slots__ = ("values", "metadata", "witnesses")
@@ -351,10 +354,11 @@ def _function(kind: str):
 def _function_sequence(kind: str):
     """A sequence reference whose terms are "ext" or "signed" functions,
     resolved to its `SequenceSpec`, one per sequence and kind in a scenario.
-    The sequence's witnesses are made functions when the first directive
-    names it, so a term that is not one, at any index, is a schema error of
-    that directive; once they pass, every term is built by the trusted
-    constructor on its reduced form, unvalidated."""
+    The sequence's witnesses and declared limit are made functions when the
+    first directive names it, so a term that is not one, at any index, or a
+    limit that is not one, is a schema error of that directive; once they
+    pass, every term is built by the trusted constructor on its reduced
+    form, unvalidated."""
     def resolve(scenario: Scenario, name: str, path: str):
         if name not in scenario.sequences:
             raise SchemaError(f"unresolved sequence reference {name!r}", path)
@@ -365,11 +369,15 @@ def _function_sequence(kind: str):
             for values in seq.witnesses:
                 _as_function(integral, space, values, kind, path)
             cls = integral.ExtFunction if kind == "ext" else integral.SignedFunction
+            metadata = seq.metadata
+            if isinstance(metadata, DeclaredLimit):
+                metadata = DeclaredLimit(_as_function(integral, space, metadata.value, kind,
+                                                      path))
 
             def term(n):
                 nums, den, inf = seq.values(n)
                 return integral._trusted(cls, space, *integral._reduced(nums, den), inf)
-            scenario.specs[key] = SequenceSpec(term, metadata=seq.metadata)
+            scenario.specs[key] = SequenceSpec(term, metadata=metadata)
         return scenario.specs[key]
     return resolve
 

@@ -1,17 +1,24 @@
-"""A sequence's tail is read from its declaration, never from the window.
+"""A sequence's tail and limit are read from its declaration, never from
+the window.
 
 The parser declares each kind's tail exactly (`scenarios._parse_sequence`,
-`_set_sequence`), and `sequences.declared_cycle` is the one reader: the
-checks that read a tail (`fatou`, `borel_cantelli`, the continuity checks,
-and `mct`, `mct_decreasing` and `dct` on a stabilizing sequence) are
+`_set_sequence`), and `sequences.declared_cycle` is the one reader of a
+tail: the checks that read one (`fatou`, `borel_cantelli`, the continuity
+checks, and every check of a stabilizing sequence's limit) are
 not-certifiable at a horizon that ends before the first declared cycle
-does.  The reproducers below are sequences whose window misleads: a
-stretch of equal terms inside a cycle, or a horizon that ends before the
-final run; their expected values are derived by hand in the comments.  The property tests
-compare `fatou` and `borel_cantelli` with a Fraction oracle built from the
-document's term list.
+does.  `sequences.declared_limit` is the one reader of a limit, for `mct`,
+`mct_decreasing`, `dct`, `sup_increasing`, `ext_sup` and
+`ext_liminf_limsup`, and a convergence check holds only when that limit is
+its f exactly off the null atoms.  The reproducers below are sequences
+whose window misleads: a stretch of equal terms inside a cycle, a horizon
+that ends before the final run, or a declared limit that every gap of the
+schedule misses; their expected values are derived by hand in the
+comments.  The property tests compare `fatou`, `borel_cantelli` and the
+convergence checks with Fraction oracles built from the document itself.
 """
 
+import json
+from datetime import timedelta
 from fractions import Fraction
 
 import pytest
@@ -19,11 +26,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ordmeasure as om
+from ordmeasure.cli import main as cli_main
 from ordmeasure.errors import CertificationError
 from ordmeasure.rationals import format_rational
 from ordmeasure.scenarios import RunConfig, parse_scenario, run_scenario
 from ordmeasure.sequences import (Periodic, SequenceSpec, StabilizesAt, declared_cycle,
-                                  from_terms, least_cycle, stable_from)
+                                  declared_limit, from_terms, least_cycle, stable_from)
 
 # coord(2) on two points, each an atom: {0} carries (1, 0) and {1} carries (0, 1),
 # so the integral of a function is the pair of its two values.
@@ -130,8 +138,91 @@ class TestReproducers:
         doc = function_doc("explicit", [{"values": ["1048575/1048576", "1"]}], check)
         report = run(doc, 4)
         assert report["status"] == "not-certifiable"
-        assert report["details"]["reason"] == ("declared final term 1 is not the limit "
-                                               "at non-null points [0]")
+        assert report["details"]["reason"] == ("declared limit differs from f at non-null "
+                                               "points [0]")
+
+
+# The three limits of `mct_basic.json`'s kind, each a geometric sequence of
+# ratio 1/2 from base `one`: 1 - 2^-n rising (bump -1), 1 + 2^-n falling
+# (bump 1), and 1 - 2^-n again for `dct`, dominated by 2.  Each directive's
+# limit is 2^-20 off the declared limit 1: within every gap of the default
+# schedule from n = 20 on, so only the exact comparison refuses it.
+CONVERGENCE = [
+    ({"check": "mct"}, "minus_one", "1048577/1048576"),
+    ({"check": "mct_decreasing"}, "one", "1048575/1048576"),
+    ({"check": "dct", "dominator": "two"}, "minus_one", "1048577/1048576"),
+]
+CONVERGENCE_IDS = ["mct", "mct_decreasing", "dct"]
+UNDECLARED = ("limit not certifiable: it needs a declared stabilization, divergence, or "
+              "limit of its terms' type")
+# UNIT_PAIR with a third point, {2}, an atom of measure 0.
+NULL_THIRD = dict(UNIT_PAIR, ground_size=3, measure={"atom_values": {
+    **UNIT_PAIR["measure"]["atom_values"], "2": {"finite": ["0", "0"]}}})
+
+
+def geometric_doc(ground: dict, check: dict, bump: str, limit: list) -> dict:
+    """`ground` with the sequence `s`, base `one` plus 2^-n times `bump`, and
+    one check of it whose limit has the values `limit`."""
+    size = ground["ground_size"]
+    functions = {name: {"values": [v] * size}
+                 for name, v in (("one", "1"), ("minus_one", "-1"), ("two", "2"))}
+    return dict(ground, functions=dict(functions, limit={"values": limit}),
+                sequences={"s": {"kind": "geometric", "base": "one", "bump": bump,
+                                 "ratio": "1/2"}},
+                checks=[dict(check, sequence="s", limit="limit")])
+
+
+class TestDeclaredLimits:
+    @pytest.mark.parametrize("horizon", [64, 256])
+    @pytest.mark.parametrize("check, bump, limit", CONVERGENCE, ids=CONVERGENCE_IDS)
+    def test_limit_off_the_declared_one_is_refused(self, check, bump, limit, horizon):
+        # The sequence converges to 1 at both points, not to the directive's limit.
+        report = run(geometric_doc(UNIT_PAIR, check, bump, [limit, limit]), horizon)
+        assert report["status"] == "not-certifiable"
+        assert report["details"]["reason"] == ("declared limit differs from f at non-null "
+                                               "points [0, 1]")
+
+    def test_the_cli_exits_1_on_a_refused_limit(self, tmp_path):
+        path = tmp_path / "mct_off_limit.json"
+        path.write_text(json.dumps(geometric_doc(UNIT_PAIR, *CONVERGENCE[0][:2],
+                                                 [CONVERGENCE[0][2]] * 2)))
+        assert cli_main(["run", str(path)]) == 1
+
+    @pytest.mark.parametrize("horizon", [64, 256])
+    @pytest.mark.parametrize("check, bump, limit", CONVERGENCE, ids=CONVERGENCE_IDS)
+    def test_limit_off_the_declared_one_on_a_null_atom_holds(self, check, bump, limit,
+                                                             horizon):
+        # f is 1 off the null atom {2}, as the sequence's limit is, so the
+        # limit integral is that of 1: (1, 0) + (0, 1) from the atoms {0}, {1}.
+        report = run(geometric_doc(NULL_THIRD, check, bump, ["1", "1", limit]), horizon)
+        assert report["status"] == "holds"
+        assert report["details"]["limit_integral"] == finite(1, 1)
+
+    @pytest.mark.parametrize("sup, lift", [(om.sup_increasing, lambda x: x),
+                                           (om.ext_sup, om.finite)],
+                             ids=["sup_increasing", "ext_sup"])
+    def test_stabilizing_supremum_is_read_only_when_sampled(self, sup, lift):
+        # min(n, 100) is constant from term 100 on: its supremum is 100, which
+        # four terms do not reach.
+        reals = om.reals()
+        seq = SequenceSpec(lambda n: lift(om.element(reals, [min(n, 100)])),
+                           metadata=StabilizesAt(100))
+        with pytest.raises(CertificationError) as caught:
+            sup(seq, horizon=4)
+        assert str(caught.value) == ("tail not certifiable within horizon 4: "
+                                     "it needs a declared cycle, sampled in full")
+        assert sup(seq, horizon=100) == lift(om.element(reals, [100]))
+
+    @pytest.mark.parametrize("horizon", [1, 8])
+    def test_alternating_equal_terms_stabilize(self, horizon):
+        # f, f, f, ...: the least cycle of [f, f] has period 1, so the limit is
+        # f, reached at term 1, and its integral is (1, 1).
+        check = {"check": "mct", "limit": "f"}
+        alternating = run(function_doc("alternating", ["f", "f"], check), horizon)
+        assert alternating == run(function_doc("explicit", ["f", "f"], check), horizon)
+        assert alternating["status"] == "holds"
+        assert alternating["details"] == {"limit_integral": finite(1, 1),
+                                          "certification": {"mode": "stabilized", "at": 1}}
 
 
 class TestDeclarations:
@@ -187,6 +278,26 @@ class TestDeclarations:
     def test_reader_returns_the_declared_cycle(self, metadata, horizon, cycle):
         samples, *read = declared_cycle(SequenceSpec(lambda n: n, metadata=metadata), horizon)
         assert samples == list(range(1, horizon + 1)) and tuple(read) == cycle
+
+
+    @pytest.mark.parametrize("metadata, horizon, limit", [
+        (StabilizesAt(3), 3, 3), (Periodic(2, 1), 5, 2), (om.DeclaredLimit(7), 1, 7),
+        (om.DivergesToInfinity(), 2, om.INFINITY)],
+        ids=["stabilizes", "period-1", "declared", "diverges"])
+    def test_limit_reader_returns_the_declared_limit(self, metadata, horizon, limit):
+        samples, read = declared_limit(SequenceSpec(lambda n: n, metadata=metadata), horizon)
+        assert samples == list(range(1, horizon + 1)) and read == limit
+
+    @pytest.mark.parametrize("metadata, horizon, message", [
+        (None, 8, UNDECLARED), (Periodic(1, 2), 8, UNDECLARED),
+        (om.DeclaredLimit(None), 8, UNDECLARED),
+        (StabilizesAt(4), 3, "tail not certifiable within horizon 3: it needs a declared "
+                             "cycle, sampled in full")],
+        ids=["undeclared", "period-2", "untyped", "short-horizon"])
+    def test_limit_reader_refuses_with_one_message(self, metadata, horizon, message):
+        with pytest.raises(CertificationError) as caught:
+            declared_limit(SequenceSpec(lambda n: n, metadata=metadata), horizon)
+        assert str(caught.value) == message
 
 
 # The Fraction oracle: a document's term lists and measure, read from the
@@ -264,3 +375,60 @@ def test_borel_cantelli_matches_the_term_list_oracle(kind, sets, extra):
     assert report["details"]["limsup_set"] == sorted({p for s in tail for p in s})
     if pre + period > 1:
         assert run(doc, pre + period - 1)["status"] == "not-certifiable"
+
+
+@st.composite
+def geometric_cases(draw):
+    """(document, expected): one check of a `geometric` sequence on coord(d),
+    one atom per point, some of them null.  Its base is at least the size
+    of its bump, so every term is nonnegative; the bump's sign fixes the
+    direction: the terms rise to the base for `mct` and fall to it for
+    `mct_decreasing`.  The check's limit is the base moved by delta at one
+    point; `expected` is the limit integral, that of the base, when the
+    check must hold, and None when the move is on a live atom."""
+    dim, size = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    small = st.fractions(0, 2, max_denominator=4)
+    atoms = [draw(st.just([Fraction(0)] * dim) | st.lists(small, min_size=dim, max_size=dim))
+             for _ in range(size)]
+    check = draw(st.sampled_from(["mct", "mct_decreasing", "dct"]))
+    sign = {"mct": -1, "mct_decreasing": 1}.get(check) or draw(st.sampled_from([-1, 1]))
+    size_of_bump = [draw(st.fractions(0, 3, max_denominator=4)) for _ in range(size)]
+    base = [m + draw(small) for m in size_of_bump]
+    ratio = draw(st.sampled_from(["1/2", "1/3", "2/3", "3/4"]))
+    point = draw(st.integers(0, size - 1))
+    delta = draw(st.sampled_from([0, Fraction(1, 2**20), Fraction(1, 3), 1]))
+    if base[point] >= delta and draw(st.booleans()):
+        delta = -delta
+    limit = list(base)
+    limit[point] += delta
+
+    def fn(values):
+        return {"values": [format_rational(v) for v in values]}
+    doc = {"space": {"kind": "coord", "dim": dim}, "ground_size": size,
+           "sigma_algebra": {"power_set": True},
+           "measure": {"atom_values": {str(x): {"finite": [format_rational(c) for c in v]}
+                                       for x, v in enumerate(atoms)}},
+           "functions": {"base": fn(base), "bump": fn([sign * m for m in size_of_bump]),
+                         "limit": fn(limit), "dom": fn([8] * size)},
+           "sequences": {"s": {"kind": "geometric", "base": "base", "bump": "bump",
+                               "ratio": ratio}},
+           "checks": [{"check": check, "sequence": "s", "limit": "limit",
+                       **({"dominator": "dom"} if check == "dct" else {})}]}
+    holds = delta == 0 or not any(atoms[point])
+    integral = [sum(b * v[c] for b, v in zip(base, atoms)) for c in range(dim)]
+    return doc, ({"finite": [format_rational(c) for c in integral]} if holds else None)
+
+
+@given(geometric_cases())
+@settings(max_examples=100, deadline=timedelta(seconds=5), derandomize=True)
+def test_convergence_checks_hold_exactly_at_the_declared_limit(case):
+    # At horizon 64 every term is within 3 * (3/4)^64 < 2^-24 of the base at
+    # each point, and its integral within 4 * 2 times that, below 2^-21, so a
+    # check that must hold reaches every gap of the default schedule.
+    doc, expected = case
+    report = run(doc, 64)
+    if expected is None:
+        assert report["status"] == "not-certifiable"
+    else:
+        assert report["status"] == "holds"
+        assert report["details"]["limit_integral"] == expected

@@ -184,19 +184,24 @@ class TestExtSup:
         assert result.last_value == om.zero(C2)
 
     def test_declared_limit_above_constant_terms(self):
-        seq = SequenceSpec(lambda n: fin(0, 0), metadata=DeclaredLimit(om.order_unit(C2)))
+        seq = SequenceSpec(lambda n: fin(0, 0),
+                           metadata=DeclaredLimit(om.finite(om.order_unit(C2))))
         with pytest.raises(CertificationError, match="^gap 1/16 not certified$"):
             om.ext_sup(seq)
 
     def test_declared_limit_must_be_an_element(self):
         seq = SequenceSpec(lambda n: fin(0, 0), metadata=DeclaredLimit(None))
-        with pytest.raises(CertificationError, match="declared limit must be an element"):
+        with pytest.raises(CertificationError, match="or limit of its terms' type$"):
             om.ext_sup(seq)
 
-    def test_infinite_term_is_the_supremum(self):
-        seq = SequenceSpec(lambda n: fin(n, 0) if n < 4 else INF,
-                           metadata=DeclaredLimit(fin(9, 9)))
-        assert om.ext_sup(seq) == INF
+    def test_infinite_term_exceeds_a_finite_declared_limit(self):
+        # The limit is read from the declaration alone: an infinite term
+        # refutes a finite one, and a declared divergence is its supremum.
+        def term(n):
+            return fin(n, 0) if n < 4 else INF
+        with pytest.raises(CertificationError, match="^sequence exceeds the target at 4$"):
+            om.ext_sup(SequenceSpec(term, metadata=DeclaredLimit(fin(9, 9))))
+        assert om.ext_sup(SequenceSpec(term, metadata=DivergesToInfinity())) == INF
 
     def test_translation_invariance(self, rng):
         for _ in range(100):
@@ -249,7 +254,7 @@ class TestLiminfLimsup:
         limit = om.element(C2, [1, 1])
         seq = SequenceSpec(
             generator=lambda n: om.scale(1 + Fraction(1, 2**n), limit),
-            metadata=DeclaredLimit(om.finite(limit)),
+            metadata=DeclaredLimit(limit),
         )
         assert om.ext_liminf_limsup(seq) == (limit, limit)
         with pytest.raises(CertificationError, match="^sequence dips below the target at 1$"):
@@ -266,7 +271,7 @@ class TestLiminfLimsup:
                 om.ext_liminf_limsup(seq, horizon=16)
 
     def test_declared_infinite_limit_rejected(self):
-        seq = SequenceSpec(lambda n: om.element(C2, [n, n]), metadata=DeclaredLimit(INF))
+        seq = SequenceSpec(lambda n: om.element(C2, [n, n]), metadata=DivergesToInfinity())
         with pytest.raises(CertificationError, match="order-bounded"):
             om.ext_liminf_limsup(seq)
 
@@ -469,7 +474,10 @@ def test_declared_limits_agree_with_the_stable_tail_oracle(drawn):
     seq, horizon = drawn
     expected = _outcome(stable_tail_sup_increasing, seq, horizon=horizon)
     assert _outcome(om.sup_increasing, seq, horizon=horizon) == expected
-    wrapped = SequenceSpec(lambda n: om.finite(seq.term(n)), metadata=seq.metadata)
+    # A declared limit has its terms' type, here an extended element.
+    wrapped = SequenceSpec(lambda n: om.finite(seq.term(n)), metadata=(
+        DeclaredLimit(om.finite(seq.metadata.value))
+        if isinstance(seq.metadata, DeclaredLimit) else seq.metadata))
     assert _outcome(om.ext_sup, wrapped, horizon=horizon) == (
         expected if expected is CertificationError else om.finite(expected))
     if seq.term(1).space.is_lattice and isinstance(seq.metadata, DeclaredLimit):

@@ -692,7 +692,7 @@ def geometric_ext_sequence(space, limit_values):
     def gen(n):
         return om.ext_function(
             space, [v * (1 - Fraction(1, 2**n)) for v in limit_values])
-    return SequenceSpec(gen, metadata=DeclaredLimit(None))
+    return SequenceSpec(gen, metadata=DeclaredLimit(om.ext_function(space, limit_values)))
 
 
 def ladder_scalar_divergence(samples, point):
@@ -916,7 +916,7 @@ class TestMct:
             wiggle = Fraction(1) if n % 2 else Fraction(2)
             scalev = 1 - Fraction(1, 2**n)
             return om.ext_function(mu.space, [scalev, scalev, wiggle])
-        seq = SequenceSpec(gen, metadata=DeclaredLimit(None))
+        seq = SequenceSpec(gen, metadata=DeclaredLimit(f))
         assert om.mct(mu, seq, f).ok
 
     def test_monotonicity_violation_detected(self):
@@ -925,7 +925,7 @@ class TestMct:
         def gen(n):
             v = Fraction(1) if n % 2 else Fraction(1, 2)
             return om.ext_function(mu.space, [v, v])
-        seq = SequenceSpec(gen, metadata=DeclaredLimit(None))
+        seq = SequenceSpec(gen, metadata=DeclaredLimit(f))
         with pytest.raises(CertificationError):
             om.mct(mu, seq, f)
 
@@ -948,7 +948,7 @@ class TestMctDecreasing:
         zero_f = om.ext_function(mu.space, [0, 0])
         def gen(n):
             return om.ext_function(mu.space, [Fraction(1, 2**n)] * 2)
-        seq = SequenceSpec(gen, metadata=DeclaredLimit(None))
+        seq = SequenceSpec(gen, metadata=DeclaredLimit(zero_f))
         report = om.mct_decreasing(mu, seq, zero_f)
         assert report.ok
 
@@ -957,7 +957,7 @@ class TestMctDecreasing:
         mu = om.Measure(space, C2, {1: om.infinity(C2), 2: fin(0, 1)})
         f = om.ext_function(space, [0, 0])
         seq = SequenceSpec(lambda n: om.ext_function(space, [Fraction(1, n)] * 2),
-                           metadata=DeclaredLimit(None))
+                           metadata=DeclaredLimit(f))
         with pytest.raises(HypothesisError):
             om.mct_decreasing(mu, seq, f)
 
@@ -966,7 +966,7 @@ class TestMctDecreasing:
         limit = om.ext_function(mu.space, [1, 1])
         seq = SequenceSpec(
             lambda n: om.ext_function(mu.space, [1 + Fraction(1, n), Fraction(0)]),
-            metadata=DeclaredLimit(None))
+            metadata=DeclaredLimit(limit))
         with pytest.raises(CertificationError, match="dips below"):
             om.mct_decreasing(mu, seq, limit)
 
@@ -986,10 +986,11 @@ class TestHorizonBelowOne:
 
     def test_mct_decreasing(self):
         mu = basic_measure()
+        zero = om.ext_function(mu.space, [0, 0])
         seq = SequenceSpec(lambda n: om.ext_function(mu.space, [Fraction(1, 2**n)] * 2),
-                           metadata=DeclaredLimit(None))
+                           metadata=DeclaredLimit(zero))
         with pytest.raises(ValidationError, match=self.REFUSED):
-            om.mct_decreasing(mu, seq, om.ext_function(mu.space, [0, 0]), horizon=0)
+            om.mct_decreasing(mu, seq, zero, horizon=0)
 
     def test_sup_increasing(self):
         with pytest.raises(ValidationError, match=self.REFUSED):
@@ -1058,12 +1059,12 @@ def _calls_with_epsilons():
     declared limits are reached by gaps, not by stabilization."""
     mu = basic_measure()
     f = om.ext_function(mu.space, [1, 1])
-    halving = SequenceSpec(lambda n: om.ext_function(mu.space, [Fraction(1, 2**n)] * 2),
-                           metadata=DeclaredLimit(None))
-    signed = SequenceSpec(lambda n: om.signed_function(mu.space, [Fraction(1, 2**n)] * 2),
-                          metadata=DeclaredLimit(None))
     zero, zero_signed = (om.ext_function(mu.space, [0, 0]),
                          om.signed_function(mu.space, [0, 0]))
+    halving = SequenceSpec(lambda n: om.ext_function(mu.space, [Fraction(1, 2**n)] * 2),
+                           metadata=DeclaredLimit(zero))
+    signed = SequenceSpec(lambda n: om.signed_function(mu.space, [Fraction(1, 2**n)] * 2),
+                          metadata=DeclaredLimit(zero_signed))
     rising = SequenceSpec(lambda n: om.element(C2, [1 - Fraction(1, 2**n), 1]),
                           metadata=DeclaredLimit(om.element(C2, [1, 1])))
     return {
@@ -1089,6 +1090,10 @@ def _infinite_first_atom():
     return om.Measure(om.power_set_space(2), C2, {1: om.infinity(C2), 2: fin(0, 1)})
 
 
+UNDECLARED = ("limit not certifiable: it needs a declared stabilization, divergence, or "
+              "limit of its terms' type")
+
+
 class TestMonotoneConvergenceRejections:
     """The exact rejection of each direction of the monotone convergence check."""
 
@@ -1110,14 +1115,16 @@ class TestMonotoneConvergenceRejections:
                      "sequence dips below the declared limit at non-null points [1]",
                      id="mct_decreasing-dips-below"),
         pytest.param(True, basic_measure, [[1, 1]], [1, 1], None, CertificationError,
-                     "pointwise convergence must be declared (stabilization, limit, "
-                     "or divergence)", id="mct-undeclared"),
+                     UNDECLARED, id="mct-undeclared"),
         pytest.param(False, basic_measure, [[1, 1]], [1, 1], None, CertificationError,
-                     "pointwise convergence must be declared (stabilization or limit)",
-                     id="mct_decreasing-undeclared"),
+                     UNDECLARED, id="mct_decreasing-undeclared"),
+        pytest.param(True, basic_measure, [[1, 1]], [1, 1], Periodic(1, 2),
+                     CertificationError, UNDECLARED, id="mct-period-2"),
+        # A divergence is a limit only where f is infinite off the null points,
+        # so a decreasing sequence, below a finite first term there, has none.
         pytest.param(False, basic_measure, [[1, 1]], [1, 1], DivergesToInfinity(),
                      CertificationError,
-                     "pointwise convergence must be declared (stabilization or limit)",
+                     "declared divergence needs f infinite at a non-null point",
                      id="mct_decreasing-divergence-undeclared"),
         # Only the decreasing form needs a finite first integral, and it says
         # so before it tests the terms.

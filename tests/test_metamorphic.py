@@ -13,7 +13,10 @@ approach for generating next test cases", HKUST-CS98-01, 1998):
   function constant across the split, changes no integral and no status;
 - a `coord(d)` document placed on the diagonal of `LoewnerSym(d)` gives
   the diagonal integrals, and for d >= 2 the checks that need a lattice
-  refuse there.
+  refuse there;
+- the same document on `reals` gives what it gives on `coord(1)`, and on
+  `entrywise_mat(r, c)` what it gives on `coord(r * c)`, the matrix read
+  row by row.
 
 Each document is on a power set of 1 to 4 points, with infinite, null and
 positive atoms, and runs `integrate`, `integral_laws`, `ae`, `mct`,
@@ -57,11 +60,12 @@ def atom_value(draw, dim: int):
 
 
 @st.composite
-def models(draw):
-    """The data of a document: dimension, atom values (one atom per point),
-    two extended functions, a signed function with a perturbation that
-    vanish on infinite atoms unless `loose`, and two coefficients."""
-    dim, ground = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+def models(draw, dims=st.integers(1, 3)):
+    """The data of a document: dimension (drawn from `dims`), atom values
+    (one atom per point), two extended functions, a signed function with a
+    perturbation that vanish on infinite atoms unless `loose`, and two
+    coefficients."""
+    dim, ground = draw(dims), draw(st.integers(1, 4))
     atoms = [draw(atom_value(dim)) for _ in range(ground)]
     ext = st.one_of(st.just(Fraction(0)), small, st.just(INFINITY))
     loose = draw(st.booleans()) and draw(st.booleans())
@@ -208,3 +212,22 @@ class TestDiagonalEmbedding:
                     for check, entry in ((e[0], e) for e in mapped(
                         integrals(document(model)), diagonal))]
         assert integrals(document(model, loewner=True)) == expected
+
+
+class TestSameCone:
+    """Backends whose cones are the same ordered space give the same reports."""
+
+    @given(models(dims=st.just(1)))
+    @BUDGET
+    def test_reals_is_coord_1(self, model):
+        doc = document(model)
+        assert integrals(dict(doc, space={"kind": "reals"})) == integrals(doc)
+
+    @given(models(dims=st.sampled_from([1, 2, 3, 4, 6])), st.data())
+    @BUDGET
+    def test_entrywise_mat_is_coord_of_its_size(self, model, data):
+        dim = model["dim"]
+        rows = data.draw(st.sampled_from([r for r in range(1, dim + 1) if dim % r == 0]))
+        doc = document(model)
+        matrix = {"kind": "entrywise_mat", "rows": rows, "cols": dim // rows}
+        assert integrals(dict(doc, space=matrix)) == integrals(doc)

@@ -338,15 +338,19 @@ class TestGeneratedSequenceTerms:
     @settings(max_examples=300, deadline=None)
     def test_parse_verdict_matches_the_terms(self, case):
         # With these values and ratios, a term that is not a function of the
-        # check's kind shows by term 40.
+        # check's kind shows by term 40.  The declared limit of a geometric
+        # sequence (its base) or a ladder (its "of") must be one as well.
         doc, functions = case
         coarse = "generators" in doc["sigma_algebra"]
         space = om.generate_sigma_algebra([0b001], 3) if coarse else om.power_set_space(3)
-        build = om.signed_function if doc["checks"][0]["check"] == "dct" else om.ext_function
+        build = om.SignedFunction if doc["checks"][0]["check"] == "dct" else om.ExtFunction
         sequence = doc["sequences"]["s"]
+        limit = {"geometric": "base", "truncation_ladder": "of"}.get(sequence["kind"])
         try:
             for n in range(1, 41):
-                build(space, _generated_term(sequence, functions, n))
+                build(space, tuple(_generated_term(sequence, functions, n)))
+            if limit is not None:
+                build(space, tuple(functions[sequence[limit]]))
             expected = None
         except ValidationError as exc:
             expected = str(exc)

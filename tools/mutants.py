@@ -61,8 +61,18 @@ MUTANTS = [
     ("declared_cycle: one term short of the first full cycle is read", "sequences.py",
      "declared_cycle", "metadata.index - 1 + metadata.period",
      "metadata.index - 2 + metadata.period", [TAILS]),
-    ("mct/dct: the declared final term is not compared with the limit", "integral.py",
-     "_stabilized", "col[pre] != col[len(samples)]", "False", [TAILS]),
+    ("mct/dct: the declared limit is not compared with f", "integral.py",
+     "_certify_convergence", "a != b", "False", [TAILS]),
+    ("mct/dct: the declared limit is compared with f at the null points too", "integral.py",
+     "_certify_convergence", "_columns([limit, f], mu.null_mask)", "_columns([limit, f], 0)",
+     [TAILS]),
+    ("declared_limit: only StabilizesAt declares period 1", "sequences.py", "declared_limit",
+     "isinstance(metadata, (Periodic, StabilizesAt)) and metadata.period == 1",
+     "isinstance(metadata, StabilizesAt)", [TAILS]),
+    ("limits: a stabilizing sequence's term k is read past the horizon", "limits.py",
+     "_sequence_sup", "declared_limit(seq, horizon)",
+     "(None, seq.term(seq.metadata.index)) if getattr(seq.metadata, 'period', 0) == 1 "
+     "else declared_limit(seq, horizon)", [TAILS]),
     ("continuity: a declared period above 1 is not refused", "measure_checks.py",
      "_continuity", "period > 1", "False", [TAILS]),
 ]
