@@ -23,13 +23,12 @@ _EXPORTS = {
                    "NotIntegrableError OrdMeasureError SchemaError SpaceMismatchError "
                    "ValidationError"),
         ("rationals", "INFINITY format_rational parse_rational"),
-        ("sequences", "DEFAULT_EPSILONS DEFAULT_HORIZON DeclaredLimit DivergesToInfinity "
-                      "Periodic SequenceSpec StabilizesAt from_terms"),
+        ("sequences", "DEFAULT_EPSILONS DEFAULT_HORIZON DeclaredLimit Periodic SequenceSpec "
+                      "StabilizesAt from_terms"),
         ("spaces", "Element NoSupremum SpaceDescriptor SpaceKind add basis_vector "
                    "coord element entrywise_mat inf_pair is_psd leq loewner_sym "
                    "order_unit reals scale sub sup_pair sym_matrix zero"),
         ("extended", "ExtElement ext_add ext_leq ext_scale finite infinity"),
-        ("limits", "GapReport ext_liminf_limsup ext_sup sup_increasing"),
         ("measures", "MeasurableSpace Measure check_measure_identities "
                      "generate_sigma_algebra points_to_mask mask_to_points "
                      "power_set_space validate_sigma_algebra"),

@@ -10,9 +10,9 @@ scalars act by monoid homomorphisms.
 
 The supremum of an increasing sequence (the paper's sigma-monotone
 completeness) and the infimum of a decreasing one are decided in one
-place, `certify_monotone_limit`, against the limit the sequence declares.
-The library API that applies it to a sequence spec (`sup_increasing`,
-`ext_sup`, `ext_liminf_limsup`) is in `ordmeasure.limits`.
+place, `certify_monotone_limit`: the monotone convergence theorems of
+`ordmeasure.integral` certify with it that the integrals of their terms
+reach the integral of the declared limit.
 """
 
 from __future__ import annotations
@@ -260,12 +260,11 @@ def certify_divergence(terms: Sequence[ExtElement]) -> int:
     raise CertificationError(f"divergence not certified: all samples below {hi} * unit")
 
 
-def certify_monotone_limit(values: Sequence[ExtElement], target: Optional[ExtElement],
-                           epsilons: Sequence[Fraction], increasing: bool = True,
-                           prefix: str = "") -> Optional[dict]:
-    """Certify that `target` is the supremum of the increasing `values`, or
-    the infimum of the decreasing ones.  This is the one certifier of a
-    monotone limit.
+def certify_monotone_limit(values: Sequence[ExtElement], target: ExtElement,
+                           epsilons: Sequence[Fraction], increasing: bool = True) -> dict:
+    """Certify that `target` is the supremum of the increasing integrals
+    `values`, or the infimum of the decreasing ones.  This is the one
+    certifier of a monotone limit.
 
     The terms must be monotone and on the target's side of it.  The limit
     is then
@@ -276,9 +275,7 @@ def certify_monotone_limit(values: Sequence[ExtElement], target: Optional[ExtEle
     * gap-certified otherwise: for each epsilon some term comes within
       epsilon times the order unit of the target (`certify_gaps`).
 
-    The mode is returned with its evidence.  With no target only the order
-    of the terms is certified, and None is returned.  Every message starts
-    with `prefix`.
+    The mode is returned with its evidence.
     """
     def precedes(a, b):
         return ext_leq(a, b) if increasing else ext_leq(b, a)
@@ -286,13 +283,11 @@ def certify_monotone_limit(values: Sequence[ExtElement], target: Optional[ExtEle
     direction = "increasing" if increasing else "decreasing"
     for n in range(1, len(values)):
         if not precedes(values[n - 1], values[n]):
-            raise CertificationError(f"{prefix}sequence not {direction} at {n}")
-    if target is None:
-        return None
+            raise CertificationError(f"integral sequence not {direction} at {n}")
     crossing = "exceeds" if increasing else "dips below"
     for n, v in enumerate(values, start=1):
         if not precedes(v, target):
-            raise CertificationError(f"{prefix}sequence {crossing} the target at {n}")
+            raise CertificationError(f"integral sequence {crossing} the target at {n}")
     if values[-1] == target:
         return {"mode": "stabilized", "at": stable_from(values).index}
     if target.is_infinite:
@@ -306,5 +301,5 @@ def certify_monotone_limit(values: Sequence[ExtElement], target: Optional[ExtEle
         ceiling = ext_add(target, bump)
         return lambda i: ext_leq(values[i - 1], ceiling)
 
-    gaps = certify_gaps(epsilons, len(values), probe, prefix + "gap {eps} not certified")
+    gaps = certify_gaps(epsilons, len(values), probe, "integral gap {eps} not certified")
     return {"mode": "gap-certified", "gaps": gaps}

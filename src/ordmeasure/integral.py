@@ -16,12 +16,15 @@ functions for the tests.
 The monotone and dominated convergence theorems and the Fatou inequality
 are certified checks on what a sequence declares: Fatou reads its cycle
 (`declared_cycle`), and `mct`, `mct_decreasing` and `dct` its limit
-(`declared_limit`), which must be f exactly off the null points.  Each
-check compares its sampled functions on one integer table (`_columns`),
-and `_certify_convergence` certifies that the samples reach f at each
-point: against an epsilon schedule in multiples of the order unit where f
-is finite, and a ladder of bounds where it is infinite.  The laws of the
-integral and its other structure checks are in `ordmeasure.integral_checks`.
+(`declared_limit`), a function of the terms' kind that is infinite where
+they diverge, which must be f exactly off the null points.  Each check
+compares its sampled functions on one integer table (`_columns`), and
+`_certify_convergence` certifies that the samples reach f at each point:
+against an epsilon schedule in multiples of the order unit where f is
+finite, and a ladder of bounds where it is infinite; the monotone checks
+then certify their integrals with `extended.certify_monotone_limit`.  The
+laws of the integral and its other structure checks are in
+`ordmeasure.integral_checks`.
 """
 
 from __future__ import annotations
@@ -202,13 +205,17 @@ class SignedFunction(_PointFunction):
         return _pointwise(min, self, other)
 
 
+def _coerced(values: Sequence) -> tuple:
+    """`values` as Fractions, with INFINITY kept, for the constructors to test."""
+    return tuple(v if is_infinite(v) else Fraction(v) for v in values)
+
+
 def ext_function(space: MeasurableSpace, values: Sequence) -> ExtFunction:
-    coerced = tuple(v if is_infinite(v) else Fraction(v) for v in values)
-    return ExtFunction(space, coerced)
+    return ExtFunction(space, _coerced(values))
 
 
 def signed_function(space: MeasurableSpace, values: Sequence) -> SignedFunction:
-    return SignedFunction(space, tuple(Fraction(v) for v in values))
+    return SignedFunction(space, _coerced(values))
 
 
 class ElementaryFunction(Frozen):
@@ -463,20 +470,17 @@ def _precedes(a: Optional[int], b: Optional[int]) -> bool:
 def _certify_convergence(seq: SequenceSpec, horizon: Optional[int], f, mu: Measure,
                          den: int, live: list, gap: str, epsilons):
     """Certificate that `seq` converges to f almost everywhere: the limit it
-    declares (`declared_limit`) is f exactly off the null points, or the
-    point at infinity where f is infinite at one of them; and at each `live`
-    point of a `_columns` table (the h samples, f, then any more columns)
-    the samples reach f: where f is finite, within each epsilon from some
-    index on ("<gap> <eps> at point <x> not certified" when none does), and
-    where f is infinite, above each bound of the integrals' ladder."""
+    declares (`declared_limit`) is f exactly off the null points; and at
+    each `live` point of a `_columns` table (the h samples, f, then any more
+    columns) the samples reach f: where f is finite, within each epsilon
+    from some index on ("<gap> <eps> at point <x> not certified" when none
+    does), and where f is infinite, above each bound of the integrals'
+    ladder."""
     terms, limit = declared_limit(seq, horizon)
     h = len(terms)
-    if limit is INFINITY and all(col[h] is not None for _, col in live):
-        raise CertificationError("declared divergence needs f infinite at a non-null point")
-    if limit is not INFINITY:
-        bad = [x for x, (a, b) in _columns([limit, f], mu.null_mask)[1] if a != b]
-        if bad:
-            raise CertificationError(f"declared limit differs from f at non-null points {bad}")
+    bad = [x for x, (a, b) in _columns([limit, f], mu.null_mask)[1] if a != b]
+    if bad:
+        raise CertificationError(f"declared limit differs from f at non-null points {bad}")
     for x, col in live:
         values, target = col[:h], col[h]
         if target is not None:
@@ -523,8 +527,7 @@ def _monotone_convergence(name: str, mu: Measure, seq: SequenceSpec, f: ExtFunct
 
     values = [integral_value(t, mu) for t in terms]
     target = integral_value(f, mu)
-    trail = certify_monotone_limit(values, target, epsilons, increasing,
-                                   prefix="integral ")
+    trail = certify_monotone_limit(values, target, epsilons, increasing)
     return holds(name, limit_integral=ext_to_json(target), certification=trail)
 
 

@@ -37,7 +37,8 @@ Sequence specs (terms are function names or inline {"values": [...]}):
   {"kind": "alternating", "terms": [...]}
       cycles through the terms forever: Periodic(1, least period of the list)
   {"kind": "scaled_index", "shape": g}
-      term n is n * shape; declared divergent (StabilizesAt(1) when g is 0)
+      term n is n * shape; declared limit infinity on the support of g and 0
+      off it (StabilizesAt(1) when g is 0)
 
 A sequence may carry a "monotonicity" key; it is accepted but not read,
 since every check that needs a monotone sequence tests the order itself at
@@ -46,7 +47,9 @@ every sampled index.  A check reads a tail only from the declarations above
 before the first declared cycle does.  It reads a limit only from them too
 (`sequences.declared_limit`): the limit of an `mct`, `mct_decreasing` or
 `dct` directive must equal the declared one, such as a geometric base or
-a ladder's f, off the null atoms.
+a ladder's f, off the null atoms.  A declared limit that is no function of
+the directive's kind, such as an infinite one under `dct`, is a schema
+error of the directive.
 
 Check directives are objects {"check": <name>, <key>: ...}, each with an
 optional "expect": "holds" | "fails" | "hypothesis-not-met" |
@@ -82,9 +85,9 @@ from .measures import MeasurableSpace, Measure, mask_to_points, points_to_mask
 from .rationals import format_rational, over_one_den, parse_ext_scalar, parse_rational
 from .reports import (CheckResult, FAILS, HOLDS, HYPOTHESIS_NOT_MET, NOT_CERTIFIABLE,
                       STATUSES)
-from .sequences import (DEFAULT_HORIZON, DeclaredLimit, DivergesToInfinity, SequenceSpec,
-                        StabilizesAt, check_horizon, epsilon_schedule, from_terms,
-                        least_cycle, repeat_last, stable_from)
+from .sequences import (DEFAULT_HORIZON, DeclaredLimit, SequenceSpec, StabilizesAt,
+                        check_horizon, epsilon_schedule, from_terms, least_cycle,
+                        repeat_last, stable_from)
 from .spaces import Element, SpaceDescriptor, coord, entrywise_mat, loewner_sym, reals
 
 
@@ -318,7 +321,9 @@ def _parse_sequence(functions: dict, ground: int, doc, path: str) -> _NamedSeque
 
         def scaled(n):
             return tuple(n * v for v in nums), den, 0
-        metadata = DivergesToInfinity() if any(nums) else StabilizesAt(1)
+        # The pointwise limit: infinity on the shape's support, 0 off it.
+        support = points_to_mask(x for x, v in enumerate(nums) if v)
+        metadata = DeclaredLimit(((0,) * ground, 1, support)) if support else StabilizesAt(1)
         return _NamedSequence(scaled, metadata, (scaled(1),))
 
     raise SchemaError(f"unknown sequence kind {kind!r}", path)

@@ -7,7 +7,8 @@ needs a monotone sequence tests the order of its samples.  Every claim is
 certified at sampled indices before a result that depends on it is
 produced; nothing is ever inferred from the samples alone beyond what the
 metadata licenses: a tail is read only from it, by `declared_cycle`, and a
-limit only by `declared_limit`.
+limit only by `declared_limit`, which knows one kind of declared limit: a
+cycle of period 1, or a `DeclaredLimit` value of the terms' type.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from typing import Any, Callable, List, Optional, Sequence
 
 from .errors import MAX_EPSILON_EXPONENT, CertificationError, Frozen, ValidationError
-from .rationals import INFINITY, format_rational
+from .rationals import format_rational
 
 DEFAULT_HORIZON = 64
 
@@ -90,16 +91,10 @@ class StabilizesAt(Frozen):
 
 
 class DeclaredLimit(Frozen):
-    """The sequence converges to this value, of its terms' type (certified by
-    gap schedules)."""
+    """The sequence converges to this value, of its terms' type (a function
+    may be infinite at some points)."""
 
     __slots__ = ("value",)
-
-
-class DivergesToInfinity(Frozen):
-    """The sequence is unbounded above (certified against a bound ladder)."""
-
-    __slots__ = ()
 
 
 Metadata = Optional[object]
@@ -193,17 +188,15 @@ def declared_cycle(seq: SequenceSpec, horizon: Optional[int]) -> tuple:
 def declared_limit(seq: SequenceSpec, horizon: Optional[int]) -> tuple:
     """``(samples, limit)``: the terms of `seq` up to the horizon and the limit
     its metadata declares.  The one reader of a limit: a declared period of 1
-    gives term `index`, read by `declared_cycle`; `DivergesToInfinity` the
-    point at infinity, `INFINITY`; `DeclaredLimit` its value, when that has
-    the type of the terms.  One CertificationError refuses anything else."""
+    gives term `index`, read by `declared_cycle`, and `DeclaredLimit` its
+    value, when that has the type of the terms.  One CertificationError
+    refuses anything else."""
     metadata = seq.metadata
     if isinstance(metadata, (Periodic, StabilizesAt)) and metadata.period == 1:
         samples, pre, _ = declared_cycle(seq, horizon)
         return samples, samples[pre]
     samples = seq.sample(horizon)
-    if isinstance(metadata, DivergesToInfinity):
-        return samples, INFINITY
     if isinstance(metadata, DeclaredLimit) and type(metadata.value) is type(samples[0]):
         return samples, metadata.value
-    raise CertificationError("limit not certifiable: it needs a declared stabilization, "
-                             "divergence, or limit of its terms' type")
+    raise CertificationError("limit not certifiable: it needs a declared stabilization "
+                             "or limit of its terms' type")

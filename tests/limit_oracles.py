@@ -9,9 +9,6 @@ on sequences that never stabilize below their declared limit.
 `detect_stable_tail`, the former ``sequences.detect_stable_tail``, is the
 window guess that procedure read.
 
-`constant_sequence`, the former ``sequences.constant_sequence``, which only
-the tests used, builds the constant sequences they feed the limit API.
-
 `ext_inf_finite_list`, the former ``extended.ext_inf_finite_list``, is the
 infimum of a finite list in the extended space that Fatou's right-hand side
 was computed by before `integral.fatou` folded `spaces.inf_pair` itself.
@@ -29,7 +26,7 @@ from ordmeasure.sequences import (
     StabilizesAt,
 )
 from ordmeasure.spaces import (Element, NoSupremum, add, inf_pair, leq, order_unit, scale,
-                               require_same_space, sub)
+                               require_same_space)
 
 
 def detect_stable_tail(samples: list) -> Optional[int]:
@@ -54,20 +51,19 @@ def detect_stable_tail(samples: list) -> Optional[int]:
 
 def stable_tail_sup_increasing(
     seq: SequenceSpec,
-    bound: Optional[Element] = None,
     horizon: Optional[int] = None,
     epsilons: Optional[Sequence[Fraction]] = None,
-):
+) -> Optional[Element]:
     """Supremum of an increasing sequence of elements, certified from samples.
 
     The sequence is validated to be increasing at every index up to the
-    horizon, and to stay below `bound` when one is given.  The result is
+    horizon.  The result is
 
     * the stabilized value, when the sampled tail is constant;
     * the declared limit L, when the spec carries one and both
       ``seq(n) <= L`` (all samples) and, for each epsilon of the schedule,
       ``L <= seq(n) + epsilon * unit`` at some sample are verified;
-    * a `GapReport` otherwise.
+    * None otherwise, where the procedure reported the gap it could not close.
     """
     epsilons = list(epsilons) if epsilons is not None else list(DEFAULT_EPSILONS)
     terms = seq.sample(horizon)
@@ -80,10 +76,6 @@ def stable_tail_sup_increasing(
             raise CertificationError(
                 f"monotonicity violation: term {n} > term {n + 1}"
             )
-    if bound is not None:
-        for n, t in enumerate(terms, start=1):
-            if not leq(t, bound):
-                raise CertificationError(f"bound violated at n={n}")
 
     stable_at = detect_stable_tail(terms)
     if isinstance(seq.metadata, StabilizesAt):
@@ -111,14 +103,7 @@ def stable_tail_sup_increasing(
                     f"gap {eps} to declared limit not reached within horizon {horizon}"
                 )
         return limit
-
-    residual = sub(bound, terms[-1]) if bound is not None else None
-    return om.GapReport(horizon=horizon, last_value=terms[-1], bound=bound, residual=residual)
-
-
-def constant_sequence(value) -> SequenceSpec:
-    """The sequence that is `value` at every index, declared stable from 1."""
-    return SequenceSpec(lambda n: value, metadata=StabilizesAt(1))
+    return None
 
 
 def ext_inf_finite_list(items: Sequence[om.ExtElement]) -> Union[om.ExtElement, NoSupremum]:

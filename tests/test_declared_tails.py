@@ -7,12 +7,12 @@ tail: the checks that read one (`fatou`, `borel_cantelli`, the continuity
 checks, and every check of a stabilizing sequence's limit) are
 not-certifiable at a horizon that ends before the first declared cycle
 does.  `sequences.declared_limit` is the one reader of a limit, for `mct`,
-`mct_decreasing`, `dct`, `sup_increasing`, `ext_sup` and
-`ext_liminf_limsup`, and a convergence check holds only when that limit is
-its f exactly off the null atoms.  The reproducers below are sequences
-whose window misleads: a stretch of equal terms inside a cycle, a horizon
-that ends before the final run, or a declared limit that every gap of the
-schedule misses; their expected values are derived by hand in the
+`mct_decreasing` and `dct`, and a convergence check holds only when that
+limit is its f exactly off the null atoms, infinite points included.  The
+reproducers below are sequences whose window misleads: a stretch of equal
+terms inside a cycle, a horizon that ends before the final run, or a
+declared limit that every gap of the schedule misses, or that the last
+sample happens to meet; their expected values are derived by hand in the
 comments.  The property tests compare `fatou`, `borel_cantelli` and the
 convergence checks with Fraction oracles built from the document itself.
 """
@@ -153,8 +153,8 @@ CONVERGENCE = [
     ({"check": "dct", "dominator": "two"}, "minus_one", "1048577/1048576"),
 ]
 CONVERGENCE_IDS = ["mct", "mct_decreasing", "dct"]
-UNDECLARED = ("limit not certifiable: it needs a declared stabilization, divergence, or "
-              "limit of its terms' type")
+UNDECLARED = ("limit not certifiable: it needs a declared stabilization or limit of its "
+              "terms' type")
 # UNIT_PAIR with a third point, {2}, an atom of measure 0.
 NULL_THIRD = dict(UNIT_PAIR, ground_size=3, measure={"atom_values": {
     **UNIT_PAIR["measure"]["atom_values"], "2": {"finite": ["0", "0"]}}})
@@ -198,21 +198,6 @@ class TestDeclaredLimits:
         assert report["status"] == "holds"
         assert report["details"]["limit_integral"] == finite(1, 1)
 
-    @pytest.mark.parametrize("sup, lift", [(om.sup_increasing, lambda x: x),
-                                           (om.ext_sup, om.finite)],
-                             ids=["sup_increasing", "ext_sup"])
-    def test_stabilizing_supremum_is_read_only_when_sampled(self, sup, lift):
-        # min(n, 100) is constant from term 100 on: its supremum is 100, which
-        # four terms do not reach.
-        reals = om.reals()
-        seq = SequenceSpec(lambda n: lift(om.element(reals, [min(n, 100)])),
-                           metadata=StabilizesAt(100))
-        with pytest.raises(CertificationError) as caught:
-            sup(seq, horizon=4)
-        assert str(caught.value) == ("tail not certifiable within horizon 4: "
-                                     "it needs a declared cycle, sampled in full")
-        assert sup(seq, horizon=100) == lift(om.element(reals, [100]))
-
     @pytest.mark.parametrize("horizon", [1, 8])
     def test_alternating_equal_terms_stabilize(self, horizon):
         # f, f, f, ...: the least cycle of [f, f] has period 1, so the limit is
@@ -223,6 +208,53 @@ class TestDeclaredLimits:
         assert alternating["status"] == "holds"
         assert alternating["details"] == {"limit_integral": finite(1, 1),
                                           "certification": {"mode": "stabilized", "at": 1}}
+
+
+def scaled_index_doc(shape: list, check: dict) -> dict:
+    """`scenarios/mct_divergent.json` on `UNIT_PAIR`: the sequence n * shape
+    and one check of it, of limit f = (infinity, 8) unless it names another."""
+    functions = {"shape": shape, "f": ["infinity", "8"], "g": ["2", "2"]}
+    return dict(UNIT_PAIR, functions={n: {"values": v} for n, v in functions.items()},
+                sequences={"s": {"kind": "scaled_index", "shape": "shape"}},
+                checks=[{"limit": "f", **check, "sequence": "s"}])
+
+
+class TestScaledIndexLimit:
+    """A scaled index declares its exact pointwise limit: infinity on the
+    support of its shape and 0 off it."""
+
+    @pytest.mark.parametrize("horizon, reason", [
+        (8, "declared limit differs from f at non-null points [1]"),
+        (9, "sequence exceeds the declared limit at non-null points [1]"),
+        (64, "sequence exceeds the declared limit at non-null points [1]")],
+        ids=["h8", "h9", "h64"])
+    def test_finite_limit_at_a_diverging_point_is_refused(self, tmp_path, capsys,
+                                                          horizon, reason):
+        # n * (1, 1) tends to infinity at both points, not to f = (infinity, 8).
+        # Term 8 is f at point 1, so horizon 8 once held, certified by the
+        # gaps there; from horizon 9 on the last sample exceeds 8, which the
+        # order test, run first, names.
+        path = tmp_path / "mct_divergent_both.json"
+        path.write_text(json.dumps(scaled_index_doc(["1", "1"], {"check": "mct"})))
+        code = cli_main(["run", str(path), "--horizon", str(horizon), "--output", "json"])
+        report = json.loads(capsys.readouterr().out)["checks"][0]
+        assert code == 1
+        assert report["status"] == "not-certifiable"
+        assert report["details"] == {"reason": reason}
+
+    @pytest.mark.parametrize("sequence", [
+        {"kind": "scaled_index", "shape": "shape"},
+        {"kind": "truncation_ladder", "of": "f"}], ids=["scaled_index", "ladder"])
+    def test_dct_refuses_an_infinite_declared_limit(self, tmp_path, capsys, sequence):
+        # The limit of n * (1, 0) is infinite at point 0, as the ladder of f
+        # is: neither is a signed function, so validation refuses the dct
+        # directive, whose own limit g is one.
+        doc = scaled_index_doc(["1", "0"], {"check": "dct", "limit": "g", "dominator": "g"})
+        path = tmp_path / "dct_infinite_limit.json"
+        path.write_text(json.dumps(dict(doc, sequences={"s": sequence})))
+        assert cli_main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == ("error: /checks/0/sequence: a signed function "
+                                           "cannot take the value infinity\n")
 
 
 class TestDeclarations:
@@ -249,7 +281,8 @@ class TestDeclarations:
         ({"kind": "truncation_ladder", "of": "big"}, StabilizesAt(3)),
         ({"kind": "truncation_ladder", "of": "infinite"}, "limit"),
         ({"kind": "scaled_index", "shape": "zero"}, StabilizesAt(1)),
-        ({"kind": "scaled_index", "shape": "a"}, om.DivergesToInfinity()),
+        # n * a tends to infinity at point 0, where a is 1, and is 0 at point 1.
+        ({"kind": "scaled_index", "shape": "a"}, om.DeclaredLimit(((0, 0), 1, 0b01))),
         ({"kind": "explicit", "terms": ["a", "a", {"values": ["1", "0"]}]}, StabilizesAt(1)),
         ({"kind": "explicit", "terms": ["a", "b", "b"]}, StabilizesAt(2)),
         ({"kind": "alternating", "terms": ["a", "b", "a", "b"]}, Periodic(1, 2)),
@@ -281,9 +314,8 @@ class TestDeclarations:
 
 
     @pytest.mark.parametrize("metadata, horizon, limit", [
-        (StabilizesAt(3), 3, 3), (Periodic(2, 1), 5, 2), (om.DeclaredLimit(7), 1, 7),
-        (om.DivergesToInfinity(), 2, om.INFINITY)],
-        ids=["stabilizes", "period-1", "declared", "diverges"])
+        (StabilizesAt(3), 3, 3), (Periodic(2, 1), 5, 2), (om.DeclaredLimit(7), 1, 7)],
+        ids=["stabilizes", "period-1", "declared"])
     def test_limit_reader_returns_the_declared_limit(self, metadata, horizon, limit):
         samples, read = declared_limit(SequenceSpec(lambda n: n, metadata=metadata), horizon)
         assert samples == list(range(1, horizon + 1)) and read == limit

@@ -8,17 +8,18 @@ import ordmeasure as om
 from ordmeasure.errors import CertificationError, SchemaError
 from ordmeasure.extended import (
     certify_divergence,
+    certify_monotone_limit,
     ext_sub_finite,
     ext_zero,
     is_ext_positive,
 )
 from ordmeasure.rationals import INFINITY, parse_rational
 from ordmeasure.sequences import (
+    DEFAULT_EPSILONS,
     DeclaredLimit,
-    DivergesToInfinity,
-    Periodic,
     SequenceSpec,
     StabilizesAt,
+    declared_limit,
 )
 
 from conftest import random_ext_element
@@ -156,141 +157,82 @@ class TestExtOrder:
                 assert om.ext_leq(om.ext_scale(r, a), om.ext_scale(s, b))
 
 
-class TestExtSup:
-    def test_list_with_infinity(self):
-        assert om.ext_sup([fin(1, 0), INF]) == INF
+def certified_limit(seq: SequenceSpec, horizon=None):
+    """The limit that the increasing sequence of elements `seq` declares
+    (`declared_limit`), certified on its samples by `certify_monotone_limit`."""
+    terms, limit = declared_limit(seq, horizon)
+    certify_monotone_limit([om.finite(t) for t in terms], om.finite(limit), DEFAULT_EPSILONS)
+    return limit
 
-    def test_finite_lattice_list(self):
-        assert om.ext_sup([fin(1, 0), fin(0, 1)]) == fin(1, 1)
 
-    def test_divergent_sequence(self):
-        seq = SequenceSpec(
-            generator=lambda n: fin(n, n),
-            metadata=DivergesToInfinity(),
-        )
-        assert om.ext_sup(seq) == INF
+def _diag(r: Fraction):
+    return fin(r, r)
 
-    def test_stabilizing_sequence(self):
-        seq = SequenceSpec(
-            generator=lambda n: fin(min(n, 3), 0),
-            metadata=StabilizesAt(3),
-        )
-        assert om.ext_sup(seq) == fin(3, 0)
 
-    def test_constant_sampled_tail_is_not_a_supremum(self):
-        seq = SequenceSpec(lambda n: fin(0, 0) if n <= 64 else fin(1, 1))
-        result = om.ext_sup(seq)
-        assert isinstance(result, om.GapReport)
-        assert result.last_value == om.zero(C2)
+class TestCertifyMonotoneLimit:
+    """The one certifier of a monotone limit: each mode with its evidence."""
 
-    def test_declared_limit_above_constant_terms(self):
-        seq = SequenceSpec(lambda n: fin(0, 0),
-                           metadata=DeclaredLimit(om.finite(om.order_unit(C2))))
-        with pytest.raises(CertificationError, match="^gap 1/16 not certified$"):
-            om.ext_sup(seq)
+    def test_stabilized_at_the_final_run(self):
+        values = [fin(1, 0), fin(2, 3), fin(2, 3)]
+        assert certify_monotone_limit(values, fin(2, 3), DEFAULT_EPSILONS) == {
+            "mode": "stabilized", "at": 2}
 
-    def test_declared_limit_must_be_an_element(self):
-        seq = SequenceSpec(lambda n: fin(0, 0), metadata=DeclaredLimit(None))
-        with pytest.raises(CertificationError, match="or limit of its terms' type$"):
-            om.ext_sup(seq)
+    @pytest.mark.parametrize("increasing", [True, False], ids=["increasing", "decreasing"])
+    def test_geometric_is_gap_certified(self, increasing):
+        # (1 -+ 2^-n) * (1, 1) is within 2^-k of (1, 1) from n = k on.
+        sign = -1 if increasing else 1
+        values = [_diag(1 + sign * Fraction(1, 2**n)) for n in range(1, 65)]
+        assert certify_monotone_limit(values, fin(1, 1), DEFAULT_EPSILONS, increasing) == {
+            "mode": "gap-certified",
+            "gaps": [{"epsilon": f"1/{2**k}", "index": k} for k in (4, 8, 12, 16)]}
 
-    def test_infinite_term_exceeds_a_finite_declared_limit(self):
-        # The limit is read from the declaration alone: an infinite term
-        # refutes a finite one, and a declared divergence is its supremum.
+    @pytest.mark.parametrize("values, target", [
+        ([_diag(1 - Fraction(1, n)) for n in range(1, 9)], fin(1, 1)),
+        ([fin(0, 0)] * 64, fin(1, 1)),
+    ], ids=["1-1/n-at-8", "constant-below"])
+    def test_gap_not_reached(self, values, target):
+        # 1 - 1/n is 1/8 short of 1 at n = 8, and zero is 1 short: neither
+        # comes within 1/16.
+        with pytest.raises(CertificationError, match="^integral gap 1/16 not certified$"):
+            certify_monotone_limit(values, target, DEFAULT_EPSILONS)
+
+    def test_infinite_target(self):
+        # n * (1, 1) escapes every rung k * (1, 1), k = 1 .. 7, of eight
+        # samples; a sequence that reaches infinity has stabilized there, and
+        # exceeds any finite target there.
+        values = [fin(n, n) for n in range(1, 9)]
+        assert certify_monotone_limit(values, INF, DEFAULT_EPSILONS) == {
+            "mode": "divergence-certified", "ladder_top": 7}
+        reaching = values[:3] + [INF] * 5
+        assert certify_monotone_limit(reaching, INF, DEFAULT_EPSILONS) == {
+            "mode": "stabilized", "at": 4}
+        with pytest.raises(CertificationError,
+                           match="^integral sequence exceeds the target at 4$"):
+            certify_monotone_limit(reaching, fin(9, 9), DEFAULT_EPSILONS)
+
+    def test_declared_stabilization_is_read_only_when_sampled(self):
+        # min(n, 100) is constant from term 100 on: its supremum is 100,
+        # which four terms do not reach, and a declared index before the
+        # terms stop rising is exceeded.
+        reals = om.reals()
+
         def term(n):
-            return fin(n, 0) if n < 4 else INF
-        with pytest.raises(CertificationError, match="^sequence exceeds the target at 4$"):
-            om.ext_sup(SequenceSpec(term, metadata=DeclaredLimit(fin(9, 9))))
-        assert om.ext_sup(SequenceSpec(term, metadata=DivergesToInfinity())) == INF
+            return om.element(reals, [min(n, 100)])
+        seq = SequenceSpec(term, metadata=StabilizesAt(100))
+        with pytest.raises(CertificationError, match="^tail not certifiable within horizon 4: "):
+            certified_limit(seq, horizon=4)
+        assert certified_limit(seq, horizon=100) == term(100)
+        with pytest.raises(CertificationError,
+                           match="^integral sequence exceeds the target at 31$"):
+            certified_limit(SequenceSpec(term, metadata=StabilizesAt(30)), horizon=100)
 
-    def test_translation_invariance(self, rng):
-        for _ in range(100):
-            items = [random_ext_element(rng, C2, inf_prob=0.1) for _ in range(4)]
-            x = om.finite(om.element(C2, [rng.randint(-3, 3), rng.randint(-3, 3)]))
-            shifted = om.ext_sup([om.ext_add(x, i) for i in items])
-            base = om.ext_sup(items)
-            assert shifted == om.ext_add(x, base)
-
-    def test_sup_in_subspace_is_sup_in_extension(self, rng):
-        # a finite supremum of finite elements is also the supremum among
-        # extended elements: nothing finite between it and infinity changes
-        for _ in range(50):
-            items = [random_ext_element(rng, C2, inf_prob=0) for _ in range(3)]
-            sup = om.ext_sup(items)
-            assert sup.is_finite
-            for i in items:
-                assert om.ext_leq(i, sup)
-
-
-class TestLiminfLimsup:
-    def test_constant(self):
-        x = om.element(C2, [2, 3])
-        seq = SequenceSpec(generator=lambda n: x, metadata=StabilizesAt(1))
-        assert om.ext_liminf_limsup(seq, horizon=16) == (x, x)
-
-    def test_alternating(self):
-        a = om.element(C2, [1, 0])
-        b = om.element(C2, [0, 1])
-        seq = SequenceSpec(generator=lambda n: a if n % 2 else b, metadata=Periodic(1, 2))
-        lo, hi = om.ext_liminf_limsup(seq, horizon=16)
-        assert lo == om.element(C2, [0, 0])
-        assert hi == om.element(C2, [1, 1])
-        assert om.leq(lo, hi)
-
-    def test_declared_limit_monotone(self):
-        limit = om.element(C2, [1, 1])
-        seq = SequenceSpec(
-            generator=lambda n: om.scale(1 - Fraction(1, 2**n), limit),
-            metadata=DeclaredLimit(limit),
-        )
-        assert om.ext_liminf_limsup(seq) == (limit, limit)
-
-    def test_declared_limit_above_constant_terms(self):
-        seq = SequenceSpec(lambda n: om.zero(C2), metadata=DeclaredLimit(om.order_unit(C2)))
-        with pytest.raises(CertificationError, match="^gap 1/16 not certified$"):
-            om.ext_liminf_limsup(seq)
-
-    def test_declared_limit_of_decreasing_sequence(self):
-        limit = om.element(C2, [1, 1])
-        seq = SequenceSpec(
-            generator=lambda n: om.scale(1 + Fraction(1, 2**n), limit),
-            metadata=DeclaredLimit(limit),
-        )
-        assert om.ext_liminf_limsup(seq) == (limit, limit)
-        with pytest.raises(CertificationError, match="^sequence dips below the target at 1$"):
-            om.ext_liminf_limsup(SequenceSpec(seq.generator, metadata=DeclaredLimit(
-                om.scale(2, limit))))
-
-    def test_constant_sequence_declaring_another_limit(self):
-        # the declaration is certified, not replaced by the cycle bounds; a
-        # declared limit above the terms is test_declared_limit_above_constant_terms
-        x = om.element(C2, [2, 3])
-        for declared in ([1, 1], [3, 1]):
-            seq = SequenceSpec(lambda n: x, metadata=DeclaredLimit(om.element(C2, declared)))
-            with pytest.raises(CertificationError, match="^sequence exceeds the target at 1$"):
-                om.ext_liminf_limsup(seq, horizon=16)
-
-    def test_declared_infinite_limit_rejected(self):
-        seq = SequenceSpec(lambda n: om.element(C2, [n, n]), metadata=DivergesToInfinity())
-        with pytest.raises(CertificationError, match="order-bounded"):
-            om.ext_liminf_limsup(seq)
-
-    def test_non_lattice_rejected(self):
-        x = om.sym_matrix([[1, 0], [0, 1]])
-        seq = SequenceSpec(generator=lambda n: x)
-        with pytest.raises(CertificationError, match="sigma-Dedekind"):
-            om.ext_liminf_limsup(seq, horizon=8)
-
-    def test_liminf_below_limsup_random_periodic(self, rng):
-        for _ in range(50):
-            period = rng.randint(1, 4)
-            cycle = [om.element(C2, (Fraction(rng.randint(-3, 3)),
-                                     Fraction(rng.randint(-3, 3))))
-                     for _ in range(period)]
-            seq = SequenceSpec(generator=lambda n, c=cycle: c[(n - 1) % len(c)],
-                               metadata=Periodic(1, period))
-            lo, hi = om.ext_liminf_limsup(seq, horizon=24)
-            assert om.leq(lo, hi)
+    def test_archimedean_gap_schedule_reaches_zero(self):
+        # x - x/n increases to x; the residuals x/n certify every epsilon of
+        # the schedule exactly once the horizon passes 2^16 * max coordinate
+        x = om.element(C2, [1, Fraction(1, 2)])
+        seq = SequenceSpec(lambda n: om.sub(x, om.scale(Fraction(1, n), x)),
+                           metadata=DeclaredLimit(x))
+        assert certified_limit(seq, horizon=2**16 + 1) == x
 
 
 class TestHelpers:
@@ -468,18 +410,9 @@ def declared_increasing(draw):
 @settings(max_examples=300, deadline=None)
 @given(declared_increasing())
 def test_declared_limits_agree_with_the_stable_tail_oracle(drawn):
-    """`sup_increasing`, `ext_sup` and `ext_liminf_limsup` return what the
-    earlier stable-tail procedure returns, or refuse exactly when it does,
+    """A declared limit certified by `certify_monotone_limit` is what the
+    earlier stable-tail procedure returns, or is refused exactly when it is,
     on every sequence where its constant-tail guess is not taken."""
     seq, horizon = drawn
     expected = _outcome(stable_tail_sup_increasing, seq, horizon=horizon)
-    assert _outcome(om.sup_increasing, seq, horizon=horizon) == expected
-    # A declared limit has its terms' type, here an extended element.
-    wrapped = SequenceSpec(lambda n: om.finite(seq.term(n)), metadata=(
-        DeclaredLimit(om.finite(seq.metadata.value))
-        if isinstance(seq.metadata, DeclaredLimit) else seq.metadata))
-    assert _outcome(om.ext_sup, wrapped, horizon=horizon) == (
-        expected if expected is CertificationError else om.finite(expected))
-    if seq.term(1).space.is_lattice and isinstance(seq.metadata, DeclaredLimit):
-        assert _outcome(om.ext_liminf_limsup, seq, horizon=horizon) == (
-            expected if expected is CertificationError else (expected, expected))
+    assert _outcome(certified_limit, seq, horizon=horizon) == expected

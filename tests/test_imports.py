@@ -27,9 +27,8 @@ from ordmeasure.scenarios import _CHECKS
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ordmeasure"
 MODULES = sorted(PACKAGE.glob("*.py"))
 SCENARIOS = sorted((PACKAGE.parent.parent / "scenarios").glob("*.json"))
-# The modules that the check table names, and the limit API, which no check runs.
+# The modules that the check table names.
 CHECK_MODULES = {f"ordmeasure.{check.module}" for check in _CHECKS.values() if check.module}
-LIMITS = "ordmeasure.limits"
 
 
 def unused_imports(source: str) -> list:
@@ -144,13 +143,11 @@ def test_cli_import_is_lean():
     assert "ordmeasure.scenarios" in loaded
     assert not loaded & {"dataclasses", "inspect", "ordmeasure.compare",
                          "ordmeasure.outer", "ordmeasure.integral",
-                         "ordmeasure.integral_checks", "ordmeasure.measure_checks",
-                         LIMITS}
+                         "ordmeasure.integral_checks", "ordmeasure.measure_checks"}
 
 
 def test_the_check_table_names_the_check_modules():
     assert {"ordmeasure.integral_checks", "ordmeasure.measure_checks"} <= CHECK_MODULES
-    assert LIMITS not in CHECK_MODULES
 
 
 @pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
@@ -174,19 +171,6 @@ def test_run_loads_the_check_modules_its_directives_name(path):
     assert loaded & CHECK_MODULES <= named | held
     if not doc.get("functions"):
         assert "ordmeasure.integral" not in loaded
-
-
-def test_no_subcommand_loads_the_limit_api():
-    runs = "".join(f"main(['run', {str(path)!r}])\nmain(['validate', {str(path)!r}])\n"
-                   for path in SCENARIOS)
-    loaded = modules_loaded_by(
-        "from ordmeasure.cli import main\n" + runs
-        + "main(['caratheodory', 'scenarios/caratheodory_induced.json'])\n"
-          "main(['compare', 'sup_measure', '--n', '3'])\n"
-          "main(['compare', 'series_measure', '--n', '3'])")
-    assert {"ordmeasure.scenarios", "ordmeasure.outer", "ordmeasure.compare"} <= loaded
-    assert CHECK_MODULES <= loaded
-    assert LIMITS not in loaded
 
 
 def test_spaces_loads_no_sequence_layer():

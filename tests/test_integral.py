@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate
 
 import pytest
@@ -22,17 +23,17 @@ from ordmeasure.rationals import INFINITY, is_infinite, over_one_den
 from ordmeasure.sequences import (
     DEFAULT_EPSILONS,
     DeclaredLimit,
-    DivergesToInfinity,
     Periodic,
     SequenceSpec,
     StabilizesAt,
+    declared_cycle,
     epsilon_schedule,
     from_terms,
 )
 
 import integral_oracles as oracle
 from conftest import nonneg_rational, random_algebra, random_measure
-from limit_oracles import constant_sequence, ext_inf_finite_list
+from limit_oracles import ext_inf_finite_list
 
 C2 = om.coord(2)
 
@@ -63,10 +64,14 @@ class TestMeasurability:
         with pytest.raises(ValidationError):
             om.ext_function(space, [1, INFINITY, 0])
 
-    def test_signed_measurability(self):
-        space = om.generate_sigma_algebra([0b011], 2)
-        with pytest.raises(ValidationError):
-            om.signed_function(space, [-1, 1])
+    @pytest.mark.parametrize("space, values, message", [
+        (om.generate_sigma_algebra([0b011], 2), [-1, 1], "not measurable"),
+        (om.power_set_space(3), [-2, INFINITY, INFINITY],
+         "^a signed function cannot take the value infinity$"),
+    ], ids=["not-measurable", "infinite"])
+    def test_signed_function_refused(self, space, values, message):
+        with pytest.raises(ValidationError, match=message):
+            om.signed_function(space, values)
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
@@ -759,10 +764,9 @@ class TestScalarDivergence:
     @settings(max_examples=200, deadline=None)
     def test_agrees_with_bound_ladder(self, samples, point):
         samples = in_order(samples)
-        terms = [at_point(s, point) for s in samples]
-        seq = from_terms(terms, metadata=DivergesToInfinity())
-        message = _certification_message(om.mct, unit_atoms_measure(), seq,
-                                         at_point(INFINITY, point), len(terms))
+        terms, f = [at_point(s, point) for s in samples], at_point(INFINITY, point)
+        seq = from_terms(terms, metadata=DeclaredLimit(f))
+        message = _certification_message(om.mct, unit_atoms_measure(), seq, f, len(terms))
         assert message is None or not message.startswith("sequence")
         fast = message if message and message.startswith("divergence at point") else None
         assert fast == _certification_message(ladder_scalar_divergence, samples, point)
@@ -774,10 +778,10 @@ class TestScalarDivergence:
         space = om.power_set_space(2)
         mu = om.Measure(space, reals, {1 << x: om.finite(om.element(reals, [1]))
                                        for x in range(2)})
+        limit = om.ext_function(space, [INFINITY, INFINITY])
         seq = from_terms([om.ext_function(space, [5, Fraction(1, 2)]),
                           om.ext_function(space, [6, Fraction(1, 2)])],
-                         metadata=DivergesToInfinity())
-        limit = om.ext_function(space, [INFINITY, INFINITY])
+                         metadata=DeclaredLimit(limit))
         with pytest.raises(CertificationError,
                            match="divergence at point 1 not certified against bound 1"):
             om.mct(mu, seq, limit, horizon=1)
@@ -903,7 +907,7 @@ class TestMct:
         mu = basic_measure()
         f = om.ext_function(mu.space, [INFINITY, 0])
         seq = SequenceSpec(lambda n: om.ext_function(mu.space, [n, 0]),
-                           metadata=DivergesToInfinity())
+                           metadata=DeclaredLimit(f))
         report = om.mct(mu, seq, f)
         assert report.ok
         assert report.details["certification"]["mode"] == "divergence-certified"
@@ -935,9 +939,10 @@ class TestMct:
         reals = om.reals()
         space = om.power_set_space(1)
         mu = om.Measure(space, reals, {1: om.finite(om.element(reals, [1]))})
+        f = om.ext_function(space, [INFINITY])
         seq = from_terms([om.ext_function(space, [5]), om.ext_function(space, [6])],
-                         metadata=DivergesToInfinity())
-        report = om.mct(mu, seq, om.ext_function(space, [INFINITY]), horizon=horizon)
+                         metadata=DeclaredLimit(f))
+        report = om.mct(mu, seq, f, horizon=horizon)
         assert report.details["certification"] == {"mode": "divergence-certified",
                                                    "ladder_top": top}
 
@@ -992,10 +997,6 @@ class TestHorizonBelowOne:
         with pytest.raises(ValidationError, match=self.REFUSED):
             om.mct_decreasing(mu, seq, zero, horizon=0)
 
-    def test_sup_increasing(self):
-        with pytest.raises(ValidationError, match=self.REFUSED):
-            om.sup_increasing(constant_sequence(fin(1, 1)), horizon=0)
-
 
 def _calls_with_horizon():
     """Each library call that samples a sequence, as a function of its horizon."""
@@ -1009,8 +1010,6 @@ def _calls_with_horizon():
         "dct": lambda h: om.dct(mu, from_terms([signed]), signed, dominator, horizon=h),
         "fatou": lambda h: om.fatou(mu, SequenceSpec(lambda n: f, metadata=StabilizesAt(1)),
                                     horizon=h),
-        "sup_increasing": lambda h: om.sup_increasing(
-            constant_sequence(om.element(C2, [1, 1])), horizon=h),
     }
 
 
@@ -1019,7 +1018,7 @@ class TestHorizonNotAnInteger:
     refuses it, not read as 1 or left to fail in `range`."""
 
     @pytest.mark.parametrize("horizon, shown", [(True, "True"), (2.5, "2.5")])
-    @pytest.mark.parametrize("call", ["mct", "dct", "fatou", "sup_increasing"])
+    @pytest.mark.parametrize("call", ["mct", "dct", "fatou"])
     def test_refused(self, call, horizon, shown):
         with pytest.raises(ValidationError,
                            match=f"^horizon must be a positive integer, got {shown}$"):
@@ -1042,8 +1041,7 @@ class TestEpsilonSchedule:
         ([Fraction(-1, 2)], "epsilon below 2\\^-"),
     ], ids=["empty_tuple", "empty_list", "bool", "float", "below_floor", "zero",
             "negative"])
-    @pytest.mark.parametrize("call", ["mct", "mct_decreasing", "dct", "sup_increasing",
-                                      "ext_sup"])
+    @pytest.mark.parametrize("call", ["mct", "mct_decreasing", "dct"])
     def test_refused(self, call, epsilons, message):
         with pytest.raises(ValidationError, match=f"^{message}"):
             _calls_with_epsilons()[call](epsilons)
@@ -1065,17 +1063,11 @@ def _calls_with_epsilons():
                            metadata=DeclaredLimit(zero))
     signed = SequenceSpec(lambda n: om.signed_function(mu.space, [Fraction(1, 2**n)] * 2),
                           metadata=DeclaredLimit(zero_signed))
-    rising = SequenceSpec(lambda n: om.element(C2, [1 - Fraction(1, 2**n), 1]),
-                          metadata=DeclaredLimit(om.element(C2, [1, 1])))
     return {
         "mct": lambda e: om.mct(mu, geometric_ext_sequence(mu.space, [1, 1]), f,
                                 epsilons=e),
         "mct_decreasing": lambda e: om.mct_decreasing(mu, halving, zero, epsilons=e),
         "dct": lambda e: om.dct(mu, signed, zero_signed, f, epsilons=e),
-        "sup_increasing": lambda e: om.sup_increasing(rising, epsilons=e),
-        "ext_sup": lambda e: om.ext_sup(
-            SequenceSpec(lambda n: om.finite(rising.term(n)),
-                         metadata=DeclaredLimit(fin(1, 1))), epsilons=e),
     }
 
 
@@ -1090,8 +1082,8 @@ def _infinite_first_atom():
     return om.Measure(om.power_set_space(2), C2, {1: om.infinity(C2), 2: fin(0, 1)})
 
 
-UNDECLARED = ("limit not certifiable: it needs a declared stabilization, divergence, or "
-              "limit of its terms' type")
+UNDECLARED = ("limit not certifiable: it needs a declared stabilization or limit of its "
+              "terms' type")
 
 
 class TestMonotoneConvergenceRejections:
@@ -1120,12 +1112,14 @@ class TestMonotoneConvergenceRejections:
                      UNDECLARED, id="mct_decreasing-undeclared"),
         pytest.param(True, basic_measure, [[1, 1]], [1, 1], Periodic(1, 2),
                      CertificationError, UNDECLARED, id="mct-period-2"),
-        # A divergence is a limit only where f is infinite off the null points,
-        # so a decreasing sequence, below a finite first term there, has none.
-        pytest.param(False, basic_measure, [[1, 1]], [1, 1], DivergesToInfinity(),
+        # A declared limit infinite where f is finite is refused like any other
+        # that differs from f off the null points.
+        pytest.param(False, basic_measure, [[1, 1]], [1, 1],
+                     DeclaredLimit(om.ext_function(om.power_set_space(2),
+                                                   [INFINITY, INFINITY])),
                      CertificationError,
-                     "declared divergence needs f infinite at a non-null point",
-                     id="mct_decreasing-divergence-undeclared"),
+                     "declared limit differs from f at non-null points [0, 1]",
+                     id="mct_decreasing-infinite-declared-limit"),
         # Only the decreasing form needs a finite first integral, and it says
         # so before it tests the terms.
         pytest.param(False, _infinite_first_atom, [[1, 0], [2, 0]], [0, 0], StabilizesAt(2),
@@ -1162,8 +1156,7 @@ class TestMonotoneConvergenceRejections:
         # right side of the target, so these are reached by calling the
         # certifier that both directions share.
         with pytest.raises(CertificationError) as caught:
-            extended.certify_monotone_limit(values, target, DEFAULT_EPSILONS, increasing,
-                                            prefix="integral ")
+            extended.certify_monotone_limit(values, target, DEFAULT_EPSILONS, increasing)
         assert str(caught.value) == message
 
 
@@ -1299,7 +1292,8 @@ class TestFatouDct:
 
     def test_dct_sandwich_matches_liminf_limsup(self):
         # on a stabilizing sequence the part-4 sandwich value agrees with the
-        # exact liminf/limsup of the integral sequence
+        # exact liminf/limsup of the integral sequence: the infimum and the
+        # supremum of its declared cycle
         mu = basic_measure()
         f = om.signed_function(mu.space, [1, -1])
         g = om.ext_function(mu.space, [2, 2])
@@ -1307,10 +1301,10 @@ class TestFatouDct:
         seq = from_terms(terms)
         report = om.dct(mu, seq, f, g)
         assert report.ok
-        ints = SequenceSpec(
-            lambda n: om.integrate_signed(terms[min(n, len(terms)) - 1], mu),
-            metadata=StabilizesAt(len(terms)))
-        lo, hi = om.ext_liminf_limsup(ints, horizon=16)
+        ints = from_terms([om.integrate_signed(t, mu) for t in terms])
+        samples, pre, period = declared_cycle(ints, 16)
+        cycle = samples[pre:pre + period]
+        lo, hi = reduce(spaces.inf_pair, cycle), reduce(spaces.sup_pair, cycle)
         assert lo == hi == om.integrate_signed(f, mu)
 
 

@@ -339,18 +339,21 @@ class TestGeneratedSequenceTerms:
     def test_parse_verdict_matches_the_terms(self, case):
         # With these values and ratios, a term that is not a function of the
         # check's kind shows by term 40.  The declared limit of a geometric
-        # sequence (its base) or a ladder (its "of") must be one as well.
+        # sequence (its base), a ladder (its "of") or a scaled index
+        # (infinity on its shape's support, 0 off it) must be one as well.
         doc, functions = case
         coarse = "generators" in doc["sigma_algebra"]
         space = om.generate_sigma_algebra([0b001], 3) if coarse else om.power_set_space(3)
         build = om.SignedFunction if doc["checks"][0]["check"] == "dct" else om.ExtFunction
         sequence = doc["sequences"]["s"]
-        limit = {"geometric": "base", "truncation_ladder": "of"}.get(sequence["kind"])
+        if sequence["kind"] == "scaled_index":
+            limit = [INFINITY if v else Fraction(0) for v in functions[sequence["shape"]]]
+        else:
+            limit = functions[sequence["base" if sequence["kind"] == "geometric" else "of"]]
         try:
             for n in range(1, 41):
                 build(space, tuple(_generated_term(sequence, functions, n)))
-            if limit is not None:
-                build(space, tuple(functions[sequence[limit]]))
+            build(space, tuple(limit))
             expected = None
         except ValidationError as exc:
             expected = str(exc)

@@ -8,13 +8,10 @@ from hypothesis import strategies as st
 
 import ordmeasure as om
 from ordmeasure import spaces
-from ordmeasure.errors import CertificationError, SpaceMismatchError
-from ordmeasure.sequences import (DeclaredLimit, DivergesToInfinity, SequenceSpec,
-                                  StabilizesAt)
+from ordmeasure.errors import SpaceMismatchError
 
 from conftest import random_element, random_positive_element
 import integral_oracles as oracle
-from limit_oracles import constant_sequence
 
 C2 = om.coord(2)
 L2 = om.loewner_sym(2)
@@ -493,101 +490,6 @@ class TestSupPair:
             result = om.sup_pair(a, b)
             if isinstance(result, om.Element):
                 assert om.leq(a, result) and om.leq(b, result)
-
-
-class TestSupIncreasing:
-    def test_constant(self):
-        x = c2(2, 3)
-        seq = constant_sequence(x)
-        assert om.sup_increasing(seq, bound=x) == x
-
-    def test_geometric_declared_limit(self):
-        limit = c2(1, 1)
-        seq = SequenceSpec(
-            generator=lambda n: om.scale(1 - Fraction(1, 2**n), limit),
-            metadata=DeclaredLimit(limit),
-        )
-        assert om.sup_increasing(seq) == limit
-
-    def test_bound_violation_reports_index(self):
-        seq = SequenceSpec(generator=lambda n: om.scale(Fraction(n), c2(1, 0)))
-        with pytest.raises(CertificationError, match="n=11"):
-            om.sup_increasing(seq, bound=c2(10, 10))
-
-    def test_monotonicity_violation(self):
-        seq = SequenceSpec(generator=lambda n: om.scale(Fraction((-1) ** n), c2(1, 1)))
-        with pytest.raises(CertificationError, match="^sequence not increasing at 2$"):
-            om.sup_increasing(seq)
-
-    def test_declared_limit_gap_not_reached(self):
-        limit = c2(1, 1)
-        seq = SequenceSpec(
-            generator=lambda n: om.scale(1 - Fraction(1, n), limit),
-            metadata=DeclaredLimit(limit),
-        )
-        with pytest.raises(CertificationError) as exc:
-            om.sup_increasing(seq, horizon=8)
-        assert str(exc.value) == "gap 1/16 not certified"
-
-    def test_gap_report_without_metadata(self):
-        seq = SequenceSpec(
-            generator=lambda n: om.scale(1 - Fraction(1, n + 1), c2(1, 1))
-        )
-        result = om.sup_increasing(seq, bound=c2(1, 1))
-        assert isinstance(result, om.GapReport)
-        assert result.residual is not None
-
-    def test_constant_sampled_tail_is_not_a_supremum(self):
-        # Every sampled term is zero, but the supremum is the unit: with no
-        # declared limit the samples alone certify nothing.
-        zero, unit = om.zero(C2), om.order_unit(C2)
-        result = om.sup_increasing(SequenceSpec(lambda n: zero if n <= 64 else unit))
-        assert isinstance(result, om.GapReport)
-        assert result.last_value == zero
-
-    def test_declared_limit_above_constant_terms(self):
-        seq = SequenceSpec(lambda n: om.zero(C2), metadata=DeclaredLimit(om.order_unit(C2)))
-        with pytest.raises(CertificationError, match="^gap 1/16 not certified$"):
-            om.sup_increasing(seq)
-
-    def test_declared_limit_must_be_an_element(self):
-        seq = SequenceSpec(lambda n: om.zero(C2), metadata=DeclaredLimit(None))
-        with pytest.raises(CertificationError, match="or limit of its terms' type$"):
-            om.sup_increasing(seq)
-
-    def test_stabilization_index_is_the_declared_term(self):
-        x = c2(1, 1)
-
-        def term(n):
-            return om.sub(x, om.scale(Fraction(1, 2 ** min(n, 40)), x))
-        seq = SequenceSpec(term, metadata=StabilizesAt(40))
-        for horizon in (40, 64):
-            assert om.sup_increasing(seq, horizon=horizon) == term(40)
-        # Term k is read only when it is sampled, however close the last
-        # sample comes to it.
-        for horizon in (10, 32, 39):
-            with pytest.raises(CertificationError,
-                               match=f"^tail not certifiable within horizon {horizon}: "):
-                om.sup_increasing(seq, horizon=horizon)
-        # A declared index before the terms stop rising is exceeded.
-        with pytest.raises(CertificationError,
-                           match="^sequence exceeds the target at 31$"):
-            om.sup_increasing(SequenceSpec(term, metadata=StabilizesAt(30)))
-
-    def test_declared_divergence_is_infinity(self):
-        seq = SequenceSpec(lambda n: om.scale(Fraction(n), c2(1, 1)),
-                           metadata=DivergesToInfinity())
-        assert om.sup_increasing(seq) == om.infinity(C2)
-
-    def test_archimedean_gap_schedule_reaches_zero(self, rng):
-        # x - x/n increases to x; the residuals x/n certify every epsilon of
-        # the schedule exactly once the horizon passes 2^16 * max coordinate
-        x = c2(1, Fraction(1, 2))
-        seq = SequenceSpec(
-            generator=lambda n: om.sub(x, om.scale(Fraction(1, n), x)),
-            metadata=DeclaredLimit(x),
-        )
-        assert om.sup_increasing(seq, bound=x, horizon=2**16 + 1) == x
 
 
 class TestDescriptors:

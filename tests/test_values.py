@@ -40,9 +40,7 @@ FIELDS = {
     om.StabilizesAt: ("index",),
     om.Periodic: ("index", "period"),
     om.DeclaredLimit: ("value",),
-    om.DivergesToInfinity: (),
     om.NoSupremum: ("reason",),
-    om.GapReport: ("horizon", "last_value", "bound", "residual", "message"),
     scenarios.Directive: ("check", "expect", "args"),
     scenarios._NamedSequence: ("values", "metadata", "witnesses"),
     scenarios._Key: ("json", "resolve", "default"),
@@ -166,19 +164,6 @@ def build_report(spec):
     return om.IntegralReport(build_ext_element(value), dict(trail))
 
 
-def gap_report_specs():
-    optional = st.one_of(st.none(), element_specs())
-    return st.tuples(st.integers(1, 2), element_specs(), optional, optional,
-                     st.sampled_from(["no limit declared", "gap"]))
-
-
-def build_gap_report(spec):
-    horizon, last, bound, residual, message = spec
-    return om.GapReport(horizon, build_element(last),
-                        None if bound is None else build_element(bound),
-                        None if residual is None else build_element(residual), message)
-
-
 # Callables are compared by identity, so each comes from a fixed pool.
 def _square(n):
     return [n * n]
@@ -189,8 +174,7 @@ def _zero(n):
 
 
 CALLABLES = st.sampled_from([_square, _zero])
-METADATA = [lambda: None, lambda: om.StabilizesAt(1), lambda: om.DivergesToInfinity(),
-            lambda: om.DeclaredLimit([Fraction(1)])]
+METADATA = [lambda: None, lambda: om.StabilizesAt(1), lambda: om.DeclaredLimit([Fraction(1)])]
 DEFAULTS = [scenarios._REQUIRED, None, 1, "holds"]
 
 
@@ -255,9 +239,7 @@ CASES = {
                   lambda spec: om.Periodic(*spec)),
     # A list value is unhashable, as the scenario parser's limits are.
     om.DeclaredLimit: (st.one_of(SMALL, st.lists(SMALL, max_size=2)), om.DeclaredLimit),
-    om.DivergesToInfinity: (st.just(None), lambda _: om.DivergesToInfinity()),
     om.NoSupremum: (st.sampled_from(["incomparable", "no infimum"]), om.NoSupremum),
-    om.GapReport: (gap_report_specs(), build_gap_report),
     scenarios.Directive: (directive_specs(),
                           lambda spec: scenarios.Directive(spec[0], spec[1], dict(spec[2]))),
     scenarios._NamedSequence: (named_sequence_specs(), build_named_sequence),
@@ -330,18 +312,17 @@ def test_generated_constructor_takes_what_its_twin_takes(cls, data):
 
 
 def test_generated_constructor_examples():
-    zero = om.zero(om.reals())
-    report = om.GapReport(1, zero, None, None, "no limit declared; samples alone certify none")
-    assert om.GapReport(1, zero) == om.GapReport(horizon=1, last_value=zero) == report
-    assert om.GapReport(last_value=zero, horizon=1, message="gap").message == "gap"
     assert om.NoSupremum() == om.NoSupremum("incomparable pair in a non-lattice backend")
     assert scenarios._Key(str, _zero).default is scenarios._REQUIRED
     check = scenarios._Check(None, _zero, {})
     assert check.needs == "measure" and check.admits(None, {}, "") is None
+    assert check == scenarios._Check(keys={}, handler=_zero, module=None)
+    assert scenarios._Check(None, _zero, {}, needs="space").needs == "space"
     assert scenarios._CHECKS["validate"].keys is not scenarios._CHECKS["identities"].keys
-    for call in (lambda: om.GapReport(1), lambda: om.GapReport(1, zero, horizon=2),
-                 lambda: om.GapReport(1, zero, colour=1), lambda: om.StabilizesAt(1, 2),
-                 lambda: om.DivergesToInfinity(1), lambda: scenarios._Check(None, _zero)):
+    for call in (lambda: scenarios._Check(None, _zero), lambda: om.Periodic(1),
+                 lambda: scenarios._Check(None, _zero, {}, module=None),
+                 lambda: scenarios._Check(None, _zero, {}, colour=1),
+                 lambda: om.StabilizesAt(1, 2)):
         with pytest.raises(TypeError):
             call()
 
@@ -370,7 +351,6 @@ def test_every_frozen_class_has_a_twin():
 
 @pytest.mark.parametrize("value", [
     om.NoSupremum(),
-    om.GapReport(horizon=1, last_value=om.zero(om.reals())),
     scenarios.Directive("validate", "holds", {}),
     scenarios._CHECKS["validate"],
     scenarios._CHECKS["integrate"].keys["function"],

@@ -69,12 +69,16 @@ MUTANTS = [
     ("declared_limit: only StabilizesAt declares period 1", "sequences.py", "declared_limit",
      "isinstance(metadata, (Periodic, StabilizesAt)) and metadata.period == 1",
      "isinstance(metadata, StabilizesAt)", [TAILS]),
-    ("limits: a stabilizing sequence's term k is read past the horizon", "limits.py",
-     "_sequence_sup", "declared_limit(seq, horizon)",
-     "(None, seq.term(seq.metadata.index)) if getattr(seq.metadata, 'period', 0) == 1 "
-     "else declared_limit(seq, horizon)", [TAILS]),
+    ("scaled_index: the declared limit is finite (0) on the shape's support",
+     "scenarios.py", "_parse_sequence", "DeclaredLimit(((0,) * ground, 1, support))",
+     "DeclaredLimit(((0,) * ground, 1, 0))", [TAILS]),
     ("continuity: a declared period above 1 is not refused", "measure_checks.py",
      "_continuity", "period > 1", "False", [TAILS]),
+    ("outer split table: only half of each failing pair is recorded", "outer.py",
+     "_split_table", "failures[b] |= 1 << a", "pass", ["tests/test_outer.py"]),
+    ("Loewner order: a zero pivot with a nonzero row is accepted", "spaces.py",
+     "is_positive_row", "if any(row[k + 1:]):\n    return False", "pass",
+     ["tests/test_spaces.py"]),
 ]
 
 
