@@ -242,6 +242,29 @@ class TestScaledIndexLimit:
         assert report["status"] == "not-certifiable"
         assert report["details"] == {"reason": reason}
 
+    @pytest.mark.parametrize("shape, limit", [
+        (["1", "0"], ["infinity", "0"]), (["0", "1"], ["0", "infinity"]),
+        (["1", "1"], ["infinity", "infinity"]), (["2", "3"], ["infinity", "infinity"])],
+        ids=["first", "second", "both", "unequal"])
+    def test_exact_limit_holds(self, shape, limit):
+        # Eight terms of n * shape escape every rung k * unit, k = 1 .. 7, at
+        # each point of the shape's support, and are 0 off it.
+        doc = scaled_index_doc(shape, {"check": "mct"})
+        doc["functions"]["f"] = {"values": limit}
+        report = run(doc, 8)
+        assert report["status"] == "holds"
+        assert report["details"] == {
+            "limit_integral": "infinity",
+            "certification": {"mode": "divergence-certified", "ladder_top": 7}}
+
+    @pytest.mark.parametrize("horizon", [1, 8])
+    def test_nonzero_limit_off_the_support_is_refused(self, horizon):
+        # n * (1, 0) is 0 at point 1, where f = (infinity, 1) is 1.
+        doc = scaled_index_doc(["1", "0"], {"check": "mct"})
+        doc["functions"]["f"] = {"values": ["infinity", "1"]}
+        assert run(doc, horizon)["details"] == {
+            "reason": "declared limit differs from f at non-null points [1]"}
+
     @pytest.mark.parametrize("sequence", [
         {"kind": "scaled_index", "shape": "shape"},
         {"kind": "truncation_ladder", "of": "f"}], ids=["scaled_index", "ladder"])
@@ -283,6 +306,10 @@ class TestDeclarations:
         ({"kind": "scaled_index", "shape": "zero"}, StabilizesAt(1)),
         # n * a tends to infinity at point 0, where a is 1, and is 0 at point 1.
         ({"kind": "scaled_index", "shape": "a"}, om.DeclaredLimit(((0, 0), 1, 0b01))),
+        ({"kind": "scaled_index", "shape": "b"}, om.DeclaredLimit(((0, 0), 1, 0b10))),
+        ({"kind": "scaled_index", "shape": "f"}, om.DeclaredLimit(((0, 0), 1, 0b11))),
+        ({"kind": "scaled_index", "shape": "half"}, om.DeclaredLimit(((0, 0), 1, 0b01))),
+        ({"kind": "scaled_index", "shape": "big"}, om.DeclaredLimit(((0, 0), 1, 0b11))),
         ({"kind": "explicit", "terms": ["a", "a", {"values": ["1", "0"]}]}, StabilizesAt(1)),
         ({"kind": "explicit", "terms": ["a", "b", "b"]}, StabilizesAt(2)),
         ({"kind": "alternating", "terms": ["a", "b", "a", "b"]}, Periodic(1, 2)),
@@ -323,9 +350,13 @@ class TestDeclarations:
     @pytest.mark.parametrize("metadata, horizon, message", [
         (None, 8, UNDECLARED), (Periodic(1, 2), 8, UNDECLARED),
         (om.DeclaredLimit(None), 8, UNDECLARED),
+        # Infinity is no int, so it is no limit of these terms, nor is 7 as a
+        # Fraction: a declared limit has the type of the terms exactly.
+        (om.DeclaredLimit(om.INFINITY), 8, UNDECLARED),
+        (om.DeclaredLimit(Fraction(7)), 1, UNDECLARED),
         (StabilizesAt(4), 3, "tail not certifiable within horizon 3: it needs a declared "
                              "cycle, sampled in full")],
-        ids=["undeclared", "period-2", "untyped", "short-horizon"])
+        ids=["undeclared", "period-2", "untyped", "infinite", "other-type", "short-horizon"])
     def test_limit_reader_refuses_with_one_message(self, metadata, horizon, message):
         with pytest.raises(CertificationError) as caught:
             declared_limit(SequenceSpec(lambda n: n, metadata=metadata), horizon)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,7 @@ from ordmeasure.sequences import (
     declared_limit,
 )
 
-from conftest import random_ext_element
+from conftest import random_element, random_ext_element
 from integral_oracles import ext_scalar_add, ext_scalar_leq, ext_scalar_mul
 from limit_oracles import stable_tail_sup_increasing
 
@@ -178,6 +179,51 @@ class TestCertifyMonotoneLimit:
             "mode": "stabilized", "at": 2}
 
     @pytest.mark.parametrize("increasing", [True, False], ids=["increasing", "decreasing"])
+    def test_constant_is_stabilized_from_the_first_term(self, increasing):
+        x = fin(2, 3)
+        assert certify_monotone_limit([x] * 16, x, DEFAULT_EPSILONS, increasing) == {
+            "mode": "stabilized", "at": 1}
+
+    @pytest.mark.parametrize("increasing, message", [
+        (True, "^integral sequence not increasing at 2$"),
+        (False, "^integral sequence not decreasing at 1$")],
+        ids=["increasing", "decreasing"])
+    def test_order_violation_reports_the_index(self, increasing, message):
+        # (-1)^n * (1, 1) rises from term 1 to term 2 and falls to term 3.
+        values = [_diag((-1) ** n) for n in range(1, 9)]
+        with pytest.raises(CertificationError, match=message):
+            certify_monotone_limit(values, fin(1, 1), DEFAULT_EPSILONS, increasing)
+
+    @pytest.mark.parametrize("increasing, values, target, message", [
+        (True, [fin(n, 0) for n in range(1, 17)], fin(10, 10),
+         "^integral sequence exceeds the target at 11$"),
+        (False, [_diag(1 + Fraction(1, 2**n)) for n in range(1, 17)], fin(2, 2),
+         "^integral sequence dips below the target at 1$")],
+        ids=["increasing", "decreasing"])
+    def test_crossing_the_target_reports_the_index(self, increasing, values, target,
+                                                   message):
+        # n * (1, 0) passes (10, 10) at n = 11; (1 + 2^-n) * (1, 1) starts
+        # below (2, 2).
+        with pytest.raises(CertificationError, match=message):
+            certify_monotone_limit(values, target, DEFAULT_EPSILONS, increasing)
+
+    @pytest.mark.parametrize("declared", [[1, 1], [3, 1]], ids=["below", "incomparable"])
+    def test_constant_declaring_another_limit(self, declared):
+        # The declaration is certified, not replaced by the constant value.
+        x = om.element(C2, [2, 3])
+        seq = SequenceSpec(lambda n: x, metadata=DeclaredLimit(om.element(C2, declared)))
+        with pytest.raises(CertificationError,
+                           match="^integral sequence exceeds the target at 1$"):
+            certified_limit(seq, horizon=16)
+
+    def test_constant_window_of_an_undeclared_sequence_is_no_limit(self):
+        # Every sampled term is zero, but the supremum is the unit: with no
+        # declared limit the samples alone certify nothing.
+        zero, unit = om.zero(C2), om.order_unit(C2)
+        with pytest.raises(CertificationError, match="^limit not certifiable: "):
+            certified_limit(SequenceSpec(lambda n: zero if n <= 64 else unit), horizon=64)
+
+    @pytest.mark.parametrize("increasing", [True, False], ids=["increasing", "decreasing"])
     def test_geometric_is_gap_certified(self, increasing):
         # (1 -+ 2^-n) * (1, 1) is within 2^-k of (1, 1) from n = k on.
         sign = -1 if increasing else 1
@@ -226,6 +272,44 @@ class TestCertifyMonotoneLimit:
                            match="^integral sequence exceeds the target at 31$"):
             certified_limit(SequenceSpec(term, metadata=StabilizesAt(30)), horizon=100)
 
+    @pytest.mark.parametrize("horizon", [40, 64])
+    def test_stabilization_index_is_the_declared_term(self, horizon):
+        # x - x / 2^min(n, 40) is constant from term 40 on.
+        seq = SequenceSpec(_approaching_x, metadata=StabilizesAt(40))
+        assert certified_limit(seq, horizon=horizon) == _approaching_x(40)
+
+    @pytest.mark.parametrize("horizon", [10, 32, 39])
+    def test_declared_term_is_read_only_when_sampled(self, horizon):
+        # However close the last sample comes to term 40, it is not read.
+        seq = SequenceSpec(_approaching_x, metadata=StabilizesAt(40))
+        with pytest.raises(CertificationError,
+                           match=f"^tail not certifiable within horizon {horizon}: "):
+            certified_limit(seq, horizon=horizon)
+
+    def test_translation_invariance(self, rng):
+        # Adding one finite element to every term and to a finite target
+        # keeps the mode, its evidence and any refusal.
+        unit = om.finite(om.order_unit(C2))
+        for _ in range(100):
+            steps = [random_ext_element(rng, C2, inf_prob=0, positive=True)
+                     for _ in range(6)]
+            values = list(accumulate(steps, om.ext_add))
+            bump = rng.choice([ext_zero(C2), om.ext_scale(Fraction(1, 2**20), unit),
+                               random_ext_element(rng, C2, inf_prob=0, positive=True)])
+            increasing = rng.random() < 0.5
+            if increasing:
+                target = om.ext_add(values[-1], bump)
+            else:
+                values.reverse()
+                target = ext_sub_finite(values[-1], bump)
+            if rng.random() < 0.2:
+                i = rng.randrange(5)
+                values[i], values[i + 1] = values[i + 1], values[i]
+            x = om.finite(random_element(rng, C2))
+            shifted = [om.ext_add(x, v) for v in values]
+            assert (_certification(values, target, increasing)
+                    == _certification(shifted, om.ext_add(x, target), increasing))
+
     def test_archimedean_gap_schedule_reaches_zero(self):
         # x - x/n increases to x; the residuals x/n certify every epsilon of
         # the schedule exactly once the horizon passes 2^16 * max coordinate
@@ -233,6 +317,20 @@ class TestCertifyMonotoneLimit:
         seq = SequenceSpec(lambda n: om.sub(x, om.scale(Fraction(1, n), x)),
                            metadata=DeclaredLimit(x))
         assert certified_limit(seq, horizon=2**16 + 1) == x
+
+
+def _approaching_x(n: int):
+    """x - x / 2^min(n, 40) for x = (1, 1), constant from term 40 on."""
+    x = om.element(C2, [1, 1])
+    return om.sub(x, om.scale(Fraction(1, 2 ** min(n, 40)), x))
+
+
+def _certification(values, target, increasing):
+    """What `certify_monotone_limit` returns, or the message it refuses with."""
+    try:
+        return certify_monotone_limit(values, target, DEFAULT_EPSILONS, increasing)
+    except CertificationError as exc:
+        return str(exc)
 
 
 class TestHelpers:

@@ -997,19 +997,37 @@ class TestHorizonBelowOne:
         with pytest.raises(ValidationError, match=self.REFUSED):
             om.mct_decreasing(mu, seq, zero, horizon=0)
 
+    @pytest.mark.parametrize("call", ["dct", "fatou", "continuity_from_below",
+                                      "continuity_from_above", "borel_cantelli",
+                                      "run_config"])
+    def test_refused(self, call):
+        with pytest.raises(ValidationError, match=self.REFUSED):
+            _calls_with_horizon()[call](0)
+
 
 def _calls_with_horizon():
-    """Each library call that samples a sequence, as a function of its horizon."""
+    """Each library call that samples a sequence, as a function of its horizon,
+    and `RunConfig`, which holds the horizon of a scenario run."""
     mu = basic_measure()
     f = om.ext_function(mu.space, [1, 1])
+    zero = om.ext_function(mu.space, [0, 0])
     signed = om.signed_function(mu.space, [1, 1])
     dominator = om.ext_function(mu.space, [2, 2])
+    halving = SequenceSpec(lambda n: om.ext_function(mu.space, [Fraction(1, 2**n)] * 2),
+                           metadata=DeclaredLimit(zero))
     return {
         "mct": lambda h: om.mct(mu, geometric_ext_sequence(mu.space, [1, 1]), f,
                                 horizon=h),
+        "mct_decreasing": lambda h: om.mct_decreasing(mu, halving, zero, horizon=h),
         "dct": lambda h: om.dct(mu, from_terms([signed]), signed, dominator, horizon=h),
         "fatou": lambda h: om.fatou(mu, SequenceSpec(lambda n: f, metadata=StabilizesAt(1)),
                                     horizon=h),
+        "continuity_from_below": lambda h: om.continuity_from_below(
+            mu, from_terms([0b01, 0b11]), horizon=h),
+        "continuity_from_above": lambda h: om.continuity_from_above(
+            mu, from_terms([0b11, 0b01]), horizon=h),
+        "borel_cantelli": lambda h: om.borel_cantelli(mu, from_terms([0b01]), horizon=h),
+        "run_config": lambda h: om.RunConfig(horizon=h),
     }
 
 
@@ -1018,7 +1036,9 @@ class TestHorizonNotAnInteger:
     refuses it, not read as 1 or left to fail in `range`."""
 
     @pytest.mark.parametrize("horizon, shown", [(True, "True"), (2.5, "2.5")])
-    @pytest.mark.parametrize("call", ["mct", "dct", "fatou"])
+    @pytest.mark.parametrize("call", ["mct", "mct_decreasing", "dct", "fatou",
+                                      "continuity_from_below", "continuity_from_above",
+                                      "borel_cantelli", "run_config"])
     def test_refused(self, call, horizon, shown):
         with pytest.raises(ValidationError,
                            match=f"^horizon must be a positive integer, got {shown}$"):
@@ -1041,7 +1061,7 @@ class TestEpsilonSchedule:
         ([Fraction(-1, 2)], "epsilon below 2\\^-"),
     ], ids=["empty_tuple", "empty_list", "bool", "float", "below_floor", "zero",
             "negative"])
-    @pytest.mark.parametrize("call", ["mct", "mct_decreasing", "dct"])
+    @pytest.mark.parametrize("call", ["mct", "mct_decreasing", "dct", "run_config"])
     def test_refused(self, call, epsilons, message):
         with pytest.raises(ValidationError, match=f"^{message}"):
             _calls_with_epsilons()[call](epsilons)
@@ -1053,8 +1073,9 @@ class TestEpsilonSchedule:
 
 
 def _calls_with_epsilons():
-    """Each library call that takes a gap schedule, as a function of it; the
-    declared limits are reached by gaps, not by stabilization."""
+    """Each library call that takes a gap schedule, as a function of it, and
+    `RunConfig`, which holds the schedule of a scenario run; the declared
+    limits are reached by gaps, not by stabilization."""
     mu = basic_measure()
     f = om.ext_function(mu.space, [1, 1])
     zero, zero_signed = (om.ext_function(mu.space, [0, 0]),
@@ -1068,6 +1089,7 @@ def _calls_with_epsilons():
                                 epsilons=e),
         "mct_decreasing": lambda e: om.mct_decreasing(mu, halving, zero, epsilons=e),
         "dct": lambda e: om.dct(mu, signed, zero_signed, f, epsilons=e),
+        "run_config": lambda e: om.RunConfig(epsilons=e),
     }
 
 
