@@ -32,37 +32,32 @@ from .scenarios import (
     run_scenario,
     summary,
 )
-from .sequences import DEFAULT_EPSILONS, DEFAULT_HORIZON
+from .sequences import DEFAULT_EPSILONS, DEFAULT_HORIZON, epsilon_schedule
 
 
 def _epsilon_schedule(text: str):
-    """Parse a schedule like "2^-4,2^-8" or "1/16,1/256".
-
-    Every epsilon must be at least 2^-MAX_EPSILON_EXPONENT (so positive);
-    an exponent is checked before its power is built.
+    """Parse a schedule like "2^-4,2^-8" or "1/16,1/256", held to the one
+    rule for a schedule (`sequences.epsilon_schedule`), whose refusal is a
+    usage error.  An exponent is checked before its power is built.
     """
-    smallest = Fraction(1, 2 ** MAX_EPSILON_EXPONENT)
     out = []
     for item in filter(None, (s.strip() for s in text.split(","))):
         if item.startswith("2^-"):
             exponent = item[3:]
             if not (exponent.isascii() and exponent.isdigit()):
                 raise argparse.ArgumentTypeError(f"malformed exponent in {item!r}")
-            eps = Fraction(1, 2 ** _cap_argument("epsilon exponent", int(exponent),
-                                                 MAX_EPSILON_EXPONENT))
+            out.append(Fraction(1, 2 ** _cap_argument("epsilon exponent", int(exponent),
+                                                      MAX_EPSILON_EXPONENT)))
         else:
             try:
-                eps = parse_rational(item)
+                out.append(parse_rational(item))
             except SchemaError:
                 raise argparse.ArgumentTypeError(
                     f"{item!r} is neither a rational nor 2^-k") from None
-        if eps < smallest:
-            raise argparse.ArgumentTypeError(
-                f"epsilon {item!r} is not at least 2^-{MAX_EPSILON_EXPONENT}")
-        out.append(eps)
-    if not out:
-        raise argparse.ArgumentTypeError("empty epsilon schedule")
-    return tuple(out)
+    try:
+        return epsilon_schedule(out)
+    except ValidationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _cap_argument(what: str, value: int, cap: int) -> int:

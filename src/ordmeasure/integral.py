@@ -467,20 +467,22 @@ def _precedes(a: Optional[int], b: Optional[int]) -> bool:
     return b is None or (a is not None and a <= b)
 
 
-def _certify_convergence(seq: SequenceSpec, horizon: Optional[int], f, mu: Measure,
-                         den: int, live: list, gap: str, epsilons):
-    """Certificate that `seq` converges to f almost everywhere: the limit it
-    declares (`declared_limit`) is f exactly off the null points; and at
-    each `live` point of a `_columns` table (the h samples, f, then any more
-    columns) the samples reach f: where f is finite, within each epsilon
-    from some index on ("<gap> <eps> at point <x> not certified" when none
-    does), and where f is infinite, above each bound of the integrals'
-    ladder."""
-    terms, limit = declared_limit(seq, horizon)
-    h = len(terms)
+def _require_declared_limit(seq: SequenceSpec, horizon: Optional[int], f, mu: Measure):
+    """The limit that `seq` declares (`declared_limit`) is f exactly off the
+    null points; a CertificationError names the other points."""
+    limit = declared_limit(seq, horizon)[1]
     bad = [x for x, (a, b) in _columns([limit, f], mu.null_mask)[1] if a != b]
     if bad:
         raise CertificationError(f"declared limit differs from f at non-null points {bad}")
+
+
+def _certify_convergence(h: int, den: int, live: list, gap: str, epsilons):
+    """Certificate that h samples converge to f, once their declared limit
+    is f (`_require_declared_limit`): at each `live` point of a `_columns`
+    table (the h samples, f, then any more columns) the samples reach f:
+    where f is finite, within each epsilon from some index on ("<gap> <eps>
+    at point <x> not certified" when none does), and where f is infinite,
+    above each bound of the integrals' ladder."""
     for x, col in live:
         values, target = col[:h], col[h]
         if target is not None:
@@ -505,9 +507,10 @@ def _monotone_convergence(name: str, mu: Measure, seq: SequenceSpec, f: ExtFunct
     """The monotone convergence theorem in the direction `increasing` names:
     integrals of a sequence increasing (decreasing) to f a.e. reach the
     integral of f; decreasing needs a finite first integral, tested first.
-    The order tests read one `_columns` table of the terms and f; once they
-    pass, the samples at a non-null point where f is finite are finite (below
-    f, or below the first term) and their distances to f only shrink."""
+    The order tests read one `_columns` table of the terms and f: the terms'
+    order, then, once the declared limit is f, the last sample against f; once
+    they pass, the samples at a non-null point where f is finite are finite
+    (below f, or below the first term) and their distances to f only shrink."""
     epsilons = epsilon_schedule(epsilons)
     terms = seq.sample(horizon)
     if not increasing and not integral_value(terms[0], mu).is_finite:
@@ -518,12 +521,13 @@ def _monotone_convergence(name: str, mu: Measure, seq: SequenceSpec, f: ExtFunct
     bad = [x for x, col in live if not all(map(step, col[:-2], col[1:-1]))]
     if bad:
         raise CertificationError(f"sequence not {direction} at non-null points {bad}")
+    _require_declared_limit(seq, horizon, f, mu)
     bad = [x for x, col in live if not step(col[-2], col[-1])]  # the last sample decides
     if bad:
         crossing = "exceeds" if increasing else "dips below"
         raise CertificationError(f"sequence {crossing} the declared limit at non-null "
                                  f"points {bad}")
-    _certify_convergence(seq, horizon, f, mu, den, live, "pointwise gap", epsilons)
+    _certify_convergence(len(terms), den, live, "pointwise gap", epsilons)
 
     values = [integral_value(t, mu) for t in terms]
     target = integral_value(f, mu)
@@ -600,8 +604,8 @@ def dct(mu: Measure, seq: SequenceSpec, f: SignedFunction, g: ExtFunction,
                     default=None)
     if violation is not None:
         raise HypothesisError("domination violated at index {}, point {}".format(*violation))
-    _certify_convergence(seq, horizon, f, mu, den, live, "pointwise convergence gap",
-                         epsilons)
+    _require_declared_limit(seq, horizon, f, mu)
+    _certify_convergence(len(terms), den, live, "pointwise convergence gap", epsilons)
 
     part1 = all(is_integrable(t, mu) for t in terms)
     part2 = is_integrable(f, mu)

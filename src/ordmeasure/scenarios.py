@@ -27,18 +27,20 @@ Top-level keys:
 Sequence specs (terms are function names or inline {"values": [...]}):
 
   {"kind": "explicit", "terms": [...]}
-      final term repeats forever: StabilizesAt(first index of its final run)
+      final term repeats forever: Periodic(first index of its final run, 1)
   {"kind": "geometric", "base": f, "bump": g, "ratio": "-1/2"}
       term n is base + ratio^n * bump; |ratio| < 1, declared limit base
-      (StabilizesAt(1) when the ratio or the bump is 0)
+      (Periodic(1, 1) when the ratio or the bump is 0)
   {"kind": "truncation_ladder", "of": f}
       term n is f truncated at level n; increasing with declared limit f
-      (StabilizesAt(max(1, ceil(max f))) when f is finite)
+      (Periodic(max(1, ceil(max f)), 1) when f is finite)
   {"kind": "alternating", "terms": [...]}
       cycles through the terms forever: Periodic(1, least period of the list)
   {"kind": "scaled_index", "shape": g}
       term n is n * shape; declared limit infinity on the support of g and 0
-      off it (StabilizesAt(1) when g is 0)
+      off it (Periodic(1, 1) when g is 0)
+An explicit or alternating list, of functions or of sets, is read by one
+parser (`_listed`) and continued past its end by `sequences.cycled`.
 
 A sequence may carry a "monotonicity" key; it is accepted but not read,
 since every check that needs a monotone sequence tests the order itself at
@@ -85,9 +87,8 @@ from .measures import MeasurableSpace, Measure, mask_to_points, points_to_mask
 from .rationals import format_rational, over_one_den, parse_ext_scalar, parse_rational
 from .reports import (CheckResult, FAILS, HOLDS, HYPOTHESIS_NOT_MET, NOT_CERTIFIABLE,
                       STATUSES)
-from .sequences import (DEFAULT_HORIZON, DeclaredLimit, SequenceSpec, StabilizesAt,
-                        check_horizon, epsilon_schedule, from_terms, least_cycle,
-                        repeat_last, stable_from)
+from .sequences import (DEFAULT_HORIZON, DeclaredLimit, Periodic, SequenceSpec,
+                        check_horizon, cycled, epsilon_schedule, least_cycle, stable_from)
 from .spaces import Element, SpaceDescriptor, coord, entrywise_mat, loewner_sym, reals
 
 
@@ -101,6 +102,18 @@ def _capped(path: str, fn: Callable, *args):
         return fn(*args)
     except DimensionLimitError as exc:
         raise SchemaError(str(exc), path) from None
+
+
+def _at_key(path: str, keys: dict, field: str, fn: Callable, *args):
+    """`fn(*args)`, with a ValidationError whose witness names a set as `field`
+    made a schema error at ``path/<the set's key>``, read from `keys` by mask."""
+    try:
+        return fn(*args)
+    except ValidationError as exc:
+        if field not in (exc.witness or {}):
+            raise
+        key = keys[points_to_mask(exc.witness[field])]
+        raise SchemaError(str(exc), f"{path}/{key}") from None
 
 
 def _parse_size(doc: dict, key: str, path: str) -> int:
@@ -183,19 +196,6 @@ def _parse_points(ground_size: int, doc, path: str) -> int:
     return points_to_mask(points)
 
 
-class _NamedSequence(Frozen):
-    """A named function sequence: the values of term n, and what it declares.
-
-    Term values and a declared limit are (nums, den, inf) forms (`over_one_den`,
-    not always reduced).  `witnesses` are values that are functions of a
-    kind ("ext" or "signed") exactly when every term n >= 1 is: the terms of
-    an explicit or alternating sequence, and finitely many decided in closed
-    form for a generated one (see `_parse_sequence`).
-    """
-
-    __slots__ = ("values", "metadata", "witnesses")
-
-
 class Directive(Frozen):
     """One check directive with every key resolved by the check table."""
 
@@ -208,16 +208,16 @@ class Directive(Frozen):
 
 
 class Scenario:
-    """A parsed document: its space, measures, named functions and sequences,
-    and its resolved directives.  `specs` holds the one `SequenceSpec` of
-    each (named sequence, kind) that directives use, so they share its terms."""
+    """A parsed document: its space, measures, named functions and sequences
+    (`_parse_sequence` pairs), and its resolved directives.  `specs` holds the
+    one `SequenceSpec` of each (named sequence, kind) that directives use."""
 
     __slots__ = ("source", "backend", "space", "measure", "outer", "functions",
                  "sequences", "checks", "specs")
 
     def __init__(self, source: dict, backend: SpaceDescriptor, space: MeasurableSpace,
                  measure: Optional[Measure], outer, functions: Dict[str, tuple],
-                 sequences: Dict[str, _NamedSequence]):
+                 sequences: Dict[str, tuple]):
         self.source = source
         self.backend = backend
         self.space = space
@@ -250,12 +250,21 @@ def _resolve_term(functions: dict, ground: int, term, path: str) -> tuple:
     return functions[term]
 
 
-def _cycling(terms: list):
-    return lambda n: terms[(n - 1) % len(terms)]
+def _listed(kind: str, doc, what: str, path: str, tpath: str, read: Callable) -> tuple:
+    """The terms of an "explicit" or "alternating" list `doc` at `tpath`, each
+    read by ``read(term, its path)`` to a canonical value, and the tail they
+    declare (`stable_from`, `least_cycle`); an empty list is refused at `path`."""
+    terms = _items(doc, "terms", tpath, read)
+    if not terms:
+        raise SchemaError(f"{what} needs terms", path)
+    return terms, (least_cycle if kind == "alternating" else stable_from)(terms)
 
 
-def _parse_sequence(functions: dict, ground: int, doc, path: str) -> _NamedSequence:
-    """Compile a sequence spec into term value lists with metadata."""
+def _parse_sequence(functions: dict, ground: int, doc, path: str) -> tuple:
+    """``(spec, witnesses)``: the `SequenceSpec` of a named sequence's (nums, den,
+    inf) forms (`over_one_den`, not always reduced) and declaration, and the
+    forms that are functions of a kind ("ext" or "signed") exactly when every
+    term is: a list's terms, and a few decided in closed form for the rest."""
     doc = _require_json(doc, dict, "sequence", path)
     kind = doc.get("kind")
 
@@ -263,15 +272,9 @@ def _parse_sequence(functions: dict, ground: int, doc, path: str) -> _NamedSeque
         return _resolve_term(functions, ground, doc.get(key), f"{path}/{key}")
 
     if kind in ("explicit", "alternating"):
-        terms = _items(doc.get("terms", []), "terms", path + "/terms",
-                       lambda t, tpath: _resolve_term(functions, ground, t, tpath))
-        if not terms:
-            raise SchemaError(f"{kind} sequence needs terms", path)
-        # The (nums, den, inf) forms of listed terms are canonical, so equal
-        # terms have equal forms.
-        if kind == "alternating":
-            return _NamedSequence(_cycling(terms), least_cycle(terms), tuple(terms))
-        return _NamedSequence(repeat_last(terms), stable_from(terms), tuple(terms))
+        terms, tail = _listed(kind, doc.get("terms", []), f"{kind} sequence", path,
+                              path + "/terms", partial(_resolve_term, functions, ground))
+        return SequenceSpec(cycled(terms, tail), metadata=tail), tuple(terms)
 
     # The witnesses of a generated kind.  Geometric: terms 1 and 2 are
     # measurable exactly when every term is (their difference fixes the
@@ -298,9 +301,9 @@ def _parse_sequence(functions: dict, ground: int, doc, path: str) -> _NamedSeque
             pn, qn = p**n, q**n
             return tuple(x * qn + y * pn for x, y in zip(b, h)), den * qn, 0
         least = tuple(x * q * q + min(0, p * q * y, p * p * y) for x, y in zip(b, h))
-        metadata = StabilizesAt(1) if p == 0 or not any(h) else DeclaredLimit(base)
-        return _NamedSequence(geometric, metadata,
-                              (geometric(1), geometric(2), (least, den * q * q, 0)))
+        metadata = Periodic(1, 1) if p == 0 or not any(h) else DeclaredLimit(base)
+        return (SequenceSpec(geometric, metadata=metadata),
+                (geometric(1), geometric(2), (least, den * q * q, 0)))
 
     if kind == "truncation_ladder":
         nums, den, inf = f = term("of")
@@ -311,8 +314,8 @@ def _parse_sequence(functions: dict, ground: int, doc, path: str) -> _NamedSeque
                          for x, v in enumerate(nums)), den, 0
         # floor of the largest finite value; an infinite point's 0 changes
         # no level at or above 1.  A finite f is rung n from n >= max f on.
-        metadata = DeclaredLimit(f) if inf else StabilizesAt(max(1, -(-max(nums) // den)))
-        return _NamedSequence(rung, metadata, (rung(max(1, max(nums) // den + 1)),))
+        metadata = DeclaredLimit(f) if inf else Periodic(max(1, -(-max(nums) // den)), 1)
+        return SequenceSpec(rung, metadata=metadata), (rung(max(1, max(nums) // den + 1)),)
 
     if kind == "scaled_index":
         nums, den, inf = term("shape")
@@ -323,8 +326,8 @@ def _parse_sequence(functions: dict, ground: int, doc, path: str) -> _NamedSeque
             return tuple(n * v for v in nums), den, 0
         # The pointwise limit: infinity on the shape's support, 0 off it.
         support = points_to_mask(x for x, v in enumerate(nums) if v)
-        metadata = DeclaredLimit(((0,) * ground, 1, support)) if support else StabilizesAt(1)
-        return _NamedSequence(scaled, metadata, (scaled(1),))
+        metadata = DeclaredLimit(((0,) * ground, 1, support)) if support else Periodic(1, 1)
+        return SequenceSpec(scaled, metadata=metadata), (scaled(1),)
 
     raise SchemaError(f"unknown sequence kind {kind!r}", path)
 
@@ -370,8 +373,8 @@ def _function_sequence(kind: str):
         key = (name, kind)
         if key not in scenario.specs:
             from . import integral
-            seq, space = scenario.sequences[name], scenario.space
-            for values in seq.witnesses:
+            (seq, witnesses), space = scenario.sequences[name], scenario.space
+            for values in witnesses:
                 _as_function(integral, space, values, kind, path)
             cls = integral.ExtFunction if kind == "ext" else integral.SignedFunction
             metadata = seq.metadata
@@ -380,7 +383,7 @@ def _function_sequence(kind: str):
                                                       path))
 
             def term(n):
-                nums, den, inf = seq.values(n)
+                nums, den, inf = seq.generator(n)
                 return integral._trusted(cls, space, *integral._reduced(nums, den), inf)
             scenario.specs[key] = SequenceSpec(term, metadata=metadata)
         return scenario.specs[key]
@@ -403,19 +406,14 @@ def _set_list(scenario: Scenario, doc: list, path: str) -> list:
 
 def _set_sequence(scenario: Scenario, doc, path: str):
     """A set sequence of measurable sets, resolved to its `SequenceSpec`."""
-    if isinstance(doc, list):
-        kind, terms = "explicit", _set_list(scenario, doc, path)
-    else:
-        kind = doc.get("kind", "explicit")
-        terms = _items(doc.get("terms", []), "terms", path + "/terms",
-                       partial(_measurable_set, scenario))
-    if not terms:
-        raise SchemaError("set sequence needs terms", path)
-    if kind == "explicit":
-        return from_terms(terms)
-    if kind == "alternating":
-        return SequenceSpec(_cycling(terms), metadata=least_cycle(terms))
-    raise SchemaError(f"unknown set sequence kind {kind!r}", path)
+    kind, terms, tpath = "explicit", doc, path  # a bare array is an explicit list
+    if isinstance(doc, dict):
+        kind, terms, tpath = doc.get("kind", "explicit"), doc.get("terms", []), path + "/terms"
+    terms, tail = _listed(kind, terms, "set sequence", path, tpath,
+                          partial(_measurable_set, scenario))
+    if kind not in ("explicit", "alternating"):
+        raise SchemaError(f"unknown set sequence kind {kind!r}", path)
+    return SequenceSpec(cycled(terms, tail), metadata=tail)
 
 
 def _matrix(scenario: Scenario, doc: list, path: str) -> list:
@@ -684,7 +682,8 @@ def parse_scenario(doc: dict) -> Scenario:
                 f"missing atom values for {[mask_to_points(a) for a in missing]}",
                 mpath + "/atom_values",
             )
-        mu = Measure(space, backend, atom_values)
+        mu = _at_key(mpath + "/atom_values", {a: k for k, a in atom_by_point.items()},
+                     "atom", Measure, space, backend, atom_values)
 
     outer = None
     if "outer_measure" in doc:
@@ -696,7 +695,7 @@ def parse_scenario(doc: dict) -> Scenario:
                 raise SchemaError("induced outer measure needs a measure", opath)
             outer = _capped(opath, outer_mod.induce_outer, mu)
         elif "outer_values" in odoc:
-            values = {}
+            values, keys = {}, {}
             for key, vdoc in _require_json(odoc["outer_values"], dict, "outer_values",
                                            opath + "/outer_values").items():
                 kpath = f"{opath}/outer_values/{key}"
@@ -723,9 +722,9 @@ def parse_scenario(doc: dict) -> Scenario:
                 if mask in values:
                     raise SchemaError(f"set key {key!r} names the set {pts} again",
                                       kpath)
-                values[mask] = parse_ext_element(vdoc, backend, kpath)
-            outer = _capped(opath, outer_mod.validate_outer_measure, values, backend,
-                            ground)
+                values[mask], keys[mask] = parse_ext_element(vdoc, backend, kpath), key
+            outer = _capped(opath, _at_key, opath + "/outer_values", keys, "set",
+                            outer_mod.validate_outer_measure, values, backend, ground)
         else:
             raise SchemaError(
                 "outer_measure needs outer_values or induced_from_measure", opath

@@ -6,9 +6,12 @@ terms are sampled, is the caller's.  The spec claims no order: a check that
 needs a monotone sequence tests the order of its samples.  Every claim is
 certified at sampled indices before a result that depends on it is
 produced; nothing is ever inferred from the samples alone beyond what the
-metadata licenses: a tail is read only from it, by `declared_cycle`, and a
-limit only by `declared_limit`, which knows one kind of declared limit: a
-cycle of period 1, or a `DeclaredLimit` value of the terms' type.
+metadata licenses.  It declares one of two things: a tail, `Periodic`
+(period 1 where the sequence stabilizes), read only by `declared_cycle`, or
+a `DeclaredLimit` value of the terms' type.  `declared_limit` reads a
+limit from either, a cycle of period 1 or the value.  A listed sequence is
+continued past its list by one generator, `cycled`, from the tail that the
+list declares.
 """
 
 from __future__ import annotations
@@ -77,17 +80,10 @@ def certify_gaps(
 
 
 class Periodic(Frozen):
-    """From 1-based term `index` on, term n + `period` equals term n."""
+    """From 1-based term `index` on, term n + `period` equals term n; a
+    period of 1 declares the sequence constant from term `index` on."""
 
     __slots__ = ("index", "period")
-
-
-class StabilizesAt(Frozen):
-    """The sequence is constant from term `index` on: the period-1 case of
-    `Periodic`, which `declared_cycle` reads alike."""
-
-    __slots__ = ("index",)
-    period = 1
 
 
 class DeclaredLimit(Frozen):
@@ -135,17 +131,19 @@ class SequenceSpec:
         return [self.term(n) for n in range(1, h + 1)]
 
 
-def repeat_last(terms: Sequence) -> Callable[[int], Any]:
-    """Term n of `terms` (1-based), the final term repeating forever."""
-    return lambda n: terms[min(n, len(terms)) - 1]
+def cycled(terms: Sequence, tail: Periodic) -> Callable[[int], Any]:
+    """Term n of `terms` (1-based) before `tail.index`, and from there on the
+    term of the declared cycle, ``terms[index - 1 + (n - index) % period]``."""
+    start, period = tail.index, tail.period
+    return lambda n: terms[n - 1 if n < start else start - 1 + (n - start) % period]
 
 
-def stable_from(terms: Sequence) -> StabilizesAt:
-    """The tail of `terms` with its final term repeating forever: constant
+def stable_from(terms: Sequence) -> Periodic:
+    """The tail of `terms` with its final term repeating forever: period 1
     from the first index of the final run of equal terms, which is also
     where a check reports that a sampled window settles (its ``at``)."""
-    return StabilizesAt(1 + max((n for n, t in enumerate(terms, start=1) if t != terms[-1]),
-                                default=0))
+    return Periodic(1 + max((n for n, t in enumerate(terms, start=1) if t != terms[-1]),
+                            default=0), 1)
 
 
 def least_cycle(terms: Sequence) -> Periodic:
@@ -166,19 +164,18 @@ def from_terms(terms: list, *, metadata: Metadata = None) -> SequenceSpec:
     if not terms:
         raise ValueError("explicit sequence needs at least one term")
     items = list(terms)
-    if metadata is None:
-        metadata = stable_from(items)
-    return SequenceSpec(repeat_last(items), metadata=metadata)
+    tail = stable_from(items)
+    return SequenceSpec(cycled(items, tail), metadata=tail if metadata is None else metadata)
 
 
 def declared_cycle(seq: SequenceSpec, horizon: Optional[int]) -> tuple:
     """``(samples, preperiod, period)``: the terms of `seq` up to the horizon
     and the cycle its metadata declares, ``samples[preperiod:][:period]``.
     The one reader of a tail: a CertificationError refuses a sequence that
-    declares no `Periodic` or `StabilizesAt` cycle, and a horizon that ends
-    before its first full cycle does."""
+    declares no `Periodic` cycle, and a horizon that ends before its first
+    full cycle does."""
     samples, metadata = seq.sample(horizon), seq.metadata
-    if (not isinstance(metadata, (Periodic, StabilizesAt))
+    if (not isinstance(metadata, Periodic)
             or len(samples) < metadata.index - 1 + metadata.period):
         raise CertificationError(f"tail not certifiable within horizon {len(samples)}: "
                                  "it needs a declared cycle, sampled in full")
@@ -192,7 +189,7 @@ def declared_limit(seq: SequenceSpec, horizon: Optional[int]) -> tuple:
     value, when that has the type of the terms.  One CertificationError
     refuses anything else."""
     metadata = seq.metadata
-    if isinstance(metadata, (Periodic, StabilizesAt)) and metadata.period == 1:
+    if isinstance(metadata, Periodic) and metadata.period == 1:
         samples, pre, _ = declared_cycle(seq, horizon)
         return samples, samples[pre]
     samples = seq.sample(horizon)

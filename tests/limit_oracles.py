@@ -9,24 +9,39 @@ on sequences that never stabilize below their declared limit.
 `detect_stable_tail`, the former ``sequences.detect_stable_tail``, is the
 window guess that procedure read.
 
+`repeat_last` and `cycling`, the former ``sequences.repeat_last`` and
+``scenarios._cycling``, are the two generators that continued an explicit
+and an alternating list past its end before `sequences.cycled` read the
+list's declared tail.
+
 `ext_inf_finite_list`, the former ``extended.ext_inf_finite_list``, is the
 infimum of a finite list in the extended space that Fatou's right-hand side
 was computed by before `integral.fatou` folded `spaces.inf_pair` itself.
 """
 
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Any, Callable, Optional, Sequence, Union
 
 import ordmeasure as om
 from ordmeasure.errors import CertificationError
 from ordmeasure.sequences import (
     DEFAULT_EPSILONS,
     DeclaredLimit,
+    Periodic,
     SequenceSpec,
-    StabilizesAt,
 )
 from ordmeasure.spaces import (Element, NoSupremum, add, inf_pair, leq, order_unit, scale,
                                require_same_space)
+
+
+def repeat_last(terms: Sequence) -> Callable[[int], Any]:
+    """Term n of `terms` (1-based), the final term repeating forever."""
+    return lambda n: terms[min(n, len(terms)) - 1]
+
+
+def cycling(terms: Sequence) -> Callable[[int], Any]:
+    """Term n of `terms` (1-based), the whole list cycling forever."""
+    return lambda n: terms[(n - 1) % len(terms)]
 
 
 def detect_stable_tail(samples: list) -> Optional[int]:
@@ -78,7 +93,7 @@ def stable_tail_sup_increasing(
             )
 
     stable_at = detect_stable_tail(terms)
-    if isinstance(seq.metadata, StabilizesAt):
+    if isinstance(seq.metadata, Periodic) and seq.metadata.period == 1:
         k = seq.metadata.index
         if k <= horizon and all(terms[n] == terms[k - 1] for n in range(k - 1, horizon)):
             return terms[k - 1]

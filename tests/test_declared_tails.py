@@ -14,7 +14,8 @@ terms inside a cycle, a horizon that ends before the final run, or a
 declared limit that every gap of the schedule misses, or that the last
 sample happens to meet; their expected values are derived by hand in the
 comments.  The property tests compare `fatou`, `borel_cantelli` and the
-convergence checks with Fraction oracles built from the document itself.
+convergence checks with Fraction oracles built from the document itself,
+and the one list generator, `sequences.cycled`, with the two it replaced.
 """
 
 import json
@@ -28,10 +29,13 @@ from hypothesis import strategies as st
 import ordmeasure as om
 from ordmeasure.cli import main as cli_main
 from ordmeasure.errors import CertificationError
+from ordmeasure.measures import points_to_mask
 from ordmeasure.rationals import format_rational
 from ordmeasure.scenarios import RunConfig, parse_scenario, run_scenario
-from ordmeasure.sequences import (Periodic, SequenceSpec, StabilizesAt, declared_cycle,
+from ordmeasure.sequences import (Periodic, SequenceSpec, cycled, declared_cycle,
                                   declared_limit, from_terms, least_cycle, stable_from)
+
+from limit_oracles import cycling, repeat_last
 
 # coord(2) on two points, each an atom: {0} carries (1, 0) and {1} carries (0, 1),
 # so the integral of a function is the pair of its two values.
@@ -223,24 +227,20 @@ class TestScaledIndexLimit:
     """A scaled index declares its exact pointwise limit: infinity on the
     support of its shape and 0 off it."""
 
-    @pytest.mark.parametrize("horizon, reason", [
-        (8, "declared limit differs from f at non-null points [1]"),
-        (9, "sequence exceeds the declared limit at non-null points [1]"),
-        (64, "sequence exceeds the declared limit at non-null points [1]")],
-        ids=["h8", "h9", "h64"])
-    def test_finite_limit_at_a_diverging_point_is_refused(self, tmp_path, capsys,
-                                                          horizon, reason):
+    @pytest.mark.parametrize("horizon", [8, 9, 64], ids=["h8", "h9", "h64"])
+    def test_finite_limit_at_a_diverging_point_is_refused(self, tmp_path, capsys, horizon):
         # n * (1, 1) tends to infinity at both points, not to f = (infinity, 8).
         # Term 8 is f at point 1, so horizon 8 once held, certified by the
-        # gaps there; from horizon 9 on the last sample exceeds 8, which the
-        # order test, run first, names.
+        # gaps there; from horizon 9 on the last sample also exceeds 8, but
+        # the declared limit is compared with f before the last sample is.
         path = tmp_path / "mct_divergent_both.json"
         path.write_text(json.dumps(scaled_index_doc(["1", "1"], {"check": "mct"})))
         code = cli_main(["run", str(path), "--horizon", str(horizon), "--output", "json"])
         report = json.loads(capsys.readouterr().out)["checks"][0]
         assert code == 1
         assert report["status"] == "not-certifiable"
-        assert report["details"] == {"reason": reason}
+        assert report["details"] == {
+            "reason": "declared limit differs from f at non-null points [1]"}
 
     @pytest.mark.parametrize("shape, limit", [
         (["1", "0"], ["infinity", "0"]), (["0", "1"], ["0", "infinity"]),
@@ -284,8 +284,8 @@ class TestDeclarations:
     @pytest.mark.parametrize("terms, index", [
         ([1], 1), ([1, 1], 1), ([1, 2], 2), ([1, 2, 2, 2], 2), ([2, 1, 2], 3)])
     def test_stable_from_is_the_first_index_of_the_final_run(self, terms, index):
-        assert stable_from(terms) == StabilizesAt(index)
-        assert from_terms(terms).metadata == StabilizesAt(index)
+        assert stable_from(terms) == Periodic(index, 1)
+        assert from_terms(terms).metadata == Periodic(index, 1)
 
     @pytest.mark.parametrize("terms, period", [
         ([1], 1), ([1, 1, 1], 1), ([1, 2], 2), ([1, 2, 1, 2], 2), ([1, 2, 1], 3),
@@ -294,24 +294,24 @@ class TestDeclarations:
         assert least_cycle(terms) == Periodic(1, period)
 
     @pytest.mark.parametrize("sequence, metadata", [
-        ({"kind": "geometric", "base": "f", "bump": "a", "ratio": "0"}, StabilizesAt(1)),
+        ({"kind": "geometric", "base": "f", "bump": "a", "ratio": "0"}, Periodic(1, 1)),
         ({"kind": "geometric", "base": "f", "bump": "zero", "ratio": "1/2"},
-         StabilizesAt(1)),
+         Periodic(1, 1)),
         ({"kind": "geometric", "base": "f", "bump": "a", "ratio": "1/2"}, "limit"),
-        ({"kind": "truncation_ladder", "of": "c"}, StabilizesAt(5)),
-        ({"kind": "truncation_ladder", "of": "half"}, StabilizesAt(1)),
-        ({"kind": "truncation_ladder", "of": "zero"}, StabilizesAt(1)),
-        ({"kind": "truncation_ladder", "of": "big"}, StabilizesAt(3)),
+        ({"kind": "truncation_ladder", "of": "c"}, Periodic(5, 1)),
+        ({"kind": "truncation_ladder", "of": "half"}, Periodic(1, 1)),
+        ({"kind": "truncation_ladder", "of": "zero"}, Periodic(1, 1)),
+        ({"kind": "truncation_ladder", "of": "big"}, Periodic(3, 1)),
         ({"kind": "truncation_ladder", "of": "infinite"}, "limit"),
-        ({"kind": "scaled_index", "shape": "zero"}, StabilizesAt(1)),
+        ({"kind": "scaled_index", "shape": "zero"}, Periodic(1, 1)),
         # n * a tends to infinity at point 0, where a is 1, and is 0 at point 1.
         ({"kind": "scaled_index", "shape": "a"}, om.DeclaredLimit(((0, 0), 1, 0b01))),
         ({"kind": "scaled_index", "shape": "b"}, om.DeclaredLimit(((0, 0), 1, 0b10))),
         ({"kind": "scaled_index", "shape": "f"}, om.DeclaredLimit(((0, 0), 1, 0b11))),
         ({"kind": "scaled_index", "shape": "half"}, om.DeclaredLimit(((0, 0), 1, 0b01))),
         ({"kind": "scaled_index", "shape": "big"}, om.DeclaredLimit(((0, 0), 1, 0b11))),
-        ({"kind": "explicit", "terms": ["a", "a", {"values": ["1", "0"]}]}, StabilizesAt(1)),
-        ({"kind": "explicit", "terms": ["a", "b", "b"]}, StabilizesAt(2)),
+        ({"kind": "explicit", "terms": ["a", "a", {"values": ["1", "0"]}]}, Periodic(1, 1)),
+        ({"kind": "explicit", "terms": ["a", "b", "b"]}, Periodic(2, 1)),
         ({"kind": "alternating", "terms": ["a", "b", "a", "b"]}, Periodic(1, 2)),
     ])
     def test_parser_declares_each_kind(self, sequence, metadata):
@@ -319,14 +319,14 @@ class TestDeclarations:
                          infinite=["1", "infinity"])
         doc = dict(UNIT_PAIR, functions={n: {"values": v} for n, v in functions.items()},
                    sequences={"s": sequence}, checks=[])
-        declared = parse_scenario(doc).sequences["s"].metadata
+        declared = parse_scenario(doc).sequences["s"][0].metadata
         if metadata == "limit":
             assert isinstance(declared, om.DeclaredLimit)
         else:
             assert declared == metadata
 
     @pytest.mark.parametrize("metadata, horizon", [
-        (None, 8), (om.DeclaredLimit(0), 8), (Periodic(3, 2), 3), (StabilizesAt(4), 3)])
+        (None, 8), (om.DeclaredLimit(0), 8), (Periodic(3, 2), 3), (Periodic(4, 1), 3)])
     def test_reader_refuses_with_one_message(self, metadata, horizon):
         with pytest.raises(CertificationError) as caught:
             declared_cycle(SequenceSpec(lambda n: n, metadata=metadata), horizon)
@@ -334,14 +334,14 @@ class TestDeclarations:
                                      "it needs a declared cycle, sampled in full")
 
     @pytest.mark.parametrize("metadata, horizon, cycle", [
-        (Periodic(3, 2), 4, (2, 2)), (StabilizesAt(4), 4, (3, 1)), (Periodic(1, 1), 9, (0, 1))])
+        (Periodic(3, 2), 4, (2, 2)), (Periodic(4, 1), 4, (3, 1)), (Periodic(1, 1), 9, (0, 1))])
     def test_reader_returns_the_declared_cycle(self, metadata, horizon, cycle):
         samples, *read = declared_cycle(SequenceSpec(lambda n: n, metadata=metadata), horizon)
         assert samples == list(range(1, horizon + 1)) and tuple(read) == cycle
 
 
     @pytest.mark.parametrize("metadata, horizon, limit", [
-        (StabilizesAt(3), 3, 3), (Periodic(2, 1), 5, 2), (om.DeclaredLimit(7), 1, 7)],
+        (Periodic(3, 1), 3, 3), (Periodic(2, 1), 5, 2), (om.DeclaredLimit(7), 1, 7)],
         ids=["stabilizes", "period-1", "declared"])
     def test_limit_reader_returns_the_declared_limit(self, metadata, horizon, limit):
         samples, read = declared_limit(SequenceSpec(lambda n: n, metadata=metadata), horizon)
@@ -354,7 +354,7 @@ class TestDeclarations:
         # Fraction: a declared limit has the type of the terms exactly.
         (om.DeclaredLimit(om.INFINITY), 8, UNDECLARED),
         (om.DeclaredLimit(Fraction(7)), 1, UNDECLARED),
-        (StabilizesAt(4), 3, "tail not certifiable within horizon 3: it needs a declared "
+        (Periodic(4, 1), 3, "tail not certifiable within horizon 3: it needs a declared "
                              "cycle, sampled in full")],
         ids=["undeclared", "period-2", "untyped", "infinite", "other-type", "short-horizon"])
     def test_limit_reader_refuses_with_one_message(self, metadata, horizon, message):
@@ -495,3 +495,57 @@ def test_convergence_checks_hold_exactly_at_the_declared_limit(case):
     else:
         assert report["status"] == "holds"
         assert report["details"]["limit_integral"] == expected
+
+
+# The one list generator against the two it replaced: an explicit list's
+# final term repeating, an alternating list cycling whole.  Terms are drawn
+# from a pool of 2 or 3, so that they repeat, and read up to 3 * len.
+LISTED = {"explicit": (stable_from, repeat_last), "alternating": (least_cycle, cycling)}
+SET_POOL = [[], [0], [1], [0, 1]]
+
+
+@st.composite
+def listed_terms(draw):
+    """(kind, pool indices of the terms)."""
+    pool = draw(st.lists(st.integers(0, 3), min_size=2, max_size=3, unique=True))
+    return (draw(st.sampled_from(sorted(LISTED))),
+            draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6)))
+
+
+def assert_cycled(spec: SequenceSpec, kind: str, terms: list):
+    """`spec` declares the tail of `terms` that `kind` declares, and its
+    terms 1 .. 3 * len are those of the old generator of the kind."""
+    declare, oracle = LISTED[kind]
+    assert spec.metadata == declare(terms)
+    assert ([spec.generator(n) for n in range(1, 3 * len(terms) + 1)]
+            == [oracle(terms)(n) for n in range(1, 3 * len(terms) + 1)])
+
+
+@given(listed_terms())
+@settings(max_examples=200, deadline=timedelta(seconds=5), derandomize=True)
+def test_cycled_continues_a_list_as_its_old_generator(drawn):
+    kind, terms = drawn
+    declare, _ = LISTED[kind]
+    assert_cycled(SequenceSpec(cycled(terms, declare(terms)), metadata=declare(terms)),
+                  kind, terms)
+    if kind == "explicit":
+        assert_cycled(from_terms(terms), kind, terms)
+
+
+@given(listed_terms(), st.booleans())
+@settings(max_examples=100, deadline=timedelta(seconds=5), derandomize=True)
+def test_parsed_lists_continue_as_their_old_generators(drawn, bare):
+    # A function sequence's terms are (nums, den, inf) forms, a set
+    # sequence's bitmasks; an explicit set sequence may be a bare array.
+    kind, terms = drawn
+    names = [f"t{i}" for i in terms]
+    sets = [SET_POOL[i] for i in terms]
+    doc = dict(UNIT_PAIR, functions={f"t{i}": {"values": v} for i, v in enumerate(POOL)},
+               sequences={"s": {"kind": kind, "terms": names}},
+               checks=[{"check": "borel_cantelli",
+                        "sets": sets if bare and kind == "explicit"
+                        else {"kind": kind, "terms": sets}}])
+    scenario = parse_scenario(doc)
+    assert_cycled(scenario.sequences["s"][0], kind,
+                  [scenario.functions[name] for name in names])
+    assert_cycled(scenario.checks[0].args["sets"], kind, [points_to_mask(s) for s in sets])

@@ -18,8 +18,8 @@ from ordmeasure.rationals import INFINITY, parse_rational
 from ordmeasure.sequences import (
     DEFAULT_EPSILONS,
     DeclaredLimit,
+    Periodic,
     SequenceSpec,
-    StabilizesAt,
     declared_limit,
 )
 
@@ -264,24 +264,24 @@ class TestCertifyMonotoneLimit:
 
         def term(n):
             return om.element(reals, [min(n, 100)])
-        seq = SequenceSpec(term, metadata=StabilizesAt(100))
+        seq = SequenceSpec(term, metadata=Periodic(100, 1))
         with pytest.raises(CertificationError, match="^tail not certifiable within horizon 4: "):
             certified_limit(seq, horizon=4)
         assert certified_limit(seq, horizon=100) == term(100)
         with pytest.raises(CertificationError,
                            match="^integral sequence exceeds the target at 31$"):
-            certified_limit(SequenceSpec(term, metadata=StabilizesAt(30)), horizon=100)
+            certified_limit(SequenceSpec(term, metadata=Periodic(30, 1)), horizon=100)
 
     @pytest.mark.parametrize("horizon", [40, 64])
     def test_stabilization_index_is_the_declared_term(self, horizon):
         # x - x / 2^min(n, 40) is constant from term 40 on.
-        seq = SequenceSpec(_approaching_x, metadata=StabilizesAt(40))
+        seq = SequenceSpec(_approaching_x, metadata=Periodic(40, 1))
         assert certified_limit(seq, horizon=horizon) == _approaching_x(40)
 
     @pytest.mark.parametrize("horizon", [10, 32, 39])
     def test_declared_term_is_read_only_when_sampled(self, horizon):
         # However close the last sample comes to term 40, it is not read.
-        seq = SequenceSpec(_approaching_x, metadata=StabilizesAt(40))
+        seq = SequenceSpec(_approaching_x, metadata=Periodic(40, 1))
         with pytest.raises(CertificationError,
                            match=f"^tail not certifiable within horizon {horizon}: "):
             certified_limit(seq, horizon=horizon)
@@ -480,7 +480,7 @@ def _elements(draw, space, positive=False):
 @st.composite
 def declared_increasing(draw):
     """(seq, horizon): terms top - c_n * step with c_n decreasing, declared
-    by `StabilizesAt` or `DeclaredLimit`.  A declared limit other than
+    by `Periodic(k, 1)` or `DeclaredLimit`.  A declared limit other than
     `top` is drawn only when the terms never repeat, so no sampled tail is
     constant below the declared limit."""
     space = draw(st.sampled_from([C2, om.loewner_sym(2)]))
@@ -495,7 +495,7 @@ def declared_increasing(draw):
         return om.sub(top, om.scale(c, step))
 
     if draw(st.booleans()):
-        metadata = StabilizesAt(draw(st.integers(1, horizon)))
+        metadata = Periodic(draw(st.integers(1, horizon)), 1)
     else:
         offsets = [om.zero(space)]
         if rate != "stops" and not step.is_zero():

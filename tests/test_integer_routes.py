@@ -267,8 +267,8 @@ class TestGeneratedTerms:
                              oracle.scaled_term(bump, n), "either"),
         }
         for name, (doc, expected, kind) in docs.items():
-            seq = scenarios._parse_sequence(functions, ground, doc, "/" + name)
-            term = scenarios._as_function(integral, space, seq.values(n), kind, name)
+            seq, _ = scenarios._parse_sequence(functions, ground, doc, "/" + name)
+            term = scenarios._as_function(integral, space, seq.generator(n), kind, name)
             assert term.values == tuple(expected)
 
 

@@ -25,7 +25,6 @@ from ordmeasure.sequences import (
     DeclaredLimit,
     Periodic,
     SequenceSpec,
-    StabilizesAt,
     declared_cycle,
     epsilon_schedule,
     from_terms,
@@ -1020,7 +1019,7 @@ def _calls_with_horizon():
                                 horizon=h),
         "mct_decreasing": lambda h: om.mct_decreasing(mu, halving, zero, horizon=h),
         "dct": lambda h: om.dct(mu, from_terms([signed]), signed, dominator, horizon=h),
-        "fatou": lambda h: om.fatou(mu, SequenceSpec(lambda n: f, metadata=StabilizesAt(1)),
+        "fatou": lambda h: om.fatou(mu, SequenceSpec(lambda n: f, metadata=Periodic(1, 1)),
                                     horizon=h),
         "continuity_from_below": lambda h: om.continuity_from_below(
             mu, from_terms([0b01, 0b11]), horizon=h),
@@ -1112,22 +1111,32 @@ class TestMonotoneConvergenceRejections:
     """The exact rejection of each direction of the monotone convergence check."""
 
     @pytest.mark.parametrize("increasing, measure, rows, limit, metadata, error, message", [
-        pytest.param(True, basic_measure, [[1, 1], [0, 0]], [1, 1], StabilizesAt(2),
+        pytest.param(True, basic_measure, [[1, 1], [0, 0]], [1, 1], Periodic(2, 1),
                      CertificationError,
                      "sequence not increasing at non-null points [0, 1]",
                      id="mct-not-monotone"),
-        pytest.param(False, basic_measure, [[1, 0], [1, 1]], [1, 0], StabilizesAt(2),
+        pytest.param(False, basic_measure, [[1, 0], [1, 1]], [1, 0], Periodic(2, 1),
                      CertificationError,
                      "sequence not decreasing at non-null points [1]",
                      id="mct_decreasing-not-monotone"),
-        pytest.param(True, null_atom_measure, [[2, 0, 5]], [1, 0, 0], StabilizesAt(1),
+        # The last sample is tested against f once the declared limit is f: a
+        # stabilizing sequence's limit is its term, which is refused first.
+        pytest.param(True, null_atom_measure, [[2, 0, 5]], [1, 0, 0],
+                     DeclaredLimit(om.ext_function(om.power_set_space(3), [1, 0, 0])),
                      CertificationError,
                      "sequence exceeds the declared limit at non-null points [0]",
                      id="mct-exceeds"),
-        pytest.param(False, null_atom_measure, [[1, 1, 0]], [1, 2, 5], StabilizesAt(1),
+        pytest.param(False, null_atom_measure, [[1, 1, 0]], [1, 2, 5],
+                     DeclaredLimit(om.ext_function(om.power_set_space(3), [1, 2, 5])),
                      CertificationError,
                      "sequence dips below the declared limit at non-null points [1]",
                      id="mct_decreasing-dips-below"),
+        pytest.param(True, null_atom_measure, [[2, 0, 5]], [1, 0, 0], Periodic(1, 1),
+                     CertificationError, "declared limit differs from f at non-null points [0]",
+                     id="mct-stabilizes-above"),
+        pytest.param(False, null_atom_measure, [[1, 1, 0]], [1, 2, 5], Periodic(1, 1),
+                     CertificationError, "declared limit differs from f at non-null points [1]",
+                     id="mct_decreasing-stabilizes-below"),
         pytest.param(True, basic_measure, [[1, 1]], [1, 1], None, CertificationError,
                      UNDECLARED, id="mct-undeclared"),
         pytest.param(False, basic_measure, [[1, 1]], [1, 1], None, CertificationError,
@@ -1144,11 +1153,11 @@ class TestMonotoneConvergenceRejections:
                      id="mct_decreasing-infinite-declared-limit"),
         # Only the decreasing form needs a finite first integral, and it says
         # so before it tests the terms.
-        pytest.param(False, _infinite_first_atom, [[1, 0], [2, 0]], [0, 0], StabilizesAt(2),
+        pytest.param(False, _infinite_first_atom, [[1, 0], [2, 0]], [0, 0], Periodic(2, 1),
                      HypothesisError,
                      "decreasing convergence requires a finite first integral",
                      id="mct_decreasing-infinite-first-integral"),
-        pytest.param(True, _infinite_first_atom, [[2, 0], [1, 0]], [2, 0], StabilizesAt(2),
+        pytest.param(True, _infinite_first_atom, [[2, 0], [1, 0]], [2, 0], Periodic(2, 1),
                      CertificationError,
                      "sequence not increasing at non-null points [0]",
                      id="mct-infinite-first-integral"),
@@ -1250,7 +1259,7 @@ class TestFatouDct:
     def test_fatou_equality_constant(self):
         mu = basic_measure()
         f = om.ext_function(mu.space, [2, 3])
-        seq = SequenceSpec(lambda n: f, metadata=StabilizesAt(1))
+        seq = SequenceSpec(lambda n: f, metadata=Periodic(1, 1))
         report = om.fatou(mu, seq, horizon=8)
         assert report.ok and not report.details["strict"]
 

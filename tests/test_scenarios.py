@@ -373,7 +373,7 @@ def validated_terms_match(scenario, horizon: int):
     for (name, kind), spec in scenario.specs.items():
         cls = integral.ExtFunction if kind == "ext" else integral.SignedFunction
         for n, term in enumerate(spec.sample(horizon), start=1):
-            validated = cls.from_nums(scenario.space, *scenario.sequences[name].values(n))
+            validated = cls.from_nums(scenario.space, *scenario.sequences[name][0].generator(n))
             assert type(term) is cls and term == validated, (name, kind, n)
 
 
@@ -691,6 +691,15 @@ class TestCli:
         ({"checks": [{"check": "l1_quotient", "functions": [5]}]}, "/checks/0/functions/0"),
         ({"checks": [{"check": "push_forward", "target": {"kind": "reals"},
                       "matrix": [[1, "0"]]}]}, "/checks/0/matrix/0/0"),
+        # The library's positive-cone rule, pointed at the document's key
+        ({"measure": {"atom_values": {"0": {"finite": ["1", "0"]},
+                                      "1": {"finite": ["0", "-1"]}, "2": "infinity"}}},
+         "/measure/atom_values/1"),
+        ({"outer_measure": {"outer_values": {
+            key: {"finite": ["0", "0"]} if key == "" else
+            {"finite": ["0", "-1"]} if key == "01" else "infinity"
+            for key in ("", "0", "01", "2", "0,1", "0,2", "1,2", "0,1,2")}}},
+         "/outer_measure/outer_values/01"),
     ], ids=["ground_bool", "ground_cap", "sigma_algebra_list", "checks_object",
             "directive_string", "check_name_int", "outer_measure_list",
             "functions_list", "sequences_string", "atom_values_list",
@@ -713,7 +722,8 @@ class TestCli:
             "outer_key_plus", "l1_function_not_measurable", "l1_function_infinite",
             "loewner_atom_asymmetric", "loewner_expected_asymmetric",
             "loewner_lower_bound_asymmetric", "algebra_sets_int", "algebra_set_point_bool",
-            "l1_function_ref_int", "matrix_entry_int"])
+            "l1_function_ref_int", "matrix_entry_int", "atom_value_negative",
+            "outer_value_negative"])
     def test_scenario_schema_errors(self, tmp_path, capsys, updates, pointer):
         doc = json.loads((SCENARIO_DIR / "identities_basic.json").read_text())
         doc.update(updates)

@@ -37,12 +37,10 @@ FIELDS = {
     om.SignedFunction: ("space", "nums", "den", "inf"),
     om.ElementaryFunction: ("space", "terms", "den"),
     om.IntegralReport: ("value", "trail"),
-    om.StabilizesAt: ("index",),
     om.Periodic: ("index", "period"),
     om.DeclaredLimit: ("value",),
     om.NoSupremum: ("reason",),
     scenarios.Directive: ("check", "expect", "args"),
-    scenarios._NamedSequence: ("values", "metadata", "witnesses"),
     scenarios._Key: ("json", "resolve", "default"),
     scenarios._Check: ("module", "handler", "keys", "needs", "admits"),
 }
@@ -174,7 +172,6 @@ def _zero(n):
 
 
 CALLABLES = st.sampled_from([_square, _zero])
-METADATA = [lambda: None, lambda: om.StabilizesAt(1), lambda: om.DeclaredLimit([Fraction(1)])]
 DEFAULTS = [scenarios._REQUIRED, None, 1, "holds"]
 
 
@@ -182,18 +179,6 @@ def directive_specs():
     return st.tuples(st.sampled_from(["validate", "mct"]), st.sampled_from(["holds", "fails"]),
                      st.dictionaries(st.sampled_from(["sequence", "f"]), st.integers(0, 1),
                                      max_size=2))
-
-
-def named_sequence_specs():
-    # A list witness is unhashable, as the parser's are; no witnesses is hashable.
-    return st.tuples(CALLABLES, st.integers(0, len(METADATA) - 1),
-                     st.lists(st.lists(st.integers(0, 1), max_size=2), max_size=2))
-
-
-def build_named_sequence(spec):
-    values, metadata, witnesses = spec
-    return scenarios._NamedSequence(values, METADATA[metadata](),
-                                    tuple(list(w) for w in witnesses))
 
 
 def key_specs():
@@ -234,7 +219,6 @@ CASES = {
                                                             Fraction(3)])),
                             build_elementary),
     om.IntegralReport: (report_specs(), build_report),
-    om.StabilizesAt: (st.integers(1, 3), om.StabilizesAt),
     om.Periodic: (st.tuples(st.integers(1, 3), st.integers(1, 3)),
                   lambda spec: om.Periodic(*spec)),
     # A list value is unhashable, as the scenario parser's limits are.
@@ -242,7 +226,6 @@ CASES = {
     om.NoSupremum: (st.sampled_from(["incomparable", "no infimum"]), om.NoSupremum),
     scenarios.Directive: (directive_specs(),
                           lambda spec: scenarios.Directive(spec[0], spec[1], dict(spec[2]))),
-    scenarios._NamedSequence: (named_sequence_specs(), build_named_sequence),
     scenarios._Key: (key_specs(), build_key),
     scenarios._Check: (check_specs(), build_check),
 }
@@ -322,7 +305,7 @@ def test_generated_constructor_examples():
     for call in (lambda: scenarios._Check(None, _zero), lambda: om.Periodic(1),
                  lambda: scenarios._Check(None, _zero, {}, module=None),
                  lambda: scenarios._Check(None, _zero, {}, colour=1),
-                 lambda: om.StabilizesAt(1, 2)):
+                 lambda: om.Periodic(1, 2, 3)):
         with pytest.raises(TypeError):
             call()
 

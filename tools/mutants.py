@@ -62,13 +62,13 @@ MUTANTS = [
      "declared_cycle", "metadata.index - 1 + metadata.period",
      "metadata.index - 2 + metadata.period", [TAILS]),
     ("mct/dct: the declared limit is not compared with f", "integral.py",
-     "_certify_convergence", "a != b", "False", [TAILS]),
+     "_require_declared_limit", "a != b", "False", [TAILS]),
     ("mct/dct: the declared limit is compared with f at the null points too", "integral.py",
-     "_certify_convergence", "_columns([limit, f], mu.null_mask)", "_columns([limit, f], 0)",
+     "_require_declared_limit", "_columns([limit, f], mu.null_mask)",
+     "_columns([limit, f], 0)", [TAILS]),
+    ("cycled: past the list, the cycle is read from term 1, not the declared index",
+     "sequences.py", "cycled", "start - 1 + (n - start) % period", "(n - 1) % period",
      [TAILS]),
-    ("declared_limit: only StabilizesAt declares period 1", "sequences.py", "declared_limit",
-     "isinstance(metadata, (Periodic, StabilizesAt)) and metadata.period == 1",
-     "isinstance(metadata, StabilizesAt)", [TAILS]),
     ("scaled_index: the declared limit is finite (0) on the shape's support",
      "scenarios.py", "_parse_sequence", "DeclaredLimit(((0,) * ground, 1, support))",
      "DeclaredLimit(((0,) * ground, 1, 0))", [TAILS]),
