@@ -8,11 +8,13 @@ conventions ``0 * inf = 0``, ``inf * 0 = 0`` and ``inf * x = inf`` for
 both the additive and the multiplicative monoid of extended nonnegative
 scalars act by monoid homomorphisms.
 
-The supremum of an increasing sequence (the paper's sigma-monotone
-completeness) and the infimum of a decreasing one are decided in one
-place, `certify_monotone_limit`: the monotone convergence theorems of
-`ordmeasure.integral` certify with it that the integrals of their terms
-reach the integral of the declared limit.
+Exhaustive passes and sequence checks compute on integer rows instead
+(`ext_rows`, `row_add`, `row_sub`, `row_leq`, `row_eq`, `row_lattice`):
+(nums, den) for a finite value, None for infinity; `from_row` builds the
+element of a value they report.  The supremum of an increasing sequence
+(the paper's sigma-monotone completeness) and the infimum of a decreasing
+one are decided in one place, on rows, `certify_monotone_limit`, with
+which the monotone convergence theorems certify their integrals.
 """
 
 from __future__ import annotations
@@ -124,15 +126,13 @@ def ext_leq(a: ExtElement, b: ExtElement) -> bool:
 def ext_rows(values: Sequence[ExtElement]) -> list:
     """The values as one integer table: each finite value as a row
     ``(nums, den)`` of integer numerators over a positive denominator, the
-    point at infinity as None.
-
-    Every row is brought over the lcm of the denominators, so that rows add
-    and subtract without a multiplication and equal values are equal rows.
-    A table of many unrelated denominators, whose lcm has more than twice
-    the bits of the largest one (plus 64), keeps each value over its own
-    denominator instead: then `row_add`, `row_sub`, `row_leq` and `row_eq`
-    cross-multiply, and no number outgrows the few values an operation reads.
-    """
+    point at infinity as None.  Every row is brought over the lcm of the
+    denominators, so that rows add and subtract without a multiplication
+    and equal values are equal rows.  A table of many unrelated
+    denominators, whose lcm has more than twice the bits of the largest one
+    (plus 64), keeps each value over its own denominator instead: then
+    `row_add`, `row_sub`, `row_leq` and `row_eq` cross-multiply, and no
+    number outgrows the few values an operation reads."""
     dens = [v.finite.den for v in values if v.finite is not None]
     common = math.lcm(*dens)
     if common.bit_length() > 2 * max(dens, default=1).bit_length() + 64:
@@ -189,6 +189,24 @@ def row_eq(a, b) -> bool:
     return not any(row_sub(a, b)[0])
 
 
+def row_lattice(op, a, b) -> tuple:
+    """`op` (min or max) of two finite rows, coordinatewise over the lcm of
+    their denominators: their infimum or supremum on a lattice backend."""
+    (x, dx), (y, dy) = a, b
+    g = math.gcd(dx, dy)
+    return tuple([op(p * (dy // g), q * (dx // g)) for p, q in zip(x, y)]), dx // g * dy
+
+
+def scaled_unit(space: SpaceDescriptor, r) -> tuple:
+    """The row of r times the order unit of `space`, for an int or Fraction r."""
+    r = Fraction(r)
+    return tuple([r.numerator * n for n in spaces.order_unit(space).nums]), r.denominator
+
+
+def from_row(space: SpaceDescriptor, row) -> ExtElement:
+    return infinity(space) if row is None else finite(spaces._element(space, *row))
+
+
 def is_ext_positive(a: ExtElement) -> bool:
     return ext_leq(ext_zero(a.space), a)
 
@@ -226,26 +244,24 @@ def divergence_top(h: int) -> int:
     return max(h, 2) - 1
 
 
-def certify_divergence(terms: Sequence[ExtElement]) -> int:
+def certify_divergence(space: SpaceDescriptor, terms: Sequence) -> int:
     """Certify unboundedness against the ladder of bounds k * unit, and
     return its top rung.
 
-    `terms` are the h >= 1 samples of a sequence; the unit is the order
-    unit of their space.  For each k the sampled terms must contain one
+    `terms` are the rows of h >= 1 samples of a sequence in `space`, the
+    unit its order unit.  For each k the sampled terms must contain one
     that is *not* below ``k * unit``.  The ladder stops at `divergence_top`:
-    h - 1 (1 when h is 1), as a sequence growing one unit per step can never
-    overtake the bound with the same index inside its own sampling window.
+    h - 1 (1 when h is 1), as a sequence growing one unit per step can
+    never overtake the bound with the same index inside its own window.
 
     Being below every sample is monotone in k: a term below k * unit is
     below every larger bound too.  So the ladder holds exactly when its top
     rung does, which one pass over the terms decides; when it fails, the
     first failing k is found by bisection.
     """
-    unit = spaces.order_unit(terms[0].space)
-
     def all_below(k: int) -> bool:
-        bound = finite(spaces.scale(k, unit))
-        return all(ext_leq(t, bound) for t in terms)
+        bound = scaled_unit(space, k)
+        return all(row_leq(space, t, bound) for t in terms)
 
     top = divergence_top(len(terms))
     if not all_below(top):
@@ -260,11 +276,11 @@ def certify_divergence(terms: Sequence[ExtElement]) -> int:
     raise CertificationError(f"divergence not certified: all samples below {hi} * unit")
 
 
-def certify_monotone_limit(values: Sequence[ExtElement], target: ExtElement,
+def certify_monotone_limit(space: SpaceDescriptor, values: Sequence, target,
                            epsilons: Sequence[Fraction], increasing: bool = True) -> dict:
     """Certify that `target` is the supremum of the increasing integrals
-    `values`, or the infimum of the decreasing ones.  This is the one
-    certifier of a monotone limit.
+    `values`, or the infimum of the decreasing ones: rows of `space`, equal
+    rows for equal values.  This is the one certifier of a monotone limit.
 
     The terms must be monotone and on the target's side of it.  The limit
     is then
@@ -278,7 +294,7 @@ def certify_monotone_limit(values: Sequence[ExtElement], target: ExtElement,
     The mode is returned with its evidence.
     """
     def precedes(a, b):
-        return ext_leq(a, b) if increasing else ext_leq(b, a)
+        return row_leq(space, a, b) if increasing else row_leq(space, b, a)
 
     direction = "increasing" if increasing else "decreasing"
     for n in range(1, len(values)):
@@ -288,18 +304,14 @@ def certify_monotone_limit(values: Sequence[ExtElement], target: ExtElement,
     for n, v in enumerate(values, start=1):
         if not precedes(v, target):
             raise CertificationError(f"integral sequence {crossing} the target at {n}")
-    if values[-1] == target:
+    if row_eq(values[-1], target):
         return {"mode": "stabilized", "at": stable_from(values).index}
-    if target.is_infinite:
-        return {"mode": "divergence-certified", "ladder_top": certify_divergence(values)}
-    unit = spaces.order_unit(target.space)
+    if target is None:
+        return {"mode": "divergence-certified", "ladder_top": certify_divergence(space, values)}
 
-    def probe(eps):
-        bump = finite(spaces.scale(eps, unit))
-        if increasing:
-            return lambda i: ext_leq(target, ext_add(values[i - 1], bump))
-        ceiling = ext_add(target, bump)
-        return lambda i: ext_leq(values[i - 1], ceiling)
+    def probe(eps):  # the term is within eps * unit of the target, on its side
+        edge = (row_sub if increasing else row_add)(target, scaled_unit(space, eps))
+        return lambda i: precedes(edge, values[i - 1])
 
     gaps = certify_gaps(epsilons, len(values), probe, "integral gap {eps} not certified")
     return {"mode": "gap-certified", "gaps": gaps}

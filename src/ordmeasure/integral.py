@@ -1,30 +1,29 @@
 """The order integral over finite ground sets, with double-entry oracles.
 
 A function is integer numerators over one denominator, with a bitmask of
-its infinite points, and its integral is computed two ways on that integer
-form (`_integral`): a closed form that folds f(atom) * mu(atom) over the
-atom values one atom at a time, and the supremum of the canonical ladder of
-truncations, each rung one integer row summed on the measure's atom table.
-The routes share no summation code, each settles 0 * inf itself, and they
-must agree exactly before an element is built; the ladder is kept as an
-oracle against convention bugs.  The parts that `integrate_signed` and
-`dct` integrate (|f|, f+, f-, the shifted parts, |t - f|) are integer
-transforms of a function's numerators, not function objects.  `truncate`
-and `integrate_elementary` build and integrate rungs as elementary
-functions for the tests.
+its infinite points.  Its integral is computed two ways on that form
+(`_core`): a closed form folding f(atom) * mu(atom) one atom at a time, and
+the supremum of the canonical ladder of truncations, each rung one integer
+row summed on the measure's atom table.  The routes share no summation
+code, each settles 0 * inf itself, and they must agree exactly on the
+value, a row of `extended`: the checks compute on rows, and an element is
+built only for a value that a report prints.  The parts that `dct` and the
+signed integral (`_signed_row`) integrate (|f|, f+, f-, the shifted parts,
+|t - f|) are integer transforms of a function's numerators.  `truncate` and
+`integrate_elementary` build and integrate rungs as elementary functions
+for the tests.
 
 The monotone and dominated convergence theorems and the Fatou inequality
 are certified checks on what a sequence declares: Fatou reads its cycle
 (`declared_cycle`), and `mct`, `mct_decreasing` and `dct` its limit
-(`declared_limit`), a function of the terms' kind that is infinite where
-they diverge, which must be f exactly off the null points.  Each check
-compares its sampled functions on one integer table (`_columns`), and
-`_certify_convergence` certifies that the samples reach f at each point:
-against an epsilon schedule in multiples of the order unit where f is
-finite, and a ladder of bounds where it is infinite; the monotone checks
-then certify their integrals with `extended.certify_monotone_limit`.  The
-laws of the integral and its other structure checks are in
-`ordmeasure.integral_checks`.
+(`declared_limit`), which must be f exactly off the null points (infinite
+where the terms diverge).  Each check compares its sampled functions on
+one integer table (`_columns`), and `_certify_convergence` certifies that
+the samples reach f at each point: against an epsilon schedule in
+multiples of the order unit where f is finite, and a ladder of bounds
+where it is infinite; the monotone checks then certify their integral rows
+with `extended.certify_monotone_limit`.  The laws of the integral and its
+other structure checks are in `ordmeasure.integral_checks`.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from itertools import accumulate
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -40,7 +39,8 @@ from . import extended, spaces
 from .errors import (CertificationError, Frozen, HypothesisError, NotIntegrableError,
                      OrdMeasureError, ValidationError)
 from .extended import (ExtElement, certify_monotone_limit, divergence_top, ext_add, ext_leq,
-                       ext_scale, ext_to_json, ext_zero)
+                       ext_scale, ext_to_json, ext_zero, from_row, row_add, row_eq,
+                       row_lattice, row_leq, row_sub, scaled_unit)
 from .measures import MeasurableSpace, Measure, mask_to_points, points_to_mask
 from .rationals import INFINITY, format_rational, is_infinite, over_one_den
 from .reports import CheckResult, fails, holds
@@ -383,32 +383,41 @@ class IntegralReport(Frozen):
     __slots__ = ("value", "trail")
 
 
-def _integral(mu: Measure, nums: tuple, den: int, inf: int = 0) -> IntegralReport:
-    """The two-route integral on `mu` of the function on its space with the
-    canonical integer form (nums, den, inf).  The closed form and the ladder
-    must agree exactly, as integers, before one `Element` and one report are
-    built.  Both run once per distinct function: ``mu.integral_memo`` keeps
-    the report under the form.  Callers check the space (`_require_space`),
-    so the key leaves it out."""
+def _core(mu: Measure, nums: tuple, den: int, inf: int = 0) -> list:
+    """The two-route integral on `mu` of the canonical form (nums, den, inf):
+    the closed form and the ladder must agree exactly on its row (`extended`).
+    Both run once per distinct form: ``mu.integral_memo`` keeps ``[row, trail,
+    report]``, the report built by `_integral` on first use.  Callers check
+    the space (`_require_space`)."""
     key = (nums, den, inf)
-    report = mu.integral_memo.get(key)
-    if report is None:
+    entry = mu.integral_memo.get(key)
+    if entry is None:
         closed = _closed_form(nums, den, inf, mu)
         ladder, trail = _ladder_supremum(nums, den, inf, mu)
         if closed != ladder:
             raise OrdMeasureError(
                 f"integral routes disagree: closed form {closed!r} vs ladder {ladder!r}")
-        value = (extended.infinity(mu.backend) if closed is None
-                 else extended.finite(spaces._element(mu.backend, *closed)))
-        # by position, Frozen's fast path
-        report = mu.integral_memo[key] = IntegralReport(value, trail)
-    return report
+        entry = mu.integral_memo[key] = [closed, trail, None]
+    return entry
+
+
+def _integral(mu: Measure, nums: tuple, den: int, inf: int = 0) -> IntegralReport:
+    """The report of `_core`: one element and one report per distinct function."""
+    entry = _core(mu, nums, den, inf)
+    if entry[2] is None:  # by position, Frozen's fast path
+        entry[2] = IntegralReport(extended.from_row(mu.backend, entry[0]), entry[1])
+    return entry[2]
+
+
+def _row(g, mu: Measure) -> Optional[tuple]:
+    """The row of the integral of g, once its space is checked; no element."""
+    _require_space(g, mu)
+    return _core(mu, g.nums, g.den, g.inf)[0]
 
 
 def integrate_extended(f: ExtFunction, mu: Measure) -> IntegralReport:
     """Order integral of an extended-nonnegative measurable function: the
-    two-route integral `_integral` of its canonical integer form, once its
-    space is checked against the measure's."""
+    report of `_integral` on its canonical form, once its space is checked."""
     _require_space(f, mu)
     return _integral(mu, f.nums, f.den, f.inf)
 
@@ -419,7 +428,7 @@ def integral_value(f: ExtFunction, mu: Measure) -> ExtElement:
 
 def is_integrable(f: SignedFunction, mu: Measure) -> bool:
     _require_space(f, mu)
-    return _integral(mu, *_part(abs, f.nums, f.den)).value.is_finite
+    return _core(mu, *_part(abs, f.nums, f.den))[0] is not None
 
 
 def _shifted_parts(space: MeasurableSpace, nums: tuple, den: int) -> Tuple[tuple, tuple]:
@@ -432,23 +441,23 @@ def _shifted_parts(space: MeasurableSpace, nums: tuple, den: int) -> Tuple[tuple
             _reduced(tuple(c if n else 0 for n in nums), den))
 
 
-def integrate_signed(f: SignedFunction, mu: Measure) -> Element:
-    """Integral of an integrable signed function as f+ - f-, verified against
-    the shifted decomposition (f + c * s) - c * s (`_shifted_parts`).  Each
-    part is an integer transform of f's numerators, not a function object."""
+def _signed_row(f: SignedFunction, mu: Measure) -> tuple:
+    """Integral of an integrable signed function as the row f+ - f-, verified
+    against the shifted decomposition (f + c * s) - c * s (`_shifted_parts`).
+    Each part is an integer transform of f's numerators, not a function."""
     if not is_integrable(f, mu):
         raise NotIntegrableError("the function has an infinite |f| integral")
-    nums, den = f.nums, f.den
-    pos = _integral(mu, *_part(_pos, nums, den)).value.payload()
-    negv = _integral(mu, *_part(_neg, nums, den)).value.payload()
-    result = spaces.sub(pos, negv)
-
-    lhs, rhs = (_integral(mu, *part).value for part in _shifted_parts(f.space, nums, den))
-    if lhs.is_finite and rhs.is_finite:
-        alt = spaces.sub(lhs.payload(), rhs.payload())
-        if alt != result:
-            raise OrdMeasureError("signed integral depends on the decomposition")
+    result = row_sub(_core(mu, *_part(_pos, f.nums, f.den))[0],
+                     _core(mu, *_part(_neg, f.nums, f.den))[0])
+    lhs, rhs = (_core(mu, *part)[0] for part in _shifted_parts(f.space, f.nums, f.den))
+    if lhs is not None and rhs is not None and not row_eq(row_sub(lhs, rhs), result):
+        raise OrdMeasureError("signed integral depends on the decomposition")
     return result
+
+
+def integrate_signed(f: SignedFunction, mu: Measure) -> Element:
+    """The integral of `_signed_row`, as an element."""
+    return spaces._element(mu.backend, *_signed_row(f, mu))
 
 
 def _columns(functions: Sequence, null: int) -> Tuple[int, list]:
@@ -513,7 +522,7 @@ def _monotone_convergence(name: str, mu: Measure, seq: SequenceSpec, f: ExtFunct
     (below f, or below the first term) and their distances to f only shrink."""
     epsilons = epsilon_schedule(epsilons)
     terms = seq.sample(horizon)
-    if not increasing and not integral_value(terms[0], mu).is_finite:
+    if not increasing and _row(terms[0], mu) is None:
         raise HypothesisError("decreasing convergence requires a finite first integral")
     direction = "increasing" if increasing else "decreasing"
     den, live = _columns(terms + [f], mu.null_mask)
@@ -529,9 +538,9 @@ def _monotone_convergence(name: str, mu: Measure, seq: SequenceSpec, f: ExtFunct
                                  f"points {bad}")
     _certify_convergence(len(terms), den, live, "pointwise gap", epsilons)
 
-    values = [integral_value(t, mu) for t in terms]
+    values = [_row(t, mu) for t in terms]
     target = integral_value(f, mu)
-    trail = certify_monotone_limit(values, target, epsilons, increasing)
+    trail = certify_monotone_limit(mu.backend, values, _row(f, mu), epsilons, increasing)
     return holds(name, limit_integral=ext_to_json(target), certification=trail)
 
 
@@ -571,11 +580,10 @@ def fatou(mu: Measure, seq: SequenceSpec,
         mu.space, tuple(0 if m is None else m for m in mins), den,
         points_to_mask(x for x, m in enumerate(mins) if m is None))
     lhs = integral_value(liminf_f, mu)
-    # The least integral over the cycle, on a lattice backend where every pair
-    # has an infimum; infinite only when every integral is.
-    ints = [integral_value(t, mu) for t in cycle_terms]
-    finite_ints = [v.finite for v in ints if v.is_finite]
-    rhs = extended.finite(reduce(spaces.inf_pair, finite_ints)) if finite_ints else ints[0]
+    # The least integral over the cycle, on a lattice backend where the
+    # infimum is coordinatewise; infinite only when every integral is.
+    ints = [row for row in (_row(t, mu) for t in cycle_terms) if row is not None]
+    rhs = from_row(mu.backend, reduce(partial(row_lattice, min), ints) if ints else None)
     ok = ext_leq(lhs, rhs)
     details = {"lhs": ext_to_json(lhs), "rhs": ext_to_json(rhs), "strict": lhs != rhs,
                "cycle": {"preperiod": pre, "period": period}}
@@ -594,8 +602,7 @@ def dct(mu: Measure, seq: SequenceSpec, f: SignedFunction, g: ExtFunction,
     epsilons = epsilon_schedule(epsilons)
     terms = seq.sample(horizon)
 
-    g_int = integral_value(g, mu)
-    if not g_int.is_finite:
+    if _row(g, mu) is None:
         raise HypothesisError("the dominating function must have a finite integral")
     den, live = _columns(terms + [f, g], mu.null_mask)
     # |t(x)| <= g(x) off the null points, where g is finite, as its integral is
@@ -616,44 +623,42 @@ def dct(mu: Measure, seq: SequenceSpec, f: SignedFunction, g: ExtFunction,
     if not (part1 and part2):
         return fails("dct", **details)
 
-    unit = spaces.order_unit(mu.backend)
-    deviations = [_integral(mu, *_pointwise_part(_distance, t, f)).value.payload()
-                  for t in terms]
+    deviations = [_core(mu, *_pointwise_part(_distance, t, f))[0] for t in terms]
     details["part3_deviation_infimum"] = "holds"
-    f_int = integrate_signed(f, mu)
-    if all(d.is_zero() for d in deviations[-2:]):  # the last two, or the one at horizon 1
+    f_int = _signed_row(f, mu)
+    if all(not any(d[0]) for d in deviations[-2:]):  # the last two, or the one at horizon 1
         details["part3_mode"] = {"mode": "stabilized", "at": stable_from(deviations).index}
-        part4 = integrate_signed(terms[-1], mu) == f_int
+        part4 = row_eq(_signed_row(terms[-1], mu), f_int)
         details["part4_sandwich"] = "holds" if part4 else "fails"
         if not part4:
             return fails("dct", **details)
         details["part4_mode"] = {"mode": "stabilized"}
     else:
-        if not all(map(spaces.leq, deviations[1:], deviations[:-1])):
+        if not all(row_leq(mu.backend, a, b) for a, b in zip(deviations[1:], deviations)):
             raise CertificationError(
                 "integral deviations are not decreasing; tails not certifiable")
 
         def deviation_probe(eps):
-            bound = spaces.scale(eps, unit)
-            return lambda i: spaces.leq(deviations[i - 1], bound)
+            bound = scaled_unit(mu.backend, eps)
+            return lambda i: row_leq(mu.backend, deviations[i - 1], bound)
 
         gaps = certify_gaps(epsilons, len(deviations), deviation_probe,
                             "deviation gap {eps} not certified")
         details["part3_mode"] = {"mode": "gap-certified", "gaps": gaps}
         # Inf and sup of every tail window, each in one backward pass.
-        backward = [integrate_signed(t, mu) for t in reversed(terms)]
-        window_infs = list(accumulate(backward, spaces.inf_pair))[::-1]
-        window_sups = list(accumulate(backward, spaces.sup_pair))[::-1]
+        backward = [_signed_row(t, mu) for t in reversed(terms)]
+        window_infs, window_sups = (list(accumulate(backward, partial(row_lattice, op)))[::-1]
+                                    for op in (min, max))
 
         def sandwich_probe(eps):
-            bump = spaces.scale(eps, unit)
-            lower, upper = spaces.sub(f_int, bump), spaces.add(f_int, bump)
-            return lambda i: (spaces.leq(lower, window_infs[i - 1])
-                              and spaces.leq(window_sups[i - 1], upper))
+            bump = scaled_unit(mu.backend, eps)
+            lower, upper = row_sub(f_int, bump), row_add(f_int, bump)
+            return lambda i: (row_leq(mu.backend, lower, window_infs[i - 1])
+                              and row_leq(mu.backend, window_sups[i - 1], upper))
 
         gaps = certify_gaps(epsilons, len(terms), sandwich_probe,
                             "sandwich gap {eps} not certified")
         details["part4_sandwich"] = "holds"
         details["part4_mode"] = {"mode": "gap-certified", "gaps": gaps}
-    details["limit_integral"] = ext_to_json(extended.finite(f_int))
+    details["limit_integral"] = ext_to_json(from_row(mu.backend, f_int))
     return holds("dct", **details)

@@ -18,7 +18,7 @@ import math
 from functools import cached_property
 from typing import Dict, Iterable, List, Sequence
 
-from . import extended, spaces
+from . import extended
 from .errors import (
     MAX_EXHAUSTIVE_ATOMS,
     Frozen,
@@ -224,9 +224,8 @@ class Measure:
         if mask not in self._memo:
             self.space.require_measurable(mask)
             row = self.row(mask)
-            self._memo[mask] = (extended.infinity(self.backend) if row is None else
-                                extended.finite(spaces._element(self.backend, row,
-                                                                self.atom_table[0])))
+            self._memo[mask] = extended.from_row(
+                self.backend, None if row is None else (row, self.atom_table[0]))
         return self._memo[mask]
 
     @cached_property

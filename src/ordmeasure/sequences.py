@@ -172,14 +172,18 @@ def declared_cycle(seq: SequenceSpec, horizon: Optional[int]) -> tuple:
     """``(samples, preperiod, period)``: the terms of `seq` up to the horizon
     and the cycle its metadata declares, ``samples[preperiod:][:period]``.
     The one reader of a tail: a CertificationError refuses a sequence that
-    declares no `Periodic` cycle, and a horizon that ends before its first
-    full cycle does."""
+    declares no `Periodic` cycle, a horizon that ends before its first full
+    cycle does, and a term past it that is not the term one period before."""
     samples, metadata = seq.sample(horizon), seq.metadata
     if (not isinstance(metadata, Periodic)
             or len(samples) < metadata.index - 1 + metadata.period):
         raise CertificationError(f"tail not certifiable within horizon {len(samples)}: "
                                  "it needs a declared cycle, sampled in full")
-    return samples, metadata.index - 1, metadata.period
+    pre, period = metadata.index - 1, metadata.period
+    for n in range(pre + period, len(samples)):
+        if samples[n] != samples[n - period]:
+            raise CertificationError(f"declared cycle contradicted by term {n + 1}")
+    return samples, pre, period
 
 
 def declared_limit(seq: SequenceSpec, horizon: Optional[int]) -> tuple:

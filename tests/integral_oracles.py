@@ -28,6 +28,11 @@ the order test and the pointwise certificate of the monotone convergence
 theorem before it compared all its functions on one `_columns` table:
 the first crosswise on each pair of numerators, the second over one lcm
 per ground point, on the side of the target that the direction names.
+
+`ext_certify_monotone_limit` is the former ``extended.certify_monotone_limit``
+on extended elements, before the certifier moved onto the integer rows of
+the integral core; its divergence branch scans the full ladder of bounds
+(`ladder_certify_divergence`) instead of bisecting it.
 """
 
 import math
@@ -40,7 +45,7 @@ from ordmeasure.errors import CertificationError, OrdMeasureError, ValidationErr
 from ordmeasure.extended import ext_add, ext_leq, ext_scale, ext_zero
 from ordmeasure.measures import mask_to_points
 from ordmeasure.rationals import INFINITY, is_infinite
-from ordmeasure.sequences import certify_gaps
+from ordmeasure.sequences import certify_gaps, stable_from
 
 
 def elementary_from_dense(space, values: Sequence[Fraction]) -> om.ElementaryFunction:
@@ -285,3 +290,52 @@ def certify_scalar_convergence(terms, f, x: int, epsilons, increasing: bool):
 
     certify_gaps(epsilons, len(samples), probe,
                  f"pointwise gap {{eps}} at point {x} not certified")
+
+
+def ladder_certify_divergence(terms) -> int:
+    """Oracle for `extended.certify_divergence` on extended elements: every
+    rung k = 1 .. h - 1 of h terms tested (rung 1 when h is 1), and the top
+    rung returned."""
+    unit = om.order_unit(terms[0].space)
+    top = max(len(terms), 2) - 1
+    for k in range(1, top + 1):
+        bound = om.finite(om.scale(Fraction(k), unit))
+        if not any(not ext_leq(t, bound) for t in terms):
+            raise CertificationError(
+                f"divergence not certified: all samples below {k} * unit"
+            )
+    return top
+
+
+def ext_certify_monotone_limit(values, target, epsilons, increasing: bool = True) -> dict:
+    """The certificate that `target` is the supremum of the increasing
+    extended elements `values`, or the infimum of the decreasing ones: the
+    stabilized, divergence-certified or gap-certified mode with its
+    evidence, or the CertificationError that refuses it."""
+    def precedes(a, b):
+        return ext_leq(a, b) if increasing else ext_leq(b, a)
+
+    direction = "increasing" if increasing else "decreasing"
+    for n in range(1, len(values)):
+        if not precedes(values[n - 1], values[n]):
+            raise CertificationError(f"integral sequence not {direction} at {n}")
+    crossing = "exceeds" if increasing else "dips below"
+    for n, v in enumerate(values, start=1):
+        if not precedes(v, target):
+            raise CertificationError(f"integral sequence {crossing} the target at {n}")
+    if values[-1] == target:
+        return {"mode": "stabilized", "at": stable_from(values).index}
+    if target.is_infinite:
+        return {"mode": "divergence-certified",
+                "ladder_top": ladder_certify_divergence(values)}
+    unit = spaces.order_unit(target.space)
+
+    def probe(eps):
+        bump = om.finite(spaces.scale(eps, unit))
+        if increasing:
+            return lambda i: ext_leq(target, ext_add(values[i - 1], bump))
+        ceiling = ext_add(target, bump)
+        return lambda i: ext_leq(values[i - 1], ceiling)
+
+    gaps = certify_gaps(epsilons, len(values), probe, "integral gap {eps} not certified")
+    return {"mode": "gap-certified", "gaps": gaps}

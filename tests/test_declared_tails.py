@@ -333,19 +333,42 @@ class TestDeclarations:
         assert str(caught.value) == (f"tail not certifiable within horizon {horizon}: "
                                      "it needs a declared cycle, sampled in full")
 
-    @pytest.mark.parametrize("metadata, horizon, cycle", [
-        (Periodic(3, 2), 4, (2, 2)), (Periodic(4, 1), 4, (3, 1)), (Periodic(1, 1), 9, (0, 1))])
-    def test_reader_returns_the_declared_cycle(self, metadata, horizon, cycle):
-        samples, *read = declared_cycle(SequenceSpec(lambda n: n, metadata=metadata), horizon)
-        assert samples == list(range(1, horizon + 1)) and tuple(read) == cycle
+    @pytest.mark.parametrize("metadata, horizon, cycle, samples", [
+        (Periodic(3, 2), 4, (2, 2), [1, 2, 3, 4]),
+        (Periodic(3, 2), 7, (2, 2), [1, 2, 3, 4, 3, 4, 3]),
+        (Periodic(4, 1), 5, (3, 1), [1, 2, 3, 4, 4]), (Periodic(1, 1), 9, (0, 1), [1] * 9)])
+    def test_reader_returns_the_declared_cycle(self, metadata, horizon, cycle, samples):
+        # The terms 1, 2, ... up to the end of the first declared cycle, then that cycle.
+        terms = list(range(1, metadata.index + metadata.period))
+        seq = SequenceSpec(cycled(terms, metadata), metadata=metadata)
+        assert declared_cycle(seq, horizon) == (samples, *cycle)
 
+    @pytest.mark.parametrize("metadata, horizon, term", [
+        (Periodic(1, 1), 9, 2), (Periodic(3, 2), 5, 5), (Periodic(2, 1), 5, 3)])
+    def test_reader_refuses_a_contradicted_cycle(self, metadata, horizon, term):
+        # n is periodic nowhere: the first term one period past a sampled one differs.
+        with pytest.raises(CertificationError,
+                           match=f"^declared cycle contradicted by term {term}$"):
+            declared_cycle(SequenceSpec(lambda n: n, metadata=metadata), horizon)
+
+    def test_fatou_refuses_a_contradicted_library_declaration(self):
+        # from_terms([a, b]) samples a, b, b, b; read as the cycle (a, b) from
+        # term 1, Fatou held with lhs = rhs = (0, 1), a's integral, while the
+        # liminf is b, whose integral is (5, 5).
+        space, c2 = om.power_set_space(2), om.coord(2)
+        mu = om.Measure(space, c2, {1: om.finite(om.element(c2, [1, 0])),
+                                    2: om.finite(om.element(c2, [0, 1]))})
+        a, b = om.ext_function(space, [0, 1]), om.ext_function(space, [5, 5])
+        with pytest.raises(CertificationError, match="^declared cycle contradicted by term 3$"):
+            om.fatou(mu, from_terms([a, b], metadata=Periodic(1, 2)), horizon=4)
 
     @pytest.mark.parametrize("metadata, horizon, limit", [
         (Periodic(3, 1), 3, 3), (Periodic(2, 1), 5, 2), (om.DeclaredLimit(7), 1, 7)],
         ids=["stabilizes", "period-1", "declared"])
     def test_limit_reader_returns_the_declared_limit(self, metadata, horizon, limit):
-        samples, read = declared_limit(SequenceSpec(lambda n: n, metadata=metadata), horizon)
-        assert samples == list(range(1, horizon + 1)) and read == limit
+        samples, read = declared_limit(SequenceSpec(lambda n: min(n, limit), metadata=metadata),
+                                       horizon)
+        assert samples == [min(n, limit) for n in range(1, horizon + 1)] and read == limit
 
     @pytest.mark.parametrize("metadata, horizon, message", [
         (None, 8, UNDECLARED), (Periodic(1, 2), 8, UNDECLARED),

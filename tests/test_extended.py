@@ -10,6 +10,7 @@ from ordmeasure.errors import CertificationError, SchemaError
 from ordmeasure.extended import (
     certify_divergence,
     certify_monotone_limit,
+    ext_rows,
     ext_sub_finite,
     ext_zero,
     is_ext_positive,
@@ -24,7 +25,8 @@ from ordmeasure.sequences import (
 )
 
 from conftest import random_element, random_ext_element
-from integral_oracles import ext_scalar_add, ext_scalar_leq, ext_scalar_mul
+from integral_oracles import (ext_scalar_add, ext_scalar_leq, ext_scalar_mul,
+                              ladder_certify_divergence)
 from limit_oracles import stable_tail_sup_increasing
 
 C2 = om.coord(2)
@@ -35,6 +37,18 @@ def fin(x, y):
 
 
 INF = om.infinity(C2)
+
+
+def on_rows(values, target, epsilons, increasing=True):
+    """`certify_monotone_limit` on extended elements of one space, which
+    `ext_rows` converts to the rows it takes."""
+    *rows, target_row = ext_rows([*values, target])
+    return certify_monotone_limit(target.space, rows, target_row, epsilons, increasing)
+
+
+def divergence_on_rows(terms):
+    """`certify_divergence` on extended elements, converted by `ext_rows`."""
+    return certify_divergence(terms[0].space, ext_rows(terms))
 
 
 ext_elements = st.one_of(
@@ -162,7 +176,7 @@ def certified_limit(seq: SequenceSpec, horizon=None):
     """The limit that the increasing sequence of elements `seq` declares
     (`declared_limit`), certified on its samples by `certify_monotone_limit`."""
     terms, limit = declared_limit(seq, horizon)
-    certify_monotone_limit([om.finite(t) for t in terms], om.finite(limit), DEFAULT_EPSILONS)
+    on_rows([om.finite(t) for t in terms], om.finite(limit), DEFAULT_EPSILONS)
     return limit
 
 
@@ -175,13 +189,13 @@ class TestCertifyMonotoneLimit:
 
     def test_stabilized_at_the_final_run(self):
         values = [fin(1, 0), fin(2, 3), fin(2, 3)]
-        assert certify_monotone_limit(values, fin(2, 3), DEFAULT_EPSILONS) == {
+        assert on_rows(values, fin(2, 3), DEFAULT_EPSILONS) == {
             "mode": "stabilized", "at": 2}
 
     @pytest.mark.parametrize("increasing", [True, False], ids=["increasing", "decreasing"])
     def test_constant_is_stabilized_from_the_first_term(self, increasing):
         x = fin(2, 3)
-        assert certify_monotone_limit([x] * 16, x, DEFAULT_EPSILONS, increasing) == {
+        assert on_rows([x] * 16, x, DEFAULT_EPSILONS, increasing) == {
             "mode": "stabilized", "at": 1}
 
     @pytest.mark.parametrize("increasing, message", [
@@ -192,7 +206,7 @@ class TestCertifyMonotoneLimit:
         # (-1)^n * (1, 1) rises from term 1 to term 2 and falls to term 3.
         values = [_diag((-1) ** n) for n in range(1, 9)]
         with pytest.raises(CertificationError, match=message):
-            certify_monotone_limit(values, fin(1, 1), DEFAULT_EPSILONS, increasing)
+            on_rows(values, fin(1, 1), DEFAULT_EPSILONS, increasing)
 
     @pytest.mark.parametrize("increasing, values, target, message", [
         (True, [fin(n, 0) for n in range(1, 17)], fin(10, 10),
@@ -205,7 +219,7 @@ class TestCertifyMonotoneLimit:
         # n * (1, 0) passes (10, 10) at n = 11; (1 + 2^-n) * (1, 1) starts
         # below (2, 2).
         with pytest.raises(CertificationError, match=message):
-            certify_monotone_limit(values, target, DEFAULT_EPSILONS, increasing)
+            on_rows(values, target, DEFAULT_EPSILONS, increasing)
 
     @pytest.mark.parametrize("declared", [[1, 1], [3, 1]], ids=["below", "incomparable"])
     def test_constant_declaring_another_limit(self, declared):
@@ -228,7 +242,7 @@ class TestCertifyMonotoneLimit:
         # (1 -+ 2^-n) * (1, 1) is within 2^-k of (1, 1) from n = k on.
         sign = -1 if increasing else 1
         values = [_diag(1 + sign * Fraction(1, 2**n)) for n in range(1, 65)]
-        assert certify_monotone_limit(values, fin(1, 1), DEFAULT_EPSILONS, increasing) == {
+        assert on_rows(values, fin(1, 1), DEFAULT_EPSILONS, increasing) == {
             "mode": "gap-certified",
             "gaps": [{"epsilon": f"1/{2**k}", "index": k} for k in (4, 8, 12, 16)]}
 
@@ -240,26 +254,27 @@ class TestCertifyMonotoneLimit:
         # 1 - 1/n is 1/8 short of 1 at n = 8, and zero is 1 short: neither
         # comes within 1/16.
         with pytest.raises(CertificationError, match="^integral gap 1/16 not certified$"):
-            certify_monotone_limit(values, target, DEFAULT_EPSILONS)
+            on_rows(values, target, DEFAULT_EPSILONS)
 
     def test_infinite_target(self):
         # n * (1, 1) escapes every rung k * (1, 1), k = 1 .. 7, of eight
         # samples; a sequence that reaches infinity has stabilized there, and
         # exceeds any finite target there.
         values = [fin(n, n) for n in range(1, 9)]
-        assert certify_monotone_limit(values, INF, DEFAULT_EPSILONS) == {
+        assert on_rows(values, INF, DEFAULT_EPSILONS) == {
             "mode": "divergence-certified", "ladder_top": 7}
         reaching = values[:3] + [INF] * 5
-        assert certify_monotone_limit(reaching, INF, DEFAULT_EPSILONS) == {
+        assert on_rows(reaching, INF, DEFAULT_EPSILONS) == {
             "mode": "stabilized", "at": 4}
         with pytest.raises(CertificationError,
                            match="^integral sequence exceeds the target at 4$"):
-            certify_monotone_limit(reaching, fin(9, 9), DEFAULT_EPSILONS)
+            on_rows(reaching, fin(9, 9), DEFAULT_EPSILONS)
 
     def test_declared_stabilization_is_read_only_when_sampled(self):
         # min(n, 100) is constant from term 100 on: its supremum is 100,
         # which four terms do not reach, and a declared index before the
-        # terms stop rising is exceeded.
+        # terms stop rising is contradicted by the next sampled term, which
+        # `declared_cycle` reads before the certifier sees the target.
         reals = om.reals()
 
         def term(n):
@@ -269,7 +284,7 @@ class TestCertifyMonotoneLimit:
             certified_limit(seq, horizon=4)
         assert certified_limit(seq, horizon=100) == term(100)
         with pytest.raises(CertificationError,
-                           match="^integral sequence exceeds the target at 31$"):
+                           match="^declared cycle contradicted by term 31$"):
             certified_limit(SequenceSpec(term, metadata=Periodic(30, 1)), horizon=100)
 
     @pytest.mark.parametrize("horizon", [40, 64])
@@ -328,7 +343,7 @@ def _approaching_x(n: int):
 def _certification(values, target, increasing):
     """What `certify_monotone_limit` returns, or the message it refuses with."""
     try:
-        return certify_monotone_limit(values, target, DEFAULT_EPSILONS, increasing)
+        return on_rows(values, target, DEFAULT_EPSILONS, increasing)
     except CertificationError as exc:
         return str(exc)
 
@@ -380,18 +395,6 @@ class TestParseRational:
             parse_rational(text)
 
 
-def ladder_certify_divergence(terms):
-    """Oracle for `certify_divergence`: every rung k = 1 .. h - 1 tested, for
-    h terms."""
-    unit = om.order_unit(terms[0].space)
-    for k in range(1, max(len(terms), 2)):
-        bound = om.finite(om.scale(Fraction(k), unit))
-        if not any(not om.ext_leq(t, bound) for t in terms):
-            raise CertificationError(
-                f"divergence not certified: all samples below {k} * unit"
-            )
-
-
 def _raised(fn, *args):
     """The message `fn` raises as a CertificationError, or None."""
     try:
@@ -433,7 +436,7 @@ class TestCertifyDivergence:
     @given(divergence_cases())
     @settings(max_examples=150, deadline=None)
     def test_agrees_with_full_ladder(self, terms):
-        assert _raised(certify_divergence, terms) == _raised(ladder_certify_divergence, terms)
+        assert _raised(divergence_on_rows, terms) == _raised(ladder_certify_divergence, terms)
 
     @pytest.mark.parametrize("top, horizon, message", [
         (9, 10, "all samples below 9 * unit"),
@@ -444,13 +447,13 @@ class TestCertifyDivergence:
     def test_first_failing_rung(self, top, horizon, message):
         # h samples climb a ladder of h - 1 rungs; only the last one is large
         terms = [fin(0, 1)] * (horizon - 1) + [fin(top, 0)]
-        raised = _raised(certify_divergence, terms)
+        raised = _raised(divergence_on_rows, terms)
         assert raised == (message and f"divergence not certified: {message}")
 
     @pytest.mark.parametrize("horizon, top", [(1, 1), (2, 1), (10, 9)])
     def test_returns_the_top_rung(self, horizon, top):
         terms = [fin(0, 1)] * (horizon - 1) + [fin(10, 0)]
-        assert certify_divergence(terms) == top
+        assert divergence_on_rows(terms) == top
 
 
 def _outcome(fn, *args, **kwargs):

@@ -1185,9 +1185,10 @@ class TestMonotoneConvergenceRejections:
     def test_integral_sequence_rejects(self, increasing, values, target, message):
         # Terms that pass the pointwise tests have monotone integrals on the
         # right side of the target, so these are reached by calling the
-        # certifier that both directions share.
+        # certifier that both directions share, on the rows of the values.
+        *rows, target_row = extended.ext_rows([*values, target])
         with pytest.raises(CertificationError) as caught:
-            extended.certify_monotone_limit(values, target, DEFAULT_EPSILONS, increasing)
+            extended.certify_monotone_limit(C2, rows, target_row, DEFAULT_EPSILONS, increasing)
         assert str(caught.value) == message
 
 

@@ -13,6 +13,11 @@ integral memo, so ladder runs) and of ladder rungs (`_rung_row` calls) in
 one run of each shipped document at horizons 64 and 256.  A derived part
 that reached the core in another integer form than the function it
 stands for would miss the memo and raise both.
+
+The sequence checks compute on the core's integer rows and build an
+element only for a value their report prints, so the elements that one
+run of a sequence document builds (`spaces._element` calls) do not grow
+with the horizon: an element per sampled term would.
 """
 
 import json
@@ -25,7 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ordmeasure as om
-from ordmeasure import integral, scenarios
+from ordmeasure import integral, scenarios, spaces
 from ordmeasure.rationals import INFINITY
 
 import integral_oracles as oracle
@@ -82,6 +87,21 @@ def test_evaluations_and_rungs_per_shipped_document(monkeypatch, name):
                                scenarios.RunConfig(horizon=horizon))
         seen.append((counts["_ladder_supremum"], counts["_rung_row"]))
     assert tuple(seen) == PINNED[name]
+
+
+@pytest.mark.parametrize("name", ["dct_geometric", "mct_basic", "mct_decreasing_basic",
+                                  "mct_divergent"])
+def test_elements_per_run_do_not_grow_with_the_horizon(monkeypatch, name):
+    built, trusted = [], spaces._element
+    monkeypatch.setattr(spaces, "_element", lambda *args: built.append(1) or trusted(*args))
+    doc = json.loads((SCENARIOS / f"{name}.json").read_text())
+    seen = []
+    for horizon in (64, 256):
+        scenario = scenarios.parse_scenario(doc)
+        built.clear()
+        scenarios.run_scenario(scenario, scenarios.RunConfig(horizon=horizon))
+        seen.append(len(built))
+    assert seen[0] == seen[1], seen
 
 
 def positive_element(draw, backend):

@@ -36,6 +36,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path("src") / "ordmeasure"
 CORE, UNIT = "tests/test_integral_core.py", "tests/test_integral.py"
 TAILS = "tests/test_declared_tails.py"
+ROWS = "tests/test_row_route.py"
 
 # (name, module file, function, old, new, test files)
 MUTANTS = [
@@ -79,6 +80,16 @@ MUTANTS = [
     ("Loewner order: a zero pivot with a nonzero row is accepted", "spaces.py",
      "is_positive_row", "if any(row[k + 1:]):\n    return False", "pass",
      ["tests/test_spaces.py"]),
+    ("dct: the row window infimum takes max", "integral.py", "dct", "(min, max)",
+     "(max, max)", [ROWS]),
+    ("signed row: the shifted decomposition is not compared", "integral.py", "_signed_row",
+     "lhs is not None and rhs is not None and (not row_eq(row_sub(lhs, rhs), result))",
+     "False", [ROWS]),
+    ("row certifier: the decreasing direction is swapped", "extended.py",
+     "certify_monotone_limit", "row_leq(space, b, a)", "row_leq(space, a, b)",
+     ["tests/test_extended.py"]),
+    ("row_leq: the denominators are swapped in the cross-multiplication", "extended.py",
+     "row_leq", "q * dx - p * dy", "q * dy - p * dx", [ROWS]),
 ]
 
 
