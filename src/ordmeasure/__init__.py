@@ -24,7 +24,7 @@ _EXPORTS = {
                    "ValidationError"),
         ("rationals", "INFINITY format_rational parse_rational"),
         ("sequences", "DEFAULT_EPSILONS DEFAULT_HORIZON DeclaredLimit Periodic SequenceSpec "
-                      "from_terms"),
+                      "from_terms geometric listed scaled_index truncation_ladder"),
         ("spaces", "Element NoSupremum SpaceDescriptor SpaceKind add basis_vector "
                    "coord element entrywise_mat inf_pair is_psd leq loewner_sym "
                    "order_unit reals scale sub sup_pair sym_matrix zero"),

@@ -24,34 +24,19 @@ Top-level keys:
   sequences      {"name": <sequence spec>}  (function sequences)
   checks         [<directive>, ...]
 
-Sequence specs (terms are function names or inline {"values": [...]}):
+Sequence specs (terms are function names or inline {"values": [...]}),
+each built and declared by the `sequences` constructor of its kind:
 
-  {"kind": "explicit", "terms": [...]}
-      final term repeats forever: Periodic(first index of its final run, 1)
+  {"kind": "explicit" | "alternating", "terms": [...]}
   {"kind": "geometric", "base": f, "bump": g, "ratio": "-1/2"}
-      term n is base + ratio^n * bump; |ratio| < 1, declared limit base
-      (Periodic(1, 1) when the ratio or the bump is 0)
   {"kind": "truncation_ladder", "of": f}
-      term n is f truncated at level n; increasing with declared limit f
-      (Periodic(max(1, ceil(max f)), 1) when f is finite)
-  {"kind": "alternating", "terms": [...]}
-      cycles through the terms forever: Periodic(1, least period of the list)
   {"kind": "scaled_index", "shape": g}
-      term n is n * shape; declared limit infinity on the support of g and 0
-      off it (Periodic(1, 1) when g is 0)
-An explicit or alternating list, of functions or of sets, is read by one
-parser (`_listed`) and continued past its end by `sequences.cycled`.
 
 A sequence may carry a "monotonicity" key; it is accepted but not read,
 since every check that needs a monotone sequence tests the order itself at
-every sampled index.  A check reads a tail only from the declarations above
-(`sequences.declared_cycle`), and is not-certifiable at a horizon that ends
-before the first declared cycle does.  It reads a limit only from them too
-(`sequences.declared_limit`): the limit of an `mct`, `mct_decreasing` or
-`dct` directive must equal the declared one, such as a geometric base or
-a ladder's f, off the null atoms.  A declared limit that is no function of
-the directive's kind, such as an infinite one under `dct`, is a schema
-error of the directive.
+every sampled index.  A declared limit that is no function of the
+directive's kind, such as an infinite one under `dct`, is a schema error
+of the directive.
 
 Check directives are objects {"check": <name>, <key>: ...}, each with an
 optional "expect": "holds" | "fails" | "hypothesis-not-met" |
@@ -61,8 +46,8 @@ and the handler that run it, each key's JSON type, whether the key is
 required, and what the key resolves to (a named function or sequence, a
 list or sequence of measurable sets, a rational, an element, a space, a
 matrix).  A set sequence is {"kind": "explicit" | "alternating", "terms":
-[[points...], ...]} or a bare array of sets (explicit), whose tail is
-declared as that of a function sequence of the same kind.
+[[points...], ...]} or a bare array of sets (explicit), built by
+`sequences.listed` as a function list is.
 
 `parse_scenario` resolves every directive and every named sequence, so a
 document that parses (`ordmeasure validate`) raises no schema error when it
@@ -73,7 +58,6 @@ from __future__ import annotations
 
 import importlib
 import json
-import math
 from fractions import Fraction
 from functools import partial
 from typing import Callable, Dict, List, Optional
@@ -87,8 +71,8 @@ from .measures import MeasurableSpace, Measure, mask_to_points, points_to_mask
 from .rationals import format_rational, over_one_den, parse_ext_scalar, parse_rational
 from .reports import (CheckResult, FAILS, HOLDS, HYPOTHESIS_NOT_MET, NOT_CERTIFIABLE,
                       STATUSES)
-from .sequences import (DEFAULT_HORIZON, DeclaredLimit, Periodic, SequenceSpec,
-                        check_horizon, cycled, epsilon_schedule, least_cycle, stable_from)
+from .sequences import (DEFAULT_HORIZON, SequenceSpec, check_horizon, epsilon_schedule,
+                        geometric, listed, scaled_index, truncation_ladder, typed)
 from .spaces import Element, SpaceDescriptor, coord, entrywise_mat, loewner_sym, reals
 
 
@@ -250,21 +234,19 @@ def _resolve_term(functions: dict, ground: int, term, path: str) -> tuple:
     return functions[term]
 
 
-def _listed(kind: str, doc, what: str, path: str, tpath: str, read: Callable) -> tuple:
-    """The terms of an "explicit" or "alternating" list `doc` at `tpath`, each
-    read by ``read(term, its path)`` to a canonical value, and the tail they
-    declare (`stable_from`, `least_cycle`); an empty list is refused at `path`."""
-    terms = _items(doc, "terms", tpath, read)
-    if not terms:
-        raise SchemaError(f"{what} needs terms", path)
-    return terms, (least_cycle if kind == "alternating" else stable_from)(terms)
+def _built(path: str, build: Callable, *args, message: Optional[str] = None) -> tuple:
+    """``build(*args)``, a `sequences` constructor, with its refusal made a schema
+    error at `path`, or at the key that it names, and `message` if given."""
+    try:
+        return build(*args)
+    except ValidationError as exc:
+        key = (exc.witness or {}).get("key")
+        raise SchemaError(message or str(exc), f"{path}/{key}" if key else path) from None
 
 
 def _parse_sequence(functions: dict, ground: int, doc, path: str) -> tuple:
-    """``(spec, witnesses)``: the `SequenceSpec` of a named sequence's (nums, den,
-    inf) forms (`over_one_den`, not always reduced) and declaration, and the
-    forms that are functions of a kind ("ext" or "signed") exactly when every
-    term is: a list's terms, and a few decided in closed form for the rest."""
+    """``(spec, witnesses)`` of a named sequence: the `sequences` constructor of
+    its kind on its (nums, den, inf) forms (`over_one_den`, not always reduced)."""
     doc = _require_json(doc, dict, "sequence", path)
     kind = doc.get("kind")
 
@@ -272,63 +254,16 @@ def _parse_sequence(functions: dict, ground: int, doc, path: str) -> tuple:
         return _resolve_term(functions, ground, doc.get(key), f"{path}/{key}")
 
     if kind in ("explicit", "alternating"):
-        terms, tail = _listed(kind, doc.get("terms", []), f"{kind} sequence", path,
-                              path + "/terms", partial(_resolve_term, functions, ground))
-        return SequenceSpec(cycled(terms, tail), metadata=tail), tuple(terms)
-
-    # The witnesses of a generated kind.  Geometric: terms 1 and 2 are
-    # measurable exactly when every term is (their difference fixes the
-    # bump on each atom when the ratio is not 0, and every term is the base
-    # when it is), and the least value over n >= 1 at each point is
-    # base + min(0, ratio * bump, ratio^2 * bump), where 0 is approached
-    # but not attained.  Truncation ladder: the rung above every finite
-    # value keeps those values and makes infinity a value of its own.
-    # Scaled index: term 1, the shape, has every term's sign and level sets.
+        terms = _items(doc.get("terms", []), "terms", path + "/terms",
+                       partial(_resolve_term, functions, ground))
+        return _built(path, listed, terms, kind, message=f"{kind} sequence needs terms")
     if kind == "geometric":
-        base, bump = term("base"), term("bump")
-        ratio = parse_rational(doc.get("ratio"), path + "/ratio")
-        if abs(ratio) >= 1:
-            raise SchemaError("geometric ratio must satisfy |ratio| < 1",
-                              path + "/ratio")
-        if base[2] or bump[2]:
-            raise SchemaError("geometric sequences need finite base and bump", path)
-        den = math.lcm(base[1], bump[1])
-        b = [n * (den // base[1]) for n in base[0]]
-        h = [n * (den // bump[1]) for n in bump[0]]
-        p, q = ratio.numerator, ratio.denominator
-
-        def geometric(n):  # (b * q^n + h * p^n) / (den * q^n)
-            pn, qn = p**n, q**n
-            return tuple(x * qn + y * pn for x, y in zip(b, h)), den * qn, 0
-        least = tuple(x * q * q + min(0, p * q * y, p * p * y) for x, y in zip(b, h))
-        metadata = Periodic(1, 1) if p == 0 or not any(h) else DeclaredLimit(base)
-        return (SequenceSpec(geometric, metadata=metadata),
-                (geometric(1), geometric(2), (least, den * q * q, 0)))
-
+        return _built(path, geometric, term("base"), term("bump"),
+                      parse_rational(doc.get("ratio"), path + "/ratio"))
     if kind == "truncation_ladder":
-        nums, den, inf = f = term("of")
-
-        def rung(n):
-            cap = n * den
-            return tuple(cap if inf >> x & 1 else min(v, cap)
-                         for x, v in enumerate(nums)), den, 0
-        # floor of the largest finite value; an infinite point's 0 changes
-        # no level at or above 1.  A finite f is rung n from n >= max f on.
-        metadata = DeclaredLimit(f) if inf else Periodic(max(1, -(-max(nums) // den)), 1)
-        return SequenceSpec(rung, metadata=metadata), (rung(max(1, max(nums) // den + 1)),)
-
+        return truncation_ladder(term("of"))
     if kind == "scaled_index":
-        nums, den, inf = term("shape")
-        if inf:
-            raise SchemaError("scaled_index shape must be finite", path)
-
-        def scaled(n):
-            return tuple(n * v for v in nums), den, 0
-        # The pointwise limit: infinity on the shape's support, 0 off it.
-        support = points_to_mask(x for x, v in enumerate(nums) if v)
-        metadata = DeclaredLimit(((0,) * ground, 1, support)) if support else Periodic(1, 1)
-        return SequenceSpec(scaled, metadata=metadata), (scaled(1),)
-
+        return _built(path, scaled_index, term("shape"))
     raise SchemaError(f"unknown sequence kind {kind!r}", path)
 
 
@@ -377,15 +312,9 @@ def _function_sequence(kind: str):
             for values in witnesses:
                 _as_function(integral, space, values, kind, path)
             cls = integral.ExtFunction if kind == "ext" else integral.SignedFunction
-            metadata = seq.metadata
-            if isinstance(metadata, DeclaredLimit):
-                metadata = DeclaredLimit(_as_function(integral, space, metadata.value, kind,
-                                                      path))
-
-            def term(n):
-                nums, den, inf = seq.generator(n)
-                return integral._trusted(cls, space, *integral._reduced(nums, den), inf)
-            scenario.specs[key] = SequenceSpec(term, metadata=metadata)
+            scenario.specs[key] = typed(seq, lambda form: integral._trusted(
+                cls, space, *integral._reduced(*form[:2]), form[2]),
+                partial(_as_function, integral, space, kind=kind, path=path))
         return scenario.specs[key]
     return resolve
 
@@ -409,11 +338,10 @@ def _set_sequence(scenario: Scenario, doc, path: str):
     kind, terms, tpath = "explicit", doc, path  # a bare array is an explicit list
     if isinstance(doc, dict):
         kind, terms, tpath = doc.get("kind", "explicit"), doc.get("terms", []), path + "/terms"
-    terms, tail = _listed(kind, terms, "set sequence", path, tpath,
-                          partial(_measurable_set, scenario))
     if kind not in ("explicit", "alternating"):
         raise SchemaError(f"unknown set sequence kind {kind!r}", path)
-    return SequenceSpec(cycled(terms, tail), metadata=tail)
+    terms = _items(terms, "terms", tpath, partial(_measurable_set, scenario))
+    return _built(path, listed, terms, kind, message="set sequence needs terms")[0]
 
 
 def _matrix(scenario: Scenario, doc: list, path: str) -> list:

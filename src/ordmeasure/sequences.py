@@ -1,21 +1,35 @@
-"""Finite surrogates for infinite sequences.
+"""Finite surrogates for infinite sequences, and the kinds that build them.
 
-A `SequenceSpec` wraps a generator ``index -> value`` (1-based) together
-with optional metadata about the limit behaviour; the horizon, how many
-terms are sampled, is the caller's.  The spec claims no order: a check that
-needs a monotone sequence tests the order of its samples.  Every claim is
-certified at sampled indices before a result that depends on it is
-produced; nothing is ever inferred from the samples alone beyond what the
-metadata licenses.  It declares one of two things: a tail, `Periodic`
-(period 1 where the sequence stabilizes), read only by `declared_cycle`, or
-a `DeclaredLimit` value of the terms' type.  `declared_limit` reads a
-limit from either, a cycle of period 1 or the value.  A listed sequence is
-continued past its list by one generator, `cycled`, from the tail that the
-list declares.
+A `SequenceSpec` wraps a generator ``index -> value`` (1-based) and the
+metadata that declares its limit behaviour; the caller chooses the
+horizon, how many terms are sampled.  The spec claims no order: a check
+that needs a monotone sequence tests the order of its samples.  Nothing is
+inferred from the samples beyond the metadata: a tail, `Periodic` (period 1
+where the sequence stabilizes), read only by `declared_cycle`, which
+refuses one that the window contradicts, or a `DeclaredLimit` value of the
+terms' type; `declared_limit` reads a limit from either.
+
+Each kind is built by one constructor, which makes its generator, its
+declaration and its witnesses (forms that are functions of a kind exactly
+when every term is) from the same arguments, and refuses with a
+ValidationError an argument that would make the declaration false:
+
+  listed(terms, "explicit")     Periodic(first index of the final run, 1)
+  listed(terms, "alternating")  Periodic(1, least period of the list)
+  geometric(base, bump, ratio)  base + ratio^n * bump, |ratio| < 1: limit base,
+                                or Periodic(1, 1) if the ratio or bump is 0
+  truncation_ladder(f)          f truncated at n: limit f, or Periodic(max(1,
+                                ceil(max f)), 1) if f is finite
+  scaled_index(shape)           n * shape: limit infinity on its support and 0
+                                off it, or Periodic(1, 1) if the shape is 0
+
+A list of any terms is continued past its end by `cycled` (`from_terms` is
+an explicit list); the other kinds take and make `over_one_den` forms.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Any, Callable, List, Optional, Sequence
 
@@ -93,9 +107,6 @@ class DeclaredLimit(Frozen):
     __slots__ = ("value",)
 
 
-Metadata = Optional[object]
-
-
 def check_horizon(horizon) -> int:
     """`horizon`, when it is a positive integer; otherwise a ValidationError.
 
@@ -108,11 +119,11 @@ def check_horizon(horizon) -> int:
 
 
 class SequenceSpec:
-    """Lazily evaluated 1-indexed sequence with declared behaviour."""
+    """Lazily evaluated 1-indexed sequence; a raw spec's metadata is its caller's claim."""
 
     __slots__ = ("generator", "metadata", "_memo")
 
-    def __init__(self, generator: Callable[[int], Any], *, metadata: Metadata = None):
+    def __init__(self, generator: Callable[[int], Any], *, metadata: Optional[object] = None):
         self.generator = generator
         self.metadata = metadata
         self._memo = {}
@@ -154,18 +165,79 @@ def least_cycle(terms: Sequence) -> Periodic:
                             if size % p == 0 and terms[p:] == terms[:size - p]))
 
 
-def from_terms(terms: list, *, metadata: Metadata = None) -> SequenceSpec:
-    """Explicit sequence; the final term repeats forever past the list.
-
-    Repeating the last term makes the infinite sequence well defined, so
-    its stabilization (`stable_from`) is declared when no metadata is given.
-    The terms sampled are the caller's horizon, however long the list.
-    """
-    if not terms:
-        raise ValueError("explicit sequence needs at least one term")
+def listed(terms: Sequence, kind: str) -> tuple:
+    """``(spec, terms)`` of a nonempty "explicit" or "alternating" list, `cycled`
+    from the tail that its kind declares (`stable_from`, `least_cycle`)."""
     items = list(terms)
-    tail = stable_from(items)
-    return SequenceSpec(cycled(items, tail), metadata=tail if metadata is None else metadata)
+    if not items or kind not in ("explicit", "alternating"):
+        raise ValidationError(f"a list needs terms and the kind explicit or alternating, "
+                              f"got {len(items)} of kind {kind!r}")
+    tail = (least_cycle if kind == "alternating" else stable_from)(items)
+    return SequenceSpec(cycled(items, tail), metadata=tail), tuple(items)
+
+
+def from_terms(terms: Sequence) -> SequenceSpec:
+    """`listed(terms, "explicit")`; the horizon sampled is the caller's."""
+    return listed(terms, "explicit")[0]
+
+
+def geometric(base: tuple, bump: tuple, ratio: Fraction) -> tuple:
+    """``(spec, witnesses)`` of ``base + ratio^n * bump``: terms 1 and 2 (their
+    difference fixes the bump on each atom when the ratio is not 0, and every
+    term is the base when it is) and the least value at each point,
+    base + min(0, ratio * bump, ratio^2 * bump), 0 approached, not attained."""
+    if abs(ratio) >= 1:
+        raise ValidationError("geometric ratio must satisfy |ratio| < 1", {"key": "ratio"})
+    if base[2] or bump[2]:
+        raise ValidationError("geometric sequences need finite base and bump")
+    if len(base[0]) != len(bump[0]):
+        raise ValidationError("geometric base and bump differ in length")
+    den = math.lcm(base[1], bump[1])
+    b, h = ([n * (den // g[1]) for n in g[0]] for g in (base, bump))
+    p, q = ratio.numerator, ratio.denominator
+
+    def term(n):  # (b * q^n + h * p^n) / (den * q^n)
+        pn, qn = p**n, q**n
+        return tuple(x * qn + y * pn for x, y in zip(b, h)), den * qn, 0
+    least = tuple(x * q * q + min(0, p * q * y, p * p * y) for x, y in zip(b, h))
+    metadata = Periodic(1, 1) if p == 0 or not any(h) else DeclaredLimit(base)
+    return SequenceSpec(term, metadata=metadata), (term(1), term(2), (least, den * q * q, 0))
+
+
+def truncation_ladder(f: tuple) -> tuple:
+    """``(spec, witnesses)`` of `f` truncated at level n: the rung above every
+    finite value, which keeps them and makes infinity a value of its own."""
+    nums, den, inf = f
+
+    def rung(n):
+        cap = n * den
+        return tuple(cap if inf >> x & 1 else min(v, cap) for x, v in enumerate(nums)), den, 0
+    # floor of the largest finite value; an infinite point's 0 changes
+    # no level at or above 1.  A finite f is rung n from n >= max f on.
+    metadata = DeclaredLimit(f) if inf else Periodic(max(1, -(-max(nums) // den)), 1)
+    return SequenceSpec(rung, metadata=metadata), (rung(max(1, max(nums) // den + 1)),)
+
+
+def scaled_index(shape: tuple) -> tuple:
+    """``(spec, witnesses)`` of ``n * shape``: term 1, the shape, which has
+    every term's sign and level sets."""
+    nums, den, inf = shape
+    if inf:
+        raise ValidationError("scaled_index shape must be finite")
+
+    def scaled(n):
+        return tuple(n * v for v in nums), den, 0
+    support = sum(1 << x for x, v in enumerate(nums) if v)
+    metadata = DeclaredLimit(((0,) * len(nums), 1, support)) if support else Periodic(1, 1)
+    return SequenceSpec(scaled, metadata=metadata), (scaled(1),)
+
+
+def typed(seq: SequenceSpec, term: Callable, limit: Callable) -> SequenceSpec:
+    """`seq` with its terms mapped by `term` (lazily), a declared limit by `limit`."""
+    metadata, generator = seq.metadata, seq.generator
+    if isinstance(metadata, DeclaredLimit):
+        metadata = DeclaredLimit(limit(metadata.value))
+    return SequenceSpec(lambda n: term(generator(n)), metadata=metadata)
 
 
 def declared_cycle(seq: SequenceSpec, horizon: Optional[int]) -> tuple:

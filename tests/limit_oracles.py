@@ -14,11 +14,18 @@ window guess that procedure read.
 and an alternating list past its end before `sequences.cycled` read the
 list's declared tail.
 
+`parsed_geometric`, `parsed_ladder` and `parsed_scaled_index` are the
+generated kinds as the branches of the former ``scenarios._parse_sequence``
+built them, before each kind moved into its `ordmeasure.sequences`
+constructor: ``(generator, declaration, witnesses)`` on (nums, den, inf)
+forms.
+
 `ext_inf_finite_list`, the former ``extended.ext_inf_finite_list``, is the
 infimum of a finite list in the extended space that Fatou's right-hand side
 was computed by before `integral.fatou` folded `spaces.inf_pair` itself.
 """
 
+import math
 from fractions import Fraction
 from typing import Any, Callable, Optional, Sequence, Union
 
@@ -42,6 +49,45 @@ def repeat_last(terms: Sequence) -> Callable[[int], Any]:
 def cycling(terms: Sequence) -> Callable[[int], Any]:
     """Term n of `terms` (1-based), the whole list cycling forever."""
     return lambda n: terms[(n - 1) % len(terms)]
+
+
+def parsed_geometric(base: tuple, bump: tuple, ratio: Fraction) -> tuple:
+    """``base + ratio^n * bump`` on finite forms, with |ratio| < 1."""
+    den = math.lcm(base[1], bump[1])
+    b = [n * (den // base[1]) for n in base[0]]
+    h = [n * (den // bump[1]) for n in bump[0]]
+    p, q = ratio.numerator, ratio.denominator
+
+    def geometric(n):  # (b * q^n + h * p^n) / (den * q^n)
+        pn, qn = p**n, q**n
+        return tuple(x * qn + y * pn for x, y in zip(b, h)), den * qn, 0
+    least = tuple(x * q * q + min(0, p * q * y, p * p * y) for x, y in zip(b, h))
+    metadata = Periodic(1, 1) if p == 0 or not any(h) else DeclaredLimit(base)
+    return geometric, metadata, (geometric(1), geometric(2), (least, den * q * q, 0))
+
+
+def parsed_ladder(f: tuple) -> tuple:
+    """`f` truncated at level n."""
+    nums, den, inf = f
+
+    def rung(n):
+        cap = n * den
+        return tuple(cap if inf >> x & 1 else min(v, cap)
+                     for x, v in enumerate(nums)), den, 0
+    metadata = DeclaredLimit(f) if inf else Periodic(max(1, -(-max(nums) // den)), 1)
+    return rung, metadata, (rung(max(1, max(nums) // den + 1)),)
+
+
+def parsed_scaled_index(shape: tuple) -> tuple:
+    """``n * shape`` on a finite form."""
+    nums, den, _ = shape
+    ground = len(nums)
+
+    def scaled(n):
+        return tuple(n * v for v in nums), den, 0
+    support = om.points_to_mask(x for x, v in enumerate(nums) if v)
+    metadata = DeclaredLimit(((0,) * ground, 1, support)) if support else Periodic(1, 1)
+    return scaled, metadata, (scaled(1),)
 
 
 def detect_stable_tail(samples: list) -> Optional[int]:

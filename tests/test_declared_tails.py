@@ -1,21 +1,23 @@
 """A sequence's tail and limit are read from its declaration, never from
 the window.
 
-The parser declares each kind's tail exactly (`scenarios._parse_sequence`,
-`_set_sequence`), and `sequences.declared_cycle` is the one reader of a
-tail: the checks that read one (`fatou`, `borel_cantelli`, the continuity
-checks, and every check of a stabilizing sequence's limit) are
-not-certifiable at a horizon that ends before the first declared cycle
-does.  `sequences.declared_limit` is the one reader of a limit, for `mct`,
-`mct_decreasing` and `dct`, and a convergence check holds only when that
-limit is its f exactly off the null atoms, infinite points included.  The
-reproducers below are sequences whose window misleads: a stretch of equal
-terms inside a cycle, a horizon that ends before the final run, or a
-declared limit that every gap of the schedule misses, or that the last
-sample happens to meet; their expected values are derived by hand in the
-comments.  The property tests compare `fatou`, `borel_cantelli` and the
-convergence checks with Fraction oracles built from the document itself,
-and the one list generator, `sequences.cycled`, with the two it replaced.
+Each kind's constructor in `sequences` declares its tail exactly, and
+refuses an argument that would make the declaration false;
+`sequences.declared_cycle` is the one reader of a tail: the checks that
+read one (`fatou`, `borel_cantelli`, the continuity checks, and every check
+of a stabilizing sequence's limit) are not-certifiable at a horizon that
+ends before the first declared cycle does.  `sequences.declared_limit` is
+the one reader of a limit, for `mct`, `mct_decreasing` and `dct`, and a
+convergence check holds only when that limit is its f exactly off the null
+atoms, infinite points included.  The reproducers below are sequences whose
+window misleads: a stretch of equal terms inside a cycle, a horizon that
+ends before the final run, or a declared limit that every gap of the
+schedule misses, or that the last sample happens to meet; their expected
+values are derived by hand in the comments.  The property tests compare
+`fatou`, `borel_cantelli` and the convergence checks with Fraction oracles
+built from the document itself, the one list generator, `sequences.cycled`,
+with the two it replaced, and each constructor with the parser branch it
+replaced.
 """
 
 import json
@@ -28,14 +30,16 @@ from hypothesis import strategies as st
 
 import ordmeasure as om
 from ordmeasure.cli import main as cli_main
-from ordmeasure.errors import CertificationError
+from ordmeasure.errors import CertificationError, ValidationError
 from ordmeasure.measures import points_to_mask
-from ordmeasure.rationals import format_rational
+from ordmeasure.rationals import INFINITY, format_rational, over_one_den
 from ordmeasure.scenarios import RunConfig, parse_scenario, run_scenario
 from ordmeasure.sequences import (Periodic, SequenceSpec, cycled, declared_cycle,
-                                  declared_limit, from_terms, least_cycle, stable_from)
+                                  declared_limit, from_terms, geometric, least_cycle, listed,
+                                  scaled_index, stable_from, truncation_ladder)
 
-from limit_oracles import cycling, repeat_last
+from limit_oracles import (cycling, parsed_geometric, parsed_ladder, parsed_scaled_index,
+                           repeat_last)
 
 # coord(2) on two points, each an atom: {0} carries (1, 0) and {1} carries (0, 1),
 # so the integral of a function is the pair of its two values.
@@ -157,6 +161,7 @@ CONVERGENCE = [
     ({"check": "dct", "dominator": "two"}, "minus_one", "1048577/1048576"),
 ]
 CONVERGENCE_IDS = ["mct", "mct_decreasing", "dct"]
+FORM_1, FORM_INF = over_one_den([Fraction(1), Fraction(1)]), over_one_den([1, INFINITY])
 UNDECLARED = ("limit not certifiable: it needs a declared stabilization or limit of its "
               "terms' type")
 # UNIT_PAIR with a third point, {2}, an atom of measure 0.
@@ -352,15 +357,39 @@ class TestDeclarations:
             declared_cycle(SequenceSpec(lambda n: n, metadata=metadata), horizon)
 
     def test_fatou_refuses_a_contradicted_library_declaration(self):
-        # from_terms([a, b]) samples a, b, b, b; read as the cycle (a, b) from
-        # term 1, Fatou held with lhs = rhs = (0, 1), a's integral, while the
-        # liminf is b, whose integral is (5, 5).
+        # A raw spec that samples a, b, b, b and claims the cycle (a, b) from
+        # term 1; read as declared, Fatou held with lhs = rhs = (0, 1), a's
+        # integral, while the liminf is b, whose integral is (5, 5).
         space, c2 = om.power_set_space(2), om.coord(2)
         mu = om.Measure(space, c2, {1: om.finite(om.element(c2, [1, 0])),
                                     2: om.finite(om.element(c2, [0, 1]))})
         a, b = om.ext_function(space, [0, 1]), om.ext_function(space, [5, 5])
+        seq = SequenceSpec(lambda n: a if n == 1 else b, metadata=Periodic(1, 2))
         with pytest.raises(CertificationError, match="^declared cycle contradicted by term 3$"):
-            om.fatou(mu, from_terms([a, b], metadata=Periodic(1, 2)), horizon=4)
+            om.fatou(mu, seq, horizon=4)
+
+    def test_from_terms_takes_no_declaration(self):
+        # A list declares the tail that it generates; there is nothing to claim.
+        with pytest.raises(TypeError, match="metadata"):
+            from_terms([1, 2], metadata=Periodic(1, 2))
+
+    @pytest.mark.parametrize("build, args", [
+        (listed, ([], "explicit")), (listed, ([], "alternating")), (listed, ((), "explicit")),
+        (listed, ([1, 2], "geometric")), (from_terms, ([],)),
+        (geometric, (FORM_1, FORM_1, Fraction(1))),
+        (geometric, (FORM_1, FORM_1, Fraction(-1))),
+        (geometric, (FORM_1, FORM_1, Fraction(3, 2))),
+        (geometric, (FORM_INF, FORM_1, Fraction(1, 2))),
+        (geometric, (FORM_1, FORM_INF, Fraction(1, 2))),
+        # zip would cut the terms to one point, under a declared limit on two
+        (geometric, (FORM_1, over_one_den([1]), Fraction(1, 2))),
+        (scaled_index, (FORM_INF,))],
+        ids=["explicit-empty", "alternating-empty", "explicit-empty-tuple", "unknown-kind",
+             "from-terms-empty", "ratio-1", "ratio-minus-1", "ratio-3/2", "infinite-base",
+             "infinite-bump", "lengths-differ", "infinite-shape"])
+    def test_constructors_refuse_a_false_declaration(self, build, args):
+        with pytest.raises(ValidationError):
+            build(*args)
 
     @pytest.mark.parametrize("metadata, horizon, limit", [
         (Periodic(3, 1), 3, 3), (Periodic(2, 1), 5, 2), (om.DeclaredLimit(7), 1, 7)],
@@ -551,6 +580,9 @@ def test_cycled_continues_a_list_as_its_old_generator(drawn):
     declare, _ = LISTED[kind]
     assert_cycled(SequenceSpec(cycled(terms, declare(terms)), metadata=declare(terms)),
                   kind, terms)
+    spec, witnesses = listed(terms, kind)
+    assert_cycled(spec, kind, terms)
+    assert witnesses == tuple(terms)
     if kind == "explicit":
         assert_cycled(from_terms(terms), kind, terms)
 
@@ -572,3 +604,43 @@ def test_parsed_lists_continue_as_their_old_generators(drawn, bare):
     assert_cycled(scenario.sequences["s"][0], kind,
                   [scenario.functions[name] for name in names])
     assert_cycled(scenario.checks[0].args["sets"], kind, [points_to_mask(s) for s in sets])
+
+
+# Each generated kind's constructor against the parser branch that it
+# replaced (`limit_oracles.parsed_*`), on forms over 1 to 3 points drawn
+# from a pool with 0 in it, so that a zero bump or shape is drawn too.  The
+# terms are compared up to 3 * (preperiod + period) of a declared cycle, and
+# up to 12 of a declared limit.
+FORM_VALUES = [Fraction(0), Fraction(1, 2), Fraction(-1, 3), Fraction(1), Fraction(5, 2),
+               Fraction(-2)]
+
+
+@st.composite
+def generated_kinds(draw):
+    """(constructor, oracle, arguments) of one generated kind."""
+    size = draw(st.integers(1, 3))
+
+    def form(*more):
+        return over_one_den(draw(st.lists(st.sampled_from(FORM_VALUES + list(more)),
+                                          min_size=size, max_size=size)))
+    kind = draw(st.sampled_from(["geometric", "truncation_ladder", "scaled_index"]))
+    if kind == "geometric":
+        ratio = draw(st.sampled_from([Fraction(r) for r in ("0", "1/2", "-1/2", "2/3",
+                                                              "-3/4", "1/3")]))
+        return geometric, parsed_geometric, (form(), form(), ratio)
+    if kind == "truncation_ladder":
+        return truncation_ladder, parsed_ladder, (form(INFINITY),)
+    return scaled_index, parsed_scaled_index, (form(),)
+
+
+@given(generated_kinds())
+@settings(max_examples=300, deadline=timedelta(seconds=5), derandomize=True)
+def test_each_constructor_builds_what_the_parser_built(drawn):
+    build, oracle, args = drawn
+    (spec, witnesses), (generator, declared, parsed_witnesses) = build(*args), oracle(*args)
+    assert spec.metadata == declared
+    assert witnesses == parsed_witnesses
+    count = (3 * (declared.index - 1 + declared.period) if isinstance(declared, Periodic)
+             else 12)
+    assert ([spec.generator(n) for n in range(1, count + 1)]
+            == [generator(n) for n in range(1, count + 1)])

@@ -8,7 +8,10 @@ but `Element` and `ExtElement` writes the equality, hashing or repr that
 write a constructor, importing the CLI loads no module that its
 subcommands may not run, `run` loads only the check modules that its
 document's directives name in the check table, importing `spaces` loads
-no sequence layer, and every name the package exports lazily resolves.
+no sequence layer, importing `sequences` loads no measure, extended or
+integral layer, `scenarios` names no declaration of a sequence (each kind's
+constructor in `sequences` builds it), and every name the package exports
+lazily resolves.
 """
 
 import ast
@@ -179,6 +182,39 @@ def test_spaces_loads_no_sequence_layer():
     loaded = modules_loaded_by("import ordmeasure.spaces")
     assert "ordmeasure.spaces" in loaded
     assert not loaded & {"ordmeasure.sequences", "ordmeasure.extended"}
+
+
+def test_sequences_loads_no_measure_layer():
+    """`measures` and `extended` import `sequences`, so an import back from
+    it would be a cycle."""
+    loaded = modules_loaded_by("import ordmeasure.sequences")
+    assert "ordmeasure.sequences" in loaded
+    assert not loaded & {"ordmeasure.measures", "ordmeasure.extended", "ordmeasure.integral"}
+
+
+DECLARATION_NAMES = {"Periodic", "DeclaredLimit", "cycled", "least_cycle", "stable_from"}
+
+
+def declaration_reads(source: str) -> list:
+    """The declaration classes and tail helpers that `source` names, and its
+    reads of a `.metadata` attribute, each with its line."""
+    return sorted((node.lineno, name) for node in ast.walk(ast.parse(source))
+                  for name in (getattr(node, "id", None), getattr(node, "attr", None),
+                               getattr(node, "name", None))  # a Name, an attribute, an import
+                  if name in DECLARATION_NAMES | {"metadata"})
+
+
+def test_finds_a_declaration_read():
+    source = ("from .sequences import Periodic, listed\n"
+              "def f(seq, p=sequences.stable_from):\n"
+              "    return seq.metadata, SequenceSpec(p, metadata=None)\n")
+    assert declaration_reads(source) == [(1, "Periodic"), (2, "stable_from"), (3, "metadata")]
+
+
+def test_scenarios_builds_no_declaration():
+    """The parser keeps the schema; a sequence's declaration is built, and
+    re-typed, by the constructors of `sequences` alone."""
+    assert declaration_reads((PACKAGE / "scenarios.py").read_text()) == []
 
 
 def test_run_without_an_outer_measure_does_not_load_outer():

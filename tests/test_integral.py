@@ -37,6 +37,12 @@ from limit_oracles import ext_inf_finite_list
 C2 = om.coord(2)
 
 
+def claiming(terms: list, limit) -> SequenceSpec:
+    """A raw spec of `terms`, the final one repeating, that claims the limit
+    `limit`: a list declares only the tail that it generates."""
+    return SequenceSpec(from_terms(terms).generator, metadata=DeclaredLimit(limit))
+
+
 def fin(x, y):
     return om.finite(om.element(C2, [x, y]))
 
@@ -764,7 +770,7 @@ class TestScalarDivergence:
     def test_agrees_with_bound_ladder(self, samples, point):
         samples = in_order(samples)
         terms, f = [at_point(s, point) for s in samples], at_point(INFINITY, point)
-        seq = from_terms(terms, metadata=DeclaredLimit(f))
+        seq = claiming(terms, f)
         message = _certification_message(om.mct, unit_atoms_measure(), seq, f, len(terms))
         assert message is None or not message.startswith("sequence")
         fast = message if message and message.startswith("divergence at point") else None
@@ -778,9 +784,8 @@ class TestScalarDivergence:
         mu = om.Measure(space, reals, {1 << x: om.finite(om.element(reals, [1]))
                                        for x in range(2)})
         limit = om.ext_function(space, [INFINITY, INFINITY])
-        seq = from_terms([om.ext_function(space, [5, Fraction(1, 2)]),
-                          om.ext_function(space, [6, Fraction(1, 2)])],
-                         metadata=DeclaredLimit(limit))
+        seq = claiming([om.ext_function(space, [5, Fraction(1, 2)]),
+                        om.ext_function(space, [6, Fraction(1, 2)])], limit)
         with pytest.raises(CertificationError,
                            match="divergence at point 1 not certified against bound 1"):
             om.mct(mu, seq, limit, horizon=1)
@@ -838,7 +843,7 @@ class TestColumnOrder:
         terms, f = data.draw(monotone_columns(increasing))
         mu = null_atom_measure()
         check = om.mct if increasing else om.mct_decreasing
-        seq = from_terms(terms, metadata=DeclaredLimit(f))
+        seq = claiming(terms, f)
         message = _certification_message(check, mu, seq, f, len(terms))
         fast = message if message and message.startswith("sequence") else None
         assert fast == order_message(terms, f, mu.null_mask, increasing)
@@ -877,7 +882,7 @@ class TestFinitePointwiseProbe:
         terms = [at_point(s, point) for s in samples]
         f = at_point(target, point)
         epsilons = [Fraction(1, 2), Fraction(1, 8), Fraction(1, 64)]
-        seq = from_terms(terms, metadata=DeclaredLimit(f))
+        seq = claiming(terms, f)
         check = om.mct if increasing else om.mct_decreasing
         message = _certification_message(check, unit_atoms_measure(), seq, f, len(terms),
                                          epsilons)
@@ -939,8 +944,7 @@ class TestMct:
         space = om.power_set_space(1)
         mu = om.Measure(space, reals, {1: om.finite(om.element(reals, [1]))})
         f = om.ext_function(space, [INFINITY])
-        seq = from_terms([om.ext_function(space, [5]), om.ext_function(space, [6])],
-                         metadata=DeclaredLimit(f))
+        seq = claiming([om.ext_function(space, [5]), om.ext_function(space, [6])], f)
         report = om.mct(mu, seq, f, horizon=horizon)
         assert report.details["certification"] == {"mode": "divergence-certified",
                                                    "ladder_top": top}
@@ -1364,7 +1368,7 @@ class TestDctPointwise:
         mu = basic_measure()
         f = om.signed_function(mu.space, [v + o for v, o in zip(rows[-1], offsets)])
         terms = [om.signed_function(mu.space, r) for r in rows]
-        seq = from_terms(terms, metadata=DeclaredLimit(f))
+        seq = claiming(terms, f)
         epsilons = [Fraction(1, 2), Fraction(1, 8)]
         expected = dct_pointwise_message(terms, f, epsilons)
         raised = _certification_message(om.dct, mu, seq, f,

@@ -700,6 +700,26 @@ class TestCli:
             {"finite": ["0", "-1"]} if key == "01" else "infinity"
             for key in ("", "0", "01", "2", "0,1", "0,2", "1,2", "0,1,2")}}},
          "/outer_measure/outer_values/01"),
+        # A kind is tested before the terms are read, so none of them is the error.
+        ({"checks": [{"check": "continuity_below", "sets": {"kind": "foo", "terms": []}}]},
+         ("/checks/0/sets", "unknown set sequence kind 'foo'")),
+        ({"checks": [{"check": "continuity_below", "sets": {"kind": "foo"}}]},
+         ("/checks/0/sets", "unknown set sequence kind 'foo'")),
+        ({"checks": [{"check": "continuity_below",
+                      "sets": {"kind": "foo", "terms": [[99]]}}]},
+         ("/checks/0/sets", "unknown set sequence kind 'foo'")),
+        ({"checks": [{"check": "continuity_below", "sets": {"kind": "alternating"}}]},
+         ("/checks/0/sets", "set sequence needs terms")),
+        ({"sequences": {"s": {"kind": "foo", "terms": [[99]]}}},
+         ("/sequences/s", "unknown sequence kind 'foo'")),
+        ({"sequences": {"s": {"kind": "explicit", "terms": []}}},
+         ("/sequences/s", "explicit sequence needs terms")),
+        ({"functions": {"f": {"values": ["1", "0", "0"]}},
+          "sequences": {"s": {"kind": "geometric", "base": "f", "bump": "f", "ratio": "-1"}}},
+         ("/sequences/s/ratio", "geometric ratio must satisfy |ratio| < 1")),
+        ({"functions": {"f": {"values": ["1", "0", "infinity"]}},
+          "sequences": {"s": {"kind": "scaled_index", "shape": "f"}}},
+         ("/sequences/s", "scaled_index shape must be finite")),
     ], ids=["ground_bool", "ground_cap", "sigma_algebra_list", "checks_object",
             "directive_string", "check_name_int", "outer_measure_list",
             "functions_list", "sequences_string", "atom_values_list",
@@ -723,8 +743,12 @@ class TestCli:
             "loewner_atom_asymmetric", "loewner_expected_asymmetric",
             "loewner_lower_bound_asymmetric", "algebra_sets_int", "algebra_set_point_bool",
             "l1_function_ref_int", "matrix_entry_int", "atom_value_negative",
-            "outer_value_negative"])
+            "outer_value_negative", "set_kind_unknown_empty", "set_kind_unknown_no_terms",
+            "set_kind_unknown_bad_point", "set_terms_missing", "sequence_kind_unknown",
+            "explicit_terms_empty", "geometric_ratio_minus_one", "scaled_index_infinite"])
     def test_scenario_schema_errors(self, tmp_path, capsys, updates, pointer):
+        # `pointer` is a JSON pointer, or (pointer, the whole message)
+        pointer, message = pointer if isinstance(pointer, tuple) else (pointer, None)
         doc = json.loads((SCENARIO_DIR / "identities_basic.json").read_text())
         doc.update(updates)
         bad = tmp_path / "bad_scenario.json"
@@ -732,6 +756,7 @@ class TestCli:
         assert run_cli(["validate", bad]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {pointer}: ")
+        assert message is None or err == f"error: {pointer}: {message}\n"
         assert run_cli(["run", bad]) == 2
         assert capsys.readouterr().err == err
         if pointer == "/outer_measure" and "ground_size" in updates:

@@ -71,8 +71,12 @@ MUTANTS = [
      "sequences.py", "cycled", "start - 1 + (n - start) % period", "(n - 1) % period",
      [TAILS]),
     ("scaled_index: the declared limit is finite (0) on the shape's support",
-     "scenarios.py", "_parse_sequence", "DeclaredLimit(((0,) * ground, 1, support))",
-     "DeclaredLimit(((0,) * ground, 1, 0))", [TAILS]),
+     "sequences.py", "scaled_index", "DeclaredLimit(((0,) * len(nums), 1, support))",
+     "DeclaredLimit(((0,) * len(nums), 1, 0))", [TAILS]),
+    ("geometric: a zero bump declares a limit, not a stabilization", "sequences.py",
+     "geometric", "p == 0 or not any(h)", "p == 0", [TAILS]),
+    ("truncation ladder: stabilizes at floor(max f), not ceil", "sequences.py",
+     "truncation_ladder", "-(-max(nums) // den)", "max(nums) // den", [TAILS]),
     ("continuity: a declared period above 1 is not refused", "measure_checks.py",
      "_continuity", "period > 1", "False", [TAILS]),
     ("outer split table: only half of each failing pair is recorded", "outer.py",
