@@ -101,6 +101,7 @@ MAX_GROUND_SIZE = 16  # scenario ground points: a listed family has up to 2^16 s
 MAX_OUTER_GROUND_SIZE = 12  # outer measures: about 3^n axiom and 4^n splitting tests
 MAX_EXHAUSTIVE_ATOMS = 8  # the identity suite's 4^k pairs of measurable sets
 MAX_LOEWNER_DIM = 6  # Loewner elements: d^2 numerators, O(d^3) per order test
+MAX_COORDINATES = 1024  # numerators of an element: every value of a document has this many
 MAX_TRUNCATION = 64  # `compare` experiments: O(n^2) coordinates in each report
 MAX_HORIZON = 1024  # `RunConfig.horizon`: h terms per convergence check, rationals grow in h
 MAX_EPSILON_EXPONENT = 1024  # the bit size of 2^-k and of every gap scaled by it

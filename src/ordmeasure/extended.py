@@ -8,19 +8,20 @@ conventions ``0 * inf = 0``, ``inf * 0 = 0`` and ``inf * x = inf`` for
 both the additive and the multiplicative monoid of extended nonnegative
 scalars act by monoid homomorphisms.
 
-Exhaustive passes and sequence checks compute on integer rows instead
-(`ext_rows`, `row_add`, `row_sub`, `row_leq`, `row_eq`, `row_lattice`):
-(nums, den) for a finite value, None for infinity; `from_row` builds the
-element of a value they report.  The supremum of an increasing sequence
-(the paper's sigma-monotone completeness) and the infimum of a decreasing
-one are decided in one place, on rows, `certify_monotone_limit`, with
-which the monotone convergence theorems certify their integrals.
+Arithmetic and order run on integer rows, (nums, den) for a finite value
+and None for infinity, through the row kernels of `spaces`.  `ext_add`,
+`ext_leq` and `ext_sub_finite` are one kernel call each on their
+operands' rows (`_row`), exhaustive passes and sequence checks call the
+kernels on whole tables (`ext_rows`), and `from_row` builds the value of
+a row.  The supremum of an increasing sequence (the paper's
+sigma-monotone completeness) and the infimum of a decreasing one are
+decided in one place, on rows, `certify_monotone_limit`, with which the
+monotone convergence theorems certify their integrals.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -102,9 +103,7 @@ def ext_to_json(v: ExtElement):
 
 def ext_add(a: ExtElement, b: ExtElement) -> ExtElement:
     spaces.require_same_space(a, b)
-    if a.is_infinite or b.is_infinite:
-        return infinity(a.space)
-    return finite(spaces.add(a.finite, b.finite))
+    return from_row(a.space, spaces.row_add(_row(a), _row(b)))
 
 
 def ext_sum(items: Sequence[ExtElement], space: SpaceDescriptor) -> ExtElement:
@@ -116,11 +115,13 @@ def ext_sum(items: Sequence[ExtElement], space: SpaceDescriptor) -> ExtElement:
 
 def ext_leq(a: ExtElement, b: ExtElement) -> bool:
     spaces.require_same_space(a, b)
-    if b.is_infinite:
-        return True
-    if a.is_infinite:
-        return False
-    return spaces.leq(a.finite, b.finite)
+    return spaces.row_leq(a.space, _row(a), _row(b))
+
+
+def _row(v: ExtElement):
+    """The row of one value: (nums, den), or None for infinity."""
+    el = v.finite
+    return None if el is None else (el.nums, el.den)
 
 
 def ext_rows(values: Sequence[ExtElement]) -> list:
@@ -130,77 +131,21 @@ def ext_rows(values: Sequence[ExtElement]) -> list:
     denominators, so that rows add and subtract without a multiplication
     and equal values are equal rows.  A table of many unrelated
     denominators, whose lcm has more than twice the bits of the largest one
-    (plus 64), keeps each value over its own denominator instead: then
-    `row_add`, `row_sub`, `row_leq` and `row_eq` cross-multiply, and no
-    number outgrows the few values an operation reads."""
+    (plus 64), keeps each value over its own denominator instead: then the
+    row kernels cross-multiply, and no number outgrows the few values an
+    operation reads."""
     dens = [v.finite.den for v in values if v.finite is not None]
     common = math.lcm(*dens)
     if common.bit_length() > 2 * max(dens, default=1).bit_length() + 64:
         common = None
     rows = []
     for v in values:
-        el = v.finite
-        if el is None:
-            rows.append(None)
-        elif common is None or el.den == common:
-            rows.append((el.nums, el.den))
-        else:
-            factor = common // el.den
-            rows.append((tuple([x * factor for x in el.nums]), common))
+        row = _row(v)
+        if row is not None and common is not None and row[1] != common:
+            factor = common // row[1]
+            row = tuple([x * factor for x in row[0]]), common
+        rows.append(row)
     return rows
-
-
-def row_add(a, b):
-    """The sum of two rows; infinity absorbs."""
-    if a is None or b is None:
-        return None
-    (x, dx), (y, dy) = a, b
-    if dx == dy:
-        return tuple(map(operator.add, x, y)), dx
-    return tuple([p * dy + q * dx for p, q in zip(x, y)]), dx * dy
-
-
-def row_sub(a, b):
-    """a - b for two finite rows."""
-    (x, dx), (y, dy) = a, b
-    if dx == dy:
-        return tuple(map(operator.sub, x, y)), dx
-    return tuple([p * dy - q * dx for p, q in zip(x, y)]), dx * dy
-
-
-def row_leq(space: SpaceDescriptor, a, b) -> bool:
-    """a <= b for two rows (None is infinity): one positivity test of b - a."""
-    if b is None:
-        return True
-    if a is None:
-        return False
-    (x, dx), (y, dy) = a, b
-    if dx == dy:
-        return spaces.is_positive_row(space, list(map(operator.sub, y, x)))
-    return spaces.is_positive_row(space, [q * dx - p * dy for p, q in zip(x, y)])
-
-
-def row_eq(a, b) -> bool:
-    """Whether two rows (None is infinity) are the same value."""
-    if a is None or b is None:
-        return a is b
-    if a[1] == b[1]:
-        return a[0] == b[0]
-    return not any(row_sub(a, b)[0])
-
-
-def row_lattice(op, a, b) -> tuple:
-    """`op` (min or max) of two finite rows, coordinatewise over the lcm of
-    their denominators: their infimum or supremum on a lattice backend."""
-    (x, dx), (y, dy) = a, b
-    g = math.gcd(dx, dy)
-    return tuple([op(p * (dy // g), q * (dx // g)) for p, q in zip(x, y)]), dx // g * dy
-
-
-def scaled_unit(space: SpaceDescriptor, r) -> tuple:
-    """The row of r times the order unit of `space`, for an int or Fraction r."""
-    r = Fraction(r)
-    return tuple([r.numerator * n for n in spaces.order_unit(space).nums]), r.denominator
 
 
 def from_row(space: SpaceDescriptor, row) -> ExtElement:
@@ -233,9 +178,7 @@ def ext_sub_finite(a: ExtElement, b: ExtElement) -> ExtElement:
     spaces.require_same_space(a, b)
     if b.is_infinite:
         raise ValueError("cannot subtract the point at infinity")
-    if a.is_infinite:
-        return a
-    return finite(spaces.sub(a.finite, b.finite))
+    return from_row(a.space, spaces.row_sub(_row(a), _row(b)))
 
 
 def divergence_top(h: int) -> int:
@@ -260,8 +203,8 @@ def certify_divergence(space: SpaceDescriptor, terms: Sequence) -> int:
     first failing k is found by bisection.
     """
     def all_below(k: int) -> bool:
-        bound = scaled_unit(space, k)
-        return all(row_leq(space, t, bound) for t in terms)
+        bound = spaces.scaled_unit(space, k)
+        return all(spaces.row_leq(space, t, bound) for t in terms)
 
     top = divergence_top(len(terms))
     if not all_below(top):
@@ -294,7 +237,7 @@ def certify_monotone_limit(space: SpaceDescriptor, values: Sequence, target,
     The mode is returned with its evidence.
     """
     def precedes(a, b):
-        return row_leq(space, a, b) if increasing else row_leq(space, b, a)
+        return spaces.row_leq(space, a, b) if increasing else spaces.row_leq(space, b, a)
 
     direction = "increasing" if increasing else "decreasing"
     for n in range(1, len(values)):
@@ -304,13 +247,14 @@ def certify_monotone_limit(space: SpaceDescriptor, values: Sequence, target,
     for n, v in enumerate(values, start=1):
         if not precedes(v, target):
             raise CertificationError(f"integral sequence {crossing} the target at {n}")
-    if row_eq(values[-1], target):
+    if spaces.row_eq(values[-1], target):
         return {"mode": "stabilized", "at": stable_from(values).index}
     if target is None:
         return {"mode": "divergence-certified", "ladder_top": certify_divergence(space, values)}
 
     def probe(eps):  # the term is within eps * unit of the target, on its side
-        edge = (row_sub if increasing else row_add)(target, scaled_unit(space, eps))
+        bump = spaces.scaled_unit(space, eps)
+        edge = spaces.row_sub(target, bump) if increasing else spaces.row_add(target, bump)
         return lambda i: precedes(edge, values[i - 1])
 
     gaps = certify_gaps(epsilons, len(values), probe, "integral gap {eps} not certified")

@@ -39,14 +39,14 @@ from . import extended, spaces
 from .errors import (CertificationError, Frozen, HypothesisError, NotIntegrableError,
                      OrdMeasureError, ValidationError)
 from .extended import (ExtElement, certify_monotone_limit, divergence_top, ext_add, ext_leq,
-                       ext_scale, ext_to_json, ext_zero, from_row, row_add, row_eq,
-                       row_lattice, row_leq, row_sub, scaled_unit)
+                       ext_scale, ext_to_json, ext_zero, from_row)
 from .measures import MeasurableSpace, Measure, mask_to_points, points_to_mask
 from .rationals import INFINITY, format_rational, is_infinite, over_one_den
 from .reports import CheckResult, fails, holds
 from .sequences import (SequenceSpec, certify_gaps, declared_cycle, declared_limit,
                         epsilon_schedule, stable_from)
-from .spaces import Element, SpaceDescriptor
+from .spaces import (Element, SpaceDescriptor, row_add, row_eq, row_lattice, row_leq,
+                     row_sub, scaled_unit)
 
 
 def _check_level_sets(f: "_PointFunction"):

@@ -25,9 +25,9 @@ from .errors import (
     ValidationError,
     check_cap,
 )
-from .extended import ExtElement, ext_rows, row_add, row_eq, row_leq, row_sub
+from .extended import ExtElement, ext_rows
 from .reports import CheckResult, fails, holds
-from .spaces import SpaceDescriptor
+from .spaces import SpaceDescriptor, row_add, row_eq, row_leq, row_sub
 
 
 def full_mask(ground_size: int) -> int:
@@ -292,8 +292,7 @@ def check_measure_identities(mu: Measure) -> CheckResult:
                 violations.append({"identity": "sub-additivity",
                                    "pair": [mask_to_points(d1), mask_to_points(d2)]})
             if d2 & d1 == d2 and v2 is not None:
-                diff = None if v1 is None else row_sub(v1, v2)
-                if not row_eq(row[d1 & ~d2], diff):
+                if not row_eq(row[d1 & ~d2], row_sub(v1, v2)):
                     violations.append({"identity": "subtractivity",
                                        "pair": [mask_to_points(d1), mask_to_points(d2)]})
     checked = len(members) ** 2

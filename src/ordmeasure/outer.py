@@ -36,7 +36,7 @@ from functools import cached_property
 from typing import Dict, List, Tuple
 
 from .errors import MAX_OUTER_GROUND_SIZE, ValidationError, check_cap
-from .extended import ExtElement, ext_rows, ext_to_json, row_add, row_eq, row_leq
+from .extended import ExtElement, ext_rows, ext_to_json
 from .measures import (
     MeasurableSpace,
     Measure,
@@ -46,7 +46,7 @@ from .measures import (
     validate_sigma_algebra,
 )
 from .reports import CheckResult
-from .spaces import SpaceDescriptor
+from .spaces import SpaceDescriptor, row_add, row_eq, row_leq
 
 
 class OuterMeasure:

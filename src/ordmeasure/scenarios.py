@@ -11,18 +11,20 @@ canonical file is byte-identical.
 Top-level keys:
 
   space          {"kind": "reals" | "coord" | "entrywise_mat" | "loewner_sym",
-                  "dim": n, "rows": r, "cols": c}
+                  "dim": n, "rows": r, "cols": c}, at most 1,024 coordinates
   ground_size    number of ground points, 1..16 (1-based checks index sets by point)
-  sigma_algebra  {"power_set": true}, {"generators": [[points...], ...]}
+  sigma_algebra  {"power_set": true} alone, {"generators": [[points...], ...]}
                  (closure is computed), or {"sets": [[points...], ...]}
                  (the family is validated as given)
   measure        {"atom_values": {"<smallest point of atom>": ExtElement}}
   outer_measure  {"outer_values": {"<strictly increasing points>": ExtElement}}
                  (keys like "0,2", "" for the empty set, each set once)
-                 or {"induced_from_measure": true}; ground_size 1..12
+                 or {"induced_from_measure": true} alone; ground_size 1..12
   functions      {"name": {"values": ["3/2", "infinity", "-1", ...]}}
   sequences      {"name": <sequence spec>}  (function sequences)
   checks         [<directive>, ...]
+
+The flags `power_set` and `induced_from_measure` are JSON booleans.
 
 Sequence specs (terms are function names or inline {"values": [...]}),
 each built and declared by the `sequences` constructor of its kind:
@@ -116,10 +118,10 @@ def parse_space(doc, path: str) -> SpaceDescriptor:
     if kind == "reals":
         return reals()
     if kind == "coord":
-        return coord(_parse_size(doc, "dim", path))
+        return _capped(path, coord, _parse_size(doc, "dim", path))
     if kind == "entrywise_mat":
-        return entrywise_mat(_parse_size(doc, "rows", path),
-                             _parse_size(doc, "cols", path))
+        return _capped(path, entrywise_mat, _parse_size(doc, "rows", path),
+                       _parse_size(doc, "cols", path))
     if kind == "loewner_sym":
         dim = _parse_size(doc, "dim", path)
         return _capped(path + "/dim", loewner_sym, dim)
@@ -148,12 +150,12 @@ def parse_ext_element(doc, space: SpaceDescriptor, path: str) -> ExtElement:
     raise SchemaError("expected {\"finite\": [...]} or \"infinity\"", path)
 
 
-_JSON_KINDS = {dict: "an object", list: "an array", str: "a string"}
+_JSON_KINDS = {dict: "an object", list: "an array", str: "a string", bool: "true or false"}
 
 
 def _require_json(value, kind, what: str, path: str):
-    """`value`, when it is a JSON object (`dict`), array (`list`) or string
-    (`str`) as asked; `kind` is one of these types or a tuple of them."""
+    """`value`, when it is the JSON object (`dict`), array (`list`), string
+    (`str`) or boolean (`bool`) asked for, or one of a tuple of these."""
     if not isinstance(value, kind):
         kinds = kind if isinstance(kind, tuple) else (kind,)
         raise SchemaError(f"{what} must be {' or '.join(_JSON_KINDS[k] for k in kinds)}",
@@ -572,7 +574,10 @@ def parse_scenario(doc: dict) -> Scenario:
     apath = "/sigma_algebra"
     alg_doc = _require_json(doc.get("sigma_algebra", {"power_set": True}), dict,
                             "sigma_algebra", apath)
-    if alg_doc.get("power_set"):
+    if _require_json(alg_doc.get("power_set", False), bool, "power_set",
+                     apath + "/power_set"):
+        if "generators" in alg_doc or "sets" in alg_doc:
+            raise SchemaError("power_set: true admits no generators or sets", apath)
         space = measures_mod.power_set_space(ground)
     elif "generators" in alg_doc or "sets" in alg_doc:
         key = "generators" if "generators" in alg_doc else "sets"
@@ -618,7 +623,10 @@ def parse_scenario(doc: dict) -> Scenario:
         from . import outer as outer_mod
         opath = "/outer_measure"
         odoc = _require_json(doc["outer_measure"], dict, "outer_measure", opath)
-        if odoc.get("induced_from_measure"):
+        if _require_json(odoc.get("induced_from_measure", False), bool,
+                         "induced_from_measure", opath + "/induced_from_measure"):
+            if "outer_values" in odoc:
+                raise SchemaError("induced_from_measure: true admits no outer_values", opath)
             if mu is None:
                 raise SchemaError("induced outer measure needs a measure", opath)
             outer = _capped(opath, outer_mod.induce_outer, mu)

@@ -18,31 +18,35 @@ All coordinates are exact rationals, every order test is exact, and every
 value is immutable.  An `Element` stores its coordinates as integer
 numerators over one common denominator, in the canonical form ``den > 0``
 and ``gcd(den, *nums) == 1`` (as FLINT's ``fmpq_mat`` does), so equal
-elements have equal fields and hashes.  Arithmetic is integer tuple
-arithmetic with one gcd per result.  ``leq`` brings ``b - a`` over one
-denominator and tests its numerators with `is_positive_row`, the one
-positivity test: every numerator nonnegative, or in the Loewner order one
-fraction-free symmetric elimination in O(d^3) integer operations; the
-dimension stays capped at ``MAX_LOEWNER_DIM = 6``.
+elements have equal fields and hashes.  Two values are added, subtracted,
+compared, met and joined only by the row kernels (`row_add`, `row_sub`,
+`row_leq`, `row_eq`, `row_lattice`), on rows ``(nums, den)`` with None for
+infinity: `add`, `sub`, `leq`, the lattice pair operations, `extended` and
+the integer tables of `measures`, `outer` and `integral` each call one.
+``b - a`` is tested by `is_positive_row`, the one definition of the order:
+every numerator nonnegative, or in the Loewner order one fraction-free
+symmetric elimination in O(d^3) integer operations.
 
 Values are validated where they enter.  ``Element(space, coords)`` (and
 `element`, `sym_matrix` and the scenario parser, which call it) checks the
 coordinate count, that every coordinate is a Fraction, and the Loewner
-symmetry.  Results of `add`, `sub`, `neg`, `scale` and the lattice
-operations (and `Measure.evaluate`'s sums of atom rows) are built by
-`_element`, the one trusted constructor, because those operations preserve
-the count and the symmetry.  ``coords`` derives the Fraction tuple for the
-encoders.
+symmetry.  Results of the arithmetic and lattice operations (and
+`Measure.evaluate`'s sums of atom rows) are built by `_element`, the one
+trusted constructor, which does the one gcd, because those operations
+preserve the count and the symmetry.  ``coords`` derives the Fraction
+tuple for the encoders.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .errors import MAX_LOEWNER_DIM, Frozen, SpaceMismatchError, check_cap
+from .errors import (MAX_COORDINATES, MAX_LOEWNER_DIM, Frozen, SpaceMismatchError,
+                     check_cap)
 
 
 class SpaceKind(Enum):
@@ -65,6 +69,7 @@ class SpaceDescriptor(Frozen):
         if kind is SpaceKind.LOEWNER_SYM:
             check_cap("Loewner backend dim", dim, MAX_LOEWNER_DIM)
         self._set(kind, dim, rows, cols)
+        check_cap("backend coordinates", self.ncoords, MAX_COORDINATES)
 
     @property
     def ncoords(self) -> int:
@@ -224,25 +229,14 @@ def require_same_space(a, b):
         )
 
 
-def _over_common_den(a: Element, b: Element):
-    """Factors fa, fb with a = a.nums * fa / den and b = b.nums * fb / den,
-    and den, the lcm of the two denominators."""
-    if a.den == b.den:
-        return 1, 1, a.den
-    g = math.gcd(a.den, b.den)
-    return b.den // g, a.den // g, a.den // g * b.den
-
-
 def add(a: Element, b: Element) -> Element:
     require_same_space(a, b)
-    fa, fb, den = _over_common_den(a, b)
-    return _element(a.space, tuple(x * fa + y * fb for x, y in zip(a.nums, b.nums)), den)
+    return _element(a.space, *row_add((a.nums, a.den), (b.nums, b.den)))
 
 
 def sub(a: Element, b: Element) -> Element:
     require_same_space(a, b)
-    fa, fb, den = _over_common_den(a, b)
-    return _element(a.space, tuple(x * fa - y * fb for x, y in zip(a.nums, b.nums)), den)
+    return _element(a.space, *row_sub((a.nums, a.den), (b.nums, b.den)))
 
 
 def neg(a: Element) -> Element:
@@ -259,8 +253,7 @@ def scale(r, a: Element) -> Element:
 def is_positive_row(space: SpaceDescriptor, nums) -> bool:
     """Whether the integer numerators `nums`, over any positive denominator,
     are a positive element of `space`.  This is the one definition of the
-    order: a <= b iff the numerators of b - a pass it (`leq`, and the
-    integer tables of `outer` and `measures`).
+    order: a <= b iff the numerators of b - a pass it (`row_leq`).
 
     Coordinatewise backends need every numerator nonnegative.  In the
     Loewner order the matrix must be positive semidefinite, which scaling
@@ -297,6 +290,61 @@ def is_positive_row(space: SpaceDescriptor, nums) -> bool:
     return True
 
 
+def row_add(a, b):
+    """The sum of two rows; infinity (None) absorbs."""
+    if a is None or b is None:
+        return None
+    (x, dx), (y, dy) = a, b
+    if dx == dy:
+        return tuple(map(operator.add, x, y)), dx
+    return tuple([p * dy + q * dx for p, q in zip(x, y)]), dx * dy
+
+
+def row_sub(a, b):
+    """a - b for a finite row b; infinity (None) minus it stays infinity."""
+    if a is None:
+        return None
+    (x, dx), (y, dy) = a, b
+    if dx == dy:
+        return tuple(map(operator.sub, x, y)), dx
+    return tuple([p * dy - q * dx for p, q in zip(x, y)]), dx * dy
+
+
+def row_leq(space: SpaceDescriptor, a, b) -> bool:
+    """a <= b for two rows (None is infinity): one positivity test of b - a."""
+    if b is None:
+        return True
+    if a is None:
+        return False
+    (x, dx), (y, dy) = a, b
+    if dx == dy:
+        return is_positive_row(space, list(map(operator.sub, y, x)))
+    return is_positive_row(space, [q * dx - p * dy for p, q in zip(x, y)])
+
+
+def row_eq(a, b) -> bool:
+    """Whether two rows (None is infinity) are the same value."""
+    if a is None or b is None:
+        return a is b
+    if a[1] == b[1]:
+        return a[0] == b[0]
+    return not any(row_sub(a, b)[0])
+
+
+def row_lattice(op, a, b) -> tuple:
+    """`op` (min or max) of two finite rows, coordinatewise over the lcm of
+    their denominators: their infimum or supremum on a lattice backend."""
+    (x, dx), (y, dy) = a, b
+    g = math.gcd(dx, dy)
+    return tuple([op(p * (dy // g), q * (dx // g)) for p, q in zip(x, y)]), dx // g * dy
+
+
+def scaled_unit(space: SpaceDescriptor, r) -> tuple:
+    """The row of r times the order unit of `space`, for an int or Fraction r."""
+    r = Fraction(r)
+    return tuple([r.numerator * n for n in order_unit(space).nums]), r.denominator
+
+
 def is_psd(a: Element) -> bool:
     """Exact positive semidefiniteness test for a symmetric matrix."""
     if a.space.kind is not SpaceKind.LOEWNER_SYM:
@@ -307,8 +355,7 @@ def is_psd(a: Element) -> bool:
 def leq(a: Element, b: Element) -> bool:
     """Exact order test: coordinatewise, or Loewner for symmetric matrices."""
     require_same_space(a, b)
-    fa, fb, _ = _over_common_den(a, b)
-    return is_positive_row(a.space, [y * fb - x * fa for x, y in zip(a.nums, b.nums)])
+    return row_leq(a.space, (a.nums, a.den), (b.nums, b.den))
 
 
 class NoSupremum(Frozen):
@@ -329,9 +376,7 @@ def sup_pair(a: Element, b: Element) -> Union[Element, NoSupremum]:
     """
     require_same_space(a, b)
     if a.space.is_lattice:
-        fa, fb, den = _over_common_den(a, b)
-        return _element(a.space,
-                        tuple(max(x * fa, y * fb) for x, y in zip(a.nums, b.nums)), den)
+        return _element(a.space, *row_lattice(max, (a.nums, a.den), (b.nums, b.den)))
     if leq(a, b):
         return b
     if leq(b, a):
@@ -342,9 +387,7 @@ def sup_pair(a: Element, b: Element) -> Union[Element, NoSupremum]:
 def inf_pair(a: Element, b: Element) -> Union[Element, NoSupremum]:
     require_same_space(a, b)
     if a.space.is_lattice:
-        fa, fb, den = _over_common_den(a, b)
-        return _element(a.space,
-                        tuple(min(x * fa, y * fb) for x, y in zip(a.nums, b.nums)), den)
+        return _element(a.space, *row_lattice(min, (a.nums, a.den), (b.nums, b.den)))
     if leq(a, b):
         return a
     if leq(b, a):

@@ -29,12 +29,20 @@ theorem before it compared all its functions on one `_columns` table:
 the first crosswise on each pair of numerators, the second over one lcm
 per ground point, on the side of the target that the direction names.
 
+`minors_psd` decides positive semidefiniteness by every principal minor,
+and the ``frac_*`` functions are the Fraction-tuple arithmetic, order and
+lattice operations of an element before it stored integer numerators over
+one denominator, with None for infinity in `frac_row`, `frac_ext_add` and
+`frac_ext_leq`; they share nothing with the row kernels of `spaces`, on
+which the element, extended and table operations all run.
+
 `ext_certify_monotone_limit` is the former ``extended.certify_monotone_limit``
 on extended elements, before the certifier moved onto the integer rows of
 the integral core; its divergence branch scans the full ladder of bounds
 (`ladder_certify_divergence`) instead of bisecting it.
 """
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Sequence
@@ -339,3 +347,105 @@ def ext_certify_monotone_limit(values, target, epsilons, increasing: bool = True
 
     gaps = certify_gaps(epsilons, len(values), probe, "integral gap {eps} not certified")
     return {"mode": "gap-certified", "gaps": gaps}
+
+
+def _det(rows: list) -> Fraction:
+    """Exact determinant by fraction Gaussian elimination."""
+    n = len(rows)
+    m = [list(row) for row in rows]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = None
+        for r in range(col, n):
+            if m[r][col] != 0:
+                pivot = r
+                break
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        inv = 1 / m[col][col]
+        for r in range(col + 1, n):
+            if m[r][col] != 0:
+                factor = m[r][col] * inv
+                for c in range(col, n):
+                    m[r][c] -= factor * m[col][c]
+    return det
+
+
+def minors_psd(coords: tuple, d: int) -> bool:
+    """Oracle: PSD iff every principal minor (not only the leading ones) is >= 0.
+
+    `coords` are the d x d matrix's Fraction entries, row-major."""
+    return all(
+        _det([[coords[i * d + j] for j in subset] for i in subset]) >= 0
+        for size in range(1, d + 1)
+        for subset in itertools.combinations(range(d), size)
+    )
+
+
+# The Fraction-tuple arithmetic an Element used before it stored integer
+# numerators over one denominator, kept as the oracle for the integer code.
+def frac_add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def frac_sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def frac_neg(a):
+    return tuple(-x for x in a)
+
+
+def frac_scale(r, a):
+    return tuple(r * x for x in a)
+
+
+def frac_leq(space, a, b):
+    if space.kind is om.SpaceKind.LOEWNER_SYM:
+        return minors_psd(frac_sub(b, a), space.dim)
+    return all(x <= y for x, y in zip(a, b))
+
+
+def frac_sup_pair(space, a, b):
+    """The supremum, or None where `sup_pair` declines."""
+    if space.is_lattice:
+        return tuple(max(x, y) for x, y in zip(a, b))
+    if frac_leq(space, a, b):
+        return b
+    if frac_leq(space, b, a):
+        return a
+    return None
+
+
+def frac_inf_pair(space, a, b):
+    if space.is_lattice:
+        return tuple(min(x, y) for x, y in zip(a, b))
+    if frac_leq(space, a, b):
+        return a
+    if frac_leq(space, b, a):
+        return b
+    return None
+
+
+def frac_abs_element(a):
+    return tuple(abs(x) for x in a)
+
+
+def frac_row(row):
+    """A row of the kernels of `spaces`, (nums, den) or None for infinity,
+    as its Fraction coordinates, or None."""
+    return None if row is None else tuple(Fraction(n, row[1]) for n in row[0])
+
+
+def frac_ext_add(a, b):
+    """The sum of two Fraction tuples, None (infinity) absorbing."""
+    return None if a is None or b is None else frac_add(a, b)
+
+
+def frac_ext_leq(space, a, b) -> bool:
+    """a <= b for Fraction tuples or None (infinity)."""
+    return b is None or (a is not None and frac_leq(space, a, b))

@@ -12,6 +12,7 @@ from ordmeasure.measures import (_atom_partition, _atom_unions, _raise_union_wit
 from ordmeasure.sequences import SequenceSpec, from_terms
 
 from conftest import random_algebra, random_measure
+from integral_oracles import frac_row
 
 C2 = om.coord(2)
 
@@ -168,6 +169,20 @@ class TestEvaluate:
         mu2 = om.Measure(space, C2, dict(reversed(list(values.items()))))
         for mask in space.members():
             assert mu1.evaluate(mask) == mu2.evaluate(mask)
+
+    def test_row_sums_the_atoms_inside_any_set(self, rng):
+        # Every set, measurable or not: an atom that only meets it is left out.
+        for _ in range(25):
+            ground = rng.randint(1, 5)
+            space = random_algebra(rng, ground)
+            mu = random_measure(rng, space, C2)
+            den = mu.atom_table[0]
+            for mask in range(1 << ground):
+                inside = [mu.atom_values[a] for a in space.atoms if a & mask == a]
+                expected = None if any(v.is_infinite for v in inside) else tuple(
+                    sum(c) for c in zip((Fraction(0),) * 2, *(v.finite.coords for v in inside)))
+                row = mu.row(mask)
+                assert expected == (None if row is None else frac_row((row, den)))
 
     def test_negative_atom_rejected(self):
         space = om.power_set_space(1)

@@ -12,6 +12,7 @@ from ordmeasure.errors import DimensionLimitError, ValidationError
 from ordmeasure.measures import full_mask, mask_to_points, points_to_mask
 
 from conftest import random_algebra, random_measure
+from integral_oracles import frac_ext_add, frac_ext_leq, frac_row, frac_sub
 from outer_builders import (constant_outer, ext_measure_identities, ext_split_table,
                             ext_sum_evaluate, ext_validate_outer_measure,
                             full_test_set_measurable, hitting_outer, null_sets,
@@ -457,7 +458,8 @@ def skewed_measures(draw):
 
 
 class TestIntegerTable:
-    """The integer passes against the `ExtElement` passes they replaced."""
+    """The integer passes against the `ExtElement` passes they replaced, and
+    the row kernels against the Fraction oracles."""
 
     @given(backend_tables())
     @settings(max_examples=300, deadline=None)
@@ -486,20 +488,19 @@ class TestIntegerTable:
         shared = math.lcm(*dens).bit_length() <= 2 * max(dens, default=1).bit_length() + 64
         assert shared == (len({row[1] for row in rows if row}) <= 1)
 
-        def value(row):
-            if row is None:
-                return om.infinity(backend)
-            nums, den = row
-            return om.finite(om.Element(backend, tuple(Fraction(x, den) for x in nums)))
+        def coords(v):
+            return None if v.is_infinite else v.finite.coords
 
-        assert [value(row) for row in rows] == values
+        assert [frac_row(row) for row in rows] == [coords(v) for v in values]
         for v, rv in zip(values, rows):
+            a = coords(v)
             for w, rw in zip(values, rows):
-                assert extended.row_eq(rv, rw) == (v == w)
-                assert extended.row_leq(backend, rv, rw) == om.ext_leq(v, w)
-                assert value(extended.row_add(rv, rw)) == om.ext_add(v, w)
-                if v.is_finite and w.is_finite:
-                    assert value(extended.row_sub(rv, rw)) == extended.ext_sub_finite(v, w)
+                b = coords(w)
+                assert spaces.row_eq(rv, rw) == (v == w)
+                assert spaces.row_leq(backend, rv, rw) == frac_ext_leq(backend, a, b)
+                assert frac_row(spaces.row_add(rv, rw)) == frac_ext_add(a, b)
+                if a is not None and b is not None:
+                    assert frac_row(spaces.row_sub(rv, rw)) == frac_sub(a, b)
 
     def test_table_of_unrelated_denominators_agrees_with_ext_oracle(self):
         # nu(A) = (1 + 1/(10^18 + i)) I for nonempty A, the larger sets taking

@@ -1,10 +1,10 @@
 """The sequence checks' integer-row route against the element route it replaced.
 
 `mct`, `mct_decreasing`, `dct` and `fatou` read each sampled term's
-integral as a row of `extended`, (nums, den) or None for infinity, from the
+integral as an integer row, (nums, den) or None for infinity, from the
 integral core (`integral._row`, `integral._signed_row`), certify monotone
 limits on rows (`extended.certify_monotone_limit`), and take the tail
-windows of `dct` with `extended.row_lattice`.  Here, on generated measures
+windows of `dct` with `spaces.row_lattice`.  Here, on generated measures
 on `reals`, `coord` and `entrywise_mat` and on monotone or signed sequences
 of functions:
 
@@ -13,13 +13,19 @@ of functions:
   f+ - f- through `integrate_extended`;
 - the row certifier gives the trail, or refuses with the message, of the
   element certifier it replaced (`integral_oracles.ext_certify_monotone_limit`);
-- the window infima and suprema are the folds of `spaces.inf_pair` and
-  `spaces.sup_pair` on the elements, and the gaps `dct` certifies are the
-  first indices that a scan of the elements' integrals finds.
+- the window infima and suprema are the folds of the Fraction oracles
+  `frac_inf_pair` and `frac_sup_pair` on the integrals' coordinates, and
+  the gaps `dct` certifies are the first indices that a scan of the
+  integrals' coordinates with the Fraction oracles finds.
+
+The element operations of `spaces` run on the same row kernels, so the
+signed integrals, windows and gaps are compared with the Fraction oracles
+of `integral_oracles` instead.
 """
 
 from datetime import timedelta
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate
 
 import pytest
@@ -151,17 +157,18 @@ def signed_cases(draw):
 
 def _signed(f, mu):
     try:
-        return oracle.ext_value(mu, integral._signed_row(f, mu)).payload()
+        return oracle.ext_value(mu, integral._signed_row(f, mu)).payload().coords
     except NotIntegrableError:
         return NotIntegrableError
 
 
 def _element_signed(f, mu):
-    """f+ - f- through `integrate_extended`, or NotIntegrableError."""
+    """The coordinates of f+ - f- through `integrate_extended`, subtracted
+    by the Fraction oracle, or NotIntegrableError."""
     pos, neg = om.integral_value(f.pos_part(), mu), om.integral_value(f.neg_part(), mu)
     if pos.is_infinite or neg.is_infinite:
         return NotIntegrableError
-    return spaces.sub(pos.finite, neg.finite)
+    return oracle.frac_sub(pos.finite.coords, neg.finite.coords)
 
 
 @BUDGET
@@ -173,7 +180,7 @@ def test_signed_rows_and_windows_match_the_element_route(case):
         assert _signed(t, mu) == expected
         assert integral.is_integrable(t, mu) == (expected is not NotIntegrableError)
         if expected is not NotIntegrableError:
-            assert om.integrate_signed(t, mu) == expected
+            assert om.integrate_signed(t, mu).coords == expected
     if _element_signed(f, mu) is NotIntegrableError or any(
             _element_signed(t, mu) is NotIntegrableError for t in terms):
         return
@@ -181,11 +188,11 @@ def test_signed_rows_and_windows_match_the_element_route(case):
         row = integral._core(mu, *integral._pointwise_part(integral._distance, t, f))[0]
         assert oracle.ext_value(mu, row) == om.integral_value((t - f).abs(), mu)
     backward = [integral._signed_row(t, mu) for t in reversed(terms)]
-    elements = [om.integrate_signed(t, mu) for t in reversed(terms)]
-    for op, pair in ((min, spaces.inf_pair), (max, spaces.sup_pair)):
-        windows = accumulate(backward, lambda a, b, op=op: extended.row_lattice(op, a, b))
-        assert ([oracle.ext_value(mu, w).payload() for w in windows]
-                == list(accumulate(elements, pair)))
+    coords = [_element_signed(t, mu) for t in reversed(terms)]
+    for op, pair in ((min, oracle.frac_inf_pair), (max, oracle.frac_sup_pair)):
+        windows = accumulate(backward, partial(spaces.row_lattice, op))
+        assert ([oracle.frac_row(w) for w in windows]
+                == list(accumulate(coords, partial(pair, mu.backend))))
 
 
 def test_the_signed_row_compares_the_shifted_decomposition(monkeypatch):
@@ -241,18 +248,21 @@ def test_dct_gaps_match_a_scan_of_the_element_integrals(case):
                                                                        terms[0].values)])
     report = om.dct(mu, seq, f, g, horizon=14, epsilons=DCT_EPSILONS)
     assert report.ok
-    unit, f_int = spaces.order_unit(mu.backend), om.integrate_signed(f, mu)
+    space, unit = mu.backend, spaces.order_unit(mu.backend).coords
+    f_int = om.integrate_signed(f, mu)
     deviations = [om.integral_value((t - f).abs(), mu).finite for t in terms]
     if all(d.is_zero() for d in deviations):
         assert report.details["part3_mode"] == {"mode": "stabilized", "at": 1}
         return
-    ints = [om.integrate_signed(t, mu) for t in terms]
+    ints = [om.integrate_signed(t, mu).coords for t in terms]
 
     def within(eps, i):  # every integral from term i on is within eps * unit of f's
-        bump = spaces.scale(eps, unit)
-        return all(spaces.leq(spaces.sub(f_int, bump), v)
-                   and spaces.leq(v, spaces.add(f_int, bump)) for v in ints[i - 1:])
+        bump = oracle.frac_scale(eps, unit)
+        lower, upper = oracle.frac_sub(f_int.coords, bump), oracle.frac_add(f_int.coords, bump)
+        return all(oracle.frac_leq(space, lower, v) and oracle.frac_leq(space, v, upper)
+                   for v in ints[i - 1:])
     assert report.details["part3_mode"]["gaps"] == element_gaps(
-        14, lambda eps, i: spaces.leq(deviations[i - 1], spaces.scale(eps, unit)))
+        14, lambda eps, i: oracle.frac_leq(space, deviations[i - 1].coords,
+                                           oracle.frac_scale(eps, unit)))
     assert report.details["part4_mode"]["gaps"] == element_gaps(14, within)
     assert report.details["limit_integral"] == extended.ext_to_json(om.finite(f_int))

@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 
 import ordmeasure as om
 from ordmeasure.cli import main as cli_main
-from ordmeasure.errors import (MAX_EPSILON_EXPONENT, MAX_EXHAUSTIVE_ATOMS, MAX_HORIZON,
-                               MAX_LOEWNER_DIM, MAX_OUTER_GROUND_SIZE, MAX_TRUNCATION,
-                               DimensionLimitError, SchemaError, ValidationError)
+from ordmeasure.errors import (MAX_COORDINATES, MAX_EPSILON_EXPONENT, MAX_EXHAUSTIVE_ATOMS,
+                               MAX_HORIZON, MAX_LOEWNER_DIM, MAX_OUTER_GROUND_SIZE,
+                               MAX_TRUNCATION, DimensionLimitError, SchemaError,
+                               ValidationError)
 from ordmeasure.measures import mask_to_points
 from ordmeasure.rationals import INFINITY, format_rational
 from ordmeasure.sequences import DEFAULT_HORIZON
@@ -720,6 +721,27 @@ class TestCli:
         ({"functions": {"f": {"values": ["1", "0", "infinity"]}},
           "sequences": {"s": {"kind": "scaled_index", "shape": "f"}}},
          ("/sequences/s", "scaled_index shape must be finite")),
+        # Each selector flag is a boolean, and true admits no other selector.
+        ({"sigma_algebra": {"power_set": "no", "generators": [[0, 1]]}},
+         ("/sigma_algebra/power_set", "power_set must be true or false")),
+        ({"sigma_algebra": {"power_set": 1}}, "/sigma_algebra/power_set"),
+        ({"sigma_algebra": {"power_set": True, "generators": [[0, 1]]}},
+         ("/sigma_algebra", "power_set: true admits no generators or sets")),
+        ({"sigma_algebra": {"power_set": True, "sets": [[], [0, 1, 2]]}}, "/sigma_algebra"),
+        ({"outer_measure": {"induced_from_measure": "no"}},
+         ("/outer_measure/induced_from_measure",
+          "induced_from_measure must be true or false")),
+        ({"outer_measure": {"induced_from_measure": True,
+                            "outer_values": {"": {"finite": ["0", "0"]}}}},
+         ("/outer_measure", "induced_from_measure: true admits no outer_values")),
+        # Over the coordinate cap, where the zero element ran out of memory
+        ({"space": {"kind": "coord", "dim": 10**10}},
+         ("/space", f"backend coordinates limited to <= {MAX_COORDINATES}, "
+                    f"got {10**10}")),
+        ({"space": {"kind": "entrywise_mat", "rows": 10**5, "cols": 10**5}}, "/space"),
+        ({"checks": [{"check": "push_forward", "function": "f", "matrix": [["1", "1"]],
+                      "target": {"kind": "coord", "dim": MAX_COORDINATES + 1}}]},
+         "/checks/0/target"),
     ], ids=["ground_bool", "ground_cap", "sigma_algebra_list", "checks_object",
             "directive_string", "check_name_int", "outer_measure_list",
             "functions_list", "sequences_string", "atom_values_list",
@@ -745,7 +767,10 @@ class TestCli:
             "l1_function_ref_int", "matrix_entry_int", "atom_value_negative",
             "outer_value_negative", "set_kind_unknown_empty", "set_kind_unknown_no_terms",
             "set_kind_unknown_bad_point", "set_terms_missing", "sequence_kind_unknown",
-            "explicit_terms_empty", "geometric_ratio_minus_one", "scaled_index_infinite"])
+            "explicit_terms_empty", "geometric_ratio_minus_one", "scaled_index_infinite",
+            "power_set_string", "power_set_int", "power_set_with_generators",
+            "power_set_with_sets", "induced_string", "induced_with_outer_values",
+            "coord_over_cap", "entrywise_mat_over_cap", "push_forward_target_over_cap"])
     def test_scenario_schema_errors(self, tmp_path, capsys, updates, pointer):
         # `pointer` is a JSON pointer, or (pointer, the whole message)
         pointer, message = pointer if isinstance(pointer, tuple) else (pointer, None)
@@ -891,6 +916,34 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         [check] = json.loads(proc.stdout)["checks"]
         assert check["details"]["measurable_family"] == family
+
+    @pytest.mark.parametrize("space", [{"kind": "coord", "dim": 10**10},
+                                       {"kind": "entrywise_mat", "rows": 10**5, "cols": 10**5}],
+                             ids=["coord", "entrywise_mat"])
+    def test_tiny_document_over_the_coordinate_cap_exits_2(self, tmp_path, capsys, space):
+        # About 120 bytes: with no cap, the zero element of the backend, which
+        # the infinite atom's measure needs, was a tuple of 10^10 integers.
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"space": space, "ground_size": 1,
+                                    "measure": {"atom_values": {"0": "infinity"}}}))
+        message = (f"error: /space: backend coordinates limited to <= {MAX_COORDINATES}, "
+                   f"got {10**10}\n")
+        for command in ("validate", "run"):
+            assert run_cli([command, path]) == 2
+            assert capsys.readouterr().err == message
+
+    def test_identities_at_the_coordinate_cap_runs_in_time(self, tmp_path, capsys):
+        doc = json.loads((SCENARIO_DIR / "identities_basic.json").read_text())
+        doc["space"] = {"kind": "coord", "dim": MAX_COORDINATES}
+        doc["measure"]["atom_values"] = {
+            "0": {"finite": [f"{i % 7}/3" for i in range(MAX_COORDINATES)]},
+            "1": {"finite": [str(i % 5) for i in range(MAX_COORDINATES)]}, "2": "infinity"}
+        path = tmp_path / "coord_at_cap.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        assert run_cli(["run", path]) == 0
+        assert time.perf_counter() - start < 10
+        assert "all_ok: True" in capsys.readouterr().out
 
     def test_identities_over_the_atom_cap_is_a_schema_error(self, tmp_path, capsys):
         # The identity suite enumerates 4^k pairs; over the cap it was a hang.

@@ -1,4 +1,3 @@
-import itertools
 import math
 from fractions import Fraction
 
@@ -12,6 +11,9 @@ from ordmeasure.errors import SpaceMismatchError
 
 from conftest import random_element, random_positive_element
 import integral_oracles as oracle
+from integral_oracles import (frac_abs_element, frac_add, frac_ext_add, frac_ext_leq,
+                              frac_inf_pair, frac_leq, frac_neg, frac_row, frac_scale,
+                              frac_sub, frac_sup_pair, minors_psd)
 
 C2 = om.coord(2)
 L2 = om.loewner_sym(2)
@@ -102,43 +104,6 @@ class TestOrder:
             assert om.leq(a, b) == om.leq(om.add(a, c), om.add(b, c))
 
 
-def _det(rows: list) -> Fraction:
-    """Exact determinant by fraction Gaussian elimination."""
-    n = len(rows)
-    m = [list(row) for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if m[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                factor = m[r][col] * inv
-                for c in range(col, n):
-                    m[r][c] -= factor * m[col][c]
-    return det
-
-
-def minors_psd(coords: tuple, d: int) -> bool:
-    """Oracle: PSD iff every principal minor (not only the leading ones) is >= 0.
-
-    `coords` are the d x d matrix's Fraction entries, row-major."""
-    return all(
-        _det([[coords[i * d + j] for j in subset] for i in subset]) >= 0
-        for size in range(1, d + 1)
-        for subset in itertools.combinations(range(d), size)
-    )
-
-
 def gram(b, d):
     """B B^T for a d-row matrix B; PSD of rank at most the column count."""
     return [[sum(x * y for x, y in zip(b[i], b[j])) for j in range(d)]
@@ -207,55 +172,6 @@ class TestPsdElimination:
         a = om.sym_matrix(rows)
         assert om.is_psd(a) is expected
         assert minors_psd(a.coords, a.space.dim) is expected
-
-
-# The Fraction-tuple arithmetic an Element used before it stored integer
-# numerators over one denominator, kept as the oracle for the integer code.
-def frac_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def frac_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def frac_neg(a):
-    return tuple(-x for x in a)
-
-
-def frac_scale(r, a):
-    return tuple(r * x for x in a)
-
-
-def frac_leq(space, a, b):
-    if space.kind is om.SpaceKind.LOEWNER_SYM:
-        return minors_psd(frac_sub(b, a), space.dim)
-    return all(x <= y for x, y in zip(a, b))
-
-
-def frac_sup_pair(space, a, b):
-    """The supremum, or None where `sup_pair` declines."""
-    if space.is_lattice:
-        return tuple(max(x, y) for x, y in zip(a, b))
-    if frac_leq(space, a, b):
-        return b
-    if frac_leq(space, b, a):
-        return a
-    return None
-
-
-def frac_inf_pair(space, a, b):
-    if space.is_lattice:
-        return tuple(min(x, y) for x, y in zip(a, b))
-    if frac_leq(space, a, b):
-        return a
-    if frac_leq(space, b, a):
-        return b
-    return None
-
-
-def frac_abs_element(a):
-    return tuple(abs(x) for x in a)
 
 
 ORACLE_SPACES = [om.reals(), om.coord(3), om.entrywise_mat(2, 3), om.loewner_sym(2),
@@ -381,6 +297,48 @@ class TestIntegerElementsAgainstFractions:
                                         | entry.map(abs))
         assert om.is_psd(om.sym_matrix(rows)) == minors_psd(
             tuple(v for row in rows for v in row), d)
+
+
+@st.composite
+def row_pairs(draw):
+    """A backend, two Fraction tuples or None (infinity), and their rows:
+    each over its own denominator, or both over the lcm of the two."""
+    space, a, b = draw(fraction_pairs())
+    x, y = om.Element(space, a), om.Element(space, b)
+    ra, rb = (x.nums, x.den), (y.nums, y.den)
+    if draw(st.booleans()):
+        den = math.lcm(x.den, y.den)
+        ra, rb = ((tuple(n * (den // d) for n in nums), den) for nums, d in (ra, rb))
+    if draw(st.integers(0, 4)) == 0:
+        a, ra = None, None
+    if draw(st.integers(0, 4)) == 0:
+        b, rb = None, None
+    return space, a, b, ra, rb
+
+
+class TestRowKernelsAgainstFractions:
+    """The row kernels, on which the element, extended and table operations
+    all run, against the Fraction oracles."""
+
+    @given(row_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_kernels(self, case):
+        space, a, b, ra, rb = case
+        assert frac_row(spaces.row_add(ra, rb)) == frac_ext_add(a, b)
+        assert spaces.row_leq(space, ra, rb) == frac_ext_leq(space, a, b)
+        assert spaces.row_leq(space, rb, ra) == frac_ext_leq(space, b, a)
+        assert spaces.row_eq(ra, rb) == (a == b)
+        if b is not None:
+            assert frac_row(spaces.row_sub(ra, rb)) == (None if a is None else frac_sub(a, b))
+        if space.is_lattice and a is not None and b is not None:
+            for op, pair in ((max, frac_sup_pair), (min, frac_inf_pair)):
+                assert frac_row(spaces.row_lattice(op, ra, rb)) == pair(space, a, b)
+
+    @given(st.sampled_from(ORACLE_SPACES), wide | st.integers(-3, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_scaled_unit(self, space, r):
+        assert frac_row(spaces.scaled_unit(space, r)) == frac_scale(
+            r, om.order_unit(space).coords)
 
 
 def fold_combination(space, pairs):

@@ -3,8 +3,9 @@
 Usage: ``python3 tools/mutants.py [NAME ...]`` from the repository root,
 for every mutant or the named ones.
 
-Each mutant rewrites one node of one top-level function of the module of
-`src/ordmeasure` that it names, through its syntax tree: the node whose
+Each mutant rewrites one node of one top-level function, or of one
+method written ``Class.method``, of the module of `src/ordmeasure` that it
+names, through its syntax tree: the node whose
 `ast.unparse` text is the mutant's ``old`` becomes ``new``.  The mutated
 module goes into a temporary copy of `src`, `tests`, `scenarios` and
 `pyproject.toml`, and pytest runs there on the test files the mutant
@@ -37,6 +38,7 @@ PACKAGE = Path("src") / "ordmeasure"
 CORE, UNIT = "tests/test_integral_core.py", "tests/test_integral.py"
 TAILS = "tests/test_declared_tails.py"
 ROWS = "tests/test_row_route.py"
+SPACES = "tests/test_spaces.py"
 
 # (name, module file, function, old, new, test files)
 MUTANTS = [
@@ -90,10 +92,17 @@ MUTANTS = [
      "lhs is not None and rhs is not None and (not row_eq(row_sub(lhs, rhs), result))",
      "False", [ROWS]),
     ("row certifier: the decreasing direction is swapped", "extended.py",
-     "certify_monotone_limit", "row_leq(space, b, a)", "row_leq(space, a, b)",
+     "certify_monotone_limit", "spaces.row_leq(space, b, a)", "spaces.row_leq(space, a, b)",
      ["tests/test_extended.py"]),
-    ("row_leq: the denominators are swapped in the cross-multiplication", "extended.py",
-     "row_leq", "q * dx - p * dy", "q * dy - p * dx", [ROWS]),
+    ("row_leq: the denominators are swapped in the cross-multiplication", "spaces.py",
+     "row_leq", "q * dx - p * dy", "q * dy - p * dx", [ROWS, SPACES]),
+    ("row_lattice: the two factors are swapped", "spaces.py", "row_lattice",
+     "op(p * (dy // g), q * (dx // g))", "op(p * (dx // g), q * (dy // g))", [SPACES]),
+    ("_element: no gcd", "spaces.py", "_element", "math.gcd(den, *nums)", "1", [SPACES]),
+    ("Measure.row: an atom that meets the set counts as inside it", "measures.py",
+     "Measure.row", "atom & mask == atom", "atom & mask", ["tests/test_measures.py"]),
+    ("_columns: the null points are kept", "integral.py", "_columns",
+     "not null >> x & 1", "True", [TAILS]),
 ]
 
 
@@ -113,11 +122,17 @@ class _Replace(ast.NodeTransformer):
 
 
 def mutate(source: str, function: str, old: str, new: str) -> str:
-    """`source` with the one node of `function` whose text is `old` made `new`."""
+    """`source` with the one node of `function` (``Class.method`` for a
+    method) whose text is `old` made `new`."""
     tree = ast.parse(source)
     replace = _Replace(old, new)
-    for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and node.name == function:
+    owner, _, name = function.rpartition(".")
+    body = tree.body
+    if owner:
+        body = next(node.body for node in body
+                    if isinstance(node, ast.ClassDef) and node.name == owner)
+    for node in body:
+        if isinstance(node, ast.FunctionDef) and node.name == name:
             replace.visit(node)
     if replace.count != 1:
         raise LookupError(f"{old!r} matches {replace.count} nodes of {function}, not 1")
