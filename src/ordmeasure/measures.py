@@ -188,7 +188,7 @@ class Measure:
             if not extended.is_ext_positive(value):
                 raise ValidationError(
                     f"atom {mask_to_points(atom)} has a value outside the positive cone",
-                    witness={"atom": mask_to_points(atom)},
+                    witness={"set": mask_to_points(atom)},
                 )
         self.atom_values = dict(atom_values)
         self._memo: Dict[int, ExtElement] = {}

@@ -24,7 +24,10 @@ Top-level keys:
   sequences      {"name": <sequence spec>}  (function sequences)
   checks         [<directive>, ...]
 
-The flags `power_set` and `induced_from_measure` are JSON booleans.
+One selector rule serves `sigma_algebra` and `outer_measure`: the flag
+(`power_set`, `induced_from_measure`) is a JSON boolean; `true` admits no
+other selector key of its section (`generators`, `sets`; `outer_values`),
+and otherwise the section holds exactly one of them.
 
 Sequence specs (terms are function names or inline {"values": [...]}),
 each built and declared by the `sequences` constructor of its kind:
@@ -47,13 +50,18 @@ place a directive's keys are defined: for each check it gives the module
 and the handler that run it, each key's JSON type, whether the key is
 required, and what the key resolves to (a named function or sequence, a
 list or sequence of measurable sets, a rational, an element, a space, a
-matrix).  A set sequence is {"kind": "explicit" | "alternating", "terms":
-[[points...], ...]} or a bare array of sets (explicit), built by
-`sequences.listed` as a function list is.
+matrix); any other key of a directive is a schema error at its pointer
+(the first such key in document order).  A set sequence is {"kind":
+"explicit" | "alternating", "terms": [[points...], ...]} or a bare array
+of sets (explicit), built by `sequences.listed` as a function list is.
 
-`parse_scenario` resolves every directive and every named sequence, so a
-document that parses (`ordmeasure validate`) raises no schema error when it
-runs; only the horizon is applied at run time.
+`parse_scenario` reads one section at a time and resolves every directive
+and every named sequence, so a document that parses (`ordmeasure
+validate`) raises no schema error when it runs; only the horizon is
+applied at run time.  Every refusal is a SchemaError that names a JSON
+pointer: a library refusal (a broken axiom or size cap) goes through one
+translator, `_at`, to the section that was read, or to the document key
+of the set or key that its witness names.
 """
 
 from __future__ import annotations
@@ -82,24 +90,23 @@ def canonical_dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
 
-def _capped(path: str, fn: Callable, *args):
-    """`fn(*args)`, with a size cap that it breaks made a schema error at `path`."""
+def _at(path: str, fn: Callable, *args, keys: Optional[dict] = None,
+        message: Optional[str] = None):
+    """``fn(*args)``, with a size cap that it breaks or a ValidationError made a
+    schema error at `path`, and `message` if given.  The pointer goes one key
+    deeper when the witness names a ``"key"``, or a ``"set"`` that `keys` maps
+    (by mask) to the document key that wrote it."""
     try:
         return fn(*args)
     except DimensionLimitError as exc:
         raise SchemaError(str(exc), path) from None
-
-
-def _at_key(path: str, keys: dict, field: str, fn: Callable, *args):
-    """`fn(*args)`, with a ValidationError whose witness names a set as `field`
-    made a schema error at ``path/<the set's key>``, read from `keys` by mask."""
-    try:
-        return fn(*args)
     except ValidationError as exc:
-        if field not in (exc.witness or {}):
-            raise
-        key = keys[points_to_mask(exc.witness[field])]
-        raise SchemaError(str(exc), f"{path}/{key}") from None
+        witness = exc.witness or {}
+        key = witness.get("key")
+        if keys is not None and "set" in witness:
+            key = keys.get(points_to_mask(witness["set"]))
+        raise SchemaError(message or str(exc),
+                          path if key is None else f"{path}/{key}") from None
 
 
 def _parse_size(doc: dict, key: str, path: str) -> int:
@@ -118,13 +125,12 @@ def parse_space(doc, path: str) -> SpaceDescriptor:
     if kind == "reals":
         return reals()
     if kind == "coord":
-        return _capped(path, coord, _parse_size(doc, "dim", path))
+        return _at(path, coord, _parse_size(doc, "dim", path))
     if kind == "entrywise_mat":
-        return _capped(path, entrywise_mat, _parse_size(doc, "rows", path),
-                       _parse_size(doc, "cols", path))
+        return _at(path, entrywise_mat, _parse_size(doc, "rows", path),
+                   _parse_size(doc, "cols", path))
     if kind == "loewner_sym":
-        dim = _parse_size(doc, "dim", path)
-        return _capped(path + "/dim", loewner_sym, dim)
+        return _at(path + "/dim", loewner_sym, _parse_size(doc, "dim", path))
     raise SchemaError(f"unknown space kind {kind!r}", path + "/kind")
 
 
@@ -236,16 +242,6 @@ def _resolve_term(functions: dict, ground: int, term, path: str) -> tuple:
     return functions[term]
 
 
-def _built(path: str, build: Callable, *args, message: Optional[str] = None) -> tuple:
-    """``build(*args)``, a `sequences` constructor, with its refusal made a schema
-    error at `path`, or at the key that it names, and `message` if given."""
-    try:
-        return build(*args)
-    except ValidationError as exc:
-        key = (exc.witness or {}).get("key")
-        raise SchemaError(message or str(exc), f"{path}/{key}" if key else path) from None
-
-
 def _parse_sequence(functions: dict, ground: int, doc, path: str) -> tuple:
     """``(spec, witnesses)`` of a named sequence: the `sequences` constructor of
     its kind on its (nums, den, inf) forms (`over_one_den`, not always reduced)."""
@@ -258,14 +254,14 @@ def _parse_sequence(functions: dict, ground: int, doc, path: str) -> tuple:
     if kind in ("explicit", "alternating"):
         terms = _items(doc.get("terms", []), "terms", path + "/terms",
                        partial(_resolve_term, functions, ground))
-        return _built(path, listed, terms, kind, message=f"{kind} sequence needs terms")
+        return _at(path, listed, terms, kind, message=f"{kind} sequence needs terms")
     if kind == "geometric":
-        return _built(path, geometric, term("base"), term("bump"),
-                      parse_rational(doc.get("ratio"), path + "/ratio"))
+        return _at(path, geometric, term("base"), term("bump"),
+                   parse_rational(doc.get("ratio"), path + "/ratio"))
     if kind == "truncation_ladder":
         return truncation_ladder(term("of"))
     if kind == "scaled_index":
-        return _built(path, scaled_index, term("shape"))
+        return _at(path, scaled_index, term("shape"))
     raise SchemaError(f"unknown sequence kind {kind!r}", path)
 
 
@@ -278,13 +274,9 @@ def _as_function(integral, space: MeasurableSpace, values: tuple, kind: str, pat
     some value is negative.  A value that is no such function (negative,
     infinite or not measurable) is a SchemaError at `path`.  The resolvers
     import `integral`, so only a document with functions loads it."""
-    nums, den, inf = values
-    ext = kind == "ext" or (kind == "either" and min(nums) >= 0)
-    try:
-        return (integral.ExtFunction if ext else integral.SignedFunction).from_nums(
-            space, nums, den, inf)
-    except ValidationError as exc:
-        raise SchemaError(str(exc), path) from None
+    ext = kind == "ext" or (kind == "either" and min(values[0]) >= 0)
+    return _at(path, (integral.ExtFunction if ext else integral.SignedFunction).from_nums,
+               space, *values)
 
 
 def _function(kind: str):
@@ -324,10 +316,7 @@ def _function_sequence(kind: str):
 def _measurable_set(scenario: Scenario, doc, path: str) -> int:
     """A set of points that is in the scenario's algebra."""
     mask = _parse_points(scenario.space.ground_size, doc, path)
-    try:
-        scenario.space.require_measurable(mask)
-    except ValidationError as exc:
-        raise SchemaError(str(exc), path) from None
+    _at(path, scenario.space.require_measurable, mask)
     return mask
 
 
@@ -343,7 +332,7 @@ def _set_sequence(scenario: Scenario, doc, path: str):
     if kind not in ("explicit", "alternating"):
         raise SchemaError(f"unknown set sequence kind {kind!r}", path)
     terms = _items(terms, "terms", tpath, partial(_measurable_set, scenario))
-    return _built(path, listed, terms, kind, message="set sequence needs terms")[0]
+    return _at(path, listed, terms, kind, message="set sequence needs terms")[0]
 
 
 def _matrix(scenario: Scenario, doc: list, path: str) -> list:
@@ -382,7 +371,7 @@ class _Check(Frozen):
     is called as ``handler(module, scenario, config, **resolved keys)``.
     `admits` is called as ``admits(scenario, resolved keys, directive path)``
     once the keys are resolved; it rejects the directive with a SchemaError,
-    or with a DimensionLimitError past a size cap.
+    or with a library refusal that `_at` points at the directive.
     """
 
     __slots__ = ("module", "handler", "keys", "needs", "admits")
@@ -543,11 +532,15 @@ def _parse_directive(scenario: Scenario, doc, path: str) -> Directive:
         raise SchemaError("a directive must be an object with a string 'check'", path)
     if name not in _CHECKS:
         raise SchemaError(f"unknown check {name!r}", path + "/check")
+    spec = _CHECKS[name]
+    unknown = next((key for key in doc if key not in spec.keys
+                    and key not in ("check", "expect")), None)
+    if unknown is not None:
+        raise SchemaError(f"{name} has no key {unknown!r}", f"{path}/{unknown}")
     expect = doc.get("expect", HOLDS)
     if expect not in STATUSES:
         raise SchemaError(f"expect must be one of {', '.join(STATUSES)}, "
                           f"got {json.dumps(expect)}", path + "/expect")
-    spec = _CHECKS[name]
     if spec.needs is not None and spec.needs not in scenario.source:
         raise SchemaError(f"{name} needs the scenario's '{spec.needs}'", path)
     args = {}
@@ -560,117 +553,115 @@ def _parse_directive(scenario: Scenario, doc, path: str) -> Directive:
             raise SchemaError(f"{name} needs '{key}'", kpath)
         else:
             args[key] = k.default
-    _capped(path, spec.admits, scenario, args, path)
+    _at(path, spec.admits, scenario, args, path)
     return Directive(name, expect, args)
 
 
+def _selector(doc: dict, path: str, flag: str, keys: tuple) -> str:
+    """The key that selects how the section `doc` is read: `flag`, a JSON
+    boolean, when it is true, which admits none of `keys`; otherwise the
+    one of `keys` that the section holds."""
+    given = [key for key in keys if key in doc]
+    if _require_json(doc.get(flag, False), bool, flag, f"{path}/{flag}"):
+        if given:
+            raise SchemaError(f"{flag}: true admits no {' or '.join(keys)}", path)
+        return flag
+    if len(given) != 1:
+        raise SchemaError(f"{path[1:]} needs exactly one of {', '.join((flag, *keys))}",
+                          path)
+    return given[0]
+
+
+def _parse_algebra(doc, ground: int) -> MeasurableSpace:
+    """The `sigma_algebra` section: the power set, the algebra that
+    `generators` generate, or the family of `sets`, validated as given."""
+    path = "/sigma_algebra"
+    key = _selector(_require_json(doc, dict, "sigma_algebra", path), path, "power_set",
+                    ("generators", "sets"))
+    if key == "power_set":
+        return measures_mod.power_set_space(ground)
+    build = (measures_mod.generate_sigma_algebra if key == "generators"
+             else measures_mod.validate_sigma_algebra)
+    kpath = f"{path}/{key}"
+    return _at(kpath, build, _items(doc[key], key, kpath, partial(_parse_points, ground)),
+               ground)
+
+
+def _parse_measure(doc, space: MeasurableSpace, backend: SpaceDescriptor) -> Measure:
+    """The `measure` section: one value for each atom, keyed by the atom's
+    smallest point."""
+    path = "/measure/atom_values"
+    if not isinstance(doc, dict) or "atom_values" not in doc:
+        raise SchemaError("measure needs 'atom_values'", "/measure")
+    keys = {atom: str(points[0]) for atom, points in space.atom_points.items()}
+    atoms = {key: atom for atom, key in keys.items()}
+    values = {}
+    for key, vdoc in _require_json(doc["atom_values"], dict, "atom_values", path).items():
+        if key not in atoms:
+            raise SchemaError(f"{key!r} is not the smallest point of an atom "
+                              f"(atoms: {[mask_to_points(a) for a in space.atoms]})",
+                              f"{path}/{key}")
+        values[atoms[key]] = parse_ext_element(vdoc, backend, f"{path}/{key}")
+    missing = [mask_to_points(a) for a in space.atoms if a not in values]
+    if missing:
+        raise SchemaError(f"missing atom values for {missing}", path)
+    return _at(path, Measure, space, backend, values, keys=keys)
+
+
+def _parse_outer(doc, mu: Optional[Measure], backend: SpaceDescriptor, ground: int):
+    """The `outer_measure` section: the outer measure induced by the measure,
+    or the one of its `outer_values`, one for each set of points.  `outer`
+    loads only for a document with this section."""
+    from . import outer
+    path = "/outer_measure"
+    doc = _require_json(doc, dict, "outer_measure", path)
+    if _selector(doc, path, "induced_from_measure", ("outer_values",)) != "outer_values":
+        if mu is None:
+            raise SchemaError("induced outer measure needs a measure", path)
+        return _at(path, outer.induce_outer, mu)
+    path += "/outer_values"
+    values, keys = {}, {}
+    for key, vdoc in _require_json(doc["outer_values"], dict, "outer_values", path).items():
+        kpath = f"{path}/{key}"
+        # Keys are strictly increasing ASCII decimal points like "0,2"; "" is
+        # the empty set.
+        parts = key.split(",") if key else []
+        try:
+            pts = [int(p) for p in parts if p.isascii() and p.isdigit()]
+        except ValueError:  # more digits than int() converts
+            pts = []
+        if len(pts) != len(parts):
+            raise SchemaError(f"bad set key {key!r}", kpath)
+        if any(p >= q for p, q in zip(pts, pts[1:])):
+            raise SchemaError(f"points of set key {key!r} are not strictly increasing",
+                              kpath)
+        if pts and pts[-1] >= ground:
+            raise SchemaError(f"point outside ground set in {key!r}", kpath)
+        mask = points_to_mask(pts)
+        if mask in values:
+            raise SchemaError(f"set key {key!r} names the set {pts} again", kpath)
+        values[mask], keys[mask] = parse_ext_element(vdoc, backend, kpath), key
+    return _at(path, outer.validate_outer_measure, values, backend, ground, keys=keys)
+
+
 def parse_scenario(doc: dict) -> Scenario:
+    """Read each section of a document in turn: space and ground size, the
+    algebra, the measure, the outer measure, functions, sequences, and the
+    directives."""
     if not isinstance(doc, dict):
         raise SchemaError("scenario must be a JSON object", "")
     backend = parse_space(doc.get("space"), "/space")
-    ground = _parse_size(doc, "ground_size", "")
-    _capped("/ground_size", check_cap, "ground size", ground, MAX_GROUND_SIZE)
-
-    apath = "/sigma_algebra"
-    alg_doc = _require_json(doc.get("sigma_algebra", {"power_set": True}), dict,
-                            "sigma_algebra", apath)
-    if _require_json(alg_doc.get("power_set", False), bool, "power_set",
-                     apath + "/power_set"):
-        if "generators" in alg_doc or "sets" in alg_doc:
-            raise SchemaError("power_set: true admits no generators or sets", apath)
-        space = measures_mod.power_set_space(ground)
-    elif "generators" in alg_doc or "sets" in alg_doc:
-        key = "generators" if "generators" in alg_doc else "sets"
-        build = (measures_mod.generate_sigma_algebra if key == "generators"
-                 else measures_mod.validate_sigma_algebra)
-        space = build(_items(alg_doc[key], key, f"{apath}/{key}",
-                             partial(_parse_points, ground)), ground)
-    else:
-        raise SchemaError("sigma_algebra needs power_set, generators, or sets", apath)
-
-    mu = None
-    if "measure" in doc:
-        mpath = "/measure"
-        mdoc = doc["measure"]
-        if not isinstance(mdoc, dict) or "atom_values" not in mdoc:
-            raise SchemaError("measure needs 'atom_values'", mpath)
-        atom_by_point = {}
-        for atom in space.atoms:
-            atom_by_point[str(min(mask_to_points(atom)))] = atom
-        atom_values = {}
-        for key, vdoc in _require_json(mdoc["atom_values"], dict, "atom_values",
-                                       mpath + "/atom_values").items():
-            if key not in atom_by_point:
-                raise SchemaError(
-                    f"{key!r} is not the smallest point of an atom "
-                    f"(atoms: {[mask_to_points(a) for a in space.atoms]})",
-                    f"{mpath}/atom_values/{key}",
-                )
-            atom_values[atom_by_point[key]] = parse_ext_element(
-                vdoc, backend, f"{mpath}/atom_values/{key}"
-            )
-        missing = [a for a in space.atoms if a not in atom_values]
-        if missing:
-            raise SchemaError(
-                f"missing atom values for {[mask_to_points(a) for a in missing]}",
-                mpath + "/atom_values",
-            )
-        mu = _at_key(mpath + "/atom_values", {a: k for k, a in atom_by_point.items()},
-                     "atom", Measure, space, backend, atom_values)
-
-    outer = None
-    if "outer_measure" in doc:
-        from . import outer as outer_mod
-        opath = "/outer_measure"
-        odoc = _require_json(doc["outer_measure"], dict, "outer_measure", opath)
-        if _require_json(odoc.get("induced_from_measure", False), bool,
-                         "induced_from_measure", opath + "/induced_from_measure"):
-            if "outer_values" in odoc:
-                raise SchemaError("induced_from_measure: true admits no outer_values", opath)
-            if mu is None:
-                raise SchemaError("induced outer measure needs a measure", opath)
-            outer = _capped(opath, outer_mod.induce_outer, mu)
-        elif "outer_values" in odoc:
-            values, keys = {}, {}
-            for key, vdoc in _require_json(odoc["outer_values"], dict, "outer_values",
-                                           opath + "/outer_values").items():
-                kpath = f"{opath}/outer_values/{key}"
-                # Keys are strictly increasing ASCII decimal points like "0,2";
-                # "" is the empty set.
-                if key == "":
-                    pts = []
-                else:
-                    parts = key.split(",")
-                    try:
-                        pts = [int(p) for p in parts if p.isascii() and p.isdigit()]
-                    except ValueError:  # more digits than int() converts
-                        pts = []
-                    if len(pts) != len(parts):
-                        raise SchemaError(f"bad set key {key!r}", kpath)
-                    if any(p >= q for p, q in zip(pts, pts[1:])):
-                        raise SchemaError(
-                            f"points of set key {key!r} are not strictly increasing",
-                            kpath)
-                    if pts[-1] >= ground:
-                        raise SchemaError(f"point outside ground set in {key!r}",
-                                          kpath)
-                mask = points_to_mask(pts)
-                if mask in values:
-                    raise SchemaError(f"set key {key!r} names the set {pts} again",
-                                      kpath)
-                values[mask], keys[mask] = parse_ext_element(vdoc, backend, kpath), key
-            outer = _capped(opath, _at_key, opath + "/outer_values", keys, "set",
-                            outer_mod.validate_outer_measure, values, backend, ground)
-        else:
-            raise SchemaError(
-                "outer_measure needs outer_values or induced_from_measure", opath
-            )
-
-    functions = {}
-    for name, fdoc in _require_json(doc.get("functions", {}), dict, "functions",
-                                    "/functions").items():
-        functions[name] = _parse_function_values(fdoc, ground, f"/functions/{name}")
-
+    ground = _at("/ground_size", check_cap, "ground size",
+                 _parse_size(doc, "ground_size", ""), MAX_GROUND_SIZE)
+    space = _parse_algebra(doc.get("sigma_algebra", {"power_set": True}), ground)
+    mu = _parse_measure(doc["measure"], space, backend) if "measure" in doc else None
+    outer = (_parse_outer(doc["outer_measure"], mu, backend, ground)
+             if "outer_measure" in doc else None)
+    functions = {
+        name: _parse_function_values(fdoc, ground, f"/functions/{name}")
+        for name, fdoc in _require_json(doc.get("functions", {}), dict, "functions",
+                                        "/functions").items()
+    }
     sequences = {
         name: _parse_sequence(functions, ground, sdoc, f"/sequences/{name}")
         for name, sdoc in _require_json(doc.get("sequences", {}), dict, "sequences",
@@ -768,9 +759,12 @@ def run_scenario(scenario: Scenario, config: Optional[RunConfig] = None) -> dict
     results = []
     all_ok = True
     for i, directive in enumerate(scenario.checks):
-        # A cap broken while a check runs (a result of more digits than
-        # Python prints, too many extracted atoms) is reported at the directive
-        result = _capped(f"/checks/{i}", run_check, scenario, directive, config)
+        try:
+            result = run_check(scenario, directive, config)
+        except DimensionLimitError as exc:
+            # A cap broken while a check runs (a result of more digits than
+            # Python prints, too many extracted atoms) is reported at the directive
+            raise SchemaError(str(exc), f"/checks/{i}") from None
         matched = result.status == directive.expect
         all_ok = all_ok and matched
         entry = result.to_json()

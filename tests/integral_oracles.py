@@ -39,7 +39,11 @@ which the element, extended and table operations all run.
 `ext_certify_monotone_limit` is the former ``extended.certify_monotone_limit``
 on extended elements, before the certifier moved onto the integer rows of
 the integral core; its divergence branch scans the full ladder of bounds
-(`ladder_certify_divergence`) instead of bisecting it.
+(`ladder_certify_divergence`) instead of bisecting it.  It, the ladder
+divergence scan, `closed_form_integral` and the order test of
+`ladder_supremum` decide every sum, scaling and order test on Fraction
+coordinates (`frac_ext`, `frac_ext_add`, `frac_ext_leq`, `frac_scale`), not
+on the row kernels of the routes they check.
 """
 
 import itertools
@@ -50,7 +54,6 @@ from typing import Sequence
 import ordmeasure as om
 from ordmeasure import extended, integral, spaces
 from ordmeasure.errors import CertificationError, OrdMeasureError, ValidationError
-from ordmeasure.extended import ext_add, ext_leq, ext_scale, ext_zero
 from ordmeasure.measures import mask_to_points
 from ordmeasure.rationals import INFINITY, is_infinite
 from ordmeasure.sequences import certify_gaps, stable_from
@@ -141,12 +144,17 @@ def fraction_class_key(f, null: int) -> tuple:
 
 
 def closed_form_integral(f, mu) -> om.ExtElement:
-    """The closed form as the library folded it before it moved onto
-    integers: `ext_scale` of each atom's value, summed by `ext_add`."""
-    total = ext_zero(mu.backend)
+    """The closed form on Fraction coordinates: each atom's value scaled by
+    f's value there (`frac_scale`; zero times infinity, either way round, is
+    zero), summed by `frac_ext_add`."""
+    total = (Fraction(0),) * mu.backend.ncoords
     for atom, points in mu.space.atom_points.items():
-        total = ext_add(total, ext_scale(f.values[points[0]], mu.atom_values[atom]))
-    return total
+        r, a = f.values[points[0]], frac_ext(mu.atom_values[atom])
+        if r == 0 or (a is not None and not any(a)):
+            continue
+        total = frac_ext_add(total, None if is_infinite(r) or a is None
+                             else frac_scale(r, a))
+    return frac_to_ext(mu.backend, total)
 
 
 def ext_value(mu, value) -> om.ExtElement:
@@ -187,7 +195,7 @@ def ladder_supremum(f, mu):
     rungs = []
     for n in sorted(levels):
         rung = rung_integral(truncate_terms(f, n), mu)
-        if rungs and not ext_leq(rungs[-1], rung):
+        if rungs and not frac_ext_leq(mu.backend, frac_ext(rungs[-1]), frac_ext(rung)):
             raise OrdMeasureError("ladder integrals failed to increase")
         rungs.append(rung)
         if rung.is_infinite:
@@ -301,14 +309,15 @@ def certify_scalar_convergence(terms, f, x: int, epsilons, increasing: bool):
 
 
 def ladder_certify_divergence(terms) -> int:
-    """Oracle for `extended.certify_divergence` on extended elements: every
-    rung k = 1 .. h - 1 of h terms tested (rung 1 when h is 1), and the top
-    rung returned."""
-    unit = om.order_unit(terms[0].space)
+    """Oracle for `extended.certify_divergence` on the Fraction coordinates of
+    extended elements: every rung k = 1 .. h - 1 of h terms tested (rung 1
+    when h is 1), and the top rung returned."""
+    space = terms[0].space
+    unit, coords = om.order_unit(space).coords, [frac_ext(t) for t in terms]
     top = max(len(terms), 2) - 1
     for k in range(1, top + 1):
-        bound = om.finite(om.scale(Fraction(k), unit))
-        if not any(not ext_leq(t, bound) for t in terms):
+        bound = frac_scale(k, unit)
+        if not any(not frac_ext_leq(space, t, bound) for t in coords):
             raise CertificationError(
                 f"divergence not certified: all samples below {k} * unit"
             )
@@ -319,31 +328,34 @@ def ext_certify_monotone_limit(values, target, epsilons, increasing: bool = True
     """The certificate that `target` is the supremum of the increasing
     extended elements `values`, or the infimum of the decreasing ones: the
     stabilized, divergence-certified or gap-certified mode with its
-    evidence, or the CertificationError that refuses it."""
+    evidence, or the CertificationError that refuses it.  Every order test
+    and sum is decided on Fraction coordinates."""
+    space, coords, goal = target.space, [frac_ext(v) for v in values], frac_ext(target)
+
     def precedes(a, b):
-        return ext_leq(a, b) if increasing else ext_leq(b, a)
+        return frac_ext_leq(space, a, b) if increasing else frac_ext_leq(space, b, a)
 
     direction = "increasing" if increasing else "decreasing"
-    for n in range(1, len(values)):
-        if not precedes(values[n - 1], values[n]):
+    for n in range(1, len(coords)):
+        if not precedes(coords[n - 1], coords[n]):
             raise CertificationError(f"integral sequence not {direction} at {n}")
     crossing = "exceeds" if increasing else "dips below"
-    for n, v in enumerate(values, start=1):
-        if not precedes(v, target):
+    for n, v in enumerate(coords, start=1):
+        if not precedes(v, goal):
             raise CertificationError(f"integral sequence {crossing} the target at {n}")
     if values[-1] == target:
         return {"mode": "stabilized", "at": stable_from(values).index}
     if target.is_infinite:
         return {"mode": "divergence-certified",
                 "ladder_top": ladder_certify_divergence(values)}
-    unit = spaces.order_unit(target.space)
+    unit = spaces.order_unit(space).coords
 
     def probe(eps):
-        bump = om.finite(spaces.scale(eps, unit))
+        bump = frac_scale(eps, unit)
         if increasing:
-            return lambda i: ext_leq(target, ext_add(values[i - 1], bump))
-        ceiling = ext_add(target, bump)
-        return lambda i: ext_leq(values[i - 1], ceiling)
+            return lambda i: frac_ext_leq(space, goal, frac_ext_add(coords[i - 1], bump))
+        ceiling = frac_ext_add(goal, bump)
+        return lambda i: frac_ext_leq(space, coords[i - 1], ceiling)
 
     gaps = certify_gaps(epsilons, len(values), probe, "integral gap {eps} not certified")
     return {"mode": "gap-certified", "gaps": gaps}
@@ -449,3 +461,14 @@ def frac_ext_add(a, b):
 def frac_ext_leq(space, a, b) -> bool:
     """a <= b for Fraction tuples or None (infinity)."""
     return b is None or (a is not None and frac_leq(space, a, b))
+
+
+def frac_ext(v):
+    """An extended element as its Fraction coordinates, or None for infinity."""
+    return None if v.is_infinite else v.finite.coords
+
+
+def frac_to_ext(space, coords) -> om.ExtElement:
+    """Fraction coordinates, or None for infinity, as an extended element of
+    `space`."""
+    return extended.infinity(space) if coords is None else om.finite(om.Element(space, coords))

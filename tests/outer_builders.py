@@ -1,12 +1,14 @@
 """Families of valid outer measures for randomized suites, and the slower
 methods kept as oracles: measurability tests, and the outer-measure axioms,
-split record and measure identities decided with `ExtElement` arithmetic
-rather than on the library's integer table."""
+split record, set evaluation and measure identities decided on Fraction
+coordinates (`frac_ext_add`, `frac_ext_leq`, `frac_sub`) rather than on the
+library's integer table and row kernels."""
 
 from fractions import Fraction
 
+from integral_oracles import frac_ext, frac_ext_add, frac_ext_leq, frac_sub, frac_to_ext
+
 import ordmeasure as om
-from ordmeasure import extended
 from ordmeasure.errors import ValidationError
 from ordmeasure.measures import full_mask, mask_to_points, require_exhaustive
 from ordmeasure.reports import fails, holds
@@ -69,12 +71,9 @@ def full_test_set_measurable(nu, mask):
     """Caratheodory measurability tested on all 2^n test sets (oracle for
     `caratheodory_measurable`)."""
     full = full_mask(nu.ground_size)
-    co = mask ^ full
-    for gamma in range(full + 1):
-        split = om.ext_add(nu.value(gamma & mask), nu.value(gamma & co))
-        if nu.value(gamma) != split:
-            return False
-    return True
+    co, values = mask ^ full, [frac_ext(nu.value(m)) for m in range(full + 1)]
+    return all(values[gamma] == frac_ext_add(values[gamma & mask], values[gamma & co])
+               for gamma in range(full + 1))
 
 
 def split_test_measurable(nu, mask):
@@ -84,9 +83,9 @@ def split_test_measurable(nu, mask):
     co = mask ^ full_mask(nu.ground_size)
     a = mask
     while a:
-        va, b = nu.value(a), co
+        va, b = frac_ext(nu.value(a)), co
         while b:
-            if nu.value(a | b) != om.ext_add(va, nu.value(b)):
+            if frac_ext(nu.value(a | b)) != frac_ext_add(va, frac_ext(nu.value(b))):
                 return False
             b = (b - 1) & co
         a = (a - 1) & mask
@@ -95,16 +94,17 @@ def split_test_measurable(nu, mask):
 
 def ext_split_table(values, ground_size):
     """The split record of `outer.OuterMeasure.split_failures`, each disjoint
-    pair summed with `ext_add` and ordered with `ext_leq` (oracle for the
-    integer pair pass)."""
-    full = full_mask(ground_size)
+    pair summed with `frac_ext_add` and ordered with `frac_ext_leq` (oracle
+    for the integer pair pass)."""
+    full, backend = full_mask(ground_size), values[0].space
+    coords = {mask: frac_ext(v) for mask, v in values.items()}
     failures = [0] * (full + 1)
     for a in range(full + 1):
-        rest, va = full ^ a, values[a]
+        rest, va = full ^ a, coords[a]
         b = rest
         while b > a:
-            joint, split = values[a | b], om.ext_add(va, values[b])
-            if not om.ext_leq(joint, split):
+            joint, split = coords[a | b], frac_ext_add(va, coords[b])
+            if not frac_ext_leq(backend, joint, split):
                 raise ValidationError(
                     "sub-additivity violation",
                     witness={"pair": [mask_to_points(a), mask_to_points(b)]},
@@ -117,7 +117,7 @@ def ext_split_table(values, ground_size):
 
 
 def ext_validate_outer_measure(values, backend, ground_size):
-    """`outer.validate_outer_measure` on `ExtElement` arithmetic, in the same
+    """`outer.validate_outer_measure` on Fraction coordinates, in the same
     order and with the same messages and witnesses; returns the split
     record (oracle for the integer table)."""
     full = full_mask(ground_size)
@@ -127,10 +127,11 @@ def ext_validate_outer_measure(values, backend, ground_size):
     if not (zero_v.is_finite and zero_v.finite.is_zero()):
         raise ValidationError("outer measure of the empty set must be zero",
                               witness={"empty_value": repr(zero_v)})
+    zero = (Fraction(0),) * backend.ncoords
     for mask, v in values.items():
         if v.space != backend:
             raise ValidationError("outer value in the wrong backend")
-        if not extended.is_ext_positive(v):
+        if not frac_ext_leq(backend, zero, frac_ext(v)):
             raise ValidationError(
                 f"outer value of {mask_to_points(mask)} is outside the positive cone",
                 witness={"set": mask_to_points(mask)},
@@ -138,7 +139,8 @@ def ext_validate_outer_measure(values, backend, ground_size):
     for mask in range(full + 1):
         for p in range(ground_size):
             bigger = mask | (1 << p)
-            if bigger != mask and not om.ext_leq(values[mask], values[bigger]):
+            if bigger != mask and not frac_ext_leq(backend, frac_ext(values[mask]),
+                                                   frac_ext(values[bigger])):
                 raise ValidationError(
                     "monotonicity violation",
                     witness={"smaller": mask_to_points(mask),
@@ -148,39 +150,40 @@ def ext_validate_outer_measure(values, backend, ground_size):
 
 
 def ext_sum_evaluate(mu, mask):
-    """The measure of a measurable set as the pairwise `ext_add` fold of its
-    atoms' values (oracle for `Measure.evaluate`)."""
+    """The measure of a measurable set as the pairwise `frac_ext_add` fold of
+    its atoms' values (oracle for `Measure.evaluate`)."""
     mu.space.require_measurable(mask)
-    return extended.ext_sum([mu.atom_values[a] for a in mu.space.atoms_inside(mask)],
-                      mu.backend)
+    total = (Fraction(0),) * mu.backend.ncoords
+    for atom in mu.space.atoms_inside(mask):
+        total = frac_ext_add(total, frac_ext(mu.atom_values[atom]))
+    return frac_to_ext(mu.backend, total)
 
 
 def ext_measure_identities(mu):
-    """`measures.check_measure_identities` with every pair decided by
-    `ExtElement` arithmetic on `mu.evaluate` (oracle for the integer table)."""
+    """`measures.check_measure_identities` with every pair decided on the
+    Fraction coordinates of `mu.evaluate` (oracle for the integer table)."""
     require_exhaustive(mu.space)
-    members = mu.space.members()
+    members, backend = mu.space.members(), mu.backend
+    values = {d: frac_ext(mu.evaluate(d)) for d in members}
     violations = []
     checked = 0
     for d1 in members:
-        v1 = mu.evaluate(d1)
+        v1 = values[d1]
         for d2 in members:
-            v2 = mu.evaluate(d2)
+            v2 = values[d2]
             checked += 1
-            if d1 & d2 == d1 and not om.ext_leq(v1, v2):
+            if d1 & d2 == d1 and not frac_ext_leq(backend, v1, v2):
                 violations.append({"identity": "monotonicity",
                                    "pair": [mask_to_points(d1), mask_to_points(d2)]})
-            lhs = om.ext_add(v1, v2)
-            rhs = om.ext_add(mu.evaluate(d1 & d2), mu.evaluate(d1 | d2))
-            if lhs != rhs:
+            lhs = frac_ext_add(v1, v2)
+            if lhs != frac_ext_add(values[d1 & d2], values[d1 | d2]):
                 violations.append({"identity": "modularity",
                                    "pair": [mask_to_points(d1), mask_to_points(d2)]})
-            if not om.ext_leq(mu.evaluate(d1 | d2), lhs):
+            if not frac_ext_leq(backend, values[d1 | d2], lhs):
                 violations.append({"identity": "sub-additivity",
                                    "pair": [mask_to_points(d1), mask_to_points(d2)]})
-            if d2 & d1 == d2 and v2.is_finite:
-                diff = mu.evaluate(d1 & ~d2)
-                if diff != extended.ext_sub_finite(v1, v2):
+            if d2 & d1 == d2 and v2 is not None:
+                if values[d1 & ~d2] != (None if v1 is None else frac_sub(v1, v2)):
                     violations.append({"identity": "subtractivity",
                                        "pair": [mask_to_points(d1), mask_to_points(d2)]})
     if violations:

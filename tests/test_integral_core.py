@@ -3,8 +3,8 @@ the Fraction fold it replaced, and the work a pass over the shipped
 documents asks of it.
 
 `_closed_form` folds f(atom) * mu(atom) on integers; the oracle
-`integral_oracles.closed_form_integral` folds `ext_scale` and `ext_add` on
-the Fraction values.  They are compared on every backend kind, with
+`integral_oracles.closed_form_integral` folds `frac_scale` and `frac_ext_add`
+on the Fraction values and coordinates.  They are compared on every backend kind, with
 infinite and null atoms, infinite values and large coprime denominators,
 and at each corner of the convention 0 * inf = 0.
 

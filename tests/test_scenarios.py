@@ -412,6 +412,14 @@ def _outer_values(*keys) -> dict:
     return {"outer_measure": {"outer_values": {key: "infinity" for key in keys}}}
 
 
+def _outer_values_on(ground: int) -> dict:
+    """Scenario keys for an outer measure on `ground` points given by its
+    values, zero on every set, with one atom."""
+    keys = [",".join(map(str, mask_to_points(mask))) for mask in range(1 << ground)]
+    return dict(_induced_outer_on(ground),
+                outer_measure={"outer_values": {key: {"finite": ["0", "0"]} for key in keys}})
+
+
 def _generated_sequence(sequence: dict, check: dict, coarse=False, **functions) -> dict:
     """Scenario keys naming the sequence `s` in one check; with `coarse`, the
     algebra has the atoms {0} and {1, 2}."""
@@ -742,6 +750,30 @@ class TestCli:
         ({"checks": [{"check": "push_forward", "function": "f", "matrix": [["1", "1"]],
                       "target": {"kind": "coord", "dim": MAX_COORDINATES + 1}}]},
          "/checks/0/target"),
+        # A library refusal names the section, or the document key of its witness.
+        ({"sigma_algebra": {"sets": [[], [0], [0, 1, 2]]}},
+         ("/sigma_algebra/sets", "family not closed under complement of [0]")),
+        # `generators` alone is the power set; `sets` is no algebra
+        ({"sigma_algebra": {"generators": [[0], [1]], "sets": [[0], [1, 2]]}},
+         ("/sigma_algebra", "sigma_algebra needs exactly one of power_set, generators, "
+                            "sets")),
+        ({"sigma_algebra": {"power_set": False}},
+         ("/sigma_algebra", "sigma_algebra needs exactly one of power_set, generators, "
+                            "sets")),
+        ({"outer_measure": {}},
+         ("/outer_measure", "outer_measure needs exactly one of induced_from_measure, "
+                            "outer_values")),
+        (_outer_values("", "0", "1"),
+         ("/outer_measure/outer_values", "outer measure must be total on the power set")),
+        (_outer_values("", "0", "1", "2", "0,1", "0,2", "1,2", "0,1,2"),
+         ("/outer_measure/outer_values", "outer measure of the empty set must be zero")),
+        (_outer_values_on(13), "/outer_measure/outer_values"),
+        # A directive key outside the check's table, the first in document order
+        ({"checks": [{"check": "validate", "expectt": "fails"}]},
+         ("/checks/0/expectt", "validate has no key 'expectt'")),
+        ({"checks": [{"check": "validate", "zz": 1, "aa": 2}]}, "/checks/0/zz"),
+        ({"functions": {"f": {"values": ONE}},
+          "checks": [{"check": "ae", "function": "f", "limit": "f"}]}, "/checks/0/limit"),
     ], ids=["ground_bool", "ground_cap", "sigma_algebra_list", "checks_object",
             "directive_string", "check_name_int", "outer_measure_list",
             "functions_list", "sequences_string", "atom_values_list",
@@ -770,7 +802,11 @@ class TestCli:
             "explicit_terms_empty", "geometric_ratio_minus_one", "scaled_index_infinite",
             "power_set_string", "power_set_int", "power_set_with_generators",
             "power_set_with_sets", "induced_string", "induced_with_outer_values",
-            "coord_over_cap", "entrywise_mat_over_cap", "push_forward_target_over_cap"])
+            "coord_over_cap", "entrywise_mat_over_cap", "push_forward_target_over_cap",
+            "algebra_sets_not_closed", "generators_with_sets", "no_algebra_selector",
+            "no_outer_selector", "outer_values_set_missing", "outer_value_empty_nonzero",
+            "outer_values_ground_13", "directive_key_misspelled",
+            "directive_keys_in_document_order", "directive_key_of_another_check"])
     def test_scenario_schema_errors(self, tmp_path, capsys, updates, pointer):
         # `pointer` is a JSON pointer, or (pointer, the whole message)
         pointer, message = pointer if isinstance(pointer, tuple) else (pointer, None)
@@ -784,7 +820,7 @@ class TestCli:
         assert message is None or err == f"error: {pointer}: {message}\n"
         assert run_cli(["run", bad]) == 2
         assert capsys.readouterr().err == err
-        if pointer == "/outer_measure" and "ground_size" in updates:
+        if pointer.startswith("/outer_measure") and "ground_size" in updates:
             assert f"<= {MAX_OUTER_GROUND_SIZE}," in err
 
     @pytest.mark.parametrize("horizon", ["0", "-3", "x", str(MAX_HORIZON + 1),
@@ -1104,7 +1140,8 @@ class TestExitContract:
         """Every value of every shipped scenario is mutated once, the k-th
         value by the (k mod 8)-th of `MUTATIONS`, and the result is run and
         validated in process.  Exit codes stay in 0..2, nothing else
-        escapes, and a schema error of `run` is the one `validate` reports."""
+        escapes, every refusal of `validate` names a JSON pointer, and a
+        schema error of `run` is the one `validate` reports."""
         bad = tmp_path / "mutated.json"
         problems, exercised = [], set()
         cases = ((path, doc, key_path) for path in SCENARIOS
@@ -1131,5 +1168,7 @@ class TestExitContract:
                     2, run_err):
                 problems.append(f"{case}: run {run_err!r}, validate "
                                 f"{validate_code} {validate_err!r}")
+            if validate_code == 2 and not validate_err.startswith("error: /"):
+                problems.append(f"{case}: validate names no pointer: {validate_err!r}")
         assert problems == []
         assert exercised == set(_CHECKS)

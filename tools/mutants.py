@@ -7,7 +7,8 @@ Each mutant rewrites one node of one top-level function, or of one
 method written ``Class.method``, of the module of `src/ordmeasure` that it
 names, through its syntax tree: the node whose
 `ast.unparse` text is the mutant's ``old`` becomes ``new``.  The mutated
-module goes into a temporary copy of `src`, `tests`, `scenarios` and
+module goes into a temporary copy of `src`, `tests`, `scenarios`,
+`perfbench` (whose reference digests `tests/test_scenarios.py` reads) and
 `pyproject.toml`, and pytest runs there on the test files the mutant
 names, stopping at the first failure; the module is restored before the
 next mutant.  A mutant is killed when a test
@@ -39,6 +40,7 @@ CORE, UNIT = "tests/test_integral_core.py", "tests/test_integral.py"
 TAILS = "tests/test_declared_tails.py"
 ROWS = "tests/test_row_route.py"
 SPACES = "tests/test_spaces.py"
+SCENARIOS = "tests/test_scenarios.py"
 
 # (name, module file, function, old, new, test files)
 MUTANTS = [
@@ -103,6 +105,19 @@ MUTANTS = [
      "Measure.row", "atom & mask == atom", "atom & mask", ["tests/test_measures.py"]),
     ("_columns: the null points are kept", "integral.py", "_columns",
      "not null >> x & 1", "True", [TAILS]),
+    ("_at: the witness's key is dropped from the pointer", "scenarios.py", "_at",
+     "path if key is None else f'{path}/{key}'", "path", [SCENARIOS]),
+    ("selector: a section may hold two selector keys", "scenarios.py", "_selector",
+     "len(given) != 1", "not given", [SCENARIOS]),
+    ("directive: a key outside the check table is ignored", "scenarios.py",
+     "_parse_directive", "unknown is not None", "False", [SCENARIOS]),
+    ("MeasurableSpace.cover: only the atoms inside the set are kept", "measures.py",
+     "MeasurableSpace.cover", "atom & mask", "atom & mask == atom",
+     ["tests/test_measures.py"]),
+    ("certify_gaps: the last sampled index is not scanned", "sequences.py", "certify_gaps",
+     "range(1, count + 1)", "range(1, count)", [TAILS]),
+    ("divergence_top: the ladder tops out at h, not h - 1", "extended.py",
+     "divergence_top", "max(h, 2) - 1", "h", ["tests/test_extended.py"]),
 ]
 
 
@@ -155,9 +170,9 @@ def main(names: list) -> int:
         return 2
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         copy = Path(tmp)
-        for part in ("src", "tests", "scenarios"):
-            shutil.copytree(ROOT / part, copy / part,
-                            ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        for part in ("src", "tests", "scenarios", "perfbench"):
+            shutil.copytree(ROOT / part, copy / part, ignore=shutil.ignore_patterns(
+                "__pycache__", ".hypothesis", ".work", ".out"))
         shutil.copy(ROOT / "pyproject.toml", copy)
         files = sorted({f for m in chosen for f in m[5]})
         if not run_tests(copy, files):
