@@ -27,7 +27,7 @@ from .errors import (
 )
 from .extended import ExtElement, ext_rows
 from .reports import CheckResult, fails, holds
-from .spaces import SpaceDescriptor, row_add, row_eq, row_leq, row_sub
+from .spaces import SpaceDescriptor, table_kernels
 
 
 def full_mask(ground_size: int) -> int:
@@ -268,31 +268,37 @@ def check_measure_identities(mu: Measure) -> CheckResult:
 
     The measure is evaluated once on each of the 2^k members, and the pairs
     are decided on those values as one integer table (`extended.ext_rows`:
-    integer numerators over one common denominator, None for infinity).
-    Sums and differences are integer adds and subtracts, equality is tuple
-    equality, and an order test is one positivity test of a difference row
-    (`spaces.is_positive_row`); no element is built per pair.
+    integer numerators over one common denominator, None for infinity),
+    with the kernels of `spaces.table_kernels`: on a coordinatewise backend
+    a table of nonnegative numerators is packed, one int per value, and
+    otherwise a sum is an integer add per coordinate and an order test one
+    positivity test of a difference row.  No element is built per pair.
+    Subtractivity is decided as mu(D1 - D2) + mu(D2) = mu(D1), the same
+    statement as mu(D1 - D2) = mu(D1) - mu(D2) when mu(D2) is finite, so
+    the kernels need no difference.
     """
     require_exhaustive(mu.space)
-    members, backend = mu.space.members(), mu.backend
-    row = dict(zip(members, ext_rows([mu.evaluate(m) for m in members])))
+    members = mu.space.members()
+    values, add, leq, eq = table_kernels(mu.backend,
+                                         ext_rows([mu.evaluate(m) for m in members]))
+    row = dict(zip(members, values))
     violations = []
     for d1 in members:
         v1 = row[d1]
         for d2 in members:
             v2 = row[d2]
-            if d1 & d2 == d1 and not row_leq(backend, v1, v2):
+            if d1 & d2 == d1 and not leq(v1, v2):
                 violations.append({"identity": "monotonicity",
                                    "pair": [mask_to_points(d1), mask_to_points(d2)]})
-            lhs = row_add(v1, v2)
-            if not row_eq(lhs, row_add(row[d1 & d2], row[d1 | d2])):
+            lhs = add(v1, v2)
+            if not eq(lhs, add(row[d1 & d2], row[d1 | d2])):
                 violations.append({"identity": "modularity",
                                    "pair": [mask_to_points(d1), mask_to_points(d2)]})
-            if not row_leq(backend, row[d1 | d2], lhs):
+            if not leq(row[d1 | d2], lhs):
                 violations.append({"identity": "sub-additivity",
                                    "pair": [mask_to_points(d1), mask_to_points(d2)]})
             if d2 & d1 == d2 and v2 is not None:
-                if not row_eq(row[d1 & ~d2], row_sub(v1, v2)):
+                if not eq(add(row[d1 & ~d2], v2), v1):
                     violations.append({"identity": "subtractivity",
                                        "pair": [mask_to_points(d1), mask_to_points(d2)]})
     checked = len(members) ** 2

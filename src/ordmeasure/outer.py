@@ -24,10 +24,14 @@ is summed once, not once for every set that separates it.
 
 Every exhaustive pass runs on one integer table (`extended.ext_rows`): the
 2^n values as rows of integer numerators over one common denominator, with
-None for the point at infinity.  A pair's sum is an integer add per
-coordinate, equality is tuple equality, and a <= b is one positivity test
-of the row b - a (`spaces.is_positive_row`), so the passes build no element
-and reduce nothing by a gcd.
+None for the point at infinity.  Positivity is one test of each row
+(`spaces.row_leq`).  Monotonicity and the pair pass then take the table and
+its kernels from `spaces.table_kernels`: on a coordinatewise backend a
+table of nonnegative numerators over one denominator is packed, one int
+per value, and a sum is one integer add and a <= b one add, subtract and
+mask test; otherwise a sum is an integer add per coordinate and a <= b one
+positivity test of the row b - a.  So the passes build no element and
+reduce nothing by a gcd.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from .measures import (
     validate_sigma_algebra,
 )
 from .reports import CheckResult
-from .spaces import SpaceDescriptor, row_add, row_eq, row_leq
+from .spaces import SpaceDescriptor, row_leq, table_kernels
 
 
 class OuterMeasure:
@@ -69,7 +73,8 @@ class OuterMeasure:
 
         `validate_outer_measure` stores the table of its own pair pass; an
         induced outer measure builds it here, on first use."""
-        return _split_table(_table(self.values, self.ground_size), self.backend)
+        return _split_table(*table_kernels(self.backend,
+                                           _table(self.values, self.ground_size)))
 
 
 def _table(values: Dict[int, ExtElement], ground_size: int) -> list:
@@ -77,24 +82,25 @@ def _table(values: Dict[int, ExtElement], ground_size: int) -> list:
     return ext_rows([values[mask] for mask in range(full_mask(ground_size) + 1)])
 
 
-def _split_table(rows: list, backend: SpaceDescriptor) -> List[int]:
-    """Decide every unordered disjoint pair a < b once on the integer rows:
-    test sub-additivity, nu(a | b) <= nu(a) + nu(b), and record in both a's
-    and b's bitset the pairs where the two sides differ.  A violation raises
-    with the pair as its witness.  (3^n - 1)/2 row sums and order tests."""
-    full = len(rows) - 1
-    failures = [0] * len(rows)
+def _split_table(values: list, add, leq, eq) -> List[int]:
+    """Decide every unordered disjoint pair a < b once on the table `values`
+    with its kernels (`spaces.table_kernels`): test sub-additivity,
+    nu(a | b) <= nu(a) + nu(b), and record in both a's and b's bitset the
+    pairs where the two sides differ.  A violation raises with the pair as
+    its witness.  (3^n - 1)/2 sums and order tests."""
+    full = len(values) - 1
+    failures = [0] * len(values)
     for a in range(full + 1):
-        rest, ra = full ^ a, rows[a]
+        rest, va = full ^ a, values[a]
         b = rest
         while b > a:
-            joint, split = rows[a | b], row_add(ra, rows[b])
-            if not row_leq(backend, joint, split):
+            joint, split = values[a | b], add(va, values[b])
+            if not leq(joint, split):
                 raise ValidationError(
                     "sub-additivity violation",
                     witness={"pair": [mask_to_points(a), mask_to_points(b)]},
                 )
-            if not row_eq(joint, split):
+            if not eq(joint, split):
                 failures[a] |= 1 << b
                 failures[b] |= 1 << a
             b = (b - 1) & rest
@@ -105,12 +111,13 @@ def validate_outer_measure(values: Dict[int, ExtElement], backend: SpaceDescript
                            ground_size: int) -> OuterMeasure:
     """Check the outer-measure axioms exhaustively and return the object.
 
-    Positivity and monotonicity are decided on the integer table too.
-    Monotonicity is checked along single-point extensions (which implies it
-    for arbitrary inclusions by chaining).  Sub-additivity is then checked
-    on the disjoint pairs a < b only, b running over the submasks of the
-    complement of a: (3^n - 1)/2 order tests.  That suffices, since for any
-    a and b
+    Positivity is decided on the integer rows, and monotonicity and the
+    pair pass on the table of `spaces.table_kernels` built after it, which
+    is dropped when the pass returns.  Monotonicity is checked along
+    single-point extensions (which implies it for arbitrary inclusions by
+    chaining).  Sub-additivity is then checked on the disjoint pairs a < b
+    only, b running over the submasks of the complement of a: (3^n - 1)/2
+    order tests.  That suffices, since for any a and b
 
         nu(a | b) = nu(a | (b - a)) <= nu(a) + nu(b - a) <= nu(a) + nu(b),
 
@@ -137,16 +144,18 @@ def validate_outer_measure(values: Dict[int, ExtElement], backend: SpaceDescript
                 f"outer value of {mask_to_points(mask)} is outside the positive cone",
                 witness={"set": mask_to_points(mask)},
             )
+    kernels = table_kernels(backend, rows)
+    table, _, leq, _ = kernels
     for mask in range(full + 1):
         for p in range(ground_size):
             bigger = mask | (1 << p)
-            if bigger != mask and not row_leq(backend, rows[mask], rows[bigger]):
+            if bigger != mask and not leq(table[mask], table[bigger]):
                 raise ValidationError(
                     "monotonicity violation",
                     witness={"smaller": mask_to_points(mask),
                              "larger": mask_to_points(bigger)},
                 )
-    nu.split_failures = _split_table(rows, backend)
+    nu.split_failures = _split_table(*kernels)
     return nu
 
 

@@ -61,7 +61,9 @@ validate`) raises no schema error when it runs; only the horizon is
 applied at run time.  Every refusal is a SchemaError that names a JSON
 pointer: a library refusal (a broken axiom or size cap) goes through one
 translator, `_at`, to the section that was read, or to the document key
-of the set or key that its witness names.
+of the set or key that its witness names.  A pointer goes one key deeper
+only through `_pointer`, which escapes ``~`` and ``/`` in the key as
+RFC 6901 asks.
 """
 
 from __future__ import annotations
@@ -90,6 +92,12 @@ def canonical_dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
 
+def _pointer(path: str, key) -> str:
+    """The JSON pointer `path` one key (or array index) deeper, with ``~`` and
+    ``/`` in the key escaped as ``~0`` and ``~1`` (RFC 6901)."""
+    return f"{path}/{str(key).replace('~', '~0').replace('/', '~1')}"
+
+
 def _at(path: str, fn: Callable, *args, keys: Optional[dict] = None,
         message: Optional[str] = None):
     """``fn(*args)``, with a size cap that it breaks or a ValidationError made a
@@ -106,7 +114,7 @@ def _at(path: str, fn: Callable, *args, keys: Optional[dict] = None,
         if keys is not None and "set" in witness:
             key = keys.get(points_to_mask(witness["set"]))
         raise SchemaError(message or str(exc),
-                          path if key is None else f"{path}/{key}") from None
+                          path if key is None else _pointer(path, key)) from None
 
 
 def _parse_size(doc: dict, key: str, path: str) -> int:
@@ -114,7 +122,7 @@ def _parse_size(doc: dict, key: str, path: str) -> int:
     # bool is a subclass of int, but `true` is not a size
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise SchemaError(f"{key} must be a positive integer, got {json.dumps(value)}",
-                          f"{path}/{key}")
+                          _pointer(path, key))
     return value
 
 
@@ -249,7 +257,7 @@ def _parse_sequence(functions: dict, ground: int, doc, path: str) -> tuple:
     kind = doc.get("kind")
 
     def term(key):
-        return _resolve_term(functions, ground, doc.get(key), f"{path}/{key}")
+        return _resolve_term(functions, ground, doc.get(key), _pointer(path, key))
 
     if kind in ("explicit", "alternating"):
         terms = _items(doc.get("terms", []), "terms", path + "/terms",
@@ -536,7 +544,7 @@ def _parse_directive(scenario: Scenario, doc, path: str) -> Directive:
     unknown = next((key for key in doc if key not in spec.keys
                     and key not in ("check", "expect")), None)
     if unknown is not None:
-        raise SchemaError(f"{name} has no key {unknown!r}", f"{path}/{unknown}")
+        raise SchemaError(f"{name} has no key {unknown!r}", _pointer(path, unknown))
     expect = doc.get("expect", HOLDS)
     if expect not in STATUSES:
         raise SchemaError(f"expect must be one of {', '.join(STATUSES)}, "
@@ -545,7 +553,7 @@ def _parse_directive(scenario: Scenario, doc, path: str) -> Directive:
         raise SchemaError(f"{name} needs the scenario's '{spec.needs}'", path)
     args = {}
     for key, k in spec.keys.items():
-        kpath = f"{path}/{key}"
+        kpath = _pointer(path, key)
         if key in doc:
             value = _require_json(doc[key], k.json, key, kpath)
             args[key] = k.resolve(scenario, value, kpath)
@@ -562,7 +570,7 @@ def _selector(doc: dict, path: str, flag: str, keys: tuple) -> str:
     boolean, when it is true, which admits none of `keys`; otherwise the
     one of `keys` that the section holds."""
     given = [key for key in keys if key in doc]
-    if _require_json(doc.get(flag, False), bool, flag, f"{path}/{flag}"):
+    if _require_json(doc.get(flag, False), bool, flag, _pointer(path, flag)):
         if given:
             raise SchemaError(f"{flag}: true admits no {' or '.join(keys)}", path)
         return flag
@@ -582,7 +590,7 @@ def _parse_algebra(doc, ground: int) -> MeasurableSpace:
         return measures_mod.power_set_space(ground)
     build = (measures_mod.generate_sigma_algebra if key == "generators"
              else measures_mod.validate_sigma_algebra)
-    kpath = f"{path}/{key}"
+    kpath = _pointer(path, key)
     return _at(kpath, build, _items(doc[key], key, kpath, partial(_parse_points, ground)),
                ground)
 
@@ -600,8 +608,8 @@ def _parse_measure(doc, space: MeasurableSpace, backend: SpaceDescriptor) -> Mea
         if key not in atoms:
             raise SchemaError(f"{key!r} is not the smallest point of an atom "
                               f"(atoms: {[mask_to_points(a) for a in space.atoms]})",
-                              f"{path}/{key}")
-        values[atoms[key]] = parse_ext_element(vdoc, backend, f"{path}/{key}")
+                              _pointer(path, key))
+        values[atoms[key]] = parse_ext_element(vdoc, backend, _pointer(path, key))
     missing = [mask_to_points(a) for a in space.atoms if a not in values]
     if missing:
         raise SchemaError(f"missing atom values for {missing}", path)
@@ -622,7 +630,7 @@ def _parse_outer(doc, mu: Optional[Measure], backend: SpaceDescriptor, ground: i
     path += "/outer_values"
     values, keys = {}, {}
     for key, vdoc in _require_json(doc["outer_values"], dict, "outer_values", path).items():
-        kpath = f"{path}/{key}"
+        kpath = _pointer(path, key)
         # Keys are strictly increasing ASCII decimal points like "0,2"; "" is
         # the empty set.
         parts = key.split(",") if key else []
@@ -658,12 +666,12 @@ def parse_scenario(doc: dict) -> Scenario:
     outer = (_parse_outer(doc["outer_measure"], mu, backend, ground)
              if "outer_measure" in doc else None)
     functions = {
-        name: _parse_function_values(fdoc, ground, f"/functions/{name}")
+        name: _parse_function_values(fdoc, ground, _pointer("/functions", name))
         for name, fdoc in _require_json(doc.get("functions", {}), dict, "functions",
                                         "/functions").items()
     }
     sequences = {
-        name: _parse_sequence(functions, ground, sdoc, f"/sequences/{name}")
+        name: _parse_sequence(functions, ground, sdoc, _pointer("/sequences", name))
         for name, sdoc in _require_json(doc.get("sequences", {}), dict, "sequences",
                                         "/sequences").items()
     }
@@ -725,7 +733,7 @@ def _raise_repeated_key(doc, repeated: dict):
             raise SchemaError(f"key {repeated[id(value)][1]!r} is written twice", path)
         items = (value.items() if isinstance(value, dict)
                  else enumerate(value) if isinstance(value, list) else ())
-        stack.extend((v, f"{path}/{k}") for k, v in items)
+        stack.extend((v, _pointer(path, k)) for k, v in items)
 
 
 class RunConfig:

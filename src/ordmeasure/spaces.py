@@ -25,7 +25,12 @@ infinity: `add`, `sub`, `leq`, the lattice pair operations, `extended` and
 the integer tables of `measures`, `outer` and `integral` each call one.
 ``b - a`` is tested by `is_positive_row`, the one definition of the order:
 every numerator nonnegative, or in the Loewner order one fraction-free
-symmetric elimination in O(d^3) integer operations.
+symmetric elimination in O(d^3) integer operations.  The exhaustive passes
+of `outer` and `measures` take their table and kernels from
+`table_kernels`, which packs a coordinatewise table of nonnegative
+numerators over one denominator into one int per value, so that a sum, an
+order test and an equality are each a few integer operations; any other
+table keeps its rows and the row kernels.
 
 Values are validated where they enter.  ``Element(space, coords)`` (and
 `element`, `sym_matrix` and the scenario parser, which call it) checks the
@@ -43,6 +48,7 @@ import math
 import operator
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 from typing import Iterable, Sequence, Union
 
 from .errors import (MAX_COORDINATES, MAX_LOEWNER_DIM, Frozen, SpaceMismatchError,
@@ -329,6 +335,50 @@ def row_eq(a, b) -> bool:
     if a[1] == b[1]:
         return a[0] == b[0]
     return not any(row_sub(a, b)[0])
+
+
+def table_kernels(space: SpaceDescriptor, rows: list) -> tuple:
+    """``(values, add, leq, eq)`` for one exhaustive pass over the table
+    `rows` (None is infinity): the values in the form the kernels take, and
+    the sum, order test and equality of two of them.
+
+    The table is packed when the order is coordinatewise, every finite row
+    has the same denominator and no numerator is negative.  Each row then
+    becomes one nonnegative int that holds its numerators in fields of W
+    bits, W a multiple of 8 with 2 * top < 2^(W - 1) for the largest
+    numerator top: broadword arithmetic (L. Lamport, CACM 18(8), 1975;
+    D. E. Knuth, TAOCP 4A, 7.1.3).  A sum of two values has at most
+    2 * top in a field, so `add` is one integer add with no carry between
+    fields, `eq` is integer equality, and ``leq(x, y)`` is one test of
+    y + G - x against G, the top bit of every field: each field of
+    y + G - x stays in [1, 2^W), and keeps its top bit exactly when that
+    field of y - x is nonnegative.  A pass may compare values and sums of
+    two values, nothing larger.  None absorbs in `add` and is the largest
+    value in `leq`.  Otherwise the values are the rows, with `row_add`,
+    `row_leq` on `space` and `row_eq`, which stay the oracle.
+    """
+    finite = [row for row in rows if row is not None]
+    if (space.kind is SpaceKind.LOEWNER_SYM or len({den for _, den in finite}) > 1
+            or any(min(nums) < 0 for nums, _ in finite)):
+        return rows, row_add, partial(row_leq, space), row_eq
+    top = max((max(nums) for nums, _ in finite), default=0)
+    size = -(-((2 * top).bit_length() + 1) // 8)  # bytes per field
+    guard = int.from_bytes((1 << (8 * size - 1)).to_bytes(size, "little") * space.ncoords,
+                           "little")
+
+    def pack(row):
+        if row is None:
+            return None
+        return int.from_bytes(b"".join([n.to_bytes(size, "little") for n in row[0]]),
+                              "little")
+
+    def add(x, y):
+        return None if x is None or y is None else x + y
+
+    def leq(x, y):
+        return y is None or x is not None and (y + guard - x) & guard == guard
+
+    return list(map(pack, rows)), add, leq, operator.eq
 
 
 def row_lattice(op, a, b) -> tuple:

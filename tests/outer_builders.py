@@ -6,23 +6,29 @@ library's integer table and row kernels."""
 
 from fractions import Fraction
 
+from conftest import random_positive_element
 from integral_oracles import frac_ext, frac_ext_add, frac_ext_leq, frac_sub, frac_to_ext
 
 import ordmeasure as om
 from ordmeasure.errors import ValidationError
 from ordmeasure.measures import full_mask, mask_to_points, require_exhaustive
 from ordmeasure.reports import fails, holds
+from ordmeasure.spaces import SpaceKind
 
 
 def hitting_outer(rng, ground, backend):
-    """Sum of weights over a family of target sets that the subset meets."""
+    """Sum of weights over a family of target sets that the subset meets;
+    a Loewner weight is B^T B."""
+
+    def weight():
+        if backend.kind is SpaceKind.LOEWNER_SYM:
+            return random_positive_element(rng, backend)
+        return om.element(backend, [Fraction(rng.randint(0, 3), rng.randint(1, 3))
+                                    for _ in range(backend.ncoords)])
+
     full = full_mask(ground)
-    targets = [
-        (rng.randint(1, full), om.finite(
-            om.element(backend, [Fraction(rng.randint(0, 3), rng.randint(1, 3))
-                                 for _ in range(backend.ncoords)])))
-        for _ in range(rng.randint(1, 3))
-    ]
+    targets = [(rng.randint(1, full), om.finite(weight()))
+               for _ in range(rng.randint(1, 3))]
     values = {}
     for mask in range(full + 1):
         total = om.finite(om.zero(backend))

@@ -154,6 +154,33 @@ def count_calls(monkeypatch, owner, name):
     return calls
 
 
+def count_kernel_calls(monkeypatch):
+    """Count the `add` and `leq` calls of every kernel set that `outer`
+    takes from `spaces.table_kernels`, into the returned lists."""
+    calls = {"add": [], "leq": []}
+    real = outer.table_kernels
+
+    def counted(space, rows):
+        values, add, leq, eq = real(space, rows)
+
+        def counted_add(x, y):
+            calls["add"].append(None)
+            return add(x, y)
+
+        def counted_leq(x, y):
+            calls["leq"].append(None)
+            return leq(x, y)
+
+        return values, counted_add, counted_leq, eq
+
+    monkeypatch.setattr(outer, "table_kernels", counted)
+    return calls
+
+
+# C2 tables are packed into one int per value; Loewner tables keep their rows
+ROUTES = [C2, om.loewner_sym(2)]
+
+
 def two_point_outer():
     """Zero on the empty set, (1,1) on every nonempty subset of two points."""
     values = {0: fin(0, 0)}
@@ -207,17 +234,24 @@ class TestValidation:
             assert a & b == 0
             assert not om.ext_leq(values[a | b], om.ext_add(values[a], values[b]))
 
+    @pytest.mark.parametrize("backend", ROUTES, ids=["packed", "rows"])
     @pytest.mark.parametrize("n", range(1, 7))
-    def test_order_test_count(self, monkeypatch, n):
-        # 2^n positivity tests, n 2^(n-1) monotonicity steps and
-        # (3^n - 1)/2 disjoint pairs a < b, each one row order test; the
-        # table is finite, so each is one positivity test of a row
-        values = hitting_outer(random.Random(n), n, C2).values
-        order_tests = count_calls(monkeypatch, outer, "row_leq")
+    def test_order_test_count(self, monkeypatch, n, backend):
+        # 2^n positivity tests of a row, then n 2^(n-1) monotonicity steps
+        # and (3^n - 1)/2 disjoint pairs a < b, each one order test of the
+        # table's kernel; the table is finite, so on the row route every
+        # order test is one positivity test of a row, and the packed route
+        # makes none
+        values = hitting_outer(random.Random(n), n, backend).values
+        row_tests = count_calls(monkeypatch, outer, "row_leq")
+        kernel_tests = count_kernel_calls(monkeypatch)["leq"]
         positivity_tests = count_calls(monkeypatch, spaces, "is_positive_row")
-        om.validate_outer_measure(values, C2, n)
-        assert len(order_tests) == 2**n + n * 2**(n - 1) + (3**n - 1) // 2
-        assert len(positivity_tests) == len(order_tests)
+        om.validate_outer_measure(values, backend, n)
+        assert len(row_tests) == 2**n
+        assert len(row_tests) + len(kernel_tests) == (2**n + n * 2**(n - 1)
+                                                      + (3**n - 1) // 2)
+        packed = backend is C2
+        assert len(positivity_tests) == (2**n if packed else len(row_tests) + len(kernel_tests))
 
 
 class TestInduce:
@@ -276,22 +310,24 @@ class TestCaratheodory:
                           if split_test_measurable(nu, mask)]
                 assert space.members() == family
 
+    @pytest.mark.parametrize("backend", ROUTES, ids=["packed", "rows"])
     @pytest.mark.parametrize("n", range(1, 7))
-    def test_one_sum_per_disjoint_pair(self, monkeypatch, n):
+    def test_one_sum_per_disjoint_pair(self, monkeypatch, n, backend):
         # validation sums each of the (3^n - 1)/2 disjoint pairs a < b once
         # and extraction reads the record, summing none
-        values = hitting_outer(random.Random(n), n, C2).values
-        calls = count_calls(monkeypatch, outer, "row_add")
-        nu = om.validate_outer_measure(values, C2, n)
+        values = hitting_outer(random.Random(n), n, backend).values
+        calls = count_kernel_calls(monkeypatch)["add"]
+        nu = om.validate_outer_measure(values, backend, n)
         assert len(calls) == (3**n - 1) // 2
         om.extract_measurable_algebra(nu)
         assert len(calls) == (3**n - 1) // 2
 
+    @pytest.mark.parametrize("backend", ROUTES, ids=["packed", "rows"])
     @pytest.mark.parametrize("n", range(1, 7))
-    def test_induced_record_is_built_once(self, monkeypatch, n):
+    def test_induced_record_is_built_once(self, monkeypatch, n, backend):
         rng = random.Random(n)
-        nu = om.induce_outer(random_measure(rng, random_algebra(rng, n), C2))
-        calls = count_calls(monkeypatch, outer, "row_leq")
+        nu = om.induce_outer(random_measure(rng, random_algebra(rng, n), backend))
+        calls = count_kernel_calls(monkeypatch)["leq"]
         om.extract_measurable_algebra(nu)
         assert len(calls) == (3**n - 1) // 2
         om.extract_measurable_algebra(nu)

@@ -981,6 +981,27 @@ class TestCli:
         assert time.perf_counter() - start < 10
         assert "all_ok: True" in capsys.readouterr().out
 
+    def test_identities_at_the_atom_and_coordinate_caps_runs_in_time(self, tmp_path,
+                                                                     capsys):
+        # Both caps at once: 4^8 pairs of sets whose values have 1,024
+        # coordinates n/d, n <= 9 and d <= 4.  Through the CLI the packed
+        # table decides it in about 0.6 s on a 2-core x86_64 host, the row
+        # kernels in about 11 s.
+        n, dim = MAX_EXHAUSTIVE_ATOMS, MAX_COORDINATES
+        path = _power_set_copy("identities_basic", n, tmp_path / "identities_wide.json")
+        doc = json.loads(path.read_text())
+        doc["space"] = {"kind": "coord", "dim": dim}
+        doc["measure"]["atom_values"] = {
+            str(p): {"finite": [f"{(3 * p + i) % 10}/{(p + i) % 4 + 1}" for i in range(dim)]}
+            for p in range(n)}
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        assert run_cli(["run", path, "--output", "json"]) == 0
+        assert time.perf_counter() - start < 4
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert checks[1]["status"] == "holds"
+        assert checks[1]["details"]["pairs_checked"] == 4 ** n
+
     def test_identities_over_the_atom_cap_is_a_schema_error(self, tmp_path, capsys):
         # The identity suite enumerates 4^k pairs; over the cap it was a hang.
         path = _power_set_copy("identities_basic", 16, tmp_path / "identities_16.json")
@@ -1172,3 +1193,23 @@ class TestExitContract:
                 problems.append(f"{case}: validate names no pointer: {validate_err!r}")
         assert problems == []
         assert exercised == set(_CHECKS)
+
+    @pytest.mark.parametrize("stem, edit, error", [
+        ("identities_basic", lambda doc: doc["checks"][0].update({"a/b": 1}),
+         "/checks/0/a~1b: validate has no key 'a/b'"),
+        ("ae_basic", lambda doc: doc["functions"].update({"f~g": {"values": ["1"]}}),
+         "/functions/f~0g/values: function needs 3 values, got 1"),
+        ("caratheodory_two_point",
+         lambda doc: doc["outer_measure"]["outer_values"].update({"~/0": "infinity"}),
+         "/outer_measure/outer_values/~0~10: bad set key '~/0'"),
+    ], ids=["directive_key", "function_name", "outer_key"])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_pointer_escapes_document_keys(self, tmp_path, capsys, stem, edit, error,
+                                           command):
+        # RFC 6901: "~" is written "~0" and "/" is written "~1" in a pointer
+        doc = json.loads((SCENARIO_DIR / f"{stem}.json").read_text())
+        edit(doc)
+        path = tmp_path / "escaped.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli([command, path]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"

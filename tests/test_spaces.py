@@ -341,6 +341,96 @@ class TestRowKernelsAgainstFractions:
             r, om.order_unit(space).coords)
 
 
+PACKED_SPACES = [om.reals(), om.coord(1), om.coord(3), om.coord(1024),
+                 om.entrywise_mat(2, 3)]
+
+
+@st.composite
+def packable_tables(draw):
+    """A coordinatewise backend and a table of rows over one denominator,
+    with None (infinity), all-zero rows, sums of two earlier rows, and the
+    largest numerator at a width boundary, top = 2^k - 1.  A row is a short
+    pattern repeated over the coordinates with a few coordinates set, so
+    that 1,024-coordinate rows stay cheap to draw."""
+    space, den = draw(st.sampled_from(PACKED_SPACES)), draw(st.integers(1, 12))
+    top = 2 ** draw(st.integers(0, 70)) - 1
+    n = space.ncoords
+    numerator = st.sampled_from([0, top, top // 2]) | st.integers(0, top)
+    rows = []  # numerator lists, None for infinity
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["row", "row", "zero", "infinity", "sum"]))
+        if kind == "infinity":
+            rows.append(None)
+        elif kind == "zero":
+            rows.append([0] * n)
+        elif kind == "sum" and rows:
+            x, y = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            rows.append(None if x is None or y is None else list(map(sum, zip(x, y))))
+        else:
+            pattern = draw(st.lists(numerator, min_size=1, max_size=3))
+            nums = [pattern[i % len(pattern)] for i in range(n)]
+            for i, v in draw(st.lists(st.tuples(st.integers(0, n - 1), numerator),
+                                      max_size=3)):
+                nums[i] = v
+            rows.append(nums)
+    # the largest numerator M becomes 2^k - 1, k the bit length of M
+    top = max((max(nums) for nums in rows if nums is not None), default=0)
+    if top:
+        nums = next(nums for nums in rows if nums is not None and top in nums)
+        nums[nums.index(top)] = 2 ** top.bit_length() - 1
+    return space, [None if nums is None else (tuple(nums), den) for nums in rows]
+
+
+class TestTableKernels:
+    """The packed kernels of `spaces.table_kernels` against the row kernels
+    they stand in for, on values and on sums of two values."""
+
+    @given(packable_tables())
+    @settings(max_examples=300, deadline=None)
+    def test_packed_kernels_agree_with_row_kernels(self, case):
+        space, rows = case
+        values, add, leq, eq = spaces.table_kernels(space, rows)
+        assert all(isinstance(v, int) for v in values if v is not None)
+        assert [v is None for v in values] == [row is None for row in rows]
+        pairs = list(zip(values, rows))
+        sums = [(add(x, y), spaces.row_add(rx, ry)) for x, rx in pairs for y, ry in pairs]
+        for x, rx in pairs:
+            for y, ry in pairs + sums:
+                assert leq(x, y) == spaces.row_leq(space, rx, ry)
+                assert leq(y, x) == spaces.row_leq(space, ry, rx)
+                assert eq(x, y) == spaces.row_eq(rx, ry)
+                assert eq(y, x) == spaces.row_eq(ry, rx)
+        for x, rx in sums:
+            for y, ry in sums:
+                assert eq(x, y) == spaces.row_eq(rx, ry)
+
+    @given(st.sampled_from([om.loewner_sym(d) for d in (2, 3, 4)]), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_loewner_tables_keep_their_rows(self, space, data):
+        rows = [None if data.draw(st.booleans()) else
+                (random_positive_element(data.draw(st.randoms()), space).nums, 1)
+                for _ in range(3)]
+        self.assert_row_route(space, rows)
+
+    @pytest.mark.parametrize("space", PACKED_SPACES[:3], ids=om.SpaceDescriptor.describe)
+    def test_mixed_denominators_keep_their_rows(self, space):
+        n = space.ncoords
+        self.assert_row_route(space, [((1,) * n, 2), None, ((1,) * n, 3)])
+
+    @pytest.mark.parametrize("space", PACKED_SPACES[:3], ids=om.SpaceDescriptor.describe)
+    def test_a_negative_numerator_keeps_the_rows(self, space):
+        n = space.ncoords
+        self.assert_row_route(space, [((0,) * n, 1), ((2,) * (n - 1) + (-1,), 1)])
+
+    @staticmethod
+    def assert_row_route(space, rows):
+        values, add, leq, eq = spaces.table_kernels(space, rows)
+        assert values is rows and add is spaces.row_add and eq is spaces.row_eq
+        for x in rows:
+            for y in rows:
+                assert leq(x, y) == spaces.row_leq(space, x, y)
+
+
 def fold_combination(space, pairs):
     """Oracle for `integral_oracles.combination`: a left fold of `scale` and
     `add`."""

@@ -101,12 +101,17 @@ MUTANTS = [
     ("row_lattice: the two factors are swapped", "spaces.py", "row_lattice",
      "op(p * (dy // g), q * (dx // g))", "op(p * (dx // g), q * (dy // g))", [SPACES]),
     ("_element: no gcd", "spaces.py", "_element", "math.gcd(den, *nums)", "1", [SPACES]),
+    ("packed table: the guard bit is one position low", "spaces.py", "table_kernels",
+     "1 << 8 * size - 1", "1 << 8 * size - 2", [SPACES]),
+    ("packed table: the field width is one bit short", "spaces.py", "table_kernels",
+     "(2 * top).bit_length() + 1", "(2 * top).bit_length()", [SPACES]),
+    ("packed table: eq is leq", "spaces.py", "table_kernels", "operator.eq", "leq", [SPACES]),
     ("Measure.row: an atom that meets the set counts as inside it", "measures.py",
      "Measure.row", "atom & mask == atom", "atom & mask", ["tests/test_measures.py"]),
     ("_columns: the null points are kept", "integral.py", "_columns",
      "not null >> x & 1", "True", [TAILS]),
     ("_at: the witness's key is dropped from the pointer", "scenarios.py", "_at",
-     "path if key is None else f'{path}/{key}'", "path", [SCENARIOS]),
+     "path if key is None else _pointer(path, key)", "path", [SCENARIOS]),
     ("selector: a section may hold two selector keys", "scenarios.py", "_selector",
      "len(given) != 1", "not given", [SCENARIOS]),
     ("directive: a key outside the check table is ignored", "scenarios.py",
