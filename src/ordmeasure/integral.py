@@ -45,8 +45,8 @@ from .rationals import INFINITY, format_rational, is_infinite, over_one_den
 from .reports import CheckResult, fails, holds
 from .sequences import (SequenceSpec, certify_gaps, declared_cycle, declared_limit,
                         epsilon_schedule, stable_from)
-from .spaces import (Element, SpaceDescriptor, row_add, row_eq, row_lattice, row_leq,
-                     row_sub, scaled_unit)
+from .spaces import (Element, SpaceDescriptor, canonical, row_add, row_eq, row_lattice,
+                     row_leq, row_sub, scaled_unit)
 
 
 def _check_level_sets(f: "_PointFunction"):
@@ -75,16 +75,10 @@ def _check_level_sets(f: "_PointFunction"):
             )
 
 
-def _reduced(nums: tuple, den: int) -> tuple:
-    """nums over den in canonical form, ``gcd(den, *nums) == 1``, by one gcd."""
-    g = math.gcd(den, *nums)
-    return (nums, den) if g == 1 else (tuple(n // g for n in nums), den // g)
-
-
 def _trusted(cls, space: MeasurableSpace, nums: tuple, den: int, inf: int = 0):
     """The trusted constructor of `ExtFunction` and `SignedFunction` from a
-    canonical form (`_reduced`), unchecked: only for functions derived from
-    validated ones in ways that keep them measurable (and nonnegative)."""
+    canonical form (`spaces.canonical`), unchecked: only for functions derived
+    from validated ones in ways that keep them measurable (and nonnegative)."""
     return object.__new__(cls)._set(space, nums, den, inf)
 
 
@@ -103,7 +97,7 @@ def _distance(x: int, y: int) -> int:
 def _part(op, nums: tuple, den: int) -> tuple:
     """The canonical form of op(f) for f = nums / den, where `op` (abs, `_pos`
     or `_neg`) maps each numerator and commutes with positive scaling."""
-    return _reduced(tuple(map(op, nums)), den)
+    return canonical(tuple(map(op, nums)), den)
 
 
 def _pointwise_part(op, f, g) -> tuple:
@@ -114,7 +108,7 @@ def _pointwise_part(op, f, g) -> tuple:
         raise ValidationError("functions live on different spaces")
     den = math.lcm(f.den, g.den)
     a, b = den // f.den, den // g.den
-    return _reduced(tuple(op(x * a, y * b) for x, y in zip(f.nums, g.nums)), den)
+    return canonical(tuple(op(x * a, y * b) for x, y in zip(f.nums, g.nums)), den)
 
 
 def _pointwise(op, f, g) -> "SignedFunction":
@@ -138,7 +132,7 @@ class _PointFunction(Frozen):
     def from_nums(cls, space: MeasurableSpace, nums: tuple, den: int, inf: int = 0):
         """The function with values nums[x] / den and infinity on the points of
         `inf` (see `_trusted`), validated as the constructor validates values."""
-        fn = _trusted(cls, space, *_reduced(nums, den), inf)
+        fn = _trusted(cls, space, *canonical(nums, den), inf)
         fn._validate()
         return fn
 
@@ -305,7 +299,7 @@ def _closed_form(nums: tuple, den: int, inf: int, mu: Measure) -> Optional[tuple
         g = math.gcd(acc_den, d)  # the sum and the term over the lcm of their denominators
         acc = [p * (d // g) + v * n * (acc_den // g) for p, n in zip(acc, value.nums)]
         acc_den = acc_den // g * d
-    return _reduced(tuple(acc), acc_den * den)
+    return canonical(tuple(acc), acc_den * den)
 
 
 def _rung_terms(nums: tuple, inf: int, table) -> list:
@@ -371,7 +365,7 @@ def _ladder_supremum(nums: tuple, den: int, inf: int, mu: Measure
                 backend, [b - a for a, b in zip(previous, rung)]):
             raise OrdMeasureError("ladder integrals failed to increase")
     if rung == previous:
-        return _reduced(tuple(rung), den * table_den), {"mode": "stabilized",
+        return canonical(tuple(rung), den * table_den), {"mode": "stabilized",
                                                          "at_level": nstar}
     return None, {"mode": "divergent", "increment_from_level": nstar}
 
@@ -437,8 +431,8 @@ def _shifted_parts(space: MeasurableSpace, nums: tuple, den: int) -> Tuple[tuple
     atoms, as f is, positive on the support and zero off it."""
     space.require_measurable(points_to_mask(x for x, n in enumerate(nums) if n), "support")
     c = max(map(abs, nums), default=0) + den  # c * den
-    return (_reduced(tuple(n + c if n else 0 for n in nums), den),
-            _reduced(tuple(c if n else 0 for n in nums), den))
+    return (canonical(tuple(n + c if n else 0 for n in nums), den),
+            canonical(tuple(c if n else 0 for n in nums), den))
 
 
 def _signed_row(f: SignedFunction, mu: Measure) -> tuple:

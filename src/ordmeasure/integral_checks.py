@@ -9,7 +9,6 @@ functions modulo null functions.  Every integral is computed by
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Dict, List, Sequence
 
@@ -61,7 +60,7 @@ def check_integral_laws(mu: Measure, f: ExtFunction, g: ExtFunction,
     return fails("integral_laws", **details)
 
 
-def ae_analysis(f: ExtFunction, mu: Measure) -> CheckResult:
+def ae_analysis(mu: Measure, f: ExtFunction) -> CheckResult:
     """Almost-everywhere statements for one function on one measure.
 
     Asserts: a finite integral forces the function to be finite almost
@@ -143,7 +142,7 @@ def _apply_matrix(matrix: Sequence[Sequence[Fraction]], el: Element,
     ))
 
 
-def push_forward(mu: Measure, matrix: Sequence[Sequence], target: SpaceDescriptor,
+def push_forward(mu: Measure, target: SpaceDescriptor, matrix: Sequence[Sequence],
                  f=None) -> CheckResult:
     """Intertwining of the integral with a positive map into another backend.
 
@@ -210,9 +209,9 @@ def l1_quotient(mu: Measure, functions: Sequence[SignedFunction]) -> CheckResult
 
     def class_key(f: SignedFunction) -> tuple:
         """den, then the numerators off `null`, reduced by one gcd."""
-        nums = [n for x, n in enumerate(f.nums) if not null >> x & 1]
-        g = math.gcd(f.den, *nums)
-        return f.den // g, *(n // g for n in nums)
+        nums, den = spaces.canonical(
+            tuple(n for x, n in enumerate(f.nums) if not null >> x & 1), f.den)
+        return den, *nums
 
     keys = [class_key(f) for f in functions]
     classes: Dict[tuple, List[int]] = {}

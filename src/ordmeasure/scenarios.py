@@ -37,23 +37,25 @@ each built and declared by the `sequences` constructor of its kind:
   {"kind": "truncation_ladder", "of": f}
   {"kind": "scaled_index", "shape": g}
 
-A sequence may carry a "monotonicity" key; it is accepted but not read,
-since every check that needs a monotone sequence tests the order itself at
-every sampled index.  A declared limit that is no function of the
-directive's kind, such as an infinite one under `dct`, is a schema error
-of the directive.
+A sequence admits the keys of every kind above and a "monotonicity" key,
+which is not read: every check that needs a monotone sequence tests the
+order itself at every sampled index.  A declared limit that is no
+function of the directive's kind, such as an infinite one under `dct`, is
+a schema error of the directive.
 
 Check directives are objects {"check": <name>, <key>: ...}, each with an
 optional "expect": "holds" | "fails" | "hypothesis-not-met" |
 "not-certifiable" (default "holds").  The table `_CHECKS` below is the one
-place a directive's keys are defined: for each check it gives the module
-and the handler that run it, each key's JSON type, whether the key is
-required, and what the key resolves to (a named function or sequence, a
-list or sequence of measurable sets, a rational, an element, a space, a
-matrix); any other key of a directive is a schema error at its pointer
-(the first such key in document order).  A set sequence is {"kind":
-"explicit" | "alternating", "terms": [[points...], ...]} or a bare array
-of sets (explicit), built by `sequences.listed` as a function list is.
+place a directive's keys are defined, and it is data: for each check it
+names the module and the operation that run it, each key's JSON type,
+whether the key is required, what the key resolves to (a named function or
+sequence, a list or sequence of measurable sets, a rational, an element, a
+space, a matrix), and the `RunConfig` fields the operation takes.  A set
+sequence is {"kind": "explicit" | "alternating", "terms": [[points...],
+...]} or a bare array of sets (explicit), built by `sequences.listed` as a
+function list is.  Every object of a document admits only the keys shown
+here, or in `_CHECKS`; its first other key, in document order, is a
+schema error at its pointer.
 
 `parse_scenario` reads one section at a time and resolves every directive
 and every named sequence, so a document that parses (`ordmeasure
@@ -85,7 +87,8 @@ from .reports import (CheckResult, FAILS, HOLDS, HYPOTHESIS_NOT_MET, NOT_CERTIFI
                       STATUSES)
 from .sequences import (DEFAULT_HORIZON, SequenceSpec, check_horizon, epsilon_schedule,
                         geometric, listed, scaled_index, truncation_ladder, typed)
-from .spaces import Element, SpaceDescriptor, coord, entrywise_mat, loewner_sym, reals
+from .spaces import (Element, SpaceDescriptor, canonical, coord, entrywise_mat, loewner_sym,
+                     reals)
 
 
 def canonical_dumps(obj) -> str:
@@ -129,7 +132,7 @@ def _parse_size(doc: dict, key: str, path: str) -> int:
 def parse_space(doc, path: str) -> SpaceDescriptor:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise SchemaError("space needs a 'kind'", path)
-    kind = doc["kind"]
+    kind = _known(doc, ("kind", "dim", "rows", "cols"), "space", path)["kind"]
     if kind == "reals":
         return reals()
     if kind == "coord":
@@ -160,6 +163,7 @@ def parse_ext_element(doc, space: SpaceDescriptor, path: str) -> ExtElement:
     if doc == "infinity":
         return infinity(space)
     if isinstance(doc, dict) and "finite" in doc:
+        _known(doc, ("finite",), "element", path)
         return finite(parse_element(doc["finite"], space, path + "/finite"))
     raise SchemaError("expected {\"finite\": [...]} or \"infinity\"", path)
 
@@ -175,6 +179,15 @@ def _require_json(value, kind, what: str, path: str):
         raise SchemaError(f"{what} must be {' or '.join(_JSON_KINDS[k] for k in kinds)}",
                           path)
     return value
+
+
+def _known(doc: dict, keys, what: str, path: str) -> dict:
+    """`doc`, when it holds only `keys`; else its first other key, in
+    document order, is a schema error at that key."""
+    unknown = next((key for key in doc if key not in keys), None)
+    if unknown is not None:
+        raise SchemaError(f"{what} has no key {unknown!r}", _pointer(path, unknown))
+    return doc
 
 
 def _items(doc, what: str, path: str, read: Callable) -> list:
@@ -233,7 +246,8 @@ def _parse_function_values(doc, ground: int, path: str) -> tuple:
     """A function's values, as their (nums, den, inf) form (`over_one_den`)."""
     if not isinstance(doc, dict) or "values" not in doc:
         raise SchemaError("function needs a 'values' array", path)
-    values = _require_json(doc["values"], list, "values", path + "/values")
+    values = _require_json(_known(doc, ("values",), "function", path)["values"], list,
+                           "values", path + "/values")
     if len(values) != ground:
         raise SchemaError(f"function needs {ground} values, got {len(values)}",
                           path + "/values")
@@ -253,7 +267,9 @@ def _resolve_term(functions: dict, ground: int, term, path: str) -> tuple:
 def _parse_sequence(functions: dict, ground: int, doc, path: str) -> tuple:
     """``(spec, witnesses)`` of a named sequence: the `sequences` constructor of
     its kind on its (nums, den, inf) forms (`over_one_den`, not always reduced)."""
-    doc = _require_json(doc, dict, "sequence", path)
+    doc = _known(_require_json(doc, dict, "sequence", path), (
+        "kind", "terms", "base", "bump", "ratio", "of", "shape", "monotonicity"),
+        "sequence", path)
     kind = doc.get("kind")
 
     def term(key):
@@ -315,7 +331,7 @@ def _function_sequence(kind: str):
                 _as_function(integral, space, values, kind, path)
             cls = integral.ExtFunction if kind == "ext" else integral.SignedFunction
             scenario.specs[key] = typed(seq, lambda form: integral._trusted(
-                cls, space, *integral._reduced(*form[:2]), form[2]),
+                cls, space, *canonical(*form[:2]), form[2]),
                 partial(_as_function, integral, space, kind=kind, path=path))
         return scenario.specs[key]
     return resolve
@@ -336,6 +352,7 @@ def _set_sequence(scenario: Scenario, doc, path: str):
     """A set sequence of measurable sets, resolved to its `SequenceSpec`."""
     kind, terms, tpath = "explicit", doc, path  # a bare array is an explicit list
     if isinstance(doc, dict):
+        _known(doc, ("kind", "terms"), "set sequence", path)
         kind, terms, tpath = doc.get("kind", "explicit"), doc.get("terms", []), path + "/terms"
     if kind not in ("explicit", "alternating"):
         raise SchemaError(f"unknown set sequence kind {kind!r}", path)
@@ -369,21 +386,22 @@ class _Key(Frozen):
 
 
 class _Check(Frozen):
-    """A check's module, its handler, its keys, and the scenario section it
-    runs on.
-
-    `module` names the submodule of the library operation that the check
-    runs, or is None for a check that the harness answers itself.
-    `run_check` imports it when a directive of the check first runs, so a
-    call compiles only the check modules its directives name.  The handler
-    is called as ``handler(module, scenario, config, **resolved keys)``.
-    `admits` is called as ``admits(scenario, resolved keys, directive path)``
-    once the keys are resolved; it rejects the directive with a SchemaError,
-    or with a library refusal that `_at` points at the directive.
+    """A check as data: the function `operation` of the submodule `module`,
+    or of this module for a check that the harness answers itself (`module`
+    None).  `run_check` imports the module when a directive of the check
+    first runs, so a call compiles only the check modules its directives
+    name, and calls ``operation(section, *resolved keys in table order,
+    **options)``, each option a `RunConfig` field.  The section is the
+    measure, the outer measure (`needs` "outer_measure") or the scenario
+    (`needs` None).  `admits` is called as ``admits(scenario, resolved keys,
+    directive path)`` once the keys are resolved; it rejects the directive
+    with a SchemaError, or with a library refusal that `_at` points at the
+    directive.
     """
 
-    __slots__ = ("module", "handler", "keys", "needs", "admits")
-    _defaults = {"needs": "measure", "admits": lambda scenario, args, path: None}
+    __slots__ = ("module", "operation", "keys", "options", "needs", "admits")
+    _defaults = {"options": (), "needs": "measure",
+                 "admits": lambda scenario, args, path: None}
 
 
 _EXT = _Key(str, _function("ext"))
@@ -428,17 +446,21 @@ def summary(scenario: Scenario) -> dict:
     return out
 
 
-def _check_integrate(integral, scenario: Scenario, config, function,
-                     expected) -> CheckResult:
-    report = integral.integrate_extended(function, scenario.measure)
+def _check_validate(scenario: Scenario) -> CheckResult:
+    return CheckResult("validate", HOLDS, summary(scenario))
+
+
+def _check_integrate(mu: Measure, function, expected) -> CheckResult:
+    from . import integral
+    report = integral.integrate_extended(function, mu)
     details = {"value": ext_to_json(report.value), "ladder": report.trail}
     status = FAILS if expected is not None and expected != report.value else HOLDS
     return CheckResult("integrate", status, details)
 
 
-def _check_caratheodory(outer, scenario: Scenario, config,
-                        expected_family) -> CheckResult:
-    details, identities = outer.caratheodory_report(scenario.outer)
+def _check_caratheodory(nu, expected_family) -> CheckResult:
+    from . import outer
+    details, identities = outer.caratheodory_report(nu)
     status = HOLDS if identities.ok else FAILS
     if (expected_family is not None and [mask_to_points(m) for m in sorted(expected_family)]
             != details["measurable_family"]):
@@ -446,87 +468,58 @@ def _check_caratheodory(outer, scenario: Scenario, config,
     return CheckResult("caratheodory", status, details)
 
 
-# Directive name -> module, handler and keys.  Handlers look library
-# operations up on the module they are passed, at call time, so a wrapper
-# installed on a module attribute (as perfbench/tracing.py installs) sees
-# every call.
+# Directive name -> the module and name of its operation, its keys, its
+# options, its section and its admission test.  `run_check` looks each
+# operation up on its module at call time, so a wrapper installed on a
+# module attribute (as perfbench/tracing.py installs) sees every call.
 _CHECKS = {
-    "validate": _Check(None, lambda m, s, c: CheckResult("validate", HOLDS, summary(s)),
-                       {}, needs=None),
+    "validate": _Check(None, "_check_validate", {}, needs=None),
     "identities": _Check(
-        "measures", lambda m, s, c: m.check_measure_identities(s.measure), {},
+        "measures", "check_measure_identities", {},
         admits=lambda s, args, path: measures_mod.require_exhaustive(s.space)),
-    "continuity_below": _Check(
-        "measure_checks",
-        lambda m, s, c, sets: m.continuity_from_below(s.measure, sets, horizon=c.horizon),
-        {"sets": _SETS}),
-    "continuity_above": _Check(
-        "measure_checks",
-        lambda m, s, c, sets: m.continuity_from_above(s.measure, sets, horizon=c.horizon),
-        {"sets": _SETS}),
+    "continuity_below": _Check("measure_checks", "continuity_from_below", {"sets": _SETS},
+                               ("horizon",)),
+    "continuity_above": _Check("measure_checks", "continuity_from_above", {"sets": _SETS},
+                               ("horizon",)),
     "borel_cantelli": _Check(
-        "measure_checks",
-        lambda m, s, c, sets, lower_bound: m.borel_cantelli(
-            s.measure, sets, lower_bound, horizon=c.horizon),
+        "measure_checks", "borel_cantelli",
         {"sets": _SETS,
-         "lower_bound": _Key(list, lambda s, v, p: parse_element(v, s.backend, p), None)}),
-    "bridge": _Check(
-        "measure_checks",
-        lambda m, s, c, sets: m.operator_measure_bridge(s.measure, sets),
-        {"sets": _Key(list, _set_list, [])}, admits=_disjoint_sets),
+         "lower_bound": _Key(list, lambda s, v, p: parse_element(v, s.backend, p), None)},
+        ("horizon",)),
+    "bridge": _Check("measure_checks", "operator_measure_bridge",
+                     {"sets": _Key(list, _set_list, [])}, admits=_disjoint_sets),
     "integrate": _Check(
-        "integral", _check_integrate,
+        None, "_check_integrate",
         {"function": _EXT,
          "expected": _Key((dict, str), lambda s, v, p: parse_ext_element(v, s.backend, p),
                           None)}),
     "integral_laws": _Check(
-        "integral_checks",
-        lambda m, s, c, f, g, r1, r2: m.check_integral_laws(s.measure, f, g, r1, r2),
+        "integral_checks", "check_integral_laws",
         {"f": _EXT, "g": _EXT,
          "r1": _Key(str, lambda s, v, p: parse_rational(v, p), Fraction(1)),
          "r2": _Key(str, lambda s, v, p: parse_rational(v, p), Fraction(1))}),
-    "ae": _Check(
-        "integral_checks", lambda m, s, c, function: m.ae_analysis(function, s.measure),
-        {"function": _EXT}),
-    "mct": _Check(
-        "integral",
-        lambda m, s, c, sequence, limit: m.mct(
-            s.measure, sequence, limit, horizon=c.horizon, epsilons=c.epsilons),
-        {"sequence": _EXT_SEQUENCE, "limit": _EXT}),
-    "mct_decreasing": _Check(
-        "integral",
-        lambda m, s, c, sequence, limit: m.mct_decreasing(
-            s.measure, sequence, limit, horizon=c.horizon, epsilons=c.epsilons),
-        {"sequence": _EXT_SEQUENCE, "limit": _EXT}),
-    "fatou": _Check(
-        "integral",
-        lambda m, s, c, sequence: m.fatou(s.measure, sequence, horizon=c.horizon),
-        {"sequence": _EXT_SEQUENCE}),
+    "ae": _Check("integral_checks", "ae_analysis", {"function": _EXT}),
+    "mct": _Check("integral", "mct", {"sequence": _EXT_SEQUENCE, "limit": _EXT},
+                  ("horizon", "epsilons")),
+    "mct_decreasing": _Check("integral", "mct_decreasing",
+                             {"sequence": _EXT_SEQUENCE, "limit": _EXT},
+                             ("horizon", "epsilons")),
+    "fatou": _Check("integral", "fatou", {"sequence": _EXT_SEQUENCE}, ("horizon",)),
     "dct": _Check(
-        "integral",
-        lambda m, s, c, sequence, limit, dominator: m.dct(
-            s.measure, sequence, limit, dominator, horizon=c.horizon,
-            epsilons=c.epsilons),
+        "integral", "dct",
         {"sequence": _Key(str, _function_sequence("signed")),
-         "limit": _SIGNED, "dominator": _EXT}),
-    "triangle": _Check(
-        "integral_checks",
-        lambda m, s, c, function: m.triangle_inequality(s.measure, function),
-        {"function": _SIGNED}),
+         "limit": _SIGNED, "dominator": _EXT}, ("horizon", "epsilons")),
+    "triangle": _Check("integral_checks", "triangle_inequality", {"function": _SIGNED}),
     "push_forward": _Check(
-        "integral_checks",
-        lambda m, s, c, target, matrix, function: m.push_forward(
-            s.measure, matrix, target, function),
+        "integral_checks", "push_forward",
         {"target": _Key(dict, lambda s, v, p: parse_space(v, p)),
          "matrix": _Key(list, _matrix),
          "function": _Key(str, _function("either"), None)},
         admits=_push_forward_shape),
-    "l1_quotient": _Check(
-        "integral_checks",
-        lambda m, s, c, functions: m.l1_quotient(s.measure, functions),
-        {"functions": _Key(list, _function_list, [])}),
+    "l1_quotient": _Check("integral_checks", "l1_quotient",
+                          {"functions": _Key(list, _function_list, [])}),
     "caratheodory": _Check(
-        "outer", _check_caratheodory,
+        None, "_check_caratheodory",
         {"expected_family": _Key(list, lambda s, v, p: _items(  # of any subsets
             v, "sets", p, partial(_parse_points, s.space.ground_size)), None)},
         needs="outer_measure"),
@@ -541,10 +534,7 @@ def _parse_directive(scenario: Scenario, doc, path: str) -> Directive:
     if name not in _CHECKS:
         raise SchemaError(f"unknown check {name!r}", path + "/check")
     spec = _CHECKS[name]
-    unknown = next((key for key in doc if key not in spec.keys
-                    and key not in ("check", "expect")), None)
-    if unknown is not None:
-        raise SchemaError(f"{name} has no key {unknown!r}", _pointer(path, unknown))
+    _known(doc, (*spec.keys, "check", "expect"), name, path)
     expect = doc.get("expect", HOLDS)
     if expect not in STATUSES:
         raise SchemaError(f"expect must be one of {', '.join(STATUSES)}, "
@@ -584,8 +574,9 @@ def _parse_algebra(doc, ground: int) -> MeasurableSpace:
     """The `sigma_algebra` section: the power set, the algebra that
     `generators` generate, or the family of `sets`, validated as given."""
     path = "/sigma_algebra"
-    key = _selector(_require_json(doc, dict, "sigma_algebra", path), path, "power_set",
-                    ("generators", "sets"))
+    doc = _known(_require_json(doc, dict, "sigma_algebra", path),
+                 ("power_set", "generators", "sets"), "sigma_algebra", path)
+    key = _selector(doc, path, "power_set", ("generators", "sets"))
     if key == "power_set":
         return measures_mod.power_set_space(ground)
     build = (measures_mod.generate_sigma_algebra if key == "generators"
@@ -601,6 +592,7 @@ def _parse_measure(doc, space: MeasurableSpace, backend: SpaceDescriptor) -> Mea
     path = "/measure/atom_values"
     if not isinstance(doc, dict) or "atom_values" not in doc:
         raise SchemaError("measure needs 'atom_values'", "/measure")
+    _known(doc, ("atom_values",), "measure", "/measure")
     keys = {atom: str(points[0]) for atom, points in space.atom_points.items()}
     atoms = {key: atom for atom, key in keys.items()}
     values = {}
@@ -622,7 +614,8 @@ def _parse_outer(doc, mu: Optional[Measure], backend: SpaceDescriptor, ground: i
     loads only for a document with this section."""
     from . import outer
     path = "/outer_measure"
-    doc = _require_json(doc, dict, "outer_measure", path)
+    doc = _known(_require_json(doc, dict, "outer_measure", path),
+                 ("induced_from_measure", "outer_values"), "outer_measure", path)
     if _selector(doc, path, "induced_from_measure", ("outer_values",)) != "outer_values":
         if mu is None:
             raise SchemaError("induced outer measure needs a measure", path)
@@ -658,6 +651,8 @@ def parse_scenario(doc: dict) -> Scenario:
     directives."""
     if not isinstance(doc, dict):
         raise SchemaError("scenario must be a JSON object", "")
+    _known(doc, ("space", "ground_size", "sigma_algebra", "measure", "outer_measure",
+                 "functions", "sequences", "checks"), "scenario", "")
     backend = parse_space(doc.get("space"), "/space")
     ground = _at("/ground_size", check_cap, "ground size",
                  _parse_size(doc, "ground_size", ""), MAX_GROUND_SIZE)
@@ -745,16 +740,22 @@ class RunConfig:
 
 
 def run_check(scenario: Scenario, directive: Directive, config: RunConfig) -> CheckResult:
-    """Dispatch one resolved directive to its module operation.
+    """Dispatch one resolved directive to the operation that its `_Check`
+    names, on the section it needs, with its keys and options.
 
     The harness adds no mathematics of its own: every directive maps to
     exactly one library operation, and hypothesis or certification failures
     raised there are converted into the corresponding statuses.
     """
     spec = _CHECKS[directive.check]
-    module = spec.module and importlib.import_module(f".{spec.module}", __package__)
+    module = importlib.import_module(f".{spec.module}" if spec.module else __name__,
+                                     __package__)
+    section = {"measure": scenario.measure, "outer_measure": scenario.outer,
+               None: scenario}[spec.needs]
     try:
-        return spec.handler(module, scenario, config, **directive.args)
+        return getattr(module, spec.operation)(
+            section, *[directive.args[key] for key in spec.keys],
+            **{option: getattr(config, option) for option in spec.options})
     except (HypothesisError, NotIntegrableError) as exc:
         return CheckResult(directive.check, HYPOTHESIS_NOT_MET, {"reason": str(exc)})
     except CertificationError as exc:
@@ -765,7 +766,6 @@ def run_scenario(scenario: Scenario, config: Optional[RunConfig] = None) -> dict
     """Execute all directives in order and assemble a deterministic report."""
     config = config or RunConfig()
     results = []
-    all_ok = True
     for i, directive in enumerate(scenario.checks):
         try:
             result = run_check(scenario, directive, config)
@@ -773,15 +773,11 @@ def run_scenario(scenario: Scenario, config: Optional[RunConfig] = None) -> dict
             # A cap broken while a check runs (a result of more digits than
             # Python prints, too many extracted atoms) is reported at the directive
             raise SchemaError(str(exc), f"/checks/{i}") from None
-        matched = result.status == directive.expect
-        all_ok = all_ok and matched
-        entry = result.to_json()
-        entry["expect"] = directive.expect
-        entry["matched_expectation"] = matched
-        results.append(entry)
+        results.append(dict(result.to_json(), expect=directive.expect,
+                            matched_expectation=result.status == directive.expect))
     return {
         "horizon": config.horizon,
         "epsilon_schedule": [format_rational(e) for e in config.epsilons],
         "checks": results,
-        "all_ok": all_ok,
+        "all_ok": all(entry["matched_expectation"] for entry in results),
     }

@@ -182,15 +182,19 @@ class Element(Frozen):
         return f"<{self.space.describe()} {body}>"
 
 
+def canonical(nums: tuple, den: int) -> tuple:
+    """nums over den in canonical form, ``gcd(den, *nums) == 1``, by one gcd."""
+    g = math.gcd(den, *nums)
+    return (nums, den) if g == 1 else (tuple(n // g for n in nums), den // g)
+
+
 def _element(space: SpaceDescriptor, nums: tuple, den: int) -> Element:
     """The trusted constructor: `nums` over `den > 0`, reduced by their gcd.
 
     Only for results of operations that keep the coordinate count and the
     Loewner symmetry of valid elements; nothing else is checked.
     """
-    g = math.gcd(den, *nums)
-    if g != 1:
-        nums, den = tuple(n // g for n in nums), den // g
+    nums, den = canonical(nums, den)
     el = object.__new__(Element)
     object.__setattr__(el, "space", space)
     object.__setattr__(el, "nums", nums)

@@ -665,14 +665,14 @@ class TestLawsAndAe:
     def test_ae_finite_integral_forces_null_infinity_set(self):
         mu = null_atom_measure()
         f = om.ext_function(mu.space, [1, 2, INFINITY])
-        report = om.ae_analysis(f, mu)
+        report = om.ae_analysis(mu, f)
         assert report.ok
         assert report.details["ae_finite"] == "holds"
 
     def test_ae_zero_iff_null_support(self):
         mu = null_atom_measure()
         f = om.ext_function(mu.space, [0, 0, 5])
-        report = om.ae_analysis(f, mu)
+        report = om.ae_analysis(mu, f)
         assert report.ok
         assert report.details["integral"] == {"finite": ["0", "0"]}
 
@@ -693,7 +693,7 @@ class TestLawsAndAe:
         original = integral.integral_value
         monkeypatch.setattr(integral, "integral_value",
                             lambda g, m: seen.append(g) or original(g, m))
-        report = om.ae_analysis(f, mu)
+        report = om.ae_analysis(mu, f)
         assert report.ok and report.details["ae_equal_same_integral"] == "holds"
         assert seen == [f] and (seen[0].nums, seen[0].den, seen[0].inf) == ((1, 0, 0), 2, 0b110)
 
@@ -1416,38 +1416,38 @@ class TestPushForward:
     def test_identity_map(self):
         mu = basic_measure()
         f = om.ext_function(mu.space, [1, 2])
-        report = om.push_forward(mu, [["1", "0"], ["0", "1"]], C2, f)
+        report = om.push_forward(mu, C2, [["1", "0"], ["0", "1"]], f)
         assert report.ok
 
     def test_sum_map(self):
         mu = basic_measure()
         f = om.ext_function(mu.space, [1, 1])
-        report = om.push_forward(mu, [[1, 1]], om.reals(), f)
+        report = om.push_forward(mu, om.reals(), [[1, 1]], f)
         assert report.ok
         assert report.details["image_integral"] == ["2"]
 
     def test_zero_map(self):
         mu = basic_measure()
         f = om.ext_function(mu.space, [1, 1])
-        report = om.push_forward(mu, [[0, 0]], om.reals(), f)
+        report = om.push_forward(mu, om.reals(), [[0, 0]], f)
         assert report.ok
         assert report.details["image_integral"] == ["0"]
 
     def test_signed_function(self):
         mu = basic_measure()
         f = om.signed_function(mu.space, [1, -1])
-        assert om.push_forward(mu, [[1, 1]], om.reals(), f).ok
+        assert om.push_forward(mu, om.reals(), [[1, 1]], f).ok
 
     def test_requires_finite_measure(self):
         space = om.power_set_space(1)
         mu = om.Measure(space, C2, {1: om.infinity(C2)})
         with pytest.raises(HypothesisError, match="finite"):
-            om.push_forward(mu, [[1, 1]], om.reals())
+            om.push_forward(mu, om.reals(), [[1, 1]])
 
     def test_rejects_negative_entries(self):
         mu = basic_measure()
         with pytest.raises(ValidationError):
-            om.push_forward(mu, [[1, -1]], om.reals())
+            om.push_forward(mu, om.reals(), [[1, -1]])
 
     def test_additivity_over_maps(self, rng):
         # pushing through T1 + T2 equals the atomwise sum of the two images
@@ -1464,9 +1464,9 @@ class TestPushForward:
                 for x in mask_to_points(atom):
                     dense[x] = v
             f = om.ext_function(space, dense)
-            rs = om.push_forward(mu, tsum, om.reals(), f)
-            r1 = om.push_forward(mu, t1, om.reals(), f)
-            r2 = om.push_forward(mu, t2, om.reals(), f)
+            rs = om.push_forward(mu, om.reals(), tsum, f)
+            r1 = om.push_forward(mu, om.reals(), t1, f)
+            r2 = om.push_forward(mu, om.reals(), t2, f)
             assert rs.ok and r1.ok and r2.ok
             total = Fraction(rs.details["image_integral"][0])
             assert total == Fraction(r1.details["image_integral"][0]) + \

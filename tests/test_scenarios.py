@@ -1,5 +1,7 @@
 import copy
 import hashlib
+import importlib
+import inspect
 import json
 import subprocess
 import sys
@@ -51,6 +53,20 @@ class TestRoundTrip:
         raw = path.read_text(encoding="utf-8")
         scenario = load_scenario(str(path))
         assert canonical_dumps(scenario.source) == raw
+
+
+class TestCheckTable:
+    """`run_check` looks each check's operation up by name on its module and
+    calls it as ``operation(section, *keys in table order, **options)``."""
+
+    @pytest.mark.parametrize("name", sorted(_CHECKS))
+    def test_operation_is_defined_and_takes_the_call(self, name):
+        spec = _CHECKS[name]
+        module = importlib.import_module(f"ordmeasure.{spec.module or 'scenarios'}")
+        assert spec.operation in vars(module)
+        assert set(spec.options) <= set(RunConfig.__slots__)
+        inspect.signature(vars(module)[spec.operation]).bind(
+            "section", *spec.keys, **{option: option for option in spec.options})
 
 
 class TestRunner:
@@ -441,6 +457,8 @@ LOEWNER = {"space": {"kind": "loewner_sym", "dim": 2},
            "measure": {"atom_values": {p: {"finite": ["1", "0", "0", "1"]}
                                        for p in ("0", "1", "2")}}}
 ASYMMETRIC = ["1", "7/3", "0", "0"]
+# The atom values of identities_basic.json
+ATOMS = {"0": {"finite": ["1", "0"]}, "1": {"finite": ["0", "1"]}, "2": "infinity"}
 
 
 def _l1_list_with(values: list) -> dict:
@@ -774,6 +792,30 @@ class TestCli:
         ({"checks": [{"check": "validate", "zz": 1, "aa": 2}]}, "/checks/0/zz"),
         ({"functions": {"f": {"values": ONE}},
           "checks": [{"check": "ae", "function": "f", "limit": "f"}]}, "/checks/0/limit"),
+        # A key that nothing reads, in any object of the document
+        ({"outer_measures": {"induced_from_measure": True}},
+         ("/outer_measures", "scenario has no key 'outer_measures'")),
+        ({"space": {"kind": "coord", "dim": 2, "dimm": 3}},
+         ("/space/dimm", "space has no key 'dimm'")),
+        ({"measure": {"atom_values": ATOMS, "atom_value": {"0": "infinity"}}},
+         ("/measure/atom_value", "measure has no key 'atom_value'")),
+        ({"sigma_algebra": {"generators": [[0], [1]], "generator": [[2]]}},
+         ("/sigma_algebra/generator", "sigma_algebra has no key 'generator'")),
+        ({"outer_measure": {"induced_from_measure": True, "outer_value": {}}},
+         ("/outer_measure/outer_value", "outer_measure has no key 'outer_value'")),
+        ({"functions": {"f": {"values": ONE, "value": ZERO}}},
+         ("/functions/f/value", "function has no key 'value'")),
+        ({"functions": {"f": {"values": ONE}},
+          "sequences": {"s": {"kind": "explicit", "terms": ["f"], "limit": "f"}}},
+         ("/sequences/s/limit", "sequence has no key 'limit'")),
+        ({"checks": [{"check": "continuity_below",
+                      "sets": {"kind": "explicit", "terms": [[0]], "term": [[1]]}}]},
+         ("/checks/0/sets/term", "set sequence has no key 'term'")),
+        ({"measure": {"atom_values": dict(ATOMS, **{"1": {"finite": ["0", "1"], "x": 1}})}},
+         ("/measure/atom_values/1/x", "element has no key 'x'")),
+        ({"checks": [{"check": "push_forward", "matrix": [["1", "1"]],
+                      "target": {"kind": "reals", "dim": 1, "kinds": "coord"}}]},
+         ("/checks/0/target/kinds", "space has no key 'kinds'")),
     ], ids=["ground_bool", "ground_cap", "sigma_algebra_list", "checks_object",
             "directive_string", "check_name_int", "outer_measure_list",
             "functions_list", "sequences_string", "atom_values_list",
@@ -806,7 +848,11 @@ class TestCli:
             "algebra_sets_not_closed", "generators_with_sets", "no_algebra_selector",
             "no_outer_selector", "outer_values_set_missing", "outer_value_empty_nonzero",
             "outer_values_ground_13", "directive_key_misspelled",
-            "directive_keys_in_document_order", "directive_key_of_another_check"])
+            "directive_keys_in_document_order", "directive_key_of_another_check",
+            "top_level_key_unknown", "space_key_unknown", "measure_key_unknown",
+            "algebra_key_unknown", "outer_key_unknown", "function_key_unknown",
+            "sequence_key_unknown", "set_sequence_key_unknown", "element_key_unknown",
+            "target_key_unknown"])
     def test_scenario_schema_errors(self, tmp_path, capsys, updates, pointer):
         # `pointer` is a JSON pointer, or (pointer, the whole message)
         pointer, message = pointer if isinstance(pointer, tuple) else (pointer, None)

@@ -42,7 +42,7 @@ FIELDS = {
     om.NoSupremum: ("reason",),
     scenarios.Directive: ("check", "expect", "args"),
     scenarios._Key: ("json", "resolve", "default"),
-    scenarios._Check: ("module", "handler", "keys", "needs", "admits"),
+    scenarios._Check: ("module", "operation", "keys", "options", "needs", "admits"),
 }
 OWN_REPR = (om.Element, om.ExtElement)
 # A mutable default would be shared by every value: make_dataclass refuses it.
@@ -192,16 +192,18 @@ def build_key(spec):
 
 
 def check_specs():
-    return st.tuples(st.sampled_from([None, "integral", "measure_checks"]), CALLABLES,
+    return st.tuples(st.sampled_from([None, "integral", "measure_checks"]),
+                     st.sampled_from(["mct", "fatou", "_check_validate"]),
                      st.dictionaries(st.sampled_from(["f", "g"]), key_specs(), max_size=2),
+                     st.sampled_from([(), ("horizon",), ("horizon", "epsilons")]),
                      st.sampled_from(["measure", "outer", None]), st.booleans())
 
 
 def build_check(spec):
-    module, handler, keys, needs, own_admits = spec
+    module, operation, keys, options, needs, own_admits = spec
     extra = {"admits": _zero} if own_admits else {}
-    return scenarios._Check(module, handler, {k: build_key(v) for k, v in keys.items()},
-                            needs, **extra)
+    return scenarios._Check(module, operation, {k: build_key(v) for k, v in keys.items()},
+                            options, needs, **extra)
 
 
 CASES = {
@@ -297,14 +299,16 @@ def test_generated_constructor_takes_what_its_twin_takes(cls, data):
 def test_generated_constructor_examples():
     assert om.NoSupremum() == om.NoSupremum("incomparable pair in a non-lattice backend")
     assert scenarios._Key(str, _zero).default is scenarios._REQUIRED
-    check = scenarios._Check(None, _zero, {})
+    check = scenarios._Check(None, "_check_validate", {})
     assert check.needs == "measure" and check.admits(None, {}, "") is None
-    assert check == scenarios._Check(keys={}, handler=_zero, module=None)
-    assert scenarios._Check(None, _zero, {}, needs="space").needs == "space"
+    assert check.options == ()
+    assert check == scenarios._Check(keys={}, operation="_check_validate", module=None)
+    assert scenarios._Check(None, "mct", {}, needs="space").needs == "space"
+    assert scenarios._Check(None, "mct", {}, ("horizon",)).options == ("horizon",)
     assert scenarios._CHECKS["validate"].keys is not scenarios._CHECKS["identities"].keys
-    for call in (lambda: scenarios._Check(None, _zero), lambda: om.Periodic(1),
-                 lambda: scenarios._Check(None, _zero, {}, module=None),
-                 lambda: scenarios._Check(None, _zero, {}, colour=1),
+    for call in (lambda: scenarios._Check(None, "mct"), lambda: om.Periodic(1),
+                 lambda: scenarios._Check(None, "mct", {}, module=None),
+                 lambda: scenarios._Check(None, "mct", {}, colour=1),
                  lambda: om.Periodic(1, 2, 3)):
         with pytest.raises(TypeError):
             call()

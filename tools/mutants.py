@@ -41,6 +41,7 @@ TAILS = "tests/test_declared_tails.py"
 ROWS = "tests/test_row_route.py"
 SPACES = "tests/test_spaces.py"
 SCENARIOS = "tests/test_scenarios.py"
+REFERENCE = "tests/test_cli_reference.py"
 
 # (name, module file, function, old, new, test files)
 MUTANTS = [
@@ -49,11 +50,11 @@ MUTANTS = [
     ("closed form: 0 * inf = inf (zero value on an infinite atom)", "integral.py",
      "_closed_form", "if not v:\n    continue", "pass", [CORE, UNIT]),
     ("closed form: no final gcd", "integral.py", "_closed_form",
-     "_reduced(tuple(acc), acc_den * den)", "(tuple(acc), acc_den * den)", [CORE]),
+     "canonical(tuple(acc), acc_den * den)", "(tuple(acc), acc_den * den)", [CORE]),
     ("closed form: the sum is not brought over the common denominator", "integral.py",
      "_closed_form", "p * (d // g)", "p", [CORE]),
     ("part transform: no gcd", "integral.py", "_part",
-     "_reduced(tuple(map(op, nums)), den)", "(tuple(map(op, nums)), den)", [CORE, UNIT]),
+     "canonical(tuple(map(op, nums)), den)", "(tuple(map(op, nums)), den)", [CORE, UNIT]),
     ("_rung_row: an infinite atom is skipped", "integral.py", "_rung_row",
      "if row is None:\n    return None", "if row is None:\n    continue", [UNIT]),
     ("ladder: break level nstar + 1 dropped", "integral.py", "_ladder_supremum",
@@ -100,7 +101,7 @@ MUTANTS = [
      "row_leq", "q * dx - p * dy", "q * dy - p * dx", [ROWS, SPACES]),
     ("row_lattice: the two factors are swapped", "spaces.py", "row_lattice",
      "op(p * (dy // g), q * (dx // g))", "op(p * (dx // g), q * (dy // g))", [SPACES]),
-    ("_element: no gcd", "spaces.py", "_element", "math.gcd(den, *nums)", "1", [SPACES]),
+    ("_element: no gcd", "spaces.py", "canonical", "math.gcd(den, *nums)", "1", [SPACES]),
     ("packed table: the guard bit is one position low", "spaces.py", "table_kernels",
      "1 << 8 * size - 1", "1 << 8 * size - 2", [SPACES]),
     ("packed table: the field width is one bit short", "spaces.py", "table_kernels",
@@ -115,7 +116,18 @@ MUTANTS = [
     ("selector: a section may hold two selector keys", "scenarios.py", "_selector",
      "len(given) != 1", "not given", [SCENARIOS]),
     ("directive: a key outside the check table is ignored", "scenarios.py",
-     "_parse_directive", "unknown is not None", "False", [SCENARIOS]),
+     "_parse_directive", "_known(doc, (*spec.keys, 'check', 'expect'), name, path)", "None",
+     [SCENARIOS]),
+    ("_known: a key that nothing reads is ignored", "scenarios.py", "_known",
+     "unknown is not None", "False", [SCENARIOS]),
+    ("run_check: the options are not passed", "scenarios.py", "run_check",
+     "{option: getattr(config, option) for option in spec.options}", "{}", [REFERENCE]),
+    ("run_check: every check runs on the measure", "scenarios.py", "run_check",
+     "{'measure': scenario.measure, 'outer_measure': scenario.outer, None: scenario}"
+     "[spec.needs]", "scenario.measure", [REFERENCE]),
+    ("run_check: the keys are passed in reverse table order", "scenarios.py", "run_check",
+     "[directive.args[key] for key in spec.keys]",
+     "[directive.args[key] for key in reversed(spec.keys)]", [REFERENCE]),
     ("MeasurableSpace.cover: only the atoms inside the set are kept", "measures.py",
      "MeasurableSpace.cover", "atom & mask", "atom & mask == atom",
      ["tests/test_measures.py"]),
