@@ -10,8 +10,7 @@ canonical file is byte-identical.
 
 Top-level keys:
 
-  space          {"kind": "reals" | "coord" | "entrywise_mat" | "loewner_sym",
-                  "dim": n, "rows": r, "cols": c}, at most 1,024 coordinates
+  space          the backend E: {"kind": <kind>, <keys>}, at most 1,024 coordinates
   ground_size    number of ground points, 1..16 (1-based checks index sets by point)
   sigma_algebra  {"power_set": true} alone, {"generators": [[points...], ...]}
                  (closure is computed), or {"sets": [[points...], ...]}
@@ -21,41 +20,30 @@ Top-level keys:
                  (keys like "0,2", "" for the empty set, each set once)
                  or {"induced_from_measure": true} alone; ground_size 1..12
   functions      {"name": {"values": ["3/2", "infinity", "-1", ...]}}
-  sequences      {"name": <sequence spec>}  (function sequences)
-  checks         [<directive>, ...]
+  sequences      {"name": {"kind": <kind>, <keys>}}  (function sequences)
+  checks         [{"check": <name>, <keys>}, ...]
 
 One selector rule serves `sigma_algebra` and `outer_measure`: the flag
 (`power_set`, `induced_from_measure`) is a JSON boolean; `true` admits no
 other selector key of its section (`generators`, `sets`; `outer_values`),
 and otherwise the section holds exactly one of them.
 
-Sequence specs (terms are function names or inline {"values": [...]}),
-each built and declared by the `sequences` constructor of its kind:
-
-  {"kind": "explicit" | "alternating", "terms": [...]}
-  {"kind": "geometric", "base": f, "bump": g, "ratio": "-1/2"}
-  {"kind": "truncation_ladder", "of": f}
-  {"kind": "scaled_index", "shape": g}
-
-A sequence admits the keys of every kind above and a "monotonicity" key,
-which is not read: every check that needs a monotone sequence tests the
-order itself at every sampled index.  A declared limit that is no
-function of the directive's kind, such as an infinite one under `dct`, is
-a schema error of the directive.
-
-Check directives are objects {"check": <name>, <key>: ...}, each with an
-optional "expect": "holds" | "fails" | "hypothesis-not-met" |
-"not-certifiable" (default "holds").  The table `_CHECKS` below is the one
-place a directive's keys are defined, and it is data: for each check it
-names the module and the operation that run it, each key's JSON type,
-whether the key is required, what the key resolves to (a named function or
-sequence, a list or sequence of measurable sets, a rational, an element, a
-space, a matrix), and the `RunConfig` fields the operation takes.  A set
-sequence is {"kind": "explicit" | "alternating", "terms": [[points...],
-...]} or a bare array of sets (explicit), built by `sequences.listed` as a
-function list is.  Every object of a document admits only the keys shown
-here, or in `_CHECKS`; its first other key, in document order, is a
-schema error at its pointer.
+A kinded object is read from its family's table, which maps each kind to
+the constructor that builds it and that constructor's keys, in argument
+order (`_Key`: JSON type, resolver, default or required): `_SPACES` (also a
+`push_forward` target), `_SEQUENCES` (a term is a function name or an
+inline {"values": [...]}), `_SET_SEQUENCES` ("explicit" when it names no
+kind; a bare array of sets is an explicit list) and `_CHECKS`, which also
+names the module, the operation and the `RunConfig` options of each check.
+An object admits its tag ("kind", or "check"), its own kind's keys and its
+family's one extra: a directive's "expect", one of "holds" (the default),
+"fails", "hypothesis-not-met" and "not-certifiable", and a sequence's
+"monotonicity", not read, since every check that needs a monotone sequence
+tests the order itself at each sampled index.  Any other object admits
+only the keys shown here.  The first other key, in document order, is a
+schema error at its pointer, once the kind is known.  A declared limit
+that is no function of the directive's kind, such as an infinite one
+under `dct`, is a schema error of the directive.
 
 `parse_scenario` reads one section at a time and resolves every directive
 and every named sequence, so a document that parses (`ordmeasure
@@ -120,29 +108,19 @@ def _at(path: str, fn: Callable, *args, keys: Optional[dict] = None,
                           path if key is None else _pointer(path, key)) from None
 
 
-def _parse_size(doc: dict, key: str, path: str) -> int:
-    value = doc.get(key)
-    # bool is a subclass of int, but `true` is not a size
+def _size(scenario, value, path: str) -> int:
+    """A positive integer (not `true`), named in a refusal by the last key of `path`."""
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise SchemaError(f"{key} must be a positive integer, got {json.dumps(value)}",
-                          _pointer(path, key))
+        raise SchemaError(f"{path[path.rindex('/') + 1:]} must be a positive integer, "
+                          f"got {json.dumps(value)}", path)
     return value
 
 
 def parse_space(doc, path: str) -> SpaceDescriptor:
+    """A backend, built by the entry of `_SPACES` for its kind."""
     if not isinstance(doc, dict) or "kind" not in doc:
         raise SchemaError("space needs a 'kind'", path)
-    kind = _known(doc, ("kind", "dim", "rows", "cols"), "space", path)["kind"]
-    if kind == "reals":
-        return reals()
-    if kind == "coord":
-        return _at(path, coord, _parse_size(doc, "dim", path))
-    if kind == "entrywise_mat":
-        return _at(path, entrywise_mat, _parse_size(doc, "rows", path),
-                   _parse_size(doc, "cols", path))
-    if kind == "loewner_sym":
-        return _at(path + "/dim", loewner_sym, _parse_size(doc, "dim", path))
-    raise SchemaError(f"unknown space kind {kind!r}", path + "/kind")
+    return _build(_SPACES, doc["kind"], None, doc, "space", path)
 
 
 def parse_element(doc, space: SpaceDescriptor, path: str) -> Element:
@@ -229,15 +207,14 @@ class Scenario:
                  "sequences", "checks", "specs")
 
     def __init__(self, source: dict, backend: SpaceDescriptor, space: MeasurableSpace,
-                 measure: Optional[Measure], outer, functions: Dict[str, tuple],
-                 sequences: Dict[str, tuple]):
+                 measure: Optional[Measure], outer, functions: Dict[str, tuple]):
         self.source = source
         self.backend = backend
         self.space = space
         self.measure = measure
         self.outer = outer  # an outer.OuterMeasure, or None
         self.functions = functions  # name -> the (nums, den, inf) form of its values
-        self.sequences = sequences
+        self.sequences: Dict[str, tuple] = {}
         self.checks: List[Directive] = []
         self.specs: Dict[tuple, SequenceSpec] = {}
 
@@ -255,42 +232,22 @@ def _parse_function_values(doc, ground: int, path: str) -> tuple:
                          for i, v in enumerate(values)])
 
 
-def _resolve_term(functions: dict, ground: int, term, path: str) -> tuple:
-    """A sequence term: a function name or an inline {"values": [...]}."""
+def _resolve_term(scenario: Scenario, term, path: str) -> tuple:
+    """A function term: a function name or an inline {"values": [...]}."""
     if not isinstance(term, str):
-        return _parse_function_values(term, ground, path)
-    if term not in functions:
+        return _parse_function_values(term, scenario.space.ground_size, path)
+    if term not in scenario.functions:
         raise SchemaError(f"unresolved function reference {term!r}", path)
-    return functions[term]
+    return scenario.functions[term]
 
 
-def _parse_sequence(functions: dict, ground: int, doc, path: str) -> tuple:
-    """``(spec, witnesses)`` of a named sequence: the `sequences` constructor of
-    its kind on its (nums, den, inf) forms (`over_one_den`, not always reduced)."""
-    doc = _known(_require_json(doc, dict, "sequence", path), (
-        "kind", "terms", "base", "bump", "ratio", "of", "shape", "monotonicity"),
-        "sequence", path)
-    kind = doc.get("kind")
+def _parse_sequence(scenario: Scenario, doc, path: str) -> tuple:
+    """``(spec, witnesses)`` of a named sequence, built by its entry of `_SEQUENCES`
+    on (nums, den, inf) forms (`over_one_den`, not always reduced)."""
+    doc = _require_json(doc, dict, "sequence", path)
+    return _build(_SEQUENCES, doc.get("kind"), scenario, doc, "sequence", path,
+                  extra=("monotonicity",))
 
-    def term(key):
-        return _resolve_term(functions, ground, doc.get(key), _pointer(path, key))
-
-    if kind in ("explicit", "alternating"):
-        terms = _items(doc.get("terms", []), "terms", path + "/terms",
-                       partial(_resolve_term, functions, ground))
-        return _at(path, listed, terms, kind, message=f"{kind} sequence needs terms")
-    if kind == "geometric":
-        return _at(path, geometric, term("base"), term("bump"),
-                   parse_rational(doc.get("ratio"), path + "/ratio"))
-    if kind == "truncation_ladder":
-        return truncation_ladder(term("of"))
-    if kind == "scaled_index":
-        return _at(path, scaled_index, term("shape"))
-    raise SchemaError(f"unknown sequence kind {kind!r}", path)
-
-
-# Resolvers of directive keys.  Each takes the scenario being parsed, the
-# key's JSON value (already of the key's JSON type) and its path.
 
 def _as_function(integral, space: MeasurableSpace, values: tuple, kind: str, path: str):
     """`values`, a (nums, den, inf) form, made an "ext" (extended-positive) or
@@ -307,7 +264,7 @@ def _function(kind: str):
     """A function reference, made a function of `kind` (see `_as_function`)."""
     def resolve(scenario: Scenario, name: str, path: str):
         from . import integral
-        values = _resolve_term(scenario.functions, scenario.space.ground_size, name, path)
+        values = _resolve_term(scenario, name, path)
         return _as_function(integral, scenario.space, values, kind, path)
     return resolve
 
@@ -349,15 +306,13 @@ def _set_list(scenario: Scenario, doc: list, path: str) -> list:
 
 
 def _set_sequence(scenario: Scenario, doc, path: str):
-    """A set sequence of measurable sets, resolved to its `SequenceSpec`."""
-    kind, terms, tpath = "explicit", doc, path  # a bare array is an explicit list
+    """A set sequence's `SequenceSpec`, built by its entry of `_SET_SEQUENCES`
+    ("explicit" when it names none, or is a bare array of sets)."""
     if isinstance(doc, dict):
-        _known(doc, ("kind", "terms"), "set sequence", path)
-        kind, terms, tpath = doc.get("kind", "explicit"), doc.get("terms", []), path + "/terms"
-    if kind not in ("explicit", "alternating"):
-        raise SchemaError(f"unknown set sequence kind {kind!r}", path)
-    terms = _items(terms, "terms", tpath, partial(_measurable_set, scenario))
-    return _at(path, listed, terms, kind, message="set sequence needs terms")[0]
+        return _build(_SET_SEQUENCES, doc.get("kind", "explicit"), scenario, doc,
+                      "set sequence", path)[0]
+    kind = _SET_SEQUENCES["explicit"]  # its sets at `path`/<j>, not under "terms"
+    return _at(path, kind.build, _set_list(scenario, doc, path), message=kind.message)[0]
 
 
 def _matrix(scenario: Scenario, doc: list, path: str) -> list:
@@ -375,29 +330,87 @@ _REQUIRED = object()
 
 
 class _Key(Frozen):
-    """One directive key: its JSON type(s), its resolver, and its default.
-
-    A key without a default is required; an absent optional key takes the
-    default as it is.
-    """
+    """One key of a kind: its JSON type(s) (`object`: any), its resolver, called
+    as ``resolve(scenario or None for a backend, JSON value, path)``, and its
+    default (required without one; an absent optional key takes it as it is)."""
 
     __slots__ = ("json", "resolve", "default")
     _defaults = {"default": _REQUIRED}
 
 
+class _Kind(Frozen):
+    """A kind of space, sequence or set sequence: `build`, called on its keys.
+    Its refusal points at the object, or `at` below it, with `message` if given."""
+
+    __slots__ = ("build", "keys", "at", "message")
+    _defaults = {"at": "", "message": None}
+
+
+def _kind(table: dict, name, doc: dict, what: Optional[str], path: str, tag: str = "kind",
+          extra: tuple = ()):
+    """The entry of `table` for the kind `name` that `doc` names under `tag`, if
+    `doc` holds no key but these, its kind's and `extra`; `what` (or the check) names it."""
+    entry = table.get(name) if isinstance(name, str) else None
+    if entry is None:
+        raise SchemaError(" ".join(filter(None, ("unknown", what, tag, repr(name)))),
+                          _pointer(path, tag))
+    _known(doc, (tag, *entry.keys, *extra), what or name, path)
+    return entry
+
+
+def _read_keys(keys: dict, scenario, doc: dict, name: str, path: str) -> dict:
+    """The `keys` of the kind `name` in table order, each of its JSON type and
+    resolved at its pointer, or its default when `doc` does not hold it."""
+    args = {}
+    for key, k in keys.items():
+        kpath = _pointer(path, key)
+        if key not in doc and k.default is _REQUIRED:
+            raise SchemaError(f"{name} needs '{key}'", kpath)
+        args[key] = (k.resolve(scenario, _require_json(doc[key], k.json, key, kpath), kpath)
+                     if key in doc else k.default)
+    return args
+
+
+def _build(table: dict, name, scenario, doc: dict, what: str, path: str, extra: tuple = ()):
+    """The object `doc` of the kind `name`, built by its entry of `table`."""
+    kind = _kind(table, name, doc, what, path, extra=extra)
+    args = _read_keys(kind.keys, scenario, doc, name, path)
+    return _at(path + kind.at, kind.build, *args.values(), message=kind.message)
+
+
+_SIZE = _Key(object, _size)
+_SPACES = {
+    "reals": _Kind(reals, {}),
+    "coord": _Kind(coord, {"dim": _SIZE}),
+    "entrywise_mat": _Kind(entrywise_mat, {"rows": _SIZE, "cols": _SIZE}),
+    "loewner_sym": _Kind(loewner_sym, {"dim": _SIZE}, at="/dim"),
+}
+_TERM = _Key(object, _resolve_term)  # a function name or an inline {"values": [...]}
+_TERMS = _Key(list, lambda s, v, p: _items(v, "terms", p, partial(_resolve_term, s)), ())
+_SEQUENCES = {
+    "explicit": _Kind(partial(listed, kind="explicit"), {"terms": _TERMS},
+                      message="explicit sequence needs terms"),
+    "alternating": _Kind(partial(listed, kind="alternating"), {"terms": _TERMS},
+                         message="alternating sequence needs terms"),
+    "geometric": _Kind(geometric, {"base": _TERM, "bump": _TERM, "ratio": _Key(
+        object, lambda s, v, p: parse_rational(v, p))}),
+    "truncation_ladder": _Kind(truncation_ladder, {"of": _TERM}),
+    "scaled_index": _Kind(scaled_index, {"shape": _TERM}),
+}
+_SET_SEQUENCES = {
+    kind: _Kind(partial(listed, kind=kind), {"terms": _Key(list, _set_list, ())},
+                message="set sequence needs terms") for kind in ("explicit", "alternating")}
+
+
 class _Check(Frozen):
-    """A check as data: the function `operation` of the submodule `module`,
-    or of this module for a check that the harness answers itself (`module`
-    None).  `run_check` imports the module when a directive of the check
-    first runs, so a call compiles only the check modules its directives
-    name, and calls ``operation(section, *resolved keys in table order,
-    **options)``, each option a `RunConfig` field.  The section is the
-    measure, the outer measure (`needs` "outer_measure") or the scenario
-    (`needs` None).  `admits` is called as ``admits(scenario, resolved keys,
-    directive path)`` once the keys are resolved; it rejects the directive
-    with a SchemaError, or with a library refusal that `_at` points at the
-    directive.
-    """
+    """A check as data: `run_check` imports the submodule `module` (this module,
+    for a check the harness answers itself, when None) when a directive of the
+    check first runs, so a call compiles only the check modules it names, and
+    calls ``operation(section, *resolved keys in table order, **options)``,
+    each option a `RunConfig` field, on the measure, the outer measure (`needs`
+    "outer_measure") or the scenario (`needs` None).  Once the keys are
+    resolved, ``admits(scenario, keys, directive path)`` may refuse the
+    directive, by a SchemaError or a library refusal that `_at` points there."""
 
     __slots__ = ("module", "operation", "keys", "options", "needs", "admits")
     _defaults = {"options": (), "needs": "measure",
@@ -531,26 +544,14 @@ def _parse_directive(scenario: Scenario, doc, path: str) -> Directive:
     name = doc.get("check") if isinstance(doc, dict) else None
     if not isinstance(name, str):
         raise SchemaError("a directive must be an object with a string 'check'", path)
-    if name not in _CHECKS:
-        raise SchemaError(f"unknown check {name!r}", path + "/check")
-    spec = _CHECKS[name]
-    _known(doc, (*spec.keys, "check", "expect"), name, path)
+    spec = _kind(_CHECKS, name, doc, None, path, tag="check", extra=("expect",))
     expect = doc.get("expect", HOLDS)
     if expect not in STATUSES:
         raise SchemaError(f"expect must be one of {', '.join(STATUSES)}, "
                           f"got {json.dumps(expect)}", path + "/expect")
     if spec.needs is not None and spec.needs not in scenario.source:
         raise SchemaError(f"{name} needs the scenario's '{spec.needs}'", path)
-    args = {}
-    for key, k in spec.keys.items():
-        kpath = _pointer(path, key)
-        if key in doc:
-            value = _require_json(doc[key], k.json, key, kpath)
-            args[key] = k.resolve(scenario, value, kpath)
-        elif k.default is _REQUIRED:
-            raise SchemaError(f"{name} needs '{key}'", kpath)
-        else:
-            args[key] = k.default
+    args = _read_keys(spec.keys, scenario, doc, name, path)
     _at(path, spec.admits, scenario, args, path)
     return Directive(name, expect, args)
 
@@ -655,7 +656,7 @@ def parse_scenario(doc: dict) -> Scenario:
                  "functions", "sequences", "checks"), "scenario", "")
     backend = parse_space(doc.get("space"), "/space")
     ground = _at("/ground_size", check_cap, "ground size",
-                 _parse_size(doc, "ground_size", ""), MAX_GROUND_SIZE)
+                 _size(None, doc.get("ground_size"), "/ground_size"), MAX_GROUND_SIZE)
     space = _parse_algebra(doc.get("sigma_algebra", {"power_set": True}), ground)
     mu = _parse_measure(doc["measure"], space, backend) if "measure" in doc else None
     outer = (_parse_outer(doc["outer_measure"], mu, backend, ground)
@@ -665,13 +666,12 @@ def parse_scenario(doc: dict) -> Scenario:
         for name, fdoc in _require_json(doc.get("functions", {}), dict, "functions",
                                         "/functions").items()
     }
-    sequences = {
-        name: _parse_sequence(functions, ground, sdoc, _pointer("/sequences", name))
-        for name, sdoc in _require_json(doc.get("sequences", {}), dict, "sequences",
-                                        "/sequences").items()
-    }
     scenario = Scenario(source=doc, backend=backend, space=space, measure=mu, outer=outer,
-                        functions=functions, sequences=sequences)
+                        functions=functions)
+    for name, sdoc in _require_json(doc.get("sequences", {}), dict, "sequences",
+                                    "/sequences").items():
+        scenario.sequences[name] = _parse_sequence(scenario, sdoc,
+                                                   _pointer("/sequences", name))
     scenario.checks.extend(_items(doc.get("checks", []), "checks", "/checks",
                                   lambda d, dpath: _parse_directive(scenario, d, dpath)))
     return scenario

@@ -257,6 +257,7 @@ class TestGeneratedTerms:
         space = om.power_set_space(ground)
         functions = {name: over_one_den(v) for name, v in
                      (("base", base), ("bump", bump), ("top", top))}
+        scenario = scenarios.Scenario({}, om.reals(), space, None, None, functions)
         docs = {
             "geometric": ({"kind": "geometric", "base": "base", "bump": "bump",
                            "ratio": om.format_rational(ratio)},
@@ -267,7 +268,7 @@ class TestGeneratedTerms:
                              oracle.scaled_term(bump, n), "either"),
         }
         for name, (doc, expected, kind) in docs.items():
-            seq, _ = scenarios._parse_sequence(functions, ground, doc, "/" + name)
+            seq, _ = scenarios._parse_sequence(scenario, doc, "/" + name)
             term = scenarios._as_function(integral, space, seq.generator(n), kind, name)
             assert term.values == tuple(expected)
 

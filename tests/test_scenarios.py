@@ -25,6 +25,10 @@ from ordmeasure.rationals import INFINITY, format_rational
 from ordmeasure.sequences import DEFAULT_HORIZON
 from ordmeasure.scenarios import (
     _CHECKS,
+    _REQUIRED,
+    _SEQUENCES,
+    _SET_SEQUENCES,
+    _SPACES,
     RunConfig,
     canonical_dumps,
     load_scenario,
@@ -332,8 +336,12 @@ def generated_sequence_docs(draw):
     values = {"a": draw(st.lists(value, min_size=3, max_size=3)),
               "b": draw(st.lists(value, min_size=3, max_size=3)),
               "one": ["1"] * 3, "zero": ["0"] * 3}
-    sequence = {"kind": kind, "base": "a", "bump": "b", "of": "a", "shape": "a",
-                "ratio": draw(st.sampled_from(["-2/3", "-1/2", "0", "1/3", "1/2"]))}
+    # only the keys of its kind: a sequence refuses the keys of another kind
+    sequence = {"kind": kind, **(
+        {"base": "a", "bump": "b",
+         "ratio": draw(st.sampled_from(["-2/3", "-1/2", "0", "1/3", "1/2"]))}
+        if kind == "geometric" else {"of": "a"} if kind == "truncation_ladder"
+        else {"shape": "a"})}
     check = draw(st.sampled_from([
         {"check": "mct", "limit": "one"}, {"check": "fatou"},
         {"check": "dct", "limit": "zero", "dominator": "one"}]))
@@ -729,16 +737,16 @@ class TestCli:
          "/outer_measure/outer_values/01"),
         # A kind is tested before the terms are read, so none of them is the error.
         ({"checks": [{"check": "continuity_below", "sets": {"kind": "foo", "terms": []}}]},
-         ("/checks/0/sets", "unknown set sequence kind 'foo'")),
+         ("/checks/0/sets/kind", "unknown set sequence kind 'foo'")),
         ({"checks": [{"check": "continuity_below", "sets": {"kind": "foo"}}]},
-         ("/checks/0/sets", "unknown set sequence kind 'foo'")),
+         ("/checks/0/sets/kind", "unknown set sequence kind 'foo'")),
         ({"checks": [{"check": "continuity_below",
                       "sets": {"kind": "foo", "terms": [[99]]}}]},
-         ("/checks/0/sets", "unknown set sequence kind 'foo'")),
+         ("/checks/0/sets/kind", "unknown set sequence kind 'foo'")),
         ({"checks": [{"check": "continuity_below", "sets": {"kind": "alternating"}}]},
          ("/checks/0/sets", "set sequence needs terms")),
         ({"sequences": {"s": {"kind": "foo", "terms": [[99]]}}},
-         ("/sequences/s", "unknown sequence kind 'foo'")),
+         ("/sequences/s/kind", "unknown sequence kind 'foo'")),
         ({"sequences": {"s": {"kind": "explicit", "terms": []}}},
          ("/sequences/s", "explicit sequence needs terms")),
         ({"functions": {"f": {"values": ["1", "0", "0"]}},
@@ -814,8 +822,26 @@ class TestCli:
         ({"measure": {"atom_values": dict(ATOMS, **{"1": {"finite": ["0", "1"], "x": 1}})}},
          ("/measure/atom_values/1/x", "element has no key 'x'")),
         ({"checks": [{"check": "push_forward", "matrix": [["1", "1"]],
-                      "target": {"kind": "reals", "dim": 1, "kinds": "coord"}}]},
+                      "target": {"kind": "reals", "kinds": "coord"}}]},
          ("/checks/0/target/kinds", "space has no key 'kinds'")),
+        # A key that only another kind of the object's family reads
+        ({"space": {"kind": "coord", "dim": 2, "rows": 7}},
+         ("/space/rows", "space has no key 'rows'")),
+        (_generated_sequence({"kind": "geometric", "base": "one", "bump": "minus_one",
+                              "monotonicity": "increasing", "ratio": "1/2",
+                              "terms": ["nonexistent"]}, {"check": "mct", "limit": "one"},
+                             one=ONE, minus_one=["-1"] * 3),
+         ("/sequences/s/terms", "sequence has no key 'terms'")),
+        ({"space": {"kind": "reals", "dim": 1},
+          "measure": {"atom_values": {"0": {"finite": ["1"]}, "1": {"finite": ["0"]},
+                                      "2": "infinity"}}},
+         ("/space/dim", "space has no key 'dim'")),
+        ({"functions": {"f": {"values": ONE}},
+          "sequences": {"s": {"kind": "scaled_index", "shape": "f", "terms": ["f"]}}},
+         ("/sequences/s/terms", "sequence has no key 'terms'")),
+        ({"checks": [{"check": "continuity_below",
+                      "sets": {"kind": "explicit", "terms": [[0]], "ratio": "1/2"}}]},
+         ("/checks/0/sets/ratio", "set sequence has no key 'ratio'")),
     ], ids=["ground_bool", "ground_cap", "sigma_algebra_list", "checks_object",
             "directive_string", "check_name_int", "outer_measure_list",
             "functions_list", "sequences_string", "atom_values_list",
@@ -852,7 +878,8 @@ class TestCli:
             "top_level_key_unknown", "space_key_unknown", "measure_key_unknown",
             "algebra_key_unknown", "outer_key_unknown", "function_key_unknown",
             "sequence_key_unknown", "set_sequence_key_unknown", "element_key_unknown",
-            "target_key_unknown"])
+            "target_key_unknown", "coord_with_rows", "geometric_with_terms",
+            "reals_with_dim", "scaled_index_with_terms", "set_sequence_with_ratio"])
     def test_scenario_schema_errors(self, tmp_path, capsys, updates, pointer):
         # `pointer` is a JSON pointer, or (pointer, the whole message)
         pointer, message = pointer if isinstance(pointer, tuple) else (pointer, None)
@@ -1259,3 +1286,88 @@ class TestExitContract:
         path.write_text(json.dumps(doc))
         assert run_cli([command, path]) == 2
         assert capsys.readouterr().err == f"error: {error}\n"
+
+
+# A valid value of each key that some kind requires, in `KIND_BASE`: the
+# shipped identities_basic with the function "one" and the sequence "s".
+REQUIRED_SAMPLES = {
+    "dim": 2, "rows": 1, "cols": 2, "base": "one", "bump": "one", "ratio": "1/2",
+    "of": "one", "shape": "one", "sets": [[0]], "function": "one", "f": "one", "g": "one",
+    "sequence": "s", "limit": "one", "dominator": "one", "target": {"kind": "reals"},
+    "matrix": [["1", "1"]],
+}
+KIND_BASE = {"functions": {"one": {"values": ONE}},
+             "sequences": {"s": {"kind": "explicit", "terms": ["one"]}}}
+# Each family of kinded objects: its table, its tag, the pointer of the one
+# object of the family in a test document, and the document keys that hold it.
+KIND_FAMILIES = {
+    "space": (_SPACES, "kind", "/space", lambda obj: {"space": obj}),
+    "sequence": (_SEQUENCES, "kind", "/sequences/s", lambda obj: {"sequences": {"s": obj}}),
+    "set_sequence": (_SET_SEQUENCES, "kind", "/checks/0/sets", lambda obj: {
+        "checks": [{"check": "continuity_below", "sets": obj}]}),
+    "check": (_CHECKS, "check", "/checks/0", lambda obj: {"checks": [obj]}),
+}
+
+
+def kind_key_cases(family: str, name: str):
+    """(document keys, pointer, end of the message) of each refusal that the
+    kind `name` of `family` owes: a key that only other kinds of its family
+    read, and each of its required keys left out, the others given."""
+    table, tag, pointer, place = KIND_FAMILIES[family]
+    keys = table[name].keys
+    foreign = {key for other in table.values() for key in other.keys} - set(keys)
+    for key in sorted(foreign):
+        yield place({tag: name, key: 0}), f"{pointer}/{key}", f" has no key '{key}'"
+    required = [key for key, k in keys.items() if k.default is _REQUIRED]
+    for key in required:
+        obj = {tag: name, **{other: REQUIRED_SAMPLES[other] for other in required
+                             if other != key}}
+        yield place(obj), f"{pointer}/{key}", f": {name} needs '{key}'"
+
+
+class TestKindTables:
+    """Every kinded object admits only its tag, its own kind's keys and its
+    family's extra key, and needs each required key of its kind, as the
+    tables say; a kind added to a table is tested here as it is."""
+
+    @pytest.mark.parametrize("family, name", [
+        (family, name) for family, (table, *_) in KIND_FAMILIES.items() for name in table])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_keys_follow_the_table(self, tmp_path, capsys, family, name, command):
+        path, problems = tmp_path / "kinded.json", []
+        base = json.loads((SCENARIO_DIR / "identities_basic.json").read_text())
+        for updates, pointer, message in kind_key_cases(family, name):
+            path.write_text(json.dumps({**base, **KIND_BASE, **updates}))
+            code, err = run_cli([command, path]), capsys.readouterr().err
+            if code != 2 or not (err.startswith(f"error: {pointer}: ")
+                                 and err.endswith(f"{message}\n")):
+                problems.append((pointer, message, code, err))
+        assert problems == []
+
+
+class TestFailsReports:
+    """The `fails` reports that a document reaches: an `integrate` whose
+    `expected` is not the integral, and a `caratheodory` whose
+    `expected_family` is not the measurable family."""
+
+    @pytest.mark.parametrize("stem, directive, details", [
+        ("ae_basic", {"check": "integrate", "function": "inf_on_null",
+                      "expected": {"finite": ["1", "0"]}},
+         {"value": {"finite": ["0", "0"]}, "ladder": {"mode": "stabilized", "at_level": 1}}),
+        ("caratheodory_two_point", {"check": "caratheodory", "expected_family": [[], [0]]},
+         {"measurable_family": [[], [0, 1]], "atoms": [[0, 1]],
+          "restriction_identities": "holds",
+          "restricted_measure": {"0": {"finite": ["1", "1"]}}}),
+    ], ids=["integrate_expected", "caratheodory_expected_family"])
+    @pytest.mark.parametrize("expect, code", [("holds", 1), ("fails", 0)])
+    def test_fails_report(self, tmp_path, stem, directive, details, expect, code):
+        doc = json.loads((SCENARIO_DIR / f"{stem}.json").read_text())
+        doc["checks"] = [dict(directive, expect=expect)]
+        report = run_scenario(parse_scenario(doc))
+        assert report["checks"] == [{"check": directive["check"], "status": "fails",
+                                     "details": details, "expect": expect,
+                                     "matched_expectation": expect == "fails"}]
+        assert report["all_ok"] is (expect == "fails")
+        path = tmp_path / "fails.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli(["run", path]) == code

@@ -42,6 +42,7 @@ FIELDS = {
     om.NoSupremum: ("reason",),
     scenarios.Directive: ("check", "expect", "args"),
     scenarios._Key: ("json", "resolve", "default"),
+    scenarios._Kind: ("build", "keys", "at", "message"),
     scenarios._Check: ("module", "operation", "keys", "options", "needs", "admits"),
 }
 OWN_REPR = (om.Element, om.ExtElement)
@@ -191,6 +192,17 @@ def build_key(spec):
     return scenarios._Key(json, resolve, DEFAULTS[default])
 
 
+def kind_specs():
+    return st.tuples(CALLABLES, st.dictionaries(st.sampled_from(["dim", "terms"]), key_specs(),
+                                                max_size=2),
+                     st.sampled_from(["", "/dim"]), st.sampled_from([None, "needs terms"]))
+
+
+def build_kind(spec):
+    build, keys, at, message = spec
+    return scenarios._Kind(build, {k: build_key(v) for k, v in keys.items()}, at, message)
+
+
 def check_specs():
     return st.tuples(st.sampled_from([None, "integral", "measure_checks"]),
                      st.sampled_from(["mct", "fatou", "_check_validate"]),
@@ -229,6 +241,7 @@ CASES = {
     scenarios.Directive: (directive_specs(),
                           lambda spec: scenarios.Directive(spec[0], spec[1], dict(spec[2]))),
     scenarios._Key: (key_specs(), build_key),
+    scenarios._Kind: (kind_specs(), build_kind),
     scenarios._Check: (check_specs(), build_check),
 }
 
@@ -299,6 +312,9 @@ def test_generated_constructor_takes_what_its_twin_takes(cls, data):
 def test_generated_constructor_examples():
     assert om.NoSupremum() == om.NoSupremum("incomparable pair in a non-lattice backend")
     assert scenarios._Key(str, _zero).default is scenarios._REQUIRED
+    kind = scenarios._Kind(_zero, {})
+    assert (kind.at, kind.message) == ("", None)
+    assert scenarios._Kind(_zero, {}, message="m") == scenarios._Kind(_zero, {}, "", "m")
     check = scenarios._Check(None, "_check_validate", {})
     assert check.needs == "measure" and check.admits(None, {}, "") is None
     assert check.options == ()
@@ -341,6 +357,7 @@ def test_every_frozen_class_has_a_twin():
     scenarios.Directive("validate", "holds", {}),
     scenarios._CHECKS["validate"],
     scenarios._CHECKS["integrate"].keys["function"],
+    scenarios._SPACES["coord"],
 ], ids=lambda v: type(v).__name__)
 def test_other_frozen_classes_refuse_assignment(value):
     with pytest.raises(AttributeError):

@@ -115,9 +115,13 @@ MUTANTS = [
      "path if key is None else _pointer(path, key)", "path", [SCENARIOS]),
     ("selector: a section may hold two selector keys", "scenarios.py", "_selector",
      "len(given) != 1", "not given", [SCENARIOS]),
-    ("directive: a key outside the check table is ignored", "scenarios.py",
-     "_parse_directive", "_known(doc, (*spec.keys, 'check', 'expect'), name, path)", "None",
-     [SCENARIOS]),
+    ("directive: a key outside the check table is ignored", "scenarios.py", "_kind",
+     "_known(doc, (tag, *entry.keys, *extra), what or name, path)", "None", [SCENARIOS]),
+    ("kind reader: a kind admits the keys of every kind of its table", "scenarios.py",
+     "_kind", "(tag, *entry.keys, *extra)",
+     "(tag, *(key for other in table.values() for key in other.keys), *extra)", [SCENARIOS]),
+    ("kind reader: a required key takes its default", "scenarios.py", "_read_keys",
+     "key not in doc and k.default is _REQUIRED", "False", [SCENARIOS]),
     ("_known: a key that nothing reads is ignored", "scenarios.py", "_known",
      "unknown is not None", "False", [SCENARIOS]),
     ("run_check: the options are not passed", "scenarios.py", "run_check",
