@@ -269,10 +269,13 @@ def check_measure_identities(mu: Measure) -> CheckResult:
     The measure is evaluated once on each of the 2^k members, and the pairs
     are decided on those values as one integer table (`extended.ext_rows`:
     integer numerators over one common denominator, None for infinity),
-    with the kernels of `spaces.table_kernels`: on a coordinatewise backend
-    a table of nonnegative numerators is packed, one int per value, and
-    otherwise a sum is an integer add per coordinate and an order test one
-    positivity test of a difference row.  No element is built per pair.
+    with the kernels of `spaces.table_kernels` for its 4^k visits: on a
+    coordinatewise backend a table of nonnegative numerators is packed, one
+    int per value; a Loewner table whose distinct values make fewer than
+    4^k pairs is interned, so that each distinct sum and ordered pair is
+    decided once; otherwise a sum is an integer add per coordinate and an
+    order test one positivity test of a difference row.  No element is
+    built per pair.
     Subtractivity is decided as mu(D1 - D2) + mu(D2) = mu(D1), the same
     statement as mu(D1 - D2) = mu(D1) - mu(D2) when mu(D2) is finite, so
     the kernels need no difference.
@@ -280,7 +283,8 @@ def check_measure_identities(mu: Measure) -> CheckResult:
     require_exhaustive(mu.space)
     members = mu.space.members()
     values, add, leq, eq = table_kernels(mu.backend,
-                                         ext_rows([mu.evaluate(m) for m in members]))
+                                         ext_rows([mu.evaluate(m) for m in members]),
+                                         len(members) ** 2)
     row = dict(zip(members, values))
     violations = []
     for d1 in members:

@@ -26,12 +26,15 @@ Every exhaustive pass runs on one integer table (`extended.ext_rows`): the
 2^n values as rows of integer numerators over one common denominator, with
 None for the point at infinity.  Positivity is one test of each row
 (`spaces.row_leq`).  Monotonicity and the pair pass then take the table and
-its kernels from `spaces.table_kernels`: on a coordinatewise backend a
-table of nonnegative numerators over one denominator is packed, one int
-per value, and a sum is one integer add and a <= b one add, subtract and
-mask test; otherwise a sum is an integer add per coordinate and a <= b one
-positivity test of the row b - a.  So the passes build no element and
-reduce nothing by a gcd.
+its kernels from `spaces.table_kernels`, given the number of pairs the
+pass visits: on a coordinatewise backend a table of nonnegative numerators
+over one denominator is packed, one int per value, and a sum is one integer
+add and a <= b one add, subtract and mask test.  A Loewner table whose
+distinct values make fewer pairs than the pass visits is interned: each
+value is an index, and each distinct sum and each distinct ordered pair is
+decided once.  Otherwise a sum is an integer add per coordinate and a <= b
+one positivity test of the row b - a.  The passes keep their loops, their
+pair order and their witnesses on every route, and build no element.
 """
 
 from __future__ import annotations
@@ -74,12 +77,18 @@ class OuterMeasure:
         `validate_outer_measure` stores the table of its own pair pass; an
         induced outer measure builds it here, on first use."""
         return _split_table(*table_kernels(self.backend,
-                                           _table(self.values, self.ground_size)))
+                                           _table(self.values, self.ground_size),
+                                           _disjoint_pairs(self.ground_size)))
 
 
 def _table(values: Dict[int, ExtElement], ground_size: int) -> list:
     """The integer rows of the 2^n values, indexed by mask."""
     return ext_rows([values[mask] for mask in range(full_mask(ground_size) + 1)])
+
+
+def _disjoint_pairs(ground_size: int) -> int:
+    """The (3^n - 1)/2 unordered disjoint pairs a < b of the pair pass."""
+    return (3 ** ground_size - 1) // 2
 
 
 def _split_table(values: list, add, leq, eq) -> List[int]:
@@ -112,8 +121,9 @@ def validate_outer_measure(values: Dict[int, ExtElement], backend: SpaceDescript
     """Check the outer-measure axioms exhaustively and return the object.
 
     Positivity is decided on the integer rows, and monotonicity and the
-    pair pass on the table of `spaces.table_kernels` built after it, which
-    is dropped when the pass returns.  Monotonicity is checked along
+    pair pass on the table of `spaces.table_kernels` built after it, for
+    their n 2^(n-1) + (3^n - 1)/2 visits; the table and its memos are
+    dropped when the pass returns.  Monotonicity is checked along
     single-point extensions (which implies it for arbitrary inclusions by
     chaining).  Sub-additivity is then checked on the disjoint pairs a < b
     only, b running over the submasks of the complement of a: (3^n - 1)/2
@@ -144,7 +154,8 @@ def validate_outer_measure(values: Dict[int, ExtElement], backend: SpaceDescript
                 f"outer value of {mask_to_points(mask)} is outside the positive cone",
                 witness={"set": mask_to_points(mask)},
             )
-    kernels = table_kernels(backend, rows)
+    kernels = table_kernels(backend, rows, ground_size * (full + 1) // 2
+                            + _disjoint_pairs(ground_size))
     table, _, leq, _ = kernels
     for mask in range(full + 1):
         for p in range(ground_size):

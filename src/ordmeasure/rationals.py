@@ -14,6 +14,7 @@ and every scalar satisfies r <= inf.
 
 from __future__ import annotations
 
+import json
 import math
 import re
 import sys
@@ -72,7 +73,8 @@ def parse_rational(text: str, path: str = "") -> Fraction:
     else is accepted (no sign on q, no spaces, underscores or other digits).
     """
     if not isinstance(text, str):
-        raise SchemaError(f"expected rational string, got {text!r}", path)
+        raise SchemaError(f"expected rational string, got {json.dumps(text, default=repr)}",
+                          path)
     match = _RATIONAL.fullmatch(text)
     if match is None:
         raise SchemaError(f"malformed rational {text!r}", path)

@@ -352,7 +352,8 @@ def _kind(table: dict, name, doc: dict, what: Optional[str], path: str, tag: str
     `doc` holds no key but these, its kind's and `extra`; `what` (or the check) names it."""
     entry = table.get(name) if isinstance(name, str) else None
     if entry is None:
-        raise SchemaError(" ".join(filter(None, ("unknown", what, tag, repr(name)))),
+        shown = repr(name) if isinstance(name, str) else json.dumps(name)
+        raise SchemaError(" ".join(filter(None, ("unknown", what, tag, shown))),
                           _pointer(path, tag))
     _known(doc, (tag, *entry.keys, *extra), what or name, path)
     return entry

@@ -29,8 +29,10 @@ symmetric elimination in O(d^3) integer operations.  The exhaustive passes
 of `outer` and `measures` take their table and kernels from
 `table_kernels`, which packs a coordinatewise table of nonnegative
 numerators over one denominator into one int per value, so that a sum, an
-order test and an equality are each a few integer operations; any other
-table keeps its rows and the row kernels.
+order test and an equality are each a few integer operations, and interns
+a Loewner table whose pass must ask some question twice, so that each
+distinct sum and order test is computed once; any other table keeps its
+rows and the row kernels.
 
 Values are validated where they enter.  ``Element(space, coords)`` (and
 `element`, `sym_matrix` and the scenario parser, which call it) checks the
@@ -341,10 +343,15 @@ def row_eq(a, b) -> bool:
     return not any(row_sub(a, b)[0])
 
 
-def table_kernels(space: SpaceDescriptor, rows: list) -> tuple:
+def table_kernels(space: SpaceDescriptor, rows: list, visits: int) -> tuple:
     """``(values, add, leq, eq)`` for one exhaustive pass over the table
-    `rows` (None is infinity): the values in the form the kernels take, and
-    the sum, order test and equality of two of them.
+    `rows` (None is infinity) that makes `visits` pair visits: the values in
+    the form the kernels take, and the sum, order test and equality of two
+    of them.
+
+    A Loewner table is interned (`_interned`) when its D distinct finite
+    values make fewer unordered pairs, D(D + 1)/2, than the pass makes
+    visits, so that some question must repeat.  Otherwise it keeps its rows.
 
     The table is packed when the order is coordinatewise, every finite row
     has the same denominator and no numerator is negative.  Each row then
@@ -358,12 +365,13 @@ def table_kernels(space: SpaceDescriptor, rows: list) -> tuple:
     y + G - x stays in [1, 2^W), and keeps its top bit exactly when that
     field of y - x is nonnegative.  A pass may compare values and sums of
     two values, nothing larger.  None absorbs in `add` and is the largest
-    value in `leq`.  Otherwise the values are the rows, with `row_add`,
-    `row_leq` on `space` and `row_eq`, which stay the oracle.
+    value in `leq`.  A table neither interned nor packed keeps its rows,
+    with `row_add`, `row_leq` on `space` and `row_eq`, which stay the oracle.
     """
+    if space.kind is SpaceKind.LOEWNER_SYM:
+        return _interned(space, rows, visits)
     finite = [row for row in rows if row is not None]
-    if (space.kind is SpaceKind.LOEWNER_SYM or len({den for _, den in finite}) > 1
-            or any(min(nums) < 0 for nums, _ in finite)):
+    if len({den for _, den in finite}) > 1 or any(min(nums) < 0 for nums, _ in finite):
         return rows, row_add, partial(row_leq, space), row_eq
     top = max((max(nums) for nums, _ in finite), default=0)
     size = -(-((2 * top).bit_length() + 1) // 8)  # bytes per field
@@ -383,6 +391,58 @@ def table_kernels(space: SpaceDescriptor, rows: list) -> tuple:
         return y is None or x is not None and (y + guard - x) & guard == guard
 
     return list(map(pack, rows)), add, leq, operator.eq
+
+
+def _interned(space: SpaceDescriptor, rows: list, visits: int) -> tuple:
+    """The kernels of `table_kernels` on a Loewner table, by hash-consing
+    (E. Goto, 1974) and memo functions (D. Michie, Nature 218, 1968).
+
+    Each finite row becomes the index of its canonical form, so that `eq`
+    is index equality.  `add` interns the sum of each unordered pair of
+    indices once, and `leq` decides each ordered pair once: x <= x holds,
+    and any other pair is one `row_leq`.  The order is not symmetric, so
+    (x, y) and (y, x) are two questions.  When the D distinct values make
+    no fewer unordered pairs than the pass makes `visits`, no question need
+    repeat, and the rows and row kernels are returned instead.
+    """
+    index, table = {}, []
+
+    def intern(row):
+        if row is None:
+            return None
+        row = canonical(*row)
+        i = index.get(row)
+        if i is None:
+            i = index[row] = len(table)
+            table.append(row)
+        return i
+
+    values = list(map(intern, rows))
+    if len(table) * (len(table) + 1) // 2 >= visits:
+        return rows, row_add, partial(row_leq, space), row_eq
+    sums, order = {}, {}
+
+    def add(x, y):
+        if x is None or y is None:
+            return None
+        pair = (x, y) if x < y else (y, x)
+        s = sums.get(pair)
+        if s is None:
+            s = sums[pair] = intern(row_add(table[x], table[y]))
+        return s
+
+    def leq(x, y):
+        if y is None or x == y:
+            return True
+        if x is None:
+            return False
+        question = x, y
+        answer = order.get(question)
+        if answer is None:
+            answer = order[question] = row_leq(space, table[x], table[y])
+        return answer
+
+    return values, add, leq, operator.eq
 
 
 def row_lattice(op, a, b) -> tuple:

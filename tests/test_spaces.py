@@ -381,15 +381,72 @@ def packable_tables(draw):
     return space, [None if nums is None else (tuple(nums), den) for nums in rows]
 
 
+LOEWNER_SPACES = [om.loewner_sym(d) for d in (2, 3, 4)]
+
+
+@st.composite
+def loewner_tables(draw):
+    """A Loewner backend and a table of rows over mixed denominators, with
+    None (infinity), the first row again plus the order unit (x <= y holds
+    and y <= x fails) and the first row again over a multiple of its
+    denominator (one value in two forms)."""
+    space, rng = draw(st.sampled_from(LOEWNER_SPACES)), draw(st.randoms())
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        e = draw(st.sampled_from([random_element, random_positive_element]))(rng, space)
+        rows.append((e.nums, e.den))
+    (nums, den), d, k = rows[0], space.dim, draw(st.integers(2, 5))
+    rows.append((tuple(n + den * (i % (d + 1) == 0) for i, n in enumerate(nums)), den))
+    rows.append((tuple(k * n for n in nums), k * den))
+    rows.append(None)
+    return space, draw(st.permutations(rows))
+
+
 class TestTableKernels:
-    """The packed kernels of `spaces.table_kernels` against the row kernels
-    they stand in for, on values and on sums of two values."""
+    """The packed and interned kernels of `spaces.table_kernels` against the
+    row kernels they stand in for, on values and on sums of two values."""
 
     @given(packable_tables())
     @settings(max_examples=300, deadline=None)
     def test_packed_kernels_agree_with_row_kernels(self, case):
         space, rows = case
-        values, add, leq, eq = spaces.table_kernels(space, rows)
+        self.assert_kernels_agree(space, rows, *spaces.table_kernels(space, rows, 0))
+
+    @given(loewner_tables())
+    @settings(max_examples=100, deadline=None)
+    def test_interned_kernels_agree_with_row_kernels(self, case):
+        # len(rows)^2 visits exceed the D(D + 1)/2 pairs of any D <= len(rows)
+        space, rows = case
+        self.assert_kernels_agree(space, rows,
+                                  *spaces.table_kernels(space, rows, len(rows) ** 2))
+
+    @given(st.sampled_from(LOEWNER_SPACES), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_loewner_tables_keep_their_rows(self, space, data):
+        # a pass of no more visits than the D(D + 1)/2 unordered pairs of
+        # the table's D distinct values keeps the rows; one visit more, and
+        # the values are interned
+        rows = [None if data.draw(st.booleans()) else
+                (random_positive_element(data.draw(st.randoms()), space).nums, 1)
+                for _ in range(3)]
+        distinct = len(set(rows) - {None})
+        self.assert_row_route(space, rows, distinct * (distinct + 1) // 2)
+        values = spaces.table_kernels(space, rows, distinct * (distinct + 1) // 2 + 1)[0]
+        assert all(isinstance(v, int) for v in values if v is not None)
+        assert [v is None for v in values] == [row is None for row in rows]
+
+    @pytest.mark.parametrize("space", PACKED_SPACES[:3], ids=om.SpaceDescriptor.describe)
+    def test_mixed_denominators_keep_their_rows(self, space):
+        n = space.ncoords
+        self.assert_row_route(space, [((1,) * n, 2), None, ((1,) * n, 3)])
+
+    @pytest.mark.parametrize("space", PACKED_SPACES[:3], ids=om.SpaceDescriptor.describe)
+    def test_a_negative_numerator_keeps_the_rows(self, space):
+        n = space.ncoords
+        self.assert_row_route(space, [((0,) * n, 1), ((2,) * (n - 1) + (-1,), 1)])
+
+    @staticmethod
+    def assert_kernels_agree(space, rows, values, add, leq, eq):
         assert all(isinstance(v, int) for v in values if v is not None)
         assert [v is None for v in values] == [row is None for row in rows]
         pairs = list(zip(values, rows))
@@ -404,27 +461,9 @@ class TestTableKernels:
             for y, ry in sums:
                 assert eq(x, y) == spaces.row_eq(rx, ry)
 
-    @given(st.sampled_from([om.loewner_sym(d) for d in (2, 3, 4)]), st.data())
-    @settings(max_examples=50, deadline=None)
-    def test_loewner_tables_keep_their_rows(self, space, data):
-        rows = [None if data.draw(st.booleans()) else
-                (random_positive_element(data.draw(st.randoms()), space).nums, 1)
-                for _ in range(3)]
-        self.assert_row_route(space, rows)
-
-    @pytest.mark.parametrize("space", PACKED_SPACES[:3], ids=om.SpaceDescriptor.describe)
-    def test_mixed_denominators_keep_their_rows(self, space):
-        n = space.ncoords
-        self.assert_row_route(space, [((1,) * n, 2), None, ((1,) * n, 3)])
-
-    @pytest.mark.parametrize("space", PACKED_SPACES[:3], ids=om.SpaceDescriptor.describe)
-    def test_a_negative_numerator_keeps_the_rows(self, space):
-        n = space.ncoords
-        self.assert_row_route(space, [((0,) * n, 1), ((2,) * (n - 1) + (-1,), 1)])
-
     @staticmethod
-    def assert_row_route(space, rows):
-        values, add, leq, eq = spaces.table_kernels(space, rows)
+    def assert_row_route(space, rows, visits=0):
+        values, add, leq, eq = spaces.table_kernels(space, rows, visits)
         assert values is rows and add is spaces.row_add and eq is spaces.row_eq
         for x in rows:
             for y in rows:

@@ -107,6 +107,13 @@ MUTANTS = [
     ("packed table: the field width is one bit short", "spaces.py", "table_kernels",
      "(2 * top).bit_length() + 1", "(2 * top).bit_length()", [SPACES]),
     ("packed table: eq is leq", "spaces.py", "table_kernels", "operator.eq", "leq", [SPACES]),
+    ("interned table: leq is memoized on the unordered pair", "spaces.py", "_interned",
+     "question = (x, y)", "question = (x, y) if x < y else (y, x)", [SPACES]),
+    ("interned table: the key is not reduced by the gcd", "spaces.py", "_interned",
+     "canonical(*row)", "row", [SPACES]),
+    ("interned table: the memo rule is inverted", "spaces.py", "_interned",
+     "len(table) * (len(table) + 1) // 2 >= visits",
+     "len(table) * (len(table) + 1) // 2 < visits", [SPACES, "tests/test_outer.py"]),
     ("Measure.row: an atom that meets the set counts as inside it", "measures.py",
      "Measure.row", "atom & mask == atom", "atom & mask", ["tests/test_measures.py"]),
     ("_columns: the null points are kept", "integral.py", "_columns",
