@@ -142,9 +142,9 @@ def main(argv=None) -> int:
             if scenario.outer is None:
                 raise SchemaError("scenario has no 'outer_measure'")
             from .outer import caratheodory_report
-            doc, identities = caratheodory_report(scenario.outer)
-            sys.stdout.write(canonical_dumps(doc))
-            return 0 if identities.ok else 1
+            result = caratheodory_report(scenario.outer)
+            sys.stdout.write(canonical_dumps(result.details))
+            return 0 if result.ok else 1
 
         if args.command == "compare":
             from .compare import comparison_experiment

@@ -22,27 +22,29 @@ the disjoint pairs that tests sub-additivity also records which pairs split
 non-additively, and every set's verdict is read from that record: each pair
 is summed once, not once for every set that separates it.
 
-Every exhaustive pass runs on one integer table (`extended.ext_rows`): the
-2^n values as rows of integer numerators over one common denominator, with
-None for the point at infinity.  Positivity is one test of each row
-(`spaces.row_leq`).  Monotonicity and the pair pass then take the table and
-its kernels from `spaces.table_kernels`, given the number of pairs the
-pass visits: on a coordinatewise backend a table of nonnegative numerators
-over one denominator is packed, one int per value, and a sum is one integer
-add and a <= b one add, subtract and mask test.  A Loewner table whose
-distinct values make fewer pairs than the pass visits is interned: each
-value is an index, and each distinct sum and each distinct ordered pair is
-decided once.  Otherwise a sum is an integer add per coordinate and a <= b
-one positivity test of the row b - a.  The passes keep their loops, their
-pair order and their witnesses on every route, and build no element.
+Every `OuterMeasure` comes out of one validating pass,
+`validate_outer_measure` (`induce_outer` ends in it too), and holds that
+pass's split record; no record is built later.  The pass runs on
+one integer table (`extended.ext_rows`): the 2^n values as rows of integer
+numerators over one common denominator, with None for the point at
+infinity.  Positivity, monotonicity and the pair pass take that table and
+its kernels from one `spaces.table_kernels` call, given the number of
+visits the pass makes: on a coordinatewise backend a table of nonnegative
+numerators over one denominator is packed, one int per value, and a sum is
+one integer add and a <= b one add, subtract and mask test.  A Loewner
+table whose distinct values make fewer pairs than the pass visits is
+interned: each value is an index, and each distinct sum and each distinct
+ordered pair is decided once.  Otherwise a sum is an integer add per
+coordinate and a <= b one positivity test of the row b - a.  The passes
+keep their loops, their pair order and their witnesses on every route, and
+build no element.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .errors import MAX_OUTER_GROUND_SIZE, ValidationError, check_cap
+from .errors import MAX_OUTER_GROUND_SIZE, Frozen, ValidationError, check_cap
 from .extended import ExtElement, ext_rows, ext_to_json
 from .measures import (
     MeasurableSpace,
@@ -52,43 +54,27 @@ from .measures import (
     mask_to_points,
     validate_sigma_algebra,
 )
-from .reports import CheckResult
-from .spaces import SpaceDescriptor, row_leq, table_kernels
+from .reports import FAILS, HOLDS, CheckResult
+from .spaces import SpaceDescriptor, table_kernels
 
 
-class OuterMeasure:
-    """A validated total map from the power set into the extended cone."""
+class OuterMeasure(Frozen):
+    """A total map from the power set into the extended cone, as
+    `validate_outer_measure` returns it, with the split record of its pair
+    pass: bit b of ``split_failures[a]`` is set when the disjoint pair
+    (a, b) splits non-additively, nu(a | b) != nu(a) + nu(b)."""
 
-    def __init__(self, ground_size: int, backend: SpaceDescriptor,
-                 values: Dict[int, ExtElement]):
-        self.ground_size = check_cap("outer measure ground size", ground_size,
-                                     MAX_OUTER_GROUND_SIZE)
-        self.backend = backend
-        self.values = dict(values)
+    __slots__ = ("ground_size", "backend", "values", "split_failures")
 
     def value(self, mask: int) -> ExtElement:
         return self.values[mask]
 
-    @cached_property
-    def split_failures(self) -> List[int]:
-        """Bitsets over the power set: bit b of entry a is set when the
-        disjoint pair (a, b) splits non-additively, nu(a | b) != nu(a) + nu(b).
 
-        `validate_outer_measure` stores the table of its own pair pass; an
-        induced outer measure builds it here, on first use."""
-        return _split_table(*table_kernels(self.backend,
-                                           _table(self.values, self.ground_size),
-                                           _disjoint_pairs(self.ground_size)))
-
-
-def _table(values: Dict[int, ExtElement], ground_size: int) -> list:
-    """The integer rows of the 2^n values, indexed by mask."""
-    return ext_rows([values[mask] for mask in range(full_mask(ground_size) + 1)])
-
-
-def _disjoint_pairs(ground_size: int) -> int:
-    """The (3^n - 1)/2 unordered disjoint pairs a < b of the pair pass."""
-    return (3 ** ground_size - 1) // 2
+def _power_set(ground_size: int) -> range:
+    """The 2^n masks of the power set of n points; above the ground-size
+    cap a DimensionLimitError, before any of them is built."""
+    return range(1 << check_cap("outer measure ground size", ground_size,
+                                MAX_OUTER_GROUND_SIZE))
 
 
 def _split_table(values: list, add, leq, eq) -> List[int]:
@@ -120,9 +106,11 @@ def validate_outer_measure(values: Dict[int, ExtElement], backend: SpaceDescript
                            ground_size: int) -> OuterMeasure:
     """Check the outer-measure axioms exhaustively and return the object.
 
-    Positivity is decided on the integer rows, and monotonicity and the
-    pair pass on the table of `spaces.table_kernels` built after it, for
-    their n 2^(n-1) + (3^n - 1)/2 visits; the table and its memos are
+    The ground size is held to its cap first, then the values are checked
+    to be total, zero on the empty set and in `backend`.  Positivity,
+    0 <= nu(A) in the order of `values`, monotonicity and the pair pass
+    then run on the table of one `spaces.table_kernels` call, for their
+    2^n + n 2^(n-1) + (3^n - 1)/2 visits; the table and its memos are
     dropped when the pass returns.  Monotonicity is checked along
     single-point extensions (which implies it for arbitrary inclusions by
     chaining).  Sub-additivity is then checked on the disjoint pairs a < b
@@ -137,27 +125,26 @@ def validate_outer_measure(values: Dict[int, ExtElement], backend: SpaceDescript
     witness is a disjoint violating pair.  The same pass records the pairs
     that split non-additively, kept as `split_failures` for measurability.
     """
-    nu = OuterMeasure(ground_size, backend, values)
-    full = full_mask(ground_size)
-    if set(values) != set(range(full + 1)):
+    masks = _power_set(ground_size)
+    if values.keys() != set(masks):
         raise ValidationError("outer measure must be total on the power set")
     zero_v = values[0]
     if not (zero_v.is_finite and zero_v.finite.is_zero()):
         raise ValidationError("outer measure of the empty set must be zero",
                               witness={"empty_value": repr(zero_v)})
-    rows, zero = _table(values, ground_size), ((0,) * backend.ncoords, 1)
-    for mask, v in values.items():
-        if v.space != backend:
-            raise ValidationError("outer value in the wrong backend")
-        if not row_leq(backend, zero, rows[mask]):
+    if any(v.space != backend for v in values.values()):
+        raise ValidationError("outer value in the wrong backend")
+    size = len(masks)
+    kernels = table_kernels(backend, ext_rows([values[mask] for mask in masks]),
+                            size + ground_size * size // 2 + (3 ** ground_size - 1) // 2)
+    table, _, leq, _ = kernels
+    for mask in values:
+        if not leq(table[0], table[mask]):
             raise ValidationError(
                 f"outer value of {mask_to_points(mask)} is outside the positive cone",
                 witness={"set": mask_to_points(mask)},
             )
-    kernels = table_kernels(backend, rows, ground_size * (full + 1) // 2
-                            + _disjoint_pairs(ground_size))
-    table, _, leq, _ = kernels
-    for mask in range(full + 1):
+    for mask in masks:
         for p in range(ground_size):
             bigger = mask | (1 << p)
             if bigger != mask and not leq(table[mask], table[bigger]):
@@ -166,8 +153,7 @@ def validate_outer_measure(values: Dict[int, ExtElement], backend: SpaceDescript
                     witness={"smaller": mask_to_points(mask),
                              "larger": mask_to_points(bigger)},
                 )
-    nu.split_failures = _split_table(*kernels)
-    return nu
+    return OuterMeasure(ground_size, backend, dict(values), _split_table(*kernels))
 
 
 def induce_outer(mu: Measure) -> OuterMeasure:
@@ -175,12 +161,13 @@ def induce_outer(mu: Measure) -> OuterMeasure:
 
     On a finite algebra the infimum over measurable covers is attained at
     the union of the atoms that the subset meets, so the induced outer
-    measure extends the measure exactly.
+    measure extends the measure exactly.  Its values go through
+    `validate_outer_measure`, as an explicit table does, so its split
+    record is that pass's; the cap is held before any value is built.
     """
-    nu = OuterMeasure(mu.space.ground_size, mu.backend, {})
-    for mask in range(full_mask(nu.ground_size) + 1):
-        nu.values[mask] = mu.evaluate(mu.space.cover(mask))
-    return nu
+    n, cover = mu.space.ground_size, mu.space.cover
+    return validate_outer_measure({mask: mu.evaluate(cover(mask)) for mask in _power_set(n)},
+                                  mu.backend, n)
 
 
 def caratheodory_measurable(nu: OuterMeasure, mask: int) -> bool:
@@ -191,9 +178,7 @@ def caratheodory_measurable(nu: OuterMeasure, mask: int) -> bool:
     `mask` and b one of the complement: `mask` is measurable exactly when
     none of them is recorded in `nu.split_failures`.  Every other test set
     lies on one side and splits as itself plus the empty set, which passes
-    because nu(empty) = 0: an `OuterMeasure` is built only by
-    `validate_outer_measure`, which checks that value, or by `induce_outer`,
-    whose empty cover has measure zero.
+    because nu(empty) = 0, as the validating pass that built `nu` checked.
     """
     co = mask ^ full_mask(nu.ground_size)
     partners = 0  # bit b set for every nonempty submask b of the complement
@@ -229,13 +214,18 @@ def extract_measurable_algebra(nu: OuterMeasure) -> Tuple[MeasurableSpace, Measu
     return space, restricted
 
 
-def caratheodory_report(nu: OuterMeasure) -> Tuple[dict, CheckResult]:
-    """The Caratheodory report of an outer measure, and the identity suite
-    run on its restricted measure (keyed in the report by smallest point)."""
+def caratheodory_report(nu: OuterMeasure,
+                        expected_family: Optional[List[int]] = None) -> CheckResult:
+    """The `caratheodory` check: the measurable family, its atoms and the
+    restricted measure (keyed by each atom's smallest point), with the
+    status of the identity suite run on the restricted measure.  It holds
+    when that suite holds and, given `expected_family` (masks), the family
+    is exactly the expected one."""
     space, restricted = extract_measurable_algebra(nu)
     identities = check_measure_identities(restricted)
-    report = {
-        "measurable_family": [mask_to_points(m) for m in space.members()],
+    family = space.members()
+    details = {
+        "measurable_family": [mask_to_points(m) for m in family],
         "atoms": [mask_to_points(a) for a in space.atoms],
         "restriction_identities": identities.status,
         "restricted_measure": {
@@ -243,4 +233,5 @@ def caratheodory_report(nu: OuterMeasure) -> Tuple[dict, CheckResult]:
             for a, v in restricted.atom_values.items()
         },
     }
-    return report, identities
+    ok = identities.ok and (expected_family is None or sorted(expected_family) == family)
+    return CheckResult("caratheodory", HOLDS if ok else FAILS, details)

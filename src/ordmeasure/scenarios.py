@@ -17,7 +17,7 @@ Top-level keys:
                  (the family is validated as given)
   measure        {"atom_values": {"<smallest point of atom>": ExtElement}}
   outer_measure  {"outer_values": {"<strictly increasing points>": ExtElement}}
-                 (keys like "0,2", "" for the empty set, each set once)
+                 (keys like "0,2", no leading zero, "" for the empty set)
                  or {"induced_from_measure": true} alone; ground_size 1..12
   functions      {"name": {"values": ["3/2", "infinity", "-1", ...]}}
   sequences      {"name": {"kind": <kind>, <keys>}}  (function sequences)
@@ -472,16 +472,6 @@ def _check_integrate(mu: Measure, function, expected) -> CheckResult:
     return CheckResult("integrate", status, details)
 
 
-def _check_caratheodory(nu, expected_family) -> CheckResult:
-    from . import outer
-    details, identities = outer.caratheodory_report(nu)
-    status = HOLDS if identities.ok else FAILS
-    if (expected_family is not None and [mask_to_points(m) for m in sorted(expected_family)]
-            != details["measurable_family"]):
-        status = FAILS
-    return CheckResult("caratheodory", status, details)
-
-
 # Directive name -> the module and name of its operation, its keys, its
 # options, its section and its admission test.  `run_check` looks each
 # operation up on its module at call time, so a wrapper installed on a
@@ -533,7 +523,7 @@ _CHECKS = {
     "l1_quotient": _Check("integral_checks", "l1_quotient",
                           {"functions": _Key(list, _function_list, [])}),
     "caratheodory": _Check(
-        None, "_check_caratheodory",
+        "outer", "caratheodory_report",
         {"expected_family": _Key(list, lambda s, v, p: _items(  # of any subsets
             v, "sets", p, partial(_parse_points, s.space.ground_size)), None)},
         needs="outer_measure"),
@@ -626,11 +616,12 @@ def _parse_outer(doc, mu: Optional[Measure], backend: SpaceDescriptor, ground: i
     values, keys = {}, {}
     for key, vdoc in _require_json(doc["outer_values"], dict, "outer_values", path).items():
         kpath = _pointer(path, key)
-        # Keys are strictly increasing ASCII decimal points like "0,2"; "" is
-        # the empty set.
+        # Keys are strictly increasing ASCII decimal points with no leading
+        # zero, like "0,2", so each set is written one way; "" is the empty set.
         parts = key.split(",") if key else []
         try:
-            pts = [int(p) for p in parts if p.isascii() and p.isdigit()]
+            pts = [int(p) for p in parts
+                   if p == "0" or p.isascii() and p.isdigit() and p[0] != "0"]
         except ValueError:  # more digits than int() converts
             pts = []
         if len(pts) != len(parts):
@@ -641,8 +632,6 @@ def _parse_outer(doc, mu: Optional[Measure], backend: SpaceDescriptor, ground: i
         if pts and pts[-1] >= ground:
             raise SchemaError(f"point outside ground set in {key!r}", kpath)
         mask = points_to_mask(pts)
-        if mask in values:
-            raise SchemaError(f"set key {key!r} names the set {pts} again", kpath)
         values[mask], keys[mask] = parse_ext_element(vdoc, backend, kpath), key
     return _at(path, outer.validate_outer_measure, values, backend, ground, keys=keys)
 

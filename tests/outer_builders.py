@@ -133,10 +133,10 @@ def ext_validate_outer_measure(values, backend, ground_size):
     if not (zero_v.is_finite and zero_v.finite.is_zero()):
         raise ValidationError("outer measure of the empty set must be zero",
                               witness={"empty_value": repr(zero_v)})
+    if any(v.space != backend for v in values.values()):
+        raise ValidationError("outer value in the wrong backend")
     zero = (Fraction(0),) * backend.ncoords
     for mask, v in values.items():
-        if v.space != backend:
-            raise ValidationError("outer value in the wrong backend")
         if not frac_ext_leq(backend, zero, frac_ext(v)):
             raise ValidationError(
                 f"outer value of {mask_to_points(mask)} is outside the positive cone",

@@ -16,10 +16,14 @@ approach for generating next test cases", HKUST-CS98-01, 1998):
   refuse there;
 - the same document on `reals` gives what it gives on `coord(1)`, and on
   `entrywise_mat(r, c)` what it gives on `coord(r * c)`, the matrix read
-  row by row.
+  row by row;
+- a permutation of the ground points of an outer measure, given by its
+  `outer_values` or induced from a measure, permutes the `caratheodory`
+  report's family, atoms and restricted measure, and changes neither its
+  status nor its identity verdict.
 
-Each document is on a power set of 1 to 4 points, with infinite, null and
-positive atoms, and runs `integrate`, `integral_laws`, `ae`, `mct`,
+Each integral document is on a power set of 1 to 4 points, with infinite,
+null and positive atoms, and runs `integrate`, `integral_laws`, `ae`, `mct`,
 `triangle` and `dct`.  Its sequences are explicit and end in their limit,
 so every check decides exactly, by stabilization, and no certificate
 depends on the scale of the measure.  Each relation has a fixed Hypothesis
@@ -29,10 +33,12 @@ budget, and each example a deadline.
 from datetime import timedelta
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordmeasure import scenarios
+from ordmeasure.measures import mask_to_points, points_to_mask
 from ordmeasure.rationals import INFINITY, format_rational
 
 BUDGET = settings(max_examples=40, deadline=timedelta(seconds=5), derandomize=True)
@@ -231,3 +237,95 @@ class TestSameCone:
         doc = document(model)
         matrix = {"kind": "entrywise_mat", "rows": rows, "cols": dim // rows}
         assert integrals(dict(doc, space=matrix)) == integrals(doc)
+
+
+@st.composite
+def outer_models(draw, loewner: bool):
+    """An outer measure on n = 1..4 points, with a permutation of them: a
+    cover sum nu(A) = sum of the weights of the covers that A meets, given
+    by its `outer_values`, or a measure on a partition of the points, to
+    induce from.  A weight is None for infinity, else two coordinates, or
+    on LoewnerSym(2) the entries of (p, q)(p, q)^T + r I over a denominator."""
+    n = draw(st.integers(1, 4))
+
+    def weight():
+        if draw(st.integers(0, 4)) == 0:
+            return None
+        if not loewner:
+            return [draw(small), draw(small)]
+        p, q, r = draw(st.integers(-2, 2)), draw(st.integers(-2, 2)), draw(st.integers(0, 2))
+        den = draw(st.integers(1, 3))
+        return [Fraction(x, den) for x in (p * p + r, p * q, p * q, q * q + r)]
+
+    model = {"n": n, "perm": draw(st.permutations(range(n)))}
+    if draw(st.booleans()):
+        labels = [draw(st.integers(0, n - 1)) for _ in range(n)]
+        model["blocks"] = [([p for p in range(n) if labels[p] == label], weight())
+                           for label in sorted(set(labels))]
+    else:
+        model["covers"] = [(draw(st.integers(1, (1 << n) - 1)), weight())
+                           for _ in range(draw(st.integers(1, 3)))]
+    return model
+
+
+def outer_document(model: dict, space: dict, perm) -> dict:
+    """The `caratheodory` document of `model` on `space`, point p renamed
+    perm[p]."""
+    n, zero = model["n"], [Fraction(0)] * (2 if space["kind"] == "coord" else 4)
+
+    def moved(points):
+        return sorted(perm[p] for p in points)
+
+    def element(v):
+        return "infinity" if v is None else {"finite": [format_rational(x) for x in v]}
+
+    doc = {"space": space, "ground_size": n, "checks": [{"check": "caratheodory"}]}
+    if "blocks" in model:
+        doc.update(sigma_algebra={"generators": [moved(b) for b, _ in model["blocks"]]},
+                   measure={"atom_values": {str(moved(b)[0]): element(v)
+                                            for b, v in model["blocks"]}},
+                   outer_measure={"induced_from_measure": True})
+        return doc
+    values = {}
+    for mask in range(1 << n):
+        total = zero
+        for cover, v in model["covers"]:
+            if mask & cover:
+                total = None if total is None or v is None else [
+                    x + y for x, y in zip(total, v)]
+        values[",".join(map(str, moved(mask_to_points(mask))))] = element(total)
+    doc["outer_measure"] = {"outer_values": values}
+    return doc
+
+
+def caratheodory(doc: dict) -> tuple:
+    """The status and details of the one `caratheodory` check of `doc`."""
+    report = scenarios.run_scenario(scenarios.parse_scenario(doc),
+                                    scenarios.RunConfig(horizon=HORIZON))
+    [entry] = report["checks"]
+    return entry["status"], entry["details"]
+
+
+class TestRelabelling:
+    @pytest.mark.parametrize("space", [{"kind": "coord", "dim": 2},
+                                       {"kind": "loewner_sym", "dim": 2}],
+                             ids=["coord", "loewner_sym"])
+    @given(st.data())
+    @BUDGET
+    def test_a_permutation_of_the_points_permutes_the_caratheodory_report(self, space,
+                                                                          data):
+        model = data.draw(outer_models(space["kind"] == "loewner_sym"))
+        perm = model["perm"]
+
+        def relabelled(sets):
+            return sorted((sorted(perm[p] for p in s) for s in sets), key=points_to_mask)
+
+        status, details = caratheodory(outer_document(model, space, range(model["n"])))
+        moved_status, moved = caratheodory(outer_document(model, space, perm))
+        assert moved_status == status
+        assert moved["restriction_identities"] == details["restriction_identities"]
+        assert moved["measurable_family"] == relabelled(details["measurable_family"])
+        assert moved["atoms"] == relabelled(details["atoms"])
+        assert moved["restricted_measure"] == {
+            str(min(perm[p] for p in atom)): details["restricted_measure"][str(atom[0])]
+            for atom in details["atoms"]}

@@ -12,7 +12,7 @@ from ordmeasure.errors import DimensionLimitError, ValidationError
 from ordmeasure.measures import full_mask, mask_to_points, points_to_mask
 
 from conftest import random_algebra, random_measure
-from integral_oracles import frac_ext_add, frac_ext_leq, frac_row, frac_sub
+from integral_oracles import frac_ext, frac_ext_add, frac_ext_leq, frac_row, frac_sub
 from outer_builders import (constant_outer, ext_measure_identities, ext_split_table,
                             ext_sum_evaluate, ext_validate_outer_measure,
                             full_test_set_measurable, hitting_outer, null_sets,
@@ -27,7 +27,8 @@ def fin(x, y):
 
 def all_pairs_validate(values, backend, ground_size):
     """The outer-measure axioms with sub-additivity tested on every pair
-    a <= b, disjoint or not (oracle for `validate_outer_measure`)."""
+    a <= b, disjoint or not (oracle for `validate_outer_measure`), with
+    the split record of `ext_split_table`."""
     if not 1 <= ground_size <= outer.MAX_OUTER_GROUND_SIZE:
         raise DimensionLimitError("ground size out of range")
     full = full_mask(ground_size)
@@ -36,9 +37,9 @@ def all_pairs_validate(values, backend, ground_size):
     zero_v = values[0]
     if not (zero_v.is_finite and zero_v.finite.is_zero()):
         raise ValidationError("outer measure of the empty set must be zero")
+    if any(v.space != backend for v in values.values()):
+        raise ValidationError("outer value in the wrong backend")
     for mask, v in values.items():
-        if v.space != backend:
-            raise ValidationError("outer value in the wrong backend")
         if not extended.is_ext_positive(v):
             raise ValidationError(
                 f"outer value of {mask_to_points(mask)} is outside the positive cone")
@@ -51,7 +52,8 @@ def all_pairs_validate(values, backend, ground_size):
         for b in range(a, full + 1):
             if not om.ext_leq(values[a | b], om.ext_add(values[a], values[b])):
                 raise ValidationError("sub-additivity violation")
-    return outer.OuterMeasure(ground_size, backend, values)
+    return outer.OuterMeasure(ground_size, backend, values,
+                              ext_split_table(values, ground_size))
 
 
 weights = st.one_of(
@@ -98,8 +100,8 @@ def valid_outer_values(draw):
 
 @st.composite
 def induced_with_infinite_atom(draw):
-    """An outer measure on n = 1..7 points induced, without validation, from
-    a measure on a random algebra with at least one infinite atom."""
+    """An outer measure on n = 1..7 points induced from a measure on a
+    random algebra with at least one infinite atom."""
     n = draw(st.integers(1, 7))
     rng = random.Random(draw(st.integers(0, 2**32)))
     mu = random_measure(rng, random_algebra(rng, n), C2)
@@ -242,21 +244,22 @@ class TestValidation:
     @pytest.mark.parametrize("backend", ROUTES, ids=["packed", "rows"])
     @pytest.mark.parametrize("n", range(1, 7))
     def test_order_test_count(self, monkeypatch, n, backend):
-        # 2^n positivity tests of a row, then n 2^(n-1) monotonicity steps
-        # and (3^n - 1)/2 disjoint pairs a < b, each one order test of the
-        # table's kernel.  The packed route makes no positivity test per
-        # order test.  A Loewner table whose D distinct values make fewer
+        # 2^n positivity tests 0 <= nu(A), in the order of the values, then
+        # n 2^(n-1) monotonicity steps and (3^n - 1)/2 disjoint pairs a < b,
+        # each one order test of the table's kernel.  The packed route makes
+        # no PSD test.  A Loewner table whose D distinct values make fewer
         # than that many pairs, D(D + 1)/2, is interned and makes one per
-        # distinct ordered pair x != y that it is asked; any other keeps its
-        # rows and makes one per order test (the table is finite).
+        # distinct ordered pair x != y that it is asked, so positivity makes
+        # one per distinct nonzero value; any other keeps its rows and makes
+        # one per order test (the table is finite).
         values = hitting_outer(random.Random(n), n, backend).values
-        row_tests = count_calls(monkeypatch, outer, "row_leq")
         kernel_tests = count_kernel_calls(monkeypatch)["leq"]
         positivity_tests = count_calls(monkeypatch, spaces, "is_positive_row")
         om.validate_outer_measure(values, backend, n)
-        visits = n * 2**(n - 1) + (3**n - 1) // 2
-        assert len(row_tests) == 2**n
+        visits = 2**n + n * 2**(n - 1) + (3**n - 1) // 2
         assert len(kernel_tests) == visits
+        zero = frac_ext(values[0])
+        assert kernel_tests[:2**n] == [(zero, frac_ext(v)) for v in values.values()]
         distinct = len(set(values.values()))
         if backend is C2:
             per_kernel = 0
@@ -265,7 +268,7 @@ class TestValidation:
             assert per_kernel < visits
         else:
             per_kernel = visits
-        assert len(positivity_tests) == 2**n + per_kernel
+        assert len(positivity_tests) == per_kernel
 
 
 class TestInduce:
@@ -307,7 +310,7 @@ class TestCaratheodory:
     @given(induced_with_infinite_atom())
     @settings(max_examples=100, deadline=None)
     def test_induced_split_record_agrees_with_oracles(self, nu):
-        # the record is built on first use, not by validation
+        # the record of the validating pass that `induce_outer` ends in
         for mask in range(full_mask(nu.ground_size) + 1):
             verdict = om.caratheodory_measurable(nu, mask)
             assert verdict == full_test_set_measurable(nu, mask)
@@ -339,11 +342,14 @@ class TestCaratheodory:
     @pytest.mark.parametrize("backend", ROUTES, ids=["packed", "rows"])
     @pytest.mark.parametrize("n", range(1, 7))
     def test_induced_record_is_built_once(self, monkeypatch, n, backend):
+        # `induce_outer` sums each disjoint pair once, in its validating
+        # pass, and extraction, however often, sums none
         rng = random.Random(n)
-        nu = om.induce_outer(random_measure(rng, random_algebra(rng, n), backend))
-        calls = count_kernel_calls(monkeypatch)["leq"]
-        om.extract_measurable_algebra(nu)
+        mu = random_measure(rng, random_algebra(rng, n), backend)
+        calls = count_kernel_calls(monkeypatch)["add"]
+        nu = om.induce_outer(mu)
         assert len(calls) == (3**n - 1) // 2
+        om.extract_measurable_algebra(nu)
         om.extract_measurable_algebra(nu)
         assert len(calls) == (3**n - 1) // 2
 
@@ -491,19 +497,25 @@ def outcome(fn, *args):
 
 
 @st.composite
-def skewed_measures(draw):
-    """A measure on a random algebra of up to 4 atoms of any backend, with
-    infinite atoms and small or large denominators, and with the values of
-    some members overwritten in its evaluation memo, so that identities can
-    fail."""
-    backend, max_den = draw(st.sampled_from(BACKENDS)), draw(st.sampled_from([4, 10**20]))
+def backend_measures(draw, max_den=None):
+    """A measure on a random algebra of 1 to 4 points of any backend, with
+    infinite atoms and small or large denominators (or at most `max_den`)."""
+    backend = draw(st.sampled_from(BACKENDS))
+    max_den = max_den or draw(st.sampled_from([4, 10**20]))
     rng = random.Random(draw(st.integers(0, 2**32)))
     space = random_algebra(rng, draw(st.integers(1, 4)))
-    mu = om.Measure(space, backend, {atom: draw(ext_values(backend, True, max_den))
-                                     for atom in space.atoms})
-    members = space.members()
-    for mask in draw(st.lists(st.sampled_from(members), max_size=2)):
-        mu._memo[mask] = draw(ext_values(backend, draw(st.booleans()), max_den))
+    return om.Measure(space, backend, {atom: draw(ext_values(backend, True, max_den))
+                                       for atom in space.atoms})
+
+
+@st.composite
+def skewed_measures(draw):
+    """A measure of `backend_measures` with the values of some members
+    overwritten in its evaluation memo, so that identities can fail."""
+    max_den = draw(st.sampled_from([4, 10**20]))
+    mu = draw(backend_measures(max_den))
+    for mask in draw(st.lists(st.sampled_from(mu.space.members()), max_size=2)):
+        mu._memo[mask] = draw(ext_values(mu.backend, draw(st.booleans()), max_den))
     return mu
 
 
@@ -518,13 +530,12 @@ class TestIntegerTable:
         fast = outcome(lambda: om.validate_outer_measure(values, backend, n).split_failures)
         assert fast == outcome(ext_validate_outer_measure, values, backend, n)
 
-    @given(backend_tables())
+    @given(backend_measures())
     @settings(max_examples=200, deadline=None)
-    def test_induced_split_table_agrees_with_ext_oracle(self, case):
-        # the record built on first use, for tables that were never validated
-        values, n, backend = case
-        nu = outer.OuterMeasure(n, backend, values)
-        assert outcome(lambda: nu.split_failures) == outcome(ext_split_table, values, n)
+    def test_induced_record_agrees_with_ext_oracle(self, mu):
+        nu = om.induce_outer(mu)
+        assert nu.split_failures == ext_validate_outer_measure(
+            nu.values, mu.backend, mu.space.ground_size)
 
     @given(st.sampled_from(BACKENDS), st.sampled_from([4, 10**20]), st.data())
     @settings(max_examples=200, deadline=None)

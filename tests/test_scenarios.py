@@ -20,8 +20,8 @@ import ordmeasure as om
 from ordmeasure import measures, outer, spaces
 from ordmeasure.cli import main as cli_main
 from ordmeasure.errors import (MAX_COORDINATES, MAX_EPSILON_EXPONENT, MAX_EXHAUSTIVE_ATOMS,
-                               MAX_HORIZON, MAX_LOEWNER_DIM, MAX_OUTER_GROUND_SIZE,
-                               MAX_TRUNCATION, DimensionLimitError, SchemaError,
+                               MAX_GROUND_SIZE, MAX_HORIZON, MAX_LOEWNER_DIM,
+                               MAX_OUTER_GROUND_SIZE, MAX_TRUNCATION, DimensionLimitError, SchemaError,
                                ValidationError)
 from ordmeasure.measures import mask_to_points
 from ordmeasure.rationals import INFINITY, format_rational
@@ -439,6 +439,15 @@ def _outer_values(*keys) -> dict:
     return {"outer_measure": {"outer_values": {key: "infinity" for key in keys}}}
 
 
+def _outer_values_spelled(mask: int, spelling: str) -> dict:
+    """Scenario keys for an outer measure on three points, zero on the empty
+    set and infinite elsewhere, with the key of `mask` written `spelling`."""
+    keys = {mask: spelling} | {m: ",".join(map(str, mask_to_points(m)))
+                               for m in range(8) if m != mask}
+    return {"outer_measure": {"outer_values": {
+        key: {"finite": ["0", "0"]} if m == 0 else "infinity" for m, key in keys.items()}}}
+
+
 def _outer_values_on(ground: int) -> dict:
     """Scenario keys for an outer measure on `ground` points given by its
     values, zero on every set, with one atom."""
@@ -749,6 +758,10 @@ class TestCli:
         (_outer_values(" 1"), "/outer_measure/outer_values/ 1"),
         (_outer_values("\u0661"), "/outer_measure/outer_values/\u0661"),
         (_outer_values("0,+1"), "/outer_measure/outer_values/0,+1"),
+        (_outer_values_spelled(0b001, "00"),
+         ("/outer_measure/outer_values/00", "bad set key '00'")),
+        (_outer_values_spelled(0b011, "0,001"),
+         ("/outer_measure/outer_values/0,001", "bad set key '0,001'")),
         (_l1_list_with(["0", "0", "1"]), "/checks/0/functions/1"),
         (_l1_list_with(["0", "infinity", "infinity"]), "/checks/0/functions/1"),
         (dict(LOEWNER, measure={"atom_values": {"0": {"finite": ASYMMETRIC}}}),
@@ -769,9 +782,9 @@ class TestCli:
          "/measure/atom_values/1"),
         ({"outer_measure": {"outer_values": {
             key: {"finite": ["0", "0"]} if key == "" else
-            {"finite": ["0", "-1"]} if key == "01" else "infinity"
-            for key in ("", "0", "01", "2", "0,1", "0,2", "1,2", "0,1,2")}}},
-         "/outer_measure/outer_values/01"),
+            {"finite": ["0", "-1"]} if key == "1" else "infinity"
+            for key in ("", "0", "1", "2", "0,1", "0,2", "1,2", "0,1,2")}}},
+         ("/outer_measure/outer_values/1", "outer value of [1] is outside the positive cone")),
         # A kind is tested before the terms are read, so none of them is the error.
         ({"checks": [{"check": "continuity_below", "sets": {"kind": "foo", "terms": []}}]},
          ("/checks/0/sets/kind", "unknown set sequence kind 'foo'")),
@@ -907,7 +920,8 @@ class TestCli:
             "truncation_ladder_negative", "scaled_index_not_measurable",
             "outer_key_reordered", "outer_key_leading_zero", "outer_key_repeated_point",
             "outer_key_decreasing", "outer_key_space", "outer_key_arabic_digit",
-            "outer_key_plus", "l1_function_not_measurable", "l1_function_infinite",
+            "outer_key_plus", "outer_key_zero_padded", "outer_key_zero_padded_point",
+            "l1_function_not_measurable", "l1_function_infinite",
             "loewner_atom_asymmetric", "loewner_expected_asymmetric",
             "loewner_lower_bound_asymmetric", "algebra_sets_int", "algebra_set_point_bool",
             "l1_function_ref_int", "matrix_entry_int", "atom_value_negative",
@@ -1125,11 +1139,12 @@ class TestCli:
     def test_induced_caratheodory_on_loewner_runs_in_time(self, tmp_path, capsys,
                                                           monkeypatch):
         # Both caps at once: an outer measure on 12 points induced from six
-        # two-point atoms on LoewnerSym(6).  Its (3^12 - 1)/2 disjoint pairs
-        # hold 64 distinct values, so the interned table decides each
-        # distinct question once.  Through `cli.main` the row kernels made
-        # 270,557 PSD tests in about 3.5 s on a 2-core x86_64 host, the
-        # interned table 2,007 in about 0.25 s.
+        # two-point atoms on LoewnerSym(6).  Its validating pass visits
+        # 2^12 + 12 2^11 + (3^12 - 1)/2 pairs of 64 distinct values, so the
+        # interned table decides each distinct question once.  Through
+        # `cli.main` the row kernels made 270,557 PSD tests (for the pair
+        # pass alone) in about 3.5 s on a 2-core x86_64 host, the interned
+        # table 2,256 (for the whole pass) in about 0.25 s.
         atoms = [[2 * i, 2 * i + 1] for i in range(MAX_OUTER_GROUND_SIZE // 2)]
         doc = _loewner_doc(
             MAX_OUTER_GROUND_SIZE, [{"check": "caratheodory"}],
@@ -1147,6 +1162,28 @@ class TestCli:
         [check] = json.loads(capsys.readouterr().out)["checks"]
         assert check["details"]["atoms"] == atoms
         assert check["details"]["restriction_identities"] == "holds"
+
+    def test_mct_at_the_horizon_ground_and_loewner_caps_runs_in_time(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        # Three caps at once: `mct` at horizon 1024 on 16 points, each an
+        # atom of LoewnerSym(6), with f_n = f - f / 2^n.
+        n = MAX_GROUND_SIZE
+        f = [str(1 + p % 3) for p in range(n)]
+        doc = _loewner_doc(
+            n, [{"check": "mct", "sequence": "rising", "limit": "f"}],
+            sigma_algebra={"power_set": True},
+            measure={"atom_values": {str(p): _finite(m) for p, m in
+                                     enumerate(_loewner_atoms(random.Random(16), n))}},
+            functions={"f": {"values": f}, "minus_f": {"values": [f"-{x}" for x in f]}},
+            sequences={"rising": {"kind": "geometric", "base": "f", "bump": "minus_f",
+                                  "ratio": "1/2"}})
+        path = tmp_path / "mct_loewner.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        assert run_cli(["run", path, "--output", "json", "--horizon", str(MAX_HORIZON)]) == 0
+        assert time.perf_counter() - start < 30
+        [check] = json.loads(capsys.readouterr().out)["checks"]
+        assert check["status"] == "holds"
 
     def test_identities_at_the_atom_and_loewner_caps_runs_in_time(self, tmp_path, capsys,
                                                                   monkeypatch):

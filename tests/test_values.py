@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ordmeasure as om
-from ordmeasure import integral, scenarios
+from ordmeasure import integral, outer, scenarios
 from ordmeasure.errors import Frozen
 from ordmeasure.rationals import INFINITY
 
@@ -40,6 +40,7 @@ FIELDS = {
     om.Periodic: ("index", "period"),
     om.DeclaredLimit: ("value",),
     om.NoSupremum: ("reason",),
+    outer.OuterMeasure: ("ground_size", "backend", "values", "split_failures"),
     scenarios.Directive: ("check", "expect", "args"),
     scenarios._Key: ("json", "resolve", "default"),
     scenarios._Kind: ("build", "keys", "at", "message"),
@@ -107,6 +108,19 @@ def algebra_specs():
 def build_algebra(spec):
     n, generators = spec
     return om.generate_sigma_algebra(generators, n)
+
+
+def outer_specs():
+    return st.tuples(space_specs(), st.integers(1, 2), st.sampled_from([0, 1, 2]))
+
+
+def build_outer(spec):
+    """The outer measure c on every nonempty set, validated."""
+    i, n, c = spec
+    space = SPACES[i]()
+    top = om.finite(om.scale(c, om.order_unit(space)))
+    values = {0: om.finite(om.zero(space))} | {mask: top for mask in range(1, 1 << n)}
+    return om.validate_outer_measure(values, space, n)
 
 
 def function_specs(values):
@@ -238,6 +252,8 @@ CASES = {
     # A list value is unhashable, as the scenario parser's limits are.
     om.DeclaredLimit: (st.one_of(SMALL, st.lists(SMALL, max_size=2)), om.DeclaredLimit),
     om.NoSupremum: (st.sampled_from(["incomparable", "no infimum"]), om.NoSupremum),
+    # The values and the split record are unhashable.
+    outer.OuterMeasure: (outer_specs(), build_outer),
     scenarios.Directive: (directive_specs(),
                           lambda spec: scenarios.Directive(spec[0], spec[1], dict(spec[2]))),
     scenarios._Key: (key_specs(), build_key),

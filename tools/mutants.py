@@ -86,6 +86,12 @@ MUTANTS = [
      "_continuity", "period > 1", "False", [TAILS]),
     ("outer split table: only half of each failing pair is recorded", "outer.py",
      "_split_table", "failures[b] |= 1 << a", "pass", ["tests/test_outer.py"]),
+    ("outer validation: positivity asks nu(A) <= 0, not 0 <= nu(A)", "outer.py",
+     "validate_outer_measure", "leq(table[0], table[mask])", "leq(table[mask], table[0])",
+     ["tests/test_outer.py"]),
+    ("caratheodory_report: the expected family is ignored", "outer.py",
+     "caratheodory_report", "expected_family is None or sorted(expected_family) == family",
+     "True", [SCENARIOS]),
     ("Loewner order: a zero pivot with a nonzero row is accepted", "spaces.py",
      "is_positive_row", "if any(row[k + 1:]):\n    return False", "pass",
      ["tests/test_spaces.py"]),
@@ -120,6 +126,9 @@ MUTANTS = [
      "not null >> x & 1", "True", [TAILS]),
     ("_at: the witness's key is dropped from the pointer", "scenarios.py", "_at",
      "path if key is None else _pointer(path, key)", "path", [SCENARIOS]),
+    ("outer_values key: a point may have a leading zero", "scenarios.py", "_parse_outer",
+     "p.isascii() and p.isdigit() and (p[0] != '0')", "p.isascii() and p.isdigit()",
+     [SCENARIOS]),
     ("selector: a section may hold two selector keys", "scenarios.py", "_selector",
      "len(given) != 1", "not given", [SCENARIOS]),
     ("directive: a key outside the check table is ignored", "scenarios.py", "_kind",
