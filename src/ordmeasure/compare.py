@@ -26,6 +26,7 @@ from .errors import MAX_TRUNCATION, ValidationError, check_cap
 from .extended import element_to_json, ext_add, ext_leq, ext_zero, finite
 from .measures import Measure, full_mask, power_set_space
 from .rationals import format_rational
+from .reports import word
 from .spaces import Element, add, basis_vector, coord, scale, sub
 
 
@@ -59,7 +60,7 @@ def sup_measure_experiment(n: int) -> dict:
     return {
         "experiment": "sup_measure",
         "n": n,
-        "sigma_additivity": "holds" if sigma_ok else "fails",
+        "sigma_additivity": word(sigma_ok),
         "total": element_to_json(total.payload()),
         "tail_sup_norms": tail_norms,
         "norm_cauchy": all(t == "0" for t in tail_norms),

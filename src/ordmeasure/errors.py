@@ -134,8 +134,9 @@ class CertificationError(OrdMeasureError):
     """A declared claim about a sequence failed at a sampled index."""
 
 
-class NotIntegrableError(OrdMeasureError):
-    """A signed function is outside the integrable class (infinite |f| integral)."""
+class NotIntegrableError(HypothesisError):
+    """A signed function is outside the integrable class (infinite |f| integral),
+    which an L^1 statement assumes it is in."""
 
 
 class SchemaError(OrdMeasureError):

@@ -16,7 +16,10 @@ kernels on whole tables (`ext_rows`), and `from_row` builds the value of
 a row.  The supremum of an increasing sequence (the paper's
 sigma-monotone completeness) and the infimum of a decreasing one are
 decided in one place, on rows, `certify_monotone_limit`, with which the
-monotone convergence theorems certify their integrals.
+monotone convergence theorems certify their integrals.  Divergence to
+infinity is certified on one ladder of bounds, `certify_divergence`, for
+those integrals and for the samples at each point where a limit is
+infinite.
 """
 
 from __future__ import annotations
@@ -181,32 +184,31 @@ def ext_sub_finite(a: ExtElement, b: ExtElement) -> ExtElement:
     return from_row(a.space, spaces.row_sub(_row(a), _row(b)))
 
 
-def divergence_top(h: int) -> int:
-    """The top rung of the ladder of bounds k = 1 .. top that certifies
-    divergence from h >= 1 samples: h - 1, and 1 when h is 1."""
-    return max(h, 2) - 1
-
-
-def certify_divergence(space: SpaceDescriptor, terms: Sequence) -> int:
+def certify_divergence(space: SpaceDescriptor, terms: Sequence,
+                       message: str = "divergence not certified: all samples below {k} * unit"
+                       ) -> int:
     """Certify unboundedness against the ladder of bounds k * unit, and
     return its top rung.
 
     `terms` are the rows of h >= 1 samples of a sequence in `space`, the
     unit its order unit.  For each k the sampled terms must contain one
-    that is *not* below ``k * unit``.  The ladder stops at `divergence_top`:
-    h - 1 (1 when h is 1), as a sequence growing one unit per step can
-    never overtake the bound with the same index inside its own window.
+    that is *not* below ``k * unit``.  The ladder stops at h - 1 (1 when h
+    is 1), as a sequence growing one unit per step can never overtake the
+    bound with the same index inside its own window.  This is the one
+    ladder: the integrals of the monotone convergence theorems and their
+    samples at each point where the limit is infinite climb it.
 
     Being below every sample is monotone in k: a term below k * unit is
     below every larger bound too.  So the ladder holds exactly when its top
     rung does, which one pass over the terms decides; when it fails, the
-    first failing k is found by bisection.
+    first failing k is found by bisection, and the CertificationError is
+    `message` formatted with that k.
     """
     def all_below(k: int) -> bool:
         bound = spaces.scaled_unit(space, k)
         return all(spaces.row_leq(space, t, bound) for t in terms)
 
-    top = divergence_top(len(terms))
+    top = max(len(terms), 2) - 1
     if not all_below(top):
         return top
     lo, hi = 0, top  # some sample escapes every k <= lo, none escapes hi
@@ -216,7 +218,7 @@ def certify_divergence(space: SpaceDescriptor, terms: Sequence) -> int:
             hi = mid
         else:
             lo = mid
-    raise CertificationError(f"divergence not certified: all samples below {hi} * unit")
+    raise CertificationError(message.format(k=hi))
 
 
 def certify_monotone_limit(space: SpaceDescriptor, values: Sequence, target,

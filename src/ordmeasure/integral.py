@@ -20,16 +20,19 @@ are certified checks on what a sequence declares: Fatou reads its cycle
 where the terms diverge).  Each check compares its sampled functions on
 one integer table (`_columns`), and `_certify_convergence` certifies that
 the samples reach f at each point: against an epsilon schedule in
-multiples of the order unit where f is finite, and a ladder of bounds
-where it is infinite; the monotone checks then certify their integral rows
-with `extended.certify_monotone_limit`.  The laws of the integral and its
-other structure checks are in `ordmeasure.integral_checks`.
+multiples of the order unit where f is finite, and on the ladder of bounds
+of `extended.certify_divergence` where it is infinite; the monotone checks
+then certify their integral rows with `extended.certify_monotone_limit`.
+Each check returns `reports.verdict`; an unmet hypothesis raises
+`HypothesisError` (`NotIntegrableError` for an L^1 statement) and an
+uncertifiable claim `CertificationError`, which `reports.refused` reports.
+The laws of the integral and its other structure checks are in
+`ordmeasure.integral_checks`.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import accumulate
@@ -38,15 +41,15 @@ from typing import Dict, Optional, Sequence, Tuple
 from . import extended, spaces
 from .errors import (CertificationError, Frozen, HypothesisError, NotIntegrableError,
                      OrdMeasureError, ValidationError)
-from .extended import (ExtElement, certify_monotone_limit, divergence_top, ext_add, ext_leq,
-                       ext_scale, ext_to_json, ext_zero, from_row)
+from .extended import (ExtElement, certify_divergence, certify_monotone_limit, ext_add,
+                       ext_leq, ext_scale, ext_to_json, ext_zero, from_row)
 from .measures import MeasurableSpace, Measure, mask_to_points, points_to_mask
 from .rationals import INFINITY, format_rational, is_infinite, over_one_den
-from .reports import CheckResult, fails, holds
+from .reports import CheckResult, verdict, word
 from .sequences import (SequenceSpec, certify_gaps, declared_cycle, declared_limit,
                         epsilon_schedule, stable_from)
-from .spaces import (Element, SpaceDescriptor, canonical, row_add, row_eq, row_lattice,
-                     row_leq, row_sub, scaled_unit)
+from .spaces import (Element, SpaceDescriptor, canonical, reals, row_add, row_eq,
+                     row_lattice, row_leq, row_sub, scaled_unit)
 
 
 def _check_level_sets(f: "_PointFunction"):
@@ -177,20 +180,8 @@ class SignedFunction(_PointFunction):
     # Functions derived from measurable ones on one space are measurable
     # there, so they are built by the trusted constructor from the integer
     # part transforms the integrals of `integrate_signed` and `dct` read.
-    def __add__(self, other: "SignedFunction") -> "SignedFunction":
-        return _pointwise(operator.add, self, other)
-
-    def __sub__(self, other: "SignedFunction") -> "SignedFunction":
-        return _pointwise(operator.sub, self, other)
-
     def abs(self) -> ExtFunction:
         return _trusted(ExtFunction, self.space, *_part(abs, self.nums, self.den))
-
-    def pos_part(self) -> ExtFunction:
-        return _trusted(ExtFunction, self.space, *_part(_pos, self.nums, self.den))
-
-    def neg_part(self) -> ExtFunction:
-        return _trusted(ExtFunction, self.space, *_part(_neg, self.nums, self.den))
 
     def sup_with(self, other: "SignedFunction") -> "SignedFunction":
         return _pointwise(max, self, other)
@@ -485,7 +476,8 @@ def _certify_convergence(h: int, den: int, live: list, gap: str, epsilons):
     table (the h samples, f, then any more columns) the samples reach f:
     where f is finite, within each epsilon from some index on ("<gap> <eps>
     at point <x> not certified" when none does), and where f is infinite,
-    above each bound of the integrals' ladder."""
+    above each bound of the integrals' ladder (`certify_divergence`, on the
+    reals)."""
     for x, col in live:
         values, target = col[:h], col[h]
         if target is not None:
@@ -494,14 +486,9 @@ def _certify_convergence(h: int, den: int, live: list, gap: str, epsilons):
                          lambda eps: lambda i: (tail_max[i - 1] * eps.denominator
                                                 <= eps.numerator * den),
                          f"{gap} {{eps}} at point {x} not certified")
-        elif values[-1] is not None:
-            # The bounds are those of the integrals' ladder, k = 1 .. top, and no
-            # sample exceeds k exactly when the last, the largest, is at most k:
-            # the first such k fails.
-            k = max(1, -(-values[-1] // den))
-            if k <= divergence_top(h):
-                raise CertificationError(
-                    f"divergence at point {x} not certified against bound {k}")
+        elif values[-1] is not None:  # so every sample is, once the order tests pass
+            certify_divergence(reals(), [((v,), den) for v in values],
+                               f"divergence at point {x} not certified against bound {{k}}")
 
 
 def _monotone_convergence(name: str, mu: Measure, seq: SequenceSpec, f: ExtFunction,
@@ -535,7 +522,7 @@ def _monotone_convergence(name: str, mu: Measure, seq: SequenceSpec, f: ExtFunct
     values = [_row(t, mu) for t in terms]
     target = integral_value(f, mu)
     trail = certify_monotone_limit(mu.backend, values, _row(f, mu), epsilons, increasing)
-    return holds(name, limit_integral=ext_to_json(target), certification=trail)
+    return verdict(name, True, limit_integral=ext_to_json(target), certification=trail)
 
 
 def mct(mu: Measure, seq: SequenceSpec, f: ExtFunction,
@@ -581,7 +568,7 @@ def fatou(mu: Measure, seq: SequenceSpec,
     ok = ext_leq(lhs, rhs)
     details = {"lhs": ext_to_json(lhs), "rhs": ext_to_json(rhs), "strict": lhs != rhs,
                "cycle": {"preperiod": pre, "period": period}}
-    return holds("fatou", **details) if ok else fails("fatou", **details)
+    return verdict("fatou", ok, **details)
 
 
 def dct(mu: Measure, seq: SequenceSpec, f: SignedFunction, g: ExtFunction,
@@ -611,21 +598,21 @@ def dct(mu: Measure, seq: SequenceSpec, f: SignedFunction, g: ExtFunction,
     part1 = all(is_integrable(t, mu) for t in terms)
     part2 = is_integrable(f, mu)
     details: Dict[str, object] = {
-        "part1_terms_integrable": "holds" if part1 else "fails",
-        "part2_limit_integrable": "holds" if part2 else "fails",
+        "part1_terms_integrable": word(part1),
+        "part2_limit_integrable": word(part2),
     }
     if not (part1 and part2):
-        return fails("dct", **details)
+        return verdict("dct", False, **details)
 
     deviations = [_core(mu, *_pointwise_part(_distance, t, f))[0] for t in terms]
-    details["part3_deviation_infimum"] = "holds"
+    details["part3_deviation_infimum"] = word(True)
     f_int = _signed_row(f, mu)
     if all(not any(d[0]) for d in deviations[-2:]):  # the last two, or the one at horizon 1
         details["part3_mode"] = {"mode": "stabilized", "at": stable_from(deviations).index}
         part4 = row_eq(_signed_row(terms[-1], mu), f_int)
-        details["part4_sandwich"] = "holds" if part4 else "fails"
+        details["part4_sandwich"] = word(part4)
         if not part4:
-            return fails("dct", **details)
+            return verdict("dct", False, **details)
         details["part4_mode"] = {"mode": "stabilized"}
     else:
         if not all(row_leq(mu.backend, a, b) for a, b in zip(deviations[1:], deviations)):
@@ -652,7 +639,7 @@ def dct(mu: Measure, seq: SequenceSpec, f: SignedFunction, g: ExtFunction,
 
         gaps = certify_gaps(epsilons, len(terms), sandwich_probe,
                             "sandwich gap {eps} not certified")
-        details["part4_sandwich"] = "holds"
+        details["part4_sandwich"] = word(True)
         details["part4_mode"] = {"mode": "gap-certified", "gaps": gaps}
     details["limit_integral"] = ext_to_json(from_row(mu.backend, f_int))
-    return holds("dct", **details)
+    return verdict("dct", True, **details)

@@ -17,7 +17,7 @@ from .errors import HypothesisError, NotIntegrableError, ValidationError
 from .extended import element_to_json, ext_add, ext_leq, ext_scale, ext_to_json
 from .integral import ExtFunction, SignedFunction
 from .measures import Measure, mask_to_points
-from .reports import CheckResult, fails, holds
+from .reports import CheckResult, verdict, word
 from .spaces import Element, SpaceDescriptor
 
 
@@ -43,21 +43,19 @@ def check_integral_laws(mu: Measure, f: ExtFunction, g: ExtFunction,
     lhs = integral.integral_value(combo, mu)
     int_f, int_g = integral.integral_value(f, mu), integral.integral_value(g, mu)
     linear_ok = lhs == ext_add(ext_scale(r1, int_f), ext_scale(r2, int_g))
-    details = {"linearity": "holds" if linear_ok else "fails",
+    details = {"linearity": word(linear_ok),
                "combination": ext_to_json(lhs)}
     mono_ok = True
     _, live = integral._columns([f, g], mu.null_mask)  # f <= g a.e. is enough
     if all(integral._precedes(a, b) for _, (a, b) in live):
         mono_ok = ext_leq(int_f, int_g)
-        details["monotonicity"] = "holds" if mono_ok else "fails"
+        details["monotonicity"] = word(mono_ok)
     else:
         details["monotonicity"] = "not-applicable: f is not below g"
     fg = combine(Fraction(1), f, Fraction(1), g)
     mono2_ok = ext_leq(int_f, integral.integral_value(fg, mu))
-    details["monotonicity_f_below_f_plus_g"] = "holds" if mono2_ok else "fails"
-    if linear_ok and mono_ok and mono2_ok:
-        return holds("integral_laws", **details)
-    return fails("integral_laws", **details)
+    details["monotonicity_f_below_f_plus_g"] = word(mono2_ok)
+    return verdict("integral_laws", linear_ok and mono_ok and mono2_ok, **details)
 
 
 def ae_analysis(mu: Measure, f: ExtFunction) -> CheckResult:
@@ -88,8 +86,8 @@ def ae_analysis(mu: Measure, f: ExtFunction) -> CheckResult:
         inf_null = inf_measure.is_finite and inf_measure.finite.is_zero()
         if not inf_null:
             problems.append("finite integral but the infinity set is not null")
-        details["ae_finite"] = "holds"
-        details["ae_finite_sup"] = "holds" if inf_null else "fails"
+        details["ae_finite"] = word(True)
+        details["ae_finite_sup"] = word(inf_null)
     else:
         details["ae_finite"] = "not-applicable: integral is infinite"
         details["ae_finite_sup"] = "not-applicable: ladder supremum infinite"
@@ -98,7 +96,7 @@ def ae_analysis(mu: Measure, f: ExtFunction) -> CheckResult:
     ae_zero = pos_mask & ~null == 0
     if zero_integral != ae_zero:
         problems.append("zero integral and almost-everywhere zero disagree")
-    details["zero_iff_ae_zero"] = "fails" if zero_integral != ae_zero else "holds"
+    details["zero_iff_ae_zero"] = word(zero_integral == ae_zero)
 
     null_atoms = [a for a in mu.space.atoms if mu.is_null_exception(a)]
     if null_atoms:
@@ -110,15 +108,15 @@ def ae_analysis(mu: Measure, f: ExtFunction) -> CheckResult:
         same = integral.integral_value(variant, mu) == value
         if not same:
             problems.append("changing a null atom changed the integral")
-        details["ae_equal_same_integral"] = "holds" if same else "fails"
+        details["ae_equal_same_integral"] = word(same)
     else:
         details["ae_equal_same_integral"] = "not-applicable: no null atom"
 
     if inf_null is False:
         problems.append("finite ladder supremum but infinity set not null")
     if problems:
-        return fails("ae_analysis", problems=problems, **details)
-    return holds("ae_analysis", **details)
+        return verdict("ae_analysis", False, problems=problems, **details)
+    return verdict("ae_analysis", True, **details)
 
 
 def triangle_inequality(mu: Measure, f: SignedFunction) -> CheckResult:
@@ -132,7 +130,7 @@ def triangle_inequality(mu: Measure, f: SignedFunction) -> CheckResult:
         "abs_of_integral": element_to_json(lhs),
         "integral_of_abs": ext_to_json(abs_total),
     }
-    return holds("triangle", **details) if ok else fails("triangle", **details)
+    return verdict("triangle", ok, **details)
 
 
 def _apply_matrix(matrix: Sequence[Sequence[Fraction]], el: Element,
@@ -174,7 +172,7 @@ def push_forward(mu: Measure, target: SpaceDescriptor, matrix: Sequence[Sequence
 
     details: Dict[str, object] = {"image_classification": mu_t.classification()}
     if f is None:
-        return holds("push_forward", **details)
+        return verdict("push_forward", True, **details)
     if isinstance(f, SignedFunction):
         lhs = _apply_matrix(rows, integral.integrate_signed(f, mu), target)
         rhs = integral.integrate_signed(f, mu_t)
@@ -188,9 +186,9 @@ def push_forward(mu: Measure, target: SpaceDescriptor, matrix: Sequence[Sequence
         lhs = _apply_matrix(rows, base.payload(), target)
         rhs_v = integral.integral_value(f, mu_t)
         ok = rhs_v.is_finite and lhs == rhs_v.payload()
-    details["intertwined"] = "holds" if ok else "fails"
+    details["intertwined"] = word(ok)
     details["image_integral"] = element_to_json(lhs)
-    return holds("push_forward", **details) if ok else fails("push_forward", **details)
+    return verdict("push_forward", ok, **details)
 
 
 def l1_quotient(mu: Measure, functions: Sequence[SignedFunction]) -> CheckResult:
@@ -244,5 +242,5 @@ def l1_quotient(mu: Measure, functions: Sequence[SignedFunction]) -> CheckResult
         "null_union": mask_to_points(null),
     }
     if problems:
-        return fails("l1_quotient", problems=problems, **details)
-    return holds("l1_quotient", **details)
+        return verdict("l1_quotient", False, problems=problems, **details)
+    return verdict("l1_quotient", True, **details)

@@ -18,7 +18,7 @@ from . import extended
 from .errors import CertificationError, HypothesisError, ValidationError
 from .extended import ext_add, ext_leq, ext_sum, ext_to_json, ext_zero
 from .measures import Measure, mask_to_points
-from .reports import CheckResult, fails, holds
+from .reports import CheckResult, verdict, word
 from .sequences import SequenceSpec, declared_cycle
 from .spaces import Element, SpaceKind
 
@@ -41,7 +41,7 @@ def _continuity(name: str, mu: Measure, seq: SequenceSpec, horizon: Optional[int
     if increasing:
         for n in range(1, len(values)):
             if not ext_leq(values[n - 1], values[n]):
-                return fails(name, reason="values not increasing", index=n)
+                return verdict(name, False, reason="values not increasing", index=n)
     elif values[0].is_infinite:
         raise HypothesisError("continuity from above requires the first set to have "
                               "finite measure")
@@ -56,10 +56,10 @@ def _continuity(name: str, mu: Measure, seq: SequenceSpec, horizon: Optional[int
     limit_key, bound_key = (("union", "sup_of_values") if increasing
                             else ("intersection", "inf_of_values"))
     if values[-1] == limit_value:
-        return holds(name, **{limit_key: mask_to_points(limit),
-                              "value": ext_to_json(limit_value)})
-    return fails(name, **{bound_key: ext_to_json(values[-1]),
-                          f"{limit_key}_value": ext_to_json(limit_value)})
+        return verdict(name, True, **{limit_key: mask_to_points(limit),
+                                      "value": ext_to_json(limit_value)})
+    return verdict(name, False, **{bound_key: ext_to_json(values[-1]),
+                                   f"{limit_key}_value": ext_to_json(limit_value)})
 
 
 def continuity_from_below(mu: Measure, seq: SequenceSpec,
@@ -103,9 +103,9 @@ def borel_cantelli(mu: Measure, seq: SequenceSpec, x: Optional[Element] = None,
         details["partial_sum_bound"] = ext_to_json(total)
         gamma_value = mu.evaluate(gamma)
         part1 = gamma_value.is_finite and gamma_value.finite.is_zero()
-        details["part1"] = "holds" if part1 else "fails"
+        details["part1"] = word(part1)
         if not part1:
-            return fails("borel_cantelli", **details)
+            return verdict("borel_cantelli", False, **details)
     else:
         details["part1"] = "not-applicable: partial sums not certified finite"
 
@@ -123,12 +123,12 @@ def borel_cantelli(mu: Measure, seq: SequenceSpec, x: Optional[Element] = None,
                     f"lower bound x is not below the value of set {n}"
                 )
         part2 = ext_leq(bound, mu.evaluate(gamma))
-        details["part2"] = "holds" if part2 else "fails"
+        details["part2"] = word(part2)
         if not part2:
-            return fails("borel_cantelli", **details)
+            return verdict("borel_cantelli", False, **details)
     else:
         details["part2"] = "not-applicable: no lower bound supplied"
-    return holds("borel_cantelli", **details)
+    return verdict("borel_cantelli", True, **details)
 
 
 def operator_measure_bridge(mu: Measure, disjoint_sets: Sequence[int]) -> CheckResult:
@@ -158,7 +158,7 @@ def operator_measure_bridge(mu: Measure, disjoint_sets: Sequence[int]) -> CheckR
 
     partials = list(accumulate(values, ext_add, initial=ext_zero(mu.backend)))
     if not all(map(ext_leq, partials, partials[1:])):
-        return fails("bridge", reason="partial sums not increasing")
+        return verdict("bridge", False, reason="partial sums not increasing")
     union_value = mu.evaluate(union)
     order_ok = partials[-1] == union_value
 
@@ -171,6 +171,5 @@ def operator_measure_bridge(mu: Measure, disjoint_sets: Sequence[int]) -> CheckR
     vector_ok = all(sum(v.payload().entry(i, j) for v in values) == target.entry(i, j)
                     for j in range(ncols) for i in range(nrows))
     if order_ok and vector_ok:
-        return holds("bridge", union=mask_to_points(union),
-                     partial_sums=len(values))
-    return fails("bridge", order_route=order_ok, vector_route=vector_ok)
+        return verdict("bridge", True, union=mask_to_points(union), partial_sums=len(values))
+    return verdict("bridge", False, order_route=order_ok, vector_route=vector_ok)

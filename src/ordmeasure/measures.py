@@ -26,7 +26,7 @@ from .errors import (
     check_cap,
 )
 from .extended import ExtElement, ext_rows
-from .reports import CheckResult, fails, holds
+from .reports import CheckResult, verdict
 from .spaces import SpaceDescriptor, table_kernels
 
 
@@ -307,6 +307,6 @@ def check_measure_identities(mu: Measure) -> CheckResult:
                                        "pair": [mask_to_points(d1), mask_to_points(d2)]})
     checked = len(members) ** 2
     if violations:
-        return fails("identities", violations=violations, pairs_checked=checked)
-    return holds("identities", pairs_checked=checked,
-                 classification=mu.classification())
+        return verdict("identities", False, violations=violations, pairs_checked=checked)
+    return verdict("identities", True, pairs_checked=checked,
+                   classification=mu.classification())

@@ -54,7 +54,7 @@ from .measures import (
     mask_to_points,
     validate_sigma_algebra,
 )
-from .reports import FAILS, HOLDS, CheckResult
+from .reports import CheckResult, verdict
 from .spaces import SpaceDescriptor, table_kernels
 
 
@@ -224,14 +224,11 @@ def caratheodory_report(nu: OuterMeasure,
     space, restricted = extract_measurable_algebra(nu)
     identities = check_measure_identities(restricted)
     family = space.members()
-    details = {
-        "measurable_family": [mask_to_points(m) for m in family],
-        "atoms": [mask_to_points(a) for a in space.atoms],
-        "restriction_identities": identities.status,
-        "restricted_measure": {
-            str(min(mask_to_points(a))): ext_to_json(v)
-            for a, v in restricted.atom_values.items()
-        },
-    }
     ok = identities.ok and (expected_family is None or sorted(expected_family) == family)
-    return CheckResult("caratheodory", HOLDS if ok else FAILS, details)
+    return verdict(
+        "caratheodory", ok,
+        measurable_family=[mask_to_points(m) for m in family],
+        atoms=[mask_to_points(a) for a in space.atoms],
+        restriction_identities=identities.status,
+        restricted_measure={str(min(mask_to_points(a))): ext_to_json(v)
+                            for a, v in restricted.atom_values.items()})

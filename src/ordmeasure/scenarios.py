@@ -65,14 +65,12 @@ from functools import partial
 from typing import Callable, Dict, List, Optional
 
 from . import measures as measures_mod
-from .errors import (MAX_GROUND_SIZE, MAX_HORIZON, CertificationError, DimensionLimitError,
-                     Frozen, HypothesisError, NotIntegrableError, SchemaError,
+from .errors import (MAX_GROUND_SIZE, MAX_HORIZON, DimensionLimitError, Frozen, SchemaError,
                      ValidationError, check_cap)
 from .extended import ExtElement, ext_to_json, finite, infinity
 from .measures import MeasurableSpace, Measure, mask_to_points, points_to_mask
 from .rationals import format_rational, over_one_den, parse_ext_scalar, parse_rational
-from .reports import (CheckResult, FAILS, HOLDS, HYPOTHESIS_NOT_MET, NOT_CERTIFIABLE,
-                      STATUSES)
+from .reports import HOLDS, REFUSALS, STATUSES, CheckResult, refused, verdict
 from .sequences import (DEFAULT_HORIZON, SequenceSpec, check_horizon, epsilon_schedule,
                         geometric, listed, scaled_index, truncation_ladder, typed)
 from .spaces import (Element, SpaceDescriptor, canonical, coord, entrywise_mat, loewner_sym,
@@ -461,15 +459,14 @@ def summary(scenario: Scenario) -> dict:
 
 
 def _check_validate(scenario: Scenario) -> CheckResult:
-    return CheckResult("validate", HOLDS, summary(scenario))
+    return verdict("validate", True, **summary(scenario))
 
 
 def _check_integrate(mu: Measure, function, expected) -> CheckResult:
     from . import integral
     report = integral.integrate_extended(function, mu)
-    details = {"value": ext_to_json(report.value), "ladder": report.trail}
-    status = FAILS if expected is not None and expected != report.value else HOLDS
-    return CheckResult("integrate", status, details)
+    return verdict("integrate", expected is None or expected == report.value,
+                   value=ext_to_json(report.value), ladder=report.trail)
 
 
 # Directive name -> the module and name of its operation, its keys, its
@@ -734,8 +731,8 @@ def run_check(scenario: Scenario, directive: Directive, config: RunConfig) -> Ch
     names, on the section it needs, with its keys and options.
 
     The harness adds no mathematics of its own: every directive maps to
-    exactly one library operation, and hypothesis or certification failures
-    raised there are converted into the corresponding statuses.
+    exactly one library operation, and a refusal raised there (`REFUSALS`)
+    is reported with its status (`reports.refused`).
     """
     spec = _CHECKS[directive.check]
     module = importlib.import_module(f".{spec.module}" if spec.module else __name__,
@@ -746,10 +743,8 @@ def run_check(scenario: Scenario, directive: Directive, config: RunConfig) -> Ch
         return getattr(module, spec.operation)(
             section, *[directive.args[key] for key in spec.keys],
             **{option: getattr(config, option) for option in spec.options})
-    except (HypothesisError, NotIntegrableError) as exc:
-        return CheckResult(directive.check, HYPOTHESIS_NOT_MET, {"reason": str(exc)})
-    except CertificationError as exc:
-        return CheckResult(directive.check, NOT_CERTIFIABLE, {"reason": str(exc)})
+    except REFUSALS as exc:
+        return refused(directive.check, exc)
 
 
 def run_scenario(scenario: Scenario, config: Optional[RunConfig] = None) -> dict:

@@ -12,7 +12,7 @@ from integral_oracles import frac_ext, frac_ext_add, frac_ext_leq, frac_sub, fra
 import ordmeasure as om
 from ordmeasure.errors import ValidationError
 from ordmeasure.measures import full_mask, mask_to_points, require_exhaustive
-from ordmeasure.reports import fails, holds
+from ordmeasure.reports import verdict
 from ordmeasure.spaces import SpaceKind
 
 
@@ -193,6 +193,6 @@ def ext_measure_identities(mu):
                     violations.append({"identity": "subtractivity",
                                        "pair": [mask_to_points(d1), mask_to_points(d2)]})
     if violations:
-        return fails("identities", violations=violations, pairs_checked=checked)
-    return holds("identities", pairs_checked=checked,
-                 classification=mu.classification())
+        return verdict("identities", False, violations=violations, pairs_checked=checked)
+    return verdict("identities", True, pairs_checked=checked,
+                   classification=mu.classification())

@@ -5,13 +5,14 @@ ships with the project, so this walks each module's syntax tree with the
 standard `ast` module.  No module imports `dataclasses`, no value class
 but `Element` and `ExtElement` writes the equality, hashing or repr that
 `errors.Frozen` derives, only the value classes that check their arguments
-write a constructor, importing the CLI loads no module that its
-subcommands may not run, `run` loads only the check modules that its
-document's directives name in the check table, importing `spaces` loads
-no sequence layer, importing `sequences` loads no measure, extended or
-integral layer, `scenarios` names no declaration of a sequence (each kind's
-constructor in `sequences` builds it), and every name the package exports
-lazily resolves.
+write a constructor, no module but `reports` builds a check result or
+spells a status word outside a docstring, importing the CLI loads no
+module that its subcommands may not run, `run` loads only the check
+modules that its document's directives name in the check table, importing
+`spaces` loads no sequence layer, importing `sequences` loads no measure,
+extended or integral layer, `scenarios` names no declaration of a sequence
+(each kind's constructor in `sequences` builds it), and every name the
+package exports lazily resolves.
 """
 
 import ast
@@ -126,6 +127,52 @@ def test_frozen_value_methods_are_written_in_one_place():
     assert constructors <= {("spaces.py", "SpaceDescriptor"), ("spaces.py", "Element"),
                             ("extended.py", "ExtElement"), ("integral.py", "_PointFunction"),
                             ("integral.py", "ElementaryFunction")}
+
+
+STATUS_WORDS = {"holds", "fails", "hypothesis-not-met", "not-certifiable"}
+
+
+def status_spellings(source: str) -> list:
+    """What builds a check result or spells a status in `source`: a string
+    constant that is a status word (docstrings excepted), a call of
+    `CheckResult` and an import of `holds` or `fails`, each with its line."""
+    tree = ast.parse(source)
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                       ast.AsyncFunctionDef))
+                  and node.body and isinstance(node.body[0], ast.Expr)}
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and node.value in STATUS_WORDS and id(node) not in docstrings):
+            found.append((node.lineno, node.value))
+        elif isinstance(node, ast.Call) and "CheckResult" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            found.append((node.lineno, "CheckResult"))
+        elif isinstance(node, ast.ImportFrom):
+            found.extend((node.lineno, alias.name) for alias in node.names
+                         if alias.name in {"holds", "fails"})
+    return sorted(found)
+
+
+def test_finds_a_status_spelling():
+    source = ('"""Says when it "holds"."""\n'
+              "from .reports import CheckResult, holds, verdict\n"
+              "def f(ok):\n"
+              '    """holds"""\n'
+              '    details = {"part": "holds" if ok else "fails", "note": "holds, once"}\n'
+              '    return reports.CheckResult("f", "not-certifiable", details)\n')
+    assert status_spellings(source) == [(2, "holds"), (5, "fails"), (5, "holds"),
+                                        (6, "CheckResult"), (6, "not-certifiable")]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "reports.py"],
+                         ids=lambda p: p.name)
+def test_only_reports_builds_a_result_or_spells_a_status(path):
+    """`reports.verdict`, `word` and `refused` build every check result and
+    write every status, so the vocabulary and the refusal policy stay in
+    one module."""
+    assert status_spellings(path.read_text()) == []
 
 
 def modules_loaded_by(code: str) -> set:

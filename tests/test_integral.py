@@ -500,12 +500,6 @@ class TestTrustedFunctions:
         zero = Fraction(0)
         expected = [
             (f.abs(), om.ExtFunction(space, tuple(abs(v) for v in f.values))),
-            (f.pos_part(), om.ExtFunction(space, tuple(max(v, zero) for v in f.values))),
-            (f.neg_part(), om.ExtFunction(space, tuple(max(-v, zero) for v in f.values))),
-            (f + g, om.SignedFunction(space, tuple(a + b for a, b in zip(f.values,
-                                                                      g.values)))),
-            (f - g, om.SignedFunction(space, tuple(a - b for a, b in zip(f.values,
-                                                                      g.values)))),
             (f.sup_with(g), om.SignedFunction(space, tuple(map(max, f.values, g.values)))),
             (f.inf_with(g), om.SignedFunction(space, tuple(map(min, f.values, g.values)))),
         ]
@@ -519,8 +513,10 @@ class TestTrustedFunctions:
         shifted, shift_only = integral._shifted_parts(space, f.nums, f.den)
         parts = [
             (integral._part(abs, f.nums, f.den), expected[0][1]),
-            (integral._part(integral._pos, f.nums, f.den), expected[1][1]),
-            (integral._part(integral._neg, f.nums, f.den), expected[2][1]),
+            (integral._part(integral._pos, f.nums, f.den),
+             om.ExtFunction(space, tuple(max(v, zero) for v in f.values))),
+            (integral._part(integral._neg, f.nums, f.den),
+             om.ExtFunction(space, tuple(max(-v, zero) for v in f.values))),
             (integral._pointwise_part(integral._distance, f, g),
              om.ExtFunction(space, tuple(abs(a - b) for a, b in zip(f.values, g.values)))),
             (shifted, om.ExtFunction(space, tuple(v + c if v else v for v in f.values))),
@@ -533,8 +529,7 @@ class TestTrustedFunctions:
     def test_pointwise_operations_need_one_space(self):
         f = om.signed_function(om.power_set_space(2), [1, -1])
         g = om.signed_function(om.generate_sigma_algebra([], 2), [1, 1])
-        for op in (lambda: f + g, lambda: f - g, lambda: f.sup_with(g),
-                   lambda: f.inf_with(g)):
+        for op in (lambda: f.sup_with(g), lambda: f.inf_with(g)):
             with pytest.raises(ValidationError, match="different spaces"):
                 op()
 
@@ -632,7 +627,8 @@ class TestIntegrateSigned:
                     dense1[x], dense2[x] = Fraction(v1), Fraction(v2)
             f = om.signed_function(space, dense1)
             g = om.signed_function(space, dense2)
-            assert om.integrate_signed(f + g, mu) == om.add(
+            f_plus_g = om.signed_function(space, [a + b for a, b in zip(dense1, dense2)])
+            assert om.integrate_signed(f_plus_g, mu) == om.add(
                 om.integrate_signed(f, mu), om.integrate_signed(g, mu))
 
 

@@ -17,13 +17,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ordmeasure as om
-from ordmeasure import measures, outer, spaces
+from ordmeasure import integral, measures, outer, spaces
 from ordmeasure.cli import main as cli_main
 from ordmeasure.errors import (MAX_COORDINATES, MAX_EPSILON_EXPONENT, MAX_EXHAUSTIVE_ATOMS,
                                MAX_GROUND_SIZE, MAX_HORIZON, MAX_LOEWNER_DIM,
-                               MAX_OUTER_GROUND_SIZE, MAX_TRUNCATION, DimensionLimitError, SchemaError,
-                               ValidationError)
+                               MAX_OUTER_GROUND_SIZE, MAX_TRUNCATION, CertificationError,
+                               DimensionLimitError, HypothesisError, NotIntegrableError,
+                               SchemaError, ValidationError)
 from ordmeasure.measures import mask_to_points
+from ordmeasure.reports import CheckResult
 from ordmeasure.rationals import INFINITY, format_rational
 from ordmeasure.sequences import DEFAULT_HORIZON
 from ordmeasure.scenarios import (
@@ -36,6 +38,7 @@ from ordmeasure.scenarios import (
     canonical_dumps,
     load_scenario,
     parse_scenario,
+    run_check,
     run_scenario,
 )
 
@@ -74,6 +77,27 @@ class TestCheckTable:
         assert set(spec.options) <= set(RunConfig.__slots__)
         inspect.signature(vars(module)[spec.operation]).bind(
             "section", *spec.keys, **{option: option for option in spec.options})
+
+    @pytest.mark.parametrize("error, status", [
+        (HypothesisError, "hypothesis-not-met"), (NotIntegrableError, "hypothesis-not-met"),
+        (CertificationError, "not-certifiable")], ids=lambda v: getattr(v, "__name__", v))
+    def test_a_refusal_is_reported_with_its_status(self, error, status, monkeypatch):
+        def refuse(*args, **options):
+            raise error("no certificate at point 0")
+
+        monkeypatch.setattr(integral, "mct", refuse)
+        scenario = load_scenario(str(SCENARIO_DIR / "mct_basic.json"))
+        result = run_check(scenario, scenario.checks[0], RunConfig())
+        assert result == CheckResult("mct", status, {"reason": "no certificate at point 0"})
+
+    def test_an_error_that_is_no_refusal_propagates(self, monkeypatch):
+        def invalid(*args, **options):
+            raise ValidationError("not a refusal")
+
+        monkeypatch.setattr(integral, "mct", invalid)
+        scenario = load_scenario(str(SCENARIO_DIR / "mct_basic.json"))
+        with pytest.raises(ValidationError, match="not a refusal"):
+            run_check(scenario, scenario.checks[0], RunConfig())
 
 
 class TestRunner:

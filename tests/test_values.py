@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ordmeasure as om
-from ordmeasure import integral, outer, scenarios
+from ordmeasure import integral, outer, reports, scenarios
 from ordmeasure.errors import Frozen
 from ordmeasure.rationals import INFINITY
 
@@ -41,6 +41,7 @@ FIELDS = {
     om.DeclaredLimit: ("value",),
     om.NoSupremum: ("reason",),
     outer.OuterMeasure: ("ground_size", "backend", "values", "split_failures"),
+    reports.CheckResult: ("name", "status", "details"),
     scenarios.Directive: ("check", "expect", "args"),
     scenarios._Key: ("json", "resolve", "default"),
     scenarios._Kind: ("build", "keys", "at", "message"),
@@ -152,7 +153,7 @@ def build_signed_function(spec):
     a, atom_values, trusted = spec
     space = build_algebra(a)
     f = om.signed_function(space, dense(space, atom_values))
-    return f + om.signed_function(space, [0] * space.ground_size) if trusted else f
+    return f.sup_with(f) if trusted else f
 
 
 def build_elementary(spec):
@@ -193,6 +194,12 @@ DEFAULTS = [scenarios._REQUIRED, None, 1, "holds"]
 def directive_specs():
     return st.tuples(st.sampled_from(["validate", "mct"]), st.sampled_from(["holds", "fails"]),
                      st.dictionaries(st.sampled_from(["sequence", "f"]), st.integers(0, 1),
+                                     max_size=2))
+
+
+def result_specs():
+    return st.tuples(st.sampled_from(["validate", "mct"]), st.sampled_from(reports.STATUSES),
+                     st.dictionaries(st.sampled_from(["reason", "value"]), st.integers(0, 1),
                                      max_size=2))
 
 
@@ -254,6 +261,9 @@ CASES = {
     om.NoSupremum: (st.sampled_from(["incomparable", "no infimum"]), om.NoSupremum),
     # The values and the split record are unhashable.
     outer.OuterMeasure: (outer_specs(), build_outer),
+    # The details are unhashable.
+    reports.CheckResult: (result_specs(),
+                          lambda spec: reports.CheckResult(spec[0], spec[1], dict(spec[2]))),
     scenarios.Directive: (directive_specs(),
                           lambda spec: scenarios.Directive(spec[0], spec[1], dict(spec[2]))),
     scenarios._Key: (key_specs(), build_key),

@@ -153,8 +153,13 @@ MUTANTS = [
      ["tests/test_measures.py"]),
     ("certify_gaps: the last sampled index is not scanned", "sequences.py", "certify_gaps",
      "range(1, count + 1)", "range(1, count)", [TAILS]),
-    ("divergence_top: the ladder tops out at h, not h - 1", "extended.py",
-     "divergence_top", "max(h, 2) - 1", "h", ["tests/test_extended.py"]),
+    ("certify_divergence: the ladder tops out at h, not h - 1", "extended.py",
+     "certify_divergence", "max(len(terms), 2) - 1", "len(terms)",
+     ["tests/test_extended.py"]),
+    ("refused: a certification refusal reports hypothesis-not-met", "reports.py", "refused",
+     "NOT_CERTIFIABLE", "HYPOTHESIS_NOT_MET", [REFERENCE]),
+    ("word: holds and fails swapped", "reports.py", "word", "HOLDS if ok else FAILS",
+     "FAILS if ok else HOLDS", [REFERENCE]),
 ]
 
 
