@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from .errors import (MAX_EPSILON_EXPONENT, MAX_HORIZON, DimensionLimitError,
                      OrdMeasureError, SchemaError, ValidationError, check_cap)
@@ -36,9 +35,10 @@ from .sequences import DEFAULT_EPSILONS, DEFAULT_HORIZON, epsilon_schedule
 
 
 def _epsilon_schedule(text: str):
-    """Parse a schedule like "2^-4,2^-8" or "1/16,1/256", held to the one
-    rule for a schedule (`sequences.epsilon_schedule`), whose refusal is a
-    usage error.  An exponent is checked before its power is built.
+    """Parse a schedule like "2^-4,2^-8" or "1/16,1/256" into pairs (num,
+    den), held to the one rule for a schedule (`sequences.epsilon_schedule`),
+    whose refusal is a usage error.  An exponent is checked before its power
+    is built.
     """
     out = []
     for item in filter(None, (s.strip() for s in text.split(","))):
@@ -46,8 +46,8 @@ def _epsilon_schedule(text: str):
             exponent = item[3:]
             if not (exponent.isascii() and exponent.isdigit()):
                 raise argparse.ArgumentTypeError(f"malformed exponent in {item!r}")
-            out.append(Fraction(1, 2 ** _cap_argument("epsilon exponent", int(exponent),
-                                                      MAX_EPSILON_EXPONENT)))
+            out.append((1, 2 ** _cap_argument("epsilon exponent", int(exponent),
+                                              MAX_EPSILON_EXPONENT)))
         else:
             try:
                 out.append(parse_rational(item))

@@ -18,20 +18,27 @@ which is used only inside this harness:
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 from itertools import accumulate
 
 from . import integral as integral_mod
 from .errors import MAX_TRUNCATION, ValidationError, check_cap
 from .extended import element_to_json, ext_add, ext_leq, ext_zero, finite
 from .measures import Measure, full_mask, power_set_space
-from .rationals import format_rational
+from .rationals import format_pair
 from .reports import word
 from .spaces import Element, add, basis_vector, coord, scale, sub
 
 
-def sup_norm(el: Element) -> Fraction:
-    return Fraction(max(abs(n) for n in el.nums), el.den)
+def _sup_norm(el: Element) -> int:
+    """The supremum norm of `el` times its denominator."""
+    return max(abs(n) for n in el.nums)
+
+
+def sup_norm(el: Element) -> "Fraction":
+    """The supremum norm of `el`, a Fraction of the library API."""
+    from fractions import Fraction
+    return Fraction(_sup_norm(el), el.den)
 
 
 def _check_truncation(n: int):
@@ -54,9 +61,12 @@ def sup_measure_experiment(n: int) -> dict:
     total = mu.evaluate(full_mask(n))
     sigma_ok = all(map(ext_leq, partials, partials[1:])) and partials[-1] == total
 
-    # the largest singleton norm from each cut on: one running max, backwards
-    norms = [sup_norm(mu.evaluate(1 << i).payload()) for i in range(n)]
-    tail_norms = [format_rational(t) for t in accumulate(reversed(norms), max)][::-1]
+    # the largest singleton norm from each cut on: one running max, backwards,
+    # on the norms over one denominator
+    singletons = [mu.evaluate(1 << i).payload() for i in range(n)]
+    den = math.lcm(*(el.den for el in singletons))
+    norms = [_sup_norm(el) * (den // el.den) for el in singletons]
+    tail_norms = [format_pair(t, den) for t in accumulate(reversed(norms), max)][::-1]
     return {
         "experiment": "sup_measure",
         "n": n,
@@ -72,18 +82,19 @@ def series_measure_experiment(n: int) -> dict:
     _check_truncation(n)
     backend = coord(n)
     space = power_set_space(n)
-    atom_values = {1 << i: finite(scale(Fraction(1, i + 1), basis_vector(backend, i)))
+    atom_values = {1 << i: finite(scale((1, i + 1), basis_vector(backend, i)))
                    for i in range(n)}
     mu = Measure(space, backend, atom_values)
 
-    growing = integral_mod.ext_function(space, [Fraction(i + 1) for i in range(n)])
+    growing = integral_mod.ExtFunction.from_nums(space, tuple(range(1, n + 1)), 1)
     report = integral_mod.integrate_extended(growing, mu)
     integral = report.value.payload()
 
     # Partial classical integrals of the truncations are sums of unit
     # vectors; consecutive ones differ by a whole unit vector in sup norm.
     partials = list(accumulate((basis_vector(backend, i) for i in range(n)), add))
-    distances = [format_rational(sup_norm(sub(b, a))) for a, b in zip(partials, partials[1:])]
+    distances = [format_pair(_sup_norm(d), d.den)
+                 for d in (sub(b, a) for a, b in zip(partials, partials[1:]))]
     return {
         "experiment": "series_measure",
         "n": n,

@@ -147,4 +147,9 @@ class SchemaError(OrdMeasureError):
 
     def __init__(self, message, path=""):
         super().__init__(f"{path or '/'}: {message}")
-        self.path = path
+        self.message, self.path = message, path
+
+    def under(self, pointer: str) -> "SchemaError":
+        """The same refusal of a value read at `path` below `pointer`, so that
+        a reader builds the pointer of a value only when it refuses one."""
+        return SchemaError(self.message, pointer + self.path)

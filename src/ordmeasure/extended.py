@@ -20,17 +20,22 @@ monotone convergence theorems certify their integrals.  Divergence to
 infinity is certified on one ladder of bounds, `certify_divergence`, for
 those integrals and for the samples at each point where a limit is
 infinite.
+
+Scalars are integer pairs here too: `ext_scale` reads an int, a pair
+(num, den) or a Fraction with `rationals.as_pair`, the certifiers take
+epsilons as pairs, and `element_to_json` prints each coordinate from the
+numerators and the denominator, so no `Fraction` is built on the way to a
+report.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import spaces
 from .errors import CertificationError, Frozen, SpaceMismatchError
-from .rationals import ExtScalar, format_rational, is_infinite
+from .rationals import ExtScalar, as_pair, format_pair, is_infinite
 from .sequences import certify_gaps, stable_from
 from .spaces import Element, SpaceDescriptor
 
@@ -93,8 +98,10 @@ def ext_zero(space: SpaceDescriptor) -> ExtElement:
 
 
 def element_to_json(el: Element) -> list:
-    """The JSON form of a finite element: its coordinates as exact rationals."""
-    return [format_rational(c) for c in el.coords]
+    """The JSON form of a finite element: its coordinates as exact rationals,
+    each numerator over the denominator in lowest terms (`format_pair`)."""
+    den = el.den
+    return [format_pair(n, den) for n in el.nums]
 
 
 def ext_to_json(v: ExtElement):
@@ -160,19 +167,19 @@ def is_ext_positive(a: ExtElement) -> bool:
 
 
 def ext_scale(r: ExtScalar, a: ExtElement) -> ExtElement:
-    """Action of the extended nonnegative scalar r on the extended cone."""
+    """Action of the extended nonnegative scalar r on the extended cone: r is
+    INFINITY, or an int, a pair (num, den) or a Fraction (`as_pair`)."""
     if is_infinite(r):
         if not is_ext_positive(a):
             raise ValueError("infinite scalars act on the extended positive cone only")
         if a.is_finite and a.finite.is_zero():
             return ext_zero(a.space)
         return infinity(a.space)
-    if not isinstance(r, (int, Fraction)):
-        r = Fraction(r)
-    if r < 0:
+    r = as_pair(r)
+    if r[0] < 0:
         raise ValueError("extended scaling requires a nonnegative scalar")
     if a.is_infinite:
-        return ext_zero(a.space) if r == 0 else infinity(a.space)
+        return ext_zero(a.space) if r[0] == 0 else infinity(a.space)
     return finite(spaces.scale(r, a.finite))
 
 
@@ -222,7 +229,7 @@ def certify_divergence(space: SpaceDescriptor, terms: Sequence,
 
 
 def certify_monotone_limit(space: SpaceDescriptor, values: Sequence, target,
-                           epsilons: Sequence[Fraction], increasing: bool = True) -> dict:
+                           epsilons: Sequence[tuple], increasing: bool = True) -> dict:
     """Certify that `target` is the supremum of the increasing integrals
     `values`, or the infimum of the decreasing ones: rows of `space`, equal
     rows for equal values.  This is the one certifier of a monotone limit.
@@ -233,8 +240,9 @@ def certify_monotone_limit(space: SpaceDescriptor, values: Sequence, target,
     * stabilized, when the last term is the target;
     * divergence-certified (`certify_divergence`), when the target is the
       point at infinity;
-    * gap-certified otherwise: for each epsilon some term comes within
-      epsilon times the order unit of the target (`certify_gaps`).
+    * gap-certified otherwise: for each epsilon, a pair (num, den), some
+      term comes within epsilon times the order unit of the target
+      (`certify_gaps`).
 
     The mode is returned with its evidence.
     """

@@ -33,7 +33,6 @@ The laws of the integral and its other structure checks are in
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import partial, reduce
 from itertools import accumulate
 from typing import Dict, Optional, Sequence, Tuple
@@ -44,7 +43,7 @@ from .errors import (CertificationError, Frozen, HypothesisError, NotIntegrableE
 from .extended import (ExtElement, certify_divergence, certify_monotone_limit, ext_add,
                        ext_leq, ext_scale, ext_to_json, ext_zero, from_row)
 from .measures import MeasurableSpace, Measure, mask_to_points, points_to_mask
-from .rationals import INFINITY, format_rational, is_infinite, over_one_den
+from .rationals import INFINITY, format_pair, is_infinite, over_one_den
 from .reports import CheckResult, verdict, word
 from .sequences import (SequenceSpec, certify_gaps, declared_cycle, declared_limit,
                         epsilon_schedule, stable_from)
@@ -67,7 +66,7 @@ def _check_level_sets(f: "_PointFunction"):
     # Each finite level r is swept below r, then up to r (below r + 1 on
     # the integers); infinity is swept last, below it lie the finite points.
     finite = [(x, n) for x, n in enumerate(nums) if not f.inf >> x & 1]
-    sweeps = [(format_rational(Fraction(r, f.den)), r + closed)
+    sweeps = [(format_pair(r, f.den), r + closed)
               for r in dict.fromkeys(n for _, n in finite) for closed in (0, 1)]
     for level, bound in sweeps + [("infinity", None)]:
         mask = points_to_mask(x for x, n in finite if bound is None or n < bound)
@@ -123,7 +122,7 @@ class _PointFunction(Frozen):
     integer numerators `nums` over one denominator `den`, in canonical form
     (``den > 0``, ``gcd(den, *nums) == 1``, as in `spaces.Element`), and the
     bitmask `inf` of the points where it is infinite (`nums` holds 0 there).
-    ``values`` derives the Fraction and INFINITY tuple.
+    ``values`` derives the Fraction and INFINITY tuple for the library API.
     """
 
     __slots__ = ("space", "nums", "den", "inf")
@@ -148,6 +147,7 @@ class _PointFunction(Frozen):
     @property
     def values(self) -> tuple:
         """The value at each point: a Fraction, or INFINITY."""
+        from fractions import Fraction
         den, inf = self.den, self.inf
         return tuple(INFINITY if inf >> x & 1 else Fraction(n, den)
                      for x, n in enumerate(self.nums))
@@ -162,7 +162,7 @@ class ExtFunction(_PointFunction):
         for n in self.nums:
             if n < 0:
                 raise ValidationError(
-                    f"extended function value {Fraction(n, self.den)} is negative")
+                    f"extended function value {format_pair(n, self.den)} is negative")
 
     def support_mask(self) -> int:
         return self.inf | points_to_mask(x for x, n in enumerate(self.nums) if n)
@@ -192,6 +192,7 @@ class SignedFunction(_PointFunction):
 
 def _coerced(values: Sequence) -> tuple:
     """`values` as Fractions, with INFINITY kept, for the constructors to test."""
+    from fractions import Fraction
     return tuple(v if is_infinite(v) else Fraction(v) for v in values)
 
 
@@ -220,7 +221,9 @@ class ElementaryFunction(Frozen):
         self._set(space, tuple((c.numerator * (den // c.denominator), mask)
                                for c, mask in terms), den)
 
-    def dense_values(self) -> Tuple[Fraction, ...]:
+    def dense_values(self) -> tuple:
+        """The value at each point, as Fractions."""
+        from fractions import Fraction
         out = [0] * self.space.ground_size
         for num, mask in self.terms:
             for x in mask_to_points(mask):
@@ -483,8 +486,7 @@ def _certify_convergence(h: int, den: int, live: list, gap: str, epsilons):
         if target is not None:
             tail_max = list(accumulate(reversed([abs(s - target) for s in values]), max))[::-1]
             certify_gaps(epsilons, h,
-                         lambda eps: lambda i: (tail_max[i - 1] * eps.denominator
-                                                <= eps.numerator * den),
+                         lambda eps: lambda i: tail_max[i - 1] * eps[1] <= eps[0] * den,
                          f"{gap} {{eps}} at point {x} not certified")
         elif values[-1] is not None:  # so every sample is, once the order tests pass
             certify_divergence(reals(), [((v,), den) for v in values],

@@ -9,7 +9,7 @@ functions modulo null functions.  Every integral is computed by
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 from typing import Dict, List, Sequence
 
 from . import extended, integral, spaces
@@ -17,27 +17,30 @@ from .errors import HypothesisError, NotIntegrableError, ValidationError
 from .extended import element_to_json, ext_add, ext_leq, ext_scale, ext_to_json
 from .integral import ExtFunction, SignedFunction
 from .measures import Measure, mask_to_points
+from .rationals import as_pair
 from .reports import CheckResult, verdict, word
 from .spaces import Element, SpaceDescriptor
 
 
 def combine(r1, f: ExtFunction, r2, g: ExtFunction) -> ExtFunction:
     """Pointwise r1*f + r2*g with the extended scalar conventions (0 * inf = 0),
-    on the numerators over the product of the four denominators."""
-    r1, r2 = Fraction(r1), Fraction(r2)
-    a = r1.numerator * r2.denominator * g.den
-    b = r2.numerator * r1.denominator * f.den
-    inf = (f.inf if r1 else 0) | (g.inf if r2 else 0)
+    on the numerators over the product of the four denominators.  Each
+    coefficient is an int, a pair (num, den) or a Fraction (`as_pair`)."""
+    (p1, q1), (p2, q2) = as_pair(r1), as_pair(r2)
+    a = p1 * q2 * g.den
+    b = p2 * q1 * f.den
+    inf = (f.inf if p1 else 0) | (g.inf if p2 else 0)
     return ExtFunction.from_nums(f.space, tuple(
         0 if inf >> x & 1 else a * m + b * n for x, (m, n) in enumerate(zip(f.nums, g.nums))
-    ), r1.denominator * r2.denominator * f.den * g.den, inf)
+    ), q1 * q2 * f.den * g.den, inf)
 
 
 def check_integral_laws(mu: Measure, f: ExtFunction, g: ExtFunction,
-                        r1=Fraction(1), r2=Fraction(1)) -> CheckResult:
-    """Linearity in the extended cone and monotonicity of the integral."""
-    r1, r2 = Fraction(r1), Fraction(r2)
-    if r1 < 0 or r2 < 0:
+                        r1=1, r2=1) -> CheckResult:
+    """Linearity in the extended cone and monotonicity of the integral, for
+    coefficients that `combine` reads."""
+    r1, r2 = as_pair(r1), as_pair(r2)
+    if r1[0] < 0 or r2[0] < 0:
         raise HypothesisError("integral linearity uses nonnegative coefficients")
     combo = combine(r1, f, r2, g)
     lhs = integral.integral_value(combo, mu)
@@ -52,7 +55,7 @@ def check_integral_laws(mu: Measure, f: ExtFunction, g: ExtFunction,
         details["monotonicity"] = word(mono_ok)
     else:
         details["monotonicity"] = "not-applicable: f is not below g"
-    fg = combine(Fraction(1), f, Fraction(1), g)
+    fg = combine(1, f, 1, g)
     mono2_ok = ext_leq(int_f, integral.integral_value(fg, mu))
     details["monotonicity_f_below_f_plus_g"] = word(mono2_ok)
     return verdict("integral_laws", linear_ok and mono_ok and mono2_ok, **details)
@@ -133,11 +136,13 @@ def triangle_inequality(mu: Measure, f: SignedFunction) -> CheckResult:
     return verdict("triangle", ok, **details)
 
 
-def _apply_matrix(matrix: Sequence[Sequence[Fraction]], el: Element,
-                  target: SpaceDescriptor) -> Element:
-    return Element(target, tuple(
-        sum((v * n for v, n in zip(row, el.nums)), Fraction(0)) / el.den for row in matrix
-    ))
+def _apply_matrix(rows: list, den: int, el: Element, target: SpaceDescriptor) -> Element:
+    """The image of `el` under the matrix of integer `rows` over `den`, one
+    row per coordinate of `target`: built by the trusted constructor, as the
+    matrix is checked to have that shape and a coordinatewise target has no
+    symmetry to keep."""
+    return spaces._element(target, tuple(sum(v * n for v, n in zip(row, el.nums))
+                                         for row in rows), den * el.den)
 
 
 def push_forward(mu: Measure, target: SpaceDescriptor, matrix: Sequence[Sequence],
@@ -158,14 +163,16 @@ def push_forward(mu: Measure, target: SpaceDescriptor, matrix: Sequence[Sequence
         )
     if not mu.is_finite:
         raise HypothesisError("push-forward requires a finite measure")
-    rows = [[Fraction(v) for v in row] for row in matrix]
-    if len(rows) != target.ncoords or any(len(r) != mu.backend.ncoords for r in rows):
+    pairs = [[as_pair(v) for v in row] for row in matrix]
+    if len(pairs) != target.ncoords or any(len(r) != mu.backend.ncoords for r in pairs):
         raise ValidationError("matrix shape does not match the backends")
-    if any(v < 0 for row in rows for v in row):
+    if any(num < 0 for row in pairs for num, _ in row):
         raise ValidationError("push-forward matrix must be entrywise >= 0")
+    den = math.lcm(*(d for row in pairs for _, d in row))
+    rows = [[num * (den // d) for num, d in row] for row in pairs]
 
     image_values = {
-        atom: extended.finite(_apply_matrix(rows, v.payload(), target))
+        atom: extended.finite(_apply_matrix(rows, den, v.payload(), target))
         for atom, v in mu.atom_values.items()
     }
     mu_t = Measure(mu.space, target, image_values)
@@ -174,7 +181,7 @@ def push_forward(mu: Measure, target: SpaceDescriptor, matrix: Sequence[Sequence
     if f is None:
         return verdict("push_forward", True, **details)
     if isinstance(f, SignedFunction):
-        lhs = _apply_matrix(rows, integral.integrate_signed(f, mu), target)
+        lhs = _apply_matrix(rows, den, integral.integrate_signed(f, mu), target)
         rhs = integral.integrate_signed(f, mu_t)
         ok = lhs == rhs
     else:
@@ -183,7 +190,7 @@ def push_forward(mu: Measure, target: SpaceDescriptor, matrix: Sequence[Sequence
             raise HypothesisError(
                 "push-forward intertwining needs a finite integral"
             )
-        lhs = _apply_matrix(rows, base.payload(), target)
+        lhs = _apply_matrix(rows, den, base.payload(), target)
         rhs_v = integral.integral_value(f, mu_t)
         ok = rhs_v.is_finite and lhs == rhs_v.payload()
     details["intertwined"] = word(ok)

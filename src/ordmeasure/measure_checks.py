@@ -9,6 +9,7 @@ stabilizes, and a periodic one has exactly computable tail unions.
 
 from __future__ import annotations
 
+import math
 import operator
 from functools import reduce
 from itertools import accumulate
@@ -162,14 +163,14 @@ def operator_measure_bridge(mu: Measure, disjoint_sets: Sequence[int]) -> CheckR
     union_value = mu.evaluate(union)
     order_ok = partials[-1] == union_value
 
-    if mu.backend.kind is SpaceKind.LOEWNER_SYM:
-        nrows = ncols = mu.backend.dim
-    else:
-        nrows, ncols = mu.backend.rows, mu.backend.cols
-    # A matrix applied to the basis vector e_j is its j-th column.
-    target = union_value.payload()
-    vector_ok = all(sum(v.payload().entry(i, j) for v in values) == target.entry(i, j)
-                    for j in range(ncols) for i in range(nrows))
+    # A matrix applied to the basis vector e_j is its j-th column, so every
+    # entry of every column is compared, on the numerators over one
+    # denominator.
+    target, matrices = union_value.payload(), [v.payload() for v in values]
+    den = math.lcm(target.den, *(m.den for m in matrices))
+    vector_ok = all(sum(m.nums[k] * (den // m.den) for m in matrices)
+                    == target.nums[k] * (den // target.den)
+                    for k in range(mu.backend.ncoords))
     if order_ok and vector_ok:
         return verdict("bridge", True, union=mask_to_points(union), partial_sums=len(values))
     return verdict("bridge", False, order_route=order_ok, vector_route=vector_ok)

@@ -53,14 +53,23 @@ pointer: a library refusal (a broken axiom or size cap) goes through one
 translator, `_at`, to the section that was read, or to the document key
 of the set or key that its witness names.  A pointer goes one key deeper
 only through `_pointer`, which escapes ``~`` and ``/`` in the key as
-RFC 6901 asks.
+RFC 6901 asks.  The readers of the many values of a document (`_scalars`,
+`_keyed_ext_element`) read each value at the pointer "" and build its
+pointer only when they refuse it (`SchemaError.under`).
+
+Every number is read once, by `rationals.parse_rational`, as an integer
+pair (num, den) in lowest terms, and an element is built from the pairs
+of its coordinates by the trusted constructor, once their count and the
+Loewner symmetry are checked, so that no `Fraction` is made.
 """
 
 from __future__ import annotations
 
 import importlib
 import json
-from fractions import Fraction
+import math
+import operator
+import re
 from functools import partial
 from typing import Callable, Dict, List, Optional
 
@@ -69,12 +78,12 @@ from .errors import (MAX_GROUND_SIZE, MAX_HORIZON, DimensionLimitError, Frozen, 
                      ValidationError, check_cap)
 from .extended import ExtElement, ext_to_json, finite, infinity
 from .measures import MeasurableSpace, Measure, mask_to_points, points_to_mask
-from .rationals import format_rational, over_one_den, parse_ext_scalar, parse_rational
+from .rationals import format_pair, over_one_den, parse_ext_scalar, parse_rational
 from .reports import HOLDS, REFUSALS, STATUSES, CheckResult, refused, verdict
 from .sequences import (DEFAULT_HORIZON, SequenceSpec, check_horizon, epsilon_schedule,
                         geometric, listed, scaled_index, truncation_ladder, typed)
-from .spaces import (Element, SpaceDescriptor, canonical, coord, entrywise_mat, loewner_sym,
-                     reals)
+from .spaces import (Element, SpaceDescriptor, _element, canonical, coord, entrywise_mat,
+                     loewner_sym, reals, require_symmetric)
 
 
 def canonical_dumps(obj) -> str:
@@ -121,18 +130,34 @@ def parse_space(doc, path: str) -> SpaceDescriptor:
     return _build(_SPACES, doc["kind"], None, doc, "space", path)
 
 
+def _scalars(doc: list, path: str, read: Callable = parse_rational) -> list:
+    """``read(value)`` of each value of the array `doc`; a refusal is at the
+    pointer of the value it refuses, built only then."""
+    out = []
+    try:
+        for value in doc:
+            out.append(read(value))
+    except SchemaError as exc:
+        raise exc.under(f"{path}/{len(out)}") from None
+    return out
+
+
 def parse_element(doc, space: SpaceDescriptor, path: str) -> Element:
+    """An array of rationals, one for each coordinate of `space` (a Loewner
+    matrix symmetric), built over the lcm of their denominators."""
     if not isinstance(doc, list):
         raise SchemaError("element must be an array of rationals", path)
     if len(doc) != space.ncoords:
         raise SchemaError(
             f"element needs {space.ncoords} coordinates, got {len(doc)}", path
         )
-    coords = tuple(parse_rational(v, f"{path}/{i}") for i, v in enumerate(doc))
+    pairs = _scalars(doc, path)
     try:
-        return Element(space, coords)
-    except ValueError as exc:  # a Loewner matrix that is not symmetric
+        require_symmetric(space, pairs)
+    except ValueError as exc:
         raise SchemaError(str(exc), path) from None
+    den = math.lcm(*(d for _, d in pairs))
+    return _element(space, tuple(n * (den // d) for n, d in pairs), den)
 
 
 def parse_ext_element(doc, space: SpaceDescriptor, path: str) -> ExtElement:
@@ -142,6 +167,15 @@ def parse_ext_element(doc, space: SpaceDescriptor, path: str) -> ExtElement:
         _known(doc, ("finite",), "element", path)
         return finite(parse_element(doc["finite"], space, path + "/finite"))
     raise SchemaError("expected {\"finite\": [...]} or \"infinity\"", path)
+
+
+def _keyed_ext_element(doc, space: SpaceDescriptor, path: str, key: str) -> ExtElement:
+    """`parse_ext_element` of the value of `key` in the object at `path`; its
+    pointer is built only when the value is refused."""
+    try:
+        return parse_ext_element(doc, space, "")
+    except SchemaError as exc:
+        raise exc.under(_pointer(path, key)) from None
 
 
 _JSON_KINDS = {dict: "an object", list: "an array", str: "a string", bool: "true or false"}
@@ -226,8 +260,7 @@ def _parse_function_values(doc, ground: int, path: str) -> tuple:
     if len(values) != ground:
         raise SchemaError(f"function needs {ground} values, got {len(values)}",
                           path + "/values")
-    return over_one_den([parse_ext_scalar(v, f"{path}/values/{i}")
-                         for i, v in enumerate(values)])
+    return over_one_den(_scalars(values, path + "/values", parse_ext_scalar))
 
 
 def _resolve_term(scenario: Scenario, term, path: str) -> tuple:
@@ -314,8 +347,8 @@ def _set_sequence(scenario: Scenario, doc, path: str):
 
 
 def _matrix(scenario: Scenario, doc: list, path: str) -> list:
-    return _items(doc, "matrix", path,
-                  lambda row, rpath: _items(row, "matrix row", rpath, parse_rational))
+    return _items(doc, "matrix", path, lambda row, rpath: _scalars(
+        _require_json(row, list, "matrix row", rpath), rpath))
 
 
 def _function_list(scenario: Scenario, doc: list, path: str) -> list:
@@ -433,8 +466,8 @@ def _push_forward_shape(scenario: Scenario, args: dict, path: str):
         if len(row) != width:
             raise SchemaError(f"matrix row needs {width} entries, got {len(row)}",
                               f"{path}/matrix/{i}")
-        for j, v in enumerate(row):
-            if v < 0:
+        for j, (num, _) in enumerate(row):
+            if num < 0:
                 raise SchemaError("push-forward matrix must be entrywise >= 0",
                                   f"{path}/matrix/{i}/{j}")
 
@@ -497,8 +530,8 @@ _CHECKS = {
     "integral_laws": _Check(
         "integral_checks", "check_integral_laws",
         {"f": _EXT, "g": _EXT,
-         "r1": _Key(str, lambda s, v, p: parse_rational(v, p), Fraction(1)),
-         "r2": _Key(str, lambda s, v, p: parse_rational(v, p), Fraction(1))}),
+         "r1": _Key(str, lambda s, v, p: parse_rational(v, p), (1, 1)),
+         "r2": _Key(str, lambda s, v, p: parse_rational(v, p), (1, 1))}),
     "ae": _Check("integral_checks", "ae_analysis", {"function": _EXT}),
     "mct": _Check("integral", "mct", {"sequence": _EXT_SEQUENCE, "limit": _EXT},
                   ("horizon", "epsilons")),
@@ -590,7 +623,7 @@ def _parse_measure(doc, space: MeasurableSpace, backend: SpaceDescriptor) -> Mea
             raise SchemaError(f"{key!r} is not the smallest point of an atom "
                               f"(atoms: {[mask_to_points(a) for a in space.atoms]})",
                               _pointer(path, key))
-        values[atoms[key]] = parse_ext_element(vdoc, backend, _pointer(path, key))
+        values[atoms[key]] = _keyed_ext_element(vdoc, backend, path, key)
     missing = [mask_to_points(a) for a in space.atoms if a not in values]
     if missing:
         raise SchemaError(f"missing atom values for {missing}", path)
@@ -612,25 +645,34 @@ def _parse_outer(doc, mu: Optional[Measure], backend: SpaceDescriptor, ground: i
     path += "/outer_values"
     values, keys = {}, {}
     for key, vdoc in _require_json(doc["outer_values"], dict, "outer_values", path).items():
-        kpath = _pointer(path, key)
-        # Keys are strictly increasing ASCII decimal points with no leading
-        # zero, like "0,2", so each set is written one way; "" is the empty set.
-        parts = key.split(",") if key else []
-        try:
-            pts = [int(p) for p in parts
-                   if p == "0" or p.isascii() and p.isdigit() and p[0] != "0"]
-        except ValueError:  # more digits than int() converts
-            pts = []
-        if len(pts) != len(parts):
-            raise SchemaError(f"bad set key {key!r}", kpath)
-        if any(p >= q for p, q in zip(pts, pts[1:])):
-            raise SchemaError(f"points of set key {key!r} are not strictly increasing",
-                              kpath)
-        if pts and pts[-1] >= ground:
-            raise SchemaError(f"point outside ground set in {key!r}", kpath)
-        mask = points_to_mask(pts)
-        values[mask], keys[mask] = parse_ext_element(vdoc, backend, kpath), key
+        mask = _set_key(key, ground, path)
+        values[mask], keys[mask] = _keyed_ext_element(vdoc, backend, path, key), key
     return _at(path, outer.validate_outer_measure, values, backend, ground, keys=keys)
+
+
+# A set key: points in ASCII decimal digits with no leading zero, joined by commas.
+_SET_KEY = re.compile(r"(?:0|[1-9][0-9]*)(?:,(?:0|[1-9][0-9]*))*")
+
+
+def _set_key(key: str, ground: int, path: str) -> int:
+    """The mask of the set that the `outer_values` key `key` names: strictly
+    increasing points like "0,2" (`_SET_KEY`), so that each set is written
+    one way, and "" for the empty set.  A refusal is at the key's pointer
+    below `path`, built only then."""
+    if not key:
+        return 0
+    try:
+        pts = list(map(int, key.split(","))) if _SET_KEY.fullmatch(key) else None
+    except ValueError:  # more digits than int() converts
+        pts = None
+    if pts is None:
+        raise SchemaError(f"bad set key {key!r}", _pointer(path, key))
+    if not all(map(operator.lt, pts, pts[1:])):
+        raise SchemaError(f"points of set key {key!r} are not strictly increasing",
+                          _pointer(path, key))
+    if pts[-1] >= ground:
+        raise SchemaError(f"point outside ground set in {key!r}", _pointer(path, key))
+    return points_to_mask(pts)
 
 
 def parse_scenario(doc: dict) -> Scenario:
@@ -762,7 +804,7 @@ def run_scenario(scenario: Scenario, config: Optional[RunConfig] = None) -> dict
                             matched_expectation=result.status == directive.expect))
     return {
         "horizon": config.horizon,
-        "epsilon_schedule": [format_rational(e) for e in config.epsilons],
+        "epsilon_schedule": [format_pair(*e) for e in config.epsilons],
         "checks": results,
         "all_ok": all(entry["matched_expectation"] for entry in results),
     }

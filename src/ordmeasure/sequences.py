@@ -24,72 +24,82 @@ ValidationError an argument that would make the declaration false:
                                 off it, or Periodic(1, 1) if the shape is 0
 
 A list of any terms is continued past its end by `cycled` (`from_terms` is
-an explicit list); the other kinds take and make `over_one_den` forms.
+an explicit list); the other kinds take and make `over_one_den` forms, and
+`geometric` a ratio that `rationals.as_pair` reads.  Epsilons, like every
+scalar the library reads, are integer pairs ``(num, den)`` in lowest terms
+(`epsilon_schedule`).
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Any, Callable, List, Optional, Sequence
 
 from .errors import MAX_EPSILON_EXPONENT, CertificationError, Frozen, ValidationError
-from .rationals import format_rational
+from .rationals import as_pair, format_pair, is_fraction, lowest_terms
 
 DEFAULT_HORIZON = 64
 
-# Default certification schedule for gaps against the order unit.
-DEFAULT_EPSILONS = (
-    Fraction(1, 2**4),
-    Fraction(1, 2**8),
-    Fraction(1, 2**12),
-    Fraction(1, 2**16),
-)
+# Default certification schedule for gaps against the order unit, as pairs
+# (num, den): 2^-4, 2^-8, 2^-12 and 2^-16.
+DEFAULT_EPSILONS = tuple((1, 2**k) for k in (4, 8, 12, 16))
 
 
-def epsilon_schedule(epsilons: Optional[Sequence[Fraction]] = None) -> tuple:
-    """The gap schedule `epsilons` as a tuple, `DEFAULT_EPSILONS` when None.
+def _is_pair(eps) -> bool:
+    return (type(eps) is tuple and len(eps) == 2 and all(type(x) is int for x in eps)
+            and eps[1] > 0)
+
+
+def epsilon_schedule(epsilons: Optional[Sequence] = None) -> tuple:
+    """The gap schedule `epsilons` as a tuple of pairs (num, den) in lowest
+    terms, `DEFAULT_EPSILONS` when None.
 
     The one rule for a schedule, read by `scenarios.RunConfig` and by every
-    check that takes one.  A ValidationError refuses an empty schedule
-    (it would certify every limit), a value that is not an int or a
-    Fraction, and an epsilon below 2^-MAX_EPSILON_EXPONENT, so any that is
-    not positive."""
+    check that takes one.  An epsilon is an int, a Fraction or a pair of
+    ints over a positive denominator, as the command line reads it.  A
+    ValidationError refuses an empty schedule (it would certify every
+    limit), any other value, and an epsilon below 2^-MAX_EPSILON_EXPONENT,
+    so any that is not positive."""
     if epsilons is None:
         return DEFAULT_EPSILONS
-    schedule, smallest = tuple(epsilons), Fraction(1, 2**MAX_EPSILON_EXPONENT)
+    schedule = []
+    for eps in epsilons:
+        # bool is a subclass of int, but `True` is not an epsilon
+        if isinstance(eps, bool) or not (isinstance(eps, int) or is_fraction(eps)
+                                         or _is_pair(eps)):
+            raise ValidationError(f"epsilon must be an int or a Fraction, got {eps!r}")
+        num, den = as_pair(eps)
+        if num << MAX_EPSILON_EXPONENT < den:
+            raise ValidationError(f"epsilon below 2^-{MAX_EPSILON_EXPONENT} in the schedule")
+        schedule.append(lowest_terms(num, den))
     if not schedule:
         raise ValidationError("empty epsilon schedule")
-    for eps in schedule:
-        # bool is a subclass of int, but `True` is not an epsilon
-        if isinstance(eps, bool) or not isinstance(eps, (int, Fraction)):
-            raise ValidationError(f"epsilon must be an int or a Fraction, got {eps!r}")
-        if eps < smallest:
-            raise ValidationError(f"epsilon below 2^-{MAX_EPSILON_EXPONENT} in the schedule")
-    return schedule
+    return tuple(schedule)
 
 
 def certify_gaps(
-    epsilons: Sequence[Fraction],
+    epsilons: Sequence[tuple],
     count: int,
-    probe: Callable[[Fraction], Callable[[int], bool]],
+    probe: Callable[[tuple], Callable[[int], bool]],
     message: str,
 ) -> List[dict]:
-    """Certify a gap schedule against `count` sampled indices.
+    """Certify a gap schedule of pairs (num, den) against `count` sampled
+    indices.
 
     ``probe(eps)`` returns the test of one 1-based index; it is called once
     per epsilon, so per-epsilon work (such as scaling the order unit) is
     done there.  The trail holds, for each epsilon, the first index whose
     test passes, as ``{"epsilon", "index"}``.  When no index passes,
-    `CertificationError` is raised with ``message.format(eps=eps)``.
+    `CertificationError` is raised with ``message.format(eps=...)``, the
+    epsilon written "p/q".
     """
     trail = []
     for eps in epsilons:
         reaches = probe(eps)
         index = next((i for i in range(1, count + 1) if reaches(i)), None)
         if index is None:
-            raise CertificationError(message.format(eps=eps))
-        trail.append({"epsilon": format_rational(eps), "index": index})
+            raise CertificationError(message.format(eps=format_pair(*eps)))
+        trail.append({"epsilon": format_pair(*eps), "index": index})
     return trail
 
 
@@ -181,12 +191,14 @@ def from_terms(terms: Sequence) -> SequenceSpec:
     return listed(terms, "explicit")[0]
 
 
-def geometric(base: tuple, bump: tuple, ratio: Fraction) -> tuple:
+def geometric(base: tuple, bump: tuple, ratio) -> tuple:
     """``(spec, witnesses)`` of ``base + ratio^n * bump``: terms 1 and 2 (their
     difference fixes the bump on each atom when the ratio is not 0, and every
     term is the base when it is) and the least value at each point,
-    base + min(0, ratio * bump, ratio^2 * bump), 0 approached, not attained."""
-    if abs(ratio) >= 1:
+    base + min(0, ratio * bump, ratio^2 * bump), 0 approached, not attained.
+    The ratio is a pair (num, den), an int or a Fraction (`as_pair`)."""
+    p, q = as_pair(ratio)
+    if abs(p) >= q:
         raise ValidationError("geometric ratio must satisfy |ratio| < 1", {"key": "ratio"})
     if base[2] or bump[2]:
         raise ValidationError("geometric sequences need finite base and bump")
@@ -194,7 +206,6 @@ def geometric(base: tuple, bump: tuple, ratio: Fraction) -> tuple:
         raise ValidationError("geometric base and bump differ in length")
     den = math.lcm(base[1], bump[1])
     b, h = ([n * (den // g[1]) for n in g[0]] for g in (base, bump))
-    p, q = ratio.numerator, ratio.denominator
 
     def term(n):  # (b * q^n + h * p^n) / (den * q^n)
         pn, qn = p**n, q**n

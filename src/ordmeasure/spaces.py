@@ -35,13 +35,15 @@ distinct sum and order test is computed once; any other table keeps its
 rows and the row kernels.
 
 Values are validated where they enter.  ``Element(space, coords)`` (and
-`element`, `sym_matrix` and the scenario parser, which call it) checks the
-coordinate count, that every coordinate is a Fraction, and the Loewner
-symmetry.  Results of the arithmetic and lattice operations (and
-`Measure.evaluate`'s sums of atom rows) are built by `_element`, the one
-trusted constructor, which does the one gcd, because those operations
-preserve the count and the symmetry.  ``coords`` derives the Fraction
-tuple for the encoders.
+`element` and `sym_matrix`, which call it) checks the coordinate count,
+that every coordinate is a Fraction, and the Loewner symmetry
+(`require_symmetric`).  The scenario parser makes the same checks on the
+integer pairs it reads and hands the row to `_element`, the one trusted
+constructor, which does the one gcd; so do the arithmetic and lattice
+operations (and `Measure.evaluate`'s sums of atom rows), which preserve
+the count and the symmetry.  ``coords`` derives the Fraction tuple for
+the library API; the encoders print from ``nums`` and ``den``, and
+`fractions` is imported only by the API's Fraction views and arguments.
 """
 
 from __future__ import annotations
@@ -49,12 +51,12 @@ from __future__ import annotations
 import math
 import operator
 from enum import Enum
-from fractions import Fraction
 from functools import partial
 from typing import Iterable, Sequence, Union
 
 from .errors import (MAX_COORDINATES, MAX_LOEWNER_DIM, Frozen, SpaceMismatchError,
                      check_cap)
+from .rationals import as_pair, is_fraction
 
 
 class SpaceKind(Enum):
@@ -141,14 +143,9 @@ class Element(Frozen):
                 f"{space.describe()} needs {space.ncoords} coordinates, "
                 f"got {len(coords)}"
             )
-        if not all(isinstance(c, Fraction) for c in coords):
+        if not all(map(is_fraction, coords)):
             raise TypeError("coordinates must be Fractions")
-        if space.kind is SpaceKind.LOEWNER_SYM:
-            d = space.dim
-            for i in range(d):
-                for j in range(i + 1, d):
-                    if coords[i * d + j] != coords[j * d + i]:
-                        raise ValueError(f"matrix not symmetric at ({i},{j})")
+        require_symmetric(space, coords)
         # Over the lcm of reduced denominators the form is already canonical.
         den = math.lcm(*(c.denominator for c in coords))
         self._set(space, tuple(c.numerator * (den // c.denominator) for c in coords), den)
@@ -156,9 +153,11 @@ class Element(Frozen):
     @property
     def coords(self) -> tuple:
         """The coordinates as Fractions."""
+        from fractions import Fraction
         return tuple(Fraction(n, self.den) for n in self.nums)
 
-    def entry(self, i: int, j: int) -> Fraction:
+    def entry(self, i: int, j: int) -> "Fraction":
+        from fractions import Fraction
         if self.space.kind is SpaceKind.ENTRYWISE_MAT:
             return Fraction(self.nums[i * self.space.cols + j], self.den)
         if self.space.kind is SpaceKind.LOEWNER_SYM:
@@ -184,6 +183,17 @@ class Element(Frozen):
         return f"<{self.space.describe()} {body}>"
 
 
+def require_symmetric(space: SpaceDescriptor, coords: Sequence):
+    """In the Loewner order, a ValueError unless the row-major `coords`
+    (Fractions, or pairs in lowest terms) are a symmetric matrix."""
+    if space.kind is SpaceKind.LOEWNER_SYM:
+        d = space.dim
+        for i in range(d):
+            for j in range(i + 1, d):
+                if coords[i * d + j] != coords[j * d + i]:
+                    raise ValueError(f"matrix not symmetric at ({i},{j})")
+
+
 def canonical(nums: tuple, den: int) -> tuple:
     """nums over den in canonical form, ``gcd(den, *nums) == 1``, by one gcd."""
     g = math.gcd(den, *nums)
@@ -205,11 +215,13 @@ def _element(space: SpaceDescriptor, nums: tuple, den: int) -> Element:
 
 
 def element(space: SpaceDescriptor, values: Iterable) -> Element:
+    from fractions import Fraction
     return Element(space, tuple(Fraction(v) for v in values))
 
 
 def sym_matrix(rows: Sequence[Sequence]) -> Element:
     """Build a LoewnerSym element from nested rows."""
+    from fractions import Fraction
     d = len(rows)
     flat = [Fraction(v) for row in rows for v in row]
     return Element(loewner_sym(d), tuple(flat))
@@ -256,10 +268,10 @@ def neg(a: Element) -> Element:
 
 
 def scale(r, a: Element) -> Element:
-    """r * a, for an int or Fraction r (or anything Fraction takes)."""
-    if not isinstance(r, (int, Fraction)):
-        r = Fraction(r)
-    return _element(a.space, tuple(r.numerator * x for x in a.nums), r.denominator * a.den)
+    """r * a, for an int, a pair (num, den) or a Fraction r (or anything
+    Fraction takes; `rationals.as_pair`)."""
+    num, den = as_pair(r)
+    return _element(a.space, tuple(num * x for x in a.nums), den * a.den)
 
 
 def is_positive_row(space: SpaceDescriptor, nums) -> bool:
@@ -454,9 +466,10 @@ def row_lattice(op, a, b) -> tuple:
 
 
 def scaled_unit(space: SpaceDescriptor, r) -> tuple:
-    """The row of r times the order unit of `space`, for an int or Fraction r."""
-    r = Fraction(r)
-    return tuple([r.numerator * n for n in order_unit(space).nums]), r.denominator
+    """The row of r times the order unit of `space`, for an int, a pair
+    (num, den) or a Fraction r (`rationals.as_pair`)."""
+    num, den = as_pair(r)
+    return tuple([num * n for n in order_unit(space).nums]), den
 
 
 def is_psd(a: Element) -> bool:

@@ -13,7 +13,9 @@ the Fraction class key of `integral_checks.l1_quotient`;
 `assert_routes_agree` compares both routes of the integral core
 (`core_routes`, read through `ext_value`) with them.
 The former ``rationals.format_ext_scalar`` and ``integral.indicator``,
-which only the tests used, are here too.
+which only the tests used, are here too, and `fraction_parse_rational`,
+the former ``rationals.parse_rational``, which read a rational string
+into a Fraction before the library read every number as an integer pair.
 
 The exceptions read a function's integer form as the library did before
 it moved onto one table.  `combination_rung_integral`, the former
@@ -47,13 +49,15 @@ on the row kernels of the routes they check.
 """
 
 import itertools
+import json
 import math
+import re
 from fractions import Fraction
 from typing import Sequence
 
 import ordmeasure as om
 from ordmeasure import extended, integral, spaces
-from ordmeasure.errors import CertificationError, OrdMeasureError, ValidationError
+from ordmeasure.errors import CertificationError, OrdMeasureError, SchemaError, ValidationError
 from ordmeasure.measures import mask_to_points
 from ordmeasure.rationals import INFINITY, is_infinite
 from ordmeasure.sequences import certify_gaps, stable_from
@@ -299,13 +303,13 @@ def certify_scalar_convergence(terms, f, x: int, epsilons, increasing: bool):
 
     sign = 1 if increasing else -1
 
-    def probe(eps):  # the sample is within eps of the target, on its side
-        bound, q = eps.numerator * den, eps.denominator
+    def probe(eps):  # the sample is within eps = (num, den) of the target, on its side
+        bound, q = eps[0] * den, eps[1]
         return lambda i: (samples[i - 1] is not None
                           and (target - samples[i - 1]) * sign * q <= bound)
 
-    certify_gaps(epsilons, len(samples), probe,
-                 f"pointwise gap {{eps}} at point {x} not certified")
+    certify_gaps([(e.numerator, e.denominator) for e in map(Fraction, epsilons)],
+                 len(samples), probe, f"pointwise gap {{eps}} at point {x} not certified")
 
 
 def ladder_certify_divergence(terms) -> int:
@@ -329,7 +333,8 @@ def ext_certify_monotone_limit(values, target, epsilons, increasing: bool = True
     extended elements `values`, or the infimum of the decreasing ones: the
     stabilized, divergence-certified or gap-certified mode with its
     evidence, or the CertificationError that refuses it.  Every order test
-    and sum is decided on Fraction coordinates."""
+    and sum is decided on Fraction coordinates; the `epsilons` are pairs
+    (num, den), as the library's certifier takes them."""
     space, coords, goal = target.space, [frac_ext(v) for v in values], frac_ext(target)
 
     def precedes(a, b):
@@ -350,8 +355,8 @@ def ext_certify_monotone_limit(values, target, epsilons, increasing: bool = True
                 "ladder_top": ladder_certify_divergence(values)}
     unit = spaces.order_unit(space).coords
 
-    def probe(eps):
-        bump = frac_scale(eps, unit)
+    def probe(eps):  # a pair (num, den), as the library's certifier takes it
+        bump = frac_scale(Fraction(*eps), unit)
         if increasing:
             return lambda i: frac_ext_leq(space, goal, frac_ext_add(coords[i - 1], bump))
         ceiling = frac_ext_add(goal, bump)
@@ -472,3 +477,27 @@ def frac_to_ext(space, coords) -> om.ExtElement:
     """Fraction coordinates, or None for infinity, as an extended element of
     `space`."""
     return extended.infinity(space) if coords is None else om.finite(om.Element(space, coords))
+
+
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def fraction_parse_rational(text, path: str = "") -> Fraction:
+    """Parse "p/q" or "p" into a Fraction; reject zero denominators.
+
+    p is an optional minus sign and ASCII digits, q ASCII digits; nothing
+    else is accepted (no sign on q, no spaces, underscores or other digits).
+    """
+    if not isinstance(text, str):
+        raise SchemaError(f"expected rational string, got {json.dumps(text, default=repr)}",
+                          path)
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
+        raise SchemaError(f"malformed rational {text!r}", path)
+    num, den = match.groups()
+    try:
+        return Fraction(int(num), int(den)) if den else Fraction(int(num))
+    except ZeroDivisionError:
+        raise SchemaError(f"zero denominator in {text!r}", path) from None
+    except ValueError:  # more digits than int() converts
+        raise SchemaError(f"malformed rational {text!r}", path) from None

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from itertools import accumulate
 
@@ -6,16 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ordmeasure as om
-from ordmeasure.errors import CertificationError, SchemaError
+from ordmeasure.errors import CertificationError, DimensionLimitError, SchemaError
 from ordmeasure.extended import (
     certify_divergence,
     certify_monotone_limit,
+    element_to_json,
     ext_rows,
     ext_sub_finite,
     ext_zero,
     is_ext_positive,
 )
-from ordmeasure.rationals import INFINITY, parse_rational
+from ordmeasure.rationals import INFINITY, format_rational, parse_rational
 from ordmeasure.sequences import (
     DEFAULT_EPSILONS,
     DeclaredLimit,
@@ -26,7 +28,7 @@ from ordmeasure.sequences import (
 
 from conftest import random_element, random_ext_element
 from integral_oracles import (ext_scalar_add, ext_scalar_leq, ext_scalar_mul,
-                              ladder_certify_divergence)
+                              fraction_parse_rational, ladder_certify_divergence)
 from limit_oracles import stable_tail_sup_increasing
 
 C2 = om.coord(2)
@@ -367,6 +369,73 @@ class TestHelpers:
         assert ext_scalar_mul(INFINITY, INFINITY) is INFINITY
 
 
+DIGIT_LIMIT = sys.get_int_max_str_digits()
+
+# Rational strings near the grammar's edges (signs, -0, leading zeros, zero
+# denominators, spaces, non-ASCII digits), numbers at Python's digit limit,
+# and JSON values that are not strings.
+rational_texts = st.one_of(
+    st.text(alphabet="0123456789-+/ _.e\n\u00a0\u0663\uff11x", max_size=12),
+    st.builds(lambda sign, num, den: sign + num + den,
+              st.sampled_from(["", "-", "+", "--", " ", "\u2212"]),
+              st.from_regex(r"[0-9]{1,6}", fullmatch=True),
+              st.one_of(st.just(""), st.from_regex(r"/[0-9]{1,6}", fullmatch=True),
+                        st.sampled_from(["/0", "/00", "/-2", "/+2", "/ 2", "/2 ", "/\u0663"]))),
+    st.builds(lambda sign, digits, den: sign + "1" * digits + den,
+              st.sampled_from(["", "-"]), st.integers(DIGIT_LIMIT - 2, DIGIT_LIMIT + 2),
+              st.sampled_from(["", "/7", "/0", "/" + "7" * (DIGIT_LIMIT + 1)])),
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.lists(st.integers(), max_size=2) | st.dictionaries(st.text(max_size=2), st.integers(),
+                                                             max_size=1),
+)
+
+
+def read_outcome(parse, text):
+    """What `parse` makes of `text` at the pointer "/x": its value as a pair
+    (num, den), or the text and pointer of its refusal."""
+    try:
+        value = parse(text, "/x")
+    except SchemaError as exc:
+        return str(exc), exc.path
+    return value if isinstance(value, tuple) else (value.numerator, value.denominator)
+
+
+def print_outcome(write):
+    """What ``write()`` prints, or the text of its size-limit refusal."""
+    try:
+        return write()
+    except DimensionLimitError as exc:
+        return str(exc)
+
+
+class TestIntegerReader:
+    """The integer reader and printer against the Fraction ones they replaced."""
+
+    @given(rational_texts)
+    @settings(max_examples=600, deadline=None)
+    def test_reads_what_the_fraction_reader_reads(self, text):
+        assert read_outcome(parse_rational, text) == read_outcome(fraction_parse_rational, text)
+
+    @pytest.mark.parametrize("text", ["-0", "+1", "007/014", "-0/5", "1/0", " 1", "\u0663",
+                                      "1" * (DIGIT_LIMIT + 1), "1/" + "2" * (DIGIT_LIMIT + 1)],
+                             ids=repr)
+    def test_edges_read_as_the_fraction_reader_reads_them(self, text):
+        assert read_outcome(parse_rational, text) == read_outcome(fraction_parse_rational, text)
+
+    @given(st.lists(st.fractions() | st.integers(DIGIT_LIMIT - 2, DIGIT_LIMIT + 1).map(
+        lambda digits: Fraction(-(10 ** digits) - 1, 3)), min_size=1, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_element_to_json_prints_each_coordinate_as_its_fraction(self, coords):
+        el = om.element(om.coord(len(coords)), coords)
+        assert print_outcome(lambda: element_to_json(el)) == print_outcome(
+            lambda: [format_rational(c) for c in coords])
+
+    @pytest.mark.parametrize("pair", [(1, 0), (1, -2), (1,), (1, 2, 3)], ids=repr)
+    def test_a_tuple_is_a_scalar_only_over_a_positive_denominator(self, pair):
+        with pytest.raises(ValueError, match="^a rational pair is"):
+            om.ext_scale(pair, fin(1, 2))
+
+
 class TestParseRational:
     @pytest.mark.parametrize("text, value", [
         ("3", Fraction(3)), ("-3", Fraction(-3)), ("0", Fraction(0)), ("-0", Fraction(0)),
@@ -374,7 +443,7 @@ class TestParseRational:
         ("1" + "0" * 40, Fraction(10**40)),
     ])
     def test_grammar_accepts(self, text, value):
-        assert parse_rational(text) == value
+        assert parse_rational(text) == (value.numerator, value.denominator)
 
     @pytest.mark.parametrize("text", [
         "1_000", "\u0663/\u0664", "\u0663", "+3", "1 / 2", "\u00a01", " 1", "1 ", "1\n",

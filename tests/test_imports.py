@@ -188,12 +188,39 @@ def modules_loaded_by(code: str) -> set:
     return set(proc.stderr.rsplit("\n", 1)[-1].split())
 
 
+# Every number of a run is read, computed and printed as integers; these
+# load only for a Fraction of the library API.
+FRACTION_MODULES = {"fractions", "decimal"}
+
+
 def test_cli_import_is_lean():
     loaded = modules_loaded_by("import ordmeasure.cli")
     assert "ordmeasure.scenarios" in loaded
     assert not loaded & {"dataclasses", "inspect", "ordmeasure.compare",
                          "ordmeasure.outer", "ordmeasure.integral",
-                         "ordmeasure.integral_checks", "ordmeasure.measure_checks"}
+                         "ordmeasure.integral_checks", "ordmeasure.measure_checks",
+                         *FRACTION_MODULES}
+
+
+def test_no_subcommand_loads_fractions():
+    """`validate`, `run` (with its default and a given epsilon schedule) and
+    `caratheodory` on every shipped file, and `compare` of both kinds, in one
+    interpreter, load neither `fractions` nor `decimal`."""
+    calls = [["compare", kind, "--n", "6"] for kind in ("sup_measure", "series_measure")]
+    for path in SCENARIOS:
+        calls += [["validate", str(path)], ["run", str(path), "--output", "json"],
+                  ["run", str(path), "--epsilon-schedule", "2^-3,1/3", "--horizon", "8"]]
+        if "outer_measure" in json.loads(path.read_text()):
+            calls.append(["caratheodory", str(path)])
+    loaded = modules_loaded_by(
+        "import contextlib, io\n"
+        "from ordmeasure.cli import main\n"
+        f"for args in {calls!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        main(args)\n")
+    assert {"ordmeasure.integral_checks", "ordmeasure.measure_checks", "ordmeasure.outer",
+            "ordmeasure.compare"} <= loaded
+    assert not loaded & FRACTION_MODULES
 
 
 def test_the_check_table_names_the_check_modules():
@@ -221,6 +248,7 @@ def test_run_loads_the_check_modules_its_directives_name(path):
     assert loaded & CHECK_MODULES <= named | held
     if not doc.get("functions"):
         assert "ordmeasure.integral" not in loaded
+    assert not loaded & FRACTION_MODULES
 
 
 def test_spaces_loads_no_sequence_layer():

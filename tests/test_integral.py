@@ -1068,7 +1068,7 @@ class TestEpsilonSchedule:
     def test_default_and_floor(self):
         floor = Fraction(1, 2**MAX_EPSILON_EXPONENT)
         assert epsilon_schedule(None) == DEFAULT_EPSILONS
-        assert epsilon_schedule([floor, 1]) == (floor, 1)
+        assert epsilon_schedule([floor, 1]) == ((1, floor.denominator), (1, 1))
 
 
 def _calls_with_epsilons():

@@ -42,8 +42,7 @@ import integral_oracles as oracle
 
 BUDGET = settings(max_examples=150, deadline=timedelta(seconds=5), derandomize=True)
 BACKENDS = [om.reals(), om.coord(2), om.coord(3), om.entrywise_mat(2, 2)]
-EPSILONS = [(Fraction(1, 2), Fraction(1, 8)), (Fraction(1, 16),),
-            (Fraction(1, 3), Fraction(1, 7))]
+EPSILONS = [((1, 2), (1, 8)), ((1, 16),), ((1, 3), (1, 7))]  # as the certifiers take them
 small = st.fractions(min_value=0, max_value=4, max_denominator=6)
 positive = st.fractions(min_value=Fraction(1, 6), max_value=4, max_denominator=6)
 signed = st.fractions(min_value=-4, max_value=4, max_denominator=6)

@@ -125,7 +125,7 @@ class TestRunner:
     def test_library_epsilon_schedule_default_and_floor(self):
         floor = Fraction(1, 2**MAX_EPSILON_EXPONENT)
         assert RunConfig().epsilons == om.DEFAULT_EPSILONS
-        assert RunConfig(epsilons=[floor]).epsilons == (floor,)
+        assert RunConfig(epsilons=[floor]).epsilons == ((1, floor.denominator),)
 
     def test_library_horizon_bounds_are_accepted(self):
         scenario = load_scenario(str(SCENARIO_DIR / "identities_basic.json"))
@@ -335,6 +335,91 @@ class TestSchemaErrors:
         }
         with pytest.raises(SchemaError, match="smallest point"):
             parse_scenario(doc)
+
+
+# A valid document with a value for every reader of numbers: atom and outer
+# values, function values, a geometric ratio, r1 and r2, an expected
+# integral, a lower bound and a push-forward matrix.  Its function and
+# sequence names need RFC 6901 escapes.
+POINTER_DOC = {
+    "space": {"kind": "coord", "dim": 2},
+    "ground_size": 2,
+    "measure": {"atom_values": {"0": {"finite": ["1", "0"]}, "1": {"finite": ["0", "1/2"]}}},
+    "outer_measure": {"outer_values": {
+        "": {"finite": ["0", "0"]}, "0": {"finite": ["1", "0"]},
+        "1": {"finite": ["0", "1/2"]}, "0,1": {"finite": ["1", "1/2"]}}},
+    "functions": {"a/b": {"values": ["1", "2"]}, "~x": {"values": ["0", "1"]}},
+    "sequences": {"~x": {"kind": "geometric", "base": "a/b", "bump": "~x", "ratio": "1/2"}},
+    "checks": [
+        {"check": "integral_laws", "f": "a/b", "g": "~x", "r1": "1", "r2": "2"},
+        {"check": "integrate", "function": "a/b", "expected": {"finite": ["1", "1"]}},
+        {"check": "borel_cantelli", "sets": [[0]], "lower_bound": ["0", "0"]},
+        {"check": "push_forward", "target": {"kind": "reals"}, "matrix": [["1", "0"]]},
+    ],
+}
+
+
+def _pointer_case(path: tuple, value) -> dict:
+    """`POINTER_DOC` with the value at the keys `path` set to `value`."""
+    doc = copy.deepcopy(POINTER_DOC)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+class TestRefusalPointers:
+    """Each reader of numbers builds a value's pointer only when it refuses
+    the value, and names the same pointer and message as when it built every
+    pointer ahead."""
+
+    def test_the_document_is_valid(self, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(POINTER_DOC))
+        assert run_cli(["validate", path]) == 0
+
+    @pytest.mark.parametrize("path, value, expected", [
+        (("outer_measure", "outer_values", "a/b"), {"finite": ["0", "0"]},
+         "/outer_measure/outer_values/a~1b: bad set key 'a/b'"),
+        (("outer_measure", "outer_values", "~0"), {"finite": ["0", "0"]},
+         "/outer_measure/outer_values/~00: bad set key '~0'"),
+        (("outer_measure", "outer_values", "0,1"), {"finite": ["1", "1/0"]},
+         "/outer_measure/outer_values/0,1/finite/1: zero denominator in '1/0'"),
+        (("outer_measure", "outer_values", "1"), {"finite": ["0", "1/2"], "~/": 1},
+         "/outer_measure/outer_values/1/~0~1: element has no key '~/'"),
+        (("outer_measure", "outer_values", "0"), {"finite": ["1"]},
+         "/outer_measure/outer_values/0/finite: element needs 2 coordinates, got 1"),
+        (("outer_measure", "outer_values", "0"), "finite",
+         '/outer_measure/outer_values/0: expected {"finite": [...]} or "infinity"'),
+        (("measure", "atom_values", "1"), {"finite": ["0", "+1"]},
+         "/measure/atom_values/1/finite/1: malformed rational '+1'"),
+        (("measure", "atom_values", "0"), {"finite": [0, "1"]},
+         "/measure/atom_values/0/finite/0: expected rational string, got 0"),
+        (("functions", "a/b", "values"), ["1", "x"],
+         "/functions/a~1b/values/1: malformed rational 'x'"),
+        (("functions", "~x", "values"), ["1/00", "1"],
+         "/functions/~0x/values/0: zero denominator in '1/00'"),
+        (("sequences", "~x", "ratio"), "\u00bd",
+         "/sequences/~0x/ratio: malformed rational '\u00bd'"),
+        (("checks", 0, "r1"), "1/0", "/checks/0/r1: zero denominator in '1/0'"),
+        (("checks", 1, "expected"), {"finite": ["0", 1]},
+         "/checks/1/expected/finite/1: expected rational string, got 1"),
+        (("checks", 2, "lower_bound"), ["0", "-"],
+         "/checks/2/lower_bound/1: malformed rational '-'"),
+        (("checks", 3, "matrix"), [["1", "1/-2"]],
+         "/checks/3/matrix/0/1: malformed rational '1/-2'"),
+    ], ids=["outer_key_slash", "outer_key_tilde", "outer_coordinate", "outer_element_key",
+            "outer_coordinate_count", "outer_element_shape", "atom_coordinate",
+            "atom_coordinate_number", "function_value", "function_value_tilde", "ratio",
+            "r1", "expected", "lower_bound", "matrix_entry"])
+    def test_a_refused_value_is_named_by_its_pointer(self, tmp_path, capsys, path, value,
+                                                     expected):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(_pointer_case(path, value)))
+        for command in ("validate", "run"):
+            assert run_cli([command, bad]) == 2
+            assert capsys.readouterr().err == f"error: {expected}\n"
 
 
 def _generated_term(sequence: dict, functions: dict, n: int) -> list:

@@ -126,9 +126,14 @@ MUTANTS = [
      "not null >> x & 1", "True", [TAILS]),
     ("_at: the witness's key is dropped from the pointer", "scenarios.py", "_at",
      "path if key is None else _pointer(path, key)", "path", [SCENARIOS]),
-    ("outer_values key: a point may have a leading zero", "scenarios.py", "_parse_outer",
-     "p.isascii() and p.isdigit() and (p[0] != '0')", "p.isascii() and p.isdigit()",
-     [SCENARIOS]),
+    ("outer_values key: a point may have a leading zero", "scenarios.py", "_set_key",
+     "_SET_KEY.fullmatch(key)", "re.fullmatch('[0-9]+(?:,[0-9]+)*', key)", [SCENARIOS]),
+    ("refusal pointer: coordinate index off by one", "scenarios.py", "_scalars",
+     "f'{path}/{len(out)}'", "f'{path}/{len(out) + 1}'", [SCENARIOS]),
+    ("integer reader: zero denominator accepted", "rationals.py", "parse_rational",
+     "not den", "False", ["tests/test_extended.py"]),
+    ("integer reader: numerator sign dropped", "rationals.py", "parse_rational",
+     "num = int(num)", "num = abs(int(num))", ["tests/test_extended.py"]),
     ("selector: a section may hold two selector keys", "scenarios.py", "_selector",
      "len(given) != 1", "not given", [SCENARIOS]),
     ("directive: a key outside the check table is ignored", "scenarios.py", "_kind",
