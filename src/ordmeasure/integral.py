@@ -34,7 +34,8 @@ from __future__ import annotations
 
 import math
 from functools import partial, reduce
-from itertools import accumulate
+from itertools import accumulate, repeat
+from operator import add, mul, sub
 from typing import Dict, Optional, Sequence, Tuple
 
 from . import extended, spaces
@@ -273,10 +274,12 @@ def _closed_form(nums: tuple, den: int, inf: int, mu: Measure) -> Optional[tuple
     and infinite on the points of `inf`: the sum over the atoms of
     f(atom) * mu(atom) as a canonical integer value (nums, den), or None for
     infinity.  It folds from zero one atom at a time, on the numerators of
-    the atom values in `mu.atom_values`; f's denominator joins at the end,
-    before one gcd.  0 * inf = 0 both ways round: an infinite value on a
-    null atom and a zero value on an atom of infinite measure add nothing,
-    and any other infinite factor makes the integral infinite."""
+    the atom values in `mu.atom_values`: a term over the running
+    denominator is added as it is, and otherwise the sum and the term are
+    brought over the lcm of their denominators.  f's denominator joins at
+    the end, before one gcd.  0 * inf = 0 both ways round: an infinite value
+    on a null atom and a zero value on an atom of infinite measure add
+    nothing, and any other infinite factor makes the integral infinite."""
     acc, acc_den = [0] * mu.backend.ncoords, 1
     for atom, points in mu.space.atom_points.items():
         x, value = points[0], mu.atom_values[atom].finite
@@ -290,33 +293,45 @@ def _closed_form(nums: tuple, den: int, inf: int, mu: Measure) -> Optional[tuple
         if value is None:
             return None
         d = value.den
-        g = math.gcd(acc_den, d)  # the sum and the term over the lcm of their denominators
-        acc = [p * (d // g) + v * n * (acc_den // g) for p, n in zip(acc, value.nums)]
-        acc_den = acc_den // g * d
+        if d != acc_den:  # the sum and the term over the lcm of their denominators
+            g = math.gcd(acc_den, d)
+            acc, v = list(map(mul, acc, repeat(d // g))), v * (acc_den // g)
+            acc_den = acc_den // g * d
+        acc = list(map(add, acc, map(mul, value.nums, repeat(v))))
     return canonical(tuple(acc), acc_den * den)
 
 
-def _rung_terms(nums: tuple, inf: int, table) -> list:
-    """The pairs (v, row) that `_rung_row` sums, one for each atom of
-    `table` (`Measure.atom_table`) where f is positive: f's numerator at the
-    atom's first point, or None where f is infinite, and the atom's row."""
-    return [(None if inf >> x & 1 else nums[x], row)
-            for x, row in table if inf >> x & 1 or nums[x]]
+def _ladder_scan(nums: tuple, den: int, inf: int, table) -> Tuple[list, set]:
+    """One pass over `table` (`Measure.atom_table`) for the ladder of f
+    (numerators nums over den, infinite on `inf`), read at each atom's first
+    point: the pairs (v, row) that `_rung_row` sums, one for each atom where
+    f is positive (v its numerator, None where f is infinite), and the break
+    levels of `_ladder_supremum` but nstar + 1: 1, and floor(v) and ceil(v)
+    when at least 1 for every positive finite value v.  A validated f is
+    constant on atoms, so its values there are all its values, and a zero
+    value adds no level."""
+    terms, values = [], set()
+    for x, row in table:
+        if inf >> x & 1:
+            terms.append((None, row))
+        elif nums[x]:
+            terms.append((nums[x], row))
+            values.add(nums[x])
+    return terms, {1}.union(k for v in values for k in (v // den, -(-v // den)) if k > 0)
 
 
 def _rung_row(terms: list, level: int, den: int, width: int) -> Optional[list]:
     """The rung f /\\ level as one integer row over den times the table's
-    denominator: the sum of min(v, level * den) * row over the `terms`
-    (v None where f is infinite: the cap is its value).  None when a
-    positive coefficient sits on an atom of infinite measure (row None);
-    zero coefficients never reach it."""
+    denominator: the sum of min(v, level * den) * row over the `terms` of
+    `_ladder_scan` (v None where f is infinite: the cap is its value).  None
+    when a positive coefficient sits on an atom of infinite measure (row
+    None); zero coefficients never reach it."""
     cap = level * den
     acc = [0] * width
     for v, row in terms:
         if row is None:
             return None
-        c = cap if v is None or v > cap else v
-        acc = [a + c * r for a, r in zip(acc, row)]
+        acc = list(map(add, acc, map(mul, row, repeat(cap if v is None or v > cap else v))))
     return acc
 
 
@@ -339,16 +354,15 @@ def _ladder_supremum(nums: tuple, den: int, inf: int, mu: Measure
     stabilized, and otherwise a fixed positive increment makes it unbounded
     (Archimedean), so the supremum is infinity.  A positive value on an atom
     of infinite measure makes every rung infinite, so it shows at level 1.
-    Each rung is one integer row over one denominator (`_rung_row` on the
-    measure's atom table), and consecutive rungs are ordered by
+    One scan of the measure's atom table (`_ladder_scan`) gives the rung
+    terms and the levels; each rung is one integer row over one denominator
+    (`_rung_row`), and consecutive rungs are ordered by
     `spaces.is_positive_row` on their difference.
     """
     table_den, table = mu.atom_table
-    terms = _rung_terms(nums, inf, table)
-    finite_nums = {n for x, n in enumerate(nums) if not inf >> x & 1}
-    nstar = max(1, -(-max(finite_nums, default=0) // den))
-    levels = {1, nstar, nstar + 1}
-    levels.update(k for n in finite_nums for k in (n // den, -(-n // den)) if k >= 1)
+    terms, levels = _ladder_scan(nums, den, inf, table)
+    nstar = max(levels)
+    levels.add(nstar + 1)
     backend, width = mu.backend, mu.backend.ncoords
     previous = rung = None
     for n in sorted(levels):
@@ -356,7 +370,7 @@ def _ladder_supremum(nums: tuple, den: int, inf: int, mu: Measure
         if rung is None:
             return None, {"mode": "infinite-rung", "at_level": n}
         if previous is not None and not spaces.is_positive_row(
-                backend, [b - a for a, b in zip(previous, rung)]):
+                backend, list(map(sub, rung, previous))):
             raise OrdMeasureError("ladder integrals failed to increase")
     if rung == previous:
         return canonical(tuple(rung), den * table_den), {"mode": "stabilized",
@@ -421,10 +435,12 @@ def is_integrable(f: SignedFunction, mu: Measure) -> bool:
 
 def _shifted_parts(space: MeasurableSpace, nums: tuple, den: int) -> Tuple[tuple, tuple]:
     """The canonical forms of f + c * s and c * s for f = nums / den, with s
-    the indicator of the support of f and c above every |f(x)|: constant on
-    atoms, as f is, positive on the support and zero off it."""
+    the indicator of the support of f and c = floor(max |f|) + 1, the least
+    integer above every |f(x)|: constant on atoms, as f is, positive on the
+    support and zero off it.  c * s is an integer form, so functions with
+    one support and one floor(max |f|) share its integral (`_core`'s memo)."""
     space.require_measurable(points_to_mask(x for x, n in enumerate(nums) if n), "support")
-    c = max(map(abs, nums), default=0) + den  # c * den
+    c = (max(map(abs, nums), default=0) // den + 1) * den  # c * den
     return (canonical(tuple(n + c if n else 0 for n in nums), den),
             canonical(tuple(c if n else 0 for n in nums), den))
 

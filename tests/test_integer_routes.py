@@ -166,7 +166,7 @@ class TestDerivedFunctions:
         assert f.abs().values == tuple(map(abs, a))
         assert f.sup_with(g).values == tuple(map(max, a, b))
         assert f.inf_with(g).values == tuple(map(min, a, b))
-        c = max(map(abs, a)) + 1
+        c = math.floor(max(map(abs, a))) + 1
         shifted, shift_only = integral._shifted_parts(space, f.nums, f.den)
         assert tuple(Fraction(n, shifted[1]) for n in shifted[0]) == tuple(
             v + c if v else v for v in a)

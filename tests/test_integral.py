@@ -294,7 +294,8 @@ def measures_and_functions(draw):
     top value small enough for the full ladder.
     """
     backend = draw(st.sampled_from(
-        [om.reals(), om.coord(2), om.loewner_sym(2), om.loewner_sym(3)]))
+        [om.reals(), om.coord(2), om.entrywise_mat(2, 2), om.loewner_sym(2),
+         om.loewner_sym(3)]))
     ground = draw(st.integers(1, 4))
     full = (1 << ground) - 1
     if draw(st.booleans()):
@@ -331,6 +332,18 @@ class TestLadderBreakLevels:
         mu, f = case
         assert oracle.core_routes(f, mu)[1] == full_ladder_supremum(f, mu)
 
+    @given(measures_and_functions())
+    @settings(max_examples=300, deadline=None)
+    def test_scan_levels_are_the_levels_of_every_point(self, case):
+        # The scan reads each atom's first point; the levels it returns are
+        # those of every point's value: 1, nstar, and floor and ceil >= 1.
+        mu, f = case
+        finite = [v for v in f.values if not is_infinite(v)]
+        nstar = max(1, math.ceil(max(finite, default=0)))
+        expected = {1, nstar}.union(k for v in finite for k in (math.floor(v), math.ceil(v))
+                                    if k >= 1)
+        assert integral._ladder_scan(f.nums, f.den, f.inf, mu.atom_table[1])[1] == expected
+
     @pytest.mark.parametrize("values, atom2, expected", [
         ([Fraction(1, 3), 2], fin(0, 1), {"mode": "stabilized", "at_level": 2}),
         ([0, 0], fin(0, 1), {"mode": "stabilized", "at_level": 1}),
@@ -338,7 +351,12 @@ class TestLadderBreakLevels:
          {"mode": "divergent", "increment_from_level": 3}),
         ([0, Fraction(7, 2)], om.infinity(C2),
          {"mode": "infinite-rung", "at_level": 1}),
-    ], ids=["stabilized", "top_zero", "divergent", "infinite_rung"])
+        ([Fraction(1, 3), Fraction(7, 2)], fin(0, 0),
+         {"mode": "stabilized", "at_level": 4}),
+        ([Fraction(5, 2), 0], om.infinity(C2),
+         {"mode": "stabilized", "at_level": 3}),
+    ], ids=["stabilized", "top_zero", "divergent", "infinite_rung", "top_on_null_atom",
+            "zero_on_infinite_atom"])
     def test_trail_modes(self, values, atom2, expected):
         mu = om.Measure(om.power_set_space(2), C2, {1: fin(1, 0), 2: atom2})
         f = om.ext_function(mu.space, values)
@@ -406,7 +424,7 @@ class TestRung:
     def test_rung_row_matches_rung_integral(self, case, level):
         mu, f = case
         table_den, table = mu.atom_table
-        terms = integral._rung_terms(f.nums, f.inf, table)
+        terms, _ = integral._ladder_scan(f.nums, f.den, f.inf, table)
         row = integral._rung_row(terms, level, f.den, mu.backend.ncoords)
         rung = (om.infinity(mu.backend) if row is None else
                 om.finite(spaces._element(mu.backend, tuple(row), f.den * table_den)))
@@ -504,7 +522,7 @@ class TestTrustedFunctions:
             (f.inf_with(g), om.SignedFunction(space, tuple(map(min, f.values, g.values)))),
         ]
         support = points_to_mask(x for x, v in enumerate(f.values) if v != 0)
-        c = max(abs(v) for v in f.values) + 1
+        c = math.floor(max(abs(v) for v in f.values)) + 1
         for trusted, validated in expected:
             assert type(trusted) is type(validated)
             assert trusted == validated and hash(trusted) == hash(validated)
@@ -532,6 +550,45 @@ class TestTrustedFunctions:
         for op in (lambda: f.sup_with(g), lambda: f.inf_with(g)):
             with pytest.raises(ValidationError, match="different spaces"):
                 op()
+
+
+class TestShift:
+    """The shift of the signed decomposition (`_shifted_parts`) is an integer
+    c above every |f(x)|, the least one, so f + c * s is positive exactly on
+    the support of f, and c * s is one integer form for every function with
+    the same support and the same floor(max |f|): the form that the integral
+    memo keeps once."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_integer_shift_above_every_value(self, data):
+        n = data.draw(st.integers(1, 6))
+        gens = data.draw(st.lists(st.integers(0, full_mask(n)), max_size=3))
+        space = om.generate_sigma_algebra(gens, n)
+        atoms = data.draw(st.lists(st.sampled_from(space.atoms), min_size=1, unique=True))
+        support, floor_max = sum(atoms), data.draw(st.integers(0, 4))
+        below = st.fractions(min_value=-floor_max - 1, max_value=floor_max + 1,
+                             max_denominator=7).filter(lambda v: v and abs(v) < floor_max + 1)
+        top = st.fractions(min_value=floor_max, max_value=floor_max + 1,
+                           max_denominator=7).filter(lambda v: 0 < v < floor_max + 1)
+
+        def signed():
+            """A function on `support` whose largest |f(x)| has floor `floor_max`."""
+            per_atom = {a: data.draw(below) for a in atoms}
+            per_atom[data.draw(st.sampled_from(atoms))] = data.draw(top) * data.draw(
+                st.sampled_from([1, -1]))
+            return om.signed_function(space, [next((v for a, v in per_atom.items()
+                                                    if a >> x & 1), 0) for x in range(n)])
+
+        f, g = signed(), signed()
+        (shifted, _), shift_only = integral._shifted_parts(space, f.nums, f.den)
+        assert shift_only[1] == 1
+        c = max(shift_only[0])
+        assert shift_only[0] == tuple(c if support >> x & 1 else 0 for x in range(n))
+        assert all(abs(v) < c for v in f.values) and c - 1 <= max(map(abs, f.values))
+        assert min(shifted) >= 0
+        assert points_to_mask(x for x, s in enumerate(shifted) if s) == support
+        assert integral._shifted_parts(space, g.nums, g.den)[1] == shift_only
 
 
 def _report_or_error(f, mu):

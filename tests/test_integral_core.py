@@ -49,7 +49,7 @@ PINNED = {
     "continuity_above_basic": ((0, 0), (0, 0)),
     "continuity_above_infinite": ((0, 0), (0, 0)),
     "continuity_below_basic": ((0, 0), (0, 0)),
-    "dct_geometric": ((258, 772), (1026, 3076)),
+    "dct_geometric": ((195, 520), (771, 2056)),
     "dct_stabilizing": ((7, 16), (7, 16)),
     "fatou_alternating": ((3, 6), (3, 6)),
     "fatou_constant": ((3, 9), (3, 9)),

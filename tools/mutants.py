@@ -52,13 +52,17 @@ MUTANTS = [
     ("closed form: no final gcd", "integral.py", "_closed_form",
      "canonical(tuple(acc), acc_den * den)", "(tuple(acc), acc_den * den)", [CORE]),
     ("closed form: the sum is not brought over the common denominator", "integral.py",
-     "_closed_form", "p * (d // g)", "p", [CORE]),
+     "_closed_form", "list(map(mul, acc, repeat(d // g)))", "acc", [CORE]),
     ("part transform: no gcd", "integral.py", "_part",
      "canonical(tuple(map(op, nums)), den)", "(tuple(map(op, nums)), den)", [CORE, UNIT]),
     ("_rung_row: an infinite atom is skipped", "integral.py", "_rung_row",
      "if row is None:\n    return None", "if row is None:\n    continue", [UNIT]),
     ("ladder: break level nstar + 1 dropped", "integral.py", "_ladder_supremum",
-     "{1, nstar, nstar + 1}", "{1, nstar}", [UNIT]),
+     "levels.add(nstar + 1)", "pass", [UNIT]),
+    ("ladder scan: level 0 kept", "integral.py", "_ladder_scan", "k > 0", "k >= 0", [UNIT]),
+    ("shift: c = floor(max |f|), not above an integer maximum", "integral.py",
+     "_shifted_parts", "max(map(abs, nums), default=0) // den + 1",
+     "max(map(abs, nums), default=0) // den", [UNIT]),
     ("alternating: the whole list is the period, not the least one", "sequences.py",
      "least_cycle", "terms[p:] == terms[:size - p]", "p == size", [TAILS]),
     ("explicit: stable from the list's length, not the final run", "sequences.py",
