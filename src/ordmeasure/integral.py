@@ -9,9 +9,12 @@ code, each settles 0 * inf itself, and they must agree exactly on the
 value, a row of `extended`: the checks compute on rows, and an element is
 built only for a value that a report prints.  The parts that `dct` and the
 signed integral (`_signed_row`) integrate (|f|, f+, f-, the shifted parts,
-|t - f|) are integer transforms of a function's numerators.  `truncate` and
-`integrate_elementary` build and integrate rungs as elementary functions
-for the tests.
+|t - f|) are integer transforms of a function's numerators.  Whether a
+signed function is integrable (`is_integrable`: a finite integral of |f|)
+is asked once per function, where the API or a check states it
+(`integrate_signed`, `dct` and `l1_quotient`), and `_signed_row` trusts
+that answer.  `truncate` and `integrate_elementary` build and integrate
+rungs as elementary functions for the tests.
 
 The monotone and dominated convergence theorems and the Fatou inequality
 are certified checks on what a sequence declares: Fatou reads its cycle
@@ -44,7 +47,7 @@ from .errors import (CertificationError, Frozen, HypothesisError, NotIntegrableE
 from .extended import (ExtElement, certify_divergence, certify_monotone_limit, ext_add,
                        ext_leq, ext_scale, ext_to_json, ext_zero, from_row)
 from .measures import MeasurableSpace, Measure, mask_to_points, points_to_mask
-from .rationals import INFINITY, format_pair, is_infinite, over_one_den
+from .rationals import INFINITY, format_pair, over_one_den
 from .reports import CheckResult, verdict, word
 from .sequences import (SequenceSpec, certify_gaps, declared_cycle, declared_limit,
                         epsilon_schedule, stable_from)
@@ -114,10 +117,6 @@ def _pointwise_part(op, f, g) -> tuple:
     return canonical(tuple(op(x * a, y * b) for x, y in zip(f.nums, g.nums)), den)
 
 
-def _pointwise(op, f, g) -> "SignedFunction":
-    return _trusted(SignedFunction, f.space, *_pointwise_part(op, f, g))
-
-
 class _PointFunction(Frozen):
     """A function given by its value at each ground point of `space`: the
     integer numerators `nums` over one denominator `den`, in canonical form
@@ -129,7 +128,8 @@ class _PointFunction(Frozen):
     __slots__ = ("space", "nums", "den", "inf")
 
     def __init__(self, space: MeasurableSpace, values: tuple):
-        self._set(space, *over_one_den(values))._validate()
+        nums, den, inf = over_one_den(values)  # a pair need not be in lowest terms
+        self._set(space, *canonical(nums, den), inf)._validate()
 
     @classmethod
     def from_nums(cls, space: MeasurableSpace, nums: tuple, den: int, inf: int = 0):
@@ -185,24 +185,18 @@ class SignedFunction(_PointFunction):
         return _trusted(ExtFunction, self.space, *_part(abs, self.nums, self.den))
 
     def sup_with(self, other: "SignedFunction") -> "SignedFunction":
-        return _pointwise(max, self, other)
+        return _trusted(SignedFunction, self.space, *_pointwise_part(max, self, other))
 
     def inf_with(self, other: "SignedFunction") -> "SignedFunction":
-        return _pointwise(min, self, other)
-
-
-def _coerced(values: Sequence) -> tuple:
-    """`values` as Fractions, with INFINITY kept, for the constructors to test."""
-    from fractions import Fraction
-    return tuple(v if is_infinite(v) else Fraction(v) for v in values)
+        return _trusted(SignedFunction, self.space, *_pointwise_part(min, self, other))
 
 
 def ext_function(space: MeasurableSpace, values: Sequence) -> ExtFunction:
-    return ExtFunction(space, _coerced(values))
+    return ExtFunction(space, tuple(values))
 
 
 def signed_function(space: MeasurableSpace, values: Sequence) -> SignedFunction:
-    return SignedFunction(space, _coerced(values))
+    return SignedFunction(space, tuple(values))
 
 
 class ElementaryFunction(Frozen):
@@ -389,8 +383,8 @@ def _core(mu: Measure, nums: tuple, den: int, inf: int = 0) -> list:
     """The two-route integral on `mu` of the canonical form (nums, den, inf):
     the closed form and the ladder must agree exactly on its row (`extended`).
     Both run once per distinct form: ``mu.integral_memo`` keeps ``[row, trail,
-    report]``, the report built by `_integral` on first use.  Callers check
-    the space (`_require_space`)."""
+    report]``, the report built by `integrate_extended` on first use.  Callers
+    check the space (`_require_space`)."""
     key = (nums, den, inf)
     entry = mu.integral_memo.get(key)
     if entry is None:
@@ -403,14 +397,6 @@ def _core(mu: Measure, nums: tuple, den: int, inf: int = 0) -> list:
     return entry
 
 
-def _integral(mu: Measure, nums: tuple, den: int, inf: int = 0) -> IntegralReport:
-    """The report of `_core`: one element and one report per distinct function."""
-    entry = _core(mu, nums, den, inf)
-    if entry[2] is None:  # by position, Frozen's fast path
-        entry[2] = IntegralReport(extended.from_row(mu.backend, entry[0]), entry[1])
-    return entry[2]
-
-
 def _row(g, mu: Measure) -> Optional[tuple]:
     """The row of the integral of g, once its space is checked; no element."""
     _require_space(g, mu)
@@ -418,10 +404,14 @@ def _row(g, mu: Measure) -> Optional[tuple]:
 
 
 def integrate_extended(f: ExtFunction, mu: Measure) -> IntegralReport:
-    """Order integral of an extended-nonnegative measurable function: the
-    report of `_integral` on its canonical form, once its space is checked."""
+    """Order integral of an extended-nonnegative measurable function, once
+    its space is checked: the value and trail of `_core` on its canonical
+    form, with one element and one report per distinct form."""
     _require_space(f, mu)
-    return _integral(mu, f.nums, f.den, f.inf)
+    entry = _core(mu, f.nums, f.den, f.inf)
+    if entry[2] is None:  # by position, Frozen's fast path
+        entry[2] = IntegralReport(extended.from_row(mu.backend, entry[0]), entry[1])
+    return entry[2]
 
 
 def integral_value(f: ExtFunction, mu: Measure) -> ExtElement:
@@ -446,11 +436,10 @@ def _shifted_parts(space: MeasurableSpace, nums: tuple, den: int) -> Tuple[tuple
 
 
 def _signed_row(f: SignedFunction, mu: Measure) -> tuple:
-    """Integral of an integrable signed function as the row f+ - f-, verified
-    against the shifted decomposition (f + c * s) - c * s (`_shifted_parts`).
-    Each part is an integer transform of f's numerators, not a function."""
-    if not is_integrable(f, mu):
-        raise NotIntegrableError("the function has an infinite |f| integral")
+    """Integral of a signed function that `is_integrable` admits (its caller
+    asks, which checks the space too) as the row f+ - f-, verified against
+    the shifted decomposition (f + c * s) - c * s (`_shifted_parts`).  Each
+    part is an integer transform of f's numerators, not a function."""
     result = row_sub(_core(mu, *_part(_pos, f.nums, f.den))[0],
                      _core(mu, *_part(_neg, f.nums, f.den))[0])
     lhs, rhs = (_core(mu, *part)[0] for part in _shifted_parts(f.space, f.nums, f.den))
@@ -460,7 +449,10 @@ def _signed_row(f: SignedFunction, mu: Measure) -> tuple:
 
 
 def integrate_signed(f: SignedFunction, mu: Measure) -> Element:
-    """The integral of `_signed_row`, as an element."""
+    """The integral of an integrable signed function, as an element: the
+    row of `_signed_row`, once `is_integrable` admits f."""
+    if not is_integrable(f, mu):
+        raise NotIntegrableError("the function has an infinite |f| integral")
     return spaces._element(mu.backend, *_signed_row(f, mu))
 
 
@@ -624,7 +616,7 @@ def dct(mu: Measure, seq: SequenceSpec, f: SignedFunction, g: ExtFunction,
 
     deviations = [_core(mu, *_pointwise_part(_distance, t, f))[0] for t in terms]
     details["part3_deviation_infimum"] = word(True)
-    f_int = _signed_row(f, mu)
+    f_int = _signed_row(f, mu)  # parts 1 and 2 admitted f and every term
     if all(not any(d[0]) for d in deviations[-2:]):  # the last two, or the one at horizon 1
         details["part3_mode"] = {"mode": "stabilized", "at": stable_from(deviations).index}
         part4 = row_eq(_signed_row(terms[-1], mu), f_int)

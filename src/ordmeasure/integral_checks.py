@@ -205,43 +205,44 @@ def l1_quotient(mu: Measure, functions: Sequence[SignedFunction]) -> CheckResult
     atoms.  Verifies that equivalent functions have equal integrals, that a
     nonnegative class with zero integral is the zero class (strict
     positivity of the quotient integral), and that pointwise lattice
-    operations descend to the classes.
+    operations descend to the classes.  It computes on integer forms: the
+    numerators off the null points, `_signed_row` rows and `_pointwise_part`.
     """
     for f in functions:
         if not integral.is_integrable(f, mu):
             raise NotIntegrableError("all inputs must be integrable")
     null = mu.null_mask
 
-    def class_key(f: SignedFunction) -> tuple:
+    def class_key(nums: tuple, den: int) -> tuple:
         """den, then the numerators off `null`, reduced by one gcd."""
         nums, den = spaces.canonical(
-            tuple(n for x, n in enumerate(f.nums) if not null >> x & 1), f.den)
+            tuple(n for x, n in enumerate(nums) if not null >> x & 1), den)
         return den, *nums
 
-    keys = [class_key(f) for f in functions]
+    keys = [class_key(f.nums, f.den) for f in functions]
     classes: Dict[tuple, List[int]] = {}
     for i, key in enumerate(keys):
         classes.setdefault(key, []).append(i)
 
-    ints = [integral.integrate_signed(f, mu) for f in functions]
+    ints = [integral._signed_row(f, mu) for f in functions]
     problems = []
     for members in classes.values():
-        if any(ints[i] != ints[members[0]] for i in members[1:]):
+        if any(not spaces.row_eq(ints[i], ints[members[0]]) for i in members[1:]):
             problems.append({"issue": "equal classes with unequal integrals",
                              "members": members})
-    zero_el = spaces.zero(mu.backend)
     for i, (_, *nums) in enumerate(keys):
-        if all(n >= 0 for n in nums) and ints[i] == zero_el:
+        if all(n >= 0 for n in nums) and not any(ints[i][0]):
             if any(nums):
                 problems.append({"issue": "strict positivity violated", "index": i})
+    part = integral._pointwise_part  # the canonical form of op(f, g)
     for m1 in classes.values():
         for m2 in classes.values():
             f1, f2 = functions[m1[0]], functions[m1[-1]]
             g1, g2 = functions[m2[0]], functions[m2[-1]]
-            if class_key(f1.sup_with(g1)) != class_key(f2.sup_with(g2)):
+            if class_key(*part(max, f1, g1)) != class_key(*part(max, f2, g2)):
                 problems.append({"issue": "supremum does not descend",
                                  "classes": [m1, m2]})
-            if class_key(f1.inf_with(g1)) != class_key(f2.inf_with(g2)):
+            if class_key(*part(min, f1, g1)) != class_key(*part(min, f2, g2)):
                 problems.append({"issue": "infimum does not descend",
                                  "classes": [m1, m2]})
     details = {

@@ -170,7 +170,7 @@ def ext_value(mu, value) -> om.ExtElement:
 
 
 def core_routes(f, mu) -> tuple:
-    """The two routes of the integral core `integral._integral` on f's
+    """The two routes of the integral core `integral._core` on f's
     canonical integer form, recomputed: the closed form's value, and the
     ladder's value and trail, each value as an extended element."""
     closed = integral._closed_form(f.nums, f.den, f.inf, mu)

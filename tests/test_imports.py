@@ -1,8 +1,9 @@
 """What the library imports, and when.
 
-Every name a library module imports is used in that module.  No linter
-ships with the project, so this walks each module's syntax tree with the
-standard `ast` module.  No module imports `dataclasses`, no value class
+Every name a library module imports is used in that module, and every
+module-level private function or class is read by other code of the
+library.  No linter ships with the project, so this walks each module's
+syntax tree with the standard `ast` module.  No module imports `dataclasses`, no value class
 but `Element` and `ExtElement` writes the equality, hashing or repr that
 `errors.Frozen` derives, only the value classes that check their arguments
 write a constructor, no module but `reports` builds a check result or
@@ -21,6 +22,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -62,6 +64,56 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def referenced_names(node) -> list:
+    """The names that `node` reads: a Name's id, an attribute's name, a
+    string constant (a dispatch table's entry) and the names an import from
+    a module binds."""
+    names = [getattr(node, "id", None), getattr(node, "attr", None)]
+    if isinstance(node, ast.Constant):
+        names.append(node.value)
+    if isinstance(node, ast.ImportFrom):
+        names += [alias.name for alias in node.names]
+    return [name for name in names if isinstance(name, str)]
+
+
+def unread_private_definitions(sources: dict) -> list:
+    """The module-level private functions and classes of `sources` (module
+    name to source) that no other code of `sources` reads (`referenced_names`).
+    A read inside the definition itself, as in a recursive call, does not
+    count."""
+    reads, own, found = Counter(), Counter(), []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        reads.update(name for node in ast.walk(tree) for name in referenced_names(node))
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")):
+                found.append((module, node.name))
+                own.update(name for inner in ast.walk(node)
+                           for name in referenced_names(inner) if name == node.name)
+    return [(module, name) for module, name in found if reads[name] <= own[name]]
+
+
+def test_finds_an_unread_private_definition():
+    sources = {"a": ("from .b import _used_elsewhere\n"
+                     "def _recursive(n):\n    return _recursive(n - 1)\n"
+                     "def _used_here():\n    pass\n"
+                     "class _Unread:\n    pass\n"
+                     "def public():\n    return _used_here()\n"),
+               "b": ("def _used_elsewhere():\n    pass\n"
+                     "def _by_attribute():\n    pass\n"
+                     "def __dunder__():\n    pass\n"
+                     "def _by_name():\n    pass\n"
+                     "x = module._by_attribute, {'check': '_by_name'}\n")}
+    assert unread_private_definitions(sources) == [("a", "_recursive"), ("a", "_Unread")]
+
+
+def test_every_private_definition_is_read():
+    """A private helper that no code of the library reads is dead: the
+    unused-import rule, extended to functions and classes."""
+    assert unread_private_definitions({path.stem: path.read_text() for path in MODULES}) == []
 
 
 def test_finds_a_dataclasses_import():

@@ -458,8 +458,8 @@ class TestRung:
 class TestLadderOperationCounts:
     """The integral core's ladder sums one integer row per break level on the
     measure's atom table, neither route builds an element on the way, and
-    the core builds one `Element` for a finite integral; no route makes
-    pairwise element arithmetic."""
+    `integrate_extended` builds one `Element` for a finite integral; no
+    route makes pairwise element arithmetic."""
 
     @pytest.mark.parametrize("values, atom_values, levels, elements", [
         ([Fraction(1, 3), 2], [fin(1, 0), fin(0, 1)], [1, 2, 3], 1),
@@ -493,7 +493,7 @@ class TestLadderOperationCounts:
                             (extended, "ext_add"), (extended, "ext_scale"),
                             (integral, "ext_add"), (integral, "ext_scale")]:
             monkeypatch.setattr(owner, name, forbidden)
-        integral._integral(mu, f.nums, f.den, f.inf)
+        integral.integrate_extended(f, mu)
         assert calls == {"elements": elements, "levels": levels}
 
 

@@ -39,6 +39,7 @@ PACKAGE = Path("src") / "ordmeasure"
 CORE, UNIT = "tests/test_integral_core.py", "tests/test_integral.py"
 TAILS = "tests/test_declared_tails.py"
 ROWS = "tests/test_row_route.py"
+GATE = "tests/test_integrability.py"
 SPACES = "tests/test_spaces.py"
 SCENARIOS = "tests/test_scenarios.py"
 REFERENCE = "tests/test_cli_reference.py"
@@ -104,6 +105,14 @@ MUTANTS = [
     ("signed row: the shifted decomposition is not compared", "integral.py", "_signed_row",
      "lhs is not None and rhs is not None and (not row_eq(row_sub(lhs, rhs), result))",
      "False", [ROWS]),
+    ("integrate_signed: the integrability gate is dropped", "integral.py",
+     "integrate_signed", "if not is_integrable(f, mu):\n"
+     "    raise NotIntegrableError('the function has an infinite |f| integral')", "pass",
+     [GATE, ROWS]),
+    ("l1_quotient: the infimum key is built with max", "integral_checks.py", "l1_quotient",
+     "part(min, f1, g1)", "part(max, f1, g1)", [GATE]),
+    ("l1_quotient: strict positivity flags the zero class (any(nums) dropped)",
+     "integral_checks.py", "l1_quotient", "any(nums)", "True", [GATE]),
     ("row certifier: the decreasing direction is swapped", "extended.py",
      "certify_monotone_limit", "spaces.row_leq(space, b, a)", "spaces.row_leq(space, a, b)",
      ["tests/test_extended.py"]),
