@@ -135,27 +135,25 @@ def _row(v: ExtElement):
 
 
 def ext_rows(values: Sequence[ExtElement]) -> list:
-    """The values as one integer table: each finite value as a row
-    ``(nums, den)`` of integer numerators over a positive denominator, the
-    point at infinity as None.  Every row is brought over the lcm of the
-    denominators, so that rows add and subtract without a multiplication
-    and equal values are equal rows.  A table of many unrelated
-    denominators, whose lcm has more than twice the bits of the largest one
-    (plus 64), keeps each value over its own denominator instead: then the
-    row kernels cross-multiply, and no number outgrows the few values an
-    operation reads."""
-    dens = [v.finite.den for v in values if v.finite is not None]
+    """The values as one integer table (`common_den_rows` of their rows)."""
+    return common_den_rows([_row(v) for v in values])
+
+
+def common_den_rows(rows: list) -> list:
+    """Rows ``(nums, den)`` of integer numerators over a positive
+    denominator, None for infinity, as one integer table.  Every row is
+    brought over the lcm of the denominators, so that rows add and
+    subtract without a multiplication and equal values are equal rows.  A
+    table of many unrelated denominators, whose lcm has more than twice the
+    bits of the largest one (plus 64), keeps each row over its own
+    denominator instead: then the row kernels cross-multiply, and no number
+    outgrows the few values an operation reads."""
+    dens = [row[1] for row in rows if row is not None]
     common = math.lcm(*dens)
     if common.bit_length() > 2 * max(dens, default=1).bit_length() + 64:
-        common = None
-    rows = []
-    for v in values:
-        row = _row(v)
-        if row is not None and common is not None and row[1] != common:
-            factor = common // row[1]
-            row = tuple([x * factor for x in row[0]]), common
-        rows.append(row)
-    return rows
+        return list(rows)
+    return [row if row is None or row[1] == common
+            else (tuple([x * (common // row[1]) for x in row[0]]), common) for row in rows]
 
 
 def from_row(space: SpaceDescriptor, row) -> ExtElement:

@@ -24,28 +24,38 @@ is summed once, not once for every set that separates it.
 
 Every `OuterMeasure` comes out of one validating pass,
 `validate_outer_measure` (`induce_outer` ends in it too), and holds that
-pass's split record; no record is built later.  The pass runs on
-one integer table (`extended.ext_rows`): the 2^n values as rows of integer
-numerators over one common denominator, with None for the point at
-infinity.  Positivity, monotonicity and the pair pass take that table and
-its kernels from one `spaces.table_kernels` call, given the number of
-visits the pass makes: on a coordinatewise backend a table of nonnegative
-numerators over one denominator is packed, one int per value, and a sum is
-one integer add and a <= b one add, subtract and mask test.  A Loewner
-table whose distinct values make fewer pairs than the pass visits is
-interned: each value is an index, and each distinct sum and each distinct
-ordered pair is decided once.  Otherwise a sum is an integer add per
-coordinate and a <= b one positivity test of the row b - a.  The passes
-keep their loops, their pair order and their witnesses on every route, and
-build no element.
+pass's split record; no record is built later.  The pass takes a table of
+rows by mask, integer numerators over a denominator or None for the point
+at infinity, and runs on one integer table (`extended.common_den_rows`):
+the 2^n rows over one common denominator.  The `OuterMeasure` keeps that
+table, and `OuterMeasure.value` builds the element of a value only when
+it is asked for, as a report prints an atom's value.  An `outer_values`
+document is read straight into rows: each key is one lookup in the name
+table of `set_names`, which also gives the JSON pointer of a refused set,
+and each value one `row_reader` call, which parses each distinct
+coordinate string once.  `induce_outer` builds its rows from
+`Measure.row`, and extraction compares the restricted measure with the
+table on rows.  Positivity, monotonicity and the pair pass take the
+integer table and its kernels from one `spaces.table_kernels` call, given
+the number of visits the pass makes: on a coordinatewise backend a table
+of nonnegative numerators over one denominator is packed, one int per
+value, and a sum is one integer add and a <= b one add, subtract and mask
+test.  A Loewner table whose distinct values make fewer pairs than the
+pass visits is interned: each value is an index, and each distinct sum
+and each distinct ordered pair is decided once.  Otherwise a sum is an
+integer add per coordinate and a <= b one positivity test of the row
+b - a.  The passes keep their loops, their pair order and their witnesses
+on every route, and build no element.
 """
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from .errors import MAX_OUTER_GROUND_SIZE, Frozen, ValidationError, check_cap
-from .extended import ExtElement, ext_rows, ext_to_json
+from .extended import ExtElement, common_den_rows, ext_to_json, from_row
 from .measures import (
     MeasurableSpace,
     Measure,
@@ -54,20 +64,74 @@ from .measures import (
     mask_to_points,
     validate_sigma_algebra,
 )
+from .rationals import parse_rational
 from .reports import CheckResult, verdict
-from .spaces import SpaceDescriptor, table_kernels
+from .spaces import SpaceDescriptor, require_symmetric, row_eq, table_kernels
 
 
 class OuterMeasure(Frozen):
     """A total map from the power set into the extended cone, as
-    `validate_outer_measure` returns it, with the split record of its pair
-    pass: bit b of ``split_failures[a]`` is set when the disjoint pair
-    (a, b) splits non-additively, nu(a | b) != nu(a) + nu(b)."""
+    `validate_outer_measure` returns it: `values`, indexed by mask, is the
+    integer table of its pass (`extended.common_den_rows`), and bit b of
+    ``split_failures[a]`` is set when the disjoint pair (a, b) splits
+    non-additively, nu(a | b) != nu(a) + nu(b)."""
 
     __slots__ = ("ground_size", "backend", "values", "split_failures")
 
     def value(self, mask: int) -> ExtElement:
-        return self.values[mask]
+        """The value of `mask`, built from its row."""
+        return from_row(self.backend, self.values[mask])
+
+
+@lru_cache(maxsize=None)
+def set_names(ground_size: int) -> tuple:
+    """``(names, index)``: the canonical name of each set of `ground_size`
+    points, indexed by mask, and the mask of each name.  A name is the
+    set's points in increasing order joined by commas, "" for the empty
+    set: the name of a mask is the name of the mask without its top point,
+    then "," and the top point.  Above the ground-size cap both are empty.
+    The pair is built once per ground size and shared: callers only read it."""
+    if ground_size > MAX_OUTER_GROUND_SIZE:
+        return (), {}
+    names = [""]
+    for p in range(ground_size):
+        top = str(p)
+        names += [f"{name},{top}" if name else top for name in names]
+    return tuple(names), {name: mask for mask, name in enumerate(names)}
+
+
+def row_reader(backend: SpaceDescriptor):
+    """A reader of the values of one table of JSON extended elements:
+    ``read(doc)`` is None for "infinity", and for {"finite": [...]} with
+    one coordinate string per coordinate of `backend` (a Loewner matrix
+    symmetric) the canonical row ``(nums, den)``, nums over the lcm of the
+    coordinates' denominators.  Each distinct coordinate string is parsed
+    once per reader by `rationals.parse_rational`, and each distinct list
+    of them is read once.  Any other `doc` raises a SchemaError, ValueError
+    or TypeError, and is left to a reader that names the refusal."""
+    ncoords, pairs, rows = backend.ncoords, {}, {}
+
+    def read(doc):
+        if doc == "infinity":
+            return None
+        coords = doc.get("finite") if type(doc) is dict and len(doc) == 1 else None
+        if type(coords) is not list or len(coords) != ncoords:
+            raise ValueError("not a finite element of the backend")
+        key = tuple(coords)
+        row = rows.get(key)
+        if row is None:
+            read_pairs = []
+            for text in coords:
+                pair = pairs.get(text)
+                if pair is None:
+                    pair = pairs[text] = parse_rational(text)
+                read_pairs.append(pair)
+            require_symmetric(backend, read_pairs)
+            den = math.lcm(*[d for _, d in read_pairs])
+            row = rows[key] = tuple([n * (den // d) for n, d in read_pairs]), den
+        return row
+
+    return read
 
 
 def _power_set(ground_size: int) -> range:
@@ -102,13 +166,17 @@ def _split_table(values: list, add, leq, eq) -> List[int]:
     return failures
 
 
-def validate_outer_measure(values: Dict[int, ExtElement], backend: SpaceDescriptor,
+def validate_outer_measure(table: Dict[int, Optional[tuple]], backend: SpaceDescriptor,
                            ground_size: int) -> OuterMeasure:
     """Check the outer-measure axioms exhaustively and return the object.
 
-    The ground size is held to its cap first, then the values are checked
-    to be total, zero on the empty set and in `backend`.  Positivity,
-    0 <= nu(A) in the order of `values`, monotonicity and the pair pass
+    `table` maps each mask to the row of its value: ``(nums, den)``,
+    integer numerators over a positive denominator, or None for infinity.
+    The ground size is held to its cap first, then the table is checked to
+    be total, zero on the empty set and of the coordinate count of
+    `backend`.  Its rows are brought over one denominator
+    (`extended.common_den_rows`).  Positivity, 0 <= nu(A) in the order of
+    `table`, monotonicity and the pair pass
     then run on the table of one `spaces.table_kernels` call, for their
     2^n + n 2^(n-1) + (3^n - 1)/2 visits; the table and its memos are
     dropped when the pass returns.  Monotonicity is checked along
@@ -126,20 +194,20 @@ def validate_outer_measure(values: Dict[int, ExtElement], backend: SpaceDescript
     that split non-additively, kept as `split_failures` for measurability.
     """
     masks = _power_set(ground_size)
-    if values.keys() != set(masks):
+    if table.keys() != set(masks):
         raise ValidationError("outer measure must be total on the power set")
-    zero_v = values[0]
-    if not (zero_v.is_finite and zero_v.finite.is_zero()):
+    zero = table[0]
+    if zero is None or any(zero[0]):
         raise ValidationError("outer measure of the empty set must be zero",
-                              witness={"empty_value": repr(zero_v)})
-    if any(v.space != backend for v in values.values()):
+                              witness={"empty_value": repr(from_row(backend, zero))})
+    if any(row is not None and len(row[0]) != backend.ncoords for row in table.values()):
         raise ValidationError("outer value in the wrong backend")
-    size = len(masks)
-    kernels = table_kernels(backend, ext_rows([values[mask] for mask in masks]),
+    rows, size = common_den_rows([table[mask] for mask in masks]), len(masks)
+    kernels = table_kernels(backend, rows,
                             size + ground_size * size // 2 + (3 ** ground_size - 1) // 2)
-    table, _, leq, _ = kernels
-    for mask in values:
-        if not leq(table[0], table[mask]):
+    values, _, leq, _ = kernels
+    for mask in table:
+        if not leq(values[0], values[mask]):
             raise ValidationError(
                 f"outer value of {mask_to_points(mask)} is outside the positive cone",
                 witness={"set": mask_to_points(mask)},
@@ -147,13 +215,13 @@ def validate_outer_measure(values: Dict[int, ExtElement], backend: SpaceDescript
     for mask in masks:
         for p in range(ground_size):
             bigger = mask | (1 << p)
-            if bigger != mask and not leq(table[mask], table[bigger]):
+            if bigger != mask and not leq(values[mask], values[bigger]):
                 raise ValidationError(
                     "monotonicity violation",
                     witness={"smaller": mask_to_points(mask),
                              "larger": mask_to_points(bigger)},
                 )
-    return OuterMeasure(ground_size, backend, dict(values), _split_table(*kernels))
+    return OuterMeasure(ground_size, backend, rows, _split_table(*kernels))
 
 
 def induce_outer(mu: Measure) -> OuterMeasure:
@@ -161,13 +229,16 @@ def induce_outer(mu: Measure) -> OuterMeasure:
 
     On a finite algebra the infimum over measurable covers is attained at
     the union of the atoms that the subset meets, so the induced outer
-    measure extends the measure exactly.  Its values go through
-    `validate_outer_measure`, as an explicit table does, so its split
-    record is that pass's; the cap is held before any value is built.
+    measure extends the measure exactly.  Its table, each set's row the
+    `Measure.row` of its cover over the atom table's denominator, goes
+    through `validate_outer_measure`, as an explicit table does, so its
+    split record is that pass's; the cap is held before any row is built.
     """
-    n, cover = mu.space.ground_size, mu.space.cover
-    return validate_outer_measure({mask: mu.evaluate(cover(mask)) for mask in _power_set(n)},
-                                  mu.backend, n)
+    n, cover, den = mu.space.ground_size, mu.space.cover, mu.atom_table[0]
+    masks = _power_set(n)
+    rows = {union: mu.row(union) for union in mu.space.members()}
+    rows = {union: None if row is None else (row, den) for union, row in rows.items()}
+    return validate_outer_measure({mask: rows[cover(mask)] for mask in masks}, mu.backend, n)
 
 
 def caratheodory_measurable(nu: OuterMeasure, mask: int) -> bool:
@@ -197,16 +268,19 @@ def extract_measurable_algebra(nu: OuterMeasure) -> Tuple[MeasurableSpace, Measu
     """Collect the Caratheodory measurable sets and restrict to a measure.
 
     The measurable family must come out a sigma-algebra and the restriction
-    must agree with the outer measure on it; both are verified, and a
-    failure of either is an implementation bug, not a property of the input.
+    must agree with the outer measure on it, `Measure.row` against the row
+    of the outer table; both are verified, and a failure of either is an
+    implementation bug, not a property of the input.  Elements are built
+    for the atoms' values only.
     """
     full = full_mask(nu.ground_size)
     family = [mask for mask in range(full + 1) if caratheodory_measurable(nu, mask)]
     space = validate_sigma_algebra(family, nu.ground_size)
-    atom_values = {atom: nu.value(atom) for atom in space.atoms}
-    restricted = Measure(space, nu.backend, atom_values)
+    restricted = Measure(space, nu.backend, {atom: nu.value(atom) for atom in space.atoms})
+    den = restricted.atom_table[0]
     for mask in family:
-        if restricted.evaluate(mask) != nu.value(mask):
+        row = restricted.row(mask)
+        if not row_eq(None if row is None else (row, den), nu.values[mask]):
             raise ValidationError(
                 "restriction disagrees with the outer measure on a measurable set",
                 witness={"set": mask_to_points(mask)},

@@ -57,6 +57,15 @@ RFC 6901 asks.  The readers of the many values of a document (`_scalars`,
 `_keyed_ext_element`) read each value at the pointer "" and build its
 pointer only when they refuse it (`SchemaError.under`).
 
+An `outer_values` table is read straight into the rows that validation
+takes (`_parse_outer`): each key is one lookup in the name table of
+`outer.set_names`, and each value one call of an `outer.row_reader`,
+which parses each distinct coordinate string once and builds no element.
+A key that names no set goes to `_set_key`, and a value that the row
+reader does not take to `_keyed_ext_element`, the readers that name the
+refusal.  The name table is also the map from a refused set to the
+pointer of its key, since each set has one spelling.
+
 Every number is read once, by `rationals.parse_rational`, as an integer
 pair (num, den) in lowest terms, and an element is built from the pairs
 of its coordinates by the trusted constructor, once their count and the
@@ -71,12 +80,12 @@ import math
 import operator
 import re
 from functools import partial
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Union
 
 from . import measures as measures_mod
 from .errors import (MAX_GROUND_SIZE, MAX_HORIZON, DimensionLimitError, Frozen, SchemaError,
                      ValidationError, check_cap)
-from .extended import ExtElement, ext_to_json, finite, infinity
+from .extended import ExtElement, _row, ext_to_json, finite, infinity
 from .measures import MeasurableSpace, Measure, mask_to_points, points_to_mask
 from .rationals import format_pair, over_one_den, parse_ext_scalar, parse_rational
 from .reports import HOLDS, REFUSALS, STATUSES, CheckResult, refused, verdict
@@ -96,12 +105,13 @@ def _pointer(path: str, key) -> str:
     return f"{path}/{str(key).replace('~', '~0').replace('/', '~1')}"
 
 
-def _at(path: str, fn: Callable, *args, keys: Optional[dict] = None,
+def _at(path: str, fn: Callable, *args, keys: Optional[Union[dict, tuple]] = None,
         message: Optional[str] = None):
     """``fn(*args)``, with a size cap that it breaks or a ValidationError made a
     schema error at `path`, and `message` if given.  The pointer goes one key
     deeper when the witness names a ``"key"``, or a ``"set"`` that `keys` maps
-    (by mask) to the document key that wrote it."""
+    (by mask: a dict, or a name table indexed by mask) to the document key
+    that wrote it."""
     try:
         return fn(*args)
     except DimensionLimitError as exc:
@@ -110,7 +120,7 @@ def _at(path: str, fn: Callable, *args, keys: Optional[dict] = None,
         witness = exc.witness or {}
         key = witness.get("key")
         if keys is not None and "set" in witness:
-            key = keys.get(points_to_mask(witness["set"]))
+            key = keys[points_to_mask(witness["set"])]
         raise SchemaError(message or str(exc),
                           path if key is None else _pointer(path, key)) from None
 
@@ -643,11 +653,16 @@ def _parse_outer(doc, mu: Optional[Measure], backend: SpaceDescriptor, ground: i
             raise SchemaError("induced outer measure needs a measure", path)
         return _at(path, outer.induce_outer, mu)
     path += "/outer_values"
-    values, keys = {}, {}
+    (names, index), read, table = outer.set_names(ground), outer.row_reader(backend), {}
     for key, vdoc in _require_json(doc["outer_values"], dict, "outer_values", path).items():
-        mask = _set_key(key, ground, path)
-        values[mask], keys[mask] = _keyed_ext_element(vdoc, backend, path, key), key
-    return _at(path, outer.validate_outer_measure, values, backend, ground, keys=keys)
+        mask = index.get(key)
+        if mask is None:  # no set's name: `_set_key` refuses it, or reads it above the cap
+            mask = _set_key(key, ground, path)
+        try:
+            table[mask] = read(vdoc)
+        except (SchemaError, ValueError, TypeError):  # the element reader names the refusal
+            table[mask] = _row(_keyed_ext_element(vdoc, backend, path, key))
+    return _at(path, outer.validate_outer_measure, table, backend, ground, keys=names)
 
 
 # A set key: points in ASCII decimal digits with no leading zero, joined by commas.

@@ -1,8 +1,10 @@
 """Families of valid outer measures for randomized suites, and the slower
-methods kept as oracles: measurability tests, and the outer-measure axioms,
-split record, set evaluation and measure identities decided on Fraction
-coordinates (`frac_ext_add`, `frac_ext_leq`, `frac_sub`) rather than on the
-library's integer table and row kernels."""
+methods kept as oracles: measurability tests, the reader of an
+`outer_values` table that the row reader replaced (`ext_read_outer`), and
+the outer-measure axioms, split record, set evaluation and measure
+identities decided on Fraction coordinates (`frac_ext_add`,
+`frac_ext_leq`, `frac_sub`) rather than on the library's integer table and
+row kernels."""
 
 from fractions import Fraction
 
@@ -11,9 +13,37 @@ from integral_oracles import frac_ext, frac_ext_add, frac_ext_leq, frac_sub, fra
 
 import ordmeasure as om
 from ordmeasure.errors import ValidationError
+from ordmeasure.extended import ext_rows
 from ordmeasure.measures import full_mask, mask_to_points, require_exhaustive
 from ordmeasure.reports import verdict
+from ordmeasure.scenarios import _at, _keyed_ext_element, _set_key
 from ordmeasure.spaces import SpaceKind
+
+
+def row_table(values):
+    """A map of masks to extended elements as the table of rows, by mask,
+    that `validate_outer_measure` takes (`ext_rows`)."""
+    return dict(zip(values, ext_rows(list(values.values()))))
+
+
+def value_map(nu):
+    """The values of an outer measure as a map of masks to extended elements."""
+    return {mask: nu.value(mask) for mask in range(len(nu.values))}
+
+
+def ext_read_outer(doc, backend, ground):
+    """The former reader of an `outer_values` object (oracle for the row
+    reader): each key read by `_set_key` and each value by
+    `parse_ext_element`, the values keyed by mask and validated by
+    `ext_validate_outer_measure`, a witness set pointed at its key by
+    `_at`.  Returns the `ext_rows` of the values in mask order, or raises
+    the SchemaError of the refusal."""
+    path, values, keys = "/outer_measure/outer_values", {}, {}
+    for key, vdoc in doc.items():
+        mask = _set_key(key, ground, path)
+        values[mask], keys[mask] = _keyed_ext_element(vdoc, backend, path, key), key
+    _at(path, ext_validate_outer_measure, values, backend, ground, keys=keys)
+    return ext_rows([values[mask] for mask in range(1 << ground)])
 
 
 def hitting_outer(rng, ground, backend):
@@ -36,7 +66,7 @@ def hitting_outer(rng, ground, backend):
             if mask & target:
                 total = om.ext_add(total, weight)
         values[mask] = total
-    return om.validate_outer_measure(values, backend, ground)
+    return om.validate_outer_measure(row_table(values), backend, ground)
 
 
 def pointwise_sup_outer(rng, ground, backend):
@@ -52,7 +82,7 @@ def pointwise_sup_outer(rng, ground, backend):
         for p in mask_to_points(mask):
             acc = om.sup_pair(acc, weights[p])
         values[mask] = om.finite(acc)
-    return om.validate_outer_measure(values, backend, ground)
+    return om.validate_outer_measure(row_table(values), backend, ground)
 
 
 def constant_outer(rng, ground, backend):
@@ -62,7 +92,7 @@ def constant_outer(rng, ground, backend):
     values = {0: om.finite(om.zero(backend))}
     for mask in range(1, full_mask(ground) + 1):
         values[mask] = c
-    return om.validate_outer_measure(values, backend, ground)
+    return om.validate_outer_measure(row_table(values), backend, ground)
 
 
 def null_sets(nu):

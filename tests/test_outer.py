@@ -16,7 +16,7 @@ from integral_oracles import frac_ext, frac_ext_add, frac_ext_leq, frac_row, fra
 from outer_builders import (constant_outer, ext_measure_identities, ext_split_table,
                             ext_sum_evaluate, ext_validate_outer_measure,
                             full_test_set_measurable, hitting_outer, null_sets,
-                            pointwise_sup_outer, split_test_measurable)
+                            pointwise_sup_outer, row_table, split_test_measurable, value_map)
 
 C2 = om.coord(2)
 
@@ -92,10 +92,10 @@ def valid_outer_values(draw):
     if kind == "cover_sum":
         return cover_sum(n, draw(covers(n))), n
     if kind == "induced":
-        return om.induce_outer(random_measure(rng, random_algebra(rng, n), C2)).values, n
+        return value_map(om.induce_outer(random_measure(rng, random_algebra(rng, n), C2))), n
     builder = {"hitting": hitting_outer, "pointwise_sup": pointwise_sup_outer,
                "constant": constant_outer}[kind]
-    return builder(rng, n, C2).values, n
+    return value_map(builder(rng, n, C2)), n
 
 
 @st.composite
@@ -193,7 +193,7 @@ def two_point_outer():
     values = {0: fin(0, 0)}
     for mask in (1, 2, 3):
         values[mask] = fin(1, 1)
-    return om.validate_outer_measure(values, C2, 2)
+    return om.validate_outer_measure(row_table(values), C2, 2)
 
 
 class TestValidation:
@@ -205,23 +205,29 @@ class TestValidation:
             space = random_algebra(rng, rng.randint(1, 5))
             mu = random_measure(rng, space, C2)
             nu = om.induce_outer(mu)
-            om.validate_outer_measure(nu.values, C2, space.ground_size)
+            om.validate_outer_measure(dict(enumerate(nu.values)), C2, space.ground_size)
 
     def test_monotonicity_violation_witness(self):
         values = {0: fin(0, 0), 1: fin(2, 0), 2: fin(0, 0), 3: fin(1, 0)}
         with pytest.raises(ValidationError, match="monotonicity") as exc:
-            om.validate_outer_measure(values, C2, 2)
+            om.validate_outer_measure(row_table(values), C2, 2)
         assert exc.value.witness is not None
 
     def test_nonzero_empty_set_rejected(self):
         values = {0: fin(1, 0), 1: fin(1, 0), 2: fin(1, 0), 3: fin(1, 0)}
         with pytest.raises(ValidationError, match="empty"):
-            om.validate_outer_measure(values, C2, 2)
+            om.validate_outer_measure(row_table(values), C2, 2)
+
+    def test_rows_of_another_coordinate_count_rejected(self):
+        # a row carries no backend: its coordinate count is what is checked
+        table = {0: ((0, 0), 1), 1: ((1, 0, 0), 1)}
+        with pytest.raises(ValidationError, match="wrong backend"):
+            om.validate_outer_measure(table, C2, 1)
 
     def test_subadditivity_violation(self):
         values = {0: fin(0, 0), 1: fin(1, 0), 2: fin(1, 0), 3: fin(3, 0)}
         with pytest.raises(ValidationError, match="sub-additivity"):
-            om.validate_outer_measure(values, C2, 2)
+            om.validate_outer_measure(row_table(values), C2, 2)
 
     @given(outer_candidates())
     @settings(max_examples=300, deadline=None)
@@ -234,7 +240,8 @@ class TestValidation:
             except ValidationError as exc:
                 return exc
 
-        fast, oracle = verdict(om.validate_outer_measure), verdict(all_pairs_validate)
+        fast = verdict(lambda values, *args: om.validate_outer_measure(row_table(values), *args))
+        oracle = verdict(all_pairs_validate)
         assert str(fast) == str(oracle)
         if str(fast) == "sub-additivity violation":
             a, b = (points_to_mask(p) for p in fast.witness["pair"])
@@ -252,10 +259,10 @@ class TestValidation:
         # distinct ordered pair x != y that it is asked, so positivity makes
         # one per distinct nonzero value; any other keeps its rows and makes
         # one per order test (the table is finite).
-        values = hitting_outer(random.Random(n), n, backend).values
+        values = value_map(hitting_outer(random.Random(n), n, backend))
         kernel_tests = count_kernel_calls(monkeypatch)["leq"]
         positivity_tests = count_calls(monkeypatch, spaces, "is_positive_row")
-        om.validate_outer_measure(values, backend, n)
+        om.validate_outer_measure(row_table(values), backend, n)
         visits = 2**n + n * 2**(n - 1) + (3**n - 1) // 2
         assert len(kernel_tests) == visits
         zero = frac_ext(values[0])
@@ -301,7 +308,7 @@ class TestCaratheodory:
     @settings(max_examples=200, deadline=None)
     def test_splitting_sets_agree_with_all_test_sets(self, case):
         values, n = case
-        nu = om.validate_outer_measure(values, C2, n)
+        nu = om.validate_outer_measure(row_table(values), C2, n)
         for mask in range(full_mask(n) + 1):
             verdict = om.caratheodory_measurable(nu, mask)
             assert verdict == full_test_set_measurable(nu, mask)
@@ -332,9 +339,9 @@ class TestCaratheodory:
     def test_one_sum_per_disjoint_pair(self, monkeypatch, n, backend):
         # validation sums each of the (3^n - 1)/2 disjoint pairs a < b once
         # and extraction reads the record, summing none
-        values = hitting_outer(random.Random(n), n, backend).values
+        values = value_map(hitting_outer(random.Random(n), n, backend))
         calls = count_kernel_calls(monkeypatch)["add"]
-        nu = om.validate_outer_measure(values, backend, n)
+        nu = om.validate_outer_measure(row_table(values), backend, n)
         assert len(calls) == (3**n - 1) // 2
         om.extract_measurable_algebra(nu)
         assert len(calls) == (3**n - 1) // 2
@@ -384,7 +391,7 @@ class TestCaratheodory:
         values = {0: fin(0, 0), 0b001: fin(1, 0), 0b010: fin(1, 0), 0b100: fin(1, 0),
                   0b011: fin(2, 0), 0b101: fin(2, 0), 0b110: fin(Fraction(3, 2), 0),
                   0b111: fin(2, 0)}
-        nu = om.validate_outer_measure(values, C2, 3)
+        nu = om.validate_outer_measure(row_table(values), C2, 3)
         assert not full_test_set_measurable(nu, 0b001)
         assert not om.caratheodory_measurable(nu, 0b001)
 
@@ -527,7 +534,8 @@ class TestIntegerTable:
     @settings(max_examples=300, deadline=None)
     def test_validation_agrees_with_ext_oracle(self, case):
         values, n, backend = case
-        fast = outcome(lambda: om.validate_outer_measure(values, backend, n).split_failures)
+        fast = outcome(
+            lambda: om.validate_outer_measure(row_table(values), backend, n).split_failures)
         assert fast == outcome(ext_validate_outer_measure, values, backend, n)
 
     @given(backend_measures())
@@ -535,7 +543,7 @@ class TestIntegerTable:
     def test_induced_record_agrees_with_ext_oracle(self, mu):
         nu = om.induce_outer(mu)
         assert nu.split_failures == ext_validate_outer_measure(
-            nu.values, mu.backend, mu.space.ground_size)
+            value_map(nu), mu.backend, mu.space.ground_size)
 
     @given(st.sampled_from(BACKENDS), st.sampled_from([4, 10**20]), st.data())
     @settings(max_examples=200, deadline=None)
@@ -575,7 +583,7 @@ class TestIntegerTable:
                 values[mask] = om.finite(om.scale(1 + Fraction(1, 10**18 + i), eye))
             rows = extended.ext_rows([values[m] for m in range(1 << n)])
             assert len({den for _, den in rows}) == 1 << n
-            nu = om.validate_outer_measure(values, backend, n)
+            nu = om.validate_outer_measure(row_table(values), backend, n)
             assert nu.split_failures == ext_validate_outer_measure(values, backend, n)
 
     def test_loewner_table_passes_entrywise_but_not_psd(self):
@@ -587,7 +595,7 @@ class TestIntegerTable:
         values = {0: om.finite(om.zero(backend)), 1: eye, 2: eye, 3: top}
         gap = om.sub(om.add(eye.finite, eye.finite), top.finite)
         assert all(x >= 0 for x in gap.nums) and not om.is_psd(gap)
-        fast = outcome(om.validate_outer_measure, values, backend, 2)
+        fast = outcome(om.validate_outer_measure, row_table(values), backend, 2)
         assert fast == ("sub-additivity violation", {"pair": [[0], [1]]})
         assert fast == outcome(ext_validate_outer_measure, values, backend, 2)
 

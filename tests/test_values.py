@@ -28,6 +28,8 @@ from ordmeasure import integral, outer, reports, scenarios
 from ordmeasure.errors import Frozen
 from ordmeasure.rationals import INFINITY
 
+from outer_builders import row_table
+
 FIELDS = {
     om.SpaceDescriptor: ("kind", "dim", "rows", "cols"),
     om.Element: ("space", "nums", "den"),
@@ -121,7 +123,7 @@ def build_outer(spec):
     space = SPACES[i]()
     top = om.finite(om.scale(c, om.order_unit(space)))
     values = {0: om.finite(om.zero(space))} | {mask: top for mask in range(1, 1 << n)}
-    return om.validate_outer_measure(values, space, n)
+    return om.validate_outer_measure(row_table(values), space, n)
 
 
 def function_specs(values):

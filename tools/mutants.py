@@ -43,6 +43,7 @@ GATE = "tests/test_integrability.py"
 SPACES = "tests/test_spaces.py"
 SCENARIOS = "tests/test_scenarios.py"
 REFERENCE = "tests/test_cli_reference.py"
+READER = "tests/test_outer_reader.py"
 
 # (name, module file, function, old, new, test files)
 MUTANTS = [
@@ -92,8 +93,14 @@ MUTANTS = [
     ("outer split table: only half of each failing pair is recorded", "outer.py",
      "_split_table", "failures[b] |= 1 << a", "pass", ["tests/test_outer.py"]),
     ("outer validation: positivity asks nu(A) <= 0, not 0 <= nu(A)", "outer.py",
-     "validate_outer_measure", "leq(table[0], table[mask])", "leq(table[mask], table[0])",
+     "validate_outer_measure", "leq(values[0], values[mask])", "leq(values[mask], values[0])",
      ["tests/test_outer.py"]),
+    ("outer validation: the totality test is dropped", "outer.py", "validate_outer_measure",
+     "table.keys() != set(masks)", "False", [READER]),
+    ("name table: a set's name puts its top point first, a non-canonical key",
+     "outer.py", "set_names", "f'{name},{top}'", "f'{top},{name}'", [READER]),
+    ("row reader: the parse memo drops the sign", "outer.py", "row_reader",
+     "pairs.get(text)", "pairs.get(text.lstrip('-'))", [READER]),
     ("caratheodory_report: the expected family is ignored", "outer.py",
      "caratheodory_report", "expected_family is None or sorted(expected_family) == family",
      "True", [SCENARIOS]),
