@@ -11,10 +11,10 @@ scalars act by monoid homomorphisms.
 Arithmetic and order run on integer rows, (nums, den) for a finite value
 and None for infinity, through the row kernels of `spaces`.  `ext_add`,
 `ext_leq` and `ext_sub_finite` are one kernel call each on their
-operands' rows (`_row`), exhaustive passes and sequence checks call the
-kernels on whole tables (`ext_rows`), and `from_row` builds the value of
-a row.  The supremum of an increasing sequence (the paper's
-sigma-monotone completeness) and the infimum of a decreasing one are
+operands' rows (`_row`), `ext_rows` turns a list of values into one
+table of rows for the kernels, and `from_row` builds the value of a row.
+The supremum of an increasing sequence (the paper's sigma-monotone
+completeness) and the infimum of a decreasing one are
 decided in one place, on rows, `certify_monotone_limit`, with which the
 monotone convergence theorems certify their integrals.  Divergence to
 infinity is certified on one ladder of bounds, `certify_divergence`, for

@@ -25,7 +25,7 @@ from .errors import (
     ValidationError,
     check_cap,
 )
-from .extended import ExtElement, ext_rows
+from .extended import ExtElement
 from .reports import CheckResult, verdict
 from .spaces import SpaceDescriptor, table_kernels
 
@@ -266,25 +266,26 @@ def check_measure_identities(mu: Measure) -> CheckResult:
     has finite measure.  These are theorems, so any violation reported here
     indicates an implementation bug rather than bad input.
 
-    The measure is evaluated once on each of the 2^k members, and the pairs
-    are decided on those values as one integer table (`extended.ext_rows`:
-    integer numerators over one common denominator, None for infinity),
-    with the kernels of `spaces.table_kernels` for its 4^k visits: on a
-    coordinatewise backend a table of nonnegative numerators is packed, one
-    int per value; a Loewner table whose distinct values make fewer than
-    4^k pairs is interned, so that each distinct sum and ordered pair is
-    decided once; otherwise a sum is an integer add per coordinate and an
-    order test one positivity test of a difference row.  No element is
-    built per pair.
+    Each of the 2^k members is read once, as its `Measure.row` over the
+    atom table's denominator (None for infinity), and the pairs are decided
+    on that one integer table, with the kernels of `spaces.table_kernels`
+    for its 4^k visits: on a coordinatewise backend a table of nonnegative
+    numerators is packed, one int per value; a Loewner table whose distinct
+    values make fewer than 4^k pairs is interned, so that each distinct sum
+    is computed once and each distinct difference tested once.  Over one
+    denominator the difference of a monotonicity question is the row of
+    mu(D2 - D1), and of a sub-additivity question that of mu(D1 & D2), so
+    the suite makes at most 2^k - 1 PSD tests.  Otherwise a sum is an
+    integer add per coordinate and an order test one positivity test of a
+    difference row.  No element is built.
     Subtractivity is decided as mu(D1 - D2) + mu(D2) = mu(D1), the same
     statement as mu(D1 - D2) = mu(D1) - mu(D2) when mu(D2) is finite, so
     the kernels need no difference.
     """
     require_exhaustive(mu.space)
-    members = mu.space.members()
-    values, add, leq, eq = table_kernels(mu.backend,
-                                         ext_rows([mu.evaluate(m) for m in members]),
-                                         len(members) ** 2)
+    members, den = mu.space.members(), mu.atom_table[0]
+    rows = [None if row is None else (row, den) for row in map(mu.row, members)]
+    values, add, leq, eq = table_kernels(mu.backend, rows, len(members) ** 2)
     row = dict(zip(members, values))
     violations = []
     for d1 in members:

@@ -31,8 +31,8 @@ of `outer` and `measures` take their table and kernels from
 numerators over one denominator into one int per value, so that a sum, an
 order test and an equality are each a few integer operations, and interns
 a Loewner table whose pass must ask some question twice, so that each
-distinct sum and order test is computed once; any other table keeps its
-rows and the row kernels.
+distinct sum is computed once and each distinct difference is tested
+once; any other table keeps its rows and the row kernels.
 
 Values are validated where they enter.  ``Element(space, coords)`` (and
 `element` and `sym_matrix`, which call it) checks the coordinate count,
@@ -363,7 +363,9 @@ def table_kernels(space: SpaceDescriptor, rows: list, visits: int) -> tuple:
 
     A Loewner table is interned (`_interned`) when its D distinct finite
     values make fewer unordered pairs, D(D + 1)/2, than the pass makes
-    visits, so that some question must repeat.  Otherwise it keeps its rows.
+    visits, so that some question must repeat.  Its order memo is keyed by
+    the difference of the two values, so a pass makes one PSD test per
+    distinct difference that it asks.  Otherwise it keeps its rows.
 
     The table is packed when the order is coordinatewise, every finite row
     has the same denominator and no numerator is negative.  Each row then
@@ -409,20 +411,33 @@ def _interned(space: SpaceDescriptor, rows: list, visits: int) -> tuple:
     """The kernels of `table_kernels` on a Loewner table, by hash-consing
     (E. Goto, 1974) and memo functions (D. Michie, Nature 218, 1968).
 
-    Each finite row becomes the index of its canonical form, so that `eq`
-    is index equality.  `add` interns the sum of each unordered pair of
-    indices once, and `leq` decides each ordered pair once: x <= x holds,
-    and any other pair is one `row_leq`.  The order is not symmetric, so
-    (x, y) and (y, x) are two questions.  When the D distinct values make
-    no fewer unordered pairs than the pass makes `visits`, no question need
-    repeat, and the rows and row kernels are returned instead.
+    Each finite row becomes the index of its key, so that `eq` is index
+    equality.  On a table over one denominator, as
+    `extended.common_den_rows` makes one, equal values are equal rows, and
+    each row (and each sum of two, which stays over that denominator) is
+    its own key; a table whose rows keep their own denominators is keyed by
+    canonical forms.  `add` interns the sum of each unordered pair of
+    indices once.  `leq` answers x <= x at once and memoizes each other
+    ordered pair, which is not symmetric: (x, y) and (y, x) are two
+    questions.  A pair not seen before is decided by the numerators of
+    y - x, for x = p / d_p and y = q / d_q (`row_sub`: q - p over a shared
+    denominator, else q d_p - p d_q), and one `is_positive_row` per
+    distinct numerators, since positivity does not change under a positive
+    denominator.  So a
+    pass decides each distinct difference once: in the identity suite each
+    is the value of a nonempty member, at most 2^k - 1 for k atoms.  When
+    the D distinct values make no fewer unordered pairs than the pass makes
+    `visits`, no question need repeat, and the rows and row kernels are
+    returned instead.
     """
     index, table = {}, []
+    shared = len({row[1] for row in rows if row is not None}) <= 1
 
     def intern(row):
         if row is None:
             return None
-        row = canonical(*row)
+        if not shared:
+            row = canonical(*row)
         i = index.get(row)
         if i is None:
             i = index[row] = len(table)
@@ -432,7 +447,7 @@ def _interned(space: SpaceDescriptor, rows: list, visits: int) -> tuple:
     values = list(map(intern, rows))
     if len(table) * (len(table) + 1) // 2 >= visits:
         return rows, row_add, partial(row_leq, space), row_eq
-    sums, order = {}, {}
+    sums, order, positive = {}, {}, {}
 
     def add(x, y):
         if x is None or y is None:
@@ -451,7 +466,11 @@ def _interned(space: SpaceDescriptor, rows: list, visits: int) -> tuple:
         question = x, y
         answer = order.get(question)
         if answer is None:
-            answer = order[question] = row_leq(space, table[x], table[y])
+            difference = row_sub(table[y], table[x])[0]
+            answer = positive.get(difference)
+            if answer is None:
+                answer = positive[difference] = is_positive_row(space, difference)
+            order[question] = answer
         return answer
 
     return values, add, leq, operator.eq

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ordmeasure as om
+from ordmeasure import spaces
 from ordmeasure.errors import (MAX_EXHAUSTIVE_ATOMS, CertificationError,
                                DimensionLimitError, HypothesisError, ValidationError)
 from ordmeasure.measures import (_atom_partition, _atom_unions, _raise_union_witness,
@@ -216,6 +218,22 @@ class TestIdentities:
         mu = om.Measure(over, C2, {a: fin(1, 0) for a in over.atoms})
         with pytest.raises(DimensionLimitError, match=f"<= {MAX_EXHAUSTIVE_ATOMS}, got"):
             om.check_measure_identities(mu)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_loewner_suite_makes_a_psd_test_per_nonempty_member_at_most(self, monkeypatch,
+                                                                        k):
+        # Over the atom table's one denominator, the difference of each
+        # order question of the suite is the row of mu(D2 - D1) or of
+        # mu(D1 & D2), so the 4^k pairs make at most 2^k - 1 PSD tests
+        rng = random.Random(k)
+        for _ in range(3):
+            mu = random_measure(rng, om.power_set_space(k), om.loewner_sym(3), inf_prob=0.1)
+            calls, real = [], spaces.is_positive_row
+            monkeypatch.setattr(spaces, "is_positive_row",
+                                lambda *args: calls.append(None) or real(*args))
+            assert om.check_measure_identities(mu).ok
+            assert len(calls) <= 2 ** k - 1
+            monkeypatch.undo()
 
     def test_random_measures_all_identities(self, rng):
         for _ in range(25):

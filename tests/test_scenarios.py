@@ -613,13 +613,22 @@ def _power_set_copy(stem: str, ground: int, path: Path) -> Path:
     return path
 
 
-def _loewner_atoms(rng: random.Random, count: int, d: int = MAX_LOEWNER_DIM) -> list:
+def _loewner_atoms(rng: random.Random, count: int, d: int = MAX_LOEWNER_DIM,
+                   digits: int = 0) -> list:
     """`count` positive definite integer matrices B B^T, B lower triangular
-    with 1 or 2 on its diagonal and entries in [-2, 2] below it."""
+    with 1 or 2 on its diagonal and entries in [-2, 2] below it, or, given
+    `digits`, with entries of that many digits, positive on the diagonal
+    and of either sign below it."""
+
+    def entry(diagonal):
+        if digits:
+            return rng.choice((1, -1) if not diagonal else (1,)) * rng.randrange(
+                10 ** (digits - 1), 10 ** digits)
+        return rng.choice((1, 2)) if diagonal else rng.randint(-2, 2)
+
     atoms = []
     for _ in range(count):
-        b = [[(rng.choice((1, 2)) if i == j else rng.randint(-2, 2)) if j <= i else 0
-              for j in range(d)] for i in range(d)]
+        b = [[entry(i == j) if j <= i else 0 for j in range(d)] for i in range(d)]
         atoms.append([[sum(b[i][k] * b[j][k] for k in range(d)) for j in range(d)]
                       for i in range(d)])
     return atoms
@@ -1250,10 +1259,17 @@ class TestCli:
         # Both caps at once: an outer measure on 12 points induced from six
         # two-point atoms on LoewnerSym(6).  Its validating pass visits
         # 2^12 + 12 2^11 + (3^12 - 1)/2 pairs of 64 distinct values, so the
-        # interned table decides each distinct question once.  Through
+        # interned table decides each distinct difference once.  Through
         # `cli.main` the row kernels made 270,557 PSD tests (for the pair
-        # pass alone) in about 3.5 s on a 2-core x86_64 host, the interned
-        # table 2,256 (for the whole pass) in about 0.25 s.
+        # pass alone) in about 3.5 s on a 2-core x86_64 host, and the table
+        # memoized by ordered pair 2,256 (for the whole pass) in about
+        # 0.25 s.  Keyed by the difference, every question of the pass asks
+        # about the value of a nonempty union of the k = 6 atoms: nu(A) for
+        # positivity, an atom's value for a monotonicity step, and the value
+        # of the intersection of the two covers for a disjoint pair.  So the
+        # pass makes at most 2^k - 1 tests, the identity suite on the
+        # restriction at most 2^k - 1 more, and each of the two measures
+        # tests its k atoms when it is built: 138 in all.
         atoms = [[2 * i, 2 * i + 1] for i in range(MAX_OUTER_GROUND_SIZE // 2)]
         doc = _loewner_doc(
             MAX_OUTER_GROUND_SIZE, [{"check": "caratheodory"}],
@@ -1267,7 +1283,8 @@ class TestCli:
         start = time.perf_counter()
         assert run_cli(["run", path, "--output", "json"]) == 0
         assert time.perf_counter() - start < 2
-        assert len(tests) < (3 ** MAX_OUTER_GROUND_SIZE - 1) // 2
+        k = len(atoms)
+        assert len(tests) <= 2 * (2 ** k - 1 + k)
         [check] = json.loads(capsys.readouterr().out)["checks"]
         assert check["details"]["atoms"] == atoms
         assert check["details"]["restriction_identities"] == "holds"
@@ -1298,8 +1315,11 @@ class TestCli:
                                                                   monkeypatch):
         # 4^8 pairs of sets on LoewnerSym(6), with 256 distinct values.
         # Through `cli.main` the row kernels made 72,105 PSD tests in about
-        # 1.1 s on a 2-core x86_64 host, the interned table 12,618 in about
-        # 0.4 s.
+        # 1.1 s on a 2-core x86_64 host, and the table memoized by ordered
+        # pair 12,618 in about 0.4 s.  Keyed by the difference, the suite
+        # asks about mu(D2 - D1) and mu(D1 & D2) only, at most 2^n - 1
+        # values of nonempty sets, after the n atom tests of building the
+        # measure: 263 tests, and the call takes about 0.35 s.
         n = MAX_EXHAUSTIVE_ATOMS
         doc = _loewner_doc(n, [{"check": "identities"}], sigma_algebra={"power_set": True},
                            measure={"atom_values": {
@@ -1311,7 +1331,32 @@ class TestCli:
         start = time.perf_counter()
         assert run_cli(["run", path, "--output", "json"]) == 0
         assert time.perf_counter() - start < 2
-        assert len(tests) < 4 ** n
+        assert len(tests) <= 2 ** n - 1 + n
+        [check] = json.loads(capsys.readouterr().out)["checks"]
+        assert check["status"] == "holds"
+        assert check["details"]["pairs_checked"] == 4 ** n
+
+    def test_identities_on_loewner_atoms_of_1000_digit_factors_runs_in_time(
+            self, tmp_path, capsys, monkeypatch):
+        # Six atoms B B^T on LoewnerSym(6), B lower triangular with entries
+        # of 1,000 digits, so that every value has entries of about 2,000
+        # digits and one PSD test takes about 18 ms on a 2-core x86_64 host.
+        # Memoized by ordered pair, the suite made 1,336 tests and the call
+        # took about 25 s; keyed by the difference, it makes at most
+        # 2^6 - 1, after the 6 atom tests of building the measure (69 in
+        # all, about 2 s).
+        n = 6
+        doc = _loewner_doc(n, [{"check": "identities"}], sigma_algebra={"power_set": True},
+                           measure={"atom_values": {
+                               str(p): _finite(m) for p, m in
+                               enumerate(_loewner_atoms(random.Random(6), n, digits=1000))}})
+        path = tmp_path / "identities_loewner_digits.json"
+        path.write_text(json.dumps(doc))
+        tests = _count_positivity_tests(monkeypatch)
+        start = time.perf_counter()
+        assert run_cli(["run", path, "--output", "json"]) == 0
+        assert time.perf_counter() - start < 10
+        assert len(tests) <= 2 ** n - 1 + n
         [check] = json.loads(capsys.readouterr().out)["checks"]
         assert check["status"] == "holds"
         assert check["details"]["pairs_checked"] == 4 ** n

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ordmeasure as om
-from ordmeasure import spaces
+from ordmeasure import extended, spaces
 from ordmeasure.errors import SpaceMismatchError
 
 from conftest import random_element, random_positive_element
@@ -402,6 +402,38 @@ def loewner_tables(draw):
     return space, draw(st.permutations(rows))
 
 
+@st.composite
+def difference_tables(draw):
+    """A Loewner backend and a table of values whose differences repeat: x,
+    x + P with P = B B^T of rank below d (a singular positive semidefinite
+    difference), x - P (negative semidefinite), x + S with S indefinite,
+    each of them again plus one z, so that (x + z, x + P + z) asks the
+    question of (x, x + P) on other values, and None (infinity).  The rows
+    are brought over one denominator (`extended.common_den_rows`), or keep
+    their own, with x also over a multiple of its denominator."""
+    space, rng = draw(st.sampled_from(LOEWNER_SPACES)), draw(st.randoms())
+    d, shared = space.dim, draw(st.booleans())
+    rank = draw(st.integers(1, d - 1))
+    b = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(rank)]
+         for _ in range(d)]
+    p = om.sym_matrix([[sum(b[i][k] * b[j][k] for k in range(rank)) for j in range(d)]
+                       for i in range(d)])
+    c = Fraction(rng.randint(1, 5), rng.randint(1, 5))
+    s = om.sym_matrix([[c * (i == j) * (1 - 2 * i) if i < 2 else 0 for j in range(d)]
+                       for i in range(d)])
+    x, z = random_element(rng, space), random_element(rng, space)
+    values = [x, om.add(x, p), om.sub(x, p), om.add(x, s)]
+    values += [om.add(v, z) for v in values]
+    rows = [(v.nums, v.den) for v in values] + [None]
+    if shared:
+        rows = extended.common_den_rows(rows)
+        assert len({row[1] for row in rows if row}) == 1
+    else:
+        k = draw(st.integers(2, 5))
+        rows.append((tuple(k * n for n in x.nums), k * x.den))
+    return space, draw(st.permutations(rows))
+
+
 class TestTableKernels:
     """The packed and interned kernels of `spaces.table_kernels` against the
     row kernels they stand in for, on values and on sums of two values."""
@@ -419,6 +451,34 @@ class TestTableKernels:
         space, rows = case
         self.assert_kernels_agree(space, rows,
                                   *spaces.table_kernels(space, rows, len(rows) ** 2))
+
+    @given(difference_tables())
+    @settings(max_examples=100, deadline=None)
+    def test_difference_memo_agrees_with_row_kernels(self, case):
+        # the order memo is keyed by the numerators of y - x: equal
+        # differences of other values share an answer, over one denominator
+        # or over two that are cross-multiplied
+        space, rows = case
+        self.assert_kernels_agree(space, rows,
+                                  *spaces.table_kernels(space, rows, len(rows) ** 2))
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "own"])
+    def test_equal_differences_share_one_psd_test(self, monkeypatch, shared):
+        # x <= y and x + z <= y + z over one denominator ask one PSD test;
+        # with x + z and y + z over other denominators, the numerators of
+        # the differences differ, and each is tested
+        x, y = om.sym_matrix([[1, 0], [0, 2]]), om.sym_matrix([[2, 1], [1, 3]])
+        z = om.sym_matrix([[Fraction(1, 3), 0], [0, 1]])
+        rows = [(v.nums, v.den) for v in (x, y, om.add(x, z), om.add(y, z))]
+        if shared:
+            rows = extended.common_den_rows(rows)
+        values, _, leq, _ = spaces.table_kernels(L2, rows, len(rows) ** 2)
+        calls, real = [], spaces.is_positive_row
+        monkeypatch.setattr(spaces, "is_positive_row",
+                            lambda *args: calls.append(None) or real(*args))
+        assert leq(values[0], values[1]) and leq(values[2], values[3])
+        assert not leq(values[1], values[0]) and not leq(values[3], values[2])
+        assert len(calls) == (2 if shared else 4)
 
     @given(st.sampled_from(LOEWNER_SPACES), st.data())
     @settings(max_examples=50, deadline=None)

@@ -140,6 +140,10 @@ MUTANTS = [
     ("interned table: the memo rule is inverted", "spaces.py", "_interned",
      "len(table) * (len(table) + 1) // 2 >= visits",
      "len(table) * (len(table) + 1) // 2 < visits", [SPACES, "tests/test_outer.py"]),
+    ("interned table: the difference key is taken the wrong way round (p - q)", "spaces.py",
+     "_interned", "row_sub(table[y], table[x])", "row_sub(table[x], table[y])", [SPACES]),
+    ("row_sub, the interned table's difference key: two denominators are not "
+     "cross-multiplied", "spaces.py", "row_sub", "p * dy - q * dx", "p - q", [SPACES]),
     ("Measure.row: an atom that meets the set counts as inside it", "measures.py",
      "Measure.row", "atom & mask == atom", "atom & mask", ["tests/test_measures.py"]),
     ("_columns: the null points are kept", "integral.py", "_columns",
