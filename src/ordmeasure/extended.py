@@ -11,8 +11,9 @@ scalars act by monoid homomorphisms.
 Arithmetic and order run on integer rows, (nums, den) for a finite value
 and None for infinity, through the row kernels of `spaces`.  `ext_add`,
 `ext_leq` and `ext_sub_finite` are one kernel call each on their
-operands' rows (`_row`), `ext_rows` turns a list of values into one
-table of rows for the kernels, and `from_row` builds the value of a row.
+operands' rows (`_row`), `common_den_rows` brings a list of rows over one
+denominator for the table kernels, and `from_row` builds the value of a
+row.
 The supremum of an increasing sequence (the paper's sigma-monotone
 completeness) and the infimum of a decreasing one are
 decided in one place, on rows, `certify_monotone_limit`, with which the
@@ -132,11 +133,6 @@ def _row(v: ExtElement):
     """The row of one value: (nums, den), or None for infinity."""
     el = v.finite
     return None if el is None else (el.nums, el.den)
-
-
-def ext_rows(values: Sequence[ExtElement]) -> list:
-    """The values as one integer table (`common_den_rows` of their rows)."""
-    return common_den_rows([_row(v) for v in values])
 
 
 def common_den_rows(rows: list) -> list:

@@ -20,7 +20,13 @@ The split test of D on a test set T, nu(T) = nu(T & D) + nu(T - D), depends
 only on the disjoint pair (T & D, T - D), not on D.  So the one pass over
 the disjoint pairs that tests sub-additivity also records which pairs split
 non-additively, and every set's verdict is read from that record: each pair
-is summed once, not once for every set that separates it.
+is summed once, not once for every set that separates it.  The pass settles
+what it already knows without a kernel call: after monotonicity, a pair
+with an infinite side has an infinite union and splits as inf = inf, and
+of a finite pair only an unequal one is asked the order, since equality
+implies it.  A set's partners, the nonempty subsets of its complement as
+one bitset, are read from a table built once per ground size
+(`submask_bitsets`), as the set names are.
 
 Every `OuterMeasure` comes out of one validating pass,
 `validate_outer_measure` (`induce_outer` ends in it too), and holds that
@@ -146,22 +152,38 @@ def _split_table(values: list, add, leq, eq) -> List[int]:
     with its kernels (`spaces.table_kernels`): test sub-additivity,
     nu(a | b) <= nu(a) + nu(b), and record in both a's and b's bitset the
     pairs where the two sides differ.  A violation raises with the pair as
-    its witness.  (3^n - 1)/2 sums and order tests."""
+    its witness.
+
+    The pass runs after monotonicity and asks no question whose answer it
+    holds.  A pair with an infinite side (None on every route) splits
+    additively: by the monotonicity already checked its union is infinite
+    too, so both sides are infinity, and the pair costs no kernel call.  A
+    pair of two finite sides is summed once and asked `eq` first; equality
+    implies the order, so only an unequal pair is asked `leq`, which is the
+    violation test.  A finite pair whose union is infinite is unequal and
+    not below its sum, the violation it always was, and the pair order is
+    unchanged, so the first witness is too.  At most (3^n - 1)/2 sums,
+    equality tests and order tests."""
     full = len(values) - 1
     failures = [0] * len(values)
     for a in range(full + 1):
-        rest, va = full ^ a, values[a]
+        va = values[a]
+        if va is None:
+            continue
+        rest = full ^ a
         b = rest
         while b > a:
-            joint, split = values[a | b], add(va, values[b])
-            if not leq(joint, split):
-                raise ValidationError(
-                    "sub-additivity violation",
-                    witness={"pair": [mask_to_points(a), mask_to_points(b)]},
-                )
-            if not eq(joint, split):
-                failures[a] |= 1 << b
-                failures[b] |= 1 << a
+            vb = values[b]
+            if vb is not None:
+                joint, split = values[a | b], add(va, vb)
+                if not eq(joint, split):
+                    if not leq(joint, split):
+                        raise ValidationError(
+                            "sub-additivity violation",
+                            witness={"pair": [mask_to_points(a), mask_to_points(b)]},
+                        )
+                    failures[a] |= 1 << b
+                    failures[b] |= 1 << a
             b = (b - 1) & rest
     return failures
 
@@ -241,6 +263,24 @@ def induce_outer(mu: Measure) -> OuterMeasure:
     return validate_outer_measure({mask: rows[cover(mask)] for mask in masks}, mu.backend, n)
 
 
+@lru_cache(maxsize=None)
+def submask_bitsets(ground_size: int) -> tuple:
+    """For each mask m of `ground_size` points, the int whose bit b is set
+    for every nonempty submask b of m.  With p the top point of m and
+    m' = m without p, the nonempty submasks of m are those of m', each of
+    them with p added, and {p} alone, so
+
+        S(m) = S(m') | S(m') << 2^p | 1 << 2^p,
+
+    one shift and one or per mask, as `set_names` builds its names.  Built
+    once per ground size and shared: callers only read it."""
+    bitsets = [0]
+    for p in range(ground_size):
+        top = 1 << p
+        bitsets += [s | s << top | 1 << top for s in bitsets]
+    return tuple(bitsets)
+
+
 def caratheodory_measurable(nu: OuterMeasure, mask: int) -> bool:
     """True iff `mask` splits every test set additively (exhaustive).
 
@@ -250,11 +290,10 @@ def caratheodory_measurable(nu: OuterMeasure, mask: int) -> bool:
     none of them is recorded in `nu.split_failures`.  Every other test set
     lies on one side and splits as itself plus the empty set, which passes
     because nu(empty) = 0, as the validating pass that built `nu` checked.
+    The complement's partners are read from `submask_bitsets`.
     """
-    co = mask ^ full_mask(nu.ground_size)
-    partners = 0  # bit b set for every nonempty submask b of the complement
-    for p in mask_to_points(co):
-        partners |= (partners << (1 << p)) | (1 << (1 << p))
+    n = nu.ground_size
+    partners = submask_bitsets(n)[mask ^ full_mask(n)]
     failures = nu.split_failures
     a = mask
     while a:

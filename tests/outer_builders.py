@@ -1,10 +1,12 @@
 """Families of valid outer measures for randomized suites, and the slower
-methods kept as oracles: measurability tests, the reader of an
+methods kept as oracles: measurability tests, the per-set partner bitset
+that `outer.submask_bitsets` replaced (`submask_bitset`), the reader of an
 `outer_values` table that the row reader replaced (`ext_read_outer`), and
 the outer-measure axioms, split record, set evaluation and measure
 identities decided on Fraction coordinates (`frac_ext_add`,
 `frac_ext_leq`, `frac_sub`) rather than on the library's integer table and
-row kernels."""
+row kernels.  `ext_rows` turns extended elements into the rows that the
+library's tables take."""
 
 from fractions import Fraction
 
@@ -13,11 +15,19 @@ from integral_oracles import frac_ext, frac_ext_add, frac_ext_leq, frac_sub, fra
 
 import ordmeasure as om
 from ordmeasure.errors import ValidationError
-from ordmeasure.extended import ext_rows
+from ordmeasure.extended import common_den_rows
 from ordmeasure.measures import full_mask, mask_to_points, require_exhaustive
 from ordmeasure.reports import verdict
 from ordmeasure.scenarios import _at, _keyed_ext_element, _set_key
 from ordmeasure.spaces import SpaceKind
+
+
+def ext_rows(values):
+    """Extended elements as one integer table: their rows, (nums, den) or
+    None for infinity, brought over one denominator by
+    `extended.common_den_rows`."""
+    return common_den_rows([None if v.is_infinite else (v.finite.nums, v.finite.den)
+                            for v in values])
 
 
 def row_table(values):
@@ -110,6 +120,16 @@ def full_test_set_measurable(nu, mask):
     co, values = mask ^ full, [frac_ext(nu.value(m)) for m in range(full + 1)]
     return all(values[gamma] == frac_ext_add(values[gamma & mask], values[gamma & co])
                for gamma in range(full + 1))
+
+
+def submask_bitset(mask):
+    """The int whose bit b is set for every nonempty submask b of `mask`,
+    built point by point, as `caratheodory_measurable` once built the
+    partners of each complement (oracle for `outer.submask_bitsets`)."""
+    bits = 0
+    for p in mask_to_points(mask):
+        bits |= (bits << (1 << p)) | (1 << (1 << p))
+    return bits
 
 
 def split_test_measurable(nu, mask):

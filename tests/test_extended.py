@@ -12,7 +12,6 @@ from ordmeasure.extended import (
     certify_divergence,
     certify_monotone_limit,
     element_to_json,
-    ext_rows,
     ext_sub_finite,
     ext_zero,
     is_ext_positive,
@@ -30,6 +29,7 @@ from conftest import random_element, random_ext_element
 from integral_oracles import (ext_scalar_add, ext_scalar_leq, ext_scalar_mul,
                               fraction_parse_rational, ladder_certify_divergence)
 from limit_oracles import stable_tail_sup_increasing
+from outer_builders import ext_rows
 
 C2 = om.coord(2)
 

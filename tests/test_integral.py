@@ -33,6 +33,7 @@ from ordmeasure.sequences import (
 import integral_oracles as oracle
 from conftest import nonneg_rational, random_algebra, random_measure
 from limit_oracles import ext_inf_finite_list
+from outer_builders import ext_rows
 
 C2 = om.coord(2)
 
@@ -1243,7 +1244,7 @@ class TestMonotoneConvergenceRejections:
         # Terms that pass the pointwise tests have monotone integrals on the
         # right side of the target, so these are reached by calling the
         # certifier that both directions share, on the rows of the values.
-        *rows, target_row = extended.ext_rows([*values, target])
+        *rows, target_row = ext_rows([*values, target])
         with pytest.raises(CertificationError) as caught:
             extended.certify_monotone_limit(C2, rows, target_row, DEFAULT_EPSILONS, increasing)
         assert str(caught.value) == message

@@ -65,6 +65,16 @@ class TestSigmaAlgebra:
                     rebuilt |= atom
                 assert rebuilt == member
 
+    def test_members_are_in_atom_index_order(self, rng):
+        # the identity suite indexes its table by atom index, bit j for
+        # atom j: the sorted members are the unions in that order
+        for _ in range(300):
+            space = random_algebra(rng, rng.randint(1, 8))
+            atoms = space.atoms
+            assert space.members() == [
+                sum(atom for j, atom in enumerate(atoms) if i >> j & 1)
+                for i in range(2 ** len(atoms))]
+
     def test_validate_power_set(self):
         space = om.validate_sigma_algebra(range(16), 4)
         assert len(space.atoms) == 4

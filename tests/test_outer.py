@@ -1,5 +1,6 @@
 import math
 import random
+from functools import partial
 from fractions import Fraction
 
 import pytest
@@ -13,10 +14,11 @@ from ordmeasure.measures import full_mask, mask_to_points, points_to_mask
 
 from conftest import random_algebra, random_measure
 from integral_oracles import frac_ext, frac_ext_add, frac_ext_leq, frac_row, frac_sub
-from outer_builders import (constant_outer, ext_measure_identities, ext_split_table,
-                            ext_sum_evaluate, ext_validate_outer_measure,
+from outer_builders import (constant_outer, ext_measure_identities, ext_rows,
+                            ext_split_table, ext_sum_evaluate, ext_validate_outer_measure,
                             full_test_set_measurable, hitting_outer, null_sets,
-                            pointwise_sup_outer, row_table, split_test_measurable, value_map)
+                            pointwise_sup_outer, row_table, split_test_measurable,
+                            submask_bitset, value_map)
 
 C2 = om.coord(2)
 
@@ -157,11 +159,12 @@ def count_calls(monkeypatch, owner, name):
 
 
 def count_kernel_calls(monkeypatch):
-    """Count the `add` and `leq` calls of every kernel set that `outer`
-    takes from `spaces.table_kernels`, into the returned lists.  Each `leq`
-    entry is the question asked, the Fraction coordinates of its two values
-    (None for infinity), read from the table and from the sums `add` made."""
-    calls = {"add": [], "leq": []}
+    """Count the `add`, `leq` and `eq` calls of every kernel set that
+    `outer` takes from `spaces.table_kernels`, into the returned lists.
+    Each `leq` entry is the question asked, the Fraction coordinates of its
+    two values (None for infinity), read from the table and from the sums
+    `add` made."""
+    calls = {"add": [], "leq": [], "eq": []}
     real = outer.table_kernels
 
     def counted(space, rows, visits):
@@ -178,10 +181,29 @@ def count_kernel_calls(monkeypatch):
             calls["leq"].append((coords[x], coords[y]))
             return leq(x, y)
 
-        return values, counted_add, counted_leq, eq
+        def counted_eq(x, y):
+            calls["eq"].append(None)
+            return eq(x, y)
+
+        return values, counted_add, counted_leq, counted_eq
 
     monkeypatch.setattr(outer, "table_kernels", counted)
     return calls
+
+
+def split_questions(values, n):
+    """``(finite, unequal)`` for a monotone table of extended elements on n
+    points, on Fraction coordinates: the disjoint pairs a < b with two
+    finite sides, which the pair pass sums and asks `eq`, and those of them
+    whose union's value differs from their sum, which it asks `leq`."""
+    coords = {mask: frac_ext(v) for mask, v in values.items()}
+    finite = unequal = 0
+    for a in range(1 << n):
+        for b in range(a + 1, 1 << n):
+            if a & b == 0 and coords[a] is not None and coords[b] is not None:
+                finite += 1
+                unequal += coords[a | b] != frac_ext_add(coords[a], coords[b])
+    return finite, unequal
 
 
 # C2 tables are packed into one int per value; Loewner tables keep their rows
@@ -252,20 +274,23 @@ class TestValidation:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_order_test_count(self, monkeypatch, n, backend):
         # 2^n positivity tests 0 <= nu(A), in the order of the values, then
-        # n 2^(n-1) monotonicity steps and (3^n - 1)/2 disjoint pairs a < b,
-        # each one order test of the table's kernel.  The packed route makes
-        # no PSD test.  A Loewner table whose D distinct values make fewer
-        # than that many pairs, D(D + 1)/2, is interned and makes one per
-        # distinct difference y - x among the ordered pairs x != y that it
-        # is asked (the table is over one denominator, so equal differences
-        # have equal numerators); any other keeps its rows and makes one per
-        # order test (the table is finite).
+        # n 2^(n-1) monotonicity steps, each one order test of the table's
+        # kernel, and one more for each disjoint pair a < b (of the
+        # (3^n - 1)/2 that `visits` counts) whose union's value differs
+        # from its sum: an equal pair is settled by `eq`.  The packed route
+        # makes no PSD test.  A Loewner table whose D distinct values make
+        # fewer than `visits` pairs, D(D + 1)/2, is interned and makes one
+        # per distinct difference y - x among the ordered pairs x != y that
+        # it is asked (the table is over one denominator, so equal
+        # differences have equal numerators); any other keeps its rows and
+        # makes one per order test (the table is finite).
         values = value_map(hitting_outer(random.Random(n), n, backend))
         kernel_tests = count_kernel_calls(monkeypatch)["leq"]
         positivity_tests = count_calls(monkeypatch, spaces, "is_positive_row")
         om.validate_outer_measure(row_table(values), backend, n)
         visits = 2**n + n * 2**(n - 1) + (3**n - 1) // 2
-        assert len(kernel_tests) == visits
+        assert len(kernel_tests) == 2**n + n * 2**(n - 1) + split_questions(values, n)[1]
+        assert len(kernel_tests) <= visits
         zero = frac_ext(values[0])
         assert kernel_tests[:2**n] == [(zero, frac_ext(v)) for v in values.values()]
         distinct = len(set(values.values()))
@@ -277,8 +302,33 @@ class TestValidation:
                               if None not in (x, y) and x != y})
             assert per_kernel < visits
         else:
-            per_kernel = visits
+            per_kernel = len(kernel_tests)
         assert len(positivity_tests) == per_kernel
+
+    @pytest.mark.parametrize("backend", ROUTES, ids=["packed", "rows"])
+    def test_pair_pass_settles_infinite_and_equal_pairs(self, monkeypatch, backend):
+        # an 8-point cover sum whose point 0 is infinite: a pair with an
+        # infinite side makes no kernel call, a pair of two finite sides
+        # one sum and one `eq`, and only an unequal pair a `leq`, after the
+        # 2^n positivity and n 2^(n-1) monotonicity tests
+        n, inf = 8, om.infinity(backend)
+        weight = {C2: lambda i: fin(i, 3 - i),
+                  ROUTES[1]: lambda i: om.finite(om.sym_matrix([[i, 1], [1, 4 - i]])),
+                  }[backend]
+        covers = [(0b1, inf)] + [(0b11 << i, weight(i % 3 + 1)) for i in range(1, n - 1)]
+        values = {}
+        for mask in range(1 << n):
+            total = om.finite(om.zero(backend))
+            for cover, w in covers:
+                if mask & cover:
+                    total = om.ext_add(total, w)
+            values[mask] = total
+        finite, unequal = split_questions(values, n)
+        assert 0 < unequal < finite < (3**n - 1) // 2
+        calls = count_kernel_calls(monkeypatch)
+        om.validate_outer_measure(row_table(values), backend, n)
+        assert len(calls["add"]) == len(calls["eq"]) == finite
+        assert len(calls["leq"]) == 2**n + n * 2**(n - 1) + unequal
 
 
 class TestInduce:
@@ -358,10 +408,31 @@ class TestCaratheodory:
         mu = random_measure(rng, random_algebra(rng, n), backend)
         calls = count_kernel_calls(monkeypatch)["add"]
         nu = om.induce_outer(mu)
-        assert len(calls) == (3**n - 1) // 2
+        finite = split_questions(value_map(nu), n)[0]
+        assert len(calls) == finite <= (3**n - 1) // 2
         om.extract_measurable_algebra(nu)
         om.extract_measurable_algebra(nu)
-        assert len(calls) == (3**n - 1) // 2
+        assert len(calls) == finite
+
+    @given(st.integers(0, outer.MAX_OUTER_GROUND_SIZE), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_submask_bitsets_agree_with_per_set_bitset(self, n, data):
+        table = outer.submask_bitsets(n)
+        assert len(table) == 2**n
+        mask = data.draw(st.integers(0, 2**n - 1))
+        assert table[mask] == submask_bitset(mask)
+        assert table[mask] == sum(1 << b for b in range(1, mask + 1) if b & mask == b)
+
+    def test_partner_bitsets_are_built_once_per_ground_size(self):
+        # the first extraction on 8 points builds the table of submask
+        # bitsets, and a second extraction of that ground size reads it:
+        # each of the 2 * 2^8 measurability tests looks the table up
+        outer.submask_bitsets.cache_clear()
+        om.extract_measurable_algebra(hitting_outer(random.Random(8), 8, C2))
+        assert outer.submask_bitsets.cache_info().misses == 1
+        om.extract_measurable_algebra(hitting_outer(random.Random(9), 8, C2))
+        info = outer.submask_bitsets.cache_info()
+        assert (info.misses, info.hits + info.misses) == (1, 2 * 2**8)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_extraction_tests_every_mask_once(self, monkeypatch, n):
@@ -498,6 +569,33 @@ def backend_tables(draw):
     return values, n, backend
 
 
+@st.composite
+def monotone_tables(draw):
+    """(values, n, backend) on n = 1..5 points of coord(2) or
+    LoewnerSym(2): a cover sum, infinite on the up-set of one to three
+    drawn sets, with a positive value added on every superset of a set.
+    Each is monotone; a finite pair whose union lies in the up-set, or the
+    bump, often breaks sub-additivity."""
+    backend, n = draw(st.sampled_from([C2, om.loewner_sym(2)])), draw(st.integers(1, 5))
+    full = full_mask(n)
+    covers = draw(st.lists(st.tuples(st.integers(1, full), ext_values(backend, True, 3)),
+                           min_size=1, max_size=3))
+    infinite = draw(st.lists(st.integers(1, full), min_size=1, max_size=3))
+    s, delta = draw(st.integers(1, full)), draw(ext_values(backend, True, 3))
+    values = {}
+    for mask in range(full + 1):
+        total = om.finite(om.zero(backend))
+        for cover, weight in covers:
+            if mask & cover:
+                total = om.ext_add(total, weight)
+        if mask & s == s:
+            total = om.ext_add(total, delta)
+        if any(mask & t == t for t in infinite):
+            total = om.infinity(backend)
+        values[mask] = total
+    return values, n, backend
+
+
 def outcome(fn, *args):
     """What `fn` returns, or the message and witness of its ValidationError."""
     try:
@@ -547,6 +645,14 @@ def skewed_measures(draw):
     return mu
 
 
+def identity_table(mu):
+    """The values of the identity suite's table, as `table_kernels` gives
+    them for its 4^k visits: ints when the table is packed."""
+    members, den = mu.space.members(), mu.atom_table[0]
+    rows = [None if row is None else (row, den) for row in map(mu.row, members)]
+    return spaces.table_kernels(mu.backend, rows, len(members) ** 2)[0]
+
+
 class TestIntegerTable:
     """The integer passes against the `ExtElement` passes they replaced, and
     the row kernels against the Fraction oracles."""
@@ -558,6 +664,31 @@ class TestIntegerTable:
         fast = outcome(
             lambda: om.validate_outer_measure(row_table(values), backend, n).split_failures)
         assert fast == outcome(ext_validate_outer_measure, values, backend, n)
+
+    @given(monotone_tables())
+    @settings(max_examples=200, deadline=None)
+    def test_split_record_agrees_with_ext_oracle_on_every_route(self, case):
+        # the pair pass on the packed, interned and row kernels, and the
+        # validating pass, against the Fraction oracle: the same record, or
+        # the same first violation and witness
+        values, n, backend = case
+        oracle = outcome(ext_split_table, values, n)
+        rows = ext_rows([values[mask] for mask in range(1 << n)])
+        routes = [(rows, spaces.row_add, partial(spaces.row_leq, backend), spaces.row_eq)]
+        fast = spaces.table_kernels(backend, rows, 10**9)
+        assert all(v is None or type(v) is int for v in fast[0])  # packed or interned
+        routes.append(fast)
+        for kernels in routes:
+            assert outcome(outer._split_table, *kernels) == oracle
+        assert outcome(lambda: om.validate_outer_measure(row_table(values), backend,
+                                                         n).split_failures) == oracle
+
+    @given(skewed_measures().filter(
+        lambda mu: None in dict(mu.atom_table[1]).values() and all(
+            type(v) is int for v in identity_table(mu) if v is not None)))
+    @settings(max_examples=100, deadline=None)
+    def test_identities_with_an_infinite_atom_on_a_packed_table_agree(self, mu):
+        assert om.check_measure_identities(mu).to_json() == ext_measure_identities(mu).to_json()
 
     @given(backend_measures())
     @settings(max_examples=200, deadline=None)
@@ -573,7 +704,7 @@ class TestIntegerTable:
         # usually keep their own, and the row operations cross-multiply
         values = data.draw(st.lists(ext_values(backend, data.draw(st.booleans()),
                                                max_den), min_size=1, max_size=5))
-        rows = extended.ext_rows(values)
+        rows = ext_rows(values)
         dens = [v.finite.den for v in values if v.is_finite]
         shared = math.lcm(*dens).bit_length() <= 2 * max(dens, default=1).bit_length() + 64
         assert shared == (len({row[1] for row in rows if row}) <= 1)
@@ -602,7 +733,7 @@ class TestIntegerTable:
             values = {0: om.finite(om.zero(backend))}
             for i, mask in enumerate(masks):
                 values[mask] = om.finite(om.scale(1 + Fraction(1, 10**18 + i), eye))
-            rows = extended.ext_rows([values[m] for m in range(1 << n)])
+            rows = ext_rows([values[m] for m in range(1 << n)])
             assert len({den for _, den in rows}) == 1 << n
             nu = om.validate_outer_measure(row_table(values), backend, n)
             assert nu.split_failures == ext_validate_outer_measure(values, backend, n)

@@ -45,6 +45,17 @@ SCENARIOS = "tests/test_scenarios.py"
 REFERENCE = "tests/test_cli_reference.py"
 READER = "tests/test_outer_reader.py"
 
+# the pair pass's branch for a pair of two finite sides, as `ast.unparse` writes it
+FINITE_PAIR = (
+    "if vb is not None:\n"
+    "    joint, split = (values[a | b], add(va, vb))\n"
+    "    if not eq(joint, split):\n"
+    "        if not leq(joint, split):\n"
+    "            raise ValidationError('sub-additivity violation', "
+    "witness={'pair': [mask_to_points(a), mask_to_points(b)]})\n"
+    "        failures[a] |= 1 << b\n"
+    "        failures[b] |= 1 << a")
+
 # (name, module file, function, old, new, test files)
 MUTANTS = [
     ("closed form: inf * 0 = inf (infinite value on a null atom)", "integral.py",
@@ -92,6 +103,16 @@ MUTANTS = [
      "_continuity", "period > 1", "False", [TAILS]),
     ("outer split table: only half of each failing pair is recorded", "outer.py",
      "_split_table", "failures[b] |= 1 << a", "pass", ["tests/test_outer.py"]),
+    ("outer split table: a pair with an infinite b is recorded as non-additive", "outer.py",
+     "_split_table", FINITE_PAIR,
+     FINITE_PAIR + "\nelse:\n    failures[a] |= 1 << b\n    failures[b] |= 1 << a",
+     ["tests/test_outer.py"]),
+    ("partner table: the submasks with the top point are shifted by p, not 2^p", "outer.py",
+     "submask_bitsets", "s | s << top | 1 << top", "s | s << p | 1 << top",
+     ["tests/test_outer.py"]),
+    ("identity suite: the mirrored modularity verdict is filed under (D1, D2), not (D2, D1)",
+     "measures.py", "check_measure_identities", "(j, i, 1)", "(i, j, 1)",
+     ["tests/test_outer.py"]),
     ("outer validation: positivity asks nu(A) <= 0, not 0 <= nu(A)", "outer.py",
      "validate_outer_measure", "leq(values[0], values[mask])", "leq(values[mask], values[0])",
      ["tests/test_outer.py"]),
